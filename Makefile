@@ -18,8 +18,8 @@ PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
               ./internal/fft3d ./internal/tune ./internal/machine
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck race bench \
-        benchsmoke benchjson benchcmp servesmoke obssmoke shardsmoke \
-        tracesmoke fmt
+        microbench benchsmoke benchjson benchcmp servesmoke obssmoke \
+        shardsmoke tracesmoke fmt
 
 ci: vet lint build crossbuild asmcheck test purego race benchsmoke servesmoke obssmoke shardsmoke tracesmoke benchjson benchcmp
 
@@ -98,7 +98,14 @@ shardsmoke:
 tracesmoke:
 	$(GO) run ./cmd/fftserved -traceselftest -roofline 10
 
+# The ruler (BENCHMARK.json): every named workload's end-to-end and
+# per-layer metrics, all outputs verified; performance claims are stated
+# against it. See benchmark/README.md (`-workload`, `-seconds`, `-repeat`).
 bench:
+	$(GO) run ./benchmark
+
+# The root package's go-test micro-benchmarks (figures, tables, public API).
+microbench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
 # One-iteration pass over the transform benchmarks: catches benchmarks that

@@ -59,8 +59,11 @@ func WithWorkers(data, compute int) Option {
 }
 
 // WithBufferElems sets the pipeline block size b in complex elements (the
-// engine keeps two halves of this size; the paper sizes the pair at half
-// the last-level cache).
+// engine keeps two halves of this size). The default is chosen by the plan
+// package from the host: both halves of a 2D/3D plan stay L2-resident
+// (machine.PreferredBufferElems), the six-step 1D plan uses its own
+// measured 1<<16. The paper sizes the pair at half the last-level cache;
+// WithMachineDefaults applies that rule.
 func WithBufferElems(b int) Option {
 	return func(c *core.Config) error {
 		if b < 1 {
@@ -72,7 +75,9 @@ func WithBufferElems(b int) Option {
 }
 
 // WithCacheline sets μ, the cacheline granularity in complex elements used
-// by the blocked rotations (default 4 = 64 bytes).
+// by the blocked rotations. The default is the largest of 8, 4, 2 dividing
+// the row length m (8 = two 64-byte lines, the fastest measured rotation);
+// an explicit μ must divide m.
 func WithCacheline(mu int) Option {
 	return func(c *core.Config) error {
 		if mu < 1 {
@@ -84,23 +89,26 @@ func WithCacheline(mu int) Option {
 }
 
 // WithRadix caps the Stockham stage radix of the power-of-two 1D sub-plans:
-// 8 (the default) makes ⌈log₄(n)⌉ passes over the cache-resident buffer per
-// pencil (a radix-8 first stage absorbs odd log₂(n) without a radix-2
-// pass), 4 and 2 make more passes and exist for tuning and ablation.
-// 0 selects the default.
+// 16 (the default) runs fused two-stage codelets, ⌈log₁₆(n)⌉ passes over
+// the cache-resident buffer per pencil, with a trailing radix-4 stage
+// folded into the store leg where the chain allows; 8, 4 and 2 make more
+// passes and exist for tuning and ablation. 0 selects the default.
 func WithRadix(r int) Option {
 	return func(c *core.Config) error {
 		switch r {
-		case 0, 2, 4, 8:
+		case 0, 2, 4, 8, 16:
 			c.Radix = r
 			return nil
 		}
-		return fmt.Errorf("repro: radix must be 0, 2, 4 or 8, got %d", r)
+		return fmt.Errorf("repro: radix must be 0, 2, 4, 8 or 16, got %d", r)
 	}
 }
 
-// WithSplitFormat enables or disables the block-interleaved compute format
-// (§IV-A; enabled by default).
+// WithSplitFormat enables or disables the paper's block-interleaved compute
+// format (§IV-A). Disabled by default: on the measured hosts the
+// complex-interleaved format with the fused radix-16 codelets and the
+// store-leg fold is faster (EXPERIMENTS.md "Plan defaults and whole-line
+// streaming stores").
 func WithSplitFormat(on bool) Option {
 	return func(c *core.Config) error {
 		c.SplitFormat = on

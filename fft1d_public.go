@@ -45,11 +45,7 @@ func (f *FFT1D) Forward(dst, src []complex128) error {
 
 // Inverse computes the normalized inverse DFT out of place.
 func (f *FFT1D) Inverse(dst, src []complex128) error {
-	if err := f.p.Transform(dst, src, fft1d.Inverse); err != nil {
-		return err
-	}
-	fft1d.Scale(dst, 1/float64(f.p.N()))
-	return nil
+	return f.p.Inverse(dst, src)
 }
 
 // Close releases the plan's persistent pipeline workers; optional and

@@ -13,13 +13,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpufeat"
-	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 	"repro/internal/kernels"
 	"repro/internal/layout"
 	"repro/internal/obs"
-	"repro/internal/rfft"
 	"repro/internal/serve"
 	"repro/internal/stream"
 )
@@ -499,20 +495,23 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 		)
 	}
 
-	// Whole double-buffered transforms. Traffic model: each of the D stages
+	// Whole double-buffered transforms, built the way the public API builds
+	// them — core.Default() through the core constructors — so a snapshot
+	// and a repro.New* plan cannot diverge (workers pinned 1/1 to keep
+	// entries comparable across hosts). Traffic model: each of the D stages
 	// reads and writes the full array once, 32·elems·D bytes — the paper's
 	// minimal-traffic accounting (§III), so FracStreamPeak is comparable to
 	// the figures' percent-of-peak axis.
+	cfg := core.Default()
+	cfg.DataWorkers, cfg.ComputeWorkers, cfg.Workers = 1, 1, 2
+	cfg.RooflineGBs = streamGBs
 	{
 		const n, m = 256, 256
 		elems := n * m
-		p, err := fft2d.NewPlan(n, m, fft2d.Options{
-			Strategy: fft2d.DoubleBuf, DataWorkers: 1, ComputeWorkers: 1,
-		})
+		p, err := core.NewPlan2D(n, m, cfg)
 		if err != nil {
 			return nil, err
 		}
-		p.Obs().SetRoofline(streamGBs)
 		src := make([]complex128, elems)
 		for i := range src {
 			src[i] = complex(float64(i%23)-11, float64(i%19)-9)
@@ -521,20 +520,17 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 		cases = append(cases, jsonCase{
 			name:       "fft2d/DoubleBuf/256x256",
 			bytesPerOp: int64(elems) * 32 * 2,
-			fn:         func() error { return p.Transform(dst, src, fft1d.Forward) },
+			fn:         func() error { return p.Forward(dst, src) },
 			snap:       p.Observability,
 		})
 	}
 	{
 		const k, n, m = 64, 64, 64
 		elems := k * n * m
-		p, err := fft3d.NewPlan(k, n, m, fft3d.Options{
-			Strategy: fft3d.DoubleBuf, DataWorkers: 1, ComputeWorkers: 1,
-		})
+		p, err := core.NewPlan3D(k, n, m, cfg)
 		if err != nil {
 			return nil, err
 		}
-		p.Obs().SetRoofline(streamGBs)
 		src := make([]complex128, elems)
 		for i := range src {
 			src[i] = complex(float64(i%23)-11, float64(i%19)-9)
@@ -543,7 +539,7 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 		cases = append(cases, jsonCase{
 			name:       "fft3d/DoubleBuf/64x64x64",
 			bytesPerOp: int64(elems) * 32 * 3,
-			fn:         func() error { return p.Transform(dst, src, fft1d.Forward) },
+			fn:         func() error { return p.Forward(dst, src) },
 			snap:       p.Observability,
 		})
 	}
@@ -557,11 +553,10 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 	{
 		const n, m = 256, 256
 		elems := n * m
-		p, err := rfft.NewPlan2D(n, m, rfft.Options{DataWorkers: 1, ComputeWorkers: 1})
+		p, err := core.NewRealPlan2D(n, m, cfg)
 		if err != nil {
 			return nil, err
 		}
-		p.SetRoofline(streamGBs)
 		src := make([]float64, elems)
 		for i := range src {
 			src[i] = float64(i%23) - 11
@@ -577,11 +572,10 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 	{
 		const k, n, m = 64, 64, 64
 		elems := k * n * m
-		p, err := rfft.NewPlan3D(k, n, m, rfft.Options{DataWorkers: 1, ComputeWorkers: 1})
+		p, err := core.NewRealPlan3D(k, n, m, cfg)
 		if err != nil {
 			return nil, err
 		}
-		p.SetRoofline(streamGBs)
 		src := make([]float64, elems)
 		for i := range src {
 			src[i] = float64(i%23) - 11

@@ -1,9 +1,11 @@
-// Package core ties the paper's pieces together: it derives execution
-// parameters from a machine description exactly the way the paper does —
-// buffer b = LLC/2 split into two halves, μ = one cacheline of complex
-// elements, half the threads as soft-DMA data workers and half as compute
-// workers, SMT or core pairing per vendor (§IV) — and builds the 2D/3D
-// plans of internal/fft2d and internal/fft3d from them.
+// Package core ties the paper's pieces together: it splits the threads
+// half into soft-DMA data workers and half into compute workers (§IV),
+// derives the paper's b = LLC/2 and μ = one cacheline for a described
+// machine (ForMachine), and builds the plans of internal/fft2d,
+// internal/fft3d and internal/rfft from the result. The kernel-shape
+// defaults — μ, the buffer size, the compute format — are not restated
+// here: a zero field means the plan package resolves it, from the measured
+// profile, exactly as for a caller that passes its zero-value Options.
 //
 // The root repro package re-exports this as the public API.
 package core
@@ -32,17 +34,25 @@ const (
 	StrategyDoubleBuf = "doublebuf"
 )
 
-// Config is the resolved execution configuration.
+// Config is the execution configuration handed to the plan packages.
 type Config struct {
-	Strategy       string
+	Strategy string
+	// Mu and BufferElems are the cacheline block and per-half pipeline
+	// block sizes in complex elements. Zero — what Default returns — lets
+	// the plan package decide (machine.PreferredMu for the row length,
+	// machine.PreferredBufferElems for the host's L2; the six-step 1D plan
+	// has its own measured buffer default).
 	Mu             int
 	BufferElems    int
 	DataWorkers    int
 	ComputeWorkers int
 	Workers        int
-	SplitFormat    bool
+	// SplitFormat selects the block-interleaved compute format of §IV-A
+	// over the default complex-interleaved one.
+	SplitFormat bool
 	// Radix caps the Stockham stage radix of power-of-two 1D sub-plans
-	// (0 = default 8; 2/4 select the higher-pass-count mixes).
+	// (0 = default 16, the fused two-stage codelets; 2/4/8 select the
+	// higher-pass-count mixes).
 	Radix int
 	// StageFusion runs every transform as one fused stage graph (steady
 	// state flows through stage boundaries; one pipeline drain per
@@ -61,7 +71,10 @@ type Config struct {
 }
 
 // Default returns the configuration this host would use: the paper's
-// buffer/μ rules applied to a generic machine with the host's CPU count.
+// half-and-half worker split over the host's CPU count, with μ, the buffer
+// size and the compute format left zero for the plan packages to resolve —
+// so a plan built from Default() is the plan their zero-value Options
+// build, which is the one the benchmarks measure.
 func Default() Config {
 	threads := runtime.GOMAXPROCS(0)
 	pd := threads / 2
@@ -70,19 +83,17 @@ func Default() Config {
 	}
 	return Config{
 		Strategy:       StrategyDoubleBuf,
-		Mu:             4,       // one 64 B cacheline of complex128
-		BufferElems:    1 << 16, // two halves ≈ 2 MiB, half a typical LLC
 		DataWorkers:    pd,
 		ComputeWorkers: pd,
 		Workers:        threads,
-		SplitFormat:    true,
 		StageFusion:    true,
 	}
 }
 
 // ForMachine returns the paper's configuration for one of the described
 // machines: b = LLC/2 over two halves, μ = cacheline, p_d = p_c = threads/2
-// per socket.
+// per socket. The compute format is left to the plan package, as in
+// Default.
 func ForMachine(m machine.Machine) Config {
 	pairs := m.Threads() / 2
 	if pairs < 1 {
@@ -95,7 +106,6 @@ func ForMachine(m machine.Machine) Config {
 		DataWorkers:    pairs,
 		ComputeWorkers: pairs,
 		Workers:        m.Threads(),
-		SplitFormat:    true,
 		StageFusion:    true,
 		MachineName:    m.Name,
 		RooflineGBs:    m.StreamGBs,
@@ -222,11 +232,7 @@ func (p *Plan3D) Forward(dst, src []complex128) error {
 // Inverse computes the normalized inverse transform out of place (a
 // Forward followed by Inverse returns the input).
 func (p *Plan3D) Inverse(dst, src []complex128) error {
-	if err := p.plan.Transform(dst, src, fft1d.Inverse); err != nil {
-		return err
-	}
-	fft1d.Scale(dst, 1/float64(p.plan.Len()))
-	return nil
+	return p.plan.Inverse(dst, src)
 }
 
 // InPlace computes the unnormalized forward transform in place.
@@ -298,11 +304,7 @@ func (p *Plan2D) Forward(dst, src []complex128) error {
 
 // Inverse computes the normalized inverse transform out of place.
 func (p *Plan2D) Inverse(dst, src []complex128) error {
-	if err := p.plan.Transform(dst, src, fft1d.Inverse); err != nil {
-		return err
-	}
-	fft1d.Scale(dst, 1/float64(p.n*p.m))
-	return nil
+	return p.plan.Inverse(dst, src)
 }
 
 // InPlace computes the unnormalized forward transform in place.

@@ -8,10 +8,25 @@ import (
 	"repro/internal/machine"
 )
 
+// Default restates no kernel-shape default: zero μ, buffer and format mean
+// "the plan package decides", so a Default() plan is the plan the plan
+// packages' zero-value Options build (the root drift-guard test compares
+// the compiled graphs and outputs).
 func TestDefaultConfig(t *testing.T) {
 	c := Default()
-	if c.Strategy != StrategyDoubleBuf || c.Mu != 4 || c.DataWorkers < 1 || c.ComputeWorkers < 1 {
+	if c.Strategy != StrategyDoubleBuf || c.DataWorkers < 1 || c.ComputeWorkers < 1 || !c.StageFusion {
 		t.Fatalf("Default() = %+v", c)
+	}
+	if c.Mu != 0 || c.BufferElems != 0 || c.SplitFormat || c.Radix != 0 {
+		t.Fatalf("Default() restates a plan-package default: %+v", c)
+	}
+	p, err := NewPlan2D(64, 64, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if got, want := p.plan.Mu(), machine.PreferredMu(64); got != want {
+		t.Errorf("default plan runs μ=%d, want machine.PreferredMu = %d", got, want)
 	}
 }
 
@@ -26,8 +41,8 @@ func TestForMachineAppliesPaperRules(t *testing.T) {
 	if c.DataWorkers != 4 || c.ComputeWorkers != 4 {
 		t.Errorf("workers = %d/%d, want 4/4 (half of 8 threads each)", c.DataWorkers, c.ComputeWorkers)
 	}
-	if !c.SplitFormat {
-		t.Error("paper configuration should use split format")
+	if c.SplitFormat {
+		t.Error("the compute format is the plan package's default, not ForMachine's")
 	}
 }
 
@@ -140,7 +155,16 @@ func TestInvalidSizeRejected(t *testing.T) {
 	if _, err := NewPlan3D(0, 8, 8, Default()); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := NewPlan2D(8, 6, Default()); err == nil {
-		t.Error("accepted μ∤m under doublebuf")
+	// A defaulted μ adapts to the row length (8×6 runs μ=2) …
+	p, err := NewPlan2D(8, 6, Default())
+	if err != nil {
+		t.Fatalf("default μ should adapt to m=6: %v", err)
+	}
+	p.Close()
+	// … an explicit μ that does not divide m is still an error.
+	cfg := Default()
+	cfg.Mu = 4
+	if _, err := NewPlan2D(8, 6, cfg); err == nil {
+		t.Error("accepted explicit μ∤m under doublebuf")
 	}
 }

@@ -144,3 +144,20 @@ func ApproxEqual(v, w Vec, tol float64) bool {
 	}
 	return MaxDiff(v, w) <= tol*scale
 }
+
+// FirstBitDiff returns the index of the first element at which v and w
+// differ in any bit of their real or imaginary parts (so −0 ≠ +0 and equal
+// NaN payloads match), or −1 when they are bitwise identical — the
+// comparison the tier/path equivalence tests are stated in.
+func FirstBitDiff(v, w Vec) int {
+	if len(v) != len(w) {
+		panic(fmt.Sprintf("cvec: FirstBitDiff length mismatch %d != %d", len(v), len(w)))
+	}
+	for i := range v {
+		if math.Float64bits(real(v[i])) != math.Float64bits(real(w[i])) ||
+			math.Float64bits(imag(v[i])) != math.Float64bits(imag(w[i])) {
+			return i
+		}
+	}
+	return -1
+}

@@ -39,14 +39,16 @@ type Options struct {
 	// DataWorkers / ComputeWorkers as in the multi-dimensional plans.
 	DataWorkers    int
 	ComputeWorkers int
-	// BufferElems is the per-half block size (default 1<<15).
+	// BufferElems is the per-half block size in complex elements (default
+	// defaultBufferElems).
 	BufferElems int
 	// MinN is the size below which the plan falls back to the plain
 	// in-cache 1D FFT (default 1<<12 — smaller transforms fit in cache
 	// and gain nothing from streaming).
 	MinN int
 	// Radix caps the Stockham stage radix of the power-of-two row sub-plans
-	// (0 = default 8; 2 and 4 for tuning/ablation).
+	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
+	// the higher-pass-count mixes for tuning/ablation).
 	Radix int
 	// Unfused disables cross-stage pipeline fusion (each permutation
 	// drains the pipeline before the next begins); fusion is the default.
@@ -54,6 +56,15 @@ type Options struct {
 	// Tracer records pipeline events for schedule verification.
 	Tracer *trace.Recorder
 }
+
+// defaultBufferElems is this package's own default, not
+// machine.PreferredBufferElems: each block is transposed through a staging
+// half, and a larger block means longer contiguous column stores. Measured
+// forward sweep on the 2 MiB-L2 reference host (EXPERIMENTS.md "Six-step
+// buffer size"): 2¹⁵ is 21 % slower than 2¹⁶ at n = 2²⁴ and 14 % at 2²²;
+// 2¹⁷ gains 12 % at 2²⁴ but loses 10 % at 2¹⁸–2²⁰. 2¹⁶ is also what every
+// public caller passed before the plan packages owned their defaults.
+const defaultBufferElems = 1 << 16
 
 func (o Options) withDefaults() Options {
 	if o.DataWorkers == 0 {
@@ -63,7 +74,7 @@ func (o Options) withDefaults() Options {
 		o.ComputeWorkers = 1
 	}
 	if o.BufferElems == 0 {
-		o.BufferElems = 1 << 15
+		o.BufferElems = defaultBufferElems
 	}
 	if o.MinN == 0 {
 		o.MinN = 1 << 12
@@ -89,6 +100,9 @@ type Plan struct {
 	sched   *stagegraph.Schedule
 	exec    *stagegraph.Executor
 	curSign int
+	// curScale, when non-zero, is the 1/n the last stage applies to its
+	// rows while they are still in cache (Inverse); patched like curSign.
+	curScale float64
 
 	obs      *obs.Collector
 	obsUnreg func()
@@ -106,9 +120,9 @@ func NewPlan(n int, opts Options) (*Plan, error) {
 	}
 	opts = opts.withDefaults()
 	switch opts.Radix {
-	case 0, 2, 4, 8:
+	case 0, 2, 4, 8, 16:
 	default:
-		return nil, fmt.Errorf("fft1dlarge: radix must be 0, 2, 4 or 8, got %d", opts.Radix)
+		return nil, fmt.Errorf("fft1dlarge: radix must be 0, 2, 4, 8 or 16, got %d", opts.Radix)
 	}
 	p := &Plan{n: n, opts: opts}
 	p.refs.Store(1)
@@ -221,11 +235,25 @@ func (p *Plan) Direct() bool { return p.direct != nil }
 // Transform computes dst = DFT_n(src), unnormalized, out of place. dst and
 // src must not overlap.
 func (p *Plan) Transform(dst, src []complex128, sign int) error {
+	return p.transform(dst, src, sign, 0)
+}
+
+// Inverse computes the normalized inverse out of place: Transform(dst, src,
+// fft1d.Inverse) followed by fft1d.Scale(dst, 1/n), bitwise, with the scale
+// applied to the last stage's rows in cache instead of in a pass over dst.
+func (p *Plan) Inverse(dst, src []complex128) error {
+	return p.transform(dst, src, fft1d.Inverse, 1/float64(p.n))
+}
+
+func (p *Plan) transform(dst, src []complex128, sign int, scale float64) error {
 	if len(dst) != p.n || len(src) != p.n {
 		return fmt.Errorf("fft1dlarge: lengths dst=%d src=%d, want %d", len(dst), len(src), p.n)
 	}
 	if p.direct != nil {
 		p.direct.Transform(dst, src, sign)
+		if scale != 0 {
+			fft1d.Scale(dst, scale)
+		}
 		return nil
 	}
 	p.lock.Lock()
@@ -233,7 +261,7 @@ func (p *Plan) Transform(dst, src []complex128, sign int) error {
 	if p.closed {
 		return fmt.Errorf("fft1dlarge: plan closed")
 	}
-	p.curSign = sign
+	p.curSign, p.curScale = sign, scale
 	p.stages[0].Src.C = src
 	p.stages[2].Dst.C = dst
 	st, err := p.exec.Run(p.bufs, p.stages, p.sched, p.opts.Tracer)
@@ -283,18 +311,19 @@ func (p *Plan) DescribeGraph() string {
 // call. Endpoints may be nil when only describing the graph.
 func (p *Plan) buildStages(dst, src []complex128) []stagegraph.Stage {
 	return []stagegraph.Stage{
-		p.transposeStage("reorder", p.w1, src, p.n2, p.n1, nil, false),
-		p.transposeStage("n2-rows", p.w2, p.w1, p.n1, p.n2, p.p2, true),
-		p.transposeStage("n1-rows", dst, p.w2, p.n2, p.n1, p.p1, false),
+		p.transposeStage("reorder", p.w1, src, p.n2, p.n1, nil, false, false),
+		p.transposeStage("n2-rows", p.w2, p.w1, p.n1, p.n2, p.p2, true, false),
+		p.transposeStage("n1-rows", dst, p.w2, p.n2, p.n1, p.p1, false, true),
 	}
 }
 
 // transposeStage compiles one stride-permutation pass over the rows×cols
 // row-major matrix src into a Stage: load contiguous row groups, optionally
 // apply rowPlan to every row (scaling row j by ω_N^{j·i} when twiddles is
-// set), transpose the group in cache into the staging half, and store whole
-// column blocks into the cols×rows matrix dst.
-func (p *Plan) transposeStage(name string, dst, src []complex128, rows, cols int, rowPlan *fft1d.Plan, twiddles bool) stagegraph.Stage {
+// set, and by curScale when last is set and a normalized inverse is
+// running), transpose the group in cache into the staging half, and store
+// whole column blocks into the cols×rows matrix dst.
+func (p *Plan) transposeStage(name string, dst, src []complex128, rows, cols int, rowPlan *fft1d.Plan, twiddles, last bool) stagegraph.Stage {
 	rPer := largestDivisorAtMost(rows, maxI(p.bufs.Elems/cols, 1))
 	return stagegraph.Stage{
 		Name: name, Iters: rows / rPer, Units: rPer, UnitLen: cols,
@@ -314,6 +343,9 @@ func (p *Plan) transposeStage(name string, dst, src []complex128, rows, cols int
 				for r := lo; r < hi; r++ {
 					twiddleRow(rowsHalf[r*cols:(r+1)*cols], iter*rPer+r, p.n, sign)
 				}
+			}
+			if last && p.curScale != 0 && lo < hi {
+				fft1d.Scale(rowsHalf[lo*cols:hi*cols], p.curScale)
 			}
 			// Transpose the worker's row range into the column-major
 			// staging half through the register-tiled kernel.

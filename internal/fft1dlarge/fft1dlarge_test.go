@@ -163,3 +163,79 @@ func BenchmarkSixStepVsDirect(b *testing.B) {
 		}
 	})
 }
+
+// Inverse is, bitwise, Transform(…, fft1d.Inverse) followed by
+// fft1d.Scale(dst, 1/n): the six-step plan scales the last stage's rows in
+// cache, the direct fallback scales dst.
+func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		opts Options
+	}{
+		{1 << 13, Options{BufferElems: 1 << 10}},
+		{1 << 13, Options{BufferElems: 1 << 10, Unfused: true}},
+		{1 << 12, Options{DataWorkers: 2, ComputeWorkers: 2, BufferElems: 1 << 9}},
+		{6000, Options{MinN: 1 << 10, BufferElems: 1 << 9}}, // non-pow2 six-step
+		{1 << 14, Options{Radix: 16}},
+		{1 << 8, Options{}}, // direct fallback
+	} {
+		p, err := NewPlan(c.n, c.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randVec(int64(c.n), c.n)
+		want := make([]complex128, c.n)
+		if err := p.Transform(want, x, fft1d.Inverse); err != nil {
+			t.Fatal(err)
+		}
+		fft1d.Scale(want, 1/float64(c.n))
+		got := make([]complex128, c.n)
+		if err := p.Inverse(got, x); err != nil {
+			t.Fatal(err)
+		}
+		if i := cvec.FirstBitDiff(got, want); i >= 0 {
+			t.Fatalf("n=%d %+v: element %d: got %v, want %v (bitwise)", c.n, c.opts, i, got[i], want[i])
+		}
+		// The scale is per call: the next unnormalized transform must not
+		// inherit it.
+		if err := p.Transform(got, x, fft1d.Forward); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Transform(want, x, fft1d.Forward); err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("n=%d: forward after Inverse differs at %d", c.n, i)
+			}
+		}
+		p.Close()
+	}
+}
+
+// The radix cap follows the sub-plans: 16 (the planner default) is
+// accepted and is what 0 selects.
+func TestRadix16AcceptedAndDefault(t *testing.T) {
+	const n = 1 << 14
+	x := randVec(3, n)
+	outs := make([][]complex128, 2)
+	for i, r := range []int{0, 16} {
+		p, err := NewPlan(n, Options{Radix: r})
+		if err != nil {
+			t.Fatalf("Radix %d: %v", r, err)
+		}
+		outs[i] = make([]complex128, n)
+		if err := p.Transform(outs[i], x, fft1d.Forward); err != nil {
+			t.Fatal(err)
+		}
+		p.Close()
+	}
+	for i := range outs[0] {
+		if outs[0][i] != outs[1][i] {
+			t.Fatalf("Radix 0 and 16 differ at %d", i)
+		}
+	}
+	if _, err := NewPlan(n, Options{Radix: 3}); err == nil {
+		t.Fatal("accepted Radix 3")
+	}
+}

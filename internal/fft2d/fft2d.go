@@ -144,6 +144,12 @@ type Plan struct {
 	sched   *stagegraph.Schedule
 	exec    *stagegraph.Executor
 	curSign int
+	// curScale, when non-zero, is the 1/N the last stage's compute hook
+	// applies to each block while it is still in cache; patched per call
+	// under lock like curSign. Inverse uses it when scaleInStage (set in
+	// NewPlan) says that is bitwise-identical to scaling dst afterwards.
+	curScale     float64
+	scaleInStage bool
 
 	obs      *obs.Collector
 	obsUnreg func()
@@ -198,7 +204,13 @@ func NewPlan(n, m int, opts Options) (*Plan, error) {
 			p.work = make([]complex128, n*m)
 		}
 		p.bufs = stagegraph.NewBuffers(b, opts.SplitFormat, false)
-		p.stages = p.buildStages(nil, nil)
+		p.stages = p.buildStages()
+		// Scaling a stage-2 block in its compute leg is the same fft1d.Scale
+		// on the same values a pass over dst would apply. Ahead of a folded
+		// butterfly that holds only when the scale is a power of two (exact,
+		// so it commutes with the butterfly's adds); other folded shapes,
+		// and split buffers, keep the pass.
+		p.scaleInStage = !opts.SplitFormat && (p.stages[1].StoreRadix == 0 || (n*m)&(n*m-1) == 0)
 		stagegraph.ApplyStorePolicy(p.stages,
 			opts.StorePolicy.Decide(p.destBytes(), machine.HostLLCBytes()))
 		p.sched = stagegraph.Compile(p.stages, !opts.Unfused)
@@ -277,7 +289,7 @@ func (p *Plan) Stage1Iters() int {
 
 // Transform computes dst = DFT_{n×m}(src) out of place; dst and src must
 // each have length n·m and must not overlap. The transform is unnormalized;
-// apply fft1d.Scale(dst, 1/(n·m)) after an inverse for a round trip.
+// Inverse is the normalized round-trip partner of a forward Transform.
 func (p *Plan) Transform(dst, src []complex128, sign int) error {
 	if len(dst) != p.n*p.m || len(src) != p.n*p.m {
 		return fmt.Errorf("fft2d: Transform lengths dst=%d src=%d, want %d",
@@ -292,9 +304,26 @@ func (p *Plan) Transform(dst, src []complex128, sign int) error {
 	case Pencil:
 		return p.pencil(dst, src, sign)
 	case DoubleBuf:
-		return p.doubleBuf(dst, src, sign)
+		return p.doubleBuf(dst, src, sign, 0)
 	}
 	return fmt.Errorf("fft2d: unknown strategy %v", p.opts.Strategy)
+}
+
+// Inverse computes the normalized inverse transform out of place:
+// Transform(dst, src, fft1d.Inverse) followed by fft1d.Scale(dst, 1/(n·m)),
+// bitwise. Plans with scaleInStage apply the scale in the last stage's
+// compute leg instead, so dst is not swept a third time (wrong lengths
+// fall through to Transform's error).
+func (p *Plan) Inverse(dst, src []complex128) error {
+	scale := 1 / float64(p.n*p.m)
+	if p.scaleInStage && len(dst) == p.n*p.m && len(src) == p.n*p.m {
+		return p.doubleBuf(dst, src, fft1d.Inverse, scale)
+	}
+	if err := p.Transform(dst, src, fft1d.Inverse); err != nil {
+		return err
+	}
+	fft1d.Scale(dst, scale)
+	return nil
 }
 
 // Stats returns the whole-transform executor stats of the most recent
@@ -364,13 +393,15 @@ func (p *Plan) ReviseStorePolicy() int {
 		machine.HostLLCBytes(), p.destBytes())
 }
 
-// DescribeGraph renders the compiled stage graph the plan would execute;
-// empty for non-DoubleBuf strategies.
+// DescribeGraph renders the compiled stage graph the plan executes, with
+// each stage's current store mode; empty for non-DoubleBuf strategies.
 func (p *Plan) DescribeGraph() string {
 	if p.opts.Strategy != DoubleBuf {
 		return ""
 	}
-	return stagegraph.Describe(p.buildStages(nil, nil), !p.opts.Unfused)
+	p.lock.Lock()
+	defer p.lock.Unlock()
+	return stagegraph.Describe(p.stages, !p.opts.Unfused)
 }
 
 // InPlace computes x = DFT_{n×m}(x) using the plan's work array.

@@ -3,6 +3,7 @@ package fft2d
 import (
 	"fmt"
 
+	"repro/internal/fft1d"
 	"repro/internal/kernels"
 	"repro/internal/stagegraph"
 )
@@ -20,8 +21,8 @@ import (
 // read the transform direction from p.curSign (set under the plan lock
 // before each run), and the per-call src/dst endpoints are patched into
 // the cached stages — so a reused plan's Transform rebuilds nothing.
-// Endpoints may be nil when only describing.
-func (p *Plan) buildStages(dst, src []complex128) []stagegraph.Stage {
+func (p *Plan) buildStages() []stagegraph.Stage {
+	var dst, src []complex128 // the caller's arrays: bound per call by doubleBuf
 	n, m, mu, mb := p.n, p.m, p.opts.Mu, p.mb
 	rows, xbs := p.rows1, p.xbs2
 	rowLen := n * mu
@@ -96,6 +97,15 @@ func (p *Plan) buildStages(dst, src []complex128) []stagegraph.Stage {
 				}
 			}
 		}
+		// A normalized inverse (curScale ≠ 0) scales each stage-2 block
+		// while it is still in cache; see Plan.scaleInStage.
+		inner := s2.Compute
+		s2.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+			inner(b, a, half, iter, lo, hi)
+			if p.curScale != 0 && lo < hi {
+				fft1d.Scale(b.C[half][lo*rowLen:hi*rowLen], p.curScale)
+			}
+		}
 	}
 	return []stagegraph.Stage{s1, s2}
 }
@@ -104,13 +114,13 @@ func (p *Plan) buildStages(dst, src []complex128) []stagegraph.Stage {
 // executor: patch the per-call endpoints and direction into the compiled
 // stages, wake the parked workers, and collect whole-transform stats. In
 // steady state this spawns no goroutines and performs no heap allocations.
-func (p *Plan) doubleBuf(dst, src []complex128, sign int) error {
+func (p *Plan) doubleBuf(dst, src []complex128, sign int, scale float64) error {
 	p.lock.Lock()
 	defer p.lock.Unlock()
 	if p.closed {
 		return fmt.Errorf("fft2d: plan closed")
 	}
-	p.curSign = sign
+	p.curSign, p.curScale = sign, scale
 	for i := range p.stages {
 		if p.stages[i].StoreRadix != 0 {
 			p.stages[i].StoreSign = sign

@@ -1,0 +1,87 @@
+package fft2d
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/cvec"
+	"repro/internal/fft1d"
+	"repro/internal/stagegraph"
+)
+
+// Inverse is, bitwise, Transform(…, fft1d.Inverse) followed by
+// fft1d.Scale(dst, 1/(n·m)) — whether the scale ran in the column stage's
+// compute leg (interleaved buffers with no fold on that stage, or any
+// power-of-two n·m) or as the pass over dst the remaining plans keep.
+func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
+	shapes := []struct {
+		n, m    int
+		inStage bool // for the default (interleaved, fold on) options
+	}{
+		{64, 64, true}, // pow2 N: scale ahead of the folded butterfly is exact
+		{32, 128, true},
+		{64, 96, false}, // columns fold (n=64), N not a power of two: pass kept
+		{96, 64, true},  // columns do not fold (n=96): scale after the full DFT_n
+		{20, 12, true},
+	}
+	variants := []struct {
+		name string
+		o    Options
+	}{
+		{"default", Options{Strategy: DoubleBuf}},
+		{"unfused", Options{Strategy: DoubleBuf, Unfused: true}},
+		{"nofold", Options{Strategy: DoubleBuf, DisableStoreFold: true}},
+		{"split", Options{Strategy: DoubleBuf, SplitFormat: true}},
+		{"mu4/radix8", Options{Strategy: DoubleBuf, Mu: 4, Radix: 8}},
+		{"streaming", Options{Strategy: DoubleBuf, StorePolicy: stagegraph.StoreNonTemporal}},
+		{"workers2x2", Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}},
+		{"pencil", Options{Strategy: Pencil}},
+	}
+	for _, sh := range shapes {
+		for _, v := range variants {
+			o := v.o
+			o.BufferElems = 1 << 9
+			t.Run(fmt.Sprintf("%dx%d/%s", sh.n, sh.m, v.name), func(t *testing.T) {
+				p, err := NewPlan(sh.n, sh.m, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				if v.name == "default" && p.scaleInStage != sh.inStage {
+					t.Errorf("scaleInStage = %v, want %v", p.scaleInStage, sh.inStage)
+				}
+				if (v.name == "split" || v.name == "pencil") && p.scaleInStage {
+					t.Error("split/baseline plans must keep the scale pass")
+				}
+				if v.name == "nofold" && !p.scaleInStage {
+					t.Error("an unfolded interleaved last stage always scales in stage")
+				}
+				x := randVec(int64(sh.n*sh.m), sh.n*sh.m)
+				want := make([]complex128, len(x))
+				if err := p.Transform(want, x, fft1d.Inverse); err != nil {
+					t.Fatal(err)
+				}
+				fft1d.Scale(want, 1/float64(len(x)))
+				got := make([]complex128, len(x))
+				if err := p.Inverse(got, x); err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, got, want)
+				// The scale is per call: an unnormalized transform right
+				// after must not inherit it.
+				if err := p.Transform(got, x, fft1d.Inverse); err != nil {
+					t.Fatal(err)
+				}
+				fft1d.Scale(got, 1/float64(len(x)))
+				requireSameBits(t, got, want)
+			})
+		}
+	}
+}
+
+func requireSameBits(t *testing.T, got, want []complex128) {
+	t.Helper()
+	if i := cvec.FirstBitDiff(got, want); i >= 0 {
+		t.Fatalf("element %d: got %v, want %v (bitwise)", i, got[i], want[i])
+	}
+}

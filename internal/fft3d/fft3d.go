@@ -150,6 +150,12 @@ type Plan struct {
 	sched   *stagegraph.Schedule
 	exec    *stagegraph.Executor
 	curSign int
+	// curScale, when non-zero, is the 1/N the last stage's compute hook
+	// applies to each block while it is still in cache; patched per call
+	// under lock like curSign. Inverse uses it when scaleInStage (set in
+	// NewPlan) says that is bitwise-identical to scaling dst afterwards.
+	curScale     float64
+	scaleInStage bool
 
 	obs      *obs.Collector
 	obsUnreg func()
@@ -205,7 +211,13 @@ func NewPlan(k, n, m int, opts Options) (*Plan, error) {
 			p.work = make([]complex128, total)
 		}
 		p.bufs = stagegraph.NewBuffers(b, opts.SplitFormat, false)
-		p.stages = p.buildStages(nil, nil)
+		p.stages = p.buildStages()
+		// Scaling a stage-3 block in its compute leg is the same fft1d.Scale
+		// on the same values a pass over dst would apply. Ahead of a folded
+		// butterfly that holds only when the scale is a power of two (exact,
+		// so it commutes with the butterfly's adds); other folded shapes,
+		// and split buffers, keep the pass.
+		p.scaleInStage = !opts.SplitFormat && (p.stages[2].StoreRadix == 0 || total&(total-1) == 0)
 		stagegraph.ApplyStorePolicy(p.stages,
 			opts.StorePolicy.Decide(p.destBytes(), machine.HostLLCBytes()))
 		p.sched = stagegraph.Compile(p.stages, !opts.Unfused)
@@ -303,9 +315,26 @@ func (p *Plan) Transform(dst, src []complex128, sign int) error {
 		copy(dst, src)
 		return p.slabInPlace(dst, sign)
 	case DoubleBuf:
-		return p.doubleBuf(dst, src, sign)
+		return p.doubleBuf(dst, src, sign, 0)
 	}
 	return fmt.Errorf("fft3d: unknown strategy %v", p.opts.Strategy)
+}
+
+// Inverse computes the normalized inverse transform out of place:
+// Transform(dst, src, fft1d.Inverse) followed by fft1d.Scale(dst, 1/Len()),
+// bitwise. Plans with scaleInStage apply the scale in the last stage's
+// compute leg instead, so dst is not swept a fourth time (wrong lengths
+// fall through to Transform's error).
+func (p *Plan) Inverse(dst, src []complex128) error {
+	scale := 1 / float64(p.Len())
+	if p.scaleInStage && len(dst) == p.Len() && len(src) == p.Len() {
+		return p.doubleBuf(dst, src, fft1d.Inverse, scale)
+	}
+	if err := p.Transform(dst, src, fft1d.Inverse); err != nil {
+		return err
+	}
+	fft1d.Scale(dst, scale)
+	return nil
 }
 
 // Stats returns the whole-transform executor stats of the most recent
@@ -371,13 +400,15 @@ func (p *Plan) ReviseStorePolicy() int {
 		machine.HostLLCBytes(), p.destBytes())
 }
 
-// DescribeGraph renders the compiled stage graph the plan would execute;
-// empty for non-DoubleBuf strategies.
+// DescribeGraph renders the compiled stage graph the plan executes, with
+// each stage's current store mode; empty for non-DoubleBuf strategies.
 func (p *Plan) DescribeGraph() string {
 	if p.opts.Strategy != DoubleBuf {
 		return ""
 	}
-	return stagegraph.Describe(p.buildStages(nil, nil), !p.opts.Unfused)
+	p.lock.Lock()
+	defer p.lock.Unlock()
+	return stagegraph.Describe(p.stages, !p.opts.Unfused)
 }
 
 // InPlace computes x = DFT_{k×n×m}(x).

@@ -28,9 +28,9 @@ import (
 //
 // The graph is built once at plan time and cached: compute closures read
 // the direction from p.curSign (set under the plan lock) and the per-call
-// src/dst endpoints are patched into the cached stages. Endpoints may be
-// nil when only describing the graph.
-func (p *Plan) buildStages(dst, src []complex128) []stagegraph.Stage {
+// src/dst endpoints are patched into the cached stages.
+func (p *Plan) buildStages() []stagegraph.Stage {
+	var dst, src []complex128 // the caller's arrays: bound per call by doubleBuf
 	k, n, mu, mb := p.k, p.n, p.opts.Mu, p.mb
 	m := p.m
 	rows, units2, units3 := p.rows1, p.units2, p.units3
@@ -119,6 +119,15 @@ func (p *Plan) buildStages(dst, src []complex128) []stagegraph.Stage {
 		} else {
 			s3.Compute = p.lanes(p.planK, k*mu, mu)
 		}
+		// A normalized inverse (curScale ≠ 0) scales each stage-3 block
+		// while it is still in cache; see Plan.scaleInStage.
+		inner := s3.Compute
+		s3.Compute = func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+			inner(b, a, half, iter, lo, hi)
+			if p.curScale != 0 && lo < hi {
+				fft1d.Scale(b.C[half][lo*k*mu:hi*k*mu], p.curScale)
+			}
+		}
 	}
 	return []stagegraph.Stage{s1, s2, s3}
 }
@@ -157,13 +166,13 @@ func (p *Plan) lanesSplit(plan *fft1d.Plan, unitLen, mu int) stagegraph.ComputeF
 // executor: patch the per-call endpoints and direction into the compiled
 // stages, wake the parked workers, and collect whole-transform stats. In
 // steady state this spawns no goroutines and performs no heap allocations.
-func (p *Plan) doubleBuf(dst, src []complex128, sign int) error {
+func (p *Plan) doubleBuf(dst, src []complex128, sign int, scale float64) error {
 	p.lock.Lock()
 	defer p.lock.Unlock()
 	if p.closed {
 		return fmt.Errorf("fft3d: plan closed")
 	}
-	p.curSign = sign
+	p.curSign, p.curScale = sign, scale
 	for i := range p.stages {
 		if p.stages[i].StoreRadix != 0 {
 			p.stages[i].StoreSign = sign

@@ -1,0 +1,101 @@
+package fft3d
+
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/cvec"
+	"repro/internal/fft1d"
+	"repro/internal/stagegraph"
+)
+
+// Inverse is, bitwise, Transform(…, fft1d.Inverse) followed by
+// fft1d.Scale(dst, 1/N) — whether the scale ran in the last stage's compute
+// leg (interleaved buffers with no fold on that stage, or any power-of-two
+// N) or as the pass over dst the remaining plans keep.
+func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
+	shapes := []struct {
+		k, n, m int
+		inStage bool // for the default (interleaved, fold on) options
+	}{
+		{16, 16, 16, true}, // pow2 N: scale ahead of the folded butterfly is exact
+		{8, 16, 32, true},
+		{16, 12, 8, false}, // z folds (k=16), N not a power of two: pass kept
+		{12, 16, 8, true},  // z does not fold (k=12): scale after the full DFT_k
+		{6, 10, 12, true},
+	}
+	variants := []struct {
+		name string
+		o    Options
+	}{
+		{"default", Options{Strategy: DoubleBuf}},
+		{"unfused", Options{Strategy: DoubleBuf, Unfused: true}},
+		{"nofold", Options{Strategy: DoubleBuf, DisableStoreFold: true}},
+		{"split", Options{Strategy: DoubleBuf, SplitFormat: true}},
+		{"mu4/radix8", Options{Strategy: DoubleBuf, Mu: 4, Radix: 8}},
+		{"streaming", Options{Strategy: DoubleBuf, StorePolicy: stagegraph.StoreNonTemporal}},
+		{"workers2x2", Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}},
+		{"pencil", Options{Strategy: Pencil}},
+	}
+	for _, sh := range shapes {
+		for _, v := range variants {
+			o := v.o
+			o.BufferElems = 1 << 9
+			if o.Mu != 0 && sh.m%o.Mu != 0 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%dx%dx%d/%s", sh.k, sh.n, sh.m, v.name), func(t *testing.T) {
+				p, err := NewPlan(sh.k, sh.n, sh.m, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				if v.name == "default" && p.scaleInStage != sh.inStage {
+					t.Errorf("scaleInStage = %v, want %v", p.scaleInStage, sh.inStage)
+				}
+				if (v.name == "split" || v.name == "pencil") && p.scaleInStage {
+					t.Error("split/baseline plans must keep the scale pass")
+				}
+				if v.name == "nofold" && !p.scaleInStage {
+					t.Error("an unfolded interleaved last stage always scales in stage")
+				}
+				x := randVec(int64(sh.k*sh.n+sh.m), p.Len())
+				want := make([]complex128, p.Len())
+				if err := p.Transform(want, x, fft1d.Inverse); err != nil {
+					t.Fatal(err)
+				}
+				fft1d.Scale(want, 1/float64(p.Len()))
+				got := make([]complex128, p.Len())
+				if err := p.Inverse(got, x); err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, got, want)
+				// The scale is per call: an unnormalized transform right
+				// after must not inherit it.
+				if err := p.Transform(got, x, fft1d.Inverse); err != nil {
+					t.Fatal(err)
+				}
+				fft1d.Scale(got, 1/float64(p.Len()))
+				requireSameBits(t, got, want)
+			})
+		}
+	}
+}
+
+func requireSameBits(t *testing.T, got, want []complex128) {
+	t.Helper()
+	if i := cvec.FirstBitDiff(got, want); i >= 0 {
+		t.Fatalf("element %d: got %v, want %v (bitwise)", i, got[i], want[i])
+	}
+}
+
+func TestInverseRejectsBadLengths(t *testing.T) {
+	p, err := NewPlan(8, 8, 8, Options{Strategy: DoubleBuf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Inverse(make([]complex128, 10), make([]complex128, 512)); err == nil {
+		t.Fatal("Inverse accepted a short dst")
+	}
+}

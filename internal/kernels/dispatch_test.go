@@ -220,24 +220,26 @@ func TestFoldLegMatchesGeneric(t *testing.T) {
 
 // The fused fold+NT-scatter kernel must place exactly the blocks the
 // scratch fold + scatter pair would, and must decline (writing nothing)
-// on patterns outside its alignment contract.
+// every pattern that is not whole 64-byte lines on line boundaries.
 func TestFoldScatterNTMatchesScratchPath(t *testing.T) {
 	if Tier() == "generic" {
 		t.Skip("no accelerated tier on this build")
 	}
 	r := rand.New(rand.NewSource(11))
-	alignedDst := func(n int) []complex128 {
-		raw := make([]complex128, n+2)
-		for off := 0; off < 2; off++ {
-			if uintptr(unsafe.Pointer(&raw[off]))%32 == 0 {
-				return raw[off : off+n]
+	// lineDst returns n elements starting `off` elements past a 64-byte
+	// line boundary.
+	lineDst := func(n, off int) []complex128 {
+		raw := make([]complex128, n+8)
+		for a := 0; a < 4; a++ {
+			if uintptr(unsafe.Pointer(&raw[a]))%64 == 0 {
+				return raw[a+off : a+off+n]
 			}
 		}
-		t.Fatal("no 32-byte-aligned offset in complex128 slice")
+		t.Fatal("no 64-byte-aligned offset in complex128 slice")
 		return nil
 	}
 	for _, c := range []struct{ blocks, bl, d0, stride int }{
-		{1, 2, 0, 0}, {4, 4, 0, 16}, {3, 4, 4, 32}, {8, 2, 2, 6}, {5, 8, 0, 40},
+		{1, 4, 0, 0}, {4, 4, 0, 16}, {3, 4, 4, 32}, {8, 4, 8, 12}, {5, 8, 0, 40},
 	} {
 		n := c.blocks * c.bl
 		z0, z1 := randComplex(r, n), randComplex(r, n)
@@ -245,9 +247,9 @@ func TestFoldScatterNTMatchesScratchPath(t *testing.T) {
 		extent := c.d0 + (c.blocks-1)*c.stride + c.bl
 		for _, sign := range []int{Forward, Inverse} {
 			for leg := 0; leg < 4; leg++ {
-				got := alignedDst(extent)
+				got := lineDst(extent, 0)
 				if !Radix4FoldScatterNT(got, z0, z1, z2, z3, c.blocks, c.bl, c.d0, c.stride, leg, sign) {
-					t.Fatalf("blocks=%d bl=%d: fused kernel declined an aligned pattern", c.blocks, c.bl)
+					t.Fatalf("blocks=%d bl=%d: fused kernel declined a whole-line pattern", c.blocks, c.bl)
 				}
 				folded := make([]complex128, n)
 				Radix4FoldLegGeneric(folded, z0, z1, z2, z3, leg, sign)
@@ -261,10 +263,29 @@ func TestFoldScatterNTMatchesScratchPath(t *testing.T) {
 			}
 		}
 	}
-	// Odd block length misses the 32-byte store contract: must decline.
-	z := randComplex(r, 3)
-	if Radix4FoldScatterNT(alignedDst(3), z, z, z, z, 1, 3, 0, 0, 0, Forward) {
-		t.Fatal("fused kernel accepted an odd block length")
+	// Anything short of whole lines must be declined untouched: the caller's
+	// scratch fold + cached scatter handles it.
+	for _, c := range []struct {
+		name                       string
+		blocks, bl, d0, stride, at int
+	}{
+		{"odd block length", 1, 3, 0, 0, 0},
+		{"32-byte blocks", 8, 2, 0, 8, 0},
+		{"mid-line start offset", 4, 4, 2, 16, 0},
+		{"mid-line base", 4, 4, 0, 16, 2},
+		{"stride off the line grid", 4, 4, 0, 18, 0},
+	} {
+		n := c.blocks * c.bl
+		z := randComplex(r, n)
+		dst := lineDst(c.d0+(c.blocks-1)*c.stride+c.bl, c.at)
+		if Radix4FoldScatterNT(dst, z, z, z, z, c.blocks, c.bl, c.d0, c.stride, 0, Forward) {
+			t.Fatalf("fused kernel accepted %s", c.name)
+		}
+		for i, v := range dst {
+			if v != 0 {
+				t.Fatalf("%s: declined call wrote dst[%d]", c.name, i)
+			}
+		}
 	}
 }
 

@@ -92,3 +92,44 @@ func BenchmarkScatterBlocksNT(b *testing.B) {
 		ScatterBlocksNT(dst, src, blocks, blockLen, 0, blockLen*2)
 	}
 }
+
+// Patterns short of whole 64-byte lines — 32-byte interleaved blocks
+// (μ=2), 32-byte plane blocks (split μ=4), or whole-line blocks that start
+// mid-line — take the cached scatter (ntOK declines them; see
+// TestNTOKWholeLinesOnly on amd64) and must stay bitwise-equal to the
+// *Generic rotation oracles. Runs under -tags purego too, where the NT
+// entry points are plain aliases.
+func TestScatterNTPartialLinesMatchGenericOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	const k, n, mb = 4, 6, 8
+	for _, mu := range []int{2, 4, 8} {
+		total := k * n * mb * mu
+		src := make([]complex128, total)
+		srcRe, srcIm := make([]float64, total), make([]float64, total)
+		for i := range src {
+			srcRe[i], srcIm[i] = r.NormFloat64(), r.NormFloat64()
+			src[i] = complex(srcRe[i], srcIm[i])
+		}
+		// shift moves every block start off the line grid (mid-line start)
+		// without changing the block pattern.
+		for _, shift := range []int{0, 1, 2} {
+			want := make([]complex128, total+shift)
+			got := make([]complex128, total+shift)
+			Rotate3DBlockedGeneric(want[shift:], src, k, n, mb, mu)
+			wantRe, wantIm := make([]float64, total+shift), make([]float64, total+shift)
+			gotRe, gotIm := make([]float64, total+shift), make([]float64, total+shift)
+			Rotate3DBlockedSplitGeneric(wantRe[shift:], wantIm[shift:], srcRe, srcIm, k, n, mb, mu)
+			row := mb * mu
+			for g := 0; g < k*n; g++ {
+				ScatterBlocksNT(got, src[g*row:(g+1)*row], mb, mu, shift+g*mu, k*n*mu)
+				ScatterBlocksSplitNT(gotRe, gotIm, srcRe[g*row:(g+1)*row], srcIm[g*row:(g+1)*row],
+					mb, mu, shift+g*mu, k*n*mu)
+			}
+			for i := range want {
+				if got[i] != want[i] || gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
+					t.Fatalf("mu=%d shift=%d: mismatch at %d", mu, shift, i)
+				}
+			}
+		}
+	}
+}

@@ -60,7 +60,8 @@ type Options struct {
 	DataWorkers    int
 	ComputeWorkers int
 	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
-	// (0 = default 8; 2 and 4 select the higher-pass-count mixes).
+	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
+	// the higher-pass-count mixes).
 	Radix int
 	// Unfused disables cross-stage pipeline fusion (the A/B baseline).
 	Unfused bool
@@ -89,9 +90,9 @@ func (o Options) validate(kind string, m int) error {
 		return fmt.Errorf("rfft: %s requires an even last dimension ≥ 2, got %d", kind, m)
 	}
 	switch o.Radix {
-	case 0, 2, 4, 8:
+	case 0, 2, 4, 8, 16:
 	default:
-		return fmt.Errorf("rfft: radix must be 0, 2, 4 or 8, got %d", o.Radix)
+		return fmt.Errorf("rfft: radix must be 0, 2, 4, 8 or 16, got %d", o.Radix)
 	}
 	if o.Mu < 1 {
 		return fmt.Errorf("rfft: μ=%d, need ≥ 1", o.Mu)

@@ -196,14 +196,10 @@ func (p *Plan) R3() *core.RealPlan3D { return p.r3 }
 func (p *Plan) Execute(dst, src []complex128, inverse bool) error {
 	switch p.key.Rank {
 	case 1:
-		if !inverse {
-			return p.p1.Transform(dst, src, fft1d.Forward)
+		if inverse {
+			return p.p1.Inverse(dst, src)
 		}
-		if err := p.p1.Transform(dst, src, fft1d.Inverse); err != nil {
-			return err
-		}
-		fft1d.Scale(dst, 1/float64(p.key.D0))
-		return nil
+		return p.p1.Transform(dst, src, fft1d.Forward)
 	case 2:
 		if inverse {
 			return p.p2.Inverse(dst, src)

@@ -5,8 +5,9 @@ import (
 	"strings"
 )
 
-// Describe renders a compiled stage graph as text: per-stage geometry plus
-// the fused-schedule summary. Endpoints may be nil — description never
+// Describe renders a compiled stage graph as text: per-stage geometry and
+// store mode (a folded radix-4 butterfly, the streaming tier) plus the
+// fused-schedule summary. Endpoints may be nil — description never
 // touches data — so plans can describe graphs without binding arrays.
 func Describe(stages []Stage, fused bool) string {
 	var b strings.Builder
@@ -20,8 +21,15 @@ func Describe(stages []Stage, fused bool) string {
 		st := &stages[i]
 		totalIters += st.Iters
 		sunits, slen := st.storeGeometry()
-		fmt.Fprintf(&b, "  stage %d %-10s iters=%-5d load %d×%d elems/block, store %d×%d via rotation %d×%d\n",
+		fmt.Fprintf(&b, "  stage %d %-10s iters=%-5d load %d×%d elems/block, store %d×%d via rotation %d×%d",
 			i, st.Name, st.Iters, st.Units, st.UnitLen, sunits, slen, st.Rot.Blocks, st.Rot.BlockLen)
+		if st.StoreRadix != 0 {
+			fmt.Fprintf(&b, ", radix-%d fold", st.StoreRadix)
+		}
+		if st.NonTemporal {
+			b.WriteString(", streaming")
+		}
+		b.WriteString("\n")
 	}
 	steps := Steps(stages, fused)
 	drains := 1

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/cvec"
 	"repro/internal/kernels"
 )
 
@@ -106,5 +107,65 @@ func TestStoreFoldValidation(t *testing.T) {
 	s := mkStage()
 	if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, NewBuffers(8, false, false), []Stage{s}); err != nil {
 		t.Errorf("valid fold stage rejected: %v", err)
+	}
+}
+
+// TestStreamingStoresPartialLinesMatchOracle: a NonTemporal stage — plain or
+// store-folded — whose blocks are not whole 64-byte lines on line boundaries
+// (32-byte blocks, or whole-line blocks starting mid-line) must land exactly
+// the bytes the generic oracle computes: the streaming kernels decline those
+// patterns and the cached scatter runs. Whole-line patterns are in the table
+// too, so the streaming path proper is held to the same oracle. Under
+// -tags purego every case takes the cached path.
+func TestStreamingStoresPartialLinesMatchOracle(t *testing.T) {
+	const units, iters, blocks = 4, 2, 8
+	total := units * iters
+	for _, bl := range []int{2, 4, 8} {
+		for _, off := range []int{0, 2} { // 2 elements = a 32-byte, mid-line start
+			for _, fold := range []bool{false, true} {
+				unitLen := blocks * bl
+				rng := rand.New(rand.NewSource(int64(bl*10 + off)))
+				src := make([]complex128, total*unitLen)
+				for i := range src {
+					src[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+				}
+				// Oracle: the (optionally folded) units, block-transposed.
+				want := make([]complex128, off+len(src))
+				for g := 0; g < total; g++ {
+					unit := src[g*unitLen : (g+1)*unitLen]
+					if fold {
+						q := unitLen / 4
+						folded := make([]complex128, unitLen)
+						for leg := 0; leg < 4; leg++ {
+							kernels.Radix4FoldLegGeneric(folded[leg*q:(leg+1)*q],
+								unit[:q], unit[q:2*q], unit[2*q:3*q], unit[3*q:], leg, kernels.Forward)
+						}
+						unit = folded
+					}
+					for j := 0; j < blocks; j++ {
+						copy(want[off+(j*total+g)*bl:], unit[j*bl:(j+1)*bl])
+					}
+				}
+				dst := make([]complex128, off+len(src))
+				st := Stage{
+					Name: "nt", Iters: iters, Units: units, UnitLen: unitLen,
+					Src: Endpoint{C: src}, Dst: Endpoint{C: dst},
+					Compute:     func(*Buffers, *kernels.Arena, int, int, int, int) {},
+					NonTemporal: true,
+					Rot: Rotation{Blocks: blocks, BlockLen: bl, JStride: total * bl,
+						Map: func(g, j int) int { return off + (j*total+g)*bl }},
+				}
+				if fold {
+					st.StoreRadix, st.StoreSign = 4, kernels.Forward
+				}
+				b := NewBuffers(units*unitLen, false, false)
+				if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true}, b, []Stage{st}); err != nil {
+					t.Fatal(err)
+				}
+				if i := cvec.FirstBitDiff(dst, want); i >= 0 {
+					t.Fatalf("bl=%d off=%d fold=%v: dst[%d] = %v, want %v", bl, off, fold, i, dst[i], want[i])
+				}
+			}
+		}
 	}
 }
