@@ -8,20 +8,22 @@ GO ?= go
 RACE_PKGS = . ./internal/pipeline ./internal/stagegraph ./internal/fft2d \
             ./internal/fft3d ./internal/fft1dlarge ./internal/fft1d \
             ./internal/lru ./internal/serve ./internal/rfft \
-            ./internal/trace ./internal/obs ./internal/flightrec
+            ./internal/trace ./internal/obs ./internal/flightrec \
+            ./internal/wire
 
 # Packages carrying the SIMD codelet tier and its dispatch: they run a
 # second test pass under -tags purego to prove the pure-Go fallback stays
 # correct on its own (the tag forces the Generic kernels everywhere).
 PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
               ./internal/stagegraph ./internal/fft1d ./internal/fft2d \
-              ./internal/fft3d ./internal/tune ./internal/machine
+              ./internal/fft3d ./internal/tune ./internal/machine \
+              ./internal/wire
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck race bench \
         microbench benchsmoke benchjson benchcmp servesmoke obssmoke \
-        shardsmoke tracesmoke fmt
+        shardsmoke tracesmoke fuzzsmoke fmt
 
-ci: vet lint build crossbuild asmcheck test purego race benchsmoke servesmoke obssmoke shardsmoke tracesmoke benchjson benchcmp
+ci: vet lint build crossbuild asmcheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke benchjson benchcmp
 
 vet:
 	$(GO) vet ./...
@@ -98,6 +100,15 @@ shardsmoke:
 tracesmoke:
 	$(GO) run ./cmd/fftserved -traceselftest -roofline 10
 
+# Ten seconds of each native fuzzer over the bytes that arrive from outside
+# the process: the JSON /transform decoder differentially against
+# encoding/json, and the binary frame decoder against its acceptance rule.
+# The committed seed corpora (internal/wire/testdata/fuzz) are replayed by
+# plain `go test`; a crasher found here lands there as a new seed.
+fuzzsmoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzDecodeTransformRequest$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzBinaryFrame$$' -fuzztime=10s ./internal/wire
+
 # The ruler (BENCHMARK.json): every named workload's end-to-end and
 # per-layer metrics, all outputs verified; performance claims are stated
 # against it. See benchmark/README.md (`-workload`, `-seconds`, `-repeat`).
@@ -129,9 +140,11 @@ obssmoke:
 # Machine-readable benchmark snapshot (ns/op, B/op, GB/s, fraction of this
 # host's STREAM copy peak, per-stage roofline breakdown) for tracking the
 # performance trajectory across commits. Emits BENCH_<timestamp>.json in
-# the repo root.
+# the repo root. Pinned to GOMAXPROCS=1, the parallelism the committed
+# snapshots were measured at: benchcmp refuses to diff reports whose
+# GOMAXPROCS differ.
 benchjson:
-	$(GO) run ./cmd/fftbench -benchjson BENCH_$$(date +%Y%m%d-%H%M%S).json
+	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -benchjson BENCH_$$(date +%Y%m%d-%H%M%S).json
 
 # Regression gate: diff the newest two BENCH_*.json snapshots and fail on
 # any benchmark more than 10% worse. In ci this runs right after benchjson,

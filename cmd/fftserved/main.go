@@ -7,6 +7,9 @@
 //
 //	POST /transform     {"rank":1,"dims":[4096],"inverse":false,"data":[re,im,...]}
 //	                    → {"data":[re,im,...]}
+//	                    or, with Content-Type: application/octet-stream,
+//	                    ?dims=4096[&inverse=true] and the same numbers as raw
+//	                    little-endian float64 under an X-Shard-Crc32c header
 //	GET  /metrics       Prometheus text exposition: request counters, latency
 //	                    histogram, queue/cache gauges, and per-plan per-stage
 //	                    bandwidth vs. the roofline
@@ -49,6 +52,7 @@ import (
 	httppprof "net/http/pprof"
 	"os"
 	"os/signal"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"syscall"
@@ -63,6 +67,7 @@ import (
 	"repro/internal/shard"
 	"repro/internal/stream"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // buildInfo identifies this binary in /metrics (fft_build_info) and in the
@@ -126,6 +131,9 @@ func main() {
 		// of the box; -roofline skips this for reproducible normalization.
 		cfg.RooflineGBs = stream.BestCopyGBs(stream.Config{Elems: 1 << 20, Trials: 1})
 		log.Printf("fftserved: measured STREAM copy roofline %.1f GB/s", cfg.RooflineGBs)
+		// The measurement's arrays are 16 MiB of garbage the first requests'
+		// operands would otherwise be stacked on top of until the next GC.
+		debug.FreeOSMemory()
 	}
 
 	if *shardSelftest > 0 {
@@ -283,79 +291,40 @@ func (h *handler) mux() *http.ServeMux {
 	return mux
 }
 
-// transformRequest is the wire format of one transform. Data holds
-// interleaved re,im pairs on every complex side, and plain reals on the
-// real side of a real-input transform (forward input, inverse output).
-type transformRequest struct {
-	Rank    int       `json:"rank"`
-	Dims    []int     `json:"dims"`
-	Inverse bool      `json:"inverse"`
-	Real    bool      `json:"real,omitempty"`
-	Sharded bool      `json:"sharded,omitempty"`
-	Data    []float64 `json:"data"`
-}
-
-type transformResponse struct {
-	Data []float64 `json:"data"`
-}
-
+// transform serves POST /transform in the two framings of internal/wire,
+// selected per request: a body is binary when its Content-Type is
+// application/octet-stream and JSON otherwise, and the reply takes the
+// framing Accept names, or the request's own. Operands are decoded straight
+// into the slices the serving layer transforms and the result is encoded
+// straight out of them; JSON replies are byte-identical to encoding/json's.
+//
+// Both framings bound a request before they allocate for it: ∏dims is
+// multiplied with overflow checks and capped at wire.MaxElems (413), and the
+// body may not exceed what the declared shape can occupy (413). Of
+// encoding/json's leniencies the JSON framing keeps insignificant
+// whitespace, any order of the members before "data", and omitted
+// inverse/real/sharded. It answers 400 to what encoding/json let through:
+// unknown members, duplicate members, member names in any other case
+// ("Rank"), null values, "data" anywhere but last, bytes after the closing
+// brace, and number tokens longer than wire.MaxNumberLen bytes. A binary
+// body must be exactly the shape's bytes (400) and match its CRC32-C (422).
+// A result that overflowed to ±Inf or NaN has no JSON form: the JSON framing
+// answers 422 naming the first such value, the binary framing returns it.
 func (h *handler) transform(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	var treq transformRequest
-	if err := json.NewDecoder(r.Body).Decode(&treq); err != nil {
-		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
+	entered := time.Now()
+	x, err := wire.ReadRequest(w, r)
+	if err != nil {
+		http.Error(w, err.Error(), wire.Status(err))
 		return
 	}
-	if treq.Rank < 1 || treq.Rank > 3 || len(treq.Dims) != treq.Rank {
-		http.Error(w, fmt.Sprintf("rank %d needs exactly %d dims, got %d",
-			treq.Rank, treq.Rank, len(treq.Dims)), http.StatusBadRequest)
-		return
-	}
-	n := 1
-	var dims [3]int
-	for i, d := range treq.Dims {
-		if d < 1 {
-			http.Error(w, fmt.Sprintf("dims must be ≥ 1, got %v", treq.Dims), http.StatusBadRequest)
-			return
-		}
-		dims[i] = d
-		n *= d
-	}
-	req := serve.Request{Rank: treq.Rank, Dims: dims, Inverse: treq.Inverse, Real: treq.Real, Sharded: treq.Sharded}
-	var encode func() []float64
-	switch {
-	case treq.Real && !treq.Inverse:
-		if len(treq.Data) != n {
-			http.Error(w, fmt.Sprintf("want %d real values for %v, got %d",
-				n, treq.Dims, len(treq.Data)), http.StatusBadRequest)
-			return
-		}
-		spec := specLen(dims, treq.Rank, n)
-		req.RealSrc = treq.Data
-		req.Dst = make([]complex128, spec)
-		encode = func() []float64 { return interleave(req.Dst) }
-	case treq.Real:
-		spec := specLen(dims, treq.Rank, n)
-		if len(treq.Data) != 2*spec {
-			http.Error(w, fmt.Sprintf("want %d interleaved re,im half-spectrum values for %v, got %d",
-				2*spec, treq.Dims, len(treq.Data)), http.StatusBadRequest)
-			return
-		}
-		req.Src = deinterleave(treq.Data)
-		req.RealDst = make([]float64, n)
-		encode = func() []float64 { return req.RealDst }
-	default:
-		if len(treq.Data) != 2*n {
-			http.Error(w, fmt.Sprintf("want %d interleaved re,im values for %v, got %d",
-				2*n, treq.Dims, len(treq.Data)), http.StatusBadRequest)
-			return
-		}
-		req.Src = deinterleave(treq.Data)
-		req.Dst = make([]complex128, n)
-		encode = func() []float64 { return interleave(req.Dst) }
+	res := x.NewResult()
+	req := serve.Request{
+		Rank: x.Rank, Dims: x.Dims, Inverse: x.Inverse, Real: x.Real, Sharded: x.Sharded,
+		Src: x.Src, RealSrc: x.RealSrc, Dst: res.Dst, RealDst: res.RealDst,
 	}
 
 	// Every request gets a trace ID, echoed in the response header. For
@@ -367,82 +336,55 @@ func (h *handler) transform(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Trace-Id", traceID)
 
 	start := time.Now()
-	err := h.s.Do(ctx, req)
-	h.recordFlight(traceID, &treq, dims, start, err)
+	err = h.s.Do(ctx, req)
+	done := time.Now()
+	e := flightrec.Entry{
+		Time: start, TraceID: traceID, Kind: requestKind(x.Shape),
+		Dims: x.Dims, Rank: x.Rank, Inverse: x.Inverse,
+		Duration: done.Sub(start), Status: "ok",
+		Codec: string(x.Codec), Decode: start.Sub(entered), ReqBytes: x.ReqBytes,
+	}
+	status := http.StatusOK
 	switch {
 	case err == nil:
-	case errors.Is(err, serve.ErrOverloaded), errors.Is(err, serve.ErrClosed):
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
+		e.RespBytes, err = wire.WriteResponse(w, x.Reply, res)
+		var nf *wire.NonFiniteError
+		if errors.As(err, &nf) { // refused before the header went out
+			e.ErrKind, status = "nonfinite", wire.Status(err)
+		} else if err != nil { // the client went away mid-body
+			e.ErrKind = "write"
+		}
+	case errors.Is(err, serve.ErrOverloaded):
+		e.ErrKind, status = "overloaded", http.StatusServiceUnavailable
+	case errors.Is(err, serve.ErrClosed):
+		e.ErrKind, status = "closed", http.StatusServiceUnavailable
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, err.Error(), http.StatusRequestTimeout)
-		return
+		e.ErrKind, status = "deadline", http.StatusRequestTimeout
 	default:
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(transformResponse{Data: encode()})
-}
-
-// recordFlight files one settled request in the flight recorder ring.
-func (h *handler) recordFlight(traceID string, treq *transformRequest, dims [3]int, start time.Time, err error) {
-	kind := "complex"
-	switch {
-	case treq.Sharded:
-		kind = "shard"
-	case treq.Real:
-		kind = "real"
-	}
-	e := flightrec.Entry{
-		Time: start, TraceID: traceID, Kind: kind,
-		Dims: dims, Rank: treq.Rank, Inverse: treq.Inverse,
-		Duration: time.Since(start), Status: "ok",
-	}
-	if err != nil {
-		e.Status = "error"
-		e.Error = err.Error()
-		switch {
-		case errors.Is(err, serve.ErrOverloaded):
-			e.ErrKind = "overloaded"
-		case errors.Is(err, serve.ErrClosed):
-			e.ErrKind = "closed"
-		case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-			e.ErrKind = "deadline"
-		default:
-			if se, ok := shard.AsError(err); ok {
-				e.ErrKind = se.Kind.String()
-			} else {
-				e.ErrKind = "invalid"
-			}
+		e.ErrKind, status = "invalid", http.StatusBadRequest
+		if se, ok := shard.AsError(err); ok {
+			e.ErrKind = se.Kind.String()
 		}
 	}
+	if status != http.StatusOK {
+		http.Error(w, err.Error(), status)
+	}
+	if err != nil {
+		e.Status, e.Error = "error", err.Error()
+	}
+	e.Encode = time.Since(done)
 	h.flight.Record(e)
 }
 
-// specLen returns the Hermitian half-spectrum element count for a real
-// grid of n elements whose last (contiguous) dim is dims[rank-1].
-func specLen(dims [3]int, rank, n int) int {
-	last := dims[rank-1]
-	return n / last * (last/2 + 1)
-}
-
-func interleave(c []complex128) []float64 {
-	out := make([]float64, 2*len(c))
-	for i, v := range c {
-		out[2*i] = real(v)
-		out[2*i+1] = imag(v)
+// requestKind is the flight recorder's name for the pipeline a shape takes.
+func requestKind(s wire.Shape) string {
+	switch {
+	case s.Sharded:
+		return "shard"
+	case s.Real:
+		return "real"
 	}
-	return out
-}
-
-func deinterleave(data []float64) []complex128 {
-	c := make([]complex128, len(data)/2)
-	for i := range c {
-		c[i] = complex(data[2*i], data[2*i+1])
-	}
-	return c
+	return "complex"
 }
 
 // metrics serves the Prometheus text exposition: the serving layer's
@@ -588,18 +530,22 @@ func runSelftest(h *handler, total int) error {
 		return err
 	}
 
+	// Every rank and both pipelines in JSON, and one shape per rank again
+	// through the binary framing.
 	shapes := []struct {
-		rank int
-		dims []int
-		real bool
+		shape wire.Shape
+		bin   bool
 	}{
-		{1, []int{256}, false},
-		{1, []int{1024}, false},
-		{2, []int{32, 32}, false},
-		{3, []int{8, 8, 8}, false},
-		{1, []int{512}, true},
-		{2, []int{16, 32}, true},
-		{3, []int{8, 8, 16}, true},
+		{shape: wire.Shape{Rank: 1, Dims: [3]int{256}}},
+		{shape: wire.Shape{Rank: 1, Dims: [3]int{1024}}},
+		{shape: wire.Shape{Rank: 2, Dims: [3]int{32, 32}}},
+		{shape: wire.Shape{Rank: 3, Dims: [3]int{8, 8, 8}}},
+		{shape: wire.Shape{Rank: 1, Dims: [3]int{512}, Real: true}},
+		{shape: wire.Shape{Rank: 2, Dims: [3]int{16, 32}, Real: true}},
+		{shape: wire.Shape{Rank: 3, Dims: [3]int{8, 8, 16}, Real: true}},
+		{shape: wire.Shape{Rank: 1, Dims: [3]int{256}}, bin: true},
+		{shape: wire.Shape{Rank: 2, Dims: [3]int{16, 32}, Real: true}, bin: true},
+		{shape: wire.Shape{Rank: 3, Dims: [3]int{8, 8, 8}}, bin: true},
 	}
 	var wg sync.WaitGroup
 	errCh := make(chan error, total)
@@ -608,14 +554,8 @@ func runSelftest(h *handler, total int) error {
 		go func(g int) {
 			defer wg.Done()
 			sh := shapes[g%len(shapes)]
-			var err error
-			if sh.real {
-				err = roundTripReal(base, sh.rank, sh.dims, g)
-			} else {
-				err = roundTrip(base, sh.rank, sh.dims, g)
-			}
-			if err != nil {
-				errCh <- fmt.Errorf("request %d (%v real=%v): %w", g, sh.dims, sh.real, err)
+			if err := roundTrip(base, sh.shape, sh.bin, g); err != nil {
+				errCh <- fmt.Errorf("request %d (%+v bin=%v): %w", g, sh.shape, sh.bin, err)
 			}
 		}(g)
 	}
@@ -662,25 +602,40 @@ func runSelftest(h *handler, total int) error {
 	return nil
 }
 
-// roundTrip sends a forward transform of a seeded vector followed by an
-// inverse of the result and checks the pair composes to the identity.
-func roundTrip(base string, rank int, dims []int, seed int) error {
+// roundTrip sends a forward transform of a seeded operand followed by an
+// inverse of the result, in the JSON or the binary framing, and checks the
+// pair composes to the identity. A real shape sends plain reals forward and
+// must get the Hermitian half spectrum back — the r2c/c2r wire format end
+// to end.
+func roundTrip(base string, sh wire.Shape, bin bool, seed int) error {
 	n := 1
-	for _, d := range dims {
+	for _, d := range sh.Dims[:sh.Rank] {
 		n *= d
 	}
-	data := make([]float64, 2*n)
+	words, specWords := 2*n, 2*n
+	if sh.Real {
+		last := sh.Dims[sh.Rank-1]
+		words, specWords = n, 2*(n/last*(last/2+1))
+	}
+	data := make([]float64, words)
 	for i := range data {
 		// Deterministic, seed-dependent, O(1)-range values.
 		data[i] = math.Sin(float64(seed+1) * float64(i+1) * 0.7)
 	}
-	spec, err := postTransform(base, transformRequest{Rank: rank, Dims: dims, Data: data})
+	spec, err := postTransform(base, sh, data, bin)
 	if err != nil {
 		return fmt.Errorf("forward: %w", err)
 	}
-	back, err := postTransform(base, transformRequest{Rank: rank, Dims: dims, Inverse: true, Data: spec})
+	if len(spec) != specWords {
+		return fmt.Errorf("spectrum carries %d values, want %d", len(spec), specWords)
+	}
+	sh.Inverse = true
+	back, err := postTransform(base, sh, spec, bin)
 	if err != nil {
 		return fmt.Errorf("inverse: %w", err)
+	}
+	if len(back) != words {
+		return fmt.Errorf("inverse carries %d values, want %d", len(back), words)
 	}
 	for i := range data {
 		if math.Abs(back[i]-data[i]) > 1e-9*float64(n) {
@@ -690,60 +645,61 @@ func roundTrip(base string, rank int, dims []int, seed int) error {
 	return nil
 }
 
-// roundTripReal sends a forward real transform (plain reals in, half
-// spectrum out) followed by the inverse and checks the identity — the
-// r2c/c2r wire format end to end.
-func roundTripReal(base string, rank int, dims []int, seed int) error {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = math.Sin(float64(seed+1) * float64(i+1) * 0.7)
-	}
-	spec, err := postTransform(base, transformRequest{Rank: rank, Dims: dims, Real: true, Data: data})
-	if err != nil {
-		return fmt.Errorf("forward: %w", err)
-	}
-	wantSpec := n / dims[rank-1] * (dims[rank-1]/2 + 1)
-	if len(spec) != 2*wantSpec {
-		return fmt.Errorf("half spectrum carries %d values, want %d", len(spec), 2*wantSpec)
-	}
-	back, err := postTransform(base, transformRequest{Rank: rank, Dims: dims, Real: true, Inverse: true, Data: spec})
-	if err != nil {
-		return fmt.Errorf("inverse: %w", err)
-	}
-	if len(back) != n {
-		return fmt.Errorf("real inverse carries %d values, want %d", len(back), n)
-	}
-	for i := range data {
-		if math.Abs(back[i]-data[i]) > 1e-9*float64(n) {
-			return fmt.Errorf("real round trip diverged at %d: %g vs %g", i, back[i], data[i])
-		}
-	}
-	return nil
+// jsonRequest and jsonResponse are the selftests' client side of the JSON
+// framing. They go through encoding/json on purpose: the daemon's own codec
+// is checked against an independent implementation of the format.
+type jsonRequest struct {
+	Rank    int       `json:"rank"`
+	Dims    []int     `json:"dims"`
+	Inverse bool      `json:"inverse"`
+	Real    bool      `json:"real,omitempty"`
+	Sharded bool      `json:"sharded,omitempty"`
+	Data    []float64 `json:"data"`
 }
 
-func postTransform(base string, treq transformRequest) ([]float64, error) {
-	body, err := json.Marshal(treq)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := http.Post(base+"/transform", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
+type jsonResponse struct {
+	Data []float64 `json:"data"`
+}
+
+func marshalJSONRequest(sh wire.Shape, data []float64) ([]byte, error) {
+	return json.Marshal(jsonRequest{Rank: sh.Rank, Dims: sh.Dims[:sh.Rank],
+		Inverse: sh.Inverse, Real: sh.Real, Sharded: sh.Sharded, Data: data})
+}
+
+// postTransform POSTs one operand (the data array's number stream) and
+// returns the result's, through the binary framing or JSON.
+func postTransform(base string, sh wire.Shape, data []float64, bin bool) ([]float64, error) {
+	var resp *http.Response
+	if bin {
+		req, err := wire.NewBinaryRequest(base, sh, data)
+		if err != nil {
+			return nil, err
+		}
+		if resp, err = http.DefaultClient.Do(req); err != nil {
+			return nil, err
+		}
+	} else {
+		body, err := marshalJSONRequest(sh, data)
+		if err != nil {
+			return nil, err
+		}
+		if resp, err = http.Post(base+"/transform", "application/json", bytes.NewReader(body)); err != nil {
+			return nil, err
+		}
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(resp.Body)
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, bytes.TrimSpace(msg))
 	}
-	var tresp transformResponse
-	if err := json.NewDecoder(resp.Body).Decode(&tresp); err != nil {
+	if bin {
+		return wire.ReadBinaryResponse(resp)
+	}
+	var jresp jsonResponse
+	if err := json.NewDecoder(resp.Body).Decode(&jresp); err != nil {
 		return nil, err
 	}
-	return tresp.Data, nil
+	return jresp.Data, nil
 }
 
 // checkPrometheus scrapes /metrics and validates the exposition the way a

@@ -16,6 +16,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // coordRunner adapts the shard coordinator to the serving layer's
@@ -143,17 +144,18 @@ func runShardSelftest(cfg core.Config, n int) error {
 // then inverse of the spectrum must compose to the identity (serve
 // normalizes inverse requests for every pipeline kind).
 func shardRoundTripJSON(base string, n int) error {
-	dims := []int{n, n, n}
+	sh := wire.Shape{Rank: 3, Dims: [3]int{n, n, n}, Sharded: true}
 	size := n * n * n
 	data := make([]float64, 2*size)
 	for i := range data {
 		data[i] = math.Sin(float64(i+1) * 0.7)
 	}
-	spec, err := postTransform(base, transformRequest{Rank: 3, Dims: dims, Sharded: true, Data: data})
+	spec, err := postTransform(base, sh, data, false)
 	if err != nil {
 		return fmt.Errorf("forward: %w", err)
 	}
-	back, err := postTransform(base, transformRequest{Rank: 3, Dims: dims, Sharded: true, Inverse: true, Data: spec})
+	sh.Inverse = true
+	back, err := postTransform(base, sh, spec, false)
 	if err != nil {
 		return fmt.Errorf("inverse: %w", err)
 	}

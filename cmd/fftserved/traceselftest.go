@@ -18,6 +18,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
+	"repro/internal/wire"
 )
 
 // runTraceSelftest is the `make tracesmoke` mode: a loopback cluster of
@@ -113,7 +114,7 @@ func tracedTransform(base string, n int) (string, error) {
 	for i := range data {
 		data[i] = math.Sin(float64(i+1) * 0.7)
 	}
-	body, err := json.Marshal(transformRequest{Rank: 3, Dims: []int{n, n, n}, Sharded: true, Data: data})
+	body, err := marshalJSONRequest(wire.Shape{Rank: 3, Dims: [3]int{n, n, n}, Sharded: true}, data)
 	if err != nil {
 		return "", err
 	}

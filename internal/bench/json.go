@@ -25,7 +25,8 @@ import (
 // directly the fraction of this host's STREAM copy bandwidth the kernel
 // sustains — the paper's bandwidth-efficiency lens. Serving-layer entries
 // additionally report request throughput (ReqPerS) and mean batch
-// occupancy (AvgBatch), the coalescing acceptance metrics.
+// occupancy (AvgBatch), the coalescing acceptance metrics; the HTTP-level
+// entries report ReqPerS and the bytes one exchange puts on the wire.
 type JSONEntry struct {
 	Name           string  `json:"name"`
 	NsPerOp        float64 `json:"ns_per_op"`
@@ -34,6 +35,9 @@ type JSONEntry struct {
 	FracStreamPeak float64 `json:"frac_stream_peak"`
 	ReqPerS        float64 `json:"req_per_s,omitempty"`
 	AvgBatch       float64 `json:"avg_batch,omitempty"`
+	// WireBytesPerOp is the request plus response body bytes of one
+	// http/transform exchange.
+	WireBytesPerOp float64 `json:"wire_bytes_per_op,omitempty"`
 
 	// Double-buffered transform entries additionally carry the telemetry
 	// layer's per-stage roofline view of the benchmarked runs: how much of
@@ -277,6 +281,12 @@ func WriteJSON(w io.Writer, cfg JSONConfig) error {
 		return err
 	}
 	rep.Entries = append(rep.Entries, serves...)
+
+	https, err := httpEntries()
+	if err != nil {
+		return err
+	}
+	rep.Entries = append(rep.Entries, https...)
 
 	shards, err := shardEntries(rep.StreamCopyGBs)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 	"time"
 )
 
-// Entry is one recorded request.
+// Entry is one recorded request. Time is when the serving layer's Do began.
 type Entry struct {
 	Time     time.Time     `json:"time"`
 	TraceID  string        `json:"trace_id,omitempty"`
@@ -21,10 +21,19 @@ type Entry struct {
 	Dims     [3]int        `json:"dims"`
 	Rank     int           `json:"rank"`
 	Inverse  bool          `json:"inverse"`
-	Duration time.Duration `json:"duration_ns"`
-	Status   string        `json:"status"` // ok | error
+	Duration time.Duration `json:"duration_ns"` // the serving layer's Do alone
+	Status   string        `json:"status"`      // ok | error
 	ErrKind  string        `json:"err_kind,omitempty"`
 	Error    string        `json:"error,omitempty"`
+
+	// The request's wire budget around Duration: Decode runs from the
+	// handler's entry to operands ready, Encode from Do's return to the
+	// last response byte written; the three sum to the handler's wall time.
+	Codec     string        `json:"codec"` // json | bin
+	Decode    time.Duration `json:"decode_ns"`
+	Encode    time.Duration `json:"encode_ns"`
+	ReqBytes  int64         `json:"req_bytes"`
+	RespBytes int64         `json:"resp_bytes"`
 }
 
 // Recorder retains the most recent entries in a fixed ring. A nil

@@ -12,6 +12,7 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // CoordinatorOptions configures a shard coordinator.
@@ -378,7 +379,7 @@ func (c *Coordinator) Transform(ctx context.Context, dst, src []complex128, k, n
 			base := i * slab
 			return forEachChunk(slab, c.opts.ChunkElems, scatterStreams, func(off, count int) error {
 				url := fmt.Sprintf("%s/shard/chunk?job=%s&kind=input&off=%d&count=%d", node, jobID, off, count)
-				payload := complexBytes(src[base+off : base+off+count])
+				payload := wire.ComplexBytes(src[base+off : base+off+count])
 				if err := c.tr.postChunk(wctx(i), "scatter", node, url, payload); err != nil {
 					return err
 				}
@@ -434,7 +435,7 @@ func (c *Coordinator) Transform(ctx context.Context, dst, src []complex128, k, n
 				scratch := getScratch(count)
 				defer putScratch(scratch)
 				url := fmt.Sprintf("%s/shard/result?job=%s&off=%d&count=%d", node, jobID, off, count)
-				if err := c.tr.getChunk(wctx(i), "gather", node, url, complexBytes(scratch[:count])); err != nil {
+				if err := c.tr.getChunk(wctx(i), "gather", node, url, wire.ComplexBytes(scratch[:count])); err != nil {
 					return err
 				}
 				placeSlab(dst, g, i, off, scratch[:count])

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/fft1d"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // faultDoer wraps a real client and injects faults per URL: "drop"
@@ -47,7 +48,7 @@ func (f *faultDoer) Do(req *http.Request) (*http.Response, error) {
 			case "drop":
 				return nil, errors.New("injected: connection reset by peer")
 			case "corrupt":
-				req.Header.Set(headerCRC, "12345")
+				req.Header.Set(wire.HeaderCRC, "12345")
 			}
 		}
 	}

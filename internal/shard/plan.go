@@ -11,6 +11,7 @@ import (
 	"repro/internal/fft3d"
 	"repro/internal/machine"
 	"repro/internal/stagegraph"
+	"repro/internal/wire"
 )
 
 // planKey identifies a warm worker plan: the geometry plus this worker's
@@ -234,7 +235,7 @@ func (r *exchangeRouter) startSenders(ctx context.Context, cancel context.Cancel
 				peer := spec.Workers[sc.peer]
 				url := fmt.Sprintf("%s/shard/chunk?job=%s&kind=exchange&from=%d&off=%d&count=%d",
 					peer, spec.Job, spec.Index, off, count)
-				payload := complexBytes(r.plan.send[sc.peer][off : off+count])
+				payload := wire.ComplexBytes(r.plan.send[sc.peer][off : off+count])
 				start := time.Now()
 				if err := tr.postChunk(ctx, "exchange", peer, url, payload); err != nil {
 					r.fail(err)

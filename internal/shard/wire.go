@@ -5,38 +5,23 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
-	"unsafe"
 
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
-// Wire constants. Payloads are the raw in-memory representation of
-// []complex128 — interleaved float64 re/im pairs — on little-endian
-// hosts; the CRC32-C header catches corruption in flight.
+// Transport defaults. Chunk payloads are wire.ComplexBytes of the slab
+// region under the wire.HeaderCRC checksum, which catches corruption in
+// flight.
 const (
-	headerCRC = "X-Shard-Crc32c"
-
 	defaultChunkElems = 128 << 10 // 2 MiB payloads
 	defaultRetries    = 4
 	defaultBackoff    = 10 * time.Millisecond
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// complexBytes reinterprets a complex slice as its wire bytes without
-// copying (the same trick the kernels and layout packages use).
-func complexBytes(c []complex128) []byte {
-	if len(c) == 0 {
-		return nil
-	}
-	return unsafe.Slice((*byte)(unsafe.Pointer(&c[0])), len(c)*16)
-}
 
 // Doer is the HTTP client seam; tests inject fault-injecting
 // implementations to drop or corrupt chunks.
@@ -151,7 +136,6 @@ func (t *transport) do(ctx context.Context, op, peer string, build func() (*http
 // per-peer latency histogram (retries and backoff included, so the p99
 // reflects what the transfer actually cost, not just the last attempt).
 func (t *transport) postChunk(ctx context.Context, op, peer, url string, payload []byte) error {
-	crc := crc32.Checksum(payload, castagnoli)
 	start := time.Now()
 	resp, err := t.do(ctx, op, peer, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(payload))
@@ -159,7 +143,7 @@ func (t *transport) postChunk(ctx context.Context, op, peer, url string, payload
 			return nil, err
 		}
 		req.Header.Set("Content-Type", "application/octet-stream")
-		req.Header.Set(headerCRC, strconv.FormatUint(uint64(crc), 10))
+		wire.SetCRC(req.Header, payload)
 		return req, nil
 	})
 	if err != nil {
@@ -206,13 +190,8 @@ func (t *transport) getChunk(ctx context.Context, op, peer, url string, dst []by
 			lastErr = fmt.Errorf("short body: %v", err)
 			continue
 		}
-		want, err := strconv.ParseUint(resp.Header.Get(headerCRC), 10, 32)
-		if err != nil {
-			lastErr = fmt.Errorf("bad %s header: %v", headerCRC, err)
-			continue
-		}
-		if got := crc32.Checksum(dst, castagnoli); got != uint32(want) {
-			lastErr = fmt.Errorf("crc mismatch: got %08x want %08x", got, uint32(want))
+		if err := wire.CheckCRC(resp.Header, dst); err != nil {
+			lastErr = err
 			continue
 		}
 		t.metrics.ObservePeerChunk(peer, int64(len(dst)), time.Since(start))

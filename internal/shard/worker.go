@@ -3,8 +3,8 @@ package shard
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"hash/fnv"
 	"io"
 	"log/slog"
@@ -17,6 +17,7 @@ import (
 	"repro/internal/lru"
 	"repro/internal/obs"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // WorkerOptions configures a shard worker. Zero values take defaults.
@@ -365,24 +366,23 @@ func (w *Worker) handleChunk(rw http.ResponseWriter, req *http.Request) {
 	}
 	scratch := getScratch(count)
 	defer putScratch(scratch)
-	payload := complexBytes(scratch)
+	payload := wire.ComplexBytes(scratch)
 	if _, err := io.ReadFull(req.Body, payload); err != nil {
 		http.Error(rw, "short payload: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	want, err := strconv.ParseUint(req.Header.Get(headerCRC), 10, 32)
-	if err != nil {
-		http.Error(rw, "missing "+headerCRC, http.StatusBadRequest)
-		return
-	}
-	if got := crc32.Checksum(payload, castagnoli); got != uint32(want) {
+	if err := wire.CheckCRC(req.Header, payload); err != nil {
+		if !errors.Is(err, wire.ErrChecksum) {
+			http.Error(rw, err.Error(), http.StatusBadRequest)
+			return
+		}
 		w.metrics.ChunksRejected.Add(1)
 		w.span(j.spec, fmt.Sprintf("crc-reject %s @%d", kind, off), arrived, time.Now())
 		if log := w.opts.Logger; log != nil {
 			log.Warn("chunk checksum reject", "trace_id", j.spec.Trace, "job", j.spec.Job,
 				"kind", kind, "from", from, "off", off)
 		}
-		http.Error(rw, fmt.Sprintf("crc mismatch: got %08x want %08x", got, uint32(want)), statusChecksumReject)
+		http.Error(rw, err.Error(), statusChecksumReject)
 		return
 	}
 	// Payload verified; commit it. Duplicate retransmits overwrite with
@@ -594,9 +594,9 @@ func (w *Worker) handleResult(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, "bad off/count", http.StatusBadRequest)
 		return
 	}
-	payload := complexBytes(j.plan.out[off : off+count])
+	payload := wire.ComplexBytes(j.plan.out[off : off+count])
 	rw.Header().Set("Content-Type", "application/octet-stream")
-	rw.Header().Set(headerCRC, strconv.FormatUint(uint64(crc32.Checksum(payload, castagnoli)), 10))
+	wire.SetCRC(rw.Header(), payload)
 	rw.Header().Set("Content-Length", strconv.Itoa(len(payload)))
 	rw.Write(payload)
 }

@@ -1,0 +1,129 @@
+package wire
+
+import (
+	"bytes"
+	"encoding/json"
+	"hash/crc32"
+	"io"
+	"net/http"
+	"strconv"
+	"testing"
+)
+
+// pieceReader hands out at most n bytes per Read, so token and window
+// boundaries land everywhere the fuzzer can put them.
+type pieceReader struct {
+	r io.Reader
+	n int
+}
+
+func (p pieceReader) Read(b []byte) (int, error) {
+	if len(b) > p.n {
+		b = b[:p.n]
+	}
+	return p.r.Read(b)
+}
+
+// FuzzDecodeTransformRequest is the differential against encoding/json:
+// the strict decoder may refuse what encoding/json accepts, never the
+// other way round, and whatever both accept decodes to the same shape and
+// bitwise-equal values, however the body is cut into reads.
+func FuzzDecodeTransformRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{"rank":1,"dims":[2],"inverse":false,"data":[1,2,3.5,-4e-3]}`,
+		`{"rank":2,"dims":[1,2],"inverse":true,"real":true,"sharded":false,"data":[0.1,-0,1e21,5e-324]}`,
+		` { "dims" : [ 4 ] , "rank" : 1 , "real" : true , "data" : [ 1 , 2 , 3 , 4 ] } `,
+		`{"rank":1,"dims":[1],"data":[1e999,2]}`,
+		`{"rank":1,"dims":[1],"data":[1,2]} trailing`,
+		`{"Rank":1,"dims":[1],"data":[1,2],"data":[3,4]}`,
+		`{"rank":1,"dims":[1],"data":[01,2]}`,
+		`{"rank":3,"dims":[1,1,1],"data":[1.7976931348623157e308,-2.2250738585072014e-308]}`,
+		`null`,
+	} {
+		f.Add([]byte(seed), uint8(0))
+		f.Add([]byte(seed), uint8(3))
+	}
+	f.Fuzz(func(t *testing.T, body []byte, piece uint8) {
+		got, err := DecodeJSON(bytes.NewReader(body), int64(len(body)))
+		cut, cutErr := DecodeJSON(pieceReader{bytes.NewReader(body), int(piece) + 1}, int64(len(body)))
+		if (err == nil) != (cutErr == nil) {
+			t.Fatalf("whole body: %v; in %d-byte reads: %v", err, int(piece)+1, cutErr)
+		}
+		if err != nil {
+			return
+		}
+		var ref refRequest
+		if refErr := json.Unmarshal(body, &ref); refErr != nil {
+			t.Fatalf("accepted a body encoding/json rejects: %v", refErr)
+		}
+		if got.Shape != cut.Shape || !sameBits(Floats(got.Src), Floats(cut.Src)) || !sameBits(got.RealSrc, cut.RealSrc) {
+			t.Fatal("decode depends on how the body is cut into reads")
+		}
+		if got.Rank != ref.Rank || got.Rank != len(ref.Dims) || got.Inverse != ref.Inverse ||
+			got.Real != ref.Real || got.Sharded != ref.Sharded {
+			t.Fatalf("shape %+v differs from encoding/json's %+v", got.Shape, ref)
+		}
+		for i, d := range ref.Dims {
+			if got.Dims[i] != d {
+				t.Fatalf("dims %v differ from encoding/json's %v", got.Dims, ref.Dims)
+			}
+		}
+		vals := got.RealSrc
+		if got.Src != nil {
+			vals = Floats(got.Src)
+		}
+		if !sameBits(vals, ref.Data) {
+			t.Fatal("values differ from encoding/json's")
+		}
+	})
+}
+
+// FuzzBinaryFrame drives the binary framing's decoder with arbitrary
+// shapes, bodies and checksums. A frame is accepted exactly when the shape
+// is valid, the body is exactly the shape's bytes and the checksum
+// matches; an accepted operand is the body, bit for bit.
+func FuzzBinaryFrame(f *testing.F) {
+	good := FloatBytes([]float64{1, 2, 3, 4})
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(0), good, uint32(0))                  // valid complex n=2
+	f.Add(uint8(4), uint8(0), uint8(0), uint8(2), good, uint32(0))                  // valid real forward n=4
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(0), good[:24], uint32(0))             // truncated body
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(0), good, uint32(1))                  // bad CRC
+	f.Add(uint8(3), uint8(0), uint8(0), uint8(0), good, uint32(0))                  // length ≠ ∏dims
+	f.Add(uint8(1), uint8(2), uint8(1), uint8(1), good, uint32(0))                  // rank 3, inverse
+	f.Add(uint8(2), uint8(0), uint8(0), uint8(3), append(good, good...), uint32(0)) // real inverse: half spectrum
+	f.Fuzz(func(t *testing.T, d0, d1, d2, flags uint8, body []byte, crcDelta uint32) {
+		// Dims stay below 32 so a valid shape is at most 512 KiB; a zero
+		// dim ends the shape (rank = the dims before it).
+		shape := Shape{Inverse: flags&1 != 0, Real: flags&2 != 0, Sharded: flags&4 != 0}
+		for _, d := range []uint8{d0, d1, d2} {
+			if d%32 == 0 {
+				break
+			}
+			shape.Dims[shape.Rank] = int(d % 32)
+			shape.Rank++
+		}
+		h := http.Header{}
+		h.Set(HeaderCRC, strconv.FormatUint(uint64(crc32.Checksum(body, castagnoli)+crcDelta), 10))
+
+		req, err := DecodeBinary(bytes.NewReader(body), shape, h)
+
+		words, _, shapeErr := shape.srcLen()
+		wantOK := shapeErr == nil && len(body) == 8*words && crcDelta == 0
+		if (err == nil) != wantOK {
+			t.Fatalf("shape %+v, %d body bytes, crc off by %d: err = %v", shape, len(body), crcDelta, err)
+		}
+		if err != nil {
+			if s := Status(err); s != 400 && s != 413 && s != 422 {
+				t.Fatalf("status %d for %v", s, err)
+			}
+			return
+		}
+		operand := FloatBytes(req.RealSrc)
+		if req.Src != nil {
+			operand = ComplexBytes(req.Src)
+		}
+		if !bytes.Equal(operand, body) || (req.Src != nil) == (req.RealSrc != nil) {
+			t.Fatal("accepted operand is not the body")
+		}
+	})
+}
