@@ -1,0 +1,473 @@
+package repro
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/fft1d"
+	"repro/internal/fft1dlarge"
+	"repro/internal/fft2d"
+	"repro/internal/fft3d"
+	"repro/internal/kernels"
+	"repro/internal/layout"
+	"repro/internal/machine"
+	"repro/internal/rfft"
+	"repro/internal/shard"
+	"repro/internal/stagegraph"
+)
+
+// The golden oracle: one row per (plan kind, shape, option variant) holding
+// the compiled graph's DescribeGraph() text and a digest of the raw output
+// bits of a forward transform and of the inverse applied to it, from a
+// seeded input. testdata/golden.json was generated once from the commit
+// that precedes the single-builder refactor (`go test -run TestGolden
+// -update .`) and is what every later graph builder has to reproduce: a
+// new tier or plan kind is one more row, not one more per-package copy of
+// a fused-vs-unfused / fold-on-off / NT-vs-regular comparison.
+//
+// What a row pins:
+//
+//   - fwd / inv digests: always, per kernel tier (kernels.Tier(): the
+//     AVX2/FMA codelets and the pure-Go ones round differently, so each
+//     tier has its own pair; within a tier block sizes, fusion, folding
+//     and the store tier only re-partition the work). `-update` merges
+//     the running tier's digests into the file: run it once per tier.
+//   - describe: byte for byte when this host sizes plans like the host
+//     that wrote the file (same PreferredBufferElems and LLC; otherwise the
+//     comparison is logged and skipped). Hosts without the streaming-store
+//     tier (and every -tags purego build) never mark a stage `streaming`,
+//     so the marker is stripped from the golden text there. Rows flagged
+//     depth_floor — the real-input plans, whose block sizers gained the
+//     pipeline-depth floor the complex plans always had — compare with the
+//     per-stage iteration and unit counts masked; the differences are
+//     logged so they can be listed.
+
+var updateGolden = flag.Bool("update", false, "rewrite testdata/golden.json from this build")
+
+const goldenPath = "testdata/golden.json"
+
+type goldenFile struct {
+	BufferElems int         `json:"buffer_elems"`
+	LLCBytes    int         `json:"llc_bytes"`
+	Rows        []goldenRow `json:"rows"`
+}
+
+type goldenRow struct {
+	Name       string `json:"name"`
+	Describe   string `json:"describe,omitempty"`
+	DepthFloor bool   `json:"depth_floor,omitempty"`
+	// Digests maps kernels.Tier() to the {forward, inverse} output digests.
+	Digests map[string][2]string `json:"digests"`
+}
+
+// goldenCase builds a plan and returns its graph text and the two digests.
+type goldenCase struct {
+	name       string
+	depthFloor bool
+	run        func() (describe, fwd, inv string, err error)
+}
+
+// goldenInput is the seeded operand: splitmix64 mapped to [-1, 1).
+func goldenInput(n int, seed uint64) []float64 {
+	x := make([]float64, n)
+	s := seed
+	for i := range x {
+		s += 0x9e3779b97f4a7c15
+		z := s
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		z ^= z >> 31
+		x[i] = float64(z>>11)/(1<<52) - 1
+	}
+	return x
+}
+
+func goldenComplex(n int, seed uint64) []complex128 {
+	f := goldenInput(2*n, seed)
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(f[2*i], f[2*i+1])
+	}
+	return x
+}
+
+func digestFloats(x []float64) string {
+	h := sha256.New()
+	var b [8]byte
+	for _, v := range x {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v))
+		h.Write(b[:])
+	}
+	return hex.EncodeToString(h.Sum(nil)[:16])
+}
+
+func digestComplex(x []complex128) string {
+	f := make([]float64, 2*len(x))
+	for i, v := range x {
+		f[2*i], f[2*i+1] = real(v), imag(v)
+	}
+	return digestFloats(f)
+}
+
+// complexPlan is what the complex plan kinds share.
+type complexPlan interface {
+	Transform(dst, src []complex128, sign int) error
+	Inverse(dst, src []complex128) error
+	DescribeGraph() string
+	Close()
+}
+
+func runComplex(p complexPlan, n int) (string, string, string, error) {
+	defer p.Close()
+	src := goldenComplex(n, uint64(n))
+	fwd := make([]complex128, n)
+	inv := make([]complex128, n)
+	if err := p.Transform(fwd, src, fft1d.Forward); err != nil {
+		return "", "", "", err
+	}
+	if err := p.Inverse(inv, fwd); err != nil {
+		return "", "", "", err
+	}
+	return p.DescribeGraph(), digestComplex(fwd), digestComplex(inv), nil
+}
+
+// realPlan is what the three real-input plans share.
+type realPlan interface {
+	Forward(dst []complex128, src []float64) error
+	Inverse(dst []float64, src []complex128) error
+	DescribeGraph() string
+	Close()
+}
+
+func runReal(p realPlan, realLen, specLen int) (string, string, string, error) {
+	defer p.Close()
+	src := goldenInput(realLen, uint64(realLen))
+	spec := make([]complex128, specLen)
+	back := make([]float64, realLen)
+	if err := p.Forward(spec, src); err != nil {
+		return "", "", "", err
+	}
+	if err := p.Inverse(back, spec); err != nil {
+		return "", "", "", err
+	}
+	return p.DescribeGraph(), digestComplex(spec), digestFloats(back), nil
+}
+
+// variant is one option setting applied on top of the defaults; has* say
+// which plan kinds carry the option.
+type variant struct {
+	name             string
+	mu, radix        int
+	unfused, noFold  bool
+	policy           stagegraph.StorePolicy
+	complexOnly      bool // DisableStoreFold / StorePolicy: fft2d and fft3d only
+	notFor1DLarge    bool // Mu: fft1dlarge has no μ
+	notForPartitions bool // Unfused has no coordinator knob on the shard tier
+}
+
+var goldenVariants = []variant{
+	{name: "default"},
+	{name: "mu4", mu: 4, notFor1DLarge: true},
+	{name: "radix4", radix: 4},
+	{name: "unfused", unfused: true, notForPartitions: true},
+	{name: "nofold", noFold: true, complexOnly: true},
+	{name: "nt", policy: stagegraph.StoreNonTemporal, complexOnly: true},
+}
+
+func goldenCases() []goldenCase {
+	var cases []goldenCase
+	for _, v := range goldenVariants {
+		v := v
+		for _, s := range [][2]int{{64, 64}, {96, 80}, {512, 512}} {
+			n, m := s[0], s[1]
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("fft2d/%dx%d/%s", n, m, v.name),
+				run: func() (string, string, string, error) {
+					p, err := fft2d.NewPlan(n, m, fft2d.Options{Strategy: fft2d.DoubleBuf,
+						Mu: v.mu, Radix: v.radix, Unfused: v.unfused,
+						DisableStoreFold: v.noFold, StorePolicy: v.policy})
+					if err != nil {
+						return "", "", "", err
+					}
+					return runComplex(p, n*m)
+				}})
+		}
+		for _, s := range [][3]int{{32, 32, 32}, {24, 20, 16}, {64, 64, 64}} {
+			k, n, m := s[0], s[1], s[2]
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("fft3d/%dx%dx%d/%s", k, n, m, v.name),
+				run: func() (string, string, string, error) {
+					p, err := fft3d.NewPlan(k, n, m, fft3d.Options{Strategy: fft3d.DoubleBuf,
+						Mu: v.mu, Radix: v.radix, Unfused: v.unfused,
+						DisableStoreFold: v.noFold, StorePolicy: v.policy})
+					if err != nil {
+						return "", "", "", err
+					}
+					return runComplex(p, k*n*m)
+				}})
+		}
+		if v.complexOnly {
+			continue
+		}
+		ropts := rfft.Options{Mu: v.mu, Radix: v.radix, Unfused: v.unfused}
+		for _, n := range []int{1024, 96, 60} {
+			n := n
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("rfft1d/%d/%s", n, v.name), depthFloor: true,
+				run: func() (string, string, string, error) {
+					p, err := rfft.NewPlan1D(n, ropts)
+					if err != nil {
+						return "", "", "", err
+					}
+					return runReal(p, n, n/2+1)
+				}})
+		}
+		for _, s := range [][2]int{{64, 128}, {48, 96}, {20, 60}, {256, 512}} {
+			n, m := s[0], s[1]
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("rfft2d/%dx%d/%s", n, m, v.name), depthFloor: true,
+				run: func() (string, string, string, error) {
+					p, err := rfft.NewPlan2D(n, m, ropts)
+					if err != nil {
+						return "", "", "", err
+					}
+					return runReal(p, n*m, n*(m/2+1))
+				}})
+		}
+		for _, s := range [][3]int{{16, 32, 64}, {12, 10, 24}, {64, 64, 64}} {
+			k, n, m := s[0], s[1], s[2]
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("rfft3d/%dx%dx%d/%s", k, n, m, v.name), depthFloor: true,
+				run: func() (string, string, string, error) {
+					p, err := rfft.NewPlan3D(k, n, m, ropts)
+					if err != nil {
+						return "", "", "", err
+					}
+					return runReal(p, k*n*m, k*n*(m/2+1))
+				}})
+		}
+		if !v.notFor1DLarge {
+			for _, n := range []int{1 << 14, 3 << 12} {
+				n := n
+				cases = append(cases, goldenCase{
+					name: fmt.Sprintf("fft1dlarge/%d/%s", n, v.name),
+					run: func() (string, string, string, error) {
+						p, err := fft1dlarge.NewPlan(n, fft1dlarge.Options{Radix: v.radix, Unfused: v.unfused})
+						if err != nil {
+							return "", "", "", err
+						}
+						return runComplex(p, n)
+					}})
+			}
+		}
+		// The partitioned plans have no DescribeGraph; their rows pin the
+		// output bits (the inverse is the unnormalised one they expose).
+		for _, s := range [][4]int{{32, 32, 32, 2}, {64, 64, 64, 4}} {
+			k, n, m, sk := s[0], s[1], s[2], s[3]
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("dist3d/%dx%dx%d/sk%d/%s", k, n, m, sk, v.name),
+				run: func() (string, string, string, error) {
+					return runDist(k, n, m, sk, fft3d.Options{Mu: v.mu, Radix: v.radix, Unfused: v.unfused})
+				}})
+		}
+		if !v.notForPartitions {
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("shard3d/32x32x32/w2/%s", v.name),
+				run: func() (string, string, string, error) {
+					return runShard(32, 32, 32, 2, shard.CoordinatorOptions{Mu: v.mu, Radix: v.radix})
+				}})
+		}
+	}
+	return cases
+}
+
+func runDist(k, n, m, sk int, opts fft3d.Options) (string, string, string, error) {
+	p, err := fft3d.NewDistPlan(k, n, m, sk, opts)
+	if err != nil {
+		return "", "", "", err
+	}
+	defer p.Close()
+	total := k * n * m
+	src, err := p.Alloc()
+	if err != nil {
+		return "", "", "", err
+	}
+	mid, err := p.Alloc()
+	if err != nil {
+		return "", "", "", err
+	}
+	back, err := p.Alloc()
+	if err != nil {
+		return "", "", "", err
+	}
+	src.Scatter(goldenComplex(total, uint64(total)))
+	if err := p.Transform(mid, src, fft1d.Forward); err != nil {
+		return "", "", "", err
+	}
+	if err := p.Transform(back, mid, fft1d.Inverse); err != nil {
+		return "", "", "", err
+	}
+	fwd := make([]complex128, total)
+	inv := make([]complex128, total)
+	mid.Gather(fwd)
+	back.Gather(inv)
+	return "", digestComplex(fwd), digestComplex(inv), nil
+}
+
+func runShard(k, n, m, workers int, copts shard.CoordinatorOptions) (string, string, string, error) {
+	cl, err := shard.StartCluster(workers, shard.WorkerOptions{}, copts)
+	if err != nil {
+		return "", "", "", err
+	}
+	defer cl.Close()
+	total := k * n * m
+	src := goldenComplex(total, uint64(total))
+	fwd := make([]complex128, total)
+	inv := make([]complex128, total)
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := cl.Coord.Transform(ctx, fwd, src, k, n, m, fft1d.Forward); err != nil {
+		return "", "", "", err
+	}
+	if err := cl.Coord.Transform(ctx, inv, fwd, k, n, m, fft1d.Inverse); err != nil {
+		return "", "", "", err
+	}
+	return "", digestComplex(fwd), digestComplex(inv), nil
+}
+
+var (
+	reIters    = regexp.MustCompile(`iters=\d+ *`)
+	reUnits    = regexp.MustCompile(`(load|store) \d+×`)
+	reSchedule = regexp.MustCompile(`(?m)^  (schedule|fill overhead):.*\n`)
+)
+
+// maskDepth blanks what the pipeline-depth floor is allowed to move in a
+// depth_floor row: per-stage iteration and unit counts, and the schedule
+// summary derived from them.
+func maskDepth(s string) string {
+	s = reIters.ReplaceAllString(s, "iters=_ ")
+	s = reUnits.ReplaceAllString(s, "$1 _×")
+	return reSchedule.ReplaceAllString(s, "")
+}
+
+func readGolden() (goldenFile, map[string]goldenRow, error) {
+	var g goldenFile
+	raw, err := os.ReadFile(goldenPath)
+	if err != nil {
+		return g, nil, err
+	}
+	if err := json.Unmarshal(raw, &g); err != nil {
+		return g, nil, err
+	}
+	rows := make(map[string]goldenRow, len(g.Rows))
+	for _, r := range g.Rows {
+		rows[r.Name] = r
+	}
+	return g, rows, nil
+}
+
+// writeGolden merges this build's results into the file: the running
+// tier's digests always, the graph text only from a build that has the
+// streaming-store tier (the other would drop the `streaming` markers).
+func writeGolden(t *testing.T, cases []goldenCase) {
+	_, old, _ := readGolden()
+	tier := kernels.Tier()
+	out := goldenFile{BufferElems: machine.PreferredBufferElems(), LLCBytes: machine.HostLLCBytes()}
+	for _, c := range cases {
+		desc, fwd, inv, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		row := old[c.name]
+		row.Name, row.DepthFloor = c.name, c.depthFloor
+		if layout.NonTemporalAvailable() || row.Describe == "" {
+			row.Describe = desc
+		}
+		if row.Digests == nil {
+			row.Digests = map[string][2]string{}
+		}
+		row.Digests[tier] = [2]string{fwd, inv}
+		out.Rows = append(out.Rows, row)
+	}
+	buf, err := json.MarshalIndent(out, "", " ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll("testdata", 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d rows (tier %s) to %s", len(out.Rows), tier, goldenPath)
+}
+
+func TestGolden(t *testing.T) {
+	cases := goldenCases()
+	if *updateGolden {
+		writeGolden(t, cases)
+		return
+	}
+	want, rows, err := readGolden()
+	if err != nil {
+		t.Fatalf("%v (generate with: go test -run TestGolden -update .)", err)
+	}
+	if len(rows) != len(cases) {
+		t.Errorf("%s holds %d rows, the table has %d cases", goldenPath, len(rows), len(cases))
+	}
+	tier := kernels.Tier()
+	sameHost := machine.PreferredBufferElems() == want.BufferElems && machine.HostLLCBytes() == want.LLCBytes
+	if !sameHost {
+		t.Logf("host sizes plans differently (b=%d llc=%d, golden b=%d llc=%d): graph text not compared",
+			machine.PreferredBufferElems(), machine.HostLLCBytes(), want.BufferElems, want.LLCBytes)
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			w, ok := rows[c.name]
+			if !ok {
+				t.Fatalf("no golden row")
+			}
+			desc, fwd, inv, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, ok := w.Digests[tier]
+			if !ok {
+				t.Fatalf("no golden digests for kernel tier %q", tier)
+			}
+			if fwd != d[0] {
+				t.Errorf("forward output bits changed: digest %s, golden %s", fwd, d[0])
+			}
+			if inv != d[1] {
+				t.Errorf("inverse output bits changed: digest %s, golden %s", inv, d[1])
+			}
+			if !sameHost {
+				return
+			}
+			wantDesc := w.Describe
+			if !layout.NonTemporalAvailable() {
+				wantDesc = strings.ReplaceAll(wantDesc, ", streaming", "")
+			}
+			if desc == wantDesc {
+				return
+			}
+			if w.DepthFloor && maskDepth(desc) == maskDepth(wantDesc) {
+				t.Logf("depth floor re-sized the blocks:\n--- golden\n%s--- now\n%s", wantDesc, desc)
+				return
+			}
+			t.Errorf("graph changed:\n--- golden\n%s--- now\n%s", wantDesc, desc)
+		})
+	}
+}
