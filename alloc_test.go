@@ -42,11 +42,6 @@ func TestSteadyStateZeroAllocs1DBatch(t *testing.T) {
 	assertZeroAllocs(t, "fft1d.Batch", func() {
 		p.Batch(x, count, fft1d.Forward)
 	})
-	re := make([]float64, count*n)
-	im := make([]float64, count*n)
-	assertZeroAllocs(t, "fft1d.BatchSplit", func() {
-		p.BatchSplit(re, im, count, fft1d.Forward)
-	})
 }
 
 func TestSteadyStateZeroAllocs1DLarge(t *testing.T) {
@@ -73,26 +68,22 @@ func TestSteadyStateZeroAllocs1DLarge(t *testing.T) {
 }
 
 func TestSteadyStateZeroAllocs2D(t *testing.T) {
-	for _, split := range []bool{false, true} {
-		name := map[bool]string{false: "interleaved", true: "split"}[split]
-		t.Run(name, func(t *testing.T) {
-			p, err := NewFFT2D(64, 64,
-				WithWorkers(2, 2), WithBufferElems(1<<10), WithSplitFormat(split))
-			if err != nil {
+	t.Run("interleaved", func(t *testing.T) {
+		p, err := NewFFT2D(64, 64, WithWorkers(2, 2), WithBufferElems(1<<10))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := make([]complex128, p.Len())
+		dst := make([]complex128, p.Len())
+		for i := range src {
+			src[i] = complex(float64(i%31), float64(i%11))
+		}
+		assertZeroAllocs(t, "FFT2D.Forward", func() {
+			if err := p.Forward(dst, src); err != nil {
 				t.Fatal(err)
 			}
-			src := make([]complex128, p.Len())
-			dst := make([]complex128, p.Len())
-			for i := range src {
-				src[i] = complex(float64(i%31), float64(i%11))
-			}
-			assertZeroAllocs(t, "FFT2D.Forward/"+name, func() {
-				if err := p.Forward(dst, src); err != nil {
-					t.Fatal(err)
-				}
-			})
 		})
-	}
+	})
 }
 
 func TestSteadyStateZeroAllocsReal1D(t *testing.T) {
@@ -169,24 +160,20 @@ func TestSteadyStateZeroAllocsReal3D(t *testing.T) {
 }
 
 func TestSteadyStateZeroAllocs3D(t *testing.T) {
-	for _, split := range []bool{false, true} {
-		name := map[bool]string{false: "interleaved", true: "split"}[split]
-		t.Run(name, func(t *testing.T) {
-			p, err := NewFFT3D(16, 16, 32,
-				WithWorkers(2, 2), WithBufferElems(1<<9), WithSplitFormat(split))
-			if err != nil {
+	t.Run("interleaved", func(t *testing.T) {
+		p, err := NewFFT3D(16, 16, 32, WithWorkers(2, 2), WithBufferElems(1<<9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := make([]complex128, p.Len())
+		dst := make([]complex128, p.Len())
+		for i := range src {
+			src[i] = complex(float64(i%29), -float64(i%13))
+		}
+		assertZeroAllocs(t, "FFT3D.Forward", func() {
+			if err := p.Forward(dst, src); err != nil {
 				t.Fatal(err)
 			}
-			src := make([]complex128, p.Len())
-			dst := make([]complex128, p.Len())
-			for i := range src {
-				src[i] = complex(float64(i%29), -float64(i%13))
-			}
-			assertZeroAllocs(t, "FFT3D.Forward/"+name, func() {
-				if err := p.Forward(dst, src); err != nil {
-					t.Fatal(err)
-				}
-			})
 		})
-	}
+	})
 }

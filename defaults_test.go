@@ -145,12 +145,12 @@ func TestPublicDefaultsAreThePlanPackageDefaultsReal3D(t *testing.T) {
 // Explicit options still win over the plan-package defaults, and the radix
 // cap accepts what the sub-plans accept (16 is what 0 selects).
 func TestExplicitOptionsOverrideDefaults(t *testing.T) {
-	p, err := NewFFT2D(64, 64, WithCacheline(4), WithBufferElems(1<<9), WithSplitFormat(true))
+	p, err := NewFFT2D(64, 64, WithCacheline(4), WithBufferElems(1<<9), WithRadix(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ref, err := fft2d.NewPlan(64, 64, fft2d.Options{Strategy: fft2d.DoubleBuf,
-		Mu: 4, BufferElems: 1 << 9, SplitFormat: true})
+		Mu: 4, BufferElems: 1 << 9, Radix: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,6 +25,7 @@ import (
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/fft1d"
 	"repro/internal/machine"
 )
 
@@ -95,24 +96,8 @@ func WithCacheline(mu int) Option {
 // passes and exist for tuning and ablation. 0 selects the default.
 func WithRadix(r int) Option {
 	return func(c *core.Config) error {
-		switch r {
-		case 0, 2, 4, 8, 16:
-			c.Radix = r
-			return nil
-		}
-		return fmt.Errorf("repro: radix must be 0, 2, 4, 8 or 16, got %d", r)
-	}
-}
-
-// WithSplitFormat enables or disables the paper's block-interleaved compute
-// format (§IV-A). Disabled by default: on the measured hosts the
-// complex-interleaved format with the fused radix-16 codelets and the
-// store-leg fold is faster (EXPERIMENTS.md "Plan defaults and whole-line
-// streaming stores").
-func WithSplitFormat(on bool) Option {
-	return func(c *core.Config) error {
-		c.SplitFormat = on
-		return nil
+		c.Radix = r
+		return fft1d.CheckRadix("repro", r)
 	}
 }
 

@@ -33,7 +33,7 @@ func TestPublicFFT3DRoundTrip(t *testing.T) {
 }
 
 func TestPublicFFT2DRoundTrip(t *testing.T) {
-	p, err := NewFFT2D(32, 64, WithBufferElems(512), WithSplitFormat(false))
+	p, err := NewFFT2D(32, 64, WithBufferElems(512))
 	if err != nil {
 		t.Fatal(err)
 	}

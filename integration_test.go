@@ -120,10 +120,10 @@ func TestIntegration2DConvolution(t *testing.T) {
 func TestIntegrationTuneAndReplay(t *testing.T) {
 	const k, n, m = 16, 16, 16
 	space := tune.Space{
-		Buffers:      []int{256, 1024},
-		WorkerSplits: [][2]int{{1, 1}},
-		Mus:          []int{4},
-		SplitFormats: []bool{false, true},
+		Buffers: []int{256, 1024},
+		Workers: [][2]int{{1, 1}},
+		Mus:     []int{4},
+		Radixes: []int{16, 4},
 	}
 	best, _, err := tune.Tune3D(k, n, m, space, 1)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 		WithBufferElems(best.BufferElems),
 		WithWorkers(best.DataWorkers, best.ComputeWorkers),
 		WithCacheline(best.Mu),
-		WithSplitFormat(best.SplitFormat))
+		WithRadix(best.Radix))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -434,8 +434,7 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 	}
 
 	// Batched butterfly sweeps: each reads and writes every element once,
-	// so 32 B of traffic per complex element (16 B per split float pair on
-	// both planes — the same accounting). These are the kernels the SIMD
+	// so 32 B of traffic per complex element. These are the kernels the SIMD
 	// codelet tier accelerates; their frac_stream_peak is the direct
 	// measure of how close the compute stage runs to the memory wall.
 	{
@@ -448,15 +447,6 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 		tw16 := kernels.NewStageTwiddles(n, 16, kernels.Forward)
 		tw8 := kernels.NewStageTwiddles(n, 8, kernels.Forward)
 		tw4 := kernels.NewStageTwiddles(n, 4, kernels.Forward)
-		stw8 := kernels.NewSplitTwiddles(tw8)
-		stw4 := kernels.NewSplitTwiddles(tw4)
-		srcRe := make([]float64, len(src))
-		srcIm := make([]float64, len(src))
-		for i, c := range src {
-			srcRe[i], srcIm[i] = real(c), imag(c)
-		}
-		dstRe := make([]float64, len(src))
-		dstIm := make([]float64, len(src))
 		bytes := int64(len(src)) * 32
 		cases = append(cases,
 			jsonCase{
@@ -483,22 +473,6 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 				bytesPerOp: bytes,
 				fn: func() error {
 					kernels.BatchRadix4Step(dst, src, pencils, n, n/4, 1, kernels.Forward, tw4)
-					return nil
-				},
-			},
-			jsonCase{
-				name:       "kernels/BatchSplitRadix8Step",
-				bytesPerOp: bytes,
-				fn: func() error {
-					kernels.BatchSplitRadix8Step(dstRe, dstIm, srcRe, srcIm, pencils, n, n/8, 1, kernels.Forward, stw8)
-					return nil
-				},
-			},
-			jsonCase{
-				name:       "kernels/BatchSplitRadix4Step",
-				bytesPerOp: bytes,
-				fn: func() error {
-					kernels.BatchSplitRadix4Step(dstRe, dstIm, srcRe, srcIm, pencils, n, n/4, 1, kernels.Forward, stw4)
 					return nil
 				},
 			},

@@ -1,11 +1,15 @@
-// Package core ties the paper's pieces together: it splits the threads
-// half into soft-DMA data workers and half into compute workers (§IV),
+// Package core ties the paper's pieces together: it assigns half the
+// threads to soft-DMA data workers and half to compute workers (§IV),
 // derives the paper's b = LLC/2 and μ = one cacheline for a described
 // machine (ForMachine), and builds the plans of internal/fft2d,
 // internal/fft3d and internal/rfft from the result. The kernel-shape
-// defaults — μ, the buffer size, the compute format — are not restated
-// here: a zero field means the plan package resolves it, from the measured
-// profile, exactly as for a caller that passes its zero-value Options.
+// defaults — μ and the buffer size — are not restated here: a zero field
+// means the plan package resolves it, from the measured profile, exactly as
+// for a caller that passes its zero-value Options. There is one compute
+// format, complex-interleaved: the paper's §IV-A block-interleaved format
+// was implemented, measured 1.3–1.9× behind it in every cell (EXPERIMENTS.md
+// "Plan defaults and whole-line streaming stores") and retired; commit
+// f193575 is the last that contains it.
 //
 // The root repro package re-exports this as the public API.
 package core
@@ -47,9 +51,6 @@ type Config struct {
 	DataWorkers    int
 	ComputeWorkers int
 	Workers        int
-	// SplitFormat selects the block-interleaved compute format of §IV-A
-	// over the default complex-interleaved one.
-	SplitFormat bool
 	// Radix caps the Stockham stage radix of power-of-two 1D sub-plans
 	// (0 = default 16, the fused two-stage codelets; 2/4/8 select the
 	// higher-pass-count mixes).
@@ -71,9 +72,8 @@ type Config struct {
 }
 
 // Default returns the configuration this host would use: the paper's
-// half-and-half worker split over the host's CPU count, with μ, the buffer
-// size and the compute format left zero for the plan packages to resolve —
-// so a plan built from Default() is the plan their zero-value Options
+// half-and-half worker assignment over the host's CPU count, with μ and the
+// buffer size left zero for the plan packages to resolve — so a plan built from Default() is the plan their zero-value Options
 // build, which is the one the benchmarks measure.
 func Default() Config {
 	threads := runtime.GOMAXPROCS(0)
@@ -92,8 +92,7 @@ func Default() Config {
 
 // ForMachine returns the paper's configuration for one of the described
 // machines: b = LLC/2 over two halves, μ = cacheline, p_d = p_c = threads/2
-// per socket. The compute format is left to the plan package, as in
-// Default.
+// per socket.
 func ForMachine(m machine.Machine) Config {
 	pairs := m.Threads() / 2
 	if pairs < 1 {
@@ -149,7 +148,7 @@ func (c Config) fft3dOptions() (fft3d.Options, error) {
 	return fft3d.Options{
 		Strategy: s, Mu: c.Mu, BufferElems: c.BufferElems,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Workers: c.Workers, SplitFormat: c.SplitFormat, Radix: c.Radix,
+		Workers: c.Workers, Radix: c.Radix,
 		Unfused: !c.StageFusion, Tracer: c.Tracer,
 	}, nil
 }
@@ -162,7 +161,7 @@ func (c Config) fft2dOptions() (fft2d.Options, error) {
 	return fft2d.Options{
 		Strategy: s, Mu: c.Mu, BufferElems: c.BufferElems,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Workers: c.Workers, SplitFormat: c.SplitFormat, Radix: c.Radix,
+		Workers: c.Workers, Radix: c.Radix,
 		Unfused: !c.StageFusion, Tracer: c.Tracer,
 	}, nil
 }
@@ -332,8 +331,8 @@ func (p *Plan2D) Len() int { return p.n * p.m }
 func (p *Plan2D) Dims() (int, int) { return p.n, p.m }
 
 func (c Config) rfftOptions() rfft.Options {
-	// Real plans always run the stage-graph pipeline; Strategy, Workers and
-	// SplitFormat (pair-packed endpoints are interleaved-only) don't apply.
+	// Real plans always run the stage-graph pipeline; Strategy and Workers
+	// don't apply.
 	return rfft.Options{
 		Mu: c.Mu, BufferElems: c.BufferElems,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,

@@ -17,7 +17,7 @@ func TestDefaultConfig(t *testing.T) {
 	if c.Strategy != StrategyDoubleBuf || c.DataWorkers < 1 || c.ComputeWorkers < 1 || !c.StageFusion {
 		t.Fatalf("Default() = %+v", c)
 	}
-	if c.Mu != 0 || c.BufferElems != 0 || c.SplitFormat || c.Radix != 0 {
+	if c.Mu != 0 || c.BufferElems != 0 || c.Radix != 0 {
 		t.Fatalf("Default() restates a plan-package default: %+v", c)
 	}
 	p, err := NewPlan2D(64, 64, c)
@@ -40,9 +40,6 @@ func TestForMachineAppliesPaperRules(t *testing.T) {
 	}
 	if c.DataWorkers != 4 || c.ComputeWorkers != 4 {
 		t.Errorf("workers = %d/%d, want 4/4 (half of 8 threads each)", c.DataWorkers, c.ComputeWorkers)
-	}
-	if c.SplitFormat {
-		t.Error("the compute format is the plan package's default, not ForMachine's")
 	}
 }
 

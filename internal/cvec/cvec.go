@@ -1,18 +1,8 @@
 // Package cvec provides complex-vector storage utilities shared by all FFT
 // code in this repository.
 //
-// Two storage layouts are supported, mirroring the paper's "cache aware FFT"
-// section:
-//
-//   - complex interleaved: the natural Go []complex128 layout where the real
-//     and imaginary parts of each element are adjacent in memory;
-//   - block interleaved (split): separate real and imaginary slices, so that
-//     vector kernels can operate on full cachelines of reals followed by full
-//     cachelines of imaginaries.
-//
-// The paper converts from complex interleaved to block interleaved in the
-// first compute stage of a multi-dimensional FFT, runs all middle stages in
-// block-interleaved form, and converts back in the last stage.
+// Vectors are complex interleaved: the natural Go []complex128 layout where
+// the real and imaginary parts of each element are adjacent in memory.
 package cvec
 
 import (

@@ -98,10 +98,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 		func() { Vec{1}.Dot(Vec{1, 2}) },
 		func() { MaxDiff(Vec{1}, Vec{1, 2}) },
 		func() { RelErr(Vec{1}, Vec{1, 2}) },
-		func() { CopySplit(NewSplit(1), NewSplit(2)) },
-		func() { Interleave(New(1), NewSplit(2)) },
-		func() { Deinterleave(NewSplit(1), New(2)) },
-		func() { MaxDiffSplit(NewSplit(1), NewSplit(2)) },
 	}
 	for i, f := range cases {
 		func() {
@@ -112,92 +108,6 @@ func TestLengthMismatchPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestSplitRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	v := Random(rng, 100)
-	s := FromVec(v)
-	if s.Len() != 100 {
-		t.Fatalf("Split.Len = %d, want 100", s.Len())
-	}
-	back := s.ToVec()
-	if MaxDiff(v, back) != 0 {
-		t.Fatal("FromVec/ToVec round trip lost data")
-	}
-}
-
-func TestSplitAtSetSlice(t *testing.T) {
-	s := NewSplit(8)
-	s.Set(3, 5+7i)
-	if s.At(3) != 5+7i {
-		t.Fatalf("At(3) = %v, want 5+7i", s.At(3))
-	}
-	sub := s.Slice(2, 5)
-	if sub.Len() != 3 {
-		t.Fatalf("Slice len = %d, want 3", sub.Len())
-	}
-	if sub.At(1) != 5+7i {
-		t.Fatal("Slice does not share storage")
-	}
-	sub.Set(0, 1i)
-	if s.At(2) != 1i {
-		t.Fatal("writes through Slice not visible in parent")
-	}
-}
-
-func TestSplitCloneCopy(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	v := Random(rng, 20)
-	s := FromVec(v)
-	c := s.Clone()
-	c.Set(0, 99)
-	if s.At(0) == 99 {
-		t.Fatal("Clone shares storage")
-	}
-	d := NewSplit(20)
-	CopySplit(d, s)
-	if MaxDiffSplit(d, s) != 0 {
-		t.Fatal("CopySplit mismatch")
-	}
-}
-
-func TestInterleaveDeinterleave(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	v := Random(rng, 33)
-	s := NewSplit(33)
-	Deinterleave(s, v)
-	w := New(33)
-	Interleave(w, s)
-	if MaxDiff(v, w) != 0 {
-		t.Fatal("Interleave/Deinterleave round trip lost data")
-	}
-}
-
-// Property: conversion between layouts is a bijection.
-func TestQuickSplitRoundTrip(t *testing.T) {
-	f := func(re, im []float64) bool {
-		n := len(re)
-		if len(im) < n {
-			n = len(im)
-		}
-		v := make(Vec, n)
-		for i := 0; i < n; i++ {
-			v[i] = complex(re[i], im[i])
-		}
-		back := FromVec(v).ToVec()
-		for i := range v {
-			// NaN-safe bitwise comparison is overkill; quick never
-			// generates NaN for float64 by default.
-			if v[i] != back[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

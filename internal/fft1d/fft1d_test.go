@@ -54,7 +54,7 @@ func TestPlanKinds(t *testing.T) {
 			t.Errorf("Plan(%d).Kind() = %q, want %q", n, got, want)
 		}
 	}
-	// Mixed plans report their split.
+	// Mixed plans report their factorization.
 	if got := NewPlan(96).Kind(); got != "mixed(8×12)" {
 		t.Errorf("Plan(96).Kind() = %q, want mixed(8×12)", got)
 	}
@@ -186,59 +186,11 @@ func TestStridedMatchesGathered(t *testing.T) {
 	}
 }
 
-func TestSplitLanesMatchesInterleaved(t *testing.T) {
-	for _, tc := range []struct{ n, mu int }{
-		{16, 1}, {64, 4}, {1024, 8}, {12, 2}, {127, 1},
-	} {
-		p := NewPlan(tc.n)
-		x := randVec(int64(tc.n+tc.mu), tc.n*tc.mu)
-		want := make([]complex128, len(x))
-		p.Lanes(want, x, tc.mu, Forward)
-		s := cvec.FromVec(cvec.Vec(x))
-		outRe := make([]float64, len(x))
-		outIm := make([]float64, len(x))
-		p.LanesSplit(outRe, outIm, s.Re, s.Im, tc.mu, Forward)
-		got := cvec.Split{Re: outRe, Im: outIm}.ToVec()
-		if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(tc.n) {
-			t.Errorf("LanesSplit n=%d mu=%d: diff %g", tc.n, tc.mu, d)
-		}
-	}
-}
-
-func TestBatchSplitAndInPlaceSplit(t *testing.T) {
-	const n, count = 128, 6
-	p := NewPlan(n)
-	x := randVec(21, n*count)
-	want := append([]complex128(nil), x...)
-	p.Batch(want, count, Forward)
-	s := cvec.FromVec(cvec.Vec(x))
-	p.BatchSplit(s.Re, s.Im, count, Forward)
-	got := s.ToVec()
-	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol {
-		t.Errorf("BatchSplit: diff %g", d)
-	}
-
-	x2 := randVec(22, n*4)
-	want2 := make([]complex128, len(x2))
-	p.Lanes(want2, x2, 4, Forward)
-	s2 := cvec.FromVec(cvec.Vec(x2))
-	p.InPlaceLanesSplit(s2.Re, s2.Im, 4, Forward)
-	if d := cvec.MaxDiff(cvec.Vec(s2.ToVec()), cvec.Vec(want2)); d > tol {
-		t.Errorf("InPlaceLanesSplit: diff %g", d)
-	}
-}
-
 func TestScaleHelpers(t *testing.T) {
 	x := []complex128{2, 4i}
 	Scale(x, 0.5)
 	if x[0] != 1 || x[1] != 2i {
 		t.Fatalf("Scale: got %v", x)
-	}
-	re := []float64{2, 4}
-	im := []float64{6, 8}
-	ScaleSplit(re, im, 0.25)
-	if re[0] != 0.5 || im[1] != 2 {
-		t.Fatalf("ScaleSplit: got %v %v", re, im)
 	}
 }
 
@@ -283,11 +235,6 @@ func TestValidationPanics(t *testing.T) {
 		func() { p.BatchInto(make([]complex128, 16), make([]complex128, 15), 2, Forward) },
 		func() { p.Strided(make([]complex128, 10), 0, 2, Forward) },
 		func() { p.InPlaceLanes(make([]complex128, 9), 1, Forward) },
-		func() {
-			p.LanesSplit(make([]float64, 8), make([]float64, 8), make([]float64, 8), make([]float64, 7), 1, Forward)
-		},
-		func() { p.BatchSplit(make([]float64, 8), make([]float64, 7), 1, Forward) },
-		func() { p.InPlaceLanesSplit(make([]float64, 8), make([]float64, 7), 1, Forward) },
 	} {
 		func() {
 			defer func() {
@@ -330,22 +277,6 @@ func BenchmarkTransformPow2(b *testing.B) {
 			b.SetBytes(int64(n * 16))
 			for i := 0; i < b.N; i++ {
 				p.Transform(y, x, Forward)
-			}
-		})
-	}
-}
-
-func BenchmarkTransformSplitPow2(b *testing.B) {
-	for _, n := range []int{1024, 4096, 16384, 65536} {
-		p := NewPlan(n)
-		x := randVec(1, n)
-		s := cvec.FromVec(cvec.Vec(x))
-		outRe := make([]float64, n)
-		outIm := make([]float64, n)
-		b.Run(sizeName(n), func(b *testing.B) {
-			b.SetBytes(int64(n * 16))
-			for i := 0; i < b.N; i++ {
-				p.LanesSplit(outRe, outIm, s.Re, s.Im, 1, Forward)
 			}
 		})
 	}

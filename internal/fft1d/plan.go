@@ -45,7 +45,7 @@ type planKind int
 const (
 	kindSmall     planKind = iota // dense/unrolled codelet
 	kindPow2                      // iterative Stockham radix-4/2
-	kindMixed                     // recursive Cooley–Tukey split n = f · rest
+	kindMixed                     // recursive Cooley–Tukey n = f · rest
 	kindBluestein                 // chirp-z for large primes
 )
 
@@ -65,17 +65,10 @@ type Plan struct {
 
 	// kindPow2: radices of each Stockham stage, outermost first, and the
 	// per-stage twiddles for each direction (index 0 forward, 1 inverse),
-	// built lazily. The split-format drivers run their own stage chain
-	// (splitRadices): there is no split radix-16 codelet and the split
-	// radix-8 one underruns the radix-4 pair it replaces, so split plans
-	// prefer radix-4 chains while the interleaved chain uses the fused
-	// radix-16 codelets.
-	radices      []int
-	splitRadices []int
-	stageOnce    [2]sync.Once
-	stages       [2][]kernels.StageTwiddles
-	splitOnce    [2]sync.Once
-	splitStages  [2][]kernels.SplitTwiddles
+	// built lazily.
+	radices   []int
+	stageOnce [2]sync.Once
+	stages    [2][]kernels.StageTwiddles
 
 	// kindMixed: n = f · rest.
 	f, rest  int
@@ -107,24 +100,33 @@ var planCache = lru.New[planKey, *Plan](planCacheCapacity, nil)
 // radix mix (fused radix-16 sweeps for power-of-two sizes).
 func NewPlan(n int) *Plan { return NewPlanRadix(n, 0) }
 
+// CheckRadix validates a Stockham radix cap option — 0 (the default, 16) or
+// one of 2, 4, 8, 16 — on behalf of package pkg, whose name prefixes the
+// error. Every plan package validates its Radix option here.
+func CheckRadix(pkg string, radix int) error {
+	switch radix {
+	case 0, 2, 4, 8, 16:
+		return nil
+	}
+	return fmt.Errorf("%s: radix must be 0, 2, 4, 8 or 16, got %d", pkg, radix)
+}
+
 // NewPlanRadix returns a (possibly cached) plan for size n ≥ 1 whose
 // power-of-two path uses Stockham stages of radix at most maxRadix ∈
 // {2, 4, 8, 16}; 0 selects the default (16: fused two-stage codelets with a
 // trailing radix-4 stage reserved for store folding, see pow2Radices).
 // Lower radices make more passes over the buffer and exist for tuning and
 // ablation. maxRadix only affects power-of-two sizes > 8; other sizes share
-// one plan. The cap applies to the interleaved chain; split-format drivers
-// run a radix-4-preferring chain of their own regardless (see splitChain).
+// one plan.
 func NewPlanRadix(n, maxRadix int) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft1d: NewPlanRadix(%d): size must be ≥ 1", n))
 	}
-	switch maxRadix {
-	case 0:
+	if err := CheckRadix("fft1d", maxRadix); err != nil {
+		panic(err.Error())
+	}
+	if maxRadix == 0 {
 		maxRadix = 16
-	case 2, 4, 8, 16:
-	default:
-		panic(fmt.Sprintf("fft1d: NewPlanRadix(%d, %d): radix must be 0, 2, 4, 8 or 16", n, maxRadix))
 	}
 	key := planKey{n: n, radix: maxRadix}
 	if n <= 8 || n&(n-1) != 0 {
@@ -171,7 +173,6 @@ func buildPlan(n, maxRadix int) *Plan {
 		p.kind = kindPow2
 		p.maxRadix = maxRadix
 		p.radices = pow2Radices(n, maxRadix)
-		p.splitRadices = splitChain(n, maxRadix)
 	default:
 		f := smallestCodeletFactor(n)
 		if f == 0 {
@@ -272,19 +273,6 @@ func pow2Radices(n, maxRadix int) []int {
 	return r
 }
 
-// splitChain returns the split-format stage chain. The split drivers have
-// no radix-16 codelet (the fused butterfly's 64 live re/im accumulators
-// spill far past the 16-register file) and the split radix-8 codelet
-// underruns two radix-4 passes on even k, so the split chain prefers
-// radix-4 stages, keeping a single leading radix-8 only to absorb odd k
-// without a radix-2 pass.
-func splitChain(n, maxRadix int) []int {
-	if maxRadix > 8 {
-		maxRadix = 8
-	}
-	return pow2Radices(n, maxRadix)
-}
-
 // smallestCodeletFactor returns the preferred factor to peel from composite
 // n: the largest codelet size in {8,4,2,3,5,7} dividing n, else the smallest
 // prime factor ≤ 31; 0 if n is prime.
@@ -323,23 +311,6 @@ func (p *Plan) stageTwiddles(sign int) []kernels.StageTwiddles {
 		p.stages[i] = st
 	})
 	return p.stages[i]
-}
-
-// splitTwiddles returns the split-format stage twiddles for direction sign.
-// They follow splitRadices, not the interleaved chain — the two chains
-// diverge once the interleaved side uses fused radix-16 stages.
-func (p *Plan) splitTwiddles(sign int) []kernels.SplitTwiddles {
-	i := signIdx(sign)
-	p.splitOnce[i].Do(func() {
-		st := make([]kernels.SplitTwiddles, len(p.splitRadices))
-		n1 := p.n
-		for s, r := range p.splitRadices {
-			st[s] = kernels.NewSplitTwiddles(kernels.NewStageTwiddles(n1, r, sign))
-			n1 /= r
-		}
-		p.splitStages[i] = st
-	})
-	return p.splitStages[i]
 }
 
 // FoldRadix reports whether the plan's interleaved stage chain ends in a

@@ -9,7 +9,7 @@ import (
 
 // Radix-capped plans must agree with each other (and the default plan) to
 // rounding on every power-of-two size, in every entry point the pipelines
-// use: plain Transform, batched pencils, and the split lane kernel.
+// use: plain Transform and batched pencils.
 func TestRadixPlansAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, n := range []int{16, 64, 128, 1024, 4096} {
@@ -38,24 +38,6 @@ func TestRadixPlansAgreeBatch(t *testing.T) {
 	NewPlanRadix(n, 8).Batch(got, count, Forward)
 	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(n) {
 		t.Fatalf("batched radix-8 vs radix-4: max diff %g", d)
-	}
-}
-
-func TestRadixPlansAgreeLanesSplit(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	const n, mu = 512, 4
-	x := cvec.Random(rng, n*mu)
-	s := cvec.FromVec(cvec.Vec(x))
-	wantRe := make([]float64, n*mu)
-	wantIm := make([]float64, n*mu)
-	NewPlanRadix(n, 4).LanesSplit(wantRe, wantIm, s.Re, s.Im, mu, Forward)
-	gotRe := make([]float64, n*mu)
-	gotIm := make([]float64, n*mu)
-	NewPlanRadix(n, 8).LanesSplit(gotRe, gotIm, s.Re, s.Im, mu, Forward)
-	a := cvec.Split{Re: gotRe, Im: gotIm}.ToVec()
-	b := cvec.Split{Re: wantRe, Im: wantIm}.ToVec()
-	if d := cvec.MaxDiff(cvec.Vec(a), cvec.Vec(b)); d > tol*float64(n) {
-		t.Fatalf("split-lane radix-8 vs radix-4: max diff %g", d)
 	}
 }
 

@@ -144,7 +144,7 @@ func (p *Plan) batchPow2Stages(x []complex128, pencils, mu, sign, t int, ar *ker
 	ar.Rewind(m)
 }
 
-// mixedLanes implements the Cooley–Tukey split n = f·rest with lanes:
+// mixedLanes implements the Cooley–Tukey factorization n = f·rest with lanes:
 //
 //	DFT_n ⊗ I_L = (DFT_f ⊗ I_{rest·L}) (D ⊗ I_L) (I_f ⊗ DFT_rest ⊗ I_L) (L_f^n ⊗ I_L).
 func (p *Plan) mixedLanes(dst, src []complex128, mu, sign int, ar *kernels.Arena) {

@@ -21,13 +21,9 @@ package fft1dlarge
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/fft1d"
-	"repro/internal/kernels"
-	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/stagegraph"
 	"repro/internal/trace"
@@ -87,30 +83,12 @@ type Plan struct {
 	n      int
 	n1, n2 int         // n = n1·n2
 	direct *fft1d.Plan // small-n fallback
-	p1, p2 *fft1d.Plan
 
-	opts Options
-
-	w1, w2 []complex128 // full-size intermediates
-	bufs   *stagegraph.Buffers
-
-	// Cached stage graph, compiled schedule, and persistent executor; per
-	// call only the src/dst endpoints and curSign are patched.
-	stages  []stagegraph.Stage
-	sched   *stagegraph.Schedule
-	exec    *stagegraph.Executor
-	curSign int
-	// curScale, when non-zero, is the 1/n the last stage applies to its
-	// rows while they are still in cache (Inverse); patched like curSign.
-	curScale float64
-
-	obs      *obs.Collector
-	obsUnreg func()
-
-	lock      sync.Mutex // w1/w2/bufs are shared scratch
-	closed    bool
-	refs      atomic.Int32
-	lastStats stagegraph.Stats
+	// run owns the compiled three-stage graph with its full-size
+	// intermediates, the double buffer and the persistent executor; nil for
+	// the direct fallback.
+	run  *stagegraph.Runner
+	refs atomic.Int32
 }
 
 // NewPlan builds a large-1D plan for size n ≥ 1.
@@ -119,12 +97,10 @@ func NewPlan(n int, opts Options) (*Plan, error) {
 		return nil, fmt.Errorf("fft1dlarge: invalid size %d", n)
 	}
 	opts = opts.withDefaults()
-	switch opts.Radix {
-	case 0, 2, 4, 8, 16:
-	default:
-		return nil, fmt.Errorf("fft1dlarge: radix must be 0, 2, 4, 8 or 16, got %d", opts.Radix)
+	if err := fft1d.CheckRadix("fft1dlarge", opts.Radix); err != nil {
+		return nil, err
 	}
-	p := &Plan{n: n, opts: opts}
+	p := &Plan{n: n}
 	p.refs.Store(1)
 	n1, n2 := split(n)
 	if n < opts.MinN || n2 == 1 {
@@ -132,41 +108,28 @@ func NewPlan(n int, opts Options) (*Plan, error) {
 		return p, nil
 	}
 	p.n1, p.n2 = n1, n2
-	p.p1 = fft1d.NewPlanRadix(n1, opts.Radix)
-	p.p2 = fft1d.NewPlanRadix(n2, opts.Radix)
-	p.w1 = make([]complex128, n)
-	p.w2 = make([]complex128, n)
 	// Each half must hold at least one row of the wider stage.
-	b := opts.BufferElems
-	if b < n1 {
-		b = n1
-	}
-	if b > n {
-		b = n
-	}
-	p.bufs = stagegraph.NewBuffers(b, false, true)
-	p.stages = p.buildStages(nil, nil)
-	p.sched = stagegraph.Compile(p.stages, !opts.Unfused)
-	names := make([]string, len(p.stages))
-	for i := range p.stages {
-		names[i] = p.stages[i].Name
-	}
-	p.obs = obs.NewCollector(opts.DataWorkers, opts.ComputeWorkers, names)
-	_, p.obsUnreg = obs.Default.Register(fmt.Sprintf("fft1dlarge/%d", n), p.obs)
-	exec, err := stagegraph.NewExecutor(stagegraph.Config{
-		DataWorkers:    opts.DataWorkers,
-		ComputeWorkers: opts.ComputeWorkers,
-		ScratchComplex: b,
-		Obs:            p.obs,
-	})
+	b := min(max(opts.BufferElems, n1), n)
+	// The six-step factorization as three stride-permutation passes:
+	//
+	//	stage 1: w1  = L_{n1}^{N} src                      (pure transpose)
+	//	stage 2: w2  = L_{n2}^{N} D (I_{n1} ⊗ DFT_{n2}) w1 (row FFTs + twiddles)
+	//	stage 3: dst = L_{n1}^{N} (I_{n2} ⊗ DFT_{n1}) w2   (row FFTs)
+	g := stagegraph.Transposes(b,
+		stagegraph.Transpose{Name: "reorder", Rows: n2, Cols: n1},
+		stagegraph.Transpose{Name: "n2-rows", Rows: n1, Cols: n2, Plan: fft1d.NewPlanRadix(n2, opts.Radix),
+			Twiddle: func(row []complex128, j, sign int) { twiddleRow(row, j, n, sign) }},
+		stagegraph.Transpose{Name: "n1-rows", Rows: n2, Cols: n1, Plan: fft1d.NewPlanRadix(n1, opts.Radix)},
+	)
+	var err error
+	p.run, err = stagegraph.NewRunner(stagegraph.RunnerConfig{
+		Pkg: "fft1dlarge", Labels: []string{fmt.Sprintf("fft1dlarge/%d", n)},
+		DataWorkers: opts.DataWorkers, ComputeWorkers: opts.ComputeWorkers,
+		Unfused: opts.Unfused, Tracer: opts.Tracer,
+	}, g)
 	if err != nil {
 		return nil, err
 	}
-	p.exec = exec
-	// Backstop for callers that drop the plan without Close: once the plan
-	// is unreachable no Run can be in flight, so the finalizer may release
-	// the parked workers regardless of the reference count.
-	runtime.SetFinalizer(p, (*Plan).closeNow)
 	return p, nil
 }
 
@@ -179,31 +142,13 @@ func (p *Plan) Retain() { p.refs.Add(1) }
 // executor workers. Releasing is idempotent and safe to call concurrently
 // — with other Close calls and with a Transform in flight (it waits for
 // the transform to finish; later Transforms return an error). Plans
-// dropped without Close are cleaned up by a finalizer.
+// dropped without Close are cleaned up by a finalizer, regardless of the
+// reference count.
 func (p *Plan) Close() {
 	if p.refs.Add(-1) > 0 {
 		return
 	}
-	p.closeNow()
-}
-
-// closeNow unconditionally releases the workers; it is the finalizer
-// target, so it must not depend on the reference count.
-func (p *Plan) closeNow() {
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	if p.exec != nil {
-		p.exec.Close()
-		runtime.SetFinalizer(p, nil)
-	}
-	if p.obsUnreg != nil {
-		p.obsUnreg()
-		p.obsUnreg = nil
-	}
+	p.run.Close()
 }
 
 // split returns a balanced factorization n = n1·n2 with n1 ≥ n2 and n2 as
@@ -256,112 +201,26 @@ func (p *Plan) transform(dst, src []complex128, sign int, scale float64) error {
 		}
 		return nil
 	}
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	if p.closed {
-		return fmt.Errorf("fft1dlarge: plan closed")
-	}
-	p.curSign, p.curScale = sign, scale
-	p.stages[0].Src.C = src
-	p.stages[2].Dst.C = dst
-	st, err := p.exec.Run(p.bufs, p.stages, p.sched, p.opts.Tracer)
-	p.stages[0].Src.C = nil
-	p.stages[2].Dst.C = nil
-	if err != nil {
-		return err
-	}
-	p.lastStats = st
-	return nil
+	return p.run.Run(0, stagegraph.Call{In: stagegraph.Endpoint{C: src},
+		Out: stagegraph.Endpoint{C: dst}, Sign: sign, Scale: scale})
 }
 
 // Stats returns the whole-transform executor stats of the most recent
 // Transform (zero value before the first, or for the direct fallback).
-func (p *Plan) Stats() stagegraph.Stats {
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	return p.lastStats
-}
+func (p *Plan) Stats() stagegraph.Stats { return p.run.Stats() }
 
 // Obs returns the plan's telemetry collector (nil for the direct fallback).
 // The collector is live: snapshots taken from it reflect every transform
 // the plan has run.
-func (p *Plan) Obs() *obs.Collector { return p.obs }
+func (p *Plan) Obs() *obs.Collector { return p.run.Obs(0) }
 
 // Observability returns the merged bandwidth-accounting snapshot of every
 // transform this plan has executed (zero value for the direct fallback).
-func (p *Plan) Observability() obs.Snapshot { return p.obs.Snapshot() }
+func (p *Plan) Observability() obs.Snapshot { return p.run.Observability() }
 
-// DescribeGraph renders the compiled stage graph the plan would execute;
-// empty for the direct fallback.
-func (p *Plan) DescribeGraph() string {
-	if p.direct != nil {
-		return ""
-	}
-	return stagegraph.Describe(p.buildStages(nil, nil), !p.opts.Unfused)
-}
-
-// buildStages compiles the six-step factorization into a three-stage graph:
-//
-//	stage 1: w1  = L_{n1}^{N} src                      (pure transpose)
-//	stage 2: w2  = L_{n2}^{N} D (I_{n1} ⊗ DFT_{n2}) w1 (row FFTs + twiddles)
-//	stage 3: dst = L_{n1}^{N} (I_{n2} ⊗ DFT_{n1}) w2   (row FFTs)
-//
-// The graph is built once at plan time and cached; compute closures read
-// the direction from p.curSign and the src/dst endpoints are patched per
-// call. Endpoints may be nil when only describing the graph.
-func (p *Plan) buildStages(dst, src []complex128) []stagegraph.Stage {
-	return []stagegraph.Stage{
-		p.transposeStage("reorder", p.w1, src, p.n2, p.n1, nil, false, false),
-		p.transposeStage("n2-rows", p.w2, p.w1, p.n1, p.n2, p.p2, true, false),
-		p.transposeStage("n1-rows", dst, p.w2, p.n2, p.n1, p.p1, false, true),
-	}
-}
-
-// transposeStage compiles one stride-permutation pass over the rows×cols
-// row-major matrix src into a Stage: load contiguous row groups, optionally
-// apply rowPlan to every row (scaling row j by ω_N^{j·i} when twiddles is
-// set, and by curScale when last is set and a normalized inverse is
-// running), transpose the group in cache into the staging half, and store
-// whole column blocks into the cols×rows matrix dst.
-func (p *Plan) transposeStage(name string, dst, src []complex128, rows, cols int, rowPlan *fft1d.Plan, twiddles, last bool) stagegraph.Stage {
-	rPer := largestDivisorAtMost(rows, maxI(p.bufs.Elems/cols, 1))
-	return stagegraph.Stage{
-		Name: name, Iters: rows / rPer, Units: rPer, UnitLen: cols,
-		Src: stagegraph.Endpoint{C: src},
-		Dst: stagegraph.Endpoint{C: dst},
-		Compute: func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
-			blk := rPer * cols
-			rowsHalf := b.C[half][:blk]
-			thalf := b.T[half][:blk]
-			sign := p.curSign
-			if rowPlan != nil && lo < hi {
-				// One batched Stockham sweep across the worker's whole
-				// contiguous row range, then the per-row twiddle pass.
-				rowPlan.BatchArena(rowsHalf[lo*cols:hi*cols], hi-lo, sign, a)
-			}
-			if rowPlan != nil && twiddles {
-				for r := lo; r < hi; r++ {
-					twiddleRow(rowsHalf[r*cols:(r+1)*cols], iter*rPer+r, p.n, sign)
-				}
-			}
-			if last && p.curScale != 0 && lo < hi {
-				fft1d.Scale(rowsHalf[lo*cols:hi*cols], p.curScale)
-			}
-			// Transpose the worker's row range into the column-major
-			// staging half through the register-tiled kernel.
-			layout.TransposeRows(thalf, rowsHalf, rPer, cols, lo, hi)
-		},
-		// Store column c of iteration it as one contiguous rPer-element
-		// block at dst[c·rows + it·rPer], read from the staging half.
-		StoreFromStaging: true,
-		StoreUnits:       cols, StoreLen: rPer,
-		Rot: stagegraph.Rotation{Blocks: 1, BlockLen: rPer,
-			Map: func(g, _ int) int {
-				it, c := g/cols, g%cols
-				return c*rows + it*rPer
-			}},
-	}
-}
+// DescribeGraph renders the compiled stage graph the plan executes; empty
+// for the direct fallback.
+func (p *Plan) DescribeGraph() string { return p.run.DescribeGraph() }
 
 // twiddleRow scales row j by ω_N^{j·i} for i = 0..len-1 (conjugated for the
 // inverse), using a multiplicative recurrence resynchronized from the exact
@@ -386,23 +245,4 @@ func twiddleRow(row []complex128, j, n, sign int) {
 		}
 		row[i] *= w
 	}
-}
-
-func largestDivisorAtMost(n, cap int) int {
-	if cap >= n {
-		return n
-	}
-	for d := cap; d >= 1; d-- {
-		if n%d == 0 {
-			return d
-		}
-	}
-	return 1
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -20,13 +20,10 @@ package fft2d
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/fft1d"
-	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/stagegraph"
 	"repro/internal/trace"
 )
@@ -75,10 +72,6 @@ type Options struct {
 	DataWorkers    int
 	ComputeWorkers int
 	Workers        int
-	// SplitFormat runs the DoubleBuf compute stages in block-interleaved
-	// (split) format with fused format changes in the first load and last
-	// store, as in §IV-A.
-	SplitFormat bool
 	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
 	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
 	// the higher-pass-count mixes for tuning/ablation).
@@ -101,24 +94,6 @@ type Options struct {
 	Tracer *trace.Recorder
 }
 
-func (o Options) withDefaults() Options {
-	// Mu's default needs the transform size; NewPlan fills it via
-	// machine.PreferredMu.
-	if o.BufferElems == 0 {
-		o.BufferElems = machine.PreferredBufferElems()
-	}
-	if o.DataWorkers == 0 {
-		o.DataWorkers = 1
-	}
-	if o.ComputeWorkers == 0 {
-		o.ComputeWorkers = 1
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
-	return o
-}
-
 // Plan is a reusable 2D FFT execution plan for a fixed n×m size.
 type Plan struct {
 	n, m int
@@ -127,36 +102,12 @@ type Plan struct {
 	rowPlan *fft1d.Plan // DFT_m
 	colPlan *fft1d.Plan // DFT_n
 
-	// DoubleBuf state. The work arrays, double buffer, cached stage graph
-	// and persistent executor are shared scratch, so DoubleBuf transforms
-	// serialize on lock (the plan stays safe for concurrent use;
-	// independent plans run fully in parallel). The stage graph and its
-	// compiled schedule are built once here; per call only the src/dst
-	// endpoints and curSign are patched.
-	mb      int // m/μ
-	rows1   int // rows per stage-1 block
-	xbs2    int // xb-rows per stage-2 block
-	work    []complex128
-	workRe  []float64
-	workIm  []float64
-	bufs    *stagegraph.Buffers
-	stages  []stagegraph.Stage
-	sched   *stagegraph.Schedule
-	exec    *stagegraph.Executor
-	curSign int
-	// curScale, when non-zero, is the 1/N the last stage's compute hook
-	// applies to each block while it is still in cache; patched per call
-	// under lock like curSign. Inverse uses it when scaleInStage (set in
-	// NewPlan) says that is bitwise-identical to scaling dst afterwards.
-	curScale     float64
-	scaleInStage bool
-
-	obs      *obs.Collector
-	obsUnreg func()
-
-	lock      sync.Mutex
-	closed    bool
-	lastStats stagegraph.Stats
+	// run owns the DoubleBuf state — the compiled two-stage graph, the
+	// double buffer and the persistent executor — and serialises
+	// transforms on its lock (the plan stays safe for concurrent use;
+	// independent plans run fully in parallel). Nil for the baselines.
+	run    *stagegraph.Runner
+	closed atomic.Bool
 }
 
 // NewPlan validates the size and options and precomputes 1D sub-plans.
@@ -164,81 +115,36 @@ func NewPlan(n, m int, opts Options) (*Plan, error) {
 	if n < 1 || m < 1 {
 		return nil, fmt.Errorf("fft2d: invalid size %dx%d", n, m)
 	}
-	opts = opts.withDefaults()
-	switch opts.Radix {
-	case 0, 2, 4, 8, 16:
-	default:
-		return nil, fmt.Errorf("fft2d: radix must be 0, 2, 4, 8 or 16, got %d", opts.Radix)
+	if err := fft1d.CheckRadix("fft2d", opts.Radix); err != nil {
+		return nil, err
+	}
+	if opts.Workers == 0 {
+		opts.Workers = 1
 	}
 	p := &Plan{n: n, m: m, opts: opts,
 		rowPlan: fft1d.NewPlanRadix(m, opts.Radix), colPlan: fft1d.NewPlanRadix(n, opts.Radix)}
-	if opts.Strategy == DoubleBuf {
-		if opts.Mu == 0 {
-			opts.Mu = machine.PreferredMu(m)
-			p.opts.Mu = opts.Mu
-		}
-		mu := opts.Mu
-		if mu < 1 {
-			return nil, fmt.Errorf("fft2d: μ=%d, need ≥ 1", mu)
-		}
-		if m%mu != 0 {
-			return nil, fmt.Errorf("fft2d: μ=%d does not divide m=%d", mu, m)
-		}
-		p.mb = m / mu
-		// Stage 1 blocks: whole rows; stage 2 blocks: whole xb-rows of
-		// the transposed block matrix. Both iteration counts must divide
-		// their loop extent so the pipeline sees uniform blocks. Beyond
-		// the buffer-capacity cap, blocks are kept small enough that each
-		// stage gets at least minStageIters pipeline iterations: the fused
-		// steady-state occupancy of an S-stage graph with I total
-		// iterations is I/(I+S+1), so too-few, too-large blocks leave the
-		// data workers idle at the ramp and drain even when every byte
-		// still moves exactly once.
-		p.rows1 = largestDivisorAtMost(n, blockCap(n, opts.BufferElems/m))
-		p.xbs2 = largestDivisorAtMost(p.mb, blockCap(p.mb, opts.BufferElems/(n*mu)))
-		b := max(p.rows1*m, p.xbs2*n*mu)
-		if opts.SplitFormat {
-			p.workRe = make([]float64, n*m)
-			p.workIm = make([]float64, n*m)
-		} else {
-			p.work = make([]complex128, n*m)
-		}
-		p.bufs = stagegraph.NewBuffers(b, opts.SplitFormat, false)
-		p.stages = p.buildStages()
-		// Scaling a stage-2 block in its compute leg is the same fft1d.Scale
-		// on the same values a pass over dst would apply. Ahead of a folded
-		// butterfly that holds only when the scale is a power of two (exact,
-		// so it commutes with the butterfly's adds); other folded shapes,
-		// and split buffers, keep the pass.
-		p.scaleInStage = !opts.SplitFormat && (p.stages[1].StoreRadix == 0 || (n*m)&(n*m-1) == 0)
-		stagegraph.ApplyStorePolicy(p.stages,
-			opts.StorePolicy.Decide(p.destBytes(), machine.HostLLCBytes()))
-		p.sched = stagegraph.Compile(p.stages, !opts.Unfused)
-		names := make([]string, len(p.stages))
-		for i := range p.stages {
-			names[i] = p.stages[i].Name
-		}
-		p.obs = obs.NewCollector(opts.DataWorkers, opts.ComputeWorkers, names)
-		_, p.obsUnreg = obs.Default.Register(fmt.Sprintf("fft2d/%dx%d", n, m), p.obs)
-		scratchC, scratchF := b, 0
-		if opts.SplitFormat {
-			scratchC, scratchF = 0, 2*b
-		}
-		exec, err := stagegraph.NewExecutor(stagegraph.Config{
-			DataWorkers:    opts.DataWorkers,
-			ComputeWorkers: opts.ComputeWorkers,
-			ScratchComplex: scratchC,
-			ScratchFloat:   scratchF,
-			Obs:            p.obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.exec = exec
-		// Backstop for callers that drop the plan without Close: once the
-		// plan is unreachable no Run can be in flight, so the finalizer may
-		// release the parked workers.
-		runtime.SetFinalizer(p, (*Plan).Close)
+	if opts.Strategy != DoubleBuf {
+		return p, nil
+	}
+	// Stage 1 reads src and leaves the blocked-transposed intermediate in
+	// the work array; stage 2 reads it and produces dst in the original
+	// row-major layout.
+	g, err := stagegraph.Pencils{
+		Pkg: "fft2d", Dims: []int{n, m}, Plans: []*fft1d.Plan{p.colPlan, p.rowPlan},
+		Mu: opts.Mu, BufferElems: opts.BufferElems,
+		DisableFold: opts.DisableStoreFold, StorePolicy: opts.StorePolicy,
+		Mid: []stagegraph.Array{{C: make([]complex128, n*m)}},
+	}.Build()
+	if err != nil {
+		return nil, err
+	}
+	p.run, err = stagegraph.NewRunner(stagegraph.RunnerConfig{
+		Pkg: "fft2d", Labels: []string{fmt.Sprintf("fft2d/%dx%d", n, m)},
+		DataWorkers: opts.DataWorkers, ComputeWorkers: opts.ComputeWorkers,
+		Unfused: opts.Unfused, Tracer: opts.Tracer,
+	}, g)
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -249,27 +155,8 @@ func NewPlan(n, m int, opts Options) (*Plan, error) {
 // return an error). Plans dropped without Close are cleaned up by a
 // finalizer.
 func (p *Plan) Close() {
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	if p.exec != nil {
-		p.exec.Close()
-		runtime.SetFinalizer(p, nil)
-	}
-	if p.obsUnreg != nil {
-		p.obsUnreg()
-		p.obsUnreg = nil
-	}
-}
-
-// isClosed reports whether Close has begun.
-func (p *Plan) isClosed() bool {
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	return p.closed
+	p.closed.Store(true)
+	p.run.Close()
 }
 
 // N and M return the plan's dimensions (n rows × m columns).
@@ -281,10 +168,10 @@ func (p *Plan) M() int { return p.m }
 // Stage1Iters returns the number of pipeline blocks in the first DoubleBuf
 // stage (the paper's iter = mn/b); 0 for other strategies.
 func (p *Plan) Stage1Iters() int {
-	if p.opts.Strategy != DoubleBuf {
+	if p.run == nil {
 		return 0
 	}
-	return p.n / p.rows1
+	return p.run.Iters(0)[0]
 }
 
 // Transform computes dst = DFT_{n×m}(src) out of place; dst and src must
@@ -295,114 +182,78 @@ func (p *Plan) Transform(dst, src []complex128, sign int) error {
 		return fmt.Errorf("fft2d: Transform lengths dst=%d src=%d, want %d",
 			len(dst), len(src), p.n*p.m)
 	}
-	if p.isClosed() {
+	return p.transform(dst, src, sign, 0)
+}
+
+func (p *Plan) transform(dst, src []complex128, sign int, scale float64) error {
+	if p.closed.Load() {
 		return fmt.Errorf("fft2d: plan closed")
 	}
 	switch p.opts.Strategy {
 	case Reference:
-		return p.reference(dst, src, sign)
+		p.reference(dst, src, sign)
 	case Pencil:
-		return p.pencil(dst, src, sign)
+		p.pencil(dst, src, sign)
 	case DoubleBuf:
-		return p.doubleBuf(dst, src, sign, 0)
+		return p.run.Run(0, stagegraph.Call{In: stagegraph.Endpoint{C: src},
+			Out: stagegraph.Endpoint{C: dst}, Sign: sign, Scale: scale})
+	default:
+		return fmt.Errorf("fft2d: unknown strategy %v", p.opts.Strategy)
 	}
-	return fmt.Errorf("fft2d: unknown strategy %v", p.opts.Strategy)
+	if scale != 0 {
+		fft1d.Scale(dst, scale)
+	}
+	return nil
 }
 
 // Inverse computes the normalized inverse transform out of place:
 // Transform(dst, src, fft1d.Inverse) followed by fft1d.Scale(dst, 1/(n·m)),
-// bitwise. Plans with scaleInStage apply the scale in the last stage's
-// compute leg instead, so dst is not swept a third time (wrong lengths
-// fall through to Transform's error).
+// bitwise. DoubleBuf plans apply the scale in the last stage's compute leg
+// whenever that is bit-identical, so dst is not swept a third time.
 func (p *Plan) Inverse(dst, src []complex128) error {
-	scale := 1 / float64(p.n*p.m)
-	if p.scaleInStage && len(dst) == p.n*p.m && len(src) == p.n*p.m {
-		return p.doubleBuf(dst, src, fft1d.Inverse, scale)
+	if len(dst) != p.n*p.m || len(src) != p.n*p.m {
+		return p.Transform(dst, src, fft1d.Inverse) // the length error
 	}
-	if err := p.Transform(dst, src, fft1d.Inverse); err != nil {
-		return err
-	}
-	fft1d.Scale(dst, scale)
-	return nil
+	return p.transform(dst, src, fft1d.Inverse, 1/float64(p.n*p.m))
 }
 
 // Stats returns the whole-transform executor stats of the most recent
 // DoubleBuf transform (zero value before the first, or for other
 // strategies).
-func (p *Plan) Stats() stagegraph.Stats {
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	return p.lastStats
-}
+func (p *Plan) Stats() stagegraph.Stats { return p.run.Stats() }
 
 // Obs returns the plan's telemetry collector (nil for non-DoubleBuf
 // strategies). The collector is live: snapshots taken from it reflect every
 // transform the plan has run.
-func (p *Plan) Obs() *obs.Collector { return p.obs }
+func (p *Plan) Obs() *obs.Collector { return p.run.Obs(0) }
 
 // Observability returns the merged bandwidth-accounting snapshot of every
 // transform this plan has executed.
-func (p *Plan) Observability() obs.Snapshot { return p.obs.Snapshot() }
+func (p *Plan) Observability() obs.Snapshot { return p.run.Observability() }
 
-// Mu returns the effective cacheline block size the plan runs with
-// (after defaulting; 0 for plans built before defaulting, i.e. never).
-func (p *Plan) Mu() int { return p.opts.Mu }
-
-// destBytes is the per-stage destination footprint the store policy
-// weighs against the LLC: every DoubleBuf stage writes the full n·m
-// matrix (16 B per complex element in either buffer format).
-func (p *Plan) destBytes() int { return p.n * p.m * 16 }
-
-// NonTemporalStages reports how many of the plan's cached stages
-// currently route stores through the streaming tier (0 for non-DoubleBuf
-// strategies).
-func (p *Plan) NonTemporalStages() int {
-	if p.opts.Strategy != DoubleBuf {
-		return 0
+// Mu returns the effective cacheline block size a DoubleBuf plan runs with
+// (after defaulting); the option value for the baselines.
+func (p *Plan) Mu() int {
+	if p.run == nil {
+		return p.opts.Mu
 	}
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	nt := 0
-	for i := range p.stages {
-		if p.stages[i].NonTemporal {
-			nt++
-		}
-	}
-	return nt
+	return p.run.Mu()
 }
 
-// ReviseStorePolicy re-decides the per-stage store tier from the
-// bandwidth telemetry collected so far: StoreAuto plans whose measured
-// store bandwidth runs below half the roofline (or whose data time
-// diverges ≥1.5× from the perf model) on a spilling footprint switch
-// that stage to streaming stores; stages whose footprint fits in cache
-// revert. Forced policies (StoreRegular/StoreNonTemporal) never revise.
-// It returns the number of stages whose tier changed. Call it between
-// transforms — typically after a warmup run — never concurrently with
+// NonTemporalStages reports how many of the plan's stages currently route
+// stores through the streaming tier (0 for non-DoubleBuf strategies).
+func (p *Plan) NonTemporalStages() int { return p.run.NonTemporalStages() }
+
+// ReviseStorePolicy re-decides the per-stage store tier of a StoreAuto
+// DoubleBuf plan from the telemetry collected so far (see
+// stagegraph.Runner.ReviseStorePolicy) and returns the number of stages
+// whose tier changed. Call it between transforms, never concurrently with
 // one.
-func (p *Plan) ReviseStorePolicy() int {
-	if p.opts.Strategy != DoubleBuf || p.opts.StorePolicy != stagegraph.StoreAuto {
-		return 0
-	}
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	if p.closed {
-		return 0
-	}
-	return stagegraph.ReviseStores(p.stages, p.obs.Snapshot(),
-		machine.HostLLCBytes(), p.destBytes())
-}
+func (p *Plan) ReviseStorePolicy() int { return p.run.ReviseStorePolicy() }
 
 // DescribeGraph renders the compiled stage graph the plan executes, with
 // each stage's current store mode; empty for non-DoubleBuf strategies.
-func (p *Plan) DescribeGraph() string {
-	if p.opts.Strategy != DoubleBuf {
-		return ""
-	}
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	return stagegraph.Describe(p.stages, !p.opts.Unfused)
-}
+func (p *Plan) DescribeGraph() string { return p.run.DescribeGraph() }
 
 // InPlace computes x = DFT_{n×m}(x) using the plan's work array.
 func (p *Plan) InPlace(x []complex128, sign int) error {
@@ -418,17 +269,16 @@ func (p *Plan) InPlace(x []complex128, sign int) error {
 }
 
 // reference: rows then columns, serial.
-func (p *Plan) reference(dst, src []complex128, sign int) error {
+func (p *Plan) reference(dst, src []complex128, sign int) {
 	n, m := p.n, p.m
 	p.rowPlan.BatchInto(dst, src, n, sign)
 	p.colPlan.InPlaceLanes(dst, m, sign)
-	return nil
 }
 
 // pencil: the non-overlapped baseline. Stage 1 transforms rows in place;
 // stage 2 gathers each column at stride m, transforms it, and scatters it
 // back — the cache-hostile access pattern of a pencil-pencil library.
-func (p *Plan) pencil(dst, src []complex128, sign int) error {
+func (p *Plan) pencil(dst, src []complex128, sign int) {
 	n, m := p.n, p.m
 	copy(dst, src)
 	parallelFor(p.opts.Workers, n, func(lo, hi int) {
@@ -441,10 +291,9 @@ func (p *Plan) pencil(dst, src []complex128, sign int) error {
 			p.colPlan.Strided(dst, c, m, sign)
 		}
 	})
-	return nil
 }
 
-// parallelFor splits [0, total) across workers goroutines.
+// parallelFor divides [0, total) among workers goroutines.
 func parallelFor(workers, total int, f func(lo, hi int)) {
 	if workers <= 1 || total <= 1 {
 		f(0, total)
@@ -453,7 +302,7 @@ func parallelFor(workers, total int, f func(lo, hi int)) {
 	done := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			lo, hi := pipeline.Partition(total, w, workers)
+			lo, hi := stagegraph.Partition(total, w, workers)
 			f(lo, hi)
 			done <- struct{}{}
 		}(w)
@@ -461,39 +310,4 @@ func parallelFor(workers, total int, f func(lo, hi int)) {
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-}
-
-// minStageIters is the pipeline-depth floor: block sizes are shrunk until
-// every stage runs at least this many iterations (when the extent allows),
-// keeping the fused schedule's steady-state occupancy I/(I+S+1) above ~0.9
-// for two-stage graphs.
-const minStageIters = 9
-
-// blockCap combines the buffer-capacity block limit with the pipeline-depth
-// floor for a stage whose block loop has `extent` iterations of unit blocks.
-func blockCap(extent, bufBlocks int) int {
-	c := max(1, bufBlocks)
-	if byDepth := extent / minStageIters; byDepth >= 1 && byDepth < c {
-		c = byDepth
-	}
-	return c
-}
-
-func largestDivisorAtMost(n, cap int) int {
-	if cap >= n {
-		return n
-	}
-	for d := cap; d >= 1; d-- {
-		if n%d == 0 {
-			return d
-		}
-	}
-	return 1
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -67,12 +67,12 @@ func TestPencilMatchesReference(t *testing.T) {
 	}
 }
 
-func doubleBufCase(t *testing.T, n, m, mu, bufElems, pd, pc int, split bool, sign int) {
+func doubleBufCase(t *testing.T, n, m, mu, bufElems, pd, pc int, sign int) {
 	t.Helper()
 	ref, _ := NewPlan(n, m, Options{Strategy: Reference})
 	db, err := NewPlan(n, m, Options{
 		Strategy: DoubleBuf, Mu: mu, BufferElems: bufElems,
-		DataWorkers: pd, ComputeWorkers: pc, SplitFormat: split,
+		DataWorkers: pd, ComputeWorkers: pc,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +87,8 @@ func doubleBufCase(t *testing.T, n, m, mu, bufElems, pd, pc int, split bool, sig
 		t.Fatal(err)
 	}
 	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(n*m) {
-		t.Errorf("doublebuf %dx%d μ=%d b=%d p=%d/%d split=%v: diff %g",
-			n, m, mu, bufElems, pd, pc, split, d)
+		t.Errorf("doublebuf %dx%d μ=%d b=%d p=%d/%d: diff %g",
+			n, m, mu, bufElems, pd, pc, d)
 	}
 }
 
@@ -103,23 +103,12 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 		{4, 8, 4, 8, 1, 1},        // tiny blocks, several iterations
 		{8, 16, 4, 1 << 20, 1, 1}, // buffer larger than the matrix
 	} {
-		doubleBufCase(t, c.n, c.m, c.mu, c.b, c.pd, c.pc, false, fft1d.Forward)
-	}
-}
-
-func TestDoubleBufSplitMatchesReference(t *testing.T) {
-	for _, c := range []struct{ n, m, mu, b, pd, pc int }{
-		{16, 16, 4, 64, 1, 1},
-		{32, 64, 4, 256, 2, 2},
-		{64, 128, 8, 1 << 11, 2, 3},
-	} {
-		doubleBufCase(t, c.n, c.m, c.mu, c.b, c.pd, c.pc, true, fft1d.Forward)
+		doubleBufCase(t, c.n, c.m, c.mu, c.b, c.pd, c.pc, fft1d.Forward)
 	}
 }
 
 func TestDoubleBufInverse(t *testing.T) {
-	doubleBufCase(t, 32, 32, 4, 128, 2, 2, false, fft1d.Inverse)
-	doubleBufCase(t, 32, 32, 4, 128, 2, 2, true, fft1d.Inverse)
+	doubleBufCase(t, 32, 32, 4, 128, 2, 2, fft1d.Inverse)
 }
 
 func TestRoundTripThroughDoubleBuf(t *testing.T) {
@@ -227,17 +216,6 @@ func TestStrategyStrings(t *testing.T) {
 	}
 }
 
-func TestLargestDivisorAtMost(t *testing.T) {
-	cases := []struct{ n, cap, want int }{
-		{12, 5, 4}, {12, 12, 12}, {12, 100, 12}, {7, 3, 1}, {16, 6, 4}, {1, 1, 1},
-	}
-	for _, c := range cases {
-		if got := largestDivisorAtMost(c.n, c.cap); got != c.want {
-			t.Errorf("largestDivisorAtMost(%d, %d) = %d, want %d", c.n, c.cap, got, c.want)
-		}
-	}
-}
-
 func TestAllStrategiesAgreeLarger(t *testing.T) {
 	const n, m = 128, 256
 	x := randVec(123, n*m)
@@ -249,7 +227,6 @@ func TestAllStrategiesAgreeLarger(t *testing.T) {
 	for _, opts := range []Options{
 		{Strategy: Pencil, Workers: 3},
 		{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 1 << 12},
-		{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 1 << 12, SplitFormat: true},
 	} {
 		p, err := NewPlan(n, m, opts)
 		if err != nil {
@@ -288,10 +265,6 @@ func Benchmark2DPencil(b *testing.B) {
 
 func Benchmark2DDoubleBuf(b *testing.B) {
 	benchPlan(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14})
-}
-
-func Benchmark2DDoubleBufSplit(b *testing.B) {
-	benchPlan(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14, SplitFormat: true})
 }
 
 func TestDoubleBufBufferSmallerThanRow(t *testing.T) {

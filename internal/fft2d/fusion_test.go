@@ -10,7 +10,7 @@ import (
 // The fused stage-graph schedule and the drain-between-stages baseline must
 // be interchangeable: every compute sees identical block contents in both,
 // so the outputs agree exactly, and both match the reference — across odd
-// sizes, μ values, worker splits and both compute formats.
+// sizes, μ values and worker mixes.
 func TestFusionEquivalence(t *testing.T) {
 	cases := []struct{ n, m, mu int }{
 		{7, 9, 1},  // odd everywhere forces μ=1
@@ -19,40 +19,37 @@ func TestFusionEquivalence(t *testing.T) {
 		{6, 20, 4},
 		{16, 16, 4},
 	}
-	splits := [][2]int{{1, 1}, {2, 2}, {1, 3}}
+	workers := [][2]int{{1, 1}, {2, 2}, {1, 3}}
 	for _, c := range cases {
-		for _, w := range splits {
-			for _, split := range []bool{false, true} {
-				ref, _ := NewPlan(c.n, c.m, Options{Strategy: Reference})
-				x := randVec(int64(c.n*c.m+c.mu), c.n*c.m)
-				want := make([]complex128, len(x))
-				if err := ref.Transform(want, x, fft1d.Forward); err != nil {
+		for _, w := range workers {
+			ref, _ := NewPlan(c.n, c.m, Options{Strategy: Reference})
+			x := randVec(int64(c.n*c.m+c.mu), c.n*c.m)
+			want := make([]complex128, len(x))
+			if err := ref.Transform(want, x, fft1d.Forward); err != nil {
+				t.Fatal(err)
+			}
+			var outs [2][]complex128
+			for i, unfused := range []bool{false, true} {
+				p, err := NewPlan(c.n, c.m, Options{
+					Strategy: DoubleBuf, Mu: c.mu, BufferElems: 64,
+					DataWorkers: w[0], ComputeWorkers: w[1], Unfused: unfused,
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
-				var outs [2][]complex128
-				for i, unfused := range []bool{false, true} {
-					p, err := NewPlan(c.n, c.m, Options{
-						Strategy: DoubleBuf, Mu: c.mu, BufferElems: 64,
-						DataWorkers: w[0], ComputeWorkers: w[1],
-						SplitFormat: split, Unfused: unfused,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					outs[i] = make([]complex128, len(x))
-					if err := p.Transform(outs[i], x, fft1d.Forward); err != nil {
-						t.Fatal(err)
-					}
-					if d := cvec.MaxDiff(cvec.Vec(outs[i]), cvec.Vec(want)); d > tol*float64(c.n*c.m) {
-						t.Errorf("%dx%d μ=%d p=%v split=%v unfused=%v: diff vs reference %g",
-							c.n, c.m, c.mu, w, split, unfused, d)
-					}
+				outs[i] = make([]complex128, len(x))
+				if err := p.Transform(outs[i], x, fft1d.Forward); err != nil {
+					t.Fatal(err)
 				}
-				for i := range outs[0] {
-					if outs[0][i] != outs[1][i] {
-						t.Fatalf("%dx%d μ=%d p=%v split=%v: fused and unfused outputs differ at %d: %v vs %v",
-							c.n, c.m, c.mu, w, split, i, outs[0][i], outs[1][i])
-					}
+				if d := cvec.MaxDiff(cvec.Vec(outs[i]), cvec.Vec(want)); d > tol*float64(c.n*c.m) {
+					t.Errorf("%dx%d μ=%d p=%v unfused=%v: diff vs reference %g",
+						c.n, c.m, c.mu, w, unfused, d)
+				}
+			}
+			for i := range outs[0] {
+				if outs[0][i] != outs[1][i] {
+					t.Fatalf("%dx%d μ=%d p=%v: fused and unfused outputs differ at %d: %v vs %v",
+						c.n, c.m, c.mu, w, i, outs[0][i], outs[1][i])
 				}
 			}
 		}

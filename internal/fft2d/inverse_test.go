@@ -16,7 +16,7 @@ import (
 func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 	shapes := []struct {
 		n, m    int
-		inStage bool // for the default (interleaved, fold on) options
+		inStage bool // for the default (fold on) options
 	}{
 		{64, 64, true}, // pow2 N: scale ahead of the folded butterfly is exact
 		{32, 128, true},
@@ -31,7 +31,6 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 		{"default", Options{Strategy: DoubleBuf}},
 		{"unfused", Options{Strategy: DoubleBuf, Unfused: true}},
 		{"nofold", Options{Strategy: DoubleBuf, DisableStoreFold: true}},
-		{"split", Options{Strategy: DoubleBuf, SplitFormat: true}},
 		{"mu4/radix8", Options{Strategy: DoubleBuf, Mu: 4, Radix: 8}},
 		{"streaming", Options{Strategy: DoubleBuf, StorePolicy: stagegraph.StoreNonTemporal}},
 		{"workers2x2", Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}},
@@ -47,13 +46,13 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer p.Close()
-				if v.name == "default" && p.scaleInStage != sh.inStage {
-					t.Errorf("scaleInStage = %v, want %v", p.scaleInStage, sh.inStage)
+				if v.name == "default" && p.run.ScalesInStage(0) != sh.inStage {
+					t.Errorf("scaleInStage = %v, want %v", p.run.ScalesInStage(0), sh.inStage)
 				}
-				if (v.name == "split" || v.name == "pencil") && p.scaleInStage {
-					t.Error("split/baseline plans must keep the scale pass")
+				if v.name == "pencil" && p.run.ScalesInStage(0) {
+					t.Error("baseline plans must keep the scale pass")
 				}
-				if v.name == "nofold" && !p.scaleInStage {
+				if v.name == "nofold" && !p.run.ScalesInStage(0) {
 					t.Error("an unfolded interleaved last stage always scales in stage")
 				}
 				x := randVec(int64(sh.n*sh.m), sh.n*sh.m)

@@ -75,30 +75,28 @@ func TestStorePolicyWiring(t *testing.T) {
 // StoreNonTemporal against the reference plan.
 func TestNonTemporalTransformMatchesReference(t *testing.T) {
 	const n, m = 64, 64
-	for _, split := range []bool{false, true} {
-		ref, _ := NewPlan(n, m, Options{Strategy: Reference})
-		p, err := NewPlan(n, m, Options{
-			Strategy: DoubleBuf, SplitFormat: split, DataWorkers: 2, ComputeWorkers: 2,
-			StorePolicy: stagegraph.StoreNonTemporal,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randVec(99, n*m)
-		want := make([]complex128, len(x))
-		got := make([]complex128, len(x))
-		if err := ref.Transform(want, x, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Transform(got, x, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(n*m) {
-			t.Errorf("NT transform split=%v: diff %g", split, d)
-		}
-		p.Close()
-		ref.Close()
+	ref, _ := NewPlan(n, m, Options{Strategy: Reference})
+	p, err := NewPlan(n, m, Options{
+		Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2,
+		StorePolicy: stagegraph.StoreNonTemporal,
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
+	x := randVec(99, n*m)
+	want := make([]complex128, len(x))
+	got := make([]complex128, len(x))
+	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Transform(got, x, fft1d.Forward); err != nil {
+		t.Fatal(err)
+	}
+	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(n*m) {
+		t.Errorf("NT transform: diff %g", d)
+	}
+	p.Close()
+	ref.Close()
 }
 
 // ReviseStorePolicy is a no-op for forced policies and for cache-resident

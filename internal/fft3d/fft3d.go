@@ -21,13 +21,10 @@ package fft3d
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/fft1d"
-	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/stagegraph"
 	"repro/internal/trace"
 )
@@ -78,9 +75,6 @@ type Options struct {
 	DataWorkers    int
 	ComputeWorkers int
 	Workers        int
-	// SplitFormat runs the DoubleBuf compute stages in block-interleaved
-	// format with fused conversions at the boundary stages (§IV-A).
-	SplitFormat bool
 	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
 	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
 	// the higher-pass-count mixes for tuning/ablation).
@@ -102,24 +96,6 @@ type Options struct {
 	Tracer *trace.Recorder
 }
 
-func (o Options) withDefaults() Options {
-	// Mu's default needs the transform size; NewPlan fills it via
-	// machine.PreferredMu.
-	if o.BufferElems == 0 {
-		o.BufferElems = machine.PreferredBufferElems()
-	}
-	if o.DataWorkers == 0 {
-		o.DataWorkers = 1
-	}
-	if o.ComputeWorkers == 0 {
-		o.ComputeWorkers = 1
-	}
-	if o.Workers == 0 {
-		o.Workers = 1
-	}
-	return o
-}
-
 // Plan is a reusable 3D FFT execution plan for a fixed k×n×m size.
 type Plan struct {
 	k, n, m int
@@ -129,40 +105,12 @@ type Plan struct {
 	planN *fft1d.Plan // DFT_n (y pencils)
 	planK *fft1d.Plan // DFT_k (z pencils)
 
-	// DoubleBuf geometry.
-	mb     int // m/μ
-	rows1  int // (z,y)-pencils per stage-1 block
-	units2 int // (xb,z) n·μ-units per stage-2 block
-	units3 int // (y,xb) k·μ-units per stage-3 block
-
-	// The work arrays, double buffer, cached stage graph and persistent
-	// executor are shared scratch, so DoubleBuf transforms serialize on
-	// lock (the plan stays safe for concurrent use; independent plans run
-	// fully in parallel). Stages and schedule compile once at plan time;
-	// per call only the src/dst endpoints and curSign are patched.
-	work    []complex128
-	workRe  []float64
-	workIm  []float64
-	wrk2Re  []float64
-	wrk2Im  []float64
-	bufs    *stagegraph.Buffers
-	stages  []stagegraph.Stage
-	sched   *stagegraph.Schedule
-	exec    *stagegraph.Executor
-	curSign int
-	// curScale, when non-zero, is the 1/N the last stage's compute hook
-	// applies to each block while it is still in cache; patched per call
-	// under lock like curSign. Inverse uses it when scaleInStage (set in
-	// NewPlan) says that is bitwise-identical to scaling dst afterwards.
-	curScale     float64
-	scaleInStage bool
-
-	obs      *obs.Collector
-	obsUnreg func()
-
-	lock      sync.Mutex
-	closed    bool
-	lastStats stagegraph.Stats
+	// run owns the DoubleBuf state — the compiled three-stage graph, the
+	// double buffer and the persistent executor — and serialises
+	// transforms on its lock (the plan stays safe for concurrent use;
+	// independent plans run fully in parallel). Nil for the baselines.
+	run    *stagegraph.Runner
+	closed atomic.Bool
 }
 
 // NewPlan validates the size and options and precomputes sub-plans.
@@ -170,82 +118,40 @@ func NewPlan(k, n, m int, opts Options) (*Plan, error) {
 	if k < 1 || n < 1 || m < 1 {
 		return nil, fmt.Errorf("fft3d: invalid size %dx%dx%d", k, n, m)
 	}
-	opts = opts.withDefaults()
-	switch opts.Radix {
-	case 0, 2, 4, 8, 16:
-	default:
-		return nil, fmt.Errorf("fft3d: radix must be 0, 2, 4, 8 or 16, got %d", opts.Radix)
+	if err := fft1d.CheckRadix("fft3d", opts.Radix); err != nil {
+		return nil, err
+	}
+	if opts.Workers == 0 {
+		opts.Workers = 1
 	}
 	p := &Plan{k: k, n: n, m: m, opts: opts,
 		planM: fft1d.NewPlanRadix(m, opts.Radix),
 		planN: fft1d.NewPlanRadix(n, opts.Radix),
 		planK: fft1d.NewPlanRadix(k, opts.Radix)}
-	if opts.Strategy == DoubleBuf {
-		if opts.Mu == 0 {
-			opts.Mu = machine.PreferredMu(m)
-			p.opts.Mu = opts.Mu
-		}
-		mu := opts.Mu
-		if mu < 1 {
-			return nil, fmt.Errorf("fft3d: μ=%d, need ≥ 1", mu)
-		}
-		if m%mu != 0 {
-			return nil, fmt.Errorf("fft3d: μ=%d does not divide m=%d", mu, m)
-		}
-		p.mb = m / mu
-		total := k * n * m
-		// Besides the buffer-capacity cap, blocks are kept small enough
-		// that each stage runs at least minStageIters pipeline iterations:
-		// fused steady-state occupancy is I/(I+S+1), so a deep-enough
-		// pipeline is what hides the ramp and drain (see fft2d.blockCap).
-		p.rows1 = largestDivisorAtMost(k*n, blockCap(k*n, opts.BufferElems/m))
-		p.units2 = largestDivisorAtMost(p.mb*k, blockCap(p.mb*k, opts.BufferElems/(n*mu)))
-		p.units3 = largestDivisorAtMost(n*p.mb, blockCap(n*p.mb, opts.BufferElems/(k*mu)))
-		b := maxInt(p.rows1*m, maxInt(p.units2*n*mu, p.units3*k*mu))
-		if opts.SplitFormat {
-			p.workRe = make([]float64, total)
-			p.workIm = make([]float64, total)
-			p.wrk2Re = make([]float64, total)
-			p.wrk2Im = make([]float64, total)
-		} else {
-			p.work = make([]complex128, total)
-		}
-		p.bufs = stagegraph.NewBuffers(b, opts.SplitFormat, false)
-		p.stages = p.buildStages()
-		// Scaling a stage-3 block in its compute leg is the same fft1d.Scale
-		// on the same values a pass over dst would apply. Ahead of a folded
-		// butterfly that holds only when the scale is a power of two (exact,
-		// so it commutes with the butterfly's adds); other folded shapes,
-		// and split buffers, keep the pass.
-		p.scaleInStage = !opts.SplitFormat && (p.stages[2].StoreRadix == 0 || total&(total-1) == 0)
-		stagegraph.ApplyStorePolicy(p.stages,
-			opts.StorePolicy.Decide(p.destBytes(), machine.HostLLCBytes()))
-		p.sched = stagegraph.Compile(p.stages, !opts.Unfused)
-		names := make([]string, len(p.stages))
-		for i := range p.stages {
-			names[i] = p.stages[i].Name
-		}
-		p.obs = obs.NewCollector(opts.DataWorkers, opts.ComputeWorkers, names)
-		_, p.obsUnreg = obs.Default.Register(fmt.Sprintf("fft3d/%dx%dx%d", k, n, m), p.obs)
-		scratchC, scratchF := b, 0
-		if opts.SplitFormat {
-			scratchC, scratchF = 0, 2*b
-		}
-		exec, err := stagegraph.NewExecutor(stagegraph.Config{
-			DataWorkers:    opts.DataWorkers,
-			ComputeWorkers: opts.ComputeWorkers,
-			ScratchComplex: scratchC,
-			ScratchFloat:   scratchF,
-			Obs:            p.obs,
-		})
-		if err != nil {
-			return nil, err
-		}
-		p.exec = exec
-		// Backstop for callers that drop the plan without Close: once the
-		// plan is unreachable no Run can be in flight, so the finalizer may
-		// release the parked workers.
-		runtime.SetFinalizer(p, (*Plan).Close)
+	if opts.Strategy != DoubleBuf {
+		return p, nil
+	}
+	// Array flow: stage 1 src→dst, stage 2 dst→work, stage 3 work→dst, so
+	// the input is preserved and only one internal work array is needed.
+	// The fused schedule keeps this safe: stage 3's first store runs
+	// strictly after stage 2's last load of dst (see
+	// stagegraph.BuildSchedule).
+	g, err := stagegraph.Pencils{
+		Pkg: "fft3d", Dims: []int{k, n, m}, Plans: []*fft1d.Plan{p.planK, p.planN, p.planM},
+		Mu: opts.Mu, BufferElems: opts.BufferElems,
+		DisableFold: opts.DisableStoreFold, StorePolicy: opts.StorePolicy,
+		Mid: []stagegraph.Array{{}, {C: make([]complex128, k*n*m)}},
+	}.Build()
+	if err != nil {
+		return nil, err
+	}
+	p.run, err = stagegraph.NewRunner(stagegraph.RunnerConfig{
+		Pkg: "fft3d", Labels: []string{fmt.Sprintf("fft3d/%dx%dx%d", k, n, m)},
+		DataWorkers: opts.DataWorkers, ComputeWorkers: opts.ComputeWorkers,
+		Unfused: opts.Unfused, Tracer: opts.Tracer,
+	}, g)
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -256,27 +162,8 @@ func NewPlan(k, n, m int, opts Options) (*Plan, error) {
 // return an error). Plans dropped without Close are cleaned up by a
 // finalizer.
 func (p *Plan) Close() {
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	if p.closed {
-		return
-	}
-	p.closed = true
-	if p.exec != nil {
-		p.exec.Close()
-		runtime.SetFinalizer(p, nil)
-	}
-	if p.obsUnreg != nil {
-		p.obsUnreg()
-		p.obsUnreg = nil
-	}
-}
-
-// isClosed reports whether Close has begun.
-func (p *Plan) isClosed() bool {
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	return p.closed
+	p.closed.Store(true)
+	p.run.Close()
 }
 
 // Dims returns (k, n, m).
@@ -288,10 +175,11 @@ func (p *Plan) Len() int { return p.k * p.n * p.m }
 // StageIters returns the pipeline iteration counts of the three DoubleBuf
 // stages (the paper's iter = knm/b); zeros for other strategies.
 func (p *Plan) StageIters() (s1, s2, s3 int) {
-	if p.opts.Strategy != DoubleBuf {
+	if p.run == nil {
 		return 0, 0, 0
 	}
-	return p.k * p.n / p.rows1, p.mb * p.k / p.units2, p.n * p.mb / p.units3
+	it := p.run.Iters(0)
+	return it[0], it[1], it[2]
 }
 
 // Transform computes dst = DFT_{k×n×m}(src) out of place; dst and src must
@@ -302,114 +190,81 @@ func (p *Plan) Transform(dst, src []complex128, sign int) error {
 		return fmt.Errorf("fft3d: Transform lengths dst=%d src=%d, want %d",
 			len(dst), len(src), p.Len())
 	}
-	if p.isClosed() {
+	return p.transform(dst, src, sign, 0)
+}
+
+func (p *Plan) transform(dst, src []complex128, sign int, scale float64) error {
+	if p.closed.Load() {
 		return fmt.Errorf("fft3d: plan closed")
 	}
 	switch p.opts.Strategy {
 	case Reference:
-		return p.reference(dst, src, sign)
+		p.reference(dst, src, sign)
 	case Pencil:
 		copy(dst, src)
-		return p.pencilInPlace(dst, sign)
+		p.pencilInPlace(dst, sign)
 	case Slab:
 		copy(dst, src)
-		return p.slabInPlace(dst, sign)
+		p.slabInPlace(dst, sign)
 	case DoubleBuf:
-		return p.doubleBuf(dst, src, sign, 0)
+		return p.run.Run(0, stagegraph.Call{In: stagegraph.Endpoint{C: src},
+			Out: stagegraph.Endpoint{C: dst}, Sign: sign, Scale: scale})
+	default:
+		return fmt.Errorf("fft3d: unknown strategy %v", p.opts.Strategy)
 	}
-	return fmt.Errorf("fft3d: unknown strategy %v", p.opts.Strategy)
+	if scale != 0 {
+		fft1d.Scale(dst, scale)
+	}
+	return nil
 }
 
 // Inverse computes the normalized inverse transform out of place:
 // Transform(dst, src, fft1d.Inverse) followed by fft1d.Scale(dst, 1/Len()),
-// bitwise. Plans with scaleInStage apply the scale in the last stage's
-// compute leg instead, so dst is not swept a fourth time (wrong lengths
-// fall through to Transform's error).
+// bitwise. DoubleBuf plans apply the scale in the last stage's compute leg
+// whenever that is bit-identical, so dst is not swept a fourth time.
 func (p *Plan) Inverse(dst, src []complex128) error {
-	scale := 1 / float64(p.Len())
-	if p.scaleInStage && len(dst) == p.Len() && len(src) == p.Len() {
-		return p.doubleBuf(dst, src, fft1d.Inverse, scale)
+	if len(dst) != p.Len() || len(src) != p.Len() {
+		return p.Transform(dst, src, fft1d.Inverse) // the length error
 	}
-	if err := p.Transform(dst, src, fft1d.Inverse); err != nil {
-		return err
-	}
-	fft1d.Scale(dst, scale)
-	return nil
+	return p.transform(dst, src, fft1d.Inverse, 1/float64(p.Len()))
 }
 
 // Stats returns the whole-transform executor stats of the most recent
 // DoubleBuf transform (zero value before the first, or for other
 // strategies).
-func (p *Plan) Stats() stagegraph.Stats {
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	return p.lastStats
-}
+func (p *Plan) Stats() stagegraph.Stats { return p.run.Stats() }
 
 // Obs returns the plan's telemetry collector (nil for non-DoubleBuf
 // strategies). The collector is live: snapshots taken from it reflect every
 // transform the plan has run.
-func (p *Plan) Obs() *obs.Collector { return p.obs }
+func (p *Plan) Obs() *obs.Collector { return p.run.Obs(0) }
 
 // Observability returns the merged bandwidth-accounting snapshot of every
 // transform this plan has executed.
-func (p *Plan) Observability() obs.Snapshot { return p.obs.Snapshot() }
+func (p *Plan) Observability() obs.Snapshot { return p.run.Observability() }
 
-// Mu returns the effective cacheline block size the plan runs with
-// (after defaulting).
-func (p *Plan) Mu() int { return p.opts.Mu }
-
-// destBytes is the per-stage destination footprint the store policy
-// weighs against the LLC: every DoubleBuf stage writes the full k·n·m
-// cube (16 B per complex element in either buffer format).
-func (p *Plan) destBytes() int { return p.Len() * 16 }
-
-// NonTemporalStages reports how many of the plan's cached stages
-// currently route stores through the streaming tier (0 for non-DoubleBuf
-// strategies).
-func (p *Plan) NonTemporalStages() int {
-	if p.opts.Strategy != DoubleBuf {
-		return 0
+// Mu returns the effective cacheline block size a DoubleBuf plan runs with
+// (after defaulting); the option value for the baselines.
+func (p *Plan) Mu() int {
+	if p.run == nil {
+		return p.opts.Mu
 	}
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	nt := 0
-	for i := range p.stages {
-		if p.stages[i].NonTemporal {
-			nt++
-		}
-	}
-	return nt
+	return p.run.Mu()
 }
 
-// ReviseStorePolicy re-decides the per-stage store tier from the
-// bandwidth telemetry collected so far (see fft2d.Plan.ReviseStorePolicy
-// for the rules). Only StoreAuto DoubleBuf plans revise; returns the
-// number of stages whose tier changed. Call between transforms, never
-// concurrently with one.
-func (p *Plan) ReviseStorePolicy() int {
-	if p.opts.Strategy != DoubleBuf || p.opts.StorePolicy != stagegraph.StoreAuto {
-		return 0
-	}
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	if p.closed {
-		return 0
-	}
-	return stagegraph.ReviseStores(p.stages, p.obs.Snapshot(),
-		machine.HostLLCBytes(), p.destBytes())
-}
+// NonTemporalStages reports how many of the plan's stages currently route
+// stores through the streaming tier (0 for non-DoubleBuf strategies).
+func (p *Plan) NonTemporalStages() int { return p.run.NonTemporalStages() }
+
+// ReviseStorePolicy re-decides the per-stage store tier of a StoreAuto
+// DoubleBuf plan from the telemetry collected so far (see
+// stagegraph.Runner.ReviseStorePolicy) and returns the number of stages
+// whose tier changed. Call between transforms, never concurrently with one.
+func (p *Plan) ReviseStorePolicy() int { return p.run.ReviseStorePolicy() }
 
 // DescribeGraph renders the compiled stage graph the plan executes, with
 // each stage's current store mode; empty for non-DoubleBuf strategies.
-func (p *Plan) DescribeGraph() string {
-	if p.opts.Strategy != DoubleBuf {
-		return ""
-	}
-	p.lock.Lock()
-	defer p.lock.Unlock()
-	return stagegraph.Describe(p.stages, !p.opts.Unfused)
-}
+func (p *Plan) DescribeGraph() string { return p.run.DescribeGraph() }
 
 // InPlace computes x = DFT_{k×n×m}(x).
 func (p *Plan) InPlace(x []complex128, sign int) error {
@@ -418,9 +273,11 @@ func (p *Plan) InPlace(x []complex128, sign int) error {
 	}
 	switch p.opts.Strategy {
 	case Pencil:
-		return p.pencilInPlace(x, sign)
+		p.pencilInPlace(x, sign)
+		return nil
 	case Slab:
-		return p.slabInPlace(x, sign)
+		p.slabInPlace(x, sign)
+		return nil
 	default:
 		tmp := make([]complex128, p.Len())
 		if err := p.Transform(tmp, x, sign); err != nil {
@@ -432,21 +289,20 @@ func (p *Plan) InPlace(x []complex128, sign int) error {
 }
 
 // reference: three lane-driver stages, serial.
-func (p *Plan) reference(dst, src []complex128, sign int) error {
+func (p *Plan) reference(dst, src []complex128, sign int) {
 	k, n, m := p.k, p.n, p.m
 	p.planM.BatchInto(dst, src, k*n, sign)
 	for z := 0; z < k; z++ {
 		p.planN.InPlaceLanes(dst[z*n*m:(z+1)*n*m], m, sign)
 	}
 	p.planK.InPlaceLanes(dst, n*m, sign)
-	return nil
 }
 
 // pencilInPlace: the non-overlapped baseline. Every stage reads and writes
 // the full cube in place; stage 2 works at stride m within slabs and stage 3
 // at stride n·m across the whole cube — the cache-hostile access pattern of
 // a pencil-pencil library on a large transform.
-func (p *Plan) pencilInPlace(x []complex128, sign int) error {
+func (p *Plan) pencilInPlace(x []complex128, sign int) {
 	k, n, m := p.k, p.n, p.m
 	workers := p.opts.Workers
 	parallelFor(workers, k*n, func(lo, hi int) {
@@ -464,14 +320,13 @@ func (p *Plan) pencilInPlace(x []complex128, sign int) error {
 	parallelFor(workers, n*m, func(lo, hi int) {
 		p.stridedLanes(x, p.planK, k, n*m, lo, hi, sign)
 	})
-	return nil
 }
 
 // slabInPlace: slab-pencil decomposition. Stages 1+2 are fused per z-slab
 // (one pass over each slab, which on big-LLC machines stays cache resident),
 // then the strided z-stage runs as in pencil. This reduces main-memory round
 // trips from three to two (§II-B).
-func (p *Plan) slabInPlace(x []complex128, sign int) error {
+func (p *Plan) slabInPlace(x []complex128, sign int) {
 	k, n, m := p.k, p.n, p.m
 	workers := p.opts.Workers
 	parallelFor(workers, k, func(lo, hi int) {
@@ -486,7 +341,6 @@ func (p *Plan) slabInPlace(x []complex128, sign int) error {
 	parallelFor(workers, n*m, func(lo, hi int) {
 		p.stridedLanes(x, p.planK, k, n*m, lo, hi, sign)
 	})
-	return nil
 }
 
 // stridedLanes applies DFT_len ⊗ I over the lane range [lo, hi) of a cube
@@ -519,7 +373,7 @@ func parallelFor(workers, total int, f func(lo, hi int)) {
 	done := make(chan struct{}, workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
-			lo, hi := pipeline.Partition(total, w, workers)
+			lo, hi := stagegraph.Partition(total, w, workers)
 			f(lo, hi)
 			done <- struct{}{}
 		}(w)
@@ -527,36 +381,4 @@ func parallelFor(workers, total int, f func(lo, hi int)) {
 	for w := 0; w < workers; w++ {
 		<-done
 	}
-}
-
-// minStageIters is the pipeline-depth floor (see fft2d.minStageIters).
-const minStageIters = 9
-
-// blockCap combines the buffer-capacity block limit with the pipeline-depth
-// floor for a stage whose block loop has `extent` iterations.
-func blockCap(extent, bufBlocks int) int {
-	c := maxInt(1, bufBlocks)
-	if byDepth := extent / minStageIters; byDepth >= 1 && byDepth < c {
-		c = byDepth
-	}
-	return c
-}
-
-func largestDivisorAtMost(n, cap int) int {
-	if cap >= n {
-		return n
-	}
-	for d := cap; d >= 1; d-- {
-		if n%d == 0 {
-			return d
-		}
-	}
-	return 1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

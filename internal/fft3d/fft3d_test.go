@@ -89,24 +89,9 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 	}
 }
 
-func TestDoubleBufSplitMatchesReference(t *testing.T) {
-	for _, c := range []struct {
-		k, n, m, mu, b, pd, pc int
-	}{
-		{8, 8, 8, 4, 64, 1, 1},
-		{8, 16, 16, 4, 256, 2, 2},
-		{16, 8, 32, 8, 512, 2, 3},
-	} {
-		strategyCase(t, c.k, c.n, c.m, Options{
-			Strategy: DoubleBuf, Mu: c.mu, BufferElems: c.b,
-			DataWorkers: c.pd, ComputeWorkers: c.pc, SplitFormat: true,
-		}, fft1d.Forward)
-	}
-}
-
 func TestDoubleBufInverseAndRoundTrip(t *testing.T) {
 	strategyCase(t, 8, 8, 8, Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}, fft1d.Inverse)
-	strategyCase(t, 8, 8, 8, Options{Strategy: DoubleBuf, SplitFormat: true}, fft1d.Inverse)
+	strategyCase(t, 8, 8, 8, Options{Strategy: DoubleBuf}, fft1d.Inverse)
 
 	const k, n, m = 16, 16, 16
 	p, err := NewPlan(k, n, m, Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
@@ -309,9 +294,6 @@ func BenchmarkDecompositions(b *testing.B) {
 	b.Run("doublebuf", func(b *testing.B) {
 		benchStrategy(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14}, k, n, m)
 	})
-	b.Run("doublebuf-split", func(b *testing.B) {
-		benchStrategy(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14, SplitFormat: true}, k, n, m)
-	})
 }
 
 func BenchmarkBufferSweep(b *testing.B) {
@@ -324,7 +306,7 @@ func BenchmarkBufferSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkThreadSplit(b *testing.B) {
+func BenchmarkThreadMix(b *testing.B) {
 	const k, n, m = 64, 64, 64
 	for _, c := range []struct {
 		name   string

@@ -11,8 +11,8 @@ import (
 // be interchangeable on the 3D transform — including the interleaved
 // array-reuse flow (src→dst, dst→work, work→dst), where fusion is only
 // legal because stage 3's first store lands strictly after stage 2's last
-// load of dst. Exercised across odd sizes, μ values, worker splits and both
-// compute formats; outputs must agree exactly and match the reference.
+// load of dst. Exercised across odd sizes, μ values and worker mixes;
+// outputs must agree exactly and match the reference.
 func TestFusionEquivalence(t *testing.T) {
 	cases := []struct{ k, n, m, mu int }{
 		{3, 5, 7, 1}, // odd everywhere forces μ=1
@@ -20,40 +20,37 @@ func TestFusionEquivalence(t *testing.T) {
 		{4, 6, 10, 2},
 		{8, 8, 16, 4},
 	}
-	splits := [][2]int{{1, 1}, {2, 2}, {2, 3}}
+	workers := [][2]int{{1, 1}, {2, 2}, {2, 3}}
 	for _, c := range cases {
-		for _, w := range splits {
-			for _, split := range []bool{false, true} {
-				ref, _ := NewPlan(c.k, c.n, c.m, Options{Strategy: Reference})
-				x := randVec(int64(c.k*100+c.n*10+c.m), c.k*c.n*c.m)
-				want := make([]complex128, len(x))
-				if err := ref.Transform(want, x, fft1d.Forward); err != nil {
+		for _, w := range workers {
+			ref, _ := NewPlan(c.k, c.n, c.m, Options{Strategy: Reference})
+			x := randVec(int64(c.k*100+c.n*10+c.m), c.k*c.n*c.m)
+			want := make([]complex128, len(x))
+			if err := ref.Transform(want, x, fft1d.Forward); err != nil {
+				t.Fatal(err)
+			}
+			var outs [2][]complex128
+			for i, unfused := range []bool{false, true} {
+				p, err := NewPlan(c.k, c.n, c.m, Options{
+					Strategy: DoubleBuf, Mu: c.mu, BufferElems: 64,
+					DataWorkers: w[0], ComputeWorkers: w[1], Unfused: unfused,
+				})
+				if err != nil {
 					t.Fatal(err)
 				}
-				var outs [2][]complex128
-				for i, unfused := range []bool{false, true} {
-					p, err := NewPlan(c.k, c.n, c.m, Options{
-						Strategy: DoubleBuf, Mu: c.mu, BufferElems: 64,
-						DataWorkers: w[0], ComputeWorkers: w[1],
-						SplitFormat: split, Unfused: unfused,
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					outs[i] = make([]complex128, len(x))
-					if err := p.Transform(outs[i], x, fft1d.Forward); err != nil {
-						t.Fatal(err)
-					}
-					if d := cvec.MaxDiff(cvec.Vec(outs[i]), cvec.Vec(want)); d > tol*float64(len(x)) {
-						t.Errorf("%dx%dx%d μ=%d p=%v split=%v unfused=%v: diff vs reference %g",
-							c.k, c.n, c.m, c.mu, w, split, unfused, d)
-					}
+				outs[i] = make([]complex128, len(x))
+				if err := p.Transform(outs[i], x, fft1d.Forward); err != nil {
+					t.Fatal(err)
 				}
-				for i := range outs[0] {
-					if outs[0][i] != outs[1][i] {
-						t.Fatalf("%dx%dx%d μ=%d p=%v split=%v: fused/unfused outputs differ at %d",
-							c.k, c.n, c.m, c.mu, w, split, i)
-					}
+				if d := cvec.MaxDiff(cvec.Vec(outs[i]), cvec.Vec(want)); d > tol*float64(len(x)) {
+					t.Errorf("%dx%dx%d μ=%d p=%v unfused=%v: diff vs reference %g",
+						c.k, c.n, c.m, c.mu, w, unfused, d)
+				}
+			}
+			for i := range outs[0] {
+				if outs[0][i] != outs[1][i] {
+					t.Fatalf("%dx%dx%d μ=%d p=%v: fused/unfused outputs differ at %d",
+						c.k, c.n, c.m, c.mu, w, i)
 				}
 			}
 		}
@@ -62,7 +59,7 @@ func TestFusionEquivalence(t *testing.T) {
 
 // The multi-socket transform fuses stages 1+2 per socket; with fusion off
 // it must still produce the same answer and the same per-stage traffic
-// split (the byte counts depend on the rotations, not the schedule).
+// breakdown (the byte counts depend on the rotations, not the schedule).
 func TestDistributedFusionEquivalence(t *testing.T) {
 	const k, n, m, sk = 8, 8, 16, 2
 	ref, _ := NewPlan(k, n, m, Options{Strategy: Reference})

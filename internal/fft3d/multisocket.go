@@ -2,17 +2,15 @@ package fft3d
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 
 	"repro/internal/fft1d"
-	"repro/internal/machine"
 	"repro/internal/numa"
 	"repro/internal/stagegraph"
 )
 
 // DistPlan is the paper's dual-socket (general multi-socket) 3D FFT
-// (§IV-B): a slab-pencil split in which every socket owns a contiguous
+// (§IV-B): a slab-pencil decomposition in which every socket owns a contiguous
 // z-slab, the first stage reads and writes entirely within its NUMA domain,
 // and the stage-2 and stage-3 rotations implement the Table III write
 // matrices W², W³ whose stores cross the QPI/HT link for the (sk-1)/sk
@@ -39,31 +37,19 @@ import (
 type DistPlan struct {
 	k, n, m int
 	sk      int
-	opts    Options
-	mb      int
-	ksl     int // k/sk
 
-	planM, planN, planK *fft1d.Plan
+	sys *numa.System
+	bIm *numa.Distributed // intermediate B
+	cIm *numa.Distributed // intermediate C
 
-	sys  *numa.System
-	bIm  *numa.Distributed     // intermediate B
-	cIm  *numa.Distributed     // intermediate C
-	bufs []*stagegraph.Buffers // per-socket double buffers
+	// One runner per socket: its slab's front (stages 1+2) and back (stage
+	// 3) graphs on its own double buffer and executor, compiled once at
+	// plan time. Per call only the direction, curDst and the stage-1 source
+	// are bound.
+	runs   []*stagegraph.Runner
+	curDst *numa.Distributed
 
-	rows1, units2, units3 int
-
-	// Per-socket persistent executors and cached graphs. The fronts
-	// (stages 1+2) and backs (stage 3) compile once at plan time; per call
-	// only curSign/curDst and the stage-1 Src endpoints are patched.
-	execs      []*stagegraph.Executor
-	fronts     [][]stagegraph.Stage
-	backs      [][]stagegraph.Stage
-	schedFront *stagegraph.Schedule
-	schedBack  *stagegraph.Schedule
-	curSign    int
-	curDst     *numa.Distributed
-
-	lock   sync.Mutex // serializes Transform: bufs/bIm/cIm are shared scratch
+	lock   sync.Mutex // serializes Transform: bIm/cIm are shared scratch
 	closed bool
 
 	// StageTraffic records, for the most recent Transform, the local and
@@ -71,7 +57,7 @@ type DistPlan struct {
 	StageTraffic [3]TrafficStat
 }
 
-// TrafficStat is one stage's write-traffic split.
+// TrafficStat is one stage's write traffic, local and cross-socket.
 type TrafficStat struct {
 	LocalBytes int64
 	CrossBytes int64
@@ -86,71 +72,63 @@ func NewDistPlan(k, n, m, sockets int, opts Options) (*DistPlan, error) {
 	if sockets < 1 {
 		return nil, fmt.Errorf("fft3d: invalid socket count %d", sockets)
 	}
-	opts = opts.withDefaults()
-	switch opts.Radix {
-	case 0, 2, 4, 8:
-	default:
-		return nil, fmt.Errorf("fft3d: radix must be 0, 2, 4 or 8, got %d", opts.Radix)
+	if err := fft1d.CheckRadix("fft3d", opts.Radix); err != nil {
+		return nil, err
 	}
-	if opts.Mu == 0 {
-		opts.Mu = machine.PreferredMu(m)
+	slab := stagegraph.Pencils{
+		Pkg: "fft3d", Dims: []int{k, n, m},
+		Plans: []*fft1d.Plan{fft1d.NewPlanRadix(k, opts.Radix),
+			fft1d.NewPlanRadix(n, opts.Radix), fft1d.NewPlanRadix(m, opts.Radix)},
+		Mu: opts.Mu, BufferElems: opts.BufferElems, Shards: sockets,
 	}
-	if opts.Mu < 1 {
-		return nil, fmt.Errorf("fft3d: μ=%d, need ≥ 1", opts.Mu)
-	}
-	if m%opts.Mu != 0 {
-		return nil, fmt.Errorf("fft3d: μ=%d does not divide m=%d", opts.Mu, m)
-	}
-	if k%sockets != 0 {
-		return nil, fmt.Errorf("fft3d: sockets=%d does not divide k=%d", sockets, k)
-	}
-	mb := m / opts.Mu
-	if (n*mb)%sockets != 0 {
-		return nil, fmt.Errorf("fft3d: sockets=%d does not divide n·m/μ=%d", sockets, n*mb)
+	if _, err := slab.Check(); err != nil {
+		return nil, err
 	}
 	sys, err := numa.NewSystem(sockets)
 	if err != nil {
 		return nil, err
 	}
-	p := &DistPlan{
-		k: k, n: n, m: m, sk: sockets, opts: opts, mb: mb, ksl: k / sockets,
-		planM: fft1d.NewPlanRadix(m, opts.Radix),
-		planN: fft1d.NewPlanRadix(n, opts.Radix),
-		planK: fft1d.NewPlanRadix(k, opts.Radix),
-		sys:   sys,
-	}
-	total := k * n * m
-	if p.bIm, err = sys.Alloc(total); err != nil {
+	p := &DistPlan{k: k, n: n, m: m, sk: sockets, sys: sys}
+	if p.bIm, err = sys.Alloc(k * n * m); err != nil {
 		return nil, err
 	}
-	if p.cIm, err = sys.Alloc(total); err != nil {
+	if p.cIm, err = sys.Alloc(k * n * m); err != nil {
 		return nil, err
 	}
-	var b int
-	p.rows1, p.units2, p.units3, b = SlabUnits(k, n, m, sockets, opts.Mu, opts.BufferElems)
-	p.bufs = make([]*stagegraph.Buffers, sockets)
-	p.execs = make([]*stagegraph.Executor, sockets)
-	p.fronts = make([][]stagegraph.Stage, sockets)
-	p.backs = make([][]stagegraph.Stage, sockets)
 	for s := 0; s < sockets; s++ {
-		p.bufs[s] = stagegraph.NewBuffers(b, false, false)
-		p.fronts[s], p.backs[s] = p.socketStages(s)
-		exec, err := stagegraph.NewExecutor(stagegraph.Config{
-			DataWorkers:    opts.DataWorkers,
-			ComputeWorkers: opts.ComputeWorkers,
-			ScratchComplex: b,
-		})
+		// Socket s's slab: B and C are its parts of the shared
+		// intermediates, every store goes through the NUMA traffic
+		// accounting, and the stage-3 scatter targets whatever curDst the
+		// running Transform set.
+		slab.Index = s
+		slab.Mid = []stagegraph.Array{
+			{C: p.bIm.Part(s), Base: s * p.bIm.PartLen(), WriteC: func(off int, blk []complex128) {
+				p.bIm.WriteBlock(s, off, blk)
+			}},
+			{C: p.cIm.Part(s), WriteC: func(off int, blk []complex128) {
+				p.cIm.WriteBlock(s, off, blk)
+			}},
+		}
+		slab.Out = stagegraph.Array{WriteC: func(off int, blk []complex128) {
+			p.curDst.WriteBlock(s, off, blk)
+		}}
+		g, err := slab.Build()
 		if err != nil {
 			p.Close()
 			return nil, err
 		}
-		p.execs[s] = exec
+		front, back := g.Cut(2)
+		run, err := stagegraph.NewRunner(stagegraph.RunnerConfig{
+			Pkg:         "fft3d",
+			DataWorkers: opts.DataWorkers, ComputeWorkers: opts.ComputeWorkers,
+			Unfused: opts.Unfused,
+		}, front, back)
+		if err != nil {
+			p.Close()
+			return nil, err
+		}
+		p.runs = append(p.runs, run)
 	}
-	// Every socket's front (and back) has identical stage shapes, so one
-	// compiled schedule per phase serves all sockets.
-	p.schedFront = stagegraph.Compile(p.fronts[0], !opts.Unfused)
-	p.schedBack = stagegraph.Compile(p.backs[0], !opts.Unfused)
-	runtime.SetFinalizer(p, (*DistPlan).Close)
 	return p, nil
 }
 
@@ -161,16 +139,10 @@ func NewDistPlan(k, n, m, sockets int, opts Options) (*DistPlan, error) {
 func (p *DistPlan) Close() {
 	p.lock.Lock()
 	defer p.lock.Unlock()
-	if p.closed {
-		return
-	}
 	p.closed = true
-	for _, e := range p.execs {
-		if e != nil {
-			e.Close()
-		}
+	for _, r := range p.runs {
+		r.Close()
 	}
-	runtime.SetFinalizer(p, nil)
 }
 
 // System exposes the simulated NUMA system (for traffic inspection).
@@ -182,32 +154,6 @@ func (p *DistPlan) Sockets() int { return p.sk }
 // Alloc allocates a z-partitioned data vector compatible with the plan.
 func (p *DistPlan) Alloc() (*numa.Distributed, error) {
 	return p.sys.Alloc(p.k * p.n * p.m)
-}
-
-// socketStages compiles socket s's slab into its two graphs via the shared
-// SlabSpec builder (also used by internal/shard's network workers). Built
-// once at plan time: compute closures read the direction from p.curSign,
-// the stage-3 scatter target from p.curDst, and the stage-1 Src endpoint is
-// patched per Transform.
-func (p *DistPlan) socketStages(s int) (front, back []stagegraph.Stage) {
-	return SlabSpec{
-		K: p.k, N: p.n, M: p.m, Shards: p.sk, Index: s, Mu: p.opts.Mu,
-		Rows1: p.rows1, Units2: p.units2, Units3: p.units3,
-		PlanM: p.planM, PlanN: p.planN, PlanK: p.planK,
-		Sign:  &p.curSign,
-		BBase: s * p.bIm.PartLen(),
-		SrcB:  p.bIm.Part(s),
-		SrcC:  p.cIm.Part(s),
-		DstB: stagegraph.Endpoint{WriteC: func(off int, blk []complex128) {
-			p.bIm.WriteBlock(s, off, blk)
-		}},
-		DstC: stagegraph.Endpoint{WriteC: func(off int, blk []complex128) {
-			p.cIm.WriteBlock(s, off, blk)
-		}},
-		DstOut: stagegraph.Endpoint{WriteC: func(off int, blk []complex128) {
-			p.curDst.WriteBlock(s, off, blk)
-		}},
-	}.Stages()
 }
 
 // Transform computes dst = DFT_{k×n×m}(src) over the distributed slabs.
@@ -223,26 +169,18 @@ func (p *DistPlan) Transform(dst, src *numa.Distributed, sign int) error {
 	}
 	p.sys.ResetTraffic()
 
-	p.curSign = sign
 	p.curDst = dst
-	for s := 0; s < p.sk; s++ {
-		p.fronts[s][0].Src.C = src.Part(s)
-	}
-	defer func() {
-		p.curDst = nil
-		for s := 0; s < p.sk; s++ {
-			p.fronts[s][0].Src.C = nil
-		}
-	}()
+	defer func() { p.curDst = nil }()
 
-	runPhase := func(graphs [][]stagegraph.Stage, sched *stagegraph.Schedule) error {
+	runPhase := func(graph int) error {
 		var wg sync.WaitGroup
 		errs := make([]error, p.sk)
 		for s := 0; s < p.sk; s++ {
 			wg.Add(1)
 			go func(s int) {
 				defer wg.Done()
-				_, errs[s] = p.execs[s].Run(p.bufs[s], graphs[s], sched, nil)
+				errs[s] = p.runs[s].Run(graph, stagegraph.Call{
+					In: stagegraph.Endpoint{C: src.Part(s)}, Sign: sign})
 			}(s)
 		}
 		wg.Wait()
@@ -257,12 +195,12 @@ func (p *DistPlan) Transform(dst, src *numa.Distributed, sign int) error {
 	// Phase A: stages 1+2, fused per socket. A global barrier (the phase
 	// boundary) orders every socket's stage-2 scatter before any stage-3
 	// load.
-	if err := runPhase(p.fronts, p.schedFront); err != nil {
+	if err := runPhase(0); err != nil {
 		return err
 	}
 	la, ca := p.sys.LocalBytes(), p.sys.CrossBytes()
 	// Phase B: stage 3.
-	if err := runPhase(p.backs, p.schedBack); err != nil {
+	if err := runPhase(1); err != nil {
 		return err
 	}
 	lb, cb := p.sys.LocalBytes(), p.sys.CrossBytes()

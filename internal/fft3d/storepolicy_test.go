@@ -55,7 +55,7 @@ func TestStorePolicyWiringAndCorrectness(t *testing.T) {
 	p.Close()
 	strategyCase(t, 16, 16, 16, Options{Strategy: DoubleBuf, DataWorkers: 2,
 		ComputeWorkers: 2, StorePolicy: stagegraph.StoreNonTemporal}, fft1d.Forward)
-	strategyCase(t, 8, 16, 32, Options{Strategy: DoubleBuf, SplitFormat: true,
+	strategyCase(t, 8, 16, 32, Options{Strategy: DoubleBuf,
 		StorePolicy: stagegraph.StoreNonTemporal}, fft1d.Inverse)
 
 	p, err = NewPlan(16, 16, 16, Options{Strategy: DoubleBuf,

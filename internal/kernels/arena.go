@@ -15,39 +15,36 @@ package kernels
 // An Arena is not safe for concurrent use; ownership is per worker.
 type Arena struct {
 	c    []complex128
-	f    []float64
 	cOff int
-	fOff int
 }
 
-// NewArena returns an arena pre-sized to the given slab lengths (either may
-// be zero; slabs grow on demand).
-func NewArena(complexElems, floatElems int) *Arena {
+// NewArena returns an arena pre-sized to complexElems (zero is fine; the
+// slab grows on demand). The second argument is ignored: it sized the
+// float64 slab of the retired block-interleaved format, and stays in the
+// signature because the frozen benchmark/ program passes it.
+func NewArena(complexElems, _ int) *Arena {
 	a := &Arena{}
 	if complexElems > 0 {
 		a.c = make([]complex128, complexElems)
 	}
-	if floatElems > 0 {
-		a.f = make([]float64, floatElems)
-	}
 	return a
 }
 
-// Mark captures the current bump positions; Rewind returns to them so loops
+// Mark captures the current bump position; Rewind returns to it so loops
 // can reuse the same scratch region per iteration.
-type Mark struct{ c, f int }
+type Mark struct{ c int }
 
-// Mark returns the current allocation positions.
-func (a *Arena) Mark() Mark { return Mark{a.cOff, a.fOff} }
+// Mark returns the current allocation position.
+func (a *Arena) Mark() Mark { return Mark{a.cOff} }
 
 // Rewind releases everything allocated since m. After a growth event the
 // region below the mark in the new slab is simply left unused — outstanding
 // pre-mark slices live in the abandoned slab, so this is always safe.
-func (a *Arena) Rewind(m Mark) { a.cOff, a.fOff = m.c, m.f }
+func (a *Arena) Rewind(m Mark) { a.cOff = m.c }
 
 // Reset releases the whole arena for reuse. Called by the executor before
-// each compute op; slabs are retained.
-func (a *Arena) Reset() { a.cOff, a.fOff = 0, 0 }
+// each compute op; the slab is retained.
+func (a *Arena) Reset() { a.cOff = 0 }
 
 // Complex returns an n-element complex scratch slice. Contents are
 // unspecified; callers must fully overwrite what they read.
@@ -57,16 +54,6 @@ func (a *Arena) Complex(n int) []complex128 {
 	}
 	s := a.c[a.cOff : a.cOff+n]
 	a.cOff += n
-	return s
-}
-
-// Float returns an n-element float64 scratch slice (split-format halves).
-func (a *Arena) Float(n int) []float64 {
-	if a.fOff+n > len(a.f) {
-		a.growFloat(n)
-	}
-	s := a.f[a.fOff : a.fOff+n]
-	a.fOff += n
 	return s
 }
 
@@ -82,21 +69,5 @@ func (a *Arena) growComplex(n int) {
 	a.cOff = 0
 }
 
-func (a *Arena) growFloat(n int) {
-	size := 2 * len(a.f)
-	if size < n {
-		size = n
-	}
-	if size < 128 {
-		size = 128
-	}
-	a.f = make([]float64, size)
-	a.fOff = 0
-}
-
-// ComplexCap and FloatCap report the slab sizes (for tests and sizing
-// diagnostics).
+// ComplexCap reports the slab size (for tests and sizing diagnostics).
 func (a *Arena) ComplexCap() int { return len(a.c) }
-
-// FloatCap reports the float slab size.
-func (a *Arena) FloatCap() int { return len(a.f) }

@@ -32,36 +32,12 @@ func BatchRadix4Step(dst, src []complex128, pencils, stride, m, s, sign int, tw 
 	}
 }
 
-// BatchSplitRadix2Step is the split-format batched radix-2 sweep.
-func BatchSplitRadix2Step(dstRe, dstIm, srcRe, srcIm []float64, pencils, stride, m, s int, tw SplitTwiddles) {
-	for c := 0; c < pencils; c++ {
-		o := c * stride
-		SplitRadix2Step(dstRe[o:o+stride], dstIm[o:o+stride], srcRe[o:o+stride], srcIm[o:o+stride], m, s, tw)
-	}
-}
-
-// BatchSplitRadix4Step is the split-format batched radix-4 sweep.
-func BatchSplitRadix4Step(dstRe, dstIm, srcRe, srcIm []float64, pencils, stride, m, s, sign int, tw SplitTwiddles) {
-	for c := 0; c < pencils; c++ {
-		o := c * stride
-		SplitRadix4Step(dstRe[o:o+stride], dstIm[o:o+stride], srcRe[o:o+stride], srcIm[o:o+stride], m, s, sign, tw)
-	}
-}
-
 // BatchRadix8Step applies one Stockham radix-8 stage to `pencils`
 // independent pencils of stride elements each (stride = 8·m·s).
 func BatchRadix8Step(dst, src []complex128, pencils, stride, m, s, sign int, tw StageTwiddles) {
 	for c := 0; c < pencils; c++ {
 		o := c * stride
 		Radix8Step(dst[o:o+stride], src[o:o+stride], m, s, sign, tw)
-	}
-}
-
-// BatchSplitRadix8Step is the split-format batched radix-8 sweep.
-func BatchSplitRadix8Step(dstRe, dstIm, srcRe, srcIm []float64, pencils, stride, m, s, sign int, tw SplitTwiddles) {
-	for c := 0; c < pencils; c++ {
-		o := c * stride
-		SplitRadix8Step(dstRe[o:o+stride], dstIm[o:o+stride], srcRe[o:o+stride], srcIm[o:o+stride], m, s, sign, tw)
 	}
 }
 
@@ -72,13 +48,5 @@ func BatchRadix16Step(dst, src []complex128, pencils, stride, m, s, sign int, tw
 	for c := 0; c < pencils; c++ {
 		o := c * stride
 		Radix16Step(dst[o:o+stride], src[o:o+stride], m, s, sign, tw)
-	}
-}
-
-// BatchSplitRadix16Step is the split-format batched fused radix-16 sweep.
-func BatchSplitRadix16Step(dstRe, dstIm, srcRe, srcIm []float64, pencils, stride, m, s, sign int, tw SplitTwiddles) {
-	for c := 0; c < pencils; c++ {
-		o := c * stride
-		SplitRadix16Step(dstRe[o:o+stride], dstIm[o:o+stride], srcRe[o:o+stride], srcIm[o:o+stride], m, s, sign, tw)
 	}
 }

@@ -22,18 +22,6 @@ func Radix8Step(dst, src []complex128, m, s, sign int, tw StageTwiddles) {
 	Radix8StepGeneric(dst, src, m, s, sign, tw)
 }
 
-// SplitRadix4Step is the split-format radix-4 stage; see
-// SplitRadix4StepGeneric for the contract.
-func SplitRadix4Step(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int, tw SplitTwiddles) {
-	SplitRadix4StepGeneric(dstRe, dstIm, srcRe, srcIm, m, s, sign, tw)
-}
-
-// SplitRadix8Step is the split-format radix-8 stage; see
-// SplitRadix8StepGeneric for the contract.
-func SplitRadix8Step(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int, tw SplitTwiddles) {
-	SplitRadix8StepGeneric(dstRe, dstIm, srcRe, srcIm, m, s, sign, tw)
-}
-
 // Radix16Step performs one fused radix-16 stage (two radix-4 rank stages in
 // registers); see Radix16StepGeneric for the contract.
 func Radix16Step(dst, src []complex128, m, s, sign int, tw StageTwiddles) {
@@ -50,10 +38,4 @@ func Radix4FoldLeg(dst, z0, z1, z2, z3 []complex128, leg, sign int) {
 // it always reports false so callers take the scratch-fold path.
 func Radix4FoldScatterNT(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, stride, leg, sign int) bool {
 	return false
-}
-
-// SplitRadix16Step is the split-format fused radix-16 stage; see
-// SplitRadix16StepGeneric for the contract.
-func SplitRadix16Step(dstRe, dstIm, srcRe, srcIm []float64, m, s, sign int, tw SplitTwiddles) {
-	SplitRadix16StepGeneric(dstRe, dstIm, srcRe, srcIm, m, s, sign, tw)
 }

@@ -42,8 +42,8 @@ func scaleFor(x []complex128) float64 {
 }
 
 // shapes exercises every addressing mode: s==1 (pairs incl. odd-m tail),
-// s==2 (one vector iteration), s==3 (vector + 128-bit tail), s==5/7
-// (split scalar tails), larger strides, and m==1..m odd.
+// s==2 (one vector iteration), s==3 (vector + 128-bit tail), larger odd
+// and even strides, and m==1..m odd.
 var shapes = []struct{ m, s int }{
 	{1, 1}, {2, 1}, {3, 1}, {8, 1}, {9, 1}, {64, 1}, {65, 1},
 	{1, 2}, {1, 3}, {1, 4}, {1, 5}, {1, 7}, {1, 8},
@@ -86,49 +86,6 @@ func TestRadixStepsMatchGeneric(t *testing.T) {
 					}
 					if d := maxDiffC(got, want); d > eqTol*scaleFor(want) {
 						t.Fatalf("radix=%d sign=%d m=%d s=%d off=%d: max diff %g", radix, sign, sh.m, sh.s, off, d)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSplitRadixStepsMatchGeneric(t *testing.T) {
-	if Tier() == "generic" {
-		t.Skip("no accelerated tier on this build; dispatch is the oracle")
-	}
-	r := rand.New(rand.NewSource(11))
-	for _, radix := range []int{4, 8} {
-		for _, sign := range []int{Forward, Inverse} {
-			for _, sh := range shapes {
-				n := radix * sh.m * sh.s
-				tw := NewSplitTwiddles(NewStageTwiddles(radix*sh.m, radix, sign))
-				for _, off := range []int{0, 1, 3} {
-					mk := func() []float64 {
-						x := make([]float64, n+off)
-						for i := range x {
-							x[i] = r.NormFloat64()
-						}
-						return x[off:]
-					}
-					srcRe, srcIm := mk(), mk()
-					gotRe := make([]float64, n+off)[off:]
-					gotIm := make([]float64, n+off)[off:]
-					wantRe := make([]float64, n)
-					wantIm := make([]float64, n)
-					switch radix {
-					case 4:
-						SplitRadix4Step(gotRe, gotIm, srcRe, srcIm, sh.m, sh.s, sign, tw)
-						SplitRadix4StepGeneric(wantRe, wantIm, srcRe, srcIm, sh.m, sh.s, sign, tw)
-					case 8:
-						SplitRadix8Step(gotRe, gotIm, srcRe, srcIm, sh.m, sh.s, sign, tw)
-						SplitRadix8StepGeneric(wantRe, wantIm, srcRe, srcIm, sh.m, sh.s, sign, tw)
-					}
-					for i := range wantRe {
-						if math.Abs(gotRe[i]-wantRe[i]) > eqTol*10 || math.Abs(gotIm[i]-wantIm[i]) > eqTol*10 {
-							t.Fatalf("split radix=%d sign=%d m=%d s=%d off=%d idx=%d: got (%g,%g) want (%g,%g)",
-								radix, sign, sh.m, sh.s, off, i, gotRe[i], gotIm[i], wantRe[i], wantIm[i])
-						}
 					}
 				}
 			}

@@ -1,15 +1,12 @@
 // Package kernels provides the low-level FFT compute kernels used by the
 // plan-based drivers in internal/fft1d.
 //
-// Two families of kernels exist, mirroring the paper's "cache aware FFT"
-// discussion (§IV-A):
-//
-//   - complex-interleaved Stockham butterfly stages (Radix2Step, Radix4Step)
-//     operating on []complex128;
-//   - block-interleaved (split-format) stages (SplitRadix2Step,
-//     SplitRadix4Step) operating on separate real/imaginary arrays, which is
-//     the layout the paper uses for its middle compute stages so that SIMD
-//     lanes consume whole cachelines of reals and imaginaries.
+// The kernels are complex-interleaved Stockham butterfly stages (Radix2Step
+// … Radix16Step) operating on []complex128. (The paper's §IV-A
+// block-interleaved format — separate real and imaginary arrays for the
+// middle compute stages — was implemented, measured 1.3–1.9× behind these
+// in every cell of EXPERIMENTS.md "Plan defaults and whole-line streaming
+// stores", and retired; commit f193575 is the last that contains it.)
 //
 // All stages are Stockham autosort steps: they read from src and write to
 // dst with the classic decimation-in-frequency butterfly, so no bit-reversal
@@ -232,7 +229,7 @@ const sqrt1_2 = math.Sqrt2 / 2
 // the buffer instead of three), which is the pass-count reduction §III of
 // the paper attributes to higher-radix kernels.
 //
-// The butterfly is split even/odd: e_a = x_a + x_{a+4} feeds a DFT₄ for the
+// The butterfly is decomposed even/odd: e_a = x_a + x_{a+4} feeds a DFT₄ for the
 // even outputs, o_a = (x_a − x_{a+4})·ω₈^a feeds a DFT₄ for the odd
 // outputs. jim is −1 forward / +1 inverse, so ω₈ = (h, jim·h) with h = √2/2,
 // ω₈² = jim·i and ω₈³ = (−h, jim·h); the rotations are expanded into real
@@ -314,7 +311,7 @@ const (
 // swept once instead of twice. tw must come from NewStageTwiddles(16*m, 16,
 // sign) and sign must match.
 //
-// Internally the 16-point DFT splits into two rank-4 passes. Pass A does a
+// Internally the 16-point DFT factors into two rank-4 passes. Pass A does a
 // plain DFT₄ over kA within each residue kB (u[jA·4+kB]); the ranks are then
 // coupled by the constant rotations ω̂₁₆^{jA·kB} (exponents {1,2,3,4,6,9},
 // built from cos/sin(π/8), √2/2 and the ±i of the direction); pass B does a

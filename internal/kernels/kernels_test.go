@@ -146,55 +146,6 @@ func TestStageTwiddlesValidation(t *testing.T) {
 	}
 }
 
-func applySplitStockham(x []complex128, lanes, sign int) []complex128 {
-	n := len(x) / lanes
-	s0 := cvec.FromVec(cvec.Vec(x))
-	curRe, curIm := s0.Re, s0.Im
-	nxtRe := make([]float64, len(x))
-	nxtIm := make([]float64, len(x))
-	s := lanes
-	n1 := n
-	for n1 > 1 {
-		if n1%4 == 0 {
-			tw := NewSplitTwiddles(NewStageTwiddles(n1, 4, sign))
-			SplitRadix4Step(nxtRe, nxtIm, curRe, curIm, n1/4, s, sign, tw)
-			s *= 4
-			n1 /= 4
-		} else {
-			tw := NewSplitTwiddles(NewStageTwiddles(n1, 2, sign))
-			SplitRadix2Step(nxtRe, nxtIm, curRe, curIm, n1/2, s, tw)
-			s *= 2
-			n1 /= 2
-		}
-		curRe, nxtRe = nxtRe, curRe
-		curIm, nxtIm = nxtIm, curIm
-	}
-	return cvec.Split{Re: curRe, Im: curIm}.ToVec()
-}
-
-func TestSplitStepsMatchInterleaved(t *testing.T) {
-	for _, n := range []int{2, 4, 8, 32, 128, 512} {
-		for _, sign := range []int{Forward, Inverse} {
-			x := randVec(int64(3*n+sign), n)
-			want := NaiveDFT(x, sign)
-			got := applySplitStockham(x, 1, sign)
-			if cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) > tol*float64(n) {
-				t.Errorf("split Stockham n=%d sign=%d mismatch", n, sign)
-			}
-		}
-	}
-}
-
-func TestSplitLanesMatchInterleavedLanes(t *testing.T) {
-	const n, mu = 32, 8
-	x := randVec(7, n*mu)
-	a := applyStockham(x, mu, Forward, true)
-	b := applySplitStockham(x, mu, Forward)
-	if cvec.MaxDiff(cvec.Vec(a), cvec.Vec(b)) > tol*n {
-		t.Fatal("split lane kernel disagrees with interleaved lane kernel")
-	}
-}
-
 // Property: DFT is linear — DFT(a·x + y) = a·DFT(x) + DFT(y).
 func TestQuickLinearity(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -226,15 +177,5 @@ func BenchmarkKernelInterleaved(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = applyStockham(x, 1, Forward, true)
-	}
-}
-
-func BenchmarkKernelSplit(b *testing.B) {
-	const n = 4096
-	x := randVec(1, n)
-	b.SetBytes(int64(n * 16))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = applySplitStockham(x, 1, Forward)
 	}
 }

@@ -64,51 +64,6 @@ func TestRadix16MatchesTwoPassRadix4(t *testing.T) {
 	}
 }
 
-// Split-format fused radix-16 against the split two-pass radix-4 chain.
-func TestSplitRadix16MatchesTwoPassRadix4(t *testing.T) {
-	r := rand.New(rand.NewSource(3216))
-	for iter := 0; iter < 30; iter++ {
-		m := 1 + r.Intn(10)
-		s := 1 + r.Intn(8)
-		sign := Forward
-		if iter%2 == 1 {
-			sign = Inverse
-		}
-		n := 16 * m * s
-		mk := func() []float64 {
-			x := make([]float64, n)
-			for i := range x {
-				x[i] = r.NormFloat64()
-			}
-			return x
-		}
-		srcRe, srcIm := mk(), mk()
-		n1 := 16 * m
-		midRe, midIm := make([]float64, n), make([]float64, n)
-		wantRe, wantIm := make([]float64, n), make([]float64, n)
-		twA := NewSplitTwiddles(NewStageTwiddles(n1, 4, sign))
-		SplitRadix4StepGeneric(midRe, midIm, srcRe, srcIm, n1/4, s, sign, twA)
-		twB := NewSplitTwiddles(NewStageTwiddles(n1/4, 4, sign))
-		SplitRadix4StepGeneric(wantRe, wantIm, midRe, midIm, n1/16, 4*s, sign, twB)
-		gotRe, gotIm := make([]float64, n), make([]float64, n)
-		tw := NewSplitTwiddles(NewStageTwiddles(n1, 16, sign))
-		SplitRadix16Step(gotRe, gotIm, srcRe, srcIm, m, s, sign, tw)
-		for i := range wantRe {
-			dr, di := gotRe[i]-wantRe[i], gotIm[i]-wantIm[i]
-			if dr < 0 {
-				dr = -dr
-			}
-			if di < 0 {
-				di = -di
-			}
-			if dr > eqTol*10 || di > eqTol*10 {
-				t.Fatalf("split radix-16 m=%d s=%d sign=%d idx=%d: got (%g,%g) want (%g,%g)",
-					m, s, sign, i, gotRe[i], gotIm[i], wantRe[i], wantIm[i])
-			}
-		}
-	}
-}
-
 // applyStockham16 composes fused radix-16 stages (radix-8/4/2 remainder)
 // into a full power-of-two Stockham FFT over `lanes` interleaved lanes.
 func applyStockham16(x []complex128, lanes, sign int) []complex128 {

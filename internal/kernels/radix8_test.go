@@ -1,7 +1,6 @@
 package kernels
 
 import (
-	"math/cmplx"
 	"testing"
 
 	"repro/internal/cvec"
@@ -88,51 +87,6 @@ func TestRadix8LanesMatchRadix4Lanes(t *testing.T) {
 	}
 }
 
-func applySplitStockham8(x []complex128, lanes, sign int) []complex128 {
-	n := len(x) / lanes
-	s0 := cvec.FromVec(cvec.Vec(x))
-	curRe, curIm := s0.Re, s0.Im
-	nxtRe := make([]float64, len(x))
-	nxtIm := make([]float64, len(x))
-	s := lanes
-	n1 := n
-	for n1 > 1 {
-		switch {
-		case n1%8 == 0:
-			tw := NewSplitTwiddles(NewStageTwiddles(n1, 8, sign))
-			SplitRadix8Step(nxtRe, nxtIm, curRe, curIm, n1/8, s, sign, tw)
-			s *= 8
-			n1 /= 8
-		case n1%4 == 0:
-			tw := NewSplitTwiddles(NewStageTwiddles(n1, 4, sign))
-			SplitRadix4Step(nxtRe, nxtIm, curRe, curIm, n1/4, s, sign, tw)
-			s *= 4
-			n1 /= 4
-		default:
-			tw := NewSplitTwiddles(NewStageTwiddles(n1, 2, sign))
-			SplitRadix2Step(nxtRe, nxtIm, curRe, curIm, n1/2, s, tw)
-			s *= 2
-			n1 /= 2
-		}
-		curRe, nxtRe = nxtRe, curRe
-		curIm, nxtIm = nxtIm, curIm
-	}
-	return cvec.Split{Re: curRe, Im: curIm}.ToVec()
-}
-
-func TestSplitRadix8MatchesInterleaved(t *testing.T) {
-	for _, n := range []int{8, 64, 256, 2048} {
-		for _, sign := range []int{Forward, Inverse} {
-			x := randVec(int64(9*n+sign), n)
-			a := applyStockham8(x, 1, sign)
-			b := applySplitStockham8(x, 1, sign)
-			if d := cvec.MaxDiff(cvec.Vec(a), cvec.Vec(b)); d > tol*float64(n) {
-				t.Errorf("split radix-8 n=%d sign=%d: max diff %g", n, sign, d)
-			}
-		}
-	}
-}
-
 // The batched sweep must equal per-pencil stage applications.
 func TestBatchRadix8StepMatchesPerPencil(t *testing.T) {
 	const n, pencils = 64, 5
@@ -148,21 +102,6 @@ func TestBatchRadix8StepMatchesPerPencil(t *testing.T) {
 	}
 	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d != 0 {
 		t.Fatalf("BatchRadix8Step differs from per-pencil: %g", d)
-	}
-
-	stw := NewSplitTwiddles(tw)
-	s0 := cvec.FromVec(cvec.Vec(x))
-	gotRe := make([]float64, len(x))
-	gotIm := make([]float64, len(x))
-	BatchSplitRadix8Step(gotRe, gotIm, s0.Re, s0.Im, pencils, stride, n/8, 1, Forward, stw)
-	// The split and interleaved sweeps may dispatch to different codelets
-	// (with different FMA contraction), so equality holds to rounding, not
-	// bitwise.
-	for i := range want {
-		d := cmplx.Abs(complex(gotRe[i], gotIm[i]) - want[i])
-		if d > 1e-12*(1+cmplx.Abs(want[i])) {
-			t.Fatalf("BatchSplitRadix8Step differs from interleaved at %d by %g", i, d)
-		}
 	}
 }
 

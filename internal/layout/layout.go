@@ -65,89 +65,13 @@ func ScatterBlocks(dst, src []complex128, blocks, blockLen, dstOff, dstStride in
 	}
 }
 
-// ScatterBlocksSplit is ScatterBlocks over split-format data: the same
-// strided block store applied to the real and imaginary planes.
-func ScatterBlocksSplit(dstRe, dstIm, srcRe, srcIm []float64, blocks, blockLen, dstOff, dstStride int) {
-	switch blockLen {
-	case 4:
-		d := dstOff
-		for j := 0; j < blocks; j++ {
-			sr := srcRe[j*4 : j*4+4 : j*4+4]
-			si := srcIm[j*4 : j*4+4 : j*4+4]
-			tr := dstRe[d : d+4 : d+4]
-			ti := dstIm[d : d+4 : d+4]
-			tr[0], tr[1], tr[2], tr[3] = sr[0], sr[1], sr[2], sr[3]
-			ti[0], ti[1], ti[2], ti[3] = si[0], si[1], si[2], si[3]
-			d += dstStride
-		}
-	case 8:
-		d := dstOff
-		for j := 0; j < blocks; j++ {
-			sr := srcRe[j*8 : j*8+8 : j*8+8]
-			si := srcIm[j*8 : j*8+8 : j*8+8]
-			tr := dstRe[d : d+8 : d+8]
-			ti := dstIm[d : d+8 : d+8]
-			tr[0], tr[1], tr[2], tr[3] = sr[0], sr[1], sr[2], sr[3]
-			tr[4], tr[5], tr[6], tr[7] = sr[4], sr[5], sr[6], sr[7]
-			ti[0], ti[1], ti[2], ti[3] = si[0], si[1], si[2], si[3]
-			ti[4], ti[5], ti[6], ti[7] = si[4], si[5], si[6], si[7]
-			d += dstStride
-		}
-	default:
-		d := dstOff
-		for j := 0; j < blocks; j++ {
-			copy(dstRe[d:d+blockLen], srcRe[j*blockLen:(j+1)*blockLen])
-			copy(dstIm[d:d+blockLen], srcIm[j*blockLen:(j+1)*blockLen])
-			d += dstStride
-		}
+// CopyBlock is a plain contiguous copy, the R_{b,i} read matrix body: b
+// contiguous elements streamed from main memory into the cached buffer.
+func CopyBlock(dst, src []complex128) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("layout: CopyBlock dst=%d src=%d", len(dst), len(src)))
 	}
-}
-
-// ScatterBlocksInterleave is ScatterBlocks with a fused split→interleaved
-// format change: split-format source blocks are written as complex128
-// blocks (the final store of a split-format pipeline, §IV-A).
-func ScatterBlocksInterleave(dst []complex128, srcRe, srcIm []float64, blocks, blockLen, dstOff, dstStride int) {
-	switch blockLen {
-	case 4:
-		d := dstOff
-		for j := 0; j < blocks; j++ {
-			sr := srcRe[j*4 : j*4+4 : j*4+4]
-			si := srcIm[j*4 : j*4+4 : j*4+4]
-			t := dst[d : d+4 : d+4]
-			t[0] = complex(sr[0], si[0])
-			t[1] = complex(sr[1], si[1])
-			t[2] = complex(sr[2], si[2])
-			t[3] = complex(sr[3], si[3])
-			d += dstStride
-		}
-	case 8:
-		d := dstOff
-		for j := 0; j < blocks; j++ {
-			sr := srcRe[j*8 : j*8+8 : j*8+8]
-			si := srcIm[j*8 : j*8+8 : j*8+8]
-			t := dst[d : d+8 : d+8]
-			t[0] = complex(sr[0], si[0])
-			t[1] = complex(sr[1], si[1])
-			t[2] = complex(sr[2], si[2])
-			t[3] = complex(sr[3], si[3])
-			t[4] = complex(sr[4], si[4])
-			t[5] = complex(sr[5], si[5])
-			t[6] = complex(sr[6], si[6])
-			t[7] = complex(sr[7], si[7])
-			d += dstStride
-		}
-	default:
-		d := dstOff
-		for j := 0; j < blocks; j++ {
-			sr := srcRe[j*blockLen : (j+1)*blockLen]
-			si := srcIm[j*blockLen : (j+1)*blockLen]
-			t := dst[d : d+blockLen]
-			for v := range t {
-				t[v] = complex(sr[v], si[v])
-			}
-			d += dstStride
-		}
-	}
+	copy(dst, src)
 }
 
 // Transpose writes the transpose of the rows×cols row-major matrix src into
@@ -318,80 +242,6 @@ func Rotate3DBlockedGeneric(dst, src []complex128, k, n, mb, mu int) {
 				d := ((xb*k+z)*n + y) * mu
 				copy(dst[d:d+mu], src[srcRow+xb*mu:srcRow+xb*mu+mu])
 			}
-		}
-	}
-}
-
-// Rotate3DBlockedSplit is Rotate3DBlocked over split-format data.
-func Rotate3DBlockedSplit(dstRe, dstIm, srcRe, srcIm []float64, k, n, mb, mu int) {
-	if len(dstRe) != k*n*mb*mu || len(srcRe) != k*n*mb*mu ||
-		len(dstIm) != k*n*mb*mu || len(srcIm) != k*n*mb*mu {
-		panic(fmt.Sprintf("layout: Rotate3DBlockedSplit %dx%dx%dx%d invalid lengths",
-			k, n, mb, mu))
-	}
-	xStride := k * n * mu
-	rowLen := mb * mu
-	for z := 0; z < k; z++ {
-		for y := 0; y < n; y++ {
-			g := z*n + y
-			ScatterBlocksSplit(dstRe, dstIm,
-				srcRe[g*rowLen:(g+1)*rowLen], srcIm[g*rowLen:(g+1)*rowLen],
-				mb, mu, g*mu, xStride)
-		}
-	}
-}
-
-// Rotate3DBlockedSplitGeneric is the reference implementation of
-// Rotate3DBlockedSplit, kept as the property-test oracle.
-func Rotate3DBlockedSplitGeneric(dstRe, dstIm, srcRe, srcIm []float64, k, n, mb, mu int) {
-	if len(dstRe) != k*n*mb*mu || len(srcRe) != k*n*mb*mu ||
-		len(dstIm) != k*n*mb*mu || len(srcIm) != k*n*mb*mu {
-		panic(fmt.Sprintf("layout: Rotate3DBlockedSplitGeneric %dx%dx%dx%d invalid lengths",
-			k, n, mb, mu))
-	}
-	for z := 0; z < k; z++ {
-		for y := 0; y < n; y++ {
-			srcRow := (z*n + y) * mb * mu
-			for xb := 0; xb < mb; xb++ {
-				d := ((xb*k+z)*n + y) * mu
-				s := srcRow + xb*mu
-				copy(dstRe[d:d+mu], srcRe[s:s+mu])
-				copy(dstIm[d:d+mu], srcIm[s:s+mu])
-			}
-		}
-	}
-}
-
-// TransposeBlockedSplit is TransposeBlocked over split-format data.
-func TransposeBlockedSplit(dstRe, dstIm, srcRe, srcIm []float64, rows, cols, mu int) {
-	if len(dstRe) != rows*cols*mu || len(srcRe) != rows*cols*mu ||
-		len(dstIm) != rows*cols*mu || len(srcIm) != rows*cols*mu {
-		panic(fmt.Sprintf("layout: TransposeBlockedSplit %dx%dx%d invalid lengths",
-			rows, cols, mu))
-	}
-	rowStride := rows * mu
-	rowLen := cols * mu
-	for i := 0; i < rows; i++ {
-		ScatterBlocksSplit(dstRe, dstIm,
-			srcRe[i*rowLen:(i+1)*rowLen], srcIm[i*rowLen:(i+1)*rowLen],
-			cols, mu, i*mu, rowStride)
-	}
-}
-
-// TransposeBlockedSplitGeneric is the reference implementation of
-// TransposeBlockedSplit, kept as the property-test oracle.
-func TransposeBlockedSplitGeneric(dstRe, dstIm, srcRe, srcIm []float64, rows, cols, mu int) {
-	if len(dstRe) != rows*cols*mu || len(srcRe) != rows*cols*mu ||
-		len(dstIm) != rows*cols*mu || len(srcIm) != rows*cols*mu {
-		panic(fmt.Sprintf("layout: TransposeBlockedSplitGeneric %dx%dx%d invalid lengths",
-			rows, cols, mu))
-	}
-	for i := 0; i < rows; i++ {
-		for j := 0; j < cols; j++ {
-			d := (j*rows + i) * mu
-			s := (i*cols + j) * mu
-			copy(dstRe[d:d+mu], srcRe[s:s+mu])
-			copy(dstIm[d:d+mu], srcIm[s:s+mu])
 		}
 	}
 }

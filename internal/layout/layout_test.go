@@ -98,49 +98,6 @@ func TestRotate3DBlockedMatchesSPL(t *testing.T) {
 	}
 }
 
-func TestSplitVariantsMatchInterleaved(t *testing.T) {
-	const k, n, mb, mu = 3, 4, 5, 2
-	total := k * n * mb * mu
-	x := randVec(7, total)
-	want := make([]complex128, total)
-	Rotate3DBlocked(want, x, k, n, mb, mu)
-
-	s := cvec.FromVec(cvec.Vec(x))
-	outRe := make([]float64, total)
-	outIm := make([]float64, total)
-	Rotate3DBlockedSplit(outRe, outIm, s.Re, s.Im, k, n, mb, mu)
-	got := cvec.Split{Re: outRe, Im: outIm}.ToVec()
-	if cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) != 0 {
-		t.Fatal("Rotate3DBlockedSplit disagrees with interleaved version")
-	}
-
-	const rows, cols = 6, 5
-	total2 := rows * cols * mu
-	x2 := randVec(8, total2)
-	want2 := make([]complex128, total2)
-	TransposeBlocked(want2, x2, rows, cols, mu)
-	s2 := cvec.FromVec(cvec.Vec(x2))
-	outRe2 := make([]float64, total2)
-	outIm2 := make([]float64, total2)
-	TransposeBlockedSplit(outRe2, outIm2, s2.Re, s2.Im, rows, cols, mu)
-	got2 := cvec.Split{Re: outRe2, Im: outIm2}.ToVec()
-	if cvec.MaxDiff(cvec.Vec(got2), cvec.Vec(want2)) != 0 {
-		t.Fatal("TransposeBlockedSplit disagrees with interleaved version")
-	}
-}
-
-func TestFormatChangeRoundTrip(t *testing.T) {
-	x := randVec(9, 64)
-	re := make([]float64, 64)
-	im := make([]float64, 64)
-	LoadToSplit(re, im, x)
-	back := make([]complex128, 64)
-	StoreFromSplit(back, re, im)
-	if cvec.MaxDiff(cvec.Vec(back), cvec.Vec(x)) != 0 {
-		t.Fatal("format change round trip lost data")
-	}
-}
-
 func TestCopyBlock(t *testing.T) {
 	x := randVec(10, 32)
 	y := make([]complex128, 32)
@@ -156,16 +113,6 @@ func TestValidationPanics(t *testing.T) {
 		func() { TransposeBlocked(make([]complex128, 12), make([]complex128, 11), 2, 3, 2) },
 		func() { Rotate3D(make([]complex128, 23), make([]complex128, 24), 2, 3, 4) },
 		func() { Rotate3DBlocked(make([]complex128, 24), make([]complex128, 23), 2, 3, 2, 2) },
-		func() {
-			Rotate3DBlockedSplit(make([]float64, 24), make([]float64, 23),
-				make([]float64, 24), make([]float64, 24), 2, 3, 2, 2)
-		},
-		func() {
-			TransposeBlockedSplit(make([]float64, 12), make([]float64, 12),
-				make([]float64, 12), make([]float64, 11), 2, 3, 2)
-		},
-		func() { LoadToSplit(make([]float64, 3), make([]float64, 4), make([]complex128, 4)) },
-		func() { StoreFromSplit(make([]complex128, 4), make([]float64, 4), make([]float64, 3)) },
 		func() { CopyBlock(make([]complex128, 4), make([]complex128, 5)) },
 	} {
 		func() {

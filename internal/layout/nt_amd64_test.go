@@ -10,22 +10,20 @@ import "testing"
 func TestNTOKWholeLinesOnly(t *testing.T) {
 	const base = 0x10000 // line-aligned
 	for _, c := range []struct {
-		name                            string
-		base                            uintptr
-		elemSize, blockLen, off, stride int
-		want                            bool
+		name                  string
+		base                  uintptr
+		blockLen, off, stride int
+		want                  bool
 	}{
-		{"complex μ=4, one line per block", base, 16, 4, 0, 1024, true},
-		{"complex μ=8, two lines per block", base, 16, 8, 64, 2048, true},
-		{"split μ=8, one line per plane block", base, 8, 8, 8, 512, true},
-		{"complex μ=2: half-line blocks", base, 16, 2, 0, 1024, false},
-		{"split μ=4: half-line plane blocks", base, 8, 4, 0, 512, false},
-		{"whole-line block, mid-line offset", base, 16, 4, 2, 1024, false},
-		{"whole-line block, mid-line base", base + 32, 16, 4, 0, 1024, false},
-		{"stride off the line grid", base, 16, 4, 0, 1026, false},
-		{"block and a half", base, 16, 6, 0, 1024, false},
+		{"complex μ=4, one line per block", base, 4, 0, 1024, true},
+		{"complex μ=8, two lines per block", base, 8, 64, 2048, true},
+		{"complex μ=2: half-line blocks", base, 2, 0, 1024, false},
+		{"whole-line block, mid-line offset", base, 4, 2, 1024, false},
+		{"whole-line block, mid-line base", base + 32, 4, 0, 1024, false},
+		{"stride off the line grid", base, 4, 0, 1026, false},
+		{"block and a half", base, 6, 0, 1024, false},
 	} {
-		if got := ntOK(c.base, c.elemSize, c.blockLen, c.off, c.stride); got != c.want {
+		if got := ntOK(c.base, c.blockLen, c.off, c.stride); got != c.want {
 			t.Errorf("%s: ntOK = %v, want %v", c.name, got, c.want)
 		}
 	}

@@ -10,9 +10,3 @@ func NonTemporalAvailable() bool { return false }
 func ScatterBlocksNT(dst, src []complex128, blocks, blockLen, dstOff, dstStride int) {
 	ScatterBlocks(dst, src, blocks, blockLen, dstOff, dstStride)
 }
-
-// ScatterBlocksSplitNT is ScatterBlocksSplit on builds without streaming
-// stores.
-func ScatterBlocksSplitNT(dstRe, dstIm, srcRe, srcIm []float64, blocks, blockLen, dstOff, dstStride int) {
-	ScatterBlocksSplit(dstRe, dstIm, srcRe, srcIm, blocks, blockLen, dstOff, dstStride)
-}

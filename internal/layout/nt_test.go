@@ -37,38 +37,6 @@ func TestScatterBlocksNTMatchesRegular(t *testing.T) {
 	}
 }
 
-func TestScatterBlocksSplitNTMatchesRegular(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	cases := []struct{ blocks, blockLen, dstOff, dstStride int }{
-		{4, 8, 0, 32},  // aligned (NT path: blockLen%4==0, off%4==0)
-		{8, 4, 8, 16},  // exactly one 32-byte store per block
-		{4, 8, 2, 32},  // misaligned offset -> fallback
-		{4, 6, 0, 32},  // blockLen%4 != 0 -> fallback
-		{2, 4, 0, 10},  // stride%4 != 0 -> fallback
-		{3, 16, 4, 52}, // aligned again
-	}
-	for _, c := range cases {
-		need := c.dstOff + (c.blocks-1)*c.dstStride + c.blockLen
-		n := c.blocks * c.blockLen
-		srcRe := make([]float64, n)
-		srcIm := make([]float64, n)
-		for i := range srcRe {
-			srcRe[i], srcIm[i] = r.NormFloat64(), r.NormFloat64()
-		}
-		wantRe := make([]float64, need+5)
-		wantIm := make([]float64, need+5)
-		gotRe := make([]float64, need+5)
-		gotIm := make([]float64, need+5)
-		ScatterBlocksSplit(wantRe, wantIm, srcRe, srcIm, c.blocks, c.blockLen, c.dstOff, c.dstStride)
-		ScatterBlocksSplitNT(gotRe, gotIm, srcRe, srcIm, c.blocks, c.blockLen, c.dstOff, c.dstStride)
-		for i := range wantRe {
-			if gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
-				t.Fatalf("case %+v: mismatch at %d", c, i)
-			}
-		}
-	}
-}
-
 // Out-of-bounds patterns must panic exactly like the regular scatters
 // (via the fallback), never write wild memory.
 func TestScatterBlocksNTOutOfBoundsPanics(t *testing.T) {
@@ -93,9 +61,8 @@ func BenchmarkScatterBlocksNT(b *testing.B) {
 	}
 }
 
-// Patterns short of whole 64-byte lines — 32-byte interleaved blocks
-// (μ=2), 32-byte plane blocks (split μ=4), or whole-line blocks that start
-// mid-line — take the cached scatter (ntOK declines them; see
+// Patterns short of whole 64-byte lines — 32-byte blocks (μ=2) or
+// whole-line blocks that start mid-line — take the cached scatter (ntOK declines them; see
 // TestNTOKWholeLinesOnly on amd64) and must stay bitwise-equal to the
 // *Generic rotation oracles. Runs under -tags purego too, where the NT
 // entry points are plain aliases.
@@ -105,10 +72,8 @@ func TestScatterNTPartialLinesMatchGenericOracle(t *testing.T) {
 	for _, mu := range []int{2, 4, 8} {
 		total := k * n * mb * mu
 		src := make([]complex128, total)
-		srcRe, srcIm := make([]float64, total), make([]float64, total)
 		for i := range src {
-			srcRe[i], srcIm[i] = r.NormFloat64(), r.NormFloat64()
-			src[i] = complex(srcRe[i], srcIm[i])
+			src[i] = complex(r.NormFloat64(), r.NormFloat64())
 		}
 		// shift moves every block start off the line grid (mid-line start)
 		// without changing the block pattern.
@@ -116,17 +81,12 @@ func TestScatterNTPartialLinesMatchGenericOracle(t *testing.T) {
 			want := make([]complex128, total+shift)
 			got := make([]complex128, total+shift)
 			Rotate3DBlockedGeneric(want[shift:], src, k, n, mb, mu)
-			wantRe, wantIm := make([]float64, total+shift), make([]float64, total+shift)
-			gotRe, gotIm := make([]float64, total+shift), make([]float64, total+shift)
-			Rotate3DBlockedSplitGeneric(wantRe[shift:], wantIm[shift:], srcRe, srcIm, k, n, mb, mu)
 			row := mb * mu
 			for g := 0; g < k*n; g++ {
 				ScatterBlocksNT(got, src[g*row:(g+1)*row], mb, mu, shift+g*mu, k*n*mu)
-				ScatterBlocksSplitNT(gotRe, gotIm, srcRe[g*row:(g+1)*row], srcIm[g*row:(g+1)*row],
-					mb, mu, shift+g*mu, k*n*mu)
 			}
 			for i := range want {
-				if got[i] != want[i] || gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
+				if got[i] != want[i] {
 					t.Fatalf("mu=%d shift=%d: mismatch at %d", mu, shift, i)
 				}
 			}

@@ -117,44 +117,6 @@ func TestQuickScatterBlocksMatchesNaive(t *testing.T) {
 	}
 }
 
-// Property: the split and split→interleaved scatter kernels agree with
-// ScatterBlocks applied to the recombined complex data.
-func TestQuickScatterBlocksSplitVariantsMatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(58))
-	f := func(rawB, rawL, rawOff uint8) bool {
-		blocks := int(rawB)%7 + 1
-		blockLens := []int{4, 8, int(rawL)%5 + 1}
-		blockLen := blockLens[int(rawL)%3]
-		dstOff := int(rawOff) % 5
-		dstStride := blockLen + int(rawOff)%4
-		n := blocks * blockLen
-		src := cvec.Random(rng, n)
-		srcRe := make([]float64, n)
-		srcIm := make([]float64, n)
-		for i, v := range src {
-			srcRe[i], srcIm[i] = real(v), imag(v)
-		}
-		need := dstOff + (blocks-1)*dstStride + blockLen
-		want := make([]complex128, need)
-		ScatterBlocks(want, src, blocks, blockLen, dstOff, dstStride)
-
-		gotRe := make([]float64, need)
-		gotIm := make([]float64, need)
-		ScatterBlocksSplit(gotRe, gotIm, srcRe, srcIm, blocks, blockLen, dstOff, dstStride)
-		inter := make([]complex128, need)
-		ScatterBlocksInterleave(inter, srcRe, srcIm, blocks, blockLen, dstOff, dstStride)
-		for i := range want {
-			if complex(gotRe[i], gotIm[i]) != want[i] || inter[i] != want[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: TransposeBlocked (register path for μ ∈ {4, 8}, generic loop
 // otherwise) is bit-identical to the tiled reference across odd shapes.
 func TestQuickTransposeBlockedMatchesGeneric(t *testing.T) {
@@ -177,45 +139,8 @@ func TestQuickTransposeBlockedMatchesGeneric(t *testing.T) {
 	}
 }
 
-// Property: the split-format blocked transpose matches its reference and the
-// interleaved kernel on recombined data.
-func TestQuickTransposeBlockedSplitMatchesGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(60))
-	f := func(rawR, rawC, rawMu uint8) bool {
-		rows := int(rawR)%9 + 1
-		cols := int(rawC)%9 + 1
-		mus := []int{4, 8, int(rawMu)%5 + 1}
-		mu := mus[int(rawMu)%3]
-		total := rows * cols * mu
-		x := cvec.Random(rng, total)
-		srcRe := make([]float64, total)
-		srcIm := make([]float64, total)
-		for i, v := range x {
-			srcRe[i], srcIm[i] = real(v), imag(v)
-		}
-		gotRe := make([]float64, total)
-		gotIm := make([]float64, total)
-		wantRe := make([]float64, total)
-		wantIm := make([]float64, total)
-		TransposeBlockedSplit(gotRe, gotIm, srcRe, srcIm, rows, cols, mu)
-		TransposeBlockedSplitGeneric(wantRe, wantIm, srcRe, srcIm, rows, cols, mu)
-		ref := make([]complex128, total)
-		TransposeBlocked(ref, x, rows, cols, mu)
-		for i := range ref {
-			if gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] ||
-				complex(gotRe[i], gotIm[i]) != ref[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Rotate3DBlocked and its split variant are bit-identical to the
-// per-block reference implementations across odd cube shapes.
+// Property: Rotate3DBlocked is bit-identical to the per-block reference
+// implementation across odd cube shapes.
 func TestQuickRotate3DBlockedMatchesGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	f := func(rawK, rawN, rawMB, rawMu uint8) bool {
@@ -230,27 +155,7 @@ func TestQuickRotate3DBlockedMatchesGeneric(t *testing.T) {
 		want := make([]complex128, total)
 		Rotate3DBlocked(got, x, k, n, mb, mu)
 		Rotate3DBlockedGeneric(want, x, k, n, mb, mu)
-		if cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) != 0 {
-			return false
-		}
-		srcRe := make([]float64, total)
-		srcIm := make([]float64, total)
-		for i, v := range x {
-			srcRe[i], srcIm[i] = real(v), imag(v)
-		}
-		gotRe := make([]float64, total)
-		gotIm := make([]float64, total)
-		wantRe := make([]float64, total)
-		wantIm := make([]float64, total)
-		Rotate3DBlockedSplit(gotRe, gotIm, srcRe, srcIm, k, n, mb, mu)
-		Rotate3DBlockedSplitGeneric(wantRe, wantIm, srcRe, srcIm, k, n, mb, mu)
-		for i := range want {
-			if complex(gotRe[i], gotIm[i]) != want[i] ||
-				gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
-				return false
-			}
-		}
-		return true
+		return cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
 		t.Fatal(err)

@@ -35,12 +35,9 @@ package rfft
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/fft1d"
 	"repro/internal/kernels"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/stagegraph"
 	"repro/internal/trace"
@@ -69,37 +66,6 @@ type Options struct {
 	Tracer *trace.Recorder
 }
 
-func (o Options) withDefaults() Options {
-	if o.Mu == 0 {
-		o.Mu = 4
-	}
-	if o.BufferElems == 0 {
-		o.BufferElems = machine.PreferredBufferElems()
-	}
-	if o.DataWorkers == 0 {
-		o.DataWorkers = 1
-	}
-	if o.ComputeWorkers == 0 {
-		o.ComputeWorkers = 1
-	}
-	return o
-}
-
-func (o Options) validate(kind string, m int) error {
-	if m < 2 || m%2 != 0 {
-		return fmt.Errorf("rfft: %s requires an even last dimension ≥ 2, got %d", kind, m)
-	}
-	switch o.Radix {
-	case 0, 2, 4, 8, 16:
-	default:
-		return fmt.Errorf("rfft: radix must be 0, 2, 4, 8 or 16, got %d", o.Radix)
-	}
-	if o.Mu < 1 {
-		return fmt.Errorf("rfft: μ=%d, need ≥ 1", o.Mu)
-	}
-	return nil
-}
-
 // halfTwiddles returns w[k] = ω_{2l}^k for 0 ≤ k ≤ l/2, the table the
 // untangle/retangle kernels consume.
 func halfTwiddles(l int) []complex128 {
@@ -110,160 +76,116 @@ func halfTwiddles(l int) []complex128 {
 	return w
 }
 
-func largestDivisorAtMost(n, cap int) int {
-	if cap >= n {
-		return n
-	}
-	for d := cap; d >= 1; d-- {
-		if n%d == 0 {
-			return d
-		}
-	}
-	return 1
-}
-
-func maxInt(vals ...int) int {
-	m := vals[0]
-	for _, v := range vals[1:] {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// engine is the execution state shared by the 1D/2D/3D plans: the double
-// buffer, the cached forward and inverse stage graphs with their compiled
-// schedules, the persistent worker team, and one telemetry collector per
-// direction (the forward and inverse graphs have different stage sets, so
-// they account into separate collectors; the executor is pointed at the
-// right one under the plan lock before each run).
+// engine is what the 1D/2D/3D plans share: the runner holding the forward
+// (graph 0) and inverse (graph 1) stage graphs — different stage sets, so
+// each accounts into its own telemetry collector — on one double buffer and
+// one persistent worker team.
 type engine struct {
-	opts Options
-
-	bufs     *stagegraph.Buffers
-	fwd, inv []stagegraph.Stage
-	fwdSched *stagegraph.Schedule
-	invSched *stagegraph.Schedule
-	exec     *stagegraph.Executor
-
-	obsF, obsI     *obs.Collector
-	unregF, unregI func()
-
-	lock      sync.Mutex
-	closed    bool
-	lastStats stagegraph.Stats
+	run *stagegraph.Runner
 }
 
-func stageNames(stages []stagegraph.Stage) []string {
-	names := make([]string, len(stages))
-	for i := range stages {
-		names[i] = stages[i].Name
+const (
+	fwdGraph = 0
+	invGraph = 1
+)
+
+// build validates the options, derives both graphs of the real transform
+// with complex lane extents dims (the last is l = m/2) from one descriptor,
+// and starts the runner. kind names the plan in errors, label
+// its collectors (label and label+"/inv"); selfConj marks the spectrum rows
+// whose DC and Nyquist bins the entangle stage forces real. Two scratch
+// arrays of the packed grid's size carry both chains, stage by stage in
+// turn: work1 holds the transposed blocks after the forward rows / inverse
+// entangle stage, work2 what the next stage stores, and so on.
+func (e *engine) build(kind, label string, o Options, m int, dims []int, selfConj func(g int) bool) error {
+	if m < 2 || m%2 != 0 {
+		return fmt.Errorf("rfft: %s requires an even last dimension ≥ 2, got %d", kind, m)
 	}
-	return names
-}
-
-// init compiles both schedules, allocates the double buffer (with staging
-// halves — the inverse entangle stages store through them), registers the
-// collectors under label and label+"/inv", and spawns the worker team.
-func (e *engine) init(label string, o Options, elems int, fwd, inv []stagegraph.Stage) error {
-	e.opts = o
-	e.fwd, e.inv = fwd, inv
-	e.fwdSched = stagegraph.Compile(fwd, !o.Unfused)
-	e.invSched = stagegraph.Compile(inv, !o.Unfused)
-	e.bufs = stagegraph.NewBuffers(elems, false, true)
-	e.obsF = obs.NewCollector(o.DataWorkers, o.ComputeWorkers, stageNames(fwd))
-	e.obsI = obs.NewCollector(o.DataWorkers, o.ComputeWorkers, stageNames(inv))
-	_, e.unregF = obs.Default.Register(label, e.obsF)
-	_, e.unregI = obs.Default.Register(label+"/inv", e.obsI)
-	exec, err := stagegraph.NewExecutor(stagegraph.Config{
-		DataWorkers:    o.DataWorkers,
-		ComputeWorkers: o.ComputeWorkers,
-		ScratchComplex: elems,
-		Obs:            e.obsF,
-	})
-	if err != nil {
-		e.unregF()
-		e.unregI()
+	if err := fft1d.CheckRadix("rfft", o.Radix); err != nil {
 		return err
 	}
-	e.exec = exec
-	return nil
-}
-
-// run replays one compiled direction. Callers hold the plan lock and have
-// patched the per-call endpoints.
-func (e *engine) run(stages []stagegraph.Stage, sched *stagegraph.Schedule, col *obs.Collector) error {
-	e.exec.SetObs(col)
-	st, err := e.exec.Run(e.bufs, stages, sched, e.opts.Tracer)
+	l := m / 2
+	w := halfTwiddles(l)
+	plans := make([]*fft1d.Plan, len(dims))
+	elems := 1
+	for i, d := range dims {
+		plans[i] = fft1d.NewPlanRadix(d, o.Radix)
+		elems *= d
+	}
+	var mid []stagegraph.Array // D of them, alternating between two arrays
+	if D := len(dims); D > 1 {
+		work := [2][]complex128{make([]complex128, elems), make([]complex128, elems)}
+		for i := 0; i < D; i++ {
+			mid = append(mid, stagegraph.Array{C: work[i%2]})
+		}
+	}
+	d := stagegraph.Pencils{
+		Pkg: "rfft", Dims: dims, Plans: plans, Mu: o.Mu, BufferElems: o.BufferElems,
+		Mid: mid[:max(len(dims)-1, 0)],
+		Real: &stagegraph.RealEnd{
+			Pitch:    l + 1,
+			Untangle: func(x []complex128, rows int) { kernels.UntanglePackRows(x, rows, l, w) },
+		},
+	}
+	fwd, err := d.Build()
 	if err != nil {
 		return err
 	}
-	e.lastStats = st
-	return nil
+	d.Mid = mid
+	d.Real = &stagegraph.RealEnd{
+		Inverse: true, Pitch: l + 1,
+		Entangle: func(t, c []complex128, rows, row0 int) {
+			kernels.EntangleRows(t, c, rows, l, row0, selfConj)
+		},
+		Retangle: func(x []complex128, rows int) { kernels.RetangleRows(x, rows, l, w, 1/float64(l)) },
+	}
+	inv, err := d.Build()
+	if err != nil {
+		return err
+	}
+	e.run, err = stagegraph.NewRunner(stagegraph.RunnerConfig{
+		Pkg: "rfft", Labels: []string{label, label + "/inv"},
+		DataWorkers: o.DataWorkers, ComputeWorkers: o.ComputeWorkers,
+		Unfused: o.Unfused, Tracer: o.Tracer,
+	}, fwd, inv)
+	return err
 }
 
-// ensureBatch grows the double buffer (and its staging halves) to hold
-// elems complex elements per half. Growth only happens when a larger batch
-// than ever before arrives; the steady state reuses the retained buffers.
-func (e *engine) ensureBatch(elems int) {
-	if elems > e.bufs.Elems {
-		e.bufs = stagegraph.NewBuffers(elems, false, true)
-	}
+// forward runs the r2c graph over count rows (batch plans) or the whole
+// grid.
+func (e *engine) forward(dst []complex128, src []float64, count int) error {
+	return e.run.Run(fwdGraph, stagegraph.Call{
+		In: stagegraph.Endpoint{R: src}, Out: stagegraph.Endpoint{C: dst}, Count: count})
 }
 
-func (e *engine) close() {
-	e.lock.Lock()
-	defer e.lock.Unlock()
-	if e.closed {
-		return
-	}
-	e.closed = true
-	if e.exec != nil {
-		e.exec.Close()
-	}
-	if e.unregF != nil {
-		e.unregF()
-		e.unregF = nil
-	}
-	if e.unregI != nil {
-		e.unregI()
-		e.unregI = nil
-	}
+// inverse runs the c2r graph.
+func (e *engine) inverse(dst []float64, src []complex128, count int) error {
+	return e.run.Run(invGraph, stagegraph.Call{
+		In: stagegraph.Endpoint{C: src}, Out: stagegraph.Endpoint{R: dst}, Count: count})
 }
 
-// stats returns the most recent run's whole-transform executor stats.
-func (e *engine) stats() stagegraph.Stats {
-	e.lock.Lock()
-	defer e.lock.Unlock()
-	return e.lastStats
-}
+// Close releases the plan's persistent workers. Idempotent; plans dropped
+// without Close are cleaned up by a finalizer.
+func (e *engine) Close() { e.run.Close() }
 
-// setRoofline sets the STREAM-peak normalization on both directions'
+// Stats returns the most recent run's whole-transform executor stats.
+func (e *engine) Stats() stagegraph.Stats { return e.run.Stats() }
+
+// SetRoofline sets the STREAM-peak normalization on both of the plan's
 // collectors.
-func (e *engine) setRoofline(gbs float64) {
-	e.obsF.SetRoofline(gbs)
-	e.obsI.SetRoofline(gbs)
-}
+func (e *engine) SetRoofline(gbs float64) { e.run.SetRoofline(gbs) }
 
-// mergeSnapshots combines the forward and inverse collectors' snapshots
-// into one plan-wide view (stage lists concatenated, counters summed).
-func mergeSnapshots(a, b obs.Snapshot) obs.Snapshot {
-	out := a
-	out.Runs += b.Runs
-	out.Steps += b.Steps
-	out.BothBusySteps += b.BothBusySteps
-	out.WallNs += b.WallNs
-	out.BarrierWaitNs += b.BarrierWaitNs
-	if out.Steps > 0 {
-		out.OverlapOccupancy = float64(out.BothBusySteps) / float64(out.Steps)
-	}
-	if b.Runs > 0 {
-		out.LastRunOccupancy = b.LastRunOccupancy
-	}
-	out.Stages = append(append([]obs.StageSnapshot(nil), a.Stages...), b.Stages...)
-	return out
-}
+// ObsForward returns the forward-direction telemetry collector.
+func (e *engine) ObsForward() *obs.Collector { return e.run.Obs(fwdGraph) }
+
+// ObsInverse returns the inverse-direction telemetry collector.
+func (e *engine) ObsInverse() *obs.Collector { return e.run.Obs(invGraph) }
+
+// Observability returns the merged forward+inverse telemetry snapshot.
+func (e *engine) Observability() obs.Snapshot { return e.run.Observability() }
+
+// DescribeGraph renders the compiled forward and inverse stage graphs.
+func (e *engine) DescribeGraph() string { return e.run.DescribeGraph() }
 
 // Plan1D is a reusable, batched r2c/c2r plan for real length n = 2l. A
 // batch of count rows runs as a single-iteration stage graph — the whole
@@ -272,63 +194,21 @@ func mergeSnapshots(a, b obs.Snapshot) obs.Snapshot {
 // iteration count, so the batch size may vary call to call).
 type Plan1D struct {
 	n, l, mc int
-	eng      engine
-
-	half *fft1d.Plan // DFT_l
-	w    []complex128
+	engine
 }
 
 // NewPlan1D builds a real-input FFT plan for even length n ≥ 2.
 func NewPlan1D(n int, opts Options) (*Plan1D, error) {
-	opts = opts.withDefaults()
-	if err := opts.validate("Plan1D", n); err != nil {
-		return nil, err
-	}
 	l := n / 2
-	p := &Plan1D{n: n, l: l, mc: l + 1,
-		half: fft1d.NewPlanRadix(l, opts.Radix), w: halfTwiddles(l)}
-	effMu := largestDivisorAtMost(l, opts.Mu)
-	lb := l / effMu
-
-	fwd := stagegraph.Stage{
-		Name: "rows", Iters: 1, Units: 1, UnitLen: l,
-		Compute: func(b *stagegraph.Buffers, a *kernels.Arena, half, _, lo, hi int) {
-			if lo < hi {
-				x := b.C[half][lo*l : hi*l]
-				p.half.BatchArena(x, hi-lo, kernels.Forward, a)
-				kernels.UntanglePackRows(x, hi-lo, l, p.w)
-			}
-		},
-		// Packed row g lands at dst[g·(l+1)], leaving the per-row Nyquist
-		// hole the post-pass fills.
-		Rot: stagegraph.Rotation{Blocks: lb, BlockLen: effMu, JStride: effMu,
-			Map: func(g, xb int) int { return g*(l+1) + xb*effMu }},
-	}
-	inv := stagegraph.Stage{
-		Name: "irows", Iters: 1, Units: 1, UnitLen: p.mc,
-		StoreUnits: 1, StoreLen: l, StoreFromStaging: true,
-		Compute: func(b *stagegraph.Buffers, a *kernels.Arena, half, _, lo, hi int) {
-			if lo < hi {
-				t := b.T[half][lo*l : hi*l]
-				// Every 1D row is self-conjugate: X[0] and X[n/2] are
-				// forced real (dirty imaginary parts are discarded).
-				kernels.EntangleRows(t, b.C[half][lo*p.mc:hi*p.mc], hi-lo, l, 0,
-					func(int) bool { return true })
-				kernels.RetangleRows(t, hi-lo, l, p.w, 1/float64(l))
-				p.half.BatchArena(t, hi-lo, kernels.Inverse, a)
-			}
-		},
-		Rot: stagegraph.Rotation{Blocks: lb, BlockLen: effMu, JStride: effMu,
-			Map: func(g, xb int) int { return g*l + xb*effMu }},
-	}
-
-	elems := maxInt(p.mc, opts.BufferElems)
-	if err := p.eng.init(fmt.Sprintf("rfft1d/%d", n), opts, elems,
-		[]stagegraph.Stage{fwd}, []stagegraph.Stage{inv}); err != nil {
+	p := &Plan1D{n: n, l: l, mc: l + 1}
+	// Every 1D row is self-conjugate: X[0] and X[n/2] are forced real
+	// (dirty imaginary parts are discarded). Forward rows land at
+	// dst[g·(l+1)], leaving the per-row Nyquist hole the post-pass fills.
+	err := p.build("Plan1D", fmt.Sprintf("rfft1d/%d", n), opts, n, []int{l},
+		func(int) bool { return true })
+	if err != nil {
 		return nil, err
 	}
-	// Backstop for callers that drop the plan without Close.
-	runtime.SetFinalizer(p, (*Plan1D).Close)
 	return p, nil
 }
 
@@ -338,37 +218,6 @@ func (p *Plan1D) N() int { return p.n }
 // SpectrumLen returns n/2 + 1, the number of independent Hermitian
 // coefficients per row.
 func (p *Plan1D) SpectrumLen() int { return p.mc }
-
-// Close releases the plan's persistent workers. Idempotent; plans dropped
-// without Close are cleaned up by a finalizer.
-func (p *Plan1D) Close() {
-	p.eng.close()
-	runtime.SetFinalizer(p, nil)
-}
-
-// Stats returns the most recent run's whole-transform executor stats.
-func (p *Plan1D) Stats() stagegraph.Stats { return p.eng.stats() }
-
-// SetRoofline sets the STREAM-peak normalization on both of the plan's
-// collectors.
-func (p *Plan1D) SetRoofline(gbs float64) { p.eng.setRoofline(gbs) }
-
-// ObsForward returns the forward-direction telemetry collector.
-func (p *Plan1D) ObsForward() *obs.Collector { return p.eng.obsF }
-
-// ObsInverse returns the inverse-direction telemetry collector.
-func (p *Plan1D) ObsInverse() *obs.Collector { return p.eng.obsI }
-
-// Observability returns the merged forward+inverse telemetry snapshot.
-func (p *Plan1D) Observability() obs.Snapshot {
-	return mergeSnapshots(p.eng.obsF.Snapshot(), p.eng.obsI.Snapshot())
-}
-
-// DescribeGraph renders the compiled forward and inverse stage graphs.
-func (p *Plan1D) DescribeGraph() string {
-	return stagegraph.Describe(p.eng.fwd, !p.eng.opts.Unfused) +
-		stagegraph.Describe(p.eng.inv, !p.eng.opts.Unfused)
-}
 
 // Forward computes the unnormalized half spectrum X[0…n/2] of one real
 // row. len(src) must be n, len(dst) n/2+1.
@@ -386,21 +235,7 @@ func (p *Plan1D) ForwardBatch(dst []complex128, src []float64, count int) error 
 		return fmt.Errorf("rfft: ForwardBatch lengths src=%d dst=%d, want %d/%d",
 			len(src), len(dst), count*p.n, count*p.mc)
 	}
-	e := &p.eng
-	e.lock.Lock()
-	defer e.lock.Unlock()
-	if e.closed {
-		return fmt.Errorf("rfft: plan closed")
-	}
-	e.ensureBatch(count * p.mc)
-	st := &e.fwd[0]
-	st.Units = count
-	st.Src.R = src
-	st.Dst.C = dst
-	err := e.run(e.fwd, e.fwdSched, e.obsF)
-	st.Src.R = nil
-	st.Dst.C = nil
-	if err != nil {
+	if err := p.forward(dst, src, count); err != nil {
 		return err
 	}
 	// Unpack each row's packed DC lane into the real DC and Nyquist bins.
@@ -432,20 +267,5 @@ func (p *Plan1D) InverseBatch(dst []float64, src []complex128, count int) error 
 		return fmt.Errorf("rfft: InverseBatch lengths src=%d dst=%d, want %d/%d",
 			len(src), len(dst), count*p.mc, count*p.n)
 	}
-	e := &p.eng
-	e.lock.Lock()
-	defer e.lock.Unlock()
-	if e.closed {
-		return fmt.Errorf("rfft: plan closed")
-	}
-	e.ensureBatch(count * p.mc)
-	st := &e.inv[0]
-	st.Units = count
-	st.StoreUnits = count
-	st.Src.C = src
-	st.Dst.R = dst
-	err := e.run(e.inv, e.invSched, e.obsI)
-	st.Src.C = nil
-	st.Dst.R = nil
-	return err
+	return p.inverse(dst, src, count)
 }

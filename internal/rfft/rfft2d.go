@@ -1,14 +1,6 @@
 package rfft
 
-import (
-	"fmt"
-	"runtime"
-
-	"repro/internal/fft1d"
-	"repro/internal/kernels"
-	"repro/internal/obs"
-	"repro/internal/stagegraph"
-)
+import "fmt"
 
 // Plan2D computes real-input 2D DFTs on n×m row-major grids (m even ≥ 2),
 // producing the natural half-spectrum n×(m/2+1). Both directions run as
@@ -23,14 +15,7 @@ import (
 // same-shape complex transform.
 type Plan2D struct {
 	n, m, l, mc int
-	eng         engine
-
-	half *fft1d.Plan // DFT_l along rows
-	col  *fft1d.Plan // DFT_n along columns
-	w    []complex128
-
-	work1 []complex128 // after forward rows / inverse entangle (transposed blocks)
-	work2 []complex128 // after inverse cols (natural packed rows)
+	engine
 }
 
 // NewPlan2D builds a 2D real-input plan; n ≥ 1, m even ≥ 2.
@@ -38,110 +23,15 @@ func NewPlan2D(n, m int, opts Options) (*Plan2D, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rfft: invalid size %dx%d", n, m)
 	}
-	opts = opts.withDefaults()
-	if err := opts.validate("Plan2D", m); err != nil {
-		return nil, err
-	}
 	l := m / 2
-	p := &Plan2D{n: n, m: m, l: l, mc: l + 1,
-		half:  fft1d.NewPlanRadix(l, opts.Radix),
-		col:   fft1d.NewPlanRadix(n, opts.Radix),
-		w:     halfTwiddles(l),
-		work1: make([]complex128, n*l),
-		work2: make([]complex128, n*l),
-	}
-	effMu := largestDivisorAtMost(l, opts.Mu)
-	lb := l / effMu
-	B := opts.BufferElems
-	// Uniform pipeline blocks: whole rows for the row stages, whole xb-rows
-	// of the transposed block matrix for the column stages, whole natural
-	// spectrum rows for the entangle stage.
-	rows1 := largestDivisorAtMost(n, maxInt(1, B/l))
-	xbs2 := largestDivisorAtMost(lb, maxInt(1, B/(n*effMu)))
-	rowsE := largestDivisorAtMost(n, maxInt(1, B/p.mc))
-	elems := maxInt(rows1*l, xbs2*n*effMu, rowsE*p.mc)
-
-	rowRot := stagegraph.Rotation{Blocks: lb, BlockLen: effMu, JStride: n * effMu,
-		Map: func(g, xb int) int { return (xb*n + g) * effMu }}
-
-	fwd := []stagegraph.Stage{
-		{
-			Name: "rows", Iters: n / rows1, Units: rows1, UnitLen: l,
-			Dst: stagegraph.Endpoint{C: p.work1},
-			Compute: func(b *stagegraph.Buffers, a *kernels.Arena, half, _, lo, hi int) {
-				if lo < hi {
-					x := b.C[half][lo*l : hi*l]
-					p.half.BatchArena(x, hi-lo, kernels.Forward, a)
-					kernels.UntanglePackRows(x, hi-lo, l, p.w)
-				}
-			},
-			Rot: rowRot,
-		},
-		{
-			Name: "cols", Iters: lb / xbs2, Units: xbs2, UnitLen: n * effMu,
-			Src: stagegraph.Endpoint{C: p.work1},
-			Compute: func(b *stagegraph.Buffers, a *kernels.Arena, half, _, lo, hi int) {
-				if lo < hi {
-					p.col.BatchLanesArena(b.C[half][lo*n*effMu:hi*n*effMu], hi-lo, effMu, kernels.Forward, a)
-				}
-			},
-			// Column block xb of output row y lands at dst[y·mc + xb·μ],
-			// leaving the Nyquist column hole at y·mc + l.
-			Rot: stagegraph.Rotation{Blocks: n, BlockLen: effMu, JStride: p.mc,
-				Map: func(g, y int) int { return y*p.mc + g*effMu }},
-		},
-	}
-
-	inv := []stagegraph.Stage{
-		{
-			Name: "entangle", Iters: n / rowsE, Units: rowsE, UnitLen: p.mc,
-			StoreUnits: rowsE, StoreLen: l, StoreFromStaging: true,
-			Dst: stagegraph.Endpoint{C: p.work1},
-			Compute: func(b *stagegraph.Buffers, a *kernels.Arena, half, iter, lo, hi int) {
-				if lo < hi {
-					// Rows ky = 0 and ky = n/2 of the half-spectrum are
-					// self-conjugate: their X[0]/X[l] bins are forced real.
-					kernels.EntangleRows(b.T[half][lo*l:hi*l], b.C[half][lo*p.mc:hi*p.mc],
-						hi-lo, l, iter*rowsE+lo,
-						func(g int) bool { return g == 0 || 2*g == n })
-				}
-			},
-			Rot: rowRot,
-		},
-		{
-			Name: "icols", Iters: lb / xbs2, Units: xbs2, UnitLen: n * effMu,
-			Src: stagegraph.Endpoint{C: p.work1},
-			Dst: stagegraph.Endpoint{C: p.work2},
-			Compute: func(b *stagegraph.Buffers, a *kernels.Arena, half, _, lo, hi int) {
-				if lo < hi {
-					x := b.C[half][lo*n*effMu : hi*n*effMu]
-					p.col.BatchLanesArena(x, hi-lo, effMu, kernels.Inverse, a)
-					fft1d.Scale(x, 1/float64(n))
-				}
-			},
-			// Back to natural packed row-major: block (xb, y) → y·l + xb·μ.
-			Rot: stagegraph.Rotation{Blocks: n, BlockLen: effMu, JStride: lb * effMu,
-				Map: func(g, y int) int { return (y*lb + g) * effMu }},
-		},
-		{
-			Name: "irows", Iters: n / rows1, Units: rows1, UnitLen: l,
-			Src: stagegraph.Endpoint{C: p.work2},
-			Compute: func(b *stagegraph.Buffers, a *kernels.Arena, half, _, lo, hi int) {
-				if lo < hi {
-					x := b.C[half][lo*l : hi*l]
-					kernels.RetangleRows(x, hi-lo, l, p.w, 1/float64(l))
-					p.half.BatchArena(x, hi-lo, kernels.Inverse, a)
-				}
-			},
-			Rot: stagegraph.Rotation{Blocks: lb, BlockLen: effMu, JStride: effMu,
-				Map: func(g, xb int) int { return g*l + xb*effMu }},
-		},
-	}
-
-	if err := p.eng.init(fmt.Sprintf("rfft2d/%dx%d", n, m), opts, elems, fwd, inv); err != nil {
+	p := &Plan2D{n: n, m: m, l: l, mc: l + 1}
+	// Rows ky = 0 and ky = n/2 of the half-spectrum are self-conjugate:
+	// their X[0]/X[l] bins are forced real.
+	err := p.build("Plan2D", fmt.Sprintf("rfft2d/%dx%d", n, m), opts, m, []int{n, l},
+		func(g int) bool { return g == 0 || 2*g == n })
+	if err != nil {
 		return nil, err
 	}
-	runtime.SetFinalizer(p, (*Plan2D).Close)
 	return p, nil
 }
 
@@ -154,35 +44,6 @@ func (p *Plan2D) SpectrumLen() int { return p.n * p.mc }
 // RealLen returns n·m.
 func (p *Plan2D) RealLen() int { return p.n * p.m }
 
-// Close releases the plan's persistent workers. Idempotent.
-func (p *Plan2D) Close() {
-	p.eng.close()
-	runtime.SetFinalizer(p, nil)
-}
-
-// Stats returns the most recent run's whole-transform executor stats.
-func (p *Plan2D) Stats() stagegraph.Stats { return p.eng.stats() }
-
-// SetRoofline sets the STREAM-peak normalization on both collectors.
-func (p *Plan2D) SetRoofline(gbs float64) { p.eng.setRoofline(gbs) }
-
-// ObsForward returns the forward-direction telemetry collector.
-func (p *Plan2D) ObsForward() *obs.Collector { return p.eng.obsF }
-
-// ObsInverse returns the inverse-direction telemetry collector.
-func (p *Plan2D) ObsInverse() *obs.Collector { return p.eng.obsI }
-
-// Observability returns the merged forward+inverse telemetry snapshot.
-func (p *Plan2D) Observability() obs.Snapshot {
-	return mergeSnapshots(p.eng.obsF.Snapshot(), p.eng.obsI.Snapshot())
-}
-
-// DescribeGraph renders the compiled forward and inverse stage graphs.
-func (p *Plan2D) DescribeGraph() string {
-	return stagegraph.Describe(p.eng.fwd, !p.eng.opts.Unfused) +
-		stagegraph.Describe(p.eng.inv, !p.eng.opts.Unfused)
-}
-
 // Forward computes the unnormalized half spectrum. dst must have length
 // SpectrumLen(), src RealLen(); they are the only per-call endpoints, so
 // the steady state is allocation-free.
@@ -191,18 +52,7 @@ func (p *Plan2D) Forward(dst []complex128, src []float64) error {
 		return fmt.Errorf("rfft: Forward lengths dst=%d src=%d, want %d/%d",
 			len(dst), len(src), p.SpectrumLen(), p.RealLen())
 	}
-	e := &p.eng
-	e.lock.Lock()
-	defer e.lock.Unlock()
-	if e.closed {
-		return fmt.Errorf("rfft: plan closed")
-	}
-	e.fwd[0].Src.R = src
-	e.fwd[1].Dst.C = dst
-	err := e.run(e.fwd, e.fwdSched, e.obsF)
-	e.fwd[0].Src.R = nil
-	e.fwd[1].Dst.C = nil
-	if err != nil {
+	if err := p.forward(dst, src, 0); err != nil {
 		return err
 	}
 	p.disentangleDC(dst)
@@ -238,18 +88,7 @@ func (p *Plan2D) Inverse(dst []float64, src []complex128) error {
 		return fmt.Errorf("rfft: Inverse lengths dst=%d src=%d, want %d/%d",
 			len(dst), len(src), p.RealLen(), p.SpectrumLen())
 	}
-	e := &p.eng
-	e.lock.Lock()
-	defer e.lock.Unlock()
-	if e.closed {
-		return fmt.Errorf("rfft: plan closed")
-	}
-	e.inv[0].Src.C = src
-	e.inv[2].Dst.R = dst
-	err := e.run(e.inv, e.invSched, e.obsI)
-	e.inv[0].Src.C = nil
-	e.inv[2].Dst.R = nil
-	return err
+	return p.inverse(dst, src, 0)
 }
 
 func conjc(z complex128) complex128 { return complex(real(z), -imag(z)) }

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"repro/internal/fft1d"
-	"repro/internal/fft3d"
-	"repro/internal/machine"
 	"repro/internal/stagegraph"
 	"repro/internal/wire"
 )
@@ -21,8 +19,8 @@ type planKey struct {
 	k, n, m, sk, index, mu, radix int
 }
 
-// workerPlan is one warm slab plan: the shard's two compiled graphs, a
-// persistent executor, and every buffer a job needs — input slab, B and C
+// workerPlan is one warm slab plan: the runner holding the shard's two
+// compiled graphs, and every buffer a job needs — input slab, B and C
 // intermediates, output y-slab, and the per-peer compact send buffers the
 // W² scatter streams into. Exactly one job may own the plan at a time
 // (the busy semaphore); the coordinator serializes same-shape transforms
@@ -30,12 +28,11 @@ type planKey struct {
 type workerPlan struct {
 	g     geom
 	index int
-	sign  int // patched per run; read through SlabSpec.Sign
 
-	front, back    []stagegraph.Stage
-	schedF, schedB *stagegraph.Schedule
-	exec           *stagegraph.Executor
-	bufs           *stagegraph.Buffers
+	// run holds the front graph (stages 1+2, whose W² stores feed the
+	// exchange) and the back graph (stage 3, run once every inbound chunk
+	// has landed).
+	run *stagegraph.Runner
 
 	in    []complex128   // input z-slab (ksl·n·m)
 	bMid  []complex128   // B intermediate, shard-local
@@ -58,15 +55,6 @@ func buildWorkerPlan(key planKey, chunkElems, dataWorkers, computeWorkers, buffe
 	if err != nil {
 		return nil, fmt.Errorf("shard: %v", err)
 	}
-	if bufferElems <= 0 {
-		bufferElems = machine.PreferredBufferElems()
-	}
-	if dataWorkers <= 0 {
-		dataWorkers = 1
-	}
-	if computeWorkers <= 0 {
-		computeWorkers = 1
-	}
 	if chunkElems <= 0 {
 		chunkElems = defaultChunkElems
 	}
@@ -74,7 +62,6 @@ func buildWorkerPlan(key planKey, chunkElems, dataWorkers, computeWorkers, buffe
 	if chunkElems < g.mu {
 		chunkElems = g.mu
 	}
-	rows1, units2, units3, scratch := fft3d.SlabUnits(key.k, key.n, key.m, key.sk, key.mu, bufferElems)
 	p := &workerPlan{
 		g: g, index: key.index,
 		in:         make([]complex128, g.slabElems()),
@@ -90,44 +77,32 @@ func buildWorkerPlan(key planKey, chunkElems, dataWorkers, computeWorkers, buffe
 			p.send[v] = make([]complex128, g.peerShareElems())
 		}
 	}
-	spec := fft3d.SlabSpec{
-		K: key.k, N: key.n, M: key.m, Shards: key.sk, Index: key.index, Mu: key.mu,
-		Rows1: rows1, Units2: units2, Units3: units3,
-		PlanM: fft1d.NewPlanRadix(key.m, key.radix),
-		PlanN: fft1d.NewPlanRadix(key.n, key.radix),
-		PlanK: fft1d.NewPlanRadix(key.k, key.radix),
-		Sign:  &p.sign,
-		SrcIn: p.in,
-		SrcB:  p.bMid,
-		SrcC:  p.cPart,
-		// B and the output y-slab are private, so stages 1 and 3 use the
-		// direct scatter path; only the W² stores route through the
-		// network exchange.
-		DstB:     stagegraph.Endpoint{C: p.bMid},
-		DstC:     stagegraph.Endpoint{WriteC: p.writeExchange},
-		DstOut:   stagegraph.Endpoint{C: p.out},
-		OutLocal: true,
+	// The same per-pencil kernel calls, μ and radix chain as the
+	// single-node plan, so the fleet's result is bitwise identical. B and
+	// the output y-slab are private, so stages 1 and 3 scatter directly;
+	// only the W² stores route through the network exchange.
+	graph, err := stagegraph.Pencils{
+		Pkg: "shard", Dims: []int{key.k, key.n, key.m},
+		Plans: []*fft1d.Plan{fft1d.NewPlanRadix(key.k, key.radix),
+			fft1d.NewPlanRadix(key.n, key.radix), fft1d.NewPlanRadix(key.m, key.radix)},
+		Mu: key.mu, BufferElems: max(bufferElems, 0),
+		Shards: key.sk, Index: key.index, OutLocal: true,
+		Mid: []stagegraph.Array{{C: p.bMid}, {C: p.cPart, WriteC: p.writeExchange}},
+	}.Build()
+	if err != nil {
+		return nil, err
 	}
-	p.front, p.back = spec.Stages()
-	p.schedF = stagegraph.Compile(p.front, true)
-	p.schedB = stagegraph.Compile(p.back, true)
-	p.bufs = stagegraph.NewBuffers(scratch, false, false)
-	p.exec, err = stagegraph.NewExecutor(stagegraph.Config{
-		DataWorkers:    dataWorkers,
-		ComputeWorkers: computeWorkers,
-		ScratchComplex: scratch,
-	})
+	front, back := graph.Cut(2)
+	p.run, err = stagegraph.NewRunner(stagegraph.RunnerConfig{
+		Pkg: "shard", DataWorkers: max(dataWorkers, 0), ComputeWorkers: max(computeWorkers, 0),
+	}, front, back)
 	if err != nil {
 		return nil, err
 	}
 	return p, nil
 }
 
-func (p *workerPlan) close() {
-	if p.exec != nil {
-		p.exec.Close()
-	}
-}
+func (p *workerPlan) close() { p.run.Close() }
 
 // acquire takes exclusive ownership of the plan's buffers for one job.
 func (p *workerPlan) acquire(ctx context.Context) error {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/lru"
 	"repro/internal/obs"
+	"repro/internal/stagegraph"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -474,7 +475,6 @@ func exchangeSpanName(from, to, off int) string {
 func (w *Worker) runJob(ctx context.Context, j *job, sign int) (runStats, error) {
 	var stats runStats
 	p := j.plan
-	p.sign = sign
 	if !j.deadline.IsZero() {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, j.deadline)
@@ -520,7 +520,7 @@ func (w *Worker) runJob(ctx context.Context, j *job, sign int) (runStats, error)
 	router.startSenders(rctx, cancel, w.opts.Senders, w.tr, j.spec, w)
 
 	t0 := time.Now()
-	_, runErr := p.exec.Run(p.bufs, p.front, p.schedF, execTracer)
+	runErr := p.run.Run(0, stagegraph.Call{In: stagegraph.Endpoint{C: p.in}, Sign: sign, Tracer: execTracer})
 	stats.FrontNS = int64(time.Since(t0))
 	w.span(j.spec, "shard/front", t0, time.Now())
 	copyTagged()
@@ -553,7 +553,7 @@ func (w *Worker) runJob(ctx context.Context, j *job, sign int) (runStats, error)
 	}
 
 	t1 := time.Now()
-	_, runErr = p.exec.Run(p.bufs, p.back, p.schedB, execTracer)
+	runErr = p.run.Run(1, stagegraph.Call{Out: stagegraph.Endpoint{C: p.out}, Sign: sign, Tracer: execTracer})
 	stats.BackNS = int64(time.Since(t1))
 	w.span(j.spec, "shard/back", t1, time.Now())
 	copyTagged()

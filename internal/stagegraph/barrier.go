@@ -1,13 +1,11 @@
-package pipeline
+package stagegraph
 
 import "sync"
 
 // Barrier is a reusable cyclic barrier for a fixed party count, the Go
 // analogue of the paper's #pragma omp barrier. It can be aborted: a worker
 // that panics poisons the barrier so the remaining workers unblock and bail
-// out instead of deadlocking. It is exported so the stage-graph executor
-// (internal/stagegraph) shares the exact synchronization primitive of the
-// single-stage engine.
+// out instead of deadlocking.
 type Barrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond

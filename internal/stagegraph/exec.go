@@ -8,19 +8,17 @@ import (
 	"repro/internal/affinity"
 	"repro/internal/kernels"
 	"repro/internal/obs"
-	"repro/internal/pipeline"
 	"repro/internal/trace"
 )
 
 // Config sizes the executor.
 type Config struct {
-	// DataWorkers (p_d) and ComputeWorkers (p_c), as in the single-stage
-	// engine.
+	// DataWorkers (p_d) and ComputeWorkers (p_c): the soft-DMA team that
+	// loads and stores, and the team that runs the pencil kernels.
 	DataWorkers    int
 	ComputeWorkers int
 	// Fused flows the steady state through stage boundaries; unfused
-	// reproduces the drain-then-refill behaviour of one pipeline run per
-	// stage (the A/B baseline for WithStageFusion). Consumed by the
+	// drains the pipeline and refills it at every boundary (the A/B baseline for WithStageFusion). Consumed by the
 	// package-level Run convenience; Executor.Run takes a compiled
 	// *Schedule instead.
 	Fused bool
@@ -31,16 +29,16 @@ type Config struct {
 	// occupancy. Nil disables recording (the workers still take their step
 	// timestamps; shard writes are nil-safe no-ops).
 	Obs *obs.Collector
-	// YieldInData and LockThreads as in pipeline.Config.
+	// YieldInData makes data workers yield after each step's data ops;
+	// LockThreads pins every worker goroutine to an OS thread.
 	YieldInData bool
 	LockThreads bool
-	// ScratchComplex and ScratchFloat pre-size every compute worker's
-	// scratch arena (in complex128 / float64 elements). Zero leaves the
-	// arenas empty; they grow on first use and are retained, so the steady
-	// state is allocation-free either way. Plans pass their block footprint
-	// here so the slabs are sized at plan time.
+	// ScratchComplex pre-sizes every compute worker's scratch arena (in
+	// complex128 elements). Zero leaves the arenas empty; they grow on
+	// first use and are retained, so the steady state is allocation-free
+	// either way. Plans pass their block footprint here so the slabs are
+	// sized at plan time.
 	ScratchComplex int
-	ScratchFloat   int
 }
 
 // Stats summarizes one graph execution — the whole transform, not one
@@ -200,10 +198,10 @@ type Executor struct {
 	yieldInData    bool
 	lockThreads    bool
 
-	startBar  *pipeline.Barrier // workers + caller: publishes the run
-	finishBar *pipeline.Barrier // workers + caller: completes the run
-	dataBar   *pipeline.Barrier // data workers: store-before-load within a step
-	stepBar   *pipeline.Barrier // all workers: step boundary
+	startBar  *Barrier // workers + caller: publishes the run
+	finishBar *Barrier // workers + caller: completes the run
+	dataBar   *Barrier // data workers: store-before-load within a step
+	stepBar   *Barrier // all workers: step boundary
 
 	arenas []*kernels.Arena // one per compute worker
 	obs    *obs.Collector   // nil-safe telemetry sink shared with the plan
@@ -244,15 +242,15 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		computeWorkers: cfg.ComputeWorkers,
 		yieldInData:    cfg.YieldInData,
 		lockThreads:    cfg.LockThreads,
-		startBar:       pipeline.NewBarrier(total + 1),
-		finishBar:      pipeline.NewBarrier(total + 1),
-		dataBar:        pipeline.NewBarrier(cfg.DataWorkers),
-		stepBar:        pipeline.NewBarrier(total),
+		startBar:       NewBarrier(total + 1),
+		finishBar:      NewBarrier(total + 1),
+		dataBar:        NewBarrier(cfg.DataWorkers),
+		stepBar:        NewBarrier(total),
 		arenas:         make([]*kernels.Arena, cfg.ComputeWorkers),
 		obs:            cfg.Obs,
 	}
 	for i := range e.arenas {
-		e.arenas[i] = kernels.NewArena(cfg.ScratchComplex, cfg.ScratchFloat)
+		e.arenas[i] = kernels.NewArena(cfg.ScratchComplex, 0)
 	}
 	for w := 0; w < cfg.DataWorkers; w++ {
 		go e.worker(affinity.DataRole, w, cfg.DataWorkers)
@@ -386,7 +384,7 @@ func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
 			ref := sched.computeAt[s]
 			if ref.stage >= 0 {
 				st := &stages[ref.stage]
-				lo, hi := partition(st.Units, slot, workers)
+				lo, hi := Partition(st.Units, slot, workers)
 				ar := e.arenas[slot]
 				ar.Reset()
 				st.Compute(b, ar, ref.half, ref.iter, lo, hi)
@@ -535,12 +533,4 @@ func Run(cfg Config, b *Buffers, stages []Stage) (Stats, error) {
 		return Stats{}, fmt.Errorf("stagegraph: empty graph")
 	}
 	return e.Run(b, stages, Compile(stages, cfg.Fused), cfg.Tracer)
-}
-
-func partition(total, worker, workers int) (int, int) {
-	return pipeline.Partition(total, worker, workers)
-}
-
-func partitionBlocks(nblocks, blockSize, worker, workers int) (int, int) {
-	return pipeline.PartitionBlocks(nblocks, blockSize, worker, workers)
 }

@@ -37,7 +37,7 @@ func TestExecutorReuseAcrossRuns(t *testing.T) {
 	for i := range src {
 		src[i] = complex(float64(i+1), float64(i%3))
 	}
-	b := NewBuffers(units*unitLen, false, false)
+	b := NewBuffers(units*unitLen, false)
 	stages := scaleStage(dst, src, iters, units, unitLen, 2)
 	sched := Compile(stages, true)
 
@@ -69,7 +69,7 @@ func TestScheduleShapeChecked(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	b := NewBuffers(units*unitLen, false, false)
+	b := NewBuffers(units*unitLen, false)
 
 	mk := func(iters int) []Stage {
 		n := iters * units * unitLen
@@ -95,7 +95,7 @@ func TestExecutorBrokenAfterPanic(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	b := NewBuffers(units*unitLen, false, false)
+	b := NewBuffers(units*unitLen, false)
 	stages := scaleStage(make([]complex128, n), make([]complex128, n), iters, units, unitLen, 2)
 	stages[0].Compute = func(*Buffers, *kernels.Arena, int, int, int, int) { panic("kernel exploded") }
 	sched := Compile(stages, true)
@@ -117,7 +117,7 @@ func TestExecutorCloseIdempotentAndRejectsRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := NewBuffers(units*unitLen, false, false)
+	b := NewBuffers(units*unitLen, false)
 	stages := scaleStage(make([]complex128, n), make([]complex128, n), iters, units, unitLen, 2)
 	sched := Compile(stages, true)
 	if _, err := e.Run(b, stages, sched, nil); err != nil {
@@ -154,7 +154,7 @@ func TestExecutorObservability(t *testing.T) {
 	for i := range src {
 		src[i] = complex(float64(i+1), 0)
 	}
-	b := NewBuffers(units*unitLen, false, false)
+	b := NewBuffers(units*unitLen, false)
 	stages := scaleStage(dst, src, iters, units, unitLen, 2)
 	sched := Compile(stages, true)
 

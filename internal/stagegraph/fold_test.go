@@ -49,7 +49,7 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 					StoreRadix: 4, StoreSign: sg,
 					Rot: rot,
 				}}
-				b := NewBuffers(units*n, false, false)
+				b := NewBuffers(units*n, false)
 				if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: true}, b, stages); err != nil {
 					t.Fatal(err)
 				}
@@ -91,10 +91,9 @@ func TestStoreFoldValidation(t *testing.T) {
 		mut  func(s *Stage)
 		bufs *Buffers
 	}{
-		{"radix 8 unsupported", func(s *Stage) { s.StoreRadix = 8 }, NewBuffers(8, false, false)},
-		{"blocks not multiple of 4", func(s *Stage) { s.Rot = Rotation{Blocks: 2, BlockLen: 4, Map: s.Rot.Map} }, NewBuffers(8, false, false)},
-		{"staging store", func(s *Stage) { s.StoreFromStaging = true }, NewBuffers(8, false, true)},
-		{"split buffers", func(s *Stage) {}, NewBuffers(8, true, false)},
+		{"radix 8 unsupported", func(s *Stage) { s.StoreRadix = 8 }, NewBuffers(8, false)},
+		{"blocks not multiple of 4", func(s *Stage) { s.Rot = Rotation{Blocks: 2, BlockLen: 4, Map: s.Rot.Map} }, NewBuffers(8, false)},
+		{"staging store", func(s *Stage) { s.StoreFromStaging = true }, NewBuffers(8, true)},
 	}
 	for _, c := range cases {
 		s := mkStage()
@@ -105,7 +104,7 @@ func TestStoreFoldValidation(t *testing.T) {
 	}
 	// The base shape itself must be accepted.
 	s := mkStage()
-	if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, NewBuffers(8, false, false), []Stage{s}); err != nil {
+	if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, NewBuffers(8, false), []Stage{s}); err != nil {
 		t.Errorf("valid fold stage rejected: %v", err)
 	}
 }
@@ -158,7 +157,7 @@ func TestStreamingStoresPartialLinesMatchOracle(t *testing.T) {
 				if fold {
 					st.StoreRadix, st.StoreSign = 4, kernels.Forward
 				}
-				b := NewBuffers(units*unitLen, false, false)
+				b := NewBuffers(units*unitLen, false)
 				if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true}, b, []Stage{st}); err != nil {
 					t.Fatal(err)
 				}

@@ -1,0 +1,621 @@
+package stagegraph
+
+import (
+	"fmt"
+
+	"repro/internal/fft1d"
+	"repro/internal/kernels"
+	"repro/internal/layout"
+	"repro/internal/machine"
+)
+
+// The one graph builder. The paper has one pattern — load contiguous →
+// batched pencils → blocked-rotation store, repeated per axis — and every
+// transform in the repository is that pattern with different data: the
+// shape, which axis each stage transforms, where the stores land, what the
+// endpoints hold (complex or pair-packed real), and which slab of the cube
+// this executor owns. Pencils is that data; Build derives the stages.
+//
+// Layouts. Let the shape in μ-element blocks be A = [a₀ … a_{D-1}] (slowest
+// first, a_{D-1} = m/μ). Stage i sees the array in the order A rotated
+// right i times, transforms its last (fastest) axis, and stores every unit
+// with that axis moved to the front:
+//
+//	block j of unit g  →  (j·G + g)·μ,   G = units in the stage
+//
+// so after D stages the data is back in its original order (the K
+// rotations of §III; for D = 2 the blocked transpose and its inverse).
+// With the slowest axis cut into Shards z-slabs (Table III) the same
+// formula runs on local units, except that the middle stage's store
+// addresses the global (y, xb, z) array — its unit index is widened from
+// the slab's z range to the whole axis — and the last stage's units are
+// the shard's share of the (y, xb) pillars. Shards = 1 is the
+// single-socket form, as Table III says it must be.
+
+// minStageIters is the pipeline-depth floor: block sizes are shrunk until
+// every stage runs at least this many iterations (when the extent allows).
+// The fused steady-state occupancy of an S-stage graph with I total
+// iterations is I/(I+S+1), so too-few, too-large blocks leave the data
+// workers idle at the ramp and drain even when every byte still moves
+// exactly once; nine keeps a two-stage graph above ~0.9.
+const minStageIters = 9
+
+// blockCap combines the buffer-capacity block limit with the pipeline-depth
+// floor for a stage whose block loop has `extent` iterations of unit blocks.
+func blockCap(extent, bufBlocks int) int {
+	c := max(1, bufBlocks)
+	if byDepth := extent / minStageIters; byDepth >= 1 && byDepth < c {
+		c = byDepth
+	}
+	return c
+}
+
+// largestDivisorAtMost returns the largest divisor of n that is ≤ limit, so
+// every stage has an integral number of uniform blocks.
+func largestDivisorAtMost(n, limit int) int {
+	if limit >= n {
+		return n
+	}
+	for d := limit; d >= 1; d-- {
+		if n%d == 0 {
+			return d
+		}
+	}
+	return 1
+}
+
+// direction is a graph's per-run patch point: the transform sign the
+// compute hooks read and the scale a normalised inverse applies in the last
+// stage. The runner sets it under its lock before waking the workers.
+type direction struct {
+	sign  int
+	scale float64
+}
+
+// Array is one stage-boundary array: what stage i stores into and stage
+// i+1 loads from. The zero value names the caller's destination array,
+// bound per run.
+type Array struct {
+	// C is the backing array the next stage loads from.
+	C []complex128
+	// WriteC, when set, receives every stored block instead of a direct
+	// scatter into C (NUMA traffic accounting, the network exchange).
+	WriteC func(off int, block []complex128)
+	// Base is added to every store offset (a shard's base into a shared
+	// array).
+	Base int
+}
+
+func (a Array) caller() bool { return a.C == nil && a.WriteC == nil }
+
+func (a Array) sink() Endpoint {
+	if a.WriteC != nil {
+		return Endpoint{WriteC: a.WriteC}
+	}
+	return Endpoint{C: a.C}
+}
+
+// RealEnd makes a graph's outer endpoints pair-packed real rows: Dims then
+// counts complex lanes (the last extent is l = m/2), the real side binds a
+// []float64 through the fused pack/unpack of the load and store legs, and
+// the spectrum side has rows of Pitch = l+1 coefficients. The hooks are the
+// Hermitian post- and pre-passes around the half-length FFT; a new
+// real-like transform kind is a RealEnd with different hooks.
+type RealEnd struct {
+	// Inverse selects the c2r graph: an entangle stage, the pencil stages
+	// run conjugated with their 1/len scales applied, and a final row stage
+	// that retangles and stores real rows.
+	Inverse bool
+	// Pitch is the spectrum row pitch in complex elements.
+	Pitch int
+	// Untangle turns `rows` transformed packed rows into packed spectrum
+	// rows in place (forward, after the row FFT).
+	Untangle func(x []complex128, rows int)
+	// Entangle re-packs `rows` natural spectrum rows c (Pitch apart) into
+	// rows of l lanes in t; row0 is the global index of the first row.
+	Entangle func(t, c []complex128, rows, row0 int)
+	// Retangle prepares `rows` packed rows for the inverse row FFT, in
+	// place, including the row transform's 1/l.
+	Retangle func(x []complex128, rows int)
+}
+
+// Pencils describes a multi-dimensional pencil transform.
+type Pencils struct {
+	// Pkg prefixes validation errors ("fft3d: μ=3 does not divide m=16").
+	Pkg string
+	// Dims are the complex extents, slowest first (1 to 3 of them); Plans[i]
+	// is the 1D plan of Dims[i].
+	Dims  []int
+	Plans []*fft1d.Plan
+	// Mu is the cacheline block length in complex elements; it must divide
+	// the last extent. Zero selects machine.PreferredMu; real graphs take
+	// the largest divisor of the last extent not above Mu (default 4)
+	// instead, so odd half-lengths stay legal.
+	Mu int
+	// BufferElems is the per-half block budget b (0 = the L2-derived
+	// machine.PreferredBufferElems).
+	BufferElems int
+	// Shards cuts the slowest axis of a 3D transform into z-slabs and Index
+	// names this executor's slab; the caller owns the barrier between the
+	// middle stage's scatter and the last stage (see Graph.Cut). OutLocal
+	// makes the last stage address the shard's own y-slab of the result
+	// from zero rather than the whole cube.
+	Shards, Index int
+	OutLocal      bool
+	// DisableFold keeps the trailing radix-4 butterfly in the compute leg.
+	DisableFold bool
+	// StorePolicy picks cached or streaming stores from the destination
+	// footprint (complex unpartitioned graphs; see Build).
+	StorePolicy StorePolicy
+	// Real is nil for complex endpoints.
+	Real *RealEnd
+	// Mid[i] is the array between stage i and stage i+1; Out is the last
+	// stage's sink when it is not the caller's array.
+	Mid []Array
+	Out Array
+}
+
+// Graph is a built stage graph with its patch points: which stages bind the
+// caller's arrays, the direction the compute hooks read, and the buffer
+// footprint the stages need.
+type Graph struct {
+	Stages []Stage
+	// Elems is the buffer-half size the graph needs; Staging whether a
+	// stage stores from the staging halves.
+	Elems   int
+	Staging bool
+	// Mu is the effective block length.
+	Mu int
+
+	dir *direction
+	// srcIn / dstOut / srcOut list the stages whose Src is the caller's
+	// source, whose Dst is the caller's destination, and whose Src is the
+	// caller's destination (an intermediate parked in it).
+	srcIn, dstOut, srcOut []int
+	// batch graphs are one single-iteration stage whose unit count is the
+	// per-call row count.
+	batch bool
+	// scaleInStage: a non-zero run scale may be applied by the last stage's
+	// compute hook, bitwise equal to scaling the destination afterwards.
+	scaleInStage bool
+	// policy and destBytes drive ReviseStorePolicy.
+	policy    StorePolicy
+	destBytes int
+}
+
+// Cut divides the graph at stage `at` into two graphs that share the patch
+// points — the shape of a partitioned transform, whose caller separates the
+// halves with its own barrier.
+func (g *Graph) Cut(at int) (front, back *Graph) {
+	f, b := *g, *g
+	f.Stages, b.Stages = g.Stages[:at], g.Stages[at:]
+	keep := func(idx []int, lo, hi int) []int {
+		var out []int
+		for _, i := range idx {
+			if i >= lo && i < hi {
+				out = append(out, i-lo)
+			}
+		}
+		return out
+	}
+	n := len(g.Stages)
+	f.srcIn, f.dstOut, f.srcOut = keep(g.srcIn, 0, at), keep(g.dstOut, 0, at), keep(g.srcOut, 0, at)
+	b.srcIn, b.dstOut, b.srcOut = keep(g.srcIn, at, n), keep(g.dstOut, at, n), keep(g.srcOut, at, n)
+	return &f, &b
+}
+
+// pencil is one derived stage before it becomes a Stage.
+type pencil struct {
+	name    string
+	units   int // units this executor runs over the whole stage
+	blocks  int // pencil length in μ-blocks
+	plan    *fft1d.Plan
+	lanes   int
+	rotate  bool    // blocked rotation (else rows go back where they came from)
+	pitch   int     // destination row pitch in elements (0 = dense) …
+	rowLen  int     // … of rows this many blocks long (rotating stages)
+	sign    int     // fixed direction (0 = the run's)
+	scale   float64 // fixed scale applied after the transform (0 = none)
+	pre     func(x []complex128, rows int)
+	post    func(x []complex128, rows int)
+	remap   func(g int) int // local unit → unit index in the destination array
+	dstUnit int             // G of the destination array (0 = units)
+}
+
+// Check validates the descriptor's shape, μ and partition — everything
+// Build can refuse before it is handed arrays — and returns the effective μ.
+func (p Pencils) Check() (mu int, err error) {
+	D := len(p.Dims)
+	if D < 1 || D > 3 || len(p.Plans) != D {
+		return 0, fmt.Errorf("%s: %d extents with %d plans, need 1 to 3 of each", p.Pkg, D, len(p.Plans))
+	}
+	last := p.Dims[D-1]
+	mu = p.Mu
+	switch {
+	case p.Real != nil && mu == 0:
+		mu = 4
+	case mu == 0:
+		mu = machine.PreferredMu(last)
+	}
+	if mu < 1 {
+		return 0, fmt.Errorf("%s: μ=%d, need ≥ 1", p.Pkg, mu)
+	}
+	if p.Real != nil {
+		mu = largestDivisorAtMost(last, mu)
+	}
+	if last%mu != 0 {
+		return 0, fmt.Errorf("%s: μ=%d does not divide m=%d", p.Pkg, mu, last)
+	}
+	if sk := p.Shards; sk > 1 {
+		if D != 3 || p.Real != nil {
+			return 0, fmt.Errorf("%s: only complex 3D transforms partition", p.Pkg)
+		}
+		if p.Index < 0 || p.Index >= sk {
+			return 0, fmt.Errorf("%s: shard index %d of %d", p.Pkg, p.Index, sk)
+		}
+		k, n, mb := p.Dims[0], p.Dims[1], last/mu
+		if k%sk != 0 {
+			return 0, fmt.Errorf("%s: sockets=%d does not divide k=%d", p.Pkg, sk, k)
+		}
+		if (n*mb)%sk != 0 {
+			return 0, fmt.Errorf("%s: sockets=%d does not divide n·m/μ=%d", p.Pkg, sk, n*mb)
+		}
+		if p.OutLocal && n%sk != 0 {
+			return 0, fmt.Errorf("%s: shards=%d does not divide n=%d", p.Pkg, sk, n)
+		}
+	}
+	return mu, nil
+}
+
+// Build derives the stage graph.
+func (p Pencils) Build() (*Graph, error) {
+	mu, err := p.Check()
+	if err != nil {
+		return nil, err
+	}
+	D, sk := len(p.Dims), max(p.Shards, 1)
+	last := p.Dims[D-1]
+	budget := p.BufferElems
+	if budget == 0 {
+		budget = machine.PreferredBufferElems()
+	}
+
+	// Axis lengths in blocks, in stage order: stage i transforms axis
+	// D-1-i, whose pencils are blocks[i] μ-blocks long.
+	total := 1 // N/μ
+	for _, d := range p.Dims {
+		total *= d
+	}
+	total /= mu
+	g := &Graph{Mu: mu, dir: &direction{}, policy: p.StorePolicy}
+	var chain []pencil
+	for i := 0; i < D; i++ {
+		axis := D - 1 - i
+		blocks := p.Dims[axis]
+		lanes := mu
+		if i == 0 {
+			blocks, lanes = last/mu, 1
+		}
+		chain = append(chain, pencil{
+			name: axisName(D, axis, p.Real), units: total / blocks / sk, blocks: blocks,
+			plan: p.Plans[axis], lanes: lanes, rotate: true,
+		})
+	}
+	if sk > 1 {
+		// Table III. Stage 2 scatters into the global (y, xb, z) array: its
+		// units (xb, zl) widen to (xb, z). Stage 3 runs this shard's share of
+		// the (y, xb) pillars and addresses the whole cube, or — OutLocal —
+		// its own y-slab, which is the dense local formula again.
+		k, ksl, idx := p.Dims[0], p.Dims[0]/sk, p.Index
+		chain[1].remap = func(g int) int { return g/ksl*k + idx*ksl + g%ksl }
+		chain[1].dstUnit = chain[1].units * sk
+		if !p.OutLocal {
+			qBase := idx * chain[2].units
+			chain[2].remap = func(g int) int { return qBase + g }
+			chain[2].dstUnit = chain[2].units * sk
+		}
+	}
+
+	var entangle *pencil
+	if r := p.Real; r != nil {
+		if D == 1 {
+			// One row stage per direction, rows back where they came from;
+			// the unit count is the per-call batch.
+			chain[0].rotate, chain[0].units = false, 1
+			g.batch = true
+		}
+		if !r.Inverse {
+			chain[0].sign, chain[0].post = fft1d.Forward, r.Untangle
+			for i := 1; i < D; i++ {
+				chain[i].sign = fft1d.Forward
+			}
+			chain[D-1].pitch, chain[D-1].rowLen = r.Pitch, last/mu
+		} else {
+			// entangle → pencil stages (conjugated, scaled) → rows⁻¹. The
+			// entangle stage takes the forward row stage's place and
+			// rotation; the row transform moves to the end of the chain.
+			rows := chain[0]
+			rows.name, rows.rotate = "i"+rows.name, false
+			rows.sign, rows.pre = fft1d.Inverse, r.Retangle
+			entangle = &pencil{name: "entangle", units: chain[0].units, blocks: chain[0].blocks,
+				rotate: true}
+			for i := 1; i < D; i++ {
+				chain[i].name = "i" + chain[i].name
+				chain[i].sign, chain[i].scale = fft1d.Inverse, 1/float64(p.Dims[D-1-i])
+			}
+			if D == 1 {
+				chain = chain[:0] // the one stage entangles, retangles and transforms
+				entangle.name, entangle.rotate = rows.name, false
+				entangle.plan, entangle.pre = rows.plan, rows.pre
+			} else {
+				chain = append(chain[1:], rows)
+			}
+		}
+	}
+
+	// Block sizing: whole units per block, an integral number of blocks per
+	// stage, capped by the buffer budget and the pipeline-depth floor.
+	size := func(units, unitLen int) int {
+		if g.batch {
+			return 1
+		}
+		return largestDivisorAtMost(units, blockCap(units, budget/unitLen))
+	}
+
+	nStages := len(chain)
+	if entangle != nil {
+		nStages++
+	}
+	if len(p.Mid) != nStages-1 {
+		return nil, fmt.Errorf("%s: %d stages need %d intermediate arrays, got %d", p.Pkg, nStages, nStages-1, len(p.Mid))
+	}
+	src := Array{} // the caller's source feeds stage 0
+	bind := func(i int, st *Stage, dst Array) {
+		switch {
+		case i == 0:
+			g.srcIn = append(g.srcIn, i)
+		case src.caller():
+			g.srcOut = append(g.srcOut, i)
+		default:
+			st.Src = Endpoint{C: src.C}
+		}
+		if dst.caller() {
+			g.dstOut = append(g.dstOut, i)
+		} else {
+			st.Dst = dst.sink()
+		}
+		src = dst
+	}
+	sinkOf := func(i int) Array {
+		if i < nStages-1 {
+			return p.Mid[i]
+		}
+		return p.Out
+	}
+
+	if e := entangle; e != nil {
+		l, pitch := e.blocks*mu, p.Real.Pitch
+		per := size(e.units, pitch)
+		dst := sinkOf(0)
+		st := Stage{
+			Name: e.name, Iters: e.units / per, Units: per, UnitLen: pitch,
+			StoreUnits: per, StoreLen: l, StoreFromStaging: true,
+			Rot: rotation(*e, mu, dst.Base),
+		}
+		ent, plan, pre := p.Real.Entangle, e.plan, e.pre
+		st.Compute = func(b *Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+			if lo >= hi {
+				return
+			}
+			t := b.T[half][lo*l : hi*l]
+			ent(t, b.C[half][lo*pitch:hi*pitch], hi-lo, iter*per+lo)
+			if plan != nil {
+				pre(t, hi-lo)
+				plan.BatchLanesArena(t, hi-lo, 1, fft1d.Inverse, a)
+			}
+		}
+		bind(0, &st, dst)
+		g.Stages = append(g.Stages, st)
+		g.Staging = true
+	}
+	for ci := range chain {
+		c := chain[ci]
+		i := len(g.Stages)
+		unitLen := c.blocks * mu
+		per := size(c.units, unitLen)
+		dst := sinkOf(i)
+		st := Stage{
+			Name: c.name, Iters: c.units / per, Units: per, UnitLen: unitLen,
+			Rot: rotation(c, mu, dst.Base),
+		}
+		// The store leg can absorb the trailing trivial-twiddle radix-4
+		// butterfly of a power-of-two pencil: compute then runs every
+		// Stockham sweep but the last and the scatter applies it while the
+		// block is cache-hot. Complex unpartitioned graphs only: the real
+		// hooks need the finished transform, and the partitioned stores
+		// were never measured folded.
+		fold := p.Real == nil && sk == 1 && !p.DisableFold &&
+			c.plan.FoldRadix() == 4 && c.blocks%4 == 0
+		if fold {
+			st.StoreRadix = 4
+		}
+		st.Compute = c.compute(g.dir, unitLen, fold, i == nStages-1 && p.Real == nil)
+		bind(i, &st, dst)
+		g.Stages = append(g.Stages, st)
+	}
+
+	for i := range g.Stages {
+		st := &g.Stages[i]
+		g.Elems = max(g.Elems, st.BlockElems())
+	}
+	if g.batch {
+		g.Elems = max(g.Elems, budget)
+	}
+	if p.Real == nil && sk == 1 {
+		// Every stage writes the whole array once. Scaling the last stage's
+		// blocks in its compute leg is the same fft1d.Scale on the same
+		// values a pass over the destination would apply; ahead of a folded
+		// butterfly that holds only when the scale is a power of two (exact,
+		// so it commutes with the butterfly's adds).
+		n := total * mu
+		g.destBytes = n * complexBytes
+		g.scaleInStage = g.Stages[nStages-1].StoreRadix == 0 || n&(n-1) == 0
+		ApplyStorePolicy(g.Stages, p.StorePolicy.Decide(g.destBytes, machine.HostLLCBytes()))
+	}
+	return g, nil
+}
+
+// axisName labels a stage by the axis it transforms: rows/cols in one and
+// two dimensions, x/y/z pencils in three (real x rows are "x-rows": they
+// are packed, untangled rows rather than plain pencils).
+func axisName(D, axis int, real *RealEnd) string {
+	if D < 3 {
+		return [...]string{"cols", "rows"}[axis+2-D]
+	}
+	if axis == 2 && real != nil {
+		return "x-rows"
+	}
+	return [...]string{"z-pencils", "y-pencils", "x-pencils"}[axis]
+}
+
+// rotation derives a stage's store descriptor. A rotating stage sends block
+// j of unit g to (j·G + g)·μ in the destination; an identity stage sends it
+// back to row g, block j. A pitch spaces the destination's rows further
+// apart than their length (the real spectrum's Nyquist hole).
+func rotation(c pencil, mu, base int) Rotation {
+	remap := c.remap
+	if remap == nil {
+		remap = func(g int) int { return g }
+	}
+	if !c.rotate {
+		rowLen := c.blocks * mu
+		if c.pitch != 0 {
+			rowLen = c.pitch
+		}
+		return Rotation{Blocks: c.blocks, BlockLen: mu, JStride: mu,
+			Map: func(g, j int) int { return base + g*rowLen + j*mu }}
+	}
+	G := c.dstUnit
+	if G == 0 {
+		G = c.units
+	}
+	if c.pitch == 0 {
+		return Rotation{Blocks: c.blocks, BlockLen: mu, JStride: G * mu,
+			Map: func(g, j int) int { return base + (j*G+remap(g))*mu }}
+	}
+	// The last rotation lands in natural row-major order: block u = j·G + g
+	// is block u mod rowLen of row u / rowLen.
+	rowLen, pitch := c.rowLen, c.pitch
+	return Rotation{Blocks: c.blocks, BlockLen: mu, JStride: G / rowLen * pitch,
+		Map: func(g, j int) int {
+			u := j*G + remap(g)
+			return base + u/rowLen*pitch + u%rowLen*mu
+		}}
+}
+
+// compute derives a stage's compute hook: [pre] → batched transform (or its
+// fold prefix) → [post] → [scale], over the worker's unit range.
+func (c pencil) compute(dir *direction, unitLen int, fold, runScale bool) ComputeFn {
+	plan, lanes := c.plan, c.lanes
+	return func(b *Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+		if lo >= hi {
+			return
+		}
+		x := b.C[half][lo*unitLen : hi*unitLen]
+		sign := c.sign
+		if sign == 0 {
+			sign = dir.sign
+		}
+		if c.pre != nil {
+			c.pre(x, hi-lo)
+		}
+		if fold {
+			plan.BatchLanesPrefixArena(x, hi-lo, lanes, sign, a)
+		} else {
+			plan.BatchLanesArena(x, hi-lo, lanes, sign, a)
+		}
+		if c.post != nil {
+			c.post(x, hi-lo)
+		}
+		scale := c.scale
+		if runScale {
+			scale = dir.scale
+		}
+		if scale != 0 {
+			fft1d.Scale(x, scale)
+		}
+	}
+}
+
+// Transpose is the builder's second stage kind: one stride-permutation pass
+// over a rows×cols row-major matrix into its cols×rows transpose — load
+// contiguous row groups, optionally transform every row, transpose the
+// group in cache into the staging half, store whole column blocks. The
+// six-step large-1D factorisation is three of them.
+type Transpose struct {
+	Name       string
+	Rows, Cols int
+	// Plan, when set, is applied to every row; Twiddle then scales row j
+	// (global index) in place for direction sign.
+	Plan    *fft1d.Plan
+	Twiddle func(row []complex128, j, sign int)
+}
+
+// Transposes chains the passes into one graph through freshly allocated
+// full-size intermediates; elems is the buffer-half size. Blocks are sized
+// by the buffer alone, without the depth floor: a block's row count is the
+// length of its contiguous column stores, and the measured optimum of that
+// trade (EXPERIMENTS.md "Six-step buffer size") is what elems encodes.
+func Transposes(elems int, passes ...Transpose) *Graph {
+	g := &Graph{Elems: elems, Staging: true, dir: &direction{}, scaleInStage: true}
+	var src []complex128
+	for i, t := range passes {
+		t := t
+		rows, cols := t.Rows, t.Cols
+		rPer := largestDivisorAtMost(rows, max(elems/cols, 1))
+		last := i == len(passes)-1
+		st := Stage{
+			Name: t.Name, Iters: rows / rPer, Units: rPer, UnitLen: cols,
+			Src: Endpoint{C: src},
+			Compute: func(b *Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+				blk := rPer * cols
+				rowsHalf := b.C[half][:blk]
+				sign := g.dir.sign
+				if t.Plan != nil && lo < hi {
+					// One batched Stockham sweep across the worker's whole
+					// contiguous row range, then the per-row twiddle pass.
+					t.Plan.BatchLanesArena(rowsHalf[lo*cols:hi*cols], hi-lo, 1, sign, a)
+					if t.Twiddle != nil {
+						for r := lo; r < hi; r++ {
+							t.Twiddle(rowsHalf[r*cols:(r+1)*cols], iter*rPer+r, sign)
+						}
+					}
+				}
+				if last && g.dir.scale != 0 && lo < hi {
+					fft1d.Scale(rowsHalf[lo*cols:hi*cols], g.dir.scale)
+				}
+				layout.TransposeRows(b.T[half][:blk], rowsHalf, rPer, cols, lo, hi)
+			},
+			// Store column c of iteration it as one contiguous rPer-element
+			// block at dst[c·rows + it·rPer], read from the staging half.
+			StoreFromStaging: true,
+			StoreUnits:       cols, StoreLen: rPer,
+			Rot: Rotation{Blocks: 1, BlockLen: rPer,
+				Map: func(g, _ int) int {
+					it, c := g/cols, g%cols
+					return c*rows + it*rPer
+				}},
+		}
+		if i == 0 {
+			g.srcIn = []int{0}
+		}
+		if last {
+			g.dstOut = []int{i}
+		} else {
+			src = make([]complex128, rows*cols)
+			st.Dst = Endpoint{C: src}
+		}
+		g.Stages = append(g.Stages, st)
+	}
+	return g
+}

@@ -32,7 +32,7 @@ func TestRealEndpoints(t *testing.T) {
 			Map: func(g, j int) int { return (j*iters*units + g) * mu }},
 	}
 	col := obs.NewCollector(2, 1, []string{"r2r"})
-	b := NewBuffers(units*unitLen, false, false)
+	b := NewBuffers(units*unitLen, false)
 	if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true, Obs: col}, b, []Stage{st}); err != nil {
 		t.Fatal(err)
 	}
@@ -58,22 +58,6 @@ func TestRealEndpoints(t *testing.T) {
 	}
 }
 
-// TestRealEndpointRejectedWithSplitBuffers checks validation.
-func TestRealEndpointRejectedWithSplitBuffers(t *testing.T) {
-	src := make([]float64, 16)
-	dst := make([]complex128, 8)
-	st := Stage{
-		Name: "bad", Iters: 1, Units: 1, UnitLen: 8,
-		Src: Endpoint{R: src}, Dst: Endpoint{C: dst},
-		Compute: func(*Buffers, *kernels.Arena, int, int, int, int) {},
-		Rot:     Rotation{Blocks: 1, BlockLen: 8, Map: func(g, _ int) int { return g * 8 }},
-	}
-	b := NewBuffers(8, true, false)
-	if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, b, []Stage{st}); err == nil {
-		t.Fatal("split buffers with a pair-packed real endpoint should be rejected")
-	}
-}
-
 // TestSetObsSwitchesCollector verifies per-direction accounting swaps.
 func TestSetObsSwitchesCollector(t *testing.T) {
 	const elems = 32
@@ -86,7 +70,7 @@ func TestSetObsSwitchesCollector(t *testing.T) {
 		Rot:     Rotation{Blocks: 1, BlockLen: elems, Map: func(g, _ int) int { return 0 }},
 	}
 	stages := []Stage{st}
-	b := NewBuffers(elems, false, false)
+	b := NewBuffers(elems, false)
 	colA := obs.NewCollector(1, 1, []string{"id"})
 	colB := obs.NewCollector(1, 1, []string{"id"})
 	e, err := NewExecutor(Config{DataWorkers: 1, ComputeWorkers: 1, Obs: colA})

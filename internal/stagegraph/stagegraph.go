@@ -8,9 +8,8 @@
 // destination arrays, the rotation/transpose descriptor mapping every
 // stored cacheline block to its destination offset, and the compute hook
 // (batched FFTs, twiddles, in-cache transposes). The executor (exec.go)
-// plays a []Stage on the Table II double-buffering schedule and — unlike
-// the old per-package drivers that issued one pipeline.Run per stage —
-// flows the steady state through stage boundaries: the last stores of
+// plays a []Stage on the Table II double-buffering schedule and flows the
+// steady state through stage boundaries: the last stores of
 // stage k overlap the first loads of stage k+1 instead of draining the
 // pipeline at every boundary (see BuildSchedule for the legality
 // argument).
@@ -24,18 +23,16 @@ import (
 )
 
 // Endpoint is one side of a stage's data movement: a complex-interleaved
-// array, a split (block-interleaved) pair, a pair-packed real array, or an
-// opaque block writer (used by the multi-socket plans to route stores
-// through NUMA traffic accounting). Exactly one representation must be set.
+// array, a pair-packed real array, or an opaque block writer (used by the
+// multi-socket plans to route stores through NUMA traffic accounting).
+// Exactly one representation must be set.
 type Endpoint struct {
-	C      []complex128
-	Re, Im []float64
+	C []complex128
 	// R is a pair-packed real array: logical complex element o of the
 	// endpoint is the float pair (R[2o], R[2o+1]). Real-input transforms
 	// bind their []float64 rows here, so the real↔complex format change is
 	// fused into the streaming load/store (8 B of traffic per real element,
 	// 16 B per packed element — identical to the complex accounting unit).
-	// Interleaved buffers only.
 	R []float64
 	// WriteC, when set, receives every stored block instead of a direct
 	// copy into C (destination endpoints only).
@@ -44,8 +41,6 @@ type Endpoint struct {
 
 func (e Endpoint) valid(dst bool) bool {
 	switch {
-	case e.Re != nil || e.Im != nil:
-		return e.Re != nil && e.Im != nil && e.C == nil && e.WriteC == nil && e.R == nil
 	case e.WriteC != nil:
 		return dst && e.C == nil && e.R == nil
 	case e.R != nil:
@@ -120,8 +115,8 @@ type Stage struct {
 	// trailing trivial-twiddle radix-4 butterfly on the fly while
 	// scattering — output block j of a store unit is combined from input
 	// blocks (j mod Blocks/4) + k·Blocks/4 in the cache-hot buffer, so the
-	// final sweep costs no extra pass over the half. Requires interleaved
-	// buffers, no staging, and Rot.Blocks divisible by 4. StoreSign is the
+	// final sweep costs no extra pass over the half. Requires no staging
+	// and Rot.Blocks divisible by 4. StoreSign is the
 	// butterfly's transform sign; plans patch it per run alongside the
 	// compute sign. Zero means a plain store.
 	StoreRadix int
@@ -187,9 +182,6 @@ func (st *Stage) validate(i int, b *Buffers) error {
 		if st.StoreFromStaging {
 			return fmt.Errorf("stagegraph: stage %d (%s): StoreRadix with staging store", i, st.Name)
 		}
-		if b != nil && b.Split {
-			return fmt.Errorf("stagegraph: stage %d (%s): StoreRadix with split buffers", i, st.Name)
-		}
 	}
 	if b != nil {
 		if need := st.BlockElems(); need > b.Elems {
@@ -200,52 +192,28 @@ func (st *Stage) validate(i int, b *Buffers) error {
 			return fmt.Errorf("stagegraph: stage %d (%s): store tile %d elems > buffer half %d",
 				i, st.Name, need, b.Elems)
 		}
-		if b.Split && st.StoreFromStaging {
-			return fmt.Errorf("stagegraph: stage %d (%s): staging store unsupported in split format", i, st.Name)
-		}
 		if st.StoreFromStaging && b.T[0] == nil {
 			return fmt.Errorf("stagegraph: stage %d (%s): staging store needs staging buffers", i, st.Name)
-		}
-		if !b.Split && st.Src.Re != nil {
-			return fmt.Errorf("stagegraph: stage %d (%s): split Src with interleaved buffers", i, st.Name)
-		}
-		if !b.Split && st.Dst.Re != nil {
-			return fmt.Errorf("stagegraph: stage %d (%s): split Dst with interleaved buffers", i, st.Name)
-		}
-		if b.Split && st.Dst.WriteC != nil {
-			return fmt.Errorf("stagegraph: stage %d (%s): WriteC Dst with split buffers", i, st.Name)
-		}
-		if b.Split && (st.Src.R != nil || st.Dst.R != nil) {
-			return fmt.Errorf("stagegraph: stage %d (%s): pair-packed real endpoint with split buffers", i, st.Name)
 		}
 	}
 	return nil
 }
 
 // Buffers owns the cache-resident double buffer a graph executes through:
-// two halves in complex-interleaved or split format, plus optional staging
-// halves for stages whose compute transposes into a separate tile.
+// two complex-interleaved halves, plus optional staging halves for stages
+// whose compute transposes into a separate tile.
 type Buffers struct {
-	Split bool
 	Elems int
 	C     [2][]complex128
-	Re    [2][]float64
-	Im    [2][]float64
 	T     [2][]complex128 // staging (transposed) halves
 }
 
 // NewBuffers allocates a double buffer of `elems` complex elements per
-// half. With split=true the halves are block-interleaved float pairs; with
-// staging=true matching complex staging halves are allocated too.
-func NewBuffers(elems int, split, staging bool) *Buffers {
-	b := &Buffers{Split: split, Elems: elems}
+// half; with staging=true matching staging halves are allocated too.
+func NewBuffers(elems int, staging bool) *Buffers {
+	b := &Buffers{Elems: elems}
 	for h := 0; h < 2; h++ {
-		if split {
-			b.Re[h] = make([]float64, elems)
-			b.Im[h] = make([]float64, elems)
-		} else {
-			b.C[h] = make([]complex128, elems)
-		}
+		b.C[h] = make([]complex128, elems)
 		if staging {
 			b.T[h] = make([]complex128, elems)
 		}
@@ -253,18 +221,17 @@ func NewBuffers(elems int, split, staging bool) *Buffers {
 	return b
 }
 
-// complexBytes is the DRAM traffic of moving one complex element in either
-// buffer format (two float64s), the unit the telemetry layer accounts in.
+// complexBytes is the DRAM traffic of moving one complex element (two
+// float64s), the unit the telemetry layer accounts in.
 // It matches benchjson's 32·elems·stages model at 16 B per direction per
 // element, and is the quantity STREAM copy bandwidth is comparable against.
 const complexBytes = 16
 
 // load streams this worker's share of block `iter` from Src into buffer
-// half `half`, contiguously, fusing the interleaved→split conversion when
-// the buffers are split but the source is not (§IV-A). The block is carved
+// half `half`, contiguously. The block is carved
 // across all data workers at cacheline (Rot.BlockLen) granularity rather
 // than unit granularity: a load is a contiguous stream with no unit
-// structure, and coarse unit splits leave workers idle whenever a stage has
+// structure, and coarse unit ranges leave workers idle whenever a stage has
 // fewer units than data threads. It returns the bytes this worker moved.
 func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 	elems := st.BlockElems()
@@ -272,26 +239,11 @@ func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 	if gran < 1 || elems%gran != 0 {
 		gran = 1
 	}
-	lo, hi := partitionBlocks(elems/gran, gran, worker, workers)
+	lo, hi := PartitionBlocks(elems/gran, gran, worker, workers)
 	if lo == hi {
 		return 0
 	}
 	base := iter * st.BlockElems()
-	if b.Split {
-		re, im := b.Re[half], b.Im[half]
-		if st.Src.Re != nil {
-			copy(re[lo:hi], st.Src.Re[base+lo:base+hi])
-			copy(im[lo:hi], st.Src.Im[base+lo:base+hi])
-			return (hi - lo) * complexBytes
-		}
-		src := st.Src.C
-		for j := lo; j < hi; j++ {
-			c := src[base+j]
-			re[j] = real(c)
-			im[j] = imag(c)
-		}
-		return (hi - lo) * complexBytes
-	}
 	if st.Src.R != nil {
 		// Fused pair-pack: 2·(hi−lo) reals stream in as (hi−lo) packed
 		// complex elements — the same complexBytes per buffer element as
@@ -304,8 +256,7 @@ func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 }
 
 // store writes this worker's share of block `iter` from buffer half `half`
-// to Dst through the blocked rotation, fusing the split→interleaved
-// conversion when the buffers are split but the destination is not.
+// to Dst through the blocked rotation.
 //
 // The partition is over units·Blocks individual cacheline blocks, not whole
 // units, so every data worker shares the store of every pipeline block even
@@ -322,7 +273,7 @@ func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []complex128) int {
 	units, unitLen := st.storeGeometry()
 	blocks, bl := st.Rot.Blocks, st.Rot.BlockLen
-	lo, hi := partition(units*blocks, worker, workers)
+	lo, hi := Partition(units*blocks, worker, workers)
 	stride := st.Rot.JStride
 	for t := lo; t < hi; {
 		u := t / blocks
@@ -457,17 +408,6 @@ func (st *Stage) storeRun(b *Buffers, half, d0, stride, s, run int) {
 		default:
 			layout.ScatterBlocks(st.Dst.C, src, run, bl, d0, stride)
 		}
-	case b.Split && st.Dst.Re != nil:
-		if st.NonTemporal {
-			layout.ScatterBlocksSplitNT(st.Dst.Re, st.Dst.Im,
-				b.Re[half][s:s+n], b.Im[half][s:s+n], run, bl, d0, stride)
-			break
-		}
-		layout.ScatterBlocksSplit(st.Dst.Re, st.Dst.Im,
-			b.Re[half][s:s+n], b.Im[half][s:s+n], run, bl, d0, stride)
-	case b.Split:
-		layout.ScatterBlocksInterleave(st.Dst.C,
-			b.Re[half][s:s+n], b.Im[half][s:s+n], run, bl, d0, stride)
 	case st.Dst.WriteC != nil:
 		src := b.C[half][s : s+n]
 		d := d0
@@ -485,9 +425,8 @@ func (st *Stage) storeRun(b *Buffers, half, d0, stride, s, run int) {
 }
 
 // storeRunC is storeRun for a fold stage: the blocks were already combined
-// into src (worker scratch), so only the interleaved-source destination
-// modes apply — validate() rejects fold stages with split buffers or
-// staging.
+// into src (worker scratch); validate() rejects fold stages that store
+// from staging.
 func (st *Stage) storeRunC(src []complex128, d0, stride, run int) {
 	bl := st.Rot.BlockLen
 	switch {
@@ -530,15 +469,6 @@ func (st *Stage) writeBlock(b *Buffers, half, d, s, n int) {
 			layout.UnpackPairs(st.Dst.R[2*d:], src, n)
 		default:
 			copy(st.Dst.C[d:d+n], src)
-		}
-	case b.Split && st.Dst.Re != nil:
-		copy(st.Dst.Re[d:d+n], b.Re[half][s:s+n])
-		copy(st.Dst.Im[d:d+n], b.Im[half][s:s+n])
-	case b.Split:
-		re, im := b.Re[half][s:s+n], b.Im[half][s:s+n]
-		out := st.Dst.C[d : d+n]
-		for v := range out {
-			out[v] = complex(re[v], im[v])
 		}
 	case st.Dst.WriteC != nil:
 		st.Dst.WriteC(d, b.C[half][s:s+n])

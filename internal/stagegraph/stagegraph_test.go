@@ -46,7 +46,7 @@ func runChain(t *testing.T, stagesN, iters int, fused bool, tr *trace.Recorder) 
 	}
 	dst := make([]complex128, n)
 	stages := chainGraph(src, mids, dst, iters, units, unitLen, 2)
-	b := NewBuffers(units*unitLen, false, false)
+	b := NewBuffers(units*unitLen, false)
 	st, err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: fused, Tracer: tr}, b, stages)
 	if err != nil {
 		t.Fatal(err)
@@ -149,46 +149,8 @@ func TestFusedBoundaryOverlap(t *testing.T) {
 	}
 }
 
-func TestSplitFormatFusedConversions(t *testing.T) {
-	// Stage 1 deinterleaves on load (complex src, split buffers, split
-	// dst); stage 2 interleaves on store (split src, complex dst).
-	const iters, units, unitLen = 3, 2, 4
-	n := iters * units * unitLen
-	src := make([]complex128, n)
-	for i := range src {
-		src[i] = complex(float64(i), -float64(i))
-	}
-	midRe := make([]float64, n)
-	midIm := make([]float64, n)
-	dst := make([]complex128, n)
-	ident := Rotation{Blocks: 1, BlockLen: unitLen, Map: func(g, _ int) int { return g * unitLen }}
-	var double ComputeFn = func(b *Buffers, _ *kernels.Arena, half, iter, lo, hi int) {
-		for j := lo * unitLen; j < hi*unitLen; j++ {
-			b.Re[half][j] *= 2
-			b.Im[half][j] *= 2
-		}
-	}
-	stages := []Stage{
-		{Name: "dein", Iters: iters, Units: units, UnitLen: unitLen,
-			Src: Endpoint{C: src}, Dst: Endpoint{Re: midRe, Im: midIm},
-			Compute: double, Rot: ident},
-		{Name: "inter", Iters: iters, Units: units, UnitLen: unitLen,
-			Src: Endpoint{Re: midRe, Im: midIm}, Dst: Endpoint{C: dst},
-			Compute: double, Rot: ident},
-	}
-	b := NewBuffers(units*unitLen, true, false)
-	if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1, Fused: true}, b, stages); err != nil {
-		t.Fatal(err)
-	}
-	for i := range dst {
-		if dst[i] != 4*src[i] {
-			t.Fatalf("elem %d: got %v want %v", i, dst[i], 4*src[i])
-		}
-	}
-}
-
 func TestValidationErrors(t *testing.T) {
-	b := NewBuffers(8, false, false)
+	b := NewBuffers(8, false)
 	good := Stage{
 		Name: "ok", Iters: 1, Units: 1, UnitLen: 8,
 		Src: Endpoint{C: make([]complex128, 8)}, Dst: Endpoint{C: make([]complex128, 8)},
@@ -203,8 +165,10 @@ func TestValidationErrors(t *testing.T) {
 		func(s *Stage) { s.Rot.Blocks = 2 }, // 2×8 ≠ store unit 8
 		func(s *Stage) { s.UnitLen = 16 },   // block exceeds buffer half
 		func(s *Stage) { s.Src = Endpoint{} },
-		func(s *Stage) { s.Dst = Endpoint{Re: make([]float64, 8)} }, // Re without Im
-		func(s *Stage) { s.StoreFromStaging = true },                // no staging halves
+		func(s *Stage) { s.Dst = Endpoint{} },
+		func(s *Stage) { s.Src = Endpoint{WriteC: func(int, []complex128) {}} },               // block writer as a source
+		func(s *Stage) { s.Dst = Endpoint{C: make([]complex128, 8), R: make([]float64, 16)} }, // two representations
+		func(s *Stage) { s.StoreFromStaging = true },                                          // no staging halves
 	}
 	for i, mut := range cases {
 		s := good
@@ -222,7 +186,7 @@ func TestValidationErrors(t *testing.T) {
 }
 
 func TestComputePanicPropagates(t *testing.T) {
-	b := NewBuffers(8, false, false)
+	b := NewBuffers(8, false)
 	s := Stage{
 		Name: "boom", Iters: 2, Units: 1, UnitLen: 8,
 		Src: Endpoint{C: make([]complex128, 16)}, Dst: Endpoint{C: make([]complex128, 16)},
@@ -265,7 +229,7 @@ func TestStagingStore(t *testing.T) {
 			return j*(iters*units) + it*units
 		}},
 	}}
-	b := NewBuffers(units*unitLen, false, true)
+	b := NewBuffers(units*unitLen, true)
 	if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1, Fused: true}, b, stages); err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package stagegraph
 import (
 	"testing"
 
-	"repro/internal/kernels"
 	"repro/internal/layout"
 	"repro/internal/obs"
 )
@@ -138,7 +137,7 @@ func TestNonTemporalStoreEquivalence(t *testing.T) {
 		dst := make([]complex128, n)
 		stages := chainGraph(src, mids, dst, iters, units, unitLen, 3)
 		ApplyStorePolicy(stages, nt)
-		b := NewBuffers(units*unitLen, false, false)
+		b := NewBuffers(units*unitLen, false)
 		if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true}, b, stages); err != nil {
 			t.Fatal(err)
 		}
@@ -149,45 +148,6 @@ func TestNonTemporalStoreEquivalence(t *testing.T) {
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("elem %d: NT store produced %v, regular %v", i, got[i], want[i])
-		}
-	}
-}
-
-// Same property for split-format destinations (the ScatterBlocksSplitNT
-// path in storeRun).
-func TestNonTemporalSplitStoreEquivalence(t *testing.T) {
-	const iters, units, unitLen = 3, 2, 8
-	n := iters * units * unitLen
-	src := make([]complex128, n)
-	for i := range src {
-		src[i] = complex(float64(i), -float64(i%3))
-	}
-	ident := Rotation{Blocks: 1, BlockLen: unitLen, Map: func(g, _ int) int { return g * unitLen }}
-	var double ComputeFn = func(b *Buffers, _ *kernels.Arena, half, iter, lo, hi int) {
-		for j := lo * unitLen; j < hi*unitLen; j++ {
-			b.Re[half][j] *= 2
-			b.Im[half][j] *= 2
-		}
-	}
-	run := func(nt bool) ([]float64, []float64) {
-		dstRe := make([]float64, n)
-		dstIm := make([]float64, n)
-		stages := []Stage{{
-			Name: "split", Iters: iters, Units: units, UnitLen: unitLen,
-			Src: Endpoint{C: src}, Dst: Endpoint{Re: dstRe, Im: dstIm},
-			Compute: double, Rot: ident, NonTemporal: nt,
-		}}
-		b := NewBuffers(units*unitLen, true, false)
-		if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true}, b, stages); err != nil {
-			t.Fatal(err)
-		}
-		return dstRe, dstIm
-	}
-	wantRe, wantIm := run(false)
-	gotRe, gotIm := run(true)
-	for i := range wantRe {
-		if gotRe[i] != wantRe[i] || gotIm[i] != wantIm[i] {
-			t.Fatalf("elem %d: NT split store mismatch", i)
 		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package tune searches the paper's execution parameters — buffer size b,
-// the p_d : p_c worker split, cacheline granularity μ and the compute
-// format — empirically on the host, the way FFTW's planner or SPIRAL's
+// the p_d : p_c worker mix, cacheline granularity μ, the radix cap and the
+// store tier — empirically on the host, the way FFTW's planner or SPIRAL's
 // search would. The paper fixes these by rule (b = LLC/2, half the threads
 // per role); the tuner exists for hosts whose cache/thread geometry is
 // unknown, and its results can be persisted as "wisdom" (JSON) and replayed.
@@ -19,11 +19,10 @@ import (
 
 // Candidate is one point in the search space.
 type Candidate struct {
-	BufferElems    int  `json:"buffer_elems"`
-	DataWorkers    int  `json:"data_workers"`
-	ComputeWorkers int  `json:"compute_workers"`
-	Mu             int  `json:"mu"`
-	SplitFormat    bool `json:"split_format"`
+	BufferElems    int `json:"buffer_elems"`
+	DataWorkers    int `json:"data_workers"`
+	ComputeWorkers int `json:"compute_workers"`
+	Mu             int `json:"mu"`
 	// Radix caps the Stockham stage radix of the pow2 sub-plans (0 = the
 	// default 8; omitted from old wisdom files, which decode as 0).
 	Radix int `json:"radix,omitempty"`
@@ -58,8 +57,8 @@ func (c Candidate) String() string {
 	if fu == "" {
 		fu = "auto"
 	}
-	return fmt.Sprintf("b=%d p_d=%d p_c=%d μ=%d split=%v radix=%d store=%s fuse=%s",
-		c.BufferElems, c.DataWorkers, c.ComputeWorkers, c.Mu, c.SplitFormat, c.Radix, sp, fu)
+	return fmt.Sprintf("b=%d p_d=%d p_c=%d μ=%d radix=%d store=%s fuse=%s",
+		c.BufferElems, c.DataWorkers, c.ComputeWorkers, c.Mu, c.Radix, sp, fu)
 }
 
 // storePolicy parses the candidate's store-policy axis.
@@ -90,10 +89,9 @@ type Result struct {
 
 // Space enumerates the candidates to try.
 type Space struct {
-	Buffers      []int
-	WorkerSplits [][2]int // {p_d, p_c}
-	Mus          []int
-	SplitFormats []bool
+	Buffers []int
+	Workers [][2]int // {p_d, p_c}
+	Mus     []int
 	// Radixes lists the pow2 radix caps to try (nil/empty = {0}, the
 	// default radix-8 mix only).
 	Radixes []int
@@ -107,16 +105,16 @@ type Space struct {
 
 // DefaultSpace returns a modest space appropriate for `threads` hardware
 // threads: buffer sizes bracketing typical LLC halves, balanced and skewed
-// worker splits, both cacheline granularities (μ = 4, one 64 B line, and
-// μ = 8), both compute formats, and the radix-8 vs radix-4 sweep mixes.
+// worker mixes, both cacheline granularities (μ = 4, one 64 B line, and
+// μ = 8), and the radix-16 / radix-8 / radix-4 sweep mixes.
 func DefaultSpace(threads int) Space {
 	if threads < 2 {
 		threads = 2
 	}
 	half := threads / 2
-	splits := [][2]int{{half, threads - half}}
+	workers := [][2]int{{half, threads - half}}
 	if half > 1 {
-		splits = append(splits, [2]int{1, threads - 1}, [2]int{threads - 1, 1})
+		workers = append(workers, [2]int{1, threads - 1}, [2]int{threads - 1, 1})
 	}
 	policies := []string{"auto"}
 	if layout.NonTemporalAvailable() {
@@ -126,9 +124,8 @@ func DefaultSpace(threads int) Space {
 	}
 	return Space{
 		Buffers:       []int{1 << 12, 1 << 14, 1 << 16},
-		WorkerSplits:  splits,
+		Workers:       workers,
 		Mus:           []int{4, 8},
-		SplitFormats:  []bool{false, true},
 		Radixes:       []int{16, 8, 4},
 		StorePolicies: policies,
 		Fuses:         []string{"auto", "off"},
@@ -151,17 +148,15 @@ func (s Space) candidates() []Candidate {
 	}
 	var out []Candidate
 	for _, b := range s.Buffers {
-		for _, ws := range s.WorkerSplits {
+		for _, ws := range s.Workers {
 			for _, mu := range s.Mus {
-				for _, sf := range s.SplitFormats {
-					for _, r := range radixes {
-						for _, sp := range policies {
-							for _, fu := range fuses {
-								out = append(out, Candidate{
-									BufferElems: b, DataWorkers: ws[0], ComputeWorkers: ws[1],
-									Mu: mu, SplitFormat: sf, Radix: r, StorePolicy: sp, Fuse: fu,
-								})
-							}
+				for _, r := range radixes {
+					for _, sp := range policies {
+						for _, fu := range fuses {
+							out = append(out, Candidate{
+								BufferElems: b, DataWorkers: ws[0], ComputeWorkers: ws[1],
+								Mu: mu, Radix: r, StorePolicy: sp, Fuse: fu,
+							})
 						}
 					}
 				}
@@ -195,7 +190,7 @@ func Tune3D(k, n, m int, space Space, reps int) (Result, []Result, error) {
 		p, err := fft3d.NewPlan(k, n, m, fft3d.Options{
 			Strategy: fft3d.DoubleBuf, Mu: c.Mu, BufferElems: c.BufferElems,
 			DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-			SplitFormat: c.SplitFormat, Radix: c.Radix, StorePolicy: sp,
+			Radix: c.Radix, StorePolicy: sp,
 			DisableStoreFold: nofold,
 		})
 		if err != nil {
@@ -239,7 +234,7 @@ func Tune2D(n, m int, space Space, reps int) (Result, []Result, error) {
 		p, err := fft2d.NewPlan(n, m, fft2d.Options{
 			Strategy: fft2d.DoubleBuf, Mu: c.Mu, BufferElems: c.BufferElems,
 			DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-			SplitFormat: c.SplitFormat, Radix: c.Radix, StorePolicy: sp,
+			Radix: c.Radix, StorePolicy: sp,
 			DisableStoreFold: nofold,
 		})
 		if err != nil {

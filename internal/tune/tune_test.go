@@ -8,10 +8,10 @@ import (
 
 func smallSpace() Space {
 	return Space{
-		Buffers:      []int{256, 1024},
-		WorkerSplits: [][2]int{{1, 1}, {1, 2}},
-		Mus:          []int{4},
-		SplitFormats: []bool{false, true},
+		Buffers: []int{256, 1024},
+		Workers: [][2]int{{1, 1}, {1, 2}},
+		Mus:     []int{4},
+		Radixes: []int{16, 4},
 	}
 }
 
@@ -67,11 +67,11 @@ func TestTuneSkipsInfeasibleMu(t *testing.T) {
 
 func TestDefaultSpace(t *testing.T) {
 	s := DefaultSpace(8)
-	if len(s.Buffers) == 0 || len(s.WorkerSplits) < 2 || len(s.SplitFormats) != 2 {
+	if len(s.Buffers) == 0 || len(s.Workers) < 2 || len(s.Radixes) < 2 {
 		t.Fatalf("space too small: %+v", s)
 	}
 	s1 := DefaultSpace(1)
-	if len(s1.WorkerSplits) == 0 || s1.WorkerSplits[0][0] < 1 {
+	if len(s1.Workers) == 0 || s1.Workers[0][0] < 1 {
 		t.Fatal("single-thread space invalid")
 	}
 }
@@ -85,13 +85,16 @@ func TestCandidateString(t *testing.T) {
 
 func TestWisdomRoundTrip(t *testing.T) {
 	w := NewWisdom()
-	c := Candidate{BufferElems: 1 << 14, DataWorkers: 2, ComputeWorkers: 2, Mu: 4, SplitFormat: true}
+	c := Candidate{BufferElems: 1 << 14, DataWorkers: 2, ComputeWorkers: 2, Mu: 4, Radix: 8}
 	w.Put(Key3D(512, 512, 512), c)
 	w.Put(Key2D(1024, 1024), Candidate{BufferElems: 1 << 12, DataWorkers: 1, ComputeWorkers: 3, Mu: 4})
 
 	var buf bytes.Buffer
 	if err := w.Save(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "split_format") {
+		t.Fatalf("Save still writes the retired format key:\n%s", buf.String())
 	}
 	w2, err := LoadWisdom(&buf)
 	if err != nil {
@@ -121,6 +124,26 @@ func TestWisdomRejectsCorruption(t *testing.T) {
 	if _, err := LoadWisdom(strings.NewReader(badPolicy)); err == nil {
 		t.Fatal("accepted invalid store policy")
 	}
+	// A file written for the retired block-interleaved format names a plan
+	// that no longer exists: refuse it by key rather than drop the key and
+	// run something else. false (what every interleaved entry carried) and
+	// absent load.
+	retired := `{"entries":{"3d:8:8:8":{"buffer_elems":64,"data_workers":1,"compute_workers":1,"mu":4,"split_format":true}}}`
+	if _, err := LoadWisdom(strings.NewReader(retired)); err == nil || !strings.Contains(err.Error(), `"split_format"`) {
+		t.Fatalf("retired-format entry: err = %v, want one naming \"split_format\"", err)
+	}
+	for _, ok := range []string{
+		`{"entries":{"3d:8:8:8":{"buffer_elems":64,"data_workers":1,"compute_workers":1,"mu":4,"split_format":false}}}`,
+		`{"entries":{"3d:8:8:8":{"buffer_elems":64,"data_workers":1,"compute_workers":1,"mu":4}}}`,
+	} {
+		w, err := LoadWisdom(strings.NewReader(ok))
+		if err != nil {
+			t.Fatalf("%s: %v", ok, err)
+		}
+		if c, found := w.Get(Key3D(8, 8, 8)); !found || c.BufferElems != 64 {
+			t.Fatalf("%s: loaded %+v", ok, c)
+		}
+	}
 	empty, err := LoadWisdom(strings.NewReader(`{}`))
 	if err != nil || empty.Entries == nil {
 		t.Fatal("empty wisdom should load with a usable map")
@@ -129,8 +152,8 @@ func TestWisdomRejectsCorruption(t *testing.T) {
 
 func TestStorePolicyAxis(t *testing.T) {
 	space := smallSpace()
-	space.SplitFormats = []bool{false}
-	space.WorkerSplits = [][2]int{{1, 1}}
+	space.Radixes = nil
+	space.Workers = [][2]int{{1, 1}}
 	space.Buffers = []int{256}
 	space.StorePolicies = []string{"regular", "nt"}
 	best, all, err := Tune3D(16, 16, 16, space, 1)
@@ -159,8 +182,8 @@ func TestStorePolicyAxis(t *testing.T) {
 
 func TestFuseAxis(t *testing.T) {
 	space := smallSpace()
-	space.SplitFormats = []bool{false}
-	space.WorkerSplits = [][2]int{{1, 1}}
+	space.Radixes = nil
+	space.Workers = [][2]int{{1, 1}}
 	space.Buffers = []int{256}
 	space.Fuses = []string{"on", "off"}
 	best, all, err := Tune3D(16, 16, 16, space, 1)

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/fft1d"
 )
 
 // Wisdom persists tuned candidates per transform shape, in the spirit of
@@ -51,22 +53,32 @@ func (w *Wisdom) Save(out io.Writer) error {
 }
 
 // LoadWisdom reads a store written by Save. Entries are validated: a
-// malformed candidate (non-positive workers, buffer or μ) is rejected.
+// malformed candidate (non-positive workers, buffer or μ) is rejected, and
+// so is one recorded for the retired block-interleaved compute format
+// ("split_format": true, written by versions up to commit f193575) —
+// dropping the key silently would run a different plan than the file
+// describes.
 func LoadWisdom(in io.Reader) (*Wisdom, error) {
-	var w Wisdom
-	if err := json.NewDecoder(in).Decode(&w); err != nil {
+	var file struct {
+		Entries map[string]struct {
+			Candidate
+			Retired bool `json:"split_format"`
+		} `json:"entries"`
+	}
+	if err := json.NewDecoder(in).Decode(&file); err != nil {
 		return nil, fmt.Errorf("tune: corrupt wisdom: %w", err)
 	}
-	if w.Entries == nil {
-		w.Entries = make(map[string]Candidate)
-	}
-	for k, c := range w.Entries {
+	w := Wisdom{Entries: make(map[string]Candidate, len(file.Entries))}
+	for k, e := range file.Entries {
+		if e.Retired {
+			return nil, fmt.Errorf("tune: wisdom entry %q sets \"split_format\": the block-interleaved format was retired; re-tune this shape", k)
+		}
+		c := e.Candidate
+		w.Entries[k] = c
 		if c.BufferElems < 1 || c.DataWorkers < 1 || c.ComputeWorkers < 1 || c.Mu < 1 {
 			return nil, fmt.Errorf("tune: wisdom entry %q invalid: %+v", k, c)
 		}
-		switch c.Radix {
-		case 0, 2, 4, 8, 16:
-		default:
+		if fft1d.CheckRadix("tune", c.Radix) != nil {
 			return nil, fmt.Errorf("tune: wisdom entry %q has invalid radix %d", k, c.Radix)
 		}
 		if _, err := c.storePolicy(); err != nil {
