@@ -5,7 +5,7 @@ GO ?= go
 
 # Packages whose tests exercise real concurrency (worker pools, barriers,
 # shared plans); they get a dedicated -race pass in ci.
-RACE_PKGS = . ./internal/pipeline ./internal/stagegraph ./internal/fft2d \
+RACE_PKGS = . ./internal/stagegraph ./internal/fft2d \
             ./internal/fft3d ./internal/fft1dlarge ./internal/fft1d \
             ./internal/lru ./internal/serve ./internal/rfft \
             ./internal/trace ./internal/obs ./internal/flightrec \
@@ -16,12 +16,12 @@ RACE_PKGS = . ./internal/pipeline ./internal/stagegraph ./internal/fft2d \
 # correct on its own (the tag forces the Generic kernels everywhere).
 PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
               ./internal/stagegraph ./internal/fft1d ./internal/fft2d \
-              ./internal/fft3d ./internal/tune ./internal/machine \
-              ./internal/wire
+              ./internal/fft3d ./internal/rfft ./internal/fft1dlarge \
+              ./internal/tune ./internal/machine ./internal/wire
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck race bench \
         microbench benchsmoke benchjson benchcmp servesmoke obssmoke \
-        shardsmoke tracesmoke fuzzsmoke fmt
+        shardsmoke tracesmoke fuzzsmoke fmt loc
 
 ci: vet lint build crossbuild asmcheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke benchjson benchcmp
 
@@ -50,9 +50,12 @@ build:
 test:
 	$(GO) test ./...
 
-# The pure-Go fallback must pass the same tests as the assembly tier.
+# The pure-Go fallback must pass the same tests as the assembly tier, and
+# reproduce its own column of the golden oracle (testdata/golden.json holds
+# one output digest per kernel tier).
 purego:
 	$(GO) test -tags purego $(PUREGO_PKGS)
+	$(GO) test -tags purego -run '^TestGolden$$' .
 
 # Cross-compile check: the non-amd64 build (no .s files, generic dispatch)
 # must keep compiling even though this host never runs it.
@@ -154,3 +157,16 @@ benchcmp:
 
 fmt:
 	gofmt -l .
+
+# Size of the system: non-test Go lines per package directory (generator
+# sources included, the benchmark/ ruler excluded) with the total — the
+# figure ROADMAP and CHANGES quote — and the lines of committed generated
+# assembly.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -printf '%h\n' | sort -u | \
+	while read d; do \
+		printf '%6d  %s\n' $$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | wc -l) $$d; \
+	done
+	@printf '%6d  total non-test Go (outside benchmark/)\n' \
+		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
+	@printf '%6d  generated assembly (*.s)\n' $$(find . -name '*.s' -print0 | xargs -0 cat | wc -l)

@@ -1,6 +1,12 @@
 // Command ffttune searches the double-buffering parameters (buffer size,
-// p_d : p_c worker split, μ, compute format) empirically on this host and
-// optionally persists the winners as a JSON wisdom file for later runs.
+// p_d : p_c worker mix, μ, radix cap, store tier, store fold) empirically on
+// this host and optionally persists the winners as a JSON wisdom file for
+// later runs. There is one compute format: the paper's §IV-A
+// block-interleaved format was implemented, measured 1.3–1.9× behind the
+// complex-interleaved one in every cell (EXPERIMENTS.md "Plan defaults and
+// whole-line streaming stores") and retired — f193575 is the last commit
+// that searches it, and wisdom entries written with "split_format": true
+// are refused on load.
 //
 // Usage:
 //

@@ -40,6 +40,21 @@ func TestCompareReportsThreshold(t *testing.T) {
 	}
 }
 
+// An entry the newer report no longer carries — a retired kernel — is not a
+// regression: the gate compares what both snapshots measured. Pins the rule
+// the removal of kernels/BatchSplitRadix{4,8}Step relied on.
+func TestCompareReportsIgnoresRetiredEntries(t *testing.T) {
+	old := JSONReport{Entries: []JSONEntry{
+		{Name: "kernels/BatchRadix4Step", GBPerS: 20},
+		{Name: "kernels/BatchSplitRadix4Step", GBPerS: 15},
+		{Name: "kernels/BatchSplitRadix8Step", GBPerS: 9},
+	}}
+	new := JSONReport{Entries: []JSONEntry{{Name: "kernels/BatchRadix4Step", GBPerS: 20}}}
+	if regs := CompareReports(old, new, 0.10); len(regs) != 0 {
+		t.Fatalf("entries absent from the newer report flagged: %v", regs)
+	}
+}
+
 func TestCompareReportsImprovementsPass(t *testing.T) {
 	old := JSONReport{Entries: []JSONEntry{{Name: "a", GBPerS: 10}, {Name: "b", NsPerOp: 100}}}
 	new := JSONReport{Entries: []JSONEntry{{Name: "a", GBPerS: 20}, {Name: "b", NsPerOp: 50}}}

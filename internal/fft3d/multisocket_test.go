@@ -54,6 +54,40 @@ func TestDistributedMatchesReference(t *testing.T) {
 	}
 }
 
+// Radix 16 is what the default 0 means, and every other plan kind accepts
+// it by name; the multi-socket constructor used to refuse it. With the one
+// validation it builds, and runs the same kernel calls as the single-socket
+// plan: bit-identical output.
+func TestDistributedAcceptsRadix16(t *testing.T) {
+	const k, n, m, sk = 16, 16, 32, 2
+	dp := distCase(t, k, n, m, sk, Options{Radix: 16}, fft1d.Forward)
+	defer dp.Close()
+	single, err := NewPlan(k, n, m, Options{Strategy: DoubleBuf, Radix: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
+	x := cvec.Random(rand.New(rand.NewSource(16)), k*n*m)
+	want := make([]complex128, len(x))
+	if err := single.Transform(want, x, fft1d.Forward); err != nil {
+		t.Fatal(err)
+	}
+	src, _ := dp.Alloc()
+	dst, _ := dp.Alloc()
+	src.Scatter(x)
+	if err := dp.Transform(dst, src, fft1d.Forward); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]complex128, len(x))
+	dst.Gather(got)
+	if i := cvec.FirstBitDiff(got, want); i >= 0 {
+		t.Fatalf("sk=%d radix 16 differs from the single-socket plan at %d: %v vs %v", sk, i, got[i], want[i])
+	}
+	if _, err := NewDistPlan(k, n, m, sk, Options{Radix: 3}); err == nil {
+		t.Error("radix 3 accepted")
+	}
+}
+
 func TestDistributedInverse(t *testing.T) {
 	distCase(t, 8, 8, 8, 2, Options{BufferElems: 128}, fft1d.Inverse)
 }

@@ -253,6 +253,9 @@ func (r *Runner) Obs(g int) *obs.Collector {
 
 // SetRoofline sets the STREAM-peak normalisation on every collector.
 func (r *Runner) SetRoofline(gbs float64) {
+	if r == nil {
+		return
+	}
 	for _, c := range r.graphs {
 		c.obs.SetRoofline(gbs)
 	}

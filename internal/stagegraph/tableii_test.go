@@ -3,6 +3,8 @@ package stagegraph
 import (
 	"sync/atomic"
 	"testing"
+	"testing/quick"
+	"time"
 
 	"repro/internal/kernels"
 	"repro/internal/trace"
@@ -88,5 +90,77 @@ func TestStoreLoadOrderingOnSharedHalf(t *testing.T) {
 	}
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("%d store/load ordering violations", v)
+	}
+}
+
+// With a sleeping compute hook and a sleeping store hook, the executor must
+// take roughly max(data, compute) per steady step rather than their sum.
+// Sleeps overlap even on a single-core machine, so this is a scheduling
+// test, not a throughput test.
+func TestOverlapHidesDataMovement(t *testing.T) {
+	const iters, b = 8, 16
+	const d = 4 * time.Millisecond
+	tr := trace.New()
+	stages := []Stage{{
+		Name: "sleepy", Iters: iters, Units: 1, UnitLen: b,
+		Src:     Endpoint{C: make([]complex128, iters*b)},
+		Compute: func(*Buffers, *kernels.Arena, int, int, int, int) { time.Sleep(2 * d) },
+		Dst:     Endpoint{WriteC: func(int, []complex128) { time.Sleep(d) }},
+		Rot:     Rotation{Blocks: 1, BlockLen: b, Map: func(g, _ int) int { return g * b }},
+	}}
+	st, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1, Fused: true, Tracer: tr}, NewBuffers(b, false), stages)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Back to back the legs cost iters·(d + 2d) = 24d; pipelined ≈
+	// (iters+2)·2d = 20d with the store hidden under the compute. Require
+	// a conservative margin to stay robust under CI noise.
+	if serial := st.DataTime + st.ComputeTime; float64(serial) < 1.1*float64(st.WallTime) {
+		t.Fatalf("pipelining hid no data movement: wall %v vs legs back to back %v", st.WallTime, serial)
+	}
+	if f := tr.OverlapFraction(); f < 0.5 {
+		t.Fatalf("overlap fraction %v, want ≥ 0.5 (most data movement hidden)", f)
+	}
+}
+
+// oneStage scales n = iters·b elements by 2 through a one-stage graph and
+// reports whether every element arrived exactly once.
+func oneStage(cfg Config, iters, b int) bool {
+	src := make([]complex128, iters*b)
+	for i := range src {
+		src[i] = complex(float64(i), 1)
+	}
+	dst := make([]complex128, iters*b)
+	stages := chainGraph(src, nil, dst, iters, 1, b, 2)
+	cfg.Fused = true
+	if _, err := Run(cfg, NewBuffers(b, false), stages); err != nil {
+		return false
+	}
+	for i := range dst {
+		if dst[i] != 2*src[i] {
+			return false
+		}
+	}
+	return true
+}
+
+func TestLockThreadsAndYieldPaths(t *testing.T) {
+	if !oneStage(Config{DataWorkers: 2, ComputeWorkers: 2, LockThreads: true}, 4, 32) {
+		t.Fatal("LockThreads run moved the data wrongly")
+	}
+	if !oneStage(Config{DataWorkers: 2, ComputeWorkers: 2, YieldInData: true}, 4, 32) {
+		t.Fatal("YieldInData run moved the data wrongly")
+	}
+}
+
+// Property: for any iteration count and worker mix, the pipeline moves and
+// transforms every element exactly once.
+func TestQuickPipelineCompleteness(t *testing.T) {
+	f := func(rawIters, rawPd, rawPc uint8) bool {
+		return oneStage(Config{DataWorkers: int(rawPd)%3 + 1, ComputeWorkers: int(rawPc)%3 + 1},
+			int(rawIters)%12+1, 48)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
 	}
 }
