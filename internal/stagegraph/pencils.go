@@ -159,13 +159,12 @@ type Pencils struct {
 // caller's arrays, the direction the compute hooks read, and the buffer
 // footprint the stages need.
 type Graph struct {
-	Stages []Stage
-	// Elems is the buffer-half size the graph needs; Staging whether a
-	// stage stores from the staging halves.
-	Elems   int
-	Staging bool
-	// Mu is the effective block length.
-	Mu int
+	stages []Stage
+	// elems is the buffer-half size the graph needs; staging whether a
+	// stage stores from the staging halves; mu the effective block length.
+	elems   int
+	staging bool
+	mu      int
 
 	dir *direction
 	// srcIn / dstOut / srcOut list the stages whose Src is the caller's
@@ -183,12 +182,26 @@ type Graph struct {
 	destBytes int
 }
 
+// bind points the stages that use the caller's arrays at them (zero
+// Endpoints unbind, so a parked runner does not pin the arrays).
+func (g *Graph) bind(in, out Endpoint) {
+	for _, i := range g.srcIn {
+		g.stages[i].Src = in
+	}
+	for _, i := range g.srcOut {
+		g.stages[i].Src = out
+	}
+	for _, i := range g.dstOut {
+		g.stages[i].Dst = out
+	}
+}
+
 // Cut divides the graph at stage `at` into two graphs that share the patch
 // points — the shape of a partitioned transform, whose caller separates the
 // halves with its own barrier.
 func (g *Graph) Cut(at int) (front, back *Graph) {
 	f, b := *g, *g
-	f.Stages, b.Stages = g.Stages[:at], g.Stages[at:]
+	f.stages, b.stages = g.stages[:at], g.stages[at:]
 	keep := func(idx []int, lo, hi int) []int {
 		var out []int
 		for _, i := range idx {
@@ -198,7 +211,7 @@ func (g *Graph) Cut(at int) (front, back *Graph) {
 		}
 		return out
 	}
-	n := len(g.Stages)
+	n := len(g.stages)
 	f.srcIn, f.dstOut, f.srcOut = keep(g.srcIn, 0, at), keep(g.dstOut, 0, at), keep(g.srcOut, 0, at)
 	b.srcIn, b.dstOut, b.srcOut = keep(g.srcIn, at, n), keep(g.dstOut, at, n), keep(g.srcOut, at, n)
 	return &f, &b
@@ -213,7 +226,7 @@ type pencil struct {
 	lanes   int
 	rotate  bool    // blocked rotation (else rows go back where they came from)
 	pitch   int     // destination row pitch in elements (0 = dense) …
-	rowLen  int     // … of rows this many blocks long (rotating stages)
+	rowBlks int     // … of rows this many blocks long (rotating stages)
 	sign    int     // fixed direction (0 = the run's)
 	scale   float64 // fixed scale applied after the transform (0 = none)
 	pre     func(x []complex128, rows int)
@@ -287,7 +300,7 @@ func (p Pencils) Build() (*Graph, error) {
 		total *= d
 	}
 	total /= mu
-	g := &Graph{Mu: mu, dir: &direction{}, policy: p.StorePolicy}
+	g := &Graph{mu: mu, dir: &direction{}, policy: p.StorePolicy}
 	var chain []pencil
 	for i := 0; i < D; i++ {
 		axis := D - 1 - i
@@ -329,7 +342,7 @@ func (p Pencils) Build() (*Graph, error) {
 			for i := 1; i < D; i++ {
 				chain[i].sign = fft1d.Forward
 			}
-			chain[D-1].pitch, chain[D-1].rowLen = r.Pitch, last/mu
+			chain[D-1].pitch, chain[D-1].rowBlks = r.Pitch, last/mu
 		} else {
 			// entangle → pencil stages (conjugated, scaled) → rows⁻¹. The
 			// entangle stage takes the forward row stage's place and
@@ -415,12 +428,12 @@ func (p Pencils) Build() (*Graph, error) {
 			}
 		}
 		bind(0, &st, dst)
-		g.Stages = append(g.Stages, st)
-		g.Staging = true
+		g.stages = append(g.stages, st)
+		g.staging = true
 	}
 	for ci := range chain {
 		c := chain[ci]
-		i := len(g.Stages)
+		i := len(g.stages)
 		unitLen := c.blocks * mu
 		per := size(c.units, unitLen)
 		dst := sinkOf(i)
@@ -441,15 +454,14 @@ func (p Pencils) Build() (*Graph, error) {
 		}
 		st.Compute = c.compute(g.dir, unitLen, fold, i == nStages-1 && p.Real == nil)
 		bind(i, &st, dst)
-		g.Stages = append(g.Stages, st)
+		g.stages = append(g.stages, st)
 	}
 
-	for i := range g.Stages {
-		st := &g.Stages[i]
-		g.Elems = max(g.Elems, st.BlockElems())
+	for i := range g.stages {
+		g.elems = max(g.elems, g.stages[i].BlockElems())
 	}
 	if g.batch {
-		g.Elems = max(g.Elems, budget)
+		g.elems = max(g.elems, budget)
 	}
 	if p.Real == nil && sk == 1 {
 		// Every stage writes the whole array once. Scaling the last stage's
@@ -459,8 +471,8 @@ func (p Pencils) Build() (*Graph, error) {
 		// so it commutes with the butterfly's adds).
 		n := total * mu
 		g.destBytes = n * complexBytes
-		g.scaleInStage = g.Stages[nStages-1].StoreRadix == 0 || n&(n-1) == 0
-		ApplyStorePolicy(g.Stages, p.StorePolicy.Decide(g.destBytes, machine.HostLLCBytes()))
+		g.scaleInStage = g.stages[nStages-1].StoreRadix == 0 || n&(n-1) == 0
+		ApplyStorePolicy(g.stages, p.StorePolicy.Decide(g.destBytes, machine.HostLLCBytes()))
 	}
 	return g, nil
 }
@@ -504,12 +516,12 @@ func rotation(c pencil, mu, base int) Rotation {
 			Map: func(g, j int) int { return base + (j*G+remap(g))*mu }}
 	}
 	// The last rotation lands in natural row-major order: block u = j·G + g
-	// is block u mod rowLen of row u / rowLen.
-	rowLen, pitch := c.rowLen, c.pitch
-	return Rotation{Blocks: c.blocks, BlockLen: mu, JStride: G / rowLen * pitch,
+	// is block u mod rowBlks of row u / rowBlks.
+	rowBlks, pitch := c.rowBlks, c.pitch
+	return Rotation{Blocks: c.blocks, BlockLen: mu, JStride: G / rowBlks * pitch,
 		Map: func(g, j int) int {
 			u := j*G + remap(g)
-			return base + u/rowLen*pitch + u%rowLen*mu
+			return base + u/rowBlks*pitch + u%rowBlks*mu
 		}}
 }
 
@@ -567,7 +579,7 @@ type Transpose struct {
 // length of its contiguous column stores, and the measured optimum of that
 // trade (EXPERIMENTS.md "Six-step buffer size") is what elems encodes.
 func Transposes(elems int, passes ...Transpose) *Graph {
-	g := &Graph{Elems: elems, Staging: true, dir: &direction{}, scaleInStage: true}
+	g := &Graph{elems: elems, staging: true, dir: &direction{}, scaleInStage: true}
 	var src []complex128
 	for i, t := range passes {
 		t := t
@@ -615,7 +627,7 @@ func Transposes(elems int, passes ...Transpose) *Graph {
 			src = make([]complex128, rows*cols)
 			st.Dst = Endpoint{C: src}
 		}
-		g.Stages = append(g.Stages, st)
+		g.stages = append(g.stages, st)
 	}
 	return g
 }

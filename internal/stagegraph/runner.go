@@ -90,18 +90,18 @@ func NewRunner(cfg RunnerConfig, graphs ...*Graph) (*Runner, error) {
 	r := &Runner{cfg: cfg}
 	elems, staging := 0, false
 	for i, g := range graphs {
-		c := &compiled{Graph: g, sched: Compile(g.Stages, !cfg.Unfused)}
+		c := &compiled{Graph: g, sched: Compile(g.stages, !cfg.Unfused)}
 		if i < len(cfg.Labels) && cfg.Labels[i] != "" {
-			names := make([]string, len(g.Stages))
-			for j := range g.Stages {
-				names[j] = g.Stages[j].Name
+			names := make([]string, len(g.stages))
+			for j := range g.stages {
+				names[j] = g.stages[j].Name
 			}
 			c.obs = obs.NewCollector(cfg.DataWorkers, cfg.ComputeWorkers, names)
 			_, c.unreg = obs.Default.Register(cfg.Labels[i], c.obs)
 		}
 		r.graphs = append(r.graphs, c)
-		elems = max(elems, g.Elems)
-		staging = staging || g.Staging
+		elems = max(elems, g.elems)
+		staging = staging || g.staging
 	}
 	r.bufs = NewBuffers(elems, staging)
 	exec, err := NewExecutor(Config{
@@ -158,7 +158,7 @@ func (r *Runner) Run(g int, c Call) error {
 		return fmt.Errorf("%s: plan closed", r.cfg.Pkg)
 	}
 	gr := r.graphs[g]
-	stages := gr.Stages
+	stages := gr.stages
 	post := c.Scale != 0 && !gr.scaleInStage
 	gr.dir.sign, gr.dir.scale = c.Sign, c.Scale
 	if post {
@@ -182,31 +182,14 @@ func (r *Runner) Run(g int, c Call) error {
 			r.bufs = NewBuffers(need, r.bufs.T[0] != nil)
 		}
 	}
-	for _, i := range gr.srcIn {
-		stages[i].Src = c.In
-	}
-	for _, i := range gr.srcOut {
-		stages[i].Src = c.Out
-	}
-	for _, i := range gr.dstOut {
-		stages[i].Dst = c.Out
-	}
+	gr.bind(c.In, c.Out)
 	tracer := c.Tracer
 	if tracer == nil {
 		tracer = r.cfg.Tracer
 	}
 	r.exec.SetObs(gr.obs)
 	st, err := r.exec.Run(r.bufs, stages, gr.sched, tracer)
-	// Drop the caller's arrays so a parked runner does not pin them.
-	for _, i := range gr.srcIn {
-		stages[i].Src = Endpoint{}
-	}
-	for _, i := range gr.srcOut {
-		stages[i].Src = Endpoint{}
-	}
-	for _, i := range gr.dstOut {
-		stages[i].Dst = Endpoint{}
-	}
+	gr.bind(Endpoint{}, Endpoint{})
 	if err != nil {
 		return err
 	}
@@ -222,7 +205,7 @@ func (r *Runner) Mu() int {
 	if r == nil {
 		return 0
 	}
-	return r.graphs[0].Mu
+	return r.graphs[0].mu
 }
 
 // Iters returns the pipeline iteration count of each stage of graph g.
@@ -296,7 +279,7 @@ func (r *Runner) DescribeGraph() string {
 	defer r.lock.Unlock()
 	s := ""
 	for _, c := range r.graphs {
-		s += Describe(c.Stages, !r.cfg.Unfused)
+		s += Describe(c.stages, !r.cfg.Unfused)
 	}
 	return s
 }
@@ -311,8 +294,8 @@ func (r *Runner) NonTemporalStages() int {
 	defer r.lock.Unlock()
 	nt := 0
 	for _, c := range r.graphs {
-		for i := range c.Stages {
-			if c.Stages[i].NonTemporal {
+		for i := range c.stages {
+			if c.stages[i].NonTemporal {
 				nt++
 			}
 		}
@@ -339,7 +322,7 @@ func (r *Runner) ReviseStorePolicy() int {
 	changed := 0
 	for _, c := range r.graphs {
 		if c.policy == StoreAuto && c.destBytes > 0 {
-			changed += ReviseStores(c.Stages, c.obs.Snapshot(), machine.HostLLCBytes(), c.destBytes)
+			changed += ReviseStores(c.stages, c.obs.Snapshot(), machine.HostLLCBytes(), c.destBytes)
 		}
 	}
 	return changed
