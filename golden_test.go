@@ -164,8 +164,8 @@ func runReal(p realPlan, realLen, specLen int) (string, string, string, error) {
 	return p.DescribeGraph(), digestComplex(spec), digestFloats(back), nil
 }
 
-// variant is one option setting applied on top of the defaults; the flags
-// say which plan kinds do not carry the option.
+// variant is one option setting applied on top of the defaults; has* say
+// which plan kinds carry the option.
 type variant struct {
 	name             string
 	mu, radix        int
