@@ -8,10 +8,12 @@ package repro
 // scratch from the per-worker arenas.
 
 import (
+	"math/bits"
 	"runtime"
 	"testing"
 
 	"repro/internal/fft1d"
+	"repro/internal/machine"
 )
 
 // assertZeroAllocs runs f once to warm the plan, then asserts the steady
@@ -44,10 +46,15 @@ func TestSteadyStateZeroAllocs1DBatch(t *testing.T) {
 	})
 }
 
+// sixStepN is the smallest power of two the default FFT1D runs as the
+// six-step stage graph on this host: one past fft1dlarge's bound, where src
+// and dst (32·n bytes) stop fitting L2 together (2¹⁷ on a 2 MiB L2).
+func sixStepN() int { return 1 << bits.Len(uint(machine.HostL2Bytes()/32)) }
+
 func TestSteadyStateZeroAllocs1DLarge(t *testing.T) {
-	// 8192 ≥ the default MinN, so the public FFT1D takes the six-step
-	// stage-graph path (128×64 split) through its persistent executor.
-	const n = 8192
+	// Above the default bound the public FFT1D takes the six-step
+	// stage-graph path through its persistent executor.
+	n := sixStepN()
 	p, err := NewFFT1D(n, WithWorkers(2, 2), WithBufferElems(1<<11))
 	if err != nil {
 		t.Fatal(err)

@@ -57,12 +57,12 @@ func (w plan3D) forward() error {
 func (w plan3D) length() int { return w.p.Len() }
 
 // newPlans builds one small staged plan per rank; all three use persistent
-// executors (the 1D size is above MinN so it takes the six-step path).
+// executors (the 1D size is above the L2 bound so it takes the six-step path).
 func newPlans(t *testing.T) map[string]func() transformer {
 	t.Helper()
 	return map[string]func() transformer{
 		"FFT1D": func() transformer {
-			p, err := NewFFT1D(8192, WithWorkers(2, 2), WithBufferElems(1<<11))
+			p, err := NewFFT1D(sixStepN(), WithWorkers(2, 2), WithBufferElems(1<<11))
 			if err != nil {
 				t.Fatal(err)
 			}

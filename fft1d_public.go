@@ -9,11 +9,12 @@ import (
 	"repro/internal/fft1dlarge"
 )
 
-// FFT1D is a reusable plan for one-dimensional transforms. Sizes large
-// enough to spill the cache run the software-pipelined six-step
+// FFT1D is a reusable plan for one-dimensional transforms. Sizes whose
+// source and destination (32·n bytes) no longer fit the per-core L2
+// together — n > 2¹⁶ on a 2 MiB L2 — run the software-pipelined six-step
 // factorization (contiguous row FFTs + block-granular transposes through
-// the double buffer); smaller sizes use the in-cache mixed-radix planner
-// directly.
+// the double buffer); smaller sizes, and primes, use the in-cache
+// mixed-radix planner directly.
 type FFT1D struct {
 	p         *fft1dlarge.Plan
 	release   func()

@@ -12,6 +12,16 @@ func (p *Plan) Transform(dst, src []complex128, sign int) {
 	p.Lanes(dst, src, 1, sign)
 }
 
+// TransformArena is Transform drawing scratch from the caller's arena — the
+// serving executors' path, one arena per executor goroutine.
+func (p *Plan) TransformArena(dst, src []complex128, sign int, ar *kernels.Arena) {
+	if len(dst) != p.n || len(src) != p.n {
+		panic(fmt.Sprintf("fft1d: TransformArena length mismatch: dst=%d src=%d want %d",
+			len(dst), len(src), p.n))
+	}
+	p.lanesInto(dst, src, 1, sign, ar)
+}
+
 // Lanes computes dst = (DFT_n ⊗ I_mu)(src) out of place: mu independent
 // transforms interleaved at lane granularity. dst and src must each have
 // length n·mu and must not overlap. This is the cacheline-vector kernel of
@@ -225,15 +235,6 @@ func (p *Plan) InPlaceLanes(x []complex128, mu, sign int) {
 	ar := getArena()
 	p.inPlaceLanes(x, mu, sign, ar)
 	putArena(ar)
-}
-
-// InPlaceLanesArena is InPlaceLanes drawing scratch from the caller's arena
-// — the executor compute path.
-func (p *Plan) InPlaceLanesArena(x []complex128, mu, sign int, ar *kernels.Arena) {
-	if len(x) != p.n*mu {
-		panic(fmt.Sprintf("fft1d: InPlaceLanesArena length %d, want %d", len(x), p.n*mu))
-	}
-	p.inPlaceLanes(x, mu, sign, ar)
 }
 
 func (p *Plan) inPlaceLanes(x []complex128, mu, sign int, ar *kernels.Arena) {

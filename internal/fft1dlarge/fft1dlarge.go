@@ -17,6 +17,10 @@
 // access discipline as the paper's multi-dimensional stages. With fusion
 // (the default) the whole 1D transform is a single pipeline that drains
 // once, not three back-to-back passes.
+//
+// The factorization is for arrays that do not fit cache: while src and dst
+// (32·n bytes) fit the per-core L2 together, and for primes, a plan runs the
+// in-cache fft1d transform directly (Options.MinN).
 package fft1dlarge
 
 import (
@@ -24,6 +28,8 @@ import (
 	"sync/atomic"
 
 	"repro/internal/fft1d"
+	"repro/internal/kernels"
+	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/stagegraph"
 	"repro/internal/trace"
@@ -38,9 +44,11 @@ type Options struct {
 	// BufferElems is the per-half block size in complex elements (default
 	// defaultBufferElems).
 	BufferElems int
-	// MinN is the size below which the plan falls back to the plain
-	// in-cache 1D FFT (default 1<<12 — smaller transforms fit in cache
-	// and gain nothing from streaming).
+	// MinN is the size below which the plan runs the in-cache 1D FFT
+	// directly. The default comes from the machine model: direct while src
+	// and dst (32·n bytes) both fit machine.HostL2Bytes() — n ≤ 2¹⁶ on a
+	// 2 MiB L2 (EXPERIMENTS.md "Direct vs six-step"). Tests set it to force
+	// the graph at small n.
 	MinN int
 	// Radix caps the Stockham stage radix of the power-of-two row sub-plans
 	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
@@ -73,10 +81,16 @@ func (o Options) withDefaults() Options {
 		o.BufferElems = defaultBufferElems
 	}
 	if o.MinN == 0 {
-		o.MinN = 1 << 12
+		o.MinN = defaultMinN(machine.HostL2Bytes())
 	}
 	return o
 }
+
+// defaultMinN is the smallest size whose src and dst (16 bytes per element
+// each) no longer fit an L2 of l2Bytes together: below it every Stockham
+// pass runs cache to cache and the six-step graph's three extra passes over
+// the array buy nothing.
+func defaultMinN(l2Bytes int) int { return l2Bytes/32 + 1 }
 
 // Plan is a reusable large-1D FFT plan.
 type Plan struct {
@@ -180,22 +194,37 @@ func (p *Plan) Direct() bool { return p.direct != nil }
 // Transform computes dst = DFT_n(src), unnormalized, out of place. dst and
 // src must not overlap.
 func (p *Plan) Transform(dst, src []complex128, sign int) error {
-	return p.transform(dst, src, sign, 0)
+	return p.transform(dst, src, sign, 0, nil)
 }
 
 // Inverse computes the normalized inverse out of place: Transform(dst, src,
 // fft1d.Inverse) followed by fft1d.Scale(dst, 1/n), bitwise, with the scale
 // applied to the last stage's rows in cache instead of in a pass over dst.
 func (p *Plan) Inverse(dst, src []complex128) error {
-	return p.transform(dst, src, fft1d.Inverse, 1/float64(p.n))
+	return p.Execute(dst, src, true, nil)
 }
 
-func (p *Plan) transform(dst, src []complex128, sign int, scale float64) error {
+// Execute is Transform, or Inverse when inverse is set, for a caller that
+// owns an arena: the direct path draws its ping-pong scratch from ar instead
+// of the process-wide pool (nil selects the pool). The six-step graph has its
+// own buffers and ignores ar. Same bits as Transform / Inverse either way.
+func (p *Plan) Execute(dst, src []complex128, inverse bool, ar *kernels.Arena) error {
+	if inverse {
+		return p.transform(dst, src, fft1d.Inverse, 1/float64(p.n), ar)
+	}
+	return p.transform(dst, src, fft1d.Forward, 0, ar)
+}
+
+func (p *Plan) transform(dst, src []complex128, sign int, scale float64, ar *kernels.Arena) error {
 	if len(dst) != p.n || len(src) != p.n {
 		return fmt.Errorf("fft1dlarge: lengths dst=%d src=%d, want %d", len(dst), len(src), p.n)
 	}
 	if p.direct != nil {
-		p.direct.Transform(dst, src, sign)
+		if ar != nil {
+			p.direct.TransformArena(dst, src, sign, ar)
+		} else {
+			p.direct.Transform(dst, src, sign)
+		}
 		if scale != 0 {
 			fft1d.Scale(dst, scale)
 		}

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/machine"
 )
 
 const tol = 1e-8
@@ -83,7 +84,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestDirectFallback(t *testing.T) {
-	// Below MinN the plan must delegate to the in-cache FFT.
+	// Below the bound the plan must delegate to the in-cache FFT.
 	p, err := NewPlan(256, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -105,6 +106,41 @@ func TestDirectFallback(t *testing.T) {
 		t.Fatal("prime plan should be direct")
 	}
 	checkAgainstDirect(t, 8191, Options{MinN: 16}, fft1d.Forward)
+}
+
+// TestDefaultBound: with MinN unset the direct/six-step switch-over follows
+// the L2 size — direct while src and dst (32·n bytes) fit it together — and
+// an explicit MinN still forces the graph below it.
+func TestDefaultBound(t *testing.T) {
+	for _, c := range []struct{ l2Bytes, largestDirect int }{
+		{256 << 10, 1 << 13},
+		{2 << 20, 1 << 16},
+		{1 << 20, 1 << 15}, // machine.HostL2Bytes' fallback when no L2 is detected
+	} {
+		if got := defaultMinN(c.l2Bytes) - 1; got != c.largestDirect {
+			t.Errorf("L2 of %d bytes: largest direct size %d, want %d", c.l2Bytes, got, c.largestDirect)
+		}
+	}
+
+	fits := machine.HostL2Bytes() / 32
+	for n, wantDirect := range map[int]bool{fits: true, 2 * fits: false} {
+		p, err := NewPlan(n, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Direct() != wantDirect {
+			t.Errorf("n=%d on a %d-byte L2: Direct() = %v, want %v", n, machine.HostL2Bytes(), p.Direct(), wantDirect)
+		}
+		p.Close()
+	}
+	p, err := NewPlan(1<<12, Options{MinN: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Direct() {
+		t.Error("MinN = 16 did not force the six-step graph at n = 4096")
+	}
+	p.Close()
 }
 
 func TestSplitBalance(t *testing.T) {

@@ -34,8 +34,13 @@ func Radix4FoldLeg(dst, z0, z1, z2, z3 []complex128, leg, sign int) {
 	Radix4FoldLegGeneric(dst, z0, z1, z2, z3, leg, sign)
 }
 
-// Radix4FoldScatterNT has no accelerated implementation on this build;
-// it always reports false so callers take the scratch-fold path.
+// Radix4FoldScatter and Radix4FoldScatterNT have no accelerated
+// implementation on this build; they always report false so callers take
+// the scratch-fold path.
+func Radix4FoldScatter(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, stride, leg, sign int) bool {
+	return false
+}
+
 func Radix4FoldScatterNT(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, stride, leg, sign int) bool {
 	return false
 }

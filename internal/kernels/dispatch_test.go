@@ -246,6 +246,74 @@ func TestFoldScatterNTMatchesScratchPath(t *testing.T) {
 	}
 }
 
+// The cached fused fold+scatter kernel must place, bit for bit, the blocks
+// Radix4FoldLegGeneric + a block scatter would and touch nothing between
+// them — on every pattern with an even block length, including the ones the
+// streaming twin declines (32-byte blocks, offsets and strides off the line
+// grid, an unaligned base). What it declines it leaves unwritten; without
+// the codelet tier (purego) that is everything.
+func TestFoldScatterMatchesGenericOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	sentinel := complex(math.Pi, -math.E)
+	fill := func(n int) []complex128 {
+		d := make([]complex128, n)
+		for i := range d {
+			d[i] = sentinel
+		}
+		return d
+	}
+	for _, c := range []struct{ blocks, bl, d0, stride, at int }{
+		{1, 2, 0, 0, 0}, {8, 2, 0, 8, 0}, {7, 2, 3, 2, 1}, {4, 4, 0, 16, 0}, {4, 4, 2, 16, 0},
+		{4, 4, 0, 18, 0}, {3, 4, 5, 7, 3}, {5, 8, 0, 40, 0}, {6, 8, 1, 9, 1},
+	} {
+		n := c.blocks * c.bl
+		z0, z1 := randComplex(r, n), randComplex(r, n)
+		z2, z3 := randComplex(r, n), randComplex(r, n)
+		extent := c.d0 + (c.blocks-1)*c.stride + c.bl
+		for _, sign := range []int{Forward, Inverse} {
+			for leg := 0; leg < 4; leg++ {
+				got := fill(extent + c.at)[c.at:] // c.at shifts the base off any line boundary
+				ok := Radix4FoldScatter(got, z0, z1, z2, z3, c.blocks, c.bl, c.d0, c.stride, leg, sign)
+				want := fill(extent)
+				if ok {
+					folded := make([]complex128, n)
+					Radix4FoldLegGeneric(folded, z0, z1, z2, z3, leg, sign)
+					for i := 0; i < c.blocks; i++ {
+						copy(want[c.d0+i*c.stride:], folded[i*c.bl:(i+1)*c.bl])
+					}
+				}
+				if ok != (Tier() != "generic") {
+					t.Fatalf("%+v: fused kernel returned %v on the %s tier", c, ok, Tier())
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%+v leg=%d sign=%d: dst[%d] = %v, want %v", c, leg, sign, i, got[i], want[i])
+					}
+				}
+			}
+		}
+	}
+	for _, c := range []struct {
+		name                        string
+		blocks, bl, d0, stride, len int
+	}{
+		{"odd block length", 2, 3, 0, 4, 8},
+		{"last block past the end", 4, 4, 0, 16, 51},
+		{"negative offset", 2, 4, -4, 8, 16},
+	} {
+		z := randComplex(r, c.blocks*c.bl)
+		dst := fill(c.len)
+		if Radix4FoldScatter(dst, z, z, z, z, c.blocks, c.bl, c.d0, c.stride, 0, Forward) {
+			t.Fatalf("fused kernel accepted %s", c.name)
+		}
+		for i, v := range dst {
+			if v != sentinel {
+				t.Fatalf("%s: declined call wrote dst[%d]", c.name, i)
+			}
+		}
+	}
+}
+
 func ExampleTier() {
 	fmt.Println(len(Tier()) > 0)
 	// Output: true

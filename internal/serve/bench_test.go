@@ -2,9 +2,8 @@ package serve
 
 // BenchmarkServeBatched measures serving throughput (requests/second) for
 // a stream of same-shape 1D requests under two configurations: coalescing
-// enabled (MaxBatch 32, the serving layer's raison d'être — one batched
-// Stockham sweep amortizes dispatch, plan lookup and twiddle traffic over
-// the whole batch) and disabled (MaxBatch 1, one execution per request).
+// enabled (MaxBatch 32 — one plan lookup and one executor hand-off for the
+// whole batch) and disabled (MaxBatch 1, one hand-off per request).
 // The acceptance bar is coalesced ≥ 1.5× unbatched at batch occupancy ≥ 8.
 
 import (

@@ -1,17 +1,18 @@
 // Package serve is a batched, backpressured FFT serving layer: callers
 // submit transform requests of any rank, a dispatcher coalesces same-shape
-// 1D requests into single batched pencil executions, and every plan comes
-// from a bounded ref-counted LRU cache so worker teams are reused across
-// requests instead of rebuilt per request — the paper's zero-steady-state-
-// allocation executors, amortized across a request stream.
+// 1D requests into batches that share one plan lookup and one executor
+// hand-off, and every plan comes from a bounded ref-counted LRU cache so
+// worker teams are reused across requests instead of rebuilt per request —
+// the paper's zero-steady-state-allocation executors, amortized across a
+// request stream.
 package serve
 
 import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fft1d"
 	"repro/internal/fft1dlarge"
+	"repro/internal/kernels"
 	"repro/internal/lru"
 )
 
@@ -99,18 +100,18 @@ func (k PlanKey) SpectrumLen() int {
 	return k.Len() / last * (last/2 + 1)
 }
 
-// Plan is one cached executor. Complex rank-1 plans hold both the
-// streaming six-step plan (single large requests, and the shared-handle
-// facade) and the in-cache batch planner (coalesced pencil sweeps);
-// complex rank-2/3 plans wrap the core double-buffer executors with their
-// persistent worker teams. Real plans wrap the core real-input stage-graph
-// executors; the rank-1 real plan batches natively (ForwardBatch /
-// InverseBatch run many packed rows in one pipeline sweep), so it serves
-// both the singleton and the coalesced path.
+// Plan is one cached executor. A complex rank-1 plan is the one
+// fft1dlarge.Plan that lone requests, coalesced batches, repro.FFT1D and the
+// shared-handle facade all run (direct while the transform fits L2, the
+// streaming six-step graph above), so a request's bits never depend on how
+// it was batched; complex rank-2/3 plans wrap the core double-buffer
+// executors with their persistent worker teams. Real plans wrap the core
+// real-input stage-graph executors; the rank-1 real plan batches natively
+// (ForwardBatch / InverseBatch run many packed rows in one pipeline sweep),
+// so it serves both the singleton and the coalesced path.
 type Plan struct {
 	key PlanKey
 	p1  *fft1dlarge.Plan
-	p1b *fft1d.Plan
 	p2  *core.Plan2D
 	p3  *core.Plan3D
 	r1  *core.RealPlan1D
@@ -150,7 +151,6 @@ func buildPlan(key PlanKey) (*Plan, error) {
 		}
 		pl.Obs().SetRoofline(cfg.Roofline())
 		p.p1 = pl
-		p.p1b = fft1d.NewPlanRadix(key.D0, cfg.Radix)
 	case 2:
 		pl, err := core.NewPlan2D(key.D0, key.D1, cfg)
 		if err != nil {
@@ -194,12 +194,15 @@ func (p *Plan) R3() *core.RealPlan3D { return p.r3 }
 // Execute runs one out-of-place transform; inverse transforms are
 // normalized so Execute(inverse) ∘ Execute(forward) is the identity.
 func (p *Plan) Execute(dst, src []complex128, inverse bool) error {
+	return p.execute(dst, src, inverse, nil)
+}
+
+// execute is Execute with the rank-1 direct path's scratch drawn from the
+// calling executor's arena (nil: the process-wide pool).
+func (p *Plan) execute(dst, src []complex128, inverse bool, ar *kernels.Arena) error {
 	switch p.key.Rank {
 	case 1:
-		if inverse {
-			return p.p1.Inverse(dst, src)
-		}
-		return p.p1.Transform(dst, src, fft1d.Forward)
+		return p.p1.Execute(dst, src, inverse, ar)
 	case 2:
 		if inverse {
 			return p.p2.Inverse(dst, src)
@@ -211,24 +214,6 @@ func (p *Plan) Execute(dst, src []complex128, inverse bool) error {
 		}
 		return p.p3.Forward(dst, src)
 	}
-}
-
-// ExecuteBatch transforms count contiguous rank-1 pencils in place with a
-// single batched Stockham sweep — the coalesced fast path the dispatcher
-// uses for same-shape 1D requests. Panics if the plan is not rank 1.
-func (p *Plan) ExecuteBatch(buf []complex128, count int, inverse bool) error {
-	if p.p1b == nil {
-		return fmt.Errorf("serve: batched execution needs a rank-1 plan, have rank %d", p.key.Rank)
-	}
-	sign := fft1d.Forward
-	if inverse {
-		sign = fft1d.Inverse
-	}
-	p.p1b.Batch(buf, count, sign)
-	if inverse {
-		fft1d.Scale(buf, 1/float64(p.key.D0))
-	}
-	return nil
 }
 
 // ExecuteReal runs one out-of-place real transform: forward reads the real
@@ -253,7 +238,8 @@ func (p *Plan) ExecuteReal(spec []complex128, re []float64, inverse bool) error 
 		}
 		return p.r3.Forward(spec, re)
 	default:
-		return fmt.Errorf("serve: real execution needs a real plan, key %+v is complex", p.key.Rank)
+		return fmt.Errorf("serve: real execution needs a real plan, rank-%d key %d×%d×%d is complex",
+			p.key.Rank, p.key.D0, p.key.D1, p.key.D2)
 	}
 }
 

@@ -9,8 +9,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/trace"
 )
 
@@ -40,7 +42,8 @@ type Options struct {
 	// that trades admission latency against burst absorption.
 	QueueDepth int
 	// MaxBatch caps how many same-shape 1D requests coalesce into one
-	// batched pencil execution (default 16; 1 disables coalescing).
+	// batch — one plan lookup and one executor hand-off for all of them
+	// (default 16; 1 disables coalescing).
 	MaxBatch int
 	// BatchWindow is how long the dispatcher lingers for more same-shape
 	// requests after the first of a batch arrives (default 200µs). Zero
@@ -105,7 +108,9 @@ func (o Options) withDefaults() Options {
 
 // Request is one transform to execute: Rank and Dims select the plan,
 // Src/Dst the caller-owned buffers (len = product of dims; Dst is written
-// only on success). Inverse requests are normalized.
+// only on success). Inverse requests are normalized. A complex rank-1
+// request may alias Dst and Src (it is then served from a copy of its
+// input); every other kind needs disjoint buffers.
 //
 // Real selects the real-input (r2c/c2r) pipeline: Dims describe the real
 // grid (last dim even), and the buffers swap by direction — a forward real
@@ -495,12 +500,13 @@ func sameBatch(a, b *item) bool {
 }
 
 // execute is one executor goroutine: it claims each batch's live items,
-// pins the plan, runs the transform (coalesced for multi-item batches) and
-// settles every claimed item exactly once.
+// pins the plan, runs the transforms and settles every claimed item exactly
+// once.
 func (s *Server) execute() {
 	defer s.workersWG.Done()
-	var coalesce []complex128  // per-executor scratch for batched pencils
-	var realCoalesce []float64 // real-side scratch for batched real rows
+	arena := kernels.NewArena(0, 0) // this goroutine's scratch for direct rank-1 transforms
+	var realCoalesce []float64      // packed rows of a coalesced real batch …
+	var specCoalesce []complex128   // … and their half spectra
 	for b := range s.batchCh {
 		if s.execGate != nil {
 			<-s.execGate
@@ -575,11 +581,11 @@ func (s *Server) execute() {
 			if cap(realCoalesce) < n*len(live) {
 				realCoalesce = make([]float64, n*len(live))
 			}
-			if cap(coalesce) < mc*len(live) {
-				coalesce = make([]complex128, mc*len(live))
+			if cap(specCoalesce) < mc*len(live) {
+				specCoalesce = make([]complex128, mc*len(live))
 			}
 			re := realCoalesce[:n*len(live)]
-			spec := coalesce[:mc*len(live)]
+			spec := specCoalesce[:mc*len(live)]
 			for i, it := range live {
 				if inverse {
 					copy(spec[i*mc:(i+1)*mc], it.req.Src)
@@ -598,22 +604,6 @@ func (s *Server) execute() {
 				}
 			}
 			s.settle(live, err)
-		case len(live) > 1:
-			n := key.Len()
-			if cap(coalesce) < n*len(live) {
-				coalesce = make([]complex128, n*len(live))
-			}
-			buf := coalesce[:n*len(live)]
-			for i, it := range live {
-				copy(buf[i*n:(i+1)*n], it.req.Src)
-			}
-			err = plan.ExecuteBatch(buf, len(live), live[0].req.Inverse)
-			if err == nil {
-				for i, it := range live {
-					copy(it.req.Dst, buf[i*n:(i+1)*n])
-				}
-			}
-			s.settle(live, err)
 		case key.Real:
 			it := live[0]
 			if it.req.Inverse {
@@ -623,8 +613,15 @@ func (s *Server) execute() {
 			}
 			s.settle(live, err)
 		default:
-			it := live[0]
-			err = plan.Execute(it.req.Dst, it.req.Src, it.req.Inverse)
+			// Complex: every item runs out of place between its own Src and
+			// Dst (rank-2/3 batches hold one item). A coalesced rank-1 batch
+			// shares the plan lookup and this hand-off, nothing else, so an
+			// item's bits do not depend on what it was batched with.
+			for _, it := range live {
+				if err = executeComplex(plan, &it.req, arena); err != nil {
+					break
+				}
+			}
 			s.settle(live, err)
 		}
 		if err == nil {
@@ -642,6 +639,34 @@ func (s *Server) execute() {
 			}
 		}
 	}
+}
+
+// aliasScratch holds input copies for rank-1 requests whose Dst overlaps
+// their Src. Pooled rather than drawn from the executor's arena so one large
+// aliased request does not pin its size in every executor for good.
+var aliasScratch = sync.Pool{New: func() any { return new([]complex128) }}
+
+// executeComplex runs one complex item through plan. The plans are out of
+// place, so a rank-1 request with overlapping buffers is transformed from a
+// copy of its input — the only copy on the rank-1 path.
+func executeComplex(plan *Plan, req *Request, ar *kernels.Arena) error {
+	if req.Rank != 1 || !overlaps(req.Dst, req.Src) {
+		return plan.execute(req.Dst, req.Src, req.Inverse, ar)
+	}
+	buf := aliasScratch.Get().(*[]complex128)
+	defer aliasScratch.Put(buf)
+	*buf = append((*buf)[:0], req.Src...)
+	return plan.execute(req.Dst, *buf, req.Inverse, ar)
+}
+
+// overlaps reports whether a and b share any element's memory.
+func overlaps(a, b []complex128) bool {
+	if len(a) == 0 || len(b) == 0 {
+		return false
+	}
+	a0, b0 := uintptr(unsafe.Pointer(&a[0])), uintptr(unsafe.Pointer(&b[0]))
+	size := unsafe.Sizeof(a[0])
+	return a0 < b0+uintptr(len(b))*size && b0 < a0+uintptr(len(a))*size
 }
 
 // settle completes every claimed item in the slice with err, recording

@@ -116,8 +116,7 @@ func TestDoCorrectness(t *testing.T) {
 
 // TestCoalescedBatchCorrectness floods the server with same-shape 1D
 // requests so the dispatcher actually coalesces, and checks every caller
-// still gets its own correct answer (the batch path copies in and out of a
-// shared pencil buffer).
+// still gets its own correct answer.
 func TestCoalescedBatchCorrectness(t *testing.T) {
 	const n, reqs = 64, 100
 	s := New(Options{Config: smallCfg(), MaxBatch: 8, Executors: 1,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cvec"
+	"repro/internal/fft1d"
 	"repro/internal/kernels"
 )
 
@@ -68,6 +69,58 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 								sign, blocks, affine, p, i, got[i], want[i])
 						}
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestCachedFoldMatchesUnfoldedGraph: a pencil graph whose fold stages store
+// with regular (cached) stores — the fused fold-scatter kernel's cached twin
+// where the build has it, the scratch fold elsewhere — agrees bit for bit
+// with the same graph built with DisableFold, which runs the trailing
+// butterfly in the compute leg. 512² folds both stages; 96×80 has no
+// power-of-two axis and must not fold at all.
+func TestCachedFoldMatchesUnfoldedGraph(t *testing.T) {
+	for _, c := range []struct{ n, m, folds int }{{512, 512, 2}, {96, 80, 0}} {
+		rng := rand.New(rand.NewSource(int64(c.n)))
+		src := cvec.Random(rng, c.n*c.m)
+		run := func(disableFold bool, sign int) []complex128 {
+			g, err := Pencils{Pkg: "test", Dims: []int{c.n, c.m},
+				Plans:       []*fft1d.Plan{fft1d.NewPlan(c.n), fft1d.NewPlan(c.m)},
+				DisableFold: disableFold, StorePolicy: StoreRegular,
+				Mid: []Array{{C: make([]complex128, c.n*c.m)}}}.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			folds := 0
+			for i := range g.stages {
+				if g.stages[i].NonTemporal {
+					t.Fatalf("%d×%d: stage %d streams under StoreRegular", c.n, c.m, i)
+				}
+				if g.stages[i].StoreRadix == 4 {
+					folds++
+				}
+			}
+			if want := map[bool]int{false: c.folds, true: 0}[disableFold]; folds != want {
+				t.Fatalf("%d×%d DisableFold=%v: %d fold stages, want %d", c.n, c.m, disableFold, folds, want)
+			}
+			r, err := NewRunner(RunnerConfig{Pkg: "test", DataWorkers: 2, ComputeWorkers: 2}, g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer r.Close()
+			dst := make([]complex128, len(src))
+			if err := r.Run(0, Call{In: Endpoint{C: src}, Out: Endpoint{C: dst}, Sign: sign}); err != nil {
+				t.Fatal(err)
+			}
+			return dst
+		}
+		for _, sign := range []int{kernels.Forward, kernels.Inverse} {
+			got, want := run(false, sign), run(true, sign)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%d×%d sign=%d elem %d: folded store %v, unfolded graph %v", c.n, c.m, sign, i, got[i], want[i])
 				}
 			}
 		}

@@ -266,10 +266,13 @@ func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 // ones fall back to a Map call per block. It returns the bytes this worker
 // moved.
 //
-// When StoreRadix is 4, each run's blocks are first combined through the
-// trailing trivial-twiddle radix-4 butterfly into the worker's scratch
-// (foldRun) and scattered from there: the buffer half is read four times at
-// cache speed instead of the destination being swept by an extra pass.
+// When StoreRadix is 4 the trailing trivial-twiddle radix-4 butterfly is
+// applied on the way out: a plain complex destination gets each run folded
+// and scattered by one fused kernel (streaming or cached stores by
+// NonTemporal), the buffer half read four times at cache speed and nothing
+// written in between. WriteC and pair-packed destinations, irregular maps
+// and builds without the kernel fold into the worker's scratch first
+// (foldRun) and scatter from there.
 func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []complex128) int {
 	units, unitLen := st.storeGeometry()
 	blocks, bl := st.Rot.Blocks, st.Rot.BlockLen
@@ -284,35 +287,27 @@ func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []co
 		}
 		run := j1 - j0
 		g := iter*units + u
-		s := u*unitLen + j0*bl
-		var folded []complex128
+		affine := run == 1 || stride != 0
+		src := b.C[half]
+		if st.StoreFromStaging {
+			src = b.T[half]
+		}
+		src = src[u*unitLen+j0*bl : u*unitLen+j1*bl]
 		if st.StoreRadix == 4 {
-			// Fast path: fold and scatter in one fused NT kernel, no
-			// scratch round trip. Falls back to the scratch fold when the
-			// destination pattern misses the kernel's alignment contract
-			// (any blocks the attempt already streamed are rewritten with
-			// identical values, so a mid-run decline is harmless).
-			if st.NonTemporal && st.Dst.WriteC == nil && st.Dst.R == nil && st.Dst.C != nil &&
-				(run == 1 || stride != 0) &&
-				st.foldScatterNT(b, half, u*unitLen, j0, run, st.Rot.Map(g, j0), stride) {
+			// A declined fused attempt wrote nothing, or blocks the scratch
+			// path rewrites with identical values.
+			if affine && st.Dst.C != nil &&
+				st.foldScatter(b.C[half], u*unitLen, j0, run, st.Rot.Map(g, j0), stride) {
 				t += run
 				continue
 			}
-			folded = st.foldRun(b, half, scratch, u*unitLen, j0, run)
+			src = st.foldRun(b.C[half], scratch, u*unitLen, j0, run)
 		}
-		if run == 1 || stride != 0 {
-			if folded != nil {
-				st.storeRunC(folded, st.Rot.Map(g, j0), stride, run)
-			} else {
-				st.storeRun(b, half, st.Rot.Map(g, j0), stride, s, run)
-			}
-		} else if folded != nil {
-			for j := j0; j < j1; j++ {
-				st.writeBlockC(folded[(j-j0)*bl:(j-j0+1)*bl], st.Rot.Map(g, j))
-			}
+		if affine {
+			st.storeRun(src, st.Rot.Map(g, j0), stride, run)
 		} else {
 			for j := j0; j < j1; j++ {
-				st.writeBlock(b, half, st.Rot.Map(g, j), s+(j-j0)*bl, bl)
+				st.writeBlock(src[(j-j0)*bl:(j-j0+1)*bl], st.Rot.Map(g, j))
 			}
 		}
 		t += run
@@ -325,10 +320,9 @@ func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []co
 // j belongs to leg j/(Blocks/4) and combines input blocks (j mod Blocks/4)
 // + k·Blocks/4, all read from the cache-hot buffer half. The result lands
 // in scratch[0:run·BlockLen], which is returned.
-func (st *Stage) foldRun(b *Buffers, half int, scratch []complex128, ub, j0, run int) []complex128 {
+func (st *Stage) foldRun(buf, scratch []complex128, ub, j0, run int) []complex128 {
 	blocks, bl := st.Rot.Blocks, st.Rot.BlockLen
 	nq := blocks / 4
-	buf := b.C[half]
 	legStride := nq * bl
 	// Consecutive blocks inside one leg read (and write) contiguous memory,
 	// so fold a whole leg segment per kernel call rather than one μ-block at
@@ -353,15 +347,15 @@ func (st *Stage) foldRun(b *Buffers, half int, scratch []complex128, ub, j0, run
 	return scratch[:run*bl]
 }
 
-// foldScatterNT is foldRun fused with the affine scatter: each leg
-// segment of the run is folded and streamed straight to its strided
-// destination blocks by the non-temporal fold kernel. Returns false if
-// the kernel declines the pattern (the caller then re-runs the whole run
-// through the scratch path).
-func (st *Stage) foldScatterNT(b *Buffers, half, ub, j0, run, d0, stride int) bool {
+// foldScatter is foldRun fused with the affine scatter: each leg segment of
+// the run is folded and written straight to its strided destination blocks
+// by the fused kernel — the streaming one when the stage stores
+// non-temporally and the pattern meets its alignment contract, the cached
+// one otherwise. Returns false if the kernel declines (the caller then
+// re-runs the whole run through the scratch path).
+func (st *Stage) foldScatter(buf []complex128, ub, j0, run, d0, stride int) bool {
 	blocks, bl := st.Rot.Blocks, st.Rot.BlockLen
 	nq := blocks / 4
-	buf := b.C[half]
 	legStride := nq * bl
 	for j := j0; j < j0+run; {
 		leg, r := j/nq, j%nq
@@ -371,13 +365,13 @@ func (st *Stage) foldScatterNT(b *Buffers, half, ub, j0, run, d0, stride int) bo
 		}
 		base := ub + r*bl
 		n := seg * bl
-		ok := kernels.Radix4FoldScatterNT(st.Dst.C,
-			buf[base:base+n],
-			buf[base+legStride:base+legStride+n],
-			buf[base+2*legStride:base+2*legStride+n],
-			buf[base+3*legStride:base+3*legStride+n],
-			seg, bl, d0+(j-j0)*stride, stride, leg, st.StoreSign)
-		if !ok {
+		z0 := buf[base : base+n]
+		z1 := buf[base+legStride : base+legStride+n]
+		z2 := buf[base+2*legStride : base+2*legStride+n]
+		z3 := buf[base+3*legStride : base+3*legStride+n]
+		d := d0 + (j-j0)*stride
+		if !(st.NonTemporal && kernels.Radix4FoldScatterNT(st.Dst.C, z0, z1, z2, z3, seg, bl, d, stride, leg, st.StoreSign)) &&
+			!kernels.Radix4FoldScatter(st.Dst.C, z0, z1, z2, z3, seg, bl, d, stride, leg, st.StoreSign) {
 			return false
 		}
 		j += seg
@@ -385,49 +379,10 @@ func (st *Stage) foldScatterNT(b *Buffers, half, ub, j0, run, d0, stride int) bo
 	return true
 }
 
-// storeRun stores `run` consecutive blocks of one store unit, starting at
-// buffer offset s, to destination offsets d0, d0+stride, …, through the
-// register-blocked layout kernels (or the WriteC hook).
-func (st *Stage) storeRun(b *Buffers, half, d0, stride, s, run int) {
-	bl := st.Rot.BlockLen
-	n := run * bl
-	switch {
-	case st.StoreFromStaging:
-		src := b.T[half][s : s+n]
-		switch {
-		case st.Dst.WriteC != nil:
-			d := d0
-			for j := 0; j < run; j++ {
-				st.Dst.WriteC(d, src[j*bl:(j+1)*bl])
-				d += stride
-			}
-		case st.Dst.R != nil:
-			layout.ScatterBlocksPairs(st.Dst.R, src, run, bl, d0, stride)
-		case st.NonTemporal:
-			layout.ScatterBlocksNT(st.Dst.C, src, run, bl, d0, stride)
-		default:
-			layout.ScatterBlocks(st.Dst.C, src, run, bl, d0, stride)
-		}
-	case st.Dst.WriteC != nil:
-		src := b.C[half][s : s+n]
-		d := d0
-		for j := 0; j < run; j++ {
-			st.Dst.WriteC(d, src[j*bl:(j+1)*bl])
-			d += stride
-		}
-	case st.Dst.R != nil:
-		layout.ScatterBlocksPairs(st.Dst.R, b.C[half][s:s+n], run, bl, d0, stride)
-	case st.NonTemporal:
-		layout.ScatterBlocksNT(st.Dst.C, b.C[half][s:s+n], run, bl, d0, stride)
-	default:
-		layout.ScatterBlocks(st.Dst.C, b.C[half][s:s+n], run, bl, d0, stride)
-	}
-}
-
-// storeRunC is storeRun for a fold stage: the blocks were already combined
-// into src (worker scratch); validate() rejects fold stages that store
-// from staging.
-func (st *Stage) storeRunC(src []complex128, d0, stride, run int) {
+// storeRun stores the `run` consecutive blocks in src (main or staging half,
+// or a folded run in worker scratch) to destination offsets d0, d0+stride, …,
+// through the register-blocked layout kernels (or the WriteC hook).
+func (st *Stage) storeRun(src []complex128, d0, stride, run int) {
 	bl := st.Rot.BlockLen
 	switch {
 	case st.Dst.WriteC != nil:
@@ -445,36 +400,14 @@ func (st *Stage) storeRunC(src []complex128, d0, stride, run int) {
 	}
 }
 
-// writeBlockC is writeBlock for one folded block already sitting in src.
-func (st *Stage) writeBlockC(src []complex128, d int) {
-	n := len(src)
+// writeBlock stores one block to destination offset d (irregular maps).
+func (st *Stage) writeBlock(src []complex128, d int) {
 	switch {
 	case st.Dst.WriteC != nil:
 		st.Dst.WriteC(d, src)
 	case st.Dst.R != nil:
-		layout.UnpackPairs(st.Dst.R[2*d:], src, n)
+		layout.UnpackPairs(st.Dst.R[2*d:], src, len(src))
 	default:
-		copy(st.Dst.C[d:d+n], src)
-	}
-}
-
-func (st *Stage) writeBlock(b *Buffers, half, d, s, n int) {
-	switch {
-	case st.StoreFromStaging:
-		src := b.T[half][s : s+n]
-		switch {
-		case st.Dst.WriteC != nil:
-			st.Dst.WriteC(d, src)
-		case st.Dst.R != nil:
-			layout.UnpackPairs(st.Dst.R[2*d:], src, n)
-		default:
-			copy(st.Dst.C[d:d+n], src)
-		}
-	case st.Dst.WriteC != nil:
-		st.Dst.WriteC(d, b.C[half][s:s+n])
-	case st.Dst.R != nil:
-		layout.UnpackPairs(st.Dst.R[2*d:], b.C[half][s:s+n], n)
-	default:
-		copy(st.Dst.C[d:d+n], b.C[half][s:s+n])
+		copy(st.Dst.C[d:d+len(src)], src)
 	}
 }
