@@ -6,7 +6,7 @@ GO ?= go
 # Packages whose tests exercise real concurrency (worker pools, barriers,
 # shared plans); they get a dedicated -race pass in ci.
 RACE_PKGS = . ./internal/stagegraph ./internal/fft2d \
-            ./internal/fft3d ./internal/fft1dlarge ./internal/fft1d \
+            ./internal/fft3d ./internal/fft1d \
             ./internal/lru ./internal/serve ./internal/rfft \
             ./internal/trace ./internal/obs ./internal/flightrec \
             ./internal/wire
@@ -16,7 +16,7 @@ RACE_PKGS = . ./internal/stagegraph ./internal/fft2d \
 # correct on its own (the tag forces the Generic kernels everywhere).
 PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
               ./internal/stagegraph ./internal/fft1d ./internal/fft2d \
-              ./internal/fft3d ./internal/rfft ./internal/fft1dlarge \
+              ./internal/fft3d ./internal/rfft \
               ./internal/tune ./internal/machine ./internal/wire
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck race bench \
@@ -105,12 +105,14 @@ tracesmoke:
 
 # Ten seconds of each native fuzzer over the bytes that arrive from outside
 # the process: the JSON /transform decoder differentially against
-# encoding/json, and the binary frame decoder against its acceptance rule.
-# The committed seed corpora (internal/wire/testdata/fuzz) are replayed by
+# encoding/json, the binary frame decoder against its acceptance rule, and a
+# scraped peer exposition through the /metrics/fleet merge and back. The
+# committed seed corpora (internal/{wire,obs}/testdata/fuzz) are replayed by
 # plain `go test`; a crasher found here lands there as a new seed.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeTransformRequest$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryFrame$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=10s ./internal/obs
 
 # The ruler (BENCHMARK.json): every named workload's end-to-end and
 # per-layer metrics, all outputs verified; performance claims are stated

@@ -8,12 +8,10 @@ package repro
 // scratch from the per-worker arenas.
 
 import (
-	"math/bits"
 	"runtime"
 	"testing"
 
 	"repro/internal/fft1d"
-	"repro/internal/machine"
 )
 
 // assertZeroAllocs runs f once to warm the plan, then asserts the steady
@@ -46,21 +44,13 @@ func TestSteadyStateZeroAllocs1DBatch(t *testing.T) {
 	})
 }
 
-// sixStepN is the smallest power of two the default FFT1D runs as the
-// six-step stage graph on this host: one past fft1dlarge's bound, where src
-// and dst (32·n bytes) stop fitting L2 together (2¹⁷ on a 2 MiB L2).
-func sixStepN() int { return 1 << bits.Len(uint(machine.HostL2Bytes()/32)) }
-
 func TestSteadyStateZeroAllocs1DLarge(t *testing.T) {
-	// Above the default bound the public FFT1D takes the six-step
-	// stage-graph path through its persistent executor.
-	n := sixStepN()
-	p, err := NewFFT1D(n, WithWorkers(2, 2), WithBufferElems(1<<11))
+	// Past L2 the public FFT1D still draws its one n-element scratch from
+	// the pooled arena: nothing is allocated per transform.
+	const n = 1 << 17
+	p, err := NewFFT1D(n)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n1, n2 := p.Split(); n2 == 1 {
-		t.Fatalf("size %d fell back to direct (%d×%d); test needs the staged path", n, n1, n2)
 	}
 	src := make([]complex128, n)
 	dst := make([]complex128, n)

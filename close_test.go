@@ -4,9 +4,12 @@ package repro
 // concurrent, is a no-op) and safe to race with an in-flight transform —
 // the racing Close waits for the transform to finish, later transforms
 // return an error instead of panicking, and the worker team is released
-// exactly once (goroutine count returns to its pre-plan baseline).
+// exactly once (goroutine count returns to its pre-plan baseline). FFT1D
+// has no workers, but holds the same contract at every size: a transform
+// after Close returns ErrClosed.
 
 import (
+	"errors"
 	"runtime"
 	"strings"
 	"sync"
@@ -56,18 +59,22 @@ func (w plan3D) forward() error {
 }
 func (w plan3D) length() int { return w.p.Len() }
 
-// newPlans builds one small staged plan per rank; all three use persistent
-// executors (the 1D size is above the L2 bound so it takes the six-step path).
+// newPlans builds one small plan per rank — 2D and 3D with persistent
+// executors — and the 1D plan again at a size past L2 (> 2¹⁶).
 func newPlans(t *testing.T) map[string]func() transformer {
 	t.Helper()
-	return map[string]func() transformer{
-		"FFT1D": func() transformer {
-			p, err := NewFFT1D(sixStepN(), WithWorkers(2, 2), WithBufferElems(1<<11))
+	fft1D := func(n int) func() transformer {
+		return func() transformer {
+			p, err := NewFFT1D(n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			return plan1D{p}
-		},
+		}
+	}
+	return map[string]func() transformer{
+		"FFT1D":       fft1D(1 << 10),
+		"FFT1D/large": fft1D(1 << 17),
 		"FFT2D": func() transformer {
 			p, err := NewFFT2D(64, 64, WithWorkers(2, 2), WithBufferElems(1<<10))
 			if err != nil {
@@ -170,8 +177,12 @@ func TestCloseWhileRunning(t *testing.T) {
 			p.Close()
 			wg.Wait()
 			// After Close and drain, a fresh call must report closed.
-			if err := p.forward(); err == nil || !strings.Contains(err.Error(), "closed") {
+			err := p.forward()
+			if err == nil || !strings.Contains(err.Error(), "closed") {
 				t.Errorf("transform after Close: got %v, want plan-closed error", err)
+			}
+			if _, is1D := p.(plan1D); is1D && !errors.Is(err, ErrClosed) {
+				t.Errorf("FFT1D transform after Close: got %v, want ErrClosed", err)
 			}
 			waitGoroutines(t, baseline)
 		})

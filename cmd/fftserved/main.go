@@ -423,6 +423,12 @@ func (h *handler) writeMetrics(buf *bytes.Buffer) error {
 // cannot hang the aggregation.
 var fleetClient = &http.Client{Timeout: 10 * time.Second}
 
+// maxScrapeBytes caps one peer's /metrics body in a fleet scrape. A node's
+// own exposition is tens of kilobytes; 8 MiB is far above any honest peer
+// and keeps a broken or hostile one from growing the aggregator without
+// bound (the parser alone allows 1 MiB a line and any number of lines).
+const maxScrapeBytes = 8 << 20
+
 // metricsFleet aggregates the fleet's expositions: this node's own metrics
 // plus a live scrape of every -peers worker, each sample relabeled with a
 // node label, re-emitted as one merged exposition.
@@ -449,10 +455,16 @@ func (h *handler) metricsFleet(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, fmt.Sprintf("scrape %s: %v", peer, err), http.StatusBadGateway)
 			return
 		}
-		pexp, perr := obs.ParseExposition(resp.Body)
+		// One byte past the cap, so a body of exactly the cap still passes.
+		body := &io.LimitedReader{R: resp.Body, N: maxScrapeBytes + 1}
+		pexp, perr := obs.ParseExposition(body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK {
 			http.Error(w, fmt.Sprintf("scrape %s: status %d", peer, resp.StatusCode), http.StatusBadGateway)
+			return
+		}
+		if body.N == 0 {
+			http.Error(w, fmt.Sprintf("scrape %s: exposition exceeds %d bytes", peer, maxScrapeBytes), http.StatusBadGateway)
 			return
 		}
 		if perr != nil {

@@ -189,3 +189,39 @@ func TestTransformBudgetAndFramingsAgreeAt256(t *testing.T) {
 		}
 	}
 }
+
+// /metrics/fleet reads a peer's /metrics body through a byte cap: a peer
+// that answers with more than maxScrapeBytes fails the aggregation with a
+// 502 naming it, and one inside the cap is merged under its node label.
+func TestMetricsFleetCapsPeerBody(t *testing.T) {
+	line := []byte("# filler comment line, ignored by the parser ........................\n")
+	peer := func(lines int) *httptest.Server {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			for i := 0; i < lines; i++ {
+				if _, err := w.Write(line); err != nil {
+					return // the scraper hung up at the cap
+				}
+			}
+			_, _ = w.Write([]byte("fft_peer_marker 1\n"))
+		}))
+		t.Cleanup(srv.Close)
+		return srv
+	}
+	h := newTestHandler(t)
+
+	ok := peer(10)
+	h.fleetPeers = []string{ok.URL}
+	rec := httptest.NewRecorder()
+	h.metricsFleet(rec, httptest.NewRequest(http.MethodGet, "/metrics/fleet", nil))
+	if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), `fft_peer_marker{node="`+ok.URL+`"} 1`) {
+		t.Fatalf("small peer: status %d, marker merged = %v", rec.Code, strings.Contains(rec.Body.String(), "fft_peer_marker"))
+	}
+
+	big := peer(maxScrapeBytes/len(line) + 1)
+	h.fleetPeers = []string{big.URL}
+	rec = httptest.NewRecorder()
+	h.metricsFleet(rec, httptest.NewRequest(http.MethodGet, "/metrics/fleet", nil))
+	if rec.Code != http.StatusBadGateway || !strings.Contains(rec.Body.String(), "exceeds") {
+		t.Fatalf("oversized peer: status %d, body %q; want 502 naming the cap", rec.Code, rec.Body)
+	}
+}

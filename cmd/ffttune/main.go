@@ -16,8 +16,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"runtime"
 	"text/tabwriter"
@@ -71,24 +73,40 @@ func main() {
 	fmt.Printf("\nbest for %s: %s (%.5fs)\n", key, best.Candidate, best.Seconds)
 
 	if *wisdomPath != "" {
-		w := tune.NewWisdom()
-		if f, err := os.Open(*wisdomPath); err == nil {
-			if loaded, lerr := tune.LoadWisdom(f); lerr == nil {
-				w = loaded
-			}
-			f.Close()
-		}
-		w.Put(key, best.Candidate)
-		f, err := os.Create(*wisdomPath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "ffttune:", err)
-			os.Exit(1)
-		}
-		defer f.Close()
-		if err := w.Save(f); err != nil {
+		if err := updateWisdom(*wisdomPath, key, best.Candidate); err != nil {
 			fmt.Fprintln(os.Stderr, "ffttune:", err)
 			os.Exit(1)
 		}
 		fmt.Printf("wisdom updated: %s\n", *wisdomPath)
 	}
+}
+
+// updateWisdom records c under key in the wisdom file at path, keeping the
+// entries already there. Only a file that does not exist starts an empty
+// store: one that LoadWisdom rejects — corrupt, or carrying an entry for the
+// retired split format, refused precisely so nothing is dropped silently —
+// is an error that leaves the file untouched, not a store to overwrite.
+func updateWisdom(path, key string, c tune.Candidate) error {
+	w := tune.NewWisdom()
+	f, err := os.Open(path)
+	switch {
+	case err == nil:
+		w, err = tune.LoadWisdom(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("%s not updated: %w", path, err)
+		}
+	case !errors.Is(err, fs.ErrNotExist):
+		return err
+	}
+	w.Put(key, c)
+	f, err = os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := w.Save(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -195,3 +195,46 @@ func TestIndependentExecutorsRunConcurrently(t *testing.T) {
 		}
 	}
 }
+
+// TestFFT1DConcurrentTransforms: one FFT1D handle — in cache and past L2 —
+// used from several goroutines at once returns the bits of a lone call: the
+// plan is immutable and every call draws its own pooled scratch.
+func TestFFT1DConcurrentTransforms(t *testing.T) {
+	for _, n := range []int{1 << 10, 1 << 17} {
+		p, err := NewFFT1D(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := cvec.Random(rand.New(rand.NewSource(int64(n))), n)
+		want := make([]complex128, n)
+		if err := p.Forward(want, x); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		errs := make([]error, 4)
+		for g := range errs {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got := make([]complex128, n)
+				for rep := 0; rep < 3; rep++ {
+					if err := p.Forward(got, x); err != nil {
+						errs[g] = err
+						return
+					}
+					if cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) != 0 {
+						errs[g] = fmt.Errorf("n=%d goroutine %d rep %d: bits differ from the lone call", n, g, rep)
+						return
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for _, err := range errs {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		p.Close()
+	}
+}

@@ -1,7 +1,6 @@
-// Largesignal: peak detection in the spectrum of a long 1D signal using
-// the six-step large-1D transform — the out-of-cache 1D case, handled with
-// the same streamed, double-buffered machinery as the multi-dimensional
-// transforms (contiguous row FFTs, block-granular transposes).
+// Largesignal: peak detection in the spectrum of a long 1D signal — a 4 MiB
+// array, past L2 — with the public 1D plan, which runs the same Stockham
+// planner at every size.
 package main
 
 import (
@@ -17,12 +16,11 @@ import (
 func main() {
 	const n = 1 << 18 // 262144 samples
 
-	plan, err := repro.NewFFT1D(n, repro.WithBufferElems(1<<14))
+	plan, err := repro.NewFFT1D(n)
 	if err != nil {
 		log.Fatal(err)
 	}
-	n1, n2 := plan.Split()
-	fmt.Printf("1D FFT of %d samples via six-step split %d × %d\n", n, n1, n2)
+	fmt.Printf("1D FFT of %d samples\n", plan.Len())
 
 	// Signal: three tones buried in noise.
 	tones := []struct {

@@ -61,10 +61,10 @@ func WithWorkers(data, compute int) Option {
 
 // WithBufferElems sets the pipeline block size b in complex elements (the
 // engine keeps two halves of this size). The default is chosen by the plan
-// package from the host: both halves of a 2D/3D plan stay L2-resident
-// (machine.PreferredBufferElems), the six-step 1D plan uses its own
-// measured 1<<16. The paper sizes the pair at half the last-level cache;
-// WithMachineDefaults applies that rule.
+// package from the host: both halves stay L2-resident
+// (machine.PreferredBufferElems). The paper sizes the pair at half the
+// last-level cache; WithMachineDefaults applies that rule. NewFFT1D has no
+// pipeline and ignores it.
 func WithBufferElems(b int) Option {
 	return func(c *core.Config) error {
 		if b < 1 {

@@ -1,24 +1,28 @@
 package repro
 
 import (
+	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft1dlarge"
 )
 
-// FFT1D is a reusable plan for one-dimensional transforms. Sizes whose
-// source and destination (32·n bytes) no longer fit the per-core L2
-// together — n > 2¹⁶ on a 2 MiB L2 — run the software-pipelined six-step
-// factorization (contiguous row FFTs + block-granular transposes through
-// the double buffer); smaller sizes, and primes, use the in-cache
-// mixed-radix planner directly.
+// ErrClosed is returned by a transform on an FFT1D handle after Close.
+var ErrClosed = errors.New("repro: plan closed")
+
+// FFT1D is a reusable plan for one-dimensional transforms of any size
+// n ≥ 1: the mixed-radix Stockham planner (Bluestein for large primes) run
+// directly over the caller's arrays, with one n-element scratch drawn from
+// a process-wide pool. Of the options only WithRadix shapes it; the result
+// is bitwise fft1d.NewPlanRadix(n, radix).Transform at every size.
 type FFT1D struct {
-	p         *fft1dlarge.Plan
-	release   func()
-	closeOnce sync.Once
+	p *fft1d.Plan
+	// A handle from a SharedPlans pool releases its cache pin on Close.
+	release func()
+	closed  atomic.Bool
 }
 
 // NewFFT1D builds a 1D plan for size n.
@@ -27,51 +31,42 @@ func NewFFT1D(n int, opts ...Option) (*FFT1D, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := fft1dlarge.NewPlan(n, fft1dlarge.Options{
-		DataWorkers:    cfg.DataWorkers,
-		ComputeWorkers: cfg.ComputeWorkers,
-		BufferElems:    cfg.BufferElems,
-	})
-	if err != nil {
-		return nil, err
+	if n < 1 {
+		return nil, fmt.Errorf("repro: invalid 1D size %d", n)
 	}
-	p.Obs().SetRoofline(cfg.Roofline())
-	return &FFT1D{p: p}, nil
+	return &FFT1D{p: fft1d.NewPlanRadix(n, cfg.Radix)}, nil
 }
 
 // Forward computes the unnormalized forward DFT out of place.
-func (f *FFT1D) Forward(dst, src []complex128) error {
-	return f.p.Transform(dst, src, fft1d.Forward)
-}
+func (f *FFT1D) Forward(dst, src []complex128) error { return f.execute(dst, src, false) }
 
 // Inverse computes the normalized inverse DFT out of place.
-func (f *FFT1D) Inverse(dst, src []complex128) error {
-	return f.p.Inverse(dst, src)
+func (f *FFT1D) Inverse(dst, src []complex128) error { return f.execute(dst, src, true) }
+
+func (f *FFT1D) execute(dst, src []complex128, inverse bool) error {
+	if f.closed.Load() {
+		return ErrClosed
+	}
+	return f.p.Execute(dst, src, inverse, nil)
 }
 
-// Close releases the plan's persistent pipeline workers; optional and
-// idempotent (see FFT3D.Close).
+// Close marks the handle closed — later transforms return ErrClosed — and
+// releases its SharedPlans pin, if any. Idempotent and safe to call
+// concurrently with transforms: the plan is immutable data with no workers
+// to stop, so a transform already running finishes normally.
 func (f *FFT1D) Close() {
-	f.closeOnce.Do(func() {
-		if f.release != nil {
-			f.release()
-			return
-		}
-		f.p.Close()
-	})
+	if f.closed.CompareAndSwap(false, true) && f.release != nil {
+		f.release()
+	}
 }
 
 // Len returns the transform size.
 func (f *FFT1D) Len() int { return f.p.N() }
 
-// Split returns the six-step factorization (n1, n2), or (n, 1) when the
-// plan runs in cache directly.
-func (f *FFT1D) Split() (int, int) { return f.p.Split() }
-
-// Observability returns the plan's cumulative bandwidth-accounting
-// snapshot; see FFT3D.Observability. Zero value when the plan runs in
-// cache directly (no pipeline to observe).
-func (f *FFT1D) Observability() Observability { return f.p.Observability() }
+// Observability returns the zero value: a 1D plan has no pipeline stages
+// to account. The method exists so every plan kind can be held behind one
+// interface.
+func (f *FFT1D) Observability() Observability { return Observability{} }
 
 // RealFFT1D transforms real rows of even length n to their Hermitian half
 // spectra (n/2+1 complex values) and back, running as a pipelined stage

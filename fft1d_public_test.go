@@ -6,11 +6,12 @@ import (
 	"testing"
 
 	"repro/internal/cvec"
+	"repro/internal/fft1d"
 	"repro/internal/kernels"
 )
 
 func TestPublicFFT1DRoundTrip(t *testing.T) {
-	p, err := NewFFT1D(1<<13, WithBufferElems(1<<10))
+	p, err := NewFFT1D(1 << 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +36,6 @@ func TestPublicFFT1DMatchesNaiveSmall(t *testing.T) {
 	p, err := NewFFT1D(64)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if n1, n2 := p.Split(); n1 != 64 || n2 != 1 {
-		t.Fatalf("small plan should be direct, got %d×%d", n1, n2)
 	}
 	x := cvec.Random(rand.New(rand.NewSource(2)), 64)
 	want := kernels.NaiveDFT(x, kernels.Forward)
@@ -93,5 +91,31 @@ func TestPublicRealFFT3DValidation(t *testing.T) {
 	}
 	if _, err := NewFFT1D(64, WithWorkers(0, 1)); err == nil {
 		t.Error("accepted bad option")
+	}
+}
+
+// The invariant of the one 1D path: a public result is bitwise
+// fft1d.NewPlanRadix(n, radix).Transform, for the default radix (0 and 16
+// are the same plan) and for an explicit one, as on the served path.
+func TestPublicFFT1DHonorsRadix(t *testing.T) {
+	const n = 1 << 12
+	x := cvec.Random(rand.New(rand.NewSource(4)), n)
+	for _, radix := range []int{0, 16, 4, 2} {
+		p, err := NewFFT1D(n, WithRadix(radix))
+		if err != nil {
+			t.Fatalf("WithRadix(%d): %v", radix, err)
+		}
+		got := make([]complex128, n)
+		want := make([]complex128, n)
+		if err := p.Forward(got, x); err != nil {
+			t.Fatal(err)
+		}
+		fft1d.NewPlanRadix(n, radix).Transform(want, x, fft1d.Forward)
+		if cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) != 0 {
+			t.Errorf("WithRadix(%d): public bits differ from fft1d.NewPlanRadix(%d, %d)", radix, n, radix)
+		}
+	}
+	if _, err := NewFFT1D(n, WithRadix(3)); err == nil {
+		t.Error("WithRadix(3) accepted")
 	}
 }

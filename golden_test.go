@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"repro/internal/fft1d"
-	"repro/internal/fft1dlarge"
 	"repro/internal/fft2d"
 	"repro/internal/fft3d"
 	"repro/internal/kernels"
@@ -172,13 +171,12 @@ type variant struct {
 	unfused, noFold  bool
 	policy           stagegraph.StorePolicy
 	complexOnly      bool // DisableStoreFold / StorePolicy: fft2d and fft3d only
-	notFor1DLarge    bool // Mu: fft1dlarge has no μ
 	notForPartitions bool // Unfused has no coordinator knob on the shard tier
 }
 
 var goldenVariants = []variant{
 	{name: "default"},
-	{name: "mu4", mu: 4, notFor1DLarge: true},
+	{name: "mu4", mu: 4},
 	{name: "radix4", radix: 4},
 	{name: "unfused", unfused: true, notForPartitions: true},
 	{name: "nofold", noFold: true, complexOnly: true},
@@ -257,21 +255,29 @@ func goldenCases() []goldenCase {
 					return runReal(p, k*n*m, k*n*(m/2+1))
 				}})
 		}
-		if !v.notFor1DLarge {
-			for _, n := range []int{1 << 14, 3 << 12} {
-				n := n
-				cases = append(cases, goldenCase{
-					name: fmt.Sprintf("fft1dlarge/%d/%s", n, v.name),
-					run: func() (string, string, string, error) {
-						// MinN pinned: both sizes sit below the default L2 bound,
-						// and these rows hold the six-step graph's bits.
-						p, err := fft1dlarge.NewPlan(n, fft1dlarge.Options{MinN: 1 << 12, Radix: v.radix, Unfused: v.unfused})
-						if err != nil {
-							return "", "", "", err
-						}
-						return runComplex(p, n)
-					}})
-			}
+		// The complex 1D plan has no graph and reads only the radix; its rows
+		// pin the public handle's bits at a size past L2.
+		if v.mu == 0 && !v.unfused {
+			const n = 1 << 17
+			cases = append(cases, goldenCase{
+				name: fmt.Sprintf("fft1d/%d/%s", n, v.name),
+				run: func() (string, string, string, error) {
+					p, err := NewFFT1D(n, WithRadix(v.radix))
+					if err != nil {
+						return "", "", "", err
+					}
+					defer p.Close()
+					src := goldenComplex(n, uint64(n))
+					fwd := make([]complex128, n)
+					inv := make([]complex128, n)
+					if err := p.Forward(fwd, src); err != nil {
+						return "", "", "", err
+					}
+					if err := p.Inverse(inv, fwd); err != nil {
+						return "", "", "", err
+					}
+					return "", digestComplex(fwd), digestComplex(inv), nil
+				}})
 		}
 		// The partitioned plans have no DescribeGraph; their rows pin the
 		// output bits (the inverse is the unnormalised one they expose).

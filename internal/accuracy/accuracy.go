@@ -21,27 +21,33 @@ import (
 // the real and imaginary parts, giving an oracle roughly an order of
 // magnitude more accurate than naive summation.
 func oracleDFT(x []complex128, sign int) []complex128 {
-	n := len(x)
-	y := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sumR, sumI, compR, compI float64
-		for l := 0; l < n; l++ {
-			w := twiddle.Omega(n, k*l)
-			if sign == fft1d.Inverse {
-				w = complex(real(w), -imag(w))
-			}
-			p := w * x[l]
-			// Kahan step for each component.
-			tR := sumR + (real(p) - compR)
-			compR = (tR - sumR) - (real(p) - compR)
-			sumR = tR
-			tI := sumI + (imag(p) - compI)
-			compI = (tI - sumI) - (imag(p) - compI)
-			sumI = tI
-		}
-		y[k] = complex(sumR, sumI)
+	y := make([]complex128, len(x))
+	for k := range y {
+		y[k] = Bin(x, k, sign)
 	}
 	return y
+}
+
+// Bin returns bin k of the oracle DFT of x: O(n) per bin, so a test can
+// spot-check a transform far too large for the full O(n²) oracle.
+func Bin(x []complex128, k, sign int) complex128 {
+	n := len(x)
+	var sumR, sumI, compR, compI float64
+	for l := 0; l < n; l++ {
+		w := twiddle.Omega(n, k*l)
+		if sign == fft1d.Inverse {
+			w = complex(real(w), -imag(w))
+		}
+		p := w * x[l]
+		// Kahan step for each component.
+		tR := sumR + (real(p) - compR)
+		compR = (tR - sumR) - (real(p) - compR)
+		sumR = tR
+		tI := sumI + (imag(p) - compI)
+		compI = (tI - sumI) - (imag(p) - compI)
+		sumI = tI
+	}
+	return complex(sumR, sumI)
 }
 
 // RelErr1D returns the L2 relative error of the fast 1D transform against

@@ -44,8 +44,8 @@ type Config struct {
 	// Mu and BufferElems are the cacheline block and per-half pipeline
 	// block sizes in complex elements. Zero — what Default returns — lets
 	// the plan package decide (machine.PreferredMu for the row length,
-	// machine.PreferredBufferElems for the host's L2; the six-step 1D plan
-	// has its own measured buffer default).
+	// machine.PreferredBufferElems for the host's L2). The complex 1D plan
+	// reads neither, nor the worker counts or StageFusion: only Radix.
 	Mu             int
 	BufferElems    int
 	DataWorkers    int

@@ -1,0 +1,73 @@
+package fft1d_test
+
+// External test package: internal/accuracy imports fft1d.
+
+import (
+	"math"
+	"math/cmplx"
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/accuracy"
+	"repro/internal/cvec"
+	"repro/internal/fft1d"
+)
+
+// TestLargeSizes covers the plan past L2, where every public and served 1D
+// transform runs it too: a power of two just past 2¹⁶ and one well past it,
+// a mixed-radix size, and a prime (Bluestein). Round trip to 1e-12 relative, forward spot-checked against
+// the compensated direct DFT at a handful of bins.
+func TestLargeSizes(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		kind string
+	}{
+		{1 << 17, "stockham-pow2"},
+		{1 << 20, "stockham-pow2"},
+		{3 << 18, "mixed("},
+		{65537, "bluestein"},
+	} {
+		n := c.n
+		p := fft1d.NewPlan(n)
+		if !strings.HasPrefix(p.Kind(), c.kind) {
+			t.Errorf("n=%d planned as %s, want %s", n, p.Kind(), c.kind)
+		}
+		x := cvec.Random(rand.New(rand.NewSource(int64(n))), n)
+		var norm, peak float64
+		for _, v := range x {
+			norm += real(v)*real(v) + imag(v)*imag(v)
+			peak = math.Max(peak, cmplx.Abs(v))
+		}
+		norm = math.Sqrt(norm)
+
+		y := make([]complex128, n)
+		p.Transform(y, x, fft1d.Forward)
+		for _, k := range []int{0, 1, n / 3, n / 2, n - 1} {
+			want := accuracy.Bin(x, k, fft1d.Forward)
+			if d := cmplx.Abs(y[k] - want); d > 1e-12*norm {
+				t.Errorf("n=%d bin %d: off the direct DFT by %g (‖x‖ = %g)", n, k, d, norm)
+			}
+		}
+
+		z := make([]complex128, n)
+		if err := p.Execute(z, y, true, nil); err != nil {
+			t.Fatal(err)
+		}
+		if d := cvec.MaxDiff(cvec.Vec(z), cvec.Vec(x)); d > 1e-12*peak {
+			t.Errorf("n=%d round trip off by %g (relative %g)", n, d, d/peak)
+		}
+	}
+}
+
+// TestExecuteRejectsWrongLengths: the checked entry point reports a length
+// mismatch as an error naming both lengths, where Transform panics.
+func TestExecuteRejectsWrongLengths(t *testing.T) {
+	p := fft1d.NewPlan(64)
+	if err := p.Execute(make([]complex128, 64), make([]complex128, 63), false, nil); err == nil {
+		t.Error("accepted a short src")
+	}
+	if err := p.Execute(make([]complex128, 65), make([]complex128, 64), true, nil); err == nil {
+		t.Error("accepted a long dst")
+	}
+}

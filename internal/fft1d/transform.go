@@ -22,6 +22,31 @@ func (p *Plan) TransformArena(dst, src []complex128, sign int, ar *kernels.Arena
 	p.lanesInto(dst, src, 1, sign, ar)
 }
 
+// Execute is the checked entry point the public FFT1D handle and the serving
+// layer share: Transform, or with inverse set the normalized inverse —
+// Transform(dst, src, Inverse) followed by Scale(dst, 1/n), bitwise. Scratch
+// comes from ar, or from the process-wide pool when ar is nil. A length
+// mismatch is an error rather than a panic: the lengths arrive from callers
+// outside the module.
+func (p *Plan) Execute(dst, src []complex128, inverse bool, ar *kernels.Arena) error {
+	if len(dst) != p.n || len(src) != p.n {
+		return fmt.Errorf("fft1d: lengths dst=%d src=%d, want %d", len(dst), len(src), p.n)
+	}
+	sign := Forward
+	if inverse {
+		sign = Inverse
+	}
+	if ar != nil {
+		p.TransformArena(dst, src, sign, ar)
+	} else {
+		p.Transform(dst, src, sign)
+	}
+	if inverse {
+		Scale(dst, 1/float64(p.n))
+	}
+	return nil
+}
+
 // Lanes computes dst = (DFT_n ⊗ I_mu)(src) out of place: mu independent
 // transforms interleaved at lane granularity. dst and src must each have
 // length n·mu and must not overlap. This is the cacheline-vector kernel of

@@ -64,18 +64,6 @@ func BenchmarkRotate3DBlocked(b *testing.B) {
 	}
 }
 
-func BenchmarkTransposeRows(b *testing.B) {
-	rows, cols := benchShape2D()
-	total := rows * cols
-	src := cvec.Random(rand.New(rand.NewSource(3)), total)
-	dst := make([]complex128, total)
-	b.SetBytes(int64(total * 32))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		TransposeRows(dst, src, rows, cols, 0, rows)
-	}
-}
-
 func BenchmarkScatterBlocks(b *testing.B) {
 	const blocks = 4096
 	for _, blockLen := range []int{4, 8} {

@@ -74,69 +74,6 @@ func CopyBlock(dst, src []complex128) {
 	copy(dst, src)
 }
 
-// Transpose writes the transpose of the rows×cols row-major matrix src into
-// dst: dst[j·rows + i] = src[i·cols + j]. This is the elementwise stride
-// permutation L^{rows·cols} (an L matrix in the paper's notation). dst and
-// src must not alias. The interior runs as 4×4 in-register tile transposes
-// (16 loads, 16 stores, no per-element index arithmetic); edges fall back to
-// elementwise moves.
-func Transpose(dst, src []complex128, rows, cols int) {
-	if len(dst) != rows*cols || len(src) != rows*cols {
-		panic(fmt.Sprintf("layout: Transpose %dx%d on dst=%d src=%d",
-			rows, cols, len(dst), len(src)))
-	}
-	TransposeRows(dst, src, rows, cols, 0, rows)
-}
-
-// TransposeRows transposes the row range [lo, hi) of the rows×cols
-// row-major matrix src into the cols×rows matrix dst:
-// dst[c·rows + r] = src[r·cols + c] for lo ≤ r < hi. Rows outside the range
-// are untouched, so concurrent workers can transpose disjoint row ranges of
-// the same matrix (the stagegraph in-cache transpose path). The interior
-// runs as 4×4 register tiles; columns are tiled so the destination stream
-// stays cache resident.
-func TransposeRows(dst, src []complex128, rows, cols, lo, hi int) {
-	const ctile = 32
-	for cc := 0; cc < cols; cc += ctile {
-		cMax := cc + ctile
-		if cMax > cols {
-			cMax = cols
-		}
-		r := lo
-		for ; r+4 <= hi; r += 4 {
-			s0 := src[r*cols : r*cols+cols : r*cols+cols]
-			s1 := src[(r+1)*cols : (r+1)*cols+cols : (r+1)*cols+cols]
-			s2 := src[(r+2)*cols : (r+2)*cols+cols : (r+2)*cols+cols]
-			s3 := src[(r+3)*cols : (r+3)*cols+cols : (r+3)*cols+cols]
-			c := cc
-			for ; c+4 <= cMax; c += 4 {
-				a00, a01, a02, a03 := s0[c], s0[c+1], s0[c+2], s0[c+3]
-				a10, a11, a12, a13 := s1[c], s1[c+1], s1[c+2], s1[c+3]
-				a20, a21, a22, a23 := s2[c], s2[c+1], s2[c+2], s2[c+3]
-				a30, a31, a32, a33 := s3[c], s3[c+1], s3[c+2], s3[c+3]
-				d0 := dst[c*rows+r : c*rows+r+4 : c*rows+r+4]
-				d1 := dst[(c+1)*rows+r : (c+1)*rows+r+4 : (c+1)*rows+r+4]
-				d2 := dst[(c+2)*rows+r : (c+2)*rows+r+4 : (c+2)*rows+r+4]
-				d3 := dst[(c+3)*rows+r : (c+3)*rows+r+4 : (c+3)*rows+r+4]
-				d0[0], d0[1], d0[2], d0[3] = a00, a10, a20, a30
-				d1[0], d1[1], d1[2], d1[3] = a01, a11, a21, a31
-				d2[0], d2[1], d2[2], d2[3] = a02, a12, a22, a32
-				d3[0], d3[1], d3[2], d3[3] = a03, a13, a23, a33
-			}
-			for ; c < cMax; c++ {
-				d := dst[c*rows+r : c*rows+r+4 : c*rows+r+4]
-				d[0], d[1], d[2], d[3] = s0[c], s1[c], s2[c], s3[c]
-			}
-		}
-		for ; r < hi; r++ {
-			row := src[r*cols : r*cols+cols]
-			for c := cc; c < cMax; c++ {
-				dst[c*rows+r] = row[c]
-			}
-		}
-	}
-}
-
 // TransposeBlocked transposes a rows×cols matrix of μ-element blocks:
 // dst block (j, i) = src block (i, j). In SPL this is L^{rows·cols} ⊗ I_μ,
 // the blocked transposition the paper uses after each 2D FFT stage. Each

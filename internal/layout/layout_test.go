@@ -12,6 +12,7 @@ func randVec(seed int64, n int) []complex128 {
 	return cvec.Random(rand.New(rand.NewSource(seed)), n)
 }
 
+// The elementwise stride permutation L is TransposeBlocked at μ = 1.
 func TestTransposeMatchesSPL(t *testing.T) {
 	for _, c := range []struct{ rows, cols int }{
 		{1, 1}, {2, 3}, {8, 8}, {33, 65}, {7, 128}, {100, 3},
@@ -19,9 +20,9 @@ func TestTransposeMatchesSPL(t *testing.T) {
 		x := randVec(int64(c.rows*c.cols), c.rows*c.cols)
 		want := spl.Eval(spl.L(c.rows*c.cols, c.cols), x)
 		got := make([]complex128, len(x))
-		Transpose(got, x, c.rows, c.cols)
+		TransposeBlocked(got, x, c.rows, c.cols, 1)
 		if cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) != 0 {
-			t.Errorf("Transpose %dx%d disagrees with L", c.rows, c.cols)
+			t.Errorf("TransposeBlocked %dx%d μ=1 disagrees with L", c.rows, c.cols)
 		}
 	}
 }
@@ -31,8 +32,8 @@ func TestTransposeInvolution(t *testing.T) {
 	x := randVec(3, rows*cols)
 	y := make([]complex128, len(x))
 	z := make([]complex128, len(x))
-	Transpose(y, x, rows, cols)
-	Transpose(z, y, cols, rows)
+	TransposeBlocked(y, x, rows, cols, 1)
+	TransposeBlocked(z, y, cols, rows, 1)
 	if cvec.MaxDiff(cvec.Vec(z), cvec.Vec(x)) != 0 {
 		t.Fatal("transpose twice is not the identity")
 	}
@@ -109,7 +110,6 @@ func TestCopyBlock(t *testing.T) {
 
 func TestValidationPanics(t *testing.T) {
 	for i, f := range []func(){
-		func() { Transpose(make([]complex128, 5), make([]complex128, 6), 2, 3) },
 		func() { TransposeBlocked(make([]complex128, 12), make([]complex128, 11), 2, 3, 2) },
 		func() { Rotate3D(make([]complex128, 23), make([]complex128, 24), 2, 3, 4) },
 		func() { Rotate3DBlocked(make([]complex128, 24), make([]complex128, 23), 2, 3, 2, 2) },

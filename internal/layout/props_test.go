@@ -8,8 +8,8 @@ import (
 	"repro/internal/cvec"
 )
 
-// Property: Transpose is a bijection — sorting-free check via double
-// application and via multiset preservation of a tagged vector.
+// Property: the elementwise transpose (TransposeBlocked at μ = 1) is a
+// bijection — sorting-free check via double application on a tagged vector.
 func TestQuickTransposeBijection(t *testing.T) {
 	f := func(rawR, rawC uint8) bool {
 		rows := int(rawR)%40 + 1
@@ -20,8 +20,8 @@ func TestQuickTransposeBijection(t *testing.T) {
 		}
 		y := make([]complex128, len(x))
 		z := make([]complex128, len(x))
-		Transpose(y, x, rows, cols)
-		Transpose(z, y, cols, rows)
+		TransposeBlocked(y, x, rows, cols, 1)
+		TransposeBlocked(z, y, cols, rows, 1)
 		return cvec.MaxDiff(cvec.Vec(z), cvec.Vec(x)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -158,42 +158,6 @@ func TestQuickRotate3DBlockedMatchesGeneric(t *testing.T) {
 		return cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: TransposeRows over any partition of [0, rows) into worker ranges
-// equals the whole-matrix transpose — the concurrency contract the stagegraph
-// in-cache transpose relies on — including ranges shorter than a 4-row tile.
-func TestQuickTransposeRowsPartition(t *testing.T) {
-	rng := rand.New(rand.NewSource(62))
-	f := func(rawR, rawC, rawW uint8) bool {
-		rows := int(rawR)%23 + 1
-		cols := int(rawC)%23 + 1
-		workers := int(rawW)%4 + 1
-		x := cvec.Random(rng, rows*cols)
-		want := make([]complex128, len(x))
-		for r := 0; r < rows; r++ {
-			for c := 0; c < cols; c++ {
-				want[c*rows+r] = x[r*cols+c]
-			}
-		}
-		got := make([]complex128, len(x))
-		per := (rows + workers - 1) / workers
-		for w := 0; w < workers; w++ {
-			lo := w * per
-			hi := lo + per
-			if lo > rows {
-				lo = rows
-			}
-			if hi > rows {
-				hi = rows
-			}
-			TransposeRows(got, x, rows, cols, lo, hi)
-		}
-		return cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -55,15 +55,17 @@ func formatLabels(labels []string) string {
 		if i > 0 {
 			b.WriteByte(',')
 		}
-		fmt.Fprintf(&b, "%s=%q", labels[i], escapeLabel(labels[i+1]))
+		fmt.Fprintf(&b, `%s="%s"`, labels[i], labelEscaper.Replace(labels[i+1]))
 	}
 	b.WriteByte('}')
 	return b.String()
 }
 
-// escapeLabel prepares a label value for %q quoting: %q already escapes
-// backslash, quote and newline the way the exposition format requires.
-func escapeLabel(v string) string { return v }
+// labelEscaper escapes a label value the way the exposition format defines:
+// backslash, quote and newline, every other byte as is. (%q would also write
+// \t, \x01 or \u00e9 for values a scraped peer may legally carry, which no
+// exposition parser — ours included — accepts back.)
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
 
 func escapeHelp(v string) string {
 	v = strings.ReplaceAll(v, `\`, `\\`)

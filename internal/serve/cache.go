@@ -11,19 +11,19 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/fft1dlarge"
+	"repro/internal/fft1d"
 	"repro/internal/kernels"
 	"repro/internal/lru"
 )
 
 // PlanKey identifies one cached plan. Cfg carries the execution shape —
-// strategy, worker split, buffer size, split format, radix, all the
-// machine-derived parameters — so plans built for different machines or
-// ablation settings never collide. Real selects the real-input (r2c/c2r)
-// pipeline over the complex one; the dims then describe the real grid and
-// the last dim must be even. The Tracer field must be nil in a key
-// (normalizeKey enforces this): tracing is a per-server concern, not part
-// of plan identity.
+// strategy, worker split, buffer size, radix, all the machine-derived
+// parameters — so plans built for different machines or ablation settings
+// never collide. Real selects the real-input (r2c/c2r) pipeline over the
+// complex one; the dims then describe the real grid and the last dim must be
+// even. normalizeKey reduces a key to what its plan reads: the Tracer is
+// always dropped (tracing is a per-server concern, not part of plan
+// identity), and a complex rank-1 key keeps only Cfg.Radix.
 type PlanKey struct {
 	Rank       int
 	D0, D1, D2 int // dims, slowest first; unused trailing dims are 0
@@ -33,6 +33,9 @@ type PlanKey struct {
 
 func normalizeKey(k PlanKey) PlanKey {
 	k.Cfg.Tracer = nil
+	if k.Rank == 1 && !k.Real {
+		k.Cfg = core.Config{Radix: k.Cfg.Radix}
+	}
 	return k
 }
 
@@ -100,18 +103,17 @@ func (k PlanKey) SpectrumLen() int {
 	return k.Len() / last * (last/2 + 1)
 }
 
-// Plan is one cached executor. A complex rank-1 plan is the one
-// fft1dlarge.Plan that lone requests, coalesced batches, repro.FFT1D and the
-// shared-handle facade all run (direct while the transform fits L2, the
-// streaming six-step graph above), so a request's bits never depend on how
-// it was batched; complex rank-2/3 plans wrap the core double-buffer
-// executors with their persistent worker teams. Real plans wrap the core
-// real-input stage-graph executors; the rank-1 real plan batches natively
-// (ForwardBatch / InverseBatch run many packed rows in one pipeline sweep),
-// so it serves both the singleton and the coalesced path.
+// Plan is one cached executor. A complex rank-1 plan is the fft1d.Plan of
+// (D0, Cfg.Radix) that lone requests, coalesced batches, repro.FFT1D and the
+// shared-handle facade all run at every size, so a request's bits never
+// depend on how it was batched; complex rank-2/3 plans wrap the core
+// double-buffer executors with their persistent worker teams. Real plans
+// wrap the core real-input stage-graph executors; the rank-1 real plan
+// batches natively (ForwardBatch / InverseBatch run many packed rows in one
+// pipeline sweep), so it serves both the singleton and the coalesced path.
 type Plan struct {
 	key PlanKey
-	p1  *fft1dlarge.Plan
+	p1  *fft1d.Plan
 	p2  *core.Plan2D
 	p3  *core.Plan3D
 	r1  *core.RealPlan1D
@@ -139,18 +141,10 @@ func buildPlan(key PlanKey) (*Plan, error) {
 	}
 	switch key.Rank {
 	case 1:
-		pl, err := fft1dlarge.NewPlan(key.D0, fft1dlarge.Options{
-			DataWorkers:    cfg.DataWorkers,
-			ComputeWorkers: cfg.ComputeWorkers,
-			BufferElems:    cfg.BufferElems,
-			Radix:          cfg.Radix,
-			Unfused:        !cfg.StageFusion,
-		})
-		if err != nil {
+		if err := fft1d.CheckRadix("serve", cfg.Radix); err != nil {
 			return nil, err
 		}
-		pl.Obs().SetRoofline(cfg.Roofline())
-		p.p1 = pl
+		p.p1 = fft1d.NewPlanRadix(key.D0, cfg.Radix)
 	case 2:
 		pl, err := core.NewPlan2D(key.D0, key.D1, cfg)
 		if err != nil {
@@ -173,8 +167,8 @@ func (p *Plan) Key() PlanKey { return p.key }
 // Len returns the element count of one transform.
 func (p *Plan) Len() int { return p.key.Len() }
 
-// P1 returns the underlying streaming 1D plan (nil unless rank 1).
-func (p *Plan) P1() *fft1dlarge.Plan { return p.p1 }
+// P1 returns the underlying complex 1D plan (nil unless a complex rank-1 key).
+func (p *Plan) P1() *fft1d.Plan { return p.p1 }
 
 // P2 returns the underlying 2D plan (nil unless rank 2).
 func (p *Plan) P2() *core.Plan2D { return p.p2 }
@@ -197,8 +191,8 @@ func (p *Plan) Execute(dst, src []complex128, inverse bool) error {
 	return p.execute(dst, src, inverse, nil)
 }
 
-// execute is Execute with the rank-1 direct path's scratch drawn from the
-// calling executor's arena (nil: the process-wide pool).
+// execute is Execute with the rank-1 plan's scratch drawn from the calling
+// executor's arena (nil: the process-wide pool).
 func (p *Plan) execute(dst, src []complex128, inverse bool, ar *kernels.Arena) error {
 	switch p.key.Rank {
 	case 1:
@@ -258,9 +252,7 @@ func (p *Plan) ExecuteRealBatch(spec []complex128, re []float64, count int, inve
 }
 
 func (p *Plan) close() {
-	switch {
-	case p.p1 != nil:
-		p.p1.Close()
+	switch { // a rank-1 complex plan is immutable data: nothing to release
 	case p.p2 != nil:
 		p.p2.Close()
 	case p.p3 != nil:

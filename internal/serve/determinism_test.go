@@ -2,13 +2,12 @@ package serve
 
 import (
 	"context"
-	"math/bits"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/machine"
 )
 
 // serveAsOneBatch runs reqs (same shape and direction, rank 1) through a fresh
@@ -55,29 +54,16 @@ func bitsEqual(a, b []complex128) bool {
 }
 
 // TestBatchingDoesNotChangeBits: the same input served lone, in a batch of
-// two and in a full MaxBatch batch returns bitwise-identical output — the
-// direct fft1d plan's below fft1dlarge's L2 bound, the six-step graph's above
-// it.
+// two and in a full MaxBatch batch returns bitwise the fft1d plan's own
+// output, in cache (4096) and past L2 (2¹⁷). determinism_public_test.go
+// closes the triangle with the public handles.
 func TestBatchingDoesNotChangeBits(t *testing.T) {
 	const maxBatch = 8
-	above := 1 << bits.Len(uint(machine.HostL2Bytes()/32)) // first power of two past the bound
-	for _, n := range []int{4096, above} {
+	for _, n := range []int{4096, 1 << 17} {
 		for _, inverse := range []bool{false, true} {
 			src := testVec(n, 3)
 			want := make([]complex128, n)
-			if n == above {
-				ref, err := buildPlan(normalizeKey(PlanKey{Rank: 1, D0: n, Cfg: smallCfg()}))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ref.P1().Direct() {
-					t.Fatalf("n=%d is above the bound yet planned direct", n)
-				}
-				if err := ref.Execute(want, src, inverse); err != nil {
-					t.Fatal(err)
-				}
-				ref.close()
-			} else if inverse {
+			if inverse {
 				fft1d.NewPlan(n).Transform(want, src, fft1d.Inverse)
 				fft1d.Scale(want, 1/float64(n))
 			} else {
@@ -98,6 +84,58 @@ func TestBatchingDoesNotChangeBits(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestRank1KeysShareOnePlan: a complex rank-1 plan reads only the radix, so
+// keys that differ in workers, buffer, μ, fusion, strategy or roofline
+// normalize to one cache entry; a different radix, or the real-input plan of
+// the same size (which does read them), stays distinct.
+func TestRank1KeysShareOnePlan(t *testing.T) {
+	pc := NewPlanCache(8)
+	defer pc.Purge()
+	base := PlanKey{Rank: 1, D0: 4096, Cfg: smallCfg()}
+	get := func(k PlanKey) *Plan {
+		t.Helper()
+		p, release, err := pc.Get(k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+		return p
+	}
+	first := get(base)
+	for name, mutate := range map[string]func(*core.Config){
+		"workers":  func(c *core.Config) { c.DataWorkers, c.ComputeWorkers, c.Workers = 2, 2, 4 },
+		"buffer":   func(c *core.Config) { c.BufferElems = 1 << 14 },
+		"mu":       func(c *core.Config) { c.Mu = 4 },
+		"fusion":   func(c *core.Config) { c.StageFusion = false },
+		"strategy": func(c *core.Config) { c.Strategy = core.StrategyPencil },
+		"roofline": func(c *core.Config) { c.RooflineGBs = 12 },
+	} {
+		k := base
+		mutate(&k.Cfg)
+		if k == base {
+			t.Fatalf("%s: mutation left the key unchanged", name)
+		}
+		if get(k) != first {
+			t.Errorf("%s: key built its own plan, want the shared one", name)
+		}
+	}
+	if s := pc.Stats(); s.Misses != 1 || s.Hits != 6 {
+		t.Errorf("cache saw %d misses / %d hits, want 1 / 6", s.Misses, s.Hits)
+	}
+
+	radix := base
+	radix.Cfg.Radix = 4
+	if get(radix) == first {
+		t.Error("radix-4 key shared the default-radix plan")
+	}
+	realA, realB := base, base
+	realA.Real, realB.Real = true, true
+	realB.Cfg.BufferElems = 1 << 9
+	if get(realA) == get(realB) {
+		t.Error("real rank-1 keys with different buffers shared a plan")
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fft1d"
 	"repro/internal/kernels"
-	"repro/internal/layout"
 	"repro/internal/machine"
 )
 
@@ -557,77 +556,4 @@ func (c pencil) compute(dir *direction, unitLen int, fold, runScale bool) Comput
 			fft1d.Scale(x, scale)
 		}
 	}
-}
-
-// Transpose is the builder's second stage kind: one stride-permutation pass
-// over a rows×cols row-major matrix into its cols×rows transpose — load
-// contiguous row groups, optionally transform every row, transpose the
-// group in cache into the staging half, store whole column blocks. The
-// six-step large-1D factorisation is three of them.
-type Transpose struct {
-	Name       string
-	Rows, Cols int
-	// Plan, when set, is applied to every row; Twiddle then scales row j
-	// (global index) in place for direction sign.
-	Plan    *fft1d.Plan
-	Twiddle func(row []complex128, j, sign int)
-}
-
-// Transposes chains the passes into one graph through freshly allocated
-// full-size intermediates; elems is the buffer-half size. Blocks are sized
-// by the buffer alone, without the depth floor: a block's row count is the
-// length of its contiguous column stores, and the measured optimum of that
-// trade (EXPERIMENTS.md "Six-step buffer size") is what elems encodes.
-func Transposes(elems int, passes ...Transpose) *Graph {
-	g := &Graph{elems: elems, staging: true, dir: &direction{}, scaleInStage: true}
-	var src []complex128
-	for i, t := range passes {
-		t := t
-		rows, cols := t.Rows, t.Cols
-		rPer := largestDivisorAtMost(rows, max(elems/cols, 1))
-		last := i == len(passes)-1
-		st := Stage{
-			Name: t.Name, Iters: rows / rPer, Units: rPer, UnitLen: cols,
-			Src: Endpoint{C: src},
-			Compute: func(b *Buffers, a *kernels.Arena, half, iter, lo, hi int) {
-				blk := rPer * cols
-				rowsHalf := b.C[half][:blk]
-				sign := g.dir.sign
-				if t.Plan != nil && lo < hi {
-					// One batched Stockham sweep across the worker's whole
-					// contiguous row range, then the per-row twiddle pass.
-					t.Plan.BatchLanesArena(rowsHalf[lo*cols:hi*cols], hi-lo, 1, sign, a)
-					if t.Twiddle != nil {
-						for r := lo; r < hi; r++ {
-							t.Twiddle(rowsHalf[r*cols:(r+1)*cols], iter*rPer+r, sign)
-						}
-					}
-				}
-				if last && g.dir.scale != 0 && lo < hi {
-					fft1d.Scale(rowsHalf[lo*cols:hi*cols], g.dir.scale)
-				}
-				layout.TransposeRows(b.T[half][:blk], rowsHalf, rPer, cols, lo, hi)
-			},
-			// Store column c of iteration it as one contiguous rPer-element
-			// block at dst[c·rows + it·rPer], read from the staging half.
-			StoreFromStaging: true,
-			StoreUnits:       cols, StoreLen: rPer,
-			Rot: Rotation{Blocks: 1, BlockLen: rPer,
-				Map: func(g, _ int) int {
-					it, c := g/cols, g%cols
-					return c*rows + it*rPer
-				}},
-		}
-		if i == 0 {
-			g.srcIn = []int{0}
-		}
-		if last {
-			g.dstOut = []int{i}
-		} else {
-			src = make([]complex128, rows*cols)
-			st.Dst = Endpoint{C: src}
-		}
-		g.stages = append(g.stages, st)
-	}
-	return g
 }

@@ -7,7 +7,7 @@
 // uniform units per pipeline block and how long each is), source and
 // destination arrays, the rotation/transpose descriptor mapping every
 // stored cacheline block to its destination offset, and the compute hook
-// (batched FFTs, twiddles, in-cache transposes). The executor (exec.go)
+// (batched FFTs, scales, the real-input Hermitian passes). The executor (exec.go)
 // plays a []Stage on the Table II double-buffering schedule and flows the
 // steady state through stage boundaries: the last stores of
 // stage k overlap the first loads of stage k+1 instead of draining the
@@ -92,14 +92,14 @@ type Stage struct {
 	// Compute is the batched pencil kernel; it partitions [0, Units).
 	Compute ComputeFn
 	// StoreUnits × StoreLen re-tiles the buffer for the store when the
-	// store granularity differs from the load's (the 1D-large transposed
-	// stages store whole column blocks); zero values inherit Units and
-	// UnitLen.
+	// store granularity differs from the load's (the real-inverse entangle
+	// stage loads spectrum rows of l+1 and stores packed rows of l); zero
+	// values inherit Units and UnitLen.
 	StoreUnits int
 	StoreLen   int
 	// StoreFromStaging stores from the staging halves (Buffers.T) that
-	// the compute filled — used for in-cache transposes — instead of the
-	// main halves.
+	// the compute filled — the entangle stage re-packs into them — instead
+	// of the main halves.
 	StoreFromStaging bool
 	// NonTemporal routes this stage's block stores through the streaming
 	// (cache-bypassing) scatter tier when the pattern meets its alignment
@@ -201,11 +201,11 @@ func (st *Stage) validate(i int, b *Buffers) error {
 
 // Buffers owns the cache-resident double buffer a graph executes through:
 // two complex-interleaved halves, plus optional staging halves for stages
-// whose compute transposes into a separate tile.
+// whose compute re-packs into a separate tile.
 type Buffers struct {
 	Elems int
 	C     [2][]complex128
-	T     [2][]complex128 // staging (transposed) halves
+	T     [2][]complex128 // staging halves
 }
 
 // NewBuffers allocates a double buffer of `elems` complex elements per

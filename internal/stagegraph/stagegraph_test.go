@@ -201,7 +201,8 @@ func TestComputePanicPropagates(t *testing.T) {
 
 func TestStagingStore(t *testing.T) {
 	// Compute transposes each unit into the staging half; the store reads
-	// the staging half. Mirrors the 1D-large transpose stages.
+	// the staging half with a store tiling that differs from the load's —
+	// the mechanism the real-inverse entangle stage uses.
 	const iters, units, unitLen = 2, 2, 4
 	n := iters * units * unitLen
 	src := make([]complex128, n)

@@ -109,14 +109,13 @@ func TestObservabilityAccumulates(t *testing.T) {
 		t.Fatalf("total bytes = %d, want %d", snap.TotalBytes(), want)
 	}
 
-	// Large-1D plans observe through the same surface; in-cache fallbacks
-	// report the zero value.
+	// 1D plans have no pipeline: the same surface reports the zero value.
 	small, err := NewFFT1D(256)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer small.Close()
 	if s := small.Observability(); s.Runs != 0 || len(s.Stages) != 0 {
-		t.Fatalf("direct-fallback snapshot not zero: %+v", s)
+		t.Fatalf("1D snapshot not zero: %+v", s)
 	}
 }

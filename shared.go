@@ -35,7 +35,7 @@ func (s *SharedPlans) get(rank, d0, d1, d2 int, real bool, opts []Option) (*serv
 }
 
 // FFT1D returns a shared 1D plan handle for size n. Close the handle to
-// release its pin on the pool; the handle must not be used after Close.
+// release its pin on the pool; transforms on it then return ErrClosed.
 func (s *SharedPlans) FFT1D(n int, opts ...Option) (*FFT1D, error) {
 	p, release, err := s.get(1, n, 0, 0, false, opts)
 	if err != nil {
