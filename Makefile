@@ -62,8 +62,9 @@ purego:
 crossbuild:
 	GOARCH=arm64 GOOS=linux $(GO) build ./...
 
-# Regenerate the committed AVX2 assembly from the generator. Run after
-# editing internal/kernels/asm and commit the resulting .s files; ci
+# Regenerate the committed assembly (the AVX2 codelets, the 512-bit tier of
+# the radix-16 codelets, the non-temporal scatter) from the generator. Run
+# after editing internal/kernels/asm and commit the resulting .s files; ci
 # builds never invoke the generator.
 asmgen:
 	$(GO) run ./internal/kernels/asm
@@ -74,6 +75,7 @@ asmgen:
 # generator without re-running `make asmgen`.
 asmcheck: asmgen
 	git diff --exit-code -- internal/kernels/radix_avx2_amd64.s \
+	    internal/kernels/radix_avx512_amd64.s \
 	    internal/layout/scatter_avx2_amd64.s \
 	    || { echo "asmcheck: generated assembly out of date — run 'make asmgen' and commit"; exit 1; }
 

@@ -59,6 +59,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/cpufeat"
 	"repro/internal/flightrec"
 	"repro/internal/kernels"
 	"repro/internal/machine"
@@ -71,8 +72,9 @@ import (
 )
 
 // buildInfo identifies this binary in /metrics (fft_build_info) and in the
-// fleet exposition: version, vcs commit, compiled kernel tier, GOMAXPROCS.
-var buildInfo = obs.ReadBuildInfo(kernels.Tier())
+// fleet exposition: version, vcs commit, kernel tier, detected CPU features,
+// GOMAXPROCS.
+var buildInfo = obs.ReadBuildInfo(kernels.Tier(), cpufeat.Summary())
 
 func main() {
 	var (
@@ -594,6 +596,7 @@ func runSelftest(h *handler, total int) error {
 	fmt.Printf("fftserved: %d requests, avg batch %.1f, p99 %s, cache %d/%d (%d hits)\n",
 		snap.Completed, snap.AvgBatch, time.Duration(snap.P99LatencyNs),
 		snap.Cache.Len, snap.Cache.Capacity, snap.Cache.Hits)
+	fmt.Printf("fftserved: kernel tier %s, cpu features %s\n", buildInfo.KernelTier, buildInfo.CPUFeatures)
 
 	// Drain: transform pipeline first so /healthz flips while HTTP still
 	// answers, then the HTTP server.
@@ -743,7 +746,8 @@ func checkPrometheus(base string, completed uint64) error {
 		}
 		switch s.Name {
 		case "fft_build_info":
-			if s.Value != 1 || s.Labels["kernel_tier"] == "" || s.Labels["version"] == "" {
+			if s.Value != 1 || s.Labels["kernel_tier"] == "" || s.Labels["version"] == "" ||
+				s.Labels["cpu_features"] != cpufeat.Summary() {
 				return fmt.Errorf("/metrics: malformed fft_build_info %s = %v", s.Series(), s.Value)
 			}
 			sawBuildInfo = true

@@ -62,9 +62,12 @@ type StageJSON struct {
 // comparable — benchcmp refuses to diff reports whose tiers differ
 // rather than flag a tier switch as a performance change.
 type MetaJSON struct {
-	// CPUFeatures is cpufeat.Summary(): e.g. "avx avx2 fma", or "none".
+	// CPUFeatures is cpufeat.Summary(): e.g. "avx avx2 fma avx512f
+	// avx512dq", or "none". It carries the vector width the radix-16 stages
+	// dispatch at; the tier below does not.
 	CPUFeatures string `json:"cpu_features"`
-	// KernelTier is kernels.Tier(): "avx2" or "generic".
+	// KernelTier is kernels.Tier(): "avx2" or "generic" — the rounding
+	// behaviour, identical for the 256- and 512-bit radix-16 kernels.
 	KernelTier string `json:"kernel_tier"`
 	// NonTemporal reports whether the streaming-store tier was available.
 	NonTemporal bool `json:"non_temporal"`

@@ -22,6 +22,12 @@ type Features struct {
 	HasAVX2 bool
 	// HasFMA reports fused multiply-add (VFMADD*/VFMADDSUB*).
 	HasFMA bool
+	// HasAVX512F reports the 512-bit foundation with OS-enabled opmask and
+	// ZMM state (XCR0 bits 5–7 on top of the AVX check).
+	HasAVX512F bool
+	// HasAVX512DQ reports the doubleword/quadword extensions the 512-bit
+	// codelets need beside F (VXORPD on ZMM, VEXTRACTF64X2).
+	HasAVX512DQ bool
 }
 
 // X86 holds the detected features of the running CPU. It is populated in
@@ -29,8 +35,9 @@ type Features struct {
 var X86 Features
 
 // Summary returns a short space-separated feature list for benchmark
-// headers and snapshot metadata, e.g. "avx avx2 fma"; "none" when no
-// relevant feature is available (or detection is compiled out).
+// headers and snapshot metadata, e.g. "avx avx2 fma avx512f avx512dq";
+// "none" when no relevant feature is available (or detection is compiled
+// out).
 func Summary() string {
 	var fs []string
 	if X86.HasAVX {
@@ -41,6 +48,12 @@ func Summary() string {
 	}
 	if X86.HasFMA {
 		fs = append(fs, "fma")
+	}
+	if X86.HasAVX512F {
+		fs = append(fs, "avx512f")
+	}
+	if X86.HasAVX512DQ {
+		fs = append(fs, "avx512dq")
 	}
 	if len(fs) == 0 {
 		return "none"

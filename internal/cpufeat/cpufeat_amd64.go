@@ -22,16 +22,25 @@ func init() {
 	// AVX (and everything above it) is only usable when the OS saves and
 	// restores YMM state: XGETBV(0) must report both XMM (bit 1) and YMM
 	// (bit 2) enabled.
-	osYMM := false
+	// AVX-512 additionally needs the opmask, ZMM0–15 upper-half and ZMM16–31
+	// state components (bits 5–7).
+	osYMM, osZMM := false, false
 	if ecx1&cpuidOSXSAVE != 0 {
 		lo, _ := xgetbv()
 		osYMM = lo&0x6 == 0x6
+		osZMM = lo&0xE6 == 0xE6
 	}
 	X86.HasAVX = osYMM && ecx1&cpuidAVX != 0
 	X86.HasFMA = osYMM && ecx1&cpuidFMA != 0
 	if maxLeaf >= 7 && X86.HasAVX {
 		_, ebx7, _, _ := cpuid(7, 0)
-		const cpuidAVX2 = 1 << 5
+		const (
+			cpuidAVX2     = 1 << 5
+			cpuidAVX512F  = 1 << 16
+			cpuidAVX512DQ = 1 << 17
+		)
 		X86.HasAVX2 = ebx7&cpuidAVX2 != 0
+		X86.HasAVX512F = osZMM && ebx7&cpuidAVX512F != 0
+		X86.HasAVX512DQ = X86.HasAVX512F && ebx7&cpuidAVX512DQ != 0
 	}
 }

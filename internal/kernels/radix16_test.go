@@ -151,3 +151,29 @@ func TestBatchRadix16MatchesGeneric(t *testing.T) {
 		}
 	}
 }
+
+// Both assembly tiers read m entries from each of W1…W15, so a table with
+// any short leg must be stopped in Go — where the generic tier's bounds
+// checks turn it into a panic — and never reach a kernel that would read
+// past the slice.
+func TestRadix16StepRejectsShortTwiddleLeg(t *testing.T) {
+	const m, s = 4, 4
+	src := randVec(1604, 16*m*s)
+	dst := make([]complex128, 16*m*s)
+	for _, short := range []func(*StageTwiddles){
+		func(tw *StageTwiddles) { tw.W2 = tw.W2[:m-1] },
+		func(tw *StageTwiddles) { tw.W15 = tw.W15[:m-1] },
+		func(tw *StageTwiddles) { tw.W9 = nil },
+	} {
+		tw := NewStageTwiddles(16*m, 16, Forward)
+		short(&tw)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("Radix16Step ran a stage whose twiddle table has a short leg")
+				}
+			}()
+			Radix16Step(dst, src, m, s, Forward, tw)
+		}()
+	}
+}

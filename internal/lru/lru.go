@@ -41,6 +41,10 @@ type entry[K comparable, V any] struct {
 	evicted bool          // no longer in the map/list; close when refs drain
 	ready   chan struct{} // closed once val/err is set
 	elem    *list.Element // position in Cache.order while cached
+	// rel is the release function GetOrCreate hands out, built once per
+	// entry so a hit allocates nothing. Every acquisition gets the same
+	// func and must call it exactly once.
+	rel func()
 }
 
 // Cache is a bounded LRU keyed by K. All methods are safe for concurrent
@@ -89,9 +93,10 @@ func (c *Cache[K, V]) GetOrCreate(key K, build func() (V, error)) (V, func(), er
 			c.release(e)
 			return zero, nil, e.err
 		}
-		return e.val, func() { c.release(e) }, nil
+		return e.val, e.rel, nil
 	}
 	e := &entry[K, V]{key: key, refs: 1, ready: make(chan struct{})}
+	e.rel = func() { c.release(e) }
 	e.elem = c.order.PushFront(e)
 	c.entries[key] = e
 	c.misses++
@@ -114,7 +119,7 @@ func (c *Cache[K, V]) GetOrCreate(key K, build func() (V, error)) (V, func(), er
 		c.release(e)
 		return zero, nil, err
 	}
-	return v, func() { c.release(e) }, nil
+	return v, e.rel, nil
 }
 
 // evictOverflowLocked evicts least-recently-used entries (never keep, the

@@ -213,3 +213,42 @@ func TestStatsString(t *testing.T) {
 		t.Fatalf("unexpected stats %s", fmt.Sprintf("%+v", st))
 	}
 }
+
+// A hit hands out the entry's one release func instead of building a closure
+// per acquisition, so it allocates nothing — with the contract unchanged:
+// every acquisition releases exactly once, and an evicted entry closes only
+// when the last of them has.
+func TestHitAllocatesNothing(t *testing.T) {
+	var closed atomic.Int64
+	c := New[int, string](1, func(int, string) { closed.Add(1) })
+	build := func() (string, error) { return "one", nil }
+	_, release, err := c.GetOrCreate(1, build)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		_, rel, _ := c.GetOrCreate(1, build)
+		rel()
+	}); allocs != 0 {
+		t.Errorf("%v allocs per hit, want 0", allocs)
+	}
+
+	// Three outstanding acquisitions of the evicted entry: two more hits …
+	_, relA, _ := c.GetOrCreate(1, build)
+	_, relB, _ := c.GetOrCreate(1, build)
+	// … then key 2 evicts key 1 while all three are held.
+	_, release2, err := c.GetOrCreate(2, func() (string, error) { return "two", nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	release2()
+	for i, rel := range []func(){release, relA, relB} {
+		if closed.Load() != 0 {
+			t.Fatalf("evicted entry closed with %d of 3 references outstanding", 3-i)
+		}
+		rel()
+	}
+	if closed.Load() != 1 {
+		t.Fatalf("closed %d after the last release, want 1", closed.Load())
+	}
+}

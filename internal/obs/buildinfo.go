@@ -8,24 +8,29 @@ import (
 )
 
 // BuildInfo identifies one node in a fleet scrape: which binary it runs
-// and how it is configured to compute. KernelTier is passed in by the
-// caller (kernels.Tier()) so obs stays free of kernel dependencies.
+// and how it is configured to compute. KernelTier and CPUFeatures are
+// passed in by the caller (kernels.Tier(), cpufeat.Summary()) so obs stays
+// free of kernel dependencies: the tier names the rounding behaviour, the
+// feature list tells which vector width a node dispatches (a node with
+// "avx512f avx512dq" runs the 512-bit radix-16 kernels under tier "avx2").
 type BuildInfo struct {
-	Version    string
-	Commit     string
-	KernelTier string
-	GoMaxProcs int
+	Version     string
+	Commit      string
+	KernelTier  string
+	CPUFeatures string
+	GoMaxProcs  int
 }
 
 // ReadBuildInfo fills Version and Commit from the binary's embedded build
 // metadata (module version and vcs.revision; "unknown" when the binary was
 // built outside a module or checkout) and GoMaxProcs from the runtime.
-func ReadBuildInfo(kernelTier string) BuildInfo {
+func ReadBuildInfo(kernelTier, cpuFeatures string) BuildInfo {
 	bi := BuildInfo{
-		Version:    "unknown",
-		Commit:     "unknown",
-		KernelTier: kernelTier,
-		GoMaxProcs: runtime.GOMAXPROCS(0),
+		Version:     "unknown",
+		Commit:      "unknown",
+		KernelTier:  kernelTier,
+		CPUFeatures: cpuFeatures,
+		GoMaxProcs:  runtime.GOMAXPROCS(0),
 	}
 	info, ok := debug.ReadBuildInfo()
 	if !ok {
@@ -57,6 +62,7 @@ func (b BuildInfo) WritePrometheus(w io.Writer) error {
 		"version", b.Version,
 		"commit", b.Commit,
 		"kernel_tier", b.KernelTier,
+		"cpu_features", b.CPUFeatures,
 		"gomaxprocs", strconv.Itoa(b.GoMaxProcs))
 	return p.Err()
 }

@@ -163,7 +163,7 @@ func TestWriteFleetRejectsNodeLabelClash(t *testing.T) {
 }
 
 func TestBuildInfoExposition(t *testing.T) {
-	bi := ReadBuildInfo("avx2")
+	bi := ReadBuildInfo("avx2", "avx avx2 fma avx512f avx512dq")
 	if bi.KernelTier != "avx2" || bi.GoMaxProcs < 1 {
 		t.Fatalf("build info = %+v", bi)
 	}
@@ -178,7 +178,7 @@ func TestBuildInfoExposition(t *testing.T) {
 	if len(samples) != 1 || samples[0].Value != 1 {
 		t.Fatalf("samples = %v", samples)
 	}
-	for _, label := range []string{"version", "commit", "kernel_tier", "gomaxprocs"} {
+	for _, label := range []string{"version", "commit", "kernel_tier", "cpu_features", "gomaxprocs"} {
 		if samples[0].Labels[label] == "" {
 			t.Fatalf("missing %s label: %v", label, samples[0].Labels)
 		}

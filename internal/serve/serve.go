@@ -197,6 +197,18 @@ type batch struct {
 	items []*item
 }
 
+// batchPool recycles batches and their item slices: the dispatcher draws
+// one per hand-off and the executor returns it once every item is settled.
+// A settled item may already be back in itemPool and reissued, so the
+// executor clears the pointers before pooling the batch.
+var batchPool = sync.Pool{New: func() any { return new(batch) }}
+
+func putBatch(b *batch) {
+	clear(b.items)
+	b.items = b.items[:0]
+	batchPool.Put(b)
+}
+
 // Server admits, batches and executes FFT requests against a bounded plan
 // cache. Create with New, submit with Do, stop with Shutdown.
 type Server struct {
@@ -422,7 +434,8 @@ func (s *Server) dispatch() {
 				return
 			}
 		}
-		b := &batch{items: []*item{first}}
+		b := batchPool.Get().(*batch)
+		b.items = append(b.items, first)
 		if first.req.Rank == 1 && s.opts.MaxBatch > 1 {
 			var linger <-chan time.Time
 			armed := false
@@ -499,144 +512,156 @@ func sameBatch(a, b *item) bool {
 		!a.req.Sharded && !b.req.Sharded
 }
 
-// execute is one executor goroutine: it claims each batch's live items,
-// pins the plan, runs the transforms and settles every claimed item exactly
-// once.
+// executor is one executor goroutine's private scratch.
+type executor struct {
+	arena        *kernels.Arena // direct rank-1 transforms
+	realCoalesce []float64      // packed rows of a coalesced real batch …
+	specCoalesce []complex128   // … and their half spectra
+}
+
+// execute is one executor goroutine: it runs each batch the dispatcher hands
+// over and gives the batch back for reuse.
 func (s *Server) execute() {
 	defer s.workersWG.Done()
-	arena := kernels.NewArena(0, 0) // this goroutine's scratch for direct rank-1 transforms
-	var realCoalesce []float64      // packed rows of a coalesced real batch …
-	var specCoalesce []complex128   // … and their half spectra
+	x := &executor{arena: kernels.NewArena(0, 0)}
 	for b := range s.batchCh {
 		if s.execGate != nil {
 			<-s.execGate
 		}
-		// Stage boundary: claim items whose submitters haven't cancelled.
-		live := b.items[:0]
-		var now time.Time
-		if s.opts.Tracer != nil {
-			now = time.Now()
-		}
-		for _, it := range b.items {
-			if it.state.CompareAndSwap(statePending, stateClaimed) {
-				live = append(live, it)
-				s.spanQueue(it, now)
-			}
-		}
-		if len(live) == 0 {
-			continue
-		}
-		s.m.batches.Add(1)
-		s.m.batchedItems.Add(uint64(len(live)))
+		s.runBatch(x, b.items)
+		putBatch(b)
+	}
+}
 
-		if live[0].req.Sharded {
-			// Sharded requests never coalesce (rank 3) and never touch
-			// the local plan cache: the coordinator owns the fleet.
-			it := live[0]
-			var start time.Time
-			if s.opts.Tracer != nil {
-				start = time.Now()
-			}
-			var err error
-			if s.opts.ShardRunner == nil {
-				err = fmt.Errorf("serve: sharded request but no ShardRunner configured")
-			} else {
-				err = s.opts.ShardRunner.Transform(it.ctx, it.req.Dst, it.req.Src, it.req.Dims, it.req.Inverse)
-			}
-			if err == nil && it.req.Inverse {
-				// The coordinator returns the raw unnormalized inverse;
-				// scale here so every serve pipeline normalizes uniformly.
-				scale := complex(1/float64(it.req.Dims[0]*it.req.Dims[1]*it.req.Dims[2]), 0)
-				for i := range it.req.Dst {
-					it.req.Dst[i] *= scale
-				}
-			}
-			s.settle(live, err)
-			if err == nil {
-				s.m.execShard.Add(1)
-			}
-			if s.opts.Tracer != nil {
-				s.spanExec(it, start, time.Now())
-			}
-			continue
+// runBatch claims a batch's live items, pins the plan, runs the transforms
+// and settles every claimed item exactly once. items' backing array is the
+// batch's: the claimed subset is compacted into its prefix.
+func (s *Server) runBatch(x *executor, items []*item) {
+	// Stage boundary: claim items whose submitters haven't cancelled.
+	live := items[:0]
+	var now time.Time
+	if s.opts.Tracer != nil {
+		now = time.Now()
+	}
+	for _, it := range items {
+		if it.state.CompareAndSwap(statePending, stateClaimed) {
+			live = append(live, it)
+			s.spanQueue(it, now)
 		}
+	}
+	if len(live) == 0 {
+		return
+	}
+	s.m.batches.Add(1)
+	s.m.batchedItems.Add(uint64(len(live)))
 
-		key := live[0].req.key(s.opts.Config)
-		plan, release, err := s.cache.Get(key)
-		if err != nil {
-			s.settle(live, err)
-			continue
-		}
+	if live[0].req.Sharded {
+		// Sharded requests never coalesce (rank 3) and never touch
+		// the local plan cache: the coordinator owns the fleet.
+		it := live[0]
 		var start time.Time
 		if s.opts.Tracer != nil {
 			start = time.Now()
 		}
-		switch {
-		case len(live) > 1 && key.Real:
-			// Coalesced real pencils: pack the per-request real rows and
-			// half spectra into contiguous scratch, run one batched
-			// pipeline sweep, scatter the results back.
-			n, mc := key.Len(), key.SpectrumLen()
-			inverse := live[0].req.Inverse
-			if cap(realCoalesce) < n*len(live) {
-				realCoalesce = make([]float64, n*len(live))
+		var err error
+		if s.opts.ShardRunner == nil {
+			err = fmt.Errorf("serve: sharded request but no ShardRunner configured")
+		} else {
+			err = s.opts.ShardRunner.Transform(it.ctx, it.req.Dst, it.req.Src, it.req.Dims, it.req.Inverse)
+		}
+		if err == nil && it.req.Inverse {
+			// The coordinator returns the raw unnormalized inverse;
+			// scale here so every serve pipeline normalizes uniformly.
+			scale := complex(1/float64(it.req.Dims[0]*it.req.Dims[1]*it.req.Dims[2]), 0)
+			for i := range it.req.Dst {
+				it.req.Dst[i] *= scale
 			}
-			if cap(specCoalesce) < mc*len(live) {
-				specCoalesce = make([]complex128, mc*len(live))
+		}
+		s.settle(live, err)
+		if err == nil {
+			s.m.execShard.Add(1)
+		}
+		if s.opts.Tracer != nil {
+			s.spanExec(it, start, time.Now())
+		}
+		return
+	}
+
+	key := live[0].req.key(s.opts.Config)
+	plan, release, err := s.cache.Get(key)
+	if err != nil {
+		s.settle(live, err)
+		return
+	}
+	var start time.Time
+	if s.opts.Tracer != nil {
+		start = time.Now()
+	}
+	switch {
+	case len(live) > 1 && key.Real:
+		// Coalesced real pencils: pack the per-request real rows and
+		// half spectra into contiguous scratch, run one batched
+		// pipeline sweep, scatter the results back.
+		n, mc := key.Len(), key.SpectrumLen()
+		inverse := live[0].req.Inverse
+		if cap(x.realCoalesce) < n*len(live) {
+			x.realCoalesce = make([]float64, n*len(live))
+		}
+		if cap(x.specCoalesce) < mc*len(live) {
+			x.specCoalesce = make([]complex128, mc*len(live))
+		}
+		re := x.realCoalesce[:n*len(live)]
+		spec := x.specCoalesce[:mc*len(live)]
+		for i, it := range live {
+			if inverse {
+				copy(spec[i*mc:(i+1)*mc], it.req.Src)
+			} else {
+				copy(re[i*n:(i+1)*n], it.req.RealSrc)
 			}
-			re := realCoalesce[:n*len(live)]
-			spec := specCoalesce[:mc*len(live)]
+		}
+		err = plan.ExecuteRealBatch(spec, re, len(live), inverse)
+		if err == nil {
 			for i, it := range live {
 				if inverse {
-					copy(spec[i*mc:(i+1)*mc], it.req.Src)
+					copy(it.req.RealDst, re[i*n:(i+1)*n])
 				} else {
-					copy(re[i*n:(i+1)*n], it.req.RealSrc)
+					copy(it.req.Dst, spec[i*mc:(i+1)*mc])
 				}
-			}
-			err = plan.ExecuteRealBatch(spec, re, len(live), inverse)
-			if err == nil {
-				for i, it := range live {
-					if inverse {
-						copy(it.req.RealDst, re[i*n:(i+1)*n])
-					} else {
-						copy(it.req.Dst, spec[i*mc:(i+1)*mc])
-					}
-				}
-			}
-			s.settle(live, err)
-		case key.Real:
-			it := live[0]
-			if it.req.Inverse {
-				err = plan.ExecuteReal(it.req.Src, it.req.RealDst, true)
-			} else {
-				err = plan.ExecuteReal(it.req.Dst, it.req.RealSrc, false)
-			}
-			s.settle(live, err)
-		default:
-			// Complex: every item runs out of place between its own Src and
-			// Dst (rank-2/3 batches hold one item). A coalesced rank-1 batch
-			// shares the plan lookup and this hand-off, nothing else, so an
-			// item's bits do not depend on what it was batched with.
-			for _, it := range live {
-				if err = executeComplex(plan, &it.req, arena); err != nil {
-					break
-				}
-			}
-			s.settle(live, err)
-		}
-		if err == nil {
-			if key.Real {
-				s.m.execReal.Add(1)
-			} else {
-				s.m.execComplex.Add(1)
 			}
 		}
-		release()
-		if s.opts.Tracer != nil {
-			end := time.Now()
-			for _, it := range live {
-				s.spanExec(it, start, end)
+		s.settle(live, err)
+	case key.Real:
+		it := live[0]
+		if it.req.Inverse {
+			err = plan.ExecuteReal(it.req.Src, it.req.RealDst, true)
+		} else {
+			err = plan.ExecuteReal(it.req.Dst, it.req.RealSrc, false)
+		}
+		s.settle(live, err)
+	default:
+		// Complex: every item runs out of place between its own Src and
+		// Dst (rank-2/3 batches hold one item). A coalesced rank-1 batch
+		// shares the plan lookup and this hand-off, nothing else, so an
+		// item's bits do not depend on what it was batched with.
+		for _, it := range live {
+			if err = executeComplex(plan, &it.req, x.arena); err != nil {
+				break
 			}
+		}
+		s.settle(live, err)
+	}
+	if err == nil {
+		if key.Real {
+			s.m.execReal.Add(1)
+		} else {
+			s.m.execComplex.Add(1)
+		}
+	}
+	release()
+	if s.opts.Tracer != nil {
+		end := time.Now()
+		for _, it := range live {
+			s.spanExec(it, start, end)
 		}
 	}
 }
