@@ -218,6 +218,11 @@ type Server struct {
 	queue   chan *item
 	batchCh chan *batch
 
+	// admitMu orders every submitWG.Add before Shutdown's Wait: Do reads
+	// draining and registers under the read lock, Shutdown sets draining
+	// under the write lock, so no Add can race a Wait already in progress
+	// (which sync.WaitGroup forbids and can answer with a panic).
+	admitMu  sync.RWMutex
 	draining atomic.Bool
 	submitWG sync.WaitGroup // in-flight Do admissions
 
@@ -341,15 +346,17 @@ func (s *Server) Do(ctx context.Context, req Request) error {
 	if err := validate(&req); err != nil {
 		return err
 	}
-	// Admission: register with submitWG before reading the draining flag.
-	// Shutdown stores the flag before waiting on the WG, so a Do that
-	// reads draining=false is covered by the wait and may enqueue safely
-	// before the queue closes; one that reads true backs out.
-	s.submitWG.Add(1)
+	// Admission: a Do that reads draining=false registers with submitWG
+	// before Shutdown can set the flag, so it is covered by Shutdown's wait
+	// and may enqueue safely before the queue closes; one that reads true
+	// backs out.
+	s.admitMu.RLock()
 	if s.draining.Load() {
-		s.submitWG.Done()
+		s.admitMu.RUnlock()
 		return ErrClosed
 	}
+	s.submitWG.Add(1)
+	s.admitMu.RUnlock()
 
 	it := s.getItem(ctx, &req)
 	s.m.submitted.Add(1)
@@ -791,7 +798,9 @@ func (s *Server) spanExec(it *item, start, end time.Time) {
 // first (the drain continues in the background). Safe to call repeatedly
 // and concurrently.
 func (s *Server) Shutdown(ctx context.Context) error {
+	s.admitMu.Lock()
 	s.draining.Store(true)
+	s.admitMu.Unlock()
 	s.stopOnce.Do(func() {
 		go func() {
 			s.submitWG.Wait() // every admitted Do has finished enqueueing
