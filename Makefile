@@ -21,7 +21,7 @@ PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck race bench \
         microbench benchsmoke benchjson benchcmp servesmoke obssmoke \
-        shardsmoke tracesmoke fuzzsmoke fmt loc
+        shardsmoke tracesmoke fuzzsmoke fmt loc serveprobe
 
 ci: vet lint build crossbuild asmcheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke benchjson benchcmp
 
@@ -121,6 +121,17 @@ fuzzsmoke:
 # against it. See benchmark/README.md (`-workload`, `-seconds`, `-repeat`).
 bench:
 	$(GO) run ./benchmark
+
+# The serving layer with both vCPUs busy: one timed serve1d pass, then the
+# traced pass that yields the serve.* layer metrics. The gate runs at
+# GOMAXPROCS = nproc − 1 = 1, where two closed-loop clients share one thread
+# and `do − execute` is mostly the other client's transform; plumbing shows
+# only at GOMAXPROCS ≥ 2. Ungated on purpose: two busy vCPUs on a shared host
+# measure the neighbours too, so these figures are recorded in EXPERIMENTS.md
+# ("Serve without a dispatcher") and never claimed against BENCHMARK.json.
+serveprobe:
+	GOMAXPROCS=2 $(GO) run ./benchmark -workload serve1d -seconds 10 -trace 0
+	GOMAXPROCS=2 $(GO) run ./benchmark -workload serve1d -seconds 10 -trace 1
 
 # The root package's go-test micro-benchmarks (figures, tables, public API).
 microbench:

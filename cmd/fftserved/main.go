@@ -81,7 +81,6 @@ func main() {
 		addr        = flag.String("addr", ":8123", "HTTP listen address")
 		queue       = flag.Int("queue", 256, "submit queue depth")
 		maxBatch    = flag.Int("maxbatch", 16, "max same-shape 1D requests coalesced per execution (1 disables)")
-		window      = flag.Duration("window", 200*time.Microsecond, "batching window: how long to linger for a deeper batch")
 		executors   = flag.Int("executors", 2, "concurrent batch executors")
 		cacheCap    = flag.Int("cachecap", 32, "plan cache capacity")
 		policy      = flag.String("policy", "block", "full-queue policy: block or reject")
@@ -178,7 +177,6 @@ func main() {
 		Config:        cfg,
 		QueueDepth:    *queue,
 		MaxBatch:      *maxBatch,
-		BatchWindow:   *window,
 		Executors:     *executors,
 		CacheCapacity: *cacheCap,
 		Policy:        pol,

@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/fft1d"
 	"repro/internal/fft2d"
@@ -199,7 +198,6 @@ func strategy2D(name string) (fft2d.Strategy, error) {
 type Plan3D struct {
 	plan *fft3d.Plan
 	cfg  Config
-	refs atomic.Int32
 }
 
 // NewPlan3D builds a 3D plan for a k×n×m cube under cfg.
@@ -218,9 +216,7 @@ func NewPlan3D(k, n, m int, cfg Config) (*Plan3D, error) {
 			col.SetPredicted(mo.DoubleBuf3D(k, n, m, 1).StagePredictions())
 		}
 	}
-	p3 := &Plan3D{plan: p, cfg: cfg}
-	p3.refs.Store(1)
-	return p3, nil
+	return &Plan3D{plan: p, cfg: cfg}, nil
 }
 
 // Forward computes the unnormalized forward transform out of place.
@@ -244,21 +240,11 @@ func (p *Plan3D) ForwardMany(dst, src []complex128, count int) error {
 	return p.plan.TransformMany(dst, src, count, fft1d.Forward)
 }
 
-// Retain adds a reference to the plan for shared-cache use: each reference
-// (including the one a new plan starts with) must be dropped by exactly one
-// Close, and the executor's worker team is torn down only when the last
-// reference drains. Plain single-owner callers never call Retain.
-func (p *Plan3D) Retain() { p.refs.Add(1) }
-
-// Close drops one plan reference; the last drop releases the persistent
-// executor workers (a no-op for strategies without one). Releasing is
-// idempotent and concurrency-safe — a Close racing a Transform waits for
-// it, and excess Closes are absorbed by the underlying plan. Plans dropped
-// without Close are reclaimed by a finalizer.
+// Close releases the persistent executor workers (a no-op for strategies
+// without one). It is idempotent and concurrency-safe — a Close racing a
+// Transform waits for it, and excess Closes are absorbed by the underlying
+// plan. Plans dropped without Close are reclaimed by a finalizer.
 func (p *Plan3D) Close() {
-	if p.refs.Add(-1) > 0 {
-		return
-	}
 	p.plan.Close()
 }
 
@@ -272,7 +258,6 @@ func (p *Plan3D) Dims() (int, int, int) { return p.plan.Dims() }
 type Plan2D struct {
 	plan *fft2d.Plan
 	n, m int
-	refs atomic.Int32
 }
 
 // NewPlan2D builds a 2D plan for an n×m matrix under cfg.
@@ -291,9 +276,7 @@ func NewPlan2D(n, m int, cfg Config) (*Plan2D, error) {
 			col.SetPredicted(mo.DoubleBuf2D(n, m).StagePredictions())
 		}
 	}
-	p2 := &Plan2D{plan: p, n: n, m: m}
-	p2.refs.Store(1)
-	return p2, nil
+	return &Plan2D{plan: p, n: n, m: m}, nil
 }
 
 // Forward computes the unnormalized forward transform out of place.
@@ -311,16 +294,8 @@ func (p *Plan2D) InPlace(x []complex128) error {
 	return p.plan.InPlace(x, fft1d.Forward)
 }
 
-// Retain adds a reference to the plan for shared-cache use; see
-// Plan3D.Retain.
-func (p *Plan2D) Retain() { p.refs.Add(1) }
-
-// Close drops one plan reference; the last drop releases the persistent
-// executor workers. See Plan3D.Close.
+// Close releases the persistent executor workers. See Plan3D.Close.
 func (p *Plan2D) Close() {
-	if p.refs.Add(-1) > 0 {
-		return
-	}
 	p.plan.Close()
 }
 
@@ -343,7 +318,6 @@ func (c Config) rfftOptions() rfft.Options {
 // RealPlan1D is a sized, batched real-input (r2c/c2r) 1D FFT executor.
 type RealPlan1D struct {
 	plan *rfft.Plan1D
-	refs atomic.Int32
 }
 
 // NewRealPlan1D builds a real-input plan for even length n under cfg.
@@ -353,9 +327,7 @@ func NewRealPlan1D(n int, cfg Config) (*RealPlan1D, error) {
 		return nil, err
 	}
 	p.SetRoofline(cfg.Roofline())
-	rp := &RealPlan1D{plan: p}
-	rp.refs.Store(1)
-	return rp, nil
+	return &RealPlan1D{plan: p}, nil
 }
 
 // Forward computes the unnormalized half spectrum X[0…n/2] of a real row.
@@ -386,15 +358,8 @@ func (p *RealPlan1D) N() int { return p.plan.N() }
 // SpectrumLen returns n/2+1.
 func (p *RealPlan1D) SpectrumLen() int { return p.plan.SpectrumLen() }
 
-// Retain adds a reference for shared-cache use; see Plan3D.Retain.
-func (p *RealPlan1D) Retain() { p.refs.Add(1) }
-
-// Close drops one plan reference; the last drop releases the persistent
-// executor workers. See Plan3D.Close.
+// Close releases the persistent executor workers. See Plan3D.Close.
 func (p *RealPlan1D) Close() {
-	if p.refs.Add(-1) > 0 {
-		return
-	}
 	p.plan.Close()
 }
 
@@ -410,7 +375,6 @@ func (p *RealPlan1D) DescribeGraph() string { return p.plan.DescribeGraph() }
 // RealPlan2D is a sized real-input (r2c/c2r) 2D FFT executor.
 type RealPlan2D struct {
 	plan *rfft.Plan2D
-	refs atomic.Int32
 }
 
 // NewRealPlan2D builds a real-input plan for an n×m grid (m even) under cfg.
@@ -420,9 +384,7 @@ func NewRealPlan2D(n, m int, cfg Config) (*RealPlan2D, error) {
 		return nil, err
 	}
 	p.SetRoofline(cfg.Roofline())
-	rp := &RealPlan2D{plan: p}
-	rp.refs.Store(1)
-	return rp, nil
+	return &RealPlan2D{plan: p}, nil
 }
 
 // Forward computes the unnormalized half spectrum (n×(m/2+1)).
@@ -444,15 +406,8 @@ func (p *RealPlan2D) SpectrumLen() int { return p.plan.SpectrumLen() }
 // RealLen returns n·m.
 func (p *RealPlan2D) RealLen() int { return p.plan.RealLen() }
 
-// Retain adds a reference for shared-cache use; see Plan3D.Retain.
-func (p *RealPlan2D) Retain() { p.refs.Add(1) }
-
-// Close drops one plan reference; the last drop releases the persistent
-// executor workers. See Plan3D.Close.
+// Close releases the persistent executor workers. See Plan3D.Close.
 func (p *RealPlan2D) Close() {
-	if p.refs.Add(-1) > 0 {
-		return
-	}
 	p.plan.Close()
 }
 
@@ -468,7 +423,6 @@ func (p *RealPlan2D) DescribeGraph() string { return p.plan.DescribeGraph() }
 // RealPlan3D is a sized real-input (r2c/c2r) 3D FFT executor.
 type RealPlan3D struct {
 	plan *rfft.Plan3D
-	refs atomic.Int32
 }
 
 // NewRealPlan3D builds a real-input plan for a k×n×m cube (m even) under cfg.
@@ -478,9 +432,7 @@ func NewRealPlan3D(k, n, m int, cfg Config) (*RealPlan3D, error) {
 		return nil, err
 	}
 	p.SetRoofline(cfg.Roofline())
-	rp := &RealPlan3D{plan: p}
-	rp.refs.Store(1)
-	return rp, nil
+	return &RealPlan3D{plan: p}, nil
 }
 
 // Forward computes the unnormalized half spectrum (k×n×(m/2+1)).
@@ -502,15 +454,8 @@ func (p *RealPlan3D) SpectrumLen() int { return p.plan.SpectrumLen() }
 // RealLen returns k·n·m.
 func (p *RealPlan3D) RealLen() int { return p.plan.RealLen() }
 
-// Retain adds a reference for shared-cache use; see Plan3D.Retain.
-func (p *RealPlan3D) Retain() { p.refs.Add(1) }
-
-// Close drops one plan reference; the last drop releases the persistent
-// executor workers. See Plan3D.Close.
+// Close releases the persistent executor workers. See Plan3D.Close.
 func (p *RealPlan3D) Close() {
-	if p.refs.Add(-1) > 0 {
-		return
-	}
 	p.plan.Close()
 }
 

@@ -6,10 +6,10 @@ import (
 )
 
 // A warm complex rank-1 request allocates nothing anywhere on the path:
-// the item, the batch and its item slice are recycled, the plan cache hit
-// returns the entry's one release func, and the transform draws scratch from
-// the executor's arena. AllocsPerRun counts the whole process, so the
-// dispatcher and executor goroutines are covered too. The context is
+// the item is recycled, the executor reuses its batch slice, the plan cache
+// hit returns the entry's one release func, and the transform draws scratch
+// from the executor's arena. AllocsPerRun counts the whole process, so the
+// executor goroutines are covered too. The context is
 // uncancellable and the tracer off — the served configuration the ruler's
 // serve1d workload runs.
 func TestWarmRank1DoAllocatesNothing(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package serve is a batched, backpressured FFT serving layer: callers
-// submit transform requests of any rank, a dispatcher coalesces same-shape
-// 1D requests into batches that share one plan lookup and one executor
-// hand-off, and every plan comes from a bounded ref-counted LRU cache so
+// submit transform requests of any rank to a bounded queue, each executor
+// takes the same-shape 1D requests queued behind the one it picked up as a
+// batch that shares one plan lookup and one settlement, and every plan
+// comes from a bounded ref-counted LRU cache so
 // worker teams are reused across requests instead of rebuilt per request —
 // the paper's zero-steady-state-allocation executors, amortized across a
 // request stream.

@@ -2,43 +2,48 @@ package serve
 
 import (
 	"context"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
 )
 
 // serveAsOneBatch runs reqs (same shape and direction, rank 1) through a fresh
-// server as exactly one batch of len(reqs). MaxBatch is the batch size, and a
-// phantom admitted request keeps the dispatcher lingering (outstanding > batch)
-// until the batch is full, however the submitters are scheduled.
-func serveAsOneBatch(t *testing.T, reqs []Request) {
+// server as exactly one batch of len(reqs) and returns its final counters. It
+// queues the items itself rather than through Do — whose callers cannot tell
+// when their item is in the queue — so that every item is provably queued
+// while the one executor is still held on execGate with the first of them;
+// the open gate then lets it drain the rest behind that first.
+func serveAsOneBatch(t *testing.T, reqs []Request) Snapshot {
 	t.Helper()
-	s := New(Options{Config: smallCfg(), MaxBatch: len(reqs), Executors: 1, BatchWindow: time.Minute})
+	gate := make(chan struct{})
+	s := New(Options{Config: smallCfg(), MaxBatch: len(reqs), Executors: 1})
+	s.execGate = gate
 	defer shutdownOrFail(t, s)
-	s.outstanding.Add(1)
-	var wg sync.WaitGroup
-	errs := make([]error, len(reqs))
-	for i := range reqs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = s.Do(context.Background(), reqs[i])
-		}(i)
-	}
-	wg.Wait()
-	s.outstanding.Add(-1)
-	for i, err := range errs {
-		if err != nil {
+	items := enqueue(s, reqs)
+	close(gate)
+	for i, it := range items {
+		if err := <-it.done; err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
-	if snap := s.Stats(); snap.Batches != 1 || snap.BatchedItems != uint64(len(reqs)) {
+	snap := s.Stats()
+	if snap.Batches != 1 || snap.BatchedItems != uint64(len(reqs)) {
 		t.Fatalf("%d requests ran as %d batches of %d items in all, want one batch",
 			len(reqs), snap.Batches, snap.BatchedItems)
 	}
+	return snap
+}
+
+// enqueue puts reqs on s's queue in order, as Do would after admission, and
+// returns their items; each item's done channel delivers its result.
+func enqueue(s *Server, reqs []Request) []*item {
+	items := make([]*item, len(reqs))
+	for i := range reqs {
+		items[i] = s.getItem(context.Background(), &reqs[i])
+		s.queue <- items[i]
+	}
+	return items
 }
 
 func bitsEqual(a, b []complex128) bool {

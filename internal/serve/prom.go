@@ -27,7 +27,7 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Family("fft_requests_submitted_total", "Requests admitted past validation.", "counter")
 	p.Sample("fft_requests_submitted_total", float64(snap.Submitted))
 
-	p.Family("fft_batches_total", "Batched pencil executions dispatched.", "counter")
+	p.Family("fft_batches_total", "Batches executed (same-shape 1D requests run together, or one request of any other kind).", "counter")
 	p.Sample("fft_batches_total", float64(snap.Batches))
 
 	p.Family("fft_batched_items_total", "Requests coalesced into batches.", "counter")

@@ -41,15 +41,10 @@ type Options struct {
 	// only buffering between callers and executors; its depth is the knob
 	// that trades admission latency against burst absorption.
 	QueueDepth int
-	// MaxBatch caps how many same-shape 1D requests coalesce into one
-	// batch — one plan lookup and one executor hand-off for all of them
-	// (default 16; 1 disables coalescing).
+	// MaxBatch caps how many same-shape 1D requests an executor takes off
+	// the queue as one batch — one plan lookup and one settlement for all
+	// of them (default 16; 1 disables coalescing).
 	MaxBatch int
-	// BatchWindow is how long the dispatcher lingers for more same-shape
-	// requests after the first of a batch arrives (default 200µs). Zero
-	// uses the default; negative disables lingering (batch whatever is
-	// already queued).
-	BatchWindow time.Duration
 	// Executors is the number of goroutines executing batches (default 2).
 	// Each executor drives a plan's own worker team, so this is the number
 	// of concurrently running transforms, not the compute width.
@@ -89,9 +84,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxBatch == 0 {
 		o.MaxBatch = 16
-	}
-	if o.BatchWindow == 0 {
-		o.BatchWindow = 200 * time.Microsecond
 	}
 	if o.Executors == 0 {
 		o.Executors = 2
@@ -160,7 +152,7 @@ type item struct {
 // never-enqueued item, or a claimed-and-settled one whose result has been
 // received — and only with tracing off, since span emission touches the
 // item after settlement. Withdrawn (cancelled) items are left to the GC:
-// the dispatcher may still hold them.
+// the queue or an executor may still hold them.
 var itemPool = sync.Pool{New: func() any {
 	return &item{done: make(chan error, 1)}
 }}
@@ -191,74 +183,48 @@ func (s *Server) putItem(it *item) {
 	itemPool.Put(it)
 }
 
-// batch is a group of same-plan same-direction requests the dispatcher
-// hands to an executor; rank-2/3 batches always have one item.
-type batch struct {
-	items []*item
-}
-
-// batchPool recycles batches and their item slices: the dispatcher draws
-// one per hand-off and the executor returns it once every item is settled.
-// A settled item may already be back in itemPool and reissued, so the
-// executor clears the pointers before pooling the batch.
-var batchPool = sync.Pool{New: func() any { return new(batch) }}
-
-func putBatch(b *batch) {
-	clear(b.items)
-	b.items = b.items[:0]
-	batchPool.Put(b)
-}
-
 // Server admits, batches and executes FFT requests against a bounded plan
 // cache. Create with New, submit with Do, stop with Shutdown.
 type Server struct {
 	opts  Options
 	cache *PlanCache
 
-	queue   chan *item
-	batchCh chan *batch
+	queue chan *item
 
-	// admitMu orders every submitWG.Add before Shutdown's Wait: Do reads
-	// draining and registers under the read lock, Shutdown sets draining
-	// under the write lock, so no Add can race a Wait already in progress
-	// (which sync.WaitGroup forbids and can answer with a panic).
+	// admitMu is held for reading by every Do from its draining check
+	// until its item is in the queue (or refused), and for writing by
+	// Shutdown to close the queue: the close waits out admissions in
+	// progress, and no admission can begin once it is pending.
 	admitMu  sync.RWMutex
 	draining atomic.Bool
-	submitWG sync.WaitGroup // in-flight Do admissions
 
 	stopOnce sync.Once
 	stopped  chan struct{}
 
 	workersWG sync.WaitGroup
 
-	// outstanding counts admitted requests not yet settled or withdrawn;
-	// the dispatcher lingers for stragglers only while this exceeds the
-	// batch being formed — it never waits for work that does not exist.
-	outstanding atomic.Int64
-
 	nextID uint64 // atomic
 
 	m metrics
 
-	// execGate, when set by tests, is received from before each batch
-	// executes — it makes queue-full states deterministic.
+	// execGate, when set by tests, is received from once per batch, between
+	// an executor taking the first item and draining the rest: holding it
+	// makes queue-full states, and the batch that forms, deterministic.
 	execGate chan struct{}
 }
 
-// New starts a server: one dispatcher goroutine plus opts.Executors
-// executor goroutines, all idle until requests arrive.
+// New starts a server: opts.Executors executor goroutines, all idle until
+// requests arrive.
 func New(opts Options) *Server {
 	opts = opts.withDefaults()
 	s := &Server{
 		opts:    opts,
 		cache:   NewPlanCache(opts.CacheCapacity),
 		queue:   make(chan *item, opts.QueueDepth),
-		batchCh: make(chan *batch),
 		stopped: make(chan struct{}),
 	}
 	s.m.init()
-	s.workersWG.Add(1 + opts.Executors)
-	go s.dispatch()
+	s.workersWG.Add(opts.Executors)
 	for i := 0; i < opts.Executors; i++ {
 		go s.execute()
 	}
@@ -346,51 +312,42 @@ func (s *Server) Do(ctx context.Context, req Request) error {
 	if err := validate(&req); err != nil {
 		return err
 	}
-	// Admission: a Do that reads draining=false registers with submitWG
-	// before Shutdown can set the flag, so it is covered by Shutdown's wait
-	// and may enqueue safely before the queue closes; one that reads true
-	// backs out.
-	s.admitMu.RLock()
+	// Admission: a Do that reads draining=false under the read lock may
+	// enqueue safely — Shutdown sets the flag before asking for the write
+	// lock it closes the queue under. TryRLock fails only once that request
+	// is made, and the answer is then ErrClosed without waiting in line.
+	if !s.admitMu.TryRLock() {
+		return ErrClosed
+	}
 	if s.draining.Load() {
 		s.admitMu.RUnlock()
 		return ErrClosed
 	}
-	s.submitWG.Add(1)
-	s.admitMu.RUnlock()
 
 	it := s.getItem(ctx, &req)
 	s.m.submitted.Add(1)
 
-	s.outstanding.Add(1)
-	enqueued := false
+	var refused error // why the item never reached the queue, if it did not
 	if s.opts.Policy == Reject {
 		select {
 		case s.queue <- it:
-			enqueued = true
 		default:
-		}
-		if !enqueued {
-			s.outstanding.Add(-1)
-			s.submitWG.Done()
 			s.m.rejected.Add(1)
-			s.putItem(it)
-			return ErrOverloaded
+			refused = ErrOverloaded
 		}
 	} else {
 		select {
 		case s.queue <- it:
-			enqueued = true
 		case <-ctx.Done():
-		}
-		if !enqueued {
-			s.outstanding.Add(-1)
-			s.submitWG.Done()
 			s.m.cancelled.Add(1)
-			s.putItem(it)
-			return ctx.Err()
+			refused = ctx.Err()
 		}
 	}
-	s.submitWG.Done()
+	s.admitMu.RUnlock()
+	if refused != nil {
+		s.putItem(it)
+		return refused
+	}
 
 	if ctx.Done() == nil {
 		// Uncancellable context: skip the two-way select on the hot path.
@@ -406,9 +363,8 @@ func (s *Server) Do(ctx context.Context, req Request) error {
 		// Try to withdraw the request before an executor claims it; if
 		// the executor wins the race the transform is already running
 		// into our buffers, so wait it out. A withdrawn item stays out
-		// of the pool: the dispatcher may still reference it.
+		// of the pool: the queue or an executor may still reference it.
 		if it.state.CompareAndSwap(statePending, stateCancelled) {
-			s.outstanding.Add(-1)
 			s.m.cancelled.Add(1)
 			s.spanQueue(it, time.Now())
 			return ctx.Err()
@@ -416,97 +372,6 @@ func (s *Server) Do(ctx context.Context, req Request) error {
 		err := <-it.done
 		s.putItem(it)
 		return err
-	}
-}
-
-// dispatch pulls admitted requests off the queue and forms batches:
-// same-shape same-direction 1D requests coalesce up to MaxBatch,
-// everything else passes through as singleton batches. Lingering is
-// adaptive: once a batch has started the dispatcher waits up to
-// BatchWindow for stragglers, but only while admitted-yet-unsettled
-// requests beyond the batch exist — a lone request flushes immediately
-// (zero added latency at light load) while a loaded stream fills batches.
-// Exits when the queue closes, flushing whatever is buffered.
-func (s *Server) dispatch() {
-	defer s.workersWG.Done()
-	defer close(s.batchCh)
-	var pending *item
-	var timer *time.Timer
-	for {
-		first := pending
-		pending = nil
-		if first == nil {
-			var ok bool
-			if first, ok = <-s.queue; !ok {
-				return
-			}
-		}
-		b := batchPool.Get().(*batch)
-		b.items = append(b.items, first)
-		if first.req.Rank == 1 && s.opts.MaxBatch > 1 {
-			var linger <-chan time.Time
-			armed := false
-			yielded := false
-		collect:
-			for len(b.items) < s.opts.MaxBatch {
-				select {
-				case it, ok := <-s.queue:
-					if !ok {
-						break collect
-					}
-					if sameBatch(it, first) {
-						b.items = append(b.items, it)
-					} else {
-						pending = it
-						break collect
-					}
-				default:
-					// Queue momentarily empty. First step aside once:
-					// demand often sits in runnable-but-unscheduled
-					// submitters (acute on small GOMAXPROCS), and a
-					// single yield lets them enqueue; an idle machine
-					// returns from the yield immediately.
-					if !yielded {
-						yielded = true
-						runtime.Gosched()
-						continue
-					}
-					if s.outstanding.Load() <= int64(len(b.items)) || s.opts.BatchWindow <= 0 {
-						break collect // nobody else is coming; don't wait
-					}
-					if !armed {
-						armed = true
-						if timer == nil {
-							timer = time.NewTimer(s.opts.BatchWindow)
-						} else {
-							timer.Reset(s.opts.BatchWindow)
-						}
-						linger = timer.C
-					}
-					if linger == nil {
-						break collect // window already elapsed
-					}
-					select {
-					case it, ok := <-s.queue:
-						if !ok {
-							break collect
-						}
-						if sameBatch(it, first) {
-							b.items = append(b.items, it)
-						} else {
-							pending = it
-							break collect
-						}
-					case <-linger:
-						linger = nil
-					}
-				}
-			}
-			if armed && linger != nil && !timer.Stop() {
-				<-timer.C
-			}
-		}
-		s.batchCh <- b
 	}
 }
 
@@ -526,17 +391,61 @@ type executor struct {
 	specCoalesce []complex128   // … and their half spectra
 }
 
-// execute is one executor goroutine: it runs each batch the dispatcher hands
-// over and gives the batch back for reuse.
+// execute is one executor goroutine. It takes a batch's first item off the
+// queue, drains the same-shape rank-1 items already queued behind it (up to
+// MaxBatch) into a slice it owns and runs them together; anything else runs
+// as a batch of one. A different-shape item met while draining is held and
+// starts the next batch. Exits once the queue is closed and nothing is held.
 func (s *Server) execute() {
 	defer s.workersWG.Done()
 	x := &executor{arena: kernels.NewArena(0, 0)}
-	for b := range s.batchCh {
+	var items []*item
+	var pending *item
+	for {
+		first := pending
+		pending = nil
+		if first == nil {
+			var ok bool
+			if first, ok = <-s.queue; !ok {
+				return
+			}
+		}
 		if s.execGate != nil {
 			<-s.execGate
 		}
-		s.runBatch(x, b.items)
-		putBatch(b)
+		items = append(items, first)
+		if first.req.Rank == 1 {
+			yielded := false
+		drain:
+			for len(items) < s.opts.MaxBatch {
+				select {
+				case it, ok := <-s.queue:
+					if !ok {
+						break drain
+					}
+					if !sameBatch(it, first) {
+						pending = it
+						break drain
+					}
+					items = append(items, it)
+				default:
+					// Queue empty, batch short: yield once before running
+					// it. Demand often sits in runnable-but-unscheduled
+					// submitters; letting them enqueue is what fills batches
+					// under many submitters and keeps clients that share a
+					// thread taking turns. Idle, the yield returns at once.
+					if yielded {
+						break drain
+					}
+					yielded = true
+					runtime.Gosched()
+				}
+			}
+		}
+		s.runBatch(x, items)
+		// Settled items may already be reissued from itemPool: drop them.
+		clear(items)
+		items = items[:0]
 	}
 }
 
@@ -705,7 +614,6 @@ func overlaps(a, b []complex128) bool {
 // latency and traffic metrics.
 func (s *Server) settle(items []*item, err error) {
 	now := time.Now()
-	s.outstanding.Add(-int64(len(items)))
 	if err != nil {
 		s.m.failed.Add(uint64(len(items)))
 	} else {
@@ -798,13 +706,12 @@ func (s *Server) spanExec(it *item, start, end time.Time) {
 // first (the drain continues in the background). Safe to call repeatedly
 // and concurrently.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.admitMu.Lock()
 	s.draining.Store(true)
-	s.admitMu.Unlock()
 	s.stopOnce.Do(func() {
 		go func() {
-			s.submitWG.Wait() // every admitted Do has finished enqueueing
-			close(s.queue)    // dispatcher flushes, then closes batchCh
+			s.admitMu.Lock() // every admitted Do has finished enqueueing
+			close(s.queue)   // executors drain what is queued or held, then exit
+			s.admitMu.Unlock()
 			s.workersWG.Wait()
 			s.cache.Purge() // tear down idle worker teams
 			close(s.stopped)

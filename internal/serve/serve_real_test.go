@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func realVec(n, seed int) []float64 {
@@ -98,56 +97,58 @@ func TestDoRealCorrectness(t *testing.T) {
 	})
 }
 
-// TestRealCoalescedBatch floods the server with same-shape real 1D
-// requests so the dispatcher coalesces them into batched packed sweeps,
-// and checks every caller gets its own correct half spectrum plus exact
-// per-kind byte accounting (8 B per real element, 16 B per spectrum bin).
+// TestRealCoalescedBatch runs eight same-shape real 1D requests with
+// different inputs as one coalesced batch — one packed sweep — and checks
+// every caller gets its own correct half spectrum plus exact per-kind byte
+// accounting (8 B per real element, 16 B per spectrum bin).
 func TestRealCoalescedBatch(t *testing.T) {
-	const n, reqs = 64, 60
+	const n, k = 64, 8
 	const mc = n/2 + 1
-	s := New(Options{Config: smallCfg(), MaxBatch: 8, Executors: 1,
-		BatchWindow: 2 * time.Millisecond})
-	defer shutdownOrFail(t, s)
+	reqs := make([]Request, k)
+	for i := range reqs {
+		reqs[i] = Request{Rank: 1, Dims: [3]int{n}, Real: true,
+			RealSrc: realVec(n, i), Dst: make([]complex128, mc)}
+	}
+	snap := serveAsOneBatch(t, reqs)
+	for i, r := range reqs {
+		if !approxEqual(r.Dst, naiveHalfSpectrum(r.RealSrc), 1e-9) {
+			t.Errorf("request %d: coalesced real result disagrees with reference", i)
+		}
+	}
+	checkRealBatchCounters(t, snap, k*(8*n+16*mc))
+}
 
-	want := naiveHalfSpectrum(realVec(n, 0))
-	dsts := make([][]complex128, reqs)
-	errs := make([]error, reqs)
-	var wg sync.WaitGroup
-	for i := 0; i < reqs; i++ {
-		dsts[i] = make([]complex128, mc)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = s.Do(context.Background(), Request{
-				Rank: 1, Dims: [3]int{n}, Real: true,
-				RealSrc: realVec(n, 0), Dst: dsts[i]})
-		}(i)
+// TestRealCoalescedBatchInverse is the c2r twin: the half spectra of eight
+// different signals, inverted as one coalesced batch, return the signals.
+func TestRealCoalescedBatchInverse(t *testing.T) {
+	const n, k = 64, 8
+	const mc = n/2 + 1
+	reqs := make([]Request, k)
+	for i := range reqs {
+		reqs[i] = Request{Rank: 1, Dims: [3]int{n}, Real: true, Inverse: true,
+			Src: naiveHalfSpectrum(realVec(n, i)), RealDst: make([]float64, n)}
 	}
-	wg.Wait()
-	for i := 0; i < reqs; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
-		}
-		if !approxEqual(dsts[i], want, 1e-9) {
-			t.Fatalf("request %d: coalesced real result disagrees with reference", i)
+	snap := serveAsOneBatch(t, reqs)
+	for i, r := range reqs {
+		if !approxEqualReal(r.RealDst, realVec(n, i), 1e-9) {
+			t.Errorf("request %d: coalesced inverse does not return the signal", i)
 		}
 	}
-	snap := s.Stats()
-	if snap.AvgBatch <= 1.0 {
-		t.Errorf("no real coalescing happened: avg batch %.2f over %d batches",
-			snap.AvgBatch, snap.Batches)
-	}
-	if snap.ExecutionsReal == 0 || snap.ExecutionsComplex != 0 {
-		t.Errorf("execution kind split: real=%d complex=%d, want real>0 complex=0",
+	checkRealBatchCounters(t, snap, k*(8*n+16*mc))
+}
+
+// checkRealBatchCounters: one coalesced real batch is one real execution and
+// no complex one, and moved exactly wantBytes, all of them booked as real.
+func checkRealBatchCounters(t *testing.T, snap Snapshot, wantBytes int) {
+	t.Helper()
+	if snap.ExecutionsReal != 1 || snap.ExecutionsComplex != 0 {
+		t.Errorf("execution kind split: real=%d complex=%d, want 1 and 0",
 			snap.ExecutionsReal, snap.ExecutionsComplex)
 	}
-	wantBytes := uint64(reqs * (8*n + 16*mc))
-	if snap.BytesMovedReal != wantBytes || snap.BytesMoved != wantBytes {
+	if snap.BytesMovedReal != uint64(wantBytes) || snap.BytesMoved != uint64(wantBytes) {
 		t.Errorf("real bytes moved %d (total %d), want %d",
 			snap.BytesMovedReal, snap.BytesMoved, wantBytes)
 	}
-	t.Logf("coalesced %d real requests into %d executions (avg batch %.1f)",
-		reqs, snap.ExecutionsReal, snap.AvgBatch)
 }
 
 // TestRealComplexBatchSeparation interleaves same-dims real and complex 1D
@@ -155,8 +156,7 @@ func TestRealCoalescedBatch(t *testing.T) {
 // still get correct answers.
 func TestRealComplexBatchSeparation(t *testing.T) {
 	const n, pairs = 32, 20
-	s := New(Options{Config: smallCfg(), MaxBatch: 8, Executors: 1,
-		BatchWindow: 2 * time.Millisecond})
+	s := New(Options{Config: smallCfg(), MaxBatch: 8, Executors: 1})
 	defer shutdownOrFail(t, s)
 
 	cWant := naiveDFT(testVec(n, 0))

@@ -114,49 +114,72 @@ func TestDoCorrectness(t *testing.T) {
 	})
 }
 
-// TestCoalescedBatchCorrectness floods the server with same-shape 1D
-// requests so the dispatcher actually coalesces, and checks every caller
-// still gets its own correct answer.
+// TestCoalescedBatchCorrectness runs eight same-shape 1D requests with
+// different inputs as one coalesced batch and checks every caller still gets
+// its own correct answer.
 func TestCoalescedBatchCorrectness(t *testing.T) {
-	const n, reqs = 64, 100
-	s := New(Options{Config: smallCfg(), MaxBatch: 8, Executors: 1,
-		BatchWindow: 2 * time.Millisecond})
-	defer shutdownOrFail(t, s)
+	const n, k = 64, 8
+	reqs := make([]Request, k)
+	for i := range reqs {
+		reqs[i] = Request{Rank: 1, Dims: [3]int{n}, Src: testVec(n, i), Dst: make([]complex128, n)}
+	}
+	serveAsOneBatch(t, reqs)
+	for i, r := range reqs {
+		if !approxEqual(r.Dst, naiveDFT(r.Src), 1e-9) {
+			t.Errorf("request %d: coalesced result disagrees with reference", i)
+		}
+	}
+}
 
-	srcs := make([][]complex128, reqs)
-	dsts := make([][]complex128, reqs)
-	want := naiveDFT(testVec(n, 0))
-	var wg sync.WaitGroup
-	errs := make([]error, reqs)
-	for i := 0; i < reqs; i++ {
-		srcs[i] = testVec(n, 0)
-		dsts[i] = make([]complex128, n)
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = s.Do(context.Background(), Request{
-				Rank: 1, Dims: [3]int{n}, Src: srcs[i], Dst: dsts[i]})
-		}(i)
+// TestDifferentShapeMetMidDrain: an executor draining a batch that meets a
+// request of another shape holds it, serves it as its own next batch ahead of
+// what was queued behind it, and still serves it — and the rest of the queue —
+// when Shutdown closes the queue while the item is held.
+func TestDifferentShapeMetMidDrain(t *testing.T) {
+	const n = 64
+	gate := make(chan struct{})
+	s := New(Options{Config: smallCfg(), MaxBatch: 8, Executors: 1})
+	s.execGate = gate
+	mk := func(n, seed int) Request {
+		return Request{Rank: 1, Dims: [3]int{n}, Src: testVec(n, seed), Dst: make([]complex128, n)}
 	}
-	wg.Wait()
-	for i := 0; i < reqs; i++ {
-		if errs[i] != nil {
-			t.Fatalf("request %d: %v", i, errs[i])
+	reqs := []Request{mk(n, 0), mk(n, 1), mk(n/2, 2), mk(n, 3)}
+	items := enqueue(s, reqs)
+	wait := func(i int) {
+		t.Helper()
+		if err := <-items[i].done; err != nil {
+			t.Fatalf("request %d: %v", i, err)
 		}
-		if !approxEqual(dsts[i], want, 1e-9) {
-			t.Fatalf("request %d: coalesced result disagrees with reference", i)
+		if !approxEqual(reqs[i].Dst, naiveDFT(reqs[i].Src), 1e-9) {
+			t.Fatalf("request %d: wrong answer", i)
 		}
 	}
-	snap := s.Stats()
-	if snap.Batches == 0 {
-		t.Fatal("no batches recorded")
+
+	gate <- struct{}{} // first batch: requests 0 and 1; request 2 is met and held
+	wait(0)
+	wait(1)
+	if snap := s.Stats(); snap.Batches != 1 || snap.BatchedItems != 2 {
+		t.Fatalf("first batch: %d batches of %d items in all, want 1 of 2", snap.Batches, snap.BatchedItems)
 	}
-	if snap.AvgBatch <= 1.0 {
-		t.Errorf("no coalescing happened: avg batch %.2f over %d batches",
-			snap.AvgBatch, snap.Batches)
+
+	// The executor is now at the gate with request 2 in hand. Shutdown
+	// closes the queue under it and cannot finish while the gate is shut.
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	if err := s.Shutdown(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Shutdown with a held item returned %v, want DeadlineExceeded", err)
 	}
-	t.Logf("coalesced %d requests into %d batches (avg %.1f)",
-		snap.BatchedItems, snap.Batches, snap.AvgBatch)
+	gate <- struct{}{} // second batch: the held request alone, ahead of request 3
+	wait(2)
+	if len(items[3].done) != 0 {
+		t.Fatal("request 3 was served before the held request 2")
+	}
+	close(gate)
+	wait(3)
+	shutdownOrFail(t, s)
+	if snap := s.Stats(); snap.Batches != 3 || snap.Completed != 4 {
+		t.Errorf("%d batches, %d completed, want 3 and 4", snap.Batches, snap.Completed)
+	}
 }
 
 // TestRejectBackpressure fills the queue with the executor gated shut and
@@ -173,11 +196,11 @@ func TestRejectBackpressure(t *testing.T) {
 			Rank: 1, Dims: [3]int{n},
 			Src: testVec(n, 0), Dst: make([]complex128, n)})
 	}
-	// With the gate shut the pipeline absorbs at most 4 requests (2 in
-	// the queue, 1 held by the dispatcher, 1 parked at the gate), so at
-	// least 4 of 8 submissions must be rejected — and a rejection is the
-	// only way a Do can return while the gate is shut, so the first four
-	// errCh reads cannot block and must all be ErrOverloaded.
+	// With the gate shut the server absorbs at most 3 requests (2 in the
+	// queue, 1 held by the executor at the gate), so at least 5 of 8
+	// submissions must be rejected — and a rejection is the only way a Do
+	// can return while the gate is shut, so the first five errCh reads
+	// cannot block and must all be ErrOverloaded.
 	var wg sync.WaitGroup
 	errCh := make(chan error, 8)
 	for i := 0; i < 8; i++ {
@@ -185,7 +208,7 @@ func TestRejectBackpressure(t *testing.T) {
 		go func() { defer wg.Done(); errCh <- submit() }()
 	}
 	rejected := 0
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 5; i++ {
 		if err := <-errCh; errors.Is(err, ErrOverloaded) {
 			rejected++
 		} else {

@@ -24,7 +24,7 @@ type Candidate struct {
 	ComputeWorkers int `json:"compute_workers"`
 	Mu             int `json:"mu"`
 	// Radix caps the Stockham stage radix of the pow2 sub-plans (0 = the
-	// default 8; omitted from old wisdom files, which decode as 0).
+	// default 16; omitted from old wisdom files, which decode as 0).
 	Radix int `json:"radix,omitempty"`
 	// StorePolicy selects the block-store tier: "auto" (or empty, as in
 	// old wisdom files), "regular", or "nt" — see stagegraph.StorePolicy.
@@ -93,7 +93,7 @@ type Space struct {
 	Workers [][2]int // {p_d, p_c}
 	Mus     []int
 	// Radixes lists the pow2 radix caps to try (nil/empty = {0}, the
-	// default radix-8 mix only).
+	// default radix-16 mix only).
 	Radixes []int
 	// StorePolicies lists the store tiers to try ("auto", "regular",
 	// "nt"); nil/empty = {"auto"}.
