@@ -307,7 +307,7 @@ func WriteJSON(w io.Writer, cfg JSONConfig) error {
 // BenchmarkServeBatched workload: a stream of same-shape 1D requests from
 // many concurrent submitters, once with coalescing (MaxBatch 32) and once
 // executing one request at a time (MaxBatch 1). The coalesced entry's
-// ReqPerS vs the unbatched one is the serving acceptance ratio (≥1.2× at
+// ReqPerS vs the unbatched one is the serving acceptance ratio (≥1.5× at
 // batch occupancy ≥8). Both configs take the best of three interleaved
 // trials so transient host load cannot skew the ratio. A third entry runs
 // the coalesced configuration at n = 4096, where the transform rather than

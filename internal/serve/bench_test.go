@@ -4,7 +4,7 @@ package serve
 // a stream of same-shape 1D requests under two configurations: coalescing
 // enabled (MaxBatch 32 — one plan lookup and one settlement for the whole
 // batch) and disabled (MaxBatch 1, one of each per request).
-// The acceptance bar is coalesced ≥ 1.2× unbatched at batch occupancy ≥ 8.
+// The acceptance bar is coalesced ≥ 1.5× unbatched at batch occupancy ≥ 8.
 
 import (
 	"context"
@@ -63,11 +63,8 @@ func BenchmarkServeBatched(b *testing.B) {
 
 // TestCoalescingSpeedup is the acceptance check behind the benchmark: with
 // ≥8-deep batches, coalesced throughput must beat one-execution-per-request
-// by ≥1.2×. Both configurations pay the submitter's side of a request (pool,
-// enqueue, park, wake) in full, so the ratio measures 1.3–2.0× rather than
-// the ratio of executor costs (EXPERIMENTS.md "Serve without a dispatcher").
-// Run as a test so CI exercises it without -bench plumbing; the margin uses
-// a fixed request count rather than b.N to stay deterministic.
+// by ≥1.5×. Run as a test so CI exercises it without -bench plumbing; the
+// margin uses a fixed request count rather than b.N to stay deterministic.
 func TestCoalescingSpeedup(t *testing.T) {
 	if testing.Short() {
 		t.Skip("throughput comparison is meaningless under -short")
@@ -131,7 +128,7 @@ func TestCoalescingSpeedup(t *testing.T) {
 	if avgBatch < 8 {
 		t.Skipf("avg batch %.1f < 8: machine too unloaded to form deep batches; no throughput claim", avgBatch)
 	}
-	if coalesced < 1.2*unbatched {
-		t.Errorf("coalesced throughput %.0f req/s < 1.2× unbatched %.0f req/s", coalesced, unbatched)
+	if coalesced < 1.5*unbatched {
+		t.Errorf("coalesced throughput %.0f req/s < 1.5× unbatched %.0f req/s", coalesced, unbatched)
 	}
 }

@@ -3,27 +3,30 @@ package serve
 import (
 	"context"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
 )
 
 // serveAsOneBatch runs reqs (same shape and direction, rank 1) through a fresh
-// server as exactly one batch of len(reqs) and returns its final counters. It
-// queues the items itself rather than through Do — whose callers cannot tell
-// when their item is in the queue — so that every item is provably queued
-// while the one executor is still held on execGate with the first of them;
-// the open gate then lets it drain the rest behind that first.
+// server as exactly one batch of len(reqs) and returns its final counters: the
+// one executor is held on execGate with the first request it took until the
+// others are all queued behind it, then drains them as one batch.
 func serveAsOneBatch(t *testing.T, reqs []Request) Snapshot {
 	t.Helper()
 	gate := make(chan struct{})
 	s := New(Options{Config: smallCfg(), MaxBatch: len(reqs), Executors: 1})
 	s.execGate = gate
 	defer shutdownOrFail(t, s)
-	items := enqueue(s, reqs)
+	errs := make([]<-chan error, len(reqs))
+	for i := range reqs {
+		errs[i] = submit(s, reqs[i])
+	}
+	waitQueued(t, s, len(reqs)-1)
 	close(gate)
-	for i, it := range items {
-		if err := <-it.done; err != nil {
+	for i := range errs {
+		if err := <-errs[i]; err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -35,15 +38,23 @@ func serveAsOneBatch(t *testing.T, reqs []Request) Snapshot {
 	return snap
 }
 
-// enqueue puts reqs on s's queue in order, as Do would after admission, and
-// returns their items; each item's done channel delivers its result.
-func enqueue(s *Server, reqs []Request) []*item {
-	items := make([]*item, len(reqs))
-	for i := range reqs {
-		items[i] = s.getItem(context.Background(), &reqs[i])
-		s.queue <- items[i]
+// submit calls Do on its own goroutine; the channel delivers Do's result.
+func submit(s *Server, req Request) <-chan error {
+	errc := make(chan error, 1)
+	go func() { errc <- s.Do(context.Background(), req) }()
+	return errc
+}
+
+// waitQueued blocks until n requests sit in s's queue, which — with the
+// executors held on execGate — is how a test knows its Do calls got there.
+func waitQueued(t *testing.T, s *Server, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); len(s.queue) != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d requests queued, want %d", len(s.queue), n)
+		}
+		time.Sleep(50 * time.Microsecond)
 	}
-	return items
 }
 
 func bitsEqual(a, b []complex128) bool {

@@ -144,10 +144,17 @@ func TestDifferentShapeMetMidDrain(t *testing.T) {
 		return Request{Rank: 1, Dims: [3]int{n}, Src: testVec(n, seed), Dst: make([]complex128, n)}
 	}
 	reqs := []Request{mk(n, 0), mk(n, 1), mk(n/2, 2), mk(n, 3)}
-	items := enqueue(s, reqs)
-	wait := func(i int) {
+	// Queue order is what the test is about: 0 and 1 in either order (one is
+	// taken by the executor, one queued), then 2, then 3.
+	errs := []<-chan error{submit(s, reqs[0]), submit(s, reqs[1]), nil, nil}
+	waitQueued(t, s, 1)
+	errs[2] = submit(s, reqs[2])
+	waitQueued(t, s, 2)
+	errs[3] = submit(s, reqs[3])
+	waitQueued(t, s, 3)
+	check := func(i int, err error) {
 		t.Helper()
-		if err := <-items[i].done; err != nil {
+		if err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 		if !approxEqual(reqs[i].Dst, naiveDFT(reqs[i].Src), 1e-9) {
@@ -156,8 +163,8 @@ func TestDifferentShapeMetMidDrain(t *testing.T) {
 	}
 
 	gate <- struct{}{} // first batch: requests 0 and 1; request 2 is met and held
-	wait(0)
-	wait(1)
+	check(0, <-errs[0])
+	check(1, <-errs[1])
 	if snap := s.Stats(); snap.Batches != 1 || snap.BatchedItems != 2 {
 		t.Fatalf("first batch: %d batches of %d items in all, want 1 of 2", snap.Batches, snap.BatchedItems)
 	}
@@ -170,12 +177,14 @@ func TestDifferentShapeMetMidDrain(t *testing.T) {
 		t.Fatalf("Shutdown with a held item returned %v, want DeadlineExceeded", err)
 	}
 	gate <- struct{}{} // second batch: the held request alone, ahead of request 3
-	wait(2)
-	if len(items[3].done) != 0 {
+	select {
+	case err := <-errs[2]:
+		check(2, err)
+	case <-errs[3]:
 		t.Fatal("request 3 was served before the held request 2")
 	}
 	close(gate)
-	wait(3)
+	check(3, <-errs[3])
 	shutdownOrFail(t, s)
 	if snap := s.Stats(); snap.Batches != 3 || snap.Completed != 4 {
 		t.Errorf("%d batches, %d completed, want 3 and 4", snap.Batches, snap.Completed)
