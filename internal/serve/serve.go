@@ -211,6 +211,8 @@ type Server struct {
 	// an executor taking the first item and draining the rest: holding it
 	// makes queue-full states, and the batch that forms, deterministic.
 	execGate chan struct{}
+	// noDrain, when set by tests, makes every request a batch of one.
+	noDrain bool
 }
 
 // New starts a server: opts.Executors executor goroutines, all idle until
@@ -414,7 +416,7 @@ func (s *Server) execute() {
 			<-s.execGate
 		}
 		items = append(items, first)
-		if first.req.Rank == 1 {
+		if first.req.Rank == 1 && !s.noDrain {
 			yielded := false
 		drain:
 			for len(items) < s.opts.MaxBatch {
