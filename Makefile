@@ -107,14 +107,16 @@ tracesmoke:
 
 # Ten seconds of each native fuzzer over the bytes that arrive from outside
 # the process: the JSON /transform decoder differentially against
-# encoding/json, the binary frame decoder against its acceptance rule, and a
-# scraped peer exposition through the /metrics/fleet merge and back. The
-# committed seed corpora (internal/{wire,obs}/testdata/fuzz) are replayed by
-# plain `go test`; a crasher found here lands there as a new seed.
+# encoding/json, the binary frame decoder against its acceptance rule, a
+# scraped peer exposition through the /metrics/fleet merge and back, and a
+# wisdom file through LoadWisdom, Save and the candidate → Config conversion.
+# The committed seed corpora (internal/{wire,obs,tune}/testdata/fuzz) are
+# replayed by plain `go test`; a crasher found here lands there as a new seed.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeTransformRequest$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=10s ./internal/obs
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadWisdom$$' -fuzztime=10s ./internal/tune
 
 # The ruler (BENCHMARK.json): every named workload's end-to-end and
 # per-layer metrics, all outputs verified; performance claims are stated

@@ -21,6 +21,7 @@ import (
 	"strings"
 
 	"repro/internal/cli"
+	"repro/internal/core"
 	"repro/internal/fft1d"
 	"repro/internal/fft2d"
 	"repro/internal/fft3d"
@@ -66,9 +67,8 @@ func main() {
 // renders the recorded Table II timeline.
 func printTraceDemo() error {
 	tr := trace.New()
-	p, err := fft3d.NewPlan(8, 8, 16, fft3d.Options{
-		Strategy: fft3d.DoubleBuf, Mu: 4, BufferElems: 128,
-		DataWorkers: 1, ComputeWorkers: 1, Tracer: tr,
+	p, err := fft3d.NewPlan(8, 8, 16, core.Config{
+		Mu: 4, BufferElems: 128, DataWorkers: 1, ComputeWorkers: 1, Tracer: tr,
 	})
 	if err != nil {
 		return err
@@ -100,9 +100,7 @@ func print2D(n, m, mu, b int) {
 	}
 	printSchedule(2, n*m/b)
 	if n*m <= describeElems && m%mu == 0 {
-		if p, err := fft2d.NewPlan(n, m, fft2d.Options{
-			Strategy: fft2d.DoubleBuf, Mu: mu, BufferElems: b,
-		}); err == nil {
+		if p, err := fft2d.NewPlan(n, m, core.Config{Mu: mu, BufferElems: b}); err == nil {
 			printGraph(p.DescribeGraph())
 		}
 	}
@@ -120,9 +118,7 @@ func print3D(k, n, m, mu, b int) {
 	}
 	printSchedule(3, k*n*m/b)
 	if k*n*m <= describeElems && m%mu == 0 {
-		if p, err := fft3d.NewPlan(k, n, m, fft3d.Options{
-			Strategy: fft3d.DoubleBuf, Mu: mu, BufferElems: b,
-		}); err == nil {
+		if p, err := fft3d.NewPlan(k, n, m, core.Config{Mu: mu, BufferElems: b}); err == nil {
 			printGraph(p.DescribeGraph())
 		}
 	}

@@ -179,7 +179,7 @@ func shardBitwiseAndRate(coord *shard.Coordinator, n, workers int) error {
 	for i := range src {
 		src[i] = complex(math.Sin(float64(i+1)*0.7), math.Cos(float64(i+1)*0.3))
 	}
-	plan, err := fft3d.NewPlan(n, n, n, fft3d.Options{Strategy: fft3d.DoubleBuf})
+	plan, err := fft3d.NewPlan(n, n, n, core.Config{})
 	if err != nil {
 		return err
 	}

@@ -41,20 +41,12 @@ func main() {
 	}
 	space := tune.DefaultSpace(runtime.GOMAXPROCS(0))
 
-	var best tune.Result
-	var all []tune.Result
-	var key string
-	switch len(dims) {
-	case 3:
-		best, all, err = tune.Tune3D(dims[0], dims[1], dims[2], space, *reps)
-		key = tune.Key3D(dims[0], dims[1], dims[2])
-	case 2:
-		best, all, err = tune.Tune2D(dims[0], dims[1], space, *reps)
-		key = tune.Key2D(dims[0], dims[1])
-	default:
+	if len(dims) != 2 && len(dims) != 3 {
 		fmt.Fprintln(os.Stderr, "ffttune: need 2 or 3 dimensions")
 		os.Exit(2)
 	}
+	key := tune.Key(dims...)
+	best, all, err := tune.Tune(dims, space, *reps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ffttune:", err)
 		os.Exit(1)

@@ -32,17 +32,17 @@ func TestUpdateWisdom(t *testing.T) {
 	}
 
 	fresh := filepath.Join(dir, "fresh.json")
-	if err := updateWisdom(fresh, tune.Key2D(64, 64), a); err != nil {
+	if err := updateWisdom(fresh, tune.Key(64, 64), a); err != nil {
 		t.Fatalf("missing file: %v", err)
 	}
-	if err := updateWisdom(fresh, tune.Key3D(8, 8, 8), b); err != nil {
+	if err := updateWisdom(fresh, tune.Key(8, 8, 8), b); err != nil {
 		t.Fatalf("existing file: %v", err)
 	}
 	w := load(fresh)
-	if got, ok := w.Get(tune.Key2D(64, 64)); !ok || got != a {
+	if got, ok := w.Get(tune.Key(64, 64)); !ok || got != a {
 		t.Errorf("first entry lost on the second update: %+v", w.Entries)
 	}
-	if got, ok := w.Get(tune.Key3D(8, 8, 8)); !ok || got != b {
+	if got, ok := w.Get(tune.Key(8, 8, 8)); !ok || got != b {
 		t.Errorf("second entry not stored: %+v", w.Entries)
 	}
 
@@ -54,7 +54,7 @@ func TestUpdateWisdom(t *testing.T) {
 		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := updateWisdom(path, tune.Key2D(64, 64), a)
+		err := updateWisdom(path, tune.Key(64, 64), a)
 		if err == nil || !strings.Contains(err.Error(), "not updated") {
 			t.Errorf("%s wisdom: got %v, want a refusal", name, err)
 		}
@@ -64,7 +64,7 @@ func TestUpdateWisdom(t *testing.T) {
 	}
 
 	// Unreadable for a reason other than absence: no silent fresh store.
-	if err := updateWisdom(dir, tune.Key2D(64, 64), a); err == nil {
+	if err := updateWisdom(dir, tune.Key(64, 64), a); err == nil {
 		t.Error("a directory path was accepted as a wisdom file")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"log"
 	"math/rand"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/fft3d"
@@ -18,7 +19,7 @@ func main() {
 	const k, n, m = 64, 64, 64
 	const sockets = 2
 
-	dp, err := fft3d.NewDistPlan(k, n, m, sockets, fft3d.Options{
+	dp, err := fft3d.NewDistPlan(k, n, m, sockets, core.Config{
 		DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 12,
 	})
 	if err != nil {
@@ -43,7 +44,7 @@ func main() {
 	}
 
 	// Verify against the single-node reference.
-	ref, _ := fft3d.NewPlan(k, n, m, fft3d.Options{Strategy: fft3d.Reference})
+	ref, _ := fft3d.NewPlan(k, n, m, core.Config{Strategy: core.Reference})
 	want := make([]complex128, k*n*m)
 	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
 		log.Fatal(err)

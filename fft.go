@@ -26,6 +26,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
+	"repro/internal/fft2d"
+	"repro/internal/fft3d"
 	"repro/internal/machine"
 )
 
@@ -37,12 +39,12 @@ type Option func(*core.Config) error
 // baseline, 3D only) or "reference".
 func WithStrategy(name string) Option {
 	return func(c *core.Config) error {
-		switch name {
-		case core.StrategyReference, core.StrategyPencil, core.StrategySlab, core.StrategyDoubleBuf:
-			c.Strategy = name
-			return nil
+		s, err := core.ParseStrategy(name)
+		if err != nil {
+			return fmt.Errorf("repro: %w", err)
 		}
-		return fmt.Errorf("repro: unknown strategy %q", name)
+		c.Strategy = s
+		return nil
 	}
 }
 
@@ -101,20 +103,6 @@ func WithRadix(r int) Option {
 	}
 }
 
-// WithStageFusion enables or disables cross-stage pipeline fusion (enabled
-// by default). When on, a doublebuf transform executes as one fused stage
-// graph: the pipeline's steady state flows through every stage boundary —
-// the last stores of one stage overlap the first loads of the next on
-// opposite buffer halves — so the whole transform fills and drains the
-// pipeline once. When off, every stage drains before the next begins (the
-// stage-at-a-time baseline, useful for A/B comparison).
-func WithStageFusion(on bool) Option {
-	return func(c *core.Config) error {
-		c.StageFusion = on
-		return nil
-	}
-}
-
 // WithMachineDefaults applies the paper's parameter rules (buffer = LLC/2,
 // μ = cacheline, half the threads per role) for one of the five described
 // evaluation machines; see Machines for the names.
@@ -156,7 +144,7 @@ func resolve(opts []Option) (core.Config, error) {
 
 // FFT3D is a reusable plan for k×n×m cubes (row-major, x fastest).
 type FFT3D struct {
-	p *core.Plan3D
+	p *fft3d.Plan
 	// Handles from a SharedPlans pool release their cache pin on Close
 	// instead of tearing the plan down; closeOnce keeps either path safe
 	// under repeated and concurrent Close.
@@ -170,7 +158,7 @@ func NewFFT3D(k, n, m int, opts ...Option) (*FFT3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.NewPlan3D(k, n, m, cfg)
+	p, err := fft3d.NewPlan(k, n, m, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -179,20 +167,22 @@ func NewFFT3D(k, n, m int, opts ...Option) (*FFT3D, error) {
 
 // Forward computes the unnormalized forward DFT out of place; dst and src
 // must each have length Len() and must not overlap.
-func (f *FFT3D) Forward(dst, src []complex128) error { return f.p.Forward(dst, src) }
+func (f *FFT3D) Forward(dst, src []complex128) error {
+	return f.p.Transform(dst, src, fft1d.Forward)
+}
 
 // Inverse computes the normalized inverse DFT out of place: Inverse ∘
 // Forward is the identity.
 func (f *FFT3D) Inverse(dst, src []complex128) error { return f.p.Inverse(dst, src) }
 
 // InPlace computes the unnormalized forward DFT in place.
-func (f *FFT3D) InPlace(x []complex128) error { return f.p.InPlace(x) }
+func (f *FFT3D) InPlace(x []complex128) error { return f.p.InPlace(x, fft1d.Forward) }
 
 // ForwardMany transforms count cubes stored back-to-back (the "howmany"
 // interface): dst and src must each hold count·Len() elements. Planning
 // and buffer allocation are amortized over the batch.
 func (f *FFT3D) ForwardMany(dst, src []complex128, count int) error {
-	return f.p.ForwardMany(dst, src, count)
+	return f.p.TransformMany(dst, src, count, fft1d.Forward)
 }
 
 // Close releases the plan's persistent pipeline workers (parked goroutines
@@ -238,7 +228,7 @@ func (f *FFT3D) Observability() Observability { return f.p.Observability() }
 
 // FFT2D is a reusable plan for n×m matrices (row-major).
 type FFT2D struct {
-	p         *core.Plan2D
+	p         *fft2d.Plan
 	release   func()
 	closeOnce sync.Once
 }
@@ -249,7 +239,7 @@ func NewFFT2D(n, m int, opts ...Option) (*FFT2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.NewPlan2D(n, m, cfg)
+	p, err := fft2d.NewPlan(n, m, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -257,13 +247,15 @@ func NewFFT2D(n, m int, opts ...Option) (*FFT2D, error) {
 }
 
 // Forward computes the unnormalized forward DFT out of place.
-func (f *FFT2D) Forward(dst, src []complex128) error { return f.p.Forward(dst, src) }
+func (f *FFT2D) Forward(dst, src []complex128) error {
+	return f.p.Transform(dst, src, fft1d.Forward)
+}
 
 // Inverse computes the normalized inverse DFT out of place.
 func (f *FFT2D) Inverse(dst, src []complex128) error { return f.p.Inverse(dst, src) }
 
 // InPlace computes the unnormalized forward DFT in place.
-func (f *FFT2D) InPlace(x []complex128) error { return f.p.InPlace(x) }
+func (f *FFT2D) InPlace(x []complex128) error { return f.p.InPlace(x, fft1d.Forward) }
 
 // Close releases the plan's persistent pipeline workers; optional and
 // idempotent (see FFT3D.Close).
@@ -278,10 +270,10 @@ func (f *FFT2D) Close() {
 }
 
 // Len returns n·m.
-func (f *FFT2D) Len() int { return f.p.Len() }
+func (f *FFT2D) Len() int { return f.p.N() * f.p.M() }
 
 // Dims returns (n, m).
-func (f *FFT2D) Dims() (n, m int) { return f.p.Dims() }
+func (f *FFT2D) Dims() (n, m int) { return f.p.N(), f.p.M() }
 
 // Stats returns whole-transform executor statistics for the most recent
 // doublebuf transform; see FFT3D.Stats.

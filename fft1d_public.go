@@ -6,8 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/core"
 	"repro/internal/fft1d"
+	"repro/internal/rfft"
 )
 
 // ErrClosed is returned by a transform on an FFT1D handle after Close.
@@ -75,7 +75,7 @@ func (f *FFT1D) Observability() Observability { return Observability{} }
 // the pipeline wake-up across many rows — the shape the serving layer's
 // request coalescing feeds.
 type RealFFT1D struct {
-	p         *core.RealPlan1D
+	p         *rfft.Plan1D
 	release   func()
 	closeOnce sync.Once
 }
@@ -86,7 +86,7 @@ func NewRealFFT1D(n int, opts ...Option) (*RealFFT1D, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.NewRealPlan1D(n, cfg)
+	p, err := rfft.NewPlan1D(n, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -151,7 +151,7 @@ func (f *RealFFT1D) String() string { return fmt.Sprintf("RealFFT1D(%d)", f.p.N(
 // spectra (n×(m/2+1) complex values) and back — roughly half the memory
 // traffic and twice the element rate of a same-shape complex transform.
 type RealFFT2D struct {
-	p         *core.RealPlan2D
+	p         *rfft.Plan2D
 	release   func()
 	closeOnce sync.Once
 }
@@ -162,7 +162,7 @@ func NewRealFFT2D(n, m int, opts ...Option) (*RealFFT2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.NewRealPlan2D(n, m, cfg)
+	p, err := rfft.NewPlan2D(n, m, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -223,7 +223,7 @@ func (f *RealFFT2D) String() string {
 // and convolutions over real fields consume, at roughly half the memory
 // traffic of a padded complex transform.
 type RealFFT3D struct {
-	p         *core.RealPlan3D
+	p         *rfft.Plan3D
 	release   func()
 	closeOnce sync.Once
 }
@@ -234,7 +234,7 @@ func NewRealFFT3D(k, n, m int, opts ...Option) (*RealFFT3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := core.NewRealPlan3D(k, n, m, cfg)
+	p, err := rfft.NewPlan3D(k, n, m, cfg)
 	if err != nil {
 		return nil, err
 	}

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
 	"repro/internal/fft2d"
 	"repro/internal/fft3d"
@@ -192,7 +193,7 @@ func goldenCases() []goldenCase {
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("fft2d/%dx%d/%s", n, m, v.name),
 				run: func() (string, string, string, error) {
-					p, err := fft2d.NewPlan(n, m, fft2d.Options{Strategy: fft2d.DoubleBuf,
+					p, err := fft2d.NewPlan(n, m, core.Config{Strategy: core.DoubleBuf,
 						Mu: v.mu, Radix: v.radix, Unfused: v.unfused,
 						DisableStoreFold: v.noFold, StorePolicy: v.policy})
 					if err != nil {
@@ -206,7 +207,7 @@ func goldenCases() []goldenCase {
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("fft3d/%dx%dx%d/%s", k, n, m, v.name),
 				run: func() (string, string, string, error) {
-					p, err := fft3d.NewPlan(k, n, m, fft3d.Options{Strategy: fft3d.DoubleBuf,
+					p, err := fft3d.NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf,
 						Mu: v.mu, Radix: v.radix, Unfused: v.unfused,
 						DisableStoreFold: v.noFold, StorePolicy: v.policy})
 					if err != nil {
@@ -218,7 +219,7 @@ func goldenCases() []goldenCase {
 		if v.complexOnly {
 			continue
 		}
-		ropts := rfft.Options{Mu: v.mu, Radix: v.radix, Unfused: v.unfused}
+		ropts := core.Config{Mu: v.mu, Radix: v.radix, Unfused: v.unfused}
 		for _, n := range []int{1024, 96, 60} {
 			n := n
 			cases = append(cases, goldenCase{
@@ -286,7 +287,7 @@ func goldenCases() []goldenCase {
 			cases = append(cases, goldenCase{
 				name: fmt.Sprintf("dist3d/%dx%dx%d/sk%d/%s", k, n, m, sk, v.name),
 				run: func() (string, string, string, error) {
-					return runDist(k, n, m, sk, fft3d.Options{Mu: v.mu, Radix: v.radix, Unfused: v.unfused})
+					return runDist(k, n, m, sk, core.Config{Mu: v.mu, Radix: v.radix, Unfused: v.unfused})
 				}})
 		}
 		if !v.notForPartitions {
@@ -300,7 +301,7 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-func runDist(k, n, m, sk int, opts fft3d.Options) (string, string, string, error) {
+func runDist(k, n, m, sk int, opts core.Config) (string, string, string, error) {
 	p, err := fft3d.NewDistPlan(k, n, m, sk, opts)
 	if err != nil {
 		return "", "", "", err

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/fft3d"
@@ -125,7 +126,7 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 		Mus:     []int{4},
 		Radixes: []int{16, 4},
 	}
-	best, _, err := tune.Tune3D(k, n, m, space, 1)
+	best, _, err := tune.Tune([]int{k, n, m}, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +161,8 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 // drains the pipeline exactly once, not once per stage.
 func TestIntegrationFullTransformScheduleInvariants(t *testing.T) {
 	tr := trace.New()
-	p, err := fft3d.NewPlan(8, 8, 16, fft3d.Options{
-		Strategy: fft3d.DoubleBuf, Mu: 4, BufferElems: 128,
+	p, err := fft3d.NewPlan(8, 8, 16, core.Config{
+		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 128,
 		DataWorkers: 2, ComputeWorkers: 2, Tracer: tr,
 	})
 	if err != nil {

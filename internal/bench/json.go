@@ -13,9 +13,13 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cpufeat"
+	"repro/internal/fft1d"
+	"repro/internal/fft2d"
+	"repro/internal/fft3d"
 	"repro/internal/kernels"
 	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/rfft"
 	"repro/internal/serve"
 	"repro/internal/stream"
 )
@@ -470,7 +474,7 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 	}
 
 	// Whole double-buffered transforms, built the way the public API builds
-	// them — core.Default() through the core constructors — so a snapshot
+	// them — core.Default() handed to the plan packages — so a snapshot
 	// and a repro.New* plan cannot diverge (workers pinned 1/1 to keep
 	// entries comparable across hosts). Traffic model: each of the D stages
 	// reads and writes the full array once, 32·elems·D bytes — the paper's
@@ -482,7 +486,7 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 	{
 		const n, m = 256, 256
 		elems := n * m
-		p, err := core.NewPlan2D(n, m, cfg)
+		p, err := fft2d.NewPlan(n, m, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -494,14 +498,14 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 		cases = append(cases, jsonCase{
 			name:       "fft2d/DoubleBuf/256x256",
 			bytesPerOp: int64(elems) * 32 * 2,
-			fn:         func() error { return p.Forward(dst, src) },
+			fn:         func() error { return p.Transform(dst, src, fft1d.Forward) },
 			snap:       p.Observability,
 		})
 	}
 	{
 		const k, n, m = 64, 64, 64
 		elems := k * n * m
-		p, err := core.NewPlan3D(k, n, m, cfg)
+		p, err := fft3d.NewPlan(k, n, m, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -513,7 +517,7 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 		cases = append(cases, jsonCase{
 			name:       "fft3d/DoubleBuf/64x64x64",
 			bytesPerOp: int64(elems) * 32 * 3,
-			fn:         func() error { return p.Forward(dst, src) },
+			fn:         func() error { return p.Transform(dst, src, fft1d.Forward) },
 			snap:       p.Observability,
 		})
 	}
@@ -527,7 +531,7 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 	{
 		const n, m = 256, 256
 		elems := n * m
-		p, err := core.NewRealPlan2D(n, m, cfg)
+		p, err := rfft.NewPlan2D(n, m, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -546,7 +550,7 @@ func jsonCases(streamGBs float64) ([]jsonCase, error) {
 	{
 		const k, n, m = 64, 64, 64
 		elems := k * n * m
-		p, err := core.NewRealPlan3D(k, n, m, cfg)
+		p, err := rfft.NewPlan3D(k, n, m, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/fft2d"
@@ -89,12 +90,9 @@ func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 		y := make([]complex128, elems)
 
 		secs := map[string]float64{}
-		for _, strat := range []struct {
-			name string
-			s    fft3d.Strategy
-		}{{"pencil", fft3d.Pencil}, {"slab", fft3d.Slab}, {"doublebuf", fft3d.DoubleBuf}} {
-			p, err := fft3d.NewPlan(s[0], s[1], s[2], fft3d.Options{
-				Strategy: strat.s, BufferElems: cfg.BufferElems,
+		for _, strat := range []core.Strategy{core.Pencil, core.Slab, core.DoubleBuf} {
+			p, err := fft3d.NewPlan(s[0], s[1], s[2], core.Config{
+				Strategy: strat, BufferElems: cfg.BufferElems,
 				DataWorkers: cfg.DataWorkers, ComputeWorkers: cfg.ComputeWorkers,
 				Workers: cfg.DataWorkers + cfg.ComputeWorkers,
 			})
@@ -107,7 +105,7 @@ func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 			if err != nil {
 				return err
 			}
-			secs[strat.name] = d.Seconds()
+			secs[strat.String()] = d.Seconds()
 		}
 		peak := perfmodel.AchievablePeakGflops(elems, 3, cfg.HostBWGBs)
 		db := perfmodel.PseudoGflops(elems, secs["doublebuf"])
@@ -137,12 +135,9 @@ func Measured2D(w io.Writer, cfg MeasuredConfig) error {
 		y := make([]complex128, elems)
 
 		secs := map[string]float64{}
-		for _, strat := range []struct {
-			name string
-			s    fft2d.Strategy
-		}{{"pencil", fft2d.Pencil}, {"doublebuf", fft2d.DoubleBuf}} {
-			p, err := fft2d.NewPlan(s[0], s[1], fft2d.Options{
-				Strategy: strat.s, BufferElems: cfg.BufferElems,
+		for _, strat := range []core.Strategy{core.Pencil, core.DoubleBuf} {
+			p, err := fft2d.NewPlan(s[0], s[1], core.Config{
+				Strategy: strat, BufferElems: cfg.BufferElems,
 				DataWorkers: cfg.DataWorkers, ComputeWorkers: cfg.ComputeWorkers,
 				Workers: cfg.DataWorkers + cfg.ComputeWorkers,
 			})
@@ -155,7 +150,7 @@ func Measured2D(w io.Writer, cfg MeasuredConfig) error {
 			if err != nil {
 				return err
 			}
-			secs[strat.name] = d.Seconds()
+			secs[strat.String()] = d.Seconds()
 		}
 		peak := perfmodel.AchievablePeakGflops(elems, 2, cfg.HostBWGBs)
 		db := perfmodel.PseudoGflops(elems, secs["doublebuf"])

@@ -3,6 +3,7 @@ package bench
 import (
 	"io"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
 	"repro/internal/fft3d"
 	"repro/internal/trace"
@@ -17,9 +18,8 @@ import (
 // terminal view and the Perfetto view describe the same run.
 func WriteTraceJSON(w, gantt io.Writer) error {
 	tr := trace.New()
-	p, err := fft3d.NewPlan(8, 8, 16, fft3d.Options{
-		Strategy: fft3d.DoubleBuf, Mu: 4, BufferElems: 128,
-		DataWorkers: 1, ComputeWorkers: 1, Tracer: tr,
+	p, err := fft3d.NewPlan(8, 8, 16, core.Config{
+		Mu: 4, BufferElems: 128, DataWorkers: 1, ComputeWorkers: 1, Tracer: tr,
 	})
 	if err != nil {
 		return err

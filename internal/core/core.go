@@ -1,17 +1,18 @@
-// Package core ties the paper's pieces together: it assigns half the
-// threads to soft-DMA data workers and half to compute workers (§IV),
-// derives the paper's b = LLC/2 and μ = one cacheline for a described
-// machine (ForMachine), and builds the plans of internal/fft2d,
-// internal/fft3d and internal/rfft from the result. The kernel-shape
-// defaults — μ and the buffer size — are not restated here: a zero field
-// means the plan package resolves it, from the measured profile, exactly as
-// for a caller that passes its zero-value Options. There is one compute
-// format, complex-interleaved: the paper's §IV-A block-interleaved format
-// was implemented, measured 1.3–1.9× behind it in every cell (EXPERIMENTS.md
-// "Plan defaults and whole-line streaming stores") and retired; commit
-// f193575 is the last that contains it.
+// Package core declares the plan configuration — once. The paper fixes a
+// plan by three rules (§IV): b = LLC/2, μ = one cacheline, p_d = p_c =
+// threads/2. Config carries those and the ablation switches; Default and
+// ForMachine apply the worker rule (and, for a described machine, the other
+// two); internal/fft2d, internal/fft3d and internal/rfft take a Config as it
+// is and hand its fields to the one graph builder and the one runner through
+// Pencils and NewRunner below. The zero Config is the product: the paper's
+// double-buffer pipeline, fused, store-folded, store tier chosen from the
+// footprint, with μ and the buffer size resolved by the builder from the
+// measured profile.
 //
-// The root repro package re-exports this as the public API.
+// There is one compute format, complex-interleaved: the paper's §IV-A
+// block-interleaved format was implemented, measured 1.3–1.9× behind it in
+// every cell (EXPERIMENTS.md "Plan defaults and whole-line streaming
+// stores") and retired; commit f193575 is the last that contains it.
 package core
 
 import (
@@ -19,73 +20,122 @@ import (
 	"runtime"
 
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
-	"repro/internal/rfft"
 	"repro/internal/stagegraph"
 	"repro/internal/trace"
 )
 
-// Strategy names accepted by Config.Strategy.
-const (
-	StrategyReference = "reference"
-	StrategyPencil    = "pencil"
-	StrategySlab      = "slab"
-	StrategyDoubleBuf = "doublebuf"
+// Stats and Observability are what a plan reports — the executor statistics
+// of its most recent transform and its cumulative bandwidth accounting —
+// under the names the public package documents them by.
+type (
+	Stats         = stagegraph.Stats
+	Observability = obs.Snapshot
 )
 
-// Config is the execution configuration handed to the plan packages.
+// Strategy selects how a complex 2D/3D plan executes.
+type Strategy int
+
+const (
+	// DoubleBuf is the paper's scheme (§III): every stage is load-contiguous
+	// → compute-contiguous-pencils → store-blocked-rotation on the
+	// software-pipelined double buffer.
+	DoubleBuf Strategy = iota
+	// Reference is the serial row-column(-pillar) algorithm through the
+	// lane driver: the correctness oracle.
+	Reference
+	// Pencil is the non-overlapped baseline with strided pencils — the
+	// memory behaviour the paper ascribes to MKL/FFTW (§II-D).
+	Pencil
+	// Slab fuses the first two 3D stages per z-slab, then runs the strided
+	// z stage (§II-B). 2D has no slab variant and runs Pencil.
+	Slab
+)
+
+var strategyNames = [...]string{"doublebuf", "reference", "pencil", "slab"}
+
+func (s Strategy) String() string {
+	if s < 0 || int(s) >= len(strategyNames) {
+		return fmt.Sprintf("strategy(%d)", int(s))
+	}
+	return strategyNames[s]
+}
+
+// ParseStrategy is the inverse of String.
+func ParseStrategy(name string) (Strategy, error) {
+	for s, n := range strategyNames {
+		if n == name {
+			return Strategy(s), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown strategy %q", name)
+}
+
+// Config is the execution configuration of a plan. It is comparable: the
+// serving layer keys its plan cache on it.
 type Config struct {
-	Strategy string
-	// Mu and BufferElems are the cacheline block and per-half pipeline
-	// block sizes in complex elements. Zero — what Default returns — lets
-	// the plan package decide (machine.PreferredMu for the row length,
-	// machine.PreferredBufferElems for the host's L2). The complex 1D plan
-	// reads neither, nor the worker counts or StageFusion: only Radix.
-	Mu             int
-	BufferElems    int
+	Strategy Strategy
+	// Mu is the cacheline block size μ in complex elements; zero lets the
+	// builder pick machine.PreferredMu of the row length — the largest of
+	// 8, 4, 2 dividing it (μ = 8 spans two 64-byte lines and measures ~0.95
+	// of STREAM peak on the blocked rotations against ~0.65 for μ = 4). An
+	// explicit μ must divide the row length. Real plans take the largest
+	// divisor of the half row length not above Mu (default 4).
+	Mu int
+	// BufferElems is the per-half pipeline block size b in complex
+	// elements (the engine keeps two halves); zero selects
+	// machine.PreferredBufferElems, sized so both halves stay resident in
+	// the host's L2 beside the streamed source and destination. The
+	// effective value is rounded down so every stage has an integral number
+	// of whole blocks.
+	BufferElems int
+	// DataWorkers (p_d) and ComputeWorkers (p_c) drive the pipeline; Workers
+	// is the pool size of the Pencil and Slab baselines. Zero means one.
 	DataWorkers    int
 	ComputeWorkers int
 	Workers        int
-	// Radix caps the Stockham stage radix of power-of-two 1D sub-plans
-	// (0 = default 16, the fused two-stage codelets; 2/4/8 select the
-	// higher-pass-count mixes).
+	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
+	// (0 = default 16, the fused two-stage codelets; 2, 4 and 8 select the
+	// higher-pass-count mixes for tuning and ablation). It is the only
+	// field a complex 1D plan reads.
 	Radix int
-	// StageFusion runs every transform as one fused stage graph (steady
-	// state flows through stage boundaries; one pipeline drain per
-	// transform). Default() and ForMachine() enable it; disable for the
-	// stage-at-a-time A/B baseline.
-	StageFusion bool
+	// Unfused drains the pipeline at every stage boundary, as if each stage
+	// were a separate engine invocation: the oracle schedule the golden rows
+	// and BenchmarkStageFusion compare the fused one with.
+	Unfused bool
+	// DisableStoreFold keeps the trailing trivial-twiddle radix-4 butterfly
+	// in the compute leg instead of folding it into the scatter (the fold's
+	// A/B baseline; complex plans only).
+	DisableStoreFold bool
+	// StorePolicy selects cached or streaming (non-temporal) block stores;
+	// StoreAuto streams when a stage's destination footprint exceeds half
+	// the host LLC (complex plans only).
+	StorePolicy stagegraph.StorePolicy
+	// Tracer records pipeline events for schedule verification.
+	Tracer *trace.Recorder
 	// MachineName, when set to a name internal/machine resolves, attaches
-	// that machine's perfmodel prediction to every plan's telemetry so
+	// that machine's perfmodel prediction to a complex plan's telemetry so
 	// snapshots report measured/predicted divergence. ForMachine sets it.
 	MachineName string
 	// RooflineGBs is the STREAM peak the telemetry normalizes per-stage
 	// bandwidth against. Zero falls back to MachineName's STREAM figure;
 	// both zero leaves FracPeak unreported.
 	RooflineGBs float64
-	Tracer      *trace.Recorder
 }
 
 // Default returns the configuration this host would use: the paper's
-// half-and-half worker assignment over the host's CPU count, with μ and the
-// buffer size left zero for the plan packages to resolve — so a plan built from Default() is the plan their zero-value Options
-// build, which is the one the benchmarks measure.
+// half-and-half worker assignment over the host's CPU count, everything else
+// the zero value.
 func Default() Config {
 	threads := runtime.GOMAXPROCS(0)
-	pd := threads / 2
-	if pd < 1 {
-		pd = 1
-	}
+	pd := max(threads/2, 1)
 	return Config{
-		Strategy:       StrategyDoubleBuf,
+		Strategy:       DoubleBuf,
 		DataWorkers:    pd,
 		ComputeWorkers: pd,
 		Workers:        threads,
-		StageFusion:    true,
 	}
 }
 
@@ -93,21 +143,26 @@ func Default() Config {
 // machines: b = LLC/2 over two halves, μ = cacheline, p_d = p_c = threads/2
 // per socket.
 func ForMachine(m machine.Machine) Config {
-	pairs := m.Threads() / 2
-	if pairs < 1 {
-		pairs = 1
-	}
+	pairs := max(m.Threads()/2, 1)
 	return Config{
-		Strategy:       StrategyDoubleBuf,
+		Strategy:       DoubleBuf,
 		Mu:             m.LLC().LineBytes / 16,
 		BufferElems:    m.DefaultBufferElems(),
 		DataWorkers:    pairs,
 		ComputeWorkers: pairs,
 		Workers:        m.Threads(),
-		StageFusion:    true,
 		MachineName:    m.Name,
 		RooflineGBs:    m.StreamGBs,
 	}
+}
+
+// described returns the machine MachineName names, if it names one.
+func (c Config) described() (machine.Machine, bool) {
+	if c.MachineName == "" {
+		return machine.Machine{}, false
+	}
+	m, err := machine.Lookup(c.MachineName)
+	return m, err == nil
 }
 
 // Roofline resolves the STREAM peak the telemetry should normalize
@@ -116,388 +171,54 @@ func (c Config) Roofline() float64 {
 	if c.RooflineGBs > 0 {
 		return c.RooflineGBs
 	}
-	if c.MachineName != "" {
-		if m, err := machine.Lookup(c.MachineName); err == nil {
-			return m.StreamGBs
-		}
-	}
-	return 0
+	m, _ := c.described()
+	return m.StreamGBs
 }
 
-// model returns the perfmodel for the configured machine, or nil when no
+// Model returns the perfmodel for the configured machine, or nil when no
 // machine is named (predictions are then simply not attached).
-func (c Config) model() *perfmodel.Model {
-	if c.MachineName == "" {
-		return nil
-	}
-	m, err := machine.Lookup(c.MachineName)
-	if err != nil {
+func (c Config) Model() *perfmodel.Model {
+	m, ok := c.described()
+	if !ok {
 		return nil
 	}
 	mo := perfmodel.New(m)
-	mo.Fused = c.StageFusion
+	mo.Fused = !c.Unfused
 	return mo
 }
 
-func (c Config) fft3dOptions() (fft3d.Options, error) {
-	s, err := strategy3D(c.Strategy)
-	if err != nil {
-		return fft3d.Options{}, err
+// Pencils starts pkg's graph descriptor for complex extents dims (slowest
+// first): the 1D sub-plans and every field the configuration fixes. The
+// caller adds the arrays and, for real or partitioned transforms, the
+// endpoints and the shard.
+func (c Config) Pencils(pkg string, dims ...int) (stagegraph.Pencils, error) {
+	if err := fft1d.CheckRadix(pkg, c.Radix); err != nil {
+		return stagegraph.Pencils{}, err
 	}
-	return fft3d.Options{
-		Strategy: s, Mu: c.Mu, BufferElems: c.BufferElems,
-		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Workers: c.Workers, Radix: c.Radix,
-		Unfused: !c.StageFusion, Tracer: c.Tracer,
+	plans := make([]*fft1d.Plan, len(dims))
+	for i, d := range dims {
+		if d < 1 {
+			return stagegraph.Pencils{}, fmt.Errorf("%s: invalid size %v", pkg, dims)
+		}
+		plans[i] = fft1d.NewPlanRadix(d, c.Radix)
+	}
+	return stagegraph.Pencils{
+		Pkg: pkg, Dims: dims, Plans: plans, Mu: c.Mu, BufferElems: c.BufferElems,
+		DisableFold: c.DisableStoreFold, StorePolicy: c.StorePolicy,
 	}, nil
 }
 
-func (c Config) fft2dOptions() (fft2d.Options, error) {
-	s, err := strategy2D(c.Strategy)
-	if err != nil {
-		return fft2d.Options{}, err
-	}
-	return fft2d.Options{
-		Strategy: s, Mu: c.Mu, BufferElems: c.BufferElems,
+// NewRunner starts pkg's runner over the built graphs — labels[i] names
+// graph i's telemetry collector — with the roofline attached.
+func (c Config) NewRunner(pkg string, labels []string, graphs ...*stagegraph.Graph) (*stagegraph.Runner, error) {
+	run, err := stagegraph.NewRunner(stagegraph.RunnerConfig{
+		Pkg: pkg, Labels: labels,
 		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Workers: c.Workers, Radix: c.Radix,
-		Unfused: !c.StageFusion, Tracer: c.Tracer,
-	}, nil
-}
-
-func strategy3D(name string) (fft3d.Strategy, error) {
-	switch name {
-	case StrategyReference:
-		return fft3d.Reference, nil
-	case StrategyPencil:
-		return fft3d.Pencil, nil
-	case StrategySlab:
-		return fft3d.Slab, nil
-	case StrategyDoubleBuf, "":
-		return fft3d.DoubleBuf, nil
-	}
-	return 0, fmt.Errorf("core: unknown strategy %q", name)
-}
-
-func strategy2D(name string) (fft2d.Strategy, error) {
-	switch name {
-	case StrategyReference:
-		return fft2d.Reference, nil
-	case StrategyPencil:
-		return fft2d.Pencil, nil
-	case StrategySlab:
-		// 2D has no slab variant; pencil is the closest baseline.
-		return fft2d.Pencil, nil
-	case StrategyDoubleBuf, "":
-		return fft2d.DoubleBuf, nil
-	}
-	return 0, fmt.Errorf("core: unknown strategy %q", name)
-}
-
-// Plan3D is a sized 3D FFT executor.
-type Plan3D struct {
-	plan *fft3d.Plan
-	cfg  Config
-}
-
-// NewPlan3D builds a 3D plan for a k×n×m cube under cfg.
-func NewPlan3D(k, n, m int, cfg Config) (*Plan3D, error) {
-	opts, err := cfg.fft3dOptions()
+		Unfused: c.Unfused, Tracer: c.Tracer,
+	}, graphs...)
 	if err != nil {
 		return nil, err
 	}
-	p, err := fft3d.NewPlan(k, n, m, opts)
-	if err != nil {
-		return nil, err
-	}
-	if col := p.Obs(); col != nil {
-		col.SetRoofline(cfg.Roofline())
-		if mo := cfg.model(); mo != nil {
-			col.SetPredicted(mo.DoubleBuf3D(k, n, m, 1).StagePredictions())
-		}
-	}
-	return &Plan3D{plan: p, cfg: cfg}, nil
+	run.SetRoofline(c.Roofline())
+	return run, nil
 }
-
-// Forward computes the unnormalized forward transform out of place.
-func (p *Plan3D) Forward(dst, src []complex128) error {
-	return p.plan.Transform(dst, src, fft1d.Forward)
-}
-
-// Inverse computes the normalized inverse transform out of place (a
-// Forward followed by Inverse returns the input).
-func (p *Plan3D) Inverse(dst, src []complex128) error {
-	return p.plan.Inverse(dst, src)
-}
-
-// InPlace computes the unnormalized forward transform in place.
-func (p *Plan3D) InPlace(x []complex128) error {
-	return p.plan.InPlace(x, fft1d.Forward)
-}
-
-// ForwardMany transforms count back-to-back cubes out of place.
-func (p *Plan3D) ForwardMany(dst, src []complex128, count int) error {
-	return p.plan.TransformMany(dst, src, count, fft1d.Forward)
-}
-
-// Close releases the persistent executor workers (a no-op for strategies
-// without one). It is idempotent and concurrency-safe — a Close racing a
-// Transform waits for it, and excess Closes are absorbed by the underlying
-// plan. Plans dropped without Close are reclaimed by a finalizer.
-func (p *Plan3D) Close() {
-	p.plan.Close()
-}
-
-// Len returns k·n·m.
-func (p *Plan3D) Len() int { return p.plan.Len() }
-
-// Dims returns (k, n, m).
-func (p *Plan3D) Dims() (int, int, int) { return p.plan.Dims() }
-
-// Plan2D is a sized 2D FFT executor.
-type Plan2D struct {
-	plan *fft2d.Plan
-	n, m int
-}
-
-// NewPlan2D builds a 2D plan for an n×m matrix under cfg.
-func NewPlan2D(n, m int, cfg Config) (*Plan2D, error) {
-	opts, err := cfg.fft2dOptions()
-	if err != nil {
-		return nil, err
-	}
-	p, err := fft2d.NewPlan(n, m, opts)
-	if err != nil {
-		return nil, err
-	}
-	if col := p.Obs(); col != nil {
-		col.SetRoofline(cfg.Roofline())
-		if mo := cfg.model(); mo != nil {
-			col.SetPredicted(mo.DoubleBuf2D(n, m).StagePredictions())
-		}
-	}
-	return &Plan2D{plan: p, n: n, m: m}, nil
-}
-
-// Forward computes the unnormalized forward transform out of place.
-func (p *Plan2D) Forward(dst, src []complex128) error {
-	return p.plan.Transform(dst, src, fft1d.Forward)
-}
-
-// Inverse computes the normalized inverse transform out of place.
-func (p *Plan2D) Inverse(dst, src []complex128) error {
-	return p.plan.Inverse(dst, src)
-}
-
-// InPlace computes the unnormalized forward transform in place.
-func (p *Plan2D) InPlace(x []complex128) error {
-	return p.plan.InPlace(x, fft1d.Forward)
-}
-
-// Close releases the persistent executor workers. See Plan3D.Close.
-func (p *Plan2D) Close() {
-	p.plan.Close()
-}
-
-// Len returns n·m.
-func (p *Plan2D) Len() int { return p.n * p.m }
-
-// Dims returns (n, m).
-func (p *Plan2D) Dims() (int, int) { return p.n, p.m }
-
-func (c Config) rfftOptions() rfft.Options {
-	// Real plans always run the stage-graph pipeline; Strategy and Workers
-	// don't apply.
-	return rfft.Options{
-		Mu: c.Mu, BufferElems: c.BufferElems,
-		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Radix: c.Radix, Unfused: !c.StageFusion, Tracer: c.Tracer,
-	}
-}
-
-// RealPlan1D is a sized, batched real-input (r2c/c2r) 1D FFT executor.
-type RealPlan1D struct {
-	plan *rfft.Plan1D
-}
-
-// NewRealPlan1D builds a real-input plan for even length n under cfg.
-func NewRealPlan1D(n int, cfg Config) (*RealPlan1D, error) {
-	p, err := rfft.NewPlan1D(n, cfg.rfftOptions())
-	if err != nil {
-		return nil, err
-	}
-	p.SetRoofline(cfg.Roofline())
-	return &RealPlan1D{plan: p}, nil
-}
-
-// Forward computes the unnormalized half spectrum X[0…n/2] of a real row.
-func (p *RealPlan1D) Forward(dst []complex128, src []float64) error {
-	return p.plan.Forward(dst, src)
-}
-
-// ForwardBatch transforms count contiguously packed real rows at once.
-func (p *RealPlan1D) ForwardBatch(dst []complex128, src []float64, count int) error {
-	return p.plan.ForwardBatch(dst, src, count)
-}
-
-// Inverse reconstructs the real row (normalized; Inverse ∘ Forward = id).
-// The imaginary parts of the self-conjugate bins src[0] and src[n/2] are
-// forced to zero; src is not modified.
-func (p *RealPlan1D) Inverse(dst []float64, src []complex128) error {
-	return p.plan.Inverse(dst, src)
-}
-
-// InverseBatch reconstructs count contiguously packed real rows at once.
-func (p *RealPlan1D) InverseBatch(dst []float64, src []complex128, count int) error {
-	return p.plan.InverseBatch(dst, src, count)
-}
-
-// N returns the real length; SpectrumLen returns n/2+1.
-func (p *RealPlan1D) N() int { return p.plan.N() }
-
-// SpectrumLen returns n/2+1.
-func (p *RealPlan1D) SpectrumLen() int { return p.plan.SpectrumLen() }
-
-// Close releases the persistent executor workers. See Plan3D.Close.
-func (p *RealPlan1D) Close() {
-	p.plan.Close()
-}
-
-// Observability returns the plan's merged forward+inverse telemetry.
-func (p *RealPlan1D) Observability() Observability { return p.plan.Observability() }
-
-// Stats returns the executor statistics of the most recent transform.
-func (p *RealPlan1D) Stats() Stats { return p.plan.Stats() }
-
-// DescribeGraph renders the compiled forward and inverse stage graphs.
-func (p *RealPlan1D) DescribeGraph() string { return p.plan.DescribeGraph() }
-
-// RealPlan2D is a sized real-input (r2c/c2r) 2D FFT executor.
-type RealPlan2D struct {
-	plan *rfft.Plan2D
-}
-
-// NewRealPlan2D builds a real-input plan for an n×m grid (m even) under cfg.
-func NewRealPlan2D(n, m int, cfg Config) (*RealPlan2D, error) {
-	p, err := rfft.NewPlan2D(n, m, cfg.rfftOptions())
-	if err != nil {
-		return nil, err
-	}
-	p.SetRoofline(cfg.Roofline())
-	return &RealPlan2D{plan: p}, nil
-}
-
-// Forward computes the unnormalized half spectrum (n×(m/2+1)).
-func (p *RealPlan2D) Forward(dst []complex128, src []float64) error {
-	return p.plan.Forward(dst, src)
-}
-
-// Inverse reconstructs the real grid (normalized); src is not modified.
-func (p *RealPlan2D) Inverse(dst []float64, src []complex128) error {
-	return p.plan.Inverse(dst, src)
-}
-
-// Dims returns (n, m).
-func (p *RealPlan2D) Dims() (int, int) { return p.plan.Dims() }
-
-// SpectrumLen returns n·(m/2+1); RealLen returns n·m.
-func (p *RealPlan2D) SpectrumLen() int { return p.plan.SpectrumLen() }
-
-// RealLen returns n·m.
-func (p *RealPlan2D) RealLen() int { return p.plan.RealLen() }
-
-// Close releases the persistent executor workers. See Plan3D.Close.
-func (p *RealPlan2D) Close() {
-	p.plan.Close()
-}
-
-// Observability returns the plan's merged forward+inverse telemetry.
-func (p *RealPlan2D) Observability() Observability { return p.plan.Observability() }
-
-// Stats returns the executor statistics of the most recent transform.
-func (p *RealPlan2D) Stats() Stats { return p.plan.Stats() }
-
-// DescribeGraph renders the compiled forward and inverse stage graphs.
-func (p *RealPlan2D) DescribeGraph() string { return p.plan.DescribeGraph() }
-
-// RealPlan3D is a sized real-input (r2c/c2r) 3D FFT executor.
-type RealPlan3D struct {
-	plan *rfft.Plan3D
-}
-
-// NewRealPlan3D builds a real-input plan for a k×n×m cube (m even) under cfg.
-func NewRealPlan3D(k, n, m int, cfg Config) (*RealPlan3D, error) {
-	p, err := rfft.NewPlan3D(k, n, m, cfg.rfftOptions())
-	if err != nil {
-		return nil, err
-	}
-	p.SetRoofline(cfg.Roofline())
-	return &RealPlan3D{plan: p}, nil
-}
-
-// Forward computes the unnormalized half spectrum (k×n×(m/2+1)).
-func (p *RealPlan3D) Forward(dst []complex128, src []float64) error {
-	return p.plan.Forward(dst, src)
-}
-
-// Inverse reconstructs the real cube (normalized); src is not modified.
-func (p *RealPlan3D) Inverse(dst []float64, src []complex128) error {
-	return p.plan.Inverse(dst, src)
-}
-
-// Dims returns (k, n, m).
-func (p *RealPlan3D) Dims() (int, int, int) { return p.plan.Dims() }
-
-// SpectrumLen returns k·n·(m/2+1); RealLen returns k·n·m.
-func (p *RealPlan3D) SpectrumLen() int { return p.plan.SpectrumLen() }
-
-// RealLen returns k·n·m.
-func (p *RealPlan3D) RealLen() int { return p.plan.RealLen() }
-
-// Close releases the persistent executor workers. See Plan3D.Close.
-func (p *RealPlan3D) Close() {
-	p.plan.Close()
-}
-
-// Observability returns the plan's merged forward+inverse telemetry.
-func (p *RealPlan3D) Observability() Observability { return p.plan.Observability() }
-
-// Stats returns the executor statistics of the most recent transform.
-func (p *RealPlan3D) Stats() Stats { return p.plan.Stats() }
-
-// DescribeGraph renders the compiled forward and inverse stage graphs.
-func (p *RealPlan3D) DescribeGraph() string { return p.plan.DescribeGraph() }
-
-// Stats is the whole-transform executor statistics of a DoubleBuf plan:
-// total pipeline steps, aggregate data-mover and compute time, and the
-// fraction of data time hidden behind compute.
-type Stats = stagegraph.Stats
-
-// Observability is the cumulative bandwidth-accounting snapshot of a plan:
-// per-stage bytes, effective GB/s, fraction of the roofline, overlap
-// occupancy, barrier wait, and perfmodel divergence.
-type Observability = obs.Snapshot
-
-// Observability returns the plan's cumulative telemetry snapshot (zero
-// value for strategies without a stage-graph executor).
-func (p *Plan3D) Observability() Observability { return p.plan.Observability() }
-
-// Observability returns the plan's cumulative telemetry snapshot (zero
-// value for strategies without a stage-graph executor).
-func (p *Plan2D) Observability() Observability { return p.plan.Observability() }
-
-// Stats returns the executor statistics of the most recent DoubleBuf
-// transform (zero value before the first, or for other strategies).
-func (p *Plan3D) Stats() Stats { return p.plan.Stats() }
-
-// DescribeGraph renders the compiled stage graph the plan executes; empty
-// for non-DoubleBuf strategies.
-func (p *Plan3D) DescribeGraph() string { return p.plan.DescribeGraph() }
-
-// Stats returns the executor statistics of the most recent DoubleBuf
-// transform (zero value before the first, or for other strategies).
-func (p *Plan2D) Stats() Stats { return p.plan.Stats() }
-
-// DescribeGraph renders the compiled stage graph the plan executes; empty
-// for non-DoubleBuf strategies.
-func (p *Plan2D) DescribeGraph() string { return p.plan.DescribeGraph() }

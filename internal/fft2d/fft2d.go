@@ -1,18 +1,20 @@
 // Package fft2d implements two-dimensional FFTs over n×m row-major
-// complex128 matrices with three interchangeable strategies:
+// complex128 matrices with three interchangeable strategies (core.Strategy):
 //
 //   - Reference: straightforward row FFTs followed by column FFTs via the
 //     lane driver; simple and used as the correctness oracle.
 //
-//   - Pencil: the non-overlapped pencil-pencil decomposition with strided
-//     column pencils — the memory behaviour of MKL/FFTW-style libraries the
-//     paper compares against (§II-D).
+//   - Pencil (and Slab, which 2D does not distinguish from it): the
+//     non-overlapped pencil-pencil decomposition with strided column pencils
+//     — the memory behaviour of MKL/FFTW-style libraries the paper compares
+//     against (§II-D).
 //
-//   - DoubleBuf: the paper's contribution (§III): every stage becomes
-//     load-contiguous → compute-contiguous-pencils → store-blocked-transpose,
-//     executed by the software-pipelined double-buffer engine with dedicated
-//     data workers (soft DMA engines) and compute workers. After the two
-//     stages the matrix is back in its original row-major layout:
+//   - DoubleBuf, the default: the paper's contribution (§III): every stage
+//     becomes load-contiguous → compute-contiguous-pencils →
+//     store-blocked-transpose, executed by the software-pipelined
+//     double-buffer engine with dedicated data workers (soft DMA engines)
+//     and compute workers. After the two stages the matrix is back in its
+//     original row-major layout:
 //
 //     DFT_{n×m} = (L_n^{mn/μ} ⊗ I_μ)(I_{m/μ} ⊗ DFT_n ⊗ I_μ)   Stage 2
 //     (L_{m/μ}^{mn/μ} ⊗ I_μ)(I_n ⊗ DFT_m)          Stage 1
@@ -22,82 +24,16 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
 	"repro/internal/obs"
 	"repro/internal/stagegraph"
-	"repro/internal/trace"
 )
-
-// Strategy selects the execution plan.
-type Strategy int
-
-const (
-	// Reference is the simple two-stage row-column algorithm.
-	Reference Strategy = iota
-	// Pencil is the non-overlapped baseline with strided column pencils.
-	Pencil
-	// DoubleBuf is the paper's pipelined double-buffering scheme.
-	DoubleBuf
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case Reference:
-		return "reference"
-	case Pencil:
-		return "pencil"
-	case DoubleBuf:
-		return "doublebuf"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
-
-// Options configure a plan. Zero values select sensible defaults.
-type Options struct {
-	Strategy Strategy
-	// Mu is the cacheline block size in complex elements. The default is
-	// machine.PreferredMu(m) — the largest of 8, 4, 2 dividing m — since
-	// μ=8 spans two full 64-byte lines and measures ~0.95 of STREAM peak
-	// on the blocked transpose against ~0.65 for μ=4.
-	Mu int
-	// BufferElems is the per-half block size b in complex elements. The
-	// default is machine.PreferredBufferElems() — sized so both halves
-	// stay resident in the host's L2 alongside the streamed source and
-	// destination. The engine uses two halves of this size. The
-	// effective value is rounded down so every stage has an integral
-	// number of whole blocks.
-	BufferElems int
-	// DataWorkers (p_d) and ComputeWorkers (p_c) for DoubleBuf; Workers
-	// is the pool size for Pencil. Defaults: 1/1 and 1.
-	DataWorkers    int
-	ComputeWorkers int
-	Workers        int
-	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
-	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
-	// the higher-pass-count mixes for tuning/ablation).
-	Radix int
-	// Unfused disables cross-stage pipeline fusion: each stage drains the
-	// pipeline before the next begins, as if run by a separate engine
-	// invocation (the A/B baseline; fusion is on by default).
-	Unfused bool
-	// DisableStoreFold turns off the fused store epilogue: the trailing
-	// trivial-twiddle radix-4 butterfly runs as a normal compute sweep and
-	// the scatter stores unmodified blocks (the A/B baseline for the fold;
-	// folding is on by default whenever the stage chain allows it).
-	DisableStoreFold bool
-	// StorePolicy selects cached vs streaming (non-temporal) block stores
-	// for the DoubleBuf stages. The default StoreAuto picks streaming
-	// stores when the transform's per-stage destination footprint exceeds
-	// half the host LLC; ReviseStorePolicy can re-decide from telemetry.
-	StorePolicy stagegraph.StorePolicy
-	// Tracer records pipeline events for schedule verification.
-	Tracer *trace.Recorder
-}
 
 // Plan is a reusable 2D FFT execution plan for a fixed n×m size.
 type Plan struct {
 	n, m int
-	opts Options
+	cfg  core.Config
 
 	rowPlan *fft1d.Plan // DFT_m
 	colPlan *fft1d.Plan // DFT_n
@@ -110,41 +46,37 @@ type Plan struct {
 	closed atomic.Bool
 }
 
-// NewPlan validates the size and options and precomputes 1D sub-plans.
-func NewPlan(n, m int, opts Options) (*Plan, error) {
-	if n < 1 || m < 1 {
-		return nil, fmt.Errorf("fft2d: invalid size %dx%d", n, m)
-	}
-	if err := fft1d.CheckRadix("fft2d", opts.Radix); err != nil {
+// NewPlan validates the size and configuration and precomputes 1D sub-plans.
+func NewPlan(n, m int, cfg core.Config) (*Plan, error) {
+	d, err := cfg.Pencils("fft2d", n, m)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Workers == 0 {
-		opts.Workers = 1
+	if cfg.Workers == 0 {
+		cfg.Workers = 1
 	}
-	p := &Plan{n: n, m: m, opts: opts,
-		rowPlan: fft1d.NewPlanRadix(m, opts.Radix), colPlan: fft1d.NewPlanRadix(n, opts.Radix)}
-	if opts.Strategy != DoubleBuf {
+	p := &Plan{n: n, m: m, cfg: cfg, colPlan: d.Plans[0], rowPlan: d.Plans[1]}
+	switch cfg.Strategy {
+	case core.Reference, core.Pencil, core.Slab:
 		return p, nil
+	case core.DoubleBuf:
+	default:
+		return nil, fmt.Errorf("fft2d: unknown strategy %v", cfg.Strategy)
 	}
 	// Stage 1 reads src and leaves the blocked-transposed intermediate in
 	// the work array; stage 2 reads it and produces dst in the original
 	// row-major layout.
-	g, err := stagegraph.Pencils{
-		Pkg: "fft2d", Dims: []int{n, m}, Plans: []*fft1d.Plan{p.colPlan, p.rowPlan},
-		Mu: opts.Mu, BufferElems: opts.BufferElems,
-		DisableFold: opts.DisableStoreFold, StorePolicy: opts.StorePolicy,
-		Mid: []stagegraph.Array{{C: make([]complex128, n*m)}},
-	}.Build()
+	d.Mid = []stagegraph.Array{{C: make([]complex128, n*m)}}
+	g, err := d.Build()
 	if err != nil {
 		return nil, err
 	}
-	p.run, err = stagegraph.NewRunner(stagegraph.RunnerConfig{
-		Pkg: "fft2d", Labels: []string{fmt.Sprintf("fft2d/%dx%d", n, m)},
-		DataWorkers: opts.DataWorkers, ComputeWorkers: opts.ComputeWorkers,
-		Unfused: opts.Unfused, Tracer: opts.Tracer,
-	}, g)
+	p.run, err = cfg.NewRunner("fft2d", []string{fmt.Sprintf("fft2d/%dx%d", n, m)}, g)
 	if err != nil {
 		return nil, err
+	}
+	if mo := cfg.Model(); mo != nil {
+		p.run.Obs(0).SetPredicted(mo.DoubleBuf2D(n, m).StagePredictions())
 	}
 	return p, nil
 }
@@ -189,16 +121,14 @@ func (p *Plan) transform(dst, src []complex128, sign int, scale float64) error {
 	if p.closed.Load() {
 		return fmt.Errorf("fft2d: plan closed")
 	}
-	switch p.opts.Strategy {
-	case Reference:
+	switch p.cfg.Strategy {
+	case core.Reference:
 		p.reference(dst, src, sign)
-	case Pencil:
+	case core.Pencil, core.Slab:
 		p.pencil(dst, src, sign)
-	case DoubleBuf:
+	default:
 		return p.run.Run(0, stagegraph.Call{In: stagegraph.Endpoint{C: src},
 			Out: stagegraph.Endpoint{C: dst}, Sign: sign, Scale: scale})
-	default:
-		return fmt.Errorf("fft2d: unknown strategy %v", p.opts.Strategy)
 	}
 	if scale != 0 {
 		fft1d.Scale(dst, scale)
@@ -222,11 +152,6 @@ func (p *Plan) Inverse(dst, src []complex128) error {
 // strategies).
 func (p *Plan) Stats() stagegraph.Stats { return p.run.Stats() }
 
-// Obs returns the plan's telemetry collector (nil for non-DoubleBuf
-// strategies). The collector is live: snapshots taken from it reflect every
-// transform the plan has run.
-func (p *Plan) Obs() *obs.Collector { return p.run.Obs(0) }
-
 // Observability returns the merged bandwidth-accounting snapshot of every
 // transform this plan has executed.
 func (p *Plan) Observability() obs.Snapshot { return p.run.Observability() }
@@ -235,7 +160,7 @@ func (p *Plan) Observability() obs.Snapshot { return p.run.Observability() }
 // (after defaulting); the option value for the baselines.
 func (p *Plan) Mu() int {
 	if p.run == nil {
-		return p.opts.Mu
+		return p.cfg.Mu
 	}
 	return p.run.Mu()
 }
@@ -244,18 +169,11 @@ func (p *Plan) Mu() int {
 // stores through the streaming tier (0 for non-DoubleBuf strategies).
 func (p *Plan) NonTemporalStages() int { return p.run.NonTemporalStages() }
 
-// ReviseStorePolicy re-decides the per-stage store tier of a StoreAuto
-// DoubleBuf plan from the telemetry collected so far (see
-// stagegraph.Runner.ReviseStorePolicy) and returns the number of stages
-// whose tier changed. Call it between transforms, never concurrently with
-// one.
-func (p *Plan) ReviseStorePolicy() int { return p.run.ReviseStorePolicy() }
-
 // DescribeGraph renders the compiled stage graph the plan executes, with
 // each stage's current store mode; empty for non-DoubleBuf strategies.
 func (p *Plan) DescribeGraph() string { return p.run.DescribeGraph() }
 
-// InPlace computes x = DFT_{n×m}(x) using the plan's work array.
+// InPlace computes x = DFT_{n×m}(x) through a temporary of the same size.
 func (p *Plan) InPlace(x []complex128, sign int) error {
 	if len(x) != p.n*p.m {
 		return fmt.Errorf("fft2d: InPlace length %d, want %d", len(x), p.n*p.m)
@@ -281,12 +199,12 @@ func (p *Plan) reference(dst, src []complex128, sign int) {
 func (p *Plan) pencil(dst, src []complex128, sign int) {
 	n, m := p.n, p.m
 	copy(dst, src)
-	parallelFor(p.opts.Workers, n, func(lo, hi int) {
+	parallelFor(p.cfg.Workers, n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			p.rowPlan.InPlace(dst[r*m:(r+1)*m], sign)
 		}
 	})
-	parallelFor(p.opts.Workers, m, func(lo, hi int) {
+	parallelFor(p.cfg.Workers, m, func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			p.colPlan.Strided(dst, c, m, sign)
 		}

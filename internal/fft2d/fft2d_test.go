@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/spl"
@@ -27,7 +28,7 @@ func refDFT2D(n, m int, x []complex128, sign int) []complex128 {
 
 func TestReferenceMatchesSPL(t *testing.T) {
 	for _, c := range []struct{ n, m int }{{1, 1}, {2, 2}, {4, 8}, {8, 4}, {3, 5}, {16, 16}} {
-		p, err := NewPlan(c.n, c.m, Options{Strategy: Reference})
+		p, err := NewPlan(c.n, c.m, core.Config{Strategy: core.Reference})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,8 +48,8 @@ func TestPencilMatchesReference(t *testing.T) {
 	for _, c := range []struct{ n, m, workers int }{
 		{8, 8, 1}, {16, 32, 2}, {32, 16, 4}, {5, 12, 3},
 	} {
-		ref, _ := NewPlan(c.n, c.m, Options{Strategy: Reference})
-		pen, err := NewPlan(c.n, c.m, Options{Strategy: Pencil, Workers: c.workers})
+		ref, _ := NewPlan(c.n, c.m, core.Config{Strategy: core.Reference})
+		pen, err := NewPlan(c.n, c.m, core.Config{Strategy: core.Pencil, Workers: c.workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,9 +70,9 @@ func TestPencilMatchesReference(t *testing.T) {
 
 func doubleBufCase(t *testing.T, n, m, mu, bufElems, pd, pc int, sign int) {
 	t.Helper()
-	ref, _ := NewPlan(n, m, Options{Strategy: Reference})
-	db, err := NewPlan(n, m, Options{
-		Strategy: DoubleBuf, Mu: mu, BufferElems: bufElems,
+	ref, _ := NewPlan(n, m, core.Config{Strategy: core.Reference})
+	db, err := NewPlan(n, m, core.Config{
+		Strategy: core.DoubleBuf, Mu: mu, BufferElems: bufElems,
 		DataWorkers: pd, ComputeWorkers: pc,
 	})
 	if err != nil {
@@ -113,7 +114,7 @@ func TestDoubleBufInverse(t *testing.T) {
 
 func TestRoundTripThroughDoubleBuf(t *testing.T) {
 	const n, m = 64, 64
-	p, err := NewPlan(n, m, Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(n, m, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +134,8 @@ func TestRoundTripThroughDoubleBuf(t *testing.T) {
 }
 
 func TestInPlace(t *testing.T) {
-	for _, s := range []Strategy{Reference, Pencil, DoubleBuf} {
-		p, err := NewPlan(16, 32, Options{Strategy: s})
+	for _, s := range []core.Strategy{core.Reference, core.Pencil, core.DoubleBuf} {
+		p, err := NewPlan(16, 32, core.Config{Strategy: s})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,8 +156,8 @@ func TestInPlace(t *testing.T) {
 
 func TestDoubleBufScheduleIsTableII(t *testing.T) {
 	tr := trace.New()
-	p, err := NewPlan(32, 16, Options{
-		Strategy: DoubleBuf, Mu: 4, BufferElems: 64,
+	p, err := NewPlan(32, 16, core.Config{
+		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64,
 		DataWorkers: 2, ComputeWorkers: 2, Tracer: tr,
 	})
 	if err != nil {
@@ -177,8 +178,8 @@ func TestDoubleBufScheduleIsTableII(t *testing.T) {
 	// The recorder saw both stages; check the first stage's schedule by
 	// running it in isolation.
 	tr2 := trace.New()
-	p2, _ := NewPlan(32, 16, Options{
-		Strategy: DoubleBuf, Mu: 4, BufferElems: 64,
+	p2, _ := NewPlan(32, 16, core.Config{
+		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64,
 		DataWorkers: 1, ComputeWorkers: 1, Tracer: tr2,
 	})
 	_ = p2.Transform(y, x, fft1d.Forward)
@@ -189,16 +190,16 @@ func TestDoubleBufScheduleIsTableII(t *testing.T) {
 }
 
 func TestOptionsValidation(t *testing.T) {
-	if _, err := NewPlan(0, 4, Options{}); err == nil {
+	if _, err := NewPlan(0, 4, core.Config{}); err == nil {
 		t.Error("accepted n=0")
 	}
-	if _, err := NewPlan(4, -1, Options{}); err == nil {
+	if _, err := NewPlan(4, -1, core.Config{}); err == nil {
 		t.Error("accepted m=-1")
 	}
-	if _, err := NewPlan(8, 6, Options{Strategy: DoubleBuf, Mu: 4}); err == nil {
+	if _, err := NewPlan(8, 6, core.Config{Strategy: core.DoubleBuf, Mu: 4}); err == nil {
 		t.Error("accepted μ that does not divide m")
 	}
-	p, _ := NewPlan(4, 4, Options{})
+	p, _ := NewPlan(4, 4, core.Config{})
 	if err := p.Transform(make([]complex128, 15), make([]complex128, 16), fft1d.Forward); err == nil {
 		t.Error("accepted bad dst length")
 	}
@@ -208,10 +209,10 @@ func TestOptionsValidation(t *testing.T) {
 }
 
 func TestStrategyStrings(t *testing.T) {
-	if Reference.String() != "reference" || Pencil.String() != "pencil" || DoubleBuf.String() != "doublebuf" {
+	if core.Reference.String() != "reference" || core.Pencil.String() != "pencil" || core.DoubleBuf.String() != "doublebuf" {
 		t.Fatal("strategy names wrong")
 	}
-	if Strategy(9).String() != "strategy(9)" {
+	if core.Strategy(9).String() != "strategy(9)" {
 		t.Fatal("unknown strategy name wrong")
 	}
 }
@@ -220,13 +221,13 @@ func TestAllStrategiesAgreeLarger(t *testing.T) {
 	const n, m = 128, 256
 	x := randVec(123, n*m)
 	want := make([]complex128, len(x))
-	ref, _ := NewPlan(n, m, Options{Strategy: Reference})
+	ref, _ := NewPlan(n, m, core.Config{Strategy: core.Reference})
 	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{
-		{Strategy: Pencil, Workers: 3},
-		{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 1 << 12},
+	for _, opts := range []core.Config{
+		{Strategy: core.Pencil, Workers: 3},
+		{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 1 << 12},
 	} {
 		p, err := NewPlan(n, m, opts)
 		if err != nil {
@@ -242,7 +243,7 @@ func TestAllStrategiesAgreeLarger(t *testing.T) {
 	}
 }
 
-func benchPlan(b *testing.B, opts Options) {
+func benchPlan(b *testing.B, opts core.Config) {
 	const n, m = 512, 512
 	p, err := NewPlan(n, m, opts)
 	if err != nil {
@@ -260,11 +261,11 @@ func benchPlan(b *testing.B, opts Options) {
 }
 
 func Benchmark2DPencil(b *testing.B) {
-	benchPlan(b, Options{Strategy: Pencil, Workers: 2})
+	benchPlan(b, core.Config{Strategy: core.Pencil, Workers: 2})
 }
 
 func Benchmark2DDoubleBuf(b *testing.B) {
-	benchPlan(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14})
+	benchPlan(b, core.Config{Strategy: core.DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14})
 }
 
 func TestDoubleBufBufferSmallerThanRow(t *testing.T) {
@@ -273,8 +274,8 @@ func TestDoubleBufBufferSmallerThanRow(t *testing.T) {
 	// handles it by degrading to one-row blocks (rows1 = 1), paying the
 	// un-amortized panel cost the paper predicts but staying correct.
 	const n, m = 8, 256
-	p, err := NewPlan(n, m, Options{
-		Strategy: DoubleBuf, Mu: 4, BufferElems: 64, // b = 64 < m = 256
+	p, err := NewPlan(n, m, core.Config{
+		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64, // b = 64 < m = 256
 		DataWorkers: 2, ComputeWorkers: 2,
 	})
 	if err != nil {
@@ -288,7 +289,7 @@ func TestDoubleBufBufferSmallerThanRow(t *testing.T) {
 	if err := p.Transform(got, x, fft1d.Forward); err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := NewPlan(n, m, Options{Strategy: Reference})
+	ref, _ := NewPlan(n, m, core.Config{Strategy: core.Reference})
 	want := make([]complex128, n*m)
 	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
 		t.Fatal(err)

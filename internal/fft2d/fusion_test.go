@@ -3,6 +3,7 @@ package fft2d
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 )
@@ -22,7 +23,7 @@ func TestFusionEquivalence(t *testing.T) {
 	workers := [][2]int{{1, 1}, {2, 2}, {1, 3}}
 	for _, c := range cases {
 		for _, w := range workers {
-			ref, _ := NewPlan(c.n, c.m, Options{Strategy: Reference})
+			ref, _ := NewPlan(c.n, c.m, core.Config{Strategy: core.Reference})
 			x := randVec(int64(c.n*c.m+c.mu), c.n*c.m)
 			want := make([]complex128, len(x))
 			if err := ref.Transform(want, x, fft1d.Forward); err != nil {
@@ -30,8 +31,8 @@ func TestFusionEquivalence(t *testing.T) {
 			}
 			var outs [2][]complex128
 			for i, unfused := range []bool{false, true} {
-				p, err := NewPlan(c.n, c.m, Options{
-					Strategy: DoubleBuf, Mu: c.mu, BufferElems: 64,
+				p, err := NewPlan(c.n, c.m, core.Config{
+					Strategy: core.DoubleBuf, Mu: c.mu, BufferElems: 64,
 					DataWorkers: w[0], ComputeWorkers: w[1], Unfused: unfused,
 				})
 				if err != nil {
@@ -60,8 +61,8 @@ func TestFusionEquivalence(t *testing.T) {
 // drain-between-stages baseline, visible in the executor stats.
 func TestFusionStatsSteps(t *testing.T) {
 	steps := func(unfused bool) int {
-		p, err := NewPlan(16, 16, Options{
-			Strategy: DoubleBuf, Mu: 4, BufferElems: 64, Unfused: unfused,
+		p, err := NewPlan(16, 16, core.Config{
+			Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64, Unfused: unfused,
 		})
 		if err != nil {
 			t.Fatal(err)

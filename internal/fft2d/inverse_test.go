@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/stagegraph"
@@ -26,15 +27,15 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 	}
 	variants := []struct {
 		name string
-		o    Options
+		o    core.Config
 	}{
-		{"default", Options{Strategy: DoubleBuf}},
-		{"unfused", Options{Strategy: DoubleBuf, Unfused: true}},
-		{"nofold", Options{Strategy: DoubleBuf, DisableStoreFold: true}},
-		{"mu4/radix8", Options{Strategy: DoubleBuf, Mu: 4, Radix: 8}},
-		{"streaming", Options{Strategy: DoubleBuf, StorePolicy: stagegraph.StoreNonTemporal}},
-		{"workers2x2", Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}},
-		{"pencil", Options{Strategy: Pencil}},
+		{"default", core.Config{Strategy: core.DoubleBuf}},
+		{"unfused", core.Config{Strategy: core.DoubleBuf, Unfused: true}},
+		{"nofold", core.Config{Strategy: core.DoubleBuf, DisableStoreFold: true}},
+		{"mu4/radix8", core.Config{Strategy: core.DoubleBuf, Mu: 4, Radix: 8}},
+		{"streaming", core.Config{Strategy: core.DoubleBuf, StorePolicy: stagegraph.StoreNonTemporal}},
+		{"workers2x2", core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}},
+		{"pencil", core.Config{Strategy: core.Pencil}},
 	}
 	for _, sh := range shapes {
 		for _, v := range variants {

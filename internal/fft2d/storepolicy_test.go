@@ -3,6 +3,7 @@ package fft2d
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/layout"
@@ -25,7 +26,7 @@ func TestDefaultMuFollowsMachineModel(t *testing.T) {
 		if got := machine.PreferredMu(c.m); got != c.want {
 			t.Fatalf("PreferredMu(%d) = %d; want %d", c.m, got, c.want)
 		}
-		p, err := NewPlan(c.n, c.m, Options{Strategy: DoubleBuf, BufferElems: 1 << 10})
+		p, err := NewPlan(c.n, c.m, core.Config{Strategy: core.DoubleBuf, BufferElems: 1 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -35,7 +36,7 @@ func TestDefaultMuFollowsMachineModel(t *testing.T) {
 		p.Close()
 	}
 	// Explicit Mu still wins over the model.
-	p, err := NewPlan(64, 64, Options{Strategy: DoubleBuf, Mu: 4})
+	p, err := NewPlan(64, 64, core.Config{Strategy: core.DoubleBuf, Mu: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestStorePolicyWiring(t *testing.T) {
 		{stagegraph.StoreRegular, 0},
 		{stagegraph.StoreAuto, 0},
 	} {
-		p, err := NewPlan(64, 64, Options{Strategy: DoubleBuf, StorePolicy: c.policy})
+		p, err := NewPlan(64, 64, core.Config{Strategy: core.DoubleBuf, StorePolicy: c.policy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,9 +76,9 @@ func TestStorePolicyWiring(t *testing.T) {
 // StoreNonTemporal against the reference plan.
 func TestNonTemporalTransformMatchesReference(t *testing.T) {
 	const n, m = 64, 64
-	ref, _ := NewPlan(n, m, Options{Strategy: Reference})
-	p, err := NewPlan(n, m, Options{
-		Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2,
+	ref, _ := NewPlan(n, m, core.Config{Strategy: core.Reference})
+	p, err := NewPlan(n, m, core.Config{
+		Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2,
 		StorePolicy: stagegraph.StoreNonTemporal,
 	})
 	if err != nil {
@@ -97,34 +98,4 @@ func TestNonTemporalTransformMatchesReference(t *testing.T) {
 	}
 	p.Close()
 	ref.Close()
-}
-
-// ReviseStorePolicy is a no-op for forced policies and for cache-resident
-// Auto plans, and never breaks a subsequent transform.
-func TestReviseStorePolicySmoke(t *testing.T) {
-	p, err := NewPlan(64, 64, Options{Strategy: DoubleBuf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	x := randVec(7, 64*64)
-	y := make([]complex128, len(x))
-	if err := p.Transform(y, x, fft1d.Forward); err != nil {
-		t.Fatal(err)
-	}
-	if changed := p.ReviseStorePolicy(); changed != 0 {
-		t.Fatalf("cache-resident revise changed %d stages; want 0", changed)
-	}
-	forced, err := NewPlan(64, 64, Options{Strategy: DoubleBuf,
-		StorePolicy: stagegraph.StoreRegular})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer forced.Close()
-	if changed := forced.ReviseStorePolicy(); changed != 0 {
-		t.Fatalf("forced-policy revise changed %d stages; want 0", changed)
-	}
-	if err := p.Transform(y, x, fft1d.Inverse); err != nil {
-		t.Fatal(err)
-	}
 }

@@ -1,5 +1,6 @@
 // Package fft3d implements three-dimensional FFTs over k×n×m row-major
-// complex128 cubes (z, y, x with x fastest) with four strategies:
+// complex128 cubes (z, y, x with x fastest) with four strategies
+// (core.Strategy):
 //
 //   - Reference: row-column-pillar via the lane driver; correctness oracle.
 //
@@ -9,10 +10,11 @@
 //   - Slab: slab-pencil decomposition fusing the first two stages inside a
 //     z-slab (what FFTW effectively does on the big-cache AMD parts, §V).
 //
-//   - DoubleBuf: the paper's scheme (§III): three pipelined stages, each
-//     load-contiguous → compute-contiguous-pencils → store-blocked-rotation,
-//     with soft-DMA data workers and compute workers. After three rotations
-//     the cube is back in its original layout:
+//   - DoubleBuf, the default: the paper's scheme (§III): three pipelined
+//     stages, each load-contiguous → compute-contiguous-pencils →
+//     store-blocked-rotation, with soft-DMA data workers and compute
+//     workers. After three rotations the cube is back in its original
+//     layout:
 //
 //     (K_k^{n,m/μ} ⊗ I_μ)(I_{nm/μ} ⊗ DFT_k ⊗ I_μ)    Stage 3
 //     (K_n^{m/μ,k} ⊗ I_μ)(I_{mk/μ} ⊗ DFT_n ⊗ I_μ)    Stage 2
@@ -23,83 +25,22 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
 	"repro/internal/obs"
 	"repro/internal/stagegraph"
-	"repro/internal/trace"
 )
 
-// Strategy selects the execution plan.
-type Strategy int
+// Options and DoubleBuf are the names the benchmark ruler builds its
+// reference plan with; the configuration is declared in core.
+type Options = core.Config
 
-const (
-	// Reference is the simple three-stage algorithm.
-	Reference Strategy = iota
-	// Pencil is the non-overlapped strided baseline.
-	Pencil
-	// Slab fuses stages 1+2 per z-slab, then does the strided z-stage.
-	Slab
-	// DoubleBuf is the paper's pipelined double-buffering scheme.
-	DoubleBuf
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case Reference:
-		return "reference"
-	case Pencil:
-		return "pencil"
-	case Slab:
-		return "slab"
-	case DoubleBuf:
-		return "doublebuf"
-	}
-	return fmt.Sprintf("strategy(%d)", int(s))
-}
-
-// Options configure a plan. Zero values select sensible defaults.
-type Options struct {
-	Strategy Strategy
-	// Mu is the cacheline block size in complex elements. The default is
-	// machine.PreferredMu(m) — the largest of 8, 4, 2 dividing m (μ=8
-	// spans two full cachelines and measures near STREAM peak on the
-	// blocked rotations; see fft2d.Options.Mu).
-	Mu int
-	// BufferElems is the per-half pipeline block size b in complex
-	// elements; default machine.PreferredBufferElems(), sized so both
-	// halves stay L2-resident (the paper's b = cache/2 halves applied to
-	// the cache level the staging buffers actually live in).
-	BufferElems int
-	// DataWorkers (p_d) / ComputeWorkers (p_c) drive DoubleBuf; Workers
-	// is the pool size for the baselines.
-	DataWorkers    int
-	ComputeWorkers int
-	Workers        int
-	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
-	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
-	// the higher-pass-count mixes for tuning/ablation).
-	Radix int
-	// Unfused disables cross-stage pipeline fusion: each stage drains the
-	// pipeline before the next begins, as if run by a separate engine
-	// invocation (the A/B baseline; fusion is on by default).
-	Unfused bool
-	// DisableStoreFold turns off the fused store epilogue: the trailing
-	// trivial-twiddle radix-4 butterfly runs as a normal compute sweep and
-	// the scatter stores unmodified blocks (the A/B baseline for the fold;
-	// folding is on by default whenever the stage chain allows it).
-	DisableStoreFold bool
-	// StorePolicy selects cached vs streaming (non-temporal) block stores
-	// for the DoubleBuf stages; default StoreAuto decides from the
-	// per-stage destination footprint vs the host LLC (see fft2d).
-	StorePolicy stagegraph.StorePolicy
-	// Tracer records pipeline events.
-	Tracer *trace.Recorder
-}
+const DoubleBuf = core.DoubleBuf
 
 // Plan is a reusable 3D FFT execution plan for a fixed k×n×m size.
 type Plan struct {
 	k, n, m int
-	opts    Options
+	cfg     core.Config
 
 	planM *fft1d.Plan // DFT_m (x pencils)
 	planN *fft1d.Plan // DFT_n (y pencils)
@@ -113,45 +54,39 @@ type Plan struct {
 	closed atomic.Bool
 }
 
-// NewPlan validates the size and options and precomputes sub-plans.
-func NewPlan(k, n, m int, opts Options) (*Plan, error) {
-	if k < 1 || n < 1 || m < 1 {
-		return nil, fmt.Errorf("fft3d: invalid size %dx%dx%d", k, n, m)
-	}
-	if err := fft1d.CheckRadix("fft3d", opts.Radix); err != nil {
+// NewPlan validates the size and configuration and precomputes sub-plans.
+func NewPlan(k, n, m int, cfg core.Config) (*Plan, error) {
+	d, err := cfg.Pencils("fft3d", k, n, m)
+	if err != nil {
 		return nil, err
 	}
-	if opts.Workers == 0 {
-		opts.Workers = 1
+	if cfg.Workers == 0 {
+		cfg.Workers = 1
 	}
-	p := &Plan{k: k, n: n, m: m, opts: opts,
-		planM: fft1d.NewPlanRadix(m, opts.Radix),
-		planN: fft1d.NewPlanRadix(n, opts.Radix),
-		planK: fft1d.NewPlanRadix(k, opts.Radix)}
-	if opts.Strategy != DoubleBuf {
+	p := &Plan{k: k, n: n, m: m, cfg: cfg, planK: d.Plans[0], planN: d.Plans[1], planM: d.Plans[2]}
+	switch cfg.Strategy {
+	case core.Reference, core.Pencil, core.Slab:
 		return p, nil
+	case core.DoubleBuf:
+	default:
+		return nil, fmt.Errorf("fft3d: unknown strategy %v", cfg.Strategy)
 	}
 	// Array flow: stage 1 src→dst, stage 2 dst→work, stage 3 work→dst, so
 	// the input is preserved and only one internal work array is needed.
 	// The fused schedule keeps this safe: stage 3's first store runs
 	// strictly after stage 2's last load of dst (see
 	// stagegraph.BuildSchedule).
-	g, err := stagegraph.Pencils{
-		Pkg: "fft3d", Dims: []int{k, n, m}, Plans: []*fft1d.Plan{p.planK, p.planN, p.planM},
-		Mu: opts.Mu, BufferElems: opts.BufferElems,
-		DisableFold: opts.DisableStoreFold, StorePolicy: opts.StorePolicy,
-		Mid: []stagegraph.Array{{}, {C: make([]complex128, k*n*m)}},
-	}.Build()
+	d.Mid = []stagegraph.Array{{}, {C: make([]complex128, k*n*m)}}
+	g, err := d.Build()
 	if err != nil {
 		return nil, err
 	}
-	p.run, err = stagegraph.NewRunner(stagegraph.RunnerConfig{
-		Pkg: "fft3d", Labels: []string{fmt.Sprintf("fft3d/%dx%dx%d", k, n, m)},
-		DataWorkers: opts.DataWorkers, ComputeWorkers: opts.ComputeWorkers,
-		Unfused: opts.Unfused, Tracer: opts.Tracer,
-	}, g)
+	p.run, err = cfg.NewRunner("fft3d", []string{fmt.Sprintf("fft3d/%dx%dx%d", k, n, m)}, g)
 	if err != nil {
 		return nil, err
+	}
+	if mo := cfg.Model(); mo != nil {
+		p.run.Obs(0).SetPredicted(mo.DoubleBuf3D(k, n, m, 1).StagePredictions())
 	}
 	return p, nil
 }
@@ -197,20 +132,18 @@ func (p *Plan) transform(dst, src []complex128, sign int, scale float64) error {
 	if p.closed.Load() {
 		return fmt.Errorf("fft3d: plan closed")
 	}
-	switch p.opts.Strategy {
-	case Reference:
+	switch p.cfg.Strategy {
+	case core.Reference:
 		p.reference(dst, src, sign)
-	case Pencil:
+	case core.Pencil:
 		copy(dst, src)
 		p.pencilInPlace(dst, sign)
-	case Slab:
+	case core.Slab:
 		copy(dst, src)
 		p.slabInPlace(dst, sign)
-	case DoubleBuf:
+	default:
 		return p.run.Run(0, stagegraph.Call{In: stagegraph.Endpoint{C: src},
 			Out: stagegraph.Endpoint{C: dst}, Sign: sign, Scale: scale})
-	default:
-		return fmt.Errorf("fft3d: unknown strategy %v", p.opts.Strategy)
 	}
 	if scale != 0 {
 		fft1d.Scale(dst, scale)
@@ -234,11 +167,6 @@ func (p *Plan) Inverse(dst, src []complex128) error {
 // strategies).
 func (p *Plan) Stats() stagegraph.Stats { return p.run.Stats() }
 
-// Obs returns the plan's telemetry collector (nil for non-DoubleBuf
-// strategies). The collector is live: snapshots taken from it reflect every
-// transform the plan has run.
-func (p *Plan) Obs() *obs.Collector { return p.run.Obs(0) }
-
 // Observability returns the merged bandwidth-accounting snapshot of every
 // transform this plan has executed.
 func (p *Plan) Observability() obs.Snapshot { return p.run.Observability() }
@@ -247,7 +175,7 @@ func (p *Plan) Observability() obs.Snapshot { return p.run.Observability() }
 // (after defaulting); the option value for the baselines.
 func (p *Plan) Mu() int {
 	if p.run == nil {
-		return p.opts.Mu
+		return p.cfg.Mu
 	}
 	return p.run.Mu()
 }
@@ -255,12 +183,6 @@ func (p *Plan) Mu() int {
 // NonTemporalStages reports how many of the plan's stages currently route
 // stores through the streaming tier (0 for non-DoubleBuf strategies).
 func (p *Plan) NonTemporalStages() int { return p.run.NonTemporalStages() }
-
-// ReviseStorePolicy re-decides the per-stage store tier of a StoreAuto
-// DoubleBuf plan from the telemetry collected so far (see
-// stagegraph.Runner.ReviseStorePolicy) and returns the number of stages
-// whose tier changed. Call between transforms, never concurrently with one.
-func (p *Plan) ReviseStorePolicy() int { return p.run.ReviseStorePolicy() }
 
 // DescribeGraph renders the compiled stage graph the plan executes, with
 // each stage's current store mode; empty for non-DoubleBuf strategies.
@@ -271,11 +193,11 @@ func (p *Plan) InPlace(x []complex128, sign int) error {
 	if len(x) != p.Len() {
 		return fmt.Errorf("fft3d: InPlace length %d, want %d", len(x), p.Len())
 	}
-	switch p.opts.Strategy {
-	case Pencil:
+	switch p.cfg.Strategy {
+	case core.Pencil:
 		p.pencilInPlace(x, sign)
 		return nil
-	case Slab:
+	case core.Slab:
 		p.slabInPlace(x, sign)
 		return nil
 	default:
@@ -304,7 +226,7 @@ func (p *Plan) reference(dst, src []complex128, sign int) {
 // a pencil-pencil library on a large transform.
 func (p *Plan) pencilInPlace(x []complex128, sign int) {
 	k, n, m := p.k, p.n, p.m
-	workers := p.opts.Workers
+	workers := p.cfg.Workers
 	parallelFor(workers, k*n, func(lo, hi int) {
 		for r := lo; r < hi; r++ {
 			p.planM.InPlace(x[r*m:(r+1)*m], sign)
@@ -328,7 +250,7 @@ func (p *Plan) pencilInPlace(x []complex128, sign int) {
 // trips from three to two (§II-B).
 func (p *Plan) slabInPlace(x []complex128, sign int) {
 	k, n, m := p.k, p.n, p.m
-	workers := p.opts.Workers
+	workers := p.cfg.Workers
 	parallelFor(workers, k, func(lo, hi int) {
 		for z := lo; z < hi; z++ {
 			slab := x[z*n*m : (z+1)*n*m]

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/spl"
@@ -20,7 +21,7 @@ func TestReferenceMatchesSPL(t *testing.T) {
 	for _, c := range []struct{ k, n, m int }{
 		{1, 1, 1}, {2, 2, 2}, {2, 4, 8}, {4, 2, 4}, {3, 2, 5},
 	} {
-		p, err := NewPlan(c.k, c.n, c.m, Options{Strategy: Reference})
+		p, err := NewPlan(c.k, c.n, c.m, core.Config{Strategy: core.Reference})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,9 +37,9 @@ func TestReferenceMatchesSPL(t *testing.T) {
 	}
 }
 
-func strategyCase(t *testing.T, k, n, m int, opts Options, sign int) {
+func strategyCase(t *testing.T, k, n, m int, opts core.Config, sign int) {
 	t.Helper()
-	ref, _ := NewPlan(k, n, m, Options{Strategy: Reference})
+	ref, _ := NewPlan(k, n, m, core.Config{Strategy: core.Reference})
 	p, err := NewPlan(k, n, m, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -58,16 +59,16 @@ func strategyCase(t *testing.T, k, n, m int, opts Options, sign int) {
 }
 
 func TestPencilMatchesReference(t *testing.T) {
-	strategyCase(t, 4, 4, 4, Options{Strategy: Pencil}, fft1d.Forward)
-	strategyCase(t, 8, 8, 8, Options{Strategy: Pencil, Workers: 3}, fft1d.Forward)
-	strategyCase(t, 2, 8, 16, Options{Strategy: Pencil, Workers: 2}, fft1d.Inverse)
-	strategyCase(t, 5, 3, 6, Options{Strategy: Pencil, Workers: 4}, fft1d.Forward)
+	strategyCase(t, 4, 4, 4, core.Config{Strategy: core.Pencil}, fft1d.Forward)
+	strategyCase(t, 8, 8, 8, core.Config{Strategy: core.Pencil, Workers: 3}, fft1d.Forward)
+	strategyCase(t, 2, 8, 16, core.Config{Strategy: core.Pencil, Workers: 2}, fft1d.Inverse)
+	strategyCase(t, 5, 3, 6, core.Config{Strategy: core.Pencil, Workers: 4}, fft1d.Forward)
 }
 
 func TestSlabMatchesReference(t *testing.T) {
-	strategyCase(t, 4, 8, 8, Options{Strategy: Slab}, fft1d.Forward)
-	strategyCase(t, 8, 4, 16, Options{Strategy: Slab, Workers: 3}, fft1d.Forward)
-	strategyCase(t, 2, 16, 8, Options{Strategy: Slab, Workers: 2}, fft1d.Inverse)
+	strategyCase(t, 4, 8, 8, core.Config{Strategy: core.Slab}, fft1d.Forward)
+	strategyCase(t, 8, 4, 16, core.Config{Strategy: core.Slab, Workers: 3}, fft1d.Forward)
+	strategyCase(t, 2, 16, 8, core.Config{Strategy: core.Slab, Workers: 2}, fft1d.Inverse)
 }
 
 func TestDoubleBufMatchesReference(t *testing.T) {
@@ -82,19 +83,19 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 		{2, 4, 8, 4, 8, 1, 1},         // minimal blocks, many iterations
 		{16, 16, 16, 16, 512, 3, 2},   // μ = m/1? μ=16=m
 	} {
-		strategyCase(t, c.k, c.n, c.m, Options{
-			Strategy: DoubleBuf, Mu: c.mu, BufferElems: c.b,
+		strategyCase(t, c.k, c.n, c.m, core.Config{
+			Strategy: core.DoubleBuf, Mu: c.mu, BufferElems: c.b,
 			DataWorkers: c.pd, ComputeWorkers: c.pc,
 		}, fft1d.Forward)
 	}
 }
 
 func TestDoubleBufInverseAndRoundTrip(t *testing.T) {
-	strategyCase(t, 8, 8, 8, Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}, fft1d.Inverse)
-	strategyCase(t, 8, 8, 8, Options{Strategy: DoubleBuf}, fft1d.Inverse)
+	strategyCase(t, 8, 8, 8, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}, fft1d.Inverse)
+	strategyCase(t, 8, 8, 8, core.Config{Strategy: core.DoubleBuf}, fft1d.Inverse)
 
 	const k, n, m = 16, 16, 16
-	p, err := NewPlan(k, n, m, Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +116,14 @@ func TestDoubleBufInverseAndRoundTrip(t *testing.T) {
 
 func TestInPlaceAllStrategies(t *testing.T) {
 	const k, n, m = 8, 8, 8
-	ref, _ := NewPlan(k, n, m, Options{Strategy: Reference})
+	ref, _ := NewPlan(k, n, m, core.Config{Strategy: core.Reference})
 	x := randVec(66, k*n*m)
 	want := make([]complex128, len(x))
 	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []Strategy{Reference, Pencil, Slab, DoubleBuf} {
-		p, err := NewPlan(k, n, m, Options{Strategy: s, Workers: 2, DataWorkers: 2, ComputeWorkers: 2})
+	for _, s := range []core.Strategy{core.Reference, core.Pencil, core.Slab, core.DoubleBuf} {
+		p, err := NewPlan(k, n, m, core.Config{Strategy: s, Workers: 2, DataWorkers: 2, ComputeWorkers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,14 +142,14 @@ func TestNonCubicSizes(t *testing.T) {
 	for _, c := range []struct{ k, n, m int }{
 		{4, 8, 16}, {16, 8, 4}, {8, 16, 4}, {32, 4, 8},
 	} {
-		strategyCase(t, c.k, c.n, c.m, Options{
-			Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 128,
+		strategyCase(t, c.k, c.n, c.m, core.Config{
+			Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 128,
 		}, fft1d.Forward)
 	}
 }
 
 func TestStageIters(t *testing.T) {
-	p, err := NewPlan(8, 8, 8, Options{Strategy: DoubleBuf, Mu: 4, BufferElems: 64})
+	p, err := NewPlan(8, 8, 8, core.Config{Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,16 +161,16 @@ func TestStageIters(t *testing.T) {
 	if s1 != 16 || s2 != 16 || s3 != 16 {
 		t.Fatalf("StageIters = %d,%d,%d, want 16,16,16", s1, s2, s3)
 	}
-	ref, _ := NewPlan(4, 4, 4, Options{Strategy: Reference})
+	ref, _ := NewPlan(4, 4, 4, core.Config{Strategy: core.Reference})
 	if a, b, c := ref.StageIters(); a != 0 || b != 0 || c != 0 {
-		t.Fatal("non-DoubleBuf plans should report zero iters")
+		t.Fatal("non-core.DoubleBuf plans should report zero iters")
 	}
 }
 
 func TestDoubleBufScheduleTrace(t *testing.T) {
 	tr := trace.New()
-	p, err := NewPlan(8, 8, 8, Options{
-		Strategy: DoubleBuf, Mu: 4, BufferElems: 128,
+	p, err := NewPlan(8, 8, 8, core.Config{
+		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 128,
 		DataWorkers: 2, ComputeWorkers: 2, Tracer: tr,
 	})
 	if err != nil {
@@ -201,13 +202,13 @@ func TestDoubleBufScheduleTrace(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := NewPlan(0, 4, 4, Options{}); err == nil {
+	if _, err := NewPlan(0, 4, 4, core.Config{}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := NewPlan(4, 4, 6, Options{Strategy: DoubleBuf, Mu: 4}); err == nil {
+	if _, err := NewPlan(4, 4, 6, core.Config{Strategy: core.DoubleBuf, Mu: 4}); err == nil {
 		t.Error("accepted μ∤m")
 	}
-	p, _ := NewPlan(4, 4, 4, Options{})
+	p, _ := NewPlan(4, 4, 4, core.Config{})
 	if err := p.Transform(make([]complex128, 63), make([]complex128, 64), fft1d.Forward); err == nil {
 		t.Error("accepted bad lengths")
 	}
@@ -223,8 +224,8 @@ func TestValidation(t *testing.T) {
 }
 
 func TestStrategyStrings(t *testing.T) {
-	want := map[Strategy]string{
-		Reference: "reference", Pencil: "pencil", Slab: "slab", DoubleBuf: "doublebuf",
+	want := map[core.Strategy]string{
+		core.Reference: "reference", core.Pencil: "pencil", core.Slab: "slab", core.DoubleBuf: "doublebuf",
 	}
 	for s, w := range want {
 		if s.String() != w {
@@ -236,7 +237,7 @@ func TestStrategyStrings(t *testing.T) {
 // Property: linearity of the full 3D transform through the DoubleBuf path.
 func TestDoubleBufLinearity(t *testing.T) {
 	const k, n, m = 8, 8, 8
-	p, err := NewPlan(k, n, m, Options{Strategy: DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +268,7 @@ func TestDoubleBufLinearity(t *testing.T) {
 	}
 }
 
-func benchStrategy(b *testing.B, opts Options, k, n, m int) {
+func benchStrategy(b *testing.B, opts core.Config, k, n, m int) {
 	p, err := NewPlan(k, n, m, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -286,13 +287,13 @@ func benchStrategy(b *testing.B, opts Options, k, n, m int) {
 func BenchmarkDecompositions(b *testing.B) {
 	const k, n, m = 64, 64, 64
 	b.Run("pencil", func(b *testing.B) {
-		benchStrategy(b, Options{Strategy: Pencil, Workers: 2}, k, n, m)
+		benchStrategy(b, core.Config{Strategy: core.Pencil, Workers: 2}, k, n, m)
 	})
 	b.Run("slab", func(b *testing.B) {
-		benchStrategy(b, Options{Strategy: Slab, Workers: 2}, k, n, m)
+		benchStrategy(b, core.Config{Strategy: core.Slab, Workers: 2}, k, n, m)
 	})
 	b.Run("doublebuf", func(b *testing.B) {
-		benchStrategy(b, Options{Strategy: DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14}, k, n, m)
+		benchStrategy(b, core.Config{Strategy: core.DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14}, k, n, m)
 	})
 }
 
@@ -301,7 +302,7 @@ func BenchmarkBufferSweep(b *testing.B) {
 	for _, be := range []int{1 << 10, 1 << 12, 1 << 14, 1 << 16} {
 		name := map[int]string{1 << 10: "b1Ki", 1 << 12: "b4Ki", 1 << 14: "b16Ki", 1 << 16: "b64Ki"}[be]
 		b.Run(name, func(b *testing.B) {
-			benchStrategy(b, Options{Strategy: DoubleBuf, BufferElems: be}, k, n, m)
+			benchStrategy(b, core.Config{Strategy: core.DoubleBuf, BufferElems: be}, k, n, m)
 		})
 	}
 }
@@ -313,8 +314,8 @@ func BenchmarkThreadMix(b *testing.B) {
 		pd, pc int
 	}{{"1d1c", 1, 1}, {"1d3c", 1, 3}, {"2d2c", 2, 2}, {"3d1c", 3, 1}} {
 		b.Run(c.name, func(b *testing.B) {
-			benchStrategy(b, Options{
-				Strategy: DoubleBuf, DataWorkers: c.pd, ComputeWorkers: c.pc,
+			benchStrategy(b, core.Config{
+				Strategy: core.DoubleBuf, DataWorkers: c.pd, ComputeWorkers: c.pc,
 				BufferElems: 1 << 14,
 			}, k, n, m)
 		})

@@ -3,6 +3,7 @@ package fft3d
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 )
@@ -23,7 +24,7 @@ func TestFusionEquivalence(t *testing.T) {
 	workers := [][2]int{{1, 1}, {2, 2}, {2, 3}}
 	for _, c := range cases {
 		for _, w := range workers {
-			ref, _ := NewPlan(c.k, c.n, c.m, Options{Strategy: Reference})
+			ref, _ := NewPlan(c.k, c.n, c.m, core.Config{Strategy: core.Reference})
 			x := randVec(int64(c.k*100+c.n*10+c.m), c.k*c.n*c.m)
 			want := make([]complex128, len(x))
 			if err := ref.Transform(want, x, fft1d.Forward); err != nil {
@@ -31,8 +32,8 @@ func TestFusionEquivalence(t *testing.T) {
 			}
 			var outs [2][]complex128
 			for i, unfused := range []bool{false, true} {
-				p, err := NewPlan(c.k, c.n, c.m, Options{
-					Strategy: DoubleBuf, Mu: c.mu, BufferElems: 64,
+				p, err := NewPlan(c.k, c.n, c.m, core.Config{
+					Strategy: core.DoubleBuf, Mu: c.mu, BufferElems: 64,
 					DataWorkers: w[0], ComputeWorkers: w[1], Unfused: unfused,
 				})
 				if err != nil {
@@ -62,7 +63,7 @@ func TestFusionEquivalence(t *testing.T) {
 // breakdown (the byte counts depend on the rotations, not the schedule).
 func TestDistributedFusionEquivalence(t *testing.T) {
 	const k, n, m, sk = 8, 8, 16, 2
-	ref, _ := NewPlan(k, n, m, Options{Strategy: Reference})
+	ref, _ := NewPlan(k, n, m, core.Config{Strategy: core.Reference})
 	x := randVec(99, k*n*m)
 	want := make([]complex128, len(x))
 	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
@@ -71,7 +72,7 @@ func TestDistributedFusionEquivalence(t *testing.T) {
 	var traffic [2][3]TrafficStat
 	var outs [2][]complex128
 	for i, unfused := range []bool{false, true} {
-		dp, err := NewDistPlan(k, n, m, sk, Options{
+		dp, err := NewDistPlan(k, n, m, sk, core.Config{
 			BufferElems: 128, DataWorkers: 2, ComputeWorkers: 2, Unfused: unfused,
 		})
 		if err != nil {
@@ -105,8 +106,8 @@ func TestDistributedFusionEquivalence(t *testing.T) {
 // step saving of exactly S-1 = 2 over the unfused baseline.
 func TestFusionStatsSteps(t *testing.T) {
 	steps := func(unfused bool) int {
-		p, err := NewPlan(8, 8, 16, Options{
-			Strategy: DoubleBuf, Mu: 4, BufferElems: 128, Unfused: unfused,
+		p, err := NewPlan(8, 8, 16, core.Config{
+			Strategy: core.DoubleBuf, Mu: 4, BufferElems: 128, Unfused: unfused,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -4,13 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 )
 
 func TestTransformManyMatchesLoop(t *testing.T) {
 	const k, n, m, count = 8, 8, 8, 4
-	p, err := NewPlan(k, n, m, Options{Strategy: DoubleBuf, BufferElems: 128})
+	p, err := NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf, BufferElems: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +32,7 @@ func TestTransformManyMatchesLoop(t *testing.T) {
 }
 
 func TestTransformManyValidation(t *testing.T) {
-	p, _ := NewPlan(4, 4, 4, Options{Strategy: Reference})
+	p, _ := NewPlan(4, 4, 4, core.Config{Strategy: core.Reference})
 	if err := p.TransformMany(make([]complex128, 64), make([]complex128, 64), 0, fft1d.Forward); err == nil {
 		t.Error("accepted count=0")
 	}
@@ -42,7 +43,7 @@ func TestTransformManyValidation(t *testing.T) {
 
 func BenchmarkTransformMany(b *testing.B) {
 	const k, n, m, count = 32, 32, 32, 4
-	p, err := NewPlan(k, n, m, Options{Strategy: DoubleBuf, BufferElems: 1 << 12})
+	p, err := NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf, BufferElems: 1 << 12})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/fft1d"
+	"repro/internal/core"
 	"repro/internal/numa"
 	"repro/internal/stagegraph"
 )
@@ -65,22 +65,15 @@ type TrafficStat struct {
 
 // NewDistPlan builds a multi-socket plan. Requirements: sk ≥ 1, sk | k,
 // μ | m, sk | n·(m/μ) (so the stage-2/3 ownership ranges are uniform).
-func NewDistPlan(k, n, m, sockets int, opts Options) (*DistPlan, error) {
-	if k < 1 || n < 1 || m < 1 {
-		return nil, fmt.Errorf("fft3d: invalid size %dx%dx%d", k, n, m)
-	}
+func NewDistPlan(k, n, m, sockets int, cfg core.Config) (*DistPlan, error) {
 	if sockets < 1 {
 		return nil, fmt.Errorf("fft3d: invalid socket count %d", sockets)
 	}
-	if err := fft1d.CheckRadix("fft3d", opts.Radix); err != nil {
+	slab, err := cfg.Pencils("fft3d", k, n, m)
+	if err != nil {
 		return nil, err
 	}
-	slab := stagegraph.Pencils{
-		Pkg: "fft3d", Dims: []int{k, n, m},
-		Plans: []*fft1d.Plan{fft1d.NewPlanRadix(k, opts.Radix),
-			fft1d.NewPlanRadix(n, opts.Radix), fft1d.NewPlanRadix(m, opts.Radix)},
-		Mu: opts.Mu, BufferElems: opts.BufferElems, Shards: sockets,
-	}
+	slab.Shards = sockets
 	if _, err := slab.Check(); err != nil {
 		return nil, err
 	}
@@ -118,11 +111,7 @@ func NewDistPlan(k, n, m, sockets int, opts Options) (*DistPlan, error) {
 			return nil, err
 		}
 		front, back := g.Cut(2)
-		run, err := stagegraph.NewRunner(stagegraph.RunnerConfig{
-			Pkg:         "fft3d",
-			DataWorkers: opts.DataWorkers, ComputeWorkers: opts.ComputeWorkers,
-			Unfused: opts.Unfused,
-		}, front, back)
+		run, err := cfg.NewRunner("fft3d", nil, front, back)
 		if err != nil {
 			p.Close()
 			return nil, err

@@ -4,13 +4,14 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 )
 
-func distCase(t *testing.T, k, n, m, sockets int, opts Options, sign int) *DistPlan {
+func distCase(t *testing.T, k, n, m, sockets int, opts core.Config, sign int) *DistPlan {
 	t.Helper()
-	ref, _ := NewPlan(k, n, m, Options{Strategy: Reference})
+	ref, _ := NewPlan(k, n, m, core.Config{Strategy: core.Reference})
 	dp, err := NewDistPlan(k, n, m, sockets, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -48,7 +49,7 @@ func TestDistributedMatchesReference(t *testing.T) {
 		{8, 16, 8, 4},
 		{16, 16, 16, 2},
 	} {
-		distCase(t, c.k, c.n, c.m, c.sk, Options{
+		distCase(t, c.k, c.n, c.m, c.sk, core.Config{
 			DataWorkers: 1, ComputeWorkers: 1, BufferElems: 128,
 		}, fft1d.Forward)
 	}
@@ -60,9 +61,9 @@ func TestDistributedMatchesReference(t *testing.T) {
 // plan: bit-identical output.
 func TestDistributedAcceptsRadix16(t *testing.T) {
 	const k, n, m, sk = 16, 16, 32, 2
-	dp := distCase(t, k, n, m, sk, Options{Radix: 16}, fft1d.Forward)
+	dp := distCase(t, k, n, m, sk, core.Config{Radix: 16}, fft1d.Forward)
 	defer dp.Close()
-	single, err := NewPlan(k, n, m, Options{Strategy: DoubleBuf, Radix: 16})
+	single, err := NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf, Radix: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,17 +84,17 @@ func TestDistributedAcceptsRadix16(t *testing.T) {
 	if i := cvec.FirstBitDiff(got, want); i >= 0 {
 		t.Fatalf("sk=%d radix 16 differs from the single-socket plan at %d: %v vs %v", sk, i, got[i], want[i])
 	}
-	if _, err := NewDistPlan(k, n, m, sk, Options{Radix: 3}); err == nil {
+	if _, err := NewDistPlan(k, n, m, sk, core.Config{Radix: 3}); err == nil {
 		t.Error("radix 3 accepted")
 	}
 }
 
 func TestDistributedInverse(t *testing.T) {
-	distCase(t, 8, 8, 8, 2, Options{BufferElems: 128}, fft1d.Inverse)
+	distCase(t, 8, 8, 8, 2, core.Config{BufferElems: 128}, fft1d.Inverse)
 }
 
 func TestDistributedMultiWorker(t *testing.T) {
-	distCase(t, 16, 16, 16, 2, Options{
+	distCase(t, 16, 16, 16, 2, core.Config{
 		DataWorkers: 2, ComputeWorkers: 2, BufferElems: 512,
 	}, fft1d.Forward)
 }
@@ -102,7 +103,7 @@ func TestStage1TrafficIsLocal(t *testing.T) {
 	// Fig. 8: "The first stage reads and writes the data locally, while
 	// the other two stages read data locally but write data across the
 	// sockets."
-	dp := distCase(t, 16, 8, 16, 2, Options{BufferElems: 256}, fft1d.Forward)
+	dp := distCase(t, 16, 8, 16, 2, core.Config{BufferElems: 256}, fft1d.Forward)
 	s1 := dp.StageTraffic[0]
 	if s1.CrossBytes != 0 {
 		t.Fatalf("stage 1 crossed the link: %d bytes", s1.CrossBytes)
@@ -116,7 +117,7 @@ func TestStage23CrossHalfForTwoSockets(t *testing.T) {
 	// With sk sockets, a random (y,xb) or z destination lands remotely
 	// with probability (sk-1)/sk, so half the stage-2/3 write bytes must
 	// cross for sk=2.
-	dp := distCase(t, 16, 16, 16, 2, Options{BufferElems: 512}, fft1d.Forward)
+	dp := distCase(t, 16, 16, 16, 2, core.Config{BufferElems: 512}, fft1d.Forward)
 	for _, st := range []int{1, 2} {
 		tr := dp.StageTraffic[st]
 		total := tr.LocalBytes + tr.CrossBytes
@@ -131,7 +132,7 @@ func TestStage23CrossHalfForTwoSockets(t *testing.T) {
 }
 
 func TestFourSocketCrossFraction(t *testing.T) {
-	dp := distCase(t, 8, 16, 8, 4, Options{BufferElems: 128}, fft1d.Forward)
+	dp := distCase(t, 8, 16, 8, 4, core.Config{BufferElems: 128}, fft1d.Forward)
 	tr := dp.StageTraffic[1]
 	frac := float64(tr.CrossBytes) / float64(tr.LocalBytes+tr.CrossBytes)
 	if frac < 0.70 || frac > 0.80 {
@@ -142,7 +143,7 @@ func TestFourSocketCrossFraction(t *testing.T) {
 func TestSingleSocketDefaultsToLocal(t *testing.T) {
 	// Table III: sk = 1 reduces to the single-socket implementation —
 	// all traffic local.
-	dp := distCase(t, 8, 8, 8, 1, Options{BufferElems: 128}, fft1d.Forward)
+	dp := distCase(t, 8, 8, 8, 1, core.Config{BufferElems: 128}, fft1d.Forward)
 	for st, tr := range dp.StageTraffic {
 		if tr.CrossBytes != 0 {
 			t.Fatalf("stage %d crossed with one socket: %d bytes", st+1, tr.CrossBytes)
@@ -156,7 +157,7 @@ func TestSingleSocketDefaultsToLocal(t *testing.T) {
 func TestTotalWriteBytesPerStage(t *testing.T) {
 	// Every stage writes each element exactly once: knm·16 bytes.
 	const k, n, m = 8, 8, 16
-	dp := distCase(t, k, n, m, 2, Options{BufferElems: 128}, fft1d.Forward)
+	dp := distCase(t, k, n, m, 2, core.Config{BufferElems: 128}, fft1d.Forward)
 	want := int64(k * n * m * 16)
 	for st, tr := range dp.StageTraffic {
 		if got := tr.LocalBytes + tr.CrossBytes; got != want {
@@ -173,16 +174,16 @@ func TestDistPlanValidation(t *testing.T) {
 		{8, 3, 4, 2}, // sk ∤ n·m/μ (3·1=3 odd)
 	}
 	for _, c := range cases {
-		if _, err := NewDistPlan(c.k, c.n, c.m, c.sk, Options{}); err == nil {
+		if _, err := NewDistPlan(c.k, c.n, c.m, c.sk, core.Config{}); err == nil {
 			t.Errorf("NewDistPlan(%d,%d,%d,%d) accepted invalid input", c.k, c.n, c.m, c.sk)
 		}
 	}
 	// The defaulted μ always divides m (machine.PreferredMu), so μ ∤ m is
 	// only reachable with an explicit override.
-	if _, err := NewDistPlan(8, 8, 6, 2, Options{Mu: 4}); err == nil {
+	if _, err := NewDistPlan(8, 8, 6, 2, core.Config{Mu: 4}); err == nil {
 		t.Error("NewDistPlan accepted explicit μ=4 with m=6")
 	}
-	dp, err := NewDistPlan(8, 8, 8, 2, Options{})
+	dp, err := NewDistPlan(8, 8, 8, 2, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +191,7 @@ func TestDistPlanValidation(t *testing.T) {
 		t.Fatal("Sockets wrong")
 	}
 	a, _ := dp.Alloc()
-	other, _ := NewDistPlan(16, 8, 8, 2, Options{})
+	other, _ := NewDistPlan(16, 8, 8, 2, core.Config{})
 	bad, _ := other.Alloc()
 	if err := dp.Transform(a, bad, fft1d.Forward); err == nil {
 		t.Fatal("accepted mismatched distributed vectors")

@@ -3,6 +3,7 @@ package fft3d
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
 	"repro/internal/layout"
 	"repro/internal/stagegraph"
@@ -18,7 +19,7 @@ func TestDefaultMuFollowsMachineModel(t *testing.T) {
 		{2, 2, 7, 1},
 	}
 	for _, c := range cases {
-		p, err := NewPlan(c.k, c.n, c.m, Options{Strategy: DoubleBuf, BufferElems: 1 << 10})
+		p, err := NewPlan(c.k, c.n, c.m, core.Config{Strategy: core.DoubleBuf, BufferElems: 1 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -27,7 +28,7 @@ func TestDefaultMuFollowsMachineModel(t *testing.T) {
 		}
 		p.Close()
 	}
-	p, err := NewPlan(8, 8, 8, Options{Strategy: DoubleBuf, Mu: 4})
+	p, err := NewPlan(8, 8, 8, core.Config{Strategy: core.DoubleBuf, Mu: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +45,7 @@ func TestStorePolicyWiringAndCorrectness(t *testing.T) {
 	if layout.NonTemporalAvailable() {
 		nt = 3 // all three DoubleBuf stages
 	}
-	p, err := NewPlan(16, 16, 16, Options{Strategy: DoubleBuf,
+	p, err := NewPlan(16, 16, 16, core.Config{Strategy: core.DoubleBuf,
 		StorePolicy: stagegraph.StoreNonTemporal})
 	if err != nil {
 		t.Fatal(err)
@@ -53,12 +54,12 @@ func TestStorePolicyWiringAndCorrectness(t *testing.T) {
 		t.Errorf("forced NT: %d NT stages; want %d", got, nt)
 	}
 	p.Close()
-	strategyCase(t, 16, 16, 16, Options{Strategy: DoubleBuf, DataWorkers: 2,
+	strategyCase(t, 16, 16, 16, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2,
 		ComputeWorkers: 2, StorePolicy: stagegraph.StoreNonTemporal}, fft1d.Forward)
-	strategyCase(t, 8, 16, 32, Options{Strategy: DoubleBuf,
+	strategyCase(t, 8, 16, 32, core.Config{Strategy: core.DoubleBuf,
 		StorePolicy: stagegraph.StoreNonTemporal}, fft1d.Inverse)
 
-	p, err = NewPlan(16, 16, 16, Options{Strategy: DoubleBuf,
+	p, err = NewPlan(16, 16, 16, core.Config{Strategy: core.DoubleBuf,
 		StorePolicy: stagegraph.StoreRegular})
 	if err != nil {
 		t.Fatal(err)
@@ -66,28 +67,5 @@ func TestStorePolicyWiringAndCorrectness(t *testing.T) {
 	defer p.Close()
 	if got := p.NonTemporalStages(); got != 0 {
 		t.Errorf("forced regular: %d NT stages; want 0", got)
-	}
-	if changed := p.ReviseStorePolicy(); changed != 0 {
-		t.Fatalf("forced-policy revise changed %d stages; want 0", changed)
-	}
-}
-
-// A cache-resident Auto plan stays on regular stores through a revise.
-func TestReviseStorePolicySmoke(t *testing.T) {
-	p, err := NewPlan(16, 16, 16, Options{Strategy: DoubleBuf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	x := randVec(11, 16*16*16)
-	y := make([]complex128, len(x))
-	if err := p.Transform(y, x, fft1d.Forward); err != nil {
-		t.Fatal(err)
-	}
-	if changed := p.ReviseStorePolicy(); changed != 0 {
-		t.Fatalf("cache-resident revise changed %d stages; want 0", changed)
-	}
-	if err := p.Transform(y, x, fft1d.Inverse); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -36,35 +36,12 @@ package rfft
 import (
 	"fmt"
 
-	"repro/internal/fft1d"
+	"repro/internal/core"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/stagegraph"
-	"repro/internal/trace"
 	"repro/internal/twiddle"
 )
-
-// Options configure a plan. Zero values select sensible defaults.
-type Options struct {
-	// Mu is the cacheline block size in complex elements (default 4). The
-	// effective block size of a plan is the largest divisor of l = m/2 not
-	// exceeding Mu, so non-power-of-two row lengths stay legal.
-	Mu int
-	// BufferElems is the per-half pipeline block budget in complex
-	// elements (default machine.PreferredBufferElems(), L2-derived).
-	BufferElems int
-	// DataWorkers (p_d) and ComputeWorkers (p_c); defaults 1/1.
-	DataWorkers    int
-	ComputeWorkers int
-	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
-	// (0 = default 16, the fused two-stage codelet tier; 2, 4 and 8 select
-	// the higher-pass-count mixes).
-	Radix int
-	// Unfused disables cross-stage pipeline fusion (the A/B baseline).
-	Unfused bool
-	// Tracer records pipeline events for schedule verification.
-	Tracer *trace.Recorder
-}
 
 // halfTwiddles returns w[k] = ω_{2l}^k for 0 ≤ k ≤ l/2, the table the
 // untangle/retangle kernels consume.
@@ -89,28 +66,29 @@ const (
 	invGraph = 1
 )
 
-// build validates the options, derives both graphs of the real transform
-// with complex lane extents dims (the last is l = m/2) from one descriptor,
-// and starts the runner. kind names the plan in errors, label
-// its collectors (label and label+"/inv"); selfConj marks the spectrum rows
-// whose DC and Nyquist bins the entangle stage forces real. Two scratch
+// build validates the configuration, derives both graphs of the real
+// transform with complex lane extents dims (the last is l = m/2) from one
+// descriptor, and starts the runner. A real plan always runs the pipeline:
+// of the configuration it reads the block sizes, the worker counts, the radix
+// cap, Unfused, the tracer and the roofline. kind names the plan in errors,
+// label its collectors (label and label+"/inv"); selfConj marks the spectrum
+// rows whose DC and Nyquist bins the entangle stage forces real. Two scratch
 // arrays of the packed grid's size carry both chains, stage by stage in
 // turn: work1 holds the transposed blocks after the forward rows / inverse
 // entangle stage, work2 what the next stage stores, and so on.
-func (e *engine) build(kind, label string, o Options, m int, dims []int, selfConj func(g int) bool) error {
+func (e *engine) build(kind, label string, cfg core.Config, m int, dims []int, selfConj func(g int) bool) error {
 	if m < 2 || m%2 != 0 {
 		return fmt.Errorf("rfft: %s requires an even last dimension ≥ 2, got %d", kind, m)
 	}
-	if err := fft1d.CheckRadix("rfft", o.Radix); err != nil {
+	d, err := cfg.Pencils("rfft", dims...)
+	if err != nil {
 		return err
 	}
 	l := m / 2
 	w := halfTwiddles(l)
-	plans := make([]*fft1d.Plan, len(dims))
 	elems := 1
-	for i, d := range dims {
-		plans[i] = fft1d.NewPlanRadix(d, o.Radix)
-		elems *= d
+	for _, n := range dims {
+		elems *= n
 	}
 	var mid []stagegraph.Array // D of them, alternating between two arrays
 	if D := len(dims); D > 1 {
@@ -119,13 +97,10 @@ func (e *engine) build(kind, label string, o Options, m int, dims []int, selfCon
 			mid = append(mid, stagegraph.Array{C: work[i%2]})
 		}
 	}
-	d := stagegraph.Pencils{
-		Pkg: "rfft", Dims: dims, Plans: plans, Mu: o.Mu, BufferElems: o.BufferElems,
-		Mid: mid[:max(len(dims)-1, 0)],
-		Real: &stagegraph.RealEnd{
-			Pitch:    l + 1,
-			Untangle: func(x []complex128, rows int) { kernels.UntanglePackRows(x, rows, l, w) },
-		},
+	d.Mid = mid[:max(len(dims)-1, 0)]
+	d.Real = &stagegraph.RealEnd{
+		Pitch:    l + 1,
+		Untangle: func(x []complex128, rows int) { kernels.UntanglePackRows(x, rows, l, w) },
 	}
 	fwd, err := d.Build()
 	if err != nil {
@@ -143,11 +118,7 @@ func (e *engine) build(kind, label string, o Options, m int, dims []int, selfCon
 	if err != nil {
 		return err
 	}
-	e.run, err = stagegraph.NewRunner(stagegraph.RunnerConfig{
-		Pkg: "rfft", Labels: []string{label, label + "/inv"},
-		DataWorkers: o.DataWorkers, ComputeWorkers: o.ComputeWorkers,
-		Unfused: o.Unfused, Tracer: o.Tracer,
-	}, fwd, inv)
+	e.run, err = cfg.NewRunner("rfft", []string{label, label + "/inv"}, fwd, inv)
 	return err
 }
 
@@ -170,10 +141,6 @@ func (e *engine) Close() { e.run.Close() }
 
 // Stats returns the most recent run's whole-transform executor stats.
 func (e *engine) Stats() stagegraph.Stats { return e.run.Stats() }
-
-// SetRoofline sets the STREAM-peak normalization on both of the plan's
-// collectors.
-func (e *engine) SetRoofline(gbs float64) { e.run.SetRoofline(gbs) }
 
 // ObsForward returns the forward-direction telemetry collector.
 func (e *engine) ObsForward() *obs.Collector { return e.run.Obs(fwdGraph) }
@@ -198,13 +165,13 @@ type Plan1D struct {
 }
 
 // NewPlan1D builds a real-input FFT plan for even length n ≥ 2.
-func NewPlan1D(n int, opts Options) (*Plan1D, error) {
+func NewPlan1D(n int, cfg core.Config) (*Plan1D, error) {
 	l := n / 2
 	p := &Plan1D{n: n, l: l, mc: l + 1}
 	// Every 1D row is self-conjugate: X[0] and X[n/2] are forced real
 	// (dirty imaginary parts are discarded). Forward rows land at
 	// dst[g·(l+1)], leaving the per-row Nyquist hole the post-pass fills.
-	err := p.build("Plan1D", fmt.Sprintf("rfft1d/%d", n), opts, n, []int{l},
+	err := p.build("Plan1D", fmt.Sprintf("rfft1d/%d", n), cfg, n, []int{l},
 		func(int) bool { return true })
 	if err != nil {
 		return nil, err

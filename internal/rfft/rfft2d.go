@@ -1,6 +1,10 @@
 package rfft
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Plan2D computes real-input 2D DFTs on n×m row-major grids (m even ≥ 2),
 // producing the natural half-spectrum n×(m/2+1). Both directions run as
@@ -19,7 +23,7 @@ type Plan2D struct {
 }
 
 // NewPlan2D builds a 2D real-input plan; n ≥ 1, m even ≥ 2.
-func NewPlan2D(n, m int, opts Options) (*Plan2D, error) {
+func NewPlan2D(n, m int, cfg core.Config) (*Plan2D, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("rfft: invalid size %dx%d", n, m)
 	}
@@ -27,7 +31,7 @@ func NewPlan2D(n, m int, opts Options) (*Plan2D, error) {
 	p := &Plan2D{n: n, m: m, l: l, mc: l + 1}
 	// Rows ky = 0 and ky = n/2 of the half-spectrum are self-conjugate:
 	// their X[0]/X[l] bins are forced real.
-	err := p.build("Plan2D", fmt.Sprintf("rfft2d/%dx%d", n, m), opts, m, []int{n, l},
+	err := p.build("Plan2D", fmt.Sprintf("rfft2d/%dx%d", n, m), cfg, m, []int{n, l},
 		func(g int) bool { return g == 0 || 2*g == n })
 	if err != nil {
 		return nil, err

@@ -1,6 +1,10 @@
 package rfft
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/core"
+)
 
 // Plan3D computes real-input 3D DFTs on k×n×m row-major grids (m even ≥ 2),
 // producing the natural half-spectrum k×n×(m/2+1): the x dimension stores
@@ -21,7 +25,7 @@ type Plan3D struct {
 }
 
 // NewPlan3D builds a 3D real-input plan; k, n ≥ 1, m even ≥ 2.
-func NewPlan3D(k, n, m int, opts Options) (*Plan3D, error) {
+func NewPlan3D(k, n, m int, cfg core.Config) (*Plan3D, error) {
 	if k < 1 || n < 1 {
 		return nil, fmt.Errorf("rfft: invalid size %dx%dx%d", k, n, m)
 	}
@@ -29,7 +33,7 @@ func NewPlan3D(k, n, m int, opts Options) (*Plan3D, error) {
 	p := &Plan3D{k: k, n: n, m: m, l: l, mc: l + 1, planeA: make([]complex128, k*n)}
 	// The four (in even×even grids) self-conjugate (z,y) rows have their
 	// X[0]/X[l] bins forced real.
-	err := p.build("Plan3D", fmt.Sprintf("rfft3d/%dx%dx%d", k, n, m), opts, m, []int{k, n, l},
+	err := p.build("Plan3D", fmt.Sprintf("rfft3d/%dx%dx%d", k, n, m), cfg, m, []int{k, n, l},
 		func(g int) bool {
 			z, y := g/n, g%n
 			return (z == 0 || 2*z == k) && (y == 0 || 2*y == n)

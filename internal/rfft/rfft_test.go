@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/kernels"
 	"repro/internal/spl"
@@ -31,7 +32,7 @@ func asComplex(x []float64) []complex128 {
 
 func TestForward1DMatchesNaive(t *testing.T) {
 	for _, n := range []int{2, 4, 6, 8, 16, 64, 100, 256} {
-		p, err := NewPlan1D(n, Options{})
+		p, err := NewPlan1D(n, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +53,7 @@ func TestForward1DMatchesNaive(t *testing.T) {
 
 func TestForwardBatch1DMatchesNaive(t *testing.T) {
 	const n, count = 24, 5
-	p, err := NewPlan1D(n, Options{DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan1D(n, core.Config{DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestForwardBatch1DMatchesNaive(t *testing.T) {
 }
 
 func TestHermitianEndpointsReal(t *testing.T) {
-	p, _ := NewPlan1D(32, Options{})
+	p, _ := NewPlan1D(32, core.Config{})
 	defer p.Close()
 	x := randReal(9, 32)
 	spec := make([]complex128, p.SpectrumLen())
@@ -88,7 +89,7 @@ func TestHermitianEndpointsReal(t *testing.T) {
 
 func TestRoundTrip1D(t *testing.T) {
 	for _, n := range []int{2, 4, 10, 32, 128, 250} {
-		p, err := NewPlan1D(n, Options{})
+		p, err := NewPlan1D(n, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,7 +113,7 @@ func TestRoundTrip1D(t *testing.T) {
 
 func TestRoundTrip1DBatch(t *testing.T) {
 	const n, count = 40, 7
-	p, err := NewPlan1D(n, Options{})
+	p, err := NewPlan1D(n, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestRoundTrip1DBatch(t *testing.T) {
 func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	t.Run("1D", func(t *testing.T) {
 		const n = 48
-		p, _ := NewPlan1D(n, Options{})
+		p, _ := NewPlan1D(n, core.Config{})
 		defer p.Close()
 		x := randReal(21, n)
 		spec := make([]complex128, p.SpectrumLen())
@@ -173,7 +174,7 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	})
 	t.Run("2D", func(t *testing.T) {
 		const n, m = 6, 8
-		p, _ := NewPlan2D(n, m, Options{})
+		p, _ := NewPlan2D(n, m, core.Config{})
 		defer p.Close()
 		x := randReal(22, p.RealLen())
 		spec := make([]complex128, p.SpectrumLen())
@@ -204,7 +205,7 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	})
 	t.Run("3D", func(t *testing.T) {
 		const k, n, m = 4, 6, 8
-		p, _ := NewPlan3D(k, n, m, Options{})
+		p, _ := NewPlan3D(k, n, m, core.Config{})
 		defer p.Close()
 		x := randReal(23, p.RealLen())
 		spec := make([]complex128, p.SpectrumLen())
@@ -238,14 +239,14 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 
 func TestPlan1DValidation(t *testing.T) {
 	for _, n := range []int{0, 1, 3, 7} {
-		if _, err := NewPlan1D(n, Options{}); err == nil {
+		if _, err := NewPlan1D(n, core.Config{}); err == nil {
 			t.Errorf("accepted n=%d", n)
 		}
 	}
-	if _, err := NewPlan1D(8, Options{Radix: 3}); err == nil {
+	if _, err := NewPlan1D(8, core.Config{Radix: 3}); err == nil {
 		t.Error("accepted radix 3")
 	}
-	p, _ := NewPlan1D(8, Options{})
+	p, _ := NewPlan1D(8, core.Config{})
 	defer p.Close()
 	if p.N() != 8 || p.SpectrumLen() != 5 {
 		t.Fatal("metadata wrong")
@@ -262,13 +263,13 @@ func TestPlan1DValidation(t *testing.T) {
 }
 
 func TestPlanClosedRejects(t *testing.T) {
-	p, _ := NewPlan1D(8, Options{})
+	p, _ := NewPlan1D(8, core.Config{})
 	p.Close()
 	p.Close() // idempotent
 	if err := p.Forward(make([]complex128, 5), make([]float64, 8)); err == nil {
 		t.Error("closed plan accepted Forward")
 	}
-	p2, _ := NewPlan2D(2, 4, Options{})
+	p2, _ := NewPlan2D(2, 4, core.Config{})
 	p2.Close()
 	if err := p2.Forward(make([]complex128, 6), make([]float64, 8)); err == nil {
 		t.Error("closed 2D plan accepted Forward")
@@ -277,7 +278,7 @@ func TestPlanClosedRejects(t *testing.T) {
 
 func TestForward3DMatchesComplexReference(t *testing.T) {
 	const k, n, m = 4, 6, 8
-	p, err := NewPlan3D(k, n, m, Options{})
+	p, err := NewPlan3D(k, n, m, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +307,7 @@ func TestRoundTrip3D(t *testing.T) {
 	for _, c := range []struct{ k, n, m int }{
 		{1, 1, 2}, {2, 3, 4}, {4, 4, 8}, {8, 8, 16}, {3, 5, 6},
 	} {
-		p, err := NewPlan3D(c.k, c.n, c.m, Options{DataWorkers: 2, ComputeWorkers: 2})
+		p, err := NewPlan3D(c.k, c.n, c.m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,13 +330,13 @@ func TestRoundTrip3D(t *testing.T) {
 }
 
 func TestPlan3DValidation(t *testing.T) {
-	if _, err := NewPlan3D(0, 4, 4, Options{}); err == nil {
+	if _, err := NewPlan3D(0, 4, 4, core.Config{}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := NewPlan3D(4, 4, 7, Options{}); err == nil {
+	if _, err := NewPlan3D(4, 4, 7, core.Config{}); err == nil {
 		t.Error("accepted odd m")
 	}
-	p, _ := NewPlan3D(2, 2, 4, Options{})
+	p, _ := NewPlan3D(2, 2, 4, core.Config{})
 	defer p.Close()
 	if p.SpectrumLen() != 2*2*3 || p.RealLen() != 16 {
 		t.Fatal("lengths wrong")
@@ -363,7 +364,7 @@ func TestRealEvenSpectrumReal(t *testing.T) {
 		x[i] = v
 		x[n-i] = v
 	}
-	p, _ := NewPlan1D(n, Options{})
+	p, _ := NewPlan1D(n, core.Config{})
 	defer p.Close()
 	spec := make([]complex128, p.SpectrumLen())
 	if err := p.Forward(spec, x); err != nil {
@@ -378,7 +379,7 @@ func TestRealEvenSpectrumReal(t *testing.T) {
 
 func TestForward2DMatchesComplexReference(t *testing.T) {
 	const n, m = 6, 8
-	p, err := NewPlan2D(n, m, Options{})
+	p, err := NewPlan2D(n, m, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestForward2DMatchesComplexReference(t *testing.T) {
 
 func TestRoundTrip2D(t *testing.T) {
 	for _, c := range []struct{ n, m int }{{1, 2}, {3, 4}, {8, 16}, {5, 6}} {
-		p, err := NewPlan2D(c.n, c.m, Options{DataWorkers: 2, ComputeWorkers: 2})
+		p, err := NewPlan2D(c.n, c.m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,13 +427,13 @@ func TestRoundTrip2D(t *testing.T) {
 }
 
 func TestPlan2DValidation(t *testing.T) {
-	if _, err := NewPlan2D(0, 4, Options{}); err == nil {
+	if _, err := NewPlan2D(0, 4, core.Config{}); err == nil {
 		t.Error("accepted n=0")
 	}
-	if _, err := NewPlan2D(4, 3, Options{}); err == nil {
+	if _, err := NewPlan2D(4, 3, core.Config{}); err == nil {
 		t.Error("accepted odd m")
 	}
-	p, _ := NewPlan2D(2, 4, Options{})
+	p, _ := NewPlan2D(2, 4, core.Config{})
 	defer p.Close()
 	if n, m := p.Dims(); n != 2 || m != 4 {
 		t.Error("Dims wrong")
@@ -453,7 +454,7 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	evens := []int{2, 4, 6, 8, 10, 12, 16}
 	anys := []int{1, 2, 3, 4, 5, 6, 8}
-	optPool := []Options{
+	optPool := []core.Config{
 		{},
 		{Mu: 2, BufferElems: 64},
 		{Mu: 8, DataWorkers: 2, ComputeWorkers: 2},
@@ -553,7 +554,7 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 // real traffic at half the complex rate, with no rounding.
 func TestObservabilityRealBytesExact(t *testing.T) {
 	const n, m, runs = 8, 32, 3
-	p, err := NewPlan2D(n, m, Options{})
+	p, err := NewPlan2D(n, m, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,7 +603,7 @@ func TestObservabilityRealBytesExact(t *testing.T) {
 }
 
 func TestDescribeGraphMentionsBothDirections(t *testing.T) {
-	p, _ := NewPlan3D(4, 4, 8, Options{})
+	p, _ := NewPlan3D(4, 4, 8, core.Config{})
 	defer p.Close()
 	s := p.DescribeGraph()
 	for _, want := range []string{"x-rows", "y-pencils", "z-pencils", "entangle", "ix-rows"} {
@@ -623,7 +624,7 @@ func contains(s, sub string) bool {
 
 func BenchmarkRFFT1DForward(b *testing.B) {
 	const n = 4096
-	p, _ := NewPlan1D(n, Options{})
+	p, _ := NewPlan1D(n, core.Config{})
 	defer p.Close()
 	x := randReal(1, n)
 	dst := make([]complex128, p.SpectrumLen())
@@ -637,7 +638,7 @@ func BenchmarkRFFT1DForward(b *testing.B) {
 
 func BenchmarkRFFT2DForward(b *testing.B) {
 	const n, m = 256, 256
-	p, _ := NewPlan2D(n, m, Options{})
+	p, _ := NewPlan2D(n, m, core.Config{})
 	defer p.Close()
 	x := randReal(1, p.RealLen())
 	dst := make([]complex128, p.SpectrumLen())
@@ -651,7 +652,7 @@ func BenchmarkRFFT2DForward(b *testing.B) {
 
 func BenchmarkRFFT3DForward(b *testing.B) {
 	const k, n, m = 32, 32, 32
-	p, _ := NewPlan3D(k, n, m, Options{})
+	p, _ := NewPlan3D(k, n, m, core.Config{})
 	defer p.Close()
 	x := randReal(1, p.RealLen())
 	dst := make([]complex128, p.SpectrumLen())

@@ -13,8 +13,11 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
+	"repro/internal/fft2d"
+	"repro/internal/fft3d"
 	"repro/internal/kernels"
 	"repro/internal/lru"
+	"repro/internal/rfft"
 )
 
 // PlanKey identifies one cached plan. Cfg carries the execution shape —
@@ -107,19 +110,19 @@ func (k PlanKey) SpectrumLen() int {
 // Plan is one cached executor. A complex rank-1 plan is the fft1d.Plan of
 // (D0, Cfg.Radix) that lone requests, coalesced batches, repro.FFT1D and the
 // shared-handle facade all run at every size, so a request's bits never
-// depend on how it was batched; complex rank-2/3 plans wrap the core
-// double-buffer executors with their persistent worker teams. Real plans
-// wrap the core real-input stage-graph executors; the rank-1 real plan
+// depend on how it was batched; complex rank-2/3 plans are the fft2d / fft3d
+// plans with their persistent worker teams, real plans the rfft ones; the
+// rank-1 real plan
 // batches natively (ForwardBatch / InverseBatch run many packed rows in one
 // pipeline sweep), so it serves both the singleton and the coalesced path.
 type Plan struct {
 	key PlanKey
 	p1  *fft1d.Plan
-	p2  *core.Plan2D
-	p3  *core.Plan3D
-	r1  *core.RealPlan1D
-	r2  *core.RealPlan2D
-	r3  *core.RealPlan3D
+	p2  *fft2d.Plan
+	p3  *fft3d.Plan
+	r1  *rfft.Plan1D
+	r2  *rfft.Plan2D
+	r3  *rfft.Plan3D
 }
 
 func buildPlan(key PlanKey) (*Plan, error) {
@@ -129,11 +132,11 @@ func buildPlan(key PlanKey) (*Plan, error) {
 		var err error
 		switch key.Rank {
 		case 1:
-			p.r1, err = core.NewRealPlan1D(key.D0, cfg)
+			p.r1, err = rfft.NewPlan1D(key.D0, cfg)
 		case 2:
-			p.r2, err = core.NewRealPlan2D(key.D0, key.D1, cfg)
+			p.r2, err = rfft.NewPlan2D(key.D0, key.D1, cfg)
 		case 3:
-			p.r3, err = core.NewRealPlan3D(key.D0, key.D1, key.D2, cfg)
+			p.r3, err = rfft.NewPlan3D(key.D0, key.D1, key.D2, cfg)
 		}
 		if err != nil {
 			return nil, err
@@ -147,13 +150,13 @@ func buildPlan(key PlanKey) (*Plan, error) {
 		}
 		p.p1 = fft1d.NewPlanRadix(key.D0, cfg.Radix)
 	case 2:
-		pl, err := core.NewPlan2D(key.D0, key.D1, cfg)
+		pl, err := fft2d.NewPlan(key.D0, key.D1, cfg)
 		if err != nil {
 			return nil, err
 		}
 		p.p2 = pl
 	case 3:
-		pl, err := core.NewPlan3D(key.D0, key.D1, key.D2, cfg)
+		pl, err := fft3d.NewPlan(key.D0, key.D1, key.D2, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -172,19 +175,19 @@ func (p *Plan) Len() int { return p.key.Len() }
 func (p *Plan) P1() *fft1d.Plan { return p.p1 }
 
 // P2 returns the underlying 2D plan (nil unless rank 2).
-func (p *Plan) P2() *core.Plan2D { return p.p2 }
+func (p *Plan) P2() *fft2d.Plan { return p.p2 }
 
 // P3 returns the underlying 3D plan (nil unless rank 3).
-func (p *Plan) P3() *core.Plan3D { return p.p3 }
+func (p *Plan) P3() *fft3d.Plan { return p.p3 }
 
 // R1 returns the underlying real 1D plan (nil unless a real rank-1 key).
-func (p *Plan) R1() *core.RealPlan1D { return p.r1 }
+func (p *Plan) R1() *rfft.Plan1D { return p.r1 }
 
 // R2 returns the underlying real 2D plan (nil unless a real rank-2 key).
-func (p *Plan) R2() *core.RealPlan2D { return p.r2 }
+func (p *Plan) R2() *rfft.Plan2D { return p.r2 }
 
 // R3 returns the underlying real 3D plan (nil unless a real rank-3 key).
-func (p *Plan) R3() *core.RealPlan3D { return p.r3 }
+func (p *Plan) R3() *rfft.Plan3D { return p.r3 }
 
 // Execute runs one out-of-place transform; inverse transforms are
 // normalized so Execute(inverse) ∘ Execute(forward) is the identity.
@@ -202,12 +205,12 @@ func (p *Plan) execute(dst, src []complex128, inverse bool, ar *kernels.Arena) e
 		if inverse {
 			return p.p2.Inverse(dst, src)
 		}
-		return p.p2.Forward(dst, src)
+		return p.p2.Transform(dst, src, fft1d.Forward)
 	default:
 		if inverse {
 			return p.p3.Inverse(dst, src)
 		}
-		return p.p3.Forward(dst, src)
+		return p.p3.Transform(dst, src, fft1d.Forward)
 	}
 }
 

@@ -125,8 +125,8 @@ func TestRank1KeysShareOnePlan(t *testing.T) {
 		"workers":  func(c *core.Config) { c.DataWorkers, c.ComputeWorkers, c.Workers = 2, 2, 4 },
 		"buffer":   func(c *core.Config) { c.BufferElems = 1 << 14 },
 		"mu":       func(c *core.Config) { c.Mu = 4 },
-		"fusion":   func(c *core.Config) { c.StageFusion = false },
-		"strategy": func(c *core.Config) { c.Strategy = core.StrategyPencil },
+		"unfused":  func(c *core.Config) { c.Unfused = true },
+		"strategy": func(c *core.Config) { c.Strategy = core.Pencil },
 		"roofline": func(c *core.Config) { c.RooflineGBs = 12 },
 	} {
 		k := base

@@ -176,9 +176,6 @@ type Graph struct {
 	// scaleInStage: a non-zero run scale may be applied by the last stage's
 	// compute hook, bitwise equal to scaling the destination afterwards.
 	scaleInStage bool
-	// policy and destBytes drive ReviseStorePolicy.
-	policy    StorePolicy
-	destBytes int
 }
 
 // bind points the stages that use the caller's arrays at them (zero
@@ -299,7 +296,7 @@ func (p Pencils) Build() (*Graph, error) {
 		total *= d
 	}
 	total /= mu
-	g := &Graph{mu: mu, dir: &direction{}, policy: p.StorePolicy}
+	g := &Graph{mu: mu, dir: &direction{}}
 	var chain []pencil
 	for i := 0; i < D; i++ {
 		axis := D - 1 - i
@@ -469,9 +466,8 @@ func (p Pencils) Build() (*Graph, error) {
 		// butterfly that holds only when the scale is a power of two (exact,
 		// so it commutes with the butterfly's adds).
 		n := total * mu
-		g.destBytes = n * complexBytes
 		g.scaleInStage = g.stages[nStages-1].StoreRadix == 0 || n&(n-1) == 0
-		ApplyStorePolicy(g.stages, p.StorePolicy.Decide(g.destBytes, machine.HostLLCBytes()))
+		ApplyStorePolicy(g.stages, p.StorePolicy.Decide(n*complexBytes, machine.HostLLCBytes()))
 	}
 	return g, nil
 }

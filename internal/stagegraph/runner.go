@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/fft1d"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -301,31 +300,6 @@ func (r *Runner) NonTemporalStages() int {
 		}
 	}
 	return nt
-}
-
-// ReviseStorePolicy re-decides the per-stage store tier from the bandwidth
-// telemetry collected so far: StoreAuto graphs whose measured store
-// bandwidth runs below half the roofline (or whose data time diverges ≥1.5×
-// from the perf model) on a spilling footprint switch that stage to
-// streaming stores; stages whose footprint fits in cache revert. Forced
-// policies never revise. It returns the number of stages whose tier
-// changed. Call it between transforms — typically after a warmup run.
-func (r *Runner) ReviseStorePolicy() int {
-	if r == nil {
-		return 0
-	}
-	r.lock.Lock()
-	defer r.lock.Unlock()
-	if r.closed {
-		return 0
-	}
-	changed := 0
-	for _, c := range r.graphs {
-		if c.policy == StoreAuto && c.destBytes > 0 {
-			changed += ReviseStores(c.stages, c.obs.Snapshot(), machine.HostLLCBytes(), c.destBytes)
-		}
-	}
-	return changed
 }
 
 // ScalesInStage reports whether graph g applies a run's Scale in its last

@@ -106,8 +106,8 @@ type Stage struct {
 	// contract. Set it when the destination footprint exceeds the LLC:
 	// regular stores would read each line for ownership before
 	// overwriting it; streaming stores skip that third traffic stream.
-	// See StorePolicy and ReviseStores for the plan- and run-time
-	// deciders. Harmless (silent fallback) on hosts without the tier.
+	// StorePolicy is the plan-time decider. Harmless (silent fallback) on
+	// hosts without the tier.
 	NonTemporal bool
 	// StoreRadix, when 4, folds the final Stockham stage of the pencil
 	// transform into the store leg: the compute hook runs the plan's stage

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/layout"
-	"repro/internal/obs"
 )
 
 // StorePolicy selects how a compiled graph's block stores reach memory.
@@ -82,67 +81,6 @@ func ApplyStorePolicy(stages []Stage, nt bool) int {
 	for i := range stages {
 		if stages[i].NonTemporal != nt {
 			stages[i].NonTemporal = nt
-			changed++
-		}
-	}
-	return changed
-}
-
-// Revision thresholds: a stage is judged RFO-bound when its measured
-// store bandwidth runs below reviseFracPeak of the roofline, or when its
-// measured data time diverges from the perf model by reviseDivergence —
-// both symptoms of the hidden read-for-ownership stream the model does
-// not charge for.
-const (
-	reviseFracPeak   = 0.5
-	reviseDivergence = 1.5
-)
-
-// ReviseStores re-decides each stage's NonTemporal flag from measured
-// telemetry, the machine model's LLC size, and the transform's per-stage
-// destination footprint. The footprint rule is primary: stages whose
-// destination fits comfortably in cache (≤ llcBytes/2) always run
-// cached stores. For spilling footprints, a stage with telemetry flips
-// to streaming stores only when the measurements show the RFO symptom
-// (store FracPeak < 0.5 of the roofline, or data-time divergence ≥ 1.5×
-// the model); a spilling stage with no matching telemetry falls back to
-// the footprint-only StoreAuto rule. It returns the number of stages
-// whose flag changed, so callers can skip replanning when nothing moved.
-func ReviseStores(stages []Stage, snap obs.Snapshot, llcBytes, destBytes int) int {
-	changed := 0
-	if !layout.NonTemporalAvailable() {
-		return ApplyStorePolicy(stages, false)
-	}
-	byName := make(map[string]obs.StageSnapshot, len(snap.Stages))
-	for _, ss := range snap.Stages {
-		byName[ss.Name] = ss
-	}
-	spills := llcBytes > 0 && destBytes > llcBytes/2
-	for i := range stages {
-		st := &stages[i]
-		want := st.NonTemporal
-		switch {
-		case !spills:
-			want = false
-		case st.NonTemporal:
-			// Already streaming over a spilling footprint: keep. (A
-			// stage that streaming made slower would show as low
-			// FracPeak too — distinguishing the two needs an A/B
-			// measurement, which is the autotuner's job, not ours.)
-		default:
-			ss, ok := byName[st.Name]
-			if !ok {
-				want = true // no telemetry: footprint-only rule
-				break
-			}
-			lowBW := ss.FracPeak > 0 && ss.FracPeak < reviseFracPeak
-			diverged := ss.DataDivergence >= reviseDivergence
-			if lowBW || diverged {
-				want = true
-			}
-		}
-		if want != st.NonTemporal {
-			st.NonTemporal = want
 			changed++
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"repro/internal/layout"
-	"repro/internal/obs"
 )
 
 func TestStorePolicyStringParseRoundTrip(t *testing.T) {
@@ -63,63 +62,6 @@ func TestApplyStorePolicy(t *testing.T) {
 	}
 	if changed := ApplyStorePolicy(stages, false); changed != 3 {
 		t.Fatalf("ApplyStorePolicy(false) changed %d; want 3", changed)
-	}
-}
-
-func TestReviseStores(t *testing.T) {
-	const llc = 8 << 20
-	snap := obs.Snapshot{Stages: []obs.StageSnapshot{
-		{Name: "rfo-bound", FracPeak: 0.3},
-		{Name: "healthy", FracPeak: 0.9},
-		{Name: "diverged", FracPeak: 0.9, DataDivergence: 2.0},
-	}}
-	mk := func() []Stage {
-		return []Stage{
-			{Name: "rfo-bound"}, {Name: "healthy"}, {Name: "diverged"}, {Name: "unmeasured"},
-		}
-	}
-
-	if !layout.NonTemporalAvailable() {
-		stages := mk()
-		stages[0].NonTemporal = true
-		if changed := ReviseStores(stages, snap, llc, llc*4); changed != 1 {
-			t.Fatalf("without NT tier: changed %d; want 1 (clear)", changed)
-		}
-		for i := range stages {
-			if stages[i].NonTemporal {
-				t.Fatalf("without NT tier stage %d left NonTemporal", i)
-			}
-		}
-		return
-	}
-
-	// Spilling footprint: the RFO-bound and diverged stages flip to
-	// streaming, the healthy measured stage stays cached, and the stage
-	// with no telemetry follows the footprint rule.
-	stages := mk()
-	if changed := ReviseStores(stages, snap, llc, llc*4); changed != 3 {
-		t.Fatalf("spilling revise changed %d; want 3", changed)
-	}
-	wantNT := []bool{true, false, true, true}
-	for i, w := range wantNT {
-		if stages[i].NonTemporal != w {
-			t.Fatalf("spilling revise: stage %q NonTemporal=%v, want %v",
-				stages[i].Name, stages[i].NonTemporal, w)
-		}
-	}
-	// Idempotent on a second pass with the same telemetry.
-	if changed := ReviseStores(stages, snap, llc, llc*4); changed != 0 {
-		t.Fatalf("second revise changed %d; want 0", changed)
-	}
-
-	// Cache-resident footprint: everything reverts to cached stores.
-	if changed := ReviseStores(stages, snap, llc, llc/4); changed != 3 {
-		t.Fatalf("resident revise changed %d; want 3", changed)
-	}
-	for i := range stages {
-		if stages[i].NonTemporal {
-			t.Fatalf("resident revise left stage %q streaming", stages[i].Name)
-		}
 	}
 }
 

@@ -3,13 +3,15 @@
 // store tier — empirically on the host, the way FFTW's planner or SPIRAL's
 // search would. The paper fixes these by rule (b = LLC/2, half the threads
 // per role); the tuner exists for hosts whose cache/thread geometry is
-// unknown, and its results can be persisted as "wisdom" (JSON) and replayed.
+// unknown, and cmd/ffttune records its winners as "wisdom" (JSON), which
+// LoadWisdom validates; no plan constructor reads the file.
 package tune
 
 import (
 	"fmt"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
 	"repro/internal/fft2d"
 	"repro/internal/fft3d"
@@ -36,16 +38,24 @@ type Candidate struct {
 	Fuse string `json:"fuse,omitempty"`
 }
 
-// disableFold maps the fuse axis onto the plans' DisableStoreFold knob,
-// reporting an error for unknown values.
-func (c Candidate) disableFold() (bool, error) {
-	switch c.Fuse {
-	case "", "auto", "on":
-		return false, nil
-	case "off":
-		return true, nil
+// Config converts the candidate to the plan configuration it names — the
+// one place the wisdom schema meets core.Config — reporting an unknown
+// store-policy or fuse value.
+func (c Candidate) Config() (core.Config, error) {
+	sp, err := stagegraph.ParseStorePolicy(c.StorePolicy)
+	if err != nil {
+		return core.Config{}, err
 	}
-	return false, fmt.Errorf("tune: unknown fuse value %q", c.Fuse)
+	switch c.Fuse {
+	case "", "auto", "on", "off":
+	default:
+		return core.Config{}, fmt.Errorf("tune: unknown fuse value %q", c.Fuse)
+	}
+	return core.Config{
+		Mu: c.Mu, BufferElems: c.BufferElems,
+		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
+		Radix: c.Radix, StorePolicy: sp, DisableStoreFold: c.Fuse == "off",
+	}, nil
 }
 
 func (c Candidate) String() string {
@@ -61,24 +71,13 @@ func (c Candidate) String() string {
 		c.BufferElems, c.DataWorkers, c.ComputeWorkers, c.Mu, c.Radix, sp, fu)
 }
 
-// storePolicy parses the candidate's store-policy axis.
-func (c Candidate) storePolicy() (stagegraph.StorePolicy, error) {
-	return stagegraph.ParseStorePolicy(c.StorePolicy)
-}
-
 // feasible reports whether the candidate can execute a transform whose
 // fastest axis is m: the cacheline granularity μ must tile the rows it
-// blocks, and the store policy must parse. This is the single shared
-// filter both tuners apply before building a plan, so an infeasible
-// point is skipped instead of erroring.
+// blocks, and the candidate must convert. An infeasible point is skipped
+// instead of erroring.
 func (c Candidate) feasible(m int) bool {
-	if _, err := c.storePolicy(); err != nil {
-		return false
-	}
-	if _, err := c.disableFold(); err != nil {
-		return false
-	}
-	return c.Mu >= 1 && m%c.Mu == 0
+	_, err := c.Config()
+	return err == nil && c.Mu >= 1 && m%c.Mu == 0
 }
 
 // Result is a measured candidate.
@@ -166,14 +165,20 @@ func (s Space) candidates() []Candidate {
 	return out
 }
 
-// Tune3D measures every candidate on a real k×n×m transform (reps times,
-// best time kept) and returns the winner plus all results sorted by the
-// search order. Candidates incompatible with the size (μ ∤ m) are skipped.
-func Tune3D(k, n, m int, space Space, reps int) (Result, []Result, error) {
-	if reps < 1 {
-		reps = 1
+// Tune measures every candidate on a real transform of shape dims — n×m or
+// k×n×m — reps times, best time kept, and returns the winner plus all
+// results in search order. Candidates incompatible with the size (μ ∤ m) are
+// skipped.
+func Tune(dims []int, space Space, reps int) (Result, []Result, error) {
+	if len(dims) != 2 && len(dims) != 3 {
+		return Result{}, nil, fmt.Errorf("tune: need 2 or 3 dimensions, got %v", dims)
 	}
-	x := make([]complex128, k*n*m)
+	reps = max(reps, 1)
+	elems := 1
+	for _, d := range dims {
+		elems *= d
+	}
+	x := make([]complex128, elems)
 	for i := range x {
 		x[i] = complex(float64(i%31)-15, float64(i%17)-8)
 	}
@@ -182,21 +187,25 @@ func Tune3D(k, n, m int, space Space, reps int) (Result, []Result, error) {
 	var all []Result
 	best := Result{Seconds: -1}
 	for _, c := range space.candidates() {
-		if !c.feasible(m) {
+		if !c.feasible(dims[len(dims)-1]) {
 			continue
 		}
-		sp, _ := c.storePolicy()
-		nofold, _ := c.disableFold()
-		p, err := fft3d.NewPlan(k, n, m, fft3d.Options{
-			Strategy: fft3d.DoubleBuf, Mu: c.Mu, BufferElems: c.BufferElems,
-			DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-			Radix: c.Radix, StorePolicy: sp,
-			DisableStoreFold: nofold,
-		})
+		cfg, _ := c.Config()
+		var p interface {
+			Transform(dst, src []complex128, sign int) error
+			Close()
+		}
+		var err error
+		if len(dims) == 2 {
+			p, err = fft2d.NewPlan(dims[0], dims[1], cfg)
+		} else {
+			p, err = fft3d.NewPlan(dims[0], dims[1], dims[2], cfg)
+		}
 		if err != nil {
 			return Result{}, nil, err
 		}
 		secs, err := timeBest(reps, func() error { return p.Transform(y, x, fft1d.Forward) })
+		p.Close()
 		if err != nil {
 			return Result{}, nil, err
 		}
@@ -207,51 +216,7 @@ func Tune3D(k, n, m int, space Space, reps int) (Result, []Result, error) {
 		}
 	}
 	if best.Seconds < 0 {
-		return Result{}, nil, fmt.Errorf("tune: no feasible candidate for %dx%dx%d", k, n, m)
-	}
-	return best, all, nil
-}
-
-// Tune2D is Tune3D for the 2D transform.
-func Tune2D(n, m int, space Space, reps int) (Result, []Result, error) {
-	if reps < 1 {
-		reps = 1
-	}
-	x := make([]complex128, n*m)
-	for i := range x {
-		x[i] = complex(float64(i%29)-14, float64(i%19)-9)
-	}
-	y := make([]complex128, len(x))
-
-	var all []Result
-	best := Result{Seconds: -1}
-	for _, c := range space.candidates() {
-		if !c.feasible(m) {
-			continue
-		}
-		sp, _ := c.storePolicy()
-		nofold, _ := c.disableFold()
-		p, err := fft2d.NewPlan(n, m, fft2d.Options{
-			Strategy: fft2d.DoubleBuf, Mu: c.Mu, BufferElems: c.BufferElems,
-			DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-			Radix: c.Radix, StorePolicy: sp,
-			DisableStoreFold: nofold,
-		})
-		if err != nil {
-			return Result{}, nil, err
-		}
-		secs, err := timeBest(reps, func() error { return p.Transform(y, x, fft1d.Forward) })
-		if err != nil {
-			return Result{}, nil, err
-		}
-		r := Result{Candidate: c, Seconds: secs}
-		all = append(all, r)
-		if best.Seconds < 0 || secs < best.Seconds {
-			best = r
-		}
-	}
-	if best.Seconds < 0 {
-		return Result{}, nil, fmt.Errorf("tune: no feasible candidate for %dx%d", n, m)
+		return Result{}, nil, fmt.Errorf("tune: no feasible candidate for %v", dims)
 	}
 	return best, all, nil
 }

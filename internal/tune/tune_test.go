@@ -2,6 +2,7 @@ package tune
 
 import (
 	"bytes"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -16,7 +17,7 @@ func smallSpace() Space {
 }
 
 func TestTune3DFindsABest(t *testing.T) {
-	best, all, err := Tune3D(16, 16, 16, smallSpace(), 1)
+	best, all, err := Tune([]int{16, 16, 16}, smallSpace(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestTune3DFindsABest(t *testing.T) {
 }
 
 func TestTune2DFindsABest(t *testing.T) {
-	best, all, err := Tune2D(32, 32, smallSpace(), 1)
+	best, all, err := Tune([]int{32, 32}, smallSpace(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func TestTune2DFindsABest(t *testing.T) {
 func TestTuneSkipsInfeasibleMu(t *testing.T) {
 	space := smallSpace()
 	space.Mus = []int{4, 5} // 5 ∤ 16
-	_, all, err := Tune3D(16, 16, 16, space, 1)
+	_, all, err := Tune([]int{16, 16, 16}, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestTuneSkipsInfeasibleMu(t *testing.T) {
 	}
 	// Nothing feasible at all:
 	space.Mus = []int{5}
-	if _, _, err := Tune3D(16, 16, 16, space, 1); err == nil {
+	if _, _, err := Tune([]int{16, 16, 16}, space, 1); err == nil {
 		t.Fatal("expected error when no candidate is feasible")
 	}
 }
@@ -86,8 +87,8 @@ func TestCandidateString(t *testing.T) {
 func TestWisdomRoundTrip(t *testing.T) {
 	w := NewWisdom()
 	c := Candidate{BufferElems: 1 << 14, DataWorkers: 2, ComputeWorkers: 2, Mu: 4, Radix: 8}
-	w.Put(Key3D(512, 512, 512), c)
-	w.Put(Key2D(1024, 1024), Candidate{BufferElems: 1 << 12, DataWorkers: 1, ComputeWorkers: 3, Mu: 4})
+	w.Put(Key(512, 512, 512), c)
+	w.Put(Key(1024, 1024), Candidate{BufferElems: 1 << 12, DataWorkers: 1, ComputeWorkers: 3, Mu: 4})
 
 	var buf bytes.Buffer
 	if err := w.Save(&buf); err != nil {
@@ -100,7 +101,7 @@ func TestWisdomRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ok := w2.Get(Key3D(512, 512, 512))
+	got, ok := w2.Get(Key(512, 512, 512))
 	if !ok || got != c {
 		t.Fatalf("loaded %+v, want %+v", got, c)
 	}
@@ -140,7 +141,7 @@ func TestWisdomRejectsCorruption(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", ok, err)
 		}
-		if c, found := w.Get(Key3D(8, 8, 8)); !found || c.BufferElems != 64 {
+		if c, found := w.Get(Key(8, 8, 8)); !found || c.BufferElems != 64 {
 			t.Fatalf("%s: loaded %+v", ok, c)
 		}
 	}
@@ -156,7 +157,7 @@ func TestStorePolicyAxis(t *testing.T) {
 	space.Workers = [][2]int{{1, 1}}
 	space.Buffers = []int{256}
 	space.StorePolicies = []string{"regular", "nt"}
-	best, all, err := Tune3D(16, 16, 16, space, 1)
+	best, all, err := Tune([]int{16, 16, 16}, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestStorePolicyAxis(t *testing.T) {
 	}
 	// An unparseable policy is infeasible, not an error.
 	space.StorePolicies = []string{"bogus"}
-	if _, _, err := Tune3D(16, 16, 16, space, 1); err == nil {
+	if _, _, err := Tune([]int{16, 16, 16}, space, 1); err == nil {
 		t.Fatal("expected error when every candidate is infeasible")
 	}
 }
@@ -186,7 +187,7 @@ func TestFuseAxis(t *testing.T) {
 	space.Workers = [][2]int{{1, 1}}
 	space.Buffers = []int{256}
 	space.Fuses = []string{"on", "off"}
-	best, all, err := Tune3D(16, 16, 16, space, 1)
+	best, all, err := Tune([]int{16, 16, 16}, space, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +206,7 @@ func TestFuseAxis(t *testing.T) {
 	}
 	// An unknown fuse value is infeasible, not an error.
 	space.Fuses = []string{"sideways"}
-	if _, _, err := Tune3D(16, 16, 16, space, 1); err == nil {
+	if _, _, err := Tune([]int{16, 16, 16}, space, 1); err == nil {
 		t.Fatal("expected error when every candidate is infeasible")
 	}
 }
@@ -214,7 +215,7 @@ func TestWisdomFuseAndRadix16Validation(t *testing.T) {
 	// Radix 16 and every fuse spelling round-trip.
 	w := NewWisdom()
 	c := Candidate{BufferElems: 1 << 12, DataWorkers: 1, ComputeWorkers: 1, Mu: 4, Radix: 16, Fuse: "off"}
-	w.Put(Key2D(256, 256), c)
+	w.Put(Key(256, 256), c)
 	var buf bytes.Buffer
 	if err := w.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -223,7 +224,7 @@ func TestWisdomFuseAndRadix16Validation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := w2.Get(Key2D(256, 256)); !ok || got != c {
+	if got, ok := w2.Get(Key(256, 256)); !ok || got != c {
 		t.Fatalf("loaded %+v, want %+v", got, c)
 	}
 	// An unknown fuse value is rejected at load time.
@@ -231,4 +232,33 @@ func TestWisdomFuseAndRadix16Validation(t *testing.T) {
 	if _, err := LoadWisdom(strings.NewReader(badFuse)); err == nil {
 		t.Fatal("accepted invalid fuse setting")
 	}
+}
+
+// FuzzLoadWisdom feeds LoadWisdom the bytes of a file from outside the
+// process: it must not panic, whatever it accepts must survive Save →
+// LoadWisdom with equal entries, and every accepted candidate must convert
+// to the plan configuration (a file that loads names plans that build).
+func FuzzLoadWisdom(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		w, err := LoadWisdom(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for k, c := range w.Entries {
+			if _, err := c.Config(); err != nil {
+				t.Fatalf("loaded entry %q does not convert: %v", k, err)
+			}
+		}
+		var buf bytes.Buffer
+		if err := w.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		w2, err := LoadWisdom(&buf)
+		if err != nil {
+			t.Fatalf("saved store does not load: %v\n%s", err, buf.String())
+		}
+		if !maps.Equal(w.Entries, w2.Entries) {
+			t.Fatalf("entries changed across Save/LoadWisdom:\n%v\n%v", w.Entries, w2.Entries)
+		}
+	})
 }

@@ -10,7 +10,7 @@ import (
 )
 
 // Wisdom persists tuned candidates per transform shape, in the spirit of
-// FFTW's wisdom files. Keys are produced by Key2D/Key3D.
+// FFTW's wisdom files. Keys are produced by Key.
 type Wisdom struct {
 	Entries map[string]Candidate `json:"entries"`
 }
@@ -20,11 +20,15 @@ func NewWisdom() *Wisdom {
 	return &Wisdom{Entries: make(map[string]Candidate)}
 }
 
-// Key3D returns the wisdom key for a k×n×m transform.
-func Key3D(k, n, m int) string { return fmt.Sprintf("3d:%d:%d:%d", k, n, m) }
-
-// Key2D returns the wisdom key for an n×m transform.
-func Key2D(n, m int) string { return fmt.Sprintf("2d:%d:%d", n, m) }
+// Key returns the wisdom key for a transform of shape dims: "2d:n:m" or
+// "3d:k:n:m".
+func Key(dims ...int) string {
+	key := fmt.Sprintf("%dd", len(dims))
+	for _, d := range dims {
+		key += fmt.Sprintf(":%d", d)
+	}
+	return key
+}
 
 // Put stores a candidate under key.
 func (w *Wisdom) Put(key string, c Candidate) { w.Entries[key] = c }
@@ -81,11 +85,8 @@ func LoadWisdom(in io.Reader) (*Wisdom, error) {
 		if fft1d.CheckRadix("tune", c.Radix) != nil {
 			return nil, fmt.Errorf("tune: wisdom entry %q has invalid radix %d", k, c.Radix)
 		}
-		if _, err := c.storePolicy(); err != nil {
-			return nil, fmt.Errorf("tune: wisdom entry %q has invalid store policy %q", k, c.StorePolicy)
-		}
-		if _, err := c.disableFold(); err != nil {
-			return nil, fmt.Errorf("tune: wisdom entry %q has invalid fuse setting %q", k, c.Fuse)
+		if _, err := c.Config(); err != nil {
+			return nil, fmt.Errorf("tune: wisdom entry %q: %w", k, err)
 		}
 	}
 	return &w, nil
