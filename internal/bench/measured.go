@@ -89,7 +89,7 @@ func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 		}
 		y := make([]complex128, elems)
 
-		secs := map[string]float64{}
+		secs := map[core.Strategy]float64{}
 		for _, strat := range []core.Strategy{core.Pencil, core.Slab, core.DoubleBuf} {
 			p, err := fft3d.NewPlan(s[0], s[1], s[2], core.Config{
 				Strategy: strat, BufferElems: cfg.BufferElems,
@@ -105,13 +105,13 @@ func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 			if err != nil {
 				return err
 			}
-			secs[strat.String()] = d.Seconds()
+			secs[strat] = d.Seconds()
 		}
 		peak := perfmodel.AchievablePeakGflops(elems, 3, cfg.HostBWGBs)
-		db := perfmodel.PseudoGflops(elems, secs["doublebuf"])
+		db := perfmodel.PseudoGflops(elems, secs[core.DoubleBuf])
 		fmt.Fprintf(tw, "%dx%dx%d\t%.4fs\t%.4fs\t%.4fs\t%.0f%%\t%.2fx\n",
-			s[0], s[1], s[2], secs["pencil"], secs["slab"], secs["doublebuf"],
-			db/peak*100, secs["pencil"]/secs["doublebuf"])
+			s[0], s[1], s[2], secs[core.Pencil], secs[core.Slab], secs[core.DoubleBuf],
+			db/peak*100, secs[core.Pencil]/secs[core.DoubleBuf])
 	}
 	return tw.Flush()
 }
@@ -134,7 +134,7 @@ func Measured2D(w io.Writer, cfg MeasuredConfig) error {
 		}
 		y := make([]complex128, elems)
 
-		secs := map[string]float64{}
+		secs := map[core.Strategy]float64{}
 		for _, strat := range []core.Strategy{core.Pencil, core.DoubleBuf} {
 			p, err := fft2d.NewPlan(s[0], s[1], core.Config{
 				Strategy: strat, BufferElems: cfg.BufferElems,
@@ -150,13 +150,13 @@ func Measured2D(w io.Writer, cfg MeasuredConfig) error {
 			if err != nil {
 				return err
 			}
-			secs[strat.String()] = d.Seconds()
+			secs[strat] = d.Seconds()
 		}
 		peak := perfmodel.AchievablePeakGflops(elems, 2, cfg.HostBWGBs)
-		db := perfmodel.PseudoGflops(elems, secs["doublebuf"])
+		db := perfmodel.PseudoGflops(elems, secs[core.DoubleBuf])
 		fmt.Fprintf(tw, "%dx%d\t%.4fs\t%.4fs\t%.0f%%\t%.2fx\n",
-			s[0], s[1], secs["pencil"], secs["doublebuf"],
-			db/peak*100, secs["pencil"]/secs["doublebuf"])
+			s[0], s[1], secs[core.Pencil], secs[core.DoubleBuf],
+			db/peak*100, secs[core.Pencil]/secs[core.DoubleBuf])
 	}
 	return tw.Flush()
 }

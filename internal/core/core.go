@@ -187,11 +187,15 @@ func (c Config) Model() *perfmodel.Model {
 	return mo
 }
 
-// Pencils starts pkg's graph descriptor for complex extents dims (slowest
-// first): the 1D sub-plans and every field the configuration fixes. The
+// Pencils validates the configuration and starts pkg's graph descriptor for
+// complex extents dims (slowest first): the 1D sub-plans and every field the
+// configuration fixes. The
 // caller adds the arrays and, for real or partitioned transforms, the
 // endpoints and the shard.
 func (c Config) Pencils(pkg string, dims ...int) (stagegraph.Pencils, error) {
+	if c.Strategy < 0 || int(c.Strategy) >= len(strategyNames) {
+		return stagegraph.Pencils{}, fmt.Errorf("%s: unknown strategy %v", pkg, c.Strategy)
+	}
 	if err := fft1d.CheckRadix(pkg, c.Radix); err != nil {
 		return stagegraph.Pencils{}, err
 	}

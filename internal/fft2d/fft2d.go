@@ -52,16 +52,9 @@ func NewPlan(n, m int, cfg core.Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
 	p := &Plan{n: n, m: m, cfg: cfg, colPlan: d.Plans[0], rowPlan: d.Plans[1]}
-	switch cfg.Strategy {
-	case core.Reference, core.Pencil, core.Slab:
+	if cfg.Strategy != core.DoubleBuf {
 		return p, nil
-	case core.DoubleBuf:
-	default:
-		return nil, fmt.Errorf("fft2d: unknown strategy %v", cfg.Strategy)
 	}
 	// Stage 1 reads src and leaves the blocked-transposed intermediate in
 	// the work array; stage 2 reads it and produces dst in the original

@@ -60,16 +60,9 @@ func NewPlan(k, n, m int, cfg core.Config) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Workers == 0 {
-		cfg.Workers = 1
-	}
 	p := &Plan{k: k, n: n, m: m, cfg: cfg, planK: d.Plans[0], planN: d.Plans[1], planM: d.Plans[2]}
-	switch cfg.Strategy {
-	case core.Reference, core.Pencil, core.Slab:
+	if cfg.Strategy != core.DoubleBuf {
 		return p, nil
-	case core.DoubleBuf:
-	default:
-		return nil, fmt.Errorf("fft3d: unknown strategy %v", cfg.Strategy)
 	}
 	// Array flow: stage 1 src→dst, stage 2 dst→work, stage 3 work→dst, so
 	// the input is preserved and only one internal work array is needed.

@@ -71,15 +71,6 @@ func (c Candidate) String() string {
 		c.BufferElems, c.DataWorkers, c.ComputeWorkers, c.Mu, c.Radix, sp, fu)
 }
 
-// feasible reports whether the candidate can execute a transform whose
-// fastest axis is m: the cacheline granularity μ must tile the rows it
-// blocks, and the candidate must convert. An infeasible point is skipped
-// instead of erroring.
-func (c Candidate) feasible(m int) bool {
-	_, err := c.Config()
-	return err == nil && c.Mu >= 1 && m%c.Mu == 0
-}
-
 // Result is a measured candidate.
 type Result struct {
 	Candidate
@@ -167,8 +158,9 @@ func (s Space) candidates() []Candidate {
 
 // Tune measures every candidate on a real transform of shape dims — n×m or
 // k×n×m — reps times, best time kept, and returns the winner plus all
-// results in search order. Candidates incompatible with the size (μ ∤ m) are
-// skipped.
+// results in search order. A candidate that cannot run the shape — μ does
+// not tile the fastest axis, or it does not convert — is skipped, not an
+// error.
 func Tune(dims []int, space Space, reps int) (Result, []Result, error) {
 	if len(dims) != 2 && len(dims) != 3 {
 		return Result{}, nil, fmt.Errorf("tune: need 2 or 3 dimensions, got %v", dims)
@@ -187,15 +179,14 @@ func Tune(dims []int, space Space, reps int) (Result, []Result, error) {
 	var all []Result
 	best := Result{Seconds: -1}
 	for _, c := range space.candidates() {
-		if !c.feasible(dims[len(dims)-1]) {
+		cfg, err := c.Config()
+		if err != nil || c.Mu < 1 || dims[len(dims)-1]%c.Mu != 0 {
 			continue
 		}
-		cfg, _ := c.Config()
 		var p interface {
 			Transform(dst, src []complex128, sign int) error
 			Close()
 		}
-		var err error
 		if len(dims) == 2 {
 			p, err = fft2d.NewPlan(dims[0], dims[1], cfg)
 		} else {
