@@ -20,10 +20,10 @@ PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
               ./internal/tune ./internal/machine ./internal/wire
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck race bench \
-        microbench benchsmoke benchjson benchcmp servesmoke obssmoke \
+        microbench benchsmoke rulersmoke servesmoke obssmoke \
         shardsmoke tracesmoke fuzzsmoke fmt loc serveprobe
 
-ci: vet lint build crossbuild asmcheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke benchjson benchcmp
+ci: vet lint build crossbuild asmcheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke rulersmoke
 
 vet:
 	$(GO) vet ./...
@@ -124,6 +124,12 @@ fuzzsmoke:
 bench:
 	$(GO) run ./benchmark
 
+# One short pass of the ruler in ci: STREAM, the per-layer probes and one
+# verified cache2d pass, so the one measuring program is proven to build and
+# run to a zero exit. It measures nothing worth quoting at this length.
+rulersmoke:
+	$(GO) run ./benchmark -workload cache2d -seconds 1
+
 # The serving layer with both vCPUs busy: one timed serve1d pass, then the
 # traced pass that yields the serve.* layer metrics. The gate runs at
 # GOMAXPROCS = nproc − 1 = 1, where two closed-loop clients share one thread
@@ -156,21 +162,6 @@ servesmoke:
 # bandwidth gauges for the plans the smoke requests built.
 obssmoke:
 	$(GO) run ./cmd/fftserved -selftest 16 -roofline 10
-
-# Machine-readable benchmark snapshot (ns/op, B/op, GB/s, fraction of this
-# host's STREAM copy peak, per-stage roofline breakdown) for tracking the
-# performance trajectory across commits. Emits BENCH_<timestamp>.json in
-# the repo root. Pinned to GOMAXPROCS=1, the parallelism the committed
-# snapshots were measured at: benchcmp refuses to diff reports whose
-# GOMAXPROCS differ.
-benchjson:
-	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -benchjson BENCH_$$(date +%Y%m%d-%H%M%S).json
-
-# Regression gate: diff the newest two BENCH_*.json snapshots and fail on
-# any benchmark more than 10% worse. In ci this runs right after benchjson,
-# so the fresh snapshot is compared against the previous one.
-benchcmp:
-	$(GO) run ./cmd/benchcmp
 
 fmt:
 	gofmt -l .

@@ -11,8 +11,6 @@
 //	fftbench -fig 1            # one figure: 1, 9, 10, 11a, 11b, 11c, 11d
 //	fftbench -measured         # run the real implementations on this host
 //	fftbench -measured -dims 2 # the 2D sweep instead of 3D
-//	fftbench -benchjson out.json  # machine-readable kernel/transform bench
-//	                              # ("-" writes to stdout)
 //
 // Profiling a measured sweep (inspect with `go tool pprof`):
 //
@@ -28,6 +26,9 @@ import (
 
 	"repro/internal/accuracy"
 	"repro/internal/bench"
+	"repro/internal/cpufeat"
+	"repro/internal/kernels"
+	"repro/internal/layout"
 )
 
 func main() {
@@ -38,19 +39,16 @@ func main() {
 	pd := flag.Int("pd", 1, "data workers for measured runs")
 	pc := flag.Int("pc", 1, "compute workers for measured runs")
 	acc := flag.Bool("accuracy", false, "print the numerical-accuracy report instead of performance")
-	benchJSON := flag.String("benchjson", "", "write machine-readable benchmark JSON to this file (\"-\" = stdout)")
 	traceJSON := flag.String("tracejson", "", "run a traced pipeline demo and write Chrome trace_event JSON to this file (load in Perfetto)")
 	shardWorkers := flag.Int("shardworkers", 0, "with -tracejson: trace one sharded transform across an N-worker loopback cluster instead of the single-node demo")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	// Every run states the kernel configuration up front: benchmark
-	// numbers from different tiers are not comparable, and the JSON
-	// reports carry the same identification in their meta block.
-	meta := bench.CurrentMeta()
+	// Every run states the kernel configuration up front: numbers from
+	// different tiers are not comparable.
 	fmt.Fprintf(os.Stderr, "fftbench: cpu features: %s; kernel tier: %s; non-temporal stores: %v\n",
-		meta.CPUFeatures, meta.KernelTier, meta.NonTemporal)
+		cpufeat.Summary(), kernels.Tier(), layout.NonTemporalAvailable())
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -107,24 +105,6 @@ func main() {
 			}
 		}
 		fmt.Printf("\nChrome trace written to %s — open at ui.perfetto.dev\n", *traceJSON)
-		return
-	}
-
-	if *benchJSON != "" {
-		out := os.Stdout
-		if *benchJSON != "-" {
-			f, err := os.Create(*benchJSON)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "fftbench:", err)
-				os.Exit(1)
-			}
-			defer f.Close()
-			out = f
-		}
-		if err := bench.WriteJSON(out, bench.JSONConfig{}); err != nil {
-			fmt.Fprintln(os.Stderr, "fftbench:", err)
-			os.Exit(1)
-		}
 		return
 	}
 

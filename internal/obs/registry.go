@@ -8,9 +8,9 @@ import (
 
 // Registry is a process-wide directory of live collectors, keyed by a
 // human-readable plan label ("fft3d/64x64x64"). Plans register at build
-// time and unregister on Close; exporters (the fftserved /metrics endpoint,
-// benchjson) walk it to emit per-plan, per-stage series without holding
-// references to the plans themselves.
+// time and unregister on Close; the fftserved /metrics exposition walks it
+// to emit per-plan, per-stage series without holding references to the plans
+// themselves.
 type Registry struct {
 	mu      sync.Mutex
 	entries map[string]*Collector

@@ -223,8 +223,8 @@ func NewBuffers(elems int, staging bool) *Buffers {
 
 // complexBytes is the DRAM traffic of moving one complex element (two
 // float64s), the unit the telemetry layer accounts in.
-// It matches benchjson's 32·elems·stages model at 16 B per direction per
-// element, and is the quantity STREAM copy bandwidth is comparable against.
+// It matches the ruler's computed_gbs model (32·elems·stages) at 16 B per
+// direction per element, the quantity STREAM copy bandwidth is comparable against.
 const complexBytes = 16
 
 // load streams this worker's share of block `iter` from Src into buffer

@@ -58,6 +58,11 @@ func TestBinaryRoundTripAndNegotiation(t *testing.T) {
 	if n := resp.Header.Get("X-Req-Bytes"); n != fmt.Sprint(8*len(words)) {
 		t.Errorf("request bytes %s, want %d", n, 8*len(words))
 	}
+	// 16 bytes per complex element each way: the reply body is the operand
+	// and nothing else, as the request body was.
+	if resp.ContentLength != int64(8*len(words)) {
+		t.Errorf("reply is %d bytes, want %d", resp.ContentLength, 8*len(words))
+	}
 
 	// Binary in, Accept: application/json out.
 	finite := []float64{1, -2, 3.5, 4, 5, 0, 7, 8, 9, 10, 11, 12}
