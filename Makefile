@@ -21,7 +21,7 @@ PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck race bench \
         microbench benchsmoke rulersmoke servesmoke obssmoke \
-        shardsmoke tracesmoke fuzzsmoke fmt loc serveprobe
+        shardsmoke tracesmoke fuzzsmoke fmt loc serveprobe legprobe
 
 ci: vet lint build crossbuild asmcheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke rulersmoke
 
@@ -63,7 +63,8 @@ crossbuild:
 	GOARCH=arm64 GOOS=linux $(GO) build ./...
 
 # Regenerate the committed assembly (the AVX2 codelets, the 512-bit tier of
-# the radix-16 codelets, the non-temporal scatter) from the generator. Run
+# the radix-16 codelets, the non-temporal scatter and run-major gather, the
+# load leg's streamed copy) from the generator. Run
 # after editing internal/kernels/asm and commit the resulting .s files; ci
 # builds never invoke the generator.
 asmgen:
@@ -77,6 +78,7 @@ asmcheck: asmgen
 	git diff --exit-code -- internal/kernels/radix_avx2_amd64.s \
 	    internal/kernels/radix_avx512_amd64.s \
 	    internal/layout/scatter_avx2_amd64.s \
+	    internal/layout/copy_avx512_amd64.s \
 	    || { echo "asmcheck: generated assembly out of date — run 'make asmgen' and commit"; exit 1; }
 
 # The shard tier gets its own -short race pass: the full suite's 256³
@@ -140,6 +142,14 @@ rulersmoke:
 serveprobe:
 	GOMAXPROCS=2 $(GO) run ./benchmark -workload serve1d -seconds 10 -trace 0
 	GOMAXPROCS=2 $(GO) run ./benchmark -workload serve1d -seconds 10 -trace 1
+
+# The stage-leg budget of the paper's regime: 256³ and 4096² forward and
+# inverse on one thread, per stage the load / compute / store milliseconds
+# from Observability() deltas, Σ legs beside the wall, and each stage's
+# load + store beside the same run's streamed copy of 2·256 MiB. Ungated like
+# serveprobe; a hot-path PR quotes its before/after table in EXPERIMENTS.md.
+legprobe:
+	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -measured -legs -reps 5
 
 # The root package's go-test micro-benchmarks (figures, tables, public API).
 microbench:

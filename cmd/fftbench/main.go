@@ -11,6 +11,7 @@
 //	fftbench -fig 1            # one figure: 1, 9, 10, 11a, 11b, 11c, 11d
 //	fftbench -measured         # run the real implementations on this host
 //	fftbench -measured -dims 2 # the 2D sweep instead of 3D
+//	fftbench -measured -legs   # per-stage load/compute/store ms at 256³ and 4096² (make legprobe)
 //
 // Profiling a measured sweep (inspect with `go tool pprof`):
 //
@@ -36,6 +37,7 @@ func main() {
 	measured := flag.Bool("measured", false, "run the real implementations at host-feasible sizes")
 	dims := flag.Int("dims", 3, "2 or 3: dimensionality of the measured sweep")
 	reps := flag.Int("reps", 3, "repetitions per measured point (best is reported)")
+	legs := flag.Bool("legs", false, "with -measured: print the per-stage leg budget of 256³ and 4096² instead of the sweep (median of -reps)")
 	pd := flag.Int("pd", 1, "data workers for measured runs")
 	pc := flag.Int("pc", 1, "compute workers for measured runs")
 	acc := flag.Bool("accuracy", false, "print the numerical-accuracy report instead of performance")
@@ -111,9 +113,12 @@ func main() {
 	if *measured {
 		cfg := bench.MeasuredConfig{Reps: *reps, DataWorkers: *pd, ComputeWorkers: *pc}
 		var err error
-		if *dims == 2 {
+		switch {
+		case *legs:
+			err = bench.LegProbe(os.Stdout, *reps)
+		case *dims == 2:
 			err = bench.Measured2D(os.Stdout, cfg)
-		} else {
+		default:
 			err = bench.Measured3D(os.Stdout, cfg)
 		}
 		if err != nil {

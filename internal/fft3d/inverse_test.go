@@ -7,23 +7,26 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/layout"
 	"repro/internal/stagegraph"
 )
 
 // Inverse is, bitwise, Transform(…, fft1d.Inverse) followed by
 // fft1d.Scale(dst, 1/N) — whether the scale ran in the last stage's compute
 // leg (interleaved buffers with no fold on that stage, or any power-of-two
-// N) or as the pass over dst the remaining plans keep.
+// N), on the way out of a run-major streaming store, or as the pass over dst
+// the remaining plans keep.
 func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 	shapes := []struct {
 		k, n, m int
 		inStage bool // for the default (interleaved, fold on) options
+		inStore bool // streaming: z stores run-major (no fold) and carries the scale
 	}{
-		{16, 16, 16, true}, // pow2 N: scale ahead of the folded butterfly is exact
-		{8, 16, 32, true},
-		{16, 12, 8, false}, // z folds (k=16), N not a power of two: pass kept
-		{12, 16, 8, true},  // z does not fold (k=12): scale after the full DFT_k
-		{6, 10, 12, true},
+		{16, 16, 16, true, false}, // pow2 N: scale ahead of the folded butterfly is exact
+		{8, 16, 32, true, true},
+		{16, 12, 8, false, false}, // z folds (k=16), N not a power of two: pass kept
+		{12, 16, 8, true, true},   // z does not fold (k=12): scale after the full DFT_k
+		{6, 10, 12, true, true},
 	}
 	variants := []struct {
 		name string
@@ -52,6 +55,9 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 				defer p.Close()
 				if v.name == "default" && p.run.ScalesInStage(0) != sh.inStage {
 					t.Errorf("scaleInStage = %v, want %v", p.run.ScalesInStage(0), sh.inStage)
+				}
+				if want := sh.inStore && layout.NonTemporalAvailable(); v.name == "streaming" && p.run.ScalesInStore(0) != want {
+					t.Errorf("scale in the store leg = %v, want %v", p.run.ScalesInStore(0), want)
 				}
 				if v.name == "pencil" && p.run.ScalesInStage(0) {
 					t.Error("baseline plans must keep the scale pass")

@@ -23,7 +23,9 @@
 // at a fixed destination stride — the inner loop of every W write matrix.
 // The stagegraph store path calls it directly when a Rotation declares its
 // affine stride, so the whole hot store path runs through the unrolled
-// kernels below.
+// kernels below. GatherBlocks is the same movement walked destination-first
+// (one contiguous run per block index across a pipeline block's units), the
+// order the streaming store leg uses.
 //
 // All functions are plain sequential loops; parallelization happens a level
 // up (internal/pipeline and internal/stagegraph carve the index space across
@@ -61,6 +63,31 @@ func ScatterBlocks(dst, src []complex128, blocks, blockLen, dstOff, dstStride in
 		for j := 0; j < blocks; j++ {
 			copy(dst[d:d+blockLen], src[j*blockLen:(j+1)*blockLen])
 			d += dstStride
+		}
+	}
+}
+
+// GatherBlocks is the run-major store: it writes `runs` destination runs
+// dstStride elements apart, run r being the concatenation of block r of each
+// of `units` source units unitLen elements apart —
+// dst[r·dstStride + u·blockLen + i] = src[u·unitLen + r·blockLen + i]. It
+// writes what one ScatterBlocks call per unit (blocks = runs, dstOff =
+// u·blockLen) writes, in the order that makes every destination run one
+// contiguous stream of units·blockLen elements. A non-zero scale multiplies
+// every element on the way out, bitwise fft1d.Scale of the destination
+// afterwards (it is the same `x *= complex(s, 0)` over each finished run).
+func GatherBlocks(dst, src []complex128, runs, units, blockLen, unitLen, dstStride int, scale float64) {
+	cs := complex(scale, 0)
+	for r := 0; r < runs; r++ {
+		run := dst[r*dstStride : r*dstStride+units*blockLen]
+		for u := 0; u < units; u++ {
+			s := r*blockLen + u*unitLen
+			copy(run[u*blockLen:(u+1)*blockLen], src[s:s+blockLen])
+		}
+		if scale != 0 {
+			for i := range run {
+				run[i] *= cs
+			}
 		}
 	}
 }

@@ -10,3 +10,11 @@ func NonTemporalAvailable() bool { return false }
 func ScatterBlocksNT(dst, src []complex128, blocks, blockLen, dstOff, dstStride int) {
 	ScatterBlocks(dst, src, blocks, blockLen, dstOff, dstStride)
 }
+
+// GatherBlocksNT is GatherBlocks on builds without streaming stores.
+func GatherBlocksNT(dst, src []complex128, runs, units, blockLen, unitLen, dstStride int, scale float64) {
+	GatherBlocks(dst, src, runs, units, blockLen, unitLen, dstStride, scale)
+}
+
+// StoreFence is a no-op on builds without streaming stores.
+func StoreFence() {}

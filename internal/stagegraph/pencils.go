@@ -173,10 +173,25 @@ type Graph struct {
 	// batch graphs are one single-iteration stage whose unit count is the
 	// per-call row count.
 	batch bool
-	// scaleInStage: a non-zero run scale may be applied by the last stage's
-	// compute hook, bitwise equal to scaling the destination afterwards.
-	scaleInStage bool
+	// scaleAt is where a run's non-zero Scale is applied.
+	scaleAt scaleLeg
 }
+
+// scaleLeg names the place a run's Scale is applied; every choice is bitwise
+// fft1d.Scale over the destination after the run.
+type scaleLeg int
+
+const (
+	// scalePass: by that pass over the destination (graphs that fit neither
+	// of the others, and every graph that is never handed a scale).
+	scalePass scaleLeg = iota
+	// scaleCompute: by the last stage's compute hook, on the block it just
+	// transformed.
+	scaleCompute
+	// scaleStore: on the way out of the last stage's run-major store into
+	// the caller's array, riding its streaming kernel; no leg runs a sweep.
+	scaleStore
+)
 
 // bind points the stages that use the caller's arrays at them (zero
 // Endpoints unbind, so a parked runner does not pin the arrays).
@@ -464,10 +479,16 @@ func (p Pencils) Build() (*Graph, error) {
 		// blocks in its compute leg is the same fft1d.Scale on the same
 		// values a pass over the destination would apply; ahead of a folded
 		// butterfly that holds only when the scale is a power of two (exact,
-		// so it commutes with the butterfly's adds).
+		// so it commutes with the butterfly's adds). A run-major last store
+		// into the caller's array applies it instead, for no sweep at all.
 		n := total * mu
-		g.scaleInStage = g.stages[nStages-1].StoreRadix == 0 || n&(n-1) == 0
 		ApplyStorePolicy(g.stages, p.StorePolicy.Decide(n*complexBytes, machine.HostLLCBytes()))
+		switch last := &g.stages[nStages-1]; {
+		case p.Out.WriteC == nil && last.runMajor():
+			g.scaleAt = scaleStore
+		case last.StoreRadix == 0 || n&(n-1) == 0:
+			g.scaleAt = scaleCompute
+		}
 	}
 	return g, nil
 }
@@ -507,8 +528,12 @@ func rotation(c pencil, mu, base int) Rotation {
 		G = c.units
 	}
 	if c.pitch == 0 {
-		return Rotation{Blocks: c.blocks, BlockLen: mu, JStride: G * mu,
+		rot := Rotation{Blocks: c.blocks, BlockLen: mu, JStride: G * mu,
 			Map: func(g, j int) int { return base + (j*G+remap(g))*mu }}
+		if c.remap == nil {
+			rot.GStride = mu // consecutive units land in consecutive blocks
+		}
+		return rot
 	}
 	// The last rotation lands in natural row-major order: block u = j·G + g
 	// is block u mod rowBlks of row u / rowBlks.

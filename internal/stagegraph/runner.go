@@ -35,8 +35,9 @@ type Call struct {
 	// Sign is the transform direction for graphs that serve both.
 	Sign int
 	// Scale, when non-zero, multiplies the result (the 1/N of a normalised
-	// inverse): in the last stage's compute leg when that is bitwise equal
-	// to a pass over Out.C afterwards, else by that pass.
+	// inverse): on the way out of the last stage's run-major store, else in
+	// that stage's compute leg when that is bitwise equal to a pass over
+	// Out.C afterwards, else by that pass.
 	Scale float64
 	// Count is the row count of a batch graph's call.
 	Count int
@@ -158,10 +159,12 @@ func (r *Runner) Run(g int, c Call) error {
 	}
 	gr := r.graphs[g]
 	stages := gr.stages
-	post := c.Scale != 0 && !gr.scaleInStage
-	gr.dir.sign, gr.dir.scale = c.Sign, c.Scale
-	if post {
-		gr.dir.scale = 0
+	gr.dir.sign, gr.dir.scale = c.Sign, 0
+	switch gr.scaleAt {
+	case scaleCompute:
+		gr.dir.scale = c.Scale
+	case scaleStore:
+		stages[len(stages)-1].StoreScale = c.Scale
 	}
 	for i := range stages {
 		if stages[i].StoreRadix != 0 {
@@ -193,7 +196,7 @@ func (r *Runner) Run(g int, c Call) error {
 		return err
 	}
 	r.lastStats = st
-	if post {
+	if gr.scaleAt == scalePass && c.Scale != 0 {
 		fft1d.Scale(c.Out.C, c.Scale)
 	}
 	return nil
@@ -305,5 +308,11 @@ func (r *Runner) NonTemporalStages() int {
 // ScalesInStage reports whether graph g applies a run's Scale in its last
 // stage's compute leg rather than by a pass over the destination.
 func (r *Runner) ScalesInStage(g int) bool {
-	return r != nil && r.graphs[g].scaleInStage
+	return r != nil && r.graphs[g].scaleAt == scaleCompute
+}
+
+// ScalesInStore reports whether graph g applies a run's Scale on the way out
+// of its last stage's run-major store: no sweep in any leg.
+func (r *Runner) ScalesInStore(g int) bool {
+	return r != nil && r.graphs[g].scaleAt == scaleStore
 }

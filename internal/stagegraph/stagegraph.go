@@ -63,11 +63,19 @@ func (e Endpoint) valid(dst bool) bool {
 // and hoisted stride arithmetic per run instead of a Map call and a bounds-
 // checked copy per block. Leave JStride zero for irregular maps; the store
 // then falls back to calling Map per block.
+//
+// GStride, when non-zero, declares the map affine in g as well:
+// Map(g+1, j) = Map(g, j) + GStride for every g and j. A dense rotation has
+// GStride = BlockLen — block j of consecutive units lands in consecutive
+// blocks — which is what lets a streaming store walk a pipeline block
+// j-major and write each block index as one contiguous run (see store).
+// Leave it zero where the map is not (a row pitch, a shard remap).
 type Rotation struct {
 	Blocks   int
 	BlockLen int
 	Map      func(g, j int) int
 	JStride  int
+	GStride  int
 }
 
 // ComputeFn runs the batched pencil kernel of one stage over the unit
@@ -121,6 +129,12 @@ type Stage struct {
 	// compute sign. Zero means a plain store.
 	StoreRadix int
 	StoreSign  int
+	// StoreScale, when non-zero, multiplies every element on its way out of
+	// a run-major store (see runMajor) — bitwise fft1d.Scale over the
+	// destination afterwards, for no extra pass. Runners patch it per run
+	// with the 1/N of a normalised inverse; a stage that stores any other
+	// way refuses it (validate).
+	StoreScale float64
 	// Rot maps stored blocks to destination offsets; Blocks·BlockLen must
 	// equal the store unit length.
 	Rot Rotation
@@ -135,6 +149,21 @@ func (st *Stage) storeGeometry() (units, unitLen int) {
 		unitLen = st.UnitLen
 	}
 	return units, unitLen
+}
+
+// runMajor reports whether the store leg walks a pipeline block j-major —
+// for each block index j one contiguous destination run of Units·BlockLen
+// elements, gathered from the Units blocks UnitLen apart in the buffer half —
+// instead of unit-major. It needs a streaming stage (the order was measured
+// only out of cache), a map affine in both indices whose units land adjacent
+// and a plain store; where any of these fails (radix-4 fold stages, pitched
+// spectrum rows, shard remaps) the unit-major walk stays. The destination
+// must also be a plain complex array, which store and validate check once it
+// is bound. A single-unit block's runs are single blocks — the unit-major
+// order — and it still comes this way for the scale.
+func (st *Stage) runMajor() bool {
+	return st.NonTemporal && st.StoreRadix == 0 &&
+		st.Rot.JStride != 0 && st.Rot.GStride == st.Rot.BlockLen
 }
 
 // BlockElems returns the buffer-half footprint of one pipeline block.
@@ -163,6 +192,15 @@ func (st *Stage) validate(i int, b *Buffers) error {
 			return fmt.Errorf("stagegraph: stage %d (%s): JStride=%d inconsistent with Map: Map(0,1)=%d, want %d",
 				i, st.Name, st.Rot.JStride, got, want)
 		}
+	}
+	if st.Rot.GStride != 0 && st.Iters*sunits > 1 {
+		if got, want := st.Rot.Map(1, 0), st.Rot.Map(0, 0)+st.Rot.GStride; got != want {
+			return fmt.Errorf("stagegraph: stage %d (%s): GStride=%d inconsistent with Map: Map(1,0)=%d, want %d",
+				i, st.Name, st.Rot.GStride, got, want)
+		}
+	}
+	if st.StoreScale != 0 && !(st.runMajor() && st.Dst.C != nil) {
+		return fmt.Errorf("stagegraph: stage %d (%s): StoreScale on a store that is not run-major", i, st.Name)
 	}
 	if !st.Src.valid(false) {
 		return fmt.Errorf("stagegraph: stage %d (%s): invalid Src endpoint", i, st.Name)
@@ -251,20 +289,28 @@ func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 		layout.PackPairs(b.C[half][lo:hi], st.Src.R[2*(base+lo):], hi-lo)
 		return (hi - lo) * complexBytes
 	}
-	copy(b.C[half][lo:hi], st.Src.C[base+lo:base+hi])
+	layout.CopyStream(b.C[half][lo:hi], st.Src.C[base+lo:base+hi])
 	return (hi - lo) * complexBytes
 }
 
 // store writes this worker's share of block `iter` from buffer half `half`
 // to Dst through the blocked rotation.
 //
-// The partition is over units·Blocks individual cacheline blocks, not whole
+// A run-major stage (runMajor) partitions the block indices j over the data
+// workers and hands each worker's range to one streaming gather: per j the
+// block's Units μ-blocks leave as one contiguous run of Units·μ elements —
+// whole lines back to back, the order a write-combining buffer and a DRAM
+// page want — where the unit-major walk returns to each run once per unit.
+// StoreScale rides that kernel.
+//
+// Otherwise the partition is over units·Blocks individual cacheline blocks, not whole
 // units, so every data worker shares the store of every pipeline block even
 // when a stage has fewer store units than data threads. Each worker's range
 // is walked as maximal within-unit runs; affine rotations (JStride ≠ 0) send
 // each run through one register-blocked layout scatter kernel, irregular
 // ones fall back to a Map call per block. It returns the bytes this worker
-// moved.
+// moved. A streaming store ends with the one fence that orders it ahead of
+// the step barrier.
 //
 // When StoreRadix is 4 the trailing trivial-twiddle radix-4 butterfly is
 // applied on the way out: a plain complex destination gets each run folded
@@ -276,8 +322,22 @@ func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []complex128) int {
 	units, unitLen := st.storeGeometry()
 	blocks, bl := st.Rot.Blocks, st.Rot.BlockLen
-	lo, hi := Partition(units*blocks, worker, workers)
 	stride := st.Rot.JStride
+	buf := b.C[half]
+	if st.StoreFromStaging {
+		buf = b.T[half]
+	}
+	if st.runMajor() && st.Dst.C != nil {
+		lo, hi := Partition(blocks, worker, workers)
+		if lo < hi {
+			d0 := st.Rot.Map(iter*units, lo)
+			layout.GatherBlocksNT(st.Dst.C[d0:d0+(hi-lo-1)*stride+units*bl], buf[lo*bl:units*unitLen],
+				hi-lo, units, bl, unitLen, stride, st.StoreScale)
+			layout.StoreFence()
+		}
+		return (hi - lo) * units * bl * complexBytes
+	}
+	lo, hi := Partition(units*blocks, worker, workers)
 	for t := lo; t < hi; {
 		u := t / blocks
 		j0 := t - u*blocks
@@ -288,11 +348,7 @@ func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []co
 		run := j1 - j0
 		g := iter*units + u
 		affine := run == 1 || stride != 0
-		src := b.C[half]
-		if st.StoreFromStaging {
-			src = b.T[half]
-		}
-		src = src[u*unitLen+j0*bl : u*unitLen+j1*bl]
+		src := buf[u*unitLen+j0*bl : u*unitLen+j1*bl]
 		if st.StoreRadix == 4 {
 			// A declined fused attempt wrote nothing, or blocks the scratch
 			// path rewrites with identical values.
@@ -311,6 +367,9 @@ func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []co
 			}
 		}
 		t += run
+	}
+	if st.NonTemporal {
+		layout.StoreFence()
 	}
 	return (hi - lo) * bl * complexBytes
 }
