@@ -19,11 +19,12 @@ PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
               ./internal/fft3d ./internal/rfft \
               ./internal/tune ./internal/machine ./internal/wire
 
-.PHONY: ci vet lint build test purego crossbuild asmgen asmcheck race bench \
-        microbench benchsmoke rulersmoke servesmoke obssmoke \
-        shardsmoke tracesmoke fuzzsmoke fmt loc serveprobe legprobe
+.PHONY: ci vet lint build test purego crossbuild asmgen asmcheck tablegen \
+        tablecheck race bench microbench benchsmoke rulersmoke servesmoke \
+        obssmoke shardsmoke tracesmoke fuzzsmoke fmt loc serveprobe legprobe \
+        wireprobe
 
-ci: vet lint build crossbuild asmcheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke rulersmoke
+ci: vet lint build crossbuild asmcheck tablecheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke rulersmoke
 
 vet:
 	$(GO) vet ./...
@@ -81,6 +82,18 @@ asmcheck: asmgen
 	    internal/layout/copy_avx512_amd64.s \
 	    || { echo "asmcheck: generated assembly out of date — run 'make asmgen' and commit"; exit 1; }
 
+# Regenerate the committed 128-bit powers of ten the JSON number kernels
+# multiply by (internal/wire/pow10_table.go) from math/big. Like the
+# assembly, the table is committed: the daemon neither imports math/big nor
+# computes anything at start-up.
+tablegen:
+	$(GO) run ./internal/wire/pow10gen
+
+# Drift gate: the committed table must be exactly what the generator emits.
+tablecheck: tablegen
+	git diff --exit-code -- internal/wire/pow10_table.go \
+	    || { echo "tablecheck: generated table out of date — run 'make tablegen' and commit"; exit 1; }
+
 # The shard tier gets its own -short race pass: the full suite's 256³
 # cluster test is minutes under the race detector, and the -short set still
 # covers the exchange, retry, and drain concurrency.
@@ -109,13 +122,17 @@ tracesmoke:
 
 # Ten seconds of each native fuzzer over the bytes that arrive from outside
 # the process: the JSON /transform decoder differentially against
-# encoding/json, the binary frame decoder against its acceptance rule, a
+# encoding/json, one number token against the grammar and strconv.ParseFloat,
+# a float64 bit pattern through the formatter against strconv.AppendFloat,
+# the binary frame decoder against its acceptance rule, a
 # scraped peer exposition through the /metrics/fleet merge and back, and a
 # wisdom file through LoadWisdom, Save and the candidate → Config conversion.
 # The committed seed corpora (internal/{wire,obs,tune}/testdata/fuzz) are
 # replayed by plain `go test`; a crasher found here lands there as a new seed.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeTransformRequest$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzParseNumber$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadWisdom$$' -fuzztime=10s ./internal/tune
@@ -143,13 +160,20 @@ serveprobe:
 	GOMAXPROCS=2 $(GO) run ./benchmark -workload serve1d -seconds 10 -trace 0
 	GOMAXPROCS=2 $(GO) run ./benchmark -workload serve1d -seconds 10 -trace 1
 
-# The stage-leg budget of the paper's regime: 256³ and 4096² forward and
-# inverse on one thread, per stage the load / compute / store milliseconds
-# from Observability() deltas, Σ legs beside the wall, and each stage's
-# load + store beside the same run's streamed copy of 2·256 MiB. Ungated like
+# The stage-leg budget of the paper's regime, and of cache2d's shape beside
+# it: 256³, 4096² and 512² forward and inverse on one thread, per stage the
+# load / compute / store milliseconds (µs resolution at 512²) from
+# Observability() deltas, Σ legs beside the wall, and each stage's load +
+# store beside the same run's streamed copy of two arrays. Ungated like
 # serveprobe; a hot-path PR quotes its before/after table in EXPERIMENTS.md.
 legprobe:
 	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -measured -legs -reps 5
+
+# The JSON codec alone, on one thread: decode and encode of http2d's 256²
+# request and reply, in ms/op and ns per float64 value. Ungated like the other
+# probes; a PR on internal/wire quotes it in EXPERIMENTS.md.
+wireprobe:
+	GOMAXPROCS=1 $(GO) test ./internal/wire -run '^$$' -bench 'JSON256' -count 5
 
 # The root package's go-test micro-benchmarks (figures, tables, public API).
 microbench:
@@ -176,15 +200,15 @@ obssmoke:
 fmt:
 	gofmt -l .
 
-# Size of the system: non-test Go lines per package directory (generator
-# sources included, the benchmark/ ruler excluded) with the total — the
-# figure ROADMAP and CHANGES quote — and the lines of committed generated
-# assembly.
+# Size of the system: hand-written non-test Go lines per package directory
+# (generator sources included, the benchmark/ ruler excluded) with the total
+# — the figure ROADMAP and CHANGES quote — and the lines of committed
+# generated Go ("// Code generated" files) and assembly.
 loc:
-	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -printf '%h\n' | sort -u | \
-	while read d; do \
-		printf '%6d  %s\n' $$(cat $$(find $$d -maxdepth 1 -name '*.go' ! -name '*_test.go') | wc -l) $$d; \
-	done
-	@printf '%6d  total non-test Go (outside benchmark/)\n' \
-		$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
+	@src=$$(find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' | xargs grep -L '^// Code generated' | sort); \
+	for d in $$(echo "$$src" | xargs -n1 dirname | sort -u); do \
+		printf '%6d  %s\n' $$(echo "$$src" | grep "^$$d/[^/]*$$" | xargs cat | wc -l) $$d; \
+	done; \
+	printf '%6d  total non-test Go (outside benchmark/)\n' $$(echo "$$src" | xargs cat | wc -l)
+	@printf '%6d  generated Go\n' $$(find . -name '*.go' ! -path './benchmark/*' | xargs grep -l '^// Code generated' | xargs cat | wc -l)
 	@printf '%6d  generated assembly (*.s)\n' $$(find . -name '*.s' -print0 | xargs -0 cat | wc -l)

@@ -24,7 +24,9 @@ type legPlan interface {
 }
 
 // LegProbe prints the per-stage leg budget of the two out-of-LLC complex
-// shapes — 256³ and 4096², 256 MiB an array — through the product
+// shapes — 256³ and 4096², 256 MiB an array — and of cache2d's 512², 4 MiB
+// an array inside the LLC (printed in µs resolution: its legs are under a
+// millisecond), through the product
 // configuration (core.Config{}): per direction and stage the load, compute
 // and store milliseconds from Observability() deltas, Σ legs beside the wall
 // time, and each stage's load + store beside the same run's streamed copy of
@@ -35,7 +37,7 @@ func LegProbe(w io.Writer, reps int) error {
 	if reps < 1 {
 		reps = 5
 	}
-	for _, dims := range [][]int{{256, 256, 256}, {4096, 4096}} {
+	for _, dims := range [][]int{{256, 256, 256}, {4096, 4096}, {512, 512}} {
 		var p legPlan
 		var err error
 		if len(dims) == 3 {
@@ -111,9 +113,15 @@ func legProbeOne(w io.Writer, p legPlan, dims []int, reps int) error {
 	}
 	copyMs := median(copies)
 	names := p.Observability().Stages
+	fwdWall := medianOf(fwd, func(s sample) float64 { return s.wall })
+	invWall := medianOf(inv, func(s sample) float64 { return s.wall })
+	prec := 1 // decimals of a millisecond
+	if fwdWall < 10 {
+		prec = 3
+	}
 
-	fmt.Fprintf(w, "legprobe %v: %d MiB an array, median of %d; streamed copy of 2·%d MiB %.1f ms (%.1f GB/s)\n",
-		dims, n*16>>20, reps, n*16>>20, copyMs, float64(2*n*16)/copyMs/1e6)
+	fmt.Fprintf(w, "legprobe %v: %d MiB an array, median of %d; streamed copy of 2·%d MiB %.*f ms (%.1f GB/s)\n",
+		dims, n*16>>20, reps, n*16>>20, prec, copyMs, float64(2*n*16)/copyMs/1e6)
 	fmt.Fprint(w, p.DescribeGraph())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "dir\tstage\tload ms\tcompute ms\tstore ms\tload+store\t/ copy\t")
@@ -121,7 +129,8 @@ func legProbeOne(w io.Writer, p legPlan, dims []int, reps int) error {
 	for _, d := range []struct {
 		name string
 		s    []sample
-	}{{"fwd", fwd}, {"inv", inv}} {
+		wall float64
+	}{{"fwd", fwd, fwdWall}, {"inv", inv, invWall}} {
 		sum := 0.0
 		for i := range names {
 			var leg [3]float64
@@ -129,11 +138,10 @@ func legProbeOne(w io.Writer, p legPlan, dims []int, reps int) error {
 				leg[k] = medianOf(d.s, func(s sample) float64 { return s.stages[i][k] })
 				sum += leg[k]
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.2f\t\n", d.name, names[i].Name,
-				leg[0], leg[1], leg[2], leg[0]+leg[2], (leg[0]+leg[2])/copyMs)
+			fmt.Fprintf(tw, "%s\t%s\t%.*f\t%.*f\t%.*f\t%.*f\t%.2f\t\n", d.name, names[i].Name,
+				prec, leg[0], prec, leg[1], prec, leg[2], prec, leg[0]+leg[2], (leg[0]+leg[2])/copyMs)
 		}
-		sums = append(sums, fmt.Sprintf("  %s: Σ legs %.1f ms, wall %.1f ms", d.name, sum,
-			medianOf(d.s, func(s sample) float64 { return s.wall })))
+		sums = append(sums, fmt.Sprintf("  %s: Σ legs %.*f ms, wall %.*f ms", d.name, prec, sum, prec, d.wall))
 	}
 	if err := tw.Flush(); err != nil {
 		return err

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"hash/crc32"
 	"io"
+	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -75,6 +77,64 @@ func FuzzDecodeTransformRequest(f *testing.F) {
 		if !sameBits(vals, ref.Data) {
 			t.Fatal("values differ from encoding/json's")
 		}
+	})
+}
+
+// FuzzParseNumber puts an arbitrary token where a request's one value goes:
+// the decoder accepts it exactly when the token (JSON whitespace aside) is
+// in the number grammar, within MaxNumberLen and in strconv.ParseFloat's
+// range, the value is bitwise what strconv.ParseFloat gives, and neither
+// depends on where a window refill cuts the body.
+func FuzzParseNumber(f *testing.F) {
+	// The halfway, long-mantissa, bound and range seeds are in testdata;
+	// these are the grammar's edges.
+	for _, seed := range []string{
+		"-0", "-0.0e-0", "8.5e-4", "0e999999", strings.Repeat(" ", 60) + "1.5", "1.25" + strings.Repeat("\n", 60),
+		"01", "1.", "-", "1e+", "0x1p-2", "1,2", "1]}",
+	} {
+		f.Add([]byte(seed), uint8(0))
+		f.Add([]byte(seed), uint8(47))
+	}
+	f.Fuzz(func(t *testing.T, tok []byte, piece uint8) {
+		if len(tok) > 256 {
+			return // past the header and one value's budget the answer is a 413
+		}
+		body := []byte(`{"rank":1,"dims":[1],"real":true,"data":[` + string(tok) + `]}`)
+		req, err := DecodeJSON(bytes.NewReader(body), int64(len(body)))
+		cut, cutErr := DecodeJSON(pieceReader{bytes.NewReader(body), int(piece) + 1}, int64(len(body)))
+		want, wantErr := refParseNumber(strings.Trim(string(tok), " \t\r\n"))
+		if (err == nil) != (wantErr == nil) || (cutErr == nil) != (wantErr == nil) {
+			t.Fatalf("%q: whole body %v, in %d-byte reads %v, reference %v", tok, err, int(piece)+1, cutErr, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		for _, got := range []*Request{req, cut} {
+			if len(got.RealSrc) != 1 || math.Float64bits(got.RealSrc[0]) != math.Float64bits(want) {
+				t.Fatalf("%q decoded to %v, strconv.ParseFloat gives %v", tok, got.RealSrc, want)
+			}
+		}
+	})
+}
+
+// FuzzAppendFloat holds the direct formatter to the strconv-based one on
+// arbitrary bit patterns, and the parser to reading the result back.
+func FuzzAppendFloat(f *testing.F) {
+	for _, v := range edgeValues {
+		f.Add(math.Float64bits(v))
+	}
+	for _, e := range []int{-1074, -1022, -537, -20, -1, 0, 1, 63, 64, 70, 1023} {
+		v := math.Ldexp(1, e)
+		f.Add(math.Float64bits(v))
+		f.Add(math.Float64bits(v) + 1)
+		f.Add(math.Float64bits(v) - 1)
+	}
+	f.Fuzz(func(t *testing.T, u uint64) {
+		v := math.Float64frombits(u)
+		if CheckFinite([]float64{v}) != nil {
+			return // EncodeJSON's caller has refused it
+		}
+		checkFloat(t, v, nil, true)
 	})
 }
 

@@ -38,8 +38,8 @@ func jsonBudget(words int) int64 {
 //	{"rank":2,"dims":[256,256],"inverse":false,"real":false,"sharded":false,"data":[re,im,...]}
 //
 // in a single pass: once the shape is known the operand is allocated at
-// the size dims declare and every number is grammar-checked and parsed
-// (strconv.ParseFloat on the byte window) straight into it. contentLength
+// the size dims declare and every number is grammar-checked and converted
+// in one scan of the byte window (scanNumber) straight into it. contentLength
 // is the request's Content-Length (−1 when unknown); a body too short to
 // hold the declared values is refused before the operand is allocated.
 //
@@ -196,72 +196,27 @@ func (d *jsonDecoder) integer() (int, error) {
 	if _, err := d.next(); err != nil {
 		return 0, err
 	}
-	tok, err := d.number()
+	var t numberToken
+	tok, err := d.number(&t)
 	if err != nil {
 		return 0, err
 	}
-	for _, c := range tok {
-		if c == '.' || c == 'e' || c == 'E' {
-			return 0, fmt.Errorf("want an integer, got %s", tok)
-		}
+	if !t.integer {
+		return 0, fmt.Errorf("want an integer, got %s", tok)
 	}
 	return strconv.Atoi(tok)
 }
 
-// number consumes one token of the JSON number grammar
-//
-//	-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
-//
-// and returns it as a string aliasing the window (valid until the next
-// fill). The caller has run next, so a token that reaches the end of the
-// window is either too long or cut off by the end of the body.
-func (d *jsonDecoder) number() (string, error) {
+// number consumes one number token, scanned into t, and returns it as a
+// string aliasing the window (valid until the next fill). The caller has
+// run next.
+func (d *jsonDecoder) number(t *numberToken) (string, error) {
 	b := d.buf[d.pos:d.end]
-	i := 0
-	if i < len(b) && b[i] == '-' {
-		i++
+	if err := scanNumber(b, t); err != nil {
+		return "", err
 	}
-	if i < len(b) && b[i] == '0' {
-		i++
-	} else if j := skipDigits(b, i); j > i {
-		i = j
-	} else {
-		return "", errors.New("want a number")
-	}
-	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			return "", errors.New("want digits after the decimal point")
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
-		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
-			i++
-		}
-		j := skipDigits(b, i)
-		if j == i {
-			return "", errors.New("want digits in the exponent")
-		}
-		i = j
-	}
-	if i > MaxNumberLen {
-		return "", fmt.Errorf("number token longer than %d bytes", MaxNumberLen)
-	}
-	if i == len(b) {
-		return "", io.ErrUnexpectedEOF
-	}
-	d.pos += i
-	return unsafe.String(&b[0], i), nil
-}
-
-// skipDigits returns the index of the first non-digit of b at or after i.
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && b[i]-'0' <= 9 {
-		i++
-	}
-	return i
+	d.pos += t.n
+	return unsafe.String(&b[0], t.n), nil
 }
 
 // request parses the whole body.
@@ -405,6 +360,7 @@ func (d *jsonDecoder) dims(into *[3]int) (int, error) {
 // held. One value beyond len(dst) is an error: the array is never longer
 // than the shape declares.
 func (d *jsonDecoder) data(dst []float64) (int, error) {
+	var t numberToken
 	done, err := d.open()
 	for n := 0; ; n++ {
 		if err != nil || done {
@@ -414,14 +370,14 @@ func (d *jsonDecoder) data(dst []float64) (int, error) {
 			return 0, err
 		}
 		var tok string
-		if tok, err = d.number(); err != nil {
+		if tok, err = d.number(&t); err != nil {
 			return 0, err
 		}
 		if n == len(dst) {
 			return 0, fmt.Errorf("more than the %d values the shape declares", len(dst))
 		}
 		// Out of range (1e999) is an error, as in encoding/json.
-		if dst[n], err = strconv.ParseFloat(tok, 64); err != nil {
+		if dst[n], err = t.value(tok); err != nil {
 			return 0, err
 		}
 		done, err = d.closed()
@@ -463,23 +419,4 @@ func EncodeJSON(w io.Writer, vals []float64) (int64, error) {
 	buf = append(buf, "]}\n"...)
 	n, err := w.Write(buf)
 	return written + int64(n), err
-}
-
-// appendJSONFloat formats v the way encoding/json does (ES6 number to
-// string): shortest round-trip digits, exponent form below 1e-6 and from
-// 1e21, and a two-digit negative exponent trimmed to one (e-09 → e-9).
-func appendJSONFloat(b []byte, v float64) []byte {
-	abs := math.Abs(v)
-	format := byte('f')
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, v, format, -1, 64)
-	if format == 'e' {
-		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-			b[n-2] = b[n-1]
-			b = b[:n-1]
-		}
-	}
-	return b
 }

@@ -293,7 +293,7 @@ func TestCodecAllocsAreConstant(t *testing.T) {
 }
 
 func BenchmarkDecodeJSON256(b *testing.B) {
-	body, _ := request256(b)
+	body, data := request256(b)
 	rd := bytes.NewReader(body)
 	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
@@ -303,6 +303,12 @@ func BenchmarkDecodeJSON256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportPerValue(b, len(data))
+}
+
+// reportPerValue adds ns/value, the codec's cost per float64, to ns/op.
+func reportPerValue(b *testing.B, values int) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(values), "ns/value")
 }
 
 func BenchmarkEncodeJSON256(b *testing.B) {
@@ -314,6 +320,7 @@ func BenchmarkEncodeJSON256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+	reportPerValue(b, len(data))
 }
 
 func ExampleEncodeJSON() {
