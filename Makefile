@@ -22,7 +22,7 @@ PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck tablegen \
         tablecheck race bench microbench benchsmoke rulersmoke servesmoke \
         obssmoke shardsmoke tracesmoke fuzzsmoke fmt loc serveprobe legprobe \
-        wireprobe
+        wireprobe kernelprobe
 
 ci: vet lint build crossbuild asmcheck tablecheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke rulersmoke
 
@@ -64,8 +64,8 @@ crossbuild:
 	GOARCH=arm64 GOOS=linux $(GO) build ./...
 
 # Regenerate the committed assembly (the AVX2 codelets, the 512-bit tier of
-# the radix-16 codelets, the non-temporal scatter and run-major gather, the
-# load leg's streamed copy) from the generator. Run
+# the radix-8 and radix-16 codelets, the non-temporal scatter and run-major
+# gather, the load leg's streamed copy) from the generator. Run
 # after editing internal/kernels/asm and commit the resulting .s files; ci
 # builds never invoke the generator.
 asmgen:
@@ -164,10 +164,18 @@ serveprobe:
 # it: 256³, 4096² and 512² forward and inverse on one thread, per stage the
 # load / compute / store milliseconds (µs resolution at 512²) from
 # Observability() deltas, Σ legs beside the wall, and each stage's load +
-# store beside the same run's streamed copy of two arrays. Ungated like
-# serveprobe; a hot-path PR quotes its before/after table in EXPERIMENTS.md.
+# store beside the same run's streamed copy of two arrays. Medians of 5 runs,
+# of 301 at 512² (a few seconds). Ungated like serveprobe; a hot-path PR
+# quotes its before/after table in EXPERIMENTS.md.
 legprobe:
 	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -measured -legs -reps 5
+
+# One dispatched Stockham stage at a time, on one thread: the radix-8 and
+# radix-16 stages of 512² rows and cols, 256³ x- and y/z-pencils and n = 4096
+# over a 256 KiB pipeline block, in ps per element (BenchmarkStage). Ungated
+# like the other probes; a codelet PR quotes it in EXPERIMENTS.md.
+kernelprobe:
+	GOMAXPROCS=1 $(GO) test ./internal/kernels -run '^$$' -bench Stage -count 5
 
 # The JSON codec alone, on one thread: decode and encode of http2d's 256²
 # request and reply, in ms/op and ns per float64 value. Ungated like the other

@@ -37,7 +37,7 @@ func main() {
 	measured := flag.Bool("measured", false, "run the real implementations at host-feasible sizes")
 	dims := flag.Int("dims", 3, "2 or 3: dimensionality of the measured sweep")
 	reps := flag.Int("reps", 3, "repetitions per measured point (best is reported)")
-	legs := flag.Bool("legs", false, "with -measured: print the per-stage leg budget of 256³, 4096² and 512² instead of the sweep (median of -reps)")
+	legs := flag.Bool("legs", false, "with -measured: print the per-stage leg budget of 256³, 4096² and 512² instead of the sweep (median of -reps, of at least 301 at 512²)")
 	pd := flag.Int("pd", 1, "data workers for measured runs")
 	pc := flag.Int("pc", 1, "compute workers for measured runs")
 	acc := flag.Bool("accuracy", false, "print the numerical-accuracy report instead of performance")

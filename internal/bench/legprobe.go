@@ -14,6 +14,11 @@ import (
 	"repro/internal/obs"
 )
 
+// cacheReps is LegProbe's floor on runs of the cache-resident 512² shape:
+// at 5 runs the same binary read its compute legs anywhere from 0.43 to
+// 0.98 ms; 301 round trips take a few seconds.
+const cacheReps = 301
+
 // legPlan is what LegProbe needs of a 2D or 3D plan.
 type legPlan interface {
 	Transform(dst, src []complex128, sign int) error
@@ -31,13 +36,19 @@ type legPlan interface {
 // and store milliseconds from Observability() deltas, Σ legs beside the wall
 // time, and each stage's load + store beside the same run's streamed copy of
 // one array onto the other (2·N·16 B, what a stage's data legs move). Every
-// figure is the median of reps runs. `make legprobe` runs it at GOMAXPROCS=1,
-// where the legs execute one after another and sum to the wall.
+// figure is the median of reps runs — of at least cacheReps at 512², whose
+// sub-millisecond legs a handful of runs does not resolve. `make legprobe`
+// runs it at GOMAXPROCS=1, where the legs execute one after another and sum
+// to the wall.
 func LegProbe(w io.Writer, reps int) error {
 	if reps < 1 {
 		reps = 5
 	}
-	for _, dims := range [][]int{{256, 256, 256}, {4096, 4096}, {512, 512}} {
+	for _, c := range []struct {
+		dims []int
+		reps int
+	}{{[]int{256, 256, 256}, reps}, {[]int{4096, 4096}, reps}, {[]int{512, 512}, max(reps, cacheReps)}} {
+		dims := c.dims
 		var p legPlan
 		var err error
 		if len(dims) == 3 {
@@ -48,7 +59,7 @@ func LegProbe(w io.Writer, reps int) error {
 		if err != nil {
 			return err
 		}
-		err = legProbeOne(w, p, dims, reps)
+		err = legProbeOne(w, p, dims, c.reps)
 		p.Close()
 		if err != nil {
 			return err

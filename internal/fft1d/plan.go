@@ -4,9 +4,11 @@
 // The planner covers:
 //
 //   - power-of-two sizes via an iterative Stockham autosort decomposition
-//     (no bit-reversal pass, contiguous writes) in ⌈log₄(n)⌉ passes: radix-4
-//     stages plus one leading radix-8 stage when log₂(n) is odd, with pure
-//     radix-4/2 mixes selectable via NewPlanRadix for tuning and ablation;
+//     (no bit-reversal pass, contiguous writes): by default a chain of fused
+//     radix-16 stages with one leading radix-8 stage when log₂(n) is odd and
+//     a trailing radix-4 stage the stage-graph store leg can fold (see
+//     pow2Radices), with radix-8/4/2 caps selectable via NewPlanRadix for
+//     tuning and ablation;
 //   - arbitrary composite sizes via a recursive mixed-radix Cooley–Tukey
 //     factorization, DFT_mn = (DFT_m ⊗ I_n) D_n^{mn} (I_m ⊗ DFT_n) L_m^{mn},
 //     with hand-unrolled base codelets for 2,3,4,5,7,8;
@@ -203,14 +205,14 @@ func buildPlan(n, maxRadix int) *Plan {
 // separate pass. A leading radix-8 stage absorbs odd k as before.
 //
 // maxRadix 8 uses one leading radix-8 stage when k is odd and radix-4
-// stages for everything else: measured on amd64, the 8-wide butterfly's 16
-// live complex values spill past the vector register file, so chains of
-// radix-8 stages lose to radix-4 per element — but a single radix-8 stage
-// replaces the radix-2 stage an odd k otherwise needs, saving a whole pass
-// over the buffer (the first stage, where its reads are unit-stride, is
-// the cheapest place for it). maxRadix 4 is the pre-radix-8 plan (one
-// leading radix-2 when k is odd); maxRadix 2 is the k-pass ablation
-// baseline.
+// stages for everything else: measured on amd64 with the 256-bit codelet,
+// whose four odd differences t_k spill to the stack frame (the 512-bit one
+// parks them in Z16–Z19), chains of radix-8 stages lost to radix-4 per
+// element — but a single radix-8 stage replaces the radix-2 stage an odd k
+// otherwise needs, saving a whole pass over the buffer (the first stage,
+// where its reads are unit-stride, is the cheapest place for it). maxRadix 4
+// is the pre-radix-8 plan (one leading radix-2 when k is odd); maxRadix 2 is
+// the k-pass ablation baseline.
 func pow2Radices(n, maxRadix int) []int {
 	k := bits.TrailingZeros(uint(n))
 	var r []int

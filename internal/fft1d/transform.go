@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/kernels"
+	"repro/internal/machine"
 )
 
 // Transform computes dst = DFT_n(src) out of place. dst and src must each
@@ -130,51 +131,76 @@ func (p *Plan) pow2Lanes(dst, src []complex128, mu, sign int, ar *kernels.Arena)
 }
 
 // batchPow2 transforms `pencils` contiguous in-place pencils of shape
-// DFT_n ⊗ I_mu (stride n·mu each) through the batched Stockham sweeps: one
-// butterfly stage is applied across every pencil before the next begins, so
-// each stage's twiddle table streams through the cache once per sweep
-// rather than once per pencil. Ping-pong parity lands the final stage in x;
-// with an odd stage count the pipeline starts from a scratch copy so no
-// stage reads the half it is writing.
+// DFT_n ⊗ I_mu (stride n·mu each) through the batched Stockham stages.
 func (p *Plan) batchPow2(x []complex128, pencils, mu, sign int, ar *kernels.Arena) {
 	p.batchPow2Stages(x, pencils, mu, sign, len(p.radices), ar)
+}
+
+// l1dBytes is the host's L1 data cache, against which pencilMajor sizes a
+// pencil. It is a variable only so tests can force either loop order.
+var l1dBytes = machine.HostL1dBytes()
+
+// pencilMajor reports whether a batch of pencils of stride elements runs
+// pencil by pencil — every stage of one pencil before the next pencil — which
+// keeps a pencil in L1 between its stages, instead of stage by stage across
+// the batch, which streams the whole batch through L2 once per stage. Pencil
+// order paid from a quarter of the L1d up: measured on a 48 KiB-L1d host,
+// 16–64 KiB pencils ran 2–9 % faster that way, while 4 and 8 KiB row
+// pencils ran 5–17 % slower (EXPERIMENTS.md, "Cache-regime compute leg").
+func pencilMajor(pencils, stride int) bool {
+	return pencils > 1 && 4*stride*16 >= l1dBytes
 }
 
 // batchPow2Stages runs the first `t` stages of the interleaved chain in
 // place. t = len(p.radices) is the full transform; t = len(p.radices)-1 is
 // the store-fold prefix, leaving the data one trailing radix-4 butterfly
 // short of the answer (the stage-graph scatter leg supplies it).
+//
+// The stages run over groups of pencils: the whole batch (stage-major: one
+// butterfly stage is applied across every pencil before the next begins, so
+// each stage's twiddle table streams through the cache once per sweep) or
+// one pencil at a time (pencilMajor). Every pencil sees the same kernel
+// calls either way, so the bits do not depend on the order. Ping-pong parity
+// lands the final stage in x; with an odd stage count each group starts from
+// a scratch copy so no stage reads the half it is writing.
 func (p *Plan) batchPow2Stages(x []complex128, pencils, mu, sign, t int, ar *kernels.Arena) {
 	st := p.stageTwiddles(sign)[:t]
 	stride := p.n * mu
-	m := ar.Mark()
-	scratch := ar.Complex(pencils * stride)
-
-	cur := x
-	if t%2 == 1 {
-		copy(scratch, x)
-		cur = scratch
+	group := pencils
+	if pencilMajor(pencils, stride) {
+		group = 1
 	}
-	n1 := p.n
-	s := mu
-	for i, tw := range st {
-		out := x
-		if (t-1-i)%2 != 0 {
-			out = scratch
+	m := ar.Mark()
+	scratch := ar.Complex(group * stride)
+
+	for c := 0; c < pencils; c += group {
+		xg := x[c*stride : (c+group)*stride]
+		cur := xg
+		if t%2 == 1 {
+			copy(scratch, xg)
+			cur = scratch
 		}
-		switch r := p.radices[i]; r {
-		case 16:
-			kernels.BatchRadix16Step(out, cur, pencils, stride, n1/16, s, sign, tw)
-		case 8:
-			kernels.BatchRadix8Step(out, cur, pencils, stride, n1/8, s, sign, tw)
-		case 4:
-			kernels.BatchRadix4Step(out, cur, pencils, stride, n1/4, s, sign, tw)
-		default:
-			kernels.BatchRadix2Step(out, cur, pencils, stride, n1/2, s, tw)
+		n1 := p.n
+		s := mu
+		for i, tw := range st {
+			out := xg
+			if (t-1-i)%2 != 0 {
+				out = scratch
+			}
+			switch r := p.radices[i]; r {
+			case 16:
+				kernels.BatchRadix16Step(out, cur, group, stride, n1/16, s, sign, tw)
+			case 8:
+				kernels.BatchRadix8Step(out, cur, group, stride, n1/8, s, sign, tw)
+			case 4:
+				kernels.BatchRadix4Step(out, cur, group, stride, n1/4, s, sign, tw)
+			default:
+				kernels.BatchRadix2Step(out, cur, group, stride, n1/2, s, tw)
+			}
+			cur = out
+			n1 /= p.radices[i]
+			s *= p.radices[i]
 		}
-		cur = out
-		n1 /= p.radices[i]
-		s *= p.radices[i]
 	}
 	ar.Rewind(m)
 }

@@ -7,23 +7,24 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/layout"
 	"repro/internal/stagegraph"
 )
 
 // Inverse is, bitwise, Transform(…, fft1d.Inverse) followed by
-// fft1d.Scale(dst, 1/(n·m)) — whether the scale ran in the column stage's
-// compute leg (interleaved buffers with no fold on that stage, or any
-// power-of-two n·m) or as the pass over dst the remaining plans keep.
+// fft1d.Scale(dst, 1/(n·m)) — whether the scale ran on the way out of the
+// column stage's fold or run-major store, in its compute leg (a plain
+// unit-major store), or as the pass over dst the baseline plans keep.
 func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 	shapes := []struct {
-		n, m    int
-		inStage bool // for the default (fold on) options
+		n, m int
+		fold bool // the column stage folds (fold on): the scale rides its store
 	}{
-		{64, 64, true}, // pow2 N: scale ahead of the folded butterfly is exact
+		{64, 64, true},
 		{32, 128, true},
-		{64, 96, false}, // columns fold (n=64), N not a power of two: pass kept
-		{96, 64, true},  // columns do not fold (n=96): scale after the full DFT_n
-		{20, 12, true},
+		{64, 96, true},  // N not a power of two: no pass over dst either
+		{96, 64, false}, // columns do not fold (n=96): scale after the full DFT_n
+		{20, 12, false},
 	}
 	variants := []struct {
 		name string
@@ -47,14 +48,24 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer p.Close()
-				if v.name == "default" && p.run.ScalesInStage(0) != sh.inStage {
-					t.Errorf("scaleInStage = %v, want %v", p.run.ScalesInStage(0), sh.inStage)
-				}
-				if v.name == "pencil" && p.run.ScalesInStage(0) {
-					t.Error("baseline plans must keep the scale pass")
-				}
-				if v.name == "nofold" && !p.run.ScalesInStage(0) {
-					t.Error("an unfolded interleaved last stage always scales in stage")
+				inStore := p.run.ScalesInStore(0)
+				switch v.name {
+				case "default":
+					if inStore != sh.fold || p.run.ScalesInStage(0) == sh.fold {
+						t.Errorf("scale in store / in stage = %v / %v, want %v / %v", inStore, p.run.ScalesInStage(0), sh.fold, !sh.fold)
+					}
+				case "streaming":
+					if want := sh.fold || layout.NonTemporalAvailable(); inStore != want {
+						t.Errorf("scale in the store leg = %v, want %v", inStore, want)
+					}
+				case "pencil":
+					if p.run.ScalesInStage(0) || inStore {
+						t.Error("baseline plans must keep the scale pass")
+					}
+				case "nofold":
+					if !p.run.ScalesInStage(0) {
+						t.Error("an unfolded cached last stage always scales in stage")
+					}
 				}
 				x := randVec(int64(sh.n*sh.m), sh.n*sh.m)
 				want := make([]complex128, len(x))

@@ -12,21 +12,20 @@ import (
 )
 
 // Inverse is, bitwise, Transform(…, fft1d.Inverse) followed by
-// fft1d.Scale(dst, 1/N) — whether the scale ran in the last stage's compute
-// leg (interleaved buffers with no fold on that stage, or any power-of-two
-// N), on the way out of a run-major streaming store, or as the pass over dst
-// the remaining plans keep.
+// fft1d.Scale(dst, 1/N) — whether the scale ran on the way out of the last
+// stage's fold store (cached or streaming) or run-major streaming store, in
+// its compute leg (a plain unit-major store), or as the pass over dst the
+// baseline plans keep.
 func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 	shapes := []struct {
 		k, n, m int
-		inStage bool // for the default (interleaved, fold on) options
-		inStore bool // streaming: z stores run-major (no fold) and carries the scale
+		fold    bool // the z stage folds (fold on): the scale rides its store
 	}{
-		{16, 16, 16, true, false}, // pow2 N: scale ahead of the folded butterfly is exact
-		{8, 16, 32, true, true},
-		{16, 12, 8, false, false}, // z folds (k=16), N not a power of two: pass kept
-		{12, 16, 8, true, true},   // z does not fold (k=12): scale after the full DFT_k
-		{6, 10, 12, true, true},
+		{16, 16, 16, true},
+		{8, 16, 32, false}, // k=8 is a single codelet: nothing to fold
+		{16, 12, 8, true},  // N not a power of two: no pass over dst either
+		{12, 16, 8, false}, // z does not fold (k=12): scale after the full DFT_k
+		{6, 10, 12, false},
 	}
 	variants := []struct {
 		name string
@@ -53,17 +52,24 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer p.Close()
-				if v.name == "default" && p.run.ScalesInStage(0) != sh.inStage {
-					t.Errorf("scaleInStage = %v, want %v", p.run.ScalesInStage(0), sh.inStage)
-				}
-				if want := sh.inStore && layout.NonTemporalAvailable(); v.name == "streaming" && p.run.ScalesInStore(0) != want {
-					t.Errorf("scale in the store leg = %v, want %v", p.run.ScalesInStore(0), want)
-				}
-				if v.name == "pencil" && p.run.ScalesInStage(0) {
-					t.Error("baseline plans must keep the scale pass")
-				}
-				if v.name == "nofold" && !p.run.ScalesInStage(0) {
-					t.Error("an unfolded interleaved last stage always scales in stage")
+				inStore := p.run.ScalesInStore(0)
+				switch v.name {
+				case "default":
+					if inStore != sh.fold || p.run.ScalesInStage(0) == sh.fold {
+						t.Errorf("scale in store / in stage = %v / %v, want %v / %v", inStore, p.run.ScalesInStage(0), sh.fold, !sh.fold)
+					}
+				case "streaming":
+					if want := sh.fold || layout.NonTemporalAvailable(); inStore != want {
+						t.Errorf("scale in the store leg = %v, want %v", inStore, want)
+					}
+				case "pencil":
+					if p.run.ScalesInStage(0) || inStore {
+						t.Error("baseline plans must keep the scale pass")
+					}
+				case "nofold":
+					if !p.run.ScalesInStage(0) {
+						t.Error("an unfolded cached last stage always scales in stage")
+					}
 				}
 				x := randVec(int64(sh.k*sh.n+sh.m), p.Len())
 				want := make([]complex128, p.Len())

@@ -1,14 +1,16 @@
 package kernels
 
 // Batched Stockham sweeps. A buffer half holds many contiguous pencils of
-// the same size; the per-pencil drivers used to run every butterfly stage
-// of pencil 0, then every stage of pencil 1, and so on, which re-streams
-// each stage's twiddle table through the cache once per pencil. These
-// kernels invert the loop nest: one butterfly stage is applied across all
+// the same size, and the fft1d batch entry points run them in one of two
+// loop orders, chosen by pencil size against the host's L1d. Pencils of a
+// quarter of the L1d and more run pencil-major — every butterfly stage of
+// pencil 0, then every stage of pencil 1, and so on, each stage a call here
+// with pencils = 1 — so a pencil stays in L1 between its stages. Smaller
+// pencils run stage-major: one butterfly stage is applied across all
 // pencils in the half before the next stage begins, so each stage's twiddle
 // table is loaded once per sweep and stays cache-hot while it is reused
-// pencils-many times. The fft1d batch entry points switch to these sweeps
-// whenever a buffer holds ≥ 2 pencils.
+// pencils-many times. Both orders make the same kernel calls on every
+// pencil, so the bits are the same.
 //
 // Each pencil occupies `stride` consecutive elements (stride = n·s for a
 // DFT_n ⊗ I_s lane group); pencil c of dst/src starts at offset c·stride.

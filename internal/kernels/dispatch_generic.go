@@ -37,10 +37,10 @@ func Radix4FoldLeg(dst, z0, z1, z2, z3 []complex128, leg, sign int) {
 // Radix4FoldScatter and Radix4FoldScatterNT have no accelerated
 // implementation on this build; they always report false so callers take
 // the scratch-fold path.
-func Radix4FoldScatter(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, stride, leg, sign int) bool {
+func Radix4FoldScatter(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, stride, leg, sign int, scale float64) bool {
 	return false
 }
 
-func Radix4FoldScatterNT(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, stride, leg, sign int) bool {
+func Radix4FoldScatterNT(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, stride, leg, sign int, scale float64) bool {
 	return false
 }

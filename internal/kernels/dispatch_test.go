@@ -205,7 +205,7 @@ func TestFoldScatterNTMatchesScratchPath(t *testing.T) {
 		for _, sign := range []int{Forward, Inverse} {
 			for leg := 0; leg < 4; leg++ {
 				got := lineDst(extent, 0)
-				if !Radix4FoldScatterNT(got, z0, z1, z2, z3, c.blocks, c.bl, c.d0, c.stride, leg, sign) {
+				if !Radix4FoldScatterNT(got, z0, z1, z2, z3, c.blocks, c.bl, c.d0, c.stride, leg, sign, 0) {
 					t.Fatalf("blocks=%d bl=%d: fused kernel declined a whole-line pattern", c.blocks, c.bl)
 				}
 				folded := make([]complex128, n)
@@ -235,7 +235,7 @@ func TestFoldScatterNTMatchesScratchPath(t *testing.T) {
 		n := c.blocks * c.bl
 		z := randComplex(r, n)
 		dst := lineDst(c.d0+(c.blocks-1)*c.stride+c.bl, c.at)
-		if Radix4FoldScatterNT(dst, z, z, z, z, c.blocks, c.bl, c.d0, c.stride, 0, Forward) {
+		if Radix4FoldScatterNT(dst, z, z, z, z, c.blocks, c.bl, c.d0, c.stride, 0, Forward, 0) {
 			t.Fatalf("fused kernel accepted %s", c.name)
 		}
 		for i, v := range dst {
@@ -273,7 +273,7 @@ func TestFoldScatterMatchesGenericOracle(t *testing.T) {
 		for _, sign := range []int{Forward, Inverse} {
 			for leg := 0; leg < 4; leg++ {
 				got := fill(extent + c.at)[c.at:] // c.at shifts the base off any line boundary
-				ok := Radix4FoldScatter(got, z0, z1, z2, z3, c.blocks, c.bl, c.d0, c.stride, leg, sign)
+				ok := Radix4FoldScatter(got, z0, z1, z2, z3, c.blocks, c.bl, c.d0, c.stride, leg, sign, 0)
 				want := fill(extent)
 				if ok {
 					folded := make([]complex128, n)
@@ -303,7 +303,7 @@ func TestFoldScatterMatchesGenericOracle(t *testing.T) {
 	} {
 		z := randComplex(r, c.blocks*c.bl)
 		dst := fill(c.len)
-		if Radix4FoldScatter(dst, z, z, z, z, c.blocks, c.bl, c.d0, c.stride, 0, Forward) {
+		if Radix4FoldScatter(dst, z, z, z, z, c.blocks, c.bl, c.d0, c.stride, 0, Forward, 0) {
 			t.Fatalf("fused kernel accepted %s", c.name)
 		}
 		for i, v := range dst {

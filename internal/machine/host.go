@@ -25,11 +25,17 @@ const fallbackLLCBytes = 8 << 20
 // staging-buffer default errs toward cache-resident.
 const fallbackL2Bytes = 1 << 20
 
+// fallbackL1dBytes is the per-core L1 data cache assumed when sysfs is
+// unavailable: 32 KiB, the small end of current server cores.
+const fallbackL1dBytes = 32 << 10
+
 var (
 	hostLLCOnce  sync.Once
 	hostLLCBytes int
 	hostL2Once   sync.Once
 	hostL2Bytes  int
+	hostL1dOnce  sync.Once
+	hostL1dBytes int
 )
 
 // HostLLCBytes returns the size in bytes of the last-level cache of the
@@ -64,9 +70,25 @@ func HostL2Bytes() int {
 	return hostL2Bytes
 }
 
+// HostL1dBytes returns the size in bytes of the per-core L1 data cache,
+// detected from the same sysfs tree as HostL2Bytes. The batched 1D kernels
+// size their pencils against it to choose between pencil-major and
+// stage-major loop order. Falls back to 32 KiB when detection fails.
+func HostL1dBytes() int {
+	hostL1dOnce.Do(func() {
+		if v, ok := hostLevelBytesFrom("/sys/devices/system/cpu/cpu0/cache/index*", 1); ok {
+			hostL1dBytes = v
+			return
+		}
+		hostL1dBytes = fallbackL1dBytes
+	})
+	return hostL1dBytes
+}
+
 // hostLevelBytesFrom scans sysfs cache index directories matching glob
-// and returns the size of the largest cache at exactly the given level.
-// Split out of HostL2Bytes for testing against fixture trees.
+// and returns the size of the largest data or unified cache at exactly the
+// given level (instruction caches are skipped). Split out of HostL2Bytes
+// for testing against fixture trees.
 func hostLevelBytesFrom(glob string, level int) (int, bool) {
 	dirs, err := filepath.Glob(glob)
 	if err != nil || len(dirs) == 0 {
@@ -80,6 +102,10 @@ func hostLevelBytesFrom(glob string, level int) (int, bool) {
 		}
 		lvl, err := strconv.Atoi(strings.TrimSpace(string(lvlRaw)))
 		if err != nil || lvl != level {
+			continue
+		}
+		if typ, err := os.ReadFile(filepath.Join(d, "type")); err == nil &&
+			strings.TrimSpace(string(typ)) == "Instruction" {
 			continue
 		}
 		sizeRaw, err := os.ReadFile(filepath.Join(d, "size"))

@@ -85,6 +85,25 @@ func TestHostLevelBytesFromFixture(t *testing.T) {
 	}
 }
 
+// A level's instruction cache does not count: the L1 data cache is the
+// data or unified entry even when the instruction cache is larger.
+func TestHostLevelBytesSkipsInstructionCaches(t *testing.T) {
+	root := t.TempDir()
+	writeCacheIndex(t, root, "index0", "1", "48K")
+	writeCacheIndex(t, root, "index1", "1", "64K")
+	for dir, typ := range map[string]string{"index0": "Data", "index1": "Instruction"} {
+		if err := os.WriteFile(filepath.Join(root, dir, "type"), []byte(typ+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ok := hostLevelBytesFrom(filepath.Join(root, "index*"), 1); !ok || got != 48<<10 {
+		t.Fatalf("hostLevelBytesFrom(level=1) = %d, %v; want %d, true", got, ok, 48<<10)
+	}
+	if HostL1dBytes() <= 0 {
+		t.Fatalf("HostL1dBytes = %d; want > 0", HostL1dBytes())
+	}
+}
+
 func TestPreferredBufferElems(t *testing.T) {
 	b := PreferredBufferElems()
 	if b < 1<<12 || b > 1<<16 {

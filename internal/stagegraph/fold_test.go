@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
@@ -121,6 +122,102 @@ func TestCachedFoldMatchesUnfoldedGraph(t *testing.T) {
 			for i := range want {
 				if got[i] != want[i] {
 					t.Fatalf("%d×%d sign=%d elem %d: folded store %v, unfolded graph %v", c.n, c.m, sign, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// lineAligned returns an n-element slice starting on a 64-byte line.
+func lineAligned(n int) []complex128 {
+	buf := make([]complex128, n+4)
+	skip := (4 - int(uintptr(unsafe.Pointer(&buf[0]))/16%4)) % 4
+	return buf[skip : skip+n : skip+n]
+}
+
+// specials are operands whose sums and products are not ordinary roundings:
+// signed zeros, denormals, infinities and NaNs with distinct payloads (one
+// signalling), so a scaled store that swaps, reorders or fuses an operation
+// of x *= complex(s, 0) shows up as a different bit pattern.
+var specials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -2.5e-310, 1.1e-308,
+	math.Inf(1), math.Inf(-1), math.MaxFloat64,
+	math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff0000000000abc),
+	math.Float64frombits(0xfff8000000000777),
+}
+
+func specialVec(r *rand.Rand, n int) []complex128 {
+	pick := func() float64 {
+		if r.Intn(3) == 0 {
+			return specials[r.Intn(len(specials))]
+		}
+		return r.NormFloat64()
+	}
+	x := make([]complex128, n)
+	for i := range x {
+		x[i] = complex(pick(), pick())
+	}
+	return x
+}
+
+// A fold stage's StoreScale is, bit for bit, the unscaled fold store followed
+// by fft1d.Scale over what it wrote, and touches nothing else — cached and
+// streaming, through the fused kernels and through the scratch fold (odd
+// block lengths, and every case under -tags purego), into destinations on
+// and off the line grid (the streaming kernel declines the latter), for data
+// and scales that are ordinary, signed zeros, denormals, infinities and NaNs.
+func TestFoldStoreScaleMatchesFoldThenScale(t *testing.T) {
+	const units, iters, blocks = 4, 2, 8
+	total := units * iters
+	scales := []float64{math.Copysign(0, -1), 1.0 / 4096, -3, 5e-324, 1.3e-310,
+		math.Inf(1), math.Inf(-1), math.NaN(), math.Float64frombits(0x7ff8000000000042)}
+	sentinel := complex(math.Float64frombits(0x7ff8deadbeef0001), -1)
+	r := rand.New(rand.NewSource(25))
+	for _, nt := range []bool{false, true} {
+		for _, bl := range []int{1, 2, 4, 8} {
+			for _, off := range []int{0, 1, 2} {
+				unitLen := blocks * bl
+				src := specialVec(r, total*unitLen)
+				store := func(scale float64) []complex128 {
+					buf := lineAligned(off + len(src) + off + 1) // sentinels on both sides
+					for i := range buf {
+						buf[i] = sentinel
+					}
+					st := Stage{
+						Name: "fold", Iters: iters, Units: units, UnitLen: unitLen,
+						Src: Endpoint{C: src}, Dst: Endpoint{C: buf[off : off+len(src)]},
+						Compute:     func(*Buffers, *kernels.Arena, int, int, int, int) {},
+						NonTemporal: nt, StoreRadix: 4, StoreSign: kernels.Inverse, StoreScale: scale,
+						Rot: Rotation{Blocks: blocks, BlockLen: bl, JStride: total * bl,
+							Map: func(g, j int) int { return (j*total + g) * bl }},
+					}
+					if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true},
+						NewBuffers(units*unitLen, false), []Stage{st}); err != nil {
+						t.Fatal(err)
+					}
+					return buf
+				}
+				plain := store(0)
+				for _, scale := range scales {
+					want := append([]complex128(nil), plain...)
+					if scale != 0 { // a zero of either sign means no scale
+						fft1d.Scale(want[off:off+len(src)], scale)
+					}
+					// A NaN scale meets NaN data with NaNs on both sides of
+					// a multiply, and which payload Go keeps then depends on
+					// the operand order the compiler chose at each call site
+					// of fft1d.Scale (it differs under -race), so there only
+					// NaN-ness is held; every other value is held bitwise.
+					same := func(a, b float64) bool {
+						return math.Float64bits(a) == math.Float64bits(b) ||
+							math.IsNaN(scale) && math.IsNaN(a) && math.IsNaN(b)
+					}
+					for i, g := range store(scale) {
+						if !same(real(g), real(want[i])) || !same(imag(g), imag(want[i])) {
+							t.Fatalf("streaming=%v μ=%d off=%d scale=%v: element %d = %v, fold-then-Scale %v",
+								nt, bl, off, scale, i, g, want[i])
+						}
+					}
 				}
 			}
 		}

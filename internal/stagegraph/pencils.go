@@ -186,10 +186,11 @@ const (
 	// of the others, and every graph that is never handed a scale).
 	scalePass scaleLeg = iota
 	// scaleCompute: by the last stage's compute hook, on the block it just
-	// transformed.
+	// transformed (a plain unit-major last store).
 	scaleCompute
-	// scaleStore: on the way out of the last stage's run-major store into
-	// the caller's array, riding its streaming kernel; no leg runs a sweep.
+	// scaleStore: on the way out of the last stage's run-major or radix-4
+	// fold store into the caller's array, riding its kernel; no leg runs a
+	// sweep.
 	scaleStore
 )
 
@@ -475,18 +476,17 @@ func (p Pencils) Build() (*Graph, error) {
 		g.elems = max(g.elems, budget)
 	}
 	if p.Real == nil && sk == 1 {
-		// Every stage writes the whole array once. Scaling the last stage's
+		// Every stage writes the whole array once. A run-major or folded
+		// last store into the caller's array applies the scale on the way
+		// out, for no sweep at all; otherwise scaling the last stage's
 		// blocks in its compute leg is the same fft1d.Scale on the same
-		// values a pass over the destination would apply; ahead of a folded
-		// butterfly that holds only when the scale is a power of two (exact,
-		// so it commutes with the butterfly's adds). A run-major last store
-		// into the caller's array applies it instead, for no sweep at all.
+		// values a pass over the destination would apply.
 		n := total * mu
 		ApplyStorePolicy(g.stages, p.StorePolicy.Decide(n*complexBytes, machine.HostLLCBytes()))
 		switch last := &g.stages[nStages-1]; {
-		case p.Out.WriteC == nil && last.runMajor():
+		case p.Out.WriteC == nil && (last.runMajor() || last.StoreRadix != 0):
 			g.scaleAt = scaleStore
-		case last.StoreRadix == 0 || n&(n-1) == 0:
+		case last.StoreRadix == 0:
 			g.scaleAt = scaleCompute
 		}
 	}

@@ -161,11 +161,14 @@ func TestRunMajorGraphMatchesUnitMajor(t *testing.T) {
 	}
 }
 
-// StoreScale is refused on a stage whose store would drop it.
+// StoreScale is refused on a stage whose store would drop it — a plain
+// cached store, or any store into a WriteC sink — and taken by run-major and
+// radix-4 fold stores into a complex array.
 func TestStoreScaleNeedsRunMajorStore(t *testing.T) {
 	g := streamingGraph(t, []int{32, 64}, StoreRegular)
 	st := g.stages[1]
-	st.Src, st.Dst = Endpoint{C: make([]complex128, 32*64)}, Endpoint{C: make([]complex128, 32*64)}
+	c := Endpoint{C: make([]complex128, 32*64)}
+	st.Src, st.Dst = c, c
 	st.StoreScale = 0.5
 	if err := st.validate(1, nil); err == nil {
 		t.Fatal("validate accepted StoreScale on a cached stage")
@@ -177,5 +180,15 @@ func TestStoreScaleNeedsRunMajorStore(t *testing.T) {
 	st.Dst = Endpoint{WriteC: func(int, []complex128) {}}
 	if err := st.validate(1, nil); err == nil {
 		t.Fatal("validate accepted StoreScale into a WriteC sink")
+	}
+	for _, nt := range []bool{false, true} {
+		st.NonTemporal, st.StoreRadix, st.Dst = nt, 4, c
+		if err := st.validate(1, nil); err != nil {
+			t.Fatalf("validate refused StoreScale on a fold stage (streaming %v): %v", nt, err)
+		}
+		st.Dst = Endpoint{WriteC: func(int, []complex128) {}}
+		if err := st.validate(1, nil); err == nil {
+			t.Fatalf("validate accepted StoreScale on a fold stage into a WriteC sink (streaming %v)", nt)
+		}
 	}
 }

@@ -35,9 +35,9 @@ type Call struct {
 	// Sign is the transform direction for graphs that serve both.
 	Sign int
 	// Scale, when non-zero, multiplies the result (the 1/N of a normalised
-	// inverse): on the way out of the last stage's run-major store, else in
-	// that stage's compute leg when that is bitwise equal to a pass over
-	// Out.C afterwards, else by that pass.
+	// inverse): on the way out of the last stage's run-major or fold store,
+	// else in that stage's compute leg, else by a pass over Out.C afterwards
+	// — bitwise the same result wherever it runs.
 	Scale float64
 	// Count is the row count of a batch graph's call.
 	Count int
@@ -312,7 +312,7 @@ func (r *Runner) ScalesInStage(g int) bool {
 }
 
 // ScalesInStore reports whether graph g applies a run's Scale on the way out
-// of its last stage's run-major store: no sweep in any leg.
+// of its last stage's run-major or fold store: no sweep in any leg.
 func (r *Runner) ScalesInStore(g int) bool {
 	return r != nil && r.graphs[g].scaleAt == scaleStore
 }

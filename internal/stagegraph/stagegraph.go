@@ -18,6 +18,7 @@ package stagegraph
 import (
 	"fmt"
 
+	"repro/internal/fft1d"
 	"repro/internal/kernels"
 	"repro/internal/layout"
 )
@@ -130,10 +131,11 @@ type Stage struct {
 	StoreRadix int
 	StoreSign  int
 	// StoreScale, when non-zero, multiplies every element on its way out of
-	// a run-major store (see runMajor) — bitwise fft1d.Scale over the
-	// destination afterwards, for no extra pass. Runners patch it per run
-	// with the 1/N of a normalised inverse; a stage that stores any other
-	// way refuses it (validate).
+	// a run-major or radix-4 fold store into a plain complex array (see
+	// scalesInStore) — bitwise fft1d.Scale over the destination afterwards,
+	// for no extra pass. Runners patch it per run with the 1/N of a
+	// normalised inverse; a stage that stores any other way refuses it
+	// (validate).
 	StoreScale float64
 	// Rot maps stored blocks to destination offsets; Blocks·BlockLen must
 	// equal the store unit length.
@@ -164,6 +166,14 @@ func (st *Stage) storeGeometry() (units, unitLen int) {
 func (st *Stage) runMajor() bool {
 	return st.NonTemporal && st.StoreRadix == 0 &&
 		st.Rot.JStride != 0 && st.Rot.GStride == st.Rot.BlockLen
+}
+
+// scalesInStore reports whether the store leg can apply StoreScale: a
+// run-major store or a radix-4 fold store (which multiplies each folded
+// output as it leaves, in the fused kernel or in the scratch fold) into a
+// plain complex array.
+func (st *Stage) scalesInStore() bool {
+	return (st.runMajor() || st.StoreRadix != 0) && st.Dst.C != nil
 }
 
 // BlockElems returns the buffer-half footprint of one pipeline block.
@@ -199,8 +209,8 @@ func (st *Stage) validate(i int, b *Buffers) error {
 				i, st.Name, st.Rot.GStride, got, want)
 		}
 	}
-	if st.StoreScale != 0 && !(st.runMajor() && st.Dst.C != nil) {
-		return fmt.Errorf("stagegraph: stage %d (%s): StoreScale on a store that is not run-major", i, st.Name)
+	if st.StoreScale != 0 && !st.scalesInStore() {
+		return fmt.Errorf("stagegraph: stage %d (%s): StoreScale on a store that neither runs run-major nor folds into a complex array", i, st.Name)
 	}
 	if !st.Src.valid(false) {
 		return fmt.Errorf("stagegraph: stage %d (%s): invalid Src endpoint", i, st.Name)
@@ -316,9 +326,10 @@ func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 // applied on the way out: a plain complex destination gets each run folded
 // and scattered by one fused kernel (streaming or cached stores by
 // NonTemporal), the buffer half read four times at cache speed and nothing
-// written in between. WriteC and pair-packed destinations, irregular maps
-// and builds without the kernel fold into the worker's scratch first
-// (foldRun) and scatter from there.
+// written in between; StoreScale rides that kernel too. WriteC and
+// pair-packed destinations, irregular maps and builds without the kernel
+// fold (and scale) into the worker's scratch first (foldRun) and scatter
+// from there.
 func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []complex128) int {
 	units, unitLen := st.storeGeometry()
 	blocks, bl := st.Rot.Blocks, st.Rot.BlockLen
@@ -377,8 +388,9 @@ func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []co
 // foldRun computes output blocks [j0, j0+run) of the store unit whose
 // buffer base is ub, applying the trailing radix-4 butterfly: output block
 // j belongs to leg j/(Blocks/4) and combines input blocks (j mod Blocks/4)
-// + k·Blocks/4, all read from the cache-hot buffer half. The result lands
-// in scratch[0:run·BlockLen], which is returned.
+// + k·Blocks/4, all read from the cache-hot buffer half. The result,
+// multiplied by StoreScale when that is set, lands in
+// scratch[0:run·BlockLen], which is returned.
 func (st *Stage) foldRun(buf, scratch []complex128, ub, j0, run int) []complex128 {
 	blocks, bl := st.Rot.Blocks, st.Rot.BlockLen
 	nq := blocks / 4
@@ -402,6 +414,9 @@ func (st *Stage) foldRun(buf, scratch []complex128, ub, j0, run int) []complex12
 		o := (j - j0) * bl
 		kernels.Radix4FoldLeg(scratch[o:o+n], z0, z1, z2, z3, leg, st.StoreSign)
 		j += seg
+	}
+	if st.StoreScale != 0 {
+		fft1d.Scale(scratch[:run*bl], st.StoreScale)
 	}
 	return scratch[:run*bl]
 }
@@ -429,8 +444,8 @@ func (st *Stage) foldScatter(buf []complex128, ub, j0, run, d0, stride int) bool
 		z2 := buf[base+2*legStride : base+2*legStride+n]
 		z3 := buf[base+3*legStride : base+3*legStride+n]
 		d := d0 + (j-j0)*stride
-		if !(st.NonTemporal && kernels.Radix4FoldScatterNT(st.Dst.C, z0, z1, z2, z3, seg, bl, d, stride, leg, st.StoreSign)) &&
-			!kernels.Radix4FoldScatter(st.Dst.C, z0, z1, z2, z3, seg, bl, d, stride, leg, st.StoreSign) {
+		if !(st.NonTemporal && kernels.Radix4FoldScatterNT(st.Dst.C, z0, z1, z2, z3, seg, bl, d, stride, leg, st.StoreSign, st.StoreScale)) &&
+			!kernels.Radix4FoldScatter(st.Dst.C, z0, z1, z2, z3, seg, bl, d, stride, leg, st.StoreSign, st.StoreScale) {
 			return false
 		}
 		j += seg
