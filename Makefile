@@ -160,8 +160,9 @@ serveprobe:
 	GOMAXPROCS=2 $(GO) run ./benchmark -workload serve1d -seconds 10 -trace 0
 	GOMAXPROCS=2 $(GO) run ./benchmark -workload serve1d -seconds 10 -trace 1
 
-# The stage-leg budget of the paper's regime, and of cache2d's shape beside
-# it: 256³, 4096² and 512² forward and inverse on one thread, per stage the
+# The stage-leg budget of the paper's regime, of cache2d's shape and of the
+# real-input graphs: complex 256³, 4096² and 512², real 512×256×256 (real3d)
+# and real 4096², forward and inverse on one thread, per stage the
 # load / compute / store milliseconds (µs resolution at 512²) from
 # Observability() deltas, Σ legs beside the wall, and each stage's load +
 # store beside the same run's streamed copy of two arrays. Medians of 5 runs,
@@ -172,10 +173,13 @@ legprobe:
 
 # One dispatched Stockham stage at a time, on one thread: the radix-8 and
 # radix-16 stages of 512² rows and cols, 256³ x- and y/z-pencils and n = 4096
-# over a 256 KiB pipeline block, in ps per element (BenchmarkStage). Ungated
-# like the other probes; a codelet PR quotes it in EXPERIMENTS.md.
+# over a 256 KiB pipeline block, in ps per element (BenchmarkStage); then the
+# cached block store (BenchmarkScatterBlocks), including 512²'s rows and cols
+# store geometries into a 4 MiB destination. Ungated like the other probes; a
+# codelet or store-kernel PR quotes it in EXPERIMENTS.md.
 kernelprobe:
 	GOMAXPROCS=1 $(GO) test ./internal/kernels -run '^$$' -bench Stage -count 5
+	GOMAXPROCS=1 $(GO) test ./internal/layout -run '^$$' -bench ScatterBlocks -count 5
 
 # The JSON codec alone, on one thread: decode and encode of http2d's 256²
 # request and reply, in ms/op and ns per float64 value. Ungated like the other

@@ -11,7 +11,7 @@
 //	fftbench -fig 1            # one figure: 1, 9, 10, 11a, 11b, 11c, 11d
 //	fftbench -measured         # run the real implementations on this host
 //	fftbench -measured -dims 2 # the 2D sweep instead of 3D
-//	fftbench -measured -legs   # per-stage load/compute/store ms at 256³, 4096² and 512² (make legprobe)
+//	fftbench -measured -legs   # per-stage load/compute/store ms at complex 256³, 4096², 512² and real 512×256×256, 4096² (make legprobe)
 //
 // Profiling a measured sweep (inspect with `go tool pprof`):
 //
@@ -37,7 +37,7 @@ func main() {
 	measured := flag.Bool("measured", false, "run the real implementations at host-feasible sizes")
 	dims := flag.Int("dims", 3, "2 or 3: dimensionality of the measured sweep")
 	reps := flag.Int("reps", 3, "repetitions per measured point (best is reported)")
-	legs := flag.Bool("legs", false, "with -measured: print the per-stage leg budget of 256³, 4096² and 512² instead of the sweep (median of -reps, of at least 301 at 512²)")
+	legs := flag.Bool("legs", false, "with -measured: print the per-stage leg budget of complex 256³, 4096² and 512² and real 512×256×256 and 4096² instead of the sweep (median of -reps, of at least 301 at 512²)")
 	pd := flag.Int("pd", 1, "data workers for measured runs")
 	pc := flag.Int("pc", 1, "compute workers for measured runs")
 	acc := flag.Bool("accuracy", false, "print the numerical-accuracy report instead of performance")

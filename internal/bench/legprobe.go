@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"sort"
 	"text/tabwriter"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/fft2d"
 	"repro/internal/fft3d"
 	"repro/internal/obs"
+	"repro/internal/rfft"
 )
 
 // cacheReps is LegProbe's floor on runs of the cache-resident 512² shape:
@@ -19,37 +21,65 @@ import (
 // 0.98 ms; 301 round trips take a few seconds.
 const cacheReps = 301
 
-// legPlan is what LegProbe needs of a 2D or 3D plan.
+// legPlan is the telemetry LegProbe reads of a plan, complex or real.
 type legPlan interface {
-	Transform(dst, src []complex128, sign int) error
-	Inverse(dst, src []complex128) error
 	Observability() obs.Snapshot
 	DescribeGraph() string
 	Close()
 }
 
 // LegProbe prints the per-stage leg budget of the two out-of-LLC complex
-// shapes — 256³ and 4096², 256 MiB an array — and of cache2d's 512², 4 MiB
-// an array inside the LLC (printed in µs resolution: its legs are under a
-// millisecond), through the product
+// shapes — 256³ and 4096², 256 MiB an array — of cache2d's 512², 4 MiB an
+// array inside the LLC (printed in µs resolution: its legs are under a
+// millisecond), and of two real shapes — real3d's 512×256×256 and real
+// 4096², whose real arrays are 256 and 128 MiB — through the product
 // configuration (core.Config{}): per direction and stage the load, compute
 // and store milliseconds from Observability() deltas, Σ legs beside the wall
 // time, and each stage's load + store beside the same run's streamed copy of
-// one array onto the other (2·N·16 B, what a stage's data legs move). Every
-// figure is the median of reps runs — of at least cacheReps at 512², whose
-// sub-millisecond legs a handful of runs does not resolve. `make legprobe`
-// runs it at GOMAXPROCS=1, where the legs execute one after another and sum
-// to the wall.
+// one array onto another of its type (2·N·16 B complex, 2·N·8 B real: what a
+// stage's data legs move). Every figure is the median of reps runs — of at
+// least cacheReps at 512², whose sub-millisecond legs a handful of runs does
+// not resolve. `make legprobe` runs it at GOMAXPROCS=1, where the legs
+// execute one after another and sum to the wall.
 func LegProbe(w io.Writer, reps int) error {
 	if reps < 1 {
 		reps = 5
 	}
 	for _, c := range []struct {
 		dims []int
+		real bool
 		reps int
-	}{{[]int{256, 256, 256}, reps}, {[]int{4096, 4096}, reps}, {[]int{512, 512}, max(reps, cacheReps)}} {
-		dims := c.dims
-		var p legPlan
+	}{
+		{[]int{256, 256, 256}, false, reps},
+		{[]int{4096, 4096}, false, reps},
+		{[]int{512, 512}, false, max(reps, cacheReps)},
+		{[]int{512, 256, 256}, true, reps},
+		{[]int{4096, 4096}, true, reps},
+	} {
+		runtime.GC() // free the last shape's arrays before this one allocates
+		if err := legProbeShape(w, c.dims, c.real, c.reps); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// legProbeShape builds the product plan of one complex or real shape and the
+// arrays of its round trip, and probes it: forward x → spectrum, inverse
+// spectrum → x (complex) or → a second real array (real), and the copy of x
+// onto that second array.
+func legProbeShape(w io.Writer, dims []int, realInput bool, reps int) error {
+	n := 1
+	for _, d := range dims {
+		n *= d
+	}
+	label := fmt.Sprint(dims)
+	if !realInput {
+		var p interface {
+			legPlan
+			Transform(dst, src []complex128, sign int) error
+			Inverse(dst, src []complex128) error
+		}
 		var err error
 		if len(dims) == 3 {
 			p, err = fft3d.NewPlan(dims[0], dims[1], dims[2], core.Config{})
@@ -59,27 +89,51 @@ func LegProbe(w io.Writer, reps int) error {
 		if err != nil {
 			return err
 		}
-		err = legProbeOne(w, p, dims, c.reps)
-		p.Close()
-		if err != nil {
-			return err
+		defer p.Close()
+		x, y := make([]complex128, n), make([]complex128, n)
+		for i := range x {
+			x[i] = complex(float64(i%17)-8, float64(i%13)-6)
 		}
+		return legProbeOne(w, label, p, n*16,
+			func() error { return p.Transform(y, x, fft1d.Forward) },
+			func() error { return p.Inverse(x, y) },
+			func() { copy(y, x) }, reps)
 	}
-	return nil
+	var p interface {
+		legPlan
+		SpectrumLen() int
+		Forward(dst []complex128, src []float64) error
+		Inverse(dst []float64, src []complex128) error
+	}
+	var err error
+	if len(dims) == 3 {
+		p, err = rfft.NewPlan3D(dims[0], dims[1], dims[2], core.Config{})
+	} else {
+		p, err = rfft.NewPlan2D(dims[0], dims[1], core.Config{})
+	}
+	if err != nil {
+		return err
+	}
+	defer p.Close()
+	x, back := make([]float64, n), make([]float64, n)
+	for i := range x {
+		x[i] = float64(i%17) - 8
+	}
+	spec := make([]complex128, p.SpectrumLen())
+	return legProbeOne(w, "real "+label, p, n*8,
+		func() error { return p.Forward(spec, x) },
+		func() error { return p.Inverse(back, spec) },
+		func() { copy(back, x) }, reps)
 }
 
-func legProbeOne(w io.Writer, p legPlan, dims []int, reps int) error {
-	n := 1
-	for _, d := range dims {
-		n *= d
-	}
-	x, y := make([]complex128, n), make([]complex128, n)
-	for i := range x {
-		x[i] = complex(float64(i%17)-8, float64(i%13)-6)
-	}
+// legProbeOne runs reps round trips of fwd then inv, each after a timed
+// copy, and prints the legs of every stage a direction ran. arrayBytes is
+// the size of the array copy moves.
+func legProbeOne(w io.Writer, label string, p legPlan, arrayBytes int, fwd, inv func() error, copyArray func(), reps int) error {
 	type sample struct {
 		wall   float64
 		stages [][3]float64 // load, compute, store ms
+		ran    []bool       // whether the direction ran the stage
 	}
 	run := func(f func() error) (sample, error) {
 		before := p.Observability()
@@ -96,43 +150,45 @@ func legProbeOne(w io.Writer, p legPlan, dims []int, reps int) error {
 				float64(st.ComputeNs-b.ComputeNs) / 1e6,
 				float64(st.Store.Ns-b.Store.Ns) / 1e6,
 			})
+			s.ran = append(s.ran, st.Store.Ops != b.Store.Ops)
 		}
 		return s, nil
 	}
 	// One untimed round trip faults the arrays in and warms the arenas.
-	if err := p.Transform(y, x, fft1d.Forward); err != nil {
+	if err := fwd(); err != nil {
 		return err
 	}
-	if err := p.Inverse(x, y); err != nil {
+	if err := inv(); err != nil {
 		return err
 	}
-	var fwd, inv []sample
+	var fwds, invs []sample
 	var copies []float64
 	for r := 0; r < reps; r++ {
 		t0 := time.Now()
-		copy(y, x)
+		copyArray()
 		copies = append(copies, ms(time.Since(t0)))
-		f, err := run(func() error { return p.Transform(y, x, fft1d.Forward) })
+		f, err := run(fwd)
 		if err != nil {
 			return err
 		}
-		i, err := run(func() error { return p.Inverse(x, y) })
+		i, err := run(inv)
 		if err != nil {
 			return err
 		}
-		fwd, inv = append(fwd, f), append(inv, i)
+		fwds, invs = append(fwds, f), append(invs, i)
 	}
 	copyMs := median(copies)
 	names := p.Observability().Stages
-	fwdWall := medianOf(fwd, func(s sample) float64 { return s.wall })
-	invWall := medianOf(inv, func(s sample) float64 { return s.wall })
+	fwdWall := medianOf(fwds, func(s sample) float64 { return s.wall })
+	invWall := medianOf(invs, func(s sample) float64 { return s.wall })
 	prec := 1 // decimals of a millisecond
 	if fwdWall < 10 {
 		prec = 3
 	}
 
-	fmt.Fprintf(w, "legprobe %v: %d MiB an array, median of %d; streamed copy of 2·%d MiB %.*f ms (%.1f GB/s)\n",
-		dims, n*16>>20, reps, n*16>>20, prec, copyMs, float64(2*n*16)/copyMs/1e6)
+	mib := arrayBytes >> 20
+	fmt.Fprintf(w, "legprobe %s: %d MiB an array, median of %d; streamed copy of 2·%d MiB %.*f ms (%.1f GB/s)\n",
+		label, mib, reps, mib, prec, copyMs, float64(2*arrayBytes)/copyMs/1e6)
 	fmt.Fprint(w, p.DescribeGraph())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "dir\tstage\tload ms\tcompute ms\tstore ms\tload+store\t/ copy\t")
@@ -141,9 +197,12 @@ func legProbeOne(w io.Writer, p legPlan, dims []int, reps int) error {
 		name string
 		s    []sample
 		wall float64
-	}{{"fwd", fwd, fwdWall}, {"inv", inv, invWall}} {
+	}{{"fwd", fwds, fwdWall}, {"inv", invs, invWall}} {
 		sum := 0.0
 		for i := range names {
+			if !d.s[0].ran[i] {
+				continue
+			}
 			var leg [3]float64
 			for k := range leg {
 				leg[k] = medianOf(d.s, func(s sample) float64 { return s.stages[i][k] })

@@ -28,6 +28,11 @@ type Features struct {
 	// HasAVX512DQ reports the doubleword/quadword extensions the 512-bit
 	// codelets need beside F (VXORPD on ZMM, VEXTRACTF64X2).
 	HasAVX512DQ bool
+	// HasPRFCHW reports PREFETCHW, the prefetch that fetches a line for
+	// ownership (CPUID 0x80000001 ECX bit 8; Linux lists it as
+	// 3dnowprefetch). The cached store kernels issue it ahead of their
+	// destination blocks.
+	HasPRFCHW bool
 }
 
 // X86 holds the detected features of the running CPU. It is populated in
@@ -35,7 +40,7 @@ type Features struct {
 var X86 Features
 
 // Summary returns a short space-separated feature list for benchmark
-// headers and snapshot metadata, e.g. "avx avx2 fma avx512f avx512dq";
+// headers and snapshot metadata, e.g. "avx avx2 fma avx512f avx512dq prfchw";
 // "none" when no relevant feature is available (or detection is compiled
 // out).
 func Summary() string {
@@ -54,6 +59,9 @@ func Summary() string {
 	}
 	if X86.HasAVX512DQ {
 		fs = append(fs, "avx512dq")
+	}
+	if X86.HasPRFCHW {
+		fs = append(fs, "prfchw")
 	}
 	if len(fs) == 0 {
 		return "none"

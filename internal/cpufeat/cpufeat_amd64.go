@@ -43,4 +43,9 @@ func init() {
 		X86.HasAVX512F = osZMM && ebx7&cpuidAVX512F != 0
 		X86.HasAVX512DQ = X86.HasAVX512F && ebx7&cpuidAVX512DQ != 0
 	}
+	if maxExt, _, _, _ := cpuid(0x80000000, 0); maxExt >= 0x80000001 {
+		_, _, ecxExt, _ := cpuid(0x80000001, 0)
+		const cpuidPRFCHW = 1 << 8
+		X86.HasPRFCHW = ecxExt&cpuidPRFCHW != 0
+	}
 }

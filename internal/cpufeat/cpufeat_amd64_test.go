@@ -14,22 +14,7 @@ import (
 // clearcpuid=, or a sandbox that filters the flags line, hides features the
 // codelets can still use.
 func TestDetectionMatchesProcCPUInfo(t *testing.T) {
-	data, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Skipf("no /proc/cpuinfo: %v", err)
-	}
-	flags := map[string]bool{}
-	for _, line := range strings.Split(string(data), "\n") {
-		if name, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
-			for _, f := range strings.Fields(val) {
-				flags[f] = true
-			}
-			break
-		}
-	}
-	if len(flags) == 0 {
-		t.Skip("/proc/cpuinfo has no flags line")
-	}
+	flags := procFlags(t)
 	for _, c := range []struct {
 		flag string
 		got  bool
@@ -47,4 +32,35 @@ func TestDetectionMatchesProcCPUInfo(t *testing.T) {
 			t.Logf("%s: detected but not listed in /proc/cpuinfo", c.flag)
 		}
 	}
+}
+
+// PREFETCHW needs no OS-enabled state, so the kernel's 3dnowprefetch flag is
+// the CPUID bit itself and the two must agree both ways.
+func TestPRFCHWMatchesProcCPUInfo(t *testing.T) {
+	if listed := procFlags(t)["3dnowprefetch"]; listed != X86.HasPRFCHW {
+		t.Fatalf("3dnowprefetch listed in /proc/cpuinfo = %v, HasPRFCHW = %v", listed, X86.HasPRFCHW)
+	}
+}
+
+// procFlags returns the first CPU's flags from /proc/cpuinfo, skipping the
+// test where the file or its flags line is missing.
+func procFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		t.Skipf("no /proc/cpuinfo: %v", err)
+	}
+	flags := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if name, val, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(name) == "flags" {
+			for _, f := range strings.Fields(val) {
+				flags[f] = true
+			}
+			break
+		}
+	}
+	if len(flags) == 0 {
+		t.Skip("/proc/cpuinfo has no flags line")
+	}
+	return flags
 }

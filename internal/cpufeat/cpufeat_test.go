@@ -21,6 +21,7 @@ func TestSummaryListsDetectedFeatures(t *testing.T) {
 		{"fma", X86.HasFMA},
 		{"avx512f", X86.HasAVX512F},
 		{"avx512dq", X86.HasAVX512DQ},
+		{"prfchw", X86.HasPRFCHW},
 	} {
 		detected = detected || c.has
 		if listed := strings.Contains(" "+s+" ", " "+c.name+" "); listed != c.has {

@@ -64,6 +64,14 @@ func BenchmarkRotate3DBlocked(b *testing.B) {
 	}
 }
 
+// BenchmarkScatterBlocks times the cached block store: at a 2-block stride
+// into an L2-sized array (len=4, len=8), and in the two geometries of a
+// 512² transform's store legs, where every destination line of a call is
+// 8–64 KiB from the last and each block waits on its own read for ownership
+// unless the kernel prefetches it. One 512² op fills the whole 4 MiB
+// destination once, call by call from a 256 KiB source (a pipeline buffer
+// half): rows as 64-block runs at a 64 KiB stride, cols as 512-block runs at
+// an 8 KiB stride, μ = 4.
 func BenchmarkScatterBlocks(b *testing.B) {
 	const blocks = 4096
 	for _, blockLen := range []int{4, 8} {
@@ -76,6 +84,30 @@ func BenchmarkScatterBlocks(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				ScatterBlocks(dst, src, blocks, blockLen, 0, stride)
+			}
+		})
+	}
+	const side, mu = 512, 4
+	for _, c := range []struct {
+		name           string
+		blocks, stride int
+	}{
+		{"512x512/rows", 64, 4096},
+		{"512x512/cols", 512, 512},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			src := cvec.Random(rand.New(rand.NewSource(4)), 1<<14)
+			dst := make([]complex128, side*side)
+			run := c.blocks * mu
+			b.SetBytes(int64(len(dst) * 32))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s := 0
+				for off := 0; off < c.stride; off += mu {
+					ScatterBlocks(dst, src[s:s+run], c.blocks, mu, off, c.stride)
+					s = (s + run) % len(src)
+				}
 			}
 		})
 	}

@@ -7,13 +7,19 @@
 // the paper's store matrices W_{b,i} write at cacheline granularity with
 // non-temporal stores instead of scattering single elements.
 //
-// Two implementation tiers exist for every blocked primitive:
+// The blocked primitives come in up to three implementation tiers:
 //
-//   - register-blocked micro-kernels for the cacheline sizes the paper
+//   - on amd64 with AVX, generated assembly (`make asmgen`) for the block
+//     stores: the cached scatter under ScatterBlocks and ScatterBlocksPairs
+//     (even block lengths), which prefetches its destination lines for
+//     ownership a few blocks ahead, and the streaming ScatterBlocksNT and
+//     GatherBlocksNT;
+//   - register-blocked Go micro-kernels for the cacheline sizes the paper
 //     evaluates (μ = 4, one 64 B line of complex128, and μ = 8): the block
 //     copy is fully unrolled, row strides are hoisted out of the inner loop,
 //     and every inner slice is re-sliced to a compile-time length so the
-//     compiler eliminates all interior bounds checks;
+//     compiler eliminates all interior bounds checks. They are the purego
+//     tier and the property tests' oracle for the generated one;
 //   - *Generic fallbacks (TransposeBlockedGeneric, …) handling any μ with
 //     plain copy loops. These are also the correctness references the
 //     property tests pit the specialized kernels against.
@@ -22,10 +28,10 @@
 // rotations: it writes `blocks` cacheline blocks taken contiguously from src
 // at a fixed destination stride — the inner loop of every W write matrix.
 // The stagegraph store path calls it directly when a Rotation declares its
-// affine stride, so the whole hot store path runs through the unrolled
-// kernels below. GatherBlocks is the same movement walked destination-first
-// (one contiguous run per block index across a pipeline block's units), the
-// order the streaming store leg uses.
+// affine stride, so the whole hot store path runs through the kernels above.
+// GatherBlocks is the same movement walked destination-first (one contiguous
+// run per block index across a pipeline block's units), the order the
+// streaming store leg uses.
 //
 // All functions are plain sequential loops; parallelization happens a level
 // up (internal/pipeline and internal/stagegraph carve the index space across
@@ -37,9 +43,20 @@ import "fmt"
 // ScatterBlocks writes `blocks` consecutive blockLen-element blocks of src
 // to dst at a fixed stride: block j (src[j·blockLen : (j+1)·blockLen]) lands
 // at dst[dstOff + j·dstStride]. This is the store inner loop of every
-// blocked rotation (the paper's W write matrices at cacheline granularity);
-// blockLen 4 and 8 take fully unrolled register paths.
+// blocked rotation (the paper's W write matrices at cacheline granularity).
+// On amd64 with AVX an even blockLen runs the generated cached scatter, which
+// prefetches its destination lines for ownership a few blocks ahead;
+// every other pattern, and the purego build, runs scatterBlocksGo.
 func ScatterBlocks(dst, src []complex128, blocks, blockLen, dstOff, dstStride int) {
+	if !scatterKernel(dst, src, blocks, blockLen, dstOff, dstStride) {
+		scatterBlocksGo(dst, src, blocks, blockLen, dstOff, dstStride)
+	}
+}
+
+// scatterBlocksGo is ScatterBlocks in Go, the purego tier and the property
+// tests' oracle for the generated one: blockLen 4 and 8 take fully unrolled
+// register paths, every other length a copy per block.
+func scatterBlocksGo(dst, src []complex128, blocks, blockLen, dstOff, dstStride int) {
 	switch blockLen {
 	case 4:
 		d := dstOff
@@ -105,8 +122,8 @@ func CopyBlock(dst, src []complex128) {
 // dst block (j, i) = src block (i, j). In SPL this is L^{rows·cols} ⊗ I_μ,
 // the blocked transposition the paper uses after each 2D FFT stage. Each
 // source row scatters whole cacheline blocks at a fixed destination stride
-// through ScatterBlocks, so μ = 4 and μ = 8 run the unrolled register
-// kernels.
+// through ScatterBlocks, so every even μ runs the generated cached scatter on
+// amd64 and μ = 4 and μ = 8 the unrolled register kernels elsewhere.
 func TransposeBlocked(dst, src []complex128, rows, cols, mu int) {
 	if len(dst) != rows*cols*mu || len(src) != rows*cols*mu {
 		panic(fmt.Sprintf("layout: TransposeBlocked %dx%dx%d on dst=%d src=%d",
@@ -175,7 +192,7 @@ func Rotate3D(dst, src []complex128, k, n, m int) {
 // receives the mb×k×n cube of blocks:
 // dst block (xb, z, y) = src block (z, y, xb).
 // Every source pencil scatters its blocks at the fixed stride k·n·μ through
-// ScatterBlocks, so μ = 4 and μ = 8 run the unrolled register kernels.
+// ScatterBlocks, so it runs the same store kernels as TransposeBlocked.
 func Rotate3DBlocked(dst, src []complex128, k, n, mb, mu int) {
 	if len(dst) != k*n*mb*mu || len(src) != k*n*mb*mu {
 		panic(fmt.Sprintf("layout: Rotate3DBlocked %dx%dx%dx%d on dst=%d src=%d",

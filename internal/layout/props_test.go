@@ -1,6 +1,7 @@
 package layout
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -82,13 +83,17 @@ func TestQuickBlockedEqualsGroupedElementwise(t *testing.T) {
 	}
 }
 
-// Property: every specialized μ = 4 / μ = 8 scatter kernel is bit-identical
-// to a naive per-element store, including odd block counts, offsets and
-// strides large enough to leave gaps.
+// Property: every scatter tier — the generated cached kernel (even blockLen
+// on amd64), the unrolled μ = 4 / μ = 8 Go paths and the copy loop — is
+// bit-identical to a naive per-element store and writes nothing between the
+// blocks, across random block counts, odd and even lengths, offsets and
+// strides from blockLen up to 64 KiB. An odd blockLen must leave the kernel
+// to Go.
 func TestQuickScatterBlocksMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(57))
-	f := func(rawB, rawL, rawOff uint8) bool {
-		blocks := int(rawB)%9 + 1
+	sentinel := complex(math.Pi, -math.E)
+	f := func(rawB, rawL, rawOff uint8, rawStride uint16) bool {
+		blocks := int(rawB)%17 + 1
 		var blockLen int
 		switch rawL % 3 {
 		case 0:
@@ -96,21 +101,62 @@ func TestQuickScatterBlocksMatchesNaive(t *testing.T) {
 		case 1:
 			blockLen = 8
 		default:
-			blockLen = int(rawL)%5 + 1 // generic path, incl. odd lengths
+			blockLen = int(rawL)%10 + 1 // copy loop in Go, kernel when even
 		}
 		dstOff := int(rawOff) % 7
-		dstStride := blockLen + int(rawOff)%5 // ≥ blockLen: blocks never overlap
+		// ≥ blockLen, so blocks never overlap; up to 64 KiB (4096 elements).
+		dstStride := blockLen + int(rawStride)%(4096-blockLen+1)
 		src := cvec.Random(rng, blocks*blockLen)
-		need := dstOff + (blocks-1)*dstStride + blockLen
-		got := make([]complex128, need)
+		need := dstOff + (blocks-1)*dstStride + blockLen + 3
 		want := make([]complex128, need)
-		ScatterBlocks(got, src, blocks, blockLen, dstOff, dstStride)
+		for i := range want {
+			want[i] = sentinel
+		}
 		for j := 0; j < blocks; j++ {
 			for v := 0; v < blockLen; v++ {
 				want[dstOff+j*dstStride+v] = src[j*blockLen+v]
 			}
 		}
-		return cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) == 0
+		fresh := func() []complex128 {
+			d := make([]complex128, need)
+			for i := range d {
+				d[i] = sentinel
+			}
+			return d
+		}
+		same := func(tier string, got, want []complex128) bool {
+			for i := range got {
+				if got[i] != want[i] {
+					t.Errorf("%s blocks=%d len=%d off=%d stride=%d: element %d = %v, want %v",
+						tier, blocks, blockLen, dstOff, dstStride, i, got[i], want[i])
+					return false
+				}
+			}
+			return true
+		}
+		got := fresh()
+		ScatterBlocks(got, src, blocks, blockLen, dstOff, dstStride)
+		if !same("ScatterBlocks", got, want) {
+			return false
+		}
+		got = fresh()
+		scatterBlocksGo(got, src, blocks, blockLen, dstOff, dstStride)
+		if !same("Go", got, want) {
+			return false
+		}
+		// The kernel alone runs exactly for even lengths on builds with the
+		// AVX tier (which NonTemporalAvailable reports), and a declined call
+		// writes nothing.
+		got = fresh()
+		ran := scatterKernel(got, src, blocks, blockLen, dstOff, dstStride)
+		if ran != (blockLen%2 == 0 && NonTemporalAvailable()) {
+			t.Errorf("kernel ran = %v for blockLen %d", ran, blockLen)
+			return false
+		}
+		if !ran {
+			want = fresh()
+		}
+		return same("kernel", got, want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Fatal(err)

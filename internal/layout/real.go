@@ -11,9 +11,10 @@ package layout
 // element, i.e. 8 B per real element, which is exactly what the bandwidth
 // accounting records for real loads and stores.
 //
-// The same two implementation tiers as the rest of the package apply:
-// unrolled register kernels for the μ = 4 / μ = 8 cacheline sizes, and
-// *Generic fallbacks kept as the property-test oracles.
+// The same implementation tiers as the rest of the package apply: the
+// generated cached scatter under ScatterBlocksPairs on amd64, unrolled
+// register kernels for the μ = 4 / μ = 8 cacheline sizes, and *Generic
+// fallbacks kept as the property-test oracles.
 
 // PackPairs packs n float64 pairs from src into n complex elements:
 // dst[j] = complex(src[2j], src[2j+1]). len(src) must be ≥ 2n.
@@ -69,8 +70,17 @@ func UnpackPairsGeneric(dst []float64, src []complex128, n int) {
 // ScatterBlocksPairs is ScatterBlocks with a fused complex→real-pair format
 // change: block j of src lands at pair-packed offset dst[2·(dstOff +
 // j·dstStride) …]. It is the store inner loop of a c2r pipeline's final
-// stage, writing real output rows at cacheline granularity.
+// stage, writing real output rows at cacheline granularity. A pair of reals
+// is the bytes of a complex128, so it runs the same generated cached scatter
+// as ScatterBlocks where that one does.
 func ScatterBlocksPairs(dst []float64, src []complex128, blocks, blockLen, dstOff, dstStride int) {
+	if !scatterPairsKernel(dst, src, blocks, blockLen, dstOff, dstStride) {
+		scatterBlocksPairsGo(dst, src, blocks, blockLen, dstOff, dstStride)
+	}
+}
+
+// scatterBlocksPairsGo is ScatterBlocksPairs in Go (see scatterBlocksGo).
+func scatterBlocksPairsGo(dst []float64, src []complex128, blocks, blockLen, dstOff, dstStride int) {
 	switch blockLen {
 	case 4:
 		d := dstOff

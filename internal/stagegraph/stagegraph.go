@@ -330,6 +330,14 @@ func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 // pair-packed destinations, irregular maps and builds without the kernel
 // fold (and scale) into the worker's scratch first (foldRun) and scatter
 // from there.
+//
+// Every cached store here — the cached fold-scatter, ScatterBlocks and
+// ScatterBlocksPairs — runs a generated kernel on amd64 that issues
+// PREFETCHW for its destination lines a few blocks ahead of the block it
+// writes. The blocks of a run are 8–64 KiB apart, so each store misses and
+// must first read its line for ownership; prefetched, those reads overlap
+// instead of each waiting for the last. Streaming stores read nothing for
+// ownership and do not prefetch.
 func (st *Stage) store(b *Buffers, half, iter, worker, workers int, scratch []complex128) int {
 	units, unitLen := st.storeGeometry()
 	blocks, bl := st.Rot.Blocks, st.Rot.BlockLen
@@ -425,8 +433,11 @@ func (st *Stage) foldRun(buf, scratch []complex128, ub, j0, run int) []complex12
 // the run is folded and written straight to its strided destination blocks
 // by the fused kernel — the streaming one when the stage stores
 // non-temporally and the pattern meets its alignment contract, the cached
-// one otherwise. Returns false if the kernel declines (the caller then
-// re-runs the whole run through the scratch path).
+// one, which prefetches its blocks for ownership, otherwise. The leg
+// segments of a run continue one affine progression, so the cached kernel's
+// prefetch past the end of one segment warms the first blocks of the next.
+// Returns false if the kernel declines (the caller then re-runs the whole run
+// through the scratch path).
 func (st *Stage) foldScatter(buf []complex128, ub, j0, run, d0, stride int) bool {
 	blocks, bl := st.Rot.Blocks, st.Rot.BlockLen
 	nq := blocks / 4

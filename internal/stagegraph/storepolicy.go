@@ -15,7 +15,9 @@ import (
 // to ~2/3 of the model. Streaming (non-temporal) stores write-combine
 // straight to memory and recover the modelled two-stream rate — but for
 // cache-resident transforms they evict data the next stage is about to
-// load, so the choice is footprint-dependent.
+// load, so the choice is footprint-dependent. Below the switch the cached
+// store kernels prefetch their lines for ownership a few blocks ahead
+// (PREFETCHW), which hides the reads' latency though not their traffic.
 type StorePolicy int
 
 const (
