@@ -125,8 +125,9 @@ tracesmoke:
 # encoding/json, one number token against the grammar and strconv.ParseFloat,
 # a float64 bit pattern through the formatter against strconv.AppendFloat,
 # the binary frame decoder against its acceptance rule, a
-# scraped peer exposition through the /metrics/fleet merge and back, and a
-# wisdom file through LoadWisdom, Save and the candidate → Config conversion.
+# scraped peer exposition through the /metrics/fleet merge and back, a
+# wisdom file through LoadWisdom, Save and the candidate → Config conversion,
+# and a /shard/begin body through the JobSpec decoder and its validation.
 # The committed seed corpora (internal/{wire,obs,tune}/testdata/fuzz) are
 # replayed by plain `go test`; a crasher found here lands there as a new seed.
 fuzzsmoke:
@@ -136,6 +137,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadWisdom$$' -fuzztime=10s ./internal/tune
+	$(GO) test -run='^$$' -fuzz='^FuzzJobSpec$$' -fuzztime=10s ./internal/shard
 
 # The ruler (BENCHMARK.json): every named workload's end-to-end and
 # per-layer metrics, all outputs verified; performance claims are stated

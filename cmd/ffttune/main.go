@@ -1,7 +1,10 @@
 // Command ffttune searches the double-buffering parameters (buffer size,
-// p_d : p_c worker mix, μ, radix cap, store tier, store fold) empirically on
-// this host and optionally persists the winners as a JSON wisdom file for
-// later runs. There is one compute format: the paper's §IV-A
+// p_d : p_c worker mix, μ) empirically on this host and optionally persists
+// the winners as a JSON wisdom file for later runs. The radix cap, store
+// tier and store fold are no longer searched: one sweep found the defaults
+// ahead or tied everywhere (EXPERIMENTS.md "Ablation axes, swept once"), and
+// wisdom entries that still name them load with those members ignored.
+// There is one compute format: the paper's §IV-A
 // block-interleaved format was implemented, measured 1.3–1.9× behind the
 // complex-interleaved one in every cell (EXPERIMENTS.md "Plan defaults and
 // whole-line streaming stores") and retired — f193575 is the last commit

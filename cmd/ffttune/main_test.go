@@ -15,7 +15,7 @@ import (
 func TestUpdateWisdom(t *testing.T) {
 	dir := t.TempDir()
 	a := tune.Candidate{BufferElems: 1 << 12, DataWorkers: 1, ComputeWorkers: 1, Mu: 4}
-	b := tune.Candidate{BufferElems: 1 << 14, DataWorkers: 2, ComputeWorkers: 2, Mu: 8, Radix: 4}
+	b := tune.Candidate{BufferElems: 1 << 14, DataWorkers: 2, ComputeWorkers: 2, Mu: 8}
 
 	load := func(path string) *tune.Wisdom {
 		t.Helper()

@@ -189,14 +189,13 @@ func TestPublicDefaultsAreThePlanPackageDefaultsReal3D(t *testing.T) {
 	}
 }
 
-// Explicit options still win over the plan-package defaults, and the radix
-// cap accepts what the sub-plans accept (16 is what 0 selects).
+// Explicit options still win over the plan-package defaults.
 func TestExplicitOptionsOverrideDefaults(t *testing.T) {
-	p, err := NewFFT2D(64, 64, WithCacheline(4), WithBufferElems(1<<9), WithRadix(8))
+	p, err := NewFFT2D(64, 64, WithCacheline(4), WithBufferElems(1<<9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := fft2d.NewPlan(64, 64, core.Config{Mu: 4, BufferElems: 1 << 9, Radix: 8})
+	ref, err := fft2d.NewPlan(64, 64, core.Config{Mu: 4, BufferElems: 1 << 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,26 +204,6 @@ func TestExplicitOptionsOverrideDefaults(t *testing.T) {
 	}
 	p.Close()
 	ref.Close()
-
-	x := cvec.Random(rand.New(rand.NewSource(9)), 32*32)
-	outs := [2][]complex128{}
-	for i, r := range []int{0, 16} {
-		p, err := NewFFT2D(32, 32, WithRadix(r))
-		if err != nil {
-			t.Fatalf("WithRadix(%d): %v", r, err)
-		}
-		outs[i] = make([]complex128, len(x))
-		if err := p.Forward(outs[i], x); err != nil {
-			t.Fatal(err)
-		}
-		p.Close()
-	}
-	if i := cvec.FirstBitDiff(outs[0], outs[1]); i >= 0 {
-		t.Errorf("WithRadix(16) is not the default chain: differs at %d", i)
-	}
-	if _, err := NewFFT2D(32, 32, WithRadix(3)); err == nil {
-		t.Error("WithRadix(3) accepted")
-	}
 	if _, err := NewFFT2D(8, 6, WithCacheline(4)); err == nil {
 		t.Error("explicit μ=4 accepted for m=6")
 	}

@@ -91,18 +91,6 @@ func WithCacheline(mu int) Option {
 	}
 }
 
-// WithRadix caps the Stockham stage radix of the power-of-two 1D sub-plans:
-// 16 (the default) runs fused two-stage codelets, ⌈log₁₆(n)⌉ passes over
-// the cache-resident buffer per pencil, with a trailing radix-4 stage
-// folded into the store leg where the chain allows; 8, 4 and 2 make more
-// passes and exist for tuning and ablation. 0 selects the default.
-func WithRadix(r int) Option {
-	return func(c *core.Config) error {
-		c.Radix = r
-		return fft1d.CheckRadix("repro", r)
-	}
-}
-
 // WithMachineDefaults applies the paper's parameter rules (buffer = LLC/2,
 // μ = cacheline, half the threads per role) for one of the five described
 // evaluation machines; see Machines for the names.

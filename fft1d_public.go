@@ -16,8 +16,8 @@ var ErrClosed = errors.New("repro: plan closed")
 // FFT1D is a reusable plan for one-dimensional transforms of any size
 // n ≥ 1: the mixed-radix Stockham planner (Bluestein for large primes) run
 // directly over the caller's arrays, with one n-element scratch drawn from
-// a process-wide pool. Of the options only WithRadix shapes it; the result
-// is bitwise fft1d.NewPlanRadix(n, radix).Transform at every size.
+// a process-wide pool. No option shapes it; the result is bitwise
+// fft1d.NewPlan(n).Transform at every size.
 type FFT1D struct {
 	p *fft1d.Plan
 	// A handle from a SharedPlans pool releases its cache pin on Close.
@@ -27,14 +27,13 @@ type FFT1D struct {
 
 // NewFFT1D builds a 1D plan for size n.
 func NewFFT1D(n int, opts ...Option) (*FFT1D, error) {
-	cfg, err := resolve(opts)
-	if err != nil {
+	if _, err := resolve(opts); err != nil {
 		return nil, err
 	}
 	if n < 1 {
 		return nil, fmt.Errorf("repro: invalid 1D size %d", n)
 	}
-	return &FFT1D{p: fft1d.NewPlanRadix(n, cfg.Radix)}, nil
+	return &FFT1D{p: fft1d.NewPlan(n)}, nil
 }
 
 // Forward computes the unnormalized forward DFT out of place.

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cvec"
-	"repro/internal/fft1d"
 	"repro/internal/kernels"
 )
 
@@ -91,31 +90,5 @@ func TestPublicRealFFT3DValidation(t *testing.T) {
 	}
 	if _, err := NewFFT1D(64, WithWorkers(0, 1)); err == nil {
 		t.Error("accepted bad option")
-	}
-}
-
-// The invariant of the one 1D path: a public result is bitwise
-// fft1d.NewPlanRadix(n, radix).Transform, for the default radix (0 and 16
-// are the same plan) and for an explicit one, as on the served path.
-func TestPublicFFT1DHonorsRadix(t *testing.T) {
-	const n = 1 << 12
-	x := cvec.Random(rand.New(rand.NewSource(4)), n)
-	for _, radix := range []int{0, 16, 4, 2} {
-		p, err := NewFFT1D(n, WithRadix(radix))
-		if err != nil {
-			t.Fatalf("WithRadix(%d): %v", radix, err)
-		}
-		got := make([]complex128, n)
-		want := make([]complex128, n)
-		if err := p.Forward(got, x); err != nil {
-			t.Fatal(err)
-		}
-		fft1d.NewPlanRadix(n, radix).Transform(want, x, fft1d.Forward)
-		if cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) != 0 {
-			t.Errorf("WithRadix(%d): public bits differ from fft1d.NewPlanRadix(%d, %d)", radix, n, radix)
-		}
-	}
-	if _, err := NewFFT1D(n, WithRadix(3)); err == nil {
-		t.Error("WithRadix(3) accepted")
 	}
 }

@@ -164,138 +164,124 @@ func runReal(p realPlan, realLen, specLen int) (string, string, string, error) {
 	return p.DescribeGraph(), digestComplex(spec), digestFloats(back), nil
 }
 
-// variant is one option setting applied on top of the defaults; has* say
-// which plan kinds carry the option.
+// variant is one setting applied on top of the defaults: a μ through the
+// configuration, or an oracle schedule through the one seam that reaches
+// them, stagegraph.Ablation, installed while the case builds and runs its
+// plan (the shard rows' loopback workers build theirs in this process too).
 type variant struct {
 	name             string
-	mu, radix        int
-	unfused, noFold  bool
-	policy           stagegraph.StorePolicy
-	complexOnly      bool // DisableStoreFold / StorePolicy: fft2d and fft3d only
-	notForPartitions bool // Unfused has no coordinator knob on the shard tier
+	mu               int
+	ab               stagegraph.Ablation
+	complexOnly      bool // NoFold / Stores: fft2d and fft3d only
+	notForPartitions bool // the shard tier has no unfused row
 }
 
 var goldenVariants = []variant{
 	{name: "default"},
 	{name: "mu4", mu: 4},
-	{name: "radix4", radix: 4},
-	{name: "unfused", unfused: true, notForPartitions: true},
-	{name: "nofold", noFold: true, complexOnly: true},
-	{name: "nt", policy: stagegraph.StoreNonTemporal, complexOnly: true},
+	{name: "radix4", ab: stagegraph.Ablation{Radix: 4}},
+	{name: "unfused", ab: stagegraph.Ablation{Unfused: true}, notForPartitions: true},
+	{name: "nofold", ab: stagegraph.Ablation{NoFold: true}, complexOnly: true},
+	{name: "nt", ab: stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}, complexOnly: true},
 }
 
 func goldenCases() []goldenCase {
 	var cases []goldenCase
 	for _, v := range goldenVariants {
 		v := v
+		add := func(name string, depthFloor bool, run func() (string, string, string, error)) {
+			cases = append(cases, goldenCase{name: name + "/" + v.name, depthFloor: depthFloor,
+				run: func() (string, string, string, error) {
+					defer stagegraph.SetAblation(v.ab)()
+					return run()
+				}})
+		}
+		cfg := core.Config{Strategy: core.DoubleBuf, Mu: v.mu}
 		for _, s := range [][2]int{{64, 64}, {96, 80}, {512, 512}} {
 			n, m := s[0], s[1]
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("fft2d/%dx%d/%s", n, m, v.name),
-				run: func() (string, string, string, error) {
-					p, err := fft2d.NewPlan(n, m, core.Config{Strategy: core.DoubleBuf,
-						Mu: v.mu, Radix: v.radix, Unfused: v.unfused,
-						DisableStoreFold: v.noFold, StorePolicy: v.policy})
-					if err != nil {
-						return "", "", "", err
-					}
-					return runComplex(p, n*m)
-				}})
+			add(fmt.Sprintf("fft2d/%dx%d", n, m), false, func() (string, string, string, error) {
+				p, err := fft2d.NewPlan(n, m, cfg)
+				if err != nil {
+					return "", "", "", err
+				}
+				return runComplex(p, n*m)
+			})
 		}
 		for _, s := range [][3]int{{32, 32, 32}, {24, 20, 16}, {64, 64, 64}} {
 			k, n, m := s[0], s[1], s[2]
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("fft3d/%dx%dx%d/%s", k, n, m, v.name),
-				run: func() (string, string, string, error) {
-					p, err := fft3d.NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf,
-						Mu: v.mu, Radix: v.radix, Unfused: v.unfused,
-						DisableStoreFold: v.noFold, StorePolicy: v.policy})
-					if err != nil {
-						return "", "", "", err
-					}
-					return runComplex(p, k*n*m)
-				}})
+			add(fmt.Sprintf("fft3d/%dx%dx%d", k, n, m), false, func() (string, string, string, error) {
+				p, err := fft3d.NewPlan(k, n, m, cfg)
+				if err != nil {
+					return "", "", "", err
+				}
+				return runComplex(p, k*n*m)
+			})
 		}
 		if v.complexOnly {
 			continue
 		}
-		ropts := core.Config{Mu: v.mu, Radix: v.radix, Unfused: v.unfused}
+		ropts := core.Config{Mu: v.mu}
 		for _, n := range []int{1024, 96, 60} {
 			n := n
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("rfft1d/%d/%s", n, v.name), depthFloor: true,
-				run: func() (string, string, string, error) {
-					p, err := rfft.NewPlan1D(n, ropts)
-					if err != nil {
-						return "", "", "", err
-					}
-					return runReal(p, n, n/2+1)
-				}})
+			add(fmt.Sprintf("rfft1d/%d", n), true, func() (string, string, string, error) {
+				p, err := rfft.NewPlan1D(n, ropts)
+				if err != nil {
+					return "", "", "", err
+				}
+				return runReal(p, n, n/2+1)
+			})
 		}
 		for _, s := range [][2]int{{64, 128}, {48, 96}, {20, 60}, {256, 512}} {
 			n, m := s[0], s[1]
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("rfft2d/%dx%d/%s", n, m, v.name), depthFloor: true,
-				run: func() (string, string, string, error) {
-					p, err := rfft.NewPlan2D(n, m, ropts)
-					if err != nil {
-						return "", "", "", err
-					}
-					return runReal(p, n*m, n*(m/2+1))
-				}})
+			add(fmt.Sprintf("rfft2d/%dx%d", n, m), true, func() (string, string, string, error) {
+				p, err := rfft.NewPlan2D(n, m, ropts)
+				if err != nil {
+					return "", "", "", err
+				}
+				return runReal(p, n*m, n*(m/2+1))
+			})
 		}
 		for _, s := range [][3]int{{16, 32, 64}, {12, 10, 24}, {64, 64, 64}} {
 			k, n, m := s[0], s[1], s[2]
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("rfft3d/%dx%dx%d/%s", k, n, m, v.name), depthFloor: true,
-				run: func() (string, string, string, error) {
-					p, err := rfft.NewPlan3D(k, n, m, ropts)
-					if err != nil {
-						return "", "", "", err
-					}
-					return runReal(p, k*n*m, k*n*(m/2+1))
-				}})
+			add(fmt.Sprintf("rfft3d/%dx%dx%d", k, n, m), true, func() (string, string, string, error) {
+				p, err := rfft.NewPlan3D(k, n, m, ropts)
+				if err != nil {
+					return "", "", "", err
+				}
+				return runReal(p, k*n*m, k*n*(m/2+1))
+			})
 		}
-		// The complex 1D plan has no graph and reads only the radix; its rows
-		// pin the public handle's bits at a size past L2.
-		if v.mu == 0 && !v.unfused {
+		// The complex 1D plan has no graph; its rows pin the bits of the plan
+		// the public handle runs (stagegraph.Plan1D is fft1d.NewPlan but for
+		// the radix-4 ablation) at a size past L2.
+		if v.mu == 0 && !v.ab.Unfused {
 			const n = 1 << 17
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("fft1d/%d/%s", n, v.name),
-				run: func() (string, string, string, error) {
-					p, err := NewFFT1D(n, WithRadix(v.radix))
-					if err != nil {
-						return "", "", "", err
-					}
-					defer p.Close()
-					src := goldenComplex(n, uint64(n))
-					fwd := make([]complex128, n)
-					inv := make([]complex128, n)
-					if err := p.Forward(fwd, src); err != nil {
-						return "", "", "", err
-					}
-					if err := p.Inverse(inv, fwd); err != nil {
-						return "", "", "", err
-					}
-					return "", digestComplex(fwd), digestComplex(inv), nil
-				}})
+			add(fmt.Sprintf("fft1d/%d", n), false, func() (string, string, string, error) {
+				p := stagegraph.Plan1D(n)
+				src := goldenComplex(n, uint64(n))
+				fwd := make([]complex128, n)
+				inv := make([]complex128, n)
+				if err := p.Execute(fwd, src, false, nil); err != nil {
+					return "", "", "", err
+				}
+				if err := p.Execute(inv, fwd, true, nil); err != nil {
+					return "", "", "", err
+				}
+				return "", digestComplex(fwd), digestComplex(inv), nil
+			})
 		}
 		// The partitioned plans have no DescribeGraph; their rows pin the
 		// output bits (the inverse is the unnormalised one they expose).
 		for _, s := range [][4]int{{32, 32, 32, 2}, {64, 64, 64, 4}} {
 			k, n, m, sk := s[0], s[1], s[2], s[3]
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("dist3d/%dx%dx%d/sk%d/%s", k, n, m, sk, v.name),
-				run: func() (string, string, string, error) {
-					return runDist(k, n, m, sk, core.Config{Mu: v.mu, Radix: v.radix, Unfused: v.unfused})
-				}})
+			add(fmt.Sprintf("dist3d/%dx%dx%d/sk%d", k, n, m, sk), false, func() (string, string, string, error) {
+				return runDist(k, n, m, sk, ropts)
+			})
 		}
 		if !v.notForPartitions {
-			cases = append(cases, goldenCase{
-				name: fmt.Sprintf("shard3d/32x32x32/w2/%s", v.name),
-				run: func() (string, string, string, error) {
-					return runShard(32, 32, 32, 2, shard.CoordinatorOptions{Mu: v.mu, Radix: v.radix})
-				}})
+			add("shard3d/32x32x32/w2", false, func() (string, string, string, error) {
+				return runShard(32, 32, 32, 2, shard.CoordinatorOptions{Mu: v.mu})
+			})
 		}
 	}
 	return cases

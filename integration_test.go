@@ -124,7 +124,6 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 		Buffers: []int{256, 1024},
 		Workers: [][2]int{{1, 1}},
 		Mus:     []int{4},
-		Radixes: []int{16, 4},
 	}
 	best, _, err := tune.Tune([]int{k, n, m}, space, 1)
 	if err != nil {
@@ -133,8 +132,7 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 	p, err := NewFFT3D(k, n, m,
 		WithBufferElems(best.BufferElems),
 		WithWorkers(best.DataWorkers, best.ComputeWorkers),
-		WithCacheline(best.Mu),
-		WithRadix(best.Radix))
+		WithCacheline(best.Mu))
 	if err != nil {
 		t.Fatal(err)
 	}

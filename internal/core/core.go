@@ -1,13 +1,16 @@
 // Package core declares the plan configuration — once. The paper fixes a
 // plan by three rules (§IV): b = LLC/2, μ = one cacheline, p_d = p_c =
-// threads/2. Config carries those and the ablation switches; Default and
-// ForMachine apply the worker rule (and, for a described machine, the other
-// two); internal/fft2d, internal/fft3d and internal/rfft take a Config as it
-// is and hand its fields to the one graph builder and the one runner through
-// Pencils and NewRunner below. The zero Config is the product: the paper's
-// double-buffer pipeline, fused, store-folded, store tier chosen from the
-// footprint, with μ and the buffer size resolved by the builder from the
-// measured profile.
+// threads/2. Config carries those, the strategy and the telemetry hooks, and
+// nothing else: the radix chain, fusion, the store fold and the store tier
+// are not configuration (EXPERIMENTS.md "Ablation axes, swept once"; their
+// oracle variants are stagegraph.Ablation, which only a test installs).
+// Default and ForMachine apply the worker rule (and, for a described
+// machine, the other two); internal/fft2d, internal/fft3d and internal/rfft
+// take a Config as it is and hand its fields to the one graph builder and the
+// one runner through Pencils and NewRunner below. The zero Config is the
+// product: the paper's double-buffer pipeline, fused, store-folded, store
+// tier chosen from the footprint, with μ and the buffer size resolved by the
+// builder from the measured profile.
 //
 // There is one compute format, complex-interleaved: the paper's §IV-A
 // block-interleaved format was implemented, measured 1.3–1.9× behind it in
@@ -96,23 +99,6 @@ type Config struct {
 	DataWorkers    int
 	ComputeWorkers int
 	Workers        int
-	// Radix caps the Stockham stage radix of the power-of-two 1D sub-plans
-	// (0 = default 16, the fused two-stage codelets; 2, 4 and 8 select the
-	// higher-pass-count mixes for tuning and ablation). It is the only
-	// field a complex 1D plan reads.
-	Radix int
-	// Unfused drains the pipeline at every stage boundary, as if each stage
-	// were a separate engine invocation: the oracle schedule the golden rows
-	// and BenchmarkStageFusion compare the fused one with.
-	Unfused bool
-	// DisableStoreFold keeps the trailing trivial-twiddle radix-4 butterfly
-	// in the compute leg instead of folding it into the scatter (the fold's
-	// A/B baseline; complex plans only).
-	DisableStoreFold bool
-	// StorePolicy selects cached or streaming (non-temporal) block stores;
-	// StoreAuto streams when a stage's destination footprint exceeds half
-	// the host LLC (complex plans only).
-	StorePolicy stagegraph.StorePolicy
 	// Tracer records pipeline events for schedule verification.
 	Tracer *trace.Recorder
 	// MachineName, when set to a name internal/machine resolves, attaches
@@ -182,9 +168,7 @@ func (c Config) Model() *perfmodel.Model {
 	if !ok {
 		return nil
 	}
-	mo := perfmodel.New(m)
-	mo.Fused = !c.Unfused
-	return mo
+	return perfmodel.New(m)
 }
 
 // Pencils validates the configuration and starts pkg's graph descriptor for
@@ -196,20 +180,14 @@ func (c Config) Pencils(pkg string, dims ...int) (stagegraph.Pencils, error) {
 	if c.Strategy < 0 || int(c.Strategy) >= len(strategyNames) {
 		return stagegraph.Pencils{}, fmt.Errorf("%s: unknown strategy %v", pkg, c.Strategy)
 	}
-	if err := fft1d.CheckRadix(pkg, c.Radix); err != nil {
-		return stagegraph.Pencils{}, err
-	}
 	plans := make([]*fft1d.Plan, len(dims))
 	for i, d := range dims {
 		if d < 1 {
 			return stagegraph.Pencils{}, fmt.Errorf("%s: invalid size %v", pkg, dims)
 		}
-		plans[i] = fft1d.NewPlanRadix(d, c.Radix)
+		plans[i] = stagegraph.Plan1D(d)
 	}
-	return stagegraph.Pencils{
-		Pkg: pkg, Dims: dims, Plans: plans, Mu: c.Mu, BufferElems: c.BufferElems,
-		DisableFold: c.DisableStoreFold, StorePolicy: c.StorePolicy,
-	}, nil
+	return stagegraph.Pencils{Pkg: pkg, Dims: dims, Plans: plans, Mu: c.Mu, BufferElems: c.BufferElems}, nil
 }
 
 // NewRunner starts pkg's runner over the built graphs — labels[i] names
@@ -217,8 +195,7 @@ func (c Config) Pencils(pkg string, dims ...int) (stagegraph.Pencils, error) {
 func (c Config) NewRunner(pkg string, labels []string, graphs ...*stagegraph.Graph) (*stagegraph.Runner, error) {
 	run, err := stagegraph.NewRunner(stagegraph.RunnerConfig{
 		Pkg: pkg, Labels: labels,
-		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers,
-		Unfused: c.Unfused, Tracer: c.Tracer,
+		DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers, Tracer: c.Tracer,
 	}, graphs...)
 	if err != nil {
 		return nil, err

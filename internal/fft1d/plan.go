@@ -8,7 +8,7 @@
 //     radix-16 stages with one leading radix-8 stage when log₂(n) is odd and
 //     a trailing radix-4 stage the stage-graph store leg can fold (see
 //     pow2Radices), with radix-8/4/2 caps selectable via NewPlanRadix for
-//     tuning and ablation;
+//     ablation;
 //   - arbitrary composite sizes via a recursive mixed-radix Cooley–Tukey
 //     factorization, DFT_mn = (DFT_m ⊗ I_n) D_n^{mn} (I_m ⊗ DFT_n) L_m^{mn},
 //     with hand-unrolled base codelets for 2,3,4,5,7,8;
@@ -102,9 +102,8 @@ var planCache = lru.New[planKey, *Plan](planCacheCapacity, nil)
 // radix mix (fused radix-16 sweeps for power-of-two sizes).
 func NewPlan(n int) *Plan { return NewPlanRadix(n, 0) }
 
-// CheckRadix validates a Stockham radix cap option — 0 (the default, 16) or
-// one of 2, 4, 8, 16 — on behalf of package pkg, whose name prefixes the
-// error. Every plan package validates its Radix option here.
+// CheckRadix validates a Stockham radix cap — 0 (the default, 16) or one of
+// 2, 4, 8, 16 — on behalf of package pkg, whose name prefixes the error.
 func CheckRadix(pkg string, radix int) error {
 	switch radix {
 	case 0, 2, 4, 8, 16:
@@ -117,9 +116,9 @@ func CheckRadix(pkg string, radix int) error {
 // power-of-two path uses Stockham stages of radix at most maxRadix ∈
 // {2, 4, 8, 16}; 0 selects the default (16: fused two-stage codelets with a
 // trailing radix-4 stage reserved for store folding, see pow2Radices).
-// Lower radices make more passes over the buffer and exist for tuning and
-// ablation. maxRadix only affects power-of-two sizes > 8; other sizes share
-// one plan.
+// Lower radices make more passes over the buffer and exist for ablation
+// (stagegraph.Ablation.Radix). maxRadix only affects power-of-two sizes > 8;
+// other sizes share one plan.
 func NewPlanRadix(n, maxRadix int) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft1d: NewPlanRadix(%d): size must be ≥ 1", n))

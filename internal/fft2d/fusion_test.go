@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/stagegraph"
 )
 
 // The fused stage-graph schedule and the drain-between-stages baseline must
@@ -31,10 +32,12 @@ func TestFusionEquivalence(t *testing.T) {
 			}
 			var outs [2][]complex128
 			for i, unfused := range []bool{false, true} {
+				restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
 				p, err := NewPlan(c.n, c.m, core.Config{
 					Strategy: core.DoubleBuf, Mu: c.mu, BufferElems: 64,
-					DataWorkers: w[0], ComputeWorkers: w[1], Unfused: unfused,
+					DataWorkers: w[0], ComputeWorkers: w[1],
 				})
+				restore()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -61,9 +64,9 @@ func TestFusionEquivalence(t *testing.T) {
 // drain-between-stages baseline, visible in the executor stats.
 func TestFusionStatsSteps(t *testing.T) {
 	steps := func(unfused bool) int {
-		p, err := NewPlan(16, 16, core.Config{
-			Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64, Unfused: unfused,
-		})
+		restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
+		p, err := NewPlan(16, 16, core.Config{Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64})
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}

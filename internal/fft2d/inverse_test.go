@@ -26,24 +26,28 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 		{96, 64, false}, // columns do not fold (n=96): scale after the full DFT_n
 		{20, 12, false},
 	}
+	dbuf := core.Config{Strategy: core.DoubleBuf}
 	variants := []struct {
 		name string
 		o    core.Config
+		ab   stagegraph.Ablation
 	}{
-		{"default", core.Config{Strategy: core.DoubleBuf}},
-		{"unfused", core.Config{Strategy: core.DoubleBuf, Unfused: true}},
-		{"nofold", core.Config{Strategy: core.DoubleBuf, DisableStoreFold: true}},
-		{"mu4/radix8", core.Config{Strategy: core.DoubleBuf, Mu: 4, Radix: 8}},
-		{"streaming", core.Config{Strategy: core.DoubleBuf, StorePolicy: stagegraph.StoreNonTemporal}},
-		{"workers2x2", core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}},
-		{"pencil", core.Config{Strategy: core.Pencil}},
+		{"default", dbuf, stagegraph.Ablation{}},
+		{"unfused", dbuf, stagegraph.Ablation{Unfused: true}},
+		{"nofold", dbuf, stagegraph.Ablation{NoFold: true}},
+		{"mu4/radix8", core.Config{Strategy: core.DoubleBuf, Mu: 4}, stagegraph.Ablation{Radix: 8}},
+		{"streaming", dbuf, stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}},
+		{"workers2x2", core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}, stagegraph.Ablation{}},
+		{"pencil", core.Config{Strategy: core.Pencil}, stagegraph.Ablation{}},
 	}
 	for _, sh := range shapes {
 		for _, v := range variants {
 			o := v.o
 			o.BufferElems = 1 << 9
 			t.Run(fmt.Sprintf("%dx%d/%s", sh.n, sh.m, v.name), func(t *testing.T) {
+				restore := stagegraph.SetAblation(v.ab)
 				p, err := NewPlan(sh.n, sh.m, o)
+				restore()
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -61,7 +61,9 @@ func TestStorePolicyWiring(t *testing.T) {
 		{stagegraph.StoreRegular, 0},
 		{stagegraph.StoreAuto, 0},
 	} {
-		p, err := NewPlan(64, 64, core.Config{Strategy: core.DoubleBuf, StorePolicy: c.policy})
+		restore := stagegraph.SetAblation(stagegraph.Ablation{Stores: c.policy})
+		p, err := NewPlan(64, 64, core.Config{Strategy: core.DoubleBuf})
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,10 +79,9 @@ func TestStorePolicyWiring(t *testing.T) {
 func TestNonTemporalTransformMatchesReference(t *testing.T) {
 	const n, m = 64, 64
 	ref, _ := NewPlan(n, m, core.Config{Strategy: core.Reference})
-	p, err := NewPlan(n, m, core.Config{
-		Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2,
-		StorePolicy: stagegraph.StoreNonTemporal,
-	})
+	restore := stagegraph.SetAblation(stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal})
+	p, err := NewPlan(n, m, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/stagegraph"
 )
 
 // The fused stage-graph schedule and the drain-between-stages baseline must
@@ -32,10 +33,12 @@ func TestFusionEquivalence(t *testing.T) {
 			}
 			var outs [2][]complex128
 			for i, unfused := range []bool{false, true} {
+				restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
 				p, err := NewPlan(c.k, c.n, c.m, core.Config{
 					Strategy: core.DoubleBuf, Mu: c.mu, BufferElems: 64,
-					DataWorkers: w[0], ComputeWorkers: w[1], Unfused: unfused,
+					DataWorkers: w[0], ComputeWorkers: w[1],
 				})
+				restore()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -72,9 +75,9 @@ func TestDistributedFusionEquivalence(t *testing.T) {
 	var traffic [2][3]TrafficStat
 	var outs [2][]complex128
 	for i, unfused := range []bool{false, true} {
-		dp, err := NewDistPlan(k, n, m, sk, core.Config{
-			BufferElems: 128, DataWorkers: 2, ComputeWorkers: 2, Unfused: unfused,
-		})
+		restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
+		dp, err := NewDistPlan(k, n, m, sk, core.Config{BufferElems: 128, DataWorkers: 2, ComputeWorkers: 2})
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,9 +109,9 @@ func TestDistributedFusionEquivalence(t *testing.T) {
 // step saving of exactly S-1 = 2 over the unfused baseline.
 func TestFusionStatsSteps(t *testing.T) {
 	steps := func(unfused bool) int {
-		p, err := NewPlan(8, 8, 16, core.Config{
-			Strategy: core.DoubleBuf, Mu: 4, BufferElems: 128, Unfused: unfused,
-		})
+		restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
+		p, err := NewPlan(8, 8, 16, core.Config{Strategy: core.DoubleBuf, Mu: 4, BufferElems: 128})
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}

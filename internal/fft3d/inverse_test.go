@@ -27,17 +27,19 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 		{12, 16, 8, false}, // z does not fold (k=12): scale after the full DFT_k
 		{6, 10, 12, false},
 	}
+	dbuf := core.Config{Strategy: core.DoubleBuf}
 	variants := []struct {
 		name string
 		o    core.Config
+		ab   stagegraph.Ablation
 	}{
-		{"default", core.Config{Strategy: core.DoubleBuf}},
-		{"unfused", core.Config{Strategy: core.DoubleBuf, Unfused: true}},
-		{"nofold", core.Config{Strategy: core.DoubleBuf, DisableStoreFold: true}},
-		{"mu4/radix8", core.Config{Strategy: core.DoubleBuf, Mu: 4, Radix: 8}},
-		{"streaming", core.Config{Strategy: core.DoubleBuf, StorePolicy: stagegraph.StoreNonTemporal}},
-		{"workers2x2", core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}},
-		{"pencil", core.Config{Strategy: core.Pencil}},
+		{"default", dbuf, stagegraph.Ablation{}},
+		{"unfused", dbuf, stagegraph.Ablation{Unfused: true}},
+		{"nofold", dbuf, stagegraph.Ablation{NoFold: true}},
+		{"mu4/radix8", core.Config{Strategy: core.DoubleBuf, Mu: 4}, stagegraph.Ablation{Radix: 8}},
+		{"streaming", dbuf, stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}},
+		{"workers2x2", core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}, stagegraph.Ablation{}},
+		{"pencil", core.Config{Strategy: core.Pencil}, stagegraph.Ablation{}},
 	}
 	for _, sh := range shapes {
 		for _, v := range variants {
@@ -47,7 +49,9 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 				continue
 			}
 			t.Run(fmt.Sprintf("%dx%dx%d/%s", sh.k, sh.n, sh.m, v.name), func(t *testing.T) {
+				restore := stagegraph.SetAblation(v.ab)
 				p, err := NewPlan(sh.k, sh.n, sh.m, o)
+				restore()
 				if err != nil {
 					t.Fatal(err)
 				}

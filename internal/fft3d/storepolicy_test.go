@@ -45,27 +45,24 @@ func TestStorePolicyWiringAndCorrectness(t *testing.T) {
 	if layout.NonTemporalAvailable() {
 		nt = 3 // all three DoubleBuf stages
 	}
-	p, err := NewPlan(16, 16, 16, core.Config{Strategy: core.DoubleBuf,
-		StorePolicy: stagegraph.StoreNonTemporal})
-	if err != nil {
-		t.Fatal(err)
+	ntStages := func(policy stagegraph.StorePolicy) int {
+		defer stagegraph.SetAblation(stagegraph.Ablation{Stores: policy})()
+		p, err := NewPlan(16, 16, 16, core.Config{Strategy: core.DoubleBuf})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if policy == stagegraph.StoreNonTemporal {
+			strategyCase(t, 16, 16, 16, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2,
+				ComputeWorkers: 2}, fft1d.Forward)
+			strategyCase(t, 8, 16, 32, core.Config{Strategy: core.DoubleBuf}, fft1d.Inverse)
+		}
+		return p.NonTemporalStages()
 	}
-	if got := p.NonTemporalStages(); got != nt {
+	if got := ntStages(stagegraph.StoreNonTemporal); got != nt {
 		t.Errorf("forced NT: %d NT stages; want %d", got, nt)
 	}
-	p.Close()
-	strategyCase(t, 16, 16, 16, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2,
-		ComputeWorkers: 2, StorePolicy: stagegraph.StoreNonTemporal}, fft1d.Forward)
-	strategyCase(t, 8, 16, 32, core.Config{Strategy: core.DoubleBuf,
-		StorePolicy: stagegraph.StoreNonTemporal}, fft1d.Inverse)
-
-	p, err = NewPlan(16, 16, 16, core.Config{Strategy: core.DoubleBuf,
-		StorePolicy: stagegraph.StoreRegular})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	if got := p.NonTemporalStages(); got != 0 {
+	if got := ntStages(stagegraph.StoreRegular); got != 0 {
 		t.Errorf("forced regular: %d NT stages; want 0", got)
 	}
 }

@@ -69,8 +69,8 @@ const (
 // build validates the configuration, derives both graphs of the real
 // transform with complex lane extents dims (the last is l = m/2) from one
 // descriptor, and starts the runner. A real plan always runs the pipeline:
-// of the configuration it reads the block sizes, the worker counts, the radix
-// cap, Unfused, the tracer and the roofline. kind names the plan in errors,
+// of the configuration it reads the block sizes, the worker counts, the
+// tracer and the roofline. kind names the plan in errors,
 // label its collectors (label and label+"/inv"); selfConj marks the spectrum
 // rows whose DC and Nyquist bins the entangle stage forces real. Two scratch
 // arrays of the packed grid's size carry both chains, stage by stage in

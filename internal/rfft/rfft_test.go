@@ -9,6 +9,7 @@ import (
 	"repro/internal/cvec"
 	"repro/internal/kernels"
 	"repro/internal/spl"
+	"repro/internal/stagegraph"
 )
 
 const tol = 1e-10
@@ -243,9 +244,6 @@ func TestPlan1DValidation(t *testing.T) {
 			t.Errorf("accepted n=%d", n)
 		}
 	}
-	if _, err := NewPlan1D(8, core.Config{Radix: 3}); err == nil {
-		t.Error("accepted radix 3")
-	}
 	p, _ := NewPlan1D(8, core.Config{})
 	defer p.Close()
 	if p.N() != 8 || p.SpectrumLen() != 5 {
@@ -454,11 +452,14 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2026))
 	evens := []int{2, 4, 6, 8, 10, 12, 16}
 	anys := []int{1, 2, 3, 4, 5, 6, 8}
-	optPool := []core.Config{
+	optPool := []struct {
+		cfg core.Config
+		ab  stagegraph.Ablation
+	}{
 		{},
-		{Mu: 2, BufferElems: 64},
-		{Mu: 8, DataWorkers: 2, ComputeWorkers: 2},
-		{BufferElems: 32, Unfused: true},
+		{cfg: core.Config{Mu: 2, BufferElems: 64}},
+		{cfg: core.Config{Mu: 8, DataWorkers: 2, ComputeWorkers: 2}},
+		{cfg: core.Config{BufferElems: 32}, ab: stagegraph.Ablation{Unfused: true}},
 	}
 	checkFwd := func(got, full []complex128, stride, m, rows int) {
 		t.Helper()
@@ -474,7 +475,11 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 		}
 	}
 	for trial := 0; trial < 12; trial++ {
-		opts := optPool[rng.Intn(len(optPool))]
+		o := optPool[rng.Intn(len(optPool))]
+		opts := o.cfg
+		// Each trial installs its own ablation; the deferred restores unwind
+		// to none when the test returns.
+		defer stagegraph.SetAblation(o.ab)()
 		m := evens[rng.Intn(len(evens))]
 		switch trial % 3 {
 		case 0: // 1D

@@ -21,13 +21,13 @@ import (
 )
 
 // PlanKey identifies one cached plan. Cfg carries the execution shape —
-// strategy, worker split, buffer size, radix, all the machine-derived
-// parameters — so plans built for different machines or ablation settings
-// never collide. Real selects the real-input (r2c/c2r) pipeline over the
-// complex one; the dims then describe the real grid and the last dim must be
-// even. normalizeKey reduces a key to what its plan reads: the Tracer is
-// always dropped (tracing is a per-server concern, not part of plan
-// identity), and a complex rank-1 key keeps only Cfg.Radix.
+// strategy, worker split, buffer size, μ, all the machine-derived
+// parameters — so plans built for different machines never collide. Real
+// selects the real-input (r2c/c2r) pipeline over the complex one; the dims
+// then describe the real grid and the last dim must be even. normalizeKey
+// reduces a key to what its plan reads: the Tracer is always dropped
+// (tracing is a per-server concern, not part of plan identity), and a
+// complex rank-1 key reads no Cfg at all.
 type PlanKey struct {
 	Rank       int
 	D0, D1, D2 int // dims, slowest first; unused trailing dims are 0
@@ -38,7 +38,7 @@ type PlanKey struct {
 func normalizeKey(k PlanKey) PlanKey {
 	k.Cfg.Tracer = nil
 	if k.Rank == 1 && !k.Real {
-		k.Cfg = core.Config{Radix: k.Cfg.Radix}
+		k.Cfg = core.Config{}
 	}
 	return k
 }
@@ -108,7 +108,7 @@ func (k PlanKey) SpectrumLen() int {
 }
 
 // Plan is one cached executor. A complex rank-1 plan is the fft1d.Plan of
-// (D0, Cfg.Radix) that lone requests, coalesced batches, repro.FFT1D and the
+// D0 that lone requests, coalesced batches, repro.FFT1D and the
 // shared-handle facade all run at every size, so a request's bits never
 // depend on how it was batched; complex rank-2/3 plans are the fft2d / fft3d
 // plans with their persistent worker teams, real plans the rfft ones; the
@@ -145,10 +145,7 @@ func buildPlan(key PlanKey) (*Plan, error) {
 	}
 	switch key.Rank {
 	case 1:
-		if err := fft1d.CheckRadix("serve", cfg.Radix); err != nil {
-			return nil, err
-		}
-		p.p1 = fft1d.NewPlanRadix(key.D0, cfg.Radix)
+		p.p1 = fft1d.NewPlan(key.D0)
 	case 2:
 		pl, err := fft2d.NewPlan(key.D0, key.D1, cfg)
 		if err != nil {

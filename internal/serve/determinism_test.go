@@ -103,10 +103,10 @@ func TestBatchingDoesNotChangeBits(t *testing.T) {
 	}
 }
 
-// TestRank1KeysShareOnePlan: a complex rank-1 plan reads only the radix, so
-// keys that differ in workers, buffer, μ, fusion, strategy or roofline
-// normalize to one cache entry; a different radix, or the real-input plan of
-// the same size (which does read them), stays distinct.
+// TestRank1KeysShareOnePlan: a complex rank-1 plan reads no configuration,
+// so keys that differ in workers, buffer, μ, strategy or roofline normalize
+// to one cache entry; the real-input plan of the same size (which does read
+// them) stays distinct.
 func TestRank1KeysShareOnePlan(t *testing.T) {
 	pc := NewPlanCache(8)
 	defer pc.Purge()
@@ -125,7 +125,6 @@ func TestRank1KeysShareOnePlan(t *testing.T) {
 		"workers":  func(c *core.Config) { c.DataWorkers, c.ComputeWorkers, c.Workers = 2, 2, 4 },
 		"buffer":   func(c *core.Config) { c.BufferElems = 1 << 14 },
 		"mu":       func(c *core.Config) { c.Mu = 4 },
-		"unfused":  func(c *core.Config) { c.Unfused = true },
 		"strategy": func(c *core.Config) { c.Strategy = core.Pencil },
 		"roofline": func(c *core.Config) { c.RooflineGBs = 12 },
 	} {
@@ -138,14 +137,8 @@ func TestRank1KeysShareOnePlan(t *testing.T) {
 			t.Errorf("%s: key built its own plan, want the shared one", name)
 		}
 	}
-	if s := pc.Stats(); s.Misses != 1 || s.Hits != 6 {
-		t.Errorf("cache saw %d misses / %d hits, want 1 / 6", s.Misses, s.Hits)
-	}
-
-	radix := base
-	radix.Cfg.Radix = 4
-	if get(radix) == first {
-		t.Error("radix-4 key shared the default-radix plan")
+	if s := pc.Stats(); s.Misses != 1 || s.Hits != 5 {
+		t.Errorf("cache saw %d misses / %d hits, want 1 / 5", s.Misses, s.Hits)
 	}
 	realA, realB := base, base
 	realA.Real, realB.Real = true, true

@@ -29,9 +29,9 @@ type CoordinatorOptions struct {
 	// elements (default 128Ki = 2 MiB payloads).
 	ChunkElems int
 
-	// Mu and Radix pin the fleet's kernel shape (0 = machine defaults);
-	// they must match a single node's plan for bitwise-identical results.
-	Mu, Radix int
+	// Mu pins the fleet's block length (0 = machine.PreferredMu); it must
+	// match a single node's plan for bitwise-identical results.
+	Mu int
 
 	// Retries is the per-chunk retry budget beyond the first attempt
 	// (default 4; -1 disables). Backoff is the initial retry delay,
@@ -351,7 +351,7 @@ func (c *Coordinator) Transform(ctx context.Context, dst, src []complex128, k, n
 	err = span("shard/begin", func() error {
 		return forEach(fleet, func(i int, node string) error {
 			spec := JobSpec{
-				Job: jobID, K: k, N: n, M: m, Mu: mu, Radix: c.opts.Radix,
+				Job: jobID, K: k, N: n, M: m, Mu: mu,
 				Index: i, Workers: fleet, ChunkElems: c.opts.ChunkElems,
 				DeadlineUnixNano: deadlineNano, Trace: traceID,
 			}

@@ -16,7 +16,7 @@ import (
 // slab index. Rendezvous routing keeps (shape → index) stable across
 // jobs, so repeated shapes find their plan here.
 type planKey struct {
-	k, n, m, sk, index, mu, radix int
+	k, n, m, sk, index, mu int
 }
 
 // workerPlan is one warm slab plan: the runner holding the shard's two
@@ -83,8 +83,8 @@ func buildWorkerPlan(key planKey, chunkElems, dataWorkers, computeWorkers, buffe
 	// only the W² stores route through the network exchange.
 	graph, err := stagegraph.Pencils{
 		Pkg: "shard", Dims: []int{key.k, key.n, key.m},
-		Plans: []*fft1d.Plan{fft1d.NewPlanRadix(key.k, key.radix),
-			fft1d.NewPlanRadix(key.n, key.radix), fft1d.NewPlanRadix(key.m, key.radix)},
+		Plans: []*fft1d.Plan{stagegraph.Plan1D(key.k),
+			stagegraph.Plan1D(key.n), stagegraph.Plan1D(key.m)},
 		Mu: key.mu, BufferElems: max(bufferElems, 0),
 		Shards: key.sk, Index: key.index, OutLocal: true,
 		Mid: []stagegraph.Array{{C: p.bMid}, {C: p.cPart, WriteC: p.writeExchange}},

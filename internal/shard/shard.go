@@ -42,6 +42,8 @@ package shard
 import (
 	"errors"
 	"fmt"
+
+	"repro/internal/wire"
 )
 
 // Shape identifies a transform geometry for routing and plan caching.
@@ -122,7 +124,6 @@ type JobSpec struct {
 	N       int      `json:"n"`
 	M       int      `json:"m"`
 	Mu      int      `json:"mu"`
-	Radix   int      `json:"radix"`
 	Index   int      `json:"index"`
 	Workers []string `json:"workers"` // base URLs in fleet order; len = shard count
 	// ChunkElems is the exchange/gather chunk size in complex elements;
@@ -138,6 +139,31 @@ type JobSpec struct {
 
 // Shape returns the spec's transform geometry.
 func (js JobSpec) Shape() Shape { return Shape{js.K, js.N, js.M} }
+
+// validate checks a spec from the wire before a worker sizes anything from
+// it: a job, an index inside its fleet, a cube of at most wire.MaxElems
+// elements (the cap /transform enforces; the product is taken without
+// overflowing), a split newGeom accepts and a chunk size within the cube's.
+func (js JobSpec) validate() error {
+	sk := len(js.Workers)
+	if js.Job == "" || sk < 1 || js.Index < 0 || js.Index >= sk {
+		return fmt.Errorf("bad spec: job/workers/index")
+	}
+	elems := 1
+	for _, d := range []int{js.K, js.N, js.M} {
+		if d < 1 || d > wire.MaxElems/elems {
+			return fmt.Errorf("bad spec: %s is not 1 to %d elements", js.Shape(), wire.MaxElems)
+		}
+		elems *= d
+	}
+	if js.ChunkElems < 0 || js.ChunkElems > wire.MaxElems {
+		return fmt.Errorf("bad spec: chunk_elems %d", js.ChunkElems)
+	}
+	if _, err := newGeom(js.K, js.N, js.M, sk, js.Mu); err != nil {
+		return fmt.Errorf("bad spec: %v", err)
+	}
+	return nil
+}
 
 // beginResult is the /shard/begin response. NowUnixNano is the worker's
 // clock at reply time: the coordinator pairs it with the request's

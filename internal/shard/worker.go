@@ -226,16 +226,16 @@ func (w *Worker) handleBegin(rw http.ResponseWriter, req *http.Request) {
 		http.Error(rw, "bad spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	sk := len(spec.Workers)
-	if spec.Job == "" || sk < 1 || spec.Index < 0 || spec.Index >= sk {
-		http.Error(rw, "bad spec: job/workers/index", http.StatusBadRequest)
+	if err := spec.validate(); err != nil {
+		http.Error(rw, err.Error(), http.StatusBadRequest)
 		return
 	}
 	if w.Draining() {
 		http.Error(rw, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	key := planKey{spec.K, spec.N, spec.M, sk, spec.Index, spec.Mu, spec.Radix}
+	sk := len(spec.Workers)
+	key := planKey{spec.K, spec.N, spec.M, sk, spec.Index, spec.Mu}
 	var buildStart time.Time
 	plan, release, err := w.plans.GetOrCreate(key, func() (*workerPlan, error) {
 		buildStart = time.Now()

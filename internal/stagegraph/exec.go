@@ -19,7 +19,7 @@ type Config struct {
 	ComputeWorkers int
 	// Fused flows the steady state through stage boundaries; unfused
 	// drains the pipeline and refills it at every boundary (the oracle
-	// schedule, core.Config.Unfused). Consumed by the package-level Run
+	// schedule, Ablation.Unfused). Consumed by the package-level Run
 	// convenience; Executor.Run takes a compiled *Schedule instead.
 	Fused bool
 	// Tracer records every task with its stage index and global step.

@@ -79,7 +79,7 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 // TestCachedFoldMatchesUnfoldedGraph: a pencil graph whose fold stages store
 // with regular (cached) stores — the fused fold-scatter kernel's cached twin
 // where the build has it, the scratch fold elsewhere — agrees bit for bit
-// with the same graph built with DisableFold, which runs the trailing
+// with the same graph built under Ablation.NoFold, which runs the trailing
 // butterfly in the compute leg. 512² folds both stages; 96×80 has no
 // power-of-two axis and must not fold at all.
 func TestCachedFoldMatchesUnfoldedGraph(t *testing.T) {
@@ -87,10 +87,11 @@ func TestCachedFoldMatchesUnfoldedGraph(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(c.n)))
 		src := cvec.Random(rng, c.n*c.m)
 		run := func(disableFold bool, sign int) []complex128 {
+			restore := SetAblation(Ablation{NoFold: disableFold, Stores: StoreRegular})
 			g, err := Pencils{Pkg: "test", Dims: []int{c.n, c.m},
-				Plans:       []*fft1d.Plan{fft1d.NewPlan(c.n), fft1d.NewPlan(c.m)},
-				DisableFold: disableFold, StorePolicy: StoreRegular,
-				Mid: []Array{{C: make([]complex128, c.n*c.m)}}}.Build()
+				Plans: []*fft1d.Plan{fft1d.NewPlan(c.n), fft1d.NewPlan(c.m)},
+				Mid:   []Array{{C: make([]complex128, c.n*c.m)}}}.Build()
+			restore()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +105,7 @@ func TestCachedFoldMatchesUnfoldedGraph(t *testing.T) {
 				}
 			}
 			if want := map[bool]int{false: c.folds, true: 0}[disableFold]; folds != want {
-				t.Fatalf("%d×%d DisableFold=%v: %d fold stages, want %d", c.n, c.m, disableFold, folds, want)
+				t.Fatalf("%d×%d NoFold=%v: %d fold stages, want %d", c.n, c.m, disableFold, folds, want)
 			}
 			r, err := NewRunner(RunnerConfig{Pkg: "test", DataWorkers: 2, ComputeWorkers: 2}, g)
 			if err != nil {

@@ -141,11 +141,6 @@ type Pencils struct {
 	// from zero rather than the whole cube.
 	Shards, Index int
 	OutLocal      bool
-	// DisableFold keeps the trailing radix-4 butterfly in the compute leg.
-	DisableFold bool
-	// StorePolicy picks cached or streaming stores from the destination
-	// footprint (complex unpartitioned graphs; see Build).
-	StorePolicy StorePolicy
 	// Real is nil for complex endpoints.
 	Real *RealEnd
 	// Mid[i] is the array between stage i and stage i+1; Out is the last
@@ -300,6 +295,7 @@ func (p Pencils) Build() (*Graph, error) {
 	}
 	D, sk := len(p.Dims), max(p.Shards, 1)
 	last := p.Dims[D-1]
+	ab := current()
 	budget := p.BufferElems
 	if budget == 0 {
 		budget = machine.PreferredBufferElems()
@@ -459,7 +455,7 @@ func (p Pencils) Build() (*Graph, error) {
 		// block is cache-hot. Complex unpartitioned graphs only: the real
 		// hooks need the finished transform, and the partitioned stores
 		// were never measured folded.
-		fold := p.Real == nil && sk == 1 && !p.DisableFold &&
+		fold := p.Real == nil && sk == 1 && !ab.NoFold &&
 			c.plan.FoldRadix() == 4 && c.blocks%4 == 0
 		if fold {
 			st.StoreRadix = 4
@@ -482,7 +478,7 @@ func (p Pencils) Build() (*Graph, error) {
 		// blocks in its compute leg is the same fft1d.Scale on the same
 		// values a pass over the destination would apply.
 		n := total * mu
-		ApplyStorePolicy(g.stages, p.StorePolicy.Decide(n*complexBytes, machine.HostLLCBytes()))
+		ApplyStorePolicy(g.stages, ab.Stores.Decide(n*complexBytes, machine.HostLLCBytes()))
 		switch last := &g.stages[nStages-1]; {
 		case p.Out.WriteC == nil && (last.runMajor() || last.StoreRadix != 0):
 			g.scaleAt = scaleStore

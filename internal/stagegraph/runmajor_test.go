@@ -24,8 +24,9 @@ func streamingGraph(t *testing.T, dims []int, policy StorePolicy) *Graph {
 	if len(dims) == 3 {
 		mid = []Array{{}, {C: make([]complex128, n)}}
 	}
-	g, err := Pencils{Pkg: "test", Dims: dims, Plans: plans, Mu: 4, BufferElems: 1 << 9,
-		DisableFold: true, StorePolicy: policy, Mid: mid}.Build()
+	restore := SetAblation(Ablation{NoFold: true, Stores: policy})
+	g, err := Pencils{Pkg: "test", Dims: dims, Plans: plans, Mu: 4, BufferElems: 1 << 9, Mid: mid}.Build()
+	restore()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,6 @@ type RunnerConfig struct {
 	// DataWorkers (p_d) and ComputeWorkers (p_c); zero means one.
 	DataWorkers    int
 	ComputeWorkers int
-	// Unfused drains the pipeline at every stage boundary (the A/B
-	// baseline; fusion is the default).
-	Unfused bool
 	// Tracer records pipeline events unless a Call brings its own.
 	Tracer *trace.Recorder
 }
@@ -61,6 +58,7 @@ type Call struct {
 // non-pipelined strategy holds.
 type Runner struct {
 	cfg    RunnerConfig
+	fused  bool // false only under Ablation.Unfused
 	graphs []*compiled
 	bufs   *Buffers
 	exec   *Executor
@@ -87,10 +85,10 @@ func NewRunner(cfg RunnerConfig, graphs ...*Graph) (*Runner, error) {
 	if cfg.ComputeWorkers == 0 {
 		cfg.ComputeWorkers = 1
 	}
-	r := &Runner{cfg: cfg}
+	r := &Runner{cfg: cfg, fused: !current().Unfused}
 	elems, staging := 0, false
 	for i, g := range graphs {
-		c := &compiled{Graph: g, sched: Compile(g.stages, !cfg.Unfused)}
+		c := &compiled{Graph: g, sched: Compile(g.stages, r.fused)}
 		if i < len(cfg.Labels) && cfg.Labels[i] != "" {
 			names := make([]string, len(g.stages))
 			for j := range g.stages {
@@ -281,7 +279,7 @@ func (r *Runner) DescribeGraph() string {
 	defer r.lock.Unlock()
 	s := ""
 	for _, c := range r.graphs {
-		s += Describe(c.stages, !r.cfg.Unfused)
+		s += Describe(c.stages, r.fused)
 	}
 	return s
 }

@@ -1,12 +1,9 @@
 package stagegraph
 
-import (
-	"fmt"
+import "repro/internal/layout"
 
-	"repro/internal/layout"
-)
-
-// StorePolicy selects how a compiled graph's block stores reach memory.
+// StorePolicy selects how a compiled graph's block stores reach memory:
+// StoreAuto in every product graph, the forced tiers through Ablation.Stores.
 // The paper's bandwidth model charges one load and one store stream per
 // stage, but a cached (write-allocate) store is really two: the CPU
 // reads each destination line for ownership before overwriting it. When
@@ -30,33 +27,6 @@ const (
 	// StoreNonTemporal forces streaming stores wherever the tier exists.
 	StoreNonTemporal
 )
-
-func (p StorePolicy) String() string {
-	switch p {
-	case StoreAuto:
-		return "auto"
-	case StoreRegular:
-		return "regular"
-	case StoreNonTemporal:
-		return "nt"
-	default:
-		return fmt.Sprintf("StorePolicy(%d)", int(p))
-	}
-}
-
-// ParseStorePolicy parses the String form (used by wisdom files and
-// benchmark flags).
-func ParseStorePolicy(s string) (StorePolicy, error) {
-	switch s {
-	case "auto", "":
-		return StoreAuto, nil
-	case "regular":
-		return StoreRegular, nil
-	case "nt", "nontemporal", "non-temporal":
-		return StoreNonTemporal, nil
-	}
-	return StoreAuto, fmt.Errorf("stagegraph: unknown store policy %q", s)
-}
 
 // Decide reports whether a transform whose per-stage destination
 // footprint is destBytes should use streaming stores on a host whose

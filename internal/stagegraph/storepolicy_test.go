@@ -6,21 +6,6 @@ import (
 	"repro/internal/layout"
 )
 
-func TestStorePolicyStringParseRoundTrip(t *testing.T) {
-	for _, p := range []StorePolicy{StoreAuto, StoreRegular, StoreNonTemporal} {
-		got, err := ParseStorePolicy(p.String())
-		if err != nil || got != p {
-			t.Fatalf("ParseStorePolicy(%q) = %v, %v; want %v", p.String(), got, err, p)
-		}
-	}
-	if _, err := ParseStorePolicy("bogus"); err == nil {
-		t.Fatal("ParseStorePolicy(bogus) succeeded")
-	}
-	if p, err := ParseStorePolicy(""); err != nil || p != StoreAuto {
-		t.Fatalf("empty policy = %v, %v; want auto", p, err)
-	}
-}
-
 func TestStorePolicyDecide(t *testing.T) {
 	nt := layout.NonTemporalAvailable()
 	const llc = 8 << 20

@@ -12,7 +12,6 @@ func smallSpace() Space {
 		Buffers: []int{256, 1024},
 		Workers: [][2]int{{1, 1}, {1, 2}},
 		Mus:     []int{4},
-		Radixes: []int{16, 4},
 	}
 }
 
@@ -21,8 +20,8 @@ func TestTune3DFindsABest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 8 {
-		t.Fatalf("tried %d candidates, want 8", len(all))
+	if len(all) != 4 {
+		t.Fatalf("tried %d candidates, want 4", len(all))
 	}
 	if best.Seconds <= 0 {
 		t.Fatal("best has no time")
@@ -68,7 +67,7 @@ func TestTuneSkipsInfeasibleMu(t *testing.T) {
 
 func TestDefaultSpace(t *testing.T) {
 	s := DefaultSpace(8)
-	if len(s.Buffers) == 0 || len(s.Workers) < 2 || len(s.Radixes) < 2 {
+	if len(s.Buffers) == 0 || len(s.Workers) < 2 || len(s.Mus) < 2 {
 		t.Fatalf("space too small: %+v", s)
 	}
 	s1 := DefaultSpace(1)
@@ -86,7 +85,7 @@ func TestCandidateString(t *testing.T) {
 
 func TestWisdomRoundTrip(t *testing.T) {
 	w := NewWisdom()
-	c := Candidate{BufferElems: 1 << 14, DataWorkers: 2, ComputeWorkers: 2, Mu: 4, Radix: 8}
+	c := Candidate{BufferElems: 1 << 14, DataWorkers: 2, ComputeWorkers: 2, Mu: 4}
 	w.Put(Key(512, 512, 512), c)
 	w.Put(Key(1024, 1024), Candidate{BufferElems: 1 << 12, DataWorkers: 1, ComputeWorkers: 3, Mu: 4})
 
@@ -121,10 +120,6 @@ func TestWisdomRejectsCorruption(t *testing.T) {
 	if _, err := LoadWisdom(strings.NewReader(bad)); err == nil {
 		t.Fatal("accepted invalid candidate")
 	}
-	badPolicy := `{"entries":{"3d:1:1:1":{"buffer_elems":64,"data_workers":1,"compute_workers":1,"mu":4,"store_policy":"bogus"}}}`
-	if _, err := LoadWisdom(strings.NewReader(badPolicy)); err == nil {
-		t.Fatal("accepted invalid store policy")
-	}
 	// A file written for the retired block-interleaved format names a plan
 	// that no longer exists: refuse it by key rather than drop the key and
 	// run something else. false (what every interleaved entry carried) and
@@ -151,93 +146,45 @@ func TestWisdomRejectsCorruption(t *testing.T) {
 	}
 }
 
-func TestStorePolicyAxis(t *testing.T) {
-	space := smallSpace()
-	space.Radixes = nil
-	space.Workers = [][2]int{{1, 1}}
-	space.Buffers = []int{256}
-	space.StorePolicies = []string{"regular", "nt"}
-	best, all, err := Tune([]int{16, 16, 16}, space, 1)
-	if err != nil {
-		t.Fatal(err)
+// Files written while the radix cap, the store tier and the store fold were
+// search axes still load: those members — valid or not — are ignored and the
+// entry is the candidate the other members name. A retired-format entry is
+// still refused, beside them or not.
+func TestWisdomIgnoresRetiredAxes(t *testing.T) {
+	want := Candidate{BufferElems: 64, DataWorkers: 1, ComputeWorkers: 1, Mu: 4}
+	for _, extra := range []string{
+		`"radix":16,"store_policy":"nt","fuse":"off"`,
+		`"radix":3,"store_policy":"bogus","fuse":"sideways"`,
+		`"store_policy":"bogus"`,
+	} {
+		file := `{"entries":{"2d:4:4":{"buffer_elems":64,"data_workers":1,"compute_workers":1,"mu":4,` + extra + `}}}`
+		w, err := LoadWisdom(strings.NewReader(file))
+		if err != nil {
+			t.Fatalf("%s: %v", extra, err)
+		}
+		if got, ok := w.Get(Key(4, 4)); !ok || got != want {
+			t.Fatalf("%s: loaded %+v, want %+v", extra, got, want)
+		}
+		var buf bytes.Buffer
+		if err := w.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		for _, member := range []string{"radix", "store_policy", "fuse"} {
+			if strings.Contains(buf.String(), member) {
+				t.Fatalf("Save writes the retired member %q:\n%s", member, buf.String())
+			}
+		}
 	}
-	if len(all) != 2 {
-		t.Fatalf("tried %d candidates, want 2", len(all))
-	}
-	seen := map[string]bool{}
-	for _, r := range all {
-		seen[r.StorePolicy] = true
-	}
-	if !seen["regular"] || !seen["nt"] {
-		t.Fatalf("policies measured: %v", seen)
-	}
-	if !strings.Contains(best.String(), "store=") {
-		t.Fatalf("String lacks store axis: %q", best.String())
-	}
-	// An unparseable policy is infeasible, not an error.
-	space.StorePolicies = []string{"bogus"}
-	if _, _, err := Tune([]int{16, 16, 16}, space, 1); err == nil {
-		t.Fatal("expected error when every candidate is infeasible")
-	}
-}
-
-func TestFuseAxis(t *testing.T) {
-	space := smallSpace()
-	space.Radixes = nil
-	space.Workers = [][2]int{{1, 1}}
-	space.Buffers = []int{256}
-	space.Fuses = []string{"on", "off"}
-	best, all, err := Tune([]int{16, 16, 16}, space, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(all) != 2 {
-		t.Fatalf("tried %d candidates, want 2", len(all))
-	}
-	seen := map[string]bool{}
-	for _, r := range all {
-		seen[r.Fuse] = true
-	}
-	if !seen["on"] || !seen["off"] {
-		t.Fatalf("fuse settings measured: %v", seen)
-	}
-	if !strings.Contains(best.String(), "fuse=") {
-		t.Fatalf("String lacks fuse axis: %q", best.String())
-	}
-	// An unknown fuse value is infeasible, not an error.
-	space.Fuses = []string{"sideways"}
-	if _, _, err := Tune([]int{16, 16, 16}, space, 1); err == nil {
-		t.Fatal("expected error when every candidate is infeasible")
-	}
-}
-
-func TestWisdomFuseAndRadix16Validation(t *testing.T) {
-	// Radix 16 and every fuse spelling round-trip.
-	w := NewWisdom()
-	c := Candidate{BufferElems: 1 << 12, DataWorkers: 1, ComputeWorkers: 1, Mu: 4, Radix: 16, Fuse: "off"}
-	w.Put(Key(256, 256), c)
-	var buf bytes.Buffer
-	if err := w.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	w2, err := LoadWisdom(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := w2.Get(Key(256, 256)); !ok || got != c {
-		t.Fatalf("loaded %+v, want %+v", got, c)
-	}
-	// An unknown fuse value is rejected at load time.
-	badFuse := `{"entries":{"2d:4:4":{"buffer_elems":64,"data_workers":1,"compute_workers":1,"mu":4,"fuse":"sideways"}}}`
-	if _, err := LoadWisdom(strings.NewReader(badFuse)); err == nil {
-		t.Fatal("accepted invalid fuse setting")
+	retired := `{"entries":{"2d:4:4":{"buffer_elems":64,"data_workers":1,"compute_workers":1,"mu":4,"radix":8,"split_format":true}}}`
+	if _, err := LoadWisdom(strings.NewReader(retired)); err == nil {
+		t.Fatal("accepted a split_format entry")
 	}
 }
 
 // FuzzLoadWisdom feeds LoadWisdom the bytes of a file from outside the
 // process: it must not panic, whatever it accepts must survive Save →
-// LoadWisdom with equal entries, and every accepted candidate must convert
-// to the plan configuration (a file that loads names plans that build).
+// LoadWisdom with equal entries, and every accepted candidate must name a
+// buildable configuration (positive workers, buffer and μ).
 func FuzzLoadWisdom(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		w, err := LoadWisdom(bytes.NewReader(data))
@@ -245,8 +192,8 @@ func FuzzLoadWisdom(f *testing.F) {
 			return
 		}
 		for k, c := range w.Entries {
-			if _, err := c.Config(); err != nil {
-				t.Fatalf("loaded entry %q does not convert: %v", k, err)
+			if cfg := c.Config(); cfg.BufferElems < 1 || cfg.DataWorkers < 1 || cfg.ComputeWorkers < 1 || cfg.Mu < 1 {
+				t.Fatalf("loaded entry %q names no plan: %+v", k, cfg)
 			}
 		}
 		var buf bytes.Buffer

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/fft1d"
 )
 
 // Wisdom persists tuned candidates per transform shape, in the spirit of
@@ -61,7 +59,8 @@ func (w *Wisdom) Save(out io.Writer) error {
 // so is one recorded for the retired block-interleaved compute format
 // ("split_format": true, written by versions up to commit f193575) —
 // dropping the key silently would run a different plan than the file
-// describes.
+// describes. The members of the retired radix, store-tier and fold axes
+// name no plan difference any more and are ignored, whatever they hold.
 func LoadWisdom(in io.Reader) (*Wisdom, error) {
 	var file struct {
 		Entries map[string]struct {
@@ -81,12 +80,6 @@ func LoadWisdom(in io.Reader) (*Wisdom, error) {
 		w.Entries[k] = c
 		if c.BufferElems < 1 || c.DataWorkers < 1 || c.ComputeWorkers < 1 || c.Mu < 1 {
 			return nil, fmt.Errorf("tune: wisdom entry %q invalid: %+v", k, c)
-		}
-		if fft1d.CheckRadix("tune", c.Radix) != nil {
-			return nil, fmt.Errorf("tune: wisdom entry %q has invalid radix %d", k, c.Radix)
-		}
-		if _, err := c.Config(); err != nil {
-			return nil, fmt.Errorf("tune: wisdom entry %q: %w", k, err)
 		}
 	}
 	return &w, nil

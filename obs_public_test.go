@@ -3,23 +3,21 @@ package repro
 import (
 	"testing"
 
-	"repro/internal/core"
+	"repro/internal/stagegraph"
 )
 
 // TestObservability3DOverlapOccupancy is the observability acceptance
 // gate: a doublebuf 3D run must report ≥0.9 steady-state overlap occupancy
 // (with a buffer small enough for a deep pipeline), and the unfused oracle
-// schedule (core.Config.Unfused, which no public option sets) must measurably
+// schedule (stagegraph.Ablation.Unfused, which only a test can set) must measurably
 // change what the telemetry reports — proving it distinguishes schedules
 // rather than just counting bytes.
 func TestObservability3DOverlapOccupancy(t *testing.T) {
 	const dim = 64
 	run := func(fused bool) Observability {
-		p, err := NewFFT3D(dim, dim, dim,
-			WithWorkers(2, 2),
-			WithBufferElems(1<<12),
-			func(c *core.Config) error { c.Unfused = !fused; return nil },
-			WithRoofline(20))
+		restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: !fused})
+		p, err := NewFFT3D(dim, dim, dim, WithWorkers(2, 2), WithBufferElems(1<<12), WithRoofline(20))
+		restore()
 		if err != nil {
 			t.Fatal(err)
 		}
