@@ -165,7 +165,8 @@ serveprobe:
 # The stage-leg budget of the paper's regime, of cache2d's shape and of the
 # real-input graphs: complex 256³, 4096² and 512², real 512×256×256 (real3d)
 # and real 4096², forward and inverse on one thread, per stage the
-# load / compute / store milliseconds (µs resolution at 512²) from
+# load / compute / store milliseconds (µs resolution at 512², whose loads
+# read "folded": the first sweep reads the source, inside compute) from
 # Observability() deltas, Σ legs beside the wall, and each stage's load +
 # store beside the same run's streamed copy of two arrays. Medians of 5 runs,
 # of 301 at 512² (a few seconds). Ungated like serveprobe; a hot-path PR
@@ -175,7 +176,9 @@ legprobe:
 
 # One dispatched Stockham stage at a time, on one thread: the radix-8 and
 # radix-16 stages of 512² rows and cols, 256³ x- and y/z-pencils and n = 4096
-# over a 256 KiB pipeline block, in ps per element (BenchmarkStage); then the
+# over a 256 KiB pipeline block, in ps per element (BenchmarkStage) — 512²'s
+# first sweeps also out of place from a 4 MiB source, as they run with the
+# load folded into them (the /src4MiB cases); then the
 # cached block store (BenchmarkScatterBlocks), including 512²'s rows and cols
 # store geometries into a 4 MiB destination. Ungated like the other probes; a
 # codelet or store-kernel PR quotes it in EXPERIMENTS.md.

@@ -99,6 +99,29 @@ func TestMeasured3DRuns(t *testing.T) {
 	}
 }
 
+// The leg table prints an in-cache 2D stage's load as folded, and a 3D
+// stage's as the milliseconds its copy took.
+func TestLegProbeMarksFoldedLoads(t *testing.T) {
+	for _, c := range []struct {
+		dims   []int
+		folded int
+	}{{[]int{64, 64}, 4}, {[]int{16, 16, 16}, 0}} {
+		var b bytes.Buffer
+		if err := legProbeShape(&b, c.dims, false, 3); err != nil {
+			t.Fatal(err)
+		}
+		rows := 0
+		for _, l := range strings.Split(b.String(), "\n") {
+			if f := strings.Fields(l); len(f) > 2 && (f[0] == "fwd" || f[0] == "inv") && f[2] == "folded" {
+				rows++
+			}
+		}
+		if rows != c.folded {
+			t.Errorf("%v: %d leg rows with a folded load, want %d:\n%s", c.dims, rows, c.folded, b.String())
+		}
+	}
+}
+
 func TestMeasured2DRuns(t *testing.T) {
 	var b bytes.Buffer
 	err := Measured2D(&b, MeasuredConfig{

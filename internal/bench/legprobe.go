@@ -37,9 +37,11 @@ type legPlan interface {
 // and store milliseconds from Observability() deltas, Σ legs beside the wall
 // time, and each stage's load + store beside the same run's streamed copy of
 // one array onto another of its type (2·N·16 B complex, 2·N·8 B real: what a
-// stage's data legs move). Every figure is the median of reps runs — of at
-// least cacheReps at 512², whose sub-millisecond legs a handful of runs does
-// not resolve. `make legprobe` runs it at GOMAXPROCS=1, where the legs
+// stage's data legs move). The 512² stages print their load as "folded":
+// their first sweep reads the source, so the compute column includes that
+// read and the data legs are the store alone. Every figure is the median of
+// reps runs — of at least cacheReps at 512², whose sub-millisecond legs a
+// handful of runs does not resolve. `make legprobe` runs it at GOMAXPROCS=1, where the legs
 // execute one after another and sum to the wall.
 func LegProbe(w io.Writer, reps int) error {
 	if reps < 1 {
@@ -134,6 +136,7 @@ func legProbeOne(w io.Writer, label string, p legPlan, arrayBytes int, fwd, inv 
 		wall   float64
 		stages [][3]float64 // load, compute, store ms
 		ran    []bool       // whether the direction ran the stage
+		folded []bool       // whether its first sweep read the source (load bytes, no load time)
 	}
 	run := func(f func() error) (sample, error) {
 		before := p.Observability()
@@ -151,6 +154,7 @@ func legProbeOne(w io.Writer, label string, p legPlan, arrayBytes int, fwd, inv 
 				float64(st.Store.Ns-b.Store.Ns) / 1e6,
 			})
 			s.ran = append(s.ran, st.Store.Ops != b.Store.Ops)
+			s.folded = append(s.folded, st.Load.Bytes != b.Load.Bytes && st.Load.Ns == b.Load.Ns)
 		}
 		return s, nil
 	}
@@ -208,8 +212,14 @@ func legProbeOne(w io.Writer, label string, p legPlan, arrayBytes int, fwd, inv 
 				leg[k] = medianOf(d.s, func(s sample) float64 { return s.stages[i][k] })
 				sum += leg[k]
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%.*f\t%.*f\t%.*f\t%.*f\t%.2f\t\n", d.name, names[i].Name,
-				prec, leg[0], prec, leg[1], prec, leg[2], prec, leg[0]+leg[2], (leg[0]+leg[2])/copyMs)
+			// A folded stage has no load leg: its compute column includes
+			// the source read, and its data legs are the store alone.
+			load := fmt.Sprintf("%.*f", prec, leg[0])
+			if d.s[0].folded[i] {
+				load = "folded"
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%.*f\t%.*f\t%.*f\t%.2f\t\n", d.name, names[i].Name,
+				load, prec, leg[1], prec, leg[2], prec, leg[0]+leg[2], (leg[0]+leg[2])/copyMs)
 		}
 		sums = append(sums, fmt.Sprintf("  %s: Σ legs %.*f ms, wall %.*f ms", d.name, prec, sum, prec, d.wall))
 	}

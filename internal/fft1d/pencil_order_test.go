@@ -47,9 +47,9 @@ func TestPencilOrderMatchesSweepOrder(t *testing.T) {
 							}
 							ar := kernels.NewArena(0, 0)
 							if prefix {
-								p.BatchLanesPrefixArena(y, pencils, c.mu, sign, ar)
+								p.BatchLanesPrefixArena(y, y, pencils, c.mu, sign, ar)
 							} else {
-								p.BatchLanesArena(y, pencils, c.mu, sign, ar)
+								p.BatchLanesArena(y, y, pencils, c.mu, sign, ar)
 							}
 						})
 						return y
@@ -60,6 +60,58 @@ func TestPencilOrderMatchesSweepOrder(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// A batch read from a separate source is, bit for bit, the same batch copied
+// into place and transformed there, and leaves its source untouched: in both
+// loop orders, for odd and even stage counts and the store-fold prefix, and
+// through the mixed-radix and Bluestein drivers.
+func TestBatchFromSourceMatchesInPlace(t *testing.T) {
+	const pencils = 3
+	for _, c := range []struct{ n, mu int }{
+		{512, 1}, // [8 16 4]: an odd chain, an even prefix
+		{64, 8},  // [16 4]: an even chain, a one-stage prefix
+		{256, 8}, // [16 16]: no prefix
+		{96, 8},  // mixed radix
+		{97, 4},  // Bluestein over lanes
+		{97, 1},  // Bluestein, one lane
+	} {
+		p := NewPlan(c.n)
+		stride := c.n * c.mu
+		src := cvec.Random(rand.New(rand.NewSource(int64(stride))), pencils*stride)
+		keep := append([]complex128(nil), src...)
+		for _, prefix := range []bool{false, true} {
+			if prefix && p.FoldRadix() == 0 {
+				continue
+			}
+			for _, l1d := range []int{1 << 30, 0} {
+				for _, sign := range []int{Forward, Inverse} {
+					run := func(x, in []complex128) {
+						ar := kernels.NewArena(0, 0)
+						if prefix {
+							p.BatchLanesPrefixArena(x, in, pencils, c.mu, sign, ar)
+						} else {
+							p.BatchLanesArena(x, in, pencils, c.mu, sign, ar)
+						}
+					}
+					var inPlace, outOfPlace []complex128
+					withL1d(l1d, func() {
+						inPlace = append([]complex128(nil), src...)
+						run(inPlace, inPlace)
+						outOfPlace = make([]complex128, len(src))
+						run(outOfPlace, src)
+					})
+					if i := cvec.FirstBitDiff(outOfPlace, inPlace); i >= 0 {
+						t.Fatalf("n=%d μ=%d prefix=%v l1d=%d sign=%d: element %d from source %v, in place %v",
+							c.n, c.mu, prefix, l1d, sign, i, outOfPlace[i], inPlace[i])
+					}
+					if i := cvec.FirstBitDiff(src, keep); i >= 0 {
+						t.Fatalf("n=%d μ=%d prefix=%v: source element %d overwritten", c.n, c.mu, prefix, i)
+					}
+				}
+			}
 		}
 	}
 }

@@ -130,10 +130,11 @@ func (p *Plan) pow2Lanes(dst, src []complex128, mu, sign int, ar *kernels.Arena)
 	ar.Rewind(m)
 }
 
-// batchPow2 transforms `pencils` contiguous in-place pencils of shape
-// DFT_n ⊗ I_mu (stride n·mu each) through the batched Stockham stages.
-func (p *Plan) batchPow2(x []complex128, pencils, mu, sign int, ar *kernels.Arena) {
-	p.batchPow2Stages(x, pencils, mu, sign, len(p.radices), ar)
+// batchPow2 transforms `pencils` contiguous pencils of shape DFT_n ⊗ I_mu
+// (stride n·mu each) from src into x through the batched Stockham stages;
+// src is x for an in-place batch.
+func (p *Plan) batchPow2(x, src []complex128, pencils, mu, sign int, ar *kernels.Arena) {
+	p.batchPow2Stages(x, src, pencils, mu, sign, len(p.radices), ar)
 }
 
 // l1dBytes is the host's L1 data cache, against which pencilMajor sizes a
@@ -151,19 +152,22 @@ func pencilMajor(pencils, stride int) bool {
 	return pencils > 1 && 4*stride*16 >= l1dBytes
 }
 
-// batchPow2Stages runs the first `t` stages of the interleaved chain in
-// place. t = len(p.radices) is the full transform; t = len(p.radices)-1 is
-// the store-fold prefix, leaving the data one trailing radix-4 butterfly
-// short of the answer (the stage-graph scatter leg supplies it).
+// batchPow2Stages runs the first `t` (≥ 1) stages of the interleaved chain
+// from src into x. t = len(p.radices) is the full transform; t =
+// len(p.radices)-1 is the store-fold prefix, leaving the data one trailing
+// radix-4 butterfly short of the answer (the stage-graph scatter leg
+// supplies it). src is either x itself (in place) or an array x does not
+// overlap, which only the first stage reads.
 //
 // The stages run over groups of pencils: the whole batch (stage-major: one
 // butterfly stage is applied across every pencil before the next begins, so
 // each stage's twiddle table streams through the cache once per sweep) or
 // one pencil at a time (pencilMajor). Every pencil sees the same kernel
-// calls either way, so the bits do not depend on the order. Ping-pong parity
-// lands the final stage in x; with an odd stage count each group starts from
-// a scratch copy so no stage reads the half it is writing.
-func (p *Plan) batchPow2Stages(x []complex128, pencils, mu, sign, t int, ar *kernels.Arena) {
+// calls either way, and from either source, so the bits depend on neither.
+// Ping-pong parity lands the final stage in x; with an odd stage count an
+// in-place group starts from a scratch copy so no stage reads the half it
+// is writing.
+func (p *Plan) batchPow2Stages(x, src []complex128, pencils, mu, sign, t int, ar *kernels.Arena) {
 	st := p.stageTwiddles(sign)[:t]
 	stride := p.n * mu
 	group := pencils
@@ -175,8 +179,8 @@ func (p *Plan) batchPow2Stages(x []complex128, pencils, mu, sign, t int, ar *ker
 
 	for c := 0; c < pencils; c += group {
 		xg := x[c*stride : (c+group)*stride]
-		cur := xg
-		if t%2 == 1 {
+		cur := src[c*stride : (c+group)*stride]
+		if t%2 == 1 && &cur[0] == &xg[0] {
 			copy(scratch, xg)
 			cur = scratch
 		}
@@ -290,7 +294,7 @@ func (p *Plan) InPlaceLanes(x []complex128, mu, sign int) {
 
 func (p *Plan) inPlaceLanes(x []complex128, mu, sign int, ar *kernels.Arena) {
 	if p.kind == kindPow2 {
-		p.batchPow2(x, 1, mu, sign, ar)
+		p.batchPow2(x, x, 1, mu, sign, ar)
 		return
 	}
 	mk := ar.Mark()
@@ -312,47 +316,61 @@ func (p *Plan) Batch(x []complex128, count, sign int) {
 // BatchArena is Batch drawing scratch from the caller's arena. Power-of-two
 // plans with ≥ 2 pencils go through the batched Stockham sweeps.
 func (p *Plan) BatchArena(x []complex128, count, sign int, ar *kernels.Arena) {
-	p.BatchLanesArena(x, count, 1, sign, ar)
+	p.BatchLanesArena(x, x, count, 1, sign, ar)
 }
 
-// BatchLanesArena computes x = (I_count ⊗ DFT_n ⊗ I_mu)(x) in place: count
+// BatchLanesArena computes x = (I_count ⊗ DFT_n ⊗ I_mu)(src): count
 // contiguous lane groups of stride n·mu each, scratch from the caller's
-// arena. This is the batched-unit shape of the stage-graph compute hooks.
-func (p *Plan) BatchLanesArena(x []complex128, count, mu, sign int, ar *kernels.Arena) {
-	if len(x) != count*p.n*mu {
-		panic(fmt.Sprintf("fft1d: BatchLanesArena length %d, want %d·%d·%d",
-			len(x), count, p.n, mu))
+// arena. src is x for an in-place batch, or an array of the same length
+// that x does not overlap, read by the first sweep and left unchanged —
+// which is how a stage-graph compute hook reads a block straight from its
+// source instead of from a loaded copy. This is the batched-unit shape of
+// the stage-graph compute hooks.
+func (p *Plan) BatchLanesArena(x, src []complex128, count, mu, sign int, ar *kernels.Arena) {
+	if len(x) != count*p.n*mu || len(src) != len(x) {
+		panic(fmt.Sprintf("fft1d: BatchLanesArena lengths x=%d src=%d, want %d·%d·%d",
+			len(x), len(src), count, p.n, mu))
+	}
+	if count == 0 {
+		return
 	}
 	if p.kind == kindPow2 {
-		p.batchPow2(x, count, mu, sign, ar)
+		p.batchPow2(x, src, count, mu, sign, ar)
 		return
 	}
 	stride := p.n * mu
 	mk := ar.Mark()
-	tmp := ar.Complex(stride)
+	var tmp []complex128
+	if &src[0] == &x[0] {
+		tmp = ar.Complex(stride)
+	}
 	for c := 0; c < count; c++ {
 		pencil := x[c*stride : (c+1)*stride]
-		copy(tmp, pencil)
-		p.lanesInto(pencil, tmp, mu, sign, ar)
+		in := src[c*stride : (c+1)*stride]
+		if tmp != nil {
+			copy(tmp, pencil)
+			in = tmp
+		}
+		p.lanesInto(pencil, in, mu, sign, ar)
 	}
 	ar.Rewind(mk)
 }
 
 // BatchLanesPrefixArena runs every Stockham stage except the trailing one
-// on count contiguous lane groups in place — the compute half of the
-// store-folded pipeline. The caller must have checked FoldRadix() != 0; the
-// data is left one radix-4 butterfly (m = 1, trivial twiddles, stride
-// s = n/4·mu per group) short of the transform, which the stage-graph
-// scatter leg applies on the fly.
-func (p *Plan) BatchLanesPrefixArena(x []complex128, count, mu, sign int, ar *kernels.Arena) {
-	if len(x) != count*p.n*mu {
-		panic(fmt.Sprintf("fft1d: BatchLanesPrefixArena length %d, want %d·%d·%d",
-			len(x), count, p.n, mu))
+// on count contiguous lane groups from src into x (src as for
+// BatchLanesArena) — the compute half of the store-folded pipeline. The
+// caller must have checked FoldRadix() != 0; the data is left one radix-4
+// butterfly (m = 1, trivial twiddles, stride s = n/4·mu per group) short of
+// the transform, which the stage-graph scatter leg applies on the fly.
+func (p *Plan) BatchLanesPrefixArena(x, src []complex128, count, mu, sign int, ar *kernels.Arena) {
+	if len(x) != count*p.n*mu || len(src) != len(x) {
+		panic(fmt.Sprintf("fft1d: BatchLanesPrefixArena lengths x=%d src=%d, want %d·%d·%d",
+			len(x), len(src), count, p.n, mu))
 	}
 	if p.FoldRadix() == 0 {
 		panic(fmt.Sprintf("fft1d: BatchLanesPrefixArena on a plan with no foldable stage (n=%d)", p.n))
 	}
-	p.batchPow2Stages(x, count, mu, sign, len(p.radices)-1, ar)
+	p.batchPow2Stages(x, src, count, mu, sign, len(p.radices)-1, ar)
 }
 
 // BatchInto computes dst = (I_count ⊗ DFT_n)(src) out of place.

@@ -222,7 +222,8 @@ type StageSnapshot struct {
 	ComputeOps uint64 `json:"compute_ops"`
 
 	// GBs is the stage's combined effective data bandwidth
-	// (load+store bytes over mean data-worker busy time).
+	// (load+store bytes over mean data-worker busy time). A folded load —
+	// bytes with no load time, read by the compute op — adds no bytes here.
 	GBs float64 `json:"gb_per_s"`
 	// FracPeak is GBs over the roofline (0 when the roofline is unknown).
 	FracPeak float64 `json:"frac_peak"`
@@ -323,7 +324,7 @@ func (c *Collector) Snapshot() Snapshot {
 			}
 		}
 		if dataNs := out.Load.Ns + out.Store.Ns; dataNs > 0 {
-			out.GBs = rate(out.Load.Bytes+out.Store.Bytes, dataNs, c.dataWorkers)
+			out.GBs = rate(timedBytes(out.Load)+timedBytes(out.Store), dataNs, c.dataWorkers)
 			if roofline > 0 {
 				out.FracPeak = out.GBs / roofline
 			}
@@ -344,6 +345,16 @@ func (c *Collector) Snapshot() Snapshot {
 		}
 	}
 	return snap
+}
+
+// timedBytes is what an op's bytes contribute to a rate: nothing when the op
+// recorded no time — a load folded into the compute op's first sweep counts
+// its bytes exactly but has no duration of its own to divide them by.
+func timedBytes(o OpStats) uint64 {
+	if o.Ns == 0 {
+		return 0
+	}
+	return o.Bytes
 }
 
 func opStats(b, ns, ops uint64, workers int) OpStats {

@@ -103,7 +103,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			p.Sample("fft_stage_bytes_total", float64(st.Store.Bytes), "plan", s.Label, "stage", st.Name, "op", "store")
 		}
 	}
-	p.Family("fft_stage_seconds_total", "Worker-summed op time per stage and op.", "counter")
+	p.Family("fft_stage_seconds_total", "Worker-summed op time per stage and op. A load folded into the first compute sweep records none: its time is in the compute op.", "counter")
 	for _, s := range snaps {
 		for _, st := range s.Stages {
 			p.Sample("fft_stage_seconds_total", float64(st.Load.Ns)/1e9, "plan", s.Label, "stage", st.Name, "op", "load")

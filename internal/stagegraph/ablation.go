@@ -9,8 +9,9 @@ import (
 
 // Ablation is the one seam for the schedules no product configuration
 // selects: the oracle and A/B variants the tests hold the product graph to.
-// Its zero value is the product — fused, store-folded, the store tier chosen
-// from the footprint, radix-16 chains — and only a test binary can install
+// Its zero value is the product — fused, store-folded, the store tier and
+// the 2D load fold chosen from the footprint, radix-16 chains — and only a
+// test binary can install
 // another (SetAblation). It is read where graphs (Pencils.Build), runners
 // (NewRunner) and the 1D sub-plans (Plan1D) are built, so a plan keeps the
 // schedule it was built under.
@@ -27,6 +28,9 @@ type Ablation struct {
 	// Radix caps the Stockham stage radix of the power-of-two sub-plans at
 	// 2, 4 or 8 (0 and 16 are the default chain).
 	Radix int
+	// CopyLoads keeps the load leg's copy on the 2D graphs whose first
+	// sweep would otherwise read the source in its place (Stage.FoldLoad).
+	CopyLoads bool
 }
 
 var ablation atomic.Pointer[Ablation]

@@ -5,9 +5,9 @@ import (
 	"strings"
 )
 
-// Describe renders a compiled stage graph as text: per-stage geometry and
-// store mode (a folded radix-4 butterfly, the streaming tier) plus the
-// fused-schedule summary. Endpoints may be nil — description never
+// Describe renders a compiled stage graph as text: per-stage geometry, store
+// mode (a folded radix-4 butterfly, the streaming tier) and a load folded
+// into the first sweep, plus the fused-schedule summary. Endpoints may be nil — description never
 // touches data — so plans can describe graphs without binding arrays.
 func Describe(stages []Stage, fused bool) string {
 	var b strings.Builder
@@ -28,6 +28,9 @@ func Describe(stages []Stage, fused bool) string {
 		}
 		if st.NonTemporal {
 			b.WriteString(", streaming")
+		}
+		if st.FoldLoad {
+			b.WriteString(", load folded into the first sweep")
 		}
 		b.WriteString("\n")
 	}

@@ -138,6 +138,19 @@ func (s *Schedule) matches(stages []Stage) error {
 // distance two (3D: src→dst→work→dst) are safe as well. Unfused
 // boundaries add one more step, reproducing separate runs: sum(iters+2)
 // steps versus sum(iters)+stages+1 fused.
+//
+// A stage that folds its load (Stage.FoldLoad) reads slot (s, i) in the
+// compute op of step l+1 instead of the load op of step l, l = base[s]+i,
+// and a compute op runs concurrently with its step's stores and loads. The
+// argument survives the move. The read still follows every store into the
+// source: the producer's last store ran no later than step base[s] ≤ l,
+// strictly before l+1. It still precedes every later overwrite: the first
+// store of a later stage runs at base[s+1]+2 or later, four steps after
+// stage s's last load and three after its last folded read. The buffer
+// half is free as well: the compute op of step l+1 writes half l mod 2, whose
+// previous slot was stored at step l, while that step's data ops work on the
+// other half. TestFoldedReadsStayLegal replays both schedules with the reads
+// so placed.
 func BuildSchedule(stages []Stage, fused bool) (loadAt, computeAt, storeAt []slotRef, steps int) {
 	iters := make([]int, len(stages))
 	for i := range stages {
@@ -357,6 +370,9 @@ func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
 			t2 := time.Now()
 			sh.AddBarrier(t2.Sub(t1))
 			loadRef := sched.loadAt[s]
+			if loadRef.stage >= 0 && stages[loadRef.stage].FoldLoad {
+				loadRef.stage = -1 // the compute op reads the block from Src
+			}
 			nLoad := 0
 			if loadRef.stage >= 0 {
 				nLoad = stages[loadRef.stage].load(b, loadRef.half, loadRef.iter, slot, workers)
@@ -382,16 +398,25 @@ func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
 			sh.AddBarrier(stepStart.Sub(t3))
 		} else {
 			ref := sched.computeAt[s]
+			folded := 0 // source bytes a folded load's first sweep read
 			if ref.stage >= 0 {
 				st := &stages[ref.stage]
 				lo, hi := Partition(st.Units, slot, workers)
 				ar := e.arenas[slot]
 				ar.Reset()
-				st.Compute(b, ar, ref.half, ref.iter, lo, hi)
+				st.Compute(b, ar, st.input(b, ref.half, ref.iter), ref.half, ref.iter, lo, hi)
+				if st.FoldLoad {
+					folded = (hi - lo) * st.UnitLen * complexBytes
+				}
 			}
 			t1 := time.Now()
 			if ref.stage >= 0 {
 				sh.Add(ref.stage, obs.Compute, 0, t1.Sub(a))
+				if folded > 0 {
+					// Exact load bytes and no load time: the read is part of
+					// the compute op, so no load rate is derived from them.
+					sh.Add(ref.stage, obs.Load, folded, 0)
+				}
 				tracer.Emit(trace.Event{
 					Op: trace.Compute, Step: s, Stage: ref.stage, Iter: ref.iter,
 					Buf: ref.half, Worker: slot, Role: "compute", Start: a, End: t1,

@@ -13,7 +13,7 @@ func scaleStage(dst, src []complex128, iters, units, unitLen int, scale complex1
 	return []Stage{{
 		Name: "scale", Iters: iters, Units: units, UnitLen: unitLen,
 		Src: Endpoint{C: src}, Dst: Endpoint{C: dst},
-		Compute: func(b *Buffers, _ *kernels.Arena, half, iter, lo, hi int) {
+		Compute: func(b *Buffers, _ *kernels.Arena, _ []complex128, half, iter, lo, hi int) {
 			h := b.C[half]
 			for j := lo * ul; j < hi*ul; j++ {
 				h[j] *= scale
@@ -97,7 +97,7 @@ func TestExecutorBrokenAfterPanic(t *testing.T) {
 	defer e.Close()
 	b := NewBuffers(units*unitLen, false)
 	stages := scaleStage(make([]complex128, n), make([]complex128, n), iters, units, unitLen, 2)
-	stages[0].Compute = func(*Buffers, *kernels.Arena, int, int, int, int) { panic("kernel exploded") }
+	stages[0].Compute = func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) { panic("kernel exploded") }
 	sched := Compile(stages, true)
 
 	if _, err := e.Run(b, stages, sched, nil); err == nil {

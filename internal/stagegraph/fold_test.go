@@ -40,7 +40,7 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 				stages := []Stage{{
 					Name: "fold", Iters: iters, Units: units, UnitLen: n,
 					Src: Endpoint{C: src}, Dst: Endpoint{C: dst},
-					Compute: func(b *Buffers, ar *kernels.Arena, half, iter, lo, hi int) {
+					Compute: func(b *Buffers, ar *kernels.Arena, _ []complex128, half, iter, lo, hi int) {
 						tmp := ar.Complex(n)
 						for u := lo; u < hi; u++ {
 							p := b.C[half][u*n : (u+1)*n]
@@ -187,7 +187,7 @@ func TestFoldStoreScaleMatchesFoldThenScale(t *testing.T) {
 					st := Stage{
 						Name: "fold", Iters: iters, Units: units, UnitLen: unitLen,
 						Src: Endpoint{C: src}, Dst: Endpoint{C: buf[off : off+len(src)]},
-						Compute:     func(*Buffers, *kernels.Arena, int, int, int, int) {},
+						Compute:     func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
 						NonTemporal: nt, StoreRadix: 4, StoreSign: kernels.Inverse, StoreScale: scale,
 						Rot: Rotation{Blocks: blocks, BlockLen: bl, JStride: total * bl,
 							Map: func(g, j int) int { return (j*total + g) * bl }},
@@ -232,7 +232,7 @@ func TestStoreFoldValidation(t *testing.T) {
 		return Stage{
 			Name: "fold", Iters: 1, Units: 1, UnitLen: 8,
 			Src: Endpoint{C: make([]complex128, 8)}, Dst: Endpoint{C: make([]complex128, 8)},
-			Compute:    func(*Buffers, *kernels.Arena, int, int, int, int) {},
+			Compute:    func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
 			StoreRadix: 4,
 			Rot:        Rotation{Blocks: 4, BlockLen: 2, Map: func(g, j int) int { return g*8 + j*2 }},
 		}
@@ -300,7 +300,7 @@ func TestStreamingStoresPartialLinesMatchOracle(t *testing.T) {
 				st := Stage{
 					Name: "nt", Iters: iters, Units: units, UnitLen: unitLen,
 					Src: Endpoint{C: src}, Dst: Endpoint{C: dst},
-					Compute:     func(*Buffers, *kernels.Arena, int, int, int, int) {},
+					Compute:     func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
 					NonTemporal: true,
 					Rot: Rotation{Blocks: blocks, BlockLen: bl, JStride: total * bl,
 						Map: func(g, j int) int { return off + (j*total+g)*bl }},

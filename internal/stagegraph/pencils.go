@@ -424,15 +424,15 @@ func (p Pencils) Build() (*Graph, error) {
 			Rot: rotation(*e, mu, dst.Base),
 		}
 		ent, plan, pre := p.Real.Entangle, e.plan, e.pre
-		st.Compute = func(b *Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+		st.Compute = func(b *Buffers, a *kernels.Arena, src []complex128, half, iter, lo, hi int) {
 			if lo >= hi {
 				return
 			}
 			t := b.T[half][lo*l : hi*l]
-			ent(t, b.C[half][lo*pitch:hi*pitch], hi-lo, iter*per+lo)
+			ent(t, src[lo*pitch:hi*pitch], hi-lo, iter*per+lo)
 			if plan != nil {
 				pre(t, hi-lo)
-				plan.BatchLanesArena(t, hi-lo, 1, fft1d.Inverse, a)
+				plan.BatchLanesArena(t, t, hi-lo, 1, fft1d.Inverse, a)
 			}
 		}
 		bind(0, &st, dst)
@@ -477,8 +477,18 @@ func (p Pencils) Build() (*Graph, error) {
 		// out, for no sweep at all; otherwise scaling the last stage's
 		// blocks in its compute leg is the same fft1d.Scale on the same
 		// values a pass over the destination would apply.
-		n := total * mu
-		ApplyStorePolicy(g.stages, ab.Stores.Decide(n*complexBytes, machine.HostLLCBytes()))
+		bytes, llc := total*mu*complexBytes, machine.HostLLCBytes()
+		ApplyStorePolicy(g.stages, ab.Stores.Decide(bytes, llc))
+		// Inside the LLC a 2D stage's load is an in-cache copy that the
+		// first sweep reads a second time, so the sweep reads the source
+		// instead. Out of the LLC the copy's stream beats the sweep's reads
+		// from DRAM, and 3D waits on a measurement of its own
+		// (EXPERIMENTS.md "Cache-regime loads fold into the first sweep").
+		if D == 2 && !ab.CopyLoads && fitsLLC(bytes, llc) {
+			for i := range g.stages {
+				g.stages[i].FoldLoad = true
+			}
+		}
 		switch last := &g.stages[nStages-1]; {
 		case p.Out.WriteC == nil && (last.runMajor() || last.StoreRadix != 0):
 			g.scaleAt = scaleStore
@@ -542,14 +552,17 @@ func rotation(c pencil, mu, base int) Rotation {
 }
 
 // compute derives a stage's compute hook: [pre] → batched transform (or its
-// fold prefix) → [post] → [scale], over the worker's unit range.
+// fold prefix) from the block's input into the buffer half → [post] →
+// [scale], over the worker's unit range. Only real graphs have a pre hook,
+// and they never fold their loads, so pre always works on the loaded half.
 func (c pencil) compute(dir *direction, unitLen int, fold, runScale bool) ComputeFn {
 	plan, lanes := c.plan, c.lanes
-	return func(b *Buffers, a *kernels.Arena, half, iter, lo, hi int) {
+	return func(b *Buffers, a *kernels.Arena, src []complex128, half, iter, lo, hi int) {
 		if lo >= hi {
 			return
 		}
 		x := b.C[half][lo*unitLen : hi*unitLen]
+		in := src[lo*unitLen : hi*unitLen]
 		sign := c.sign
 		if sign == 0 {
 			sign = dir.sign
@@ -558,9 +571,9 @@ func (c pencil) compute(dir *direction, unitLen int, fold, runScale bool) Comput
 			c.pre(x, hi-lo)
 		}
 		if fold {
-			plan.BatchLanesPrefixArena(x, hi-lo, lanes, sign, a)
+			plan.BatchLanesPrefixArena(x, in, hi-lo, lanes, sign, a)
 		} else {
-			plan.BatchLanesArena(x, hi-lo, lanes, sign, a)
+			plan.BatchLanesArena(x, in, hi-lo, lanes, sign, a)
 		}
 		if c.post != nil {
 			c.post(x, hi-lo)

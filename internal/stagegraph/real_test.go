@@ -22,7 +22,7 @@ func TestRealEndpoints(t *testing.T) {
 	st := Stage{
 		Name: "r2r", Iters: iters, Units: units, UnitLen: unitLen,
 		Src: Endpoint{R: src}, Dst: Endpoint{R: dst},
-		Compute: func(b *Buffers, _ *kernels.Arena, half, iter, lo, hi int) {
+		Compute: func(b *Buffers, _ *kernels.Arena, _ []complex128, half, iter, lo, hi int) {
 			for j := lo * unitLen; j < hi*unitLen; j++ {
 				b.C[half][j] *= 2
 			}
@@ -66,7 +66,7 @@ func TestSetObsSwitchesCollector(t *testing.T) {
 	st := Stage{
 		Name: "id", Iters: 1, Units: 1, UnitLen: elems,
 		Src: Endpoint{C: src}, Dst: Endpoint{C: dst},
-		Compute: func(*Buffers, *kernels.Arena, int, int, int, int) {},
+		Compute: func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
 		Rot:     Rotation{Blocks: 1, BlockLen: elems, Map: func(g, _ int) int { return 0 }},
 	}
 	stages := []Stage{st}

@@ -80,10 +80,13 @@ type Rotation struct {
 }
 
 // ComputeFn runs the batched pencil kernel of one stage over the unit
-// range [lo, hi) of buffer half `half` holding iteration `iter`. The arena
-// is the calling compute worker's private scratch, Reset before every op;
-// kernels bump-allocate ping-pong buffers from it instead of the heap.
-type ComputeFn func(b *Buffers, a *kernels.Arena, half, iter, lo, hi int)
+// range [lo, hi) of iteration `iter`, leaving the result in buffer half
+// `half`. src is the block's input, BlockElems long: the half itself after
+// a load leg, or the block's slice of Src.C when the stage folds its load
+// (Stage.FoldLoad). The arena is the calling compute worker's private
+// scratch, Reset before every op; kernels bump-allocate ping-pong buffers
+// from it instead of the heap.
+type ComputeFn func(b *Buffers, a *kernels.Arena, src []complex128, half, iter, lo, hi int)
 
 // Stage is one declarative load/compute/store stage of a transform.
 type Stage struct {
@@ -100,6 +103,13 @@ type Stage struct {
 	Src, Dst Endpoint
 	// Compute is the batched pencil kernel; it partitions [0, Units).
 	Compute ComputeFn
+	// FoldLoad drops the load leg: the executor hands the compute hook the
+	// block's slice of Src.C, and the first Stockham sweep reads it out of
+	// place into the buffer half. It saves the copy where that copy is an
+	// in-cache one the sweep would read a second time; Pencils.Build sets it
+	// for complex unpartitioned 2D graphs whose arrays fit in half the LLC
+	// (fitsLLC). Src must be a plain complex array.
+	FoldLoad bool
 	// StoreUnits × StoreLen re-tiles the buffer for the store when the
 	// store granularity differs from the load's (the real-inverse entangle
 	// stage loads spectrum rows of l+1 and stores packed rows of l); zero
@@ -215,6 +225,9 @@ func (st *Stage) validate(i int, b *Buffers) error {
 	if !st.Src.valid(false) {
 		return fmt.Errorf("stagegraph: stage %d (%s): invalid Src endpoint", i, st.Name)
 	}
+	if st.FoldLoad && st.Src.C == nil {
+		return fmt.Errorf("stagegraph: stage %d (%s): FoldLoad needs a complex Src array", i, st.Name)
+	}
 	if !st.Dst.valid(true) {
 		return fmt.Errorf("stagegraph: stage %d (%s): invalid Dst endpoint", i, st.Name)
 	}
@@ -301,6 +314,16 @@ func (st *Stage) load(b *Buffers, half, iter, worker, workers int) int {
 	}
 	layout.CopyStream(b.C[half][lo:hi], st.Src.C[base+lo:base+hi])
 	return (hi - lo) * complexBytes
+}
+
+// input is the block a compute op reads: the block's slice of Src.C when the
+// stage folds its load, else the buffer half its load leg filled.
+func (st *Stage) input(b *Buffers, half, iter int) []complex128 {
+	n := st.BlockElems()
+	if st.FoldLoad {
+		return st.Src.C[iter*n : (iter+1)*n]
+	}
+	return b.C[half][:n]
 }
 
 // store writes this worker's share of block `iter` from buffer half `half`

@@ -20,7 +20,7 @@ func chainGraph(srcData []complex128, mids [][]complex128, dst []complex128,
 		stages = append(stages, Stage{
 			Name: "chain", Iters: iters, Units: units, UnitLen: unitLen,
 			Src: Endpoint{C: arrays[s]}, Dst: Endpoint{C: arrays[s+1]},
-			Compute: func(b *Buffers, _ *kernels.Arena, half, iter, lo, hi int) {
+			Compute: func(b *Buffers, _ *kernels.Arena, _ []complex128, half, iter, lo, hi int) {
 				half_ := b.C[half]
 				for j := lo * ul; j < hi*ul; j++ {
 					half_[j] *= scale
@@ -154,7 +154,7 @@ func TestValidationErrors(t *testing.T) {
 	good := Stage{
 		Name: "ok", Iters: 1, Units: 1, UnitLen: 8,
 		Src: Endpoint{C: make([]complex128, 8)}, Dst: Endpoint{C: make([]complex128, 8)},
-		Compute: func(*Buffers, *kernels.Arena, int, int, int, int) {},
+		Compute: func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
 		Rot:     Rotation{Blocks: 1, BlockLen: 8, Map: func(g, j int) int { return 0 }},
 	}
 	cases := []func(s *Stage){
@@ -190,7 +190,7 @@ func TestComputePanicPropagates(t *testing.T) {
 	s := Stage{
 		Name: "boom", Iters: 2, Units: 1, UnitLen: 8,
 		Src: Endpoint{C: make([]complex128, 16)}, Dst: Endpoint{C: make([]complex128, 16)},
-		Compute: func(*Buffers, *kernels.Arena, int, int, int, int) { panic("kernel exploded") },
+		Compute: func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) { panic("kernel exploded") },
 		Rot:     Rotation{Blocks: 1, BlockLen: 8, Map: func(g, j int) int { return g * 8 }},
 	}
 	_, err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: true}, b, []Stage{s})
@@ -213,7 +213,7 @@ func TestStagingStore(t *testing.T) {
 	stages := []Stage{{
 		Name: "tr", Iters: iters, Units: units, UnitLen: unitLen,
 		Src: Endpoint{C: src}, Dst: Endpoint{C: dst},
-		Compute: func(b *Buffers, _ *kernels.Arena, half, iter, lo, hi int) {
+		Compute: func(b *Buffers, _ *kernels.Arena, _ []complex128, half, iter, lo, hi int) {
 			// Transpose the units×unitLen tile into unitLen×units.
 			for u := lo; u < hi; u++ {
 				for j := 0; j < unitLen; j++ {

@@ -38,10 +38,18 @@ func (p StorePolicy) Decide(destBytes, llcBytes int) bool {
 	case StoreNonTemporal:
 		return layout.NonTemporalAvailable()
 	}
-	if !layout.NonTemporalAvailable() || llcBytes <= 0 {
-		return false
-	}
-	return destBytes > llcBytes/2
+	return layout.NonTemporalAvailable() && !fitsLLC(destBytes, llcBytes)
+}
+
+// fitsLLC reports whether a per-stage footprint of `bytes` fits in half a
+// last-level cache of llcBytes, leaving the other half to the stage's source
+// stream; an unknown LLC (≤ 0) counts as fitting. It is the one footprint rule
+// of a product graph: outside it a store streams past the cache (StoreAuto,
+// where the host has the tier) and a load copies in; inside it a store stays
+// cached and a 2D stage's first sweep reads its source in place of the load
+// leg (Stage.FoldLoad) — on every host, streaming tier or not.
+func fitsLLC(bytes, llcBytes int) bool {
+	return llcBytes <= 0 || bytes <= llcBytes/2
 }
 
 // ApplyStorePolicy sets every stage's NonTemporal flag to nt and returns

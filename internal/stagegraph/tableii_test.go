@@ -74,7 +74,7 @@ func TestStoreLoadOrderingOnSharedHalf(t *testing.T) {
 	stages := []Stage{{
 		Name: "sentinel", Iters: iters, Units: 1, UnitLen: b,
 		Src:     Endpoint{C: src},
-		Compute: func(*Buffers, *kernels.Arena, int, int, int, int) {},
+		Compute: func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
 		Dst: Endpoint{WriteC: func(off int, blk []complex128) {
 			for _, v := range blk {
 				if v != complex(float64(off/b), 0) {
@@ -104,7 +104,7 @@ func TestOverlapHidesDataMovement(t *testing.T) {
 	stages := []Stage{{
 		Name: "sleepy", Iters: iters, Units: 1, UnitLen: b,
 		Src:     Endpoint{C: make([]complex128, iters*b)},
-		Compute: func(*Buffers, *kernels.Arena, int, int, int, int) { time.Sleep(2 * d) },
+		Compute: func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) { time.Sleep(2 * d) },
 		Dst:     Endpoint{WriteC: func(int, []complex128) { time.Sleep(d) }},
 		Rot:     Rotation{Blocks: 1, BlockLen: b, Map: func(g, _ int) int { return g * b }},
 	}}
