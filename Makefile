@@ -127,7 +127,9 @@ tracesmoke:
 # the binary frame decoder against its acceptance rule, a
 # scraped peer exposition through the /metrics/fleet merge and back, a
 # wisdom file through LoadWisdom, Save and the candidate → Config conversion,
-# and a /shard/begin body through the JobSpec decoder and its validation.
+# a /shard/begin body through the JobSpec decoder and its validation, and
+# any 1D size 1 … 65535 through the fft1d planner (round trip, Parseval and,
+# up to 512, the direct DFT).
 # The committed seed corpora (internal/{wire,obs,tune}/testdata/fuzz) are
 # replayed by plain `go test`; a crasher found here lands there as a new seed.
 fuzzsmoke:
@@ -138,6 +140,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadWisdom$$' -fuzztime=10s ./internal/tune
 	$(GO) test -run='^$$' -fuzz='^FuzzJobSpec$$' -fuzztime=10s ./internal/shard
+	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=10s ./internal/fft1d
 
 # The ruler (BENCHMARK.json): every named workload's end-to-end and
 # per-layer metrics, all outputs verified; performance claims are stated
@@ -180,11 +183,15 @@ legprobe:
 # first sweeps also out of place from a 4 MiB source, as they run with the
 # load folded into them (the /src4MiB cases); then the
 # cached block store (BenchmarkScatterBlocks), including 512²'s rows and cols
-# store geometries into a 4 MiB destination. Ungated like the other probes; a
-# codelet or store-kernel PR quotes it in EXPERIMENTS.md.
+# store geometries into a 4 MiB destination; then whole 1D transforms
+# (BenchmarkExecute) in ns per element at 4096 beside 3·2¹⁰, 5·2¹⁰, 15·2¹⁰
+# and the prime 4093, whose chains open with generic radix-3/5 or Bluestein
+# stages. Ungated like the other probes; a codelet or store-kernel PR quotes
+# it in EXPERIMENTS.md.
 kernelprobe:
 	GOMAXPROCS=1 $(GO) test ./internal/kernels -run '^$$' -bench Stage -count 5
 	GOMAXPROCS=1 $(GO) test ./internal/layout -run '^$$' -bench ScatterBlocks -count 5
+	GOMAXPROCS=1 $(GO) test ./internal/fft1d -run '^$$' -bench 'Execute/(4096|3072|5120|15360|4093)$$' -count 5
 
 # The JSON codec alone, on one thread: decode and encode of http2d's 256²
 # request and reply, in ms/op and ns per float64 value. Ungated like the other

@@ -14,8 +14,8 @@ import (
 var ErrClosed = errors.New("repro: plan closed")
 
 // FFT1D is a reusable plan for one-dimensional transforms of any size
-// n ≥ 1: the mixed-radix Stockham planner (Bluestein for large primes) run
-// directly over the caller's arrays, with one n-element scratch drawn from
+// n ≥ 1: the fft1d Stockham chain (a Bluestein stage for each prime factor
+// above 8) run directly over the caller's arrays, with one n-element scratch drawn from
 // a process-wide pool. No option shapes it; the result is bitwise
 // fft1d.NewPlan(n).Transform at every size.
 type FFT1D struct {

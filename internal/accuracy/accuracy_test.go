@@ -11,10 +11,10 @@ import (
 )
 
 func TestErrorWithinTheoreticalGrowth(t *testing.T) {
-	// Every algorithm family must stay within C·√(log n)·ε.
+	// Every kind of chain must stay within C·√(log n)·ε.
 	sizes := []int{4, 8, 16, 64, 256, 1024, 4096, // pow2
-		12, 96, 360, 1000, 2310, // mixed radix
-		127, 509, 1021, // bluestein
+		12, 96, 360, 1000, 2310, // odd factors
+		127, 509, 1021, // primes: Bluestein stages
 	}
 	if testing.Short() {
 		sizes = sizes[:7]
@@ -77,7 +77,7 @@ func TestReport(t *testing.T) {
 	var b bytes.Buffer
 	Report(&b, []int{64, 128})
 	out := b.String()
-	if !strings.Contains(out, "rel L2 error") || !strings.Contains(out, "stockham-pow2") {
+	if !strings.Contains(out, "rel L2 error") || !strings.Contains(out, "stockham[16 4]") {
 		t.Fatalf("report malformed:\n%s", out)
 	}
 	if strings.Contains(out, "false") {

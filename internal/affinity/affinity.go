@@ -4,22 +4,15 @@
 // The paper pins one data-thread and one compute-thread together: on Intel
 // parts the pair shares a physical core's two hyperthreads (and its L1/L2),
 // on AMD parts the pair occupies two cores sharing an L2 (Fig. 2). Go has no
-// portable thread-pinning API, so this package provides the next-best
-// mechanisms, each of which degrades gracefully:
-//
-//   - a deterministic worker → (core, socket, role) layout that the pipeline
-//     and the machine simulator both consume, so simulated placement matches
-//     what the paper's kmp_affinity/sched_setaffinity calls produce;
-//   - runtime.LockOSThread for workers, keeping a goroutine on one OS thread
-//     so the kernel scheduler sees stable threads;
-//   - cooperative yields in data-thread loops, the analogue of the paper's
-//     NOP injection that lets the paired compute thread issue its loads.
+// portable thread-pinning API, and the executor's workers are plain
+// goroutines left to the scheduler; what this package provides is a
+// deterministic worker → (core, socket, role) layout that the machine
+// simulator consumes, so simulated placement matches what the paper's
+// kmp_affinity/sched_setaffinity calls produce, and the Role names the
+// executor's workers carry.
 package affinity
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
 // Role distinguishes soft-DMA data workers from compute workers.
 type Role int
@@ -158,17 +151,3 @@ func (l Layout) PairOf(w Worker) (Worker, bool) {
 	}
 	return Worker{}, false
 }
-
-// Pin locks the calling goroutine to its OS thread for the duration of f,
-// the closest portable analogue to the paper's explicit core pinning.
-func Pin(f func()) {
-	runtime.LockOSThread()
-	defer runtime.UnlockOSThread()
-	f()
-}
-
-// Yield is the data-thread NOP injection (§IV-A): it cedes the processor so
-// a paired compute thread can issue its own loads. On a machine with spare
-// cores it is nearly free; on an oversubscribed one it prevents data threads
-// from monopolizing the load/store pipe.
-func Yield() { runtime.Gosched() }

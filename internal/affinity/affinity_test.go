@@ -141,12 +141,3 @@ func TestStrings(t *testing.T) {
 		t.Fatal("style names wrong")
 	}
 }
-
-func TestPinRuns(t *testing.T) {
-	ran := false
-	Pin(func() { ran = true })
-	if !ran {
-		t.Fatal("Pin did not run the body")
-	}
-	Yield() // must not panic
-}

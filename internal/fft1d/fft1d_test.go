@@ -40,23 +40,33 @@ func TestTransformAssortedLargerSizes(t *testing.T) {
 	}
 }
 
+// Every size is one Stockham chain, named by its radices: n ≤ 8 one
+// generic stage, odd primes first (Bluestein above 8), then the
+// power-of-two part's codelet radices.
 func TestPlanKinds(t *testing.T) {
 	cases := map[int]string{
-		4:    "codelet",
-		8:    "codelet",
-		16:   "stockham-pow2",
-		1024: "stockham-pow2",
-		127:  "bluestein",
-		509:  "bluestein",
+		4:      "stockham[4]",
+		6:      "stockham[6]",
+		8:      "stockham[8]",
+		16:     "stockham[4 4]",
+		1024:   "stockham[16 16 4]",
+		127:    "stockham[127]",
+		509:    "stockham[509]",
+		96:     "stockham[3 8 4]",
+		3072:   "stockham[3 16 16 4]",
+		2310:   "stockham[3 5 7 11 2]",
+		8186:   "stockham[4093 2]",
+		15 * 8: "stockham[3 5 8]",
 	}
 	for n, want := range cases {
 		if got := NewPlan(n).Kind(); got != want {
 			t.Errorf("Plan(%d).Kind() = %q, want %q", n, got, want)
 		}
 	}
-	// Mixed plans report their factorization.
-	if got := NewPlan(96).Kind(); got != "mixed(8×12)" {
-		t.Errorf("Plan(96).Kind() = %q, want mixed(8×12)", got)
+	for n, fold := range map[int]bool{8: false, 16: true, 256: false, 96: true, 24: false, 127: false} {
+		if got := NewPlan(n).FoldRadix() == 4; got != fold {
+			t.Errorf("Plan(%d).FoldRadix() = %d, want a fold: %v", n, NewPlan(n).FoldRadix(), fold)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/accuracy"
@@ -16,21 +15,22 @@ import (
 
 // TestLargeSizes covers the plan past L2, where every public and served 1D
 // transform runs it too: a power of two just past 2¹⁶ and one well past it,
-// a mixed-radix size, and a prime (Bluestein). Round trip to 1e-12 relative, forward spot-checked against
-// the compensated direct DFT at a handful of bins.
+// a size with an odd factor, and a prime (a Bluestein stage). Round trip to
+// 1e-12 relative, forward spot-checked against the compensated direct DFT at
+// a handful of bins.
 func TestLargeSizes(t *testing.T) {
 	for _, c := range []struct {
 		n    int
 		kind string
 	}{
-		{1 << 17, "stockham-pow2"},
-		{1 << 20, "stockham-pow2"},
-		{3 << 18, "mixed("},
-		{65537, "bluestein"},
+		{1 << 17, "stockham[8 16 16 16 4]"},
+		{1 << 20, "stockham[16 16 16 16 16]"},
+		{3 << 18, "stockham[3 16 16 16 16 4]"},
+		{65537, "stockham[65537]"},
 	} {
 		n := c.n
 		p := fft1d.NewPlan(n)
-		if !strings.HasPrefix(p.Kind(), c.kind) {
+		if p.Kind() != c.kind {
 			t.Errorf("n=%d planned as %s, want %s", n, p.Kind(), c.kind)
 		}
 		x := cvec.Random(rand.New(rand.NewSource(int64(n))), n)

@@ -3,6 +3,7 @@ package fft1d
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/cvec"
@@ -37,7 +38,7 @@ func TestPencilOrderMatchesSweepOrder(t *testing.T) {
 			if prefix && p.FoldRadix() == 0 {
 				continue
 			}
-			t.Run(fmt.Sprintf("%dKiB/n%d/mu%d/radices%v/prefix=%v", stride*16>>10, c.n, c.mu, p.radices, prefix), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%dKiB/n%d/mu%d/radices%v/prefix=%v", stride*16>>10, c.n, c.mu, strings.TrimPrefix(p.Kind(), "stockham"), prefix), func(t *testing.T) {
 				for _, sign := range []int{Forward, Inverse} {
 					run := func(l1d int, wantPencilMajor bool) []complex128 {
 						y := append([]complex128(nil), x...)
@@ -67,14 +68,14 @@ func TestPencilOrderMatchesSweepOrder(t *testing.T) {
 // A batch read from a separate source is, bit for bit, the same batch copied
 // into place and transformed there, and leaves its source untouched: in both
 // loop orders, for odd and even stage counts and the store-fold prefix, and
-// through the mixed-radix and Bluestein drivers.
+// through generic radix-3 and Bluestein stages.
 func TestBatchFromSourceMatchesInPlace(t *testing.T) {
 	const pencils = 3
 	for _, c := range []struct{ n, mu int }{
 		{512, 1}, // [8 16 4]: an odd chain, an even prefix
 		{64, 8},  // [16 4]: an even chain, a one-stage prefix
 		{256, 8}, // [16 16]: no prefix
-		{96, 8},  // mixed radix
+		{96, 8},  // [3 8 4]: a generic stage first
 		{97, 4},  // Bluestein over lanes
 		{97, 1},  // Bluestein, one lane
 	} {

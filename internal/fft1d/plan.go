@@ -1,25 +1,25 @@
 // Package fft1d implements plan-based one-dimensional fast Fourier
 // transforms over complex128 data.
 //
-// The planner covers:
+// Every size runs one algorithm: a Stockham autosort chain of radix stages
+// (no bit-reversal pass, contiguous writes), run by one batched driver
+// behind every entry point. The planner factors n = q·2ᵏ once:
 //
-//   - power-of-two sizes via an iterative Stockham autosort decomposition
-//     (no bit-reversal pass, contiguous writes): by default a chain of fused
-//     radix-16 stages with one leading radix-8 stage when log₂(n) is odd and
-//     a trailing radix-4 stage the stage-graph store leg can fold (see
-//     pow2Radices), with radix-8/4/2 caps selectable via NewPlanRadix for
-//     ablation;
-//   - arbitrary composite sizes via a recursive mixed-radix Cooley–Tukey
-//     factorization, DFT_mn = (DFT_m ⊗ I_n) D_n^{mn} (I_m ⊗ DFT_n) L_m^{mn},
-//     with hand-unrolled base codelets for 2,3,4,5,7,8;
-//   - large prime sizes via Bluestein's chirp-z algorithm on top of the
-//     power-of-two path.
+//   - the odd primes of q come first, smallest first, each a generic radix-r
+//     stage: it gathers the r inputs of a butterfly, transforms them with
+//     kernels.Small(r) (r ≤ 8) or Bluestein's chirp-z algorithm (primes above
+//     8), and multiplies output j by the twiddle ω_{n1}^{j·p};
+//   - the 2ᵏ part runs the codelet stages of pow2Radices: by default fused
+//     radix-16 stages, a leading radix-8 stage when k is odd and a trailing
+//     radix-4 stage the stage-graph store leg can fold, with radix-8/4/2 caps
+//     selectable via NewPlanRadix for ablation;
+//   - n ≤ 8 is one generic stage.
 //
-// Every driver accepts a lane count μ, so the same plan computes DFT_n ⊗ I_μ
+// The driver accepts a lane count μ, so the same plan computes DFT_n ⊗ I_μ
 // — the cacheline-granularity vector kernel at the heart of the paper's
 // blocked decompositions — as well as plain pencils (μ = 1), batched pencils
-// (I_b ⊗ DFT_n) and strided pencils (gather/scatter, used by the baseline
-// implementations).
+// (I_b ⊗ DFT_n ⊗ I_μ) and strided pencils (gather/scatter, used by the
+// baseline implementations).
 //
 // Forward transforms are unnormalized; inverse transforms are unnormalized
 // too (apply Scale(x, 1/n) for a round trip). This matches FFTW convention.
@@ -41,55 +41,46 @@ const (
 	Inverse = kernels.Inverse
 )
 
-// planKind discriminates the algorithm a Plan uses.
-type planKind int
-
-const (
-	kindSmall     planKind = iota // dense/unrolled codelet
-	kindPow2                      // iterative Stockham radix-4/2
-	kindMixed                     // recursive Cooley–Tukey n = f · rest
-	kindBluestein                 // chirp-z for large primes
-)
-
-// Plan holds the precomputed factorization and twiddle tables for a 1D DFT
-// of a fixed size. Plans are immutable after construction and safe for
-// concurrent use; scratch buffers are always supplied by the caller or drawn
-// from an internal pool.
+// Plan holds the stage chain and twiddle tables for a 1D DFT of a fixed
+// size. Plans are immutable after construction and safe for concurrent use;
+// scratch buffers are always supplied by the caller or drawn from an
+// internal pool.
 type Plan struct {
-	n    int
-	kind planKind
-	// maxRadix is the largest Stockham stage radix a pow2 plan may use
-	// (2, 4, 8 or 16); 0 for non-pow2 plans, where it is meaningless.
-	maxRadix int
-
-	// kindSmall
-	small func(dst, src []complex128, sign int)
-
-	// kindPow2: radices of each Stockham stage, outermost first, and the
-	// per-stage twiddles for each direction (index 0 forward, 1 inverse),
-	// built lazily.
-	radices   []int
-	stageOnce [2]sync.Once
-	stages    [2][]kernels.StageTwiddles
-
-	// kindMixed: n = f · rest.
-	f, rest  int
-	subF     *Plan
-	subRest  *Plan
-	diagOnce [2]sync.Once
-	diag     [2][]complex128 // D_rest^{n} twiddles
-
-	// kindBluestein
-	blue *bluesteinPlan
+	n      int
+	stages []stage
+	// The per-stage twiddles for each direction (index 0 forward, 1
+	// inverse), built lazily.
+	twOnce [2]sync.Once
+	tw     [2][]stageTwiddles
 }
 
-// planKey caches plans by size and radix preference. Sizes where the radix
-// is meaningless (non-pow2, codelet) normalize radix to 0 so all callers
-// share one entry.
+// stage is one radix-r step of the chain. A codelet stage (small and blue
+// nil, r ∈ {2, 4, 8, 16}) runs the kernels' Stockham steps; a generic stage
+// transforms every gathered r-point butterfly with small (r ≤ 8) or blue (a
+// prime r > 8).
+type stage struct {
+	r     int
+	small func(dst, src []complex128, sign int)
+	blue  *bluesteinPlan
+}
+
+func (st stage) generic() bool { return st.small != nil || st.blue != nil }
+
+// stageTwiddles holds one stage's twiddles: a codelet stage's table, or a
+// generic stage's ω_{n1}^{j·p} at p·r + j (nil when the stage has one
+// butterfly per lane, m = 1, where every twiddle is 1).
+type stageTwiddles struct {
+	codelet kernels.StageTwiddles
+	generic []complex128
+}
+
+// planKey caches plans by size and radix cap. Sizes the cap cannot change
+// (n ≤ 8 and odd n, which have no codelet stage) normalize it to 0 so all
+// callers share one entry.
 type planKey struct{ n, radix int }
 
 // planCacheCapacity bounds the process-wide plan cache. Long-running servers
-// sweep many sizes (every mixed-radix factorization plants sub-plans here
+// sweep many sizes (every Bluestein stage plants its power-of-two plan here
 // too), and an unbounded map retains every twiddle table ever built; 128
 // entries cover any realistic working set while letting cold sizes fall to
 // the GC. Plans are immutable data with nothing to tear down, so eviction
@@ -99,7 +90,7 @@ const planCacheCapacity = 128
 var planCache = lru.New[planKey, *Plan](planCacheCapacity, nil)
 
 // NewPlan returns a (possibly cached) plan for size n ≥ 1 using the default
-// radix mix (fused radix-16 sweeps for power-of-two sizes).
+// radix mix (fused radix-16 sweeps for the power-of-two part).
 func NewPlan(n int) *Plan { return NewPlanRadix(n, 0) }
 
 // CheckRadix validates a Stockham radix cap — 0 (the default, 16) or one of
@@ -113,12 +104,12 @@ func CheckRadix(pkg string, radix int) error {
 }
 
 // NewPlanRadix returns a (possibly cached) plan for size n ≥ 1 whose
-// power-of-two path uses Stockham stages of radix at most maxRadix ∈
+// power-of-two part uses Stockham stages of radix at most maxRadix ∈
 // {2, 4, 8, 16}; 0 selects the default (16: fused two-stage codelets with a
 // trailing radix-4 stage reserved for store folding, see pow2Radices).
 // Lower radices make more passes over the buffer and exist for ablation
-// (stagegraph.Ablation.Radix). maxRadix only affects power-of-two sizes > 8;
-// other sizes share one plan.
+// (stagegraph.Ablation.Radix). maxRadix does not affect n ≤ 8 or odd n,
+// which share one plan.
 func NewPlanRadix(n, maxRadix int) *Plan {
 	if n < 1 {
 		panic(fmt.Sprintf("fft1d: NewPlanRadix(%d): size must be ≥ 1", n))
@@ -130,8 +121,8 @@ func NewPlanRadix(n, maxRadix int) *Plan {
 		maxRadix = 16
 	}
 	key := planKey{n: n, radix: maxRadix}
-	if n <= 8 || n&(n-1) != 0 {
-		key.radix = 0 // radix is irrelevant; share the plan
+	if n <= 8 || n%2 == 1 {
+		key.radix = 0 // no codelet stage; share the plan
 	}
 	p, release, _ := planCache.GetOrCreate(key, func() (*Plan, error) {
 		return buildPlan(n, maxRadix), nil
@@ -149,51 +140,47 @@ func PlanCacheStats() lru.Stats { return planCache.Stats() }
 // N returns the transform size.
 func (p *Plan) N() int { return p.n }
 
-// Kind returns a short human-readable description of the algorithm chosen.
+// Kind names the chain by its stage radices, outermost first, e.g.
+// "stockham[3 16 16 4]" for 3·2¹⁰.
 func (p *Plan) Kind() string {
-	switch p.kind {
-	case kindSmall:
-		return "codelet"
-	case kindPow2:
-		return "stockham-pow2"
-	case kindMixed:
-		return fmt.Sprintf("mixed(%d×%d)", p.f, p.rest)
-	case kindBluestein:
-		return "bluestein"
+	r := make([]int, len(p.stages))
+	for i, st := range p.stages {
+		r[i] = st.r
 	}
-	return "unknown"
+	return fmt.Sprintf("stockham%v", r)
 }
 
 func buildPlan(n, maxRadix int) *Plan {
 	p := &Plan{n: n}
-	switch {
-	case n <= 8:
-		p.kind = kindSmall
-		p.small = kernels.Small(n)
-	case n&(n-1) == 0:
-		p.kind = kindPow2
-		p.maxRadix = maxRadix
-		p.radices = pow2Radices(n, maxRadix)
-	default:
-		f := smallestCodeletFactor(n)
-		if f == 0 {
-			// n is prime (or has no small factor and is itself prime
-			// since smallestCodeletFactor scans all primes ≤ √n).
-			p.kind = kindBluestein
-			p.blue = newBluestein(n)
-		} else {
-			p.kind = kindMixed
-			p.f = f
-			p.rest = n / f
-			p.subF = NewPlan(f)
-			p.subRest = NewPlan(n / f)
+	if n <= 8 {
+		p.stages = []stage{genericStage(n)}
+		return p
+	}
+	pow2 := n & -n
+	for q, f := n/pow2, 3; q > 1; f += 2 {
+		if f*f > q {
+			f = q // what is left of q is prime
 		}
+		for ; q%f == 0; q /= f {
+			p.stages = append(p.stages, genericStage(f))
+		}
+	}
+	for _, r := range pow2Radices(pow2, maxRadix) {
+		p.stages = append(p.stages, stage{r: r})
 	}
 	return p
 }
 
+func genericStage(r int) stage {
+	if r <= 8 {
+		return stage{r: r, small: kernels.Small(r)}
+	}
+	return stage{r: r, blue: newBluestein(r)}
+}
+
 // pow2Radices returns the Stockham stage radices for n = 2^k under a radix
-// cap.
+// cap. A composite size's short power-of-two part (k < 4) is one stage when
+// the cap allows it.
 //
 // maxRadix 16 (the default) packs the front of the chain with fused
 // radix-16 codelets — each one computes two radix-4 rank stages in
@@ -215,6 +202,12 @@ func buildPlan(n, maxRadix int) *Plan {
 func pow2Radices(n, maxRadix int) []int {
 	k := bits.TrailingZeros(uint(n))
 	var r []int
+	switch {
+	case k == 0:
+		return nil
+	case k < 4 && n <= maxRadix:
+		return []int{n}
+	}
 	switch maxRadix {
 	case 2:
 		for ; k > 0; k-- {
@@ -274,23 +267,6 @@ func pow2Radices(n, maxRadix int) []int {
 	return r
 }
 
-// smallestCodeletFactor returns the preferred factor to peel from composite
-// n: the largest codelet size in {8,4,2,3,5,7} dividing n, else the smallest
-// prime factor ≤ 31; 0 if n is prime.
-func smallestCodeletFactor(n int) int {
-	for _, f := range []int{8, 4, 5, 7, 3, 2} {
-		if n%f == 0 {
-			return f
-		}
-	}
-	for f := 11; f*f <= n; f += 2 {
-		if n%f == 0 {
-			return f
-		}
-	}
-	return 0
-}
-
 func signIdx(sign int) int {
 	if sign == Forward {
 		return 0
@@ -298,59 +274,50 @@ func signIdx(sign int) int {
 	return 1
 }
 
-// stageTwiddles returns the lazily built per-stage twiddles for direction
-// sign on a pow2 plan.
-func (p *Plan) stageTwiddles(sign int) []kernels.StageTwiddles {
+// twiddles returns the lazily built per-stage twiddles for direction sign.
+func (p *Plan) twiddles(sign int) []stageTwiddles {
 	i := signIdx(sign)
-	p.stageOnce[i].Do(func() {
-		st := make([]kernels.StageTwiddles, len(p.radices))
+	p.twOnce[i].Do(func() {
+		tw := make([]stageTwiddles, len(p.stages))
 		n1 := p.n
-		for s, r := range p.radices {
-			st[s] = kernels.NewStageTwiddles(n1, r, sign)
-			n1 /= r
+		for s, st := range p.stages {
+			m := n1 / st.r
+			switch {
+			case !st.generic():
+				tw[s].codelet = kernels.NewStageTwiddles(n1, st.r, sign)
+			case m > 1:
+				g := make([]complex128, n1)
+				for q := range g {
+					w := twiddle.Omega(n1, q%st.r*(q/st.r))
+					if sign == Inverse {
+						w = complex(real(w), -imag(w))
+					}
+					g[q] = w
+				}
+				tw[s].generic = g
+			}
+			n1 = m
 		}
-		p.stages[i] = st
+		p.tw[i] = tw
 	})
-	return p.stages[i]
+	return p.tw[i]
 }
 
-// FoldRadix reports whether the plan's interleaved stage chain ends in a
-// stage the stage-graph store leg can absorb: the trailing radix-4 stage of
-// a power-of-two chain, whose table twiddles are trivial (m = 1 at the last
-// stage, so W_j[0] = 1). It returns that radix (4), or 0 when no stage can
-// be folded. Callers that fold run BatchLanesPrefixArena for the compute
-// pass and apply the final butterfly during the store.
+// FoldRadix reports whether the plan's chain ends in a stage the
+// stage-graph store leg can absorb: a trailing radix-4 codelet stage, whose
+// table twiddles are trivial (m = 1 at the last stage, so W_j[0] = 1). It
+// returns that radix (4), or 0 when no stage can be folded. Callers that
+// fold run BatchLanesPrefixArena for the compute pass and apply the final
+// butterfly during the store.
 func (p *Plan) FoldRadix() int {
-	if p.kind != kindPow2 || len(p.radices) == 0 {
-		return 0
-	}
-	if last := p.radices[len(p.radices)-1]; last == 4 {
+	if last := p.stages[len(p.stages)-1]; last.r == 4 && !last.generic() {
 		return 4
 	}
 	return 0
 }
 
-// diagTwiddles returns the mixed-radix D_rest^{n} diagonal for direction
-// sign (entry i·rest+j = ω_n^{i·j}, conjugated for the inverse).
-func (p *Plan) diagTwiddles(sign int) []complex128 {
-	i := signIdx(sign)
-	p.diagOnce[i].Do(func() {
-		d := twiddle.Shared.Diag(p.f, p.rest)
-		if sign == Forward {
-			p.diag[i] = d
-			return
-		}
-		c := make([]complex128, len(d))
-		for k, w := range d {
-			c[k] = complex(real(w), -imag(w))
-		}
-		p.diag[i] = c
-	})
-	return p.diag[i]
-}
-
-// arenaPool backs the legacy arena-less entry points (Transform, InPlace,
-// Batch, …). Plans are cached process-wide in planCache and shared between
+// arenaPool backs the arena-less entry points (Transform, InPlace, Batch,
+// …). Plans are cached process-wide in planCache and shared between
 // callers, so scratch cannot live unsynchronized on the Plan; the executor
 // path threads each compute worker's private arena through the *Arena entry
 // points instead, and everything else borrows a pooled arena here. Get/Put

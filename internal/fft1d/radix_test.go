@@ -41,16 +41,21 @@ func TestRadixPlansAgreeBatch(t *testing.T) {
 	}
 }
 
-// The plan cache must key on radix for pow2 sizes and collapse it otherwise.
+// The plan cache must key on radix for sizes with a power-of-two part and
+// collapse it otherwise.
 func TestPlanCacheRadixKeying(t *testing.T) {
 	if NewPlanRadix(1024, 8) == NewPlanRadix(1024, 4) {
-		t.Error("pow2 plans with different radix caps share a cache entry")
+		t.Error("plans with different radix caps share a cache entry")
 	}
 	if NewPlanRadix(1024, 16) != NewPlan(1024) {
 		t.Error("NewPlan(1024) should be the cached radix-16 plan")
 	}
-	if NewPlanRadix(120, 2) != NewPlanRadix(120, 8) {
-		t.Error("non-pow2 plans should share one entry regardless of radix")
+	// 120 = 15·8: the cap applies to the power-of-two part.
+	if a, b := NewPlanRadix(120, 2), NewPlanRadix(120, 8); a == b || a.Kind() != "stockham[3 5 2 2 2]" || b.Kind() != "stockham[3 5 8]" {
+		t.Errorf("120 under caps 2 and 8: %s, %s (shared: %v)", a.Kind(), b.Kind(), a == b)
+	}
+	if NewPlanRadix(105, 2) != NewPlanRadix(105, 8) || NewPlanRadix(6, 2) != NewPlanRadix(6, 16) {
+		t.Error("odd sizes and n ≤ 8 should share one entry regardless of radix")
 	}
 }
 

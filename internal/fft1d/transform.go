@@ -20,7 +20,7 @@ func (p *Plan) TransformArena(dst, src []complex128, sign int, ar *kernels.Arena
 		panic(fmt.Sprintf("fft1d: TransformArena length mismatch: dst=%d src=%d want %d",
 			len(dst), len(src), p.n))
 	}
-	p.lanesInto(dst, src, 1, sign, ar)
+	p.run(dst, src, 1, 1, sign, len(p.stages), ar)
 }
 
 // Execute is the checked entry point the public FFT1D handle and the serving
@@ -61,80 +61,8 @@ func (p *Plan) Lanes(dst, src []complex128, mu, sign int) {
 			len(dst), len(src), p.n*mu))
 	}
 	ar := getArena()
-	p.lanesInto(dst, src, mu, sign, ar)
+	p.run(dst, src, 1, mu, sign, len(p.stages), ar)
 	putArena(ar)
-}
-
-func (p *Plan) lanesInto(dst, src []complex128, mu, sign int, ar *kernels.Arena) {
-	switch p.kind {
-	case kindSmall:
-		p.smallLanes(dst, src, mu, sign)
-	case kindPow2:
-		p.pow2Lanes(dst, src, mu, sign, ar)
-	case kindMixed:
-		p.mixedLanes(dst, src, mu, sign, ar)
-	case kindBluestein:
-		p.bluesteinLanes(dst, src, mu, sign, ar)
-	}
-}
-
-// smallLanes applies the dense codelet across mu lanes via gather/scatter.
-func (p *Plan) smallLanes(dst, src []complex128, mu, sign int) {
-	if mu == 1 {
-		p.small(dst, src, sign)
-		return
-	}
-	var a, b [8]complex128
-	n := p.n
-	for l := 0; l < mu; l++ {
-		for i := 0; i < n; i++ {
-			a[i] = src[i*mu+l]
-		}
-		p.small(b[:n], a[:n], sign)
-		for i := 0; i < n; i++ {
-			dst[i*mu+l] = b[i]
-		}
-	}
-}
-
-// pow2Lanes runs the Stockham stage pipeline, ping-ponging between dst and
-// arena scratch so the final stage always lands in dst.
-func (p *Plan) pow2Lanes(dst, src []complex128, mu, sign int, ar *kernels.Arena) {
-	st := p.stageTwiddles(sign)
-	t := len(st)
-	m := ar.Mark()
-	scratch := ar.Complex(p.n * mu)
-
-	cur := src
-	n1 := p.n
-	s := mu
-	for i, tw := range st {
-		out := dst
-		if (t-1-i)%2 != 0 {
-			out = scratch
-		}
-		switch r := p.radices[i]; r {
-		case 16:
-			kernels.Radix16Step(out, cur, n1/16, s, sign, tw)
-		case 8:
-			kernels.Radix8Step(out, cur, n1/8, s, sign, tw)
-		case 4:
-			kernels.Radix4Step(out, cur, n1/4, s, sign, tw)
-		default:
-			kernels.Radix2Step(out, cur, n1/2, s, tw)
-		}
-		cur = out
-		n1 /= p.radices[i]
-		s *= p.radices[i]
-	}
-	ar.Rewind(m)
-}
-
-// batchPow2 transforms `pencils` contiguous pencils of shape DFT_n ⊗ I_mu
-// (stride n·mu each) from src into x through the batched Stockham stages;
-// src is x for an in-place batch.
-func (p *Plan) batchPow2(x, src []complex128, pencils, mu, sign int, ar *kernels.Arena) {
-	p.batchPow2Stages(x, src, pencils, mu, sign, len(p.radices), ar)
 }
 
 // l1dBytes is the host's L1 data cache, against which pencilMajor sizes a
@@ -152,12 +80,13 @@ func pencilMajor(pencils, stride int) bool {
 	return pencils > 1 && 4*stride*16 >= l1dBytes
 }
 
-// batchPow2Stages runs the first `t` (≥ 1) stages of the interleaved chain
-// from src into x. t = len(p.radices) is the full transform; t =
-// len(p.radices)-1 is the store-fold prefix, leaving the data one trailing
-// radix-4 butterfly short of the answer (the stage-graph scatter leg
-// supplies it). src is either x itself (in place) or an array x does not
-// overlap, which only the first stage reads.
+// run is the one driver every entry point reaches: it runs the first t
+// (≥ 1) stages of the chain over `pencils` contiguous pencils of shape
+// DFT_n ⊗ I_mu (stride n·mu each) from src into x. t = len(p.stages) is the
+// full transform; t = len(p.stages)-1 is the store-fold prefix, leaving the
+// data one trailing radix-4 butterfly short of the answer (the stage-graph
+// scatter leg supplies it). src is either x itself (in place) or an array x
+// does not overlap, which only the first stage reads.
 //
 // The stages run over groups of pencils: the whole batch (stage-major: one
 // butterfly stage is applied across every pencil before the next begins, so
@@ -167,15 +96,20 @@ func pencilMajor(pencils, stride int) bool {
 // Ping-pong parity lands the final stage in x; with an odd stage count an
 // in-place group starts from a scratch copy so no stage reads the half it
 // is writing.
-func (p *Plan) batchPow2Stages(x, src []complex128, pencils, mu, sign, t int, ar *kernels.Arena) {
-	st := p.stageTwiddles(sign)[:t]
+func (p *Plan) run(x, src []complex128, pencils, mu, sign, t int, ar *kernels.Arena) {
+	tw := p.twiddles(sign)
 	stride := p.n * mu
 	group := pencils
 	if pencilMajor(pencils, stride) {
 		group = 1
 	}
-	m := ar.Mark()
-	scratch := ar.Complex(group * stride)
+	mk := ar.Mark()
+	var scratch []complex128
+	if t > 1 || &src[0] == &x[0] {
+		// A single stage out of place needs none, and taking none keeps the
+		// arena's next slices (a Bluestein stage's) where they were.
+		scratch = ar.Complex(group * stride)
+	}
 
 	for c := 0; c < pencils; c += group {
 		xg := x[c*stride : (c+group)*stride]
@@ -184,89 +118,68 @@ func (p *Plan) batchPow2Stages(x, src []complex128, pencils, mu, sign, t int, ar
 			copy(scratch, xg)
 			cur = scratch
 		}
-		n1 := p.n
-		s := mu
-		for i, tw := range st {
+		n1, s := p.n, mu
+		for i, st := range p.stages[:t] {
 			out := xg
 			if (t-1-i)%2 != 0 {
 				out = scratch
 			}
-			switch r := p.radices[i]; r {
-			case 16:
-				kernels.BatchRadix16Step(out, cur, group, stride, n1/16, s, sign, tw)
-			case 8:
-				kernels.BatchRadix8Step(out, cur, group, stride, n1/8, s, sign, tw)
-			case 4:
-				kernels.BatchRadix4Step(out, cur, group, stride, n1/4, s, sign, tw)
+			m := n1 / st.r
+			switch {
+			case st.generic():
+				st.step(out, cur, group, stride, m, s, sign, tw[i].generic, ar)
+			case st.r == 16:
+				kernels.BatchRadix16Step(out, cur, group, stride, m, s, sign, tw[i].codelet)
+			case st.r == 8:
+				kernels.BatchRadix8Step(out, cur, group, stride, m, s, sign, tw[i].codelet)
+			case st.r == 4:
+				kernels.BatchRadix4Step(out, cur, group, stride, m, s, sign, tw[i].codelet)
 			default:
-				kernels.BatchRadix2Step(out, cur, group, stride, n1/2, s, tw)
+				kernels.BatchRadix2Step(out, cur, group, stride, m, s, tw[i].codelet)
 			}
 			cur = out
-			n1 /= p.radices[i]
-			s *= p.radices[i]
+			n1 = m
+			s *= st.r
 		}
 	}
-	ar.Rewind(m)
-}
-
-// mixedLanes implements the Cooley–Tukey factorization n = f·rest with lanes:
-//
-//	DFT_n ⊗ I_L = (DFT_f ⊗ I_{rest·L}) (D ⊗ I_L) (I_f ⊗ DFT_rest ⊗ I_L) (L_f^n ⊗ I_L).
-func (p *Plan) mixedLanes(dst, src []complex128, mu, sign int, ar *kernels.Arena) {
-	f, rest, n := p.f, p.rest, p.n
-	mk := ar.Mark()
-	t := ar.Complex(n * mu)
-
-	// Step 1: blocked stride permutation (L_f^n ⊗ I_mu): input block
-	// (i·f + j) → output block (j·rest + i), 0 ≤ i < rest, 0 ≤ j < f.
-	// Written into dst, which serves as the intermediate here.
-	for i := 0; i < rest; i++ {
-		for j := 0; j < f; j++ {
-			copy(dst[(j*rest+i)*mu:(j*rest+i)*mu+mu], src[(i*f+j)*mu:(i*f+j)*mu+mu])
-		}
-	}
-
-	// Step 2: I_f ⊗ (DFT_rest ⊗ I_mu) from dst into t.
-	blk := rest * mu
-	for j := 0; j < f; j++ {
-		p.subRest.lanesInto(t[j*blk:(j+1)*blk], dst[j*blk:(j+1)*blk], mu, sign, ar)
-	}
-
-	// Step 3: (D_rest^n ⊗ I_mu) in place on t.
-	d := p.diagTwiddles(sign)
-	for b := 0; b < f*rest; b++ {
-		w := d[b]
-		if w == 1 {
-			continue
-		}
-		seg := t[b*mu : b*mu+mu]
-		for q := range seg {
-			seg[q] *= w
-		}
-	}
-
-	// Step 4: (DFT_f ⊗ I_{rest·mu}) from t into dst.
-	p.subF.lanesInto(dst, t, rest*mu, sign, ar)
 	ar.Rewind(mk)
 }
 
-// bluesteinLanes applies the chirp-z transform per lane.
-func (p *Plan) bluesteinLanes(dst, src []complex128, mu, sign int, ar *kernels.Arena) {
-	if mu == 1 {
-		p.blue.transform(dst, src, sign, ar)
+// step applies a generic radix-r stage (r·m butterflies of s lanes per
+// pencil) to `pencils` pencils of stride elements: butterfly (p, q) gathers
+// its inputs src[s·(p+j·m)+q], transforms them, and writes output j times
+// w[p·r+j] = ω_{n1}^{j·p} to dst[s·(r·p+j)+q]. At p = 0 every twiddle is 1
+// and none is applied. A Bluestein stage whose butterflies are contiguous
+// (m = s = 1) transforms the pencils where they lie.
+func (st stage) step(dst, src []complex128, pencils, stride, m, s, sign int, w []complex128, ar *kernels.Arena) {
+	r := st.r
+	if st.blue != nil && m == 1 && s == 1 {
+		for o := 0; o < pencils*stride; o += stride {
+			st.blue.transform(dst[o:o+r], src[o:o+r], sign, ar)
+		}
 		return
 	}
-	n := p.n
 	mk := ar.Mark()
-	a := ar.Complex(n)
-	b := ar.Complex(n)
-	for l := 0; l < mu; l++ {
-		for i := 0; i < n; i++ {
-			a[i] = src[i*mu+l]
-		}
-		p.blue.transform(b, a, sign, ar)
-		for i := 0; i < n; i++ {
-			dst[i*mu+l] = b[i]
+	a, b := ar.Complex(r), ar.Complex(r)
+	for o := 0; o < pencils*stride; o += stride {
+		x, y := src[o:o+stride], dst[o:o+stride]
+		for p := 0; p < m; p++ {
+			for q := 0; q < s; q++ {
+				for j := range a {
+					a[j] = x[s*(p+j*m)+q]
+				}
+				if st.small != nil {
+					st.small(b, a, sign)
+				} else {
+					st.blue.transform(b, a, sign, ar)
+				}
+				for j, v := range b {
+					if p > 0 {
+						v *= w[p*r+j]
+					}
+					y[s*(r*p+j)+q] = v
+				}
+			}
 		}
 	}
 	ar.Rewind(mk)
@@ -277,9 +190,7 @@ func (p *Plan) InPlace(x []complex128, sign int) {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("fft1d: InPlace length %d, want %d", len(x), p.n))
 	}
-	ar := getArena()
-	p.inPlaceLanes(x, 1, sign, ar)
-	putArena(ar)
+	p.InPlaceLanes(x, 1, sign)
 }
 
 // InPlaceLanes computes x = (DFT_n ⊗ I_mu)(x) in place.
@@ -288,20 +199,8 @@ func (p *Plan) InPlaceLanes(x []complex128, mu, sign int) {
 		panic(fmt.Sprintf("fft1d: InPlaceLanes length %d, want %d", len(x), p.n*mu))
 	}
 	ar := getArena()
-	p.inPlaceLanes(x, mu, sign, ar)
+	p.run(x, x, 1, mu, sign, len(p.stages), ar)
 	putArena(ar)
-}
-
-func (p *Plan) inPlaceLanes(x []complex128, mu, sign int, ar *kernels.Arena) {
-	if p.kind == kindPow2 {
-		p.batchPow2(x, x, 1, mu, sign, ar)
-		return
-	}
-	mk := ar.Mark()
-	tmp := ar.Complex(p.n * mu)
-	copy(tmp, x)
-	p.lanesInto(x, tmp, mu, sign, ar)
-	ar.Rewind(mk)
 }
 
 // Batch computes x = (I_count ⊗ DFT_n)(x): count contiguous pencils of
@@ -313,8 +212,7 @@ func (p *Plan) Batch(x []complex128, count, sign int) {
 	putArena(ar)
 }
 
-// BatchArena is Batch drawing scratch from the caller's arena. Power-of-two
-// plans with ≥ 2 pencils go through the batched Stockham sweeps.
+// BatchArena is Batch drawing scratch from the caller's arena.
 func (p *Plan) BatchArena(x []complex128, count, sign int, ar *kernels.Arena) {
 	p.BatchLanesArena(x, x, count, 1, sign, ar)
 }
@@ -327,33 +225,7 @@ func (p *Plan) BatchArena(x []complex128, count, sign int, ar *kernels.Arena) {
 // source instead of from a loaded copy. This is the batched-unit shape of
 // the stage-graph compute hooks.
 func (p *Plan) BatchLanesArena(x, src []complex128, count, mu, sign int, ar *kernels.Arena) {
-	if len(x) != count*p.n*mu || len(src) != len(x) {
-		panic(fmt.Sprintf("fft1d: BatchLanesArena lengths x=%d src=%d, want %d·%d·%d",
-			len(x), len(src), count, p.n, mu))
-	}
-	if count == 0 {
-		return
-	}
-	if p.kind == kindPow2 {
-		p.batchPow2(x, src, count, mu, sign, ar)
-		return
-	}
-	stride := p.n * mu
-	mk := ar.Mark()
-	var tmp []complex128
-	if &src[0] == &x[0] {
-		tmp = ar.Complex(stride)
-	}
-	for c := 0; c < count; c++ {
-		pencil := x[c*stride : (c+1)*stride]
-		in := src[c*stride : (c+1)*stride]
-		if tmp != nil {
-			copy(tmp, pencil)
-			in = tmp
-		}
-		p.lanesInto(pencil, in, mu, sign, ar)
-	}
-	ar.Rewind(mk)
+	p.batch("BatchLanesArena", x, src, count, mu, sign, len(p.stages), ar)
 }
 
 // BatchLanesPrefixArena runs every Stockham stage except the trailing one
@@ -363,14 +235,20 @@ func (p *Plan) BatchLanesArena(x, src []complex128, count, mu, sign int, ar *ker
 // butterfly (m = 1, trivial twiddles, stride s = n/4·mu per group) short of
 // the transform, which the stage-graph scatter leg applies on the fly.
 func (p *Plan) BatchLanesPrefixArena(x, src []complex128, count, mu, sign int, ar *kernels.Arena) {
-	if len(x) != count*p.n*mu || len(src) != len(x) {
-		panic(fmt.Sprintf("fft1d: BatchLanesPrefixArena lengths x=%d src=%d, want %d·%d·%d",
-			len(x), len(src), count, p.n, mu))
-	}
 	if p.FoldRadix() == 0 {
 		panic(fmt.Sprintf("fft1d: BatchLanesPrefixArena on a plan with no foldable stage (n=%d)", p.n))
 	}
-	p.batchPow2Stages(x, src, count, mu, sign, len(p.radices)-1, ar)
+	p.batch("BatchLanesPrefixArena", x, src, count, mu, sign, len(p.stages)-1, ar)
+}
+
+func (p *Plan) batch(name string, x, src []complex128, count, mu, sign, t int, ar *kernels.Arena) {
+	if len(x) != count*p.n*mu || len(src) != len(x) {
+		panic(fmt.Sprintf("fft1d: %s lengths x=%d src=%d, want %d·%d·%d",
+			name, len(x), len(src), count, p.n, mu))
+	}
+	if count > 0 {
+		p.run(x, src, count, mu, sign, t, ar)
+	}
 }
 
 // BatchInto computes dst = (I_count ⊗ DFT_n)(src) out of place.
@@ -380,9 +258,7 @@ func (p *Plan) BatchInto(dst, src []complex128, count, sign int) {
 			len(dst), len(src), count, p.n))
 	}
 	ar := getArena()
-	for c := 0; c < count; c++ {
-		p.lanesInto(dst[c*p.n:(c+1)*p.n], src[c*p.n:(c+1)*p.n], 1, sign, ar)
-	}
+	p.BatchLanesArena(dst, src, count, 1, sign, ar)
 	putArena(ar)
 }
 
@@ -398,16 +274,13 @@ func (p *Plan) Strided(x []complex128, base, stride, sign int) {
 			len(x), need, stride))
 	}
 	ar := getArena()
-	mk := ar.Mark()
 	in := ar.Complex(p.n)
-	out := ar.Complex(p.n)
-	for i := 0; i < p.n; i++ {
+	for i := range in {
 		in[i] = x[base+i*stride]
 	}
-	p.lanesInto(out, in, 1, sign, ar)
-	for i := 0; i < p.n; i++ {
-		x[base+i*stride] = out[i]
+	p.run(in, in, 1, 1, sign, len(p.stages), ar)
+	for i, v := range in {
+		x[base+i*stride] = v
 	}
-	ar.Rewind(mk)
 	putArena(ar)
 }

@@ -22,9 +22,10 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 	}{
 		{64, 64, true},
 		{32, 128, true},
-		{64, 96, true},  // N not a power of two: no pass over dst either
-		{96, 64, false}, // columns do not fold (n=96): scale after the full DFT_n
-		{20, 12, false},
+		{64, 96, true},  // M not a power of two: no pass over dst either
+		{96, 64, true},  // n=96 runs [3 8 4], whose trailing radix-4 folds
+		{20, 12, true},  // n=20 runs [5 4]
+		{24, 12, false}, // columns do not fold (n=24 runs [3 8]): scale after the full DFT_n
 	}
 	dbuf := core.Config{Strategy: core.DoubleBuf}
 	variants := []struct {

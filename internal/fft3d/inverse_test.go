@@ -24,7 +24,8 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 		{16, 16, 16, true},
 		{8, 16, 32, false}, // k=8 is a single codelet: nothing to fold
 		{16, 12, 8, true},  // N not a power of two: no pass over dst either
-		{12, 16, 8, false}, // z does not fold (k=12): scale after the full DFT_k
+		{12, 16, 8, true},  // k=12 runs [3 4], whose trailing radix-4 folds
+		{24, 16, 8, false}, // z does not fold (k=24 runs [3 8]): scale after the full DFT_k
 		{6, 10, 12, false},
 	}
 	dbuf := core.Config{Strategy: core.DoubleBuf}

@@ -15,8 +15,8 @@
 // vectorized cacheline-granularity kernel from the paper's blocked
 // decompositions.
 //
-// The package also provides small dense codelets (Small) used as mixed-radix
-// base cases, and a NaiveDFT reference used by tests throughout the
+// The package also provides small dense codelets (Small), which fft1d's
+// generic stages apply to each gathered butterfly, and a NaiveDFT reference used by tests throughout the
 // repository.
 package kernels
 

@@ -7,9 +7,9 @@ import (
 )
 
 // Small returns a dense codelet computing the n-point DFT out of place:
-// f(dst, src, sign). Sizes 2, 3, 4, 5, 7 and 8 are hand-unrolled (these are
-// the base cases of the mixed-radix driver); other sizes fall back to a
-// generic dense loop. dst and src must not alias.
+// f(dst, src, sign). Sizes 2, 3, 4, 5, 7 and 8 are hand-unrolled (fft1d's
+// generic radix-3/5/7 stages and the n ≤ 8 plans run them); other sizes fall
+// back to a generic dense loop. dst and src must not alias.
 func Small(n int) func(dst, src []complex128, sign int) {
 	switch n {
 	case 1:

@@ -14,8 +14,8 @@
 //   - Reentrant construction. The builder runs outside the cache lock
 //     (concurrent requests for the same key wait on a ready channel instead
 //     of duplicating the build), so a builder may itself call GetOrCreate —
-//     the fft1d mixed-radix planner builds sub-plans recursively through
-//     the same cache.
+//     the fft1d planner builds a Bluestein stage's power-of-two plan
+//     through the same cache.
 package lru
 
 import (

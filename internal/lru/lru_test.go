@@ -116,7 +116,7 @@ func TestConcurrentSameKeyBuildsOnce(t *testing.T) {
 
 func TestReentrantBuild(t *testing.T) {
 	// A builder that recursively builds its sub-key through the same cache,
-	// the way the fft1d mixed-radix planner does.
+	// the way the fft1d planner builds a Bluestein stage's sub-plan.
 	c := New[int, int](8, nil)
 	var get func(n int) int
 	get = func(n int) int {

@@ -29,10 +29,6 @@ type Config struct {
 	// occupancy. Nil disables recording (the workers still take their step
 	// timestamps; shard writes are nil-safe no-ops).
 	Obs *obs.Collector
-	// YieldInData makes data workers yield after each step's data ops;
-	// LockThreads pins every worker goroutine to an OS thread.
-	YieldInData bool
-	LockThreads bool
 	// ScratchComplex pre-sizes every compute worker's scratch arena (in
 	// complex128 elements). Zero leaves the arenas empty; they grow on
 	// first use and are retained, so the steady state is allocation-free
@@ -208,8 +204,6 @@ func Steps(stages []Stage, fused bool) int {
 type Executor struct {
 	dataWorkers    int
 	computeWorkers int
-	yieldInData    bool
-	lockThreads    bool
 
 	startBar  *Barrier // workers + caller: publishes the run
 	finishBar *Barrier // workers + caller: completes the run
@@ -253,8 +247,6 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	e := &Executor{
 		dataWorkers:    cfg.DataWorkers,
 		computeWorkers: cfg.ComputeWorkers,
-		yieldInData:    cfg.YieldInData,
-		lockThreads:    cfg.LockThreads,
 		startBar:       NewBarrier(total + 1),
 		finishBar:      NewBarrier(total + 1),
 		dataBar:        NewBarrier(cfg.DataWorkers),
@@ -293,24 +285,17 @@ func (e *Executor) Workers() (int, int) { return e.dataWorkers, e.computeWorkers
 // while a Run is in flight. Nil disables recording.
 func (e *Executor) SetObs(c *obs.Collector) { e.obs = c }
 
-// worker is the persistent body of one pinned worker: park on the start
+// worker is the persistent body of one worker goroutine: park on the start
 // barrier, play the published schedule, meet at the finish barrier, repeat.
 func (e *Executor) worker(role affinity.Role, slot, workers int) {
-	body := func() {
-		for {
-			if !e.startBar.Wait() {
-				return
-			}
-			e.runSteps(role, slot, workers)
-			if !e.finishBar.Wait() {
-				return
-			}
+	for {
+		if !e.startBar.Wait() {
+			return
 		}
-	}
-	if e.lockThreads {
-		affinity.Pin(body)
-	} else {
-		body()
+		e.runSteps(role, slot, workers)
+		if !e.finishBar.Wait() {
+			return
+		}
 	}
 }
 
@@ -384,9 +369,6 @@ func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
 					Op: trace.Load, Step: s, Stage: loadRef.stage, Iter: loadRef.iter,
 					Buf: loadRef.half, Worker: slot, Role: "data", Start: t2, End: t3,
 				})
-			}
-			if e.yieldInData {
-				affinity.Yield()
 			}
 			if slot == 0 {
 				e.dataDur[s] = t3.Sub(a)

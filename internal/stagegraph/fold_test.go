@@ -80,10 +80,12 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 // with regular (cached) stores — the fused fold-scatter kernel's cached twin
 // where the build has it, the scratch fold elsewhere — agrees bit for bit
 // with the same graph built under Ablation.NoFold, which runs the trailing
-// butterfly in the compute leg. 512² folds both stages; 96×80 has no
-// power-of-two axis and must not fold at all.
+// butterfly in the compute leg. 512² folds both stages; 96×80 folds its
+// columns, whose chain [3 8 4] ends in radix-4 (its rows are ten 8-element
+// blocks, which do not split in four); 24×40 ([3 8] and [5 8]) must not
+// fold at all.
 func TestCachedFoldMatchesUnfoldedGraph(t *testing.T) {
-	for _, c := range []struct{ n, m, folds int }{{512, 512, 2}, {96, 80, 0}} {
+	for _, c := range []struct{ n, m, folds int }{{512, 512, 2}, {96, 80, 1}, {24, 40, 0}} {
 		rng := rand.New(rand.NewSource(int64(c.n)))
 		src := cvec.Random(rng, c.n*c.m)
 		run := func(disableFold bool, sign int) []complex128 {

@@ -16,8 +16,8 @@ import (
 // Ablation.CopyLoads, fused and unfused, forward and normalised inverse — the
 // inverse reading the forward's destination as its source. The shapes cover
 // 512² (store-fold prefix [8 16], an even stage count), 32×64 (prefixes [8]
-// and [16], odd), 256² (an unfolded [16 16] chain), 96×80 (mixed radix) and
-// 97×64 (Bluestein columns); under -tags purego the generic tier is held to
+// and [16], odd), 256² (an unfolded [16 16] chain), 96×80 (chains [5 4 4]
+// and [3 8 4]) and 97×64 (Bluestein columns); under -tags purego the generic tier is held to
 // the same. The telemetry of a folded stage keeps its load bytes exact,
 // records no load time and derives no rate from them.
 func TestFoldedLoadsMatchCopiedLoads(t *testing.T) {

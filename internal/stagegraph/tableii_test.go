@@ -144,15 +144,6 @@ func oneStage(cfg Config, iters, b int) bool {
 	return true
 }
 
-func TestLockThreadsAndYieldPaths(t *testing.T) {
-	if !oneStage(Config{DataWorkers: 2, ComputeWorkers: 2, LockThreads: true}, 4, 32) {
-		t.Fatal("LockThreads run moved the data wrongly")
-	}
-	if !oneStage(Config{DataWorkers: 2, ComputeWorkers: 2, YieldInData: true}, 4, 32) {
-		t.Fatal("YieldInData run moved the data wrongly")
-	}
-}
-
 // Property: for any iteration count and worker mix, the pipeline moves and
 // transforms every element exactly once.
 func TestQuickPipelineCompleteness(t *testing.T) {

@@ -1,5 +1,5 @@
-// Package twiddle computes and caches the twiddle-factor diagonals used by
-// Cooley–Tukey FFT factorizations.
+// Package twiddle computes the roots of unity and twiddle-factor diagonals
+// used by Cooley–Tukey FFT factorizations.
 //
 // In the paper's SPL notation these are the D_n^{mn} diagonal matrices in
 //
@@ -12,8 +12,6 @@ package twiddle
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/lru"
 )
 
 // Omega returns the primitive n-th root of unity ω_n^k = e^{-2πik/n} used by
@@ -65,57 +63,3 @@ func Roots(n int) []complex128 {
 	}
 	return r
 }
-
-// tableCapacity bounds each of the two caches inside a Table. A transform
-// plan touches a handful of diagonals, so this comfortably covers every
-// size in a working set while keeping a size-sweeping workload (the serve
-// layer, tuning runs) from retaining a table for every size ever seen.
-const tableCapacity = 128
-
-// Table caches twiddle diagonals and root tables by size so repeated plan
-// construction does not recompute trigonometry. Both inner caches are
-// bounded LRUs: a table evicted under capacity pressure stays valid for
-// every holder (it is immutable and simply dropped to the GC), exactly like
-// the fft1d plan cache. It is safe for concurrent use.
-type Table struct {
-	diags *lru.Cache[[2]int, []complex128]
-	roots *lru.Cache[int, []complex128]
-}
-
-// NewTable returns an empty twiddle cache.
-func NewTable() *Table {
-	return &Table{
-		diags: lru.New[[2]int, []complex128](tableCapacity, nil),
-		roots: lru.New[int, []complex128](tableCapacity, nil),
-	}
-}
-
-// Diag returns the cached D_n^{mn} diagonal, computing it on first use.
-// Callers must not modify the returned slice.
-func (t *Table) Diag(m, n int) []complex128 {
-	d, release, _ := t.diags.GetOrCreate([2]int{m, n}, func() ([]complex128, error) {
-		return Diag(m, n), nil
-	})
-	// Released immediately: the slice is immutable, so an evicted entry
-	// needs no teardown and holding a reference would buy nothing.
-	release()
-	return d
-}
-
-// Roots returns the cached forward root table for size n. Callers must not
-// modify the returned slice.
-func (t *Table) Roots(n int) []complex128 {
-	r, release, _ := t.roots.GetOrCreate(n, func() ([]complex128, error) {
-		return Roots(n), nil
-	})
-	release()
-	return r
-}
-
-// Stats reports the diagonal- and root-cache counters (in that order).
-func (t *Table) Stats() (lru.Stats, lru.Stats) {
-	return t.diags.Stats(), t.roots.Stats()
-}
-
-// Shared is a process-wide twiddle cache used by plan construction.
-var Shared = NewTable()

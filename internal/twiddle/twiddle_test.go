@@ -3,11 +3,8 @@ package twiddle
 import (
 	"math"
 	"math/cmplx"
-	"sync"
 	"testing"
 	"testing/quick"
-
-	"repro/internal/lru"
 )
 
 func TestOmegaQuarterPointsExact(t *testing.T) {
@@ -103,102 +100,5 @@ func TestNonPositivePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestTableCachesAndIsConcurrencySafe(t *testing.T) {
-	tab := NewTable()
-	d1 := tab.Diag(8, 8)
-	d2 := tab.Diag(8, 8)
-	if &d1[0] != &d2[0] {
-		t.Fatal("Table.Diag did not return cached slice")
-	}
-	r1 := tab.Roots(32)
-	r2 := tab.Roots(32)
-	if &r1[0] != &r2[0] {
-		t.Fatal("Table.Roots did not return cached slice")
-	}
-
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 1; i <= 32; i++ {
-				_ = tab.Roots(i)
-				_ = tab.Diag(i, (g%4)+1)
-			}
-		}(g)
-	}
-	wg.Wait()
-}
-
-func TestSharedTableMatchesDirect(t *testing.T) {
-	d := Shared.Diag(4, 4)
-	want := Diag(4, 4)
-	for i := range want {
-		if d[i] != want[i] {
-			t.Fatalf("Shared.Diag(4,4)[%d] = %v, want %v", i, d[i], want[i])
-		}
-	}
-}
-
-// TestTableBounded mirrors the fft1d plan-cache boundedness test: the old
-// map-backed Table retained a diagonal for every (m, n) ever requested.
-// Rewired onto the bounded LRU, the caches must stay within capacity under
-// a size sweep far larger than it, still deduplicate repeats, and keep
-// evicted slices valid for existing holders.
-func TestTableBounded(t *testing.T) {
-	tab := NewTable()
-
-	// Repeated requests share one slice (pointer-equal backing array).
-	a := tab.Roots(64)
-	b := tab.Roots(64)
-	if &a[0] != &b[0] {
-		t.Fatal("Roots(64) twice returned distinct tables")
-	}
-	if _, rs := tab.Stats(); rs.Hits == 0 {
-		t.Fatal("repeated Roots did not register a cache hit")
-	}
-
-	// Sweep far more distinct sizes than the capacity, concurrently.
-	const sweep = 3 * tableCapacity
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < sweep; i++ {
-				n := 2 + (i+g*sweep/4)%sweep
-				if got := tab.Roots(n); len(got) != n {
-					t.Errorf("Roots(%d) returned %d entries", n, len(got))
-					return
-				}
-				if got := tab.Diag(n, 4); len(got) != 4*n {
-					t.Errorf("Diag(%d, 4) returned %d entries", n, len(got))
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-
-	dStats, rStats := tab.Stats()
-	for _, s := range []struct {
-		name string
-		s    lru.Stats
-	}{{"diags", dStats}, {"roots", rStats}} {
-		if s.s.Len > s.s.Capacity {
-			t.Errorf("%s cache holds %d entries, capacity %d", s.name, s.s.Len, s.s.Capacity)
-		}
-		if s.s.Evictions == 0 {
-			t.Errorf("%s cache: sweeping %d sizes evicted nothing (len %d)", s.name, sweep, s.s.Len)
-		}
-	}
-
-	// An evicted table must remain usable by holders: tables are immutable,
-	// eviction only drops the cache's pointer.
-	if a[0] != 1 {
-		t.Fatalf("Roots(64)[0] = %v after sweep, want 1", a[0])
 	}
 }
