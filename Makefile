@@ -21,10 +21,10 @@ PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck tablegen \
         tablecheck race bench microbench benchsmoke rulersmoke servesmoke \
-        obssmoke shardsmoke tracesmoke fuzzsmoke fmt loc serveprobe legprobe \
-        wireprobe kernelprobe
+        obssmoke shardsmoke tracesmoke examplesmoke fuzzsmoke fmt loc \
+        serveprobe legprobe wireprobe kernelprobe
 
-ci: vet lint build crossbuild asmcheck tablecheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke rulersmoke
+ci: vet lint build crossbuild asmcheck tablecheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke examplesmoke rulersmoke
 
 vet:
 	$(GO) vet ./...
@@ -119,6 +119,13 @@ shardsmoke:
 # retained the request under its trace ID.
 tracesmoke:
 	$(GO) run ./cmd/fftserved -traceselftest -roofline 10
+
+# Every example end to end: each one checks its own answer and exits
+# non-zero when it is wrong — examples/multisocket holds the in-process
+# slab-pencil plan bitwise to the single-socket plan and its Fig. 8 traffic
+# report to the byte.
+examplesmoke:
+	@set -e; for e in examples/*/; do echo "go run ./$$e"; $(GO) run ./$$e >/dev/null; done
 
 # Ten seconds of each native fuzzer over the bytes that arrive from outside
 # the process: the JSON /transform decoder differentially against

@@ -275,7 +275,7 @@ func goldenCases() []goldenCase {
 		for _, s := range [][4]int{{32, 32, 32, 2}, {64, 64, 64, 4}} {
 			k, n, m, sk := s[0], s[1], s[2], s[3]
 			add(fmt.Sprintf("dist3d/%dx%dx%d/sk%d", k, n, m, sk), false, func() (string, string, string, error) {
-				return runDist(k, n, m, sk, ropts)
+				return runDist(k, n, m, sk, v.mu)
 			})
 		}
 		if !v.notForPartitions {
@@ -287,36 +287,21 @@ func goldenCases() []goldenCase {
 	return cases
 }
 
-func runDist(k, n, m, sk int, opts core.Config) (string, string, string, error) {
-	p, err := fft3d.NewDistPlan(k, n, m, sk, opts)
+func runDist(k, n, m, sk, mu int) (string, string, string, error) {
+	p, err := shard.NewLocal(k, n, m, sk, mu, shard.WorkerOptions{})
 	if err != nil {
 		return "", "", "", err
 	}
 	defer p.Close()
 	total := k * n * m
-	src, err := p.Alloc()
-	if err != nil {
-		return "", "", "", err
-	}
-	mid, err := p.Alloc()
-	if err != nil {
-		return "", "", "", err
-	}
-	back, err := p.Alloc()
-	if err != nil {
-		return "", "", "", err
-	}
-	src.Scatter(goldenComplex(total, uint64(total)))
-	if err := p.Transform(mid, src, fft1d.Forward); err != nil {
-		return "", "", "", err
-	}
-	if err := p.Transform(back, mid, fft1d.Inverse); err != nil {
-		return "", "", "", err
-	}
 	fwd := make([]complex128, total)
 	inv := make([]complex128, total)
-	mid.Gather(fwd)
-	back.Gather(inv)
+	if err := p.Transform(fwd, goldenComplex(total, uint64(total)), fft1d.Forward); err != nil {
+		return "", "", "", err
+	}
+	if err := p.Transform(inv, fwd, fft1d.Inverse); err != nil {
+		return "", "", "", err
+	}
 	return "", digestComplex(fwd), digestComplex(inv), nil
 }
 

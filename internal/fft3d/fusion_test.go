@@ -61,50 +61,6 @@ func TestFusionEquivalence(t *testing.T) {
 	}
 }
 
-// The multi-socket transform fuses stages 1+2 per socket; with fusion off
-// it must still produce the same answer and the same per-stage traffic
-// breakdown (the byte counts depend on the rotations, not the schedule).
-func TestDistributedFusionEquivalence(t *testing.T) {
-	const k, n, m, sk = 8, 8, 16, 2
-	ref, _ := NewPlan(k, n, m, core.Config{Strategy: core.Reference})
-	x := randVec(99, k*n*m)
-	want := make([]complex128, len(x))
-	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
-		t.Fatal(err)
-	}
-	var traffic [2][3]TrafficStat
-	var outs [2][]complex128
-	for i, unfused := range []bool{false, true} {
-		restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
-		dp, err := NewDistPlan(k, n, m, sk, core.Config{BufferElems: 128, DataWorkers: 2, ComputeWorkers: 2})
-		restore()
-		if err != nil {
-			t.Fatal(err)
-		}
-		src, _ := dp.Alloc()
-		dst, _ := dp.Alloc()
-		src.Scatter(x)
-		if err := dp.Transform(dst, src, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		outs[i] = make([]complex128, len(x))
-		dst.Gather(outs[i])
-		if d := cvec.MaxDiff(cvec.Vec(outs[i]), cvec.Vec(want)); d > tol*float64(len(x)) {
-			t.Errorf("dist unfused=%v: diff vs reference %g", unfused, d)
-		}
-		traffic[i] = dp.StageTraffic
-	}
-	for i := range outs[0] {
-		if outs[0][i] != outs[1][i] {
-			t.Fatalf("fused/unfused distributed outputs differ at %d", i)
-		}
-	}
-	if traffic[0] != traffic[1] {
-		t.Fatalf("per-stage traffic depends on schedule: fused %+v unfused %+v",
-			traffic[0], traffic[1])
-	}
-}
-
 // Stats attribute the whole fused transform: 3 stages, one schedule, and a
 // step saving of exactly S-1 = 2 over the unfused baseline.
 func TestFusionStatsSteps(t *testing.T) {

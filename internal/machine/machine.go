@@ -9,8 +9,6 @@ package machine
 import (
 	"fmt"
 	"strings"
-
-	"repro/internal/affinity"
 )
 
 // CacheLevel describes one level of the hierarchy.
@@ -45,7 +43,6 @@ type Machine struct {
 	// LinkGBs is the per-direction QPI/HT bandwidth between sockets
 	// (0 for single-socket machines).
 	LinkGBs float64
-	Pairing affinity.PairingStyle
 }
 
 // Threads returns the total hardware thread count.
@@ -95,7 +92,7 @@ var (
 			{Level: 2, SizeBytes: 256 << 10, Ways: 8, LineBytes: 64, SharedBy: 2},
 			{Level: 3, SizeBytes: 8 << 20, Ways: 16, LineBytes: 64, SharedBy: 8},
 		},
-		DRAMGB: 32, StreamGBs: 20, Pairing: affinity.SMTPaired,
+		DRAMGB: 32, StreamGBs: 20,
 	}
 
 	// KabyLake7700K is the quad-core Intel Kaby Lake 7700K
@@ -109,7 +106,7 @@ var (
 			{Level: 2, SizeBytes: 256 << 10, Ways: 4, LineBytes: 64, SharedBy: 2},
 			{Level: 3, SizeBytes: 8 << 20, Ways: 16, LineBytes: 64, SharedBy: 8},
 		},
-		DRAMGB: 64, StreamGBs: 40, Pairing: affinity.SMTPaired,
+		DRAMGB: 64, StreamGBs: 40,
 	}
 
 	// FX8350 is the AMD FX-8350 Piledriver (8 threads across 4 modules,
@@ -123,7 +120,7 @@ var (
 			{Level: 2, SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, SharedBy: 2},
 			{Level: 3, SizeBytes: 8 << 20, Ways: 64, LineBytes: 64, SharedBy: 8},
 		},
-		DRAMGB: 64, StreamGBs: 12, Pairing: affinity.CorePaired,
+		DRAMGB: 64, StreamGBs: 12,
 	}
 
 	// Haswell2667 is the dual-socket Intel Xeon E5-2667 v3
@@ -138,7 +135,7 @@ var (
 			{Level: 2, SizeBytes: 256 << 10, Ways: 8, LineBytes: 64, SharedBy: 1},
 			{Level: 3, SizeBytes: 20 << 20, Ways: 20, LineBytes: 64, SharedBy: 8},
 		},
-		DRAMGB: 256, StreamGBs: 85, LinkGBs: 16, Pairing: affinity.SMTPaired,
+		DRAMGB: 256, StreamGBs: 85, LinkGBs: 16,
 	}
 
 	// Interlagos6276 is the dual-socket AMD Opteron 6276 (Blue Waters
@@ -154,7 +151,7 @@ var (
 			{Level: 2, SizeBytes: 2 << 20, Ways: 16, LineBytes: 64, SharedBy: 2},
 			{Level: 3, SizeBytes: 16 << 20, Ways: 64, LineBytes: 64, SharedBy: 8},
 		},
-		DRAMGB: 64, StreamGBs: 20, LinkGBs: 9, Pairing: affinity.CorePaired,
+		DRAMGB: 64, StreamGBs: 20, LinkGBs: 9,
 	}
 )
 

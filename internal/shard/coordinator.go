@@ -212,17 +212,17 @@ func (c *Coordinator) ShardCount(k, n int) int {
 	return sk
 }
 
-// forEach runs f once per fleet member concurrently and returns the
-// first error (typed *Error preserved).
-func forEach(fleet []string, f func(i int, node string) error) error {
-	errs := make([]error, len(fleet))
+// forEach runs f once per fleet member (or slab plan) concurrently and
+// returns the first error (typed *Error preserved).
+func forEach[T any](items []T, f func(i int, it T) error) error {
+	errs := make([]error, len(items))
 	var wg sync.WaitGroup
-	for i, node := range fleet {
+	for i, it := range items {
 		wg.Add(1)
-		go func(i int, node string) {
+		go func(i int, it T) {
 			defer wg.Done()
-			errs[i] = f(i, node)
-		}(i, node)
+			errs[i] = f(i, it)
+		}(i, it)
 	}
 	wg.Wait()
 	for _, err := range errs {

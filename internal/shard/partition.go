@@ -49,9 +49,9 @@ type geom struct {
 	q       int // nl·mb: C pillars per shard
 }
 
-// newGeom validates the split. The shard tier is stricter than DistPlan:
-// it needs sk | n (not just sk | n·mb) so each worker's stage-3 output is
-// a whole y-slab the coordinator can gather without a second exchange.
+// newGeom validates the split: sk | k for whole input z-slabs and sk | n
+// so each slab's stage-3 output is a whole y-slab, gathered without a
+// second exchange.
 func newGeom(k, n, m, sk, mu int) (geom, error) {
 	if k < 1 || n < 1 || m < 1 {
 		return geom{}, fmt.Errorf("invalid size %dx%dx%d", k, n, m)

@@ -21,10 +21,11 @@ type planKey struct {
 
 // workerPlan is one warm slab plan: the runner holding the shard's two
 // compiled graphs, and every buffer a job needs — input slab, B and C
-// intermediates, output y-slab, and the per-peer compact send buffers the
-// W² scatter streams into. Exactly one job may own the plan at a time
-// (the busy semaphore); the coordinator serializes same-shape transforms
-// so fleet-wide acquisition cannot deadlock.
+// intermediates, output y-slab, and, once allocSend has run, the per-peer
+// compact send buffers the networked W² scatter streams into. Exactly one
+// job may own the plan at a time (the busy semaphore); the coordinator
+// serializes same-shape transforms so fleet-wide acquisition cannot
+// deadlock.
 type workerPlan struct {
 	g     geom
 	index int
@@ -42,10 +43,10 @@ type workerPlan struct {
 
 	chunkElems int // exchange chunk size, rounded to a multiple of μ
 
-	// router carries the current job's outbound accounting; set before
-	// each run (the executor's dispatch channels order it before any
-	// data-worker store).
-	router *exchangeRouter
+	// ex is where the W² scatter's blocks go: a job's exchangeRouter over
+	// HTTP, set before each run (the executor's dispatch channels order it
+	// before any data-worker store), or a Local's in-process exchange.
+	ex exchange
 
 	busy chan struct{} // cap 1: exclusive job ownership
 }
@@ -68,14 +69,8 @@ func buildWorkerPlan(key planKey, chunkElems, dataWorkers, computeWorkers, buffe
 		bMid:       make([]complex128, g.slabElems()),
 		cPart:      make([]complex128, g.slabElems()),
 		out:        make([]complex128, g.slabElems()),
-		send:       make([][]complex128, key.sk),
 		chunkElems: chunkElems,
 		busy:       make(chan struct{}, 1),
-	}
-	for v := 0; v < key.sk; v++ {
-		if v != key.index {
-			p.send[v] = make([]complex128, g.peerShareElems())
-		}
 	}
 	// The same per-pencil kernel calls, μ and radix chain as the
 	// single-node plan, so the fleet's result is bitwise identical. B and
@@ -86,7 +81,7 @@ func buildWorkerPlan(key planKey, chunkElems, dataWorkers, computeWorkers, buffe
 		Plans: []*fft1d.Plan{stagegraph.Plan1D(key.k),
 			stagegraph.Plan1D(key.n), stagegraph.Plan1D(key.m)},
 		Mu: key.mu, BufferElems: max(bufferElems, 0),
-		Shards: key.sk, Index: key.index, OutLocal: true,
+		Shards: key.sk, Index: key.index,
 		Mid: []stagegraph.Array{{C: p.bMid}, {C: p.cPart, WriteC: p.writeExchange}},
 	}.Build()
 	if err != nil {
@@ -104,6 +99,16 @@ func buildWorkerPlan(key planKey, chunkElems, dataWorkers, computeWorkers, buffe
 
 func (p *workerPlan) close() { p.run.Close() }
 
+// allocSend gives a networked plan its per-peer send buffers.
+func (p *workerPlan) allocSend() {
+	p.send = make([][]complex128, p.g.sk)
+	for v := range p.send {
+		if v != p.index {
+			p.send[v] = make([]complex128, p.g.peerShareElems())
+		}
+	}
+}
+
 // acquire takes exclusive ownership of the plan's buffers for one job.
 func (p *workerPlan) acquire(ctx context.Context) error {
 	select {
@@ -117,20 +122,33 @@ func (p *workerPlan) acquire(ctx context.Context) error {
 func (p *workerPlan) releaseBusy() { <-p.busy }
 
 // writeExchange is the stage-2 Dst hook: the W² scatter hands every
-// μ-block here at its global C offset. Blocks owned by this shard land
-// straight in cPart; blocks owned by peers pack into the compact per-peer
-// send buffer, and the chunk that fills up ships immediately — the
-// exchange overlaps the rest of the front graph's compute.
-func (p *workerPlan) writeExchange(off int, blk []complex128) {
+// μ-block here at its global C offset, and the plan's exchange delivers it
+// to the shard that owns it.
+func (p *workerPlan) writeExchange(off int, blk []complex128) { p.ex.write(off, blk) }
+
+// exchange is the W² scatter's one seam. write takes a μ-block at its offset
+// in the global C array, the shards' C pillars end to end: the block belongs
+// to shard v = off / slabElems, at off − v·slabElems of its cPart. Data
+// workers call write concurrently; every offset is written exactly once per
+// run.
+type exchange interface {
+	write(off int, blk []complex128)
+}
+
+// write keeps this shard's own blocks in cPart and packs every other one
+// into the compact per-peer send buffer; the chunk that fills up ships
+// immediately, so the exchange overlaps the rest of the front graph.
+func (r *exchangeRouter) write(off int, blk []complex128) {
+	p := r.plan
 	v, compact := p.g.exchangeRoute(p.index, off)
 	if v == p.index {
 		local := p.g.expandOffset(p.index, compact)
 		copy(p.cPart[local:local+len(blk)], blk)
-		p.router.noteSelf(int64(len(blk)) * 16)
+		r.recv.addRaw(int64(len(blk)) * 16)
 		return
 	}
 	copy(p.send[v][compact:compact+len(blk)], blk)
-	p.router.noteSend(v, compact, len(blk))
+	r.noteSend(v, compact, len(blk))
 }
 
 // sendChunk identifies one outbound exchange chunk.
@@ -183,8 +201,6 @@ func (r *exchangeRouter) chunkSpan(idx int) (off, count int) {
 	}
 	return
 }
-
-func (r *exchangeRouter) noteSelf(bytes int64) { r.recv.addRaw(bytes) }
 
 func (r *exchangeRouter) noteSend(v, compact, elems int) {
 	idx := compact / r.plan.chunkElems

@@ -1,10 +1,11 @@
-// Package shard executes one large 3D FFT across a fleet of fftserved
-// nodes. It generalizes the multisocket slab-pencil decomposition
-// (fft3d.DistPlan, paper §IV-B Table III): every worker owns a contiguous
-// z-slab of the input and a y-slab of the output, runs its local stages on
-// a persistent stagegraph.Executor, and the one data redistribution the
-// algorithm needs — the stage-2 W² scatter — becomes a chunked, pipelined
-// network exchange instead of a QPI write.
+// Package shard executes one large 3D FFT as the paper's slab-pencil
+// decomposition (§IV-B, Table III), across the sockets of one process or a
+// fleet of fftserved nodes: every slab owns a contiguous z-slab of the input
+// and a y-slab of the output, runs its local stages on a persistent
+// stagegraph.Executor, and the one data redistribution the algorithm needs —
+// the stage-2 W² scatter — goes through one exchange seam. Local (the
+// multi-socket plan) copies each block straight into the owning slab; over
+// the network it becomes a chunked, pipelined exchange between workers.
 //
 // Roles:
 //
@@ -34,9 +35,10 @@
 // a typed Kind so callers can distinguish a corrupt link from an
 // exhausted deadline.
 //
-// Because each worker's graphs come from fft3d.SlabSpec — the same
+// Because each slab's graph is a sharded stagegraph.Pencils — the same
 // per-pencil kernel calls, μ and radix chain as the single-node plan —
-// the fleet's result is bitwise identical to a single-node transform.
+// the result is bitwise identical to a single-node transform on either
+// transport.
 package shard
 
 import (

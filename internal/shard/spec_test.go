@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"math/big"
@@ -49,6 +50,57 @@ func TestBeginAnswersHostileSpecs(t *testing.T) {
 	}
 	if resp, err := http.Post(srv.URL+"/shard/end?job=a", "", nil); err == nil {
 		resp.Body.Close()
+	}
+}
+
+// A chunk or result span whose off+count wraps int must be refused like any
+// other out-of-range span, not reach a slice (it used to panic in the
+// handler, and the client saw EOF instead of a 400).
+func TestChunkSpansDoNotOverflow(t *testing.T) {
+	w := NewWorker(WorkerOptions{})
+	defer w.Close()
+	srv := httptest.NewServer(w.Handler())
+	defer srv.Close()
+	do := func(method, path string, payload []byte) (int, string) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wire.SetCRC(req.Header, payload)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, err.Error()
+		}
+		defer resp.Body.Close()
+		msg, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, strings.TrimSpace(string(msg))
+	}
+	mustOK := func(method, path string, payload []byte) {
+		t.Helper()
+		if status, msg := do(method, path, payload); status != http.StatusOK {
+			t.Fatalf("%s %s: HTTP %d (%s)", method, path, status, msg)
+		}
+	}
+	// Job "run" has one shard and runs to completion, so its result is
+	// readable; job "two" is the first of two shards, so it takes exchange
+	// chunks from shard 1.
+	mustOK(http.MethodPost, "/shard/begin", []byte(`{"job":"run","k":8,"n":8,"m":8,"mu":4,"index":0,"workers":["x"]}`))
+	mustOK(http.MethodPost, "/shard/begin", []byte(`{"job":"two","k":8,"n":8,"m":8,"mu":4,"index":0,"workers":["x","y"]}`))
+	defer do(http.MethodPost, "/shard/end?job=run", nil)
+	defer do(http.MethodPost, "/shard/end?job=two", nil)
+	mustOK(http.MethodPost, "/shard/chunk?job=run&kind=input&off=0&count=512", wire.ComplexBytes(randCube(512, 1)))
+	mustOK(http.MethodPost, "/shard/run?job=run&sign=-1", nil)
+
+	const huge = "4611686018427387904" // 2⁶²: off+count wraps to a negative int
+	for _, c := range []struct{ name, method, path string }{
+		{"input chunk", http.MethodPost, "/shard/chunk?job=two&kind=input&off=" + huge + "&count=" + huge},
+		{"exchange chunk", http.MethodPost, "/shard/chunk?job=two&kind=exchange&from=1&off=" + huge + "&count=" + huge},
+		{"result", http.MethodGet, "/shard/result?job=run&off=" + huge + "&count=" + huge},
+	} {
+		if status, msg := do(c.method, c.path, make([]byte, 16)); status != http.StatusBadRequest {
+			t.Errorf("%s: HTTP %d (%s), want %d", c.name, status, msg, http.StatusBadRequest)
+		}
 	}
 }
 

@@ -239,7 +239,11 @@ func (w *Worker) handleBegin(rw http.ResponseWriter, req *http.Request) {
 	var buildStart time.Time
 	plan, release, err := w.plans.GetOrCreate(key, func() (*workerPlan, error) {
 		buildStart = time.Now()
-		return buildWorkerPlan(key, spec.ChunkElems, w.opts.DataWorkers, w.opts.ComputeWorkers, w.opts.BufferElems)
+		p, err := buildWorkerPlan(key, spec.ChunkElems, w.opts.DataWorkers, w.opts.ComputeWorkers, w.opts.BufferElems)
+		if err == nil {
+			p.allocSend()
+		}
+		return p, err
 	})
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)
@@ -350,14 +354,14 @@ func (w *Worker) handleChunk(rw http.ResponseWriter, req *http.Request) {
 	var from int
 	switch kind {
 	case "input":
-		if off+count > g.slabElems() {
+		if count > g.slabElems()-off {
 			http.Error(rw, "chunk out of range", http.StatusBadRequest)
 			return
 		}
 	case "exchange":
 		from, err1 = strconv.Atoi(qv.Get("from"))
 		if err1 != nil || from < 0 || from >= g.sk || from == j.spec.Index ||
-			off+count > g.peerShareElems() || off%g.mu != 0 || count%g.mu != 0 {
+			count > g.peerShareElems()-off || off%g.mu != 0 || count%g.mu != 0 {
 			http.Error(rw, "bad exchange chunk", http.StatusBadRequest)
 			return
 		}
@@ -516,7 +520,7 @@ func (w *Worker) runJob(ctx context.Context, j *job, sign int) (runStats, error)
 	}
 
 	router := newExchangeRouter(p, j.recvEx)
-	p.router = router
+	p.ex = router
 	router.startSenders(rctx, cancel, w.opts.Senders, w.tr, j.spec, w)
 
 	t0 := time.Now()
@@ -590,7 +594,7 @@ func (w *Worker) handleResult(rw http.ResponseWriter, req *http.Request) {
 	}
 	off, err1 := strconv.Atoi(qv.Get("off"))
 	count, err2 := strconv.Atoi(qv.Get("count"))
-	if err1 != nil || err2 != nil || off < 0 || count <= 0 || off+count > j.plan.g.slabElems() {
+	if err1 != nil || err2 != nil || off < 0 || count <= 0 || count > j.plan.g.slabElems()-off {
 		http.Error(rw, "bad off/count", http.StatusBadRequest)
 		return
 	}

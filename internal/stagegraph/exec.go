@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/affinity"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -187,6 +186,23 @@ func Steps(stages []Stage, fused bool) int {
 	return total + 2*len(stages)
 }
 
+// role distinguishes the soft-DMA data workers, which load blocks in and
+// store rotated blocks out, from the compute workers, which run the batched
+// pencils on the cached buffers.
+type workerRole int
+
+const (
+	computeRole workerRole = iota
+	dataRole
+)
+
+func (r workerRole) String() string {
+	if r == dataRole {
+		return "data"
+	}
+	return "compute"
+}
+
 // Executor is a persistent stage-graph execution engine: p_d data workers
 // and p_c compute workers are spawned exactly once, park on a barrier
 // between runs, and are woken per Run — the goroutine analogue of the
@@ -258,10 +274,10 @@ func NewExecutor(cfg Config) (*Executor, error) {
 		e.arenas[i] = kernels.NewArena(cfg.ScratchComplex, 0)
 	}
 	for w := 0; w < cfg.DataWorkers; w++ {
-		go e.worker(affinity.DataRole, w, cfg.DataWorkers)
+		go e.worker(dataRole, w, cfg.DataWorkers)
 	}
 	for w := 0; w < cfg.ComputeWorkers; w++ {
-		go e.worker(affinity.ComputeRole, w, cfg.ComputeWorkers)
+		go e.worker(computeRole, w, cfg.ComputeWorkers)
 	}
 	return e, nil
 }
@@ -287,7 +303,7 @@ func (e *Executor) SetObs(c *obs.Collector) { e.obs = c }
 
 // worker is the persistent body of one worker goroutine: park on the start
 // barrier, play the published schedule, meet at the finish barrier, repeat.
-func (e *Executor) worker(role affinity.Role, slot, workers int) {
+func (e *Executor) worker(role workerRole, slot, workers int) {
 	for {
 		if !e.startBar.Wait() {
 			return
@@ -302,7 +318,7 @@ func (e *Executor) worker(role affinity.Role, slot, workers int) {
 // runSteps plays every step of the current schedule for one worker. On
 // panic it records the error and poisons the step barriers so the rest of
 // the team unblocks and falls through to the finish barrier.
-func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
+func (e *Executor) runSteps(role workerRole, slot, workers int) {
 	defer func() {
 		if r := recover(); r != nil {
 			e.panicMu.Lock()
@@ -318,7 +334,7 @@ func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
 	b, stages, sched, tracer := e.runBufs, e.runStages, e.runSched, e.runTracer
 	var sh *obs.Shard
 	if e.obs != nil {
-		if role == affinity.DataRole {
+		if role == dataRole {
 			sh = e.obs.DataShard(slot)
 		} else {
 			sh = e.obs.ComputeShard(slot)
@@ -331,7 +347,7 @@ func (e *Executor) runSteps(role affinity.Role, slot, workers int) {
 	stepStart := time.Now()
 	for s := 0; s < sched.steps; s++ {
 		a := stepStart
-		if role == affinity.DataRole {
+		if role == dataRole {
 			storeRef := sched.storeAt[s]
 			nStore := 0
 			if storeRef.stage >= 0 {

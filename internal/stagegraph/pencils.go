@@ -27,9 +27,10 @@ import (
 // With the slowest axis cut into Shards z-slabs (Table III) the same
 // formula runs on local units, except that the middle stage's store
 // addresses the global (y, xb, z) array — its unit index is widened from
-// the slab's z range to the whole axis — and the last stage's units are
-// the shard's share of the (y, xb) pillars. Shards = 1 is the
-// single-socket form, as Table III says it must be.
+// the slab's z range to the whole axis. The last stage's units are the
+// shard's share of the (y, xb) pillars, and its store is the dense local
+// formula again: it lands in the shard's own y-slab of the result.
+// Shards = 1 is the single-socket form, as Table III says it must be.
 
 // minStageIters is the pipeline-depth floor: block sizes are shrunk until
 // every stage runs at least this many iterations (when the extent allows).
@@ -78,11 +79,8 @@ type Array struct {
 	// C is the backing array the next stage loads from.
 	C []complex128
 	// WriteC, when set, receives every stored block instead of a direct
-	// scatter into C (NUMA traffic accounting, the network exchange).
+	// scatter into C (a partitioned graph's stage-2 exchange).
 	WriteC func(off int, block []complex128)
-	// Base is added to every store offset (a shard's base into a shared
-	// array).
-	Base int
 }
 
 func (a Array) caller() bool { return a.C == nil && a.WriteC == nil }
@@ -136,17 +134,15 @@ type Pencils struct {
 	BufferElems int
 	// Shards cuts the slowest axis of a 3D transform into z-slabs and Index
 	// names this executor's slab; the caller owns the barrier between the
-	// middle stage's scatter and the last stage (see Graph.Cut). OutLocal
-	// makes the last stage address the shard's own y-slab of the result
-	// from zero rather than the whole cube.
+	// middle stage's scatter and the last stage (see Graph.Cut). The last
+	// stage writes the shard's own y-slab of the result, addressed from
+	// zero, into the caller's destination.
 	Shards, Index int
-	OutLocal      bool
 	// Real is nil for complex endpoints.
 	Real *RealEnd
-	// Mid[i] is the array between stage i and stage i+1; Out is the last
-	// stage's sink when it is not the caller's array.
+	// Mid[i] is the array between stage i and stage i+1; the last stage
+	// stores into the caller's destination.
 	Mid []Array
-	Out Array
 }
 
 // Graph is a built stage graph with its patch points: which stages bind the
@@ -273,14 +269,10 @@ func (p Pencils) Check() (mu int, err error) {
 		if p.Index < 0 || p.Index >= sk {
 			return 0, fmt.Errorf("%s: shard index %d of %d", p.Pkg, p.Index, sk)
 		}
-		k, n, mb := p.Dims[0], p.Dims[1], last/mu
-		if k%sk != 0 {
-			return 0, fmt.Errorf("%s: sockets=%d does not divide k=%d", p.Pkg, sk, k)
+		if k := p.Dims[0]; k%sk != 0 {
+			return 0, fmt.Errorf("%s: shards=%d does not divide k=%d", p.Pkg, sk, k)
 		}
-		if (n*mb)%sk != 0 {
-			return 0, fmt.Errorf("%s: sockets=%d does not divide n·m/μ=%d", p.Pkg, sk, n*mb)
-		}
-		if p.OutLocal && n%sk != 0 {
+		if n := p.Dims[1]; n%sk != 0 {
 			return 0, fmt.Errorf("%s: shards=%d does not divide n=%d", p.Pkg, sk, n)
 		}
 	}
@@ -325,16 +317,10 @@ func (p Pencils) Build() (*Graph, error) {
 	if sk > 1 {
 		// Table III. Stage 2 scatters into the global (y, xb, z) array: its
 		// units (xb, zl) widen to (xb, z). Stage 3 runs this shard's share of
-		// the (y, xb) pillars and addresses the whole cube, or — OutLocal —
-		// its own y-slab, which is the dense local formula again.
+		// the (y, xb) pillars into its own y-slab, the dense local formula.
 		k, ksl, idx := p.Dims[0], p.Dims[0]/sk, p.Index
 		chain[1].remap = func(g int) int { return g/ksl*k + idx*ksl + g%ksl }
 		chain[1].dstUnit = chain[1].units * sk
-		if !p.OutLocal {
-			qBase := idx * chain[2].units
-			chain[2].remap = func(g int) int { return qBase + g }
-			chain[2].dstUnit = chain[2].units * sk
-		}
 	}
 
 	var entangle *pencil
@@ -411,7 +397,7 @@ func (p Pencils) Build() (*Graph, error) {
 		if i < nStages-1 {
 			return p.Mid[i]
 		}
-		return p.Out
+		return Array{}
 	}
 
 	if e := entangle; e != nil {
@@ -421,7 +407,7 @@ func (p Pencils) Build() (*Graph, error) {
 		st := Stage{
 			Name: e.name, Iters: e.units / per, Units: per, UnitLen: pitch,
 			StoreUnits: per, StoreLen: l, StoreFromStaging: true,
-			Rot: rotation(*e, mu, dst.Base),
+			Rot: rotation(*e, mu),
 		}
 		ent, plan, pre := p.Real.Entangle, e.plan, e.pre
 		st.Compute = func(b *Buffers, a *kernels.Arena, src []complex128, half, iter, lo, hi int) {
@@ -447,7 +433,7 @@ func (p Pencils) Build() (*Graph, error) {
 		dst := sinkOf(i)
 		st := Stage{
 			Name: c.name, Iters: c.units / per, Units: per, UnitLen: unitLen,
-			Rot: rotation(c, mu, dst.Base),
+			Rot: rotation(c, mu),
 		}
 		// The store leg can absorb the trailing trivial-twiddle radix-4
 		// butterfly of a power-of-two pencil: compute then runs every
@@ -490,7 +476,7 @@ func (p Pencils) Build() (*Graph, error) {
 			}
 		}
 		switch last := &g.stages[nStages-1]; {
-		case p.Out.WriteC == nil && (last.runMajor() || last.StoreRadix != 0):
+		case last.runMajor() || last.StoreRadix != 0:
 			g.scaleAt = scaleStore
 		case last.StoreRadix == 0:
 			g.scaleAt = scaleCompute
@@ -516,7 +502,7 @@ func axisName(D, axis int, real *RealEnd) string {
 // j of unit g to (j·G + g)·μ in the destination; an identity stage sends it
 // back to row g, block j. A pitch spaces the destination's rows further
 // apart than their length (the real spectrum's Nyquist hole).
-func rotation(c pencil, mu, base int) Rotation {
+func rotation(c pencil, mu int) Rotation {
 	remap := c.remap
 	if remap == nil {
 		remap = func(g int) int { return g }
@@ -527,7 +513,7 @@ func rotation(c pencil, mu, base int) Rotation {
 			rowLen = c.pitch
 		}
 		return Rotation{Blocks: c.blocks, BlockLen: mu, JStride: mu,
-			Map: func(g, j int) int { return base + g*rowLen + j*mu }}
+			Map: func(g, j int) int { return g*rowLen + j*mu }}
 	}
 	G := c.dstUnit
 	if G == 0 {
@@ -535,7 +521,7 @@ func rotation(c pencil, mu, base int) Rotation {
 	}
 	if c.pitch == 0 {
 		rot := Rotation{Blocks: c.blocks, BlockLen: mu, JStride: G * mu,
-			Map: func(g, j int) int { return base + (j*G+remap(g))*mu }}
+			Map: func(g, j int) int { return (j*G + remap(g)) * mu }}
 		if c.remap == nil {
 			rot.GStride = mu // consecutive units land in consecutive blocks
 		}
@@ -547,7 +533,7 @@ func rotation(c pencil, mu, base int) Rotation {
 	return Rotation{Blocks: c.blocks, BlockLen: mu, JStride: G / rowBlks * pitch,
 		Map: func(g, j int) int {
 			u := j*G + remap(g)
-			return base + u/rowBlks*pitch + u%rowBlks*mu
+			return u/rowBlks*pitch + u%rowBlks*mu
 		}}
 }
 
