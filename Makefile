@@ -51,11 +51,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The pure-Go fallback must pass the same tests as the assembly tier, and
-# reproduce its own column of the golden oracle (testdata/golden.json holds
-# one output digest per kernel tier).
+# The pure-Go fallback must pass the same tests as the assembly tier, hold
+# the sharded plans bitwise to one node through the generic fold kernels
+# (the -short shard pass), and reproduce its own column of the golden
+# oracle (testdata/golden.json holds one output digest per kernel tier).
 purego:
 	$(GO) test -tags purego $(PUREGO_PKGS)
+	$(GO) test -tags purego -short ./internal/shard
 	$(GO) test -tags purego -run '^TestGolden$$' .
 
 # Cross-compile check: the non-amd64 build (no .s files, generic dispatch)

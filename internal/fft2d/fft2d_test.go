@@ -208,6 +208,23 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
+// A sign other than ±1 is refused: the compute kernels, the AVX2 fold and
+// the generic fold each read such a sign as a different direction, so the
+// output would depend on the kernel tier.
+func TestTransformRefusesSignOutsideUnit(t *testing.T) {
+	p, err := NewPlan(64, 64, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	src, dst := randVec(1, 64*64), make([]complex128, 64*64)
+	for _, sign := range []int{0, 2} {
+		if err := p.Transform(dst, src, sign); err == nil {
+			t.Errorf("sign %d accepted", sign)
+		}
+	}
+}
+
 func TestStrategyStrings(t *testing.T) {
 	if core.Reference.String() != "reference" || core.Pencil.String() != "pencil" || core.DoubleBuf.String() != "doublebuf" {
 		t.Fatal("strategy names wrong")

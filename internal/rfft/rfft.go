@@ -18,9 +18,12 @@
 // disentangles the packed DC column/plane into the DC and Nyquist entries
 // of the natural half-spectrum output. Inverses run the mirror pipeline: an
 // entangle stage re-packs the natural half-spectrum (forcing the
-// self-conjugate bins real), the pencil stages run conjugated with their
-// 1/n scales folded in, and the last stage retangles and stores real rows
-// through the fused unpack.
+// self-conjugate bins real), the pencil stages run inverse with their 1/n
+// scales applied — in the compute leg, or on the way out of the store when
+// the stage folds its last radix-4 butterfly into it, as complex pencil
+// stages do — and the last stage retangles (with the row transform's 1/l)
+// and stores real rows through the fused unpack. Each graph runs in the
+// direction its call names, like a complex one.
 //
 // Spectrum layout: a transform of real shape …×n×m produces …×n×(m/2+1)
 // complex coefficients, row-major (the "natural" half-spectrum, Hermitian
@@ -37,6 +40,7 @@ import (
 	"fmt"
 
 	"repro/internal/core"
+	"repro/internal/fft1d"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 	"repro/internal/stagegraph"
@@ -126,13 +130,13 @@ func (e *engine) build(kind, label string, cfg core.Config, m int, dims []int, s
 // grid.
 func (e *engine) forward(dst []complex128, src []float64, count int) error {
 	return e.run.Run(fwdGraph, stagegraph.Call{
-		In: stagegraph.Endpoint{R: src}, Out: stagegraph.Endpoint{C: dst}, Count: count})
+		In: stagegraph.Endpoint{R: src}, Out: stagegraph.Endpoint{C: dst}, Sign: fft1d.Forward, Count: count})
 }
 
 // inverse runs the c2r graph.
 func (e *engine) inverse(dst []float64, src []complex128, count int) error {
 	return e.run.Run(invGraph, stagegraph.Call{
-		In: stagegraph.Endpoint{C: src}, Out: stagegraph.Endpoint{R: dst}, Count: count})
+		In: stagegraph.Endpoint{C: src}, Out: stagegraph.Endpoint{R: dst}, Sign: fft1d.Inverse, Count: count})
 }
 
 // Close releases the plan's persistent workers. Idempotent; plans dropped

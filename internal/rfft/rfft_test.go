@@ -3,10 +3,12 @@ package rfft
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cvec"
+	"repro/internal/fft1d"
 	"repro/internal/kernels"
 	"repro/internal/spl"
 	"repro/internal/stagegraph"
@@ -424,6 +426,118 @@ func TestRoundTrip2D(t *testing.T) {
 	}
 }
 
+// realPlan is what Plan2D and Plan3D share.
+type realPlan interface {
+	Forward(dst []complex128, src []float64) error
+	Inverse(dst []float64, src []complex128) error
+	RealLen() int
+	SpectrumLen() int
+	DescribeGraph() string
+	Close()
+}
+
+// At the default configuration the interior stages of a real graph fold
+// their trailing radix-4 butterfly into the store: the 16-row cols of
+// 16×32, and the y- and z-pencils of 16×32×64, whose forward z store writes
+// the pitched spectrum and whose inverse pencils carry their 1/n in the fold
+// store. Each direction runs with its own sign from the call, and both are
+// held to the complex oracle.
+func TestFoldedRealStagesMatchOracle(t *testing.T) {
+	for _, dims := range [][]int{{16, 32}, {16, 32, 64}} {
+		var (
+			p   realPlan
+			f   spl.Formula
+			err error
+		)
+		if len(dims) == 2 {
+			p, err = NewPlan2D(dims[0], dims[1], core.Config{})
+			f = spl.DFT2D(dims[0], dims[1])
+		} else {
+			p, err = NewPlan3D(dims[0], dims[1], dims[2], core.Config{})
+			f = spl.DFT3D(dims[0], dims[1], dims[2])
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		// Every stage but the rows folds, in both directions.
+		if got, want := strings.Count(p.DescribeGraph(), "radix-4 fold"), 2*(len(dims)-1); got != want {
+			t.Fatalf("%v: %d folded stages, want %d:\n%s", dims, got, want, p.DescribeGraph())
+		}
+		x := randReal(int64(len(dims)), p.RealLen())
+		full := spl.Eval(f, asComplex(x))
+		spec := make([]complex128, p.SpectrumLen())
+		if err := p.Forward(spec, x); err != nil {
+			t.Fatal(err)
+		}
+		m := dims[len(dims)-1]
+		mc := m/2 + 1
+		for i, g := range spec {
+			if w := full[i/mc*m+i%mc]; cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{w}) > tol*float64(len(x)) {
+				t.Fatalf("%v forward: row %d kx %d: got %v want %v", dims, i/mc, i%mc, g, w)
+			}
+		}
+		back := make([]float64, len(x))
+		if err := p.Inverse(back, spec); err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if math.Abs(back[i]-x[i]) > tol {
+				t.Fatalf("%v: round trip off at %d: %v, want %v", dims, i, back[i], x[i])
+			}
+		}
+	}
+}
+
+// A run's Scale reaches every real graph once, wherever its last stage
+// applies it: the 1D inverse's lone entangle stage, a compute leg, a fold
+// store.
+func TestRealGraphsApplyTheRunScale(t *testing.T) {
+	p1, err1 := NewPlan1D(32, core.Config{})
+	p2, err2 := NewPlan2D(16, 32, core.Config{})
+	p3, err3 := NewPlan3D(8, 8, 16, core.Config{})
+	for _, err := range []error{err1, err2, err3} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, c := range []struct {
+		e            *engine
+		realN, specN int
+	}{{&p1.engine, 32, 17}, {&p2.engine, 16 * 32, 16 * 17}, {&p3.engine, 8 * 8 * 16, 8 * 8 * 9}} {
+		defer c.e.Close()
+		x := randReal(3, c.realN)
+		spec := make([]complex128, c.specN)
+		for i := range spec {
+			spec[i] = complex(x[i%c.realN], x[(i+1)%c.realN])
+		}
+		var outs [2][]complex128
+		var backs [2][]float64
+		for i, scale := range []float64{0, 0.5} {
+			outs[i], backs[i] = make([]complex128, c.specN), make([]float64, c.realN)
+			err := c.e.run.Run(fwdGraph, stagegraph.Call{In: stagegraph.Endpoint{R: x},
+				Out: stagegraph.Endpoint{C: outs[i]}, Sign: fft1d.Forward, Scale: scale, Count: 1})
+			if err == nil {
+				err = c.e.run.Run(invGraph, stagegraph.Call{In: stagegraph.Endpoint{C: spec},
+					Out: stagegraph.Endpoint{R: backs[i]}, Sign: fft1d.Inverse, Scale: scale, Count: 1})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range outs[0] {
+			if outs[1][i] != outs[0][i]*0.5 {
+				t.Fatalf("%d reals forward: scaled %v at %d, want %v", c.realN, outs[1][i], i, outs[0][i]*0.5)
+			}
+		}
+		for i := range backs[0] {
+			if backs[1][i] != backs[0][i]*0.5 {
+				t.Fatalf("%d reals inverse: scaled %v at %d, want %v", c.realN, backs[1][i], i, backs[0][i]*0.5)
+			}
+		}
+	}
+}
+
 func TestPlan2DValidation(t *testing.T) {
 	if _, err := NewPlan2D(0, 4, core.Config{}); err == nil {
 		t.Error("accepted n=0")
@@ -460,6 +574,8 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 		{cfg: core.Config{Mu: 2, BufferElems: 64}},
 		{cfg: core.Config{Mu: 8, DataWorkers: 2, ComputeWorkers: 2}},
 		{cfg: core.Config{BufferElems: 32}, ab: stagegraph.Ablation{Unfused: true}},
+		{ab: stagegraph.Ablation{NoFold: true}},
+		{ab: stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}},
 	}
 	checkFwd := func(got, full []complex128, stride, m, rows int) {
 		t.Helper()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/fft1d"
+	"repro/internal/layout"
 	"repro/internal/stagegraph"
 )
 
@@ -40,6 +41,14 @@ func TestLocalMatchesSingleNode(t *testing.T) {
 		{16, 16, 16, 2},
 	} {
 		localCase(t, c.k, c.n, c.m, c.sk, WorkerOptions{DataWorkers: 1, ComputeWorkers: 1, BufferElems: 128})
+	}
+	// No shape above streams by its footprint; forced streaming stores run
+	// every slab's stages through the streaming, run-major and remapped
+	// store paths, still bitwise the single-node plan.
+	defer stagegraph.SetAblation(stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal})()
+	p := localCase(t, 16, 16, 16, 2, WorkerOptions{BufferElems: 512})
+	if nt := p.plans[0].run.NonTemporalStages(); layout.NonTemporalAvailable() && nt != 3 {
+		t.Errorf("%d streaming stages in slab 0, want 3", nt)
 	}
 }
 

@@ -23,7 +23,7 @@ type Ablation struct {
 	// compute leg instead of folding it into the scatter.
 	NoFold bool
 	// Stores forces cached (StoreRegular) or streaming (StoreNonTemporal)
-	// block stores on complex unpartitioned graphs.
+	// block stores on every graph.
 	Stores StorePolicy
 	// Radix caps the Stockham stage radix of the power-of-two sub-plans at
 	// 2, 4 or 8 (0 and 16 are the default chain).

@@ -100,8 +100,9 @@ func (a Array) sink() Endpoint {
 // real-like transform kind is a RealEnd with different hooks.
 type RealEnd struct {
 	// Inverse selects the c2r graph: an entangle stage, the pencil stages
-	// run conjugated with their 1/len scales applied, and a final row stage
-	// that retangles and stores real rows.
+	// with their 1/len scales applied (in the compute leg, or on the way out
+	// of a fold store), and a final row stage that retangles and stores real
+	// rows. Like every graph, a real one runs in the direction of its Call.
 	Inverse bool
 	// Pitch is the spectrum row pitch in complex elements.
 	Pitch int
@@ -164,26 +165,13 @@ type Graph struct {
 	// batch graphs are one single-iteration stage whose unit count is the
 	// per-call row count.
 	batch bool
-	// scaleAt is where a run's non-zero Scale is applied.
-	scaleAt scaleLeg
+	// scaleInStore places a run's non-zero Scale on the way out of the last
+	// stage's run-major or radix-4 fold store into the caller's array,
+	// riding its kernel; otherwise the last stage's compute hook applies it
+	// to the block it just transformed. Either is bitwise fft1d.Scale over
+	// the destination after the run.
+	scaleInStore bool
 }
-
-// scaleLeg names the place a run's Scale is applied; every choice is bitwise
-// fft1d.Scale over the destination after the run.
-type scaleLeg int
-
-const (
-	// scalePass: by that pass over the destination (graphs that fit neither
-	// of the others, and every graph that is never handed a scale).
-	scalePass scaleLeg = iota
-	// scaleCompute: by the last stage's compute hook, on the block it just
-	// transformed (a plain unit-major last store).
-	scaleCompute
-	// scaleStore: on the way out of the last stage's run-major or radix-4
-	// fold store into the caller's array, riding its kernel; no leg runs a
-	// sweep.
-	scaleStore
-)
 
 // bind points the stages that use the caller's arrays at them (zero
 // Endpoints unbind, so a parked runner does not pin the arrays).
@@ -230,7 +218,6 @@ type pencil struct {
 	rotate  bool    // blocked rotation (else rows go back where they came from)
 	pitch   int     // destination row pitch in elements (0 = dense) …
 	rowBlks int     // … of rows this many blocks long (rotating stages)
-	sign    int     // fixed direction (0 = the run's)
 	scale   float64 // fixed scale applied after the transform (0 = none)
 	pre     func(x []complex128, rows int)
 	post    func(x []complex128, rows int)
@@ -332,23 +319,20 @@ func (p Pencils) Build() (*Graph, error) {
 			g.batch = true
 		}
 		if !r.Inverse {
-			chain[0].sign, chain[0].post = fft1d.Forward, r.Untangle
-			for i := 1; i < D; i++ {
-				chain[i].sign = fft1d.Forward
-			}
+			chain[0].post = r.Untangle
 			chain[D-1].pitch, chain[D-1].rowBlks = r.Pitch, last/mu
 		} else {
-			// entangle → pencil stages (conjugated, scaled) → rows⁻¹. The
-			// entangle stage takes the forward row stage's place and
-			// rotation; the row transform moves to the end of the chain.
+			// entangle → pencil stages (scaled) → rows⁻¹. The entangle stage
+			// takes the forward row stage's place and rotation; the row
+			// transform moves to the end of the chain.
 			rows := chain[0]
 			rows.name, rows.rotate = "i"+rows.name, false
-			rows.sign, rows.pre = fft1d.Inverse, r.Retangle
+			rows.pre = r.Retangle
 			entangle = &pencil{name: "entangle", units: chain[0].units, blocks: chain[0].blocks,
 				rotate: true}
 			for i := 1; i < D; i++ {
 				chain[i].name = "i" + chain[i].name
-				chain[i].sign, chain[i].scale = fft1d.Inverse, 1/float64(p.Dims[D-1-i])
+				chain[i].scale = 1 / float64(p.Dims[D-1-i])
 			}
 			if D == 1 {
 				chain = chain[:0] // the one stage entangles, retangles and transforms
@@ -409,16 +393,19 @@ func (p Pencils) Build() (*Graph, error) {
 			StoreUnits: per, StoreLen: l, StoreFromStaging: true,
 			Rot: rotation(*e, mu),
 		}
-		ent, plan, pre := p.Real.Entangle, e.plan, e.pre
+		ent, plan, pre, dir := p.Real.Entangle, e.plan, e.pre, g.dir
 		st.Compute = func(b *Buffers, a *kernels.Arena, src []complex128, half, iter, lo, hi int) {
 			if lo >= hi {
 				return
 			}
 			t := b.T[half][lo*l : hi*l]
 			ent(t, src[lo*pitch:hi*pitch], hi-lo, iter*per+lo)
-			if plan != nil {
+			if plan != nil { // the one stage of a 1D inverse, hence also last
 				pre(t, hi-lo)
-				plan.BatchLanesArena(t, t, hi-lo, 1, fft1d.Inverse, a)
+				plan.BatchLanesArena(t, t, hi-lo, 1, dir.sign, a)
+				if dir.scale != 0 {
+					fft1d.Scale(t, dir.scale)
+				}
 			}
 		}
 		bind(0, &st, dst)
@@ -438,15 +425,15 @@ func (p Pencils) Build() (*Graph, error) {
 		// The store leg can absorb the trailing trivial-twiddle radix-4
 		// butterfly of a power-of-two pencil: compute then runs every
 		// Stockham sweep but the last and the scatter applies it while the
-		// block is cache-hot. Complex unpartitioned graphs only: the real
-		// hooks need the finished transform, and the partitioned stores
-		// were never measured folded.
-		fold := p.Real == nil && sk == 1 && !ab.NoFold &&
-			c.plan.FoldRadix() == 4 && c.blocks%4 == 0
-		if fold {
-			st.StoreRadix = 4
+		// block is cache-hot, with the stage's fixed scale (a real inverse
+		// pencil's 1/n) riding the same kernel. A stage with a real hook
+		// keeps the whole transform in its compute leg: the hooks need the
+		// finished transform.
+		if c.pre == nil && c.post == nil && !ab.NoFold &&
+			c.plan.FoldRadix() == 4 && c.blocks%4 == 0 {
+			st.StoreRadix, st.StoreScale, c.scale = 4, c.scale, 0
 		}
-		st.Compute = c.compute(g.dir, unitLen, fold, i == nStages-1 && p.Real == nil)
+		st.Compute = c.compute(g.dir, unitLen, st.StoreRadix != 0, i == nStages-1)
 		bind(i, &st, dst)
 		g.stages = append(g.stages, st)
 	}
@@ -457,31 +444,31 @@ func (p Pencils) Build() (*Graph, error) {
 	if g.batch {
 		g.elems = max(g.elems, budget)
 	}
-	if p.Real == nil && sk == 1 {
-		// Every stage writes the whole array once. A run-major or folded
-		// last store into the caller's array applies the scale on the way
-		// out, for no sweep at all; otherwise scaling the last stage's
-		// blocks in its compute leg is the same fft1d.Scale on the same
-		// values a pass over the destination would apply.
-		bytes, llc := total*mu*complexBytes, machine.HostLLCBytes()
-		ApplyStorePolicy(g.stages, ab.Stores.Decide(bytes, llc))
-		// Inside the LLC a 2D stage's load is an in-cache copy that the
-		// first sweep reads a second time, so the sweep reads the source
-		// instead. Out of the LLC the copy's stream beats the sweep's reads
-		// from DRAM, and 3D waits on a measurement of its own
-		// (EXPERIMENTS.md "Cache-regime loads fold into the first sweep").
-		if D == 2 && !ab.CopyLoads && fitsLLC(bytes, llc) {
-			for i := range g.stages {
-				g.stages[i].FoldLoad = true
-			}
-		}
-		switch last := &g.stages[nStages-1]; {
-		case last.runMajor() || last.StoreRadix != 0:
-			g.scaleAt = scaleStore
-		case last.StoreRadix == 0:
-			g.scaleAt = scaleCompute
+	// Every stage writes this executor's share of the array once, N/sk
+	// elements: a shard's stores fill its own socket's or node's LLC
+	// (Table III). WriteC and pair-packed real destinations ignore the
+	// streaming flag at store time.
+	bytes, llc := total/sk*mu*complexBytes, machine.HostLLCBytes()
+	ApplyStorePolicy(g.stages, ab.Stores.Decide(bytes, llc))
+	// Inside the LLC a 2D stage's load is an in-cache copy that the first
+	// sweep reads a second time, so the sweep reads the source instead. Out
+	// of the LLC the copy's stream beats the sweep's reads from DRAM, and 3D
+	// waits on a measurement of its own (EXPERIMENTS.md "Cache-regime loads
+	// fold into the first sweep").
+	if D == 2 && !ab.CopyLoads && fitsLLC(bytes, llc) &&
+		// Real row stages' pre hooks work on the loaded half, and real
+		// in-LLC loads are unmeasured.
+		p.Real == nil {
+		for i := range g.stages {
+			g.stages[i].FoldLoad = true
 		}
 	}
+	// A run-major or folded last store into the caller's array applies the
+	// scale on the way out, for no sweep at all; otherwise the last stage's
+	// compute leg scales its blocks — the same fft1d.Scale on the same
+	// values a pass over the destination would apply.
+	lastSt := &g.stages[nStages-1]
+	g.scaleInStore = lastSt.runMajor() || lastSt.StoreRadix != 0
 	return g, nil
 }
 
@@ -538,10 +525,12 @@ func rotation(c pencil, mu int) Rotation {
 }
 
 // compute derives a stage's compute hook: [pre] → batched transform (or its
-// fold prefix) from the block's input into the buffer half → [post] →
-// [scale], over the worker's unit range. Only real graphs have a pre hook,
-// and they never fold their loads, so pre always works on the loaded half.
-func (c pencil) compute(dir *direction, unitLen int, fold, runScale bool) ComputeFn {
+// fold prefix) in the run's direction from the block's input into the buffer
+// half → [post] → [scale], over the worker's unit range. Only real graphs
+// have a pre hook, and they never fold their loads, so pre always works on
+// the loaded half. The last stage applies the run's scale when the store
+// does not (Graph.scaleInStore).
+func (c pencil) compute(dir *direction, unitLen int, fold, last bool) ComputeFn {
 	plan, lanes := c.plan, c.lanes
 	return func(b *Buffers, a *kernels.Arena, src []complex128, half, iter, lo, hi int) {
 		if lo >= hi {
@@ -549,23 +538,19 @@ func (c pencil) compute(dir *direction, unitLen int, fold, runScale bool) Comput
 		}
 		x := b.C[half][lo*unitLen : hi*unitLen]
 		in := src[lo*unitLen : hi*unitLen]
-		sign := c.sign
-		if sign == 0 {
-			sign = dir.sign
-		}
 		if c.pre != nil {
 			c.pre(x, hi-lo)
 		}
 		if fold {
-			plan.BatchLanesPrefixArena(x, in, hi-lo, lanes, sign, a)
+			plan.BatchLanesPrefixArena(x, in, hi-lo, lanes, dir.sign, a)
 		} else {
-			plan.BatchLanesArena(x, in, hi-lo, lanes, sign, a)
+			plan.BatchLanesArena(x, in, hi-lo, lanes, dir.sign, a)
 		}
 		if c.post != nil {
 			c.post(x, hi-lo)
 		}
 		scale := c.scale
-		if runScale {
+		if last {
 			scale = dir.scale
 		}
 		if scale != 0 {

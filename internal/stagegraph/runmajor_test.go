@@ -32,7 +32,7 @@ func streamingGraph(t *testing.T, dims []int, policy StorePolicy) *Graph {
 	}
 	if policy == StoreNonTemporal {
 		ApplyStorePolicy(g.stages, true)
-		g.scaleAt = scaleStore
+		g.scaleInStore = true
 	}
 	return g
 }

@@ -29,12 +29,13 @@ type RunnerConfig struct {
 type Call struct {
 	// In and Out are the caller's source and destination arrays.
 	In, Out Endpoint
-	// Sign is the transform direction for graphs that serve both.
+	// Sign is the transform direction, fft1d.Forward or fft1d.Inverse; Run
+	// refuses any other value.
 	Sign int
 	// Scale, when non-zero, multiplies the result (the 1/N of a normalised
 	// inverse): on the way out of the last stage's run-major or fold store,
-	// else in that stage's compute leg, else by a pass over Out.C afterwards
-	// — bitwise the same result wherever it runs.
+	// else in that stage's compute leg — bitwise fft1d.Scale over Out
+	// afterwards either way.
 	Scale float64
 	// Count is the row count of a batch graph's call.
 	Count int
@@ -150,6 +151,9 @@ func (r *Runner) Run(g int, c Call) error {
 	if r == nil {
 		return fmt.Errorf("stagegraph: no runner")
 	}
+	if c.Sign != fft1d.Forward && c.Sign != fft1d.Inverse {
+		return fmt.Errorf("%s: sign %d, need %d or %d", r.cfg.Pkg, c.Sign, fft1d.Forward, fft1d.Inverse)
+	}
 	r.lock.Lock()
 	defer r.lock.Unlock()
 	if r.closed {
@@ -157,11 +161,9 @@ func (r *Runner) Run(g int, c Call) error {
 	}
 	gr := r.graphs[g]
 	stages := gr.stages
-	gr.dir.sign, gr.dir.scale = c.Sign, 0
-	switch gr.scaleAt {
-	case scaleCompute:
-		gr.dir.scale = c.Scale
-	case scaleStore:
+	gr.dir.sign, gr.dir.scale = c.Sign, c.Scale
+	if gr.scaleInStore {
+		gr.dir.scale = 0
 		stages[len(stages)-1].StoreScale = c.Scale
 	}
 	for i := range stages {
@@ -194,9 +196,6 @@ func (r *Runner) Run(g int, c Call) error {
 		return err
 	}
 	r.lastStats = st
-	if gr.scaleAt == scalePass && c.Scale != 0 {
-		fft1d.Scale(c.Out.C, c.Scale)
-	}
 	return nil
 }
 
@@ -304,13 +303,13 @@ func (r *Runner) NonTemporalStages() int {
 }
 
 // ScalesInStage reports whether graph g applies a run's Scale in its last
-// stage's compute leg rather than by a pass over the destination.
+// stage's compute leg.
 func (r *Runner) ScalesInStage(g int) bool {
-	return r != nil && r.graphs[g].scaleAt == scaleCompute
+	return r != nil && !r.graphs[g].scaleInStore
 }
 
 // ScalesInStore reports whether graph g applies a run's Scale on the way out
 // of its last stage's run-major or fold store: no sweep in any leg.
 func (r *Runner) ScalesInStore(g int) bool {
-	return r != nil && r.graphs[g].scaleAt == scaleStore
+	return r != nil && r.graphs[g].scaleInStore
 }

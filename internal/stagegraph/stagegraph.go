@@ -107,7 +107,7 @@ type Stage struct {
 	// block's slice of Src.C, and the first Stockham sweep reads it out of
 	// place into the buffer half. It saves the copy where that copy is an
 	// in-cache one the sweep would read a second time; Pencils.Build sets it
-	// for complex unpartitioned 2D graphs whose arrays fit in half the LLC
+	// for complex 2D graphs whose arrays fit in half the LLC
 	// (fitsLLC). Src must be a plain complex array.
 	FoldLoad bool
 	// StoreUnits × StoreLen re-tiles the buffer for the store when the
