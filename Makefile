@@ -19,6 +19,10 @@ PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
               ./internal/fft3d ./internal/rfft \
               ./internal/tune ./internal/machine ./internal/wire
 
+# The internal/bench tests of the pencil / slab baselines and of the
+# Measured sweeps that time them against the pipeline.
+BASELINE_TESTS = ^Test(BaselinesMatchSPL|Measured)
+
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck tablegen \
         tablecheck race bench microbench benchsmoke rulersmoke servesmoke \
         obssmoke shardsmoke tracesmoke examplesmoke fuzzsmoke fmt loc \
@@ -53,12 +57,16 @@ test:
 
 # The pure-Go fallback must pass the same tests as the assembly tier, hold
 # the sharded plans bitwise to one node through the generic fold kernels
-# (the -short shard pass), and reproduce its own column of the golden
-# oracle (testdata/golden.json holds one output digest per kernel tier).
+# (the -short shard pass), reproduce its own column of the golden
+# oracle (testdata/golden.json holds one output digest per kernel tier),
+# and keep the pencil / slab baselines of internal/bench and the Measured
+# sweeps that time them correct (only those: the package's figure printers
+# exercise no kernel).
 purego:
 	$(GO) test -tags purego $(PUREGO_PKGS)
 	$(GO) test -tags purego -short ./internal/shard
 	$(GO) test -tags purego -run '^TestGolden$$' .
+	$(GO) test -tags purego -run '$(BASELINE_TESTS)' ./internal/bench
 
 # Cross-compile check: the non-amd64 build (no .s files, generic dispatch)
 # must keep compiling even though this host never runs it.
@@ -98,10 +106,13 @@ tablecheck: tablegen
 
 # The shard tier gets its own -short race pass: the full suite's 256³
 # cluster test is minutes under the race detector, and the -short set still
-# covers the exchange, retry, and drain concurrency.
+# covers the exchange, retry, and drain concurrency. The baselines' worker
+# pools and the Measured sweeps get a filtered pass of internal/bench, whose
+# figure printers take most of a minute under -race and share no state.
 race:
 	$(GO) test -race -count=1 $(RACE_PKGS)
 	$(GO) test -race -count=1 -short ./internal/shard
+	$(GO) test -race -count=1 -run '$(BASELINE_TESTS)' ./internal/bench
 
 # Distributed-tier smoke: boot a loopback fleet of four worker fftserved
 # instances plus a coordinator front-end, round-trip the sharded /transform

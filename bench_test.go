@@ -12,6 +12,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
@@ -32,6 +33,7 @@ func bench3D(b *testing.B, k, n, m int, opts core.Config) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer p.Close()
 	x := benchInput(k * n * m)
 	y := make([]complex128, len(x))
 	b.SetBytes(int64(len(x) * 16))
@@ -44,6 +46,29 @@ func bench3D(b *testing.B, k, n, m int, opts core.Config) {
 	}
 }
 
+// benchBaseline times one of the in-place baselines of internal/bench on a
+// fresh copy of the input each iteration, as its Measured sweeps do.
+func benchBaseline(b *testing.B, elems int, baseline func(y []complex128)) {
+	x := benchInput(elems)
+	y := make([]complex128, len(x))
+	b.SetBytes(int64(len(x) * 16))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(y, x)
+		baseline(y)
+	}
+}
+
+// pencil3D and slab3D are the 3D baselines on a pool of two workers.
+func pencil3D(b *testing.B, k, n, m int) {
+	benchBaseline(b, k*n*m, func(y []complex128) { bench.Pencil3D(y, k, n, m, fft1d.Forward, 2) })
+}
+
+func slab3D(b *testing.B, k, n, m int) {
+	benchBaseline(b, k*n*m, func(y []complex128) { bench.Slab3D(y, k, n, m, fft1d.Forward, 2) })
+}
+
 // BenchmarkFig1_3DPeakFraction is Fig. 1's comparison: the non-overlapped
 // pencil baseline (MKL/FFTW-class memory behaviour) against the paper's
 // double-buffered scheme on 2^k-shaped cubes.
@@ -51,12 +76,11 @@ func BenchmarkFig1_3DPeakFraction(b *testing.B) {
 	for _, s := range [][3]int{{32, 32, 64}, {64, 64, 64}} {
 		name := fmt.Sprintf("%dx%dx%d", s[0], s[1], s[2])
 		b.Run("pencil/"+name, func(b *testing.B) {
-			bench3D(b, s[0], s[1], s[2], core.Config{Strategy: core.Pencil, Workers: 2})
+			pencil3D(b, s[0], s[1], s[2])
 		})
 		b.Run("doublebuf/"+name, func(b *testing.B) {
 			bench3D(b, s[0], s[1], s[2], core.Config{
-				Strategy: core.DoubleBuf, DataWorkers: 1, ComputeWorkers: 1,
-				BufferElems: 1 << 13,
+				DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 13,
 			})
 		})
 	}
@@ -153,30 +177,26 @@ func benchLocal(b *testing.B, k, n, m, sk, bufferElems int) {
 func BenchmarkFig9_2DPeakFraction(b *testing.B) {
 	for _, s := range [][2]int{{256, 256}, {64, 4096}} {
 		name := fmt.Sprintf("%dx%d", s[0], s[1])
-		for _, strat := range []struct {
-			label string
-			opts  core.Config
-		}{
-			{"pencil", core.Config{Strategy: core.Pencil, Workers: 2}},
-			{"doublebuf", core.Config{Strategy: core.DoubleBuf, BufferElems: 1 << 12}},
-		} {
-			b.Run(strat.label+"/"+name, func(b *testing.B) {
-				p, err := fft2d.NewPlan(s[0], s[1], strat.opts)
-				if err != nil {
+		b.Run("pencil/"+name, func(b *testing.B) {
+			benchBaseline(b, s[0]*s[1], func(y []complex128) { bench.Pencil2D(y, s[0], s[1], fft1d.Forward, 2) })
+		})
+		b.Run("doublebuf/"+name, func(b *testing.B) {
+			p, err := fft2d.NewPlan(s[0], s[1], core.Config{BufferElems: 1 << 12})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer p.Close()
+			x := benchInput(s[0] * s[1])
+			y := make([]complex128, len(x))
+			b.SetBytes(int64(len(x) * 16))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := p.Transform(y, x, fft1d.Forward); err != nil {
 					b.Fatal(err)
 				}
-				x := benchInput(s[0] * s[1])
-				y := make([]complex128, len(x))
-				b.SetBytes(int64(len(x) * 16))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := p.Transform(y, x, fft1d.Forward); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }
 
@@ -196,13 +216,13 @@ func BenchmarkFig10_TwoSocket(b *testing.B) {
 func BenchmarkFig11a_Decompositions(b *testing.B) {
 	const k, n, m = 64, 64, 64
 	b.Run("pencil", func(b *testing.B) {
-		bench3D(b, k, n, m, core.Config{Strategy: core.Pencil, Workers: 2})
+		pencil3D(b, k, n, m)
 	})
 	b.Run("slab", func(b *testing.B) {
-		bench3D(b, k, n, m, core.Config{Strategy: core.Slab, Workers: 2})
+		slab3D(b, k, n, m)
 	})
 	b.Run("doublebuf", func(b *testing.B) {
-		bench3D(b, k, n, m, core.Config{Strategy: core.DoubleBuf, BufferElems: 1 << 13})
+		bench3D(b, k, n, m, core.Config{BufferElems: 1 << 13})
 	})
 }
 
@@ -212,10 +232,10 @@ func BenchmarkFig11a_Decompositions(b *testing.B) {
 func BenchmarkFig11b_SlabVsDoubleBuf(b *testing.B) {
 	const k, n, m = 32, 128, 128 // slabs fit comfortably in cache
 	b.Run("slab", func(b *testing.B) {
-		bench3D(b, k, n, m, core.Config{Strategy: core.Slab, Workers: 2})
+		slab3D(b, k, n, m)
 	})
 	b.Run("doublebuf", func(b *testing.B) {
-		bench3D(b, k, n, m, core.Config{Strategy: core.DoubleBuf, BufferElems: 1 << 13})
+		bench3D(b, k, n, m, core.Config{BufferElems: 1 << 13})
 	})
 }
 
@@ -260,7 +280,7 @@ func BenchmarkStageFusion(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			defer stagegraph.SetAblation(stagegraph.Ablation{Unfused: c.unfused})()
 			bench3D(b, 32, 32, 64, core.Config{
-				Strategy: core.DoubleBuf, Mu: 4, BufferElems: 1 << 11,
+				Mu: 4, BufferElems: 1 << 11,
 				DataWorkers: 2, ComputeWorkers: 2,
 			})
 		})

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"repro/internal/cvec"
+	"repro/internal/spl"
 )
 
 func TestSharedPlanConcurrentTransforms(t *testing.T) {
@@ -21,19 +22,12 @@ func TestSharedPlanConcurrentTransforms(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewFFT3D(k, n, m, WithStrategy("reference"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const goroutines = 4
 	inputs := make([][]complex128, goroutines)
 	wants := make([][]complex128, goroutines)
 	for g := range inputs {
 		inputs[g] = cvec.Random(rand.New(rand.NewSource(int64(g))), k*n*m)
-		wants[g] = make([]complex128, k*n*m)
-		if err := ref.Forward(wants[g], inputs[g]); err != nil {
-			t.Fatal(err)
-		}
+		wants[g] = spl.Eval(spl.DFT3D(k, n, m), inputs[g])
 	}
 	var wg sync.WaitGroup
 	errs := make([]error, goroutines)
@@ -79,18 +73,9 @@ func TestIndependentPlansRunInParallel(t *testing.T) {
 				failures[i] = err
 				return
 			}
-			ref, err := NewFFT3D(k, n, m, WithStrategy("reference"))
-			if err != nil {
-				failures[i] = err
-				return
-			}
 			x := cvec.Random(rand.New(rand.NewSource(int64(100+i))), k*n*m)
-			want := make([]complex128, len(x))
+			want := spl.Eval(spl.DFT3D(k, n, m), x)
 			got := make([]complex128, len(x))
-			if err := ref.Forward(want, x); err != nil {
-				failures[i] = err
-				return
-			}
 			if err := p.Forward(got, x); err != nil {
 				failures[i] = err
 				return
@@ -121,18 +106,11 @@ func TestPersistentExecutorSequentialReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := NewFFT3D(k, n, m, WithStrategy("reference"))
-	if err != nil {
-		t.Fatal(err)
-	}
 	got := make([]complex128, k*n*m)
-	want := make([]complex128, k*n*m)
 	back := make([]complex128, k*n*m)
 	for rep := 0; rep < 10; rep++ {
 		x := cvec.Random(rand.New(rand.NewSource(int64(rep))), k*n*m)
-		if err := ref.Forward(want, x); err != nil {
-			t.Fatal(err)
-		}
+		want := spl.Eval(spl.DFT3D(k, n, m), x)
 		if err := p.Forward(got, x); err != nil {
 			t.Fatalf("rep %d: %v", rep, err)
 		}
@@ -164,18 +142,9 @@ func TestIndependentExecutorsRunConcurrently(t *testing.T) {
 				failures[i] = err
 				return
 			}
-			ref, err := NewFFT3D(k, n, m, WithStrategy("reference"))
-			if err != nil {
-				failures[i] = err
-				return
-			}
 			x := cvec.Random(rand.New(rand.NewSource(int64(200+i))), k*n*m)
-			want := make([]complex128, len(x))
+			want := spl.Eval(spl.DFT3D(k, n, m), x)
 			got := make([]complex128, len(x))
-			if err := ref.Forward(want, x); err != nil {
-				failures[i] = err
-				return
-			}
 			for rep := 0; rep < 5; rep++ {
 				if err := p.Forward(got, x); err != nil {
 					failures[i] = err

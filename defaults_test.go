@@ -32,11 +32,7 @@ type complexSide struct {
 	inverse  func(dst, src []complex128) error
 }
 
-func packageSide(name string, p interface {
-	DescribeGraph() string
-	Transform(dst, src []complex128, sign int) error
-	Inverse(dst, src []complex128) error
-}) complexSide {
+func packageSide(name string, p *core.Plan) complexSide {
 	return complexSide{name, p.DescribeGraph,
 		func(dst, src []complex128) error { return p.Transform(dst, src, fft1d.Forward) }, p.Inverse}
 }
@@ -103,7 +99,7 @@ func TestPublicDefaultsAreThePlanPackageDefaults2D(t *testing.T) {
 		defer zero.Close()
 		checkComplexDefaults(t, fmt.Sprintf("%dx%d", n, m), n*m,
 			packageSide("zero Config", zero),
-			packageSide("served Default()", served(t, pc, false, n, m, 0).P2()),
+			packageSide("served Default()", served(t, pc, false, n, m, 0).PN()),
 			complexSide{"public", pub.DescribeGraph, pub.Forward, pub.Inverse})
 	}
 }
@@ -125,7 +121,7 @@ func TestPublicDefaultsAreThePlanPackageDefaults3D(t *testing.T) {
 		defer zero.Close()
 		checkComplexDefaults(t, fmt.Sprintf("%dx%dx%d", k, n, m), k*n*m,
 			packageSide("zero Config", zero),
-			packageSide("served Default()", served(t, pc, false, k, n, m).P3()),
+			packageSide("served Default()", served(t, pc, false, k, n, m).PN()),
 			complexSide{"public", pub.DescribeGraph, pub.Forward, pub.Inverse})
 	}
 }

@@ -69,30 +69,3 @@ func ExampleNewRealFFT3D() {
 	fmt.Println(plan.RealLen(), "reals →", plan.SpectrumLen(), "complex coefficients")
 	// Output: 512 reals → 320 complex coefficients
 }
-
-// Comparing the paper's scheme against the conventional baseline on the
-// same plan size.
-func ExampleWithStrategy() {
-	base, err := repro.NewFFT3D(16, 16, 16, repro.WithStrategy("pencil"))
-	if err != nil {
-		panic(err)
-	}
-	fast, err := repro.NewFFT3D(16, 16, 16, repro.WithStrategy("doublebuf"))
-	if err != nil {
-		panic(err)
-	}
-	x := make([]complex128, base.Len())
-	x[1] = 1i
-	a := make([]complex128, base.Len())
-	b := make([]complex128, base.Len())
-	_ = base.Forward(a, x)
-	_ = fast.Forward(b, x)
-	var maxDiff float64
-	for i := range a {
-		if d := math.Hypot(real(a[i]-b[i]), imag(a[i]-b[i])); d > maxDiff {
-			maxDiff = d
-		}
-	}
-	fmt.Println("strategies agree:", maxDiff < 1e-10)
-	// Output: strategies agree: true
-}

@@ -14,10 +14,10 @@
 //	dst := make([]complex128, plan.Len())
 //	_ = plan.Forward(dst, src)
 //
-// Baseline strategies ("pencil", "slab") matching the memory behaviour of
-// conventional libraries are available for comparison, as are the paper's
-// five evaluation machines and the performance model that regenerates the
-// paper's figures (cmd/fftbench).
+// The paper's five evaluation machines and the performance model that
+// regenerates its figures are available too; cmd/fftbench prints them, and
+// times the pencil-pencil and slab-pencil baselines the paper compares
+// against (internal/bench) beside the plans built here.
 package repro
 
 import (
@@ -34,20 +34,6 @@ import (
 // Option customizes a plan.
 type Option func(*core.Config) error
 
-// WithStrategy selects the execution strategy: "doublebuf" (default, the
-// paper's scheme), "pencil" (non-overlapped baseline), "slab" (slab-pencil
-// baseline, 3D only) or "reference".
-func WithStrategy(name string) Option {
-	return func(c *core.Config) error {
-		s, err := core.ParseStrategy(name)
-		if err != nil {
-			return fmt.Errorf("repro: %w", err)
-		}
-		c.Strategy = s
-		return nil
-	}
-}
-
 // WithWorkers sets the soft-DMA data-worker and compute-worker counts
 // (the paper's p_d and p_c).
 func WithWorkers(data, compute int) Option {
@@ -56,7 +42,6 @@ func WithWorkers(data, compute int) Option {
 			return fmt.Errorf("repro: workers must be ≥ 1, got %d/%d", data, compute)
 		}
 		c.DataWorkers, c.ComputeWorkers = data, compute
-		c.Workers = data + compute
 		return nil
 	}
 }
@@ -132,7 +117,7 @@ func resolve(opts []Option) (core.Config, error) {
 
 // FFT3D is a reusable plan for k×n×m cubes (row-major, x fastest).
 type FFT3D struct {
-	p *fft3d.Plan
+	p *core.Plan
 	// Handles from a SharedPlans pool release their cache pin on Close
 	// instead of tearing the plan down; closeOnce keeps either path safe
 	// under repeated and concurrent Close.
@@ -193,16 +178,19 @@ func (f *FFT3D) Close() {
 func (f *FFT3D) Len() int { return f.p.Len() }
 
 // Dims returns (k, n, m).
-func (f *FFT3D) Dims() (k, n, m int) { return f.p.Dims() }
+func (f *FFT3D) Dims() (k, n, m int) {
+	d := f.p.Dims()
+	return d[0], d[1], d[2]
+}
 
 // Stats returns whole-transform executor statistics for the most recent
-// doublebuf transform: pipeline steps, aggregate data-mover and compute
-// time, and the fraction of data time hidden behind compute (the zero
-// value before the first transform, or for other strategies).
+// transform: pipeline steps, aggregate data-mover and compute time, and the
+// fraction of data time hidden behind compute (the zero value before the
+// first transform).
 func (f *FFT3D) Stats() Stats { return f.p.Stats() }
 
 // DescribeGraph renders the compiled stage graph the plan executes (stage
-// geometry and the fused schedule); empty for non-doublebuf strategies.
+// geometry and the fused schedule).
 func (f *FFT3D) DescribeGraph() string { return f.p.DescribeGraph() }
 
 // Observability returns the plan's cumulative bandwidth-accounting
@@ -210,13 +198,12 @@ func (f *FFT3D) DescribeGraph() string { return f.p.DescribeGraph() }
 // the roofline, steady-state overlap occupancy, barrier wait, and (when a
 // machine is configured) the perfmodel divergence. Unlike Stats, which
 // covers only the most recent transform, the snapshot accumulates over
-// every transform the plan has run. Zero value for non-doublebuf
-// strategies.
+// every transform the plan has run.
 func (f *FFT3D) Observability() Observability { return f.p.Observability() }
 
 // FFT2D is a reusable plan for n×m matrices (row-major).
 type FFT2D struct {
-	p         *fft2d.Plan
+	p         *core.Plan
 	release   func()
 	closeOnce sync.Once
 }
@@ -258,17 +245,19 @@ func (f *FFT2D) Close() {
 }
 
 // Len returns n·m.
-func (f *FFT2D) Len() int { return f.p.N() * f.p.M() }
+func (f *FFT2D) Len() int { return f.p.Len() }
 
 // Dims returns (n, m).
-func (f *FFT2D) Dims() (n, m int) { return f.p.N(), f.p.M() }
+func (f *FFT2D) Dims() (n, m int) {
+	d := f.p.Dims()
+	return d[0], d[1]
+}
 
 // Stats returns whole-transform executor statistics for the most recent
-// doublebuf transform; see FFT3D.Stats.
+// transform; see FFT3D.Stats.
 func (f *FFT2D) Stats() Stats { return f.p.Stats() }
 
-// DescribeGraph renders the compiled stage graph the plan executes; empty
-// for non-doublebuf strategies.
+// DescribeGraph renders the compiled stage graph the plan executes.
 func (f *FFT2D) DescribeGraph() string { return f.p.DescribeGraph() }
 
 // Observability returns the plan's cumulative bandwidth-accounting

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cvec"
+	"repro/internal/spl"
 )
 
 func TestPublicFFT3DRoundTrip(t *testing.T) {
@@ -58,31 +59,8 @@ func TestPublicFFT2DRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStrategiesAgreePublic(t *testing.T) {
-	x := cvec.Random(rand.New(rand.NewSource(3)), 8*8*8)
-	var ref []complex128
-	for _, s := range []string{"reference", "pencil", "slab", "doublebuf"} {
-		p, err := NewFFT3D(8, 8, 8, WithStrategy(s), WithBufferElems(128))
-		if err != nil {
-			t.Fatal(err)
-		}
-		y := make([]complex128, 512)
-		if err := p.Forward(y, x); err != nil {
-			t.Fatal(err)
-		}
-		if ref == nil {
-			ref = y
-			continue
-		}
-		if d := cvec.MaxDiff(cvec.Vec(y), cvec.Vec(ref)); d > 1e-8 {
-			t.Errorf("%s disagrees: %g", s, d)
-		}
-	}
-}
-
 func TestOptionValidation(t *testing.T) {
 	bad := []Option{
-		WithStrategy("nonsense"),
 		WithWorkers(0, 2),
 		WithWorkers(2, 0),
 		WithBufferElems(0),
@@ -106,11 +84,7 @@ func TestWithMachineDefaults(t *testing.T) {
 	if err := p.Forward(y, x); err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := NewFFT3D(32, 32, 32, WithStrategy("reference"))
-	want := make([]complex128, p.Len())
-	if err := ref.Forward(want, x); err != nil {
-		t.Fatal(err)
-	}
+	want := spl.Eval(spl.DFT3D(32, 32, 32), x)
 	if d := cvec.MaxDiff(cvec.Vec(y), cvec.Vec(want)); d > 1e-8 {
 		t.Fatalf("machine-default plan wrong: %g", d)
 	}
@@ -163,5 +137,19 @@ func TestForwardMany(t *testing.T) {
 	}
 	if err := p.ForwardMany(got[:1], src, count); err == nil {
 		t.Fatal("accepted bad lengths")
+	}
+}
+
+// A count whose product with Len() wraps is refused, not run off the end of
+// the slices: 512·(2⁵⁵+1) wraps to 512.
+func TestForwardManyRefusesWrappingCount(t *testing.T) {
+	p, err := NewFFT3D(8, 8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	x, y := make([]complex128, p.Len()), make([]complex128, p.Len())
+	if err := p.ForwardMany(y, x, 1<<55+1); err == nil {
+		t.Fatal("accepted a count whose element total wraps")
 	}
 }

@@ -196,7 +196,7 @@ func goldenCases() []goldenCase {
 					return run()
 				}})
 		}
-		cfg := core.Config{Strategy: core.DoubleBuf, Mu: v.mu}
+		cfg := core.Config{Mu: v.mu}
 		for _, s := range [][2]int{{64, 64}, {96, 80}, {512, 512}} {
 			n, m := s[0], s[1]
 			add(fmt.Sprintf("fft2d/%dx%d", n, m), false, func() (string, string, string, error) {

@@ -141,11 +141,7 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 	if err := p.Forward(got, x); err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := NewFFT3D(k, n, m, WithStrategy("reference"))
-	want := make([]complex128, len(x))
-	if err := ref.Forward(want, x); err != nil {
-		t.Fatal(err)
-	}
+	want := spl.Eval(spl.DFT3D(k, n, m), x)
 	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > 1e-8 {
 		t.Fatalf("tuned plan wrong: %g", d)
 	}
@@ -160,7 +156,7 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 func TestIntegrationFullTransformScheduleInvariants(t *testing.T) {
 	tr := trace.New()
 	p, err := fft3d.NewPlan(8, 8, 16, core.Config{
-		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 128,
+		Mu: 4, BufferElems: 128,
 		DataWorkers: 2, ComputeWorkers: 2, Tracer: tr,
 	})
 	if err != nil {

@@ -77,11 +77,7 @@ func legProbeShape(w io.Writer, dims []int, realInput bool, reps int) error {
 	}
 	label := fmt.Sprint(dims)
 	if !realInput {
-		var p interface {
-			legPlan
-			Transform(dst, src []complex128, sign int) error
-			Inverse(dst, src []complex128) error
-		}
+		var p *core.Plan
 		var err error
 		if len(dims) == 3 {
 			p, err = fft3d.NewPlan(dims[0], dims[1], dims[2], core.Config{})

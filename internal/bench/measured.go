@@ -23,8 +23,8 @@ type MeasuredConfig struct {
 	Sizes2D [][2]int
 	// Reps per measurement (default 3; best is reported).
 	Reps int
-	// DataWorkers/ComputeWorkers for the double-buffered runs and the
-	// worker pool for baselines.
+	// DataWorkers/ComputeWorkers for the double-buffered runs; the
+	// baselines run on a pool of their sum.
 	DataWorkers    int
 	ComputeWorkers int
 	BufferElems    int
@@ -55,6 +55,11 @@ func (c MeasuredConfig) withDefaults() MeasuredConfig {
 	return c
 }
 
+// pipeline is the double-buffered plans' configuration.
+func (c MeasuredConfig) pipeline() core.Config {
+	return core.Config{BufferElems: c.BufferElems, DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers}
+}
+
 func timeBest(reps int, f func() error) (time.Duration, error) {
 	best := time.Duration(0)
 	for r := 0; r < reps; r++ {
@@ -70,8 +75,27 @@ func timeBest(reps int, f func() error) (time.Duration, error) {
 	return best, nil
 }
 
-// Measured3D runs the real pencil, slab and double-buffered 3D
-// implementations on the host at the configured sizes and prints seconds,
+// timePlan times the product plan's forward transform y = DFT(x), best of
+// reps, and closes the plan.
+func timePlan(reps int, p *core.Plan, y, x []complex128) (float64, error) {
+	defer p.Close()
+	d, err := timeBest(reps, func() error { return p.Transform(y, x, fft1d.Forward) })
+	return d.Seconds(), err
+}
+
+// timeBaseline times y = DFT(x) through one of the in-place baselines, best
+// of reps, the copy of x into y included.
+func timeBaseline(reps int, y, x []complex128, baseline func(y []complex128)) float64 {
+	d, _ := timeBest(reps, func() error {
+		copy(y, x)
+		baseline(y)
+		return nil
+	})
+	return d.Seconds()
+}
+
+// Measured3D runs the pencil and slab baselines and the double-buffered 3D
+// plan on the host at the configured sizes and prints seconds,
 // pseudo-Gflop/s and percent of this host's achievable peak.
 func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 	cfg = cfg.withDefaults()
@@ -81,37 +105,30 @@ func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 	fmt.Fprintf(w, "Measured 3D sweep on this host (STREAM copy ≈ %.1f GB/s)\n", cfg.HostBWGBs)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "size\tpencil\tslab\tdoublebuf\tdoublebuf pct-peak\tdb/pencil")
+	workers := cfg.DataWorkers + cfg.ComputeWorkers
 	for _, s := range cfg.Sizes3D {
-		elems := s[0] * s[1] * s[2]
+		k, n, m := s[0], s[1], s[2]
+		elems := k * n * m
 		x := make([]complex128, elems)
 		for i := range x {
 			x[i] = complex(float64(i%17)-8, float64(i%13)-6)
 		}
 		y := make([]complex128, elems)
 
-		secs := map[core.Strategy]float64{}
-		for _, strat := range []core.Strategy{core.Pencil, core.Slab, core.DoubleBuf} {
-			p, err := fft3d.NewPlan(s[0], s[1], s[2], core.Config{
-				Strategy: strat, BufferElems: cfg.BufferElems,
-				DataWorkers: cfg.DataWorkers, ComputeWorkers: cfg.ComputeWorkers,
-				Workers: cfg.DataWorkers + cfg.ComputeWorkers,
-			})
-			if err != nil {
-				return err
-			}
-			d, err := timeBest(cfg.Reps, func() error {
-				return p.Transform(y, x, fft1d.Forward)
-			})
-			if err != nil {
-				return err
-			}
-			secs[strat] = d.Seconds()
+		pencil := timeBaseline(cfg.Reps, y, x, func(y []complex128) { Pencil3D(y, k, n, m, fft1d.Forward, workers) })
+		slab := timeBaseline(cfg.Reps, y, x, func(y []complex128) { Slab3D(y, k, n, m, fft1d.Forward, workers) })
+		p, err := fft3d.NewPlan(k, n, m, cfg.pipeline())
+		if err != nil {
+			return err
+		}
+		dbuf, err := timePlan(cfg.Reps, p, y, x)
+		if err != nil {
+			return err
 		}
 		peak := perfmodel.AchievablePeakGflops(elems, 3, cfg.HostBWGBs)
-		db := perfmodel.PseudoGflops(elems, secs[core.DoubleBuf])
+		db := perfmodel.PseudoGflops(elems, dbuf)
 		fmt.Fprintf(tw, "%dx%dx%d\t%.4fs\t%.4fs\t%.4fs\t%.0f%%\t%.2fx\n",
-			s[0], s[1], s[2], secs[core.Pencil], secs[core.Slab], secs[core.DoubleBuf],
-			db/peak*100, secs[core.Pencil]/secs[core.DoubleBuf])
+			k, n, m, pencil, slab, dbuf, db/peak*100, pencil/dbuf)
 	}
 	return tw.Flush()
 }
@@ -126,37 +143,29 @@ func Measured2D(w io.Writer, cfg MeasuredConfig) error {
 	fmt.Fprintf(w, "Measured 2D sweep on this host (STREAM copy ≈ %.1f GB/s)\n", cfg.HostBWGBs)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "size\tpencil\tdoublebuf\tdoublebuf pct-peak\tdb/pencil")
+	workers := cfg.DataWorkers + cfg.ComputeWorkers
 	for _, s := range cfg.Sizes2D {
-		elems := s[0] * s[1]
+		n, m := s[0], s[1]
+		elems := n * m
 		x := cvec.New(elems)
 		for i := range x {
 			x[i] = complex(float64(i%11)-5, float64(i%7)-3)
 		}
 		y := make([]complex128, elems)
 
-		secs := map[core.Strategy]float64{}
-		for _, strat := range []core.Strategy{core.Pencil, core.DoubleBuf} {
-			p, err := fft2d.NewPlan(s[0], s[1], core.Config{
-				Strategy: strat, BufferElems: cfg.BufferElems,
-				DataWorkers: cfg.DataWorkers, ComputeWorkers: cfg.ComputeWorkers,
-				Workers: cfg.DataWorkers + cfg.ComputeWorkers,
-			})
-			if err != nil {
-				return err
-			}
-			d, err := timeBest(cfg.Reps, func() error {
-				return p.Transform(y, x, fft1d.Forward)
-			})
-			if err != nil {
-				return err
-			}
-			secs[strat] = d.Seconds()
+		pencil := timeBaseline(cfg.Reps, y, x, func(y []complex128) { Pencil2D(y, n, m, fft1d.Forward, workers) })
+		p, err := fft2d.NewPlan(n, m, cfg.pipeline())
+		if err != nil {
+			return err
+		}
+		dbuf, err := timePlan(cfg.Reps, p, y, x)
+		if err != nil {
+			return err
 		}
 		peak := perfmodel.AchievablePeakGflops(elems, 2, cfg.HostBWGBs)
-		db := perfmodel.PseudoGflops(elems, secs[core.DoubleBuf])
+		db := perfmodel.PseudoGflops(elems, dbuf)
 		fmt.Fprintf(tw, "%dx%d\t%.4fs\t%.4fs\t%.0f%%\t%.2fx\n",
-			s[0], s[1], secs[core.Pencil], secs[core.DoubleBuf],
-			db/peak*100, secs[core.Pencil]/secs[core.DoubleBuf])
+			n, m, pencil, dbuf, db/peak*100, pencil/dbuf)
 	}
 	return tw.Flush()
 }

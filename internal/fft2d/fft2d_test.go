@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/kernels"
 	"repro/internal/spl"
 	"repro/internal/trace"
 )
@@ -26,64 +27,57 @@ func refDFT2D(n, m int, x []complex128, sign int) []complex128 {
 	return spl.Eval(f, x)
 }
 
-func TestReferenceMatchesSPL(t *testing.T) {
-	for _, c := range []struct{ n, m int }{{1, 1}, {2, 2}, {4, 8}, {8, 4}, {3, 5}, {16, 16}} {
-		p, err := NewPlan(c.n, c.m, core.Config{Strategy: core.Reference})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randVec(int64(c.n*c.m), c.n*c.m)
-		got := make([]complex128, len(x))
-		if err := p.Transform(got, x, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		want := refDFT2D(c.n, c.m, x, fft1d.Forward)
-		if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(c.n*c.m) {
-			t.Errorf("reference %dx%d: diff %g", c.n, c.m, d)
+// naiveDFT applies kernels.NaiveDFT along every axis of the row-major
+// array x with extents dims (slowest first): a reference that shares no
+// code with spl.
+func naiveDFT(x []complex128, sign int, dims ...int) []complex128 {
+	y := append([]complex128(nil), x...)
+	stride := len(x)
+	for _, d := range dims {
+		stride /= d
+		line := make([]complex128, d)
+		for base := range y {
+			if base/stride%d != 0 {
+				continue
+			}
+			for i := range line {
+				line[i] = y[base+i*stride]
+			}
+			for i, v := range kernels.NaiveDFT(line, sign) {
+				y[base+i*stride] = v
+			}
 		}
 	}
+	return y
 }
 
-func TestPencilMatchesReference(t *testing.T) {
-	for _, c := range []struct{ n, m, workers int }{
-		{8, 8, 1}, {16, 32, 2}, {32, 16, 4}, {5, 12, 3},
-	} {
-		ref, _ := NewPlan(c.n, c.m, core.Config{Strategy: core.Reference})
-		pen, err := NewPlan(c.n, c.m, core.Config{Strategy: core.Pencil, Workers: c.workers})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randVec(int64(c.n+c.m), c.n*c.m)
-		want := make([]complex128, len(x))
-		got := make([]complex128, len(x))
-		if err := ref.Transform(want, x, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		if err := pen.Transform(got, x, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(c.n*c.m) {
-			t.Errorf("pencil %dx%d workers=%d: diff %g", c.n, c.m, c.workers, d)
+// The spl reference every test here compares against matches the DFT
+// summed term by term along each axis, in both directions.
+func TestReferenceMatchesSPL(t *testing.T) {
+	for _, c := range []struct{ n, m int }{{1, 1}, {2, 2}, {4, 8}, {8, 4}, {3, 5}, {16, 16}} {
+		x := randVec(int64(c.n*c.m), c.n*c.m)
+		for _, sign := range []int{fft1d.Forward, fft1d.Inverse} {
+			got := refDFT2D(c.n, c.m, x, sign)
+			want := naiveDFT(x, sign, c.n, c.m)
+			if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(len(x)) {
+				t.Errorf("reference %dx%d sign=%d: diff %g", c.n, c.m, sign, d)
+			}
 		}
 	}
 }
 
 func doubleBufCase(t *testing.T, n, m, mu, bufElems, pd, pc int, sign int) {
 	t.Helper()
-	ref, _ := NewPlan(n, m, core.Config{Strategy: core.Reference})
 	db, err := NewPlan(n, m, core.Config{
-		Strategy: core.DoubleBuf, Mu: mu, BufferElems: bufElems,
+		Mu: mu, BufferElems: bufElems,
 		DataWorkers: pd, ComputeWorkers: pc,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randVec(int64(n*m+mu+sign), n*m)
-	want := make([]complex128, len(x))
+	want := refDFT2D(n, m, x, sign)
 	got := make([]complex128, len(x))
-	if err := ref.Transform(want, x, sign); err != nil {
-		t.Fatal(err)
-	}
 	if err := db.Transform(got, x, sign); err != nil {
 		t.Fatal(err)
 	}
@@ -103,6 +97,9 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 		{128, 128, 4, 1 << 12, 2, 2},
 		{4, 8, 4, 8, 1, 1},        // tiny blocks, several iterations
 		{8, 16, 4, 1 << 20, 1, 1}, // buffer larger than the matrix
+		// Default μ and b down to a single element.
+		{1, 1, 0, 0, 1, 1}, {2, 2, 0, 0, 1, 1}, {4, 8, 0, 0, 1, 1},
+		{8, 4, 0, 0, 1, 1}, {3, 5, 0, 0, 1, 1}, {16, 16, 0, 0, 1, 1},
 	} {
 		doubleBufCase(t, c.n, c.m, c.mu, c.b, c.pd, c.pc, fft1d.Forward)
 	}
@@ -114,7 +111,7 @@ func TestDoubleBufInverse(t *testing.T) {
 
 func TestRoundTripThroughDoubleBuf(t *testing.T) {
 	const n, m = 64, 64
-	p, err := NewPlan(n, m, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(n, m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,30 +131,28 @@ func TestRoundTripThroughDoubleBuf(t *testing.T) {
 }
 
 func TestInPlace(t *testing.T) {
-	for _, s := range []core.Strategy{core.Reference, core.Pencil, core.DoubleBuf} {
-		p, err := NewPlan(16, 32, core.Config{Strategy: s})
-		if err != nil {
-			t.Fatal(err)
-		}
-		x := randVec(int64(s), 16*32)
-		want := make([]complex128, len(x))
-		if err := p.Transform(want, x, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		got := append([]complex128(nil), x...)
-		if err := p.InPlace(got, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol {
-			t.Errorf("%v InPlace: diff %g", s, d)
-		}
+	p, err := NewPlan(16, 32, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := randVec(0, 16*32)
+	want := make([]complex128, len(x))
+	if err := p.Transform(want, x, fft1d.Forward); err != nil {
+		t.Fatal(err)
+	}
+	got := append([]complex128(nil), x...)
+	if err := p.InPlace(got, fft1d.Forward); err != nil {
+		t.Fatal(err)
+	}
+	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol {
+		t.Errorf("InPlace: diff %g", d)
 	}
 }
 
 func TestDoubleBufScheduleIsTableII(t *testing.T) {
 	tr := trace.New()
 	p, err := NewPlan(32, 16, core.Config{
-		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64,
+		Mu: 4, BufferElems: 64,
 		DataWorkers: 2, ComputeWorkers: 2, Tracer: tr,
 	})
 	if err != nil {
@@ -166,9 +161,8 @@ func TestDoubleBufScheduleIsTableII(t *testing.T) {
 	// BufferElems alone would allow 64/16 = 4 rows per block (8 iters), but
 	// the pipeline-depth floor caps blocks at 32/minStageIters = 3 rows,
 	// rounded down to the divisor 2 — 16 iterations per stage.
-	iters1 := p.Stage1Iters()
-	if iters1 != 16 {
-		t.Fatalf("Stage1Iters = %d, want 16", iters1)
+	if iters1 := p.Iters()[0]; iters1 != 16 {
+		t.Fatalf("stage 1 runs %d iterations, want 16", iters1)
 	}
 	x := randVec(3, 32*16)
 	y := make([]complex128, len(x))
@@ -179,7 +173,7 @@ func TestDoubleBufScheduleIsTableII(t *testing.T) {
 	// running it in isolation.
 	tr2 := trace.New()
 	p2, _ := NewPlan(32, 16, core.Config{
-		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64,
+		Mu: 4, BufferElems: 64,
 		DataWorkers: 1, ComputeWorkers: 1, Tracer: tr2,
 	})
 	_ = p2.Transform(y, x, fft1d.Forward)
@@ -196,7 +190,7 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := NewPlan(4, -1, core.Config{}); err == nil {
 		t.Error("accepted m=-1")
 	}
-	if _, err := NewPlan(8, 6, core.Config{Strategy: core.DoubleBuf, Mu: 4}); err == nil {
+	if _, err := NewPlan(8, 6, core.Config{Mu: 4}); err == nil {
 		t.Error("accepted μ that does not divide m")
 	}
 	p, _ := NewPlan(4, 4, core.Config{})
@@ -225,38 +219,20 @@ func TestTransformRefusesSignOutsideUnit(t *testing.T) {
 	}
 }
 
-func TestStrategyStrings(t *testing.T) {
-	if core.Reference.String() != "reference" || core.Pencil.String() != "pencil" || core.DoubleBuf.String() != "doublebuf" {
-		t.Fatal("strategy names wrong")
-	}
-	if core.Strategy(9).String() != "strategy(9)" {
-		t.Fatal("unknown strategy name wrong")
-	}
-}
-
 func TestAllStrategiesAgreeLarger(t *testing.T) {
 	const n, m = 128, 256
 	x := randVec(123, n*m)
-	want := make([]complex128, len(x))
-	ref, _ := NewPlan(n, m, core.Config{Strategy: core.Reference})
-	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
+	want := refDFT2D(n, m, x, fft1d.Forward)
+	p, err := NewPlan(n, m, core.Config{DataWorkers: 2, ComputeWorkers: 2, BufferElems: 1 << 12})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []core.Config{
-		{Strategy: core.Pencil, Workers: 3},
-		{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 1 << 12},
-	} {
-		p, err := NewPlan(n, m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := make([]complex128, len(x))
-		if err := p.Transform(got, x, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(n*m) {
-			t.Errorf("%v disagrees with reference: %g", opts.Strategy, d)
-		}
+	got := make([]complex128, len(x))
+	if err := p.Transform(got, x, fft1d.Forward); err != nil {
+		t.Fatal(err)
+	}
+	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(n*m) {
+		t.Errorf("doublebuf disagrees with reference: %g", d)
 	}
 }
 
@@ -277,12 +253,8 @@ func benchPlan(b *testing.B, opts core.Config) {
 	}
 }
 
-func Benchmark2DPencil(b *testing.B) {
-	benchPlan(b, core.Config{Strategy: core.Pencil, Workers: 2})
-}
-
 func Benchmark2DDoubleBuf(b *testing.B) {
-	benchPlan(b, core.Config{Strategy: core.DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14})
+	benchPlan(b, core.Config{DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14})
 }
 
 func TestDoubleBufBufferSmallerThanRow(t *testing.T) {
@@ -292,25 +264,21 @@ func TestDoubleBufBufferSmallerThanRow(t *testing.T) {
 	// un-amortized panel cost the paper predicts but staying correct.
 	const n, m = 8, 256
 	p, err := NewPlan(n, m, core.Config{
-		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64, // b = 64 < m = 256
+		Mu: 4, BufferElems: 64, // b = 64 < m = 256
 		DataWorkers: 2, ComputeWorkers: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Stage1Iters() != n {
-		t.Fatalf("expected one-row blocks (iters=%d), got %d", n, p.Stage1Iters())
+	if it := p.Iters()[0]; it != n {
+		t.Fatalf("expected one-row blocks (iters=%d), got %d", n, it)
 	}
 	x := randVec(88, n*m)
 	got := make([]complex128, n*m)
 	if err := p.Transform(got, x, fft1d.Forward); err != nil {
 		t.Fatal(err)
 	}
-	ref, _ := NewPlan(n, m, core.Config{Strategy: core.Reference})
-	want := make([]complex128, n*m)
-	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
-		t.Fatal(err)
-	}
+	want := refDFT2D(n, m, x, fft1d.Forward)
 	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(n*m) {
 		t.Fatalf("b<m case wrong: %g", d)
 	}

@@ -24,17 +24,13 @@ func TestFusionEquivalence(t *testing.T) {
 	workers := [][2]int{{1, 1}, {2, 2}, {1, 3}}
 	for _, c := range cases {
 		for _, w := range workers {
-			ref, _ := NewPlan(c.n, c.m, core.Config{Strategy: core.Reference})
 			x := randVec(int64(c.n*c.m+c.mu), c.n*c.m)
-			want := make([]complex128, len(x))
-			if err := ref.Transform(want, x, fft1d.Forward); err != nil {
-				t.Fatal(err)
-			}
+			want := refDFT2D(c.n, c.m, x, fft1d.Forward)
 			var outs [2][]complex128
 			for i, unfused := range []bool{false, true} {
 				restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
 				p, err := NewPlan(c.n, c.m, core.Config{
-					Strategy: core.DoubleBuf, Mu: c.mu, BufferElems: 64,
+					Mu: c.mu, BufferElems: 64,
 					DataWorkers: w[0], ComputeWorkers: w[1],
 				})
 				restore()
@@ -65,7 +61,7 @@ func TestFusionEquivalence(t *testing.T) {
 func TestFusionStatsSteps(t *testing.T) {
 	steps := func(unfused bool) int {
 		restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
-		p, err := NewPlan(16, 16, core.Config{Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64})
+		p, err := NewPlan(16, 16, core.Config{Mu: 4, BufferElems: 64})
 		restore()
 		if err != nil {
 			t.Fatal(err)

@@ -13,8 +13,8 @@ import (
 
 // Inverse is, bitwise, Transform(…, fft1d.Inverse) followed by
 // fft1d.Scale(dst, 1/(n·m)) — whether the scale ran on the way out of the
-// column stage's fold or run-major store, in its compute leg (a plain
-// unit-major store), or as the pass over dst the baseline plans keep.
+// column stage's fold or run-major store or in its compute leg (a plain
+// unit-major store).
 func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 	shapes := []struct {
 		n, m int
@@ -27,7 +27,7 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 		{20, 12, true},  // n=20 runs [5 4]
 		{24, 12, false}, // columns do not fold (n=24 runs [3 8]): scale after the full DFT_n
 	}
-	dbuf := core.Config{Strategy: core.DoubleBuf}
+	dbuf := core.Config{}
 	variants := []struct {
 		name string
 		o    core.Config
@@ -36,10 +36,9 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 		{"default", dbuf, stagegraph.Ablation{}},
 		{"unfused", dbuf, stagegraph.Ablation{Unfused: true}},
 		{"nofold", dbuf, stagegraph.Ablation{NoFold: true}},
-		{"mu4/radix8", core.Config{Strategy: core.DoubleBuf, Mu: 4}, stagegraph.Ablation{Radix: 8}},
+		{"mu4/radix8", core.Config{Mu: 4}, stagegraph.Ablation{Radix: 8}},
 		{"streaming", dbuf, stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}},
-		{"workers2x2", core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}, stagegraph.Ablation{}},
-		{"pencil", core.Config{Strategy: core.Pencil}, stagegraph.Ablation{}},
+		{"workers2x2", core.Config{DataWorkers: 2, ComputeWorkers: 2}, stagegraph.Ablation{}},
 	}
 	for _, sh := range shapes {
 		for _, v := range variants {
@@ -53,22 +52,18 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer p.Close()
-				inStore := p.run.ScalesInStore(0)
+				inStore := p.ScalesInStore()
 				switch v.name {
 				case "default":
-					if inStore != sh.fold || p.run.ScalesInStage(0) == sh.fold {
-						t.Errorf("scale in store / in stage = %v / %v, want %v / %v", inStore, p.run.ScalesInStage(0), sh.fold, !sh.fold)
+					if inStore != sh.fold {
+						t.Errorf("scale in store = %v, want %v", inStore, sh.fold)
 					}
 				case "streaming":
 					if want := sh.fold || layout.NonTemporalAvailable(); inStore != want {
 						t.Errorf("scale in the store leg = %v, want %v", inStore, want)
 					}
-				case "pencil":
-					if p.run.ScalesInStage(0) || inStore {
-						t.Error("baseline plans must keep the scale pass")
-					}
 				case "nofold":
-					if !p.run.ScalesInStage(0) {
+					if inStore {
 						t.Error("an unfolded cached last stage always scales in stage")
 					}
 				}

@@ -26,7 +26,7 @@ func TestDefaultMuFollowsMachineModel(t *testing.T) {
 		if got := machine.PreferredMu(c.m); got != c.want {
 			t.Fatalf("PreferredMu(%d) = %d; want %d", c.m, got, c.want)
 		}
-		p, err := NewPlan(c.n, c.m, core.Config{Strategy: core.DoubleBuf, BufferElems: 1 << 10})
+		p, err := NewPlan(c.n, c.m, core.Config{BufferElems: 1 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -36,7 +36,7 @@ func TestDefaultMuFollowsMachineModel(t *testing.T) {
 		p.Close()
 	}
 	// Explicit Mu still wins over the model.
-	p, err := NewPlan(64, 64, core.Config{Strategy: core.DoubleBuf, Mu: 4})
+	p, err := NewPlan(64, 64, core.Config{Mu: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestStorePolicyWiring(t *testing.T) {
 		{stagegraph.StoreAuto, 0},
 	} {
 		restore := stagegraph.SetAblation(stagegraph.Ablation{Stores: c.policy})
-		p, err := NewPlan(64, 64, core.Config{Strategy: core.DoubleBuf})
+		p, err := NewPlan(64, 64, core.Config{})
 		restore()
 		if err != nil {
 			t.Fatal(err)
@@ -75,22 +75,18 @@ func TestStorePolicyWiring(t *testing.T) {
 }
 
 // Forced streaming stores must not change results: run a transform with
-// StoreNonTemporal against the reference plan.
+// StoreNonTemporal against the spl oracle.
 func TestNonTemporalTransformMatchesReference(t *testing.T) {
 	const n, m = 64, 64
-	ref, _ := NewPlan(n, m, core.Config{Strategy: core.Reference})
 	restore := stagegraph.SetAblation(stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal})
-	p, err := NewPlan(n, m, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(n, m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
 	restore()
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randVec(99, n*m)
-	want := make([]complex128, len(x))
+	want := refDFT2D(n, m, x, fft1d.Forward)
 	got := make([]complex128, len(x))
-	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Transform(got, x, fft1d.Forward); err != nil {
 		t.Fatal(err)
 	}
@@ -98,5 +94,4 @@ func TestNonTemporalTransformMatchesReference(t *testing.T) {
 		t.Errorf("NT transform: diff %g", d)
 	}
 	p.Close()
-	ref.Close()
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/kernels"
 	"repro/internal/spl"
 	"repro/internal/trace"
 )
@@ -17,58 +18,70 @@ func randVec(seed int64, n int) []complex128 {
 	return cvec.Random(rand.New(rand.NewSource(seed)), n)
 }
 
+// refDFT3D computes the 3D DFT via the SPL formula semantics.
+func refDFT3D(k, n, m int, x []complex128, sign int) []complex128 {
+	f := spl.DFT3D(k, n, m)
+	if sign == fft1d.Inverse {
+		f = spl.Compose(spl.Kron(spl.IDFT(k), spl.I(n*m)), spl.KronAll(spl.I(k), spl.IDFT(n), spl.I(m)),
+			spl.Kron(spl.I(k*n), spl.IDFT(m)))
+	}
+	return spl.Eval(f, x)
+}
+
+// naiveDFT applies kernels.NaiveDFT along every axis of the row-major
+// array x with extents dims (slowest first): a reference that shares no
+// code with spl.
+func naiveDFT(x []complex128, sign int, dims ...int) []complex128 {
+	y := append([]complex128(nil), x...)
+	stride := len(x)
+	for _, d := range dims {
+		stride /= d
+		line := make([]complex128, d)
+		for base := range y {
+			if base/stride%d != 0 {
+				continue
+			}
+			for i := range line {
+				line[i] = y[base+i*stride]
+			}
+			for i, v := range kernels.NaiveDFT(line, sign) {
+				y[base+i*stride] = v
+			}
+		}
+	}
+	return y
+}
+
+// The spl reference every test here compares against matches the DFT
+// summed term by term along each axis, in both directions.
 func TestReferenceMatchesSPL(t *testing.T) {
-	for _, c := range []struct{ k, n, m int }{
-		{1, 1, 1}, {2, 2, 2}, {2, 4, 8}, {4, 2, 4}, {3, 2, 5},
-	} {
-		p, err := NewPlan(c.k, c.n, c.m, core.Config{Strategy: core.Reference})
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range []struct{ k, n, m int }{{1, 1, 1}, {2, 2, 2}, {2, 4, 8}, {4, 2, 4}, {3, 2, 5}} {
 		x := randVec(int64(c.k*c.n*c.m), c.k*c.n*c.m)
-		got := make([]complex128, len(x))
-		if err := p.Transform(got, x, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		want := spl.Eval(spl.DFT3D(c.k, c.n, c.m), x)
-		if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(len(x)) {
-			t.Errorf("reference %dx%dx%d: diff %g", c.k, c.n, c.m, d)
+		for _, sign := range []int{fft1d.Forward, fft1d.Inverse} {
+			got := refDFT3D(c.k, c.n, c.m, x, sign)
+			want := naiveDFT(x, sign, c.k, c.n, c.m)
+			if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(len(x)) {
+				t.Errorf("reference %dx%dx%d sign=%d: diff %g", c.k, c.n, c.m, sign, d)
+			}
 		}
 	}
 }
 
-func strategyCase(t *testing.T, k, n, m int, opts core.Config, sign int) {
+func doubleBufCase(t *testing.T, k, n, m int, opts core.Config, sign int) {
 	t.Helper()
-	ref, _ := NewPlan(k, n, m, core.Config{Strategy: core.Reference})
 	p, err := NewPlan(k, n, m, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	x := randVec(int64(k*100+n*10+m+sign), k*n*m)
-	want := make([]complex128, len(x))
+	want := refDFT3D(k, n, m, x, sign)
 	got := make([]complex128, len(x))
-	if err := ref.Transform(want, x, sign); err != nil {
-		t.Fatal(err)
-	}
 	if err := p.Transform(got, x, sign); err != nil {
 		t.Fatal(err)
 	}
 	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(k*n*m) {
-		t.Errorf("%v %dx%dx%d (opts %+v): diff %g", opts.Strategy, k, n, m, opts, d)
+		t.Errorf("%dx%dx%d (opts %+v): diff %g", k, n, m, opts, d)
 	}
-}
-
-func TestPencilMatchesReference(t *testing.T) {
-	strategyCase(t, 4, 4, 4, core.Config{Strategy: core.Pencil}, fft1d.Forward)
-	strategyCase(t, 8, 8, 8, core.Config{Strategy: core.Pencil, Workers: 3}, fft1d.Forward)
-	strategyCase(t, 2, 8, 16, core.Config{Strategy: core.Pencil, Workers: 2}, fft1d.Inverse)
-	strategyCase(t, 5, 3, 6, core.Config{Strategy: core.Pencil, Workers: 4}, fft1d.Forward)
-}
-
-func TestSlabMatchesReference(t *testing.T) {
-	strategyCase(t, 4, 8, 8, core.Config{Strategy: core.Slab}, fft1d.Forward)
-	strategyCase(t, 8, 4, 16, core.Config{Strategy: core.Slab, Workers: 3}, fft1d.Forward)
-	strategyCase(t, 2, 16, 8, core.Config{Strategy: core.Slab, Workers: 2}, fft1d.Inverse)
 }
 
 func TestDoubleBufMatchesReference(t *testing.T) {
@@ -82,20 +95,23 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 		{4, 16, 16, 4, 1 << 20, 1, 1}, // one block per stage
 		{2, 4, 8, 4, 8, 1, 1},         // minimal blocks, many iterations
 		{16, 16, 16, 16, 512, 3, 2},   // μ = m/1? μ=16=m
+		// Default μ and b down to a single element.
+		{1, 1, 1, 0, 0, 1, 1}, {2, 2, 2, 0, 0, 1, 1}, {2, 4, 8, 0, 0, 1, 1},
+		{4, 2, 4, 0, 0, 1, 1}, {3, 2, 5, 0, 0, 1, 1},
 	} {
-		strategyCase(t, c.k, c.n, c.m, core.Config{
-			Strategy: core.DoubleBuf, Mu: c.mu, BufferElems: c.b,
+		doubleBufCase(t, c.k, c.n, c.m, core.Config{
+			Mu: c.mu, BufferElems: c.b,
 			DataWorkers: c.pd, ComputeWorkers: c.pc,
 		}, fft1d.Forward)
 	}
 }
 
 func TestDoubleBufInverseAndRoundTrip(t *testing.T) {
-	strategyCase(t, 8, 8, 8, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}, fft1d.Inverse)
-	strategyCase(t, 8, 8, 8, core.Config{Strategy: core.DoubleBuf}, fft1d.Inverse)
+	doubleBufCase(t, 8, 8, 8, core.Config{DataWorkers: 2, ComputeWorkers: 2}, fft1d.Inverse)
+	doubleBufCase(t, 8, 8, 8, core.Config{}, fft1d.Inverse)
 
 	const k, n, m = 16, 16, 16
-	p, err := NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(k, n, m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,24 +132,18 @@ func TestDoubleBufInverseAndRoundTrip(t *testing.T) {
 
 func TestInPlaceAllStrategies(t *testing.T) {
 	const k, n, m = 8, 8, 8
-	ref, _ := NewPlan(k, n, m, core.Config{Strategy: core.Reference})
 	x := randVec(66, k*n*m)
-	want := make([]complex128, len(x))
-	if err := ref.Transform(want, x, fft1d.Forward); err != nil {
+	want := refDFT3D(k, n, m, x, fft1d.Forward)
+	p, err := NewPlan(k, n, m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range []core.Strategy{core.Reference, core.Pencil, core.Slab, core.DoubleBuf} {
-		p, err := NewPlan(k, n, m, core.Config{Strategy: s, Workers: 2, DataWorkers: 2, ComputeWorkers: 2})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := append([]complex128(nil), x...)
-		if err := p.InPlace(got, fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(k*n*m) {
-			t.Errorf("%v InPlace: diff %g", s, d)
-		}
+	got := append([]complex128(nil), x...)
+	if err := p.InPlace(got, fft1d.Forward); err != nil {
+		t.Fatal(err)
+	}
+	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(k*n*m) {
+		t.Errorf("InPlace: diff %g", d)
 	}
 }
 
@@ -142,35 +152,32 @@ func TestNonCubicSizes(t *testing.T) {
 	for _, c := range []struct{ k, n, m int }{
 		{4, 8, 16}, {16, 8, 4}, {8, 16, 4}, {32, 4, 8},
 	} {
-		strategyCase(t, c.k, c.n, c.m, core.Config{
-			Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2, BufferElems: 128,
+		doubleBufCase(t, c.k, c.n, c.m, core.Config{
+			DataWorkers: 2, ComputeWorkers: 2, BufferElems: 128,
 		}, fft1d.Forward)
 	}
 }
 
 func TestStageIters(t *testing.T) {
-	p, err := NewPlan(8, 8, 8, core.Config{Strategy: core.DoubleBuf, Mu: 4, BufferElems: 64})
+	p, err := NewPlan(8, 8, 8, core.Config{Mu: 4, BufferElems: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, s2, s3 := p.StageIters()
+	it := p.Iters()
+	s1, s2, s3 := it[0], it[1], it[2]
 	// Capacity alone would allow 64/8 = 8 rows per stage-1 block (8 iters),
 	// but the pipeline-depth floor caps blocks at 64/minStageIters = 7
 	// units, rounded down to the divisor 4 — 16 iterations per stage.
 	// Stages 2 and 3 (extent mb·k = 16) land on 16/9 → 1-unit blocks.
 	if s1 != 16 || s2 != 16 || s3 != 16 {
-		t.Fatalf("StageIters = %d,%d,%d, want 16,16,16", s1, s2, s3)
-	}
-	ref, _ := NewPlan(4, 4, 4, core.Config{Strategy: core.Reference})
-	if a, b, c := ref.StageIters(); a != 0 || b != 0 || c != 0 {
-		t.Fatal("non-core.DoubleBuf plans should report zero iters")
+		t.Fatalf("Iters = %v, want [16 16 16]", it)
 	}
 }
 
 func TestDoubleBufScheduleTrace(t *testing.T) {
 	tr := trace.New()
 	p, err := NewPlan(8, 8, 8, core.Config{
-		Strategy: core.DoubleBuf, Mu: 4, BufferElems: 128,
+		Mu: 4, BufferElems: 128,
 		DataWorkers: 2, ComputeWorkers: 2, Tracer: tr,
 	})
 	if err != nil {
@@ -205,7 +212,7 @@ func TestValidation(t *testing.T) {
 	if _, err := NewPlan(0, 4, 4, core.Config{}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := NewPlan(4, 4, 6, core.Config{Strategy: core.DoubleBuf, Mu: 4}); err == nil {
+	if _, err := NewPlan(4, 4, 6, core.Config{Mu: 4}); err == nil {
 		t.Error("accepted μ∤m")
 	}
 	p, _ := NewPlan(4, 4, 4, core.Config{})
@@ -215,7 +222,7 @@ func TestValidation(t *testing.T) {
 	if err := p.InPlace(make([]complex128, 63), fft1d.Forward); err == nil {
 		t.Error("accepted bad InPlace length")
 	}
-	if k, n, m := p.Dims(); k != 4 || n != 4 || m != 4 {
+	if d := p.Dims(); len(d) != 3 || d[0] != 4 || d[1] != 4 || d[2] != 4 {
 		t.Error("Dims wrong")
 	}
 	if p.Len() != 64 {
@@ -223,21 +230,10 @@ func TestValidation(t *testing.T) {
 	}
 }
 
-func TestStrategyStrings(t *testing.T) {
-	want := map[core.Strategy]string{
-		core.Reference: "reference", core.Pencil: "pencil", core.Slab: "slab", core.DoubleBuf: "doublebuf",
-	}
-	for s, w := range want {
-		if s.String() != w {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), w)
-		}
-	}
-}
-
 // Property: linearity of the full 3D transform through the DoubleBuf path.
 func TestDoubleBufLinearity(t *testing.T) {
 	const k, n, m = 8, 8, 8
-	p, err := NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(k, n, m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +264,7 @@ func TestDoubleBufLinearity(t *testing.T) {
 	}
 }
 
-func benchStrategy(b *testing.B, opts core.Config, k, n, m int) {
+func benchPlan(b *testing.B, opts core.Config, k, n, m int) {
 	p, err := NewPlan(k, n, m, opts)
 	if err != nil {
 		b.Fatal(err)
@@ -284,25 +280,12 @@ func benchStrategy(b *testing.B, opts core.Config, k, n, m int) {
 	}
 }
 
-func BenchmarkDecompositions(b *testing.B) {
-	const k, n, m = 64, 64, 64
-	b.Run("pencil", func(b *testing.B) {
-		benchStrategy(b, core.Config{Strategy: core.Pencil, Workers: 2}, k, n, m)
-	})
-	b.Run("slab", func(b *testing.B) {
-		benchStrategy(b, core.Config{Strategy: core.Slab, Workers: 2}, k, n, m)
-	})
-	b.Run("doublebuf", func(b *testing.B) {
-		benchStrategy(b, core.Config{Strategy: core.DoubleBuf, DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14}, k, n, m)
-	})
-}
-
 func BenchmarkBufferSweep(b *testing.B) {
 	const k, n, m = 64, 64, 64
 	for _, be := range []int{1 << 10, 1 << 12, 1 << 14, 1 << 16} {
 		name := map[int]string{1 << 10: "b1Ki", 1 << 12: "b4Ki", 1 << 14: "b16Ki", 1 << 16: "b64Ki"}[be]
 		b.Run(name, func(b *testing.B) {
-			benchStrategy(b, core.Config{Strategy: core.DoubleBuf, BufferElems: be}, k, n, m)
+			benchPlan(b, core.Config{BufferElems: be}, k, n, m)
 		})
 	}
 }
@@ -314,8 +297,8 @@ func BenchmarkThreadMix(b *testing.B) {
 		pd, pc int
 	}{{"1d1c", 1, 1}, {"1d3c", 1, 3}, {"2d2c", 2, 2}, {"3d1c", 3, 1}} {
 		b.Run(c.name, func(b *testing.B) {
-			benchStrategy(b, core.Config{
-				Strategy: core.DoubleBuf, DataWorkers: c.pd, ComputeWorkers: c.pc,
+			benchPlan(b, core.Config{
+				DataWorkers: c.pd, ComputeWorkers: c.pc,
 				BufferElems: 1 << 14,
 			}, k, n, m)
 		})

@@ -13,9 +13,8 @@ import (
 
 // Inverse is, bitwise, Transform(…, fft1d.Inverse) followed by
 // fft1d.Scale(dst, 1/N) — whether the scale ran on the way out of the last
-// stage's fold store (cached or streaming) or run-major streaming store, in
-// its compute leg (a plain unit-major store), or as the pass over dst the
-// baseline plans keep.
+// stage's fold store (cached or streaming) or run-major streaming store, or
+// in its compute leg (a plain unit-major store).
 func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 	shapes := []struct {
 		k, n, m int
@@ -28,7 +27,7 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 		{24, 16, 8, false}, // z does not fold (k=24 runs [3 8]): scale after the full DFT_k
 		{6, 10, 12, false},
 	}
-	dbuf := core.Config{Strategy: core.DoubleBuf}
+	dbuf := core.Config{}
 	variants := []struct {
 		name string
 		o    core.Config
@@ -37,10 +36,9 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 		{"default", dbuf, stagegraph.Ablation{}},
 		{"unfused", dbuf, stagegraph.Ablation{Unfused: true}},
 		{"nofold", dbuf, stagegraph.Ablation{NoFold: true}},
-		{"mu4/radix8", core.Config{Strategy: core.DoubleBuf, Mu: 4}, stagegraph.Ablation{Radix: 8}},
+		{"mu4/radix8", core.Config{Mu: 4}, stagegraph.Ablation{Radix: 8}},
 		{"streaming", dbuf, stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}},
-		{"workers2x2", core.Config{Strategy: core.DoubleBuf, DataWorkers: 2, ComputeWorkers: 2}, stagegraph.Ablation{}},
-		{"pencil", core.Config{Strategy: core.Pencil}, stagegraph.Ablation{}},
+		{"workers2x2", core.Config{DataWorkers: 2, ComputeWorkers: 2}, stagegraph.Ablation{}},
 	}
 	for _, sh := range shapes {
 		for _, v := range variants {
@@ -57,22 +55,18 @@ func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer p.Close()
-				inStore := p.run.ScalesInStore(0)
+				inStore := p.ScalesInStore()
 				switch v.name {
 				case "default":
-					if inStore != sh.fold || p.run.ScalesInStage(0) == sh.fold {
-						t.Errorf("scale in store / in stage = %v / %v, want %v / %v", inStore, p.run.ScalesInStage(0), sh.fold, !sh.fold)
+					if inStore != sh.fold {
+						t.Errorf("scale in store = %v, want %v", inStore, sh.fold)
 					}
 				case "streaming":
 					if want := sh.fold || layout.NonTemporalAvailable(); inStore != want {
 						t.Errorf("scale in the store leg = %v, want %v", inStore, want)
 					}
-				case "pencil":
-					if p.run.ScalesInStage(0) || inStore {
-						t.Error("baseline plans must keep the scale pass")
-					}
 				case "nofold":
-					if !p.run.ScalesInStage(0) {
+					if inStore {
 						t.Error("an unfolded cached last stage always scales in stage")
 					}
 				}
@@ -107,7 +101,7 @@ func requireSameBits(t *testing.T, got, want []complex128) {
 }
 
 func TestInverseRejectsBadLengths(t *testing.T) {
-	p, err := NewPlan(8, 8, 8, core.Config{Strategy: core.DoubleBuf})
+	p, err := NewPlan(8, 8, 8, core.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

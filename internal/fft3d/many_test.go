@@ -11,7 +11,7 @@ import (
 
 func TestTransformManyMatchesLoop(t *testing.T) {
 	const k, n, m, count = 8, 8, 8, 4
-	p, err := NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf, BufferElems: 128})
+	p, err := NewPlan(k, n, m, core.Config{BufferElems: 128})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,11 @@ func TestTransformManyMatchesLoop(t *testing.T) {
 }
 
 func TestTransformManyValidation(t *testing.T) {
-	p, _ := NewPlan(4, 4, 4, core.Config{Strategy: core.Reference})
+	p, err := NewPlan(4, 4, 4, core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
 	if err := p.TransformMany(make([]complex128, 64), make([]complex128, 64), 0, fft1d.Forward); err == nil {
 		t.Error("accepted count=0")
 	}
@@ -43,7 +47,7 @@ func TestTransformManyValidation(t *testing.T) {
 
 func BenchmarkTransformMany(b *testing.B) {
 	const k, n, m, count = 32, 32, 32, 4
-	p, err := NewPlan(k, n, m, core.Config{Strategy: core.DoubleBuf, BufferElems: 1 << 12})
+	p, err := NewPlan(k, n, m, core.Config{BufferElems: 1 << 12})
 	if err != nil {
 		b.Fatal(err)
 	}

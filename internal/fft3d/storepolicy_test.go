@@ -19,7 +19,7 @@ func TestDefaultMuFollowsMachineModel(t *testing.T) {
 		{2, 2, 7, 1},
 	}
 	for _, c := range cases {
-		p, err := NewPlan(c.k, c.n, c.m, core.Config{Strategy: core.DoubleBuf, BufferElems: 1 << 10})
+		p, err := NewPlan(c.k, c.n, c.m, core.Config{BufferElems: 1 << 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -28,7 +28,7 @@ func TestDefaultMuFollowsMachineModel(t *testing.T) {
 		}
 		p.Close()
 	}
-	p, err := NewPlan(8, 8, 8, core.Config{Strategy: core.DoubleBuf, Mu: 4})
+	p, err := NewPlan(8, 8, 8, core.Config{Mu: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,15 +47,15 @@ func TestStorePolicyWiringAndCorrectness(t *testing.T) {
 	}
 	ntStages := func(policy stagegraph.StorePolicy) int {
 		defer stagegraph.SetAblation(stagegraph.Ablation{Stores: policy})()
-		p, err := NewPlan(16, 16, 16, core.Config{Strategy: core.DoubleBuf})
+		p, err := NewPlan(16, 16, 16, core.Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p.Close()
 		if policy == stagegraph.StoreNonTemporal {
-			strategyCase(t, 16, 16, 16, core.Config{Strategy: core.DoubleBuf, DataWorkers: 2,
+			doubleBufCase(t, 16, 16, 16, core.Config{DataWorkers: 2,
 				ComputeWorkers: 2}, fft1d.Forward)
-			strategyCase(t, 8, 16, 32, core.Config{Strategy: core.DoubleBuf}, fft1d.Inverse)
+			doubleBufCase(t, 8, 16, 32, core.Config{}, fft1d.Inverse)
 		}
 		return p.NonTemporalStages()
 	}

@@ -21,10 +21,10 @@ import (
 )
 
 // PlanKey identifies one cached plan. Cfg carries the execution shape —
-// strategy, worker split, buffer size, μ, all the machine-derived
-// parameters — so plans built for different machines never collide. Real
-// selects the real-input (r2c/c2r) pipeline over the complex one; the dims
-// then describe the real grid and the last dim must be even. normalizeKey
+// worker split, buffer size, μ, all the machine-derived parameters — so
+// plans built for different machines never collide. Real selects the
+// real-input (r2c/c2r) pipeline over the complex one; the dims then
+// describe the real grid and the last dim must be even. normalizeKey
 // reduces a key to what its plan reads: the Tracer is always dropped
 // (tracing is a per-server concern, not part of plan identity), and a
 // complex rank-1 key reads no Cfg at all.
@@ -110,16 +110,15 @@ func (k PlanKey) SpectrumLen() int {
 // Plan is one cached executor. A complex rank-1 plan is the fft1d.Plan of
 // D0 that lone requests, coalesced batches, repro.FFT1D and the
 // shared-handle facade all run at every size, so a request's bits never
-// depend on how it was batched; complex rank-2/3 plans are the fft2d / fft3d
-// plans with their persistent worker teams, real plans the rfft ones; the
-// rank-1 real plan
-// batches natively (ForwardBatch / InverseBatch run many packed rows in one
-// pipeline sweep), so it serves both the singleton and the coalesced path.
+// depend on how it was batched; a complex rank-2/3 plan is the core.Plan
+// fft2d / fft3d build, with its persistent worker team, real plans the rfft
+// ones; the rank-1 real plan batches natively (ForwardBatch / InverseBatch
+// run many packed rows in one pipeline sweep), so it serves both the
+// singleton and the coalesced path.
 type Plan struct {
 	key PlanKey
 	p1  *fft1d.Plan
-	p2  *fft2d.Plan
-	p3  *fft3d.Plan
+	pn  *core.Plan
 	r1  *rfft.Plan1D
 	r2  *rfft.Plan2D
 	r3  *rfft.Plan3D
@@ -143,21 +142,17 @@ func buildPlan(key PlanKey) (*Plan, error) {
 		}
 		return p, nil
 	}
+	var err error
 	switch key.Rank {
 	case 1:
 		p.p1 = fft1d.NewPlan(key.D0)
 	case 2:
-		pl, err := fft2d.NewPlan(key.D0, key.D1, cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.p2 = pl
+		p.pn, err = fft2d.NewPlan(key.D0, key.D1, cfg)
 	case 3:
-		pl, err := fft3d.NewPlan(key.D0, key.D1, key.D2, cfg)
-		if err != nil {
-			return nil, err
-		}
-		p.p3 = pl
+		p.pn, err = fft3d.NewPlan(key.D0, key.D1, key.D2, cfg)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
 }
@@ -171,11 +166,9 @@ func (p *Plan) Len() int { return p.key.Len() }
 // P1 returns the underlying complex 1D plan (nil unless a complex rank-1 key).
 func (p *Plan) P1() *fft1d.Plan { return p.p1 }
 
-// P2 returns the underlying 2D plan (nil unless rank 2).
-func (p *Plan) P2() *fft2d.Plan { return p.p2 }
-
-// P3 returns the underlying 3D plan (nil unless rank 3).
-func (p *Plan) P3() *fft3d.Plan { return p.p3 }
+// PN returns the underlying complex 2D or 3D plan (nil unless a complex
+// rank-2/3 key).
+func (p *Plan) PN() *core.Plan { return p.pn }
 
 // R1 returns the underlying real 1D plan (nil unless a real rank-1 key).
 func (p *Plan) R1() *rfft.Plan1D { return p.r1 }
@@ -195,19 +188,13 @@ func (p *Plan) Execute(dst, src []complex128, inverse bool) error {
 // execute is Execute with the rank-1 plan's scratch drawn from the calling
 // executor's arena (nil: the process-wide pool).
 func (p *Plan) execute(dst, src []complex128, inverse bool, ar *kernels.Arena) error {
-	switch p.key.Rank {
-	case 1:
+	switch {
+	case p.key.Rank == 1:
 		return p.p1.Execute(dst, src, inverse, ar)
-	case 2:
-		if inverse {
-			return p.p2.Inverse(dst, src)
-		}
-		return p.p2.Transform(dst, src, fft1d.Forward)
+	case inverse:
+		return p.pn.Inverse(dst, src)
 	default:
-		if inverse {
-			return p.p3.Inverse(dst, src)
-		}
-		return p.p3.Transform(dst, src, fft1d.Forward)
+		return p.pn.Transform(dst, src, fft1d.Forward)
 	}
 }
 
@@ -254,10 +241,8 @@ func (p *Plan) ExecuteRealBatch(spec []complex128, re []float64, count int, inve
 
 func (p *Plan) close() {
 	switch { // a rank-1 complex plan is immutable data: nothing to release
-	case p.p2 != nil:
-		p.p2.Close()
-	case p.p3 != nil:
-		p.p3.Close()
+	case p.pn != nil:
+		p.pn.Close()
 	case p.r1 != nil:
 		p.r1.Close()
 	case p.r2 != nil:

@@ -104,7 +104,7 @@ func TestBatchingDoesNotChangeBits(t *testing.T) {
 }
 
 // TestRank1KeysShareOnePlan: a complex rank-1 plan reads no configuration,
-// so keys that differ in workers, buffer, μ, strategy or roofline normalize
+// so keys that differ in workers, buffer, μ or roofline normalize
 // to one cache entry; the real-input plan of the same size (which does read
 // them) stays distinct.
 func TestRank1KeysShareOnePlan(t *testing.T) {
@@ -122,10 +122,9 @@ func TestRank1KeysShareOnePlan(t *testing.T) {
 	}
 	first := get(base)
 	for name, mutate := range map[string]func(*core.Config){
-		"workers":  func(c *core.Config) { c.DataWorkers, c.ComputeWorkers, c.Workers = 2, 2, 4 },
+		"workers":  func(c *core.Config) { c.DataWorkers, c.ComputeWorkers = 2, 2 },
 		"buffer":   func(c *core.Config) { c.BufferElems = 1 << 14 },
 		"mu":       func(c *core.Config) { c.Mu = 4 },
-		"strategy": func(c *core.Config) { c.Strategy = core.Pencil },
 		"roofline": func(c *core.Config) { c.RooflineGBs = 12 },
 	} {
 		k := base
@@ -137,8 +136,8 @@ func TestRank1KeysShareOnePlan(t *testing.T) {
 			t.Errorf("%s: key built its own plan, want the shared one", name)
 		}
 	}
-	if s := pc.Stats(); s.Misses != 1 || s.Hits != 5 {
-		t.Errorf("cache saw %d misses / %d hits, want 1 / 5", s.Misses, s.Hits)
+	if s := pc.Stats(); s.Misses != 1 || s.Hits != 4 {
+		t.Errorf("cache saw %d misses / %d hits, want 1 / 4", s.Misses, s.Hits)
 	}
 	realA, realB := base, base
 	realA.Real, realB.Real = true, true

@@ -17,7 +17,7 @@ import (
 // smallCfg keeps worker teams tiny so tests spin up quickly.
 func smallCfg() core.Config {
 	cfg := core.Default()
-	cfg.DataWorkers, cfg.ComputeWorkers, cfg.Workers = 1, 1, 2
+	cfg.DataWorkers, cfg.ComputeWorkers = 1, 1
 	cfg.BufferElems = 1 << 10
 	return cfg
 }

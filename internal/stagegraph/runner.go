@@ -54,9 +54,7 @@ type Call struct {
 // executor are shared scratch; independent runners run fully in parallel).
 // Close is idempotent and safe to call concurrently with a run in flight —
 // it waits for the run; later runs fail. Runners dropped without Close are
-// cleaned up by a finalizer. Every method is safe on a nil *Runner, which
-// behaves as a closed runner with no graphs — what a plan built for a
-// non-pipelined strategy holds.
+// cleaned up by a finalizer.
 type Runner struct {
 	cfg    RunnerConfig
 	fused  bool // false only under Ablation.Unfused
@@ -132,9 +130,6 @@ func (r *Runner) unregister() {
 
 // Close releases the worker team and unregisters the collectors.
 func (r *Runner) Close() {
-	if r == nil {
-		return
-	}
 	r.lock.Lock()
 	defer r.lock.Unlock()
 	if r.closed {
@@ -148,9 +143,6 @@ func (r *Runner) Close() {
 
 // Run executes graph g with the call's bindings.
 func (r *Runner) Run(g int, c Call) error {
-	if r == nil {
-		return fmt.Errorf("stagegraph: no runner")
-	}
 	if c.Sign != fft1d.Forward && c.Sign != fft1d.Inverse {
 		return fmt.Errorf("%s: sign %d, need %d or %d", r.cfg.Pkg, c.Sign, fft1d.Forward, fft1d.Inverse)
 	}
@@ -185,12 +177,12 @@ func (r *Runner) Run(g int, c Call) error {
 		}
 	}
 	gr.bind(c.In, c.Out)
-	tracer := c.Tracer
-	if tracer == nil {
-		tracer = r.cfg.Tracer
+	rec := c.Tracer
+	if rec == nil {
+		rec = r.cfg.Tracer
 	}
 	r.exec.SetObs(gr.obs)
-	st, err := r.exec.Run(r.bufs, stages, gr.sched, tracer)
+	st, err := r.exec.Run(r.bufs, stages, gr.sched, rec)
 	gr.bind(Endpoint{}, Endpoint{})
 	if err != nil {
 		return err
@@ -201,25 +193,16 @@ func (r *Runner) Run(g int, c Call) error {
 
 // Mu returns graph 0's effective block length.
 func (r *Runner) Mu() int {
-	if r == nil {
-		return 0
-	}
 	return r.graphs[0].mu
 }
 
 // Iters returns the pipeline iteration count of each stage of graph g.
 func (r *Runner) Iters(g int) []int {
-	if r == nil {
-		return nil
-	}
 	return r.graphs[g].sched.iters
 }
 
 // Stats returns the whole-transform executor stats of the most recent run.
 func (r *Runner) Stats() Stats {
-	if r == nil {
-		return Stats{}
-	}
 	r.lock.Lock()
 	defer r.lock.Unlock()
 	return r.lastStats
@@ -227,17 +210,11 @@ func (r *Runner) Stats() Stats {
 
 // Obs returns graph g's live telemetry collector (nil without a label).
 func (r *Runner) Obs(g int) *obs.Collector {
-	if r == nil {
-		return nil
-	}
 	return r.graphs[g].obs
 }
 
 // SetRoofline sets the STREAM-peak normalisation on every collector.
 func (r *Runner) SetRoofline(gbs float64) {
-	if r == nil {
-		return
-	}
 	for _, c := range r.graphs {
 		c.obs.SetRoofline(gbs)
 	}
@@ -246,9 +223,6 @@ func (r *Runner) SetRoofline(gbs float64) {
 // Observability returns the bandwidth-accounting snapshot of every run so
 // far, merged over the graphs (stage lists concatenated, counters summed).
 func (r *Runner) Observability() obs.Snapshot {
-	if r == nil {
-		return obs.Snapshot{}
-	}
 	out := r.graphs[0].obs.Snapshot()
 	for _, c := range r.graphs[1:] {
 		b := c.obs.Snapshot()
@@ -271,9 +245,6 @@ func (r *Runner) Observability() obs.Snapshot {
 // DescribeGraph renders the compiled graphs with each stage's current
 // store mode.
 func (r *Runner) DescribeGraph() string {
-	if r == nil {
-		return ""
-	}
 	r.lock.Lock()
 	defer r.lock.Unlock()
 	s := ""
@@ -286,9 +257,6 @@ func (r *Runner) DescribeGraph() string {
 // NonTemporalStages reports how many stages currently route stores through
 // the streaming tier.
 func (r *Runner) NonTemporalStages() int {
-	if r == nil {
-		return 0
-	}
 	r.lock.Lock()
 	defer r.lock.Unlock()
 	nt := 0
@@ -302,14 +270,7 @@ func (r *Runner) NonTemporalStages() int {
 	return nt
 }
 
-// ScalesInStage reports whether graph g applies a run's Scale in its last
-// stage's compute leg.
-func (r *Runner) ScalesInStage(g int) bool {
-	return r != nil && !r.graphs[g].scaleInStore
-}
-
 // ScalesInStore reports whether graph g applies a run's Scale on the way out
-// of its last stage's run-major or fold store: no sweep in any leg.
-func (r *Runner) ScalesInStore(g int) bool {
-	return r != nil && r.graphs[g].scaleInStore
-}
+// of its last stage's run-major or fold store — no sweep in any leg — rather
+// than in that stage's compute leg.
+func (r *Runner) ScalesInStore(g int) bool { return r.graphs[g].scaleInStore }

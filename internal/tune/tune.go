@@ -114,10 +114,7 @@ func Tune(dims []int, space Space, reps int) (Result, []Result, error) {
 			continue
 		}
 		cfg := c.Config()
-		var p interface {
-			Transform(dst, src []complex128, sign int) error
-			Close()
-		}
+		var p *core.Plan
 		var err error
 		if len(dims) == 2 {
 			p, err = fft2d.NewPlan(dims[0], dims[1], cfg)

@@ -50,7 +50,7 @@ func (s *SharedPlans) FFT2D(n, m int, opts ...Option) (*FFT2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FFT2D{p: p.P2(), release: release}, nil
+	return &FFT2D{p: p.PN(), release: release}, nil
 }
 
 // FFT3D returns a shared 3D plan handle for k×n×m cubes.
@@ -59,7 +59,7 @@ func (s *SharedPlans) FFT3D(k, n, m int, opts ...Option) (*FFT3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FFT3D{p: p.P3(), release: release}, nil
+	return &FFT3D{p: p.PN(), release: release}, nil
 }
 
 // RealFFT1D returns a shared real-input 1D plan handle for even size n.
