@@ -18,10 +18,6 @@ import (
 
 func TestSharedPlanConcurrentTransforms(t *testing.T) {
 	const k, n, m = 8, 8, 16
-	p, err := NewFFT3D(k, n, m, WithBufferElems(128), WithWorkers(2, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
 	const goroutines = 4
 	inputs := make([][]complex128, goroutines)
 	wants := make([][]complex128, goroutines)
@@ -29,32 +25,66 @@ func TestSharedPlanConcurrentTransforms(t *testing.T) {
 		inputs[g] = cvec.Random(rand.New(rand.NewSource(int64(g))), k*n*m)
 		wants[g] = spl.Eval(spl.DFT3D(k, n, m), inputs[g])
 	}
-	var wg sync.WaitGroup
-	errs := make([]error, goroutines)
-	diffs := make([]float64, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			got := make([]complex128, k*n*m)
-			for rep := 0; rep < 3; rep++ {
-				if err := p.Forward(got, inputs[g]); err != nil {
-					errs[g] = err
-					return
-				}
-				if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(wants[g])); d > diffs[g] {
-					diffs[g] = d
-				}
-			}
-		}(g)
+	cp, err := NewFFT3D(k, n, m, WithBufferElems(128), WithWorkers(2, 2))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
+	defer cp.Close()
+	rp, err := NewRealFFT3D(k, n, m, WithBufferElems(128), WithWorkers(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	// A real plan transforms the real parts and returns the first m/2+1
+	// bins of each row of the complex transform of the real-valued grid.
+	realIn := make([][]float64, goroutines)
+	realWants := make([][]complex128, goroutines)
+	for g := range realIn {
+		realIn[g] = make([]float64, k*n*m)
+		re := make([]complex128, k*n*m)
+		for i, v := range inputs[g] {
+			realIn[g][i], re[i] = real(v), complex(real(v), 0)
 		}
-		if diffs[g] > 1e-9*float64(k*n*m) {
-			t.Fatalf("goroutine %d: shared plan corrupted a transform (diff %g)", g, diffs[g])
+		full := spl.Eval(spl.DFT3D(k, n, m), re)
+		for r := 0; r < k*n; r++ {
+			realWants[g] = append(realWants[g], full[r*m:r*m+m/2+1]...)
+		}
+	}
+	for _, c := range []struct {
+		name    string
+		forward func(dst []complex128, g int) error
+		want    [][]complex128
+	}{
+		{"FFT3D", func(dst []complex128, g int) error { return cp.Forward(dst, inputs[g]) }, wants},
+		{"RealFFT3D", func(dst []complex128, g int) error { return rp.Forward(dst, realIn[g]) }, realWants},
+	} {
+		var wg sync.WaitGroup
+		errs := make([]error, goroutines)
+		diffs := make([]float64, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				got := make([]complex128, len(c.want[g]))
+				for rep := 0; rep < 3; rep++ {
+					if err := c.forward(got, g); err != nil {
+						errs[g] = err
+						return
+					}
+					if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(c.want[g])); d > diffs[g] {
+						diffs[g] = d
+					}
+				}
+			}(g)
+		}
+		wg.Wait()
+		for g := 0; g < goroutines; g++ {
+			if errs[g] != nil {
+				t.Fatalf("%s goroutine %d: %v", c.name, g, errs[g])
+			}
+			if diffs[g] > 1e-9*float64(k*n*m) {
+				t.Fatalf("%s goroutine %d: shared plan corrupted a transform (diff %g)", c.name, g, diffs[g])
+			}
 		}
 	}
 }

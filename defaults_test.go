@@ -126,14 +126,6 @@ func TestPublicDefaultsAreThePlanPackageDefaults3D(t *testing.T) {
 	}
 }
 
-// realSide is what the three real plans compared share.
-type realSide interface {
-	DescribeGraph() string
-	Forward(dst []complex128, src []float64) error
-	Inverse(dst []float64, src []complex128) error
-	SpectrumLen() int
-}
-
 func TestPublicDefaultsAreThePlanPackageDefaultsReal3D(t *testing.T) {
 	pc := serve.NewPlanCache(4)
 	defer pc.Purge()
@@ -144,7 +136,7 @@ func TestPublicDefaultsAreThePlanPackageDefaultsReal3D(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pub.Close()
-		zero, err := rfft.NewPlan3D(k, n, m, core.Config{})
+		zero, err := rfft.NewPlan(core.Config{}, k, n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +149,7 @@ func TestPublicDefaultsAreThePlanPackageDefaultsReal3D(t *testing.T) {
 		var wantGraph string
 		var want []complex128
 		var wantBack []float64
-		for i, p := range []realSide{zero, served(t, pc, true, k, n, m).R3(), pub} {
+		for i, p := range []*rfft.Plan{zero, served(t, pc, true, k, n, m).R(), pub.p} {
 			side := [...]string{"zero Config", "served Default()", "public"}[i]
 			got, back := make([]complex128, p.SpectrumLen()), make([]float64, len(x))
 			if err := p.Forward(got, x); err != nil {

@@ -74,7 +74,7 @@ func (f *FFT1D) Observability() Observability { return Observability{} }
 // the pipeline wake-up across many rows — the shape the serving layer's
 // request coalescing feeds.
 type RealFFT1D struct {
-	p         *rfft.Plan1D
+	p         *rfft.Plan
 	release   func()
 	closeOnce sync.Once
 }
@@ -85,7 +85,7 @@ func NewRealFFT1D(n int, opts ...Option) (*RealFFT1D, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := rfft.NewPlan1D(n, cfg)
+	p, err := rfft.NewPlan(cfg, n)
 	if err != nil {
 		return nil, err
 	}
@@ -118,7 +118,7 @@ func (f *RealFFT1D) InverseBatch(dst []float64, src []complex128, count int) err
 }
 
 // N returns the real length.
-func (f *RealFFT1D) N() int { return f.p.N() }
+func (f *RealFFT1D) N() int { return f.p.RealLen() }
 
 // SpectrumLen returns n/2+1.
 func (f *RealFFT1D) SpectrumLen() int { return f.p.SpectrumLen() }
@@ -144,13 +144,13 @@ func (f *RealFFT1D) Observability() Observability { return f.p.Observability() }
 func (f *RealFFT1D) Stats() Stats { return f.p.Stats() }
 
 // String provides a compact description for logs.
-func (f *RealFFT1D) String() string { return fmt.Sprintf("RealFFT1D(%d)", f.p.N()) }
+func (f *RealFFT1D) String() string { return fmt.Sprintf("RealFFT1D(%d)", f.p.RealLen()) }
 
 // RealFFT2D transforms real n×m grids (m even) to their Hermitian half
 // spectra (n×(m/2+1) complex values) and back — roughly half the memory
 // traffic and twice the element rate of a same-shape complex transform.
 type RealFFT2D struct {
-	p         *rfft.Plan2D
+	p         *rfft.Plan
 	release   func()
 	closeOnce sync.Once
 }
@@ -161,7 +161,7 @@ func NewRealFFT2D(n, m int, opts ...Option) (*RealFFT2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := rfft.NewPlan2D(n, m, cfg)
+	p, err := rfft.NewPlan(cfg, n, m)
 	if err != nil {
 		return nil, err
 	}
@@ -187,7 +187,10 @@ func (f *RealFFT2D) RealLen() int { return f.p.RealLen() }
 func (f *RealFFT2D) SpectrumLen() int { return f.p.SpectrumLen() }
 
 // Dims returns (n, m).
-func (f *RealFFT2D) Dims() (int, int) { return f.p.Dims() }
+func (f *RealFFT2D) Dims() (int, int) {
+	d := f.p.Dims()
+	return d[0], d[1]
+}
 
 // Close releases the plan's persistent pipeline workers; optional and
 // idempotent (see FFT3D.Close).
@@ -213,7 +216,7 @@ func (f *RealFFT2D) DescribeGraph() string { return f.p.DescribeGraph() }
 
 // String provides a compact description for logs.
 func (f *RealFFT2D) String() string {
-	n, m := f.p.Dims()
+	n, m := f.Dims()
 	return fmt.Sprintf("RealFFT2D(%d×%d)", n, m)
 }
 
@@ -222,7 +225,7 @@ func (f *RealFFT2D) String() string {
 // and convolutions over real fields consume, at roughly half the memory
 // traffic of a padded complex transform.
 type RealFFT3D struct {
-	p         *rfft.Plan3D
+	p         *rfft.Plan
 	release   func()
 	closeOnce sync.Once
 }
@@ -233,7 +236,7 @@ func NewRealFFT3D(k, n, m int, opts ...Option) (*RealFFT3D, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := rfft.NewPlan3D(k, n, m, cfg)
+	p, err := rfft.NewPlan(cfg, k, n, m)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +262,10 @@ func (f *RealFFT3D) RealLen() int { return f.p.RealLen() }
 func (f *RealFFT3D) SpectrumLen() int { return f.p.SpectrumLen() }
 
 // Dims returns (k, n, m).
-func (f *RealFFT3D) Dims() (int, int, int) { return f.p.Dims() }
+func (f *RealFFT3D) Dims() (int, int, int) {
+	d := f.p.Dims()
+	return d[0], d[1], d[2]
+}
 
 // Close releases the plan's persistent pipeline workers; optional and
 // idempotent (see FFT3D.Close).
@@ -285,6 +291,6 @@ func (f *RealFFT3D) DescribeGraph() string { return f.p.DescribeGraph() }
 
 // String provides a compact description for logs.
 func (f *RealFFT3D) String() string {
-	k, n, m := f.p.Dims()
+	k, n, m := f.Dims()
 	return fmt.Sprintf("RealFFT3D(%d×%d×%d)", k, n, m)
 }

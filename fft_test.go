@@ -113,6 +113,20 @@ func TestInvalidSizes(t *testing.T) {
 	if _, err := NewFFT2D(-1, 8); err == nil {
 		t.Error("accepted n=-1")
 	}
+	// Extents whose product wraps an int are refused before anything is
+	// sized from that product.
+	if _, err := NewFFT2D(1<<32, 1<<32); err == nil {
+		t.Error("NewFFT2D accepted 2³²×2³²")
+	}
+	if _, err := NewFFT3D(1<<21, 1<<21, 1<<22); err == nil {
+		t.Error("NewFFT3D accepted 2²¹×2²¹×2²²")
+	}
+	if _, err := NewRealFFT3D(1<<21, 1<<21, 1<<23); err == nil {
+		t.Error("NewRealFFT3D accepted 2²¹×2²¹×2²³")
+	}
+	if _, err := NewRealFFT2D(1<<31, 1<<34); err == nil {
+		t.Error("NewRealFFT2D accepted 2³¹×2³⁴")
+	}
 }
 
 func TestForwardMany(t *testing.T) {

@@ -42,7 +42,9 @@ import (
 //     AVX2/FMA codelets and the pure-Go ones round differently, so each
 //     tier has its own pair; within a tier block sizes, fusion, folding
 //     and the store tier only re-partition the work). `-update` merges
-//     the running tier's digests into the file: run it once per tier.
+//     the running tier's digests into the file: run it once per tier. A
+//     host that sizes plans differently leaves the header and the graph
+//     text as they are.
 //   - describe: byte for byte when this host sizes plans like the host
 //     that wrote the file (same PreferredBufferElems and LLC; otherwise the
 //     comparison is logged and skipped). Hosts without the streaming-store
@@ -142,18 +144,15 @@ func runComplex(p complexPlan, n int) (string, string, string, error) {
 	return p.DescribeGraph(), digestComplex(fwd), digestComplex(inv), nil
 }
 
-// realPlan is what the three real-input plans share.
-type realPlan interface {
-	Forward(dst []complex128, src []float64) error
-	Inverse(dst []float64, src []complex128) error
-	DescribeGraph() string
-	Close()
-}
-
-func runReal(p realPlan, realLen, specLen int) (string, string, string, error) {
+func runReal(cfg core.Config, dims ...int) (string, string, string, error) {
+	p, err := rfft.NewPlan(cfg, dims...)
+	if err != nil {
+		return "", "", "", err
+	}
 	defer p.Close()
+	realLen := p.RealLen()
 	src := goldenInput(realLen, uint64(realLen))
-	spec := make([]complex128, specLen)
+	spec := make([]complex128, p.SpectrumLen())
 	back := make([]float64, realLen)
 	if err := p.Forward(spec, src); err != nil {
 		return "", "", "", err
@@ -224,31 +223,19 @@ func goldenCases() []goldenCase {
 		for _, n := range []int{1024, 96, 60} {
 			n := n
 			add(fmt.Sprintf("rfft1d/%d", n), true, func() (string, string, string, error) {
-				p, err := rfft.NewPlan1D(n, ropts)
-				if err != nil {
-					return "", "", "", err
-				}
-				return runReal(p, n, n/2+1)
+				return runReal(ropts, n)
 			})
 		}
 		for _, s := range [][2]int{{64, 128}, {48, 96}, {20, 60}, {256, 512}} {
 			n, m := s[0], s[1]
 			add(fmt.Sprintf("rfft2d/%dx%d", n, m), true, func() (string, string, string, error) {
-				p, err := rfft.NewPlan2D(n, m, ropts)
-				if err != nil {
-					return "", "", "", err
-				}
-				return runReal(p, n*m, n*(m/2+1))
+				return runReal(ropts, n, m)
 			})
 		}
 		for _, s := range [][3]int{{16, 32, 64}, {12, 10, 24}, {64, 64, 64}} {
 			k, n, m := s[0], s[1], s[2]
 			add(fmt.Sprintf("rfft3d/%dx%dx%d", k, n, m), true, func() (string, string, string, error) {
-				p, err := rfft.NewPlan3D(k, n, m, ropts)
-				if err != nil {
-					return "", "", "", err
-				}
-				return runReal(p, k*n*m, k*n*(m/2+1))
+				return runReal(ropts, k, n, m)
 			})
 		}
 		// The complex 1D plan has no graph; its rows pin the bits of the plan
@@ -357,13 +344,24 @@ func readGolden() (goldenFile, map[string]goldenRow, error) {
 	return g, rows, nil
 }
 
+// sameHost reports whether this host sizes plans like the one that wrote g.
+func sameHost(g goldenFile) bool {
+	return machine.PreferredBufferElems() == g.BufferElems && machine.HostLLCBytes() == g.LLCBytes
+}
+
 // writeGolden merges this build's results into the file: the running
-// tier's digests always, the graph text only from a build that has the
-// streaming-store tier (the other would drop the `streaming` markers).
+// tier's digests always; the header and the graph text only from a host
+// that sizes plans like the file's (or when there is no file yet), and only
+// from a build that has the streaming-store tier (the other would drop the
+// `streaming` markers). A new row takes this build's graph text.
 func writeGolden(t *testing.T, cases []goldenCase) {
-	_, old, _ := readGolden()
+	out, old, err := readGolden()
+	own := err != nil || sameHost(out)
+	if own {
+		out.BufferElems, out.LLCBytes = machine.PreferredBufferElems(), machine.HostLLCBytes()
+	}
+	out.Rows = nil
 	tier := kernels.Tier()
-	out := goldenFile{BufferElems: machine.PreferredBufferElems(), LLCBytes: machine.HostLLCBytes()}
 	for _, c := range cases {
 		desc, fwd, inv, err := c.run()
 		if err != nil {
@@ -371,7 +369,7 @@ func writeGolden(t *testing.T, cases []goldenCase) {
 		}
 		row := old[c.name]
 		row.Name, row.DepthFloor = c.name, c.depthFloor
-		if layout.NonTemporalAvailable() || row.Describe == "" {
+		if (own && layout.NonTemporalAvailable()) || row.Describe == "" {
 			row.Describe = desc
 		}
 		if row.Digests == nil {
@@ -407,8 +405,8 @@ func TestGolden(t *testing.T) {
 		t.Errorf("%s holds %d rows, the table has %d cases", goldenPath, len(rows), len(cases))
 	}
 	tier := kernels.Tier()
-	sameHost := machine.PreferredBufferElems() == want.BufferElems && machine.HostLLCBytes() == want.LLCBytes
-	if !sameHost {
+	same := sameHost(want)
+	if !same {
 		t.Logf("host sizes plans differently (b=%d llc=%d, golden b=%d llc=%d): graph text not compared",
 			machine.PreferredBufferElems(), machine.HostLLCBytes(), want.BufferElems, want.LLCBytes)
 	}
@@ -433,7 +431,7 @@ func TestGolden(t *testing.T) {
 			if inv != d[1] {
 				t.Errorf("inverse output bits changed: digest %s, golden %s", inv, d[1])
 			}
-			if !sameHost {
+			if !same {
 				return
 			}
 			wantDesc := w.Describe

@@ -97,18 +97,7 @@ func legProbeShape(w io.Writer, dims []int, realInput bool, reps int) error {
 			func() error { return p.Inverse(x, y) },
 			func() { copy(y, x) }, reps)
 	}
-	var p interface {
-		legPlan
-		SpectrumLen() int
-		Forward(dst []complex128, src []float64) error
-		Inverse(dst []float64, src []complex128) error
-	}
-	var err error
-	if len(dims) == 3 {
-		p, err = rfft.NewPlan3D(dims[0], dims[1], dims[2], core.Config{})
-	} else {
-		p, err = rfft.NewPlan2D(dims[0], dims[1], core.Config{})
-	}
+	p, err := rfft.NewPlan(core.Config{}, dims...)
 	if err != nil {
 		return err
 	}

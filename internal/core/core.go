@@ -22,6 +22,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 
@@ -139,20 +140,43 @@ func (c Config) Model() *perfmodel.Model {
 	return perfmodel.New(m)
 }
 
-// Pencils validates the configuration and starts pkg's graph descriptor for
-// complex extents dims (slowest first): the 1D sub-plans and every field the
-// configuration fixes. The
-// caller adds the arrays and, for real or partitioned transforms, the
-// endpoints and the shard.
+// MaxElems caps the element count of a plan's extents: a complex array of
+// that many elements — and a real plan's real grid and half spectrum, at
+// most twice as many elements as its packed complex lanes — keeps a byte
+// size an int holds.
+const MaxElems = math.MaxInt / 32
+
+// Elems returns the product of dims, or false when an extent is below 1 or
+// the product exceeds MaxElems. Dividing the cap, not multiplying the
+// extents, cannot overflow.
+func Elems(dims ...int) (int, bool) {
+	n := 1
+	for _, d := range dims {
+		if d < 1 || d > MaxElems/n {
+			return 0, false
+		}
+		n *= d
+	}
+	return n, true
+}
+
+// Pencils validates the configuration and the extents and starts pkg's
+// graph descriptor for complex extents dims (slowest first): the 1D
+// sub-plans and every field the configuration fixes. The caller adds the
+// arrays and, for real or partitioned transforms, the endpoints and the
+// shard. Extents Elems refuses — for a real plan, its packed lanes, which
+// bound the real grid and the half spectrum — are refused before any
+// sub-plan is built.
 func (c Config) Pencils(pkg string, dims ...int) (stagegraph.Pencils, error) {
 	if c.Strategy != DoubleBuf {
 		return stagegraph.Pencils{}, fmt.Errorf("%s: unknown strategy %d", pkg, c.Strategy)
 	}
+	if _, ok := Elems(dims...); !ok {
+		return stagegraph.Pencils{}, fmt.Errorf("%s: invalid size %v: extents must be ≥ 1, at most %d elements",
+			pkg, dims, MaxElems)
+	}
 	plans := make([]*fft1d.Plan, len(dims))
 	for i, d := range dims {
-		if d < 1 {
-			return stagegraph.Pencils{}, fmt.Errorf("%s: invalid size %v", pkg, dims)
-		}
 		plans[i] = stagegraph.Plan1D(d)
 	}
 	return stagegraph.Pencils{Pkg: pkg, Dims: dims, Plans: plans, Mu: c.Mu, BufferElems: c.BufferElems}, nil

@@ -159,6 +159,23 @@ func TestInvalidSizeRejected(t *testing.T) {
 	if _, err := fft3d.NewPlan(0, 8, 8, core.Default()); err == nil {
 		t.Error("accepted k=0")
 	}
+	// Elems divides the cap: products past MaxElems, even ones that wrap an
+	// int to 0, are refused.
+	for _, c := range []struct {
+		dims []int
+		n    int
+		ok   bool
+	}{
+		{[]int{4, 8}, 32, true},
+		{[]int{core.MaxElems}, core.MaxElems, true},
+		{[]int{core.MaxElems, 2}, 0, false},
+		{[]int{1 << 32, 1 << 32}, 0, false},
+		{[]int{8, 0}, 0, false},
+	} {
+		if n, ok := core.Elems(c.dims...); n != c.n || ok != c.ok {
+			t.Errorf("Elems(%v) = %d, %v; want %d, %v", c.dims, n, ok, c.n, c.ok)
+		}
+	}
 	// A defaulted μ adapts to the row length (8×6 runs μ=2) …
 	p, err := fft2d.NewPlan(8, 6, core.Default())
 	if err != nil {

@@ -3,6 +3,7 @@ package rfft
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -35,7 +36,7 @@ func asComplex(x []float64) []complex128 {
 
 func TestForward1DMatchesNaive(t *testing.T) {
 	for _, n := range []int{2, 4, 6, 8, 16, 64, 100, 256} {
-		p, err := NewPlan1D(n, core.Config{})
+		p, err := NewPlan(core.Config{}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -56,7 +57,7 @@ func TestForward1DMatchesNaive(t *testing.T) {
 
 func TestForwardBatch1DMatchesNaive(t *testing.T) {
 	const n, count = 24, 5
-	p, err := NewPlan1D(n, core.Config{DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(core.Config{DataWorkers: 2, ComputeWorkers: 2}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +79,7 @@ func TestForwardBatch1DMatchesNaive(t *testing.T) {
 }
 
 func TestHermitianEndpointsReal(t *testing.T) {
-	p, _ := NewPlan1D(32, core.Config{})
+	p, _ := NewPlan(core.Config{}, 32)
 	defer p.Close()
 	x := randReal(9, 32)
 	spec := make([]complex128, p.SpectrumLen())
@@ -92,7 +93,7 @@ func TestHermitianEndpointsReal(t *testing.T) {
 
 func TestRoundTrip1D(t *testing.T) {
 	for _, n := range []int{2, 4, 10, 32, 128, 250} {
-		p, err := NewPlan1D(n, core.Config{})
+		p, err := NewPlan(core.Config{}, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +117,7 @@ func TestRoundTrip1D(t *testing.T) {
 
 func TestRoundTrip1DBatch(t *testing.T) {
 	const n, count = 40, 7
-	p, err := NewPlan1D(n, core.Config{})
+	p, err := NewPlan(core.Config{}, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestRoundTrip1DBatch(t *testing.T) {
 func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	t.Run("1D", func(t *testing.T) {
 		const n = 48
-		p, _ := NewPlan1D(n, core.Config{})
+		p, _ := NewPlan(core.Config{}, n)
 		defer p.Close()
 		x := randReal(21, n)
 		spec := make([]complex128, p.SpectrumLen())
@@ -177,7 +178,7 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	})
 	t.Run("2D", func(t *testing.T) {
 		const n, m = 6, 8
-		p, _ := NewPlan2D(n, m, core.Config{})
+		p, _ := NewPlan(core.Config{}, n, m)
 		defer p.Close()
 		x := randReal(22, p.RealLen())
 		spec := make([]complex128, p.SpectrumLen())
@@ -208,7 +209,7 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	})
 	t.Run("3D", func(t *testing.T) {
 		const k, n, m = 4, 6, 8
-		p, _ := NewPlan3D(k, n, m, core.Config{})
+		p, _ := NewPlan(core.Config{}, k, n, m)
 		defer p.Close()
 		x := randReal(23, p.RealLen())
 		spec := make([]complex128, p.SpectrumLen())
@@ -240,36 +241,69 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	})
 }
 
-func TestPlan1DValidation(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 7} {
-		if _, err := NewPlan1D(n, core.Config{}); err == nil {
-			t.Errorf("accepted n=%d", n)
-		}
-	}
-	p, _ := NewPlan1D(8, core.Config{})
-	defer p.Close()
-	if p.N() != 8 || p.SpectrumLen() != 5 {
-		t.Fatal("metadata wrong")
-	}
-	if err := p.Forward(make([]complex128, 4), make([]float64, 8)); err == nil {
-		t.Error("accepted short dst")
-	}
-	if err := p.Inverse(make([]float64, 7), make([]complex128, 5)); err == nil {
-		t.Error("accepted short dst")
-	}
-	if err := p.ForwardBatch(make([]complex128, 5), make([]float64, 8), 0); err == nil {
-		t.Error("accepted count=0")
+// TestPlanValidation holds every rank to its size checks, its accessors and
+// its length checks; only a rank-1 plan batches.
+func TestPlanValidation(t *testing.T) {
+	for _, c := range []struct {
+		name                string
+		bad                 [][]int // extents NewPlan refuses
+		dims                []int   // a valid plan
+		realLen, specLen    int
+		shortDst, shortBack int // a forward dst and an inverse dst one element short
+	}{
+		{"rank1", [][]int{{0}, {1}, {3}, {7}}, []int{8}, 8, 5, 4, 7},
+		{"rank2", [][]int{{0, 4}, {4, 3}}, []int{2, 4}, 8, 6, 5, 7},
+		{"rank3", [][]int{{0, 4, 4}, {4, 4, 7}}, []int{2, 2, 4}, 16, 12, 11, 15},
+		{"rank0and4", [][]int{{}, {2, 2, 2, 2}}, nil, 0, 0, 0, 0},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			for _, dims := range c.bad {
+				if _, err := NewPlan(core.Config{}, dims...); err == nil {
+					t.Errorf("accepted %v", dims)
+				}
+			}
+			if c.dims == nil {
+				return
+			}
+			p, err := NewPlan(core.Config{}, c.dims...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			if !slices.Equal(p.Dims(), c.dims) || p.RealLen() != c.realLen || p.SpectrumLen() != c.specLen {
+				t.Fatalf("Dims %v RealLen %d SpectrumLen %d, want %v %d %d",
+					p.Dims(), p.RealLen(), p.SpectrumLen(), c.dims, c.realLen, c.specLen)
+			}
+			if err := p.Forward(make([]complex128, c.shortDst), make([]float64, c.realLen)); err == nil {
+				t.Error("accepted short dst")
+			}
+			if err := p.Inverse(make([]float64, c.shortBack), make([]complex128, c.specLen)); err == nil {
+				t.Error("accepted short dst")
+			}
+			if err := p.ForwardBatch(make([]complex128, c.specLen), make([]float64, c.realLen), 0); err == nil {
+				t.Error("accepted count=0")
+			}
+			batches := len(c.dims) == 1
+			err = p.ForwardBatch(make([]complex128, 2*c.specLen), make([]float64, 2*c.realLen), 2)
+			if (err == nil) != batches {
+				t.Errorf("ForwardBatch of 2 grids returned %v", err)
+			}
+			err = p.InverseBatch(make([]float64, 2*c.realLen), make([]complex128, 2*c.specLen), 2)
+			if (err == nil) != batches {
+				t.Errorf("InverseBatch of 2 grids returned %v", err)
+			}
+		})
 	}
 }
 
 func TestPlanClosedRejects(t *testing.T) {
-	p, _ := NewPlan1D(8, core.Config{})
+	p, _ := NewPlan(core.Config{}, 8)
 	p.Close()
 	p.Close() // idempotent
 	if err := p.Forward(make([]complex128, 5), make([]float64, 8)); err == nil {
 		t.Error("closed plan accepted Forward")
 	}
-	p2, _ := NewPlan2D(2, 4, core.Config{})
+	p2, _ := NewPlan(core.Config{}, 2, 4)
 	p2.Close()
 	if err := p2.Forward(make([]complex128, 6), make([]float64, 8)); err == nil {
 		t.Error("closed 2D plan accepted Forward")
@@ -278,7 +312,7 @@ func TestPlanClosedRejects(t *testing.T) {
 
 func TestForward3DMatchesComplexReference(t *testing.T) {
 	const k, n, m = 4, 6, 8
-	p, err := NewPlan3D(k, n, m, core.Config{})
+	p, err := NewPlan(core.Config{}, k, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +341,7 @@ func TestRoundTrip3D(t *testing.T) {
 	for _, c := range []struct{ k, n, m int }{
 		{1, 1, 2}, {2, 3, 4}, {4, 4, 8}, {8, 8, 16}, {3, 5, 6},
 	} {
-		p, err := NewPlan3D(c.k, c.n, c.m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
+		p, err := NewPlan(core.Config{DataWorkers: 2, ComputeWorkers: 2}, c.k, c.n, c.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -329,29 +363,6 @@ func TestRoundTrip3D(t *testing.T) {
 	}
 }
 
-func TestPlan3DValidation(t *testing.T) {
-	if _, err := NewPlan3D(0, 4, 4, core.Config{}); err == nil {
-		t.Error("accepted k=0")
-	}
-	if _, err := NewPlan3D(4, 4, 7, core.Config{}); err == nil {
-		t.Error("accepted odd m")
-	}
-	p, _ := NewPlan3D(2, 2, 4, core.Config{})
-	defer p.Close()
-	if p.SpectrumLen() != 2*2*3 || p.RealLen() != 16 {
-		t.Fatal("lengths wrong")
-	}
-	if k, n, m := p.Dims(); k != 2 || n != 2 || m != 4 {
-		t.Fatal("Dims wrong")
-	}
-	if err := p.Forward(make([]complex128, 11), make([]float64, 16)); err == nil {
-		t.Error("accepted short dst")
-	}
-	if err := p.Inverse(make([]float64, 15), make([]complex128, 12)); err == nil {
-		t.Error("accepted short dst")
-	}
-}
-
 // Property: spectrum of a real even sequence is real.
 func TestRealEvenSpectrumReal(t *testing.T) {
 	const n = 64
@@ -364,7 +375,7 @@ func TestRealEvenSpectrumReal(t *testing.T) {
 		x[i] = v
 		x[n-i] = v
 	}
-	p, _ := NewPlan1D(n, core.Config{})
+	p, _ := NewPlan(core.Config{}, n)
 	defer p.Close()
 	spec := make([]complex128, p.SpectrumLen())
 	if err := p.Forward(spec, x); err != nil {
@@ -379,7 +390,7 @@ func TestRealEvenSpectrumReal(t *testing.T) {
 
 func TestForward2DMatchesComplexReference(t *testing.T) {
 	const n, m = 6, 8
-	p, err := NewPlan2D(n, m, core.Config{})
+	p, err := NewPlan(core.Config{}, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +415,7 @@ func TestForward2DMatchesComplexReference(t *testing.T) {
 
 func TestRoundTrip2D(t *testing.T) {
 	for _, c := range []struct{ n, m int }{{1, 2}, {3, 4}, {8, 16}, {5, 6}} {
-		p, err := NewPlan2D(c.n, c.m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
+		p, err := NewPlan(core.Config{DataWorkers: 2, ComputeWorkers: 2}, c.n, c.m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -426,16 +437,6 @@ func TestRoundTrip2D(t *testing.T) {
 	}
 }
 
-// realPlan is what Plan2D and Plan3D share.
-type realPlan interface {
-	Forward(dst []complex128, src []float64) error
-	Inverse(dst []float64, src []complex128) error
-	RealLen() int
-	SpectrumLen() int
-	DescribeGraph() string
-	Close()
-}
-
 // At the default configuration the interior stages of a real graph fold
 // their trailing radix-4 butterfly into the store: the 16-row cols of
 // 16×32, and the y- and z-pencils of 16×32×64, whose forward z store writes
@@ -444,18 +445,11 @@ type realPlan interface {
 // held to the complex oracle.
 func TestFoldedRealStagesMatchOracle(t *testing.T) {
 	for _, dims := range [][]int{{16, 32}, {16, 32, 64}} {
-		var (
-			p   realPlan
-			f   spl.Formula
-			err error
-		)
-		if len(dims) == 2 {
-			p, err = NewPlan2D(dims[0], dims[1], core.Config{})
-			f = spl.DFT2D(dims[0], dims[1])
-		} else {
-			p, err = NewPlan3D(dims[0], dims[1], dims[2], core.Config{})
+		f := spl.DFT2D(dims[0], dims[1])
+		if len(dims) == 3 {
 			f = spl.DFT3D(dims[0], dims[1], dims[2])
 		}
+		p, err := NewPlan(core.Config{}, dims...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -489,36 +483,76 @@ func TestFoldedRealStagesMatchOracle(t *testing.T) {
 	}
 }
 
+// The DC/Nyquist pass does not depend on the rank: an n×m plan and the
+// 1×n×m plan run the same pencil transforms, so their forward spectra and
+// their inverses of one spectrum agree bit for bit — including the sign of
+// the zero imaginary parts at the self-conjugate rows.
+func TestSplitDCIsRankFree(t *testing.T) {
+	for _, s := range [][2]int{{64, 128}, {48, 96}, {20, 60}, {7, 10}} {
+		n, m := s[0], s[1]
+		p2, err := NewPlan(core.Config{}, n, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p2.Close()
+		p3, err := NewPlan(core.Config{}, 1, n, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p3.Close()
+		x := randReal(int64(n*m), n*m)
+		specs := [2][]complex128{make([]complex128, p2.SpectrumLen()), make([]complex128, p3.SpectrumLen())}
+		backs := [2][]float64{make([]float64, n*m), make([]float64, n*m)}
+		for i, p := range []*Plan{p2, p3} {
+			if err := p.Forward(specs[i], x); err != nil {
+				t.Fatal(err)
+			}
+			if err := p.Inverse(backs[i], specs[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range specs[0] {
+			a, b := specs[0][i], specs[1][i]
+			if math.Float64bits(real(a)) != math.Float64bits(real(b)) || math.Float64bits(imag(a)) != math.Float64bits(imag(b)) {
+				t.Errorf("%dx%d forward: bin %d is %v at rank 2, %v at rank 3", n, m, i, a, b)
+			}
+		}
+		for i := range backs[0] {
+			if math.Float64bits(backs[0][i]) != math.Float64bits(backs[1][i]) {
+				t.Errorf("%dx%d inverse: element %d is %v at rank 2, %v at rank 3", n, m, i, backs[0][i], backs[1][i])
+			}
+		}
+	}
+}
+
 // A run's Scale reaches every real graph once, wherever its last stage
 // applies it: the 1D inverse's lone entangle stage, a compute leg, a fold
 // store.
 func TestRealGraphsApplyTheRunScale(t *testing.T) {
-	p1, err1 := NewPlan1D(32, core.Config{})
-	p2, err2 := NewPlan2D(16, 32, core.Config{})
-	p3, err3 := NewPlan3D(8, 8, 16, core.Config{})
+	p1, err1 := NewPlan(core.Config{}, 32)
+	p2, err2 := NewPlan(core.Config{}, 16, 32)
+	p3, err3 := NewPlan(core.Config{}, 8, 8, 16)
 	for _, err := range []error{err1, err2, err3} {
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
-	for _, c := range []struct {
-		e            *engine
-		realN, specN int
-	}{{&p1.engine, 32, 17}, {&p2.engine, 16 * 32, 16 * 17}, {&p3.engine, 8 * 8 * 16, 8 * 8 * 9}} {
-		defer c.e.Close()
-		x := randReal(3, c.realN)
-		spec := make([]complex128, c.specN)
+	for _, p := range []*Plan{p1, p2, p3} {
+		defer p.Close()
+		realN, specN := p.RealLen(), p.SpectrumLen()
+		x := randReal(3, realN)
+		spec := make([]complex128, specN)
 		for i := range spec {
-			spec[i] = complex(x[i%c.realN], x[(i+1)%c.realN])
+			spec[i] = complex(x[i%realN], x[(i+1)%realN])
 		}
 		var outs [2][]complex128
 		var backs [2][]float64
 		for i, scale := range []float64{0, 0.5} {
-			outs[i], backs[i] = make([]complex128, c.specN), make([]float64, c.realN)
-			err := c.e.run.Run(fwdGraph, stagegraph.Call{In: stagegraph.Endpoint{R: x},
+			outs[i], backs[i] = make([]complex128, specN), make([]float64, realN)
+			err := p.run.Run(fwdGraph, stagegraph.Call{In: stagegraph.Endpoint{R: x},
 				Out: stagegraph.Endpoint{C: outs[i]}, Sign: fft1d.Forward, Scale: scale, Count: 1})
 			if err == nil {
-				err = c.e.run.Run(invGraph, stagegraph.Call{In: stagegraph.Endpoint{C: spec},
+				err = p.run.Run(invGraph, stagegraph.Call{In: stagegraph.Endpoint{C: spec},
 					Out: stagegraph.Endpoint{R: backs[i]}, Sign: fft1d.Inverse, Scale: scale, Count: 1})
 			}
 			if err != nil {
@@ -527,34 +561,14 @@ func TestRealGraphsApplyTheRunScale(t *testing.T) {
 		}
 		for i := range outs[0] {
 			if outs[1][i] != outs[0][i]*0.5 {
-				t.Fatalf("%d reals forward: scaled %v at %d, want %v", c.realN, outs[1][i], i, outs[0][i]*0.5)
+				t.Fatalf("%d reals forward: scaled %v at %d, want %v", realN, outs[1][i], i, outs[0][i]*0.5)
 			}
 		}
 		for i := range backs[0] {
 			if backs[1][i] != backs[0][i]*0.5 {
-				t.Fatalf("%d reals inverse: scaled %v at %d, want %v", c.realN, backs[1][i], i, backs[0][i]*0.5)
+				t.Fatalf("%d reals inverse: scaled %v at %d, want %v", realN, backs[1][i], i, backs[0][i]*0.5)
 			}
 		}
-	}
-}
-
-func TestPlan2DValidation(t *testing.T) {
-	if _, err := NewPlan2D(0, 4, core.Config{}); err == nil {
-		t.Error("accepted n=0")
-	}
-	if _, err := NewPlan2D(4, 3, core.Config{}); err == nil {
-		t.Error("accepted odd m")
-	}
-	p, _ := NewPlan2D(2, 4, core.Config{})
-	defer p.Close()
-	if n, m := p.Dims(); n != 2 || m != 4 {
-		t.Error("Dims wrong")
-	}
-	if err := p.Forward(make([]complex128, 5), make([]float64, 8)); err == nil {
-		t.Error("accepted short dst")
-	}
-	if err := p.Inverse(make([]float64, 7), make([]complex128, 6)); err == nil {
-		t.Error("accepted short dst")
 	}
 }
 
@@ -600,7 +614,7 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 		switch trial % 3 {
 		case 0: // 1D
 			n := m * (1 + rng.Intn(3)) // still even
-			p, err := NewPlan1D(n, opts)
+			p, err := NewPlan(opts, n)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -622,7 +636,7 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 			p.Close()
 		case 1: // 2D
 			n := anys[rng.Intn(len(anys))]
-			p, err := NewPlan2D(n, m, opts)
+			p, err := NewPlan(opts, n, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -645,7 +659,7 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 		default: // 3D
 			k := anys[rng.Intn(len(anys))]
 			n := anys[rng.Intn(len(anys))]
-			p, err := NewPlan3D(k, n, m, opts)
+			p, err := NewPlan(opts, k, n, m)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -675,7 +689,7 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 // real traffic at half the complex rate, with no rounding.
 func TestObservabilityRealBytesExact(t *testing.T) {
 	const n, m, runs = 8, 32, 3
-	p, err := NewPlan2D(n, m, core.Config{})
+	p, err := NewPlan(core.Config{}, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -691,7 +705,7 @@ func TestObservabilityRealBytesExact(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	fsnap := p.ObsForward().Snapshot()
+	fsnap := p.run.Obs(fwdGraph).Snapshot()
 	if fsnap.Runs != runs {
 		t.Fatalf("forward runs = %d, want %d", fsnap.Runs, runs)
 	}
@@ -704,7 +718,7 @@ func TestObservabilityRealBytesExact(t *testing.T) {
 	if got := fsnap.Stages[1].Store.Bytes; got != wantCols {
 		t.Errorf("forward cols store bytes = %d, want exactly %d", got, wantCols)
 	}
-	isnap := p.ObsInverse().Snapshot()
+	isnap := p.run.Obs(invGraph).Snapshot()
 	last := len(isnap.Stages) - 1
 	if got := isnap.Stages[last].Store.Bytes; got != wantReal {
 		t.Errorf("inverse rows store bytes = %d, want exactly %d (8 B/real elem)", got, wantReal)
@@ -724,7 +738,7 @@ func TestObservabilityRealBytesExact(t *testing.T) {
 }
 
 func TestDescribeGraphMentionsBothDirections(t *testing.T) {
-	p, _ := NewPlan3D(4, 4, 8, core.Config{})
+	p, _ := NewPlan(core.Config{}, 4, 4, 8)
 	defer p.Close()
 	s := p.DescribeGraph()
 	for _, want := range []string{"x-rows", "y-pencils", "z-pencils", "entangle", "ix-rows"} {
@@ -745,7 +759,7 @@ func contains(s, sub string) bool {
 
 func BenchmarkRFFT1DForward(b *testing.B) {
 	const n = 4096
-	p, _ := NewPlan1D(n, core.Config{})
+	p, _ := NewPlan(core.Config{}, n)
 	defer p.Close()
 	x := randReal(1, n)
 	dst := make([]complex128, p.SpectrumLen())
@@ -759,7 +773,7 @@ func BenchmarkRFFT1DForward(b *testing.B) {
 
 func BenchmarkRFFT2DForward(b *testing.B) {
 	const n, m = 256, 256
-	p, _ := NewPlan2D(n, m, core.Config{})
+	p, _ := NewPlan(core.Config{}, n, m)
 	defer p.Close()
 	x := randReal(1, p.RealLen())
 	dst := make([]complex128, p.SpectrumLen())
@@ -773,7 +787,7 @@ func BenchmarkRFFT2DForward(b *testing.B) {
 
 func BenchmarkRFFT3DForward(b *testing.B) {
 	const k, n, m = 32, 32, 32
-	p, _ := NewPlan3D(k, n, m, core.Config{})
+	p, _ := NewPlan(core.Config{}, k, n, m)
 	defer p.Close()
 	x := randReal(1, p.RealLen())
 	dst := make([]complex128, p.SpectrumLen())

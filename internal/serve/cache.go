@@ -70,17 +70,11 @@ func (k PlanKey) Validate() error {
 	return nil
 }
 
+// dims returns the key's Rank extents, slowest first.
+func (k PlanKey) dims() []int { return []int{k.D0, k.D1, k.D2}[:k.Rank] }
+
 // lastDim returns the fastest-varying (contiguous) dimension.
-func (k PlanKey) lastDim() int {
-	switch k.Rank {
-	case 2:
-		return k.D1
-	case 3:
-		return k.D2
-	default:
-		return k.D0
-	}
-}
+func (k PlanKey) lastDim() int { return k.dims()[k.Rank-1] }
 
 // Len returns the element count of one transform under this key: the
 // complex element count for complex plans, the real element count for real
@@ -111,44 +105,29 @@ func (k PlanKey) SpectrumLen() int {
 // D0 that lone requests, coalesced batches, repro.FFT1D and the
 // shared-handle facade all run at every size, so a request's bits never
 // depend on how it was batched; a complex rank-2/3 plan is the core.Plan
-// fft2d / fft3d build, with its persistent worker team, real plans the rfft
-// ones; the rank-1 real plan batches natively (ForwardBatch / InverseBatch
-// run many packed rows in one pipeline sweep), so it serves both the
-// singleton and the coalesced path.
+// fft2d / fft3d build, with its persistent worker team; a real plan of any
+// rank is the rfft.Plan of the key's dims. The rank-1 real plan batches
+// natively (ForwardBatch / InverseBatch run many packed rows in one
+// pipeline sweep), so it serves both the singleton and the coalesced path.
 type Plan struct {
 	key PlanKey
 	p1  *fft1d.Plan
 	pn  *core.Plan
-	r1  *rfft.Plan1D
-	r2  *rfft.Plan2D
-	r3  *rfft.Plan3D
+	r   *rfft.Plan
 }
 
 func buildPlan(key PlanKey) (*Plan, error) {
 	cfg := key.Cfg
 	p := &Plan{key: key}
-	if key.Real {
-		var err error
-		switch key.Rank {
-		case 1:
-			p.r1, err = rfft.NewPlan1D(key.D0, cfg)
-		case 2:
-			p.r2, err = rfft.NewPlan2D(key.D0, key.D1, cfg)
-		case 3:
-			p.r3, err = rfft.NewPlan3D(key.D0, key.D1, key.D2, cfg)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
 	var err error
-	switch key.Rank {
-	case 1:
+	switch {
+	case key.Real:
+		p.r, err = rfft.NewPlan(cfg, key.dims()...)
+	case key.Rank == 1:
 		p.p1 = fft1d.NewPlan(key.D0)
-	case 2:
+	case key.Rank == 2:
 		p.pn, err = fft2d.NewPlan(key.D0, key.D1, cfg)
-	case 3:
+	case key.Rank == 3:
 		p.pn, err = fft3d.NewPlan(key.D0, key.D1, key.D2, cfg)
 	}
 	if err != nil {
@@ -170,14 +149,8 @@ func (p *Plan) P1() *fft1d.Plan { return p.p1 }
 // rank-2/3 key).
 func (p *Plan) PN() *core.Plan { return p.pn }
 
-// R1 returns the underlying real 1D plan (nil unless a real rank-1 key).
-func (p *Plan) R1() *rfft.Plan1D { return p.r1 }
-
-// R2 returns the underlying real 2D plan (nil unless a real rank-2 key).
-func (p *Plan) R2() *rfft.Plan2D { return p.r2 }
-
-// R3 returns the underlying real 3D plan (nil unless a real rank-3 key).
-func (p *Plan) R3() *rfft.Plan3D { return p.r3 }
+// R returns the underlying real plan (nil unless a real key).
+func (p *Plan) R() *rfft.Plan { return p.r }
 
 // Execute runs one out-of-place transform; inverse transforms are
 // normalized so Execute(inverse) ∘ Execute(forward) is the identity.
@@ -203,52 +176,31 @@ func (p *Plan) execute(dst, src []complex128, inverse bool, ar *kernels.Arena) e
 // the half spectrum and writes the real grid. Fails unless the plan was
 // built from a real key.
 func (p *Plan) ExecuteReal(spec []complex128, re []float64, inverse bool) error {
-	switch {
-	case p.r1 != nil:
-		if inverse {
-			return p.r1.Inverse(re, spec)
-		}
-		return p.r1.Forward(spec, re)
-	case p.r2 != nil:
-		if inverse {
-			return p.r2.Inverse(re, spec)
-		}
-		return p.r2.Forward(spec, re)
-	case p.r3 != nil:
-		if inverse {
-			return p.r3.Inverse(re, spec)
-		}
-		return p.r3.Forward(spec, re)
-	default:
-		return fmt.Errorf("serve: real execution needs a real plan, rank-%d key %d×%d×%d is complex",
-			p.key.Rank, p.key.D0, p.key.D1, p.key.D2)
-	}
+	return p.ExecuteRealBatch(spec, re, 1, inverse)
 }
 
 // ExecuteRealBatch transforms count contiguously packed real rank-1 rows
 // (re holds count·n reals, spec count·(n/2+1) half spectra) in one
 // pipeline sweep — the coalesced fast path for same-shape real 1D
-// requests.
+// requests. A real plan of rank 2 or 3 takes count = 1.
 func (p *Plan) ExecuteRealBatch(spec []complex128, re []float64, count int, inverse bool) error {
-	if p.r1 == nil {
-		return fmt.Errorf("serve: batched real execution needs a real rank-1 plan, have rank %d", p.key.Rank)
+	switch {
+	case p.r == nil:
+		return fmt.Errorf("serve: real execution needs a real plan, rank-%d key %d×%d×%d is complex",
+			p.key.Rank, p.key.D0, p.key.D1, p.key.D2)
+	case inverse:
+		return p.r.InverseBatch(re, spec, count)
+	default:
+		return p.r.ForwardBatch(spec, re, count)
 	}
-	if inverse {
-		return p.r1.InverseBatch(re, spec, count)
-	}
-	return p.r1.ForwardBatch(spec, re, count)
 }
 
 func (p *Plan) close() {
 	switch { // a rank-1 complex plan is immutable data: nothing to release
 	case p.pn != nil:
 		p.pn.Close()
-	case p.r1 != nil:
-		p.r1.Close()
-	case p.r2 != nil:
-		p.r2.Close()
-	case p.r3 != nil:
-		p.r3.Close()
+	case p.r != nil:
+		p.r.Close()
 	}
 }
 

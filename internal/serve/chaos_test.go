@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -36,17 +37,24 @@ const (
 // inputs produces it, so an all-sentinel Dst was never written.
 const chaosSentinel = complex(12345.678, -8765.4321)
 
+// chaosSentinelReal fills every RealDst the same way.
+const chaosSentinelReal = 12345.678
+
 // chaosShape is one request kind: a template whose input is shared read-only
-// by every submission, and the bits a served answer must have.
+// by every submission, and the bits a served answer must have — in want, or
+// in wantReal for a real inverse, which writes RealDst.
 type chaosShape struct {
-	req  Request
-	want []complex128
+	req      Request
+	want     []complex128
+	wantReal []float64
 }
 
 // chaosShapes builds the request mix — complex rank-1 of three sizes (one
-// inverse), real rank-1, one complex rank-2 — with each expected output taken
-// from the plan itself, which the served result equals bit for bit however
-// the request was batched.
+// inverse), real rank-1, one complex rank-2, a real rank-3 forward and a
+// real rank-2 inverse, whose plans run concurrent transforms whenever two
+// executors hold them — with each expected output taken from the plan
+// itself, which the served result equals bit for bit however the request
+// was batched.
 func chaosShapes(t *testing.T) []chaosShape {
 	t.Helper()
 	pc := NewPlanCache(8)
@@ -57,6 +65,8 @@ func chaosShapes(t *testing.T) []chaosShape {
 		{Rank: 1, Dims: [3]int{1024}, Src: testVec(1024, 3)},
 		{Rank: 1, Dims: [3]int{128}, Real: true, RealSrc: realVec(128, 4)},
 		{Rank: 2, Dims: [3]int{16, 32}, Src: testVec(16*32, 5)},
+		{Rank: 3, Dims: [3]int{8, 8, 16}, Real: true, RealSrc: realVec(8*8*16, 6)},
+		{Rank: 2, Dims: [3]int{8, 16}, Real: true, Inverse: true, Src: testVec(8*9, 7)},
 	}
 	shapes := make([]chaosShape, len(reqs))
 	for i, req := range reqs {
@@ -64,27 +74,34 @@ func chaosShapes(t *testing.T) []chaosShape {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := make([]complex128, p.Key().SpectrumLen())
-		if req.Real {
-			err = p.ExecuteReal(want, req.RealSrc, false)
-		} else {
-			err = p.Execute(want, req.Src, req.Inverse)
+		s := chaosShape{req: req}
+		switch {
+		case req.Real && req.Inverse:
+			s.wantReal = make([]float64, p.Len())
+			err = p.ExecuteReal(req.Src, s.wantReal, true)
+		case req.Real:
+			s.want = make([]complex128, p.Key().SpectrumLen())
+			err = p.ExecuteReal(s.want, req.RealSrc, false)
+		default:
+			s.want = make([]complex128, p.Len())
+			err = p.Execute(s.want, req.Src, req.Inverse)
 		}
 		release()
 		if err != nil {
 			t.Fatal(err)
 		}
-		shapes[i] = chaosShape{req, want}
+		shapes[i] = s
 	}
 	return shapes
 }
 
 // chaosCall is one Do: what was asked, under which context, and what came back.
 type chaosCall struct {
-	shape *chaosShape
-	ctx   context.Context
-	dst   []complex128
-	err   error
+	shape   *chaosShape
+	ctx     context.Context
+	dst     []complex128
+	realDst []float64
+	err     error
 }
 
 func TestChaos(t *testing.T) {
@@ -146,9 +163,17 @@ func runChaos(t *testing.T, seed int64, shapes []chaosShape) {
 		for i := range c.dst {
 			c.dst[i] = chaosSentinel
 		}
+		c.realDst = make([]float64, len(c.shape.wantReal))
+		for i := range c.realDst {
+			c.realDst[i] = chaosSentinelReal
+		}
 		calls = append(calls, c)
 		req := c.shape.req
-		req.Dst = c.dst
+		if c.shape.wantReal != nil {
+			req.RealDst = c.realDst
+		} else {
+			req.Dst = c.dst
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -285,12 +310,12 @@ func runChaos(t *testing.T, seed int64, shapes []chaosShape) {
 	for i, c := range calls {
 		untouched := true
 		for _, v := range c.dst {
-			if v != chaosSentinel {
-				untouched = false
-				break
-			}
+			untouched = untouched && v == chaosSentinel
 		}
-		correct := bitsEqual(c.dst, c.shape.want)
+		for _, v := range c.realDst {
+			untouched = untouched && v == chaosSentinelReal
+		}
+		correct := bitsEqual(c.dst, c.shape.want) && slices.Equal(c.realDst, c.shape.wantReal)
 		switch {
 		case c.err == nil:
 			ok++

@@ -242,7 +242,6 @@ func (s *Server) Healthy() bool { return !s.draining.Load() }
 
 func validate(req *Request) error {
 	d := req.Dims
-	n := d[0]
 	switch req.Rank {
 	case 1:
 		if d[0] < 1 || d[1] != 0 || d[2] != 0 {
@@ -252,14 +251,16 @@ func validate(req *Request) error {
 		if d[0] < 1 || d[1] < 1 || d[2] != 0 {
 			return fmt.Errorf("serve: rank-2 request needs Dims[0],Dims[1] ≥ 1 and Dims[2] = 0, got %v", d)
 		}
-		n *= d[1]
 	case 3:
 		if d[0] < 1 || d[1] < 1 || d[2] < 1 {
 			return fmt.Errorf("serve: rank-3 request needs all dims ≥ 1, got %v", d)
 		}
-		n *= d[1] * d[2]
 	default:
 		return fmt.Errorf("serve: rank must be 1, 2 or 3, got %d", req.Rank)
+	}
+	n, ok := core.Elems(req.Dims[:req.Rank]...)
+	if !ok {
+		return fmt.Errorf("serve: dims %v exceed %d elements", d, core.MaxElems)
 	}
 	if req.Sharded {
 		if req.Rank != 3 {

@@ -417,6 +417,10 @@ func TestDoValidation(t *testing.T) {
 		{Rank: 1, Dims: [3]int{4, 4}},
 		{Rank: 1, Dims: [3]int{8}, Src: make([]complex128, 4), Dst: make([]complex128, 8)},
 		{Rank: 2, Dims: [3]int{4, 4}, Src: make([]complex128, 16), Dst: make([]complex128, 15)},
+		// Products that wrap an int: 2⁶⁴ reads as 0 elements if multiplied.
+		{Rank: 3, Dims: [3]int{1 << 21, 1 << 21, 1 << 22}},
+		{Rank: 3, Dims: [3]int{1 << 21, 1 << 21, 1 << 22}, Real: true},
+		{Rank: 2, Dims: [3]int{1 << 32, 1 << 32}, Inverse: true},
 	}
 	for i, req := range cases {
 		if err := s.Do(ctx, req); err == nil {

@@ -68,7 +68,7 @@ func (s *SharedPlans) RealFFT1D(n int, opts ...Option) (*RealFFT1D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RealFFT1D{p: p.R1(), release: release}, nil
+	return &RealFFT1D{p: p.R(), release: release}, nil
 }
 
 // RealFFT2D returns a shared real-input 2D plan handle for n×m grids
@@ -78,7 +78,7 @@ func (s *SharedPlans) RealFFT2D(n, m int, opts ...Option) (*RealFFT2D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RealFFT2D{p: p.R2(), release: release}, nil
+	return &RealFFT2D{p: p.R(), release: release}, nil
 }
 
 // RealFFT3D returns a shared real-input 3D plan handle for k×n×m grids
@@ -88,7 +88,7 @@ func (s *SharedPlans) RealFFT3D(k, n, m int, opts ...Option) (*RealFFT3D, error)
 	if err != nil {
 		return nil, err
 	}
-	return &RealFFT3D{p: p.R3(), release: release}, nil
+	return &RealFFT3D{p: p.R(), release: release}, nil
 }
 
 // Close evicts every plan in the pool. Plans without outstanding handles
