@@ -17,7 +17,8 @@ RACE_PKGS = . ./internal/stagegraph ./internal/fft2d \
 PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
               ./internal/stagegraph ./internal/fft1d ./internal/fft2d \
               ./internal/fft3d ./internal/rfft \
-              ./internal/tune ./internal/machine ./internal/wire
+              ./internal/tune ./internal/machine ./internal/wire \
+              ./internal/stream
 
 # The internal/bench tests of the pencil / slab baselines and of the
 # Measured sweeps that time them against the pipeline.
@@ -75,9 +76,9 @@ crossbuild:
 
 # Regenerate the committed assembly (the AVX2 codelets, the 512-bit tier of
 # the radix-8 and radix-16 codelets, the non-temporal scatter and run-major
-# gather, the load leg's streamed copy) from the generator. Run
-# after editing internal/kernels/asm and commit the resulting .s files; ci
-# builds never invoke the generator.
+# gather, the cache-line flush, the load leg's streamed copy) from the
+# generator. Run after editing internal/kernels/asm and commit the resulting
+# .s files; ci builds never invoke the generator.
 asmgen:
 	$(GO) run ./internal/kernels/asm
 	$(GO) vet ./internal/kernels ./internal/layout

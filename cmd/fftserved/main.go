@@ -26,8 +26,13 @@
 //
 // The roofline the per-stage bandwidth gauges are normalized against comes
 // from -roofline (GB/s), or from -machine (a paper machine's published
-// STREAM figure), or — when neither is given — from a quick STREAM copy
-// measurement at startup.
+// STREAM figure), or — when neither is given — from a DRAM copy measured at
+// startup (stream.DRAMCopyGBs): two 4 MiB arrays evicted from every cache
+// level before each of six copies, about 13 ms and 8 MiB. On a 2-vCPU Xeon
+// with a 300 MiB L3 it mostly reads 9–12 GB/s (7.7–13.9 over 35 starts)
+// beside 9.7–11.6 GB/s for the median of nine copies of 2×1 GiB. Where no
+// cache-flush kernel exists (non-amd64, purego builds) the roofline stays
+// unknown and the FracPeak gauges read 0.
 //
 // The -selftest N mode starts the server on a loopback port, fires N
 // concurrent mixed-shape requests at it, verifies round trips, the
@@ -85,7 +90,7 @@ func main() {
 		cacheCap    = flag.Int("cachecap", 32, "plan cache capacity")
 		policy      = flag.String("policy", "block", "full-queue policy: block or reject")
 		machineName = flag.String("machine", "", "paper machine whose STREAM peak normalizes the bandwidth gauges (substring match, e.g. \"7700k\")")
-		roofline    = flag.Float64("roofline", 0, "STREAM peak in GB/s for the bandwidth gauges (0 = measure at startup, or take it from -machine)")
+		roofline    = flag.Float64("roofline", 0, "DRAM copy peak in GB/s for the bandwidth gauges (0 = measure a cache-evicted copy at startup, or take it from -machine)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 		selftest    = flag.Int("selftest", 0, "fire N concurrent smoke requests at a loopback instance and exit")
 
@@ -128,11 +133,15 @@ func main() {
 		cfg.RooflineGBs = *roofline
 	}
 	if cfg.RooflineGBs == 0 {
-		// One quick STREAM copy pass so FracPeak gauges are meaningful out
+		// One cache-evicted DRAM copy so FracPeak gauges are meaningful out
 		// of the box; -roofline skips this for reproducible normalization.
-		cfg.RooflineGBs = stream.BestCopyGBs(stream.Config{Elems: 1 << 20, Trials: 1})
-		log.Printf("fftserved: measured STREAM copy roofline %.1f GB/s", cfg.RooflineGBs)
-		// The measurement's arrays are 16 MiB of garbage the first requests'
+		cfg.RooflineGBs = stream.DRAMCopyGBs()
+		if cfg.RooflineGBs > 0 {
+			log.Printf("fftserved: measured DRAM copy roofline %.1f GB/s", cfg.RooflineGBs)
+		} else {
+			log.Printf("fftserved: no cache-flush kernel on this build; roofline unknown")
+		}
+		// The measurement's arrays are 8 MiB of garbage the first requests'
 		// operands would otherwise be stacked on top of until the next GC.
 		debug.FreeOSMemory()
 	}

@@ -1,7 +1,10 @@
 // Command stream runs the STREAM memory-bandwidth benchmark (McCalpin) on
-// this host: Copy, Scale, Add and Triad over arrays far larger than the
-// last-level cache. The paper calibrates every figure's achievable peak
-// with this number (§V).
+// this host: Copy, Scale, Add and Triad over three arrays. The paper
+// calibrates every figure's achievable peak with this number (§V), over
+// arrays far larger than the last-level cache. STREAM's own rule asks for
+// each array to be at least 4× the LLC; the banner prints the detected LLC
+// beside the array size and warns when the arrays are smaller, since the
+// figures are then (partly) cache bandwidth.
 //
 // Usage:
 //
@@ -15,6 +18,7 @@ import (
 	"os"
 	"text/tabwriter"
 
+	"repro/internal/machine"
 	"repro/internal/stream"
 )
 
@@ -23,8 +27,13 @@ func main() {
 	trials := flag.Int("trials", 5, "trials per kernel; best is reported")
 	flag.Parse()
 
-	fmt.Printf("STREAM: %d elements/array (%.1f MB total), %d trials\n",
-		*elems, 3*float64(*elems)*8/1e6, *trials)
+	arrayBytes, llc := *elems*8, machine.HostLLCBytes()
+	fmt.Printf("STREAM: %d elements/array (%.1f MiB each, %.1f MiB total), LLC %.1f MiB, %d trials\n",
+		*elems, mib(arrayBytes), 3*mib(arrayBytes), mib(llc), *trials)
+	if arrayBytes < 4*llc {
+		fmt.Printf("warning: each array is smaller than 4× the LLC (%.1f MiB): these figures measure cache, not DRAM; raise -elems to at least %d\n",
+			4*mib(llc), 4*llc/8)
+	}
 	results := stream.Run(stream.Config{Elems: *elems, Trials: *trials})
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
@@ -39,3 +48,6 @@ func main() {
 	}
 	tw.Flush()
 }
+
+// mib converts bytes to MiB for the banner.
+func mib(b int) float64 { return float64(b) / (1 << 20) }

@@ -88,7 +88,7 @@ func TestMeasured3DRuns(t *testing.T) {
 	err := Measured3D(&b, MeasuredConfig{
 		Sizes3D:   [][3]int{{16, 16, 16}, {32, 16, 16}},
 		Reps:      1,
-		HostBWGBs: 10, // skip the STREAM run in tests
+		HostBWGBs: 10, // skip the DRAM copy probe in tests
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -119,6 +119,22 @@ func TestLegProbeMarksFoldedLoads(t *testing.T) {
 		if rows != c.folded {
 			t.Errorf("%v: %d leg rows with a folded load, want %d:\n%s", c.dims, rows, c.folded, b.String())
 		}
+	}
+}
+
+// Where the DRAM copy probe has no flush kernel (purego, non-amd64) the
+// sweeps print the bandwidth as unknown and no percentage of peak.
+func TestMeasuredUnknownBandwidth(t *testing.T) {
+	var b bytes.Buffer
+	printSweepTitle(&b, "2D", 0)
+	if got := b.String(); !strings.Contains(got, "DRAM copy unknown") {
+		t.Errorf("title %q, want the bandwidth unknown", got)
+	}
+	if got := pctPeak(3, 0); got != "-" {
+		t.Errorf("pctPeak with no peak = %q, want -", got)
+	}
+	if got := pctPeak(3, 4); got != "75%" {
+		t.Errorf("pctPeak(3, 4) = %q, want 75%%", got)
 	}
 }
 

@@ -28,8 +28,8 @@ type MeasuredConfig struct {
 	DataWorkers    int
 	ComputeWorkers int
 	BufferElems    int
-	// HostBWGBs is the host's STREAM bandwidth for percent-of-peak
-	// normalization; 0 measures it first.
+	// HostBWGBs is the host's DRAM copy bandwidth for percent-of-peak
+	// normalization; 0 measures it first (stream.DRAMCopyGBs).
 	HostBWGBs float64
 }
 
@@ -51,6 +51,9 @@ func (c MeasuredConfig) withDefaults() MeasuredConfig {
 	}
 	if c.BufferElems == 0 {
 		c.BufferElems = 1 << 14
+	}
+	if c.HostBWGBs == 0 {
+		c.HostBWGBs = stream.DRAMCopyGBs()
 	}
 	return c
 }
@@ -94,15 +97,31 @@ func timeBaseline(reps int, y, x []complex128, baseline func(y []complex128)) fl
 	return d.Seconds()
 }
 
+// printSweepTitle prints a sweep's title line with the host bandwidth its
+// percentages are of, "unknown" where the probe had no flush kernel.
+func printSweepTitle(w io.Writer, rank string, bwGBs float64) {
+	bw := "unknown"
+	if bwGBs > 0 {
+		bw = fmt.Sprintf("≈ %.1f GB/s", bwGBs)
+	}
+	fmt.Fprintf(w, "Measured %s sweep on this host (DRAM copy %s)\n", rank, bw)
+}
+
+// pctPeak formats achieved pseudo-Gflop/s as a percentage of the achievable
+// peak, or "-" where the host bandwidth, and with it the peak, is unknown.
+func pctPeak(gflops, peak float64) string {
+	if peak == 0 {
+		return "-"
+	}
+	return fmt.Sprintf("%.0f%%", gflops/peak*100)
+}
+
 // Measured3D runs the pencil and slab baselines and the double-buffered 3D
 // plan on the host at the configured sizes and prints seconds,
 // pseudo-Gflop/s and percent of this host's achievable peak.
 func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 	cfg = cfg.withDefaults()
-	if cfg.HostBWGBs == 0 {
-		cfg.HostBWGBs = stream.BestCopyGBs(stream.Config{Elems: 1 << 22, Trials: 3})
-	}
-	fmt.Fprintf(w, "Measured 3D sweep on this host (STREAM copy ≈ %.1f GB/s)\n", cfg.HostBWGBs)
+	printSweepTitle(w, "3D", cfg.HostBWGBs)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "size\tpencil\tslab\tdoublebuf\tdoublebuf pct-peak\tdb/pencil")
 	workers := cfg.DataWorkers + cfg.ComputeWorkers
@@ -127,8 +146,8 @@ func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 		}
 		peak := perfmodel.AchievablePeakGflops(elems, 3, cfg.HostBWGBs)
 		db := perfmodel.PseudoGflops(elems, dbuf)
-		fmt.Fprintf(tw, "%dx%dx%d\t%.4fs\t%.4fs\t%.4fs\t%.0f%%\t%.2fx\n",
-			k, n, m, pencil, slab, dbuf, db/peak*100, pencil/dbuf)
+		fmt.Fprintf(tw, "%dx%dx%d\t%.4fs\t%.4fs\t%.4fs\t%s\t%.2fx\n",
+			k, n, m, pencil, slab, dbuf, pctPeak(db, peak), pencil/dbuf)
 	}
 	return tw.Flush()
 }
@@ -137,10 +156,7 @@ func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 // double-buffered).
 func Measured2D(w io.Writer, cfg MeasuredConfig) error {
 	cfg = cfg.withDefaults()
-	if cfg.HostBWGBs == 0 {
-		cfg.HostBWGBs = stream.BestCopyGBs(stream.Config{Elems: 1 << 22, Trials: 3})
-	}
-	fmt.Fprintf(w, "Measured 2D sweep on this host (STREAM copy ≈ %.1f GB/s)\n", cfg.HostBWGBs)
+	printSweepTitle(w, "2D", cfg.HostBWGBs)
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "size\tpencil\tdoublebuf\tdoublebuf pct-peak\tdb/pencil")
 	workers := cfg.DataWorkers + cfg.ComputeWorkers
@@ -164,8 +180,8 @@ func Measured2D(w io.Writer, cfg MeasuredConfig) error {
 		}
 		peak := perfmodel.AchievablePeakGflops(elems, 2, cfg.HostBWGBs)
 		db := perfmodel.PseudoGflops(elems, dbuf)
-		fmt.Fprintf(tw, "%dx%d\t%.4fs\t%.4fs\t%.0f%%\t%.2fx\n",
-			n, m, pencil, dbuf, db/peak*100, pencil/dbuf)
+		fmt.Fprintf(tw, "%dx%d\t%.4fs\t%.4fs\t%s\t%.2fx\n",
+			n, m, pencil, dbuf, pctPeak(db, peak), pencil/dbuf)
 	}
 	return tw.Flush()
 }

@@ -2,7 +2,8 @@
 // the kernel tier can be chosen at runtime: the hand-scheduled AVX2/FMA
 // codelets in internal/kernels and the non-temporal store paths in
 // internal/layout are only eligible when the hardware (and the OS, via
-// XGETBV) actually supports them. On non-amd64 architectures, and under
+// XGETBV) actually supports them; layout's cache-line flush picks
+// CLFLUSHOPT over CLFLUSH the same way. On non-amd64 architectures, and under
 // the `purego` build tag, every feature reports false and the pure-Go
 // tier runs everywhere — the same fallback contract the paper's generated
 // codelets have against their scalar reference.
@@ -33,6 +34,11 @@ type Features struct {
 	// 3dnowprefetch). The cached store kernels issue it ahead of their
 	// destination blocks.
 	HasPRFCHW bool
+	// HasCLFLUSHOPT reports CLFLUSHOPT, the cache-line flush that is ordered
+	// only by fences, not by other flushes and stores (CPUID 7 EBX bit 23).
+	// The DRAM copy probe evicts its arrays with it; without it the probe
+	// falls back to CLFLUSH, which every x86-64 part has (it came with SSE2).
+	HasCLFLUSHOPT bool
 }
 
 // X86 holds the detected features of the running CPU. It is populated in
@@ -40,7 +46,8 @@ type Features struct {
 var X86 Features
 
 // Summary returns a short space-separated feature list for benchmark
-// headers and snapshot metadata, e.g. "avx avx2 fma avx512f avx512dq prfchw";
+// headers and snapshot metadata, e.g.
+// "avx avx2 fma avx512f avx512dq prfchw clflushopt";
 // "none" when no relevant feature is available (or detection is compiled
 // out).
 func Summary() string {
@@ -62,6 +69,9 @@ func Summary() string {
 	}
 	if X86.HasPRFCHW {
 		fs = append(fs, "prfchw")
+	}
+	if X86.HasCLFLUSHOPT {
+		fs = append(fs, "clflushopt")
 	}
 	if len(fs) == 0 {
 		return "none"

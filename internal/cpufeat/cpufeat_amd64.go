@@ -32,16 +32,20 @@ func init() {
 	}
 	X86.HasAVX = osYMM && ecx1&cpuidAVX != 0
 	X86.HasFMA = osYMM && ecx1&cpuidFMA != 0
-	if maxLeaf >= 7 && X86.HasAVX {
+	if maxLeaf >= 7 {
 		_, ebx7, _, _ := cpuid(7, 0)
 		const (
-			cpuidAVX2     = 1 << 5
-			cpuidAVX512F  = 1 << 16
-			cpuidAVX512DQ = 1 << 17
+			cpuidAVX2       = 1 << 5
+			cpuidAVX512F    = 1 << 16
+			cpuidAVX512DQ   = 1 << 17
+			cpuidCLFLUSHOPT = 1 << 23
 		)
-		X86.HasAVX2 = ebx7&cpuidAVX2 != 0
-		X86.HasAVX512F = osZMM && ebx7&cpuidAVX512F != 0
-		X86.HasAVX512DQ = X86.HasAVX512F && ebx7&cpuidAVX512DQ != 0
+		if X86.HasAVX {
+			X86.HasAVX2 = ebx7&cpuidAVX2 != 0
+			X86.HasAVX512F = osZMM && ebx7&cpuidAVX512F != 0
+			X86.HasAVX512DQ = X86.HasAVX512F && ebx7&cpuidAVX512DQ != 0
+		}
+		X86.HasCLFLUSHOPT = ebx7&cpuidCLFLUSHOPT != 0
 	}
 	if maxExt, _, _, _ := cpuid(0x80000000, 0); maxExt >= 0x80000001 {
 		_, _, ecxExt, _ := cpuid(0x80000001, 0)

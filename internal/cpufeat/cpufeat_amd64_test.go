@@ -42,6 +42,14 @@ func TestPRFCHWMatchesProcCPUInfo(t *testing.T) {
 	}
 }
 
+// CLFLUSHOPT, like PREFETCHW, needs no OS-enabled state: the kernel lists
+// clflushopt exactly when the CPUID bit is set.
+func TestCLFLUSHOPTMatchesProcCPUInfo(t *testing.T) {
+	if listed := procFlags(t)["clflushopt"]; listed != X86.HasCLFLUSHOPT {
+		t.Fatalf("clflushopt listed in /proc/cpuinfo = %v, HasCLFLUSHOPT = %v", listed, X86.HasCLFLUSHOPT)
+	}
+}
+
 // procFlags returns the first CPU's flags from /proc/cpuinfo, skipping the
 // test where the file or its flags line is missing.
 func procFlags(t *testing.T) map[string]bool {

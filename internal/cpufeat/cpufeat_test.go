@@ -22,6 +22,7 @@ func TestSummaryListsDetectedFeatures(t *testing.T) {
 		{"avx512f", X86.HasAVX512F},
 		{"avx512dq", X86.HasAVX512DQ},
 		{"prfchw", X86.HasPRFCHW},
+		{"clflushopt", X86.HasCLFLUSHOPT},
 	} {
 		detected = detected || c.has
 		if listed := strings.Contains(" "+s+" ", " "+c.name+" "); listed != c.has {

@@ -33,6 +33,10 @@
 // run per block index across a pipeline block's units), the order the
 // streaming store leg uses.
 //
+// Evict, beside StoreFence, is the one primitive that moves no data: it
+// flushes a slice's cache lines from every level (CLFLUSHOPT or CLFLUSH, on
+// amd64 only), so the DRAM copy probe of internal/stream reads memory.
+//
 // All functions are plain sequential loops; parallelization happens a level
 // up (internal/pipeline and internal/stagegraph carve the index space across
 // data workers).

@@ -18,3 +18,10 @@ func GatherBlocksNT(dst, src []complex128, runs, units, blockLen, unitLen, dstSt
 
 // StoreFence is a no-op on builds without streaming stores.
 func StoreFence() {}
+
+// EvictAvailable reports whether Evict flushes on this build. It does not:
+// the cache-line flush kernel is amd64 assembly.
+func EvictAvailable() bool { return false }
+
+// Evict is a no-op on builds without the cache-line flush kernel.
+func Evict(b []float64) {}

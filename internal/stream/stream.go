@@ -1,13 +1,16 @@
-// Package stream implements the STREAM memory-bandwidth benchmark
-// (McCalpin) in Go: Copy, Scale, Add and Triad over arrays sized well beyond
-// the last-level cache.
+// Package stream measures this host's memory bandwidth, the bandwidth term
+// of P_io the paper takes every figure's achievable peak from (§V), in two
+// ways.
 //
-// The paper uses STREAM to define the achievable peak of every figure — the
-// bandwidth term of P_io (§V). This package serves the same role twice:
-// cmd/stream measures the bandwidth of whatever host the benchmarks run on
-// (so real measurements are normalized against this machine's own memory
-// system), and the machine descriptions carry the paper's published STREAM
-// numbers for the simulated paper-scale runs.
+// Run is the STREAM benchmark (McCalpin) in Go: Copy, Scale, Add and Triad
+// over three arrays, for cmd/stream. It measures DRAM only when the arrays
+// are several times the last-level cache (STREAM's own rule asks for 4×).
+//
+// DRAMCopyGBs is the roofline the daemon and the measured sweeps normalize
+// against: one copy between two 4 MiB arrays, each evicted from every cache
+// level before each trial, so 8 MiB read memory however large the
+// last-level cache is. Elsewhere the machine descriptions carry the paper's
+// published STREAM numbers for the simulated paper-scale runs.
 package stream
 
 import (
@@ -152,10 +155,4 @@ func Run(cfg Config) []Result {
 		}
 	}
 	return results
-}
-
-// BestCopyGBs runs the benchmark and returns the best copy bandwidth — the
-// number the paper's P_io formula consumes.
-func BestCopyGBs(cfg Config) float64 {
-	return Run(cfg)[0].BestGBs
 }

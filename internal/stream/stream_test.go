@@ -1,6 +1,14 @@
 package stream
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+
+	"repro/internal/layout"
+	"repro/internal/machine"
+)
 
 func TestRunAllKernels(t *testing.T) {
 	res := Run(Config{Elems: 1 << 16, Trials: 2})
@@ -47,9 +55,70 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-func TestBestCopyGBs(t *testing.T) {
-	if bw := BestCopyGBs(Config{Elems: 1 << 14, Trials: 1}); bw <= 0 {
-		t.Fatalf("BestCopyGBs = %v", bw)
+// The probe allocates its two arrays and nothing else, and returns a finite
+// positive figure exactly where a cache-flush kernel exists. The collector
+// is off while it runs: a cycle its 8 MiB would start allocates the mark
+// workers' own few hundred bytes, which are not the probe's.
+func TestDRAMCopyGBs(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	bw := DRAMCopyGBs()
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
+		t.Errorf("DRAMCopyGBs allocated %d B, want ≤ 8 MiB", alloc)
+	}
+	if !layout.EvictAvailable() {
+		if bw != 0 {
+			t.Fatalf("DRAMCopyGBs = %v without a flush kernel, want 0", bw)
+		}
+		return
+	}
+	if bw <= 0 || math.IsInf(bw, 0) || math.IsNaN(bw) {
+		t.Fatalf("DRAMCopyGBs = %v, want finite and positive", bw)
+	}
+	t.Logf("DRAMCopyGBs = %.2f GB/s", bw)
+}
+
+// A copy that corrupts one element, or copies nothing, reads 0, not a
+// bandwidth.
+func TestCopyProbeCatchesCorruptCopy(t *testing.T) {
+	if !layout.EvictAvailable() {
+		t.Skip("no cache-flush kernel: the probe returns 0 before copying")
+	}
+	corrupt := func(dst, src []float64) {
+		copy(dst, src)
+		dst[len(dst)/3] = -1
+	}
+	if bw := copyProbe(layout.Evict, corrupt); bw != 0 {
+		t.Errorf("corrupted copy read %v GB/s, want 0", bw)
+	}
+	if bw := copyProbe(layout.Evict, func(dst, src []float64) {}); bw != 0 {
+		t.Errorf("a copy that copies nothing read %v GB/s, want 0", bw)
+	}
+}
+
+// Where the last-level cache holds the probe's 8 MiB four times over, the
+// same arrays copied without the eviction read cache; the evicted copy must
+// read well below that, or the flush did not reach memory. On the 300 MiB
+// L3 host the two read ≈ 10 and ≈ 22 GB/s; without a working flush they
+// read alike, so a margin of 4/5 separates the cases on a noisy host.
+func TestEvictionReadsBelowCachedCopy(t *testing.T) {
+	if !layout.EvictAvailable() {
+		t.Skip("no cache-flush kernel")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation makes the copy compute-bound")
+	}
+	if llc := machine.HostLLCBytes(); llc < 4*16*probeElems {
+		t.Skipf("LLC %d B holds the probe's arrays fewer than 4 times", llc)
+	}
+	copyFloats := func(dst, src []float64) { copy(dst, src) }
+	cached := copyProbe(func([]float64) {}, copyFloats)
+	evicted := copyProbe(layout.Evict, copyFloats)
+	t.Logf("evicted %.2f GB/s, cached %.2f GB/s", evicted, cached)
+	if evicted >= 0.8*cached {
+		t.Fatalf("evicted copy %.2f GB/s ≥ 4/5 of the cached copy's %.2f GB/s: the flush did not evict", evicted, cached)
 	}
 }
 
