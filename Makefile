@@ -5,9 +5,9 @@ GO ?= go
 
 # Packages whose tests exercise real concurrency (worker pools, barriers,
 # shared plans); they get a dedicated -race pass in ci.
-RACE_PKGS = . ./internal/stagegraph ./internal/fft2d \
+RACE_PKGS = . ./internal/stagegraph ./internal/core \
             ./internal/fft3d ./internal/fft1d \
-            ./internal/lru ./internal/serve ./internal/rfft \
+            ./internal/lru ./internal/serve \
             ./internal/trace ./internal/obs ./internal/flightrec \
             ./internal/wire
 
@@ -15,8 +15,8 @@ RACE_PKGS = . ./internal/stagegraph ./internal/fft2d \
 # second test pass under -tags purego to prove the pure-Go fallback stays
 # correct on its own (the tag forces the Generic kernels everywhere).
 PUREGO_PKGS = ./internal/kernels ./internal/layout ./internal/cpufeat \
-              ./internal/stagegraph ./internal/fft1d ./internal/fft2d \
-              ./internal/fft3d ./internal/rfft \
+              ./internal/stagegraph ./internal/fft1d ./internal/core \
+              ./internal/fft3d \
               ./internal/tune ./internal/machine ./internal/wire \
               ./internal/stream
 

@@ -16,8 +16,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 	"repro/internal/kernels"
 	"repro/internal/shard"
 	"repro/internal/spl"
@@ -29,7 +27,7 @@ func benchInput(n int) []complex128 {
 }
 
 func bench3D(b *testing.B, k, n, m int, opts core.Config) {
-	p, err := fft3d.NewPlan(k, n, m, opts)
+	p, err := core.NewPlan(opts, false, k, n, m)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -181,7 +179,7 @@ func BenchmarkFig9_2DPeakFraction(b *testing.B) {
 			benchBaseline(b, s[0]*s[1], func(y []complex128) { bench.Pencil2D(y, s[0], s[1], fft1d.Forward, 2) })
 		})
 		b.Run("doublebuf/"+name, func(b *testing.B) {
-			p, err := fft2d.NewPlan(s[0], s[1], core.Config{BufferElems: 1 << 12})
+			p, err := core.NewPlan(core.Config{BufferElems: 1 << 12}, false, s[0], s[1])
 			if err != nil {
 				b.Fatal(err)
 			}

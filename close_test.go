@@ -3,10 +3,10 @@ package repro
 // Close lifecycle: Close must be idempotent (double Close, sequential or
 // concurrent, is a no-op) and safe to race with an in-flight transform —
 // the racing Close waits for the transform to finish, later transforms
-// return an error instead of panicking, and the worker team is released
-// exactly once (goroutine count returns to its pre-plan baseline). FFT1D
-// has no workers, but holds the same contract at every size: a transform
-// after Close returns ErrClosed.
+// return ErrClosed instead of panicking, and the worker team is released
+// exactly once (goroutine count returns to its pre-plan baseline). Every
+// handle kind holds the contract, whether it owns its plan or came from a
+// SharedPlans pool; FFT1D has no workers, but holds it at every size.
 
 import (
 	"errors"
@@ -17,79 +17,126 @@ import (
 	"time"
 )
 
-// closer is the lifecycle surface shared by FFT1D/FFT2D/FFT3D.
-type closer interface {
+// transformer is a handle's Close beside one out-of-place forward
+// transform over fresh arrays.
+type transformer struct {
+	Close   func()
+	forward func() error
+}
+
+// complexHandle and realHandle are the forward surfaces of the complex and
+// real handle kinds.
+type complexHandle interface {
 	Close()
+	Len() int
+	Forward(dst, src []complex128) error
 }
 
-// transformer runs one out-of-place forward transform.
-type transformer interface {
-	closer
-	forward() error
-	length() int
+type realHandle interface {
+	Close()
+	SpectrumLen() int
+	Forward(dst []complex128, src []float64) error
 }
 
-type plan1D struct{ p *FFT1D }
-
-func (w plan1D) Close() { w.p.Close() }
-func (w plan1D) forward() error {
-	dst := make([]complex128, w.p.Len())
-	src := make([]complex128, w.p.Len())
-	return w.p.Forward(dst, src)
+func wrapComplex(p complexHandle, err error) (transformer, error) {
+	if err != nil {
+		return transformer{}, err
+	}
+	return transformer{p.Close, func() error {
+		return p.Forward(make([]complex128, p.Len()), make([]complex128, p.Len()))
+	}}, nil
 }
-func (w plan1D) length() int { return w.p.Len() }
 
-type plan2D struct{ p *FFT2D }
-
-func (w plan2D) Close() { w.p.Close() }
-func (w plan2D) forward() error {
-	dst := make([]complex128, w.p.Len())
-	src := make([]complex128, w.p.Len())
-	return w.p.Forward(dst, src)
+// wrapReal wraps a real handle of n real elements.
+func wrapReal(n int) func(p realHandle, err error) (transformer, error) {
+	return func(p realHandle, err error) (transformer, error) {
+		if err != nil {
+			return transformer{}, err
+		}
+		return transformer{p.Close, func() error {
+			return p.Forward(make([]complex128, p.SpectrumLen()), make([]float64, n))
+		}}, nil
+	}
 }
-func (w plan2D) length() int { return w.p.Len() }
 
-type plan3D struct{ p *FFT3D }
+var (
+	opts2D = []Option{WithWorkers(2, 2), WithBufferElems(1 << 10)}
+	opts3D = []Option{WithWorkers(2, 2), WithBufferElems(1 << 9)}
+)
 
-func (w plan3D) Close() { w.p.Close() }
-func (w plan3D) forward() error {
-	dst := make([]complex128, w.p.Len())
-	src := make([]complex128, w.p.Len())
-	return w.p.Forward(dst, src)
+// handleKinds builds one small handle of every kind — the 1D plan again at
+// a size past L2 (> 2¹⁶) — from the pool s, or owning its plan when s is
+// nil.
+var handleKinds = map[string]func(s *SharedPlans) (transformer, error){
+	"FFT1D": func(s *SharedPlans) (transformer, error) {
+		if s != nil {
+			return wrapComplex(s.FFT1D(1 << 10))
+		}
+		return wrapComplex(NewFFT1D(1 << 10))
+	},
+	"FFT1D/large": func(s *SharedPlans) (transformer, error) {
+		if s != nil {
+			return wrapComplex(s.FFT1D(1 << 17))
+		}
+		return wrapComplex(NewFFT1D(1 << 17))
+	},
+	"FFT2D": func(s *SharedPlans) (transformer, error) {
+		if s != nil {
+			return wrapComplex(s.FFT2D(64, 64, opts2D...))
+		}
+		return wrapComplex(NewFFT2D(64, 64, opts2D...))
+	},
+	"FFT3D": func(s *SharedPlans) (transformer, error) {
+		if s != nil {
+			return wrapComplex(s.FFT3D(16, 16, 32, opts3D...))
+		}
+		return wrapComplex(NewFFT3D(16, 16, 32, opts3D...))
+	},
+	"RealFFT1D": func(s *SharedPlans) (transformer, error) {
+		if s != nil {
+			return wrapReal(1 << 10)(s.RealFFT1D(1<<10, opts2D...))
+		}
+		return wrapReal(1 << 10)(NewRealFFT1D(1<<10, opts2D...))
+	},
+	"RealFFT2D": func(s *SharedPlans) (transformer, error) {
+		if s != nil {
+			return wrapReal(64 * 64)(s.RealFFT2D(64, 64, opts2D...))
+		}
+		return wrapReal(64 * 64)(NewRealFFT2D(64, 64, opts2D...))
+	},
+	"RealFFT3D": func(s *SharedPlans) (transformer, error) {
+		if s != nil {
+			return wrapReal(16 * 16 * 32)(s.RealFFT3D(16, 16, 32, opts3D...))
+		}
+		return wrapReal(16 * 16 * 32)(NewRealFFT3D(16, 16, 32, opts3D...))
+	},
 }
-func (w plan3D) length() int { return w.p.Len() }
 
-// newPlans builds one small plan per rank — 2D and 3D with persistent
-// executors — and the 1D plan again at a size past L2 (> 2¹⁶).
+// newPlans builds every handle kind once owning its plan and once from a
+// SharedPlans pool of its own. Closing a shared handle here also closes its
+// pool, so the plan is evicted and torn down under the closed handle, and
+// the goroutine count comes back to its baseline either way.
 func newPlans(t *testing.T) map[string]func() transformer {
 	t.Helper()
-	fft1D := func(n int) func() transformer {
-		return func() transformer {
-			p, err := NewFFT1D(n)
+	plans := map[string]func() transformer{}
+	for name, build := range handleKinds {
+		plans[name] = func() transformer {
+			p, err := build(nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return plan1D{p}
+			return p
+		}
+		plans["Shared"+name] = func() transformer {
+			s := NewSharedPlans(1)
+			p, err := build(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return transformer{func() { p.Close(); s.Close() }, p.forward}
 		}
 	}
-	return map[string]func() transformer{
-		"FFT1D":       fft1D(1 << 10),
-		"FFT1D/large": fft1D(1 << 17),
-		"FFT2D": func() transformer {
-			p, err := NewFFT2D(64, 64, WithWorkers(2, 2), WithBufferElems(1<<10))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return plan2D{p}
-		},
-		"FFT3D": func() transformer {
-			p, err := NewFFT3D(16, 16, 32, WithWorkers(2, 2), WithBufferElems(1<<9))
-			if err != nil {
-				t.Fatal(err)
-			}
-			return plan3D{p}
-		},
-	}
+	return plans
 }
 
 // waitGoroutines polls until the goroutine count drops to at most want
@@ -176,15 +223,36 @@ func TestCloseWhileRunning(t *testing.T) {
 			time.Sleep(2 * time.Millisecond) // let some transforms run
 			p.Close()
 			wg.Wait()
-			// After Close and drain, a fresh call must report closed.
-			err := p.forward()
-			if err == nil || !strings.Contains(err.Error(), "closed") {
-				t.Errorf("transform after Close: got %v, want plan-closed error", err)
-			}
-			if _, is1D := p.(plan1D); is1D && !errors.Is(err, ErrClosed) {
-				t.Errorf("FFT1D transform after Close: got %v, want ErrClosed", err)
+			// After Close and drain, a fresh call must report ErrClosed.
+			if err := p.forward(); !errors.Is(err, ErrClosed) {
+				t.Errorf("transform after Close: got %v, want ErrClosed", err)
 			}
 			waitGoroutines(t, baseline)
 		})
+	}
+}
+
+// A closed shared handle refuses transforms with ErrClosed while its plan
+// stays in the pool for the handles still open on it.
+func TestClosedSharedHandleRefuses(t *testing.T) {
+	s := NewSharedPlans(len(handleKinds))
+	defer s.Close()
+	for name, build := range handleKinds {
+		closed, err := build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open, err := build(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		closed.Close()
+		if err := closed.forward(); !errors.Is(err, ErrClosed) {
+			t.Errorf("%s: transform on a closed shared handle returned %v, want ErrClosed", name, err)
+		}
+		if err := open.forward(); err != nil {
+			t.Errorf("%s: the open handle on the same plan: %v", name, err)
+		}
+		open.Close()
 	}
 }

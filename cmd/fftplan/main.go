@@ -23,8 +23,6 @@ import (
 	"repro/internal/cli"
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 	"repro/internal/machine"
 	"repro/internal/spl"
 	"repro/internal/trace"
@@ -67,9 +65,9 @@ func main() {
 // renders the recorded Table II timeline.
 func printTraceDemo() error {
 	tr := trace.New()
-	p, err := fft3d.NewPlan(8, 8, 16, core.Config{
+	p, err := core.NewPlan(core.Config{
 		Mu: 4, BufferElems: 128, DataWorkers: 1, ComputeWorkers: 1, Tracer: tr,
-	})
+	}, false, 8, 8, 16)
 	if err != nil {
 		return err
 	}
@@ -100,7 +98,7 @@ func print2D(n, m, mu, b int) {
 	}
 	printSchedule(2, n*m/b)
 	if n*m <= describeElems && m%mu == 0 {
-		if p, err := fft2d.NewPlan(n, m, core.Config{Mu: mu, BufferElems: b}); err == nil {
+		if p, err := core.NewPlan(core.Config{Mu: mu, BufferElems: b}, false, n, m); err == nil {
 			printGraph(p.DescribeGraph())
 		}
 	}
@@ -118,7 +116,7 @@ func print3D(k, n, m, mu, b int) {
 	}
 	printSchedule(3, k*n*m/b)
 	if k*n*m <= describeElems && m%mu == 0 {
-		if p, err := fft3d.NewPlan(k, n, m, core.Config{Mu: mu, BufferElems: b}); err == nil {
+		if p, err := core.NewPlan(core.Config{Mu: mu, BufferElems: b}, false, k, n, m); err == nil {
 			printGraph(p.DescribeGraph())
 		}
 	}

@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft3d"
 	"repro/internal/obs"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -179,7 +178,7 @@ func shardBitwiseAndRate(coord *shard.Coordinator, n, workers int) error {
 	for i := range src {
 		src[i] = complex(math.Sin(float64(i+1)*0.7), math.Cos(float64(i+1)*0.3))
 	}
-	plan, err := fft3d.NewPlan(n, n, n, core.Config{})
+	plan, err := core.NewPlan(core.Config{}, false, n, n, n)
 	if err != nil {
 		return err
 	}

@@ -9,9 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
-	"repro/internal/rfft"
 	"repro/internal/serve"
 )
 
@@ -92,14 +89,14 @@ func TestPublicDefaultsAreThePlanPackageDefaults2D(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pub.Close()
-		zero, err := fft2d.NewPlan(n, m, core.Config{})
+		zero, err := core.NewPlan(core.Config{}, false, n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer zero.Close()
 		checkComplexDefaults(t, fmt.Sprintf("%dx%d", n, m), n*m,
 			packageSide("zero Config", zero),
-			packageSide("served Default()", served(t, pc, false, n, m, 0).PN()),
+			packageSide("served Default()", served(t, pc, false, n, m, 0).Core()),
 			complexSide{"public", pub.DescribeGraph, pub.Forward, pub.Inverse})
 	}
 }
@@ -114,14 +111,14 @@ func TestPublicDefaultsAreThePlanPackageDefaults3D(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pub.Close()
-		zero, err := fft3d.NewPlan(k, n, m, core.Config{})
+		zero, err := core.NewPlan(core.Config{}, false, k, n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer zero.Close()
 		checkComplexDefaults(t, fmt.Sprintf("%dx%dx%d", k, n, m), k*n*m,
 			packageSide("zero Config", zero),
-			packageSide("served Default()", served(t, pc, false, k, n, m).PN()),
+			packageSide("served Default()", served(t, pc, false, k, n, m).Core()),
 			complexSide{"public", pub.DescribeGraph, pub.Forward, pub.Inverse})
 	}
 }
@@ -136,7 +133,7 @@ func TestPublicDefaultsAreThePlanPackageDefaultsReal3D(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer pub.Close()
-		zero, err := rfft.NewPlan(core.Config{}, k, n, m)
+		zero, err := core.NewPlan(core.Config{}, true, k, n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,13 +146,13 @@ func TestPublicDefaultsAreThePlanPackageDefaultsReal3D(t *testing.T) {
 		var wantGraph string
 		var want []complex128
 		var wantBack []float64
-		for i, p := range []*rfft.Plan{zero, served(t, pc, true, k, n, m).R(), pub.p} {
+		for i, p := range []*core.Plan{zero, served(t, pc, true, k, n, m).Core(), pub.p} {
 			side := [...]string{"zero Config", "served Default()", "public"}[i]
 			got, back := make([]complex128, p.SpectrumLen()), make([]float64, len(x))
-			if err := p.Forward(got, x); err != nil {
+			if err := p.ForwardReal(got, x, 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Inverse(back, got); err != nil {
+			if err := p.InverseReal(back, got, 1); err != nil {
 				t.Fatal(err)
 			}
 			if i == 0 {
@@ -183,7 +180,7 @@ func TestExplicitOptionsOverrideDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := fft2d.NewPlan(64, 64, core.Config{Mu: 4, BufferElems: 1 << 9})
+	ref, err := core.NewPlan(core.Config{Mu: 4, BufferElems: 1 << 9}, false, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}

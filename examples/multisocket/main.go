@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
-	"repro/internal/fft3d"
 	"repro/internal/shard"
 )
 
@@ -37,7 +36,7 @@ func main() {
 
 	// The slabs run the single-socket plan's kernel calls: bit for bit its
 	// answer.
-	single, err := fft3d.NewPlan(k, n, m, core.Config{})
+	single, err := core.NewPlan(core.Config{}, false, k, n, m)
 	if err != nil {
 		log.Fatal(err)
 	}

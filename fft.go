@@ -22,12 +22,10 @@ package repro
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 	"repro/internal/machine"
 )
 
@@ -115,63 +113,100 @@ func resolve(opts []Option) (core.Config, error) {
 	return cfg, nil
 }
 
-// FFT3D is a reusable plan for k×n×m cubes (row-major, x fastest).
-type FFT3D struct {
-	p *core.Plan
-	// Handles from a SharedPlans pool release their cache pin on Close
-	// instead of tearing the plan down; closeOnce keeps either path safe
-	// under repeated and concurrent Close.
-	release   func()
-	closeOnce sync.Once
+// handle is what every pipelined handle kind holds: its core plan, the
+// SharedPlans pin it releases instead of closing the plan, and the flag that
+// closes it once.
+type handle struct {
+	p       *core.Plan
+	release func()
+	closed  atomic.Bool
 }
+
+// build resolves opts and builds the handle's plan.
+func (h *handle) build(opts []Option, real bool, dims ...int) error {
+	cfg, err := resolve(opts)
+	if err != nil {
+		return err
+	}
+	h.p, err = core.NewPlan(cfg, real, dims...)
+	return err
+}
+
+// run runs op on the plan, or returns ErrClosed after Close: a shared plan
+// may since have been evicted and torn down.
+func (h *handle) run(op func(p *core.Plan) error) error {
+	if h.closed.Load() {
+		return ErrClosed
+	}
+	return op(h.p)
+}
+
+// Close releases the plan's persistent pipeline workers (parked goroutines
+// reused across transforms). Optional — plans dropped without Close are
+// reclaimed by a finalizer — idempotent and safe to call concurrently; later
+// transforms return ErrClosed. For handles from a SharedPlans pool, Close
+// releases the cache pin instead; the shared plan itself closes when it is
+// evicted and its last user has released it.
+func (h *handle) Close() {
+	if !h.closed.CompareAndSwap(false, true) {
+		return
+	}
+	if h.release != nil {
+		h.release()
+		return
+	}
+	h.p.Close()
+}
+
+// Stats returns whole-transform executor statistics for the most recent
+// transform: pipeline steps, aggregate data-mover and compute time, and the
+// fraction of data time hidden behind compute (the zero value before the
+// first transform).
+func (h *handle) Stats() Stats { return h.p.Stats() }
+
+// Observability returns the plan's cumulative bandwidth-accounting
+// snapshot: per-stage bytes loaded/stored, effective GB/s and fraction of
+// the roofline, steady-state overlap occupancy, barrier wait, and (when a
+// machine is configured) the perfmodel divergence; a real plan's merges its
+// forward and inverse pipelines. Unlike Stats, which covers only the most
+// recent transform, the snapshot accumulates over every transform the plan
+// has run.
+func (h *handle) Observability() Observability { return h.p.Observability() }
+
+// FFT3D is a reusable plan for k×n×m cubes (row-major, x fastest).
+type FFT3D struct{ handle }
 
 // NewFFT3D builds a 3D plan.
 func NewFFT3D(k, n, m int, opts ...Option) (*FFT3D, error) {
-	cfg, err := resolve(opts)
-	if err != nil {
+	f := new(FFT3D)
+	if err := f.build(opts, false, k, n, m); err != nil {
 		return nil, err
 	}
-	p, err := fft3d.NewPlan(k, n, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &FFT3D{p: p}, nil
+	return f, nil
 }
 
 // Forward computes the unnormalized forward DFT out of place; dst and src
 // must each have length Len() and must not overlap.
 func (f *FFT3D) Forward(dst, src []complex128) error {
-	return f.p.Transform(dst, src, fft1d.Forward)
+	return f.run(func(p *core.Plan) error { return p.Transform(dst, src, fft1d.Forward) })
 }
 
 // Inverse computes the normalized inverse DFT out of place: Inverse ∘
 // Forward is the identity.
-func (f *FFT3D) Inverse(dst, src []complex128) error { return f.p.Inverse(dst, src) }
+func (f *FFT3D) Inverse(dst, src []complex128) error {
+	return f.run(func(p *core.Plan) error { return p.Inverse(dst, src) })
+}
 
 // InPlace computes the unnormalized forward DFT in place.
-func (f *FFT3D) InPlace(x []complex128) error { return f.p.InPlace(x, fft1d.Forward) }
+func (f *FFT3D) InPlace(x []complex128) error {
+	return f.run(func(p *core.Plan) error { return p.InPlace(x, fft1d.Forward) })
+}
 
 // ForwardMany transforms count cubes stored back-to-back (the "howmany"
 // interface): dst and src must each hold count·Len() elements. Planning
 // and buffer allocation are amortized over the batch.
 func (f *FFT3D) ForwardMany(dst, src []complex128, count int) error {
-	return f.p.TransformMany(dst, src, count, fft1d.Forward)
-}
-
-// Close releases the plan's persistent pipeline workers (parked goroutines
-// reused across transforms). Optional — plans dropped without Close are
-// reclaimed by a finalizer — and idempotent; the plan must not be used
-// after Close. For handles from a SharedPlans pool, Close releases the
-// cache pin instead; the shared plan itself closes when it is evicted and
-// its last user has released it.
-func (f *FFT3D) Close() {
-	f.closeOnce.Do(func() {
-		if f.release != nil {
-			f.release()
-			return
-		}
-		f.p.Close()
-	})
+	return f.run(func(p *core.Plan) error { return p.TransformMany(dst, src, count, fft1d.Forward) })
 }
 
 // Len returns the total element count k·n·m.
@@ -183,65 +218,35 @@ func (f *FFT3D) Dims() (k, n, m int) {
 	return d[0], d[1], d[2]
 }
 
-// Stats returns whole-transform executor statistics for the most recent
-// transform: pipeline steps, aggregate data-mover and compute time, and the
-// fraction of data time hidden behind compute (the zero value before the
-// first transform).
-func (f *FFT3D) Stats() Stats { return f.p.Stats() }
-
 // DescribeGraph renders the compiled stage graph the plan executes (stage
 // geometry and the fused schedule).
 func (f *FFT3D) DescribeGraph() string { return f.p.DescribeGraph() }
 
-// Observability returns the plan's cumulative bandwidth-accounting
-// snapshot: per-stage bytes loaded/stored, effective GB/s and fraction of
-// the roofline, steady-state overlap occupancy, barrier wait, and (when a
-// machine is configured) the perfmodel divergence. Unlike Stats, which
-// covers only the most recent transform, the snapshot accumulates over
-// every transform the plan has run.
-func (f *FFT3D) Observability() Observability { return f.p.Observability() }
-
 // FFT2D is a reusable plan for n×m matrices (row-major).
-type FFT2D struct {
-	p         *core.Plan
-	release   func()
-	closeOnce sync.Once
-}
+type FFT2D struct{ handle }
 
 // NewFFT2D builds a 2D plan.
 func NewFFT2D(n, m int, opts ...Option) (*FFT2D, error) {
-	cfg, err := resolve(opts)
-	if err != nil {
+	f := new(FFT2D)
+	if err := f.build(opts, false, n, m); err != nil {
 		return nil, err
 	}
-	p, err := fft2d.NewPlan(n, m, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &FFT2D{p: p}, nil
+	return f, nil
 }
 
 // Forward computes the unnormalized forward DFT out of place.
 func (f *FFT2D) Forward(dst, src []complex128) error {
-	return f.p.Transform(dst, src, fft1d.Forward)
+	return f.run(func(p *core.Plan) error { return p.Transform(dst, src, fft1d.Forward) })
 }
 
 // Inverse computes the normalized inverse DFT out of place.
-func (f *FFT2D) Inverse(dst, src []complex128) error { return f.p.Inverse(dst, src) }
+func (f *FFT2D) Inverse(dst, src []complex128) error {
+	return f.run(func(p *core.Plan) error { return p.Inverse(dst, src) })
+}
 
 // InPlace computes the unnormalized forward DFT in place.
-func (f *FFT2D) InPlace(x []complex128) error { return f.p.InPlace(x, fft1d.Forward) }
-
-// Close releases the plan's persistent pipeline workers; optional and
-// idempotent (see FFT3D.Close).
-func (f *FFT2D) Close() {
-	f.closeOnce.Do(func() {
-		if f.release != nil {
-			f.release()
-			return
-		}
-		f.p.Close()
-	})
+func (f *FFT2D) InPlace(x []complex128) error {
+	return f.run(func(p *core.Plan) error { return p.InPlace(x, fft1d.Forward) })
 }
 
 // Len returns n·m.
@@ -253,16 +258,8 @@ func (f *FFT2D) Dims() (n, m int) {
 	return d[0], d[1]
 }
 
-// Stats returns whole-transform executor statistics for the most recent
-// transform; see FFT3D.Stats.
-func (f *FFT2D) Stats() Stats { return f.p.Stats() }
-
 // DescribeGraph renders the compiled stage graph the plan executes.
 func (f *FFT2D) DescribeGraph() string { return f.p.DescribeGraph() }
-
-// Observability returns the plan's cumulative bandwidth-accounting
-// snapshot; see FFT3D.Observability.
-func (f *FFT2D) Observability() Observability { return f.p.Observability() }
 
 // Observability is a cumulative telemetry snapshot: per-stage bytes and
 // effective bandwidth against the configured roofline, overlap occupancy,

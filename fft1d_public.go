@@ -3,14 +3,14 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/rfft"
 )
 
-// ErrClosed is returned by a transform on an FFT1D handle after Close.
+// ErrClosed is returned by a transform on any plan handle after Close,
+// whether the handle owns its plan or came from a SharedPlans pool.
 var ErrClosed = errors.New("repro: plan closed")
 
 // FFT1D is a reusable plan for one-dimensional transforms of any size
@@ -73,115 +73,79 @@ func (f *FFT1D) Observability() Observability { return Observability{} }
 // stores (8 B of traffic per real element). Batched entry points amortize
 // the pipeline wake-up across many rows — the shape the serving layer's
 // request coalescing feeds.
-type RealFFT1D struct {
-	p         *rfft.Plan
-	release   func()
-	closeOnce sync.Once
-}
+type RealFFT1D struct{ handle }
 
 // NewRealFFT1D builds a real-input 1D plan; n must be even and ≥ 2.
 func NewRealFFT1D(n int, opts ...Option) (*RealFFT1D, error) {
-	cfg, err := resolve(opts)
-	if err != nil {
+	f := new(RealFFT1D)
+	if err := f.build(opts, true, n); err != nil {
 		return nil, err
 	}
-	p, err := rfft.NewPlan(cfg, n)
-	if err != nil {
-		return nil, err
-	}
-	return &RealFFT1D{p: p}, nil
+	return f, nil
 }
 
 // Forward computes the unnormalized half spectrum X[0…n/2]; dst must have
 // length SpectrumLen(), src length N().
 func (f *RealFFT1D) Forward(dst []complex128, src []float64) error {
-	return f.p.Forward(dst, src)
+	return f.ForwardBatch(dst, src, 1)
 }
 
 // ForwardBatch transforms count contiguously packed real rows in one
 // pipeline run.
 func (f *RealFFT1D) ForwardBatch(dst []complex128, src []float64, count int) error {
-	return f.p.ForwardBatch(dst, src, count)
+	return f.run(func(p *core.Plan) error { return p.ForwardReal(dst, src, count) })
 }
 
 // Inverse computes the normalized real inverse (Inverse ∘ Forward is the
 // identity). The imaginary parts of the self-conjugate bins src[0] and
 // src[n/2] are forced to zero; src is not modified.
 func (f *RealFFT1D) Inverse(dst []float64, src []complex128) error {
-	return f.p.Inverse(dst, src)
+	return f.InverseBatch(dst, src, 1)
 }
 
 // InverseBatch reconstructs count contiguously packed real rows in one
 // pipeline run.
 func (f *RealFFT1D) InverseBatch(dst []float64, src []complex128, count int) error {
-	return f.p.InverseBatch(dst, src, count)
+	return f.run(func(p *core.Plan) error { return p.InverseReal(dst, src, count) })
 }
 
 // N returns the real length.
-func (f *RealFFT1D) N() int { return f.p.RealLen() }
+func (f *RealFFT1D) N() int { return f.p.Len() }
 
 // SpectrumLen returns n/2+1.
 func (f *RealFFT1D) SpectrumLen() int { return f.p.SpectrumLen() }
 
-// Close releases the plan's persistent pipeline workers; optional and
-// idempotent (see FFT3D.Close).
-func (f *RealFFT1D) Close() {
-	f.closeOnce.Do(func() {
-		if f.release != nil {
-			f.release()
-			return
-		}
-		f.p.Close()
-	})
-}
-
-// Observability returns the plan's cumulative bandwidth-accounting
-// snapshot, merged over the forward and inverse pipelines; see
-// FFT3D.Observability.
-func (f *RealFFT1D) Observability() Observability { return f.p.Observability() }
-
-// Stats returns executor statistics for the most recent transform.
-func (f *RealFFT1D) Stats() Stats { return f.p.Stats() }
-
 // String provides a compact description for logs.
-func (f *RealFFT1D) String() string { return fmt.Sprintf("RealFFT1D(%d)", f.p.RealLen()) }
+func (f *RealFFT1D) String() string { return fmt.Sprintf("RealFFT1D(%d)", f.p.Len()) }
 
 // RealFFT2D transforms real n×m grids (m even) to their Hermitian half
 // spectra (n×(m/2+1) complex values) and back — roughly half the memory
 // traffic and twice the element rate of a same-shape complex transform.
-type RealFFT2D struct {
-	p         *rfft.Plan
-	release   func()
-	closeOnce sync.Once
-}
+type RealFFT2D struct{ handle }
 
 // NewRealFFT2D builds a real-input 2D plan; m must be even.
 func NewRealFFT2D(n, m int, opts ...Option) (*RealFFT2D, error) {
-	cfg, err := resolve(opts)
-	if err != nil {
+	f := new(RealFFT2D)
+	if err := f.build(opts, true, n, m); err != nil {
 		return nil, err
 	}
-	p, err := rfft.NewPlan(cfg, n, m)
-	if err != nil {
-		return nil, err
-	}
-	return &RealFFT2D{p: p}, nil
+	return f, nil
 }
 
 // Forward computes the unnormalized half spectrum; dst must have length
 // SpectrumLen(), src length RealLen().
 func (f *RealFFT2D) Forward(dst []complex128, src []float64) error {
-	return f.p.Forward(dst, src)
+	return f.run(func(p *core.Plan) error { return p.ForwardReal(dst, src, 1) })
 }
 
 // Inverse computes the normalized real inverse; src is not modified, and
 // the self-conjugate bins have their imaginary parts forced to zero.
 func (f *RealFFT2D) Inverse(dst []float64, src []complex128) error {
-	return f.p.Inverse(dst, src)
+	return f.run(func(p *core.Plan) error { return p.InverseReal(dst, src, 1) })
 }
 
 // RealLen returns n·m.
-func (f *RealFFT2D) RealLen() int { return f.p.RealLen() }
+func (f *RealFFT2D) RealLen() int { return f.p.Len() }
 
 // SpectrumLen returns n·(m/2+1).
 func (f *RealFFT2D) SpectrumLen() int { return f.p.SpectrumLen() }
@@ -191,25 +155,6 @@ func (f *RealFFT2D) Dims() (int, int) {
 	d := f.p.Dims()
 	return d[0], d[1]
 }
-
-// Close releases the plan's persistent pipeline workers; optional and
-// idempotent (see FFT3D.Close).
-func (f *RealFFT2D) Close() {
-	f.closeOnce.Do(func() {
-		if f.release != nil {
-			f.release()
-			return
-		}
-		f.p.Close()
-	})
-}
-
-// Observability returns the plan's cumulative telemetry snapshot, merged
-// over the forward and inverse pipelines.
-func (f *RealFFT2D) Observability() Observability { return f.p.Observability() }
-
-// Stats returns executor statistics for the most recent transform.
-func (f *RealFFT2D) Stats() Stats { return f.p.Stats() }
 
 // DescribeGraph renders the compiled forward and inverse stage graphs.
 func (f *RealFFT2D) DescribeGraph() string { return f.p.DescribeGraph() }
@@ -224,39 +169,31 @@ func (f *RealFFT2D) String() string {
 // (k×n×(m/2+1) complex values) and back — the format spectral PDE solvers
 // and convolutions over real fields consume, at roughly half the memory
 // traffic of a padded complex transform.
-type RealFFT3D struct {
-	p         *rfft.Plan
-	release   func()
-	closeOnce sync.Once
-}
+type RealFFT3D struct{ handle }
 
 // NewRealFFT3D builds a real-input 3D plan; m must be even.
 func NewRealFFT3D(k, n, m int, opts ...Option) (*RealFFT3D, error) {
-	cfg, err := resolve(opts)
-	if err != nil {
+	f := new(RealFFT3D)
+	if err := f.build(opts, true, k, n, m); err != nil {
 		return nil, err
 	}
-	p, err := rfft.NewPlan(cfg, k, n, m)
-	if err != nil {
-		return nil, err
-	}
-	return &RealFFT3D{p: p}, nil
+	return f, nil
 }
 
 // Forward computes the unnormalized half spectrum; dst must have length
 // SpectrumLen(), src length RealLen().
 func (f *RealFFT3D) Forward(dst []complex128, src []float64) error {
-	return f.p.Forward(dst, src)
+	return f.run(func(p *core.Plan) error { return p.ForwardReal(dst, src, 1) })
 }
 
 // Inverse computes the normalized real inverse; src is not modified, and
 // the self-conjugate bins have their imaginary parts forced to zero.
 func (f *RealFFT3D) Inverse(dst []float64, src []complex128) error {
-	return f.p.Inverse(dst, src)
+	return f.run(func(p *core.Plan) error { return p.InverseReal(dst, src, 1) })
 }
 
 // RealLen returns k·n·m.
-func (f *RealFFT3D) RealLen() int { return f.p.RealLen() }
+func (f *RealFFT3D) RealLen() int { return f.p.Len() }
 
 // SpectrumLen returns k·n·(m/2+1).
 func (f *RealFFT3D) SpectrumLen() int { return f.p.SpectrumLen() }
@@ -266,25 +203,6 @@ func (f *RealFFT3D) Dims() (int, int, int) {
 	d := f.p.Dims()
 	return d[0], d[1], d[2]
 }
-
-// Close releases the plan's persistent pipeline workers; optional and
-// idempotent (see FFT3D.Close).
-func (f *RealFFT3D) Close() {
-	f.closeOnce.Do(func() {
-		if f.release != nil {
-			f.release()
-			return
-		}
-		f.p.Close()
-	})
-}
-
-// Observability returns the plan's cumulative telemetry snapshot, merged
-// over the forward and inverse pipelines.
-func (f *RealFFT3D) Observability() Observability { return f.p.Observability() }
-
-// Stats returns executor statistics for the most recent transform.
-func (f *RealFFT3D) Stats() Stats { return f.p.Stats() }
 
 // DescribeGraph renders the compiled forward and inverse stage graphs.
 func (f *RealFFT3D) DescribeGraph() string { return f.p.DescribeGraph() }

@@ -17,12 +17,9 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 	"repro/internal/kernels"
 	"repro/internal/layout"
 	"repro/internal/machine"
-	"repro/internal/rfft"
 	"repro/internal/shard"
 	"repro/internal/stagegraph"
 )
@@ -145,19 +142,19 @@ func runComplex(p complexPlan, n int) (string, string, string, error) {
 }
 
 func runReal(cfg core.Config, dims ...int) (string, string, string, error) {
-	p, err := rfft.NewPlan(cfg, dims...)
+	p, err := core.NewPlan(cfg, true, dims...)
 	if err != nil {
 		return "", "", "", err
 	}
 	defer p.Close()
-	realLen := p.RealLen()
+	realLen := p.Len()
 	src := goldenInput(realLen, uint64(realLen))
 	spec := make([]complex128, p.SpectrumLen())
 	back := make([]float64, realLen)
-	if err := p.Forward(spec, src); err != nil {
+	if err := p.ForwardReal(spec, src, 1); err != nil {
 		return "", "", "", err
 	}
-	if err := p.Inverse(back, spec); err != nil {
+	if err := p.InverseReal(back, spec, 1); err != nil {
 		return "", "", "", err
 	}
 	return p.DescribeGraph(), digestComplex(spec), digestFloats(back), nil
@@ -199,7 +196,7 @@ func goldenCases() []goldenCase {
 		for _, s := range [][2]int{{64, 64}, {96, 80}, {512, 512}} {
 			n, m := s[0], s[1]
 			add(fmt.Sprintf("fft2d/%dx%d", n, m), false, func() (string, string, string, error) {
-				p, err := fft2d.NewPlan(n, m, cfg)
+				p, err := core.NewPlan(cfg, false, n, m)
 				if err != nil {
 					return "", "", "", err
 				}
@@ -209,7 +206,7 @@ func goldenCases() []goldenCase {
 		for _, s := range [][3]int{{32, 32, 32}, {24, 20, 16}, {64, 64, 64}} {
 			k, n, m := s[0], s[1], s[2]
 			add(fmt.Sprintf("fft3d/%dx%dx%d", k, n, m), false, func() (string, string, string, error) {
-				p, err := fft3d.NewPlan(k, n, m, cfg)
+				p, err := core.NewPlan(cfg, false, k, n, m)
 				if err != nil {
 					return "", "", "", err
 				}

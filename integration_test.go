@@ -11,7 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
-	"repro/internal/fft3d"
 	"repro/internal/spl"
 	"repro/internal/trace"
 	"repro/internal/tune"
@@ -155,10 +154,10 @@ func TestIntegrationTuneAndReplay(t *testing.T) {
 // drains the pipeline exactly once, not once per stage.
 func TestIntegrationFullTransformScheduleInvariants(t *testing.T) {
 	tr := trace.New()
-	p, err := fft3d.NewPlan(8, 8, 16, core.Config{
+	p, err := core.NewPlan(core.Config{
 		Mu: 4, BufferElems: 128,
 		DataWorkers: 2, ComputeWorkers: 2, Tracer: tr,
-	})
+	}, false, 8, 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}

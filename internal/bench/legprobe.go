@@ -10,23 +10,12 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
-	"repro/internal/obs"
-	"repro/internal/rfft"
 )
 
 // cacheReps is LegProbe's floor on runs of the cache-resident 512² shape:
 // at 5 runs the same binary read its compute legs anywhere from 0.43 to
 // 0.98 ms; 301 round trips take a few seconds.
 const cacheReps = 301
-
-// legPlan is the telemetry LegProbe reads of a plan, complex or real.
-type legPlan interface {
-	Observability() obs.Snapshot
-	DescribeGraph() string
-	Close()
-}
 
 // LegProbe prints the per-stage leg budget of the two out-of-LLC complex
 // shapes — 256³ and 4096², 256 MiB an array — of cache2d's 512², 4 MiB an
@@ -75,23 +64,13 @@ func LegProbe(w io.Writer, reps int) error {
 // spectrum → x (complex) or → a second real array (real), and the copy of x
 // onto that second array.
 func legProbeShape(w io.Writer, dims []int, realInput bool, reps int) error {
-	n := 1
-	for _, d := range dims {
-		n *= d
+	p, err := core.NewPlan(core.Config{}, realInput, dims...)
+	if err != nil {
+		return err
 	}
-	label := fmt.Sprint(dims)
+	defer p.Close()
+	n, label := p.Len(), fmt.Sprint(dims)
 	if !realInput {
-		var p *core.Plan
-		var err error
-		if len(dims) == 3 {
-			p, err = fft3d.NewPlan(dims[0], dims[1], dims[2], core.Config{})
-		} else {
-			p, err = fft2d.NewPlan(dims[0], dims[1], core.Config{})
-		}
-		if err != nil {
-			return err
-		}
-		defer p.Close()
 		x, y := make([]complex128, n), make([]complex128, n)
 		for i := range x {
 			x[i] = complex(float64(i%17)-8, float64(i%13)-6)
@@ -101,26 +80,21 @@ func legProbeShape(w io.Writer, dims []int, realInput bool, reps int) error {
 			func() error { return p.Inverse(x, y) },
 			func() { copy(y, x) }, reps)
 	}
-	p, err := rfft.NewPlan(core.Config{}, dims...)
-	if err != nil {
-		return err
-	}
-	defer p.Close()
 	x, back := make([]float64, n), make([]float64, n)
 	for i := range x {
 		x[i] = float64(i%17) - 8
 	}
 	spec := make([]complex128, p.SpectrumLen())
 	return legProbeOne(w, "real "+label, p, n*8,
-		func() error { return p.Forward(spec, x) },
-		func() error { return p.Inverse(back, spec) },
+		func() error { return p.ForwardReal(spec, x, 1) },
+		func() error { return p.InverseReal(back, spec, 1) },
 		func() { copy(back, x) }, reps)
 }
 
 // legProbeOne runs reps round trips of fwd then inv, each after a timed
 // copy, and prints the legs of every stage a direction ran. arrayBytes is
 // the size of the array copy moves.
-func legProbeOne(w io.Writer, label string, p legPlan, arrayBytes int, fwd, inv func() error, copyArray func(), reps int) error {
+func legProbeOne(w io.Writer, label string, p *core.Plan, arrayBytes int, fwd, inv func() error, copyArray func(), reps int) error {
 	type sample struct {
 		wall   float64
 		stages [][3]float64 // load, compute, store ms

@@ -3,14 +3,13 @@ package bench
 import (
 	"fmt"
 	"io"
+	"strings"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 	"repro/internal/perfmodel"
 	"repro/internal/stream"
 )
@@ -121,56 +120,69 @@ func pctPeak(gflops, peak float64) string {
 // pseudo-Gflop/s and percent of this host's achievable peak.
 func Measured3D(w io.Writer, cfg MeasuredConfig) error {
 	cfg = cfg.withDefaults()
-	printSweepTitle(w, "3D", cfg.HostBWGBs)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "size\tpencil\tslab\tdoublebuf\tdoublebuf pct-peak\tdb/pencil")
-	workers := cfg.DataWorkers + cfg.ComputeWorkers
+	var sizes [][]int
 	for _, s := range cfg.Sizes3D {
-		k, n, m := s[0], s[1], s[2]
-		elems := k * n * m
-		x := make([]complex128, elems)
-		for i := range x {
-			x[i] = complex(float64(i%17)-8, float64(i%13)-6)
-		}
-		y := make([]complex128, elems)
-
-		pencil := timeBaseline(cfg.Reps, y, x, func(y []complex128) { Pencil3D(y, k, n, m, fft1d.Forward, workers) })
-		slab := timeBaseline(cfg.Reps, y, x, func(y []complex128) { Slab3D(y, k, n, m, fft1d.Forward, workers) })
-		p, err := fft3d.NewPlan(k, n, m, cfg.pipeline())
-		if err != nil {
-			return err
-		}
-		dbuf, err := timePlan(cfg.Reps, p, y, x)
-		if err != nil {
-			return err
-		}
-		peak := perfmodel.AchievablePeakGflops(elems, 3, cfg.HostBWGBs)
-		db := perfmodel.PseudoGflops(elems, dbuf)
-		fmt.Fprintf(tw, "%dx%dx%d\t%.4fs\t%.4fs\t%.4fs\t%s\t%.2fx\n",
-			k, n, m, pencil, slab, dbuf, pctPeak(db, peak), pencil/dbuf)
+		sizes = append(sizes, s[:])
 	}
-	return tw.Flush()
+	return measured(w, cfg, "3D", sizes, []baseline{
+		{"pencil", func(y []complex128, d []int, p int) { Pencil3D(y, d[0], d[1], d[2], fft1d.Forward, p) }},
+		{"slab", func(y []complex128, d []int, p int) { Slab3D(y, d[0], d[1], d[2], fft1d.Forward, p) }},
+	})
 }
 
 // Measured2D is Measured3D for the 2D implementations (pencil baseline vs
 // double-buffered).
 func Measured2D(w io.Writer, cfg MeasuredConfig) error {
 	cfg = cfg.withDefaults()
-	printSweepTitle(w, "2D", cfg.HostBWGBs)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "size\tpencil\tdoublebuf\tdoublebuf pct-peak\tdb/pencil")
-	workers := cfg.DataWorkers + cfg.ComputeWorkers
+	var sizes [][]int
 	for _, s := range cfg.Sizes2D {
-		n, m := s[0], s[1]
-		elems := n * m
+		sizes = append(sizes, s[:])
+	}
+	return measured(w, cfg, "2D", sizes, []baseline{
+		{"pencil", func(y []complex128, d []int, p int) { Pencil2D(y, d[0], d[1], fft1d.Forward, p) }},
+	})
+}
+
+// baseline is one in-place forward transform a sweep times beside the
+// pipeline, on a pool of p workers.
+type baseline struct {
+	name string
+	run  func(y []complex128, dims []int, p int)
+}
+
+// measured times the baselines and then the double-buffered plan at each
+// of sizes, one table row a size; the last column is the first baseline's
+// time over the plan's.
+func measured(w io.Writer, cfg MeasuredConfig, rank string, sizes [][]int, baselines []baseline) error {
+	printSweepTitle(w, rank, cfg.HostBWGBs)
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	head := "size"
+	for _, b := range baselines {
+		head += "\t" + b.name
+	}
+	fmt.Fprintln(tw, head+"\tdoublebuf\tdoublebuf pct-peak\tdb/pencil")
+	workers := cfg.DataWorkers + cfg.ComputeWorkers
+	for _, dims := range sizes {
+		elems := 1
+		for _, d := range dims {
+			elems *= d
+		}
 		x := cvec.New(elems)
 		for i := range x {
-			x[i] = complex(float64(i%11)-5, float64(i%7)-3)
+			x[i] = complex(float64(i%17)-8, float64(i%13)-6)
 		}
 		y := make([]complex128, elems)
 
-		pencil := timeBaseline(cfg.Reps, y, x, func(y []complex128) { Pencil2D(y, n, m, fft1d.Forward, workers) })
-		p, err := fft2d.NewPlan(n, m, cfg.pipeline())
+		row := strings.Trim(strings.Join(strings.Fields(fmt.Sprint(dims)), "x"), "[]")
+		var first float64
+		for i, b := range baselines {
+			secs := timeBaseline(cfg.Reps, y, x, func(y []complex128) { b.run(y, dims, workers) })
+			if i == 0 {
+				first = secs
+			}
+			row += fmt.Sprintf("\t%.4fs", secs)
+		}
+		p, err := core.NewPlan(cfg.pipeline(), false, dims...)
 		if err != nil {
 			return err
 		}
@@ -178,10 +190,9 @@ func Measured2D(w io.Writer, cfg MeasuredConfig) error {
 		if err != nil {
 			return err
 		}
-		peak := perfmodel.AchievablePeakGflops(elems, 2, cfg.HostBWGBs)
+		peak := perfmodel.AchievablePeakGflops(elems, len(dims), cfg.HostBWGBs)
 		db := perfmodel.PseudoGflops(elems, dbuf)
-		fmt.Fprintf(tw, "%dx%d\t%.4fs\t%.4fs\t%s\t%.2fx\n",
-			n, m, pencil, dbuf, pctPeak(db, peak), pencil/dbuf)
+		fmt.Fprintf(tw, "%s\t%.4fs\t%s\t%.2fx\n", row, dbuf, pctPeak(db, peak), first/dbuf)
 	}
 	return tw.Flush()
 }

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft3d"
 	"repro/internal/trace"
 )
 
@@ -18,9 +17,9 @@ import (
 // terminal view and the Perfetto view describe the same run.
 func WriteTraceJSON(w, gantt io.Writer) error {
 	tr := trace.New()
-	p, err := fft3d.NewPlan(8, 8, 16, core.Config{
+	p, err := core.NewPlan(core.Config{
 		Mu: 4, BufferElems: 128, DataWorkers: 1, ComputeWorkers: 1, Tracer: tr,
-	})
+	}, false, 8, 8, 16)
 	if err != nil {
 		return err
 	}

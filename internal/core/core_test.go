@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -8,8 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 	"repro/internal/machine"
 	"repro/internal/spl"
 )
@@ -26,7 +25,7 @@ func TestDefaultConfig(t *testing.T) {
 	if c != (core.Config{}) {
 		t.Fatalf("Default() sets more than the worker counts: %+v", c)
 	}
-	p, err := fft2d.NewPlan(64, 64, core.Default())
+	p, err := core.NewPlan(core.Default(), false, 64, 64)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +52,7 @@ func TestPlan3DRoundTrip(t *testing.T) {
 	cfg := core.Default()
 	cfg.DataWorkers, cfg.ComputeWorkers = 2, 2
 	cfg.BufferElems = 256
-	p, err := fft3d.NewPlan(8, 8, 16, cfg)
+	p, err := core.NewPlan(cfg, false, 8, 8, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +86,7 @@ func TestPlan3DRoundTrip(t *testing.T) {
 func TestPlan2DRoundTrip(t *testing.T) {
 	cfg := core.Default()
 	cfg.BufferElems = 256
-	p, err := fft2d.NewPlan(16, 32, cfg)
+	p, err := core.NewPlan(cfg, false, 16, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +121,7 @@ func TestAllStrategiesBuildAndAgree(t *testing.T) {
 	want := spl.Eval(spl.DFT3D(8, 8, 8), x)
 	cfg := core.Default()
 	cfg.BufferElems = 128
-	p, err := fft3d.NewPlan(8, 8, 8, cfg)
+	p, err := core.NewPlan(cfg, false, 8, 8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,17 +145,20 @@ func TestUnknownStrategyRejected(t *testing.T) {
 	cfg := core.Default()
 	for _, s := range []core.Strategy{core.DoubleBuf + 1, core.DoubleBuf - 1} {
 		cfg.Strategy = s
-		if _, err := fft3d.NewPlan(8, 8, 8, cfg); err == nil {
+		if _, err := core.NewPlan(cfg, false, 8, 8, 8); err == nil {
 			t.Errorf("3D accepted strategy %d", s)
 		}
-		if _, err := fft2d.NewPlan(8, 8, cfg); err == nil {
+		if _, err := core.NewPlan(cfg, false, 8, 8); err == nil {
 			t.Errorf("2D accepted strategy %d", s)
+		}
+		if _, err := core.NewPlan(cfg, true, 8, 8); err == nil {
+			t.Errorf("real 2D accepted strategy %d", s)
 		}
 	}
 }
 
 func TestInvalidSizeRejected(t *testing.T) {
-	if _, err := fft3d.NewPlan(0, 8, 8, core.Default()); err == nil {
+	if _, err := core.NewPlan(core.Default(), false, 0, 8, 8); err == nil {
 		t.Error("accepted k=0")
 	}
 	// Elems divides the cap: products past MaxElems, even ones that wrap an
@@ -177,7 +179,7 @@ func TestInvalidSizeRejected(t *testing.T) {
 		}
 	}
 	// A defaulted μ adapts to the row length (8×6 runs μ=2) …
-	p, err := fft2d.NewPlan(8, 6, core.Default())
+	p, err := core.NewPlan(core.Default(), false, 8, 6)
 	if err != nil {
 		t.Fatalf("default μ should adapt to m=6: %v", err)
 	}
@@ -185,7 +187,50 @@ func TestInvalidSizeRejected(t *testing.T) {
 	// … an explicit μ that does not divide m is still an error.
 	cfg := core.Default()
 	cfg.Mu = 4
-	if _, err := fft2d.NewPlan(8, 6, cfg); err == nil {
+	if _, err := core.NewPlan(cfg, false, 8, 6); err == nil {
 		t.Error("accepted explicit μ∤m under doublebuf")
+	}
+}
+
+// A complex plan takes two or three extents: rank 1 is fft1d.Plan.
+func TestComplexRankRejected(t *testing.T) {
+	for _, dims := range [][]int{{}, {8}, {2, 2, 2, 2}} {
+		if _, err := core.NewPlan(core.Config{}, false, dims...); err == nil {
+			t.Errorf("complex %v accepted", dims)
+		}
+	}
+}
+
+// Every entry point of the other domain returns ErrDomain and runs nothing:
+// the complex ones on a real plan, the real ones on a complex plan.
+func TestEntryPointsCheckTheDomain(t *testing.T) {
+	cp, err := core.NewPlan(core.Config{}, false, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	rp, err := core.NewPlan(core.Config{}, true, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rp.Close()
+	c, r := make([]complex128, 32), make([]float64, 32)
+	for name, err := range map[string]error{
+		"Transform":     rp.Transform(c, c, fft1d.Forward),
+		"Inverse":       rp.Inverse(c, c),
+		"InPlace":       rp.InPlace(c, fft1d.Forward),
+		"TransformMany": rp.TransformMany(c, c, 1, fft1d.Forward),
+		"ForwardReal":   cp.ForwardReal(c, r, 1),
+		"InverseReal":   cp.InverseReal(r, c, 1),
+	} {
+		if !errors.Is(err, core.ErrDomain) {
+			t.Errorf("%s on the other domain: %v, want ErrDomain", name, err)
+		}
+	}
+	if st := rp.Stats(); st.Steps != 0 {
+		t.Errorf("a refused call ran the pipeline: %+v", st)
+	}
+	if cp.SpectrumLen() != 32 || rp.SpectrumLen() != 4*5 || rp.Len() != 32 {
+		t.Errorf("SpectrumLen %d / %d, Len %d", cp.SpectrumLen(), rp.SpectrumLen(), rp.Len())
 	}
 }

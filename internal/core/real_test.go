@@ -1,4 +1,4 @@
-package rfft
+package core
 
 import (
 	"math"
@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/kernels"
@@ -15,7 +14,7 @@ import (
 	"repro/internal/stagegraph"
 )
 
-const tol = 1e-10
+const realTol = 1e-10
 
 func randReal(seed int64, n int) []float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -36,18 +35,18 @@ func asComplex(x []float64) []complex128 {
 
 func TestForward1DMatchesNaive(t *testing.T) {
 	for _, n := range []int{2, 4, 6, 8, 16, 64, 100, 256} {
-		p, err := NewPlan(core.Config{}, n)
+		p, err := NewPlan(Config{}, true, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		x := randReal(int64(n), n)
 		want := kernels.NaiveDFT(asComplex(x), kernels.Forward)
 		got := make([]complex128, p.SpectrumLen())
-		if err := p.Forward(got, x); err != nil {
+		if err := p.ForwardReal(got, x, 1); err != nil {
 			t.Fatal(err)
 		}
 		for k := 0; k <= n/2; k++ {
-			if d := cvec.MaxDiff(cvec.Vec{got[k]}, cvec.Vec{want[k]}); d > tol*float64(n) {
+			if d := cvec.MaxDiff(cvec.Vec{got[k]}, cvec.Vec{want[k]}); d > realTol*float64(n) {
 				t.Errorf("n=%d k=%d: got %v want %v", n, k, got[k], want[k])
 			}
 		}
@@ -57,21 +56,21 @@ func TestForward1DMatchesNaive(t *testing.T) {
 
 func TestForwardBatch1DMatchesNaive(t *testing.T) {
 	const n, count = 24, 5
-	p, err := NewPlan(core.Config{DataWorkers: 2, ComputeWorkers: 2}, n)
+	p, err := NewPlan(Config{DataWorkers: 2, ComputeWorkers: 2}, true, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	x := randReal(3, count*n)
 	got := make([]complex128, count*p.SpectrumLen())
-	if err := p.ForwardBatch(got, x, count); err != nil {
+	if err := p.ForwardReal(got, x, count); err != nil {
 		t.Fatal(err)
 	}
 	for r := 0; r < count; r++ {
 		want := kernels.NaiveDFT(asComplex(x[r*n:(r+1)*n]), kernels.Forward)
 		for k := 0; k <= n/2; k++ {
 			g := got[r*p.SpectrumLen()+k]
-			if d := cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{want[k]}); d > tol*float64(n) {
+			if d := cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{want[k]}); d > realTol*float64(n) {
 				t.Errorf("row %d k=%d: got %v want %v", r, k, g, want[k])
 			}
 		}
@@ -79,35 +78,35 @@ func TestForwardBatch1DMatchesNaive(t *testing.T) {
 }
 
 func TestHermitianEndpointsReal(t *testing.T) {
-	p, _ := NewPlan(core.Config{}, 32)
+	p, _ := NewPlan(Config{}, true, 32)
 	defer p.Close()
 	x := randReal(9, 32)
 	spec := make([]complex128, p.SpectrumLen())
-	if err := p.Forward(spec, x); err != nil {
+	if err := p.ForwardReal(spec, x, 1); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(imag(spec[0])) > tol || math.Abs(imag(spec[16])) > tol {
+	if math.Abs(imag(spec[0])) > realTol || math.Abs(imag(spec[16])) > realTol {
 		t.Fatalf("DC/Nyquist not real: %v %v", spec[0], spec[16])
 	}
 }
 
 func TestRoundTrip1D(t *testing.T) {
 	for _, n := range []int{2, 4, 10, 32, 128, 250} {
-		p, err := NewPlan(core.Config{}, n)
+		p, err := NewPlan(Config{}, true, n)
 		if err != nil {
 			t.Fatal(err)
 		}
 		x := randReal(int64(n+1), n)
 		spec := make([]complex128, p.SpectrumLen())
-		if err := p.Forward(spec, x); err != nil {
+		if err := p.ForwardReal(spec, x, 1); err != nil {
 			t.Fatal(err)
 		}
 		back := make([]float64, n)
-		if err := p.Inverse(back, spec); err != nil {
+		if err := p.InverseReal(back, spec, 1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {
-			if math.Abs(back[i]-x[i]) > tol {
+			if math.Abs(back[i]-x[i]) > realTol {
 				t.Fatalf("n=%d: round trip off at %d: %v vs %v", n, i, back[i], x[i])
 			}
 		}
@@ -117,22 +116,22 @@ func TestRoundTrip1D(t *testing.T) {
 
 func TestRoundTrip1DBatch(t *testing.T) {
 	const n, count = 40, 7
-	p, err := NewPlan(core.Config{}, n)
+	p, err := NewPlan(Config{}, true, n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
 	x := randReal(11, count*n)
 	spec := make([]complex128, count*p.SpectrumLen())
-	if err := p.ForwardBatch(spec, x, count); err != nil {
+	if err := p.ForwardReal(spec, x, count); err != nil {
 		t.Fatal(err)
 	}
 	back := make([]float64, count*n)
-	if err := p.InverseBatch(back, spec, count); err != nil {
+	if err := p.InverseReal(back, spec, count); err != nil {
 		t.Fatal(err)
 	}
 	for i := range x {
-		if math.Abs(back[i]-x[i]) > tol {
+		if math.Abs(back[i]-x[i]) > realTol {
 			t.Fatalf("round trip off at %d: %v vs %v", i, back[i], x[i])
 		}
 	}
@@ -146,11 +145,11 @@ func TestRoundTrip1DBatch(t *testing.T) {
 func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	t.Run("1D", func(t *testing.T) {
 		const n = 48
-		p, _ := NewPlan(core.Config{}, n)
+		p, _ := NewPlan(Config{}, true, n)
 		defer p.Close()
 		x := randReal(21, n)
 		spec := make([]complex128, p.SpectrumLen())
-		if err := p.Forward(spec, x); err != nil {
+		if err := p.ForwardReal(spec, x, 1); err != nil {
 			t.Fatal(err)
 		}
 		dirty := append([]complex128(nil), spec...)
@@ -159,10 +158,10 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 		saved := append([]complex128(nil), dirty...)
 		clean := make([]float64, n)
 		got := make([]float64, n)
-		if err := p.Inverse(clean, spec); err != nil {
+		if err := p.InverseReal(clean, spec, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Inverse(got, dirty); err != nil {
+		if err := p.InverseReal(got, dirty, 1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range clean {
@@ -178,11 +177,11 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	})
 	t.Run("2D", func(t *testing.T) {
 		const n, m = 6, 8
-		p, _ := NewPlan(core.Config{}, n, m)
+		p, _ := NewPlan(Config{}, true, n, m)
 		defer p.Close()
-		x := randReal(22, p.RealLen())
+		x := randReal(22, p.Len())
 		spec := make([]complex128, p.SpectrumLen())
-		if err := p.Forward(spec, x); err != nil {
+		if err := p.ForwardReal(spec, x, 1); err != nil {
 			t.Fatal(err)
 		}
 		mc := m/2 + 1
@@ -193,12 +192,12 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 				dirty[ky*mc+kx] += complex(0, 2.25)
 			}
 		}
-		clean := make([]float64, p.RealLen())
-		got := make([]float64, p.RealLen())
-		if err := p.Inverse(clean, spec); err != nil {
+		clean := make([]float64, p.Len())
+		got := make([]float64, p.Len())
+		if err := p.InverseReal(clean, spec, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Inverse(got, dirty); err != nil {
+		if err := p.InverseReal(got, dirty, 1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range clean {
@@ -209,11 +208,11 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 	})
 	t.Run("3D", func(t *testing.T) {
 		const k, n, m = 4, 6, 8
-		p, _ := NewPlan(core.Config{}, k, n, m)
+		p, _ := NewPlan(Config{}, true, k, n, m)
 		defer p.Close()
-		x := randReal(23, p.RealLen())
+		x := randReal(23, p.Len())
 		spec := make([]complex128, p.SpectrumLen())
-		if err := p.Forward(spec, x); err != nil {
+		if err := p.ForwardReal(spec, x, 1); err != nil {
 			t.Fatal(err)
 		}
 		mc := m/2 + 1
@@ -225,12 +224,12 @@ func TestInverseForcesSelfConjugateBins(t *testing.T) {
 				}
 			}
 		}
-		clean := make([]float64, p.RealLen())
-		got := make([]float64, p.RealLen())
-		if err := p.Inverse(clean, spec); err != nil {
+		clean := make([]float64, p.Len())
+		got := make([]float64, p.Len())
+		if err := p.InverseReal(clean, spec, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Inverse(got, dirty); err != nil {
+		if err := p.InverseReal(got, dirty, 1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range clean {
@@ -258,37 +257,37 @@ func TestPlanValidation(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			for _, dims := range c.bad {
-				if _, err := NewPlan(core.Config{}, dims...); err == nil {
+				if _, err := NewPlan(Config{}, true, dims...); err == nil {
 					t.Errorf("accepted %v", dims)
 				}
 			}
 			if c.dims == nil {
 				return
 			}
-			p, err := NewPlan(core.Config{}, c.dims...)
+			p, err := NewPlan(Config{}, true, c.dims...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer p.Close()
-			if !slices.Equal(p.Dims(), c.dims) || p.RealLen() != c.realLen || p.SpectrumLen() != c.specLen {
+			if !slices.Equal(p.Dims(), c.dims) || p.Len() != c.realLen || p.SpectrumLen() != c.specLen {
 				t.Fatalf("Dims %v RealLen %d SpectrumLen %d, want %v %d %d",
-					p.Dims(), p.RealLen(), p.SpectrumLen(), c.dims, c.realLen, c.specLen)
+					p.Dims(), p.Len(), p.SpectrumLen(), c.dims, c.realLen, c.specLen)
 			}
-			if err := p.Forward(make([]complex128, c.shortDst), make([]float64, c.realLen)); err == nil {
+			if err := p.ForwardReal(make([]complex128, c.shortDst), make([]float64, c.realLen), 1); err == nil {
 				t.Error("accepted short dst")
 			}
-			if err := p.Inverse(make([]float64, c.shortBack), make([]complex128, c.specLen)); err == nil {
+			if err := p.InverseReal(make([]float64, c.shortBack), make([]complex128, c.specLen), 1); err == nil {
 				t.Error("accepted short dst")
 			}
-			if err := p.ForwardBatch(make([]complex128, c.specLen), make([]float64, c.realLen), 0); err == nil {
+			if err := p.ForwardReal(make([]complex128, c.specLen), make([]float64, c.realLen), 0); err == nil {
 				t.Error("accepted count=0")
 			}
 			batches := len(c.dims) == 1
-			err = p.ForwardBatch(make([]complex128, 2*c.specLen), make([]float64, 2*c.realLen), 2)
+			err = p.ForwardReal(make([]complex128, 2*c.specLen), make([]float64, 2*c.realLen), 2)
 			if (err == nil) != batches {
 				t.Errorf("ForwardBatch of 2 grids returned %v", err)
 			}
-			err = p.InverseBatch(make([]float64, 2*c.realLen), make([]complex128, 2*c.specLen), 2)
+			err = p.InverseReal(make([]float64, 2*c.realLen), make([]complex128, 2*c.specLen), 2)
 			if (err == nil) != batches {
 				t.Errorf("InverseBatch of 2 grids returned %v", err)
 			}
@@ -297,22 +296,22 @@ func TestPlanValidation(t *testing.T) {
 }
 
 func TestPlanClosedRejects(t *testing.T) {
-	p, _ := NewPlan(core.Config{}, 8)
+	p, _ := NewPlan(Config{}, true, 8)
 	p.Close()
 	p.Close() // idempotent
-	if err := p.Forward(make([]complex128, 5), make([]float64, 8)); err == nil {
+	if err := p.ForwardReal(make([]complex128, 5), make([]float64, 8), 1); err == nil {
 		t.Error("closed plan accepted Forward")
 	}
-	p2, _ := NewPlan(core.Config{}, 2, 4)
+	p2, _ := NewPlan(Config{}, true, 2, 4)
 	p2.Close()
-	if err := p2.Forward(make([]complex128, 6), make([]float64, 8)); err == nil {
+	if err := p2.ForwardReal(make([]complex128, 6), make([]float64, 8), 1); err == nil {
 		t.Error("closed 2D plan accepted Forward")
 	}
 }
 
 func TestForward3DMatchesComplexReference(t *testing.T) {
 	const k, n, m = 4, 6, 8
-	p, err := NewPlan(core.Config{}, k, n, m)
+	p, err := NewPlan(Config{}, true, k, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +319,7 @@ func TestForward3DMatchesComplexReference(t *testing.T) {
 	x := randReal(5, k*n*m)
 	full := spl.Eval(spl.DFT3D(k, n, m), asComplex(x))
 	got := make([]complex128, p.SpectrumLen())
-	if err := p.Forward(got, x); err != nil {
+	if err := p.ForwardReal(got, x, 1); err != nil {
 		t.Fatal(err)
 	}
 	mc := m/2 + 1
@@ -329,7 +328,7 @@ func TestForward3DMatchesComplexReference(t *testing.T) {
 			for xx := 0; xx < mc; xx++ {
 				g := got[(z*n+y)*mc+xx]
 				w := full[(z*n+y)*m+xx]
-				if d := cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{w}); d > tol*float64(k*n*m) {
+				if d := cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{w}); d > realTol*float64(k*n*m) {
 					t.Fatalf("(%d,%d,%d): got %v want %v", z, y, xx, g, w)
 				}
 			}
@@ -341,21 +340,21 @@ func TestRoundTrip3D(t *testing.T) {
 	for _, c := range []struct{ k, n, m int }{
 		{1, 1, 2}, {2, 3, 4}, {4, 4, 8}, {8, 8, 16}, {3, 5, 6},
 	} {
-		p, err := NewPlan(core.Config{DataWorkers: 2, ComputeWorkers: 2}, c.k, c.n, c.m)
+		p, err := NewPlan(Config{DataWorkers: 2, ComputeWorkers: 2}, true, c.k, c.n, c.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := randReal(int64(c.k+c.n+c.m), p.RealLen())
+		x := randReal(int64(c.k+c.n+c.m), p.Len())
 		spec := make([]complex128, p.SpectrumLen())
-		if err := p.Forward(spec, x); err != nil {
+		if err := p.ForwardReal(spec, x, 1); err != nil {
 			t.Fatal(err)
 		}
-		back := make([]float64, p.RealLen())
-		if err := p.Inverse(back, spec); err != nil {
+		back := make([]float64, p.Len())
+		if err := p.InverseReal(back, spec, 1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {
-			if math.Abs(back[i]-x[i]) > tol {
+			if math.Abs(back[i]-x[i]) > realTol {
 				t.Fatalf("%dx%dx%d: round trip off at %d", c.k, c.n, c.m, i)
 			}
 		}
@@ -375,10 +374,10 @@ func TestRealEvenSpectrumReal(t *testing.T) {
 		x[i] = v
 		x[n-i] = v
 	}
-	p, _ := NewPlan(core.Config{}, n)
+	p, _ := NewPlan(Config{}, true, n)
 	defer p.Close()
 	spec := make([]complex128, p.SpectrumLen())
-	if err := p.Forward(spec, x); err != nil {
+	if err := p.ForwardReal(spec, x, 1); err != nil {
 		t.Fatal(err)
 	}
 	for k, c := range spec {
@@ -390,7 +389,7 @@ func TestRealEvenSpectrumReal(t *testing.T) {
 
 func TestForward2DMatchesComplexReference(t *testing.T) {
 	const n, m = 6, 8
-	p, err := NewPlan(core.Config{}, n, m)
+	p, err := NewPlan(Config{}, true, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +397,7 @@ func TestForward2DMatchesComplexReference(t *testing.T) {
 	x := randReal(15, n*m)
 	full := spl.Eval(spl.DFT2D(n, m), asComplex(x))
 	got := make([]complex128, p.SpectrumLen())
-	if err := p.Forward(got, x); err != nil {
+	if err := p.ForwardReal(got, x, 1); err != nil {
 		t.Fatal(err)
 	}
 	mc := m/2 + 1
@@ -406,7 +405,7 @@ func TestForward2DMatchesComplexReference(t *testing.T) {
 		for xx := 0; xx < mc; xx++ {
 			g := got[y*mc+xx]
 			w := full[y*m+xx]
-			if d := cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{w}); d > tol*float64(n*m) {
+			if d := cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{w}); d > realTol*float64(n*m) {
 				t.Fatalf("(%d,%d): got %v want %v", y, xx, g, w)
 			}
 		}
@@ -415,21 +414,21 @@ func TestForward2DMatchesComplexReference(t *testing.T) {
 
 func TestRoundTrip2D(t *testing.T) {
 	for _, c := range []struct{ n, m int }{{1, 2}, {3, 4}, {8, 16}, {5, 6}} {
-		p, err := NewPlan(core.Config{DataWorkers: 2, ComputeWorkers: 2}, c.n, c.m)
+		p, err := NewPlan(Config{DataWorkers: 2, ComputeWorkers: 2}, true, c.n, c.m)
 		if err != nil {
 			t.Fatal(err)
 		}
-		x := randReal(int64(c.n*c.m), p.RealLen())
+		x := randReal(int64(c.n*c.m), p.Len())
 		spec := make([]complex128, p.SpectrumLen())
-		if err := p.Forward(spec, x); err != nil {
+		if err := p.ForwardReal(spec, x, 1); err != nil {
 			t.Fatal(err)
 		}
-		back := make([]float64, p.RealLen())
-		if err := p.Inverse(back, spec); err != nil {
+		back := make([]float64, p.Len())
+		if err := p.InverseReal(back, spec, 1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {
-			if math.Abs(back[i]-x[i]) > tol {
+			if math.Abs(back[i]-x[i]) > realTol {
 				t.Fatalf("%dx%d: round trip off at %d", c.n, c.m, i)
 			}
 		}
@@ -449,7 +448,7 @@ func TestFoldedRealStagesMatchOracle(t *testing.T) {
 		if len(dims) == 3 {
 			f = spl.DFT3D(dims[0], dims[1], dims[2])
 		}
-		p, err := NewPlan(core.Config{}, dims...)
+		p, err := NewPlan(Config{}, true, dims...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,25 +457,25 @@ func TestFoldedRealStagesMatchOracle(t *testing.T) {
 		if got, want := strings.Count(p.DescribeGraph(), "radix-4 fold"), 2*(len(dims)-1); got != want {
 			t.Fatalf("%v: %d folded stages, want %d:\n%s", dims, got, want, p.DescribeGraph())
 		}
-		x := randReal(int64(len(dims)), p.RealLen())
+		x := randReal(int64(len(dims)), p.Len())
 		full := spl.Eval(f, asComplex(x))
 		spec := make([]complex128, p.SpectrumLen())
-		if err := p.Forward(spec, x); err != nil {
+		if err := p.ForwardReal(spec, x, 1); err != nil {
 			t.Fatal(err)
 		}
 		m := dims[len(dims)-1]
 		mc := m/2 + 1
 		for i, g := range spec {
-			if w := full[i/mc*m+i%mc]; cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{w}) > tol*float64(len(x)) {
+			if w := full[i/mc*m+i%mc]; cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{w}) > realTol*float64(len(x)) {
 				t.Fatalf("%v forward: row %d kx %d: got %v want %v", dims, i/mc, i%mc, g, w)
 			}
 		}
 		back := make([]float64, len(x))
-		if err := p.Inverse(back, spec); err != nil {
+		if err := p.InverseReal(back, spec, 1); err != nil {
 			t.Fatal(err)
 		}
 		for i := range x {
-			if math.Abs(back[i]-x[i]) > tol {
+			if math.Abs(back[i]-x[i]) > realTol {
 				t.Fatalf("%v: round trip off at %d: %v, want %v", dims, i, back[i], x[i])
 			}
 		}
@@ -490,12 +489,12 @@ func TestFoldedRealStagesMatchOracle(t *testing.T) {
 func TestSplitDCIsRankFree(t *testing.T) {
 	for _, s := range [][2]int{{64, 128}, {48, 96}, {20, 60}, {7, 10}} {
 		n, m := s[0], s[1]
-		p2, err := NewPlan(core.Config{}, n, m)
+		p2, err := NewPlan(Config{}, true, n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer p2.Close()
-		p3, err := NewPlan(core.Config{}, 1, n, m)
+		p3, err := NewPlan(Config{}, true, 1, n, m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -504,10 +503,10 @@ func TestSplitDCIsRankFree(t *testing.T) {
 		specs := [2][]complex128{make([]complex128, p2.SpectrumLen()), make([]complex128, p3.SpectrumLen())}
 		backs := [2][]float64{make([]float64, n*m), make([]float64, n*m)}
 		for i, p := range []*Plan{p2, p3} {
-			if err := p.Forward(specs[i], x); err != nil {
+			if err := p.ForwardReal(specs[i], x, 1); err != nil {
 				t.Fatal(err)
 			}
-			if err := p.Inverse(backs[i], specs[0]); err != nil {
+			if err := p.InverseReal(backs[i], specs[0], 1); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -529,9 +528,9 @@ func TestSplitDCIsRankFree(t *testing.T) {
 // applies it: the 1D inverse's lone entangle stage, a compute leg, a fold
 // store.
 func TestRealGraphsApplyTheRunScale(t *testing.T) {
-	p1, err1 := NewPlan(core.Config{}, 32)
-	p2, err2 := NewPlan(core.Config{}, 16, 32)
-	p3, err3 := NewPlan(core.Config{}, 8, 8, 16)
+	p1, err1 := NewPlan(Config{}, true, 32)
+	p2, err2 := NewPlan(Config{}, true, 16, 32)
+	p3, err3 := NewPlan(Config{}, true, 8, 8, 16)
 	for _, err := range []error{err1, err2, err3} {
 		if err != nil {
 			t.Fatal(err)
@@ -539,7 +538,7 @@ func TestRealGraphsApplyTheRunScale(t *testing.T) {
 	}
 	for _, p := range []*Plan{p1, p2, p3} {
 		defer p.Close()
-		realN, specN := p.RealLen(), p.SpectrumLen()
+		realN, specN := p.Len(), p.SpectrumLen()
 		x := randReal(3, realN)
 		spec := make([]complex128, specN)
 		for i := range spec {
@@ -581,13 +580,13 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 	evens := []int{2, 4, 6, 8, 10, 12, 16}
 	anys := []int{1, 2, 3, 4, 5, 6, 8}
 	optPool := []struct {
-		cfg core.Config
+		cfg Config
 		ab  stagegraph.Ablation
 	}{
 		{},
-		{cfg: core.Config{Mu: 2, BufferElems: 64}},
-		{cfg: core.Config{Mu: 8, DataWorkers: 2, ComputeWorkers: 2}},
-		{cfg: core.Config{BufferElems: 32}, ab: stagegraph.Ablation{Unfused: true}},
+		{cfg: Config{Mu: 2, BufferElems: 64}},
+		{cfg: Config{Mu: 8, DataWorkers: 2, ComputeWorkers: 2}},
+		{cfg: Config{BufferElems: 32}, ab: stagegraph.Ablation{Unfused: true}},
 		{ab: stagegraph.Ablation{NoFold: true}},
 		{ab: stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}},
 	}
@@ -598,7 +597,7 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 			for xx := 0; xx < mc; xx++ {
 				g := got[r*mc+xx]
 				w := full[r*m+xx]
-				if d := cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{w}); d > tol*float64(rows*m) {
+				if d := cvec.MaxDiff(cvec.Vec{g}, cvec.Vec{w}); d > realTol*float64(rows*m) {
 					t.Fatalf("row %d kx %d: got %v want %v", r, xx, g, w)
 				}
 			}
@@ -614,44 +613,44 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 		switch trial % 3 {
 		case 0: // 1D
 			n := m * (1 + rng.Intn(3)) // still even
-			p, err := NewPlan(opts, n)
+			p, err := NewPlan(opts, true, n)
 			if err != nil {
 				t.Fatal(err)
 			}
 			x := randReal(int64(trial), n)
 			got := make([]complex128, p.SpectrumLen())
-			if err := p.Forward(got, x); err != nil {
+			if err := p.ForwardReal(got, x, 1); err != nil {
 				t.Fatal(err)
 			}
 			checkFwd(got, kernels.NaiveDFT(asComplex(x), kernels.Forward), 0, n, 1)
 			back := make([]float64, n)
-			if err := p.Inverse(back, got); err != nil {
+			if err := p.InverseReal(back, got, 1); err != nil {
 				t.Fatal(err)
 			}
 			for i := range x {
-				if math.Abs(back[i]-x[i]) > tol {
+				if math.Abs(back[i]-x[i]) > realTol {
 					t.Fatalf("trial %d 1D n=%d: round trip off at %d", trial, n, i)
 				}
 			}
 			p.Close()
 		case 1: // 2D
 			n := anys[rng.Intn(len(anys))]
-			p, err := NewPlan(opts, n, m)
+			p, err := NewPlan(opts, true, n, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			x := randReal(int64(trial), n*m)
 			got := make([]complex128, p.SpectrumLen())
-			if err := p.Forward(got, x); err != nil {
+			if err := p.ForwardReal(got, x, 1); err != nil {
 				t.Fatal(err)
 			}
 			checkFwd(got, spl.Eval(spl.DFT2D(n, m), asComplex(x)), 0, m, n)
 			back := make([]float64, n*m)
-			if err := p.Inverse(back, got); err != nil {
+			if err := p.InverseReal(back, got, 1); err != nil {
 				t.Fatal(err)
 			}
 			for i := range x {
-				if math.Abs(back[i]-x[i]) > tol {
+				if math.Abs(back[i]-x[i]) > realTol {
 					t.Fatalf("trial %d 2D %dx%d: round trip off at %d", trial, n, m, i)
 				}
 			}
@@ -659,22 +658,22 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 		default: // 3D
 			k := anys[rng.Intn(len(anys))]
 			n := anys[rng.Intn(len(anys))]
-			p, err := NewPlan(opts, k, n, m)
+			p, err := NewPlan(opts, true, k, n, m)
 			if err != nil {
 				t.Fatal(err)
 			}
 			x := randReal(int64(trial), k*n*m)
 			got := make([]complex128, p.SpectrumLen())
-			if err := p.Forward(got, x); err != nil {
+			if err := p.ForwardReal(got, x, 1); err != nil {
 				t.Fatal(err)
 			}
 			checkFwd(got, spl.Eval(spl.DFT3D(k, n, m), asComplex(x)), 0, m, k*n)
 			back := make([]float64, k*n*m)
-			if err := p.Inverse(back, got); err != nil {
+			if err := p.InverseReal(back, got, 1); err != nil {
 				t.Fatal(err)
 			}
 			for i := range x {
-				if math.Abs(back[i]-x[i]) > tol {
+				if math.Abs(back[i]-x[i]) > realTol {
 					t.Fatalf("trial %d 3D %dx%dx%d: round trip off at %d", trial, k, n, m, i)
 				}
 			}
@@ -689,19 +688,19 @@ func TestRandomShapesAgainstPaddedComplexOracle(t *testing.T) {
 // real traffic at half the complex rate, with no rounding.
 func TestObservabilityRealBytesExact(t *testing.T) {
 	const n, m, runs = 8, 32, 3
-	p, err := NewPlan(core.Config{}, n, m)
+	p, err := NewPlan(Config{}, true, n, m)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	x := randReal(31, p.RealLen())
+	x := randReal(31, p.Len())
 	spec := make([]complex128, p.SpectrumLen())
-	back := make([]float64, p.RealLen())
+	back := make([]float64, p.Len())
 	for r := 0; r < runs; r++ {
-		if err := p.Forward(spec, x); err != nil {
+		if err := p.ForwardReal(spec, x, 1); err != nil {
 			t.Fatal(err)
 		}
-		if err := p.Inverse(back, spec); err != nil {
+		if err := p.InverseReal(back, spec, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -738,7 +737,7 @@ func TestObservabilityRealBytesExact(t *testing.T) {
 }
 
 func TestDescribeGraphMentionsBothDirections(t *testing.T) {
-	p, _ := NewPlan(core.Config{}, 4, 4, 8)
+	p, _ := NewPlan(Config{}, true, 4, 4, 8)
 	defer p.Close()
 	s := p.DescribeGraph()
 	for _, want := range []string{"x-rows", "y-pencils", "z-pencils", "entangle", "ix-rows"} {
@@ -759,13 +758,13 @@ func contains(s, sub string) bool {
 
 func BenchmarkRFFT1DForward(b *testing.B) {
 	const n = 4096
-	p, _ := NewPlan(core.Config{}, n)
+	p, _ := NewPlan(Config{}, true, n)
 	defer p.Close()
 	x := randReal(1, n)
 	dst := make([]complex128, p.SpectrumLen())
 	b.SetBytes(int64(n * 8))
 	for i := 0; i < b.N; i++ {
-		if err := p.Forward(dst, x); err != nil {
+		if err := p.ForwardReal(dst, x, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -773,13 +772,13 @@ func BenchmarkRFFT1DForward(b *testing.B) {
 
 func BenchmarkRFFT2DForward(b *testing.B) {
 	const n, m = 256, 256
-	p, _ := NewPlan(core.Config{}, n, m)
+	p, _ := NewPlan(Config{}, true, n, m)
 	defer p.Close()
-	x := randReal(1, p.RealLen())
+	x := randReal(1, p.Len())
 	dst := make([]complex128, p.SpectrumLen())
-	b.SetBytes(int64(p.RealLen() * 8))
+	b.SetBytes(int64(p.Len() * 8))
 	for i := 0; i < b.N; i++ {
-		if err := p.Forward(dst, x); err != nil {
+		if err := p.ForwardReal(dst, x, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -787,13 +786,13 @@ func BenchmarkRFFT2DForward(b *testing.B) {
 
 func BenchmarkRFFT3DForward(b *testing.B) {
 	const k, n, m = 32, 32, 32
-	p, _ := NewPlan(core.Config{}, k, n, m)
+	p, _ := NewPlan(Config{}, true, k, n, m)
 	defer p.Close()
-	x := randReal(1, p.RealLen())
+	x := randReal(1, p.Len())
 	dst := make([]complex128, p.SpectrumLen())
-	b.SetBytes(int64(p.RealLen() * 8))
+	b.SetBytes(int64(p.Len() * 8))
 	for i := 0; i < b.N; i++ {
-		if err := p.Forward(dst, x); err != nil {
+		if err := p.ForwardReal(dst, x, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

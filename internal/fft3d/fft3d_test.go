@@ -1,22 +1,17 @@
 package fft3d
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
-	"repro/internal/kernels"
+	"repro/internal/layout"
 	"repro/internal/spl"
+	"repro/internal/stagegraph"
 	"repro/internal/trace"
 )
-
-const tol = 1e-9
-
-func randVec(seed int64, n int) []complex128 {
-	return cvec.Random(rand.New(rand.NewSource(seed)), n)
-}
 
 // refDFT3D computes the 3D DFT via the SPL formula semantics.
 func refDFT3D(k, n, m int, x []complex128, sign int) []complex128 {
@@ -26,30 +21,6 @@ func refDFT3D(k, n, m int, x []complex128, sign int) []complex128 {
 			spl.Kron(spl.I(k*n), spl.IDFT(m)))
 	}
 	return spl.Eval(f, x)
-}
-
-// naiveDFT applies kernels.NaiveDFT along every axis of the row-major
-// array x with extents dims (slowest first): a reference that shares no
-// code with spl.
-func naiveDFT(x []complex128, sign int, dims ...int) []complex128 {
-	y := append([]complex128(nil), x...)
-	stride := len(x)
-	for _, d := range dims {
-		stride /= d
-		line := make([]complex128, d)
-		for base := range y {
-			if base/stride%d != 0 {
-				continue
-			}
-			for i := range line {
-				line[i] = y[base+i*stride]
-			}
-			for i, v := range kernels.NaiveDFT(line, sign) {
-				y[base+i*stride] = v
-			}
-		}
-	}
-	return y
 }
 
 // The spl reference every test here compares against matches the DFT
@@ -67,7 +38,7 @@ func TestReferenceMatchesSPL(t *testing.T) {
 	}
 }
 
-func doubleBufCase(t *testing.T, k, n, m int, opts core.Config, sign int) {
+func case3D(t *testing.T, k, n, m int, opts Options, sign int) {
 	t.Helper()
 	p, err := NewPlan(k, n, m, opts)
 	if err != nil {
@@ -84,7 +55,7 @@ func doubleBufCase(t *testing.T, k, n, m int, opts core.Config, sign int) {
 	}
 }
 
-func TestDoubleBufMatchesReference(t *testing.T) {
+func TestPlan3DMatchesSPL(t *testing.T) {
 	for _, c := range []struct {
 		k, n, m, mu, b, pd, pc int
 	}{
@@ -99,7 +70,7 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 		{1, 1, 1, 0, 0, 1, 1}, {2, 2, 2, 0, 0, 1, 1}, {2, 4, 8, 0, 0, 1, 1},
 		{4, 2, 4, 0, 0, 1, 1}, {3, 2, 5, 0, 0, 1, 1},
 	} {
-		doubleBufCase(t, c.k, c.n, c.m, core.Config{
+		case3D(t, c.k, c.n, c.m, Options{
 			Mu: c.mu, BufferElems: c.b,
 			DataWorkers: c.pd, ComputeWorkers: c.pc,
 		}, fft1d.Forward)
@@ -107,11 +78,11 @@ func TestDoubleBufMatchesReference(t *testing.T) {
 }
 
 func TestDoubleBufInverseAndRoundTrip(t *testing.T) {
-	doubleBufCase(t, 8, 8, 8, core.Config{DataWorkers: 2, ComputeWorkers: 2}, fft1d.Inverse)
-	doubleBufCase(t, 8, 8, 8, core.Config{}, fft1d.Inverse)
+	case3D(t, 8, 8, 8, Options{DataWorkers: 2, ComputeWorkers: 2}, fft1d.Inverse)
+	case3D(t, 8, 8, 8, Options{}, fft1d.Inverse)
 
 	const k, n, m = 16, 16, 16
-	p, err := NewPlan(k, n, m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(k, n, m, Options{DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +105,7 @@ func TestInPlaceAllStrategies(t *testing.T) {
 	const k, n, m = 8, 8, 8
 	x := randVec(66, k*n*m)
 	want := refDFT3D(k, n, m, x, fft1d.Forward)
-	p, err := NewPlan(k, n, m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(k, n, m, Options{DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,14 +123,14 @@ func TestNonCubicSizes(t *testing.T) {
 	for _, c := range []struct{ k, n, m int }{
 		{4, 8, 16}, {16, 8, 4}, {8, 16, 4}, {32, 4, 8},
 	} {
-		doubleBufCase(t, c.k, c.n, c.m, core.Config{
+		case3D(t, c.k, c.n, c.m, Options{
 			DataWorkers: 2, ComputeWorkers: 2, BufferElems: 128,
 		}, fft1d.Forward)
 	}
 }
 
 func TestStageIters(t *testing.T) {
-	p, err := NewPlan(8, 8, 8, core.Config{Mu: 4, BufferElems: 64})
+	p, err := NewPlan(8, 8, 8, Options{Mu: 4, BufferElems: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +147,7 @@ func TestStageIters(t *testing.T) {
 
 func TestDoubleBufScheduleTrace(t *testing.T) {
 	tr := trace.New()
-	p, err := NewPlan(8, 8, 8, core.Config{
+	p, err := NewPlan(8, 8, 8, Options{
 		Mu: 4, BufferElems: 128,
 		DataWorkers: 2, ComputeWorkers: 2, Tracer: tr,
 	})
@@ -209,13 +180,13 @@ func TestDoubleBufScheduleTrace(t *testing.T) {
 }
 
 func TestValidation(t *testing.T) {
-	if _, err := NewPlan(0, 4, 4, core.Config{}); err == nil {
+	if _, err := NewPlan(0, 4, 4, Options{}); err == nil {
 		t.Error("accepted k=0")
 	}
-	if _, err := NewPlan(4, 4, 6, core.Config{Mu: 4}); err == nil {
+	if _, err := NewPlan(4, 4, 6, Options{Mu: 4}); err == nil {
 		t.Error("accepted μ∤m")
 	}
-	p, _ := NewPlan(4, 4, 4, core.Config{})
+	p, _ := NewPlan(4, 4, 4, Options{})
 	if err := p.Transform(make([]complex128, 63), make([]complex128, 64), fft1d.Forward); err == nil {
 		t.Error("accepted bad lengths")
 	}
@@ -233,7 +204,7 @@ func TestValidation(t *testing.T) {
 // Property: linearity of the full 3D transform through the DoubleBuf path.
 func TestDoubleBufLinearity(t *testing.T) {
 	const k, n, m = 8, 8, 8
-	p, err := NewPlan(k, n, m, core.Config{DataWorkers: 2, ComputeWorkers: 2})
+	p, err := NewPlan(k, n, m, Options{DataWorkers: 2, ComputeWorkers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,28 +235,12 @@ func TestDoubleBufLinearity(t *testing.T) {
 	}
 }
 
-func benchPlan(b *testing.B, opts core.Config, k, n, m int) {
-	p, err := NewPlan(k, n, m, opts)
-	if err != nil {
-		b.Fatal(err)
-	}
-	x := randVec(1, k*n*m)
-	y := make([]complex128, k*n*m)
-	b.SetBytes(int64(k * n * m * 16))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := p.Transform(y, x, fft1d.Forward); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkBufferSweep(b *testing.B) {
 	const k, n, m = 64, 64, 64
 	for _, be := range []int{1 << 10, 1 << 12, 1 << 14, 1 << 16} {
 		name := map[int]string{1 << 10: "b1Ki", 1 << 12: "b4Ki", 1 << 14: "b16Ki", 1 << 16: "b64Ki"}[be]
 		b.Run(name, func(b *testing.B) {
-			benchPlan(b, core.Config{BufferElems: be}, k, n, m)
+			benchPlan(b, Options{BufferElems: be}, k, n, m)
 		})
 	}
 }
@@ -297,10 +252,288 @@ func BenchmarkThreadMix(b *testing.B) {
 		pd, pc int
 	}{{"1d1c", 1, 1}, {"1d3c", 1, 3}, {"2d2c", 2, 2}, {"3d1c", 3, 1}} {
 		b.Run(c.name, func(b *testing.B) {
-			benchPlan(b, core.Config{
+			benchPlan(b, Options{
 				DataWorkers: c.pd, ComputeWorkers: c.pc,
 				BufferElems: 1 << 14,
 			}, k, n, m)
 		})
+	}
+}
+
+// The fused stage-graph schedule and the drain-between-stages baseline must
+// be interchangeable on the 3D transform — including the interleaved
+// array-reuse flow (src→dst, dst→work, work→dst), where fusion is only
+// legal because stage 3's first store lands strictly after stage 2's last
+// load of dst. Exercised across odd sizes, μ values and worker mixes;
+// outputs must agree exactly and match the reference.
+func TestFusionEquivalence(t *testing.T) {
+	cases := []struct{ k, n, m, mu int }{
+		{3, 5, 7, 1}, // odd everywhere forces μ=1
+		{5, 3, 9, 3},
+		{4, 6, 10, 2},
+		{8, 8, 16, 4},
+	}
+	workers := [][2]int{{1, 1}, {2, 2}, {2, 3}}
+	for _, c := range cases {
+		for _, w := range workers {
+			x := randVec(int64(c.k*100+c.n*10+c.m), c.k*c.n*c.m)
+			want := refDFT3D(c.k, c.n, c.m, x, fft1d.Forward)
+			var outs [2][]complex128
+			for i, unfused := range []bool{false, true} {
+				restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
+				p, err := NewPlan(c.k, c.n, c.m, Options{
+					Mu: c.mu, BufferElems: 64,
+					DataWorkers: w[0], ComputeWorkers: w[1],
+				})
+				restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				outs[i] = make([]complex128, len(x))
+				if err := p.Transform(outs[i], x, fft1d.Forward); err != nil {
+					t.Fatal(err)
+				}
+				if d := cvec.MaxDiff(cvec.Vec(outs[i]), cvec.Vec(want)); d > tol*float64(len(x)) {
+					t.Errorf("%dx%dx%d μ=%d p=%v unfused=%v: diff vs reference %g",
+						c.k, c.n, c.m, c.mu, w, unfused, d)
+				}
+			}
+			for i := range outs[0] {
+				if outs[0][i] != outs[1][i] {
+					t.Fatalf("%dx%dx%d μ=%d p=%v: fused/unfused outputs differ at %d",
+						c.k, c.n, c.m, c.mu, w, i)
+				}
+			}
+		}
+	}
+}
+
+// Stats attribute the whole fused transform: 3 stages, one schedule, and a
+// step saving of exactly S-1 = 2 over the unfused baseline.
+func TestFusionStatsSteps(t *testing.T) {
+	steps := func(unfused bool) int {
+		restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
+		p, err := NewPlan(8, 8, 16, Options{Mu: 4, BufferElems: 128})
+		restore()
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randVec(5, p.Len())
+		y := make([]complex128, len(x))
+		if err := p.Transform(y, x, fft1d.Forward); err != nil {
+			t.Fatal(err)
+		}
+		st := p.Stats()
+		if st.Stages != 3 || st.Steps == 0 {
+			t.Fatalf("unexpected stats %+v", st)
+		}
+		return st.Steps
+	}
+	if f, u := steps(false), steps(true); u-f != 2 {
+		t.Fatalf("fused %d steps, unfused %d, want a saving of exactly 2", f, u)
+	}
+}
+
+// Inverse is, bitwise, Transform(…, fft1d.Inverse) followed by
+// fft1d.Scale(dst, 1/N) — whether the scale ran on the way out of the last
+// stage's fold store (cached or streaming) or run-major streaming store, or
+// in its compute leg (a plain unit-major store).
+func TestInverseBitwiseEqualsTransformThenScale(t *testing.T) {
+	shapes := []struct {
+		k, n, m int
+		fold    bool // the z stage folds (fold on): the scale rides its store
+	}{
+		{16, 16, 16, true},
+		{8, 16, 32, false}, // k=8 is a single codelet: nothing to fold
+		{16, 12, 8, true},  // N not a power of two: no pass over dst either
+		{12, 16, 8, true},  // k=12 runs [3 4], whose trailing radix-4 folds
+		{24, 16, 8, false}, // z does not fold (k=24 runs [3 8]): scale after the full DFT_k
+		{6, 10, 12, false},
+	}
+	dbuf := Options{}
+	variants := []struct {
+		name string
+		o    Options
+		ab   stagegraph.Ablation
+	}{
+		{"default", dbuf, stagegraph.Ablation{}},
+		{"unfused", dbuf, stagegraph.Ablation{Unfused: true}},
+		{"nofold", dbuf, stagegraph.Ablation{NoFold: true}},
+		{"mu4/radix8", Options{Mu: 4}, stagegraph.Ablation{Radix: 8}},
+		{"streaming", dbuf, stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}},
+		{"workers2x2", Options{DataWorkers: 2, ComputeWorkers: 2}, stagegraph.Ablation{}},
+	}
+	for _, sh := range shapes {
+		for _, v := range variants {
+			o := v.o
+			o.BufferElems = 1 << 9
+			if o.Mu != 0 && sh.m%o.Mu != 0 {
+				continue
+			}
+			t.Run(fmt.Sprintf("%dx%dx%d/%s", sh.k, sh.n, sh.m, v.name), func(t *testing.T) {
+				restore := stagegraph.SetAblation(v.ab)
+				p, err := NewPlan(sh.k, sh.n, sh.m, o)
+				restore()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer p.Close()
+				inStore := p.ScalesInStore()
+				switch v.name {
+				case "default":
+					if inStore != sh.fold {
+						t.Errorf("scale in store = %v, want %v", inStore, sh.fold)
+					}
+				case "streaming":
+					if want := sh.fold || layout.NonTemporalAvailable(); inStore != want {
+						t.Errorf("scale in the store leg = %v, want %v", inStore, want)
+					}
+				case "nofold":
+					if inStore {
+						t.Error("an unfolded cached last stage always scales in stage")
+					}
+				}
+				x := randVec(int64(sh.k*sh.n+sh.m), p.Len())
+				want := make([]complex128, p.Len())
+				if err := p.Transform(want, x, fft1d.Inverse); err != nil {
+					t.Fatal(err)
+				}
+				fft1d.Scale(want, 1/float64(p.Len()))
+				got := make([]complex128, p.Len())
+				if err := p.Inverse(got, x); err != nil {
+					t.Fatal(err)
+				}
+				requireSameBits(t, got, want)
+				// The scale is per call: an unnormalized transform right
+				// after must not inherit it.
+				if err := p.Transform(got, x, fft1d.Inverse); err != nil {
+					t.Fatal(err)
+				}
+				fft1d.Scale(got, 1/float64(p.Len()))
+				requireSameBits(t, got, want)
+			})
+		}
+	}
+}
+
+func TestInverseRejectsBadLengths(t *testing.T) {
+	p, err := NewPlan(8, 8, 8, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.Inverse(make([]complex128, 10), make([]complex128, 512)); err == nil {
+		t.Fatal("Inverse accepted a short dst")
+	}
+}
+
+func TestTransformManyMatchesLoop(t *testing.T) {
+	const k, n, m, count = 8, 8, 8, 4
+	p, err := NewPlan(k, n, m, Options{BufferElems: 128})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := cvec.Random(rand.New(rand.NewSource(1)), count*p.Len())
+	want := make([]complex128, len(src))
+	for c := 0; c < count; c++ {
+		if err := p.Transform(want[c*p.Len():(c+1)*p.Len()], src[c*p.Len():(c+1)*p.Len()], fft1d.Forward); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]complex128, len(src))
+	if err := p.TransformMany(got, src, count, fft1d.Forward); err != nil {
+		t.Fatal(err)
+	}
+	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > 1e-12 {
+		t.Fatalf("TransformMany diff %g", d)
+	}
+}
+
+func TestTransformManyValidation(t *testing.T) {
+	p, err := NewPlan(4, 4, 4, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if err := p.TransformMany(make([]complex128, 64), make([]complex128, 64), 0, fft1d.Forward); err == nil {
+		t.Error("accepted count=0")
+	}
+	if err := p.TransformMany(make([]complex128, 127), make([]complex128, 128), 2, fft1d.Forward); err == nil {
+		t.Error("accepted bad lengths")
+	}
+}
+
+func BenchmarkTransformMany(b *testing.B) {
+	const k, n, m, count = 32, 32, 32, 4
+	p, err := NewPlan(k, n, m, Options{BufferElems: 1 << 12})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := cvec.Random(rand.New(rand.NewSource(1)), count*p.Len())
+	dst := make([]complex128, len(src))
+	b.SetBytes(int64(len(src) * 16))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := p.TransformMany(dst, src, count, fft1d.Forward); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// Regression for the μ default: the 64³ plan must pick μ=8 from the
+// machine model, not the old hardcoded 4.
+func TestDefaultMuFollowsMachineModel(t *testing.T) {
+	cases := []struct{ k, n, m, want int }{
+		{64, 64, 64, 8},
+		{4, 8, 12, 4},
+		{2, 4, 6, 2},
+		{2, 2, 7, 1},
+	}
+	for _, c := range cases {
+		p, err := NewPlan(c.k, c.n, c.m, Options{BufferElems: 1 << 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Mu() != c.want {
+			t.Errorf("%dx%dx%d default μ = %d; want %d", c.k, c.n, c.m, p.Mu(), c.want)
+		}
+		p.Close()
+	}
+	p, err := NewPlan(8, 8, 8, Options{Mu: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	if p.Mu() != 4 {
+		t.Fatalf("explicit μ=4 overridden to %d", p.Mu())
+	}
+}
+
+// Forced streaming stores must flag every stage, stay correct, and
+// forced regular must flag none.
+func TestStorePolicyWiringAndCorrectness(t *testing.T) {
+	nt := 0
+	if layout.NonTemporalAvailable() {
+		nt = 3 // all three DoubleBuf stages
+	}
+	ntStages := func(policy stagegraph.StorePolicy) int {
+		defer stagegraph.SetAblation(stagegraph.Ablation{Stores: policy})()
+		p, err := NewPlan(16, 16, 16, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		if policy == stagegraph.StoreNonTemporal {
+			case3D(t, 16, 16, 16, Options{DataWorkers: 2,
+				ComputeWorkers: 2}, fft1d.Forward)
+			case3D(t, 8, 16, 32, Options{}, fft1d.Inverse)
+		}
+		return p.NonTemporalStages()
+	}
+	if got := ntStages(stagegraph.StoreNonTemporal); got != nt {
+		t.Errorf("forced NT: %d NT stages; want %d", got, nt)
+	}
+	if got := ntStages(stagegraph.StoreRegular); got != 0 {
+		t.Errorf("forced regular: %d NT stages; want 0", got)
 	}
 }

@@ -13,11 +13,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 	"repro/internal/kernels"
 	"repro/internal/lru"
-	"repro/internal/rfft"
 )
 
 // PlanKey identifies one cached plan. Cfg carries the execution shape —
@@ -104,36 +101,27 @@ func (k PlanKey) SpectrumLen() int {
 // Plan is one cached executor. A complex rank-1 plan is the fft1d.Plan of
 // D0 that lone requests, coalesced batches, repro.FFT1D and the
 // shared-handle facade all run at every size, so a request's bits never
-// depend on how it was batched; a complex rank-2/3 plan is the core.Plan
-// fft2d / fft3d build, with its persistent worker team; a real plan of any
-// rank is the rfft.Plan of the key's dims. The rank-1 real plan batches
-// natively (ForwardBatch / InverseBatch run many packed rows in one
-// pipeline sweep), so it serves both the singleton and the coalesced path.
+// depend on how it was batched; every other key — complex rank 2/3, real
+// rank 1–3 — is the core.Plan of its domain and dims, with its persistent
+// worker team. The rank-1 real plan batches natively (ExecuteRealBatch runs
+// many packed rows in one pipeline sweep), so it serves both the singleton
+// and the coalesced path. An entry point of the other domain returns an
+// error wrapping core.ErrDomain.
 type Plan struct {
 	key PlanKey
 	p1  *fft1d.Plan
-	pn  *core.Plan
-	r   *rfft.Plan
+	p   *core.Plan
 }
 
 func buildPlan(key PlanKey) (*Plan, error) {
-	cfg := key.Cfg
-	p := &Plan{key: key}
-	var err error
-	switch {
-	case key.Real:
-		p.r, err = rfft.NewPlan(cfg, key.dims()...)
-	case key.Rank == 1:
-		p.p1 = fft1d.NewPlan(key.D0)
-	case key.Rank == 2:
-		p.pn, err = fft2d.NewPlan(key.D0, key.D1, cfg)
-	case key.Rank == 3:
-		p.pn, err = fft3d.NewPlan(key.D0, key.D1, key.D2, cfg)
+	if key.Rank == 1 && !key.Real {
+		return &Plan{key: key, p1: fft1d.NewPlan(key.D0)}, nil
 	}
+	p, err := core.NewPlan(key.Cfg, key.Real, key.dims()...)
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return &Plan{key: key, p: p}, nil
 }
 
 // Key returns the plan's identity.
@@ -145,14 +133,10 @@ func (p *Plan) Len() int { return p.key.Len() }
 // P1 returns the underlying complex 1D plan (nil unless a complex rank-1 key).
 func (p *Plan) P1() *fft1d.Plan { return p.p1 }
 
-// PN returns the underlying complex 2D or 3D plan (nil unless a complex
-// rank-2/3 key).
-func (p *Plan) PN() *core.Plan { return p.pn }
+// Core returns the underlying pipelined plan (nil for a complex rank-1 key).
+func (p *Plan) Core() *core.Plan { return p.p }
 
-// R returns the underlying real plan (nil unless a real key).
-func (p *Plan) R() *rfft.Plan { return p.r }
-
-// Execute runs one out-of-place transform; inverse transforms are
+// Execute runs one out-of-place complex transform; inverse transforms are
 // normalized so Execute(inverse) ∘ Execute(forward) is the identity.
 func (p *Plan) Execute(dst, src []complex128, inverse bool) error {
 	return p.execute(dst, src, inverse, nil)
@@ -162,19 +146,18 @@ func (p *Plan) Execute(dst, src []complex128, inverse bool) error {
 // executor's arena (nil: the process-wide pool).
 func (p *Plan) execute(dst, src []complex128, inverse bool, ar *kernels.Arena) error {
 	switch {
-	case p.key.Rank == 1:
+	case p.p1 != nil:
 		return p.p1.Execute(dst, src, inverse, ar)
 	case inverse:
-		return p.pn.Inverse(dst, src)
+		return p.p.Inverse(dst, src)
 	default:
-		return p.pn.Transform(dst, src, fft1d.Forward)
+		return p.p.Transform(dst, src, fft1d.Forward)
 	}
 }
 
 // ExecuteReal runs one out-of-place real transform: forward reads the real
 // grid and writes its Hermitian half spectrum, inverse (normalized) reads
-// the half spectrum and writes the real grid. Fails unless the plan was
-// built from a real key.
+// the half spectrum and writes the real grid.
 func (p *Plan) ExecuteReal(spec []complex128, re []float64, inverse bool) error {
 	return p.ExecuteRealBatch(spec, re, 1, inverse)
 }
@@ -185,22 +168,18 @@ func (p *Plan) ExecuteReal(spec []complex128, re []float64, inverse bool) error 
 // requests. A real plan of rank 2 or 3 takes count = 1.
 func (p *Plan) ExecuteRealBatch(spec []complex128, re []float64, count int, inverse bool) error {
 	switch {
-	case p.r == nil:
-		return fmt.Errorf("serve: real execution needs a real plan, rank-%d key %d×%d×%d is complex",
-			p.key.Rank, p.key.D0, p.key.D1, p.key.D2)
+	case p.p1 != nil:
+		return fmt.Errorf("serve: real execution on complex rank-1 key %d: %w", p.key.D0, core.ErrDomain)
 	case inverse:
-		return p.r.InverseBatch(re, spec, count)
+		return p.p.InverseReal(re, spec, count)
 	default:
-		return p.r.ForwardBatch(spec, re, count)
+		return p.p.ForwardReal(spec, re, count)
 	}
 }
 
 func (p *Plan) close() {
-	switch { // a rank-1 complex plan is immutable data: nothing to release
-	case p.pn != nil:
-		p.pn.Close()
-	case p.r != nil:
-		p.r.Close()
+	if p.p != nil { // a rank-1 complex plan is immutable data: nothing to release
+		p.p.Close()
 	}
 }
 

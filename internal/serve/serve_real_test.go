@@ -2,10 +2,13 @@ package serve
 
 import (
 	"context"
+	"errors"
 	"math/cmplx"
 	"strings"
 	"sync"
 	"testing"
+
+	"repro/internal/core"
 )
 
 func realVec(n, seed int) []float64 {
@@ -262,6 +265,57 @@ func TestRealPrometheusFamilies(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// getPlan pins the cached plan of key for the rest of the test.
+func getPlan(t *testing.T, pc *PlanCache, key PlanKey) *Plan {
+	t.Helper()
+	p, release, err := pc.Get(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(release)
+	return p
+}
+
+// A complex Execute on a real key returns an error wrapping core.ErrDomain,
+// in both directions and at every rank.
+func TestExecuteOnRealKeyIsADomainError(t *testing.T) {
+	pc := NewPlanCache(4)
+	defer pc.Purge()
+	for _, key := range []PlanKey{
+		{Rank: 1, D0: 16, Real: true},
+		{Rank: 2, D0: 4, D1: 16, Real: true},
+		{Rank: 3, D0: 2, D1: 4, D2: 16, Real: true},
+	} {
+		p := getPlan(t, pc, key)
+		dst, src := make([]complex128, key.Len()), make([]complex128, key.Len())
+		for _, inverse := range []bool{false, true} {
+			if err := p.Execute(dst, src, inverse); !errors.Is(err, core.ErrDomain) {
+				t.Errorf("rank-%d real key, inverse=%v: Execute returned %v, want core.ErrDomain", key.Rank, inverse, err)
+			}
+		}
+	}
+}
+
+// A real execution on a complex key returns an error wrapping
+// core.ErrDomain, in both directions and at every rank.
+func TestExecuteRealOnComplexKeyIsADomainError(t *testing.T) {
+	pc := NewPlanCache(4)
+	defer pc.Purge()
+	for _, key := range []PlanKey{
+		{Rank: 1, D0: 16},
+		{Rank: 2, D0: 4, D1: 16},
+		{Rank: 3, D0: 2, D1: 4, D2: 16},
+	} {
+		p := getPlan(t, pc, key)
+		spec, re := make([]complex128, key.Len()), make([]float64, key.Len())
+		for _, inverse := range []bool{false, true} {
+			if err := p.ExecuteReal(spec, re, inverse); !errors.Is(err, core.ErrDomain) {
+				t.Errorf("rank-%d complex key, inverse=%v: ExecuteReal returned %v, want core.ErrDomain", key.Rank, inverse, err)
+			}
 		}
 	}
 }

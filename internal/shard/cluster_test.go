@@ -6,8 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft3d"
 )
 
 func randCube(n int, seed int64) []complex128 {
@@ -22,7 +22,7 @@ func randCube(n int, seed int64) []complex128 {
 // singleNode computes the single-node DoubleBuf reference result.
 func singleNode(t *testing.T, k, n, m int, src []complex128, sign int) []complex128 {
 	t.Helper()
-	p, err := fft3d.NewPlan(k, n, m, fft3d.Options{Strategy: fft3d.DoubleBuf})
+	p, err := core.NewPlan(core.Config{}, false, k, n, m)
 	if err != nil {
 		t.Fatalf("NewPlan(%dx%dx%d): %v", k, n, m, err)
 	}

@@ -15,8 +15,8 @@
 //
 // Formulas are interpreted (applied to vectors) following Table I, and a
 // Dense conversion exists for exhaustive small-size verification. The fast
-// production code paths in internal/fft2d and internal/fft3d are dedicated
-// loops; the tests cross-validate them against these formula semantics.
+// production code path, internal/core's pipelined plan, runs dedicated
+// loops; the tests cross-validate it against these formula semantics.
 package spl
 
 import (

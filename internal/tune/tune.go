@@ -15,8 +15,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/fft2d"
-	"repro/internal/fft3d"
 )
 
 // Candidate is one point in the search space. Wisdom files written before
@@ -113,14 +111,7 @@ func Tune(dims []int, space Space, reps int) (Result, []Result, error) {
 		if c.Mu < 1 || dims[len(dims)-1]%c.Mu != 0 {
 			continue
 		}
-		cfg := c.Config()
-		var p *core.Plan
-		var err error
-		if len(dims) == 2 {
-			p, err = fft2d.NewPlan(dims[0], dims[1], cfg)
-		} else {
-			p, err = fft3d.NewPlan(dims[0], dims[1], dims[2], cfg)
-		}
+		p, err := core.NewPlan(c.Config(), false, dims...)
 		if err != nil {
 			return Result{}, nil, err
 		}
