@@ -27,7 +27,7 @@ BASELINE_TESTS = ^Test(BaselinesMatchSPL|Measured)
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck tablegen \
         tablecheck race bench microbench benchsmoke rulersmoke servesmoke \
         obssmoke shardsmoke tracesmoke examplesmoke fuzzsmoke fmt loc \
-        serveprobe legprobe wireprobe kernelprobe
+        serveprobe legprobe setupprobe wireprobe kernelprobe
 
 ci: vet lint build crossbuild asmcheck tablecheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke examplesmoke rulersmoke
 
@@ -70,9 +70,12 @@ purego:
 	$(GO) test -tags purego -run '$(BASELINE_TESTS)' ./internal/bench
 
 # Cross-compile check: the non-amd64 build (no .s files, generic dispatch)
-# must keep compiling even though this host never runs it.
+# and the non-Linux ones (no mincore / madvise: the no-op pre-fault twin)
+# must keep compiling even though this host never runs them.
 crossbuild:
 	GOARCH=arm64 GOOS=linux $(GO) build ./...
+	GOARCH=amd64 GOOS=darwin $(GO) build ./...
+	GOARCH=amd64 GOOS=windows $(GO) build ./...
 
 # Regenerate the committed assembly (the AVX2 codelets, the 512-bit tier of
 # the radix-8 and radix-16 codelets, the non-temporal scatter and run-major
@@ -197,6 +200,15 @@ serveprobe:
 # quotes its before/after table in EXPERIMENTS.md.
 legprobe:
 	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -measured -legs -reps 5
+
+# Where a plan's first transform goes, on one thread: for complex 256³, real
+# 512×256×256 and the direct 1D plan at 2²⁴, NewPlan and the first Forward
+# beside a warm Forward, with the destination freshly allocated and with it
+# written beforehand, and the pipelined plans' build lines and first-run
+# pre-fault from Observability(). ≈ 1 GiB peak. Ungated like legprobe; a
+# setup PR quotes it in EXPERIMENTS.md.
+setupprobe:
+	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -measured -setup
 
 # One dispatched Stockham stage at a time, on one thread: the radix-8 and
 # radix-16 stages of 512² rows and cols, 256³ x- and y/z-pencils and n = 4096

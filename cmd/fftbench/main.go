@@ -12,6 +12,7 @@
 //	fftbench -measured         # run the real implementations on this host
 //	fftbench -measured -dims 2 # the 2D sweep instead of 3D
 //	fftbench -measured -legs   # per-stage load/compute/store ms at complex 256³, 4096², 512² and real 512×256×256, 4096² (make legprobe)
+//	fftbench -measured -setup  # build lines and first vs warm Forward at complex 256³, real 512×256×256 and 1D 2²⁴ (make setupprobe)
 //
 // Profiling a measured sweep (inspect with `go tool pprof`):
 //
@@ -38,6 +39,8 @@ func main() {
 	dims := flag.Int("dims", 3, "2 or 3: dimensionality of the measured sweep")
 	reps := flag.Int("reps", 3, "repetitions per measured point (best is reported)")
 	legs := flag.Bool("legs", false, "with -measured: print the per-stage leg budget of complex 256³, 4096² and 512² and real 512×256×256 and 4096² instead of the sweep (median of -reps, of at least 301 at 512²)")
+	setup := flag.Bool("setup", false, "with -measured: print the build lines and NewPlan + first Forward against a warm Forward of complex 256³, real 512×256×256 and 1D 2²⁴, with the destination fresh and pre-touched, instead of the sweep")
+	setupCase := flag.Int("setupcase", -1, "with -measured -setup: run only this case of the setup probe, in this process (the probe runs each case so)")
 	pd := flag.Int("pd", 1, "data workers for measured runs")
 	pc := flag.Int("pc", 1, "compute workers for measured runs")
 	acc := flag.Bool("accuracy", false, "print the numerical-accuracy report instead of performance")
@@ -48,9 +51,12 @@ func main() {
 	flag.Parse()
 
 	// Every run states the kernel configuration up front: numbers from
-	// different tiers are not comparable.
-	fmt.Fprintf(os.Stderr, "fftbench: cpu features: %s; kernel tier: %s; non-temporal stores: %v\n",
-		cpufeat.Summary(), kernels.Tier(), layout.NonTemporalAvailable())
+	// different tiers are not comparable. A setup-probe case is a child of
+	// a run that already did.
+	if *setupCase < 0 {
+		fmt.Fprintf(os.Stderr, "fftbench: cpu features: %s; kernel tier: %s; non-temporal stores: %v\n",
+			cpufeat.Summary(), kernels.Tier(), layout.NonTemporalAvailable())
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -116,6 +122,13 @@ func main() {
 		switch {
 		case *legs:
 			err = bench.LegProbe(os.Stdout, *reps)
+		case *setup && *setupCase >= 0:
+			err = bench.SetupProbeCase(os.Stdout, *setupCase)
+		case *setup:
+			var exe string
+			if exe, err = os.Executable(); err == nil {
+				err = bench.SetupProbe(os.Stdout, exe, "-measured", "-setup", "-setupcase")
+			}
 		case *dims == 2:
 			err = bench.Measured2D(os.Stdout, cfg)
 		default:

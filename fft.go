@@ -187,6 +187,9 @@ func NewFFT3D(k, n, m int, opts ...Option) (*FFT3D, error) {
 
 // Forward computes the unnormalized forward DFT out of place; dst and src
 // must each have length Len() and must not overlap.
+// A dst whose pages are not yet resident (a fresh allocation) and that the
+// plan stores into past the cache is pre-faulted before the transform runs;
+// this changes no byte, and dst's contents are overwritten anyway.
 func (f *FFT3D) Forward(dst, src []complex128) error {
 	return f.run(func(p *core.Plan) error { return p.Transform(dst, src, fft1d.Forward) })
 }
@@ -235,6 +238,9 @@ func NewFFT2D(n, m int, opts ...Option) (*FFT2D, error) {
 }
 
 // Forward computes the unnormalized forward DFT out of place.
+// A dst whose pages are not yet resident (a fresh allocation) and that the
+// plan stores into past the cache is pre-faulted before the transform runs;
+// this changes no byte, and dst's contents are overwritten anyway.
 func (f *FFT2D) Forward(dst, src []complex128) error {
 	return f.run(func(p *core.Plan) error { return p.Transform(dst, src, fft1d.Forward) })
 }

@@ -134,6 +134,9 @@ func NewRealFFT2D(n, m int, opts ...Option) (*RealFFT2D, error) {
 
 // Forward computes the unnormalized half spectrum; dst must have length
 // SpectrumLen(), src length RealLen().
+// A dst whose pages are not yet resident (a fresh allocation) and that the
+// plan stores into past the cache is pre-faulted before the transform runs;
+// this changes no byte, and dst's contents are overwritten anyway.
 func (f *RealFFT2D) Forward(dst []complex128, src []float64) error {
 	return f.run(func(p *core.Plan) error { return p.ForwardReal(dst, src, 1) })
 }
@@ -182,6 +185,9 @@ func NewRealFFT3D(k, n, m int, opts ...Option) (*RealFFT3D, error) {
 
 // Forward computes the unnormalized half spectrum; dst must have length
 // SpectrumLen(), src length RealLen().
+// A dst whose pages are not yet resident (a fresh allocation) and that the
+// plan stores into past the cache is pre-faulted before the transform runs;
+// this changes no byte, and dst's contents are overwritten anyway.
 func (f *RealFFT3D) Forward(dst []complex128, src []float64) error {
 	return f.run(func(p *core.Plan) error { return p.ForwardReal(dst, src, 1) })
 }

@@ -1,0 +1,179 @@
+package bench
+
+import (
+	"fmt"
+	"io"
+	"os"
+	"os/exec"
+	"strconv"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/fft1d"
+)
+
+// setupWarmReps is how many warm forwards SetupProbe takes the median of.
+const setupWarmReps = 3
+
+// setupCases are SetupProbe's cases: each shape with its destination fresh,
+// then pre-touched. Rank 1 is the direct fft1d plan.
+var setupCases = []struct {
+	dims    []int
+	real    bool
+	touched bool
+}{
+	{[]int{256, 256, 256}, false, false},
+	{[]int{256, 256, 256}, false, true},
+	{[]int{512, 256, 256}, true, false},
+	{[]int{512, 256, 256}, true, true},
+	{[]int{1 << 24}, false, false},
+	{[]int{1 << 24}, false, true},
+}
+
+// SetupProbe prints where a plan's first transform goes, for complex 256³,
+// real 512×256×256 and the direct 1D plan at 2²⁴: NewPlan and the first
+// Forward beside the median warm Forward, once with the caller's
+// destination freshly allocated (its pages not yet resident) and once with
+// it written beforehand. For the pipelined plans it adds the build lines
+// and the first run's pre-fault from Observability(). The source is filled,
+// so resident, in both cases.
+//
+// Every case runs in a process of its own — exe with args and the case's
+// index appended — as a plan built on entry to a program would: Go zeroes
+// reused heap memory at make time, so in a process that had already run a
+// case the plan's middle arrays would be faulted in by the allocator and a
+// fresh destination would not be fresh. The 1D plan therefore builds its
+// twiddle tables in the first transform of either case. `make setupprobe`
+// runs it at GOMAXPROCS=1.
+func SetupProbe(w io.Writer, exe string, args ...string) error {
+	for i := range setupCases {
+		cmd := exec.Command(exe, append(args[:len(args):len(args)], strconv.Itoa(i))...)
+		cmd.Stdout, cmd.Stderr = w, os.Stderr
+		if err := cmd.Run(); err != nil {
+			return fmt.Errorf("setup case %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
+// SetupProbeCase runs case i of SetupProbe in this process.
+func SetupProbeCase(w io.Writer, i int) error {
+	if i < 0 || i >= len(setupCases) {
+		return fmt.Errorf("setup case %d, want 0 to %d", i, len(setupCases)-1)
+	}
+	c := setupCases[i]
+	if len(c.dims) == 1 {
+		return setupProbe1D(w, c.dims[0], c.touched)
+	}
+	return setupProbePlan(w, c.dims, c.real, c.touched)
+}
+
+// setupProbePlan probes core.NewPlan of one shape.
+func setupProbePlan(w io.Writer, dims []int, realInput, touched bool) error {
+	var p *core.Plan
+	var fwd func() error
+	build := func() (err error) {
+		p, err = core.NewPlan(core.Config{}, realInput, dims...)
+		return err
+	}
+	n, m := 1, dims[len(dims)-1]
+	for _, d := range dims {
+		n *= d
+	}
+	label := fmt.Sprint("complex ", dims)
+	if realInput {
+		label = fmt.Sprint("real ", dims)
+		src := make([]float64, n)
+		for i := range src {
+			src[i] = float64(i%17) - 8
+		}
+		dst := make([]complex128, n/m*(m/2+1))
+		touch(dst, touched)
+		fwd = func() error { return p.ForwardReal(dst, src, 1) }
+	} else {
+		src, dst := make([]complex128, n), make([]complex128, n)
+		for i := range src {
+			src[i] = complex(float64(i%17)-8, float64(i%13)-6)
+		}
+		touch(dst, touched)
+		fwd = func() error { return p.Transform(dst, src, fft1d.Forward) }
+	}
+	newPlan, first, warm, err := setupTimes(build, fwd)
+	if p != nil {
+		defer p.Close()
+	}
+	if err != nil {
+		return err
+	}
+	o := p.Observability()
+	b := o.Build
+	fmt.Fprintf(w, "setupprobe %s, dst %s: NewPlan %.1f ms (sub-plans %.2f, alloc %.2f, graph+runner %.2f, model %.2f), "+
+		"first Forward %.1f ms (pre-fault %.1f ms, %d MiB), warm Forward %.1f ms; (NewPlan + first) / warm = %.2f\n",
+		label, dstState(touched), ms(newPlan), nsMs(b.SubPlansNs), nsMs(b.AllocNs), nsMs(b.GraphNs), nsMs(b.ModelNs),
+		ms(first), nsMs(o.PrefaultNs), o.PrefaultBytes>>20, ms(warm), float64(newPlan+first)/float64(warm))
+	return nil
+}
+
+// setupProbe1D probes fft1d.NewPlan(n), the direct plan a rank-1 complex
+// transform runs.
+func setupProbe1D(w io.Writer, n int, touched bool) error {
+	src, dst := make([]complex128, n), make([]complex128, n)
+	for i := range src {
+		src[i] = complex(float64(i%17)-8, float64(i%13)-6)
+	}
+	touch(dst, touched)
+	var p *fft1d.Plan
+	newPlan, first, warm, err := setupTimes(
+		func() error { p = fft1d.NewPlan(n); return nil },
+		func() error { return p.Execute(dst, src, false, nil) })
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "setupprobe complex 1D %d, dst %s: NewPlan %.3f ms, first Forward %.1f ms, warm Forward %.1f ms; "+
+		"(NewPlan + first) / warm = %.2f\n",
+		n, dstState(touched), ms(newPlan), ms(first), ms(warm), float64(newPlan+first)/float64(warm))
+	return nil
+}
+
+// setupTimes times build, the first fwd after it, and the median of
+// setupWarmReps more.
+func setupTimes(build, fwd func() error) (newPlan, first, warm time.Duration, err error) {
+	t0 := time.Now()
+	if err = build(); err != nil {
+		return
+	}
+	t1 := time.Now()
+	if err = fwd(); err != nil {
+		return
+	}
+	newPlan, first = t1.Sub(t0), time.Since(t1)
+	var warms []float64
+	for r := 0; r < setupWarmReps; r++ {
+		t := time.Now()
+		if err = fwd(); err != nil {
+			return
+		}
+		warms = append(warms, float64(time.Since(t)))
+	}
+	return newPlan, first, time.Duration(median(warms)), nil
+}
+
+// touch writes every element of x when touched, leaving none of its pages
+// to fault in later.
+func touch(x []complex128, touched bool) {
+	if touched {
+		for i := range x {
+			x[i] = 1
+		}
+	}
+}
+
+func dstState(touched bool) string {
+	if touched {
+		return "pre-touched"
+	}
+	return "fresh"
+}
+
+// nsMs converts a nanosecond counter to milliseconds.
+func nsMs(v uint64) float64 { return float64(v) / 1e6 }

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"time"
 
 	"repro/internal/fft1d"
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/stagegraph"
 	"repro/internal/twiddle"
 )
@@ -108,15 +110,39 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 		return nil, fmt.Errorf("%s: invalid size %v: extents must be ≥ 1, at most %d elements",
 			p.pkg, lanes, MaxElems)
 	}
+	// The build budget: each lap closes one line of Observability().Build.
+	var b obs.Build
+	t := time.Now()
+	lap := func(ns *uint64) {
+		now := time.Now()
+		*ns, t = uint64(now.Sub(t)), now
+	}
 	d := stagegraph.Pencils{Pkg: p.pkg, Dims: lanes, Plans: make([]*fft1d.Plan, D), Mu: cfg.Mu, BufferElems: cfg.BufferElems}
 	for i, e := range lanes {
 		d.Plans[i] = stagegraph.Plan1D(e)
 	}
+	lap(&b.SubPlansNs)
 	p.n = 1
 	for _, e := range dims {
 		p.n *= e
 	}
 	p.rows = p.n / dims[D-1]
+	// The middle arrays. A complex 2D graph stores stage 1 into the work
+	// array and stage 2 into dst; a 3D one runs src→dst, dst→work, work→dst,
+	// so the input is preserved and one work array serves. The fused
+	// schedule keeps the reuse safe: stage 3's first store runs strictly
+	// after stage 2's last load of dst (see stagegraph.BuildSchedule). A
+	// real plan of rank ≥ 2 carries both its chains through two scratch
+	// arrays of the packed grid's size (realGraphs). Allocation touches no
+	// page; the first run pre-faults the ones the streaming stores write.
+	var work [][]complex128
+	switch {
+	case !real:
+		work = [][]complex128{make([]complex128, p.n)}
+	case D > 1:
+		work = [][]complex128{make([]complex128, p.rows*p.l), make([]complex128, p.rows*p.l)}
+	}
+	lap(&b.AllocNs)
 	label := fmt.Sprintf("%s%dd/%d", prefix, D, dims[0])
 	for _, e := range dims[1:] {
 		label += fmt.Sprintf("x%d", e)
@@ -124,17 +150,11 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 	var graphs []*stagegraph.Graph
 	var err error
 	if real {
-		graphs, err = p.realGraphs(d)
+		graphs, err = p.realGraphs(d, work)
 	} else {
-		// A 2D graph stores stage 1 into the work array and stage 2 into dst;
-		// a 3D one runs src→dst, dst→work, work→dst, so the input is preserved
-		// and one work array serves. The fused schedule keeps the reuse safe:
-		// stage 3's first store runs strictly after stage 2's last load of dst
-		// (see stagegraph.BuildSchedule).
-		work := stagegraph.Array{C: make([]complex128, p.n)}
-		d.Mid = []stagegraph.Array{work}
+		d.Mid = []stagegraph.Array{{C: work[0]}}
 		if D == 3 {
-			d.Mid = []stagegraph.Array{{}, work}
+			d.Mid = []stagegraph.Array{{}, {C: work[0]}}
 		}
 		var g *stagegraph.Graph
 		g, err = d.Build()
@@ -150,6 +170,7 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	lap(&b.GraphNs)
 	p.run.SetRoofline(cfg.Roofline())
 	if mo := cfg.model(); mo != nil && !real {
 		est := mo.DoubleBuf2D(dims[0], dims[1])
@@ -158,26 +179,25 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 		}
 		p.run.Obs(fwdGraph).SetPredicted(est.StagePredictions())
 	}
+	lap(&b.ModelNs)
+	p.run.SetBuild(b)
 	return p, nil
 }
 
 // realGraphs builds the forward and inverse graphs of a real plan from its
-// descriptor d over the packed lanes. Two scratch arrays of the packed
-// grid's size carry both chains, stage by stage in turn: one holds the
-// transposed blocks after the forward rows / inverse entangle stage, the
-// other what the next stage stores, and so on.
-func (p *Plan) realGraphs(d stagegraph.Pencils) ([]*stagegraph.Graph, error) {
+// descriptor d over the packed lanes. The two scratch arrays of the packed
+// grid's size in work (none at rank 1) carry both chains, stage by stage in
+// turn: one holds the transposed blocks after the forward rows / inverse
+// entangle stage, the other what the next stage stores, and so on.
+func (p *Plan) realGraphs(d stagegraph.Pencils, work [][]complex128) ([]*stagegraph.Graph, error) {
 	D, l, mc := len(p.dims), p.l, p.l+1
 	w := make([]complex128, l/2+1) // ω_{2l}^k, the untangle/retangle table
 	for k := range w {
 		w[k] = twiddle.Omega(2*l, k)
 	}
-	var mid []stagegraph.Array // D of them, alternating between two arrays
-	if D > 1 {
-		work := [2][]complex128{make([]complex128, p.rows*l), make([]complex128, p.rows*l)}
-		for i := 0; i < D; i++ {
-			mid = append(mid, stagegraph.Array{C: work[i%2]})
-		}
+	var mid []stagegraph.Array // D of them, alternating between the two arrays
+	for i := 0; i < D && len(work) == 2; i++ {
+		mid = append(mid, stagegraph.Array{C: work[i%2]})
 	}
 	d.Mid = mid[:max(D-1, 0)]
 	d.Real = &stagegraph.RealEnd{
@@ -249,6 +269,9 @@ func (p *Plan) domain(op string, real bool) error {
 // Transform computes dst = DFT(src) out of place on a complex plan,
 // unnormalized in both directions; dst and src must each have length Len()
 // and must not overlap.
+// A cold dst — its first page not yet resident — that a streaming stage
+// stores into is pre-faulted first (stagegraph.Runner.Run); this changes no
+// byte.
 func (p *Plan) Transform(dst, src []complex128, sign int) error {
 	return p.transform("Transform", dst, src, sign, 0)
 }
@@ -316,6 +339,7 @@ func (p *Plan) TransformMany(dst, src []complex128, count, sign int) error {
 // receives count·SpectrumLen() coefficients. A plan of rank ≥ 2 transforms
 // one grid a call (count = 1). They are the only per-call endpoints, so the
 // steady state is allocation-free.
+// A cold dst is pre-faulted as Transform's is.
 func (p *Plan) ForwardReal(dst []complex128, src []float64, count int) error {
 	if err := p.checkReal("ForwardReal", len(src), len(dst), count); err != nil {
 		return err

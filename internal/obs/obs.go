@@ -97,6 +97,9 @@ type Collector struct {
 	wallNs    atomic.Uint64
 	lastOccup atomic.Uint64 // float64 bits of the most recent run's occupancy
 
+	prefaultNs    atomic.Uint64
+	prefaultBytes atomic.Uint64
+
 	mu        sync.Mutex // cold fields below
 	roofline  float64    // STREAM peak GB/s; 0 = unknown
 	predicted []StagePrediction
@@ -166,6 +169,18 @@ func (c *Collector) RunDone(steps, bothBusy int, wall time.Duration) {
 	}
 	if steps > 0 {
 		c.lastOccup.Store(floatBits(float64(bothBusy) / float64(steps)))
+	}
+}
+
+// AddPrefault records one pre-fault of a cold store target: b bytes made
+// resident in d, before a run's schedule started.
+func (c *Collector) AddPrefault(b int, d time.Duration) {
+	if c == nil {
+		return
+	}
+	c.prefaultBytes.Add(uint64(b))
+	if d > 0 {
+		c.prefaultNs.Add(uint64(d))
 	}
 }
 
@@ -263,7 +278,36 @@ type Snapshot struct {
 	BarrierWaitNs uint64  `json:"barrier_wait_ns"` // summed across all workers
 	RooflineGBs   float64 `json:"roofline_gb_per_s,omitempty"`
 
+	// PrefaultNs and PrefaultBytes are the runs' first touch: the time and
+	// bytes of pre-faulting the cold arrays a graph's streaming stores were
+	// about to write (stagegraph.Runner.Run), summed over runs. The
+	// pre-fault runs before the schedule, so WallNs does not include it.
+	PrefaultNs    uint64 `json:"prefault_ns"`
+	PrefaultBytes uint64 `json:"prefault_bytes"`
+	// Build is where the plan's construction time went (zero for a plan
+	// that does not report one).
+	Build Build `json:"build"`
+
 	Stages []StageSnapshot `json:"stages"`
+}
+
+// Build is a plan's construction budget, one line per part of
+// core.NewPlan. The parts run one after another, so the lines sum to at
+// most the constructor's wall time.
+type Build struct {
+	// SubPlansNs is the per-axis 1D plans. They are cached process-wide and
+	// build their twiddle tables on first use, so a cold size pays its
+	// tables in the first transform, not here.
+	SubPlansNs uint64 `json:"sub_plans_ns"`
+	// AllocNs is the middle arrays: a complex plan's work array, a real
+	// plan's two scratch arrays. Allocating them touches no page; the first
+	// run's pre-fault does (Snapshot.PrefaultNs).
+	AllocNs uint64 `json:"alloc_ns"`
+	// GraphNs is the stage graphs, their compiled schedules, the double
+	// buffer, the telemetry collectors and the worker team.
+	GraphNs uint64 `json:"graph_ns"`
+	// ModelNs is the roofline and the perfmodel prediction.
+	ModelNs uint64 `json:"model_ns"`
 }
 
 // TotalBytes returns the bytes moved across all stages (loads + stores).
@@ -295,6 +339,8 @@ func (c *Collector) Snapshot() Snapshot {
 		WallNs:           c.wallNs.Load(),
 		RooflineGBs:      roofline,
 		LastRunOccupancy: floatFromBits(c.lastOccup.Load()),
+		PrefaultNs:       c.prefaultNs.Load(),
+		PrefaultBytes:    c.prefaultBytes.Load(),
 		Stages:           make([]StageSnapshot, len(c.stageNames)),
 	}
 	if snap.Steps > 0 {

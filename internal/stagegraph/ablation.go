@@ -10,9 +10,9 @@ import (
 // Ablation is the one seam for the schedules no product configuration
 // selects: the oracle and A/B variants the tests hold the product graph to.
 // Its zero value is the product — fused, store-folded, the store tier and
-// the 2D load fold chosen from the footprint, radix-16 chains — and only a
-// test binary can install
-// another (SetAblation). It is read where graphs (Pencils.Build), runners
+// the 2D load fold chosen from the footprint, radix-16 chains, cold store
+// targets pre-faulted — and only a test binary can install another
+// (SetAblation). It is read where graphs (Pencils.Build), runners
 // (NewRunner) and the 1D sub-plans (Plan1D) are built, so a plan keeps the
 // schedule it was built under.
 type Ablation struct {
@@ -31,6 +31,9 @@ type Ablation struct {
 	// CopyLoads keeps the load leg's copy on the 2D graphs whose first
 	// sweep would otherwise read the source in its place (Stage.FoldLoad).
 	CopyLoads bool
+	// NoPrefault leaves cold store targets to fault in inside the streaming
+	// stores instead of pre-faulting them before a run (Runner.Run).
+	NoPrefault bool
 }
 
 var ablation atomic.Pointer[Ablation]

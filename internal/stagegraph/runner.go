@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/fft1d"
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -56,11 +58,13 @@ type Call struct {
 // it waits for the run; later runs fail. Runners dropped without Close are
 // cleaned up by a finalizer.
 type Runner struct {
-	cfg    RunnerConfig
-	fused  bool // false only under Ablation.Unfused
-	graphs []*compiled
-	bufs   *Buffers
-	exec   *Executor
+	cfg      RunnerConfig
+	fused    bool // false only under Ablation.Unfused
+	prefault bool // false only under Ablation.NoPrefault
+	graphs   []*compiled
+	bufs     *Buffers
+	exec     *Executor
+	build    obs.Build
 
 	lock      sync.Mutex
 	closed    bool
@@ -84,7 +88,8 @@ func NewRunner(cfg RunnerConfig, graphs ...*Graph) (*Runner, error) {
 	if cfg.ComputeWorkers == 0 {
 		cfg.ComputeWorkers = 1
 	}
-	r := &Runner{cfg: cfg, fused: !current().Unfused}
+	ab := current()
+	r := &Runner{cfg: cfg, fused: !ab.Unfused, prefault: !ab.NoPrefault}
 	elems, staging := 0, false
 	for i, g := range graphs {
 		c := &compiled{Graph: g, sched: Compile(g.stages, r.fused)}
@@ -177,6 +182,9 @@ func (r *Runner) Run(g int, c Call) error {
 		}
 	}
 	gr.bind(c.In, c.Out)
+	if r.prefault {
+		gr.prefaultCold()
+	}
 	rec := c.Tracer
 	if rec == nil {
 		rec = r.cfg.Tracer
@@ -190,6 +198,35 @@ func (r *Runner) Run(g int, c Call) error {
 	r.lastStats = st
 	return nil
 }
+
+// prefaultCold pre-faults every array a streaming stage of the bound graph
+// is about to store into — the plan's middle arrays and the caller's
+// destination — whose first page is not yet resident. A page fault inside a
+// streaming store leg stalls the stream while the kernel zeroes the page
+// through the cache; one madvise over the whole array ahead of the run
+// moves that work out of the stores, which then run at the warm rate.
+// Cached stores (arrays within the footprint rule) and pair-packed real
+// destinations never stream, so they are never pre-faulted; neither is an
+// array that is already warm, which costs one mincore a streaming stage.
+// Where the kernel refuses the pre-fault (before Linux 5.14) the stores
+// fault the pages in as they land, as they would without it.
+func (g *compiled) prefaultCold() {
+	for i := range g.stages {
+		st := &g.stages[i]
+		dst := st.Dst.C
+		if !st.NonTemporal || dst == nil || !layout.Cold(dst) {
+			continue
+		}
+		t0 := time.Now()
+		if layout.Prefault(dst) == nil {
+			g.obs.AddPrefault(len(dst)*complexBytes, time.Since(t0))
+		}
+	}
+}
+
+// SetBuild records the plan's construction budget, which Observability
+// reports.
+func (r *Runner) SetBuild(b obs.Build) { r.build = b }
 
 // Mu returns graph 0's effective block length.
 func (r *Runner) Mu() int {
@@ -224,9 +261,12 @@ func (r *Runner) SetRoofline(gbs float64) {
 // far, merged over the graphs (stage lists concatenated, counters summed).
 func (r *Runner) Observability() obs.Snapshot {
 	out := r.graphs[0].obs.Snapshot()
+	out.Build = r.build
 	for _, c := range r.graphs[1:] {
 		b := c.obs.Snapshot()
 		out.Runs += b.Runs
+		out.PrefaultNs += b.PrefaultNs
+		out.PrefaultBytes += b.PrefaultBytes
 		out.Steps += b.Steps
 		out.BothBusySteps += b.BothBusySteps
 		out.WallNs += b.WallNs
