@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/fft1d"
+	"repro/internal/kernels"
 )
 
 // assertZeroAllocs runs f once to warm the plan, then asserts the steady
@@ -35,12 +36,13 @@ func assertZeroAllocs(t *testing.T, name string, f func()) {
 func TestSteadyStateZeroAllocs1DBatch(t *testing.T) {
 	const n, count = 256, 8
 	p := fft1d.NewPlan(n)
+	ar := kernels.NewArena(0, 0)
 	x := make([]complex128, count*n)
 	for i := range x {
 		x[i] = complex(float64(i%17), float64(i%5))
 	}
-	assertZeroAllocs(t, "fft1d.Batch", func() {
-		p.Batch(x, count, fft1d.Forward)
+	assertZeroAllocs(t, "fft1d.BatchArena", func() {
+		p.BatchArena(x, count, fft1d.Forward, ar)
 	})
 }
 

@@ -113,9 +113,9 @@ func resolve(opts []Option) (core.Config, error) {
 	return cfg, nil
 }
 
-// handle is what every pipelined handle kind holds: its core plan, the
-// SharedPlans pin it releases instead of closing the plan, and the flag that
-// closes it once.
+// handle is what every handle kind holds: its core plan, the SharedPlans
+// pin it releases instead of closing the plan, and the flag that closes it
+// once.
 type handle struct {
 	p       *core.Plan
 	release func()
@@ -142,9 +142,9 @@ func (h *handle) run(op func(p *core.Plan) error) error {
 }
 
 // Close releases the plan's persistent pipeline workers (parked goroutines
-// reused across transforms). Optional — plans dropped without Close are
-// reclaimed by a finalizer — idempotent and safe to call concurrently; later
-// transforms return ErrClosed. For handles from a SharedPlans pool, Close
+// reused across transforms; a 1D plan has none). Optional — plans dropped
+// without Close are reclaimed by a finalizer — idempotent and safe to call
+// concurrently; later transforms return ErrClosed. For handles from a SharedPlans pool, Close
 // releases the cache pin instead; the shared plan itself closes when it is
 // evicted and its last user has released it.
 func (h *handle) Close() {
@@ -158,19 +158,13 @@ func (h *handle) Close() {
 	h.p.Close()
 }
 
-// Stats returns whole-transform executor statistics for the most recent
-// transform: pipeline steps, aggregate data-mover and compute time, and the
-// fraction of data time hidden behind compute (the zero value before the
-// first transform).
-func (h *handle) Stats() Stats { return h.p.Stats() }
-
 // Observability returns the plan's cumulative bandwidth-accounting
-// snapshot: per-stage bytes loaded/stored, effective GB/s and fraction of
-// the roofline, steady-state overlap occupancy, barrier wait, and (when a
-// machine is configured) the perfmodel divergence; a real plan's merges its
-// forward and inverse pipelines. Unlike Stats, which covers only the most
-// recent transform, the snapshot accumulates over every transform the plan
-// has run.
+// snapshot: pipeline steps and wall time, per-stage bytes loaded/stored,
+// effective GB/s and fraction of the roofline, steady-state overlap
+// occupancy, barrier wait, and (when a machine is configured) the perfmodel
+// divergence; a real plan's merges its forward and inverse pipelines. The
+// snapshot accumulates over every transform the plan has run. A complex 1D
+// plan has no pipeline stages to account and returns the zero value.
 func (h *handle) Observability() Observability { return h.p.Observability() }
 
 // FFT3D is a reusable plan for k×n×m cubes (row-major, x fastest).
@@ -273,13 +267,6 @@ func (f *FFT2D) DescribeGraph() string { return f.p.DescribeGraph() }
 // a plan's Observability method; serialize it with encoding/json for
 // dashboards.
 type Observability = core.Observability
-
-// Stats reports whole-transform execution statistics from the stage-graph
-// executor: Steps is the total pipeline step count (a fused S-stage graph
-// runs sum(iters)+S+1 steps instead of sum(iters)+2S), DataTime and
-// ComputeTime aggregate per-step worker time, and Overlap is the fraction
-// of data-mover time hidden behind compute (1 = fully overlapped).
-type Stats = core.Stats
 
 // MachineInfo summarizes one of the paper's evaluation systems.
 type MachineInfo struct {

@@ -3,7 +3,6 @@ package repro
 import (
 	"errors"
 	"fmt"
-	"sync/atomic"
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
@@ -14,58 +13,38 @@ import (
 var ErrClosed = errors.New("repro: plan closed")
 
 // FFT1D is a reusable plan for one-dimensional transforms of any size
-// n ≥ 1: the fft1d Stockham chain (a Bluestein stage for each prime factor
-// above 8) run directly over the caller's arrays, with one n-element scratch drawn from
-// a process-wide pool. No option shapes it; the result is bitwise
-// fft1d.NewPlan(n).Transform at every size.
-type FFT1D struct {
-	p *fft1d.Plan
-	// A handle from a SharedPlans pool releases its cache pin on Close.
-	release func()
-	closed  atomic.Bool
-}
+// n ≥ 1: the core plan of rank 1, whose one Stockham chain (a Bluestein
+// stage for each prime factor above 8) runs directly over the caller's
+// arrays on the calling goroutine, with one n-element scratch drawn from a
+// process-wide pool. No option shapes it; the result is bitwise
+// fft1d.NewPlan(n).Transform at every size, and concurrent transforms on
+// one handle run at once. It has no pipeline stages, so Observability
+// returns the zero value, and Close only marks the handle closed (a
+// transform already running finishes normally) or releases its SharedPlans
+// pin.
+type FFT1D struct{ handle }
 
 // NewFFT1D builds a 1D plan for size n.
 func NewFFT1D(n int, opts ...Option) (*FFT1D, error) {
-	if _, err := resolve(opts); err != nil {
+	f := new(FFT1D)
+	if err := f.build(opts, false, n); err != nil {
 		return nil, err
 	}
-	if n < 1 {
-		return nil, fmt.Errorf("repro: invalid 1D size %d", n)
-	}
-	return &FFT1D{p: fft1d.NewPlan(n)}, nil
+	return f, nil
 }
 
 // Forward computes the unnormalized forward DFT out of place.
-func (f *FFT1D) Forward(dst, src []complex128) error { return f.execute(dst, src, false) }
-
-// Inverse computes the normalized inverse DFT out of place.
-func (f *FFT1D) Inverse(dst, src []complex128) error { return f.execute(dst, src, true) }
-
-func (f *FFT1D) execute(dst, src []complex128, inverse bool) error {
-	if f.closed.Load() {
-		return ErrClosed
-	}
-	return f.p.Execute(dst, src, inverse, nil)
+func (f *FFT1D) Forward(dst, src []complex128) error {
+	return f.run(func(p *core.Plan) error { return p.Transform(dst, src, fft1d.Forward) })
 }
 
-// Close marks the handle closed — later transforms return ErrClosed — and
-// releases its SharedPlans pin, if any. Idempotent and safe to call
-// concurrently with transforms: the plan is immutable data with no workers
-// to stop, so a transform already running finishes normally.
-func (f *FFT1D) Close() {
-	if f.closed.CompareAndSwap(false, true) && f.release != nil {
-		f.release()
-	}
+// Inverse computes the normalized inverse DFT out of place.
+func (f *FFT1D) Inverse(dst, src []complex128) error {
+	return f.run(func(p *core.Plan) error { return p.Inverse(dst, src) })
 }
 
 // Len returns the transform size.
-func (f *FFT1D) Len() int { return f.p.N() }
-
-// Observability returns the zero value: a 1D plan has no pipeline stages
-// to account. The method exists so every plan kind can be held behind one
-// interface.
-func (f *FFT1D) Observability() Observability { return Observability{} }
+func (f *FFT1D) Len() int { return f.p.Len() }
 
 // RealFFT1D transforms real rows of even length n to their Hermitian half
 // spectra (n/2+1 complex values) and back, running as a pipelined stage

@@ -236,19 +236,22 @@ func goldenCases() []goldenCase {
 			})
 		}
 		// The complex 1D plan has no graph; its rows pin the bits of the plan
-		// the public handle runs (stagegraph.Plan1D is fft1d.NewPlan but for
-		// the radix-4 ablation) at a size past L2.
+		// the public handle runs (its chain is fft1d.NewPlan but for the
+		// radix-4 ablation) at a size past L2.
 		if v.mu == 0 && !v.ab.Unfused {
 			const n = 1 << 17
 			add(fmt.Sprintf("fft1d/%d", n), false, func() (string, string, string, error) {
-				p := stagegraph.Plan1D(n)
+				p, err := core.NewPlan(core.Config{}, false, n)
+				if err != nil {
+					return "", "", "", err
+				}
 				src := goldenComplex(n, uint64(n))
 				fwd := make([]complex128, n)
 				inv := make([]complex128, n)
-				if err := p.Execute(fwd, src, false, nil); err != nil {
+				if err := p.Transform(fwd, src, fft1d.Forward); err != nil {
 					return "", "", "", err
 				}
-				if err := p.Execute(inv, fwd, true, nil); err != nil {
+				if err := p.Inverse(inv, fwd); err != nil {
 					return "", "", "", err
 				}
 				return "", digestComplex(fwd), digestComplex(inv), nil

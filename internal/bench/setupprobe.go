@@ -16,7 +16,7 @@ import (
 const setupWarmReps = 3
 
 // setupCases are SetupProbe's cases: each shape with its destination fresh,
-// then pre-touched. Rank 1 is the direct fft1d plan.
+// then pre-touched.
 var setupCases = []struct {
 	dims    []int
 	real    bool
@@ -31,12 +31,12 @@ var setupCases = []struct {
 }
 
 // SetupProbe prints where a plan's first transform goes, for complex 256³,
-// real 512×256×256 and the direct 1D plan at 2²⁴: NewPlan and the first
-// Forward beside the median warm Forward, once with the caller's
-// destination freshly allocated (its pages not yet resident) and once with
-// it written beforehand. For the pipelined plans it adds the build lines
-// and the first run's pre-fault from Observability(). The source is filled,
-// so resident, in both cases.
+// real 512×256×256 and complex 1D at 2²⁴: core.NewPlan and the first Forward
+// beside the median warm Forward, once with the caller's destination freshly
+// allocated (its pages not yet resident) and once with it written
+// beforehand, with the build lines and the first run's pre-fault from
+// Observability() (all zero for the 1D plan, which runs no pipeline). The
+// source is filled, so resident, in both cases.
 //
 // Every case runs in a process of its own — exe with args and the case's
 // index appended — as a plan built on entry to a program would: Go zeroes
@@ -62,9 +62,6 @@ func SetupProbeCase(w io.Writer, i int) error {
 		return fmt.Errorf("setup case %d, want 0 to %d", i, len(setupCases)-1)
 	}
 	c := setupCases[i]
-	if len(c.dims) == 1 {
-		return setupProbe1D(w, c.dims[0], c.touched)
-	}
 	return setupProbePlan(w, c.dims, c.real, c.touched)
 }
 
@@ -111,27 +108,6 @@ func setupProbePlan(w io.Writer, dims []int, realInput, touched bool) error {
 		"first Forward %.1f ms (pre-fault %.1f ms, %d MiB), warm Forward %.1f ms; (NewPlan + first) / warm = %.2f\n",
 		label, dstState(touched), ms(newPlan), nsMs(b.SubPlansNs), nsMs(b.AllocNs), nsMs(b.GraphNs), nsMs(b.ModelNs),
 		ms(first), nsMs(o.PrefaultNs), o.PrefaultBytes>>20, ms(warm), float64(newPlan+first)/float64(warm))
-	return nil
-}
-
-// setupProbe1D probes fft1d.NewPlan(n), the direct plan a rank-1 complex
-// transform runs.
-func setupProbe1D(w io.Writer, n int, touched bool) error {
-	src, dst := make([]complex128, n), make([]complex128, n)
-	for i := range src {
-		src[i] = complex(float64(i%17)-8, float64(i%13)-6)
-	}
-	touch(dst, touched)
-	var p *fft1d.Plan
-	newPlan, first, warm, err := setupTimes(
-		func() error { p = fft1d.NewPlan(n); return nil },
-		func() error { return p.Execute(dst, src, false, nil) })
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "setupprobe complex 1D %d, dst %s: NewPlan %.3f ms, first Forward %.1f ms, warm Forward %.1f ms; "+
-		"(NewPlan + first) / warm = %.2f\n",
-		n, dstState(touched), ms(newPlan), ms(first), ms(warm), float64(newPlan+first)/float64(warm))
 	return nil
 }
 

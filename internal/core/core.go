@@ -1,5 +1,4 @@
-// Package core declares the plan configuration — once — and the one
-// pipelined plan. The paper fixes a plan by three rules (§IV): b = LLC/2, μ =
+// Package core declares the plan configuration — once — and the one plan. The paper fixes a plan by three rules (§IV): b = LLC/2, μ =
 // one cacheline, p_d = p_c = threads/2. Config carries those and the
 // telemetry hooks, and nothing else: the radix chain, fusion, the store fold
 // and the store tier are not configuration (EXPERIMENTS.md "Ablation axes,
@@ -10,12 +9,14 @@
 // the footprint, with μ and the buffer size resolved by the builder from the
 // measured profile.
 //
-// Plan is every multi-dimensional and real transform the repository runs,
-// as the paper writes them (§III): one stage-graph descriptor per direction
-// whose stages differ only by the swept axis. NewPlan takes the domain and
-// the extents as parameters — complex at rank 2 or 3, real at rank 1 to 3 —
-// and hands the configuration to the one graph builder and the one runner.
-// A complex rank-1 transform is fft1d.Plan, which runs no pipeline.
+// Plan is every transform the repository runs, as the paper writes them
+// (§III): one stage-graph descriptor per direction whose stages differ only
+// by the swept axis. NewPlan takes the domain and the extents as parameters
+// — complex or real, at rank 1 to 3 — and hands the configuration to the
+// one graph builder and the one runner. A complex rank-1 plan is the one
+// graph-less case: its single axis is the same Stockham chain
+// (stagegraph.Plan1D) every other plan runs per axis, run on the caller's
+// goroutine instead of through a pipeline.
 //
 // There is one compute format, complex-interleaved: the paper's §IV-A
 // block-interleaved format was implemented, measured 1.3–1.9× behind it in
@@ -30,17 +31,12 @@ import (
 	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
-	"repro/internal/stagegraph"
 	"repro/internal/trace"
 )
 
-// Stats and Observability are what a plan reports — the executor statistics
-// of its most recent transform and its cumulative bandwidth accounting —
-// under the names the public package documents them by.
-type (
-	Stats         = stagegraph.Stats
-	Observability = obs.Snapshot
-)
+// Observability is what a plan reports — its cumulative bandwidth
+// accounting — under the name the public package documents it by.
+type Observability = obs.Snapshot
 
 // Strategy names how a plan executes. DoubleBuf, the paper's pipeline, is
 // the only value; the field stays because the benchmark/ ruler builds its

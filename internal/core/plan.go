@@ -26,11 +26,16 @@ const (
 // complex plan.
 var ErrDomain = errors.New("entry point of the other domain")
 
-// Plan is a reusable pipelined FFT plan over a row-major array of fixed
-// extents: the runner holding its compiled stage graphs, their double
-// buffer and a persistent worker team. Transforms serialise on the runner's
-// lock and the real DC/Nyquist pass touches only the caller's dst, so the
-// plan is safe for concurrent use; independent plans run fully in parallel.
+// Plan is a reusable FFT plan over a row-major array of fixed extents: the
+// runner holding its compiled stage graphs, their double buffer and a
+// persistent worker team. Transforms serialise on the runner's lock and the
+// real DC/Nyquist pass touches only the caller's dst, so the plan is safe
+// for concurrent use; independent plans run fully in parallel.
+//
+// A complex rank-1 plan has no runner: its one sub-plan, the Stockham chain
+// every axis of the other plans runs too, transforms the caller's arrays
+// directly on the caller's goroutine, with scratch from fft1d's pool. It
+// takes no lock, so concurrent transforms on one rank-1 plan run at once.
 //
 // A complex plan of extents k×n×m (or n×m) runs one stage per dimension,
 // each load-contiguous → compute-contiguous-pencils → store-blocked-rotation,
@@ -72,7 +77,7 @@ var ErrDomain = errors.New("entry point of the other domain")
 // single-iteration stage graph, so coalesced serving batches amortize the
 // worker wake-up across every row.
 type Plan struct {
-	pkg  string // error prefix: "fft2d", "fft3d" or "rfft"
+	pkg  string // error prefix: "fft1d", "fft2d", "fft3d" or "rfft"
 	dims []int  // extents, slowest first; a real plan's are the real grid's
 	n    int    // elements of one array, ∏dims
 	real bool
@@ -80,13 +85,15 @@ type Plan struct {
 	// product of the outer extents.
 	l, rows int
 	run     *stagegraph.Runner
+	chain   *fft1d.Plan // a complex rank-1 plan's, which has no runner
 }
 
 // NewPlan builds the plan of extents dims, slowest first: a complex plan of
-// two or three extents, or a real plan of one to three, the last even. A
-// plan reads every Config field: the block sizes, the worker counts, the
-// tracer, the roofline, and — for a complex plan — the machine whose
-// perfmodel prediction its telemetry reports divergence against.
+// one to three extents, or a real plan of one to three, the last even. A
+// pipelined plan reads every Config field: the block sizes, the worker
+// counts, the tracer, the roofline, and — for a complex plan — the machine
+// whose perfmodel prediction its telemetry reports divergence against. A
+// complex rank-1 plan runs no pipeline and reads none.
 func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 	D := len(dims)
 	p := &Plan{pkg: fmt.Sprintf("fft%dd", D), dims: slices.Clone(dims), real: real}
@@ -97,11 +104,8 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 		}
 		p.pkg, prefix, p.l = "rfft", "rfft", dims[D-1]/2
 		lanes = append(slices.Clone(dims[:D-1]), p.l)
-	} else if D != 2 && D != 3 {
-		return nil, fmt.Errorf("core: invalid complex size %v: want 2 or 3 extents (rank 1 is fft1d.Plan)", dims)
-	}
-	if cfg.Strategy != DoubleBuf {
-		return nil, fmt.Errorf("%s: unknown strategy %d", p.pkg, cfg.Strategy)
+	} else if D < 1 || D > 3 {
+		return nil, fmt.Errorf("core: invalid complex size %v: want 1 to 3 extents", dims)
 	}
 	// Extents Elems refuses — for a real plan, its packed lanes, which bound
 	// the real grid and the half spectrum — are refused before any sub-plan
@@ -109,6 +113,17 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 	if _, ok := Elems(lanes...); !ok {
 		return nil, fmt.Errorf("%s: invalid size %v: extents must be ≥ 1, at most %d elements",
 			p.pkg, lanes, MaxElems)
+	}
+	p.n = 1
+	for _, e := range dims {
+		p.n *= e
+	}
+	if D == 1 && !real {
+		p.chain = stagegraph.Plan1D(p.n)
+		return p, nil
+	}
+	if cfg.Strategy != DoubleBuf {
+		return nil, fmt.Errorf("%s: unknown strategy %d", p.pkg, cfg.Strategy)
 	}
 	// The build budget: each lap closes one line of Observability().Build.
 	var b obs.Build
@@ -122,10 +137,6 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 		d.Plans[i] = stagegraph.Plan1D(e)
 	}
 	lap(&b.SubPlansNs)
-	p.n = 1
-	for _, e := range dims {
-		p.n *= e
-	}
 	p.rows = p.n / dims[D-1]
 	// The middle arrays. A complex 2D graph stores stage 1 into the work
 	// array and stage 2 into dst; a 3D one runs src→dst, dst→work, work→dst,
@@ -230,8 +241,12 @@ func (p *Plan) realGraphs(d stagegraph.Pencils, work [][]complex128) ([]*stagegr
 // safe to call concurrently — with other Close calls and with a transform
 // in flight (Close waits for the transform to finish; later transforms
 // return an error). Plans dropped without Close are cleaned up by a
-// finalizer.
-func (p *Plan) Close() { p.run.Close() }
+// finalizer. A complex rank-1 plan has nothing to release.
+func (p *Plan) Close() {
+	if p.run != nil {
+		p.run.Close()
+	}
+}
 
 // Dims returns the extents, slowest first (a real plan's real grid).
 func (p *Plan) Dims() []int { return slices.Clone(p.dims) }
@@ -251,8 +266,13 @@ func (p *Plan) SpectrumLen() int {
 }
 
 // Iters returns the pipeline iteration count of each (forward) stage (the
-// paper's iter = N/b).
-func (p *Plan) Iters() []int { return slices.Clone(p.run.Iters(fwdGraph)) }
+// paper's iter = N/b); nil for a complex rank-1 plan.
+func (p *Plan) Iters() []int {
+	if p.run == nil {
+		return nil
+	}
+	return slices.Clone(p.run.Iters(fwdGraph))
+}
 
 // domain returns the error of an op of the wrong domain, or nil.
 func (p *Plan) domain(op string, real bool) error {
@@ -278,8 +298,8 @@ func (p *Plan) Transform(dst, src []complex128, sign int) error {
 
 // Inverse computes the normalized inverse transform out of place on a
 // complex plan: Transform(dst, src, fft1d.Inverse) followed by
-// fft1d.Scale(dst, 1/Len()), bitwise. The scale rides the last stage's store
-// or compute leg, so dst is not swept once more.
+// fft1d.Scale(dst, 1/Len()), bitwise. On a pipelined plan the scale rides
+// the last stage's store or compute leg, so dst is not swept once more.
 func (p *Plan) Inverse(dst, src []complex128) error {
 	return p.transform("Inverse", dst, src, fft1d.Inverse, 1/float64(p.n))
 }
@@ -291,8 +311,18 @@ func (p *Plan) transform(op string, dst, src []complex128, sign int, scale float
 	if len(dst) != p.n || len(src) != p.n {
 		return fmt.Errorf("%s: Transform lengths dst=%d src=%d, want %d", p.pkg, len(dst), len(src), p.n)
 	}
-	return p.run.Run(fwdGraph, stagegraph.Call{In: stagegraph.Endpoint{C: src},
-		Out: stagegraph.Endpoint{C: dst}, Sign: sign, Scale: scale})
+	if p.run != nil {
+		return p.run.Run(fwdGraph, stagegraph.Call{In: stagegraph.Endpoint{C: src},
+			Out: stagegraph.Endpoint{C: dst}, Sign: sign, Scale: scale})
+	}
+	if sign != fft1d.Forward && sign != fft1d.Inverse {
+		return fmt.Errorf("%s: sign %d, need %d or %d", p.pkg, sign, fft1d.Forward, fft1d.Inverse)
+	}
+	p.chain.Transform(dst, src, sign)
+	if scale != 0 {
+		fft1d.Scale(dst, scale)
+	}
+	return nil
 }
 
 // InPlace computes x = DFT(x) on a complex plan through a temporary of the
@@ -437,26 +467,46 @@ func (p *Plan) mirror(r int) int {
 
 func conjc(z complex128) complex128 { return complex(real(z), -imag(z)) }
 
-// Stats returns the whole-transform executor stats of the most recent
-// transform (the zero value before the first).
-func (p *Plan) Stats() Stats { return p.run.Stats() }
-
 // Observability returns the merged bandwidth-accounting snapshot of every
 // transform this plan has executed (a real plan's forward and inverse
-// graphs, concatenated).
-func (p *Plan) Observability() Observability { return p.run.Observability() }
+// graphs, concatenated); the zero value for a complex rank-1 plan, which
+// has no pipeline stages to account.
+func (p *Plan) Observability() Observability {
+	if p.run == nil {
+		return Observability{}
+	}
+	return p.run.Observability()
+}
 
-// Mu returns the effective cacheline block size (after defaulting).
-func (p *Plan) Mu() int { return p.run.Mu() }
+// Mu returns the effective cacheline block size (after defaulting); 0 for
+// a complex rank-1 plan, which rotates no blocks.
+func (p *Plan) Mu() int {
+	if p.run == nil {
+		return 0
+	}
+	return p.run.Mu()
+}
 
 // NonTemporalStages reports how many stages currently route stores through
 // the streaming tier.
-func (p *Plan) NonTemporalStages() int { return p.run.NonTemporalStages() }
+func (p *Plan) NonTemporalStages() int {
+	if p.run == nil {
+		return 0
+	}
+	return p.run.NonTemporalStages()
+}
 
 // ScalesInStore reports whether a complex plan's Inverse 1/N rides the last
-// stage's store (else it runs in that stage's compute leg).
-func (p *Plan) ScalesInStore() bool { return p.run.ScalesInStore(fwdGraph) }
+// stage's store (else it runs in that stage's compute leg, or — at rank 1 —
+// in a sweep of its own).
+func (p *Plan) ScalesInStore() bool { return p.run != nil && p.run.ScalesInStore(fwdGraph) }
 
 // DescribeGraph renders the compiled stage graphs the plan executes (a real
-// plan's forward and inverse), with each stage's current store mode.
-func (p *Plan) DescribeGraph() string { return p.run.DescribeGraph() }
+// plan's forward and inverse), with each stage's current store mode; empty
+// for a complex rank-1 plan, which compiles no graph.
+func (p *Plan) DescribeGraph() string {
+	if p.run == nil {
+		return ""
+	}
+	return p.run.DescribeGraph()
+}

@@ -286,7 +286,7 @@ func TestFusionEquivalence2D(t *testing.T) {
 }
 
 // Fusion shortens the schedule: an S-stage graph saves S-1 steps over the
-// drain-between-stages baseline, visible in the executor stats.
+// drain-between-stages baseline, visible in the plan's telemetry.
 func TestFusionStatsSteps2D(t *testing.T) {
 	steps := func(unfused bool) int {
 		restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
@@ -300,11 +300,11 @@ func TestFusionStatsSteps2D(t *testing.T) {
 		if err := p.Transform(y, x, fft1d.Forward); err != nil {
 			t.Fatal(err)
 		}
-		st := p.Stats()
-		if st.Stages != 2 || st.Steps == 0 {
-			t.Fatalf("unexpected stats %+v", st)
+		o := p.Observability()
+		if len(o.Stages) != 2 || o.Steps == 0 {
+			t.Fatalf("unexpected telemetry: %d stages, %d steps", len(o.Stages), o.Steps)
 		}
-		return st.Steps
+		return int(o.Steps)
 	}
 	if f, u := steps(false), steps(true); u-f != 1 { // S-1 = 1 for 2 stages
 		t.Fatalf("fused %d steps, unfused %d, want a saving of exactly 1", f, u)

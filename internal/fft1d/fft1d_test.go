@@ -164,15 +164,16 @@ func TestBatchMatchesLoop(t *testing.T) {
 	for c := 0; c < count; c++ {
 		p.InPlace(want[c*n:(c+1)*n], Forward)
 	}
+	ar := kernels.NewArena(0, 0)
 	got := append([]complex128(nil), x...)
-	p.Batch(got, count, Forward)
+	p.BatchArena(got, count, Forward, ar)
 	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol {
-		t.Errorf("Batch: diff %g", d)
+		t.Errorf("BatchArena: diff %g", d)
 	}
 	got2 := make([]complex128, n*count)
-	p.BatchInto(got2, x, count, Forward)
+	p.BatchLanesArena(got2, x, count, 1, Forward, ar)
 	if d := cvec.MaxDiff(cvec.Vec(got2), cvec.Vec(want)); d > tol {
-		t.Errorf("BatchInto: diff %g", d)
+		t.Errorf("BatchLanesArena from a source: diff %g", d)
 	}
 }
 
@@ -235,14 +236,15 @@ func delta(n, at int) []complex128 {
 
 func TestValidationPanics(t *testing.T) {
 	p := NewPlan(8)
+	ar := kernels.NewArena(0, 0)
 	for i, f := range []func(){
 		func() { NewPlan(0) },
 		func() { NewPlan(-3) },
 		func() { p.Lanes(make([]complex128, 8), make([]complex128, 8), 0, Forward) },
 		func() { p.Lanes(make([]complex128, 7), make([]complex128, 8), 1, Forward) },
 		func() { p.InPlace(make([]complex128, 7), Forward) },
-		func() { p.Batch(make([]complex128, 15), 2, Forward) },
-		func() { p.BatchInto(make([]complex128, 16), make([]complex128, 15), 2, Forward) },
+		func() { p.BatchArena(make([]complex128, 15), 2, Forward, ar) },
+		func() { p.BatchLanesArena(make([]complex128, 16), make([]complex128, 15), 2, 1, Forward, ar) },
 		func() { p.Strided(make([]complex128, 10), 0, 2, Forward) },
 		func() { p.InPlaceLanes(make([]complex128, 9), 1, Forward) },
 	} {

@@ -134,9 +134,6 @@ func NewPlanRadix(n, maxRadix int) *Plan {
 	return p
 }
 
-// PlanCacheStats reports the plan cache's effectiveness counters.
-func PlanCacheStats() lru.Stats { return planCache.Stats() }
-
 // N returns the transform size.
 func (p *Plan) N() int { return p.n }
 
@@ -316,8 +313,8 @@ func (p *Plan) FoldRadix() int {
 	return 0
 }
 
-// arenaPool backs the arena-less entry points (Transform, InPlace, Batch,
-// …). Plans are cached process-wide in planCache and shared between
+// arenaPool backs the arena-less entry points (Transform, InPlace, Lanes,
+// Strided). Plans are cached process-wide in planCache and shared between
 // callers, so scratch cannot live unsynchronized on the Plan; the executor
 // path threads each compute worker's private arena through the *Arena entry
 // points instead, and everything else borrows a pooled arena here. Get/Put

@@ -10,7 +10,7 @@ import (
 // ever requested. The cache must stay within its capacity no matter how many
 // distinct sizes pass through, while still deduplicating repeated requests.
 func TestPlanCacheBounded(t *testing.T) {
-	before := PlanCacheStats()
+	before := planCache.Stats()
 
 	// Repeated requests for one size share one plan.
 	a := NewPlan(4096)
@@ -18,7 +18,7 @@ func TestPlanCacheBounded(t *testing.T) {
 	if a != b {
 		t.Fatal("NewPlan(4096) twice returned distinct plans")
 	}
-	if s := PlanCacheStats(); s.Hits <= before.Hits {
+	if s := planCache.Stats(); s.Hits <= before.Hits {
 		t.Errorf("repeated NewPlan did not register a cache hit: %+v", s)
 	}
 
@@ -44,7 +44,7 @@ func TestPlanCacheBounded(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := PlanCacheStats()
+	s := planCache.Stats()
 	if s.Len > s.Capacity {
 		t.Errorf("plan cache holds %d entries, capacity %d", s.Len, s.Capacity)
 	}

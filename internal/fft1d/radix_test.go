@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/cvec"
+	"repro/internal/kernels"
 )
 
 // Radix-capped plans must agree with each other (and the default plan) to
@@ -32,10 +33,11 @@ func TestRadixPlansAgreeBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	const n, count = 256, 6
 	x := cvec.Random(rng, n*count)
+	ar := kernels.NewArena(0, 0)
 	want := append([]complex128(nil), x...)
-	NewPlanRadix(n, 4).Batch(want, count, Forward)
+	NewPlanRadix(n, 4).BatchArena(want, count, Forward, ar)
 	got := append([]complex128(nil), x...)
-	NewPlanRadix(n, 8).Batch(got, count, Forward)
+	NewPlanRadix(n, 8).BatchArena(got, count, Forward, ar)
 	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)); d > tol*float64(n) {
 		t.Fatalf("batched radix-8 vs radix-4: max diff %g", d)
 	}

@@ -13,41 +13,6 @@ func (p *Plan) Transform(dst, src []complex128, sign int) {
 	p.Lanes(dst, src, 1, sign)
 }
 
-// TransformArena is Transform drawing scratch from the caller's arena — the
-// serving executors' path, one arena per executor goroutine.
-func (p *Plan) TransformArena(dst, src []complex128, sign int, ar *kernels.Arena) {
-	if len(dst) != p.n || len(src) != p.n {
-		panic(fmt.Sprintf("fft1d: TransformArena length mismatch: dst=%d src=%d want %d",
-			len(dst), len(src), p.n))
-	}
-	p.run(dst, src, 1, 1, sign, len(p.stages), ar)
-}
-
-// Execute is the checked entry point the public FFT1D handle and the serving
-// layer share: Transform, or with inverse set the normalized inverse —
-// Transform(dst, src, Inverse) followed by Scale(dst, 1/n), bitwise. Scratch
-// comes from ar, or from the process-wide pool when ar is nil. A length
-// mismatch is an error rather than a panic: the lengths arrive from callers
-// outside the module.
-func (p *Plan) Execute(dst, src []complex128, inverse bool, ar *kernels.Arena) error {
-	if len(dst) != p.n || len(src) != p.n {
-		return fmt.Errorf("fft1d: lengths dst=%d src=%d, want %d", len(dst), len(src), p.n)
-	}
-	sign := Forward
-	if inverse {
-		sign = Inverse
-	}
-	if ar != nil {
-		p.TransformArena(dst, src, sign, ar)
-	} else {
-		p.Transform(dst, src, sign)
-	}
-	if inverse {
-		Scale(dst, 1/float64(p.n))
-	}
-	return nil
-}
-
 // Lanes computes dst = (DFT_n ⊗ I_mu)(src) out of place: mu independent
 // transforms interleaved at lane granularity. dst and src must each have
 // length n·mu and must not overlap. This is the cacheline-vector kernel of
@@ -203,16 +168,9 @@ func (p *Plan) InPlaceLanes(x []complex128, mu, sign int) {
 	putArena(ar)
 }
 
-// Batch computes x = (I_count ⊗ DFT_n)(x): count contiguous pencils of
-// length n transformed in place. This is the paper's compute-kernel shape
-// I_{b/m} ⊗ DFT_m.
-func (p *Plan) Batch(x []complex128, count, sign int) {
-	ar := getArena()
-	p.BatchArena(x, count, sign, ar)
-	putArena(ar)
-}
-
-// BatchArena is Batch drawing scratch from the caller's arena.
+// BatchArena computes x = (I_count ⊗ DFT_n)(x): count contiguous pencils of
+// length n transformed in place, scratch from the caller's arena. This is
+// the paper's compute-kernel shape I_{b/m} ⊗ DFT_m.
 func (p *Plan) BatchArena(x []complex128, count, sign int, ar *kernels.Arena) {
 	p.BatchLanesArena(x, x, count, 1, sign, ar)
 }
@@ -249,17 +207,6 @@ func (p *Plan) batch(name string, x, src []complex128, count, mu, sign, t int, a
 	if count > 0 {
 		p.run(x, src, count, mu, sign, t, ar)
 	}
-}
-
-// BatchInto computes dst = (I_count ⊗ DFT_n)(src) out of place.
-func (p *Plan) BatchInto(dst, src []complex128, count, sign int) {
-	if len(dst) != count*p.n || len(src) != count*p.n {
-		panic(fmt.Sprintf("fft1d: BatchInto lengths dst=%d src=%d, want %d·%d",
-			len(dst), len(src), count, p.n))
-	}
-	ar := getArena()
-	p.BatchLanesArena(dst, src, count, 1, sign, ar)
-	putArena(ar)
 }
 
 // Strided transforms the pencil x[base], x[base+stride], …,

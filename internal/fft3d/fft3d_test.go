@@ -308,8 +308,8 @@ func TestFusionEquivalence(t *testing.T) {
 	}
 }
 
-// Stats attribute the whole fused transform: 3 stages, one schedule, and a
-// step saving of exactly S-1 = 2 over the unfused baseline.
+// The telemetry attributes the whole fused transform: 3 stages, one
+// schedule, and a step saving of exactly S-1 = 2 over the unfused baseline.
 func TestFusionStatsSteps(t *testing.T) {
 	steps := func(unfused bool) int {
 		restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
@@ -323,11 +323,11 @@ func TestFusionStatsSteps(t *testing.T) {
 		if err := p.Transform(y, x, fft1d.Forward); err != nil {
 			t.Fatal(err)
 		}
-		st := p.Stats()
-		if st.Stages != 3 || st.Steps == 0 {
-			t.Fatalf("unexpected stats %+v", st)
+		o := p.Observability()
+		if len(o.Stages) != 3 || o.Steps == 0 {
+			t.Fatalf("unexpected telemetry: %d stages, %d steps", len(o.Stages), o.Steps)
 		}
-		return st.Steps
+		return int(o.Steps)
 	}
 	if f, u := steps(false), steps(true); u-f != 2 {
 		t.Fatalf("fused %d steps, unfused %d, want a saving of exactly 2", f, u)

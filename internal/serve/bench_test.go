@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
 )
 
@@ -67,9 +68,9 @@ func BenchmarkServeBatched(b *testing.B) {
 // coalescingReading is what TestCoalescingSpeedup compares: ns per request of
 // the same closed-loop submitters through a coalescing server, through a
 // server that cannot coalesce (noDrain: every request its own batch), and
-// through the bare yardstick — a channel whose two consumers run
-// fft1d.Plan.Execute on one request at a time, which is what serving costs
-// with nothing shared and no serve code in it.
+// through the bare yardstick — a channel whose two consumers run the rank-1
+// core.Plan's Transform on one request at a time, which is what serving
+// costs with nothing shared and no serve code in it.
 type coalescingReading struct {
 	coalesced, avgBatch, uncoalesced, yardstick float64
 }
@@ -119,7 +120,10 @@ func measureCoalescing(t *testing.T) (best, worst coalescingReading) {
 			g    int
 			done chan error
 		}
-		plan := fft1d.NewPlanRadix(n, 0)
+		plan, err := core.NewPlan(core.Config{}, false, n)
+		if err != nil {
+			t.Fatal(err)
+		}
 		queue := make(chan *call, 1024)
 		var consumers sync.WaitGroup
 		for e := 0; e < 2; e++ {
@@ -127,7 +131,7 @@ func measureCoalescing(t *testing.T) (best, worst coalescingReading) {
 			go func() {
 				defer consumers.Done()
 				for c := range queue {
-					c.done <- plan.Execute(dsts[c.g], srcs[c.g], false, nil)
+					c.done <- plan.Transform(dsts[c.g], srcs[c.g], fft1d.Forward)
 				}
 			}()
 		}
@@ -170,8 +174,8 @@ func measureCoalescing(t *testing.T) (best, worst coalescingReading) {
 
 // TestCoalescingSpeedup is the acceptance check behind the benchmark: at
 // batch depth ≥ 20 a coalesced request costs no more than 1.1× what the
-// uncoalesced kernel does per transform — fft1d.Plan.Execute fed one request
-// at a time over a bare channel, measured here by the same clients on the
+// uncoalesced kernel does per transform — the rank-1 core.Plan's Transform
+// fed one request at a time over a bare channel, measured here by the same clients on the
 // same buffers. That denominator holds no serve code, so making the
 // unbatched path faster cannot move it (the ≥ 1.5 × unbatched bar this
 // replaces failed 18 of 37 runs once PR 20 had). The same bound must refuse a

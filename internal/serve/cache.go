@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fft1d"
-	"repro/internal/kernels"
 	"repro/internal/lru"
 )
 
@@ -98,25 +97,21 @@ func (k PlanKey) SpectrumLen() int {
 	return k.Len() / last * (last/2 + 1)
 }
 
-// Plan is one cached executor. A complex rank-1 plan is the fft1d.Plan of
-// D0 that lone requests, coalesced batches, repro.FFT1D and the
-// shared-handle facade all run at every size, so a request's bits never
-// depend on how it was batched; every other key — complex rank 2/3, real
-// rank 1–3 — is the core.Plan of its domain and dims, with its persistent
-// worker team. The rank-1 real plan batches natively (ExecuteRealBatch runs
-// many packed rows in one pipeline sweep), so it serves both the singleton
-// and the coalesced path. An entry point of the other domain returns an
-// error wrapping core.ErrDomain.
+// Plan is one cached executor: the core.Plan of its key's domain and dims.
+// A complex rank-1 plan is the one lone requests, coalesced batches,
+// repro.FFT1D and the shared-handle facade all run at every size — a
+// direct Stockham chain with no worker team, run on the calling executor's
+// goroutine — so a request's bits never depend on how it was batched; every
+// other key holds a persistent worker team. The rank-1 real plan batches
+// natively (ExecuteRealBatch runs many packed rows in one pipeline sweep),
+// so it serves both the singleton and the coalesced path. An entry point of
+// the other domain returns an error wrapping core.ErrDomain.
 type Plan struct {
 	key PlanKey
-	p1  *fft1d.Plan
 	p   *core.Plan
 }
 
 func buildPlan(key PlanKey) (*Plan, error) {
-	if key.Rank == 1 && !key.Real {
-		return &Plan{key: key, p1: fft1d.NewPlan(key.D0)}, nil
-	}
 	p, err := core.NewPlan(key.Cfg, key.Real, key.dims()...)
 	if err != nil {
 		return nil, err
@@ -130,29 +125,16 @@ func (p *Plan) Key() PlanKey { return p.key }
 // Len returns the element count of one transform.
 func (p *Plan) Len() int { return p.key.Len() }
 
-// P1 returns the underlying complex 1D plan (nil unless a complex rank-1 key).
-func (p *Plan) P1() *fft1d.Plan { return p.p1 }
-
-// Core returns the underlying pipelined plan (nil for a complex rank-1 key).
+// Core returns the underlying plan.
 func (p *Plan) Core() *core.Plan { return p.p }
 
 // Execute runs one out-of-place complex transform; inverse transforms are
 // normalized so Execute(inverse) ∘ Execute(forward) is the identity.
 func (p *Plan) Execute(dst, src []complex128, inverse bool) error {
-	return p.execute(dst, src, inverse, nil)
-}
-
-// execute is Execute with the rank-1 plan's scratch drawn from the calling
-// executor's arena (nil: the process-wide pool).
-func (p *Plan) execute(dst, src []complex128, inverse bool, ar *kernels.Arena) error {
-	switch {
-	case p.p1 != nil:
-		return p.p1.Execute(dst, src, inverse, ar)
-	case inverse:
+	if inverse {
 		return p.p.Inverse(dst, src)
-	default:
-		return p.p.Transform(dst, src, fft1d.Forward)
 	}
+	return p.p.Transform(dst, src, fft1d.Forward)
 }
 
 // ExecuteReal runs one out-of-place real transform: forward reads the real
@@ -167,20 +149,10 @@ func (p *Plan) ExecuteReal(spec []complex128, re []float64, inverse bool) error 
 // pipeline sweep — the coalesced fast path for same-shape real 1D
 // requests. A real plan of rank 2 or 3 takes count = 1.
 func (p *Plan) ExecuteRealBatch(spec []complex128, re []float64, count int, inverse bool) error {
-	switch {
-	case p.p1 != nil:
-		return fmt.Errorf("serve: real execution on complex rank-1 key %d: %w", p.key.D0, core.ErrDomain)
-	case inverse:
+	if inverse {
 		return p.p.InverseReal(re, spec, count)
-	default:
-		return p.p.ForwardReal(spec, re, count)
 	}
-}
-
-func (p *Plan) close() {
-	if p.p != nil { // a rank-1 complex plan is immutable data: nothing to release
-		p.p.Close()
-	}
+	return p.p.ForwardReal(spec, re, count)
 }
 
 // PlanCache is a bounded ref-counted LRU of executors keyed by PlanKey.
@@ -193,7 +165,7 @@ type PlanCache struct {
 // NewPlanCache builds a cache holding at most capacity plans.
 func NewPlanCache(capacity int) *PlanCache {
 	return &PlanCache{c: lru.New[PlanKey, *Plan](capacity, func(_ PlanKey, p *Plan) {
-		p.close()
+		p.p.Close()
 	})}
 }
 

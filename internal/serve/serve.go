@@ -12,7 +12,6 @@ import (
 	"unsafe"
 
 	"repro/internal/core"
-	"repro/internal/kernels"
 	"repro/internal/trace"
 )
 
@@ -389,9 +388,8 @@ func sameBatch(a, b *item) bool {
 
 // executor is one executor goroutine's private scratch.
 type executor struct {
-	arena        *kernels.Arena // direct rank-1 transforms
-	realCoalesce []float64      // packed rows of a coalesced real batch …
-	specCoalesce []complex128   // … and their half spectra
+	realCoalesce []float64    // packed rows of a coalesced real batch …
+	specCoalesce []complex128 // … and their half spectra
 }
 
 // execute is one executor goroutine. It takes a batch's first item off the
@@ -401,7 +399,7 @@ type executor struct {
 // starts the next batch. Exits once the queue is closed and nothing is held.
 func (s *Server) execute() {
 	defer s.workersWG.Done()
-	x := &executor{arena: kernels.NewArena(0, 0)}
+	x := new(executor)
 	var items []*item
 	var pending *item
 	for {
@@ -563,7 +561,7 @@ func (s *Server) runBatch(x *executor, items []*item) {
 		// shares the plan lookup and this hand-off, nothing else, so an
 		// item's bits do not depend on what it was batched with.
 		for _, it := range live {
-			if err = executeComplex(plan, &it.req, x.arena); err != nil {
+			if err = executeComplex(plan, &it.req); err != nil {
 				break
 			}
 		}
@@ -586,21 +584,21 @@ func (s *Server) runBatch(x *executor, items []*item) {
 }
 
 // aliasScratch holds input copies for rank-1 requests whose Dst overlaps
-// their Src. Pooled rather than drawn from the executor's arena so one large
-// aliased request does not pin its size in every executor for good.
+// their Src. Pooled rather than held by the executor so one large aliased
+// request does not pin its size in every executor for good.
 var aliasScratch = sync.Pool{New: func() any { return new([]complex128) }}
 
 // executeComplex runs one complex item through plan. The plans are out of
 // place, so a rank-1 request with overlapping buffers is transformed from a
 // copy of its input — the only copy on the rank-1 path.
-func executeComplex(plan *Plan, req *Request, ar *kernels.Arena) error {
+func executeComplex(plan *Plan, req *Request) error {
 	if req.Rank != 1 || !overlaps(req.Dst, req.Src) {
-		return plan.execute(req.Dst, req.Src, req.Inverse, ar)
+		return plan.Execute(req.Dst, req.Src, req.Inverse)
 	}
 	buf := aliasScratch.Get().(*[]complex128)
 	defer aliasScratch.Put(buf)
 	*buf = append((*buf)[:0], req.Src...)
-	return plan.execute(req.Dst, *buf, req.Inverse, ar)
+	return plan.Execute(req.Dst, *buf, req.Inverse)
 }
 
 // overlaps reports whether a and b share any element's memory.

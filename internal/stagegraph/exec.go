@@ -36,26 +36,6 @@ type Config struct {
 	ScratchComplex int
 }
 
-// Stats summarizes one graph execution — the whole transform, not one
-// stage.
-type Stats struct {
-	Steps          int
-	Stages         int
-	DataTime       time.Duration // summed worker-0 data-phase time
-	ComputeTime    time.Duration // summed worker-0 compute-phase time
-	WallTime       time.Duration
-	DataWorkers    int
-	ComputeWorkers int
-	// Overlap is the fraction of data-phase time hidden under compute:
-	// per step min(data, compute) summed, over total data time.
-	Overlap float64
-	// OverlapOccupancy is the schedule-derived steady-state occupancy: the
-	// fraction of steps in which a data op (load or store) and a compute op
-	// were both scheduled. A fused S-stage graph with I total iterations
-	// approaches I/(I+S+1); draining at every boundary lowers it.
-	OverlapOccupancy float64
-}
-
 // slotRef names one (stage, iteration) pipeline slot and the buffer half
 // its load step assigned it.
 type slotRef struct {
@@ -241,9 +221,6 @@ type Executor struct {
 	runSched  *Schedule
 	runTracer *trace.Recorder
 
-	dataDur []time.Duration // worker-0 per-step timings, reused across runs
-	compDur []time.Duration
-
 	panicMu  sync.Mutex
 	panicErr error
 	broken   bool
@@ -341,9 +318,9 @@ func (e *Executor) runSteps(role workerRole, slot, workers int) {
 		}
 	}
 	// Four timestamps per step bound the telemetry cost: the previous
-	// step's barrier exit doubles as this step's op start, so op durations,
-	// barrier waits and the worker-0 phase timings all come from the same
-	// clock reads the old per-op tracer stamps already paid for.
+	// step's barrier exit doubles as this step's op start, so op durations
+	// and barrier waits come from the same clock reads the per-op tracer
+	// stamps already paid for.
 	stepStart := time.Now()
 	for s := 0; s < sched.steps; s++ {
 		a := stepStart
@@ -386,9 +363,6 @@ func (e *Executor) runSteps(role workerRole, slot, workers int) {
 					Buf: loadRef.half, Worker: slot, Role: "data", Start: t2, End: t3,
 				})
 			}
-			if slot == 0 {
-				e.dataDur[s] = t3.Sub(a)
-			}
 			if !e.stepBar.Wait() {
 				return
 			}
@@ -420,9 +394,6 @@ func (e *Executor) runSteps(role workerRole, slot, workers int) {
 					Buf: ref.half, Worker: slot, Role: "compute", Start: a, End: t1,
 				})
 			}
-			if slot == 0 {
-				e.compDur[s] = t1.Sub(a)
-			}
 			if !e.stepBar.Wait() {
 				return
 			}
@@ -433,46 +404,35 @@ func (e *Executor) runSteps(role workerRole, slot, workers int) {
 }
 
 // Run executes the compiled schedule over the stage graph through the
-// double buffer and returns whole-transform stats. It blocks until the
-// final store lands. Steady-state Runs (same schedule, warmed arenas)
-// perform zero heap allocations and spawn zero goroutines.
-func (e *Executor) Run(b *Buffers, stages []Stage, sched *Schedule, tracer *trace.Recorder) (Stats, error) {
+// double buffer, recording the run into the executor's collector. It blocks
+// until the final store lands. Steady-state Runs (same schedule, warmed
+// arenas) perform zero heap allocations and spawn zero goroutines.
+func (e *Executor) Run(b *Buffers, stages []Stage, sched *Schedule, tracer *trace.Recorder) error {
 	if len(stages) == 0 {
-		return Stats{}, fmt.Errorf("stagegraph: empty graph")
+		return fmt.Errorf("stagegraph: empty graph")
 	}
 	if b == nil {
-		return Stats{}, fmt.Errorf("stagegraph: nil buffers")
+		return fmt.Errorf("stagegraph: nil buffers")
 	}
 	if sched == nil {
-		return Stats{}, fmt.Errorf("stagegraph: nil schedule")
+		return fmt.Errorf("stagegraph: nil schedule")
 	}
 	if err := sched.matches(stages); err != nil {
-		return Stats{}, err
+		return err
 	}
 	for i := range stages {
 		if err := stages[i].validate(i, b); err != nil {
-			return Stats{}, err
+			return err
 		}
 	}
 	e.panicMu.Lock()
 	broken, closed := e.broken, e.closed
 	e.panicMu.Unlock()
 	if closed {
-		return Stats{}, fmt.Errorf("stagegraph: executor closed")
+		return fmt.Errorf("stagegraph: executor closed")
 	}
 	if broken {
-		return Stats{}, fmt.Errorf("stagegraph: executor broken by earlier panic: %v", e.panicErr)
-	}
-
-	steps := sched.steps
-	if cap(e.dataDur) < steps {
-		e.dataDur = make([]time.Duration, steps)
-		e.compDur = make([]time.Duration, steps)
-	}
-	e.dataDur = e.dataDur[:steps]
-	e.compDur = e.compDur[:steps]
-	for i := 0; i < steps; i++ {
-		e.dataDur[i], e.compDur[i] = 0, 0
+		return fmt.Errorf("stagegraph: executor broken by earlier panic: %v", e.panicErr)
 	}
 
 	// Size the per-data-worker fold scratch for any StoreRadix stages before
@@ -499,11 +459,12 @@ func (e *Executor) Run(b *Buffers, stages []Stage, sched *Schedule, tracer *trac
 	e.runBufs, e.runStages, e.runSched, e.runTracer = b, stages, sched, tracer
 	start := time.Now()
 	if !e.startBar.Wait() {
-		return Stats{}, fmt.Errorf("stagegraph: executor closed")
+		return fmt.Errorf("stagegraph: executor closed")
 	}
 	if !e.finishBar.Wait() {
-		return Stats{}, fmt.Errorf("stagegraph: executor closed")
+		return fmt.Errorf("stagegraph: executor closed")
 	}
+	wall := time.Since(start)
 	// Drop the graph reference so a parked executor does not pin the
 	// caller's arrays (or, via the compute closures, the plan itself —
 	// which would defeat the plan finalizer that closes us).
@@ -513,47 +474,23 @@ func (e *Executor) Run(b *Buffers, stages []Stage, sched *Schedule, tracer *trac
 	perr := e.panicErr
 	e.panicMu.Unlock()
 	if perr != nil {
-		return Stats{}, perr
+		return perr
 	}
-
-	st := Stats{
-		Steps:          steps,
-		Stages:         len(stages),
-		WallTime:       time.Since(start),
-		DataWorkers:    e.dataWorkers,
-		ComputeWorkers: e.computeWorkers,
-	}
-	var hidden time.Duration
-	for s := 0; s < steps; s++ {
-		st.DataTime += e.dataDur[s]
-		st.ComputeTime += e.compDur[s]
-		if e.dataDur[s] < e.compDur[s] {
-			hidden += e.dataDur[s]
-		} else {
-			hidden += e.compDur[s]
-		}
-	}
-	if st.DataTime > 0 {
-		st.Overlap = float64(hidden) / float64(st.DataTime)
-	}
-	if steps > 0 {
-		st.OverlapOccupancy = float64(sched.busyBoth) / float64(steps)
-	}
-	e.obs.RunDone(steps, sched.busyBoth, st.WallTime)
-	return st, nil
+	e.obs.RunDone(sched.steps, sched.busyBoth, wall)
+	return nil
 }
 
 // Run is the one-shot convenience used by tests and ad-hoc callers: it
 // spawns a throwaway executor, compiles the schedule, runs the graph once
 // and releases the workers. Plans hold a persistent Executor instead.
-func Run(cfg Config, b *Buffers, stages []Stage) (Stats, error) {
+func Run(cfg Config, b *Buffers, stages []Stage) error {
 	e, err := NewExecutor(cfg)
 	if err != nil {
-		return Stats{}, err
+		return err
 	}
 	defer e.Close()
 	if len(stages) == 0 {
-		return Stats{}, fmt.Errorf("stagegraph: empty graph")
+		return fmt.Errorf("stagegraph: empty graph")
 	}
 	return e.Run(b, stages, Compile(stages, cfg.Fused), cfg.Tracer)
 }

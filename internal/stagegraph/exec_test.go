@@ -26,7 +26,8 @@ func scaleStage(dst, src []complex128, iters, units, unitLen int, scale complex1
 func TestExecutorReuseAcrossRuns(t *testing.T) {
 	const iters, units, unitLen = 3, 2, 8
 	n := iters * units * unitLen
-	e, err := NewExecutor(Config{DataWorkers: 2, ComputeWorkers: 2})
+	col := obs.NewCollector(2, 2, []string{"scale"})
+	e, err := NewExecutor(Config{DataWorkers: 2, ComputeWorkers: 2, Obs: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,12 +46,12 @@ func TestExecutorReuseAcrossRuns(t *testing.T) {
 		for i := range dst {
 			dst[i] = 0
 		}
-		st, err := e.Run(b, stages, sched, nil)
-		if err != nil {
+		before := col.Snapshot().Steps
+		if err := e.Run(b, stages, sched, nil); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
-		if st.Steps != sched.Steps() {
-			t.Fatalf("run %d: steps %d, want %d", run, st.Steps, sched.Steps())
+		if steps := col.Snapshot().Steps - before; steps != uint64(sched.Steps()) {
+			t.Fatalf("run %d: steps %d, want %d", run, steps, sched.Steps())
 		}
 		for i := range dst {
 			if dst[i] != 2*src[i] {
@@ -76,13 +77,13 @@ func TestScheduleShapeChecked(t *testing.T) {
 		return scaleStage(make([]complex128, n), make([]complex128, n), iters, units, unitLen, 2)
 	}
 	sched := Compile(mk(3), true)
-	if _, err := e.Run(b, mk(3), sched, nil); err != nil {
+	if err := e.Run(b, mk(3), sched, nil); err != nil {
 		t.Fatalf("same-shape graph rejected: %v", err)
 	}
-	if _, err := e.Run(b, mk(4), sched, nil); err == nil {
+	if err := e.Run(b, mk(4), sched, nil); err == nil {
 		t.Fatal("schedule compiled for 3 iters accepted a 4-iter graph")
 	}
-	if _, err := e.Run(b, mk(3), nil, nil); err == nil {
+	if err := e.Run(b, mk(3), nil, nil); err == nil {
 		t.Fatal("nil schedule accepted")
 	}
 }
@@ -100,12 +101,12 @@ func TestExecutorBrokenAfterPanic(t *testing.T) {
 	stages[0].Compute = func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) { panic("kernel exploded") }
 	sched := Compile(stages, true)
 
-	if _, err := e.Run(b, stages, sched, nil); err == nil {
+	if err := e.Run(b, stages, sched, nil); err == nil {
 		t.Fatal("panic in compute not surfaced")
 	}
 	// The team's step barriers are poisoned: subsequent runs must fail
 	// fast instead of deadlocking.
-	if _, err := e.Run(b, stages, sched, nil); err == nil {
+	if err := e.Run(b, stages, sched, nil); err == nil {
 		t.Fatal("broken executor accepted another run")
 	}
 }
@@ -120,12 +121,12 @@ func TestExecutorCloseIdempotentAndRejectsRuns(t *testing.T) {
 	b := NewBuffers(units*unitLen, false)
 	stages := scaleStage(make([]complex128, n), make([]complex128, n), iters, units, unitLen, 2)
 	sched := Compile(stages, true)
-	if _, err := e.Run(b, stages, sched, nil); err != nil {
+	if err := e.Run(b, stages, sched, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close() // idempotent
-	if _, err := e.Run(b, stages, sched, nil); err == nil {
+	if err := e.Run(b, stages, sched, nil); err == nil {
 		t.Fatal("closed executor accepted a run")
 	}
 }
@@ -160,12 +161,11 @@ func TestExecutorObservability(t *testing.T) {
 
 	const runs = 3
 	for run := 0; run < runs; run++ {
-		st, err := e.Run(b, stages, sched, nil)
-		if err != nil {
+		if err := e.Run(b, stages, sched, nil); err != nil {
 			t.Fatal(err)
 		}
-		if want := float64(sched.BusyBothSteps()) / float64(sched.Steps()); st.OverlapOccupancy != want {
-			t.Fatalf("stats occupancy = %v, want %v", st.OverlapOccupancy, want)
+		if want, got := float64(sched.BusyBothSteps())/float64(sched.Steps()), col.Snapshot().LastRunOccupancy; got != want {
+			t.Fatalf("run %d occupancy = %v, want %v", run, got, want)
 		}
 	}
 

@@ -52,7 +52,7 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 					Rot: rot,
 				}}
 				b := NewBuffers(units*n, false)
-				if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: true}, b, stages); err != nil {
+				if err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: true}, b, stages); err != nil {
 					t.Fatal(err)
 				}
 				for p := 0; p < iters*units; p++ {
@@ -194,7 +194,7 @@ func TestFoldStoreScaleMatchesFoldThenScale(t *testing.T) {
 						Rot: Rotation{Blocks: blocks, BlockLen: bl, JStride: total * bl,
 							Map: func(g, j int) int { return (j*total + g) * bl }},
 					}
-					if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true},
+					if err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true},
 						NewBuffers(units*unitLen, false), []Stage{st}); err != nil {
 						t.Fatal(err)
 					}
@@ -251,13 +251,13 @@ func TestStoreFoldValidation(t *testing.T) {
 	for _, c := range cases {
 		s := mkStage()
 		c.mut(&s)
-		if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, c.bufs, []Stage{s}); err == nil {
+		if err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, c.bufs, []Stage{s}); err == nil {
 			t.Errorf("%s: invalid fold stage accepted", c.name)
 		}
 	}
 	// The base shape itself must be accepted.
 	s := mkStage()
-	if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, NewBuffers(8, false), []Stage{s}); err != nil {
+	if err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, NewBuffers(8, false), []Stage{s}); err != nil {
 		t.Errorf("valid fold stage rejected: %v", err)
 	}
 }
@@ -311,7 +311,7 @@ func TestStreamingStoresPartialLinesMatchOracle(t *testing.T) {
 					st.StoreRadix, st.StoreSign = 4, kernels.Forward
 				}
 				b := NewBuffers(units*unitLen, false)
-				if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true}, b, []Stage{st}); err != nil {
+				if err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true}, b, []Stage{st}); err != nil {
 					t.Fatal(err)
 				}
 				if i := cvec.FirstBitDiff(dst, want); i >= 0 {

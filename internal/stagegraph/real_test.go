@@ -33,7 +33,7 @@ func TestRealEndpoints(t *testing.T) {
 	}
 	col := obs.NewCollector(2, 1, []string{"r2r"})
 	b := NewBuffers(units*unitLen, false)
-	if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true, Obs: col}, b, []Stage{st}); err != nil {
+	if err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true, Obs: col}, b, []Stage{st}); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < iters*units; g++ {
@@ -79,11 +79,11 @@ func TestSetObsSwitchesCollector(t *testing.T) {
 	}
 	defer e.Close()
 	sched := Compile(stages, true)
-	if _, err := e.Run(b, stages, sched, nil); err != nil {
+	if err := e.Run(b, stages, sched, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.SetObs(colB)
-	if _, err := e.Run(b, stages, sched, nil); err != nil {
+	if err := e.Run(b, stages, sched, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a, bn := colA.Snapshot(), colB.Snapshot(); a.Runs != 1 || bn.Runs != 1 ||

@@ -66,9 +66,8 @@ type Runner struct {
 	exec     *Executor
 	build    obs.Build
 
-	lock      sync.Mutex
-	closed    bool
-	lastStats Stats
+	lock   sync.Mutex
+	closed bool
 }
 
 type compiled struct {
@@ -190,13 +189,9 @@ func (r *Runner) Run(g int, c Call) error {
 		rec = r.cfg.Tracer
 	}
 	r.exec.SetObs(gr.obs)
-	st, err := r.exec.Run(r.bufs, stages, gr.sched, rec)
+	err := r.exec.Run(r.bufs, stages, gr.sched, rec)
 	gr.bind(Endpoint{}, Endpoint{})
-	if err != nil {
-		return err
-	}
-	r.lastStats = st
-	return nil
+	return err
 }
 
 // prefaultCold pre-faults every array a streaming stage of the bound graph
@@ -236,13 +231,6 @@ func (r *Runner) Mu() int {
 // Iters returns the pipeline iteration count of each stage of graph g.
 func (r *Runner) Iters(g int) []int {
 	return r.graphs[g].sched.iters
-}
-
-// Stats returns the whole-transform executor stats of the most recent run.
-func (r *Runner) Stats() Stats {
-	r.lock.Lock()
-	defer r.lock.Unlock()
-	return r.lastStats
 }
 
 // Obs returns graph g's live telemetry collector (nil without a label).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -47,15 +48,20 @@ func runChain(t *testing.T, stagesN, iters int, fused bool, tr *trace.Recorder) 
 	dst := make([]complex128, n)
 	stages := chainGraph(src, mids, dst, iters, units, unitLen, 2)
 	b := NewBuffers(units*unitLen, false)
-	st, err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: fused, Tracer: tr}, b, stages)
-	if err != nil {
+	names := make([]string, len(stages))
+	for i := range stages {
+		names[i] = stages[i].Name
+	}
+	col := obs.NewCollector(2, 2, names)
+	if err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: fused, Tracer: tr, Obs: col}, b, stages); err != nil {
 		t.Fatal(err)
 	}
-	if want := Steps(stages, fused); st.Steps != want {
+	st := col.Snapshot()
+	if want := Steps(stages, fused); st.Steps != uint64(want) {
 		t.Fatalf("Steps=%d, want %d", st.Steps, want)
 	}
-	if st.Stages != stagesN {
-		t.Fatalf("Stages=%d, want %d", st.Stages, stagesN)
+	if len(st.Stages) != stagesN {
+		t.Fatalf("Stages=%d, want %d", len(st.Stages), stagesN)
 	}
 	want := make([]complex128, n)
 	scale := complex128(1)
@@ -173,14 +179,14 @@ func TestValidationErrors(t *testing.T) {
 	for i, mut := range cases {
 		s := good
 		mut(&s)
-		if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, b, []Stage{s}); err == nil {
+		if err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, b, []Stage{s}); err == nil {
 			t.Fatalf("case %d: invalid stage accepted", i)
 		}
 	}
-	if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, b, nil); err == nil {
+	if err := Run(Config{DataWorkers: 1, ComputeWorkers: 1}, b, nil); err == nil {
 		t.Fatal("empty graph accepted")
 	}
-	if _, err := Run(Config{DataWorkers: 0, ComputeWorkers: 1}, b, []Stage{good}); err == nil {
+	if err := Run(Config{DataWorkers: 0, ComputeWorkers: 1}, b, []Stage{good}); err == nil {
 		t.Fatal("zero data workers accepted")
 	}
 }
@@ -193,7 +199,7 @@ func TestComputePanicPropagates(t *testing.T) {
 		Compute: func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) { panic("kernel exploded") },
 		Rot:     Rotation{Blocks: 1, BlockLen: 8, Map: func(g, j int) int { return g * 8 }},
 	}
-	_, err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: true}, b, []Stage{s})
+	err := Run(Config{DataWorkers: 2, ComputeWorkers: 2, Fused: true}, b, []Stage{s})
 	if err == nil {
 		t.Fatal("panic in compute not surfaced")
 	}
@@ -231,7 +237,7 @@ func TestStagingStore(t *testing.T) {
 		}},
 	}}
 	b := NewBuffers(units*unitLen, true)
-	if _, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1, Fused: true}, b, stages); err != nil {
+	if err := Run(Config{DataWorkers: 1, ComputeWorkers: 1, Fused: true}, b, stages); err != nil {
 		t.Fatal(err)
 	}
 	// dst should be the transpose of the (iters·units)×unitLen matrix.

@@ -65,7 +65,7 @@ func TestNonTemporalStoreEquivalence(t *testing.T) {
 		stages := chainGraph(src, mids, dst, iters, units, unitLen, 3)
 		ApplyStorePolicy(stages, nt)
 		b := NewBuffers(units*unitLen, false)
-		if _, err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true}, b, stages); err != nil {
+		if err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true}, b, stages); err != nil {
 			t.Fatal(err)
 		}
 		return dst

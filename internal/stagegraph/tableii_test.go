@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/kernels"
+	"repro/internal/obs"
 	"repro/internal/trace"
 )
 
@@ -85,7 +86,7 @@ func TestStoreLoadOrderingOnSharedHalf(t *testing.T) {
 		// One-element blocks so the three data workers share every store.
 		Rot: Rotation{Blocks: b, BlockLen: 1, JStride: 1, Map: func(g, j int) int { return g*b + j }},
 	}}
-	if _, err := Run(Config{DataWorkers: 3, ComputeWorkers: 2, Fused: true}, NewBuffers(b, false), stages); err != nil {
+	if err := Run(Config{DataWorkers: 3, ComputeWorkers: 2, Fused: true}, NewBuffers(b, false), stages); err != nil {
 		t.Fatal(err)
 	}
 	if v := violations.Load(); v != 0 {
@@ -108,15 +109,17 @@ func TestOverlapHidesDataMovement(t *testing.T) {
 		Dst:     Endpoint{WriteC: func(int, []complex128) { time.Sleep(d) }},
 		Rot:     Rotation{Blocks: 1, BlockLen: b, Map: func(g, _ int) int { return g * b }},
 	}}
-	st, err := Run(Config{DataWorkers: 1, ComputeWorkers: 1, Fused: true, Tracer: tr}, NewBuffers(b, false), stages)
-	if err != nil {
+	col := obs.NewCollector(1, 1, []string{"sleepy"})
+	if err := Run(Config{DataWorkers: 1, ComputeWorkers: 1, Fused: true, Tracer: tr, Obs: col}, NewBuffers(b, false), stages); err != nil {
 		t.Fatal(err)
 	}
 	// Back to back the legs cost iters·(d + 2d) = 24d; pipelined ≈
 	// (iters+2)·2d = 20d with the store hidden under the compute. Require
 	// a conservative margin to stay robust under CI noise.
-	if serial := st.DataTime + st.ComputeTime; float64(serial) < 1.1*float64(st.WallTime) {
-		t.Fatalf("pipelining hid no data movement: wall %v vs legs back to back %v", st.WallTime, serial)
+	s := col.Snapshot()
+	legs := s.Stages[0].Load.Ns + s.Stages[0].Store.Ns + s.Stages[0].ComputeNs
+	if serial, wall := time.Duration(legs), time.Duration(s.WallNs); float64(serial) < 1.1*float64(wall) {
+		t.Fatalf("pipelining hid no data movement: wall %v vs legs back to back %v", wall, serial)
 	}
 	if f := tr.OverlapFraction(); f < 0.5 {
 		t.Fatalf("overlap fraction %v, want ≥ 0.5 (most data movement hidden)", f)
@@ -133,7 +136,7 @@ func oneStage(cfg Config, iters, b int) bool {
 	dst := make([]complex128, iters*b)
 	stages := chainGraph(src, nil, dst, iters, 1, b, 2)
 	cfg.Fused = true
-	if _, err := Run(cfg, NewBuffers(b, false), stages); err != nil {
+	if err := Run(cfg, NewBuffers(b, false), stages); err != nil {
 		return false
 	}
 	for i := range dst {

@@ -41,7 +41,7 @@ func (s *SharedPlans) FFT1D(n int, opts ...Option) (*FFT1D, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &FFT1D{p: p.P1(), release: release}, nil
+	return &FFT1D{handle{p: p.Core(), release: release}}, nil
 }
 
 // FFT2D returns a shared 2D plan handle for n×m matrices.
