@@ -24,12 +24,13 @@ type transformer struct {
 	forward func() error
 }
 
-// complexHandle and realHandle are the forward surfaces of the complex and
-// real handle kinds.
+// complexHandle and realHandle are the transform surfaces of the complex
+// and real handle kinds.
 type complexHandle interface {
 	Close()
 	Len() int
 	Forward(dst, src []complex128) error
+	Inverse(dst, src []complex128) error
 }
 
 type realHandle interface {

@@ -14,21 +14,7 @@ func TestPublicFFT1DRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 1<<13 {
-		t.Fatal("Len wrong")
-	}
-	x := cvec.Random(rand.New(rand.NewSource(1)), p.Len())
-	y := make([]complex128, p.Len())
-	z := make([]complex128, p.Len())
-	if err := p.Forward(y, x); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Inverse(z, y); err != nil {
-		t.Fatal(err)
-	}
-	if d := cvec.MaxDiff(cvec.Vec(z), cvec.Vec(x)); d > 1e-8 {
-		t.Fatalf("round trip diff %g", d)
-	}
+	roundTrip(t, p, 1, 1e-8)
 }
 
 func TestPublicFFT1DMatchesNaiveSmall(t *testing.T) {

@@ -8,29 +8,33 @@ import (
 	"repro/internal/spl"
 )
 
+// roundTrip holds Inverse∘Forward of h to the identity within tol and
+// returns the input and its transform.
+func roundTrip(t *testing.T, h complexHandle, seed int64, tol float64) (x, y []complex128) {
+	t.Helper()
+	x = cvec.Random(rand.New(rand.NewSource(seed)), h.Len())
+	y, z := make([]complex128, h.Len()), make([]complex128, h.Len())
+	if err := h.Forward(y, x); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Inverse(z, y); err != nil {
+		t.Fatal(err)
+	}
+	if d := cvec.MaxDiff(cvec.Vec(z), cvec.Vec(x)); d > tol {
+		t.Fatalf("round trip diff %g", d)
+	}
+	return x, y
+}
+
 func TestPublicFFT3DRoundTrip(t *testing.T) {
 	p, err := NewFFT3D(16, 16, 16, WithWorkers(2, 2), WithBufferElems(512))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Len() != 4096 {
-		t.Fatal("Len wrong")
+	if k, n, m := p.Dims(); k != 16 || n != 16 || m != 16 || p.Len() != 4096 {
+		t.Fatal("Dims or Len wrong")
 	}
-	if k, n, m := p.Dims(); k != 16 || n != 16 || m != 16 {
-		t.Fatal("Dims wrong")
-	}
-	x := cvec.Random(rand.New(rand.NewSource(1)), p.Len())
-	y := make([]complex128, p.Len())
-	z := make([]complex128, p.Len())
-	if err := p.Forward(y, x); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Inverse(z, y); err != nil {
-		t.Fatal(err)
-	}
-	if d := cvec.MaxDiff(cvec.Vec(z), cvec.Vec(x)); d > 1e-9 {
-		t.Fatalf("round trip diff %g", d)
-	}
+	roundTrip(t, p, 1, 1e-9)
 }
 
 func TestPublicFFT2DRoundTrip(t *testing.T) {
@@ -38,23 +42,11 @@ func TestPublicFFT2DRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x := cvec.Random(rand.New(rand.NewSource(2)), p.Len())
-	y := make([]complex128, p.Len())
-	z := make([]complex128, p.Len())
-	if err := p.Forward(y, x); err != nil {
+	x, y := roundTrip(t, p, 2, 1e-9)
+	if err := p.InPlace(x); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Inverse(z, y); err != nil {
-		t.Fatal(err)
-	}
-	if d := cvec.MaxDiff(cvec.Vec(z), cvec.Vec(x)); d > 1e-9 {
-		t.Fatalf("round trip diff %g", d)
-	}
-	got := append([]complex128(nil), x...)
-	if err := p.InPlace(got); err != nil {
-		t.Fatal(err)
-	}
-	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(y)); d > 1e-9 {
+	if d := cvec.MaxDiff(cvec.Vec(x), cvec.Vec(y)); d > 1e-9 {
 		t.Fatalf("InPlace diff %g", d)
 	}
 }

@@ -48,72 +48,6 @@ func TestForMachineAppliesPaperRules(t *testing.T) {
 	}
 }
 
-func TestPlan3DRoundTrip(t *testing.T) {
-	cfg := core.Default()
-	cfg.DataWorkers, cfg.ComputeWorkers = 2, 2
-	cfg.BufferElems = 256
-	p, err := core.NewPlan(cfg, false, 8, 8, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Len() != 1024 {
-		t.Fatal("Len wrong")
-	}
-	if d := p.Dims(); len(d) != 3 || d[0] != 8 || d[1] != 8 || d[2] != 16 {
-		t.Fatal("Dims wrong")
-	}
-	x := cvec.Random(rand.New(rand.NewSource(1)), p.Len())
-	y := make([]complex128, p.Len())
-	z := make([]complex128, p.Len())
-	if err := p.Transform(y, x, fft1d.Forward); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Inverse(z, y); err != nil {
-		t.Fatal(err)
-	}
-	if d := cvec.MaxDiff(cvec.Vec(z), cvec.Vec(x)); d > 1e-9 {
-		t.Fatalf("round trip diff %g", d)
-	}
-	got := append([]complex128(nil), x...)
-	if err := p.InPlace(got, fft1d.Forward); err != nil {
-		t.Fatal(err)
-	}
-	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(y)); d > 1e-9 {
-		t.Fatalf("InPlace diff %g", d)
-	}
-}
-
-func TestPlan2DRoundTrip(t *testing.T) {
-	cfg := core.Default()
-	cfg.BufferElems = 256
-	p, err := core.NewPlan(cfg, false, 16, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := p.Dims(); len(d) != 2 || d[0] != 16 || d[1] != 32 || p.Len() != 512 {
-		t.Fatal("dims wrong")
-	}
-	x := cvec.Random(rand.New(rand.NewSource(2)), 512)
-	y := make([]complex128, 512)
-	z := make([]complex128, 512)
-	if err := p.Transform(y, x, fft1d.Forward); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.Inverse(z, y); err != nil {
-		t.Fatal(err)
-	}
-	if d := cvec.MaxDiff(cvec.Vec(z), cvec.Vec(x)); d > 1e-9 {
-		t.Fatalf("round trip diff %g", d)
-	}
-	got := append([]complex128(nil), x...)
-	if err := p.InPlace(got, fft1d.Forward); err != nil {
-		t.Fatal(err)
-	}
-	if d := cvec.MaxDiff(cvec.Vec(got), cvec.Vec(y)); d > 1e-9 {
-		t.Fatalf("InPlace diff %g", d)
-	}
-}
-
 // The one strategy core builds — the pipeline — and the baselines it is
 // measured against compute the same 3D DFT as the spl oracle.
 func TestAllStrategiesBuildAndAgree(t *testing.T) {
@@ -157,12 +91,9 @@ func TestUnknownStrategyRejected(t *testing.T) {
 	}
 }
 
+// Elems divides the cap: products past MaxElems, even ones that wrap an int
+// to 0, are refused.
 func TestInvalidSizeRejected(t *testing.T) {
-	if _, err := core.NewPlan(core.Default(), false, 0, 8, 8); err == nil {
-		t.Error("accepted k=0")
-	}
-	// Elems divides the cap: products past MaxElems, even ones that wrap an
-	// int to 0, are refused.
 	for _, c := range []struct {
 		dims []int
 		n    int
@@ -177,18 +108,6 @@ func TestInvalidSizeRejected(t *testing.T) {
 		if n, ok := core.Elems(c.dims...); n != c.n || ok != c.ok {
 			t.Errorf("Elems(%v) = %d, %v; want %d, %v", c.dims, n, ok, c.n, c.ok)
 		}
-	}
-	// A defaulted μ adapts to the row length (8×6 runs μ=2) …
-	p, err := core.NewPlan(core.Default(), false, 8, 6)
-	if err != nil {
-		t.Fatalf("default μ should adapt to m=6: %v", err)
-	}
-	p.Close()
-	// … an explicit μ that does not divide m is still an error.
-	cfg := core.Default()
-	cfg.Mu = 4
-	if _, err := core.NewPlan(cfg, false, 8, 6); err == nil {
-		t.Error("accepted explicit μ∤m under doublebuf")
 	}
 }
 

@@ -494,12 +494,12 @@ func (s *Server) runBatch(x *executor, items []*item) {
 				it.req.Dst[i] *= scale
 			}
 		}
+		if s.opts.Tracer != nil {
+			s.spanExec(it, start, time.Now())
+		}
 		s.settle(live, err)
 		if err == nil {
 			s.m.execShard.Add(1)
-		}
-		if s.opts.Tracer != nil {
-			s.spanExec(it, start, time.Now())
 		}
 		return
 	}
@@ -546,7 +546,6 @@ func (s *Server) runBatch(x *executor, items []*item) {
 				}
 			}
 		}
-		s.settle(live, err)
 	case key.Real:
 		it := live[0]
 		if it.req.Inverse {
@@ -554,7 +553,6 @@ func (s *Server) runBatch(x *executor, items []*item) {
 		} else {
 			err = plan.ExecuteReal(it.req.Dst, it.req.RealSrc, false)
 		}
-		s.settle(live, err)
 	default:
 		// Complex: every item runs out of place between its own Src and
 		// Dst (rank-2/3 batches hold one item). A coalesced rank-1 batch
@@ -565,8 +563,16 @@ func (s *Server) runBatch(x *executor, items []*item) {
 				break
 			}
 		}
-		s.settle(live, err)
 	}
+	// The spans go in before settle wakes the Do calls (here and on the
+	// sharded path above), so a returned request has its exec span.
+	if s.opts.Tracer != nil {
+		end := time.Now()
+		for _, it := range live {
+			s.spanExec(it, start, end)
+		}
+	}
+	s.settle(live, err)
 	if err == nil {
 		if key.Real {
 			s.m.execReal.Add(1)
@@ -575,12 +581,6 @@ func (s *Server) runBatch(x *executor, items []*item) {
 		}
 	}
 	release()
-	if s.opts.Tracer != nil {
-		end := time.Now()
-		for _, it := range live {
-			s.spanExec(it, start, end)
-		}
-	}
 }
 
 // aliasScratch holds input copies for rank-1 requests whose Dst overlaps

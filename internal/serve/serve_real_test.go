@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"errors"
-	"math/cmplx"
 	"strings"
 	"sync"
 	"testing"
@@ -45,59 +44,7 @@ func approxEqualReal(a, b []float64, tol float64) bool {
 // rank-1 forward against the reference half spectrum, and rank-2/3
 // inverse∘forward round trips through the half-spectrum format.
 func TestDoRealCorrectness(t *testing.T) {
-	s := New(Options{Config: smallCfg(), MaxBatch: 4, Executors: 2})
-	defer shutdownOrFail(t, s)
-	ctx := context.Background()
-
-	t.Run("rank1", func(t *testing.T) {
-		const n = 64
-		src := realVec(n, 1)
-		dst := make([]complex128, n/2+1)
-		if err := s.Do(ctx, Request{Rank: 1, Dims: [3]int{n}, Real: true,
-			RealSrc: src, Dst: dst}); err != nil {
-			t.Fatal(err)
-		}
-		want := naiveHalfSpectrum(src)
-		for k := range want {
-			if cmplx.Abs(dst[k]-want[k]) > 1e-9 {
-				t.Fatalf("bin %d: got %v want %v", k, dst[k], want[k])
-			}
-		}
-	})
-	t.Run("roundtrip2d", func(t *testing.T) {
-		n, m := 16, 32
-		src := realVec(n*m, 2)
-		spec := make([]complex128, n*(m/2+1))
-		back := make([]float64, n*m)
-		if err := s.Do(ctx, Request{Rank: 2, Dims: [3]int{n, m}, Real: true,
-			RealSrc: src, Dst: spec}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Do(ctx, Request{Rank: 2, Dims: [3]int{n, m}, Real: true,
-			Inverse: true, Src: spec, RealDst: back}); err != nil {
-			t.Fatal(err)
-		}
-		if !approxEqualReal(back, src, 1e-9) {
-			t.Error("real rank-2 inverse∘forward is not the identity")
-		}
-	})
-	t.Run("roundtrip3d", func(t *testing.T) {
-		k, n, m := 4, 8, 16
-		src := realVec(k*n*m, 3)
-		spec := make([]complex128, k*n*(m/2+1))
-		back := make([]float64, k*n*m)
-		if err := s.Do(ctx, Request{Rank: 3, Dims: [3]int{k, n, m}, Real: true,
-			RealSrc: src, Dst: spec}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Do(ctx, Request{Rank: 3, Dims: [3]int{k, n, m}, Real: true,
-			Inverse: true, Src: spec, RealDst: back}); err != nil {
-			t.Fatal(err)
-		}
-		if !approxEqualReal(back, src, 1e-9) {
-			t.Error("real rank-3 inverse∘forward is not the identity")
-		}
-	})
+	checkServedRanks(t, true, []int{64}, []int{16, 32}, []int{4, 8, 16})
 }
 
 // TestRealCoalescedBatch runs eight same-shape real 1D requests with

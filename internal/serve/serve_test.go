@@ -3,7 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
-	"math"
+	"fmt"
 	"math/cmplx"
 	"runtime"
 	"sync"
@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/kernels"
 	"repro/internal/trace"
 )
 
@@ -22,19 +23,8 @@ func smallCfg() core.Config {
 	return cfg
 }
 
-func naiveDFT(src []complex128) []complex128 {
-	n := len(src)
-	out := make([]complex128, n)
-	for k := 0; k < n; k++ {
-		var sum complex128
-		for j := 0; j < n; j++ {
-			angle := -2 * math.Pi * float64(k*j) / float64(n)
-			sum += src[j] * cmplx.Exp(complex(0, angle))
-		}
-		out[k] = sum
-	}
-	return out
-}
+// naiveDFT is the direct forward DFT, the reference served results are held to.
+func naiveDFT(src []complex128) []complex128 { return kernels.NaiveDFT(src, kernels.Forward) }
 
 func testVec(n int, seed int) []complex128 {
 	v := make([]complex128, n)
@@ -68,50 +58,55 @@ func shutdownOrFail(t *testing.T, s *Server) {
 // TestDoCorrectness checks that served transforms of every rank match the
 // reference DFT and that inverse round-trips restore the input.
 func TestDoCorrectness(t *testing.T) {
+	checkServedRanks(t, false, []int{64}, []int{32, 16}, []int{8, 8, 16})
+}
+
+// checkServedRanks serves one shape of each rank, complex or real: the
+// rank-1 forward is held to the reference DFT (a real one to its half
+// spectrum), the rank-2 and rank-3 inverse∘forward to the identity.
+func checkServedRanks(t *testing.T, isReal bool, shapes ...[]int) {
 	s := New(Options{Config: smallCfg(), MaxBatch: 4, Executors: 2})
 	defer shutdownOrFail(t, s)
-	ctx := context.Background()
-
-	t.Run("rank1", func(t *testing.T) {
-		src := testVec(64, 1)
-		dst := make([]complex128, 64)
-		if err := s.Do(ctx, Request{Rank: 1, Dims: [3]int{64}, Src: src, Dst: dst}); err != nil {
-			t.Fatal(err)
+	for _, dims := range shapes {
+		name := "rank1"
+		if len(dims) > 1 {
+			name = fmt.Sprintf("roundtrip%dd", len(dims))
 		}
-		if want := naiveDFT(src); !approxEqual(dst, want, 1e-9) {
-			t.Error("rank-1 served transform disagrees with reference DFT")
-		}
-	})
-	t.Run("roundtrip2d", func(t *testing.T) {
-		src := testVec(32*16, 2)
-		mid := make([]complex128, len(src))
-		back := make([]complex128, len(src))
-		req := Request{Rank: 2, Dims: [3]int{32, 16}, Src: src, Dst: mid}
-		if err := s.Do(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-		req = Request{Rank: 2, Dims: [3]int{32, 16}, Inverse: true, Src: mid, Dst: back}
-		if err := s.Do(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-		if !approxEqual(back, src, 1e-9) {
-			t.Error("rank-2 inverse∘forward is not the identity")
-		}
-	})
-	t.Run("roundtrip3d", func(t *testing.T) {
-		src := testVec(8*8*16, 3)
-		mid := make([]complex128, len(src))
-		back := make([]complex128, len(src))
-		if err := s.Do(ctx, Request{Rank: 3, Dims: [3]int{8, 8, 16}, Src: src, Dst: mid}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Do(ctx, Request{Rank: 3, Dims: [3]int{8, 8, 16}, Inverse: true, Src: mid, Dst: back}); err != nil {
-			t.Fatal(err)
-		}
-		if !approxEqual(back, src, 1e-9) {
-			t.Error("rank-3 inverse∘forward is not the identity")
-		}
-	})
+		t.Run(name, func(t *testing.T) {
+			n, m := 1, dims[len(dims)-1]
+			for _, e := range dims {
+				n *= e
+			}
+			fwd := Request{Rank: len(dims), Real: isReal}
+			copy(fwd.Dims[:], dims)
+			inv := fwd
+			inv.Inverse = true
+			src, re := testVec(n, len(dims)), realVec(n, len(dims))
+			var want []complex128
+			if isReal {
+				fwd.RealSrc, fwd.Dst, want = re, make([]complex128, n/m*(m/2+1)), naiveHalfSpectrum(re)
+				inv.Src, inv.RealDst = fwd.Dst, make([]float64, n)
+			} else {
+				fwd.Src, fwd.Dst, want = src, make([]complex128, n), naiveDFT(src)
+				inv.Src, inv.Dst = fwd.Dst, make([]complex128, n)
+			}
+			if err := s.Do(context.Background(), fwd); err != nil {
+				t.Fatal(err)
+			}
+			if len(dims) == 1 {
+				if !approxEqual(fwd.Dst, want, 1e-9) {
+					t.Error("rank-1 served transform disagrees with reference DFT")
+				}
+				return
+			}
+			if err := s.Do(context.Background(), inv); err != nil {
+				t.Fatal(err)
+			}
+			if isReal && !approxEqualReal(inv.RealDst, re, 1e-9) || !isReal && !approxEqual(inv.Dst, src, 1e-9) {
+				t.Errorf("rank-%d inverse∘forward is not the identity", len(dims))
+			}
+		})
+	}
 }
 
 // TestCoalescedBatchCorrectness runs eight same-shape 1D requests with

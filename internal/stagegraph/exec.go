@@ -16,13 +16,6 @@ type Config struct {
 	// loads and stores, and the team that runs the pencil kernels.
 	DataWorkers    int
 	ComputeWorkers int
-	// Fused flows the steady state through stage boundaries; unfused
-	// drains the pipeline and refills it at every boundary (the oracle
-	// schedule, Ablation.Unfused). Consumed by the package-level Run
-	// convenience; Executor.Run takes a compiled *Schedule instead.
-	Fused bool
-	// Tracer records every task with its stage index and global step.
-	Tracer *trace.Recorder
 	// Obs receives the always-on bandwidth accounting: per-(stage, op)
 	// bytes/time into per-worker shards, barrier-wait time, and per-run
 	// occupancy. Nil disables recording (the workers still take their step
@@ -478,19 +471,4 @@ func (e *Executor) Run(b *Buffers, stages []Stage, sched *Schedule, tracer *trac
 	}
 	e.obs.RunDone(sched.steps, sched.busyBoth, wall)
 	return nil
-}
-
-// Run is the one-shot convenience used by tests and ad-hoc callers: it
-// spawns a throwaway executor, compiles the schedule, runs the graph once
-// and releases the workers. Plans hold a persistent Executor instead.
-func Run(cfg Config, b *Buffers, stages []Stage) error {
-	e, err := NewExecutor(cfg)
-	if err != nil {
-		return err
-	}
-	defer e.Close()
-	if len(stages) == 0 {
-		return fmt.Errorf("stagegraph: empty graph")
-	}
-	return e.Run(b, stages, Compile(stages, cfg.Fused), cfg.Tracer)
 }

@@ -33,7 +33,7 @@ func TestRealEndpoints(t *testing.T) {
 	}
 	col := obs.NewCollector(2, 1, []string{"r2r"})
 	b := NewBuffers(units*unitLen, false)
-	if err := Run(Config{DataWorkers: 2, ComputeWorkers: 1, Fused: true, Obs: col}, b, []Stage{st}); err != nil {
+	if err := runOnce(Config{DataWorkers: 2, ComputeWorkers: 1, Obs: col}, b, []Stage{st}, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < iters*units; g++ {

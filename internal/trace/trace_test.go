@@ -53,9 +53,10 @@ func TestEventsSortedByStart(t *testing.T) {
 	}
 }
 
+// Table II is the one-stage case of the stage-graph schedule.
 func TestCheckTableIIAcceptsValidSchedule(t *testing.T) {
 	for _, iters := range []int{1, 2, 3, 7} {
-		if err := synth(iters, time.Millisecond).CheckTableII(iters); err != nil {
+		if err := synth(iters, time.Millisecond).CheckStageGraph([]int{iters}, true); err != nil {
 			t.Errorf("iters=%d: %v", iters, err)
 		}
 	}
@@ -71,7 +72,7 @@ func TestCheckTableIIRejectsViolations(t *testing.T) {
 		}
 		bad.Emit(e)
 	}
-	if err := bad.CheckTableII(3); err == nil || !strings.Contains(err.Error(), "missing load") {
+	if err := bad.CheckStageGraph([]int{3}, true); err == nil || !strings.Contains(err.Error(), "missing load") {
 		t.Errorf("missing load not detected: %v", err)
 	}
 
@@ -83,7 +84,7 @@ func TestCheckTableIIRejectsViolations(t *testing.T) {
 		}
 		bad2.Emit(e)
 	}
-	if err := bad2.CheckTableII(3); err == nil {
+	if err := bad2.CheckStageGraph([]int{3}, true); err == nil {
 		t.Error("wrong compute buffer not detected")
 	}
 
@@ -96,14 +97,14 @@ func TestCheckTableIIRejectsViolations(t *testing.T) {
 		}
 		bad3.Emit(e)
 	}
-	if err := bad3.CheckTableII(3); err == nil {
+	if err := bad3.CheckStageGraph([]int{3}, true); err == nil {
 		t.Error("wrong store iteration not detected")
 	}
 
 	// A store appearing in the prologue.
 	bad4 := synth(3, time.Millisecond)
 	bad4.Emit(Event{Op: Store, Step: 0, Iter: 0, Buf: 0})
-	if err := bad4.CheckTableII(3); err == nil || !strings.Contains(err.Error(), "unexpected store") {
+	if err := bad4.CheckStageGraph([]int{3}, true); err == nil || !strings.Contains(err.Error(), "store of iter 0 at step 0") {
 		t.Errorf("prologue store not detected: %v", err)
 	}
 }
