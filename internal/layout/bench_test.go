@@ -112,15 +112,3 @@ func BenchmarkScatterBlocks(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkRotate3DElementwise(b *testing.B) {
-	const k, n, m = 32, 32, 256
-	total := k * n * m
-	src := cvec.Random(rand.New(rand.NewSource(5)), total)
-	dst := make([]complex128, total)
-	b.SetBytes(int64(total * 32))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		Rotate3D(dst, src, k, n, m)
-	}
-}

@@ -113,15 +113,6 @@ func GatherBlocks(dst, src []complex128, runs, units, blockLen, unitLen, dstStri
 	}
 }
 
-// CopyBlock is a plain contiguous copy, the R_{b,i} read matrix body: b
-// contiguous elements streamed from main memory into the cached buffer.
-func CopyBlock(dst, src []complex128) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("layout: CopyBlock dst=%d src=%d", len(dst), len(src)))
-	}
-	copy(dst, src)
-}
-
 // TransposeBlocked transposes a rows×cols matrix of μ-element blocks:
 // dst block (j, i) = src block (i, j). In SPL this is L^{rows·cols} ⊗ I_μ,
 // the blocked transposition the paper uses after each 2D FFT stage. Each
@@ -158,33 +149,6 @@ func TransposeBlockedGeneric(dst, src []complex128, rows, cols, mu int) {
 				for j := jj; j < jMax; j++ {
 					copy(dst[(j*rows+i)*mu:(j*rows+i)*mu+mu],
 						src[(i*cols+j)*mu:(i*cols+j)*mu+mu])
-				}
-			}
-		}
-	}
-}
-
-// Rotate3D applies the paper's cube rotation K_m^{k,n} elementwise: the
-// k×n×m input cube (z, y, x) becomes the m×k×n output cube with
-// out[x][z][y] = in[z][y][x] (Fig. 5). Elementwise rotations exist as
-// ablation baselines; the pipelines move data through the blocked variants.
-func Rotate3D(dst, src []complex128, k, n, m int) {
-	if len(dst) != k*n*m || len(src) != k*n*m {
-		panic(fmt.Sprintf("layout: Rotate3D %dx%dx%d on dst=%d src=%d",
-			k, n, m, len(dst), len(src)))
-	}
-	const tile = 16
-	for z := 0; z < k; z++ {
-		base := z * n * m
-		for yy := 0; yy < n; yy += tile {
-			yMax := min(yy+tile, n)
-			for xx := 0; xx < m; xx += tile {
-				xMax := min(xx+tile, m)
-				for y := yy; y < yMax; y++ {
-					row := base + y*m
-					for x := xx; x < xMax; x++ {
-						dst[(x*k+z)*n+y] = src[row+x]
-					}
 				}
 			}
 		}

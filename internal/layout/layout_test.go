@@ -54,6 +54,8 @@ func TestTransposeBlockedMatchesSPL(t *testing.T) {
 	}
 }
 
+// At μ = 1 the blocked rotation is the paper's elementwise cube rotation
+// K_m^{k,n}.
 func TestRotate3DMatchesSPL(t *testing.T) {
 	for _, c := range []struct{ k, n, m int }{
 		{2, 3, 4}, {4, 4, 4}, {1, 5, 7}, {6, 2, 8},
@@ -62,22 +64,22 @@ func TestRotate3DMatchesSPL(t *testing.T) {
 		x := randVec(int64(total), total)
 		want := spl.Eval(spl.K(c.k, c.n, c.m), x)
 		got := make([]complex128, total)
-		Rotate3D(got, x, c.k, c.n, c.m)
+		Rotate3DBlocked(got, x, c.k, c.n, c.m, 1)
 		if cvec.MaxDiff(cvec.Vec(got), cvec.Vec(want)) != 0 {
-			t.Errorf("Rotate3D %dx%dx%d disagrees with K", c.k, c.n, c.m)
+			t.Errorf("Rotate3DBlocked %dx%dx%d μ=1 disagrees with K", c.k, c.n, c.m)
 		}
 	}
 }
 
 func TestRotate3DThreeTimesIdentity(t *testing.T) {
-	const k, n, m = 3, 4, 5
-	x := randVec(5, k*n*m)
+	const k, n, mb, mu = 3, 4, 5, 2
+	x := randVec(5, k*n*mb*mu)
 	a := make([]complex128, len(x))
 	b := make([]complex128, len(x))
 	c := make([]complex128, len(x))
-	Rotate3D(a, x, k, n, m) // → m×k×n
-	Rotate3D(b, a, m, k, n) // → n×m×k
-	Rotate3D(c, b, n, m, k) // → k×n×m
+	Rotate3DBlocked(a, x, k, n, mb, mu) // → mb×k×n
+	Rotate3DBlocked(b, a, mb, k, n, mu) // → n×mb×k
+	Rotate3DBlocked(c, b, n, mb, k, mu) // → k×n×mb
 	if cvec.MaxDiff(cvec.Vec(c), cvec.Vec(x)) != 0 {
 		t.Fatal("three rotations did not restore the cube")
 	}
@@ -99,21 +101,10 @@ func TestRotate3DBlockedMatchesSPL(t *testing.T) {
 	}
 }
 
-func TestCopyBlock(t *testing.T) {
-	x := randVec(10, 32)
-	y := make([]complex128, 32)
-	CopyBlock(y, x)
-	if cvec.MaxDiff(cvec.Vec(y), cvec.Vec(x)) != 0 {
-		t.Fatal("CopyBlock mismatch")
-	}
-}
-
 func TestValidationPanics(t *testing.T) {
 	for i, f := range []func(){
 		func() { TransposeBlocked(make([]complex128, 12), make([]complex128, 11), 2, 3, 2) },
-		func() { Rotate3D(make([]complex128, 23), make([]complex128, 24), 2, 3, 4) },
 		func() { Rotate3DBlocked(make([]complex128, 24), make([]complex128, 23), 2, 3, 2, 2) },
-		func() { CopyBlock(make([]complex128, 4), make([]complex128, 5)) },
 	} {
 		func() {
 			defer func() {

@@ -30,20 +30,21 @@ func TestQuickTransposeBijection(t *testing.T) {
 	}
 }
 
-// Property: three successive rotations restore any cube.
+// Property: three successive rotations restore any cube of μ-blocks.
 func TestQuickRotationOrderThree(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
-	f := func(rawK, rawN, rawM uint8) bool {
+	f := func(rawK, rawN, rawMB, rawMu uint8) bool {
 		k := int(rawK)%8 + 1
 		n := int(rawN)%8 + 1
-		m := int(rawM)%8 + 1
-		x := cvec.Random(rng, k*n*m)
+		mb := int(rawMB)%8 + 1
+		mu := int(rawMu)%4 + 1
+		x := cvec.Random(rng, k*n*mb*mu)
 		a := make([]complex128, len(x))
 		b := make([]complex128, len(x))
 		c := make([]complex128, len(x))
-		Rotate3D(a, x, k, n, m)
-		Rotate3D(b, a, m, k, n)
-		Rotate3D(c, b, n, m, k)
+		Rotate3DBlocked(a, x, k, n, mb, mu)
+		Rotate3DBlocked(b, a, mb, k, n, mu)
+		Rotate3DBlocked(c, b, n, mb, k, mu)
 		return cvec.MaxDiff(cvec.Vec(c), cvec.Vec(x)) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {

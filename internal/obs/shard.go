@@ -130,37 +130,37 @@ func (s *ShardMetrics) PeerSnapshots() []PeerSnapshot {
 	for peer, p := range s.peers {
 		out = append(out, PeerSnapshot{
 			Peer: peer, Bytes: p.Bytes, Chunks: p.Chunks, Retries: p.Retries,
-			P50Ns: bucketQuantile(&p.buckets, 0.50),
-			P99Ns: bucketQuantile(&p.buckets, 0.99),
+			P50Ns: BucketQuantile(&p.buckets, 0.50),
+			P99Ns: BucketQuantile(&p.buckets, 0.99),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Peer < out[j].Peer })
 	return out
 }
 
-// bucketQuantile returns the upper bound of the log₂ bucket holding the
-// q-th observation (0 when empty) — coarse within 2×, like the serving
-// layer's quantiles.
-func bucketQuantile(counts *[64]int64, q float64) int64 {
-	var total int64
+// BucketQuantile returns the upper bound of the log₂ bucket holding the q-th
+// fraction of the observations counted in counts, whose bucket i counts
+// values in [2^i, 2^(i+1)): clamped to 2^62, and 0 when nothing was
+// observed. Bucketed quantiles are coarse — within 2× — which is plenty to
+// tell a queueing collapse from a healthy pipeline. The serving layer's
+// latency quantiles and the shard peers' come from it.
+func BucketQuantile[C int64 | uint64](counts *[64]C, q float64) int64 {
+	var total C
 	for _, c := range counts {
 		total += c
 	}
 	if total == 0 {
 		return 0
 	}
-	rank := int64(q * float64(total))
+	rank := C(q * float64(total))
 	if rank >= total {
 		rank = total - 1
 	}
-	var cum int64
+	var cum C
 	for i, c := range counts {
 		cum += c
 		if cum > rank {
-			if i >= 62 {
-				return 1 << 62
-			}
-			return 1 << uint(i+1)
+			return 1 << min(i+1, 62)
 		}
 	}
 	return 1 << 62

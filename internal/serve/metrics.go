@@ -4,6 +4,8 @@ import (
 	"math/bits"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/obs"
 )
 
 // metrics is the server's hot-path instrumentation: plain atomics so the
@@ -45,35 +47,6 @@ func (m *metrics) observeLatency(d time.Duration) {
 	m.latency[bits.Len64(ns)-1].Add(1)
 	m.latencySamples.Add(1)
 	m.latencySumNs.Add(ns)
-}
-
-// quantile returns the upper bound of the histogram bucket holding the
-// q-th fraction of observations (0 when nothing was observed). Bucketed
-// quantiles are coarse — within 2× — which is plenty to tell a queueing
-// collapse from a healthy pipeline.
-func quantile(counts *[64]uint64, q float64) time.Duration {
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum > rank {
-			if i >= 62 {
-				return time.Duration(1) << 62
-			}
-			return time.Duration(1) << uint(i+1)
-		}
-	}
-	return time.Duration(1) << 62
 }
 
 // CacheSnapshot mirrors lru.Stats for the wire format.
@@ -150,8 +123,8 @@ func (m *metrics) snapshot() Snapshot {
 		BytesMovedComplex: m.bytesComplex.Load(),
 		BytesMovedReal:    m.bytesReal.Load(),
 		BytesMovedSharded: m.bytesShard.Load(),
-		P50LatencyNs:      int64(quantile(&counts, 0.50)),
-		P99LatencyNs:      int64(quantile(&counts, 0.99)),
+		P50LatencyNs:      obs.BucketQuantile(&counts, 0.50),
+		P99LatencyNs:      obs.BucketQuantile(&counts, 0.99),
 	}
 	if s.Batches > 0 {
 		s.AvgBatch = float64(s.BatchedItems) / float64(s.Batches)

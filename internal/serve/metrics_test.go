@@ -14,7 +14,7 @@ import (
 func TestQuantileEmptyHistogram(t *testing.T) {
 	var counts [64]uint64
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := quantile(&counts, q); got != 0 {
+		if got := obs.BucketQuantile(&counts, q); got != 0 {
 			t.Fatalf("quantile(empty, %v) = %v, want 0", q, got)
 		}
 	}
@@ -24,7 +24,7 @@ func TestQuantileSingleBucket(t *testing.T) {
 	var counts [64]uint64
 	counts[5] = 10 // latencies in [32, 64) ns → upper bound 64ns
 	for _, q := range []float64{0, 0.5, 0.99, 1} {
-		if got := quantile(&counts, q); got != 64 {
+		if got := obs.BucketQuantile(&counts, q); got != 64 {
 			t.Fatalf("quantile(single bucket, %v) = %v, want 64ns", q, got)
 		}
 	}
@@ -34,15 +34,15 @@ func TestQuantileExtremes(t *testing.T) {
 	var counts [64]uint64
 	counts[3] = 50  // [8, 16) ns
 	counts[10] = 50 // [1024, 2048) ns
-	if got := quantile(&counts, 0); got != 16 {
+	if got := obs.BucketQuantile(&counts, 0); got != 16 {
 		t.Fatalf("q=0 = %v, want first bucket bound 16ns", got)
 	}
-	if got := quantile(&counts, 1); got != 2048 {
+	if got := obs.BucketQuantile(&counts, 1); got != 2048 {
 		t.Fatalf("q=1 = %v, want last bucket bound 2048ns", got)
 	}
 	// q=0.5: rank 50 falls in the second bucket (cum 50 is not > 50 at
 	// bucket 3, becomes 100 > 50 at bucket 10).
-	if got := quantile(&counts, 0.5); got != 2048 {
+	if got := obs.BucketQuantile(&counts, 0.5); got != 2048 {
 		t.Fatalf("q=0.5 = %v, want 2048ns", got)
 	}
 }
@@ -53,7 +53,7 @@ func TestQuantileOverflowBuckets(t *testing.T) {
 	for _, i := range []int{62, 63} {
 		var counts [64]uint64
 		counts[i] = 1
-		if got := quantile(&counts, 0.5); got != time.Duration(1)<<62 {
+		if got := obs.BucketQuantile(&counts, 0.5); got != 1<<62 {
 			t.Fatalf("quantile(bucket %d) = %v, want 1<<62 ns", i, got)
 		}
 	}
@@ -78,9 +78,9 @@ func TestQuantileSyntheticDistribution(t *testing.T) {
 	for i := range counts {
 		counts[i] = m.latency[i].Load()
 	}
-	p50 := quantile(&counts, 0.50)
-	p99 := quantile(&counts, 0.99)
-	max := quantile(&counts, 1)
+	p50 := time.Duration(obs.BucketQuantile(&counts, 0.50))
+	p99 := time.Duration(obs.BucketQuantile(&counts, 0.99))
+	max := time.Duration(obs.BucketQuantile(&counts, 1))
 	if p50 < time.Microsecond || p50 > 2*time.Microsecond {
 		t.Fatalf("p50 = %v, want within 2× of 1µs", p50)
 	}

@@ -3,6 +3,8 @@ package shard
 import (
 	"context"
 	"math/rand"
+	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -108,6 +110,26 @@ func TestClusterLarge(t *testing.T) {
 		t.Fatalf("inverse: %v", err)
 	}
 	checkBitwise(t, back, singleNode(t, k, n, m, got, fft1d.Inverse), "256³ inverse")
+}
+
+// TestCloseIgnoresIdleConnections: a connection to a worker that never
+// sends a request does not hold Close up.
+func TestCloseIgnoresIdleConnections(t *testing.T) {
+	cl, err := StartCluster(1, WorkerOptions{}, CoordinatorOptions{})
+	if err != nil {
+		t.Fatalf("StartCluster: %v", err)
+	}
+	conn, err := net.Dial("tcp", strings.TrimPrefix(cl.URLs()[0], "http://"))
+	if err != nil {
+		cl.Close()
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	cl.Close()
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("Close took %v with an idle connection open, want ≤ 1s", d)
+	}
 }
 
 // TestShardCountShrinks: a fleet larger than any valid split shrinks to

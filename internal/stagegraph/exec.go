@@ -120,6 +120,9 @@ func (s *Schedule) matches(stages []Stage) error {
 // other half. TestFoldedReadsStayLegal replays both schedules with the reads
 // so placed.
 func BuildSchedule(stages []Stage, fused bool) (loadAt, computeAt, storeAt []slotRef, steps int) {
+	if len(stages) == 0 {
+		return nil, nil, nil, 0 // an empty schedule, which Executor.Run refuses
+	}
 	iters := make([]int, len(stages))
 	for i := range stages {
 		iters[i] = stages[i].Iters

@@ -199,7 +199,7 @@ func TestValidationErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.Run(b, nil, nil, nil); err == nil {
+	if err := e.Run(b, nil, Compile(nil, true), nil); err == nil {
 		t.Fatal("empty graph accepted")
 	}
 	if err := runOnce(Config{DataWorkers: 0, ComputeWorkers: 1}, b, []Stage{good}, false, nil); err == nil {

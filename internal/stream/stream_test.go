@@ -102,7 +102,9 @@ func TestCopyProbeCatchesCorruptCopy(t *testing.T) {
 // same arrays copied without the eviction read cache; the evicted copy must
 // read well below that, or the flush did not reach memory. On the 300 MiB
 // L3 host the two read ≈ 10 and ≈ 22 GB/s; without a working flush they
-// read alike, so a margin of 4/5 separates the cases on a noisy host.
+// read alike, so a margin of 4/5 separates the cases on a noisy host. The
+// two probes alternate over five rounds and the best of each is compared,
+// so load from other processes lands on both alike.
 func TestEvictionReadsBelowCachedCopy(t *testing.T) {
 	if !layout.EvictAvailable() {
 		t.Skip("no cache-flush kernel")
@@ -114,8 +116,11 @@ func TestEvictionReadsBelowCachedCopy(t *testing.T) {
 		t.Skipf("LLC %d B holds the probe's arrays fewer than 4 times", llc)
 	}
 	copyFloats := func(dst, src []float64) { copy(dst, src) }
-	cached := copyProbe(func([]float64) {}, copyFloats)
-	evicted := copyProbe(layout.Evict, copyFloats)
+	var cached, evicted float64
+	for range 5 {
+		cached = max(cached, copyProbe(func([]float64) {}, copyFloats))
+		evicted = max(evicted, copyProbe(layout.Evict, copyFloats))
+	}
 	t.Logf("evicted %.2f GB/s, cached %.2f GB/s", evicted, cached)
 	if evicted >= 0.8*cached {
 		t.Fatalf("evicted copy %.2f GB/s ≥ 4/5 of the cached copy's %.2f GB/s: the flush did not evict", evicted, cached)
