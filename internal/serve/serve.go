@@ -497,10 +497,10 @@ func (s *Server) runBatch(x *executor, items []*item) {
 		if s.opts.Tracer != nil {
 			s.spanExec(it, start, time.Now())
 		}
-		s.settle(live, err)
 		if err == nil {
 			s.m.execShard.Add(1)
 		}
+		s.settle(live, err)
 		return
 	}
 
@@ -564,15 +564,15 @@ func (s *Server) runBatch(x *executor, items []*item) {
 			}
 		}
 	}
-	// The spans go in before settle wakes the Do calls (here and on the
-	// sharded path above), so a returned request has its exec span.
+	// The spans and the execution count go in before settle wakes the Do
+	// calls (here and on the sharded path above), so a returned request has
+	// its exec span and is counted.
 	if s.opts.Tracer != nil {
 		end := time.Now()
 		for _, it := range live {
 			s.spanExec(it, start, end)
 		}
 	}
-	s.settle(live, err)
 	if err == nil {
 		if key.Real {
 			s.m.execReal.Add(1)
@@ -580,6 +580,7 @@ func (s *Server) runBatch(x *executor, items []*item) {
 			s.m.execComplex.Add(1)
 		}
 	}
+	s.settle(live, err)
 	release()
 }
 
