@@ -26,7 +26,7 @@ BASELINE_TESTS = ^Test(BaselinesMatchSPL|Measured)
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck tablegen \
         tablecheck race bench microbench benchsmoke rulersmoke servesmoke \
         obssmoke shardsmoke tracesmoke examplesmoke fuzzsmoke fmt loc \
-        serveprobe legprobe setupprobe wireprobe kernelprobe
+        serveprobe legprobe laneprobe setupprobe wireprobe kernelprobe
 
 ci: vet lint build crossbuild asmcheck tablecheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke examplesmoke rulersmoke
 
@@ -109,7 +109,9 @@ tablecheck: tablegen
 
 # The shard tier gets its own -short race pass: the full suite's 256³
 # cluster test is minutes under the race detector, and the -short set still
-# covers the exchange, retry, and drain concurrency. The baselines' worker
+# covers the exchange, retry, and drain concurrency — lanes included: every
+# slab plan runs one lane per GOMAXPROCS, so at two or more its lanes call
+# the exchange's write at once. The baselines' worker
 # pools and the Measured sweeps get a filtered pass of internal/bench, whose
 # figure printers take most of a minute under -race and share no state.
 race:
@@ -189,8 +191,8 @@ serveprobe:
 	GOMAXPROCS=2 $(GO) run ./benchmark -workload serve1d -seconds 10 -trace 1
 
 # The stage-leg budget of the paper's regime, of cache2d's shape and of the
-# real-input graphs: complex 256³, 4096² and 512², real 512×256×256 (real3d)
-# and real 4096², forward and inverse on one thread, per stage the
+# real-input graphs: complex 256³, 4096², 2048² and 512², real 512×256×256
+# (real3d) and real 4096², forward and inverse on one lane, per stage the
 # load / compute / store milliseconds (µs resolution at 512², whose loads
 # read "folded": the first sweep reads the source, inside compute) from
 # Observability() deltas, Σ legs beside the wall, and each stage's load +
@@ -198,6 +200,14 @@ serveprobe:
 # of 301 at 512² (a few seconds). Ungated like serveprobe; a hot-path PR
 # quotes its before/after table in EXPERIMENTS.md.
 legprobe:
+	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -measured -legs -reps 5
+
+# The same probe on two lanes beside one: at GOMAXPROCS = 2 every plan runs
+# two lanes, and each direction's line adds per lane its Σ legs and its
+# stage-barrier wait, which tile the wall. Ungated; EXPERIMENTS.md "Lanes"
+# records it with the one-lane walls beside.
+laneprobe:
+	GOMAXPROCS=2 $(GO) run ./cmd/fftbench -measured -legs -reps 5
 	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -measured -legs -reps 5
 
 # Where a plan's first transform goes, on one thread: for complex 256³, real
@@ -238,7 +248,7 @@ microbench:
 # One-iteration pass over the transform benchmarks: catches benchmarks that
 # no longer compile or crash without paying for a timed run.
 benchsmoke:
-	$(GO) test -run=NONE -bench='Fig|Table|PublicAPI|StageFusion' -benchtime=1x -benchmem .
+	$(GO) test -run=NONE -bench='Fig|Table|PublicAPI|Lanes' -benchtime=1x -benchmem .
 
 # End-to-end smoke of the serving daemon: start fftserved on a loopback
 # port, fire concurrent mixed-shape requests over HTTP, verify round trips

@@ -1,23 +1,25 @@
 package repro
 
 // Zero-allocation steady state: once a plan has executed one warm-up
-// transform (growing its executor arenas and building lazy twiddle tables),
+// transform (growing its lanes' arenas and building lazy twiddle tables),
 // every subsequent Transform on the reused plan must perform zero heap
-// allocations and spawn zero goroutines — the plan's persistent executor
-// wakes its parked workers, replays the compiled schedule, and draws all
-// scratch from the per-worker arenas.
+// allocations and spawn zero goroutines — on one lane and on two: the
+// plan's executor wakes its parked lanes and draws all scratch from the
+// per-lane buffers and arenas.
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fft1d"
 	"repro/internal/kernels"
 )
 
 // assertZeroAllocs runs f once to warm the plan, then asserts the steady
 // state allocates nothing and leaves the goroutine count unchanged (no
-// worker spawned per run).
+// lane spawned per run).
 func assertZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
 	if raceEnabled {
@@ -66,92 +68,106 @@ func TestSteadyStateZeroAllocs1DLarge(t *testing.T) {
 	})
 }
 
+// allocLanes are the lane counts every steady state is held at.
+var allocLanes = []int{1, 2}
+
+// withLanes plans on l lanes (the public API sizes lanes by GOMAXPROCS).
+func withLanes(l int) Option {
+	return func(c *core.Config) error { c.Lanes = l; return nil }
+}
+
 func TestSteadyStateZeroAllocs2D(t *testing.T) {
 	t.Run("interleaved", func(t *testing.T) {
-		p, err := NewFFT2D(64, 64, WithWorkers(2, 2), WithBufferElems(1<<10))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := make([]complex128, p.Len())
-		dst := make([]complex128, p.Len())
-		for i := range src {
-			src[i] = complex(float64(i%31), float64(i%11))
-		}
-		assertZeroAllocs(t, "FFT2D.Forward", func() {
-			if err := p.Forward(dst, src); err != nil {
+		for _, l := range allocLanes {
+			p, err := NewFFT2D(64, 64, withLanes(l), WithBufferElems(1<<10))
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
+			src := make([]complex128, p.Len())
+			dst := make([]complex128, p.Len())
+			for i := range src {
+				src[i] = complex(float64(i%31), float64(i%11))
+			}
+			assertZeroAllocs(t, fmt.Sprintf("FFT2D.Forward on %d lanes", l), func() {
+				if err := p.Forward(dst, src); err != nil {
+					t.Fatal(err)
+				}
+			})
+			p.Close()
+		}
 	})
 }
 
 func TestSteadyStateZeroAllocsReal1D(t *testing.T) {
 	const n, count = 512, 4
-	p, err := NewRealFFT1D(n, WithWorkers(2, 2), WithBufferElems(1<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	src := make([]float64, count*n)
-	for i := range src {
-		src[i] = float64(i%19) - 9
-	}
-	spec := make([]complex128, count*p.SpectrumLen())
-	assertZeroAllocs(t, "RealFFT1D.ForwardBatch", func() {
-		if err := p.ForwardBatch(spec, src, count); err != nil {
+	for _, l := range allocLanes {
+		p, err := NewRealFFT1D(n, withLanes(l), WithBufferElems(1<<10))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	back := make([]float64, count*n)
-	assertZeroAllocs(t, "RealFFT1D.InverseBatch", func() {
-		if err := p.InverseBatch(back, spec, count); err != nil {
-			t.Fatal(err)
+		src := make([]float64, count*n)
+		for i := range src {
+			src[i] = float64(i%19) - 9
 		}
-	})
+		spec := make([]complex128, count*p.SpectrumLen())
+		assertZeroAllocs(t, fmt.Sprintf("RealFFT1D.ForwardBatch on %d lanes", l), func() {
+			if err := p.ForwardBatch(spec, src, count); err != nil {
+				t.Fatal(err)
+			}
+		})
+		back := make([]float64, count*n)
+		assertZeroAllocs(t, fmt.Sprintf("RealFFT1D.InverseBatch on %d lanes", l), func() {
+			if err := p.InverseBatch(back, spec, count); err != nil {
+				t.Fatal(err)
+			}
+		})
+		p.Close()
+	}
 }
 
 func TestSteadyStateZeroAllocsReal2D(t *testing.T) {
-	p, err := NewRealFFT2D(64, 64, WithWorkers(2, 2), WithBufferElems(1<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer p.Close()
-	src := make([]float64, p.RealLen())
-	for i := range src {
-		src[i] = float64(i%31) - 15
-	}
-	spec := make([]complex128, p.SpectrumLen())
-	assertZeroAllocs(t, "RealFFT2D.Forward", func() {
-		if err := p.Forward(spec, src); err != nil {
+	for _, l := range allocLanes {
+		p, err := NewRealFFT2D(64, 64, withLanes(l), WithBufferElems(1<<10))
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	back := make([]float64, p.RealLen())
-	assertZeroAllocs(t, "RealFFT2D.Inverse", func() {
-		if err := p.Inverse(back, spec); err != nil {
-			t.Fatal(err)
-		}
-	})
+		assertRealZeroAllocs(t, fmt.Sprintf("RealFFT2D on %d lanes", l), p)
+		p.Close()
+	}
 }
 
 func TestSteadyStateZeroAllocsReal3D(t *testing.T) {
-	p, err := NewRealFFT3D(16, 16, 32, WithWorkers(2, 2), WithBufferElems(1<<9))
-	if err != nil {
-		t.Fatal(err)
+	for _, l := range allocLanes {
+		p, err := NewRealFFT3D(16, 16, 32, withLanes(l), WithBufferElems(1<<9))
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertRealZeroAllocs(t, fmt.Sprintf("RealFFT3D on %d lanes", l), p)
+		p.Close()
 	}
-	defer p.Close()
+}
+
+// assertRealZeroAllocs holds a real 2D or 3D handle's Forward and Inverse
+// to the allocation-free steady state.
+func assertRealZeroAllocs(t *testing.T, name string, p interface {
+	RealLen() int
+	SpectrumLen() int
+	Forward(spec []complex128, src []float64) error
+	Inverse(dst []float64, spec []complex128) error
+}) {
+	t.Helper()
 	src := make([]float64, p.RealLen())
 	for i := range src {
 		src[i] = float64(i%29) - 14
 	}
 	spec := make([]complex128, p.SpectrumLen())
-	assertZeroAllocs(t, "RealFFT3D.Forward", func() {
+	assertZeroAllocs(t, name+" Forward", func() {
 		if err := p.Forward(spec, src); err != nil {
 			t.Fatal(err)
 		}
 	})
 	back := make([]float64, p.RealLen())
-	assertZeroAllocs(t, "RealFFT3D.Inverse", func() {
+	assertZeroAllocs(t, name+" Inverse", func() {
 		if err := p.Inverse(back, spec); err != nil {
 			t.Fatal(err)
 		}
@@ -160,19 +176,22 @@ func TestSteadyStateZeroAllocsReal3D(t *testing.T) {
 
 func TestSteadyStateZeroAllocs3D(t *testing.T) {
 	t.Run("interleaved", func(t *testing.T) {
-		p, err := NewFFT3D(16, 16, 32, WithWorkers(2, 2), WithBufferElems(1<<9))
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := make([]complex128, p.Len())
-		dst := make([]complex128, p.Len())
-		for i := range src {
-			src[i] = complex(float64(i%29), -float64(i%13))
-		}
-		assertZeroAllocs(t, "FFT3D.Forward", func() {
-			if err := p.Forward(dst, src); err != nil {
+		for _, l := range allocLanes {
+			p, err := NewFFT3D(16, 16, 32, withLanes(l), WithBufferElems(1<<9))
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
+			src := make([]complex128, p.Len())
+			dst := make([]complex128, p.Len())
+			for i := range src {
+				src[i] = complex(float64(i%29), -float64(i%13))
+			}
+			assertZeroAllocs(t, fmt.Sprintf("FFT3D.Forward on %d lanes", l), func() {
+				if err := p.Forward(dst, src); err != nil {
+					t.Fatal(err)
+				}
+			})
+			p.Close()
+		}
 	})
 }

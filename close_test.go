@@ -61,8 +61,8 @@ func wrapReal(n int) func(p realHandle, err error) (transformer, error) {
 }
 
 var (
-	opts2D = []Option{WithWorkers(2, 2), WithBufferElems(1 << 10)}
-	opts3D = []Option{WithWorkers(2, 2), WithBufferElems(1 << 9)}
+	opts2D = []Option{withLanes(2), WithBufferElems(1 << 10)}
+	opts3D = []Option{withLanes(2), WithBufferElems(1 << 9)}
 )
 
 // handleKinds builds one small handle of every kind — the 1D plan again at

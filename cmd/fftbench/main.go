@@ -11,7 +11,7 @@
 //	fftbench -fig 1            # one figure: 1, 9, 10, 11a, 11b, 11c, 11d
 //	fftbench -measured         # run the real implementations on this host
 //	fftbench -measured -dims 2 # the 2D sweep instead of 3D
-//	fftbench -measured -legs   # per-stage load/compute/store ms at complex 256³, 4096², 512² and real 512×256×256, 4096² (make legprobe)
+//	fftbench -measured -legs   # per-stage load/compute/store ms and per-lane waits at complex 256³, 4096², 2048², 512² and real 512×256×256, 4096² (make legprobe, make laneprobe)
 //	fftbench -measured -setup  # build lines and first vs warm Forward at complex 256³, real 512×256×256 and 1D 2²⁴ (make setupprobe)
 //
 // Profiling a measured sweep (inspect with `go tool pprof`):
@@ -38,11 +38,9 @@ func main() {
 	measured := flag.Bool("measured", false, "run the real implementations at host-feasible sizes")
 	dims := flag.Int("dims", 3, "2 or 3: dimensionality of the measured sweep")
 	reps := flag.Int("reps", 3, "repetitions per measured point (best is reported)")
-	legs := flag.Bool("legs", false, "with -measured: print the per-stage leg budget of complex 256³, 4096² and 512² and real 512×256×256 and 4096² instead of the sweep (median of -reps, of at least 301 at 512²)")
+	legs := flag.Bool("legs", false, "with -measured: print the per-stage leg budget and the per-lane legs and stage-barrier waits of complex 256³, 4096², 2048² and 512² and real 512×256×256 and 4096² instead of the sweep (median of -reps, of at least 301 at 512²)")
 	setup := flag.Bool("setup", false, "with -measured: print the build lines and NewPlan + first Forward against a warm Forward of complex 256³, real 512×256×256 and 1D 2²⁴, with the destination fresh and pre-touched, instead of the sweep")
 	setupCase := flag.Int("setupcase", -1, "with -measured -setup: run only this case of the setup probe, in this process (the probe runs each case so)")
-	pd := flag.Int("pd", 1, "data workers for measured runs")
-	pc := flag.Int("pc", 1, "compute workers for measured runs")
 	acc := flag.Bool("accuracy", false, "print the numerical-accuracy report instead of performance")
 	traceJSON := flag.String("tracejson", "", "run a traced pipeline demo and write Chrome trace_event JSON to this file (load in Perfetto)")
 	shardWorkers := flag.Int("shardworkers", 0, "with -tracejson: trace one sharded transform across an N-worker loopback cluster instead of the single-node demo")
@@ -106,7 +104,7 @@ func main() {
 				os.Exit(1)
 			}
 		} else {
-			fmt.Println("Recorded pipeline timeline (8×8×16 demo; S=store L=load C=compute):")
+			fmt.Println("Recorded lane timeline (8×8×16 demo on two lanes; L=load C=compute S=store):")
 			if err := bench.WriteTraceJSON(f, os.Stdout); err != nil {
 				fmt.Fprintln(os.Stderr, "fftbench:", err)
 				os.Exit(1)
@@ -117,7 +115,7 @@ func main() {
 	}
 
 	if *measured {
-		cfg := bench.MeasuredConfig{Reps: *reps, DataWorkers: *pd, ComputeWorkers: *pc}
+		cfg := bench.MeasuredConfig{Reps: *reps}
 		var err error
 		switch {
 		case *legs:

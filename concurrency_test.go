@@ -25,12 +25,12 @@ func TestSharedPlanConcurrentTransforms(t *testing.T) {
 		inputs[g] = cvec.Random(rand.New(rand.NewSource(int64(g))), k*n*m)
 		wants[g] = spl.Eval(spl.DFT3D(k, n, m), inputs[g])
 	}
-	cp, err := NewFFT3D(k, n, m, WithBufferElems(128), WithWorkers(2, 2))
+	cp, err := NewFFT3D(k, n, m, WithBufferElems(128), withLanes(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cp.Close()
-	rp, err := NewRealFFT3D(k, n, m, WithBufferElems(128), WithWorkers(2, 2))
+	rp, err := NewRealFFT3D(k, n, m, WithBufferElems(128), withLanes(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestIndependentPlansRunInParallel(t *testing.T) {
 		wg.Add(1)
 		go func(i int, k, n, m int) {
 			defer wg.Done()
-			p, err := NewFFT3D(k, n, m, WithBufferElems(128), WithWorkers(1, 2))
+			p, err := NewFFT3D(k, n, m, WithBufferElems(128), withLanes(2))
 			if err != nil {
 				failures[i] = err
 				return
@@ -132,7 +132,7 @@ func TestIndependentPlansRunInParallel(t *testing.T) {
 // barrier protocol publishes each run's state correctly.
 func TestPersistentExecutorSequentialReuse(t *testing.T) {
 	const k, n, m = 8, 16, 16
-	p, err := NewFFT3D(k, n, m, WithBufferElems(256), WithWorkers(2, 2))
+	p, err := NewFFT3D(k, n, m, WithBufferElems(256), withLanes(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestIndependentExecutorsRunConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func(i, k, n, m int) {
 			defer wg.Done()
-			p, err := NewFFT3D(k, n, m, WithBufferElems(256), WithWorkers(2, 2))
+			p, err := NewFFT3D(k, n, m, WithBufferElems(256), withLanes(2))
 			if err != nil {
 				failures[i] = err
 				return

@@ -16,11 +16,10 @@ func main() {
 	const k, n, m = 64, 64, 64
 
 	// A plan is reusable and holds all twiddle tables and pipeline
-	// buffers. The default configuration is the paper's double-buffered
-	// scheme: half the workers stream data, half compute.
+	// buffers. The default configuration runs one lane per core, each
+	// streaming its share of every stage's blocks load → compute → store.
 	plan, err := repro.NewFFT3D(k, n, m,
-		repro.WithWorkers(1, 1),      // soft-DMA data workers / compute workers
-		repro.WithBufferElems(1<<14), // pipeline block size (two halves kept)
+		repro.WithBufferElems(1<<14), // pipeline block size (one a lane)
 	)
 	if err != nil {
 		log.Fatal(err)

@@ -4,11 +4,12 @@
 // (IPDPS 2018).
 //
 // Large 2D/3D FFTs are memory bound: their strided stages waste cache and
-// DRAM bandwidth. This library implements the paper's remedy — repurposing
-// half the worker pool as soft DMA engines that stream blocks through a
-// cache-resident double buffer while the other half computes contiguous FFT
-// pencils, with a cacheline-blocked transpose/rotation folded into every
-// store so each stage again sees unit-stride data:
+// DRAM bandwidth. This library implements the paper's remedy — streaming
+// blocks through a cache-resident buffer, computing contiguous FFT pencils
+// on them, and folding a cacheline-blocked transpose/rotation into every
+// store so each stage again sees unit-stride data. One lane per core runs
+// its share of every stage's blocks load → compute → store (the paper
+// splits those roles across a core's two hyperthreads):
 //
 //	plan, _ := repro.NewFFT3D(256, 256, 256)
 //	dst := make([]complex128, plan.Len())
@@ -32,23 +33,11 @@ import (
 // Option customizes a plan.
 type Option func(*core.Config) error
 
-// WithWorkers sets the soft-DMA data-worker and compute-worker counts
-// (the paper's p_d and p_c).
-func WithWorkers(data, compute int) Option {
-	return func(c *core.Config) error {
-		if data < 1 || compute < 1 {
-			return fmt.Errorf("repro: workers must be ≥ 1, got %d/%d", data, compute)
-		}
-		c.DataWorkers, c.ComputeWorkers = data, compute
-		return nil
-	}
-}
-
-// WithBufferElems sets the pipeline block size b in complex elements (the
-// engine keeps two halves of this size). The default is chosen by the plan
-// package from the host: both halves stay L2-resident
-// (machine.PreferredBufferElems). The paper sizes the pair at half the
-// last-level cache; WithMachineDefaults applies that rule. NewFFT1D has no
+// WithBufferElems sets the pipeline block size b in complex elements (each
+// lane keeps one block of this size). The default is chosen by the plan
+// package from the host's L2 (machine.PreferredBufferElems). The paper
+// sizes its double buffer at half the last-level cache;
+// WithMachineDefaults applies that rule. NewFFT1D has no
 // pipeline and ignores it.
 func WithBufferElems(b int) Option {
 	return func(c *core.Config) error {
@@ -75,7 +64,7 @@ func WithCacheline(mu int) Option {
 }
 
 // WithMachineDefaults applies the paper's parameter rules (buffer = LLC/2,
-// μ = cacheline, half the threads per role) for one of the five described
+// μ = cacheline, one lane per core) for one of the five described
 // evaluation machines; see Machines for the names.
 func WithMachineDefaults(name string) Option {
 	return func(c *core.Config) error {
@@ -141,8 +130,8 @@ func (h *handle) run(op func(p *core.Plan) error) error {
 	return op(h.p)
 }
 
-// Close releases the plan's persistent pipeline workers (parked goroutines
-// reused across transforms; a 1D plan has none). Optional — plans dropped
+// Close releases the plan's parked lanes (goroutines reused across
+// transforms; a one-lane or 1D plan has none). Optional — plans dropped
 // without Close are reclaimed by a finalizer — idempotent and safe to call
 // concurrently; later transforms return ErrClosed. For handles from a SharedPlans pool, Close
 // releases the cache pin instead; the shared plan itself closes when it is
@@ -159,9 +148,9 @@ func (h *handle) Close() {
 }
 
 // Observability returns the plan's cumulative bandwidth-accounting
-// snapshot: pipeline steps and wall time, per-stage bytes loaded/stored,
-// effective GB/s and fraction of the roofline, steady-state overlap
-// occupancy, barrier wait, and (when a machine is configured) the perfmodel
+// snapshot: blocks run and wall time, per-stage bytes loaded/stored,
+// effective GB/s and fraction of the roofline, per-lane op time and
+// stage-barrier wait, and (when a machine is configured) the perfmodel
 // divergence; a real plan's merges its forward and inverse pipelines. The
 // snapshot accumulates over every transform the plan has run. A complex 1D
 // plan has no pipeline stages to account and returns the zero value.

@@ -74,7 +74,7 @@ func TestPublicRealFFT3DValidation(t *testing.T) {
 	if _, err := NewFFT1D(0); err == nil {
 		t.Error("accepted n=0")
 	}
-	if _, err := NewFFT1D(64, WithWorkers(0, 1)); err == nil {
+	if _, err := NewFFT1D(64, WithCacheline(0)); err == nil {
 		t.Error("accepted bad option")
 	}
 }

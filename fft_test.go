@@ -27,7 +27,7 @@ func roundTrip(t *testing.T, h complexHandle, seed int64, tol float64) (x, y []c
 }
 
 func TestPublicFFT3DRoundTrip(t *testing.T) {
-	p, err := NewFFT3D(16, 16, 16, WithWorkers(2, 2), WithBufferElems(512))
+	p, err := NewFFT3D(16, 16, 16, withLanes(2), WithBufferElems(512))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +53,6 @@ func TestPublicFFT2DRoundTrip(t *testing.T) {
 
 func TestOptionValidation(t *testing.T) {
 	bad := []Option{
-		WithWorkers(0, 2),
-		WithWorkers(2, 0),
 		WithBufferElems(0),
 		WithCacheline(0),
 		WithMachineDefaults("nonexistent machine"),

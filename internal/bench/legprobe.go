@@ -18,20 +18,24 @@ import (
 const cacheReps = 301
 
 // LegProbe prints the per-stage leg budget of the two out-of-LLC complex
-// shapes — 256³ and 4096², 256 MiB an array — of cache2d's 512², 4 MiB an
-// array inside the LLC (printed in µs resolution: its legs are under a
-// millisecond), and of two real shapes — real3d's 512×256×256 and real
-// 4096², whose real arrays are 256 and 128 MiB — through the product
-// configuration (core.Config{}): per direction and stage the load, compute
-// and store milliseconds from Observability() deltas, Σ legs beside the wall
-// time, and each stage's load + store beside the same run's streamed copy of
-// one array onto another of its type (2·N·16 B complex, 2·N·8 B real: what a
-// stage's data legs move). The 512² stages print their load as "folded":
+// shapes — 256³ and 4096², 256 MiB an array — of 2048², 64 MiB an array, of
+// cache2d's 512², 4 MiB an array inside the LLC (printed in µs resolution:
+// its legs are under a millisecond), and of two real shapes — real3d's
+// 512×256×256 and real 4096², whose real arrays are 256 and 128 MiB —
+// through the product configuration (core.Default(), one lane per
+// GOMAXPROCS): per direction and stage the load, compute and store
+// milliseconds from Observability() deltas, summed over the lanes, Σ legs
+// beside the wall time, each stage's load + store beside the same run's
+// streamed copy of one array onto another of its type (2·N·16 B complex,
+// 2·N·8 B real: what a stage's data legs move), and per lane its Σ legs and
+// its stage-barrier wait. The 512² stages print their load as "folded":
 // their first sweep reads the source, so the compute column includes that
 // read and the data legs are the store alone. Every figure is the median of
 // reps runs — of at least cacheReps at 512², whose sub-millisecond legs a
-// handful of runs does not resolve. `make legprobe` runs it at GOMAXPROCS=1, where the legs
-// execute one after another and sum to the wall.
+// handful of runs does not resolve. `make legprobe` runs it at GOMAXPROCS=1,
+// where one lane executes the legs one after another and they sum to the
+// wall; `make laneprobe` runs it at GOMAXPROCS=2 beside 1, where the two
+// lanes' legs and waits each tile the wall.
 func LegProbe(w io.Writer, reps int) error {
 	if reps < 1 {
 		reps = 5
@@ -43,6 +47,7 @@ func LegProbe(w io.Writer, reps int) error {
 	}{
 		{[]int{256, 256, 256}, false, reps},
 		{[]int{4096, 4096}, false, reps},
+		{[]int{2048, 2048}, false, reps},
 		{[]int{512, 512}, false, max(reps, cacheReps)},
 		{[]int{512, 256, 256}, true, reps},
 		{[]int{4096, 4096}, true, reps},
@@ -64,7 +69,7 @@ func LegProbe(w io.Writer, reps int) error {
 // spectrum → x (complex) or → a second real array (real), and the copy of x
 // onto that second array.
 func legProbeShape(w io.Writer, dims []int, realInput bool, reps int) error {
-	p, err := core.NewPlan(core.Config{}, realInput, dims...)
+	p, err := core.NewPlan(core.Default(), realInput, dims...)
 	if err != nil {
 		return err
 	}
@@ -100,6 +105,7 @@ func legProbeOne(w io.Writer, label string, p *core.Plan, arrayBytes int, fwd, i
 		stages [][3]float64 // load, compute, store ms
 		ran    []bool       // whether the direction ran the stage
 		folded []bool       // whether its first sweep read the source (load bytes, no load time)
+		lanes  [][2]float64 // per lane: Σ legs, stage-barrier wait ms
 	}
 	run := func(f func() error) (sample, error) {
 		before := p.Observability()
@@ -118,6 +124,12 @@ func legProbeOne(w io.Writer, label string, p *core.Plan, arrayBytes int, fwd, i
 			})
 			s.ran = append(s.ran, st.Store.Ops != b.Store.Ops)
 			s.folded = append(s.folded, st.Load.Bytes != b.Load.Bytes && st.Load.Ns == b.Load.Ns)
+		}
+		for i, l := range after.Lanes {
+			b := before.Lanes[i]
+			s.lanes = append(s.lanes, [2]float64{
+				float64(l.LegNs-b.LegNs) / 1e6, float64(l.BarrierWaitNs-b.BarrierWaitNs) / 1e6,
+			})
 		}
 		return s, nil
 	}
@@ -154,8 +166,8 @@ func legProbeOne(w io.Writer, label string, p *core.Plan, arrayBytes int, fwd, i
 	}
 
 	mib := arrayBytes >> 20
-	fmt.Fprintf(w, "legprobe %s: %d MiB an array, median of %d; streamed copy of 2·%d MiB %.*f ms (%.1f GB/s)\n",
-		label, mib, reps, mib, prec, copyMs, float64(2*arrayBytes)/copyMs/1e6)
+	fmt.Fprintf(w, "legprobe %s: %d MiB an array, %d lane(s), median of %d; streamed copy of 2·%d MiB %.*f ms (%.1f GB/s)\n",
+		label, mib, len(p.Observability().Lanes), reps, mib, prec, copyMs, float64(2*arrayBytes)/copyMs/1e6)
 	fmt.Fprint(w, p.DescribeGraph())
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
 	fmt.Fprintln(tw, "dir\tstage\tload ms\tcompute ms\tstore ms\tload+store\t/ copy\t")
@@ -184,7 +196,13 @@ func legProbeOne(w io.Writer, label string, p *core.Plan, arrayBytes int, fwd, i
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%.*f\t%.*f\t%.*f\t%.2f\t\n", d.name, names[i].Name,
 				load, prec, leg[1], prec, leg[2], prec, leg[0]+leg[2], (leg[0]+leg[2])/copyMs)
 		}
-		sums = append(sums, fmt.Sprintf("  %s: Σ legs %.*f ms, wall %.*f ms", d.name, prec, sum, prec, d.wall))
+		line := fmt.Sprintf("  %s: Σ legs %.*f ms, wall %.*f ms", d.name, prec, sum, prec, d.wall)
+		for l := range d.s[0].lanes {
+			line += fmt.Sprintf("; lane %d legs %.*f, wait %.*f ms", l, prec,
+				medianOf(d.s, func(s sample) float64 { return s.lanes[l][0] }), prec,
+				medianOf(d.s, func(s sample) float64 { return s.lanes[l][1] }))
+		}
+		sums = append(sums, line)
 	}
 	if err := tw.Flush(); err != nil {
 		return err

@@ -22,11 +22,9 @@ type MeasuredConfig struct {
 	Sizes2D [][2]int
 	// Reps per measurement (default 3; best is reported).
 	Reps int
-	// DataWorkers/ComputeWorkers for the double-buffered runs; the
-	// baselines run on a pool of their sum.
-	DataWorkers    int
-	ComputeWorkers int
-	BufferElems    int
+	// BufferElems is the pipeline block size. The plans run
+	// core.Default()'s lanes, and the baselines a pool of as many workers.
+	BufferElems int
 	// HostBWGBs is the host's DRAM copy bandwidth for percent-of-peak
 	// normalization; 0 measures it first (stream.DRAMCopyGBs).
 	HostBWGBs float64
@@ -42,12 +40,6 @@ func (c MeasuredConfig) withDefaults() MeasuredConfig {
 	if c.Reps == 0 {
 		c.Reps = 3
 	}
-	if c.DataWorkers == 0 {
-		c.DataWorkers = 1
-	}
-	if c.ComputeWorkers == 0 {
-		c.ComputeWorkers = 1
-	}
 	if c.BufferElems == 0 {
 		c.BufferElems = 1 << 14
 	}
@@ -57,9 +49,11 @@ func (c MeasuredConfig) withDefaults() MeasuredConfig {
 	return c
 }
 
-// pipeline is the double-buffered plans' configuration.
+// pipeline is the pipelined plans' configuration.
 func (c MeasuredConfig) pipeline() core.Config {
-	return core.Config{BufferElems: c.BufferElems, DataWorkers: c.DataWorkers, ComputeWorkers: c.ComputeWorkers}
+	cfg := core.Default()
+	cfg.BufferElems = c.BufferElems
+	return cfg
 }
 
 func timeBest(reps int, f func() error) (time.Duration, error) {
@@ -161,7 +155,7 @@ func measured(w io.Writer, cfg MeasuredConfig, rank string, sizes [][]int, basel
 		head += "\t" + b.name
 	}
 	fmt.Fprintln(tw, head+"\tdoublebuf\tdoublebuf pct-peak\tdb/pencil")
-	workers := cfg.DataWorkers + cfg.ComputeWorkers
+	workers := cfg.pipeline().Lanes
 	for _, dims := range sizes {
 		elems := 1
 		for _, d := range dims {

@@ -8,17 +8,17 @@ import (
 	"repro/internal/trace"
 )
 
-// WriteTraceJSON runs a small traced double-buffered 3D transform and
-// writes its schedule as Chrome trace_event JSON to w — load the file at
-// ui.perfetto.dev (or chrome://tracing) to scrub through the pipeline:
-// one lane per worker, loads and stores interleaving with computes on
-// opposite buffer halves, the live version of the paper's Table II. When
-// gantt is non-nil the ASCII timeline is rendered there as well, so the
-// terminal view and the Perfetto view describe the same run.
+// WriteTraceJSON runs a small traced 3D transform on two lanes and writes
+// its schedule as Chrome trace_event JSON to w — load the file at
+// ui.perfetto.dev (or chrome://tracing) to scrub through the pipeline: one
+// row per lane, each running its share of a stage's blocks load → compute
+// → store, the lanes meeting at every stage boundary. When gantt is non-nil
+// the text timeline is rendered there as well, so the terminal view and the
+// Perfetto view describe the same run.
 func WriteTraceJSON(w, gantt io.Writer) error {
 	tr := trace.New()
 	p, err := core.NewPlan(core.Config{
-		Mu: 4, BufferElems: 128, DataWorkers: 1, ComputeWorkers: 1, Tracer: tr,
+		Mu: 4, BufferElems: 128, Lanes: 2, Tracer: tr,
 	}, false, 8, 8, 16)
 	if err != nil {
 		return err

@@ -1,13 +1,14 @@
 // Package core declares the plan configuration — once — and the one plan. The paper fixes a plan by three rules (§IV): b = LLC/2, μ =
-// one cacheline, p_d = p_c = threads/2. Config carries those and the
-// telemetry hooks, and nothing else: the radix chain, fusion, the store fold
-// and the store tier are not configuration (EXPERIMENTS.md "Ablation axes,
-// swept once"; their oracle variants are stagegraph.Ablation, which only a
-// test installs). Default and ForMachine apply the worker rule (and, for a
-// described machine, the other two). The zero Config is the product: the
-// paper's double-buffer pipeline, fused, store-folded, store tier chosen from
-// the footprint, with μ and the buffer size resolved by the builder from the
-// measured profile.
+// one cacheline, p_d = p_c = threads/2. Config carries those — the thread
+// rule as a lane count, one lane a core (DESIGN.md §2) — and the telemetry
+// hooks, and nothing else: the radix chain, the store fold and the store
+// tier are not configuration (EXPERIMENTS.md "Ablation axes, swept once";
+// their oracle variants are stagegraph.Ablation, which only a test
+// installs). Default and ForMachine apply the lane rule (and, for a
+// described machine, the other two). The zero Config is the product on one
+// lane: the paper's load → compute → store pipeline, store-folded, store
+// tier chosen from the footprint, with μ and the buffer size resolved by the
+// builder from the measured profile.
 //
 // Plan is every transform the repository runs, as the paper writes them
 // (§III): one stage-graph descriptor per direction whose stages differ only
@@ -46,8 +47,8 @@ type Observability = obs.Snapshot
 type Strategy int
 
 // DoubleBuf is the paper's scheme (§III): every stage is load-contiguous →
-// compute-contiguous-pencils → store-blocked-rotation on the
-// software-pipelined double buffer.
+// compute-contiguous-pencils → store-blocked-rotation, block by block on
+// the lanes.
 const DoubleBuf Strategy = 0
 
 // Config is the execution configuration of a plan. It is comparable: the
@@ -61,17 +62,15 @@ type Config struct {
 	// explicit μ must divide the row length. Real plans take the largest
 	// divisor of the half row length not above Mu (default 4).
 	Mu int
-	// BufferElems is the per-half pipeline block size b in complex
-	// elements (the engine keeps two halves); zero selects
-	// machine.PreferredBufferElems, sized so both halves stay resident in
-	// the host's L2 beside the streamed source and destination. The
-	// effective value is rounded down so every stage has an integral number
-	// of whole blocks.
+	// BufferElems is the pipeline block size b in complex elements, one
+	// block a lane; zero selects machine.PreferredBufferElems, sized for the
+	// host's L2 beside the streamed source and destination. The effective
+	// value is rounded down so every stage has an integral number of whole
+	// blocks.
 	BufferElems int
-	// DataWorkers (p_d) and ComputeWorkers (p_c) drive the pipeline. Zero
-	// means one.
-	DataWorkers    int
-	ComputeWorkers int
+	// Lanes is the lane count L: each lane runs a contiguous 1/L of every
+	// stage's blocks, load → compute → store. Zero means one.
+	Lanes int
 	// Tracer records pipeline events for schedule verification.
 	Tracer *trace.Recorder
 	// MachineName, when set to a name internal/machine resolves, attaches
@@ -84,26 +83,23 @@ type Config struct {
 	RooflineGBs float64
 }
 
-// Default returns the configuration this host would use: the paper's
-// half-and-half worker assignment over the host's CPU count, everything else
-// the zero value.
+// Default returns the configuration this host would use: one lane per
+// GOMAXPROCS, everything else the zero value.
 func Default() Config {
-	pd := max(runtime.GOMAXPROCS(0)/2, 1)
-	return Config{DataWorkers: pd, ComputeWorkers: pd}
+	return Config{Lanes: runtime.GOMAXPROCS(0)}
 }
 
 // ForMachine returns the paper's configuration for one of the described
-// machines: b = LLC/2 over two halves, μ = cacheline, p_d = p_c = threads/2
-// per socket.
+// machines: b = LLC/2 over two halves, μ = cacheline, and one lane for each
+// of its p_d = p_c = threads/2 data/compute pairs — a pair is one core's two
+// hyperthreads.
 func ForMachine(m machine.Machine) Config {
-	pairs := max(m.Threads()/2, 1)
 	return Config{
-		Mu:             m.LLC().LineBytes / 16,
-		BufferElems:    m.DefaultBufferElems(),
-		DataWorkers:    pairs,
-		ComputeWorkers: pairs,
-		MachineName:    m.Name,
-		RooflineGBs:    m.StreamGBs,
+		Mu:          m.LLC().LineBytes / 16,
+		BufferElems: m.DefaultBufferElems(),
+		Lanes:       max(m.Threads()/2, 1),
+		MachineName: m.Name,
+		RooflineGBs: m.StreamGBs,
 	}
 }
 

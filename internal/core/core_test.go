@@ -3,6 +3,7 @@ package core_test
 import (
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/bench"
@@ -13,17 +14,17 @@ import (
 	"repro/internal/spl"
 )
 
-// Default is the zero Config with the paper's worker rule applied: it
-// restates no default the graph builder owns (the root defaults test
-// compares the compiled graphs and outputs of the two).
+// Default is the zero Config with one lane per GOMAXPROCS: it restates no
+// default the graph builder owns (the root defaults test compares the
+// compiled graphs and outputs of the two).
 func TestDefaultConfig(t *testing.T) {
 	c := core.Default()
-	if c.DataWorkers < 1 || c.ComputeWorkers < 1 {
-		t.Fatalf("Default() = %+v", c)
+	if c.Lanes != runtime.GOMAXPROCS(0) {
+		t.Fatalf("Default() = %+v, want %d lanes", c, runtime.GOMAXPROCS(0))
 	}
-	c.DataWorkers, c.ComputeWorkers = 0, 0
+	c.Lanes = 0
 	if c != (core.Config{}) {
-		t.Fatalf("Default() sets more than the worker counts: %+v", c)
+		t.Fatalf("Default() sets more than the lane count: %+v", c)
 	}
 	p, err := core.NewPlan(core.Default(), false, 64, 64)
 	if err != nil {
@@ -43,8 +44,8 @@ func TestForMachineAppliesPaperRules(t *testing.T) {
 	if c.BufferElems != 131072 {
 		t.Errorf("b = %d, want 131072 (LLC/2 over two halves)", c.BufferElems)
 	}
-	if c.DataWorkers != 4 || c.ComputeWorkers != 4 {
-		t.Errorf("workers = %d/%d, want 4/4 (half of 8 threads each)", c.DataWorkers, c.ComputeWorkers)
+	if c.Lanes != 4 {
+		t.Errorf("lanes = %d, want 4 (one per data/compute pair of 8 threads)", c.Lanes)
 	}
 }
 

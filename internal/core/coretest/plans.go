@@ -130,50 +130,51 @@ func StageIters(t *testing.T, ranks ...int) {
 	}
 }
 
-// ScheduleTrace: a traced transform records the fused stage-graph schedule —
-// every stage's Table II pipeline, each boundary overlapped — on two data and
-// two compute workers. The load leg is kept (CopyLoads), so the in-cache 2D
-// stages record their loads too.
+// ScheduleTrace: a traced transform records the lane schedule on one, two
+// and three lanes — every block of every stage loaded, computed and stored
+// exactly once, in order, by the lane whose share it is, and no stage
+// starting before the last store of the one before. The load leg is kept
+// (CopyLoads), so the in-cache 2D stages record their loads too.
 func ScheduleTrace(t *testing.T, ranks ...int) {
 	defer stagegraph.SetAblation(stagegraph.Ablation{CopyLoads: true})()
 	for _, dims := range [][]int{{32, 16}, {8, 8, 8}} {
 		if !ranked(dims, ranks) {
 			continue
 		}
-		tr := trace.New()
-		p := mustPlan(t, core.Config{Mu: 4, BufferElems: 64, DataWorkers: 2, ComputeWorkers: 2, Tracer: tr}, dims...)
-		if err := p.Transform(make([]complex128, p.Len()), randVec(9, p.Len()), fft1d.Forward); err != nil {
-			t.Fatal(err)
-		}
-		if err := tr.CheckStageGraph(p.Iters(), true); err != nil {
-			t.Errorf("%v: %v", dims, err)
+		for lanes := 1; lanes <= 3; lanes++ {
+			tr := trace.New()
+			p := mustPlan(t, core.Config{Mu: 4, BufferElems: 64, Lanes: lanes, Tracer: tr}, dims...)
+			if err := p.Transform(make([]complex128, p.Len()), randVec(9, p.Len()), fft1d.Forward); err != nil {
+				t.Fatal(err)
+			}
+			if err := tr.CheckLanes(p.Iters(), lanes); err != nil {
+				t.Errorf("%v on %d lanes: %v", dims, lanes, err)
+			}
 		}
 	}
 }
 
-// FusionStatsSteps: the telemetry attributes the whole fused transform, one
-// schedule of S stages, which saves exactly S-1 steps over the
-// drain-between-stages baseline.
+// FusionStatsSteps: the telemetry attributes the whole transform, every
+// stage of it: Steps counts each block of each stage once a run, whatever
+// the lane count.
 func FusionStatsSteps(t *testing.T, ranks ...int) {
 	for _, dims := range [][]int{{16, 16}, {8, 8, 16}} {
 		if !ranked(dims, ranks) {
 			continue
 		}
-		steps := func(unfused bool) uint64 {
-			restore := stagegraph.SetAblation(stagegraph.Ablation{Unfused: unfused})
-			p := mustPlan(t, core.Config{Mu: 4, BufferElems: 128}, dims...)
-			restore()
+		for lanes := 1; lanes <= 2; lanes++ {
+			p := mustPlan(t, core.Config{Mu: 4, BufferElems: 128, Lanes: lanes}, dims...)
 			if err := p.Transform(make([]complex128, p.Len()), randVec(5, p.Len()), fft1d.Forward); err != nil {
 				t.Fatal(err)
 			}
 			o := p.Observability()
-			if len(o.Stages) != len(dims) || o.Steps == 0 {
-				t.Fatalf("%v: %d stages, %d steps", dims, len(o.Stages), o.Steps)
+			blocks := 0
+			for _, n := range p.Iters() {
+				blocks += n
 			}
-			return o.Steps
-		}
-		if f, u := steps(false), steps(true); u-f != uint64(len(dims)-1) {
-			t.Errorf("%v: fused %d steps, unfused %d, want a saving of exactly %d", dims, f, u, len(dims)-1)
+			if len(o.Stages) != len(dims) || o.Steps != uint64(blocks) {
+				t.Errorf("%v on %d lanes: %d stages, %d steps; want %d and %d", dims, lanes, len(o.Stages), o.Steps, len(dims), blocks)
+			}
 		}
 	}
 }

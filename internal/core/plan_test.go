@@ -66,21 +66,21 @@ func benchPlan(b *testing.B, opts Config, dims ...int) {
 }
 
 func Benchmark2DDoubleBuf(b *testing.B) {
-	benchPlan(b, Config{DataWorkers: 1, ComputeWorkers: 1, BufferElems: 1 << 14}, 512, 512)
+	benchPlan(b, Config{Lanes: 1, BufferElems: 1 << 14}, 512, 512)
 }
 
-// BenchmarkBufferSweep and BenchmarkThreadMix sweep 64³ over the buffer
-// size and over the data/compute worker mix.
+// BenchmarkBufferSweep and BenchmarkLanes sweep 64³ over the buffer size
+// and over the lane count.
 func BenchmarkBufferSweep(b *testing.B) {
 	for _, be := range []int{1 << 10, 1 << 12, 1 << 14, 1 << 16} {
 		b.Run(fmt.Sprintf("b%d", be), func(b *testing.B) { benchPlan(b, Config{BufferElems: be}, 64, 64, 64) })
 	}
 }
 
-func BenchmarkThreadMix(b *testing.B) {
-	for _, w := range [][2]int{{1, 1}, {1, 3}, {2, 2}, {3, 1}} {
-		b.Run(fmt.Sprintf("%dd%dc", w[0], w[1]), func(b *testing.B) {
-			benchPlan(b, Config{DataWorkers: w[0], ComputeWorkers: w[1], BufferElems: 1 << 14}, 64, 64, 64)
+func BenchmarkLanes(b *testing.B) {
+	for _, l := range []int{1, 2, 3, 4} {
+		b.Run(fmt.Sprintf("lanes%d", l), func(b *testing.B) {
+			benchPlan(b, Config{Lanes: l, BufferElems: 1 << 14}, 64, 64, 64)
 		})
 	}
 }

@@ -316,7 +316,7 @@ func (p *Plan) FoldRadix() int {
 // arenaPool backs the arena-less entry points (Transform, InPlace, Lanes,
 // Strided). Plans are cached process-wide in planCache and shared between
 // callers, so scratch cannot live unsynchronized on the Plan; the executor
-// path threads each compute worker's private arena through the *Arena entry
+// path threads each lane's private arena through the *Arena entry
 // points instead, and everything else borrows a pooled arena here. Get/Put
 // of a pointer type is allocation-free once the pool is warm.
 var arenaPool = sync.Pool{New: func() any { return kernels.NewArena(0, 0) }}

@@ -1,7 +1,7 @@
 package kernels
 
 // Arena is a bump-pointer scratch allocator for the steady-state compute
-// path. Every executor compute worker owns one, so batched kernels and the
+// path. Every executor lane owns one, so batched kernels and the
 // fft1d drivers draw their ping-pong buffers from preallocated slabs
 // instead of make/sync.Pool round trips: after the first transform warms
 // the slabs, a reused plan's Transform performs zero heap allocations.

@@ -38,8 +38,7 @@
 // amd64 only), so the DRAM copy probe of internal/stream reads memory.
 //
 // All functions are plain sequential loops; parallelization happens a level
-// up (internal/pipeline and internal/stagegraph carve the index space across
-// data workers).
+// up (internal/stagegraph runs a stage's blocks on lanes, one per core).
 package layout
 
 import "fmt"

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -138,34 +137,6 @@ func (s *ShardMetrics) PeerSnapshots() []PeerSnapshot {
 	return out
 }
 
-// BucketQuantile returns the upper bound of the log₂ bucket holding the q-th
-// fraction of the observations counted in counts, whose bucket i counts
-// values in [2^i, 2^(i+1)): clamped to 2^62, and 0 when nothing was
-// observed. Bucketed quantiles are coarse — within 2× — which is plenty to
-// tell a queueing collapse from a healthy pipeline. The serving layer's
-// latency quantiles and the shard peers' come from it.
-func BucketQuantile[C int64 | uint64](counts *[64]C, q float64) int64 {
-	var total C
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := C(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
-	var cum C
-	for i, c := range counts {
-		cum += c
-		if cum > rank {
-			return 1 << min(i+1, 62)
-		}
-	}
-	return 1 << 62
-}
-
 // SetStragglerRatio records the most recent job's max/mean worker busy
 // time; ratio ≤ 0 is recorded as 0 (unknown).
 func (s *ShardMetrics) SetStragglerRatio(ratio float64) {
@@ -259,22 +230,7 @@ func (s *ShardMetrics) WritePrometheus(w io.Writer) error {
 		}
 		p.Family("fft_exchange_chunk_latency_seconds", "Per-peer chunk transfer latency.", "histogram")
 		for _, pc := range peers {
-			var cum float64
-			last := -1
-			for i, b := range pc.buckets {
-				if b > 0 {
-					last = i
-				}
-			}
-			for i := 0; i <= last; i++ {
-				cum += float64(pc.buckets[i])
-				ub := float64(uint64(1)<<uint(i+1)) / 1e9
-				p.Sample("fft_exchange_chunk_latency_seconds_bucket", cum,
-					"le", strconv.FormatFloat(ub, 'g', -1, 64), "peer", pc.peer)
-			}
-			p.Sample("fft_exchange_chunk_latency_seconds_bucket", float64(pc.Chunks), "le", "+Inf", "peer", pc.peer)
-			p.Sample("fft_exchange_chunk_latency_seconds_sum", float64(pc.sumNs)/1e9, "peer", pc.peer)
-			p.Sample("fft_exchange_chunk_latency_seconds_count", float64(pc.Chunks), "peer", pc.peer)
+			Log2Histogram(p, "fft_exchange_chunk_latency_seconds", &pc.buckets, 1, pc.sumNs, float64(pc.Chunks), "peer", pc.peer)
 		}
 	}
 

@@ -3,7 +3,8 @@
 // takes the same-shape 1D requests queued behind the one it picked up as a
 // batch that shares one plan lookup and one settlement, and every plan
 // comes from a bounded ref-counted LRU cache so
-// worker teams are reused across requests instead of rebuilt per request —
+// plans and their lanes are reused across requests instead of rebuilt per
+// request —
 // the paper's zero-steady-state-allocation executors, amortized across a
 // request stream.
 package serve
@@ -100,9 +101,9 @@ func (k PlanKey) SpectrumLen() int {
 // Plan is one cached executor: the core.Plan of its key's domain and dims.
 // A complex rank-1 plan is the one lone requests, coalesced batches,
 // repro.FFT1D and the shared-handle facade all run at every size — a
-// direct Stockham chain with no worker team, run on the calling executor's
+// direct Stockham chain with no lanes, run on the calling executor's
 // goroutine — so a request's bits never depend on how it was batched; every
-// other key holds a persistent worker team. The rank-1 real plan batches
+// other key holds a pipelined plan and its lanes. The rank-1 real plan batches
 // natively (ExecuteRealBatch runs many packed rows in one pipeline sweep),
 // so it serves both the singleton and the coalesced path. An entry point of
 // the other domain returns an error wrapping core.ErrDomain.
@@ -157,7 +158,7 @@ func (p *Plan) ExecuteRealBatch(spec []complex128, re []float64, count int, inve
 
 // PlanCache is a bounded ref-counted LRU of executors keyed by PlanKey.
 // Get pins the plan for the duration of a request; eviction tears a plan's
-// worker team down only once the last in-flight user releases it.
+// lanes down only once the last in-flight user releases it.
 type PlanCache struct {
 	c *lru.Cache[PlanKey, *Plan]
 }

@@ -104,7 +104,7 @@ func TestBatchingDoesNotChangeBits(t *testing.T) {
 }
 
 // TestRank1KeysShareOnePlan: a complex rank-1 plan reads no configuration,
-// so keys that differ in workers, buffer, μ or roofline normalize
+// so keys that differ in lanes, buffer, μ or roofline normalize
 // to one cache entry; the real-input plan of the same size (which does read
 // them) stays distinct.
 func TestRank1KeysShareOnePlan(t *testing.T) {
@@ -122,7 +122,7 @@ func TestRank1KeysShareOnePlan(t *testing.T) {
 	}
 	first := get(base)
 	for name, mutate := range map[string]func(*core.Config){
-		"workers":  func(c *core.Config) { c.DataWorkers, c.ComputeWorkers = 2, 2 },
+		"lanes":    func(c *core.Config) { c.Lanes = 2 },
 		"buffer":   func(c *core.Config) { c.BufferElems = 1 << 14 },
 		"mu":       func(c *core.Config) { c.Mu = 4 },
 		"roofline": func(c *core.Config) { c.RooflineGBs = 12 },

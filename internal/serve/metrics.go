@@ -37,8 +37,6 @@ type metrics struct {
 	latencySumNs   atomic.Uint64     // sum of those observations
 }
 
-func (m *metrics) init() {}
-
 func (m *metrics) observeLatency(d time.Duration) {
 	ns := uint64(d.Nanoseconds())
 	if ns == 0 {
@@ -103,10 +101,7 @@ type Snapshot struct {
 }
 
 func (m *metrics) snapshot() Snapshot {
-	var counts [64]uint64
-	for i := range counts {
-		counts[i] = m.latency[i].Load()
-	}
+	counts := m.latencyCounts()
 	s := Snapshot{
 		Submitted:    m.submitted.Load(),
 		Completed:    m.completed.Load(),
@@ -137,23 +132,24 @@ func (m *metrics) snapshot() Snapshot {
 	return s
 }
 
-// latencyScaled returns the histogram with each bucket scaled from the
-// sampled population back up to every settled (completed or failed)
-// request, plus the matching scaled sum in seconds and total count — the
-// shape a Prometheus histogram expects, where _count must agree with the
+func (m *metrics) latencyCounts() (counts [64]uint64) {
+	for i := range counts {
+		counts[i] = m.latency[i].Load()
+	}
+	return counts
+}
+
+// latencyScale returns the factor that scales the sampled histogram back up
+// to every settled (completed or failed) request, and that request count —
+// the shape a Prometheus histogram expects, where _count must agree with the
 // request counters rather than the sampling rate. With a tracer attached
-// every request is stamped, so the scale factor degenerates to 1.
-func (m *metrics) latencyScaled() (buckets [64]float64, sumSeconds, count float64) {
+// every request is stamped, so the scale factor degenerates to 1. Both are
+// 0 before the first sample.
+func (m *metrics) latencyScale() (scale, count float64) {
 	samples := m.latencySamples.Load()
 	if samples == 0 {
-		return
+		return 0, 0
 	}
 	settled := m.completed.Load() + m.failed.Load()
-	scale := float64(settled) / float64(samples)
-	for i := range buckets {
-		buckets[i] = float64(m.latency[i].Load()) * scale
-	}
-	sumSeconds = float64(m.latencySumNs.Load()) * scale / 1e9
-	count = float64(settled)
-	return
+	return float64(settled) / float64(samples), float64(settled)
 }

@@ -3,7 +3,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"math"
 	"strings"
 	"testing"
 	"time"
@@ -116,20 +115,19 @@ func TestLatencyScaledConsistency(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.observeLatency(time.Millisecond)
 	}
-	buckets, sumSeconds, count := m.latencyScaled()
-	if count != 80 {
-		t.Fatalf("scaled count = %v, want 80", count)
+	scale, count := m.latencyScale()
+	if count != 80 || scale != 8 {
+		t.Fatalf("scale %v to count %v, want 8 to 80", scale, count)
 	}
-	var total float64
-	for _, b := range buckets {
-		total += b
-	}
-	if math.Abs(total-80) > 1e-9 {
-		t.Fatalf("scaled buckets sum to %v, want 80", total)
-	}
-	wantSum := 80 * time.Millisecond.Seconds()
-	if math.Abs(sumSeconds-wantSum) > 1e-9 {
-		t.Fatalf("scaled sum = %v s, want %v s", sumSeconds, wantSum)
+	var b strings.Builder
+	p := obs.NewPromWriter(&b)
+	counts := m.latencyCounts()
+	obs.Log2Histogram(p, "h", &counts, scale, m.latencySumNs.Load(), count)
+	// 1 ms lands in the bucket [2^19, 2^20) ns, whose bound is 2^20 ns.
+	for _, want := range []string{`h_bucket{le="0.001048576"} 80`, `h_bucket{le="+Inf"} 80`, "h_sum 0.08\n", "h_count 80\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Fatalf("exposition lacks %q:\n%s", want, b.String())
+		}
 	}
 
 	snap := m.snapshot()
@@ -145,14 +143,8 @@ func TestLatencyScaledConsistency(t *testing.T) {
 func TestLatencyScaledEmpty(t *testing.T) {
 	var m metrics
 	m.completed.Store(5) // settled requests but no samples yet
-	buckets, sum, count := m.latencyScaled()
-	if sum != 0 || count != 0 {
-		t.Fatalf("empty histogram scaled to sum=%v count=%v", sum, count)
-	}
-	for i, b := range buckets {
-		if b != 0 {
-			t.Fatalf("bucket %d = %v, want 0", i, b)
-		}
+	if scale, count := m.latencyScale(); scale != 0 || count != 0 {
+		t.Fatalf("empty histogram scaled by %v to count %v", scale, count)
 	}
 }
 

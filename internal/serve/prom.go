@@ -2,7 +2,6 @@ package serve
 
 import (
 	"io"
-	"strconv"
 
 	"repro/internal/obs"
 )
@@ -74,29 +73,12 @@ func (s *Server) WritePrometheus(w io.Writer) error {
 	p.Family("fft_plan_cache_evictions_total", "Plans evicted from the cache.", "counter")
 	p.Sample("fft_plan_cache_evictions_total", float64(snap.Cache.Evictions))
 
-	buckets, sumSeconds, count := s.m.latencyScaled()
 	p.Family("fft_request_duration_seconds",
 		"Queue-to-settlement latency, sampled 1-in-8 and scaled to all settled requests.",
 		"histogram")
-	// Trailing empty buckets add nothing beyond the +Inf line; stop at the
-	// highest occupied one.
-	last := -1
-	for i, b := range buckets {
-		if b > 0 {
-			last = i
-		}
-	}
-	var cum float64
-	for i := 0; i <= last; i++ {
-		cum += buckets[i]
-		// Bucket i spans [2^i, 2^(i+1)) ns.
-		ub := float64(uint64(1)<<uint(i+1)) / 1e9
-		p.Sample("fft_request_duration_seconds_bucket", cum,
-			"le", strconv.FormatFloat(ub, 'g', -1, 64))
-	}
-	p.Sample("fft_request_duration_seconds_bucket", count, "le", "+Inf")
-	p.Sample("fft_request_duration_seconds_sum", sumSeconds)
-	p.Sample("fft_request_duration_seconds_count", count)
+	counts := s.m.latencyCounts()
+	scale, count := s.m.latencyScale()
+	obs.Log2Histogram(p, "fft_request_duration_seconds", &counts, scale, s.m.latencySumNs.Load(), count)
 
 	return p.Err()
 }

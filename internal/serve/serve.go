@@ -45,8 +45,8 @@ type Options struct {
 	// of them (default 16; 1 disables coalescing).
 	MaxBatch int
 	// Executors is the number of goroutines executing batches (default 2).
-	// Each executor drives a plan's own worker team, so this is the number
-	// of concurrently running transforms, not the compute width.
+	// Each executor drives a plan's own lanes, so this is the number of
+	// concurrently running transforms, not the compute width.
 	Executors int
 	// CacheCapacity bounds the plan cache (default 32 plans).
 	CacheCapacity int
@@ -224,7 +224,6 @@ func New(opts Options) *Server {
 		queue:   make(chan *item, opts.QueueDepth),
 		stopped: make(chan struct{}),
 	}
-	s.m.init()
 	s.workersWG.Add(opts.Executors)
 	for i := 0; i < opts.Executors; i++ {
 		go s.execute()
@@ -704,7 +703,7 @@ func (s *Server) spanExec(it *item, start, end time.Time) {
 // Shutdown gracefully drains the server: admission stops immediately
 // (subsequent Do calls return ErrClosed), every already-accepted request
 // runs to completion, executors exit, and the plan cache closes every
-// worker team. Returns nil once fully drained, or ctx.Err() if ctx ends
+// plan's lanes. Returns nil once fully drained, or ctx.Err() if ctx ends
 // first (the drain continues in the background). Safe to call repeatedly
 // and concurrently.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -715,7 +714,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			close(s.queue)   // executors drain what is queued or held, then exit
 			s.admitMu.Unlock()
 			s.workersWG.Wait()
-			s.cache.Purge() // tear down idle worker teams
+			s.cache.Purge() // tear down idle plans' lanes
 			close(s.stopped)
 		}()
 	})

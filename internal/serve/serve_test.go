@@ -15,10 +15,10 @@ import (
 	"repro/internal/trace"
 )
 
-// smallCfg keeps worker teams tiny so tests spin up quickly.
+// smallCfg keeps plans on one lane so tests spin up quickly.
 func smallCfg() core.Config {
 	cfg := core.Default()
-	cfg.DataWorkers, cfg.ComputeWorkers = 1, 1
+	cfg.Lanes = 1
 	cfg.BufferElems = 1 << 10
 	return cfg
 }

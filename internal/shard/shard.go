@@ -14,7 +14,7 @@
 //     warm), scatters input slabs, triggers the run, and gathers output
 //     slabs.
 //   - A Worker holds an LRU of warm plans (graphs + executor + buffers),
-//     receives its slab, runs stages 1+2 fused (the W² stores stream into
+//     receives its slab, runs stages 1+2 (the W² stores stream into
 //     per-peer send buffers and ship as chunks while compute continues),
 //     waits for the last inbound chunk, then runs stage 3 into its output
 //     y-slab.

@@ -9,16 +9,13 @@ import (
 
 // Ablation is the one seam for the schedules no product configuration
 // selects: the oracle and A/B variants the tests hold the product graph to.
-// Its zero value is the product — fused, store-folded, the store tier and
+// Its zero value is the product — store-folded, the store tier and
 // the 2D load fold chosen from the footprint, radix-16 chains, cold store
 // targets pre-faulted — and only a test binary can install another
 // (SetAblation). It is read where graphs (Pencils.Build), runners
 // (NewRunner) and the 1D sub-plans (Plan1D) are built, so a plan keeps the
 // schedule it was built under.
 type Ablation struct {
-	// Unfused drains the pipeline at every stage boundary, as if each stage
-	// were a separate engine invocation.
-	Unfused bool
 	// NoFold keeps the trailing trivial-twiddle radix-4 butterfly in the
 	// compute leg instead of folding it into the scatter.
 	NoFold bool

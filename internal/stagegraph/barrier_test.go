@@ -28,13 +28,6 @@ func TestPartition(t *testing.T) {
 			t.Fatalf("Partition(%d,·,%d) does not cover total", c.total, c.workers)
 		}
 	}
-	lo, hi := PartitionBlocks(10, 4, 1, 3)
-	if lo%4 != 0 || hi%4 != 0 {
-		t.Fatal("PartitionBlocks did not align to block size")
-	}
-	if lo != 16 || hi != 28 {
-		t.Fatalf("PartitionBlocks(10,4,1,3) = [%d,%d), want [16,28)", lo, hi)
-	}
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -69,27 +62,6 @@ func TestQuickPartitionTiles(t *testing.T) {
 			prev = hi
 		}
 		return prev == total && maxSz-minSz <= 1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: PartitionBlocks ranges are block-aligned and tile the total.
-func TestQuickPartitionBlocksAligned(t *testing.T) {
-	f := func(rawBlocks uint8, rawSize uint8, rawWorkers uint8) bool {
-		nblocks := int(rawBlocks) % 200
-		size := int(rawSize)%64 + 1
-		workers := int(rawWorkers)%16 + 1
-		prev := 0
-		for w := 0; w < workers; w++ {
-			lo, hi := PartitionBlocks(nblocks, size, w, workers)
-			if lo != prev || lo%size != 0 || hi%size != 0 {
-				return false
-			}
-			prev = hi
-		}
-		return prev == nblocks*size
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

@@ -5,17 +5,14 @@ import (
 	"strings"
 )
 
-// Describe renders a compiled stage graph as text: per-stage geometry, store
-// mode (a folded radix-4 butterfly, the streaming tier) and a load folded
-// into the first sweep, plus the fused-schedule summary. Endpoints may be nil — description never
-// touches data — so plans can describe graphs without binding arrays.
-func Describe(stages []Stage, fused bool) string {
+// Describe renders a stage graph as text: per-stage geometry, store mode (a
+// folded radix-4 butterfly, the streaming tier) and a load folded into the
+// first sweep, plus the schedule summary. The text does not depend on the
+// lane count. Endpoints may be nil — description never touches data — so
+// plans can describe graphs without binding arrays.
+func Describe(stages []Stage) string {
 	var b strings.Builder
-	mode := "fused"
-	if !fused {
-		mode = "unfused"
-	}
-	fmt.Fprintf(&b, "stage graph: %d stages, %s cross-stage schedule\n", len(stages), mode)
+	fmt.Fprintf(&b, "stage graph: %d stages, each lane runs its share of a stage load → compute → store\n", len(stages))
 	totalIters := 0
 	for i := range stages {
 		st := &stages[i]
@@ -34,18 +31,6 @@ func Describe(stages []Stage, fused bool) string {
 		}
 		b.WriteString("\n")
 	}
-	steps := Steps(stages, fused)
-	drains := 1
-	if !fused {
-		drains = len(stages)
-	}
-	fmt.Fprintf(&b, "  schedule: %d iterations in %d steps, %d drain(s)", totalIters, steps, drains)
-	if fused && len(stages) > 1 {
-		fmt.Fprintf(&b, "; boundary stores overlap next-stage loads")
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "  fill overhead: %.4f (unfused %.4f)\n",
-		float64(Steps(stages, true))/float64(totalIters),
-		float64(Steps(stages, false))/float64(totalIters))
+	fmt.Fprintf(&b, "  schedule: %d iterations, %d stage barrier(s)\n", totalIters, len(stages))
 	return b.String()
 }

@@ -40,10 +40,10 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 				stages := []Stage{{
 					Name: "fold", Iters: iters, Units: units, UnitLen: n,
 					Src: Endpoint{C: src}, Dst: Endpoint{C: dst},
-					Compute: func(b *Buffers, ar *kernels.Arena, _ []complex128, half, iter, lo, hi int) {
+					Compute: func(b *Buffers, ar *kernels.Arena, _ []complex128, _ int) {
 						tmp := ar.Complex(n)
-						for u := lo; u < hi; u++ {
-							p := b.C[half][u*n : (u+1)*n]
+						for u := 0; u < units; u++ {
+							p := b.C[u*n : (u+1)*n]
 							kernels.Radix4Step(tmp, p, 16, 1, sg, tw1)
 							kernels.Radix4Step(p, tmp, 4, 4, sg, tw2)
 						}
@@ -51,8 +51,7 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 					StoreRadix: 4, StoreSign: sg,
 					Rot: rot,
 				}}
-				b := NewBuffers(units*n, false)
-				if err := runOnce(Config{DataWorkers: 2, ComputeWorkers: 2}, b, stages, true, nil); err != nil {
+				if err := runOnce(Config{Lanes: 2}, stages, nil); err != nil {
 					t.Fatal(err)
 				}
 				for p := 0; p < iters*units; p++ {
@@ -109,7 +108,7 @@ func TestCachedFoldMatchesUnfoldedGraph(t *testing.T) {
 			if want := map[bool]int{false: c.folds, true: 0}[disableFold]; folds != want {
 				t.Fatalf("%d×%d NoFold=%v: %d fold stages, want %d", c.n, c.m, disableFold, folds, want)
 			}
-			r, err := NewRunner(RunnerConfig{Pkg: "test", DataWorkers: 2, ComputeWorkers: 2}, g)
+			r, err := NewRunner(RunnerConfig{Pkg: "test", Lanes: 2}, g)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -189,13 +188,12 @@ func TestFoldStoreScaleMatchesFoldThenScale(t *testing.T) {
 					st := Stage{
 						Name: "fold", Iters: iters, Units: units, UnitLen: unitLen,
 						Src: Endpoint{C: src}, Dst: Endpoint{C: buf[off : off+len(src)]},
-						Compute:     func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
+						Compute:     func(*Buffers, *kernels.Arena, []complex128, int) {},
 						NonTemporal: nt, StoreRadix: 4, StoreSign: kernels.Inverse, StoreScale: scale,
 						Rot: Rotation{Blocks: blocks, BlockLen: bl, JStride: total * bl,
 							Map: func(g, j int) int { return (j*total + g) * bl }},
 					}
-					if err := runOnce(Config{DataWorkers: 2, ComputeWorkers: 1},
-						NewBuffers(units*unitLen, false), []Stage{st}, true, nil); err != nil {
+					if err := runOnce(Config{Lanes: 2}, []Stage{st}, nil); err != nil {
 						t.Fatal(err)
 					}
 					return buf
@@ -234,7 +232,7 @@ func TestStoreFoldValidation(t *testing.T) {
 		return Stage{
 			Name: "fold", Iters: 1, Units: 1, UnitLen: 8,
 			Src: Endpoint{C: make([]complex128, 8)}, Dst: Endpoint{C: make([]complex128, 8)},
-			Compute:    func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
+			Compute:    func(*Buffers, *kernels.Arena, []complex128, int) {},
 			StoreRadix: 4,
 			Rot:        Rotation{Blocks: 4, BlockLen: 2, Map: func(g, j int) int { return g*8 + j*2 }},
 		}
@@ -242,22 +240,21 @@ func TestStoreFoldValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		mut  func(s *Stage)
-		bufs *Buffers
 	}{
-		{"radix 8 unsupported", func(s *Stage) { s.StoreRadix = 8 }, NewBuffers(8, false)},
-		{"blocks not multiple of 4", func(s *Stage) { s.Rot = Rotation{Blocks: 2, BlockLen: 4, Map: s.Rot.Map} }, NewBuffers(8, false)},
-		{"staging store", func(s *Stage) { s.StoreFromStaging = true }, NewBuffers(8, true)},
+		{"radix 8 unsupported", func(s *Stage) { s.StoreRadix = 8 }},
+		{"blocks not multiple of 4", func(s *Stage) { s.Rot = Rotation{Blocks: 2, BlockLen: 4, Map: s.Rot.Map} }},
+		{"staging store", func(s *Stage) { s.StoreFromStaging = true }},
 	}
 	for _, c := range cases {
 		s := mkStage()
 		c.mut(&s)
-		if err := runOnce(Config{DataWorkers: 1, ComputeWorkers: 1}, c.bufs, []Stage{s}, false, nil); err == nil {
+		if err := runOnce(Config{Lanes: 1}, []Stage{s}, nil); err == nil {
 			t.Errorf("%s: invalid fold stage accepted", c.name)
 		}
 	}
 	// The base shape itself must be accepted.
 	s := mkStage()
-	if err := runOnce(Config{DataWorkers: 1, ComputeWorkers: 1}, NewBuffers(8, false), []Stage{s}, false, nil); err != nil {
+	if err := runOnce(Config{Lanes: 1}, []Stage{s}, nil); err != nil {
 		t.Errorf("valid fold stage rejected: %v", err)
 	}
 }
@@ -302,7 +299,7 @@ func TestStreamingStoresPartialLinesMatchOracle(t *testing.T) {
 				st := Stage{
 					Name: "nt", Iters: iters, Units: units, UnitLen: unitLen,
 					Src: Endpoint{C: src}, Dst: Endpoint{C: dst},
-					Compute:     func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
+					Compute:     func(*Buffers, *kernels.Arena, []complex128, int) {},
 					NonTemporal: true,
 					Rot: Rotation{Blocks: blocks, BlockLen: bl, JStride: total * bl,
 						Map: func(g, j int) int { return off + (j*total+g)*bl }},
@@ -310,8 +307,7 @@ func TestStreamingStoresPartialLinesMatchOracle(t *testing.T) {
 				if fold {
 					st.StoreRadix, st.StoreSign = 4, kernels.Forward
 				}
-				b := NewBuffers(units*unitLen, false)
-				if err := runOnce(Config{DataWorkers: 2, ComputeWorkers: 1}, b, []Stage{st}, true, nil); err != nil {
+				if err := runOnce(Config{Lanes: 2}, []Stage{st}, nil); err != nil {
 					t.Fatal(err)
 				}
 				if i := cvec.FirstBitDiff(dst, want); i >= 0 {

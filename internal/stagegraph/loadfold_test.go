@@ -9,11 +9,12 @@ import (
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // A 2D graph whose first sweeps read their source (Stage.FoldLoad, the
 // product inside the LLC) agrees bit for bit with the same graph built under
-// Ablation.CopyLoads, fused and unfused, forward and normalised inverse — the
+// Ablation.CopyLoads, on one lane and on two, forward and normalised inverse — the
 // inverse reading the forward's destination as its source. The shapes cover
 // 512² (store-fold prefix [8 16], an even stage count), 32×64 (prefixes [8]
 // and [16], odd), 256² (an unfolded [16 16] chain), 96×80 (chains [5 4 4]
@@ -25,9 +26,9 @@ func TestFoldedLoadsMatchCopiedLoads(t *testing.T) {
 	for _, c := range []struct{ n, m int }{{512, 512}, {32, 64}, {256, 256}, {96, 80}, {97, 64}} {
 		elems := c.n * c.m
 		src := cvec.Random(rand.New(rand.NewSource(int64(elems))), elems)
-		for _, unfused := range []bool{false, true} {
+		for _, lanes := range []int{1, 2} {
 			run := func(copyLoads bool) (fwd, inv []complex128, snap obs.Snapshot, desc string) {
-				restore := SetAblation(Ablation{Unfused: unfused, CopyLoads: copyLoads})
+				restore := SetAblation(Ablation{CopyLoads: copyLoads})
 				defer restore()
 				g, err := Pencils{Pkg: "test", Dims: []int{c.n, c.m},
 					Plans: []*fft1d.Plan{Plan1D(c.n), Plan1D(c.m)},
@@ -35,7 +36,7 @@ func TestFoldedLoadsMatchCopiedLoads(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				r, err := NewRunner(RunnerConfig{Pkg: "test", DataWorkers: 2, ComputeWorkers: 2,
+				r, err := NewRunner(RunnerConfig{Pkg: "test", Lanes: lanes,
 					Labels: []string{fmt.Sprintf("test/loadfold/%dx%d", c.n, c.m)}}, g)
 				if err != nil {
 					t.Fatal(err)
@@ -51,7 +52,7 @@ func TestFoldedLoadsMatchCopiedLoads(t *testing.T) {
 				}
 				return fwd, inv, r.Observability(), r.DescribeGraph()
 			}
-			name := fmt.Sprintf("%d×%d unfused=%v", c.n, c.m, unfused)
+			name := fmt.Sprintf("%d×%d on %d lanes", c.n, c.m, lanes)
 			fwd, inv, snap, desc := run(false)
 			cfwd, cinv, csnap, cdesc := run(true)
 			if i := cvec.FirstBitDiff(fwd, cfwd); i >= 0 {
@@ -124,99 +125,45 @@ func TestLoadFoldScope(t *testing.T) {
 	}
 }
 
-// chainStage names the arrays one stage of a replayed chain reads and writes.
-type chainStage struct {
-	iters    int
-	src, dst string
-}
-
-// access is one read or store of an array, over [lo, hi) in half-steps: a
-// step's stores run in its first half (before the data barrier), its loads
-// in its second, and its compute op across the whole step, concurrently
-// with both.
-type access struct {
-	array  string
-	stage  int
-	lo, hi int
-}
-
-// replayReads plays BuildSchedule's tables for the chain and checks every
-// read of a stage's source against every store into that array: a store by
-// an earlier stage must end before the read begins, one by a later stage
-// must begin after it ends. lag < 0 places each read in its slot's load op,
-// as a copied load runs; lag ≥ 0 in the compute op lag steps after the load
-// slot — 1 is where a folded load reads.
-func replayReads(chain []chainStage, fused bool, lag int) error {
-	stages := make([]Stage, len(chain))
-	for i, c := range chain {
-		stages[i].Iters = c.iters
-	}
-	loadAt, _, storeAt, steps := BuildSchedule(stages, fused)
-	var reads, stores []access
-	for t := 0; t < steps; t++ {
-		if r := storeAt[t]; r.stage >= 0 {
-			stores = append(stores, access{chain[r.stage].dst, r.stage, 2 * t, 2*t + 1})
-		}
-		if r := loadAt[t]; r.stage >= 0 {
-			a := access{chain[r.stage].src, r.stage, 2*t + 1, 2*t + 2}
-			if lag >= 0 {
-				a.lo, a.hi = 2*(t+lag), 2*(t+lag)+2
-			}
-			reads = append(reads, a)
-		}
-	}
-	for _, r := range reads {
-		for _, w := range stores {
-			switch {
-			case w.array != r.array:
-			case w.stage < r.stage && w.hi > r.lo:
-				return fmt.Errorf("stage %d reads %s at half-step %d, before stage %d's store into it ends at %d",
-					r.stage, r.array, r.lo, w.stage, w.hi)
-			case w.stage > r.stage && w.lo < r.hi:
-				return fmt.Errorf("stage %d reads %s until half-step %d, after stage %d's store into it begins at %d",
-					r.stage, r.array, r.hi, w.stage, w.lo)
-			}
-		}
-	}
-	return nil
-}
-
-// Moving every read of a stage's source from its load op to the compute op
-// one step later keeps BuildSchedule's legality argument, fused and
-// unfused: each read follows the last store into its array and precedes the
-// next overwrite. The chains are the 2D round trip src → Mid → dst followed
-// by the inverse that reads dst as its source and reuses Mid, and the 3D
-// chain that reuses dst at distance two, at deep and at single-iteration
-// stages. A compute op reading in its own load step races the producer's
-// last store on a fused boundary, which the replay must catch.
+// A folded load reads its block's slice of the source in the compute op,
+// after the stage barrier that follows the producer's last store and before
+// the one that precedes the next overwrite: on one to three lanes, a traced
+// round trip of an in-cache 2D graph records no load op, and every compute
+// and store falls in its lane's share and its stage's window (CheckLanes).
+// The round trip is 2D's whole array reuse: src → Mid → dst, then the
+// inverse reading dst and reusing Mid.
 func TestFoldedReadsStayLegal(t *testing.T) {
-	roundTrip := []string{"src", "mid", "dst", "mid", "out"}
-	threeD := []string{"src", "dst", "work", "dst"}
-	chain := func(arrays []string, iters ...int) []chainStage {
-		c := make([]chainStage, len(iters))
-		for i, n := range iters {
-			c[i] = chainStage{iters: n, src: arrays[i], dst: arrays[i+1]}
+	const n, m = 32, 64
+	src := cvec.Random(rand.New(rand.NewSource(7)), n*m)
+	for lanes := 1; lanes <= 3; lanes++ {
+		g, err := Pencils{Pkg: "test", Dims: []int{n, m}, BufferElems: 256,
+			Plans: []*fft1d.Plan{Plan1D(n), Plan1D(m)},
+			Mid:   []Array{{C: make([]complex128, n*m)}}}.Build()
+		if err != nil {
+			t.Fatal(err)
 		}
-		return c
-	}
-	chains := map[string][]chainStage{
-		"2D round trip, 16 iters":  chain(roundTrip, 16, 16, 16, 16),
-		"2D round trip, 1 iter":    chain(roundTrip, 1, 1, 1, 1),
-		"2D round trip, mixed":     chain(roundTrip, 3, 1, 2, 5),
-		"3D src→dst→work→dst":      chain(threeD, 16, 16, 16),
-		"3D, single-iter interior": chain(threeD, 2, 1, 1),
-	}
-	for name, c := range chains {
-		for _, fused := range []bool{true, false} {
-			if err := replayReads(c, fused, -1); err != nil {
-				t.Fatalf("%s fused=%v, copied loads: %v", name, fused, err)
+		r, err := NewRunner(RunnerConfig{Pkg: "test", Lanes: lanes}, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fwd, inv := make([]complex128, n*m), make([]complex128, n*m)
+		for _, c := range []Call{
+			{In: Endpoint{C: src}, Out: Endpoint{C: fwd}, Sign: fft1d.Forward},
+			{In: Endpoint{C: fwd}, Out: Endpoint{C: inv}, Sign: fft1d.Inverse, Scale: 1.0 / (n * m)},
+		} {
+			c.Tracer = trace.New()
+			if err := r.Run(0, c); err != nil {
+				t.Fatal(err)
 			}
-			if err := replayReads(c, fused, 1); err != nil {
-				t.Fatalf("%s fused=%v, folded loads: %v", name, fused, err)
+			for _, e := range c.Tracer.Events() {
+				if e.Op == trace.Load {
+					t.Fatalf("%d lanes: stage %d recorded a load op", lanes, e.Stage)
+				}
+			}
+			if err := c.Tracer.CheckLanes(r.Iters(0), lanes); err != nil {
+				t.Fatalf("%d lanes, sign %d: %v", lanes, c.Sign, err)
 			}
 		}
-		if err := replayReads(c, true, 0); err == nil {
-			t.Fatalf("%s: a compute op reading in its load step passed the replay", name)
-		}
+		r.Close()
 	}
 }

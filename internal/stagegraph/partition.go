@@ -1,7 +1,8 @@
 package stagegraph
 
 // Partition divides total work items among workers and returns the half-open
-// range [lo, hi) owned by the given worker. Remainder items go to the lowest
+// range [lo, hi) owned by the given worker: a lane's share of a stage's
+// iterations, or a baseline worker's share of its pencils. Remainder items go to the lowest
 // slots, so ranges differ in size by at most one.
 func Partition(total, worker, workers int) (lo, hi int) {
 	if workers < 1 || worker < 0 || worker >= workers {
@@ -15,13 +16,4 @@ func Partition(total, worker, workers int) (lo, hi int) {
 		hi++
 	}
 	return lo, hi
-}
-
-// PartitionBlocks is Partition over block-granular work: it divides nblocks
-// blocks and returns element ranges scaled by blockSize. Use it to keep
-// worker boundaries cacheline-aligned (the paper moves data at μ-element
-// granularity).
-func PartitionBlocks(nblocks, blockSize, worker, workers int) (lo, hi int) {
-	bl, bh := Partition(nblocks, worker, workers)
-	return bl * blockSize, bh * blockSize
 }

@@ -22,18 +22,17 @@ func TestRealEndpoints(t *testing.T) {
 	st := Stage{
 		Name: "r2r", Iters: iters, Units: units, UnitLen: unitLen,
 		Src: Endpoint{R: src}, Dst: Endpoint{R: dst},
-		Compute: func(b *Buffers, _ *kernels.Arena, _ []complex128, half, iter, lo, hi int) {
-			for j := lo * unitLen; j < hi*unitLen; j++ {
-				b.C[half][j] *= 2
+		Compute: func(b *Buffers, _ *kernels.Arena, src []complex128, _ int) {
+			for j := range src {
+				b.C[j] *= 2
 			}
 		},
 		// Blocked transpose of the (iters·units)×blocks block matrix.
 		Rot: Rotation{Blocks: blocks, BlockLen: mu, JStride: iters * units * mu,
 			Map: func(g, j int) int { return (j*iters*units + g) * mu }},
 	}
-	col := obs.NewCollector(2, 1, []string{"r2r"})
-	b := NewBuffers(units*unitLen, false)
-	if err := runOnce(Config{DataWorkers: 2, ComputeWorkers: 1, Obs: col}, b, []Stage{st}, true, nil); err != nil {
+	col := obs.NewCollector(2, []string{"r2r"})
+	if err := runOnce(Config{Lanes: 2, Obs: col}, []Stage{st}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < iters*units; g++ {
@@ -66,24 +65,22 @@ func TestSetObsSwitchesCollector(t *testing.T) {
 	st := Stage{
 		Name: "id", Iters: 1, Units: 1, UnitLen: elems,
 		Src: Endpoint{C: src}, Dst: Endpoint{C: dst},
-		Compute: func(*Buffers, *kernels.Arena, []complex128, int, int, int, int) {},
+		Compute: func(*Buffers, *kernels.Arena, []complex128, int) {},
 		Rot:     Rotation{Blocks: 1, BlockLen: elems, Map: func(g, _ int) int { return 0 }},
 	}
 	stages := []Stage{st}
-	b := NewBuffers(elems, false)
-	colA := obs.NewCollector(1, 1, []string{"id"})
-	colB := obs.NewCollector(1, 1, []string{"id"})
-	e, err := NewExecutor(Config{DataWorkers: 1, ComputeWorkers: 1, Obs: colA})
+	colA := obs.NewCollector(1, []string{"id"})
+	colB := obs.NewCollector(1, []string{"id"})
+	e, err := NewExecutor(Config{Obs: colA})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	sched := Compile(stages, true)
-	if err := e.Run(b, stages, sched, nil); err != nil {
+	if err := e.Run(stages, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.SetObs(colB)
-	if err := e.Run(b, stages, sched, nil); err != nil {
+	if err := e.Run(stages, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a, bn := colA.Snapshot(), colB.Snapshot(); a.Runs != 1 || bn.Runs != 1 ||

@@ -64,8 +64,7 @@ func TestNonTemporalStoreEquivalence(t *testing.T) {
 		dst := make([]complex128, n)
 		stages := chainGraph(src, mids, dst, iters, units, unitLen, 3)
 		ApplyStorePolicy(stages, nt)
-		b := NewBuffers(units*unitLen, false)
-		if err := runOnce(Config{DataWorkers: 2, ComputeWorkers: 1}, b, stages, true, nil); err != nil {
+		if err := runOnce(Config{Lanes: 2}, stages, nil); err != nil {
 			t.Fatal(err)
 		}
 		return dst

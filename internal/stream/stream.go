@@ -7,9 +7,9 @@
 // are several times the last-level cache (STREAM's own rule asks for 4×).
 //
 // DRAMCopyGBs is the roofline the daemon and the measured sweeps normalize
-// against: one copy between two 4 MiB arrays, each evicted from every cache
-// level before each trial, so 8 MiB read memory however large the
-// last-level cache is. Elsewhere the machine descriptions carry the paper's
+// against: on each of GOMAXPROCS goroutines one copy between two 4 MiB
+// arrays, each evicted from every cache level before each trial, so 8 MiB a
+// goroutine read memory however large the last-level cache is. Elsewhere the machine descriptions carry the paper's
 // published STREAM numbers for the simulated paper-scale runs.
 package stream
 

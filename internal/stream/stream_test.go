@@ -55,18 +55,18 @@ func TestDefaults(t *testing.T) {
 	}
 }
 
-// The probe allocates its two arrays and nothing else, and returns a finite
-// positive figure exactly where a cache-flush kernel exists. The collector
-// is off while it runs: a cycle its 8 MiB would start allocates the mark
-// workers' own few hundred bytes, which are not the probe's.
+// The probe allocates two arrays a goroutine and little else, and returns a
+// finite positive figure exactly where a cache-flush kernel exists. The
+// collector is off while it runs: a cycle its arrays would start allocates
+// the mark workers' own few hundred bytes, which are not the probe's.
 func TestDRAMCopyGBs(t *testing.T) {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	bw := DRAMCopyGBs()
 	runtime.ReadMemStats(&after)
-	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 8<<20 {
-		t.Errorf("DRAMCopyGBs allocated %d B, want ≤ 8 MiB", alloc)
+	if alloc, limit := after.TotalAlloc-before.TotalAlloc, uint64(runtime.GOMAXPROCS(0))*8<<20+64<<10; alloc > limit {
+		t.Errorf("DRAMCopyGBs allocated %d B, want ≤ 8 MiB a goroutine", alloc)
 	}
 	if !layout.EvictAvailable() {
 		if bw != 0 {
@@ -90,11 +90,35 @@ func TestCopyProbeCatchesCorruptCopy(t *testing.T) {
 		copy(dst, src)
 		dst[len(dst)/3] = -1
 	}
-	if bw := copyProbe(layout.Evict, corrupt); bw != 0 {
-		t.Errorf("corrupted copy read %v GB/s, want 0", bw)
+	for _, g := range []int{1, 2} {
+		if bw := copyProbe(g, layout.Evict, corrupt); bw != 0 {
+			t.Errorf("%d goroutines: corrupted copy read %v GB/s, want 0", g, bw)
+		}
+		if bw := copyProbe(g, layout.Evict, func(dst, src []float64) {}); bw != 0 {
+			t.Errorf("%d goroutines: a copy that copies nothing read %v GB/s, want 0", g, bw)
+		}
 	}
-	if bw := copyProbe(layout.Evict, func(dst, src []float64) {}); bw != 0 {
-		t.Errorf("a copy that copies nothing read %v GB/s, want 0", bw)
+}
+
+// Copying over every core reads at least one core's rate: the all-core
+// roofline never undercuts what one lane alone can draw. The two probes
+// alternate over three rounds and the best of each is compared.
+func TestAllCoreCopyReadsAtLeastOneCore(t *testing.T) {
+	if !layout.EvictAvailable() {
+		t.Skip("no cache-flush kernel")
+	}
+	if raceEnabled {
+		t.Skip("race instrumentation makes the copy compute-bound")
+	}
+	copyFloats := func(dst, src []float64) { copy(dst, src) }
+	var one, all float64
+	for range 3 {
+		one = max(one, copyProbe(1, layout.Evict, copyFloats))
+		all = max(all, DRAMCopyGBs())
+	}
+	t.Logf("GOMAXPROCS %d: all-core %.2f GB/s, one goroutine %.2f GB/s", runtime.GOMAXPROCS(0), all, one)
+	if all < 0.9*one {
+		t.Fatalf("all-core copy %.2f GB/s < 0.9 × one goroutine's %.2f GB/s", all, one)
 	}
 }
 
@@ -118,8 +142,8 @@ func TestEvictionReadsBelowCachedCopy(t *testing.T) {
 	copyFloats := func(dst, src []float64) { copy(dst, src) }
 	var cached, evicted float64
 	for range 5 {
-		cached = max(cached, copyProbe(func([]float64) {}, copyFloats))
-		evicted = max(evicted, copyProbe(layout.Evict, copyFloats))
+		cached = max(cached, copyProbe(1, func([]float64) {}, copyFloats))
+		evicted = max(evicted, copyProbe(1, layout.Evict, copyFloats))
 	}
 	t.Logf("evicted %.2f GB/s, cached %.2f GB/s", evicted, cached)
 	if evicted >= 0.8*cached {

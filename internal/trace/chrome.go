@@ -48,32 +48,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		return float64(t.Sub(origin).Nanoseconds()) / 1e3
 	}
 
-	// Stable worker-lane numbering: data workers first, then compute, each
-	// ordered by worker index, so lanes match the executor's layout.
-	type lane struct {
-		role   string
-		worker int
-	}
-	laneTid := map[lane]uint64{}
-	var lanes []lane
-	for _, e := range events {
-		l := lane{e.Role, e.Worker}
-		if _, ok := laneTid[l]; !ok {
-			laneTid[l] = 0
-			lanes = append(lanes, l)
-		}
-	}
-	sort.Slice(lanes, func(i, j int) bool {
-		if lanes[i].role != lanes[j].role {
-			// "compute" < "data" alphabetically; data lanes read better on
-			// top, matching the paper's figures.
-			return lanes[i].role == "data"
-		}
-		return lanes[i].worker < lanes[j].worker
-	})
-	for i, l := range lanes {
-		laneTid[l] = uint64(i + 1)
-	}
+	lanes, laneTid := laneRows(events, 1)
 
 	out := make([]chromeEvent, 0, len(events)+len(spans)+len(lanes)+2)
 	if len(events) > 0 {
@@ -84,7 +59,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		for _, l := range lanes {
 			out = append(out, chromeEvent{
 				Name: "thread_name", Ph: "M", Pid: pipelinePid, Tid: laneTid[l],
-				Args: map[string]any{"name": fmt.Sprintf("%s/%d", l.role, l.worker)},
+				Args: map[string]any{"name": fmt.Sprintf("lane/%d", l)},
 			})
 		}
 	}
@@ -95,11 +70,8 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			Ts:   us(e.Start),
 			Dur:  float64(e.End.Sub(e.Start).Nanoseconds()) / 1e3,
 			Pid:  pipelinePid,
-			Tid:  laneTid[lane{e.Role, e.Worker}],
-			Args: map[string]any{
-				"op": e.Op.String(), "stage": e.Stage, "iter": e.Iter,
-				"step": e.Step, "buf": e.Buf,
-			},
+			Tid:  laneTid[e.Lane],
+			Args: map[string]any{"op": e.Op.String(), "stage": e.Stage, "iter": e.Iter},
 		})
 	}
 	if len(spans) > 0 {
@@ -122,4 +94,22 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 
 	enc := json.NewEncoder(w)
 	return enc.Encode(out)
+}
+
+// laneRows numbers the timeline rows of the lanes the events ran on, in
+// lane order, from tid first up.
+func laneRows(events []Event, first uint64) ([]int, map[int]uint64) {
+	tid := map[int]uint64{}
+	var lanes []int
+	for _, e := range events {
+		if _, ok := tid[e.Lane]; !ok {
+			tid[e.Lane] = 0
+			lanes = append(lanes, e.Lane)
+		}
+	}
+	sort.Ints(lanes)
+	for i, l := range lanes {
+		tid[l] = first + uint64(i)
+	}
+	return lanes, tid
 }

@@ -7,10 +7,9 @@ import (
 	"time"
 )
 
-func mkEvent(op Op, step, worker int, role string, start time.Time) Event {
+func mkEvent(op Op, iter, lane int, start time.Time) Event {
 	return Event{
-		Op: op, Step: step, Stage: 0, Iter: step, Buf: step % 2,
-		Worker: worker, Role: role,
+		Op: op, Stage: 0, Iter: iter, Lane: lane,
 		Start: start, End: start.Add(time.Microsecond),
 	}
 }
@@ -22,7 +21,7 @@ func TestRingRecorderBoundsEvents(t *testing.T) {
 	}
 	base := time.Unix(0, 0)
 	for i := 0; i < 10; i++ {
-		r.Emit(mkEvent(Load, i, 0, "data", base.Add(time.Duration(i)*time.Millisecond)))
+		r.Emit(mkEvent(Load, i, 0, base.Add(time.Duration(i)*time.Millisecond)))
 	}
 	evs := r.Events()
 	if len(evs) != 4 {
@@ -31,8 +30,8 @@ func TestRingRecorderBoundsEvents(t *testing.T) {
 	// Oldest six overwritten; survivors are steps 6..9 in start order even
 	// though the ring rotated.
 	for i, e := range evs {
-		if e.Step != 6+i {
-			t.Fatalf("event %d has step %d, want %d (oldest-first after sort)", i, e.Step, 6+i)
+		if e.Iter != 6+i {
+			t.Fatalf("event %d has iter %d, want %d (oldest-first after sort)", i, e.Iter, 6+i)
 		}
 	}
 
@@ -53,7 +52,7 @@ func TestRingRecorderUnboundedDefault(t *testing.T) {
 	for _, r := range []*Recorder{New(), NewRing(0), NewRing(-3)} {
 		base := time.Unix(0, 0)
 		for i := 0; i < 100; i++ {
-			r.Emit(mkEvent(Store, i, 1, "data", base.Add(time.Duration(i))))
+			r.Emit(mkEvent(Store, i, 1, base.Add(time.Duration(i))))
 		}
 		if got := len(r.Events()); got != 100 {
 			t.Fatalf("unbounded recorder kept %d events, want 100", got)
@@ -67,9 +66,9 @@ func TestRingRecorderUnboundedDefault(t *testing.T) {
 func TestWriteChromeTraceRoundTrip(t *testing.T) {
 	r := New()
 	base := time.Unix(1000, 0)
-	r.Emit(mkEvent(Load, 0, 0, "data", base))
-	r.Emit(mkEvent(Compute, 1, 0, "compute", base.Add(2*time.Microsecond)))
-	r.Emit(mkEvent(Store, 2, 1, "data", base.Add(4*time.Microsecond)))
+	r.Emit(mkEvent(Load, 0, 0, base))
+	r.Emit(mkEvent(Compute, 0, 2, base.Add(2*time.Microsecond)))
+	r.Emit(mkEvent(Store, 1, 1, base.Add(4*time.Microsecond)))
 	r.EmitSpan(Span{Req: 7, Name: "queue", Start: base, End: base.Add(10 * time.Microsecond)})
 	r.EmitSpan(Span{Req: 7, Name: "exec", Start: base.Add(10 * time.Microsecond), End: base.Add(30 * time.Microsecond)})
 
@@ -115,13 +114,13 @@ func TestWriteChromeTraceRoundTrip(t *testing.T) {
 	if complete != 5 {
 		t.Fatalf("complete events = %d, want 3 ops + 2 spans", complete)
 	}
-	// Two process_name entries plus one thread_name per worker lane.
+	// Two process_name entries plus one thread_name per lane.
 	if meta != 5 {
 		t.Fatalf("metadata events = %d, want 5", meta)
 	}
-	for _, lane := range []string{"data/0", "data/1", "compute/0"} {
+	for _, lane := range []string{"lane/0", "lane/1", "lane/2"} {
 		if !threadNames[lane] {
-			t.Fatalf("missing worker lane %q; have %v", lane, threadNames)
+			t.Fatalf("missing lane %q; have %v", lane, threadNames)
 		}
 	}
 	if !sawExecSpan {

@@ -74,33 +74,13 @@ func WriteChromeNodes(w io.Writer, nodes []NodeTrace) error {
 				})
 			}
 		}
-		// Pipeline lanes after the spans, data workers on top as in the
+		// Pipeline lanes after the spans, in lane order as in the
 		// single-node export.
-		type lane struct {
-			role   string
-			worker int
-		}
-		laneTid := map[lane]uint64{}
-		var lanes []lane
-		for _, e := range nt.Events {
-			l := lane{e.Role, e.Worker}
-			if _, ok := laneTid[l]; !ok {
-				laneTid[l] = 0
-				lanes = append(lanes, l)
-			}
-		}
-		sort.Slice(lanes, func(i, j int) bool {
-			if lanes[i].role != lanes[j].role {
-				return lanes[i].role == "data"
-			}
-			return lanes[i].worker < lanes[j].worker
-		})
-		for i, l := range lanes {
-			tid := uint64(len(spanTid) + i + 1)
-			laneTid[l] = tid
+		lanes, laneTid := laneRows(nt.Events, uint64(len(spanTid)+1))
+		for _, l := range lanes {
 			out = append(out, chromeEvent{
-				Name: "thread_name", Ph: "M", Pid: pid, Tid: tid,
-				Args: map[string]any{"name": fmt.Sprintf("%s/%d", l.role, l.worker)},
+				Name: "thread_name", Ph: "M", Pid: pid, Tid: laneTid[l],
+				Args: map[string]any{"name": fmt.Sprintf("lane/%d", l)},
 			})
 		}
 		for _, s := range spans {
@@ -119,10 +99,7 @@ func WriteChromeNodes(w io.Writer, nodes []NodeTrace) error {
 			})
 		}
 		for _, e := range nt.Events {
-			args := map[string]any{
-				"op": e.Op.String(), "stage": e.Stage, "iter": e.Iter,
-				"step": e.Step, "buf": e.Buf,
-			}
+			args := map[string]any{"op": e.Op.String(), "stage": e.Stage, "iter": e.Iter}
 			if e.Trace != "" {
 				args["trace"] = e.Trace
 			}
@@ -132,7 +109,7 @@ func WriteChromeNodes(w io.Writer, nodes []NodeTrace) error {
 				Ts:   us(aligned(nt, e.Start)),
 				Dur:  float64(e.End.Sub(e.Start).Nanoseconds()) / 1e3,
 				Pid:  pid,
-				Tid:  laneTid[lane{e.Role, e.Worker}],
+				Tid:  laneTid[e.Lane],
 				Args: args,
 			})
 		}

@@ -60,7 +60,7 @@ func TestNewTraceIDUnique(t *testing.T) {
 func TestForTraceFilters(t *testing.T) {
 	r := New()
 	base := time.Unix(1000, 0)
-	e := mkEvent(Load, 0, 0, "data", base)
+	e := mkEvent(Load, 0, 0, base)
 	e.Trace = "ta"
 	r.Emit(e)
 	e.Trace = "tb"
@@ -81,7 +81,7 @@ func TestWriteChromeNodesMerge(t *testing.T) {
 	// Worker clock runs 5ms ahead of the coordinator; its events carry
 	// worker-clock stamps, so after alignment both nodes start at t=0.
 	const skew = 5 * time.Millisecond
-	ev := mkEvent(Load, 0, 0, "data", base.Add(skew))
+	ev := mkEvent(Load, 0, 0, base.Add(skew))
 	ev.Trace = "tX"
 	nodes := []NodeTrace{
 		{

@@ -30,8 +30,7 @@ func TestRingConcurrentWritersAndExport(t *testing.T) {
 			for i := 0; i < perW; i++ {
 				start := base.Add(time.Duration(w*perW+i) * time.Microsecond)
 				r.Emit(Event{
-					Op: Op(i % 3), Step: i, Iter: i, Buf: i % 2,
-					Worker: w, Role: "data", Trace: "trace-race",
+					Op: Op(i % 3), Iter: i, Lane: w, Trace: "trace-race",
 					Start: start, End: start.Add(time.Microsecond),
 				})
 				r.EmitSpan(Span{
@@ -99,21 +98,21 @@ func TestRingWraparoundDuringExportDeterministic(t *testing.T) {
 	r := NewRing(capacity)
 	base := time.Unix(4000, 0)
 	for i := 0; i < capacity; i++ {
-		r.Emit(mkEvent(Load, i, 0, "data", base.Add(time.Duration(i)*time.Millisecond)))
+		r.Emit(mkEvent(Load, i, 0, base.Add(time.Duration(i)*time.Millisecond)))
 	}
 	if err := r.WriteChromeTrace(io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < capacity; i++ {
-		r.Emit(mkEvent(Store, 100+i, 0, "data", base.Add(time.Duration(100+i)*time.Millisecond)))
+		r.Emit(mkEvent(Store, 100+i, 0, base.Add(time.Duration(100+i)*time.Millisecond)))
 	}
 	evs := r.Events()
 	if len(evs) != capacity {
 		t.Fatalf("got %d events, want %d", len(evs), capacity)
 	}
 	for i, e := range evs {
-		if e.Step != 100+i || e.Op != Store {
-			t.Fatalf("event %d = step %d op %v; old generation leaked through wrap", i, e.Step, e.Op)
+		if e.Iter != 100+i || e.Op != Store {
+			t.Fatalf("event %d = iter %d op %v; old generation leaked through wrap", i, e.Iter, e.Op)
 		}
 	}
 }

@@ -3,129 +3,59 @@ package trace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
-// RenderTimeline writes an ASCII Gantt chart of the recorded schedule, one
-// row per (role, worker), one column group per step — the visual form of
-// the paper's Table II. Example output for 4 iterations:
+// RenderTimeline writes the recorded schedule as text, one line per lane:
+// for each stage the lane's share of iterations and, per block, the ops it
+// ran in order. Example output for a two-stage graph of 4 and 2 iterations
+// on two lanes:
 //
-//	step            0    1    2    3    4    5
-//	data/0          L    L    SL   SL   S    S
-//	compute/0            C    C    C    C
+//	lane/0  s0 i0–1: LCS LCS | s1 i0: LCS
+//	lane/1  s0 i2–3: LCS LCS | s1 i1: LCS
 //
-// where L = load, C = compute, S = store (S before L within a step).
+// where L = load, C = compute, S = store; a stage that folds its load into
+// the first sweep shows CS.
 func (r *Recorder) RenderTimeline(w io.Writer) error {
 	evs := r.Events()
 	if len(evs) == 0 {
 		_, err := fmt.Fprintln(w, "(no events recorded)")
 		return err
 	}
-	maxStep := 0
-	type key struct {
-		role   string
-		worker int
-	}
-	rows := map[key]map[int][]Op{}
-	for _, e := range evs {
-		if e.Step > maxStep {
-			maxStep = e.Step
-		}
-		k := key{e.Role, e.Worker}
-		if rows[k] == nil {
-			rows[k] = map[int][]Op{}
-		}
-		rows[k][e.Step] = append(rows[k][e.Step], e.Op)
-	}
-
-	keys := make([]key, 0, len(rows))
-	for k := range rows {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].role != keys[j].role {
-			return keys[i].role < keys[j].role // compute before data
-		}
-		return keys[i].worker < keys[j].worker
-	})
-
-	// Build all cells first so the column width fits the widest one
-	// (several pipeline stages may share step numbers).
-	cells := map[key][]string{}
-	width := 3
-	for _, k := range keys {
-		row := make([]string, maxStep+1)
-		for s := 0; s <= maxStep; s++ {
-			ops := rows[k][s]
-			sort.Slice(ops, func(i, j int) bool { return opOrder(ops[i]) < opOrder(ops[j]) })
-			cell := ""
-			for _, o := range ops {
-				cell += opLetter(o)
-			}
-			row[s] = cell
-			if len(cell)+2 > width {
-				width = len(cell) + 2
-			}
-		}
-		cells[k] = row
-	}
-
-	// Stage header: which stage-graph stage each step belongs to (the
-	// stage of the step's load, or of its store during drains). Only
-	// rendered when the trace actually spans several stages.
-	stageOf := make([]int, maxStep+1)
-	multiStage := false
-	for i := range stageOf {
-		stageOf[i] = -1
-	}
-	for _, e := range evs {
-		if e.Stage > 0 {
-			multiStage = true
-		}
-		if stageOf[e.Step] < 0 || e.Op == Load {
-			stageOf[e.Step] = e.Stage
-		}
-	}
-
+	lanes, _ := laneRows(evs, 0)
 	var b strings.Builder
-	b.WriteString("step        ")
-	for s := 0; s <= maxStep; s++ {
-		fmt.Fprintf(&b, "%-*d", width, s)
-	}
-	b.WriteString("\n")
-	if multiStage {
-		b.WriteString("stage       ")
-		for s := 0; s <= maxStep; s++ {
-			if stageOf[s] < 0 {
-				fmt.Fprintf(&b, "%-*s", width, "·")
-			} else {
-				fmt.Fprintf(&b, "%-*d", width, stageOf[s])
+	for _, l := range lanes {
+		stage, first, last := -1, 0, 0
+		var groups, cells []string
+		flush := func() {
+			if stage < 0 {
+				return
 			}
+			iters := fmt.Sprintf("i%d", first)
+			if last > first {
+				iters += fmt.Sprintf("–%d", last)
+			}
+			groups = append(groups, fmt.Sprintf("s%d %s: %s", stage, iters, strings.Join(cells, " ")))
 		}
-		b.WriteString("\n")
-	}
-	for _, k := range keys {
-		fmt.Fprintf(&b, "%-12s", fmt.Sprintf("%s/%d", k.role, k.worker))
-		for s := 0; s <= maxStep; s++ {
-			fmt.Fprintf(&b, "%-*s", width, cells[k][s])
+		for _, e := range evs {
+			if e.Lane != l {
+				continue
+			}
+			if e.Stage != stage {
+				flush()
+				stage, first, cells = e.Stage, e.Iter, nil
+			}
+			if len(cells) == 0 || e.Iter != last {
+				cells = append(cells, "")
+			}
+			last = e.Iter
+			cells[len(cells)-1] += opLetter(e.Op)
 		}
-		b.WriteString("\n")
+		flush()
+		fmt.Fprintf(&b, "lane/%-3d %s\n", l, strings.Join(groups, " | "))
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// opOrder sorts store before load within a step (the §III-C ordering).
-func opOrder(o Op) int {
-	switch o {
-	case Store:
-		return 0
-	case Load:
-		return 1
-	default:
-		return 2
-	}
 }
 
 func opLetter(o Op) string {

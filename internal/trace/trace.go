@@ -1,8 +1,7 @@
 // Package trace records pipeline execution events so tests can prove — not
-// just assume — that the double-buffering schedule has the paper's Table II
-// shape: a prologue that only loads, a steady state in which data movement
-// and computation proceed in the same step on opposite buffer halves, and an
-// epilogue that drains stores.
+// just assume — the lanes' schedule: every block of every stage is loaded,
+// computed and stored exactly once, in that order, by the lane that owns
+// it, and no stage starts before the last store of the one before it.
 package trace
 
 import (
@@ -33,19 +32,13 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", int(o))
 }
 
-// Event is one recorded worker action. Iter is the pipeline iteration the
-// action belongs to (the i of R_{b,i}/W_{b,i}), Step the schedule step it
-// executed in, Buf the buffer half it touched. Stage is the stage-graph
-// stage the action belongs to (0 for single-stage pipeline runs); under the
-// fused executor Step is global across the whole transform, not per stage.
+// Event is one recorded lane action: Op of iteration Iter (the i of
+// R_{b,i}/W_{b,i}) of stage Stage, run by lane Lane.
 type Event struct {
-	Op     Op
-	Step   int
-	Stage  int
-	Iter   int
-	Buf    int
-	Worker int
-	Role   string
+	Op    Op
+	Stage int
+	Iter  int
+	Lane  int
 	// Trace is the distributed trace ID of the sharded transform this event
 	// belongs to ("" for purely local runs). It lets a coordinator pull one
 	// transform's events out of a worker's always-on ring.
@@ -167,7 +160,8 @@ func (r *Recorder) Events() []Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	out := append([]Event(nil), r.events...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
+	// Stable: one lane's back-to-back ops may read the same clock.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
 }
 
@@ -190,141 +184,76 @@ func (r *Recorder) ForTrace(trace string) ([]Event, []Span) {
 	return events, spans
 }
 
-// ByStep groups events by schedule step.
-func (r *Recorder) ByStep() map[int][]Event {
-	m := make(map[int][]Event)
-	for _, e := range r.Events() {
-		m[e.Step] = append(m[e.Step], e)
-	}
-	return m
-}
-
-// OpsInStep returns the distinct operations that ran in a step, in
-// load/compute/store order.
-func OpsInStep(events []Event) []Op {
-	var have [3]bool
-	for _, e := range events {
-		have[e.Op] = true
-	}
-	var ops []Op
-	for _, o := range []Op{Load, Compute, Store} {
-		if have[o] {
-			ops = append(ops, o)
-		}
-	}
-	return ops
-}
-
-// StageGraphBases returns the schedule base step of every stage in a
-// multi-stage run with the given per-stage iteration counts: stage s loads
-// its iteration i at step Bases[s]+i. Within a stage consecutive loads are
-// one step apart; across a stage boundary the first load of stage s+1
-// trails the last load of stage s by two steps when fused (it shares a step
-// with the last store of stage s, on the same buffer half, ordered
-// store-before-load by the engine) and by three steps when unfused (the
-// drain-then-refill of separate pipeline runs).
-func StageGraphBases(iters []int, fused bool) []int {
-	bases := make([]int, len(iters))
-	for s := 1; s < len(iters); s++ {
-		bases[s] = bases[s-1] + iters[s-1] + 1
-		if !fused {
-			bases[s]++
-		}
-	}
-	return bases
-}
-
-// CheckStageGraph verifies that the recorded events follow the fused (or
-// unfused) stage-graph schedule for the given per-stage iteration counts:
-// every load of (stage s, iter i) runs at step Bases[s]+i, its compute one
-// step later and its store two steps later, all on buffer half
-// (Bases[s]+i) mod 2; every expected (stage, iter, op) triple is present;
-// and no event falls outside the schedule.
-func (r *Recorder) CheckStageGraph(iters []int, fused bool) error {
-	bases := StageGraphBases(iters, fused)
-	seen := make(map[[3]int]bool) // (stage, iter, op)
+// CheckLanes verifies that the recorded events are the lane schedule of a
+// graph with the given per-stage iteration counts on the given number of
+// lanes: lane l owns the contiguous share [l·n/L, (l+1)·n/L) of each
+// stage's n iterations (the remainder going to the lowest lanes); it loads
+// (unless the stage folds its load), computes and stores each of them
+// exactly once, in that order and one block after another; and no op of
+// stage s+1 starts before the last store of stage s has ended.
+func (r *Recorder) CheckLanes(iters []int, lanes int) error {
+	type slot struct{ stage, iter int }
+	last := map[int]Event{} // lane → its previous event
+	done := map[slot][3]int{}
+	stageEnd := make([]time.Time, len(iters))
 	for _, e := range r.Events() {
 		if e.Stage < 0 || e.Stage >= len(iters) {
 			return fmt.Errorf("event with stage %d outside graph of %d stages", e.Stage, len(iters))
 		}
-		if e.Iter < 0 || e.Iter >= iters[e.Stage] {
-			return fmt.Errorf("stage %d: iter %d outside [0,%d)", e.Stage, e.Iter, iters[e.Stage])
+		n := iters[e.Stage]
+		if e.Iter < 0 || e.Iter >= n {
+			return fmt.Errorf("stage %d: iter %d outside [0,%d)", e.Stage, e.Iter, n)
 		}
-		load := bases[e.Stage] + e.Iter
-		want := load + int(e.Op) // Load=0, Compute=1, Store=2
-		if e.Step != want {
-			return fmt.Errorf("stage %d: %v of iter %d at step %d, want %d",
-				e.Stage, e.Op, e.Iter, e.Step, want)
+		if lo, hi := share(n, e.Lane, lanes); e.Iter < lo || e.Iter >= hi {
+			return fmt.Errorf("stage %d: iter %d ran on lane %d, whose share is [%d,%d)", e.Stage, e.Iter, e.Lane, lo, hi)
 		}
-		if e.Buf != load%2 {
-			return fmt.Errorf("stage %d: %v of iter %d on buf %d, want %d",
-				e.Stage, e.Op, e.Iter, e.Buf, load%2)
+		sl := slot{e.Stage, e.Iter}
+		c := done[sl]
+		if c[e.Op]++; c[e.Op] > 1 {
+			return fmt.Errorf("stage %d: %v of iter %d ran twice", e.Stage, e.Op, e.Iter)
 		}
-		seen[[3]int{e.Stage, e.Iter, int(e.Op)}] = true
+		done[sl] = c
+		if p, ok := last[e.Lane]; ok {
+			// A lane's ops follow one another: the rest of the block it
+			// was on, or the first op of its next block.
+			same := p.Stage == e.Stage && p.Iter == e.Iter
+			next := p.Stage < e.Stage || (p.Stage == e.Stage && p.Iter < e.Iter)
+			if (same && e.Op <= p.Op) || (!same && (!next || p.Op != Store || e.Op == Store)) {
+				return fmt.Errorf("lane %d: %v of stage %d iter %d after %v of stage %d iter %d",
+					e.Lane, e.Op, e.Stage, e.Iter, p.Op, p.Stage, p.Iter)
+			}
+		} else if e.Op == Store {
+			return fmt.Errorf("lane %d: starts with a store", e.Lane)
+		}
+		last[e.Lane] = e
+		if e.Op == Store && e.End.After(stageEnd[e.Stage]) {
+			stageEnd[e.Stage] = e.End
+		}
 	}
 	for s, n := range iters {
 		for i := 0; i < n; i++ {
-			for _, op := range []Op{Load, Compute, Store} {
-				if !seen[[3]int{s, i, int(op)}] {
-					return fmt.Errorf("stage %d: missing %v of iter %d", s, op, i)
-				}
+			c := done[slot{s, i}]
+			if c[Compute] != 1 || c[Store] != 1 {
+				return fmt.Errorf("stage %d: iter %d computed %d and stored %d times", s, i, c[Compute], c[Store])
 			}
+		}
+	}
+	for _, e := range r.Events() {
+		if e.Stage > 0 && e.Start.Before(stageEnd[e.Stage-1]) {
+			return fmt.Errorf("stage %d: %v of iter %d started before stage %d's last store ended",
+				e.Stage, e.Op, e.Iter, e.Stage-1)
 		}
 	}
 	return nil
 }
 
-// DrainCount returns the number of pipeline-drain steps: steps in which a
-// store ran but neither a load nor a compute did, i.e. steps where the
-// whole machine waits for write-back. A single fused stage graph drains
-// exactly once (its final store step); S unfused stages drain S times.
-func (r *Recorder) DrainCount() int {
-	n := 0
-	for _, evs := range r.ByStep() {
-		var load, comp, store bool
-		for _, e := range evs {
-			switch e.Op {
-			case Load:
-				load = true
-			case Compute:
-				comp = true
-			case Store:
-				store = true
-			}
-		}
-		if store && !load && !comp {
-			n++
-		}
+// share is lane l's range of n iterations over L lanes.
+func share(n, l, lanes int) (lo, hi int) {
+	base, rem := n/lanes, n%lanes
+	lo = l*base + min(l, rem)
+	hi = lo + base
+	if l < rem {
+		hi++
 	}
-	return n
-}
-
-// OverlapFraction estimates how much of the data-movement time can hide
-// under computation given the recorded schedule: per step it credits
-// min(dataDur, computeDur) as hidden and reports hidden / totalData.
-// 1 means every byte moved while compute ran; 0 means no step had both.
-func (r *Recorder) OverlapFraction() float64 {
-	byStep := r.ByStep()
-	var hidden, totalData time.Duration
-	for _, evs := range byStep {
-		var data, comp time.Duration
-		for _, e := range evs {
-			d := e.End.Sub(e.Start)
-			if e.Op == Compute {
-				comp += d
-			} else {
-				data += d
-			}
-		}
-		totalData += data
-		if data < comp {
-			hidden += data
-		} else {
-			hidden += comp
-		}
-	}
-	if totalData == 0 {
-		return 0
-	}
-	return float64(hidden) / float64(totalData)
+	return lo, hi
 }

@@ -6,8 +6,7 @@ import (
 )
 
 // SharedPlans is a bounded, reference-counted pool of FFT plans. Plans —
-// and with them their persistent worker teams, double buffers and twiddle
-// tables — are expensive to build and cheap to share: two callers asking
+// and with them their parked lanes, block buffers and twiddle tables — are expensive to build and cheap to share: two callers asking
 // for the same shape and options get the same underlying executor (all
 // entry points are concurrency-safe). The pool holds at most capacity
 // plans; the least recently used plan is evicted when a new shape would

@@ -10,7 +10,7 @@ func TestSharedPlans(t *testing.T) {
 	pool := NewSharedPlans(2)
 	defer pool.Close()
 
-	opts := []Option{WithWorkers(1, 1), WithBufferElems(1 << 10)}
+	opts := []Option{withLanes(1), WithBufferElems(1 << 10)}
 
 	a, err := pool.FFT2D(32, 32, opts...)
 	if err != nil {
@@ -63,7 +63,7 @@ func TestSharedPlans(t *testing.T) {
 func TestSharedPlansReal(t *testing.T) {
 	pool := NewSharedPlans(4)
 	defer pool.Close()
-	opts := []Option{WithWorkers(1, 1), WithBufferElems(1 << 10)}
+	opts := []Option{withLanes(1), WithBufferElems(1 << 10)}
 
 	a, err := pool.RealFFT2D(16, 32, opts...)
 	if err != nil {
