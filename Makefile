@@ -194,13 +194,19 @@ serveprobe:
 # real-input graphs: complex 256³, 4096², 2048² and 512², real 512×256×256
 # (real3d) and real 4096², forward and inverse on one lane, per stage the
 # load / compute / store milliseconds (µs resolution at 512², whose loads
-# read "folded": the first sweep reads the source, inside compute) from
+# read "folded": the first sweep reads the source, inside compute; so do
+# 256³'s and 4096²'s, whose codelets prefetch the next block) from
 # Observability() deltas, Σ legs beside the wall, and each stage's load +
 # store beside the same run's streamed copy of two arrays. Medians of 5 runs,
-# of 301 at 512² (a few seconds). Ungated like serveprobe; a hot-path PR
-# quotes its before/after table in EXPERIMENTS.md.
+# of 301 at 512² (a few seconds). Then the A/B of one lane's soft DMA: 256³
+# and 4096² forward and inverse walls of the product beside the same plans
+# under Ablation{CopyLoads: true} (copied loads, no prefetch), alternating
+# round trips in one test binary (BenchmarkCopyLoads, ≈ 1 GiB peak).
+# Ungated like serveprobe; a hot-path PR quotes its before/after table in
+# EXPERIMENTS.md.
 legprobe:
 	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -measured -legs -reps 5
+	GOMAXPROCS=1 $(GO) test ./internal/bench -run '^$$' -bench '^BenchmarkCopyLoads$$' -benchtime 1x
 
 # The same probe on two lanes beside one: at GOMAXPROCS = 2 every plan runs
 # two lanes, and each direction's line adds per lane its Σ legs and its

@@ -12,7 +12,6 @@ import (
 	"os"
 	"regexp"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -38,16 +37,18 @@ import (
 //
 //   - fwd / inv digests: always, per kernel tier (kernels.Tier(): the
 //     AVX2/FMA codelets and the pure-Go ones round differently, so each
-//     tier has its own pair; within a tier block sizes, fusion, folding
-//     and the store tier only re-partition the work). `-update` merges
-//     the running tier's digests into the file: run it once per tier. A
-//     host that sizes plans differently leaves the header and the graph
-//     text as they are.
-//   - describe: byte for byte when this host sizes plans like the host
-//     that wrote the file (same PreferredBufferElems and LLC; otherwise the
-//     comparison is logged and skipped). Hosts without the streaming-store
-//     tier (and every -tags purego build) never mark a stage `streaming`,
-//     so the marker is stripped from the golden text there. Rows flagged
+//     tier has its own pair; within a tier block sizes, fusion, folding,
+//     prefetching and the store tier only re-partition the work).
+//     `-update` merges the running tier's digests into the file: run it
+//     once per tier.
+//   - describe: byte for byte on every host. The cases build their plans
+//     sized as on the host that wrote the file — its buffer_elems and
+//     llc_bytes, through stagegraph.Ablation.Host — at a fixed lane count
+//     (one, or two for the unfused rows). Builds without the
+//     streaming-store tier (every -tags purego build) mark no stage
+//     `streaming` and give no stage one lane's soft DMA, so there the
+//     comparison masks the markers the footprint decides (streaming, a
+//     folded load, a prefetched next block) on both sides. Rows flagged
 //     depth_floor — the real-input plans, whose block sizers gained the
 //     pipeline-depth floor the complex plans always had — compare with the
 //     per-stage iteration and unit counts masked; the differences are
@@ -163,9 +164,9 @@ func runReal(cfg core.Config, dims ...int) (string, string, string, error) {
 
 // variant is one setting applied on top of the defaults: a μ or a lane
 // count through the configuration, or an oracle schedule through the one
-// seam that reaches them, stagegraph.Ablation, installed while the case
-// builds and runs its plan (the shard rows' loopback workers build theirs in
-// this process too).
+// seam that reaches them, stagegraph.Ablation, installed — with the golden
+// host's sizes — while the case builds and runs its plan (the shard rows'
+// loopback workers build theirs in this process too).
 type variant struct {
 	name        string
 	mu          int
@@ -187,14 +188,16 @@ var goldenVariants = []variant{
 	{name: "nt", ab: stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}, complexOnly: true},
 }
 
-func goldenCases() []goldenCase {
+func goldenCases(host stagegraph.HostSizes) []goldenCase {
 	var cases []goldenCase
 	for _, v := range goldenVariants {
 		v := v
+		ab := v.ab
+		ab.Host = host
 		add := func(name string, depthFloor bool, run func() (string, string, string, error)) {
 			cases = append(cases, goldenCase{name: name + "/" + v.name, depthFloor: depthFloor,
 				run: func() (string, string, string, error) {
-					defer stagegraph.SetAblation(v.ab)()
+					defer stagegraph.SetAblation(ab)()
 					return run()
 				}})
 		}
@@ -323,9 +326,10 @@ func runShard(k, n, m, workers int, copts shard.CoordinatorOptions) (string, str
 }
 
 var (
-	reIters    = regexp.MustCompile(`iters=\d+ *`)
-	reUnits    = regexp.MustCompile(`(load|store) \d+×`)
-	reSchedule = regexp.MustCompile(`(?m)^  (schedule|fill overhead):.*\n`)
+	reFootprint = regexp.MustCompile(`, (streaming|load folded into the first sweep|next block prefetched)`)
+	reIters     = regexp.MustCompile(`iters=\d+ *`)
+	reUnits     = regexp.MustCompile(`(load|store) \d+×`)
+	reSchedule  = regexp.MustCompile(`(?m)^  (schedule|fill overhead):.*\n`)
 )
 
 // maskDepth blanks what the pipeline-depth floor is allowed to move in a
@@ -353,32 +357,31 @@ func readGolden() (goldenFile, map[string]goldenRow, error) {
 	return g, rows, nil
 }
 
-// sameHost reports whether this host sizes plans like the one that wrote g.
-func sameHost(g goldenFile) bool {
-	return machine.PreferredBufferElems() == g.BufferElems && machine.HostLLCBytes() == g.LLCBytes
+// sizes is the host the file's graph text was sized on.
+func (g goldenFile) sizes() stagegraph.HostSizes {
+	return stagegraph.HostSizes{BufferElems: g.BufferElems, LLCBytes: g.LLCBytes}
 }
 
-// writeGolden merges this build's results into the file: the running
-// tier's digests always; the header and the graph text only from a host
-// that sizes plans like the file's (or when there is no file yet), and only
-// from a build that has the streaming-store tier (the other would drop the
-// `streaming` markers). A new row takes this build's graph text.
-func writeGolden(t *testing.T, cases []goldenCase) {
+// writeGolden merges this build's results into the file, built under its
+// header's sizes (this host's when there is no file yet): the running
+// tier's digests always; the graph text only from a build that has the
+// streaming-store tier (the other would drop the markers the footprint
+// decides). A new row takes this build's graph text.
+func writeGolden(t *testing.T) {
 	out, old, err := readGolden()
-	own := err != nil || sameHost(out)
-	if own {
+	if err != nil {
 		out.BufferElems, out.LLCBytes = machine.PreferredBufferElems(), machine.HostLLCBytes()
 	}
 	out.Rows = nil
 	tier := kernels.Tier()
-	for _, c := range cases {
+	for _, c := range goldenCases(out.sizes()) {
 		desc, fwd, inv, err := c.run()
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		row := old[c.name]
 		row.Name, row.DepthFloor = c.name, c.depthFloor
-		if (own && layout.NonTemporalAvailable()) || row.Describe == "" {
+		if layout.NonTemporalAvailable() || row.Describe == "" {
 			row.Describe = desc
 		}
 		if row.Digests == nil {
@@ -401,24 +404,19 @@ func writeGolden(t *testing.T, cases []goldenCase) {
 }
 
 func TestGolden(t *testing.T) {
-	cases := goldenCases()
 	if *updateGolden {
-		writeGolden(t, cases)
+		writeGolden(t)
 		return
 	}
 	want, rows, err := readGolden()
 	if err != nil {
 		t.Fatalf("%v (generate with: go test -run TestGolden -update .)", err)
 	}
+	cases := goldenCases(want.sizes())
 	if len(rows) != len(cases) {
 		t.Errorf("%s holds %d rows, the table has %d cases", goldenPath, len(rows), len(cases))
 	}
 	tier := kernels.Tier()
-	same := sameHost(want)
-	if !same {
-		t.Logf("host sizes plans differently (b=%d llc=%d, golden b=%d llc=%d): graph text not compared",
-			machine.PreferredBufferElems(), machine.HostLLCBytes(), want.BufferElems, want.LLCBytes)
-	}
 	for _, c := range cases {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
@@ -440,12 +438,10 @@ func TestGolden(t *testing.T) {
 			if inv != d[1] {
 				t.Errorf("inverse output bits changed: digest %s, golden %s", inv, d[1])
 			}
-			if !same {
-				return
-			}
 			wantDesc := w.Describe
 			if !layout.NonTemporalAvailable() {
-				wantDesc = strings.ReplaceAll(wantDesc, ", streaming", "")
+				desc = reFootprint.ReplaceAllString(desc, "")
+				wantDesc = reFootprint.ReplaceAllString(wantDesc, "")
 			}
 			if desc == wantDesc {
 				return

@@ -1,0 +1,76 @@
+package bench
+
+import (
+	"fmt"
+	"runtime/debug"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/fft1d"
+	"repro/internal/stagegraph"
+)
+
+// BenchmarkCopyLoads is the A/B of one lane's soft DMA that `make legprobe`
+// prints after the leg budget: for each of LegProbe's complex shapes whose
+// product graph prefetches (256³ and 4096², out of the LLC, at GOMAXPROCS =
+// 1), the product plan and the plan built under Ablation{CopyLoads: true} —
+// the load leg's copy kept and the codelets' prefetch off — run alternating
+// round trips on the same arrays, and the median forward and inverse walls
+// print side by side. A shape whose product does not prefetch (more than one
+// lane, a host without the streaming tier) prints that it has nothing to
+// compare.
+func BenchmarkCopyLoads(b *testing.B) {
+	const reps = 5
+	for _, dims := range [][]int{{256, 256, 256}, {4096, 4096}} {
+		b.Run(strings.Trim(strings.ReplaceAll(fmt.Sprint(dims), " ", "x"), "[]"), func(b *testing.B) {
+			debug.FreeOSMemory()
+			prod, err := core.NewPlan(core.Default(), false, dims...)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer prod.Close()
+			if !strings.Contains(prod.DescribeGraph(), "next block prefetched") {
+				fmt.Printf("copyloads %v: the product does not prefetch here (%d lane(s)): nothing to compare\n",
+					dims, core.Default().Lanes)
+				return
+			}
+			restore := stagegraph.SetAblation(stagegraph.Ablation{CopyLoads: true})
+			cl, err := core.NewPlan(core.Default(), false, dims...)
+			restore()
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer cl.Close()
+			n := prod.Len()
+			x, y := make([]complex128, n), make([]complex128, n)
+			for i := range x {
+				x[i] = complex(float64(i%17)-8, float64(i%13)-6)
+			}
+			var walls [2][2][]float64    // plan (product, copyloads) × direction
+			for r := -1; r < reps; r++ { // round -1 faults the arrays in, untimed
+				for k, p := range []*core.Plan{prod, cl} {
+					t0 := time.Now()
+					if err := p.Transform(y, x, fft1d.Forward); err != nil {
+						b.Fatal(err)
+					}
+					t1 := time.Now()
+					if err := p.Inverse(x, y); err != nil {
+						b.Fatal(err)
+					}
+					if r >= 0 {
+						walls[k][0] = append(walls[k][0], ms(t1.Sub(t0)))
+						walls[k][1] = append(walls[k][1], ms(time.Since(t1)))
+					}
+				}
+			}
+			line := fmt.Sprintf("copyloads %v: median of %d alternating round trips, product vs Ablation{CopyLoads: true}:", dims, reps)
+			for d, name := range []string{"fwd", "inv"} {
+				p, c := median(walls[0][d]), median(walls[1][d])
+				line += fmt.Sprintf(" %s %.1f vs %.1f ms (%.2f×)", name, p, c, p/c)
+			}
+			fmt.Println(line)
+		})
+	}
+}

@@ -331,6 +331,12 @@ var oraclePaths = []path{
 		}},
 	{name: "streaming", ab: stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}, runs: graphed, differs: streams,
 		check: checkStreaming},
+	// One lane with streaming stores is one lane's soft DMA on every complex
+	// graph: each stage's load folded into the first sweep, its next block
+	// prefetched by the codelets.
+	{name: "streaming/lanes1", ab: stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal},
+		cfg:     func(c *core.Config) { c.Lanes = 1 },
+		differs: func(pr *product) bool { return graphed(pr.s) && streams(pr) }, check: checkSoftDMA},
 	{name: "copyloads", ab: stagegraph.Ablation{CopyLoads: true}, runs: graphed, differs: productHas("load folded"),
 		check: func(t *testing.T, pr *product, p *core.Plan) {
 			if strings.Contains(p.DescribeGraph(), "load folded") {
@@ -594,6 +600,29 @@ func served(alias bool) func(*testing.T, *product) (exec, *core.Plan) {
 				return out
 			})
 		}, nil
+	}
+}
+
+// checkSoftDMA: on one lane with forced streaming stores, every stage of a
+// complex graph folds its load and prefetches its next block where the host
+// has the streaming tier, and no stage of a real graph prefetches.
+func checkSoftDMA(t *testing.T, pr *product, p *core.Plan) {
+	if !graphed(pr.s) {
+		return
+	}
+	checkStreaming(t, pr, p)
+	if n := len(p.Observability().Lanes); n != 1 {
+		t.Errorf("the plan ran %d lanes, want 1", n)
+	}
+	desc, want := p.DescribeGraph(), 0
+	if !pr.s.Real && layout.NonTemporalAvailable() {
+		want = len(p.Observability().Stages)
+		if n := strings.Count(desc, "load folded"); n != want {
+			t.Errorf("%d stages fold their loads, want %d:\n%s", n, want, desc)
+		}
+	}
+	if n := strings.Count(desc, "next block prefetched"); n != want {
+		t.Errorf("%d stages prefetch their next block, want %d:\n%s", n, want, desc)
 	}
 }
 

@@ -313,6 +313,26 @@ func (p *Plan) FoldRadix() int {
 	return 0
 }
 
+// Bodies reports how many butterfly bodies the codelets run on a batch of
+// count lane groups (DFT_n ⊗ I_mu) — the times they advance the arena's
+// prefetch cursor — through the whole chain, or through its fold prefix
+// (BatchLanesPrefixArena) when prefix is set. Generic stages run none.
+func (p *Plan) Bodies(count, mu int, prefix bool) int {
+	t := len(p.stages)
+	if prefix {
+		t--
+	}
+	n1, s, b := p.n, mu, 0
+	for _, st := range p.stages[:t] {
+		m := n1 / st.r
+		if !st.generic() {
+			b += kernels.Bodies(st.r, m, s)
+		}
+		n1, s = m, s*st.r
+	}
+	return count * b
+}
+
 // arenaPool backs the arena-less entry points (Transform, InPlace, Lanes,
 // Strided). Plans are cached process-wide in planCache and shared between
 // callers, so scratch cannot live unsynchronized on the Plan; the executor

@@ -60,7 +60,8 @@ func pencilMajor(pencils, stride int) bool {
 // calls either way, and from either source, so the bits depend on neither.
 // Ping-pong parity lands the final stage in x; with an odd stage count an
 // in-place group starts from a scratch copy so no stage reads the half it
-// is writing.
+// is writing. Every codelet advances the arena's prefetch cursor; the
+// generic stages (step) ignore it.
 func (p *Plan) run(x, src []complex128, pencils, mu, sign, t int, ar *kernels.Arena) {
 	tw := p.twiddles(sign)
 	stride := p.n * mu
@@ -90,17 +91,10 @@ func (p *Plan) run(x, src []complex128, pencils, mu, sign, t int, ar *kernels.Ar
 				out = scratch
 			}
 			m := n1 / st.r
-			switch {
-			case st.generic():
+			if st.generic() {
 				st.step(out, cur, group, stride, m, s, sign, tw[i].generic, ar)
-			case st.r == 16:
-				kernels.BatchRadix16Step(out, cur, group, stride, m, s, sign, tw[i].codelet)
-			case st.r == 8:
-				kernels.BatchRadix8Step(out, cur, group, stride, m, s, sign, tw[i].codelet)
-			case st.r == 4:
-				kernels.BatchRadix4Step(out, cur, group, stride, m, s, sign, tw[i].codelet)
-			default:
-				kernels.BatchRadix2Step(out, cur, group, stride, m, s, tw[i].codelet)
+			} else {
+				kernels.BatchStep(st.r, out, cur, group, stride, m, s, sign, tw[i].codelet, &ar.Prefetch)
 			}
 			cur = out
 			n1 = m

@@ -12,10 +12,16 @@ package kernels
 // outstanding scratch stays valid across growth. Growth therefore only
 // happens while a plan warms up; the steady state never allocates.
 //
+// The arena also carries the lane's prefetch cursor: what the codelets of
+// the compute op it serves ask for while they run (Prefetch). It is empty
+// unless the op's caller set it.
+//
 // An Arena is not safe for concurrent use; ownership is per worker.
 type Arena struct {
 	c    []complex128
 	cOff int
+	// Prefetch is the cursor fft1d hands every codelet it runs on this arena.
+	Prefetch Prefetch
 }
 
 // NewArena returns an arena pre-sized to complexElems (zero is fine; the

@@ -185,8 +185,9 @@ func kernelConsts(g *gen, width int) {
 //	DX  p (block index); CX q countdown
 //	R8  p16 = 16*p (twiddle offset, recomputed each row)
 //	R10 sm16 = 16*s*m   R11 = 3*sm16   (x-leg strides)
-//	R12 s16  = 16*s     R13 = 3*s16    (y-leg strides)
-//	R9  (r-1)*s16 row advance for DI
+//	R12 s16  = 16*s     R13 = 3*s16    (y-leg strides; DI's row advance
+//	    (r-1)*s16 is R13 at radix 4, recomputed in AX at radix 8)
+//	R9  the prefetch cursor's next (cursor)
 //	BX  twiddle pointer struct; AX, R15 scratch
 //
 // Pairs variants (s==1): R10 = 16*m, legs addressed identically; stores
@@ -426,14 +427,54 @@ func body8(g *gen, radix int, m mode, tw twiddleInter, store storeInter, leaYE b
 	}
 }
 
+// cursor is the soft-DMA prefetch cursor every radix-4/8/16 codelet takes
+// by value after its twiddle block, pf = {next, end, step}, at FP offset
+// off, returning where it left next. Before each butterfly body the codelet
+// asks for the bytes [next, min(next+step, end)) with PREFETCHT2, one 64-byte
+// line at a time, and moves next to that bound, so a call of i bodies ends
+// with next = min(end, next+i·step). An empty cursor (next ≥ end; the zero
+// value) costs one compare a body. next lives in R9 for the whole call, end
+// and step stay in the argument block, and AX walks the lines: every body
+// sets AX before it reads it. The prefetches change no arithmetic.
+type cursor struct{ off int }
+
+func (c cursor) load(g *gen) { g.op("MOVQ pf_next+%d(FP), R9", c.off) }
+
+// ask emits one body's prefetch; label names its two jump targets.
+func (c cursor) ask(g *gen, label string) {
+	end := fmt.Sprintf("pf_end+%d(FP)", c.off+8)
+	g.op("CMPQ R9, %s", end)
+	g.op("JAE %s_pfd", label)
+	g.op("MOVQ R9, AX")
+	g.op("ADDQ pf_step+%d(FP), R9", c.off+16)
+	g.op("CMPQ R9, %s", end)
+	g.op("JBE %s_pf", label)
+	g.op("MOVQ %s, R9", end)
+	g.label(label + "_pf")
+	g.op("PREFETCHT2 (AX)")
+	g.op("ADDQ $64, AX")
+	g.op("CMPQ AX, R9")
+	g.op("JB %s_pf", label)
+	g.label(label + "_pfd")
+}
+
+func (c cursor) ret(g *gen) { g.op("MOVQ R9, ret+%d(FP)", c.off+24) }
+
+// The cursor's place in the argument blocks of the strided and the pairs
+// codelets.
+var (
+	stridedPF = cursor{off: 48}
+	pairsPF   = cursor{off: 40}
+)
+
 // emitInterKernel writes one TEXT symbol for a strided radix-4 or radix-8
 // kernel: wide.step/16 q elements per iteration, then (when tail is set) one
 // XMM iteration for an odd stride. Without a tail the caller guarantees s is
 // a multiple of the wide step.
 func emitInterKernel(g *gen, name string, radix int, wide mode, tail bool) {
 	per := wide.step / 16
-	g.ln("// func %s(dst, src *complex128, m, s int, jim float64, tw *twiddlePtrs)", name)
-	g.ln("TEXT ·%s(SB), NOSPLIT, $%d-48", name, frame8(radix, wide))
+	g.ln("// func %s(dst, src *complex128, m, s int, jim float64, tw *twiddlePtrs, pf Prefetch) uintptr", name)
+	g.ln("TEXT ·%s(SB), NOSPLIT, $%d-80", name, frame8(radix, wide))
 	g.op("MOVQ dst+0(FP), DI")
 	g.op("MOVQ src+8(FP), SI")
 	g.op("MOVQ s+24(FP), R12")
@@ -442,14 +483,8 @@ func emitInterKernel(g *gen, name string, radix int, wide mode, tail bool) {
 	g.op("IMULQ R12, R10") // sm16
 	g.op("LEAQ (R10)(R10*2), R11")
 	g.op("LEAQ (R12)(R12*2), R13")
-	if radix == 4 {
-		g.op("MOVQ R13, R9") // (r-1)*s16
-	} else {
-		g.op("MOVQ R12, R9")
-		g.op("SHLQ $3, R9")
-		g.op("SUBQ R12, R9")
-	}
 	g.op("MOVQ tw+40(FP), BX")
+	stridedPF.load(g)
 	g.op("VBROADCASTSD jim+32(FP), %s", wide.r(15))
 	g.op("VXORPD signEven<>(SB), %s, %s", wide.r(15), wide.r(15)) // jimalt
 	if radix == 8 {
@@ -474,6 +509,7 @@ func emitInterKernel(g *gen, name string, radix int, wide mode, tail bool) {
 	} else {
 		g.op("JL %s_row", name)
 	}
+	stridedPF.ask(g, name+"_w")
 	body8(g, radix, wide, tw, indexStore, true)
 	g.op("SUBQ $%d, CX", per)
 	g.op("JMP %s_q", name)
@@ -481,13 +517,23 @@ func emitInterKernel(g *gen, name string, radix int, wide mode, tail bool) {
 		g.label(name + "_qt")
 		g.op("TESTQ CX, CX")
 		g.op("JZ %s_row", name)
+		stridedPF.ask(g, name+"_t")
 		body8(g, radix, tail128, tw, indexStore, true)
 	}
 	g.label(name + "_row")
-	g.op("ADDQ R9, DI")
+	g.comment("row advance: DI += (r-1)*s16")
+	if radix == 4 {
+		g.op("ADDQ R13, DI")
+	} else {
+		g.op("MOVQ R12, AX")
+		g.op("SHLQ $3, AX")
+		g.op("SUBQ R12, AX")
+		g.op("ADDQ AX, DI")
+	}
 	g.op("INCQ DX")
 	g.op("JMP %s_p", name)
 	g.label(name + "_done")
+	stridedPF.ret(g)
 	g.op("VZEROUPPER")
 	g.op("RET")
 	g.ln("")
@@ -499,14 +545,15 @@ func emitInterKernel(g *gen, name string, radix int, wide mode, tail bool) {
 // guarantees m is a multiple of the wide step.
 func emitPairsKernel(g *gen, name string, radix int, wide mode, tail bool) {
 	per := wide.step / 16
-	g.ln("// func %s(dst, src *complex128, m int, jim float64, tw *twiddlePtrs)", name)
-	g.ln("TEXT ·%s(SB), NOSPLIT, $%d-40", name, frame8(radix, wide))
+	g.ln("// func %s(dst, src *complex128, m int, jim float64, tw *twiddlePtrs, pf Prefetch) uintptr", name)
+	g.ln("TEXT ·%s(SB), NOSPLIT, $%d-72", name, frame8(radix, wide))
 	g.op("MOVQ dst+0(FP), DI")
 	g.op("MOVQ src+8(FP), SI")
 	g.op("MOVQ m+16(FP), R10")
 	g.op("SHLQ $4, R10") // 16*m (s==1 collapses sm16 to this)
 	g.op("LEAQ (R10)(R10*2), R11")
 	g.op("MOVQ tw+32(FP), BX")
+	pairsPF.load(g)
 	g.op("VBROADCASTSD jim+24(FP), %s", wide.r(15))
 	g.op("VXORPD signEven<>(SB), %s, %s", wide.r(15), wide.r(15))
 	if radix == 8 {
@@ -529,6 +576,7 @@ func emitPairsKernel(g *gen, name string, radix int, wide mode, tail bool) {
 	}
 	g.op("MOVQ DX, R8")
 	g.op("SHLQ $4, R8")
+	pairsPF.ask(g, name+"_w")
 	if wide.pfx == "Z" {
 		body8(g, radix, pm, pairTw, heldStore(hold8), false)
 		flushHeld(g, radix, pm.step, hold8)
@@ -549,9 +597,11 @@ func emitPairsKernel(g *gen, name string, radix int, wide mode, tail bool) {
 		g.op("JZ %s_done", name)
 		g.op("MOVQ DX, R8")
 		g.op("SHLQ $4, R8")
+		pairsPF.ask(g, name+"_t")
 		body8(g, radix, tm, pairTw, store, false)
 	}
 	g.label(name + "_done")
+	pairsPF.ret(g)
 	g.op("VZEROUPPER")
 	g.op("RET")
 	g.ln("")
@@ -575,8 +625,8 @@ func emitPairsKernel(g *gen, name string, radix int, wide mode, tail bool) {
 //
 //	R15 pass-A column cursor (SI + kB*sm16); free again in pass B, where
 //	    lazyTw reuses it
-//	R9  12*s16 (store leg stride; the radix-4/8 row-advance role of R9 is
-//	    recomputed in AX at row end instead)
+//	R13 12*s16 (store leg stride; the radix-4/8 3*s16 is not needed, and
+//	    DI's row advance is recomputed in AX at row end)
 //	AX  pass-B store base DI + jA*s16 (non-pairs only)
 //	Y12 sinPi8  Y13 cosPi8  Y14 sqrtHalf  Y15 jimalt
 // ---------------------------------------------------------------------------
@@ -636,7 +686,7 @@ func rot16(g *gen, m mode, reg, e int) {
 
 // store16: output leg k at AX + (k/4)*4*s16, where the radix16Body set
 // AX = DI + (k%4)*s16 for the current pass-B group (k%4 == jA is
-// constant within a dft4Inter call). R9 holds 12*s16.
+// constant within a dft4Inter call). R13 holds 12*s16.
 func store16(g *gen, m mode, k int, reg string) {
 	switch k >> 2 {
 	case 0:
@@ -646,7 +696,7 @@ func store16(g *gen, m mode, k int, reg string) {
 	case 2:
 		g.op("%s %s, (AX)(R12*8)", movOp, reg)
 	case 3:
-		g.op("%s %s, (AX)(R9*1)", movOp, reg)
+		g.op("%s %s, (AX)(R13*1)", movOp, reg)
 	}
 }
 
@@ -721,8 +771,8 @@ func emit16Consts(g *gen, wide mode, jimArg string) {
 // wide step.
 func emitInterKernel16(g *gen, name string, wide mode, tail bool) {
 	per := wide.step / 16
-	g.ln("// func %s(dst, src *complex128, m, s int, jim float64, tw *twiddle16Ptrs)", name)
-	g.ln("TEXT ·%s(SB), NOSPLIT, $%d-48", name, frame16(wide))
+	g.ln("// func %s(dst, src *complex128, m, s int, jim float64, tw *twiddle16Ptrs, pf Prefetch) uintptr", name)
+	g.ln("TEXT ·%s(SB), NOSPLIT, $%d-80", name, frame16(wide))
 	g.op("MOVQ dst+0(FP), DI")
 	g.op("MOVQ src+8(FP), SI")
 	g.op("MOVQ s+24(FP), R12")
@@ -730,10 +780,11 @@ func emitInterKernel16(g *gen, name string, wide mode, tail bool) {
 	g.op("MOVQ m+16(FP), R10")
 	g.op("IMULQ R12, R10") // sm16
 	g.op("LEAQ (R10)(R10*2), R11")
-	g.op("MOVQ R12, R9")
-	g.op("SHLQ $2, R9")
-	g.op("LEAQ (R9)(R9*2), R9") // 12*s16
+	g.op("MOVQ R12, R13")
+	g.op("SHLQ $2, R13")
+	g.op("LEAQ (R13)(R13*2), R13") // 12*s16
 	g.op("MOVQ tw+40(FP), BX")
+	stridedPF.load(g)
 	emit16Consts(g, wide, "jim+32(FP)")
 	g.op("XORQ DX, DX")
 	g.label(name + "_p")
@@ -749,6 +800,7 @@ func emitInterKernel16(g *gen, name string, wide mode, tail bool) {
 	} else {
 		g.op("JL %s_row", name)
 	}
+	stridedPF.ask(g, name+"_w")
 	radix16Body(g, wide, lazyTw, store16, true)
 	g.op("SUBQ $%d, CX", per)
 	g.op("JMP %s_q", name)
@@ -756,6 +808,7 @@ func emitInterKernel16(g *gen, name string, wide mode, tail bool) {
 		g.label(name + "_qt")
 		g.op("TESTQ CX, CX")
 		g.op("JZ %s_row", name)
+		stridedPF.ask(g, name+"_t")
 		radix16Body(g, tail128, lazyTw, store16, true)
 	}
 	g.label(name + "_row")
@@ -767,6 +820,7 @@ func emitInterKernel16(g *gen, name string, wide mode, tail bool) {
 	g.op("INCQ DX")
 	g.op("JMP %s_p", name)
 	g.label(name + "_done")
+	stridedPF.ret(g)
 	g.op("VZEROUPPER")
 	g.op("RET")
 	g.ln("")
@@ -779,14 +833,15 @@ func emitInterKernel16(g *gen, name string, wide mode, tail bool) {
 // multiple of the wide step.
 func emitPairsKernel16(g *gen, name string, wide mode, tail bool) {
 	per := wide.step / 16
-	g.ln("// func %s(dst, src *complex128, m int, jim float64, tw *twiddle16Ptrs)", name)
-	g.ln("TEXT ·%s(SB), NOSPLIT, $%d-40", name, frame16(wide))
+	g.ln("// func %s(dst, src *complex128, m int, jim float64, tw *twiddle16Ptrs, pf Prefetch) uintptr", name)
+	g.ln("TEXT ·%s(SB), NOSPLIT, $%d-72", name, frame16(wide))
 	g.op("MOVQ dst+0(FP), DI")
 	g.op("MOVQ src+8(FP), SI")
 	g.op("MOVQ m+16(FP), R10")
 	g.op("SHLQ $4, R10") // 16*m
 	g.op("LEAQ (R10)(R10*2), R11")
 	g.op("MOVQ tw+32(FP), BX")
+	pairsPF.load(g)
 	emit16Consts(g, wide, "jim+24(FP)")
 	g.op("XORQ DX, DX")
 	pm := wide
@@ -805,6 +860,7 @@ func emitPairsKernel16(g *gen, name string, wide mode, tail bool) {
 	}
 	g.op("MOVQ DX, R8")
 	g.op("SHLQ $4, R8")
+	pairsPF.ask(g, name+"_w")
 	if wide.pfx == "Z" {
 		radix16Body(g, pm, pairTw, heldStore(hold16), false)
 		flushHeld(g, 16, pm.step, hold16)
@@ -825,9 +881,11 @@ func emitPairsKernel16(g *gen, name string, wide mode, tail bool) {
 		g.op("JZ %s_done", name)
 		g.op("MOVQ DX, R8")
 		g.op("SHLQ $4, R8")
+		pairsPF.ask(g, name+"_t")
 		radix16Body(g, tm, pairTw, store, false)
 	}
 	g.label(name + "_done")
+	pairsPF.ret(g)
 	g.op("VZEROUPPER")
 	g.op("RET")
 	g.ln("")

@@ -51,38 +51,46 @@ func firstBitDiff(a, b []complex128) int {
 	return -1
 }
 
-// asmStep runs the radix-8 or radix-16 assembly kernel of the given width
-// (256 or 512) directly — the pairs form when s == 1 — bypassing dispatch, so
-// the AVX2 kernels stay covered on hosts where dispatch prefers 512-bit.
-func asmStep(radix, width int, dst, src []complex128, m, s, sign int, tw StageTwiddles) {
-	jim := jimFor(sign)
+// asmStep runs the radix-4, -8 or -16 assembly kernel of the given width
+// (256 or 512; radix 4 has only 256) directly — the pairs form when s == 1 —
+// bypassing dispatch, so the AVX2 kernels stay covered on hosts where
+// dispatch prefers 512-bit. The kernel advances the prefetch cursor pf (nil:
+// none).
+func asmStep(radix, width int, dst, src []complex128, m, s, sign int, tw StageTwiddles, pf *Prefetch) {
+	jim, c := jimFor(sign), pf.cursor()
 	if radix == 16 {
 		tp := tw.ptrs16()
 		switch {
 		case width == 512 && s == 1:
-			radix16PairsAVX512(&dst[0], &src[0], m, jim, &tp)
+			pf.advance(radix16PairsAVX512(&dst[0], &src[0], m, jim, &tp, c))
 		case width == 512:
-			radix16AVX512(&dst[0], &src[0], m, s, jim, &tp)
+			pf.advance(radix16AVX512(&dst[0], &src[0], m, s, jim, &tp, c))
 		case s == 1:
-			radix16PairsAVX2(&dst[0], &src[0], m, jim, &tp)
+			pf.advance(radix16PairsAVX2(&dst[0], &src[0], m, jim, &tp, c))
 		default:
-			radix16AVX2(&dst[0], &src[0], m, s, jim, &tp)
+			pf.advance(radix16AVX2(&dst[0], &src[0], m, s, jim, &tp, c))
 		}
 		return
 	}
-	tp := twiddlePtrs{
-		w1: &tw.W1[0], w2: &tw.W2[0], w3: &tw.W3[0], w4: &tw.W4[0],
-		w5: &tw.W5[0], w6: &tw.W6[0], w7: &tw.W7[0],
+	tp := twiddlePtrs{w1: &tw.W1[0], w2: &tw.W2[0], w3: &tw.W3[0]}
+	if radix == 4 {
+		if s == 1 {
+			pf.advance(radix4PairsAVX2(&dst[0], &src[0], m, jim, &tp, c))
+		} else {
+			pf.advance(radix4AVX2(&dst[0], &src[0], m, s, jim, &tp, c))
+		}
+		return
 	}
+	tp.w4, tp.w5, tp.w6, tp.w7 = &tw.W4[0], &tw.W5[0], &tw.W6[0], &tw.W7[0]
 	switch {
 	case width == 512 && s == 1:
-		radix8PairsAVX512(&dst[0], &src[0], m, jim, &tp)
+		pf.advance(radix8PairsAVX512(&dst[0], &src[0], m, jim, &tp, c))
 	case width == 512:
-		radix8AVX512(&dst[0], &src[0], m, s, jim, &tp)
+		pf.advance(radix8AVX512(&dst[0], &src[0], m, s, jim, &tp, c))
 	case s == 1:
-		radix8PairsAVX2(&dst[0], &src[0], m, jim, &tp)
+		pf.advance(radix8PairsAVX2(&dst[0], &src[0], m, jim, &tp, c))
 	default:
-		radix8AVX2(&dst[0], &src[0], m, s, jim, &tp)
+		pf.advance(radix8AVX2(&dst[0], &src[0], m, s, jim, &tp, c))
 	}
 }
 
@@ -113,8 +121,8 @@ func wideMatchesAVX2(t *testing.T, radix int, shapes [][2]int, r *rand.Rand) {
 			copy(src, randComplex(r, n))
 			want, wantIntact := guarded(n)
 			got, gotIntact := guarded(n)
-			asmStep(radix, 256, want, src, m, s, sign, tw)
-			asmStep(radix, 512, got, src, m, s, sign, tw)
+			asmStep(radix, 256, want, src, m, s, sign, tw, nil)
+			asmStep(radix, 512, got, src, m, s, sign, tw, nil)
 			if i := firstBitDiff(got, want); i >= 0 {
 				t.Errorf("radix-%d m=%d s=%d sign=%d: element %d differs: 512-bit %v, AVX2 %v", radix, m, s, sign, i, got[i], want[i])
 			}
@@ -181,11 +189,11 @@ func dispatchFollowsWidth(t *testing.T, radix int, step func(dst, src []complex1
 	t.Helper()
 	defer SetForceGeneric(false)
 	for _, c := range dispatchWidths {
-		if got := stepWidth(c.m, c.s); got != c.want {
+		if got := stepWidth(radix, c.m, c.s); got != c.want {
 			t.Errorf("stepWidth(m=%d, s=%d) = %d, want %d", c.m, c.s, got, c.want)
 		}
 		SetForceGeneric(true)
-		if got := stepWidth(c.m, c.s); got != 0 {
+		if got := stepWidth(radix, c.m, c.s); got != 0 {
 			t.Errorf("forced generic: stepWidth(m=%d, s=%d) = %d, want 0", c.m, c.s, got)
 		}
 		SetForceGeneric(false)
@@ -195,7 +203,7 @@ func dispatchFollowsWidth(t *testing.T, radix int, step func(dst, src []complex1
 		src := randComplex(rand.New(rand.NewSource(int64(n))), n)
 		got, want := make([]complex128, n), make([]complex128, n)
 		step(got, src, c.m, c.s, Forward, tw)
-		asmStep(radix, 256, want, src, c.m, c.s, Forward, tw)
+		asmStep(radix, 256, want, src, c.m, c.s, Forward, tw, nil)
 		if i := firstBitDiff(got, want); i >= 0 {
 			t.Errorf("radix-%d m=%d s=%d: dispatched output differs from the AVX2 kernel at element %d", radix, c.m, c.s, i)
 		}

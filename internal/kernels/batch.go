@@ -15,40 +15,40 @@ package kernels
 // Each pencil occupies `stride` consecutive elements (stride = n·s for a
 // DFT_n ⊗ I_s lane group); pencil c of dst/src starts at offset c·stride.
 
-// BatchRadix2Step applies one Stockham radix-2 stage to `pencils`
-// independent pencils. m and s are per-pencil stage parameters as in
-// Radix2Step; stride is the per-pencil element count (2·m·s).
-func BatchRadix2Step(dst, src []complex128, pencils, stride, m, s int, tw StageTwiddles) {
+// BatchStep applies one Stockham stage of radix r (2, 4, 8 or fused 16) to
+// `pencils` independent pencils of stride elements each (stride = r·m·s),
+// with m and s the per-pencil stage parameters of the RadixStep kernels.
+// The codelets advance the prefetch cursor pf (nil: none) across the
+// pencils; radix 2 runs in Go and ignores it, as does a radix-2 stage's sign.
+func BatchStep(r int, dst, src []complex128, pencils, stride, m, s, sign int, tw StageTwiddles, pf *Prefetch) {
 	for c := 0; c < pencils; c++ {
 		o := c * stride
-		Radix2Step(dst[o:o+stride], src[o:o+stride], m, s, tw)
+		d, x := dst[o:o+stride], src[o:o+stride]
+		switch r {
+		case 16:
+			radix16Step(d, x, m, s, sign, &tw, pf)
+		case 8:
+			radix8Step(d, x, m, s, sign, &tw, pf)
+		case 4:
+			radix4Step(d, x, m, s, sign, &tw, pf)
+		default:
+			Radix2Step(d, x, m, s, tw)
+		}
 	}
 }
 
-// BatchRadix4Step applies one Stockham radix-4 stage to `pencils`
-// independent pencils of stride elements each (stride = 4·m·s).
+// BatchRadix4Step is BatchStep at radix 4 with no prefetch cursor.
 func BatchRadix4Step(dst, src []complex128, pencils, stride, m, s, sign int, tw StageTwiddles) {
-	for c := 0; c < pencils; c++ {
-		o := c * stride
-		Radix4Step(dst[o:o+stride], src[o:o+stride], m, s, sign, tw)
-	}
+	BatchStep(4, dst, src, pencils, stride, m, s, sign, tw, nil)
 }
 
-// BatchRadix8Step applies one Stockham radix-8 stage to `pencils`
-// independent pencils of stride elements each (stride = 8·m·s).
+// BatchRadix8Step is BatchStep at radix 8 with no prefetch cursor.
 func BatchRadix8Step(dst, src []complex128, pencils, stride, m, s, sign int, tw StageTwiddles) {
-	for c := 0; c < pencils; c++ {
-		o := c * stride
-		Radix8Step(dst[o:o+stride], src[o:o+stride], m, s, sign, tw)
-	}
+	BatchStep(8, dst, src, pencils, stride, m, s, sign, tw, nil)
 }
 
-// BatchRadix16Step applies one fused radix-16 stage (two radix-4 rank stages
-// in registers) to `pencils` independent pencils of stride elements each
-// (stride = 16·m·s).
+// BatchRadix16Step is BatchStep at fused radix 16 (two radix-4 rank stages
+// in registers) with no prefetch cursor.
 func BatchRadix16Step(dst, src []complex128, pencils, stride, m, s, sign int, tw StageTwiddles) {
-	for c := 0; c < pencils; c++ {
-		o := c * stride
-		Radix16Step(dst[o:o+stride], src[o:o+stride], m, s, sign, tw)
-	}
+	BatchStep(16, dst, src, pencils, stride, m, s, sign, tw, nil)
 }

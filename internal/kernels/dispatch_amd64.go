@@ -62,40 +62,42 @@ type twiddle16Ptrs struct {
 }
 
 // Generated by `go run ./internal/kernels/asm` (make asmgen); see
-// radix_avx2_amd64.s.
+// radix_avx2_amd64.s. Every radix-4/8/16 codelet advances the prefetch
+// cursor pf before each butterfly body and returns where it left pf.next
+// (Prefetch).
 //
 //go:noescape
-func radix4AVX2(dst, src *complex128, m, s int, jim float64, tw *twiddlePtrs)
+func radix4AVX2(dst, src *complex128, m, s int, jim float64, tw *twiddlePtrs, pf Prefetch) uintptr
 
 //go:noescape
-func radix4PairsAVX2(dst, src *complex128, m int, jim float64, tw *twiddlePtrs)
+func radix4PairsAVX2(dst, src *complex128, m int, jim float64, tw *twiddlePtrs, pf Prefetch) uintptr
 
 //go:noescape
-func radix8AVX2(dst, src *complex128, m, s int, jim float64, tw *twiddlePtrs)
+func radix8AVX2(dst, src *complex128, m, s int, jim float64, tw *twiddlePtrs, pf Prefetch) uintptr
 
 //go:noescape
-func radix8PairsAVX2(dst, src *complex128, m int, jim float64, tw *twiddlePtrs)
+func radix8PairsAVX2(dst, src *complex128, m int, jim float64, tw *twiddlePtrs, pf Prefetch) uintptr
 
 //go:noescape
-func radix16AVX2(dst, src *complex128, m, s int, jim float64, tw *twiddle16Ptrs)
+func radix16AVX2(dst, src *complex128, m, s int, jim float64, tw *twiddle16Ptrs, pf Prefetch) uintptr
 
 //go:noescape
-func radix16PairsAVX2(dst, src *complex128, m int, jim float64, tw *twiddle16Ptrs)
+func radix16PairsAVX2(dst, src *complex128, m int, jim float64, tw *twiddle16Ptrs, pf Prefetch) uintptr
 
 // Generated into radix_avx512_amd64.s. Contract beyond the AVX2 kernels':
 // s%4 == 0 (strided) or m%4 == 0 (pairs) — there is no narrower tail.
 //
 //go:noescape
-func radix8AVX512(dst, src *complex128, m, s int, jim float64, tw *twiddlePtrs)
+func radix8AVX512(dst, src *complex128, m, s int, jim float64, tw *twiddlePtrs, pf Prefetch) uintptr
 
 //go:noescape
-func radix8PairsAVX512(dst, src *complex128, m int, jim float64, tw *twiddlePtrs)
+func radix8PairsAVX512(dst, src *complex128, m int, jim float64, tw *twiddlePtrs, pf Prefetch) uintptr
 
 //go:noescape
-func radix16AVX512(dst, src *complex128, m, s int, jim float64, tw *twiddle16Ptrs)
+func radix16AVX512(dst, src *complex128, m, s int, jim float64, tw *twiddle16Ptrs, pf Prefetch) uintptr
 
 //go:noescape
-func radix16PairsAVX512(dst, src *complex128, m int, jim float64, tw *twiddle16Ptrs)
+func radix16PairsAVX512(dst, src *complex128, m int, jim float64, tw *twiddle16Ptrs, pf Prefetch) uintptr
 
 //go:noescape
 func radix4FoldLegAVX2(dst, z0, z1, z2, z3 *complex128, n, leg int, jim float64)
@@ -147,16 +149,21 @@ func jimFor(sign int) float64 {
 // AVX2/FMA codelet when available, with the s==1 (final-stage)
 // specialisation that processes butterfly pairs from contiguous memory.
 func Radix4Step(dst, src []complex128, m, s, sign int, tw StageTwiddles) {
-	if !useAVX2 || m <= 0 || s <= 0 || len(dst) < 4*m*s || len(src) < 4*m*s || len(tw.W1) < m {
-		Radix4StepGeneric(dst, src, m, s, sign, tw)
+	radix4Step(dst, src, m, s, sign, &tw, nil)
+}
+
+// radix4Step is Radix4Step advancing the prefetch cursor pf (nil: none).
+func radix4Step(dst, src []complex128, m, s, sign int, tw *StageTwiddles, pf *Prefetch) {
+	if stepWidth(4, m, s) == 0 || len(dst) < 4*m*s || len(src) < 4*m*s || len(tw.W1) < m {
+		Radix4StepGeneric(dst, src, m, s, sign, *tw)
 		return
 	}
 	tp := twiddlePtrs{w1: &tw.W1[0], w2: &tw.W2[0], w3: &tw.W3[0]}
 	if s == 1 {
-		radix4PairsAVX2(&dst[0], &src[0], m, jimFor(sign), &tp)
+		pf.advance(radix4PairsAVX2(&dst[0], &src[0], m, jimFor(sign), &tp, pf.cursor()))
 		return
 	}
-	radix4AVX2(&dst[0], &src[0], m, s, jimFor(sign), &tp)
+	pf.advance(radix4AVX2(&dst[0], &src[0], m, s, jimFor(sign), &tp, pf.cursor()))
 }
 
 // Radix8Step performs one Stockham DIF radix-8 stage; see
@@ -164,24 +171,30 @@ func Radix4Step(dst, src []complex128, m, s, sign int, tw StageTwiddles) {
 // width per call (stepWidth); the t_k the 256-bit tier spills to its frame
 // stay in Z16–Z19 in the 512-bit one. Both tiers produce the same bits.
 func Radix8Step(dst, src []complex128, m, s, sign int, tw StageTwiddles) {
-	width := stepWidth(m, s)
-	if width == 0 || m <= 0 || s <= 0 || len(dst) < 8*m*s || len(src) < 8*m*s || len(tw.W1) < m {
-		Radix8StepGeneric(dst, src, m, s, sign, tw)
+	radix8Step(dst, src, m, s, sign, &tw, nil)
+}
+
+// radix8Step is Radix8Step advancing the prefetch cursor pf (nil: none).
+func radix8Step(dst, src []complex128, m, s, sign int, tw *StageTwiddles, pf *Prefetch) {
+	width := stepWidth(8, m, s)
+	if width == 0 || len(dst) < 8*m*s || len(src) < 8*m*s || len(tw.W1) < m {
+		Radix8StepGeneric(dst, src, m, s, sign, *tw)
 		return
 	}
 	tp := twiddlePtrs{
 		w1: &tw.W1[0], w2: &tw.W2[0], w3: &tw.W3[0], w4: &tw.W4[0],
 		w5: &tw.W5[0], w6: &tw.W6[0], w7: &tw.W7[0],
 	}
+	c, jim := pf.cursor(), jimFor(sign)
 	switch {
 	case width == 512 && s == 1:
-		radix8PairsAVX512(&dst[0], &src[0], m, jimFor(sign), &tp)
+		pf.advance(radix8PairsAVX512(&dst[0], &src[0], m, jim, &tp, c))
 	case width == 512:
-		radix8AVX512(&dst[0], &src[0], m, s, jimFor(sign), &tp)
+		pf.advance(radix8AVX512(&dst[0], &src[0], m, s, jim, &tp, c))
 	case s == 1:
-		radix8PairsAVX2(&dst[0], &src[0], m, jimFor(sign), &tp)
+		pf.advance(radix8PairsAVX2(&dst[0], &src[0], m, jim, &tp, c))
 	default:
-		radix8AVX2(&dst[0], &src[0], m, s, jimFor(sign), &tp)
+		pf.advance(radix8AVX2(&dst[0], &src[0], m, s, jim, &tp, c))
 	}
 }
 
@@ -205,19 +218,37 @@ func (st *StageTwiddles) ptrs16() twiddle16Ptrs {
 	}
 }
 
-// stepWidth is the vector width in bits of the kernel Radix8Step or
-// Radix16Step runs a well-formed (m, s) stage on: 512 where the host has
-// AVX-512F/DQ and the shape fills whole ZMM words (four q elements per
-// iteration when strided, four butterflies when s == 1), 256 for every other
-// shape on an AVX2 host, 0 for the pure-Go tier.
-func stepWidth(m, s int) int {
+// stepWidth is the vector width in bits of the kernel Radix{4,8,16}Step
+// runs a radix-r (m, s) stage on: 512 where the host has AVX-512F/DQ, r is 8
+// or 16 and the shape fills whole ZMM words (four q elements per iteration
+// when strided, four butterflies when s == 1), 256 for every other shape on
+// an AVX2 host, 0 for the pure-Go tier and for m or s below one.
+func stepWidth(r, m, s int) int {
 	switch {
-	case !useAVX2:
+	case !useAVX2 || m <= 0 || s <= 0:
 		return 0
-	case useAVX512 && (s == 1 && m%4 == 0 || s != 1 && s%4 == 0):
+	case r != 4 && useAVX512 && (s == 1 && m%4 == 0 || s != 1 && s%4 == 0):
 		return 512
 	}
 	return 256
+}
+
+// Bodies reports how many butterfly bodies the codelet a radix-r (m, s)
+// stage dispatches to runs — the times it advances a prefetch cursor — or 0
+// where the stage runs in Go (radix 2, the pure-Go tier). Bodies take two q
+// elements (or, when s == 1, two butterflies) at 256 bits, one in the odd
+// tail, and four at 512 bits, which has no tail. It assumes the stage's
+// slices and twiddles are whole, as every plan's are.
+func Bodies(r, m, s int) int {
+	w := stepWidth(r, m, s)
+	if r == 2 || w == 0 {
+		return 0
+	}
+	per := w / 128
+	if s == 1 {
+		return m/per + m%per
+	}
+	return m * (s/per + s%per)
 }
 
 // Radix16Step performs one fused radix-16 stage (two radix-4 rank stages in
@@ -226,21 +257,27 @@ func stepWidth(m, s int) int {
 // parked in Z16–Z31 by the 512-bit one — so the pencil is swept once where
 // the two-stage chain swept it twice. Both tiers produce the same bits.
 func Radix16Step(dst, src []complex128, m, s, sign int, tw StageTwiddles) {
-	width := stepWidth(m, s)
-	if width == 0 || m <= 0 || s <= 0 || len(dst) < 16*m*s || len(src) < 16*m*s || !tw.has16Legs(m) {
-		Radix16StepGeneric(dst, src, m, s, sign, tw)
+	radix16Step(dst, src, m, s, sign, &tw, nil)
+}
+
+// radix16Step is Radix16Step advancing the prefetch cursor pf (nil: none).
+func radix16Step(dst, src []complex128, m, s, sign int, tw *StageTwiddles, pf *Prefetch) {
+	width := stepWidth(16, m, s)
+	if width == 0 || len(dst) < 16*m*s || len(src) < 16*m*s || !tw.has16Legs(m) {
+		Radix16StepGeneric(dst, src, m, s, sign, *tw)
 		return
 	}
 	tp := tw.ptrs16()
+	c, jim := pf.cursor(), jimFor(sign)
 	switch {
 	case width == 512 && s == 1:
-		radix16PairsAVX512(&dst[0], &src[0], m, jimFor(sign), &tp)
+		pf.advance(radix16PairsAVX512(&dst[0], &src[0], m, jim, &tp, c))
 	case width == 512:
-		radix16AVX512(&dst[0], &src[0], m, s, jimFor(sign), &tp)
+		pf.advance(radix16AVX512(&dst[0], &src[0], m, s, jim, &tp, c))
 	case s == 1:
-		radix16PairsAVX2(&dst[0], &src[0], m, jimFor(sign), &tp)
+		pf.advance(radix16PairsAVX2(&dst[0], &src[0], m, jim, &tp, c))
 	default:
-		radix16AVX2(&dst[0], &src[0], m, s, jimFor(sign), &tp)
+		pf.advance(radix16AVX2(&dst[0], &src[0], m, s, jim, &tp, c))
 	}
 }
 

@@ -28,6 +28,23 @@ func Radix16Step(dst, src []complex128, m, s, sign int, tw StageTwiddles) {
 	Radix16StepGeneric(dst, src, m, s, sign, tw)
 }
 
+// The pure-Go tier has no codelets: it ignores the prefetch cursor, and no
+// stage advances one.
+func radix4Step(dst, src []complex128, m, s, sign int, tw *StageTwiddles, _ *Prefetch) {
+	Radix4StepGeneric(dst, src, m, s, sign, *tw)
+}
+
+func radix8Step(dst, src []complex128, m, s, sign int, tw *StageTwiddles, _ *Prefetch) {
+	Radix8StepGeneric(dst, src, m, s, sign, *tw)
+}
+
+func radix16Step(dst, src []complex128, m, s, sign int, tw *StageTwiddles, _ *Prefetch) {
+	Radix16StepGeneric(dst, src, m, s, sign, *tw)
+}
+
+// Bodies reports 0: no stage of this build runs a codelet.
+func Bodies(r, m, s int) int { return 0 }
+
 // Radix4FoldLeg computes one leg of the trailing trivial-twiddle radix-4
 // butterfly; see Radix4FoldLegGeneric for the contract.
 func Radix4FoldLeg(dst, z0, z1, z2, z3 []complex128, leg, sign int) {

@@ -4,6 +4,7 @@ package layout
 
 import (
 	"errors"
+	"runtime"
 	"syscall"
 	"testing"
 	"unsafe"
@@ -52,14 +53,25 @@ func anonMapping(t *testing.T, n, prot int) []byte {
 // yet: its first page reads cold, and after the pre-fault every page of it
 // is resident.
 func TestPrefaultFreshMake(t *testing.T) {
-	x := make([]complex128, 64<<20/16)
+	// Go zeroes memory it hands out a second time at make time, which
+	// faults it in, and it does so even after the memory went back to the
+	// OS: a make that reuses what earlier tests (or the last -count run)
+	// freed reads warm. So each warm make is held, and the next one taken,
+	// until the held ones cover the heap's free spans: the make after that
+	// comes from address space the process has never touched.
+	const size = 64 << 20
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	var held [][]complex128
+	x := make([]complex128, size/16)
+	for !Cold(x) && uint64(len(held))*size <= ms.HeapIdle {
+		held = append(held, x)
+		x = make([]complex128, size/16)
+	}
+	runtime.KeepAlive(held)
 	if !Cold(x) {
-		// Go zeroes memory it hands out a second time at make time, which
-		// faults it in: under -count > 1 this make reuses the last run's.
-		if r, n := residentPages(t, x); r == n {
-			t.Skip("the heap reused memory and zeroed it at make time")
-		}
-		t.Fatal("a fresh 64 MiB make reads warm")
+		r, n := residentPages(t, x)
+		t.Fatalf("a 64 MiB make past %d MiB of free heap reads warm: %d of %d pages resident", ms.HeapIdle>>20, r, n)
 	}
 	prefaultOrSkip(t, x)
 	if Cold(x) {

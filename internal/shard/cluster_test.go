@@ -12,6 +12,16 @@ import (
 	"repro/internal/fft1d"
 )
 
+// Job deadlines of the loopback-cluster tests (and a worker drain's): a
+// 64³-class job takes a quarter of a second at most, under -race too, and
+// the 256³ round trip about four, so a chunk that never arrives fails its
+// test within seconds instead of hanging it — and the -short set, which has
+// nine such tests, within a minute.
+const (
+	jobTimeout      = 5 * time.Second
+	largeJobTimeout = 30 * time.Second
+)
+
 func randCube(n int, seed int64) []complex128 {
 	rng := rand.New(rand.NewSource(seed))
 	x := make([]complex128, n)
@@ -68,7 +78,7 @@ func TestClusterBitwiseEquivalence(t *testing.T) {
 		src := randCube(tc.k*tc.n*tc.m, 42)
 		for _, sign := range []int{fft1d.Forward, fft1d.Inverse} {
 			got := make([]complex128, len(src))
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 			err := cl.Coord.Transform(ctx, got, src, tc.k, tc.n, tc.m, sign)
 			cancel()
 			if err != nil {
@@ -97,7 +107,7 @@ func TestClusterLarge(t *testing.T) {
 	defer cl.Close()
 	src := randCube(k*n*m, 7)
 	got := make([]complex128, len(src))
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), largeJobTimeout)
 	defer cancel()
 	if err := cl.Coord.Transform(ctx, got, src, k, n, m, fft1d.Forward); err != nil {
 		t.Fatalf("forward: %v", err)
@@ -147,7 +157,7 @@ func TestShardCountShrinks(t *testing.T) {
 	k, n, m := 64, 64, 32
 	src := randCube(k*n*m, 3)
 	got := make([]complex128, len(src))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 	defer cancel()
 	if err := cl.Coord.Transform(ctx, got, src, k, n, m, fft1d.Forward); err != nil {
 		t.Fatalf("transform: %v", err)

@@ -83,7 +83,7 @@ func TestFaultDroppedChunksRecover(t *testing.T) {
 	k, n, m3 := 48, 48, 32
 	src := randCube(k*n*m3, 11)
 	got := make([]complex128, len(src))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 	defer cancel()
 	if err := cl.Coord.Transform(ctx, got, src, k, n, m3, fft1d.Forward); err != nil {
 		t.Fatalf("transform with dropped chunks: %v", err)
@@ -109,7 +109,7 @@ func TestFaultCorruptChunksRecover(t *testing.T) {
 	k, n, m3 := 48, 48, 32
 	src := randCube(k*n*m3, 12)
 	got := make([]complex128, len(src))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 	defer cancel()
 	if err := cl.Coord.Transform(ctx, got, src, k, n, m3, fft1d.Forward); err != nil {
 		t.Fatalf("transform with corrupt chunks: %v", err)
@@ -145,7 +145,7 @@ func TestFaultPersistentCorruptionFailsTyped(t *testing.T) {
 	k, n, m3 := 48, 48, 32
 	src := randCube(k*n*m3, 13)
 	got := make([]complex128, len(src))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 	defer cancel()
 	err := cl.Coord.Transform(ctx, got, src, k, n, m3, fft1d.Forward)
 	if err == nil {
@@ -212,7 +212,7 @@ func TestWorkerDrain(t *testing.T) {
 	got := make([]complex128, len(src))
 	tErr := make(chan error, 1)
 	go func() {
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 		defer cancel()
 		tErr <- cl.Coord.Transform(ctx, got, src, k, n, m3, fft1d.Forward)
 	}()
@@ -236,7 +236,7 @@ func TestWorkerDrain(t *testing.T) {
 	}
 
 	w0 := cl.Workers[0]
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 	defer cancel()
 	if err := w0.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/fft1d"
 	"repro/internal/trace"
@@ -39,7 +38,7 @@ func TestClusterMergedTrace(t *testing.T) {
 
 	src := randCube(k*n*m, 11)
 	dst := make([]complex128, len(src))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 	defer cancel()
 	if err := cl.Coord.Transform(ctx, dst, src, k, n, m, fft1d.Forward); err != nil {
 		t.Fatalf("transform: %v", err)
@@ -167,7 +166,7 @@ func TestTraceIDPropagatesFromContext(t *testing.T) {
 	defer cl.Close()
 
 	const id = "t-from-serving-layer"
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 	defer cancel()
 	ctx = trace.ContextWithID(ctx, id)
 
@@ -218,7 +217,7 @@ func TestTracingDisabled(t *testing.T) {
 	defer cl.Close()
 	src := randCube(k*n*m, 9)
 	dst := make([]complex128, len(src))
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), jobTimeout)
 	defer cancel()
 	if err := cl.Coord.Transform(ctx, dst, src, k, n, m, fft1d.Forward); err != nil {
 		t.Fatalf("transform: %v", err)

@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"repro/internal/fft1d"
+	"repro/internal/machine"
 )
 
 // Ablation is the one seam for the schedules no product configuration
 // selects: the oracle and A/B variants the tests hold the product graph to.
-// Its zero value is the product — store-folded, the store tier and
-// the 2D load fold chosen from the footprint, radix-16 chains, cold store
-// targets pre-faulted — and only a test binary can install another
+// Its zero value is the product — store-folded, the store tier, the load
+// fold and one lane's prefetch chosen from the footprint, radix-16 chains,
+// cold store targets pre-faulted, sized by this host — and only a test
+// binary can install another
 // (SetAblation). It is read where graphs (Pencils.Build), runners
 // (NewRunner) and the 1D sub-plans (Plan1D) are built, so a plan keeps the
 // schedule it was built under.
@@ -25,12 +27,38 @@ type Ablation struct {
 	// Radix caps the Stockham stage radix of the power-of-two sub-plans at
 	// 2, 4 or 8 (0 and 16 are the default chain).
 	Radix int
-	// CopyLoads keeps the load leg's copy on the 2D graphs whose first
-	// sweep would otherwise read the source in its place (Stage.FoldLoad).
+	// CopyLoads keeps the load leg's copy on every graph whose first sweep
+	// would otherwise read the source in its place (Stage.FoldLoad), and
+	// with it turns one lane's next-block prefetch off (Stage.Prefetch).
 	CopyLoads bool
 	// NoPrefault leaves cold store targets to fault in inside the streaming
 	// stores instead of pre-faulting them before a run (Runner.Run).
 	NoPrefault bool
+	// Host, where its fields are non-zero, sizes graphs as on a host with
+	// that block budget and LLC instead of this one, so graph text written
+	// on one machine can be compared on any other.
+	Host HostSizes
+}
+
+// HostSizes is what Pencils.Build reads of the host: the L2-derived block
+// budget and the last-level cache. A zero field reads this host's.
+type HostSizes struct {
+	BufferElems int
+	LLCBytes    int
+}
+
+func (h HostSizes) bufferElems() int {
+	if h.BufferElems != 0 {
+		return h.BufferElems
+	}
+	return machine.PreferredBufferElems()
+}
+
+func (h HostSizes) llcBytes() int {
+	if h.LLCBytes != 0 {
+		return h.LLCBytes
+	}
+	return machine.HostLLCBytes()
 }
 
 var ablation atomic.Pointer[Ablation]

@@ -6,9 +6,9 @@ import (
 )
 
 // Describe renders a stage graph as text: per-stage geometry, store mode (a
-// folded radix-4 butterfly, the streaming tier) and a load folded into the
-// first sweep, plus the schedule summary. The text does not depend on the
-// lane count. Endpoints may be nil — description never touches data — so
+// folded radix-4 butterfly, the streaming tier), a load folded into the
+// first sweep and the next block prefetched during the compute, plus the
+// schedule summary. Endpoints may be nil — description never touches data — so
 // plans can describe graphs without binding arrays.
 func Describe(stages []Stage) string {
 	var b strings.Builder
@@ -28,6 +28,9 @@ func Describe(stages []Stage) string {
 		}
 		if st.FoldLoad {
 			b.WriteString(", load folded into the first sweep")
+		}
+		if st.Prefetch != 0 {
+			b.WriteString(", next block prefetched")
 		}
 		b.WriteString("\n")
 	}

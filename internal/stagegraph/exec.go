@@ -186,7 +186,7 @@ func (e *Executor) runLane(ln *lane) {
 		st := &stages[s]
 		lo, hi := Partition(st.Iters, ln.id, len(e.lanes))
 		for i := lo; i < hi; i++ {
-			t = ln.block(st, s, i, t, sh, tracer)
+			t = ln.block(st, s, i, hi, t, sh, tracer)
 		}
 		if e.stageBar == nil {
 			continue
@@ -202,10 +202,12 @@ func (e *Executor) runLane(ln *lane) {
 }
 
 // block runs iteration iter of stage s load → compute → store through the
-// lane's buffer, starting at t0, and returns the time its store ended. A
-// stage that folds its load has no load op: its compute op reads the
-// block's slice of Src, and the bytes it read are recorded with no time.
-func (ln *lane) block(st *Stage, s, iter int, t0 time.Time, sh *obs.Shard, tr *trace.Recorder) time.Time {
+// lane's buffer, starting at t0, and returns the time its store ended; the
+// lane's share of the stage ends before hi. A stage that folds its load has
+// no load op: its compute op reads the block's slice of Src, and the bytes
+// it read are recorded with no time. A prefetching stage's compute asks for
+// the lane's next block as it runs (Stage.prefetch).
+func (ln *lane) block(st *Stage, s, iter, hi int, t0 time.Time, sh *obs.Shard, tr *trace.Recorder) time.Time {
 	emit := func(op trace.Op, start, end time.Time) {
 		tr.Emit(trace.Event{Op: op, Stage: s, Iter: iter, Lane: ln.id, Start: start, End: end})
 	}
@@ -217,6 +219,7 @@ func (ln *lane) block(st *Stage, s, iter int, t0 time.Time, sh *obs.Shard, tr *t
 		t0 = t1
 	}
 	ln.arena.Reset()
+	ln.arena.Prefetch = st.prefetch(iter, hi)
 	st.Compute(&ln.buf, ln.arena, st.input(&ln.buf, iter), iter)
 	t1 := time.Now()
 	sh.Add(s, obs.Compute, 0, t1.Sub(t0))

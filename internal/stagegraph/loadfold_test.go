@@ -8,6 +8,8 @@ import (
 
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/kernels"
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -165,5 +167,77 @@ func TestFoldedReadsStayLegal(t *testing.T) {
 			}
 		}
 		r.Close()
+	}
+}
+
+// One lane's soft DMA: on one lane, a complex graph whose stores stream —
+// 2D or 3D — folds every load and prefetches every stage's next block, and
+// Describe names both. Two lanes, a real graph, a shard's slab and
+// CopyLoads keep their loads and prefetch nothing. A stage's cursor is the
+// lane's next block of Src, whole lines a body, and empty on the share's
+// last block.
+func TestSoftDMAScope(t *testing.T) {
+	if !layout.NonTemporalAvailable() {
+		t.Skip("no streaming-store tier: no graph prefetches")
+	}
+	build := func(ab Ablation, p Pencils) *Graph {
+		t.Helper()
+		ab.Stores = StoreNonTemporal
+		defer SetAblation(ab)()
+		for _, d := range p.Dims {
+			p.Plans = append(p.Plans, Plan1D(d))
+		}
+		for range p.Dims[1:] {
+			p.Mid = append(p.Mid, Array{C: make([]complex128, 16*16*16)})
+		}
+		g, err := p.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	cube, square := []int{16, 16, 16}, []int{64, 64}
+	for _, c := range []struct {
+		name     string
+		ab       Ablation
+		p        Pencils
+		fold, pf bool
+	}{
+		{"3D on one lane", Ablation{}, Pencils{Dims: cube}, true, true},
+		{"2D on one lane", Ablation{}, Pencils{Dims: square}, true, true},
+		{"3D on two lanes", Ablation{}, Pencils{Dims: cube, Lanes: 2}, false, false},
+		{"2D on two lanes", Ablation{}, Pencils{Dims: square, Lanes: 2}, true, false}, // in the LLC
+		{"a shard's slab", Ablation{}, Pencils{Dims: cube, Shards: 2}, false, false},
+		{"CopyLoads", Ablation{CopyLoads: true}, Pencils{Dims: cube}, false, false},
+		{"real 3D", Ablation{}, Pencils{Dims: []int{16, 16, 8}, Real: &RealEnd{Pitch: 9,
+			Untangle: func([]complex128, int) {}}}, false, false},
+	} {
+		c.p.Pkg = "test"
+		g := build(c.ab, c.p)
+		desc := Describe(g.stages)
+		for i := range g.stages {
+			st := &g.stages[i]
+			if st.FoldLoad != c.fold || (st.Prefetch != 0) != c.pf {
+				t.Errorf("%s: stage %d folds %v, prefetches %d B a body; want %v, %v:\n%s",
+					c.name, i, st.FoldLoad, st.Prefetch, c.fold, c.pf, desc)
+			}
+			if c.pf && st.Prefetch%64 != 0 {
+				t.Errorf("%s: stage %d prefetches %d B a body, not whole lines", c.name, i, st.Prefetch)
+			}
+		}
+		if n, want := strings.Count(desc, "next block prefetched"), len(g.stages); c.pf && n != want {
+			t.Errorf("%s: %d stages described as prefetching, want %d:\n%s", c.name, n, want, desc)
+		}
+	}
+
+	g := build(Ablation{}, Pencils{Pkg: "test", Dims: cube})
+	st := &g.stages[1]
+	st.Src = Endpoint{C: make([]complex128, 16*16*16)}
+	n, last := st.BlockElems(), st.Iters-1
+	if got, want := st.prefetch(0, st.Iters), kernels.NewPrefetch(st.Src.C[n:2*n], st.Prefetch); got != want {
+		t.Errorf("block 0's cursor is %+v, want the next block's %+v", got, want)
+	}
+	if got := st.prefetch(last, st.Iters); got != (kernels.Prefetch{}) {
+		t.Errorf("the share's last block asks for %+v, want nothing", got)
 	}
 }

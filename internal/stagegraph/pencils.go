@@ -289,7 +289,7 @@ func (p Pencils) Build() (*Graph, error) {
 	ab := current()
 	budget := p.BufferElems
 	if budget == 0 {
-		budget = machine.PreferredBufferElems()
+		budget = ab.Host.bufferElems()
 	}
 
 	// Axis lengths in blocks, in stage order: stage i transforms axis
@@ -451,19 +451,30 @@ func (p Pencils) Build() (*Graph, error) {
 	// elements: a shard's stores fill its own socket's or node's LLC
 	// (Table III). WriteC and pair-packed real destinations ignore the
 	// streaming flag at store time.
-	bytes, llc := total/sk*mu*complexBytes, machine.HostLLCBytes()
-	ApplyStorePolicy(g.stages, ab.Stores.Decide(bytes, llc))
+	bytes, llc := total/sk*mu*complexBytes, ab.Host.llcBytes()
+	nt := ab.Stores.Decide(bytes, llc)
+	ApplyStorePolicy(g.stages, nt)
 	// Inside the LLC a 2D stage's load is an in-cache copy that the first
-	// sweep reads a second time, so the sweep reads the source instead. Out
-	// of the LLC the copy's stream beats the sweep's reads from DRAM, and 3D
-	// waits on a measurement of its own (EXPERIMENTS.md "Cache-regime loads
-	// fold into the first sweep").
-	if D == 2 && !ab.CopyLoads && fitsLLC(bytes, llc) &&
-		// Real row stages' pre hooks work on the loaded half, and real
-		// in-LLC loads are unmeasured.
-		p.Real == nil {
+	// sweep reads a second time, so the sweep reads the source instead
+	// (EXPERIMENTS.md "Cache-regime loads fold into the first sweep"). Out of
+	// it — where the stores stream — one lane's soft DMA is its codelets'
+	// prefetch: while a block computes they ask for the next, so the first
+	// sweep reads that from L2 and the copy goes too. Two lanes keep the bus
+	// busy in each other's compute, and prefetch there measured slower, as
+	// it did in the LLC; a fold with no prefetch read slower than the copy
+	// (EXPERIMENTS.md "One lane's soft DMA"). Real row stages' pre hooks
+	// work on the loaded half, so real graphs keep their loads; a shard's
+	// slab keeps the schedule it was measured with.
+	softDMA := nt && p.Real == nil && sk == 1 && p.Lanes <= 1
+	if !ab.CopyLoads && p.Real == nil && (softDMA || D == 2 && fitsLLC(bytes, llc)) {
 		for i := range g.stages {
-			g.stages[i].FoldLoad = true
+			st := &g.stages[i]
+			st.FoldLoad = true
+			if softDMA {
+				c := chain[i]
+				st.Prefetch = prefetchStep(st.BlockElems()*complexBytes,
+					c.plan.Bodies(st.Units, c.lanes, st.StoreRadix != 0))
+			}
 		}
 	}
 	// A run-major or folded last store into the caller's array applies the
@@ -473,6 +484,16 @@ func (p Pencils) Build() (*Graph, error) {
 	lastSt := &g.stages[nStages-1]
 	g.scaleInStore = lastSt.runMajor() || lastSt.StoreRadix != 0
 	return g, nil
+}
+
+// prefetchStep is the bytes a codelet body asks for so that a block of
+// blockBytes is asked for across the bodies one block's compute runs: whole
+// lines, at least one a body. A chain with no codelet body (a pure-Go stage,
+// a forced generic tier) counts as one, so the step, like the graph text,
+// does not depend on the tier.
+func prefetchStep(blockBytes, bodies int) int {
+	lines := (blockBytes/64 + max(bodies, 1) - 1) / max(bodies, 1)
+	return max(lines, 1) * 64
 }
 
 // axisName labels a stage by the axis it transforms: rows/cols in one and

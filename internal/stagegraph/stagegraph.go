@@ -106,10 +106,18 @@ type Stage struct {
 	// FoldLoad drops the load leg: the executor hands the compute hook the
 	// block's slice of Src.C, and the first Stockham sweep reads it out of
 	// place into the lane's buffer. It saves the copy where that copy is an
-	// in-cache one the sweep would read a second time; Pencils.Build sets it
-	// for complex 2D graphs whose arrays fit in half the LLC
-	// (fitsLLC). Src must be a plain complex array.
+	// in-cache one the sweep would read a second time, or where Prefetch
+	// has brought the block into L2; Pencils.Build sets it for complex 2D
+	// graphs whose arrays fit in half the LLC (fitsLLC) and on every
+	// prefetching stage. Src must be a plain complex array.
 	FoldLoad bool
+	// Prefetch, when non-zero, is one lane's soft DMA: while the lane
+	// computes a block, the codelets ask for the lane's next block of Src
+	// into L2, Prefetch bytes a butterfly body (kernels.Prefetch), so the
+	// whole block is requested by the end of the compute. Pencils.Build
+	// sets it on one-lane complex graphs whose stores stream, with
+	// FoldLoad. Src must be a plain complex array.
+	Prefetch int
 	// StoreUnits × StoreLen re-tiles the buffer for the store when the
 	// store granularity differs from the load's (the real-inverse entangle
 	// stage loads spectrum rows of l+1 and stores packed rows of l); zero
@@ -225,8 +233,8 @@ func (st *Stage) validate(i int) error {
 	if !st.Src.valid(false) {
 		return fmt.Errorf("stagegraph: stage %d (%s): invalid Src endpoint", i, st.Name)
 	}
-	if st.FoldLoad && st.Src.C == nil {
-		return fmt.Errorf("stagegraph: stage %d (%s): FoldLoad needs a complex Src array", i, st.Name)
+	if (st.FoldLoad || st.Prefetch != 0) && st.Src.C == nil {
+		return fmt.Errorf("stagegraph: stage %d (%s): FoldLoad and Prefetch need a complex Src array", i, st.Name)
 	}
 	if !st.Dst.valid(true) {
 		return fmt.Errorf("stagegraph: stage %d (%s): invalid Dst endpoint", i, st.Name)
@@ -274,6 +282,17 @@ func (st *Stage) load(b *Buffers, iter int) int {
 		layout.CopyStream(b.C[:n], st.Src.C[base:base+n])
 	}
 	return n * complexBytes
+}
+
+// prefetch returns the cursor a lane's compute of block iter hands its
+// codelets: the lane's next block of Src, when the stage prefetches and the
+// lane's share (which ends before hi) has one, else the empty cursor.
+func (st *Stage) prefetch(iter, hi int) kernels.Prefetch {
+	if st.Prefetch == 0 || iter+1 >= hi {
+		return kernels.Prefetch{}
+	}
+	n := st.BlockElems()
+	return kernels.NewPrefetch(st.Src.C[(iter+1)*n:(iter+2)*n], st.Prefetch)
 }
 
 // input is the block a compute op reads: the block's slice of Src.C when the
