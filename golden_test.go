@@ -182,7 +182,8 @@ var goldenVariants = []variant{
 	// Two lanes, under the name of the retired schedule that drained each
 	// stage before the next (as the lanes' stage barriers do) on the two
 	// goroutines of its 1+1 team: its rows hold a two-lane run to the
-	// default rows' digests and graph text, which do not depend on L.
+	// default rows' digests, which do not depend on L, and to their graph
+	// text, which does only where one lane's stores stream (the nt rows).
 	{name: "unfused", lanes: 2},
 	{name: "nofold", ab: stagegraph.Ablation{NoFold: true}, complexOnly: true},
 	{name: "nt", ab: stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}, complexOnly: true},
