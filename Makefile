@@ -195,13 +195,15 @@ serveprobe:
 # (real3d) and real 4096², forward and inverse on one lane, per stage the
 # load / compute / store milliseconds (µs resolution at 512², whose loads
 # read "folded": the first sweep reads the source, inside compute; so do
-# 256³'s and 4096²'s, whose codelets prefetch the next block) from
+# 256³'s and 4096²'s, whose codelets prefetch the next block, and whose
+# stores read "folded" too: the last sweep writes the destination) from
 # Observability() deltas, Σ legs beside the wall, and each stage's load +
 # store beside the same run's streamed copy of two arrays. Medians of 5 runs,
 # of 301 at 512² (a few seconds). Then the A/B of one lane's soft DMA: 256³
 # and 4096² forward and inverse walls of the product beside the same plans
-# under Ablation{CopyLoads: true} (copied loads, no prefetch), alternating
-# round trips in one test binary (BenchmarkCopyLoads, ≈ 1 GiB peak).
+# under Ablation{CopyLoads: true} (copied loads, no prefetch) and under
+# Ablation{NoFold: true} (the store leg kept), alternating round trips in one
+# test binary (BenchmarkCopyLoads, ≈ 1.3 GiB peak).
 # Ungated like serveprobe; a hot-path PR quotes its before/after table in
 # EXPERIMENTS.md.
 legprobe:
@@ -229,7 +231,11 @@ setupprobe:
 # radix-16 stages of 512² rows and cols, 256³ x- and y/z-pencils and n = 4096
 # over a 256 KiB pipeline block, in ps per element (BenchmarkStage) — 512²'s
 # first sweeps also out of place from a 4 MiB source, as they run with the
-# load folded into them (the /src4MiB cases); then the
+# load folded into them (the /src4MiB cases), and the last passes of 256³'s
+# x- and y/z-pencils and of 4096²'s rows and cols with their store into a
+# 256 MiB destination, folded into the pass (sink) beside the pass into the
+# buffer plus the run-major streaming store (buffered+gather), the
+# BenchmarkSinkStage cases; then the
 # cached block store (BenchmarkScatterBlocks), including 512²'s rows and cols
 # store geometries into a 4 MiB destination; then whole 1D transforms
 # (BenchmarkExecute) in ns per element at 4096 beside 3·2¹⁰, 5·2¹⁰, 15·2¹⁰

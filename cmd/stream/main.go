@@ -1,6 +1,8 @@
 // Command stream runs the STREAM memory-bandwidth benchmark (McCalpin) on
-// this host: Copy, Scale, Add and Triad over three arrays. The paper
-// calibrates every figure's achievable peak with this number (§V), over
+// this host: Copy, Scale, Add and Triad over three arrays, twice — split over
+// GOMAXPROCS goroutines, the all-core rate the paper calibrates every
+// figure's achievable peak with (§V), and on one goroutine, one core's rate,
+// a lane's ceiling — and prints the two side by side. STREAM runs over
 // arrays far larger than the last-level cache. STREAM's own rule asks for
 // each array to be at least 4× the LLC; the banner prints the detected LLC
 // beside the array size and warns when the arrays are smaller, since the
@@ -34,17 +36,19 @@ func main() {
 		fmt.Printf("warning: each array is smaller than 4× the LLC (%.1f MiB): these figures measure cache, not DRAM; raise -elems to at least %d\n",
 			4*mib(llc), 4*llc/8)
 	}
-	results := stream.Run(stream.Config{Elems: *elems, Trials: *trials})
+	all := stream.Run(stream.Config{Elems: *elems, Trials: *trials})
+	one := stream.Run(stream.Config{Elems: *elems, Trials: *trials, Goroutines: 1})
 
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "kernel\tbest GB/s\tavg GB/s\tworst GB/s\tbest time")
-	for _, r := range results {
+	fmt.Fprintf(tw, "kernel\tbest GB/s, %d cores\tavg\tworst\tbest time\tbest GB/s, 1 core\tavg\tworst\tbest time\n", all[0].Goroutines)
+	for i, r := range all {
+		o := one[i]
 		status := ""
-		if !r.CheckedOK {
+		if !r.CheckedOK || !o.CheckedOK {
 			status = "  (VERIFICATION FAILED)"
 		}
-		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2f\t%v%s\n",
-			r.Kernel, r.BestGBs, r.AvgGBs, r.WorstGBs, r.BestTime, status)
+		fmt.Fprintf(tw, "%s\t%.2f\t%.2f\t%.2f\t%v\t%.2f\t%.2f\t%.2f\t%v%s\n",
+			r.Kernel, r.BestGBs, r.AvgGBs, r.WorstGBs, r.BestTime, o.BestGBs, o.AvgGBs, o.WorstGBs, o.BestTime, status)
 	}
 	tw.Flush()
 }

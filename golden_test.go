@@ -48,7 +48,7 @@ import (
 //     streaming-store tier (every -tags purego build) mark no stage
 //     `streaming` and give no stage one lane's soft DMA, so there the
 //     comparison masks the markers the footprint decides (streaming, a
-//     folded load, a prefetched next block) on both sides. Rows flagged
+//     folded load, a prefetched next block, a folded store) on both sides. Rows flagged
 //     depth_floor — the real-input plans, whose block sizers gained the
 //     pipeline-depth floor the complex plans always had — compare with the
 //     per-stage iteration and unit counts masked; the differences are
@@ -327,7 +327,7 @@ func runShard(k, n, m, workers int, copts shard.CoordinatorOptions) (string, str
 }
 
 var (
-	reFootprint = regexp.MustCompile(`, (streaming|load folded into the first sweep|next block prefetched)`)
+	reFootprint = regexp.MustCompile(`, (streaming|load folded into the first sweep|next block prefetched|store folded into the last sweep)`)
 	reIters     = regexp.MustCompile(`iters=\d+ *`)
 	reUnits     = regexp.MustCompile(`(load|store) \d+×`)
 	reSchedule  = regexp.MustCompile(`(?m)^  (schedule|fill overhead):.*\n`)

@@ -30,7 +30,9 @@ const cacheReps = 301
 // 2·N·8 B real: what a stage's data legs move), and per lane its Σ legs and
 // its stage-barrier wait. The 512² stages print their load as "folded":
 // their first sweep reads the source, so the compute column includes that
-// read and the data legs are the store alone. Every figure is the median of
+// read and the data legs are the store alone. At one lane 256³'s and 4096²'s
+// stages print their store as "folded" too: their last sweep writes the
+// destination, so the compute column holds every byte they move. Every figure is the median of
 // reps runs — of at least cacheReps at 512², whose sub-millisecond legs a
 // handful of runs does not resolve. `make legprobe` runs it at GOMAXPROCS=1,
 // where one lane executes the legs one after another and they sum to the
@@ -105,6 +107,7 @@ func legProbeOne(w io.Writer, label string, p *core.Plan, arrayBytes int, fwd, i
 		stages [][3]float64 // load, compute, store ms
 		ran    []bool       // whether the direction ran the stage
 		folded []bool       // whether its first sweep read the source (load bytes, no load time)
+		sunk   []bool       // whether its last sweep wrote the destination (store bytes, no store time)
 		lanes  [][2]float64 // per lane: Σ legs, stage-barrier wait ms
 	}
 	run := func(f func() error) (sample, error) {
@@ -124,6 +127,7 @@ func legProbeOne(w io.Writer, label string, p *core.Plan, arrayBytes int, fwd, i
 			})
 			s.ran = append(s.ran, st.Store.Ops != b.Store.Ops)
 			s.folded = append(s.folded, st.Load.Bytes != b.Load.Bytes && st.Load.Ns == b.Load.Ns)
+			s.sunk = append(s.sunk, st.Store.Bytes != b.Store.Bytes && st.Store.Ns == b.Store.Ns)
 		}
 		for i, l := range after.Lanes {
 			b := before.Lanes[i]
@@ -187,14 +191,22 @@ func legProbeOne(w io.Writer, label string, p *core.Plan, arrayBytes int, fwd, i
 				leg[k] = medianOf(d.s, func(s sample) float64 { return s.stages[i][k] })
 				sum += leg[k]
 			}
-			// A folded stage has no load leg: its compute column includes
-			// the source read, and its data legs are the store alone.
-			load := fmt.Sprintf("%.*f", prec, leg[0])
+			// A folded load or store is no leg: the compute column includes
+			// the source read or the destination write, and the data legs
+			// are what is left of them — none, when both fold.
+			load, store := fmt.Sprintf("%.*f", prec, leg[0]), fmt.Sprintf("%.*f", prec, leg[2])
+			data, ratio := fmt.Sprintf("%.*f", prec, leg[0]+leg[2]), fmt.Sprintf("%.2f", (leg[0]+leg[2])/copyMs)
 			if d.s[0].folded[i] {
 				load = "folded"
 			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%.*f\t%.*f\t%.*f\t%.2f\t\n", d.name, names[i].Name,
-				load, prec, leg[1], prec, leg[2], prec, leg[0]+leg[2], (leg[0]+leg[2])/copyMs)
+			if d.s[0].sunk[i] {
+				store = "folded"
+			}
+			if d.s[0].folded[i] && d.s[0].sunk[i] {
+				data, ratio = "-", "-"
+			}
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%.*f\t%s\t%s\t%s\t\n", d.name, names[i].Name,
+				load, prec, leg[1], store, data, ratio)
 		}
 		line := fmt.Sprintf("  %s: Σ legs %.*f ms, wall %.*f ms", d.name, prec, sum, prec, d.wall)
 		for l := range d.s[0].lanes {

@@ -15,14 +15,20 @@ import (
 // BenchmarkCopyLoads is the A/B of one lane's soft DMA that `make legprobe`
 // prints after the leg budget: for each of LegProbe's complex shapes whose
 // product graph prefetches (256³ and 4096², out of the LLC, at GOMAXPROCS =
-// 1), the product plan and the plan built under Ablation{CopyLoads: true} —
-// the load leg's copy kept and the codelets' prefetch off — run alternating
-// round trips on the same arrays, and the median forward and inverse walls
-// print side by side. A shape whose product does not prefetch (more than one
+// 1), the product plan, the plan built under Ablation{CopyLoads: true} —
+// the load leg's copy kept and the codelets' prefetch off — and the plan
+// built under Ablation{NoFold: true} — the store leg kept, the last sweep
+// writing the lane's buffer — run alternating round trips on the same
+// arrays, and the median forward and inverse walls of each side print beside
+// the product's. A shape whose product does not prefetch (more than one
 // lane, a host without the streaming tier) prints that it has nothing to
 // compare.
 func BenchmarkCopyLoads(b *testing.B) {
 	const reps = 5
+	sides := []struct {
+		name string
+		ab   stagegraph.Ablation
+	}{{"CopyLoads", stagegraph.Ablation{CopyLoads: true}}, {"NoFold", stagegraph.Ablation{NoFold: true}}}
 	for _, dims := range [][]int{{256, 256, 256}, {4096, 4096}} {
 		b.Run(strings.Trim(strings.ReplaceAll(fmt.Sprint(dims), " ", "x"), "[]"), func(b *testing.B) {
 			debug.FreeOSMemory()
@@ -36,21 +42,25 @@ func BenchmarkCopyLoads(b *testing.B) {
 					dims, core.Default().Lanes)
 				return
 			}
-			restore := stagegraph.SetAblation(stagegraph.Ablation{CopyLoads: true})
-			cl, err := core.NewPlan(core.Default(), false, dims...)
-			restore()
-			if err != nil {
-				b.Fatal(err)
+			plans := []*core.Plan{prod}
+			for _, sd := range sides {
+				restore := stagegraph.SetAblation(sd.ab)
+				p, err := core.NewPlan(core.Default(), false, dims...)
+				restore()
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer p.Close()
+				plans = append(plans, p)
 			}
-			defer cl.Close()
 			n := prod.Len()
 			x, y := make([]complex128, n), make([]complex128, n)
 			for i := range x {
 				x[i] = complex(float64(i%17)-8, float64(i%13)-6)
 			}
-			var walls [2][2][]float64    // plan (product, copyloads) × direction
-			for r := -1; r < reps; r++ { // round -1 faults the arrays in, untimed
-				for k, p := range []*core.Plan{prod, cl} {
+			walls := make([][2][]float64, len(plans)) // plan × direction
+			for r := -1; r < reps; r++ {              // round -1 faults the arrays in, untimed
+				for k, p := range plans {
 					t0 := time.Now()
 					if err := p.Transform(y, x, fft1d.Forward); err != nil {
 						b.Fatal(err)
@@ -65,12 +75,14 @@ func BenchmarkCopyLoads(b *testing.B) {
 					}
 				}
 			}
-			line := fmt.Sprintf("copyloads %v: median of %d alternating round trips, product vs Ablation{CopyLoads: true}:", dims, reps)
-			for d, name := range []string{"fwd", "inv"} {
-				p, c := median(walls[0][d]), median(walls[1][d])
-				line += fmt.Sprintf(" %s %.1f vs %.1f ms (%.2f×)", name, p, c, p/c)
+			for k, sd := range sides {
+				line := fmt.Sprintf("copyloads %v: median of %d alternating round trips, product vs Ablation{%s: true}:", dims, reps, sd.name)
+				for d, name := range []string{"fwd", "inv"} {
+					p, c := median(walls[0][d]), median(walls[k+1][d])
+					line += fmt.Sprintf(" %s %.1f vs %.1f ms (%.2f×)", name, p, c, p/c)
+				}
+				fmt.Println(line)
 			}
-			fmt.Println(line)
 		})
 	}
 }

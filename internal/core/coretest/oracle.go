@@ -15,11 +15,13 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/accuracy"
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/kernels"
 	"repro/internal/layout"
 	"repro/internal/serve"
 	"repro/internal/shard"
@@ -333,10 +335,12 @@ var oraclePaths = []path{
 		check: checkStreaming},
 	// One lane with streaming stores is one lane's soft DMA on every complex
 	// graph: each stage's load folded into the first sweep, its next block
-	// prefetched by the codelets.
-	{name: "streaming/lanes1", ab: stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal},
-		cfg:     func(c *core.Config) { c.Lanes = 1 },
-		differs: func(pr *product) bool { return graphed(pr.s) && streams(pr) }, check: checkSoftDMA},
+	// prefetched by the codelets and, where the kernels' sink takes the last
+	// pass, its store folded into that pass. Its complex destinations start
+	// a cache line; the midline path's start one element past one, so the
+	// sink declines there and the store leg writes the same bits.
+	{name: "streaming/lanes1", build: softDMA(0), check: checkSoftDMAAt(0)},
+	{name: "streaming/lanes1/midline", build: softDMA(1), check: checkSoftDMAAt(1)},
 	{name: "copyloads", ab: stagegraph.Ablation{CopyLoads: true}, runs: graphed, differs: productHas("load folded"),
 		check: func(t *testing.T, pr *product, p *core.Plan) {
 			if strings.Contains(p.DescribeGraph(), "load folded") {
@@ -600,6 +604,76 @@ func served(alias bool) func(*testing.T, *product) (exec, *core.Plan) {
 				return out
 			})
 		}, nil
+	}
+}
+
+// softDMA builds the one-lane streaming path: the shape's plan on one lane
+// under forced streaming stores, which must change the product's graph
+// wherever it has one, writing its complex results into destinations that
+// start off elements past a cache line (real ones into planExec's).
+func softDMA(off int) func(t *testing.T, pr *product) (exec, *core.Plan) {
+	return func(t *testing.T, pr *product) (exec, *core.Plan) {
+		s := pr.s
+		cfg := s.cfg()
+		cfg.Lanes = 1
+		p, run, sig := buildPlan(t, s, stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}, cfg, s.Dims)
+		if graphed(s) && streams(pr) && sig == pr.sig {
+			t.Errorf("one lane's streaming stores change neither the product's graph nor its chains:\n%s", sig)
+		}
+		if s.Real {
+			return run, p
+		}
+		return func(d dir, in []complex128) []complex128 {
+			out := offLine(len(in), off)
+			var err error
+			if d == inv {
+				err = p.Inverse(out, in)
+			} else {
+				err = p.Transform(out, in, d.sign())
+			}
+			if err != nil {
+				t.Fatalf("%v: %v", d, err)
+			}
+			return out
+		}, p
+	}
+}
+
+// offLine returns n elements whose first starts off elements past a 64-byte
+// cache line.
+func offLine(n, off int) []complex128 {
+	raw := make([]complex128, n+off+4)
+	for a := range 4 {
+		if uintptr(unsafe.Pointer(&raw[a]))%64 == 0 {
+			return raw[a+off : a+off+n]
+		}
+	}
+	panic("coretest: no line-aligned start")
+}
+
+// checkSoftDMAAt is checkSoftDMA plus the last stage's store, whose
+// destination — the caller's, off elements past a line — decides whether the
+// kernels' sink takes it: when the graph folds that store, a line-aligned
+// destination leaves no store leg wherever the codelet tier runs, and one off
+// the line grid makes the sink decline and the store leg run.
+func checkSoftDMAAt(off int) func(t *testing.T, pr *product, p *core.Plan) {
+	return func(t *testing.T, pr *product, p *core.Plan) {
+		checkSoftDMA(t, pr, p)
+		if !graphed(pr.s) || pr.s.Real {
+			return
+		}
+		lines := strings.Split(strings.TrimSpace(p.DescribeGraph()), "\n")
+		stages := p.Observability().Stages
+		last := len(stages) - 1
+		if !strings.Contains(lines[1+last], "store folded into the last sweep") {
+			return
+		}
+		switch ns := stages[last].Store.Ns; {
+		case off == 0 && ns != 0 && kernels.Tier() == "avx2":
+			t.Errorf("the last stage folds its store, yet its store leg ran %d ns", ns)
+		case off != 0 && ns == 0:
+			t.Error("the last stage ran no store leg into a destination off the line grid")
+		}
 	}
 }
 

@@ -4,11 +4,14 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
+	"repro/internal/layout"
+	"repro/internal/stagegraph"
 )
 
 // The lane budget closes: a forward's load, compute and store legs, with the
@@ -17,21 +20,31 @@ import (
 // legs and waits tile the run from its start, so over both lanes they sum
 // to twice the wall within 5 %. The shapes are 32 MiB an array — past L2,
 // so the legs are long against a clock read — for a complex 2D, a complex
-// 3D and a real graph.
+// 3D and a real graph, and 16 MiB for a complex 2D graph under forced
+// streaming stores, whose stages on one lane fold their loads and stores
+// into the compute leg (one lane's soft DMA).
 func TestLaneBudgetCloses(t *testing.T) {
 	for _, c := range []struct {
-		dims []int
-		real bool
+		dims   []int
+		real   bool
+		stores stagegraph.StorePolicy
 	}{
-		{[]int{2048, 1024}, false},
-		{[]int{128, 128, 128}, false},
-		{[]int{2048, 2048}, true},
+		{[]int{2048, 1024}, false, stagegraph.StoreAuto},
+		{[]int{128, 128, 128}, false, stagegraph.StoreAuto},
+		{[]int{2048, 2048}, true, stagegraph.StoreAuto},
+		{[]int{256, 4096}, false, stagegraph.StoreNonTemporal},
 	} {
 		for lanes := 1; lanes <= 2; lanes++ {
-			name := fmt.Sprintf("%v real=%v lanes=%d", c.dims, c.real, lanes)
+			name := fmt.Sprintf("%v real=%v streaming=%v lanes=%d", c.dims, c.real, c.stores == stagegraph.StoreNonTemporal, lanes)
+			restore := stagegraph.SetAblation(stagegraph.Ablation{Stores: c.stores})
 			p, err := core.NewPlan(core.Config{Lanes: lanes}, c.real, c.dims...)
+			restore()
 			if err != nil {
 				t.Fatal(err)
+			}
+			if folds := strings.Count(p.DescribeGraph(), "store folded"); lanes == 1 && c.stores == stagegraph.StoreNonTemporal &&
+				layout.NonTemporalAvailable() && folds != 2 {
+				t.Errorf("%s: %d stages fold their stores, want both:\n%s", name, folds, p.DescribeGraph())
 			}
 			forward := planForward(t, p)
 			forward() // faults the arrays in

@@ -82,11 +82,11 @@ func (b *bluesteinPlan) transform(dst, src []complex128, sign int, ar *kernels.A
 	for j := n; j < m; j++ {
 		a[j] = 0
 	}
-	b.mPlan.run(fa, a, 1, 1, Forward, len(b.mPlan.stages), ar)
+	b.mPlan.run(fa, a, 1, 1, Forward, len(b.mPlan.stages), ar, nil)
 	for j := 0; j < m; j++ {
 		fa[j] *= kernel[j]
 	}
-	b.mPlan.run(a, fa, 1, 1, Inverse, len(b.mPlan.stages), ar)
+	b.mPlan.run(a, fa, 1, 1, Inverse, len(b.mPlan.stages), ar, nil)
 	inv := complex(1/float64(m), 0)
 	for k := 0; k < n; k++ {
 		dst[k] = a[k] * inv * chirp[k]

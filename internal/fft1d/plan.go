@@ -313,6 +313,18 @@ func (p *Plan) FoldRadix() int {
 	return 0
 }
 
+// SinkRadix reports the radix of the chain's last stage when a stage-graph
+// sink can take it (BatchLanesSinkArena): a radix-8 or fused radix-16
+// codelet stage, whose outputs the kernels' sink codelets write through a
+// rotation. It returns 0 for a chain that ends in a radix-4 stage (the store
+// leg folds that one), a radix-2 stage or a generic one.
+func (p *Plan) SinkRadix() int {
+	if last := p.stages[len(p.stages)-1]; (last.r == 8 || last.r == 16) && !last.generic() {
+		return last.r
+	}
+	return 0
+}
+
 // Bodies reports how many butterfly bodies the codelets run on a batch of
 // count lane groups (DFT_n ⊗ I_mu) — the times they advance the arena's
 // prefetch cursor — through the whole chain, or through its fold prefix

@@ -26,7 +26,7 @@ func (p *Plan) Lanes(dst, src []complex128, mu, sign int) {
 			len(dst), len(src), p.n*mu))
 	}
 	ar := getArena()
-	p.run(dst, src, 1, mu, sign, len(p.stages), ar)
+	p.run(dst, src, 1, mu, sign, len(p.stages), ar, nil)
 	putArena(ar)
 }
 
@@ -62,13 +62,22 @@ func pencilMajor(pencils, stride int) bool {
 // in-place group starts from a scratch copy so no stage reads the half it
 // is writing. Every codelet advances the arena's prefetch cursor; the
 // generic stages (step) ignore it.
-func (p *Plan) run(x, src []complex128, pencils, mu, sign, t int, ar *kernels.Arena) {
+//
+// A non-nil sink that takes the whole transform's last stage
+// (kernels.Sink.Fits) receives that stage's outputs instead of x, through
+// its rotation, and run reports true; x then holds nothing of the result.
+// The decision is the batch's, made before the first sweep, so every pencil
+// goes the same way.
+func (p *Plan) run(x, src []complex128, pencils, mu, sign, t int, ar *kernels.Arena, sink *kernels.Sink) bool {
 	tw := p.twiddles(sign)
 	stride := p.n * mu
 	group := pencils
 	if pencilMajor(pencils, stride) {
 		group = 1
 	}
+	last := p.stages[len(p.stages)-1]
+	sunk := sink != nil && t == len(p.stages) && !last.generic() &&
+		sink.Fits(last.r, 1, stride/last.r, pencils)
 	mk := ar.Mark()
 	var scratch []complex128
 	if t > 1 || &src[0] == &x[0] {
@@ -91,9 +100,14 @@ func (p *Plan) run(x, src []complex128, pencils, mu, sign, t int, ar *kernels.Ar
 				out = scratch
 			}
 			m := n1 / st.r
-			if st.generic() {
+			switch {
+			case sunk && i == t-1:
+				sk := *sink
+				sk.Off += c * sink.Pitch
+				kernels.SinkStep(st.r, cur, group, stride, m, s, sign, &tw[i].codelet, &ar.Prefetch, &sk)
+			case st.generic():
 				st.step(out, cur, group, stride, m, s, sign, tw[i].generic, ar)
-			} else {
+			default:
 				kernels.BatchStep(st.r, out, cur, group, stride, m, s, sign, tw[i].codelet, &ar.Prefetch)
 			}
 			cur = out
@@ -102,6 +116,7 @@ func (p *Plan) run(x, src []complex128, pencils, mu, sign, t int, ar *kernels.Ar
 		}
 	}
 	ar.Rewind(mk)
+	return sunk
 }
 
 // step applies a generic radix-r stage (r·m butterflies of s lanes per
@@ -158,7 +173,7 @@ func (p *Plan) InPlaceLanes(x []complex128, mu, sign int) {
 		panic(fmt.Sprintf("fft1d: InPlaceLanes length %d, want %d", len(x), p.n*mu))
 	}
 	ar := getArena()
-	p.run(x, x, 1, mu, sign, len(p.stages), ar)
+	p.run(x, x, 1, mu, sign, len(p.stages), ar, nil)
 	putArena(ar)
 }
 
@@ -177,7 +192,19 @@ func (p *Plan) BatchArena(x []complex128, count, sign int, ar *kernels.Arena) {
 // source instead of from a loaded copy. This is the batched-unit shape of
 // the stage-graph compute hooks.
 func (p *Plan) BatchLanesArena(x, src []complex128, count, mu, sign int, ar *kernels.Arena) {
-	p.batch("BatchLanesArena", x, src, count, mu, sign, len(p.stages), ar)
+	p.batch("BatchLanesArena", x, src, count, mu, sign, len(p.stages), ar, nil)
+}
+
+// BatchLanesSinkArena is BatchLanesArena whose last Stockham pass writes
+// through sink instead of into x when the sink takes it (kernels.Sink.Fits
+// for the batch: a radix-8 or radix-16 last stage on the codelet tier, the
+// sink's geometry whole lines inside its destination): lane group c's
+// outputs go where the sink sends its pencil c, and it reports true, leaving
+// x holding nothing of the result. Otherwise x holds the transform, as after
+// BatchLanesArena, and it reports false. This is the store half of a
+// stage-graph compute hook's soft DMA.
+func (p *Plan) BatchLanesSinkArena(x, src []complex128, count, mu, sign int, sink *kernels.Sink, ar *kernels.Arena) bool {
+	return p.batch("BatchLanesSinkArena", x, src, count, mu, sign, len(p.stages), ar, sink)
 }
 
 // BatchLanesPrefixArena runs every Stockham stage except the trailing one
@@ -190,17 +217,15 @@ func (p *Plan) BatchLanesPrefixArena(x, src []complex128, count, mu, sign int, a
 	if p.FoldRadix() == 0 {
 		panic(fmt.Sprintf("fft1d: BatchLanesPrefixArena on a plan with no foldable stage (n=%d)", p.n))
 	}
-	p.batch("BatchLanesPrefixArena", x, src, count, mu, sign, len(p.stages)-1, ar)
+	p.batch("BatchLanesPrefixArena", x, src, count, mu, sign, len(p.stages)-1, ar, nil)
 }
 
-func (p *Plan) batch(name string, x, src []complex128, count, mu, sign, t int, ar *kernels.Arena) {
+func (p *Plan) batch(name string, x, src []complex128, count, mu, sign, t int, ar *kernels.Arena, sink *kernels.Sink) bool {
 	if len(x) != count*p.n*mu || len(src) != len(x) {
 		panic(fmt.Sprintf("fft1d: %s lengths x=%d src=%d, want %d·%d·%d",
 			name, len(x), len(src), count, p.n, mu))
 	}
-	if count > 0 {
-		p.run(x, src, count, mu, sign, t, ar)
-	}
+	return count > 0 && p.run(x, src, count, mu, sign, t, ar, sink)
 }
 
 // Strided transforms the pencil x[base], x[base+stride], …,
@@ -219,7 +244,7 @@ func (p *Plan) Strided(x []complex128, base, stride, sign int) {
 	for i := range in {
 		in[i] = x[base+i*stride]
 	}
-	p.run(in, in, 1, 1, sign, len(p.stages), ar)
+	p.run(in, in, 1, 1, sign, len(p.stages), ar, nil)
 	for i, v := range in {
 		x[base+i*stride] = v
 	}

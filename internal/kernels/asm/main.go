@@ -33,7 +33,8 @@
 //
 // Register budget notes live next to each emitter; the hard constraints
 // are: R14 (goroutine pointer) and BP/SP are never touched, every exit
-// path issues VZEROUPPER, and all functions are NOSPLIT leaves.
+// path issues VZEROUPPER, and all functions are leaves, NOSPLIT but for
+// the frames past the linker's nosplit limit (nosplitFrame).
 package main
 
 import (
@@ -159,6 +160,22 @@ func kernelConsts(g *gen, width int) {
 		g.ln("DATA signAll<>+%d(SB)/8, $0x8000000000000000", off)
 	}
 	g.ln("GLOBL signAll<>(SB), RODATA|NOPTR, $%d", width)
+	g.ln("")
+	g.ln("// laneRe/laneIm keep the even (real) or odd (imaginary) lanes of a")
+	g.ln("// broadcast: the sink codelets' scale multipliers [s,0,…] and [0,s,…].")
+	for _, c := range []struct {
+		name string
+		keep int
+	}{{"laneRe", 0}, {"laneIm", 8}} {
+		for off := 0; off < width; off += 8 {
+			v := "$0x0000000000000000"
+			if off%16 == c.keep {
+				v = "$0xFFFFFFFFFFFFFFFF"
+			}
+			g.ln("DATA %s<>+%d(SB)/8, %s", c.name, off, v)
+		}
+		g.ln("GLOBL %s<>(SB), RODATA|NOPTR, $%d", c.name, width)
+	}
 	g.ln("")
 	g.ln("// sqrtHalf = 1/sqrt(2), the radix-8 diagonal rotation magnitude.")
 	g.ln("DATA sqrtHalf<>+0(SB)/8, $0x3FE6A09E667F3BCD")
@@ -892,6 +909,299 @@ func emitPairsKernel16(g *gen, name string, wide mode, tail bool) {
 }
 
 // ---------------------------------------------------------------------------
+// Sink codelets: the last Stockham pass (m = 1) of a radix-8 or fused
+// radix-16 chain, storing each output vector through a blocked rotation with
+// streaming stores instead of into the pencil's buffer (kernels.Sink).
+//
+// At m = 1 leg k of q is pencil element e = k·s + q, and the rotation sends
+// element e to byte (e/μ)·js + (e%μ)·16 past the pencil's base: μ-blocks of
+// whole lines js bytes apart. With s a multiple of μ, leg k sits a fixed
+// ls = (s/μ)·js bytes past leg 0, so the strided bodies' store16 and
+// indexStore addressing holds with R12 = ls and R13 = 12·ls (3·ls at radix
+// 8). DI walks the vectors of μ-block q/μ and jumps to the next block at its
+// end: DX counts the block's bytes down, and the jump js − μ·16 comes from
+// the argument block. A pairs stage at m = 1 (s = 1) is one butterfly a
+// pencil, which every width runs in the 128-bit body; its legs land at the
+// byte offsets the Go wrapper tabulates (R12 points at the table, R15 reads
+// it). Every store is VMOVNTPD to a line-aligned block of whole lines (the
+// wrapper's contract). A ZMM store writes a whole line. A YMM body writes
+// half of each of its legs' lines, and a half line left in a write-combining
+// buffer while the body's other fifteen legs stream is evicted as a partial
+// write, measured 20× slower than the buffered pass and the gather; so the
+// 256-bit kernel runs its bodies in pairs, the first holding its legs in the
+// frame and the second writing each line's two halves back to back. With
+// scale set each vector is first multiplied by complex(scale, 0)
+// (sinkScale). None of them fences.
+// ---------------------------------------------------------------------------
+
+// sinkMasks are a sink codelet's scale multipliers, re = [s,0,s,0…] and
+// im = [0,s,0,s…], kept in its frame from byte off (two vectors of the
+// kernel's widest mode) so that the bodies, whose every register is taken,
+// read them as memory operands. The 512-bit kernels also set K1 and K2 to
+// the even and odd lanes, which stand in for VADDSUBPD (no EVEX form).
+func sinkMasks(g *gen, wide mode, arg string, off int) {
+	g.op("VBROADCASTSD %s, %s", arg, wide.r(0))
+	g.op("VANDPD laneRe<>(SB), %s, %s", wide.r(0), wide.r(1))
+	g.op("VANDPD laneIm<>(SB), %s, %s", wide.r(0), wide.r(0))
+	g.op("VMOVUPD %s, %d(SP)", wide.r(1), off)
+	g.op("VMOVUPD %s, %d(SP)", wide.r(0), off+wide.step)
+	if wide.pfx == "Z" {
+		g.op("MOVQ $0x55, AX")
+		g.op("KMOVW AX, K1")
+		g.op("MOVQ $0xAA, AX")
+		g.op("KMOVW AX, K2")
+	}
+}
+
+// sinkScale multiplies the vector in reg by complex(s, 0) with emitScale's
+// operation sequence — the bits of fft1d.Scale and of layout's scaling
+// gather — reading the multipliers sinkMasks stored at off(SP) and off+w(SP).
+// a and b are scratch registers the body does not hold live at this store.
+func sinkScale(g *gen, m mode, reg string, a, b, off, w int) {
+	g.op("VMOVDDUP %s, %s", reg, m.r(a))
+	g.op("VPERMILPD %s, %s, %s", m.imm(0xF), reg, m.r(b))
+	g.op("VMULPD %d(SP), %s, %s", off, m.r(a), m.r(a))
+	g.op("VMULPD %d(SP), %s, %s", off+w, m.r(b), m.r(b))
+	if m.pfx == "Z" {
+		g.op("VSUBPD %s, %s, K1, %s", m.r(b), m.r(a), reg)
+		g.op("VADDPD %s, %s, K2, %s", m.r(b), m.r(a), reg)
+		return
+	}
+	g.op("VADDSUBPD %s, %s, %s", m.r(b), m.r(a), reg)
+}
+
+// sinkOut is where a sink codelet's legs go: addr(k, disp) is leg k's
+// address displaced by disp bytes, scaleOff the frame offset of the scale
+// multipliers (−1: no scale) and heldOff that of the 32-byte slots a
+// paired YMM body holds its legs in.
+type sinkOut struct {
+	radix, scaleOff, w, heldOff int
+	addr                        func(g *gen, k, disp int) string
+}
+
+// Which half of a line a store writes: all of it (ZMM, and the 128-bit
+// pairs body), or the first or second half of a paired YMM body.
+const (
+	whole = iota
+	firstHalf
+	secondHalf
+)
+
+// store is the sink codelets' store: leg k's vector, scaled when scaleOff
+// ≥ 0, leaves by VMOVNTPD at addr(k) — or, for a first half, waits in its
+// frame slot, which the second half's store writes 32 bytes before its own.
+// dft4Inter stores the first leg of each call while V6 and V7 are live and
+// V2, V3 free, and the others with V6 and V7 free; legs 0–3 of radix 16 and
+// 0–1 of radix 8 are first legs.
+func (o sinkOut) store(half int) storeInter {
+	return func(g *gen, m mode, k int, reg string) {
+		a, b := 6, 7
+		if k < o.radix/4 {
+			a, b = 2, 3
+		}
+		if o.scaleOff >= 0 {
+			sinkScale(g, m, reg, a, b, o.scaleOff, o.w)
+		}
+		switch half {
+		case firstHalf:
+			g.op("VMOVUPD %s, %d(SP)", reg, o.heldOff+32*k)
+		case secondHalf:
+			g.op("VMOVUPD %d(SP), %s", o.heldOff+32*k, m.r(a))
+			g.op("VMOVNTPD %s, %s", m.r(a), o.addr(g, k, -32))
+			g.op("VMOVNTPD %s, %s", reg, o.addr(g, k, 0))
+		default:
+			g.op("VMOVNTPD %s, %s", reg, o.addr(g, k, 0))
+		}
+	}
+}
+
+// disp renders a displacement: none for 0.
+func disp(d int) string {
+	if d == 0 {
+		return ""
+	}
+	return fmt.Sprint(d)
+}
+
+// sinkAddr16 and sinkAddr8 are store16's and indexStore's addresses.
+func sinkAddr16(_ *gen, k, d int) string {
+	return disp(d) + [...]string{"(AX)", "(AX)(R12*4)", "(AX)(R12*8)", "(AX)(R13*1)"}[k>>2]
+}
+
+func sinkAddr8(_ *gen, k, d int) string {
+	base := "DI"
+	if k >= 4 {
+		base = "AX"
+	}
+	return disp(d) + fmt.Sprintf([...]string{"(%s)", "(%s)(R12*1)", "(%s)(R12*2)", "(%s)(R13*1)"}[k%4], base)
+}
+
+// sinkPairsAddr reads leg k's byte offset from the wrapper's table.
+func sinkPairsAddr(g *gen, k, _ int) string {
+	g.op("MOVQ %d(R12), R15", 8*k)
+	return "(DI)(R15*1)"
+}
+
+// sinkFrame is a sink codelet's frame: the body's spill slots, then, for a
+// paired YMM kernel, a 32-byte slot a leg to hold a first half in, then the
+// two scale multipliers of width bytes each when it scales.
+func sinkFrame(radix int, wide mode, paired, scale bool) (frame, heldOff, maskOff int) {
+	frame = frame8(radix, wide)
+	if radix == 16 {
+		frame = frame16(wide)
+	}
+	heldOff, maskOff = frame, -1
+	if paired {
+		frame += 32 * radix
+	}
+	if scale {
+		maskOff = frame
+		frame += 2 * wide.step
+	}
+	return frame, heldOff, maskOff
+}
+
+// nosplitFrame bounds the frame a NOSPLIT function may take: the linker
+// refuses a nosplit function that grows the stack past 792 bytes.
+const nosplitFrame = 768
+
+// sinkPF is the cursor's place in the strided sink codelets' argument
+// block, sinkPairsPF in the pairs ones'.
+var (
+	sinkPF      = cursor{off: 72}
+	sinkPairsPF = cursor{off: 48}
+)
+
+// emitSinkConsts hoists the body's constants: jimalt, plus sqrtHalf at radix
+// 8 and the three rotation magnitudes at radix 16.
+func emitSinkConsts(g *gen, radix int, wide mode, jimArg string) {
+	if radix == 16 {
+		emit16Consts(g, wide, jimArg)
+		return
+	}
+	g.op("VBROADCASTSD %s, %s", jimArg, wide.r(15))
+	g.op("VXORPD signEven<>(SB), %s, %s", wide.r(15), wide.r(15))
+	g.op("VBROADCASTSD sqrtHalf<>(SB), %s", wide.r(14))
+}
+
+// emitSinkKernel writes the strided sink codelet of a radix-8 or radix-16
+// m = 1 stage: wide.step/16 q elements a body, a line's worth of q a loop
+// iteration (one ZMM body, or two YMM bodies whose first holds its legs for
+// the second to write whole lines), s a multiple of μ and so of four (no
+// tail).
+func emitSinkKernel(g *gen, name string, radix int, wide mode, scale bool) {
+	paired := wide.pfx != "Z"
+	frame, heldOff, maskOff := sinkFrame(radix, wide, paired, scale)
+	twType := "twiddlePtrs"
+	if radix == 16 {
+		twType = "twiddle16Ptrs"
+	}
+	// A frame past the linker's nosplit limit (the paired radix-16 one)
+	// takes the stack check a NOSPLIT leaf skips.
+	flag := "NOSPLIT"
+	if frame > nosplitFrame {
+		flag = "0"
+	}
+	g.ln("// func %s(dst, src *complex128, s int, jim float64, tw *%s, ls, bb, jump int, scale float64, pf Prefetch) uintptr", name, twType)
+	g.ln("TEXT ·%s(SB), %s, $%d-104", name, flag, frame)
+	g.op("MOVQ dst+0(FP), DI")
+	g.op("MOVQ src+8(FP), SI")
+	g.op("MOVQ s+16(FP), R10")
+	g.op("SHLQ $4, R10") // sm16 = s16 at m = 1
+	g.op("LEAQ (R10)(R10*2), R11")
+	g.op("MOVQ ls+40(FP), R12")
+	if radix == 16 {
+		g.op("MOVQ R12, R13")
+		g.op("SHLQ $2, R13")
+		g.op("LEAQ (R13)(R13*2), R13") // 12*ls
+	} else {
+		g.op("LEAQ (R12)(R12*2), R13") // 3*ls
+	}
+	g.op("MOVQ tw+32(FP), BX")
+	g.op("XORQ R8, R8") // p16: the one row, p = 0
+	if scale {
+		sinkMasks(g, wide, "scale+64(FP)", maskOff)
+	}
+	sinkPF.load(g)
+	emitSinkConsts(g, radix, wide, "jim+24(FP)")
+	g.op("MOVQ bb+48(FP), DX")
+	g.op("MOVQ s+16(FP), CX")
+	out := sinkOut{radix: radix, scaleOff: maskOff, w: wide.step, heldOff: heldOff, addr: sinkAddr8}
+	if radix == 16 {
+		out.addr = sinkAddr16
+	}
+	body := func(half int) {
+		if radix == 16 {
+			radix16Body(g, wide, lazyTw, out.store(half), true)
+		} else {
+			radix8Body(g, wide, lazyTw, out.store(half), true)
+		}
+	}
+	g.label(name + "_q")
+	g.op("CMPQ CX, $4")
+	g.op("JL %s_done", name)
+	sinkPF.ask(g, name+"_w")
+	if paired {
+		body(firstHalf)
+		sinkPF.ask(g, name+"_h")
+		body(secondHalf)
+	} else {
+		body(whole)
+	}
+	g.comment("next μ-block: DI jumps js - bb once the block's bytes are written")
+	g.op("SUBQ $64, DX")
+	g.op("JNZ %s_n", name)
+	g.op("ADDQ jump+56(FP), DI")
+	g.op("MOVQ bb+48(FP), DX")
+	g.label(name + "_n")
+	g.op("SUBQ $4, CX")
+	g.op("JMP %s_q", name)
+	g.label(name + "_done")
+	sinkPF.ret(g)
+	g.op("VZEROUPPER")
+	g.op("RET")
+	g.ln("")
+}
+
+// emitSinkPairs writes the pairs sink codelet of a radix-8 or radix-16
+// m = 1, s = 1 stage: one butterfly, the 128-bit pairs body, legs at the
+// tabulated offsets.
+func emitSinkPairs(g *gen, name string, radix int, scale bool) {
+	frame, _, maskOff := sinkFrame(radix, vec256, false, scale)
+	twType := "twiddlePtrs"
+	if radix == 16 {
+		twType = "twiddle16Ptrs"
+	}
+	g.ln("// func %s(dst, src *complex128, jim float64, tw *%s, offs *[16]int, scale float64, pf Prefetch) uintptr", name, twType)
+	g.ln("TEXT ·%s(SB), NOSPLIT, $%d-80", name, frame)
+	g.op("MOVQ dst+0(FP), DI")
+	g.op("MOVQ src+8(FP), SI")
+	g.op("MOVQ $16, R10") // 16*m
+	g.op("MOVQ $48, R11")
+	g.op("MOVQ tw+24(FP), BX")
+	g.op("MOVQ offs+32(FP), R12")
+	g.op("XORQ R8, R8")
+	if scale {
+		sinkMasks(g, vec256, "scale+40(FP)", maskOff)
+	}
+	sinkPairsPF.load(g)
+	emitSinkConsts(g, radix, vec256, "jim+16(FP)")
+	sinkPairsPF.ask(g, name+"_t")
+	tm := tail128
+	tm.pairs = true
+	st := sinkOut{radix: radix, scaleOff: maskOff, w: vec256.step, addr: sinkPairsAddr}.store(whole)
+	if radix == 16 {
+		radix16Body(g, tm, pairTw, st, false)
+	} else {
+		radix8Body(g, tm, pairTw, st, false)
+	}
+	sinkPairsPF.ret(g)
+	g.op("VZEROUPPER")
+	g.op("RET")
+	g.ln("")
+}
+
+// ---------------------------------------------------------------------------
 // Store-fold epilogue kernel: one leg of the trailing trivial-twiddle
 // radix-4 butterfly, computed from four cache-hot buffer streams into the
 // scatter staging slice. dst[i] is
@@ -1381,6 +1691,16 @@ func main() {
 	emitFoldScatterKernel(&k, "radix4FoldScatterAVX2", movOp, false)
 	emitFoldScatterKernel(&k, "radix4FoldScaleNTAVX2", "VMOVNTPD", true)
 	emitFoldScatterKernel(&k, "radix4FoldScatterScaleAVX2", movOp, true)
+	for _, r := range []int{8, 16} {
+		for _, scale := range []bool{false, true} {
+			sfx := ""
+			if scale {
+				sfx = "Scale"
+			}
+			emitSinkKernel(&k, fmt.Sprintf("radix%dSink%sAVX2", r, sfx), r, vec256, scale)
+			emitSinkPairs(&k, fmt.Sprintf("radix%dSinkPairs%sAVX2", r, sfx), r, scale)
+		}
+	}
 
 	// The 512-bit tier of the radix-8 and fused radix-16 codelets lives in
 	// its own file, beside the -kernels one, so the AVX2 file does not change
@@ -1393,6 +1713,10 @@ func main() {
 	emitPairsKernel(&z, "radix8PairsAVX512", 8, vec512, false)
 	emitInterKernel16(&z, "radix16AVX512", vec512, false)
 	emitPairsKernel16(&z, "radix16PairsAVX512", vec512, false)
+	for _, r := range []int{8, 16} {
+		emitSinkKernel(&z, fmt.Sprintf("radix%dSinkAVX512", r), r, vec512, false)
+		emitSinkKernel(&z, fmt.Sprintf("radix%dSinkScaleAVX512", r), r, vec512, true)
+	}
 
 	var l gen
 	header(&l, "AVX block scatters (non-temporal and cached), non-temporal gather and cache-line flush for internal/layout.")

@@ -181,10 +181,7 @@ func radix8Step(dst, src []complex128, m, s, sign int, tw *StageTwiddles, pf *Pr
 		Radix8StepGeneric(dst, src, m, s, sign, *tw)
 		return
 	}
-	tp := twiddlePtrs{
-		w1: &tw.W1[0], w2: &tw.W2[0], w3: &tw.W3[0], w4: &tw.W4[0],
-		w5: &tw.W5[0], w6: &tw.W6[0], w7: &tw.W7[0],
-	}
+	tp := tw.ptrs8()
 	c, jim := pf.cursor(), jimFor(sign)
 	switch {
 	case width == 512 && s == 1:
@@ -195,6 +192,15 @@ func radix8Step(dst, src []complex128, m, s, sign int, tw *StageTwiddles, pf *Pr
 		pf.advance(radix8PairsAVX2(&dst[0], &src[0], m, jim, &tp, c))
 	default:
 		pf.advance(radix8AVX2(&dst[0], &src[0], m, s, jim, &tp, c))
+	}
+}
+
+// ptrs8 is the argument block of the radix-8 assembly kernels; every leg
+// must be non-empty.
+func (st *StageTwiddles) ptrs8() twiddlePtrs {
+	return twiddlePtrs{
+		w1: &st.W1[0], w2: &st.W2[0], w3: &st.W3[0], w4: &st.W4[0],
+		w5: &st.W5[0], w6: &st.W6[0], w7: &st.W7[0],
 	}
 }
 
@@ -352,4 +358,124 @@ func foldScatterFits(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, str
 	n := blocks * blockLen
 	return len(z0) >= n && len(z1) >= n && len(z2) >= n && len(z3) >= n &&
 		d0+(blocks-1)*stride+blockLen <= len(dst)
+}
+
+// The sink codelets (kernels.Sink), generated beside the codelets whose
+// bodies they run: the strided ones take the leg stride ls = (s/μ)·js, the
+// block bytes bb = μ·16 and the jump js − bb between blocks, all in bytes;
+// the pairs ones the byte offset of each leg. The Scale twins multiply every
+// output by scale on its way out; the others ignore it. None fences.
+//
+//go:noescape
+func radix8SinkAVX2(dst, src *complex128, s int, jim float64, tw *twiddlePtrs, ls, bb, jump int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix8SinkScaleAVX2(dst, src *complex128, s int, jim float64, tw *twiddlePtrs, ls, bb, jump int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix16SinkAVX2(dst, src *complex128, s int, jim float64, tw *twiddle16Ptrs, ls, bb, jump int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix16SinkScaleAVX2(dst, src *complex128, s int, jim float64, tw *twiddle16Ptrs, ls, bb, jump int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix8SinkAVX512(dst, src *complex128, s int, jim float64, tw *twiddlePtrs, ls, bb, jump int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix8SinkScaleAVX512(dst, src *complex128, s int, jim float64, tw *twiddlePtrs, ls, bb, jump int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix16SinkAVX512(dst, src *complex128, s int, jim float64, tw *twiddle16Ptrs, ls, bb, jump int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix16SinkScaleAVX512(dst, src *complex128, s int, jim float64, tw *twiddle16Ptrs, ls, bb, jump int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix8SinkPairsAVX2(dst, src *complex128, jim float64, tw *twiddlePtrs, offs *[16]int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix8SinkPairsScaleAVX2(dst, src *complex128, jim float64, tw *twiddlePtrs, offs *[16]int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix16SinkPairsAVX2(dst, src *complex128, jim float64, tw *twiddle16Ptrs, offs *[16]int, scale float64, pf Prefetch) uintptr
+
+//go:noescape
+func radix16SinkPairsScaleAVX2(dst, src *complex128, jim float64, tw *twiddle16Ptrs, offs *[16]int, scale float64, pf Prefetch) uintptr
+
+// sinkTier reports whether the codelet tier runs a radix-r (m, s) stage, so
+// that its sink codelet can (Sink.Takes has checked the shape).
+func sinkTier(r, m, s int) bool { return stepWidth(r, m, s) != 0 }
+
+// lineAligned reports whether element off of dst starts a cache line.
+func lineAligned(dst []complex128, off int) bool {
+	return (uintptr(unsafe.Pointer(&dst[0]))+uintptr(off)*16)%sinkLine == 0
+}
+
+// sinkTwiddles reports whether tw holds the one entry (m = 1) of every leg a
+// radix-r sink codelet reads.
+func sinkTwiddles(r int, tw *StageTwiddles) bool {
+	if r == 16 {
+		return tw.has16Legs(1)
+	}
+	return len(tw.W1) >= 1 && len(tw.W2) >= 1 && len(tw.W3) >= 1 && len(tw.W4) >= 1 &&
+		len(tw.W5) >= 1 && len(tw.W6) >= 1 && len(tw.W7) >= 1
+}
+
+// sinkPencil runs one pencil's sink codelet into sk.Dst from element off,
+// at the width Radix{8,16}Step would take; SinkStep has checked the
+// contract.
+func sinkPencil(r int, src []complex128, s, sign int, tw *StageTwiddles, pf *Prefetch, sk *Sink, off int) {
+	dst, c, jim, sc := &sk.Dst[off], pf.cursor(), jimFor(sign), sk.Scale
+	bl, js := sk.BlockLen, sk.JStride*16
+	var next uintptr
+	if s == 1 {
+		var offs [16]int
+		for k := 0; k < r; k++ {
+			offs[k] = k/bl*js + k%bl*16
+		}
+		switch {
+		case r == 16 && sc != 0:
+			tp := tw.ptrs16()
+			next = radix16SinkPairsScaleAVX2(dst, &src[0], jim, &tp, &offs, sc, c)
+		case r == 16:
+			tp := tw.ptrs16()
+			next = radix16SinkPairsAVX2(dst, &src[0], jim, &tp, &offs, sc, c)
+		case sc != 0:
+			tp := tw.ptrs8()
+			next = radix8SinkPairsScaleAVX2(dst, &src[0], jim, &tp, &offs, sc, c)
+		default:
+			tp := tw.ptrs8()
+			next = radix8SinkPairsAVX2(dst, &src[0], jim, &tp, &offs, sc, c)
+		}
+		pf.advance(next)
+		return
+	}
+	ls, bb := s/bl*js, bl*16
+	wide := stepWidth(r, 1, s) == 512
+	if r == 16 {
+		tp := tw.ptrs16()
+		switch {
+		case wide && sc != 0:
+			next = radix16SinkScaleAVX512(dst, &src[0], s, jim, &tp, ls, bb, js-bb, sc, c)
+		case wide:
+			next = radix16SinkAVX512(dst, &src[0], s, jim, &tp, ls, bb, js-bb, sc, c)
+		case sc != 0:
+			next = radix16SinkScaleAVX2(dst, &src[0], s, jim, &tp, ls, bb, js-bb, sc, c)
+		default:
+			next = radix16SinkAVX2(dst, &src[0], s, jim, &tp, ls, bb, js-bb, sc, c)
+		}
+	} else {
+		tp := tw.ptrs8()
+		switch {
+		case wide && sc != 0:
+			next = radix8SinkScaleAVX512(dst, &src[0], s, jim, &tp, ls, bb, js-bb, sc, c)
+		case wide:
+			next = radix8SinkAVX512(dst, &src[0], s, jim, &tp, ls, bb, js-bb, sc, c)
+		case sc != 0:
+			next = radix8SinkScaleAVX2(dst, &src[0], s, jim, &tp, ls, bb, js-bb, sc, c)
+		default:
+			next = radix8SinkAVX2(dst, &src[0], s, jim, &tp, ls, bb, js-bb, sc, c)
+		}
+	}
+	pf.advance(next)
 }

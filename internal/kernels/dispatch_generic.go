@@ -61,3 +61,15 @@ func Radix4FoldScatter(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, s
 func Radix4FoldScatterNT(dst, z0, z1, z2, z3 []complex128, blocks, blockLen, d0, stride, leg, sign int, scale float64) bool {
 	return false
 }
+
+// No stage of this build has a sink codelet, so Sink.Fits is always false
+// and nothing reaches sinkPencil.
+func sinkTier(r, m, s int) bool { return false }
+
+func lineAligned(dst []complex128, off int) bool { return false }
+
+func sinkTwiddles(r int, tw *StageTwiddles) bool { return false }
+
+func sinkPencil(r int, src []complex128, s, sign int, tw *StageTwiddles, pf *Prefetch, sk *Sink, off int) {
+	panic("kernels: no sink codelet on this build")
+}

@@ -18,8 +18,10 @@ import (
 // (NewRunner) and the 1D sub-plans (Plan1D) are built, so a plan keeps the
 // schedule it was built under.
 type Ablation struct {
-	// NoFold keeps the trailing trivial-twiddle radix-4 butterfly in the
-	// compute leg instead of folding it into the scatter.
+	// NoFold turns both store folds off: the trailing trivial-twiddle
+	// radix-4 butterfly stays in the compute leg instead of riding the
+	// scatter, and one lane's streaming stages keep their store leg instead
+	// of writing the last sweep through the rotation (Stage.FoldStore).
 	NoFold bool
 	// Stores forces cached (StoreRegular) or streaming (StoreNonTemporal)
 	// block stores on every graph.

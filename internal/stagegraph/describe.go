@@ -7,9 +7,10 @@ import (
 
 // Describe renders a stage graph as text: per-stage geometry, store mode (a
 // folded radix-4 butterfly, the streaming tier), a load folded into the
-// first sweep and the next block prefetched during the compute, plus the
-// schedule summary. Endpoints may be nil — description never touches data — so
-// plans can describe graphs without binding arrays.
+// first sweep, the next block prefetched during the compute and a store
+// folded into the last sweep, plus the schedule summary. Endpoints may be
+// nil — description never touches data — so plans can describe graphs
+// without binding arrays.
 func Describe(stages []Stage) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "stage graph: %d stages, each lane runs its share of a stage load → compute → store\n", len(stages))
@@ -31,6 +32,9 @@ func Describe(stages []Stage) string {
 		}
 		if st.Prefetch != 0 {
 			b.WriteString(", next block prefetched")
+		}
+		if st.FoldStore {
+			b.WriteString(", store folded into the last sweep")
 		}
 		b.WriteString("\n")
 	}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/kernels"
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -206,7 +207,10 @@ func (e *Executor) runLane(ln *lane) {
 // lane's share of the stage ends before hi. A stage that folds its load has
 // no load op: its compute op reads the block's slice of Src, and the bytes
 // it read are recorded with no time. A prefetching stage's compute asks for
-// the lane's next block as it runs (Stage.prefetch).
+// the lane's next block as it runs (Stage.prefetch). A compute that wrote
+// the block through the stage's sink (Stage.FoldStore) leaves no store op:
+// one fence orders its streaming stores, and the bytes are recorded with no
+// time.
 func (ln *lane) block(st *Stage, s, iter, hi int, t0 time.Time, sh *obs.Shard, tr *trace.Recorder) time.Time {
 	emit := func(op trace.Op, start, end time.Time) {
 		tr.Emit(trace.Event{Op: op, Stage: s, Iter: iter, Lane: ln.id, Start: start, End: end})
@@ -220,13 +224,21 @@ func (ln *lane) block(st *Stage, s, iter, hi int, t0 time.Time, sh *obs.Shard, t
 	}
 	ln.arena.Reset()
 	ln.arena.Prefetch = st.prefetch(iter, hi)
+	ln.buf.Sink, ln.buf.Sunk = st.sink(iter), false
 	st.Compute(&ln.buf, ln.arena, st.input(&ln.buf, iter), iter)
+	if ln.buf.Sunk {
+		layout.StoreFence()
+	}
 	t1 := time.Now()
 	sh.Add(s, obs.Compute, 0, t1.Sub(t0))
 	if st.FoldLoad {
 		sh.Add(s, obs.Load, st.BlockElems()*complexBytes, 0)
 	}
 	emit(trace.Compute, t0, t1)
+	if ln.buf.Sunk {
+		sh.Add(s, obs.Store, st.BlockElems()*complexBytes, 0)
+		return t1
+	}
 	n := st.store(&ln.buf, iter, ln.scratch)
 	t2 := time.Now()
 	sh.Add(s, obs.Store, n, t2.Sub(t1))

@@ -465,6 +465,16 @@ func (p Pencils) Build() (*Graph, error) {
 	// (EXPERIMENTS.md "One lane's soft DMA"). Real row stages' pre hooks
 	// work on the loaded half, so real graphs keep their loads; a shard's
 	// slab keeps the schedule it was measured with.
+	//
+	// The same stages fold their stores: the last Stockham pass streams
+	// each output vector through the rotation into the destination, so the
+	// store leg, and its second read of the block out of L2, go
+	// (EXPERIMENTS.md "One lane's soft DMA, the store half"). A stage whose
+	// store folds a radix-4 butterfly, or whose chain ends in one (NoFold
+	// keeps it in the compute leg), keeps its store leg, and so does one
+	// whose block is a unit larger than the budget (4096²'s 512 KiB cols):
+	// with the block, its ping-pong scratch and the next block filling L2,
+	// the folded pass measured slower than the pass and the store leg apart.
 	softDMA := nt && p.Real == nil && sk == 1 && p.Lanes <= 1
 	if !ab.CopyLoads && p.Real == nil && (softDMA || D == 2 && fitsLLC(bytes, llc)) {
 		for i := range g.stages {
@@ -474,6 +484,7 @@ func (p Pencils) Build() (*Graph, error) {
 				c := chain[i]
 				st.Prefetch = prefetchStep(st.BlockElems()*complexBytes,
 					c.plan.Bodies(st.Units, c.lanes, st.StoreRadix != 0))
+				st.FoldStore = !ab.NoFold && st.runMajor() && st.sinkTakes(c) && st.BlockElems() <= budget
 			}
 		}
 	}
@@ -484,6 +495,20 @@ func (p Pencils) Build() (*Graph, error) {
 	lastSt := &g.stages[nStages-1]
 	g.scaleInStore = lastSt.runMajor() || lastSt.StoreRadix != 0
 	return g, nil
+}
+
+// sinkTakes reports whether the kernels' sink takes stage st's last Stockham
+// pass (kernels.Sink.Takes): c's chain ends in a radix-8 or radix-16 stage,
+// whose m = 1 pass runs s = n·lanes/r lanes, and the rotation's blocks are
+// whole lines. A stage that passes writes its blocks through the sink
+// whenever the destination starts a line.
+func (st *Stage) sinkTakes(c pencil) bool {
+	r := c.plan.SinkRadix()
+	if r == 0 {
+		return false
+	}
+	sk := kernels.Sink{Pitch: st.Rot.GStride, JStride: st.Rot.JStride, BlockLen: st.Rot.BlockLen}
+	return sk.Takes(r, 1, c.plan.N()*c.lanes/r)
 }
 
 // prefetchStep is the bytes a codelet body asks for so that a block of
@@ -563,10 +588,14 @@ func (c pencil) compute(dir *direction, unitLen int, fold, last bool) ComputeFn 
 		if c.pre != nil {
 			c.pre(x, units)
 		}
-		if fold {
+		switch {
+		case fold:
 			plan.BatchLanesPrefixArena(x, src, units, lanes, dir.sign, a)
-		} else {
-			plan.BatchLanesArena(x, src, units, lanes, dir.sign, a)
+		case plan.BatchLanesSinkArena(x, src, units, lanes, dir.sign, &b.Sink, a):
+			// The block left through the sink: a store-folding stage has no
+			// post hook and no compute-leg scale.
+			b.Sunk = true
+			return
 		}
 		if c.post != nil {
 			c.post(x, units)

@@ -118,6 +118,17 @@ type Stage struct {
 	// sets it on one-lane complex graphs whose stores stream, with
 	// FoldLoad. Src must be a plain complex array.
 	Prefetch int
+	// FoldStore drops the store leg, soft DMA's other half: the compute's
+	// last Stockham pass writes each output vector through the rotation
+	// straight into Dst with streaming stores (kernels.Sink), StoreScale
+	// included, instead of into the lane's buffer for a run-major gather to
+	// read back out. A block whose pass the kernels decline (a radix-4 last
+	// stage, a destination off the line grid, the pure-Go tier) keeps its
+	// store leg. Pencils.Build sets it on the prefetching stages whose store
+	// runs run-major and whose block fits the buffer budget; it needs
+	// runMajor and no staging, and takes effect only on a plain complex Dst
+	// whose compute hook passes the buffer's sink on (Buffers.Sink).
+	FoldStore bool
 	// StoreUnits × StoreLen re-tiles the buffer for the store when the
 	// store granularity differs from the load's (the real-inverse entangle
 	// stage loads spectrum rows of l+1 and stores packed rows of l); zero
@@ -189,7 +200,8 @@ func (st *Stage) runMajor() bool {
 // scalesInStore reports whether the store leg can apply StoreScale: a
 // run-major store or a radix-4 fold store (which multiplies each folded
 // output as it leaves, in the fused kernel or in the scratch fold) into a
-// plain complex array.
+// plain complex array. A stage that folds its store into the last sweep
+// runs run-major, and its sink carries the same scale (Stage.sink).
 func (st *Stage) scalesInStore() bool {
 	return (st.runMajor() || st.StoreRadix != 0) && st.Dst.C != nil
 }
@@ -227,6 +239,9 @@ func (st *Stage) validate(i int) error {
 				i, st.Name, st.Rot.GStride, got, want)
 		}
 	}
+	if st.FoldStore && (!st.runMajor() || st.StoreFromStaging) {
+		return fmt.Errorf("stagegraph: stage %d (%s): FoldStore on a store that does not run run-major from the main buffer", i, st.Name)
+	}
 	if st.StoreScale != 0 && !st.scalesInStore() {
 		return fmt.Errorf("stagegraph: stage %d (%s): StoreScale on a store that neither runs run-major nor folds into a complex array", i, st.Name)
 	}
@@ -257,9 +272,13 @@ func (st *Stage) validate(i int) error {
 
 // Buffers is one lane's cache-resident block buffer: C receives a block's
 // load and its compute result, and T is the staging tile of a stage whose
-// compute re-packs into a separate tile (nil when no stage does).
+// compute re-packs into a separate tile (nil when no stage does). Sink is
+// where a store-folding stage's compute may write the result instead
+// (Stage.FoldStore; the zero Sink elsewhere), and Sunk reports that it did.
 type Buffers struct {
 	C, T []complex128
+	Sink kernels.Sink
+	Sunk bool
 }
 
 // complexBytes is the DRAM traffic of moving one complex element (two
@@ -293,6 +312,18 @@ func (st *Stage) prefetch(iter, hi int) kernels.Prefetch {
 	}
 	n := st.BlockElems()
 	return kernels.NewPrefetch(st.Src.C[(iter+1)*n:(iter+2)*n], st.Prefetch)
+}
+
+// sink returns the sink a compute of block iter may write through: the
+// block's run-major destination — unit g's block j at Map(g, 0) + j·JStride,
+// consecutive units GStride apart — with the stage's StoreScale, when the
+// stage folds its store into a plain complex array, else the zero Sink.
+func (st *Stage) sink(iter int) kernels.Sink {
+	if !st.FoldStore || st.Dst.C == nil {
+		return kernels.Sink{}
+	}
+	return kernels.Sink{Dst: st.Dst.C, Off: st.Rot.Map(iter*st.Units, 0), Pitch: st.Rot.GStride,
+		JStride: st.Rot.JStride, BlockLen: st.Rot.BlockLen, Scale: st.StoreScale}
 }
 
 // input is the block a compute op reads: the block's slice of Src.C when the

@@ -3,8 +3,10 @@
 // ways.
 //
 // Run is the STREAM benchmark (McCalpin) in Go: Copy, Scale, Add and Triad
-// over three arrays, for cmd/stream. It measures DRAM only when the arrays
-// are several times the last-level cache (STREAM's own rule asks for 4×).
+// over three arrays, each kernel's elements split over GOMAXPROCS goroutines
+// as STREAM splits them over its threads, or over one, for cmd/stream. It
+// measures DRAM only when the arrays are several times the last-level cache
+// (STREAM's own rule asks for 4×).
 //
 // DRAMCopyGBs is the roofline the daemon and the measured sweeps normalize
 // against: on each of GOMAXPROCS goroutines one copy between two 4 MiB
@@ -15,6 +17,8 @@ package stream
 
 import (
 	"fmt"
+	"runtime"
+	"sync"
 	"time"
 )
 
@@ -56,14 +60,15 @@ func (k Kernel) bytesMoved() int {
 
 // Result is one kernel's measured bandwidth.
 type Result struct {
-	Kernel    Kernel
-	Elems     int
-	Trials    int
-	BestGBs   float64
-	AvgGBs    float64
-	WorstGBs  float64
-	BestTime  time.Duration
-	CheckedOK bool
+	Kernel     Kernel
+	Elems      int
+	Trials     int
+	Goroutines int
+	BestGBs    float64
+	AvgGBs     float64
+	WorstGBs   float64
+	BestTime   time.Duration
+	CheckedOK  bool
 }
 
 // Config sizes a run.
@@ -72,6 +77,9 @@ type Config struct {
 	Elems int
 	// Trials per kernel (default 5; best is reported, as in STREAM).
 	Trials int
+	// Goroutines each run a contiguous share of every kernel's elements
+	// (default GOMAXPROCS: the all-core rate; 1: one core's).
+	Goroutines int
 }
 
 func (c Config) withDefaults() Config {
@@ -80,6 +88,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Trials == 0 {
 		c.Trials = 5
+	}
+	if c.Goroutines == 0 {
+		c.Goroutines = runtime.GOMAXPROCS(0)
 	}
 	return c
 }
@@ -98,38 +109,40 @@ func Run(cfg Config) []Result {
 	}
 	const scalar = 3.0
 
+	// Each kernel runs on the elements [lo, hi).
 	kernels := []struct {
 		k Kernel
-		f func()
+		f func(lo, hi int)
 	}{
-		{Copy, func() {
-			copy(c, a)
+		{Copy, func(lo, hi int) {
+			copy(c[lo:hi], a[lo:hi])
 		}},
-		{Scale, func() {
-			for i := range b {
+		{Scale, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
 				b[i] = scalar * c[i]
 			}
 		}},
-		{Add, func() {
-			for i := range c {
+		{Add, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
 				c[i] = a[i] + b[i]
 			}
 		}},
-		{Triad, func() {
-			for i := range a {
+		{Triad, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
 				a[i] = b[i] + scalar*c[i]
 			}
 		}},
 	}
 
+	g := max(1, min(cfg.Goroutines, n))
 	var results []Result
 	for _, kr := range kernels {
-		r := Result{Kernel: kr.k, Elems: n, Trials: cfg.Trials}
+		r := Result{Kernel: kr.k, Elems: n, Trials: cfg.Trials, Goroutines: g}
 		bytes := float64(n * kr.k.bytesMoved())
 		var sum float64
 		for t := 0; t < cfg.Trials; t++ {
 			start := time.Now()
-			kr.f()
+			split(n, g, kr.f)
 			el := time.Since(start)
 			gbs := bytes / el.Seconds() / 1e9
 			sum += gbs
@@ -155,4 +168,19 @@ func Run(cfg Config) []Result {
 		}
 	}
 	return results
+}
+
+// split runs f over [0, n) cut into g contiguous shares, share 0 on the
+// calling goroutine and the others on their own, and returns when all have.
+func split(n, g int, f func(lo, hi int)) {
+	var wg sync.WaitGroup
+	for i := 1; i < g; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f(i*n/g, (i+1)*n/g)
+		}()
+	}
+	f(0, n/g)
+	wg.Wait()
 }
