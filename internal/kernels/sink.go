@@ -4,7 +4,8 @@ package kernels
 // writes its outputs to, through a blocked rotation with streaming stores,
 // instead of into the batch's buffer — the store half of one lane's soft
 // DMA (stagegraph.Stage.FoldStore). Pencil c of the batch sends its
-// element e (DFT_n ⊗ I_μ order) to
+// element e — the index the buffered pass would write it at in the pencil —
+// to
 //
 //	Dst[Off + c·Pitch + (e/BlockLen)·JStride + e%BlockLen]
 //
