@@ -13,6 +13,7 @@ import (
 	"repro/internal/cvec"
 	"repro/internal/fft1d"
 	"repro/internal/spl"
+	"repro/internal/stagegraph"
 	"repro/internal/trace"
 	"repro/internal/tune"
 )
@@ -168,7 +169,7 @@ func TestIntegrationFullTransformScheduleInvariants(t *testing.T) {
 	if got := p.Iters(); !slices.Equal(got, iters) {
 		t.Fatalf("iters %v, want %v", got, iters)
 	}
-	if err := tr.CheckLanes(iters, 2); err != nil {
+	if err := stagegraph.CheckLanes(tr, iters, 2); err != nil {
 		t.Fatal(err)
 	}
 	perLane := map[int]int{}

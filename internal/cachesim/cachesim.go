@@ -1,25 +1,21 @@
 // Package cachesim is a trace-driven, multi-level, set-associative cache
-// hierarchy simulator with write-back/write-allocate semantics and
-// non-temporal (cache-bypassing) accesses.
+// hierarchy simulator with write-back/write-allocate semantics and a
+// two-level TLB.
 //
 // The paper's argument is about where bytes move: large strided FFT pencils
 // conflict in the set-associative levels and evict each other's lines, so a
 // non-overlapped implementation pays far more DRAM traffic than the streamed
-// one; non-temporal stores avoid polluting the hierarchy with data the next
-// stage does not need (§II-A, §IV-A). This simulator measures exactly those
-// effects: per-level hits/misses/evictions and total DRAM read/write bytes
-// for a given access trace. The perfmodel package turns the per-pattern
-// traffic amplification factors into the effective-bandwidth terms of the
-// figure models.
+// one (§II-D). This simulator measures that effect for the one pattern the
+// figure models read, BufferedPencilSweep: per-level hits/misses/evictions,
+// DRAM read/write bytes and page walks. The perfmodel package turns the
+// sweep's traffic amplification into the strided-stage bandwidth of the
+// baseline libraries. The cached and streaming store costs of this
+// package's own executor are measured on the host, not simulated.
 package cachesim
 
-import (
-	"fmt"
+import "fmt"
 
-	"repro/internal/machine"
-)
-
-// AccessKind distinguishes the four memory operations the paper uses.
+// AccessKind distinguishes a load from a store.
 type AccessKind int
 
 const (
@@ -27,11 +23,6 @@ const (
 	Read AccessKind = iota
 	// Write is a temporal store (write-allocate, marks line dirty).
 	Write
-	// ReadNT is a non-temporal load: data goes straight to registers.
-	ReadNT
-	// WriteNT is a non-temporal (streaming) store: write-combined straight
-	// to DRAM, invalidating any cached copy.
-	WriteNT
 )
 
 func (k AccessKind) String() string {
@@ -40,10 +31,6 @@ func (k AccessKind) String() string {
 		return "read"
 	case Write:
 		return "write"
-	case ReadNT:
-		return "read-nt"
-	case WriteNT:
-		return "write-nt"
 	}
 	return fmt.Sprintf("access(%d)", int(k))
 }
@@ -67,7 +54,6 @@ type line struct {
 
 // level is one set-associative cache level.
 type level struct {
-	name      string
 	sets      int
 	ways      int
 	lineBytes int
@@ -84,12 +70,6 @@ type Hierarchy struct {
 	// DRAMReadBytes and DRAMWriteBytes count main-memory traffic.
 	DRAMReadBytes  int64
 	DRAMWriteBytes int64
-	// Non-temporal accesses go through small combining buffers modeling
-	// the hardware fill buffers / write-combining buffers: consecutive
-	// sub-line accesses of a streaming pass cost one line of DRAM
-	// traffic, but nothing is ever installed in the cache levels.
-	ntRead  combineBuf
-	ntWrite combineBuf
 	// Two-level TLB (64-entry L1, 1024-entry L2, 4 KiB pages). Every
 	// access touches it; L2 TLB misses trigger page walks, whose memory
 	// cost EffectiveBytes folds into the traffic totals. The paper's 2D
@@ -107,30 +87,6 @@ const PageBytes = 4096
 // chases through the page-table radix tree).
 const WalkBytes = 64
 
-// combineBuf is a tiny FIFO of recently streamed line addresses.
-type combineBuf struct {
-	lines [8]uint64
-	valid [8]bool
-	next  int
-}
-
-func (c *combineBuf) hit(lineAddr uint64) bool {
-	for i, v := range c.valid {
-		if v && c.lines[i] == lineAddr {
-			return true
-		}
-	}
-	return false
-}
-
-func (c *combineBuf) push(lineAddr uint64) {
-	c.lines[c.next] = lineAddr
-	c.valid[c.next] = true
-	c.next = (c.next + 1) % len(c.lines)
-}
-
-func (c *combineBuf) reset() { *c = combineBuf{} }
-
 // New builds a hierarchy from explicit level geometry.
 func New(levels ...LevelSpec) (*Hierarchy, error) {
 	if len(levels) == 0 {
@@ -143,7 +99,6 @@ func New(levels ...LevelSpec) (*Hierarchy, error) {
 		}
 		sets := s.SizeBytes / (s.Ways * s.LineBytes)
 		h.levels = append(h.levels, &level{
-			name:      s.Name,
 			sets:      sets,
 			ways:      s.Ways,
 			lineBytes: s.LineBytes,
@@ -151,9 +106,9 @@ func New(levels ...LevelSpec) (*Hierarchy, error) {
 			data:      make([]line, sets*s.Ways),
 		})
 	}
-	h.tlbL1 = &level{name: "TLB1", sets: 16, ways: 4, lineBytes: PageBytes,
+	h.tlbL1 = &level{sets: 16, ways: 4, lineBytes: PageBytes,
 		shift: log2(PageBytes), data: make([]line, 16*4)}
-	h.tlbL2 = &level{name: "TLB2", sets: 128, ways: 8, lineBytes: PageBytes,
+	h.tlbL2 = &level{sets: 128, ways: 8, lineBytes: PageBytes,
 		shift: log2(PageBytes), data: make([]line, 128*8)}
 	return h, nil
 }
@@ -178,22 +133,6 @@ func (s LevelSpec) validate() error {
 		return fmt.Errorf("cachesim: level %q geometry does not tile its size", s.Name)
 	}
 	return nil
-}
-
-// FromMachine builds the hierarchy of one socket of m (its private L1/L2
-// treated as one instance plus the shared LLC — adequate for single-threaded
-// pattern studies).
-func FromMachine(m machine.Machine) (*Hierarchy, error) {
-	var specs []LevelSpec
-	for _, c := range m.Caches {
-		specs = append(specs, LevelSpec{
-			Name:      fmt.Sprintf("L%d", c.Level),
-			SizeBytes: c.SizeBytes,
-			Ways:      c.Ways,
-			LineBytes: c.LineBytes,
-		})
-	}
-	return New(specs...)
 }
 
 func log2(v uint) uint {
@@ -228,16 +167,12 @@ func (h *Hierarchy) Access(addr uint64, size int, kind AccessKind) {
 func (h *Hierarchy) touchTLB(lineAddr uint64) {
 	page := lineAddr &^ (PageBytes - 1)
 	if h.tlbL1.probe(page, false) {
-		h.tlbL1.stats.Hits++
 		return
 	}
-	h.tlbL1.stats.Misses++
 	if h.tlbL2.probe(page, false) {
-		h.tlbL2.stats.Hits++
 		h.fillTLB(h.tlbL1, page)
 		return
 	}
-	h.tlbL2.stats.Misses++
 	h.TLBMisses++
 	h.fillTLB(h.tlbL2, page)
 	h.fillTLB(h.tlbL1, page)
@@ -265,12 +200,6 @@ func (h *Hierarchy) fillTLB(l *level, page uint64) {
 	l.data[base+victim] = line{tag: page, valid: true, lru: l.clock}
 }
 
-// TLBStats returns (L1 hits, L1 misses, L2 hits, L2 misses).
-func (h *Hierarchy) TLBStats() (l1Hits, l1Misses, l2Hits, l2Misses int64) {
-	return h.tlbL1.stats.Hits, h.tlbL1.stats.Misses,
-		h.tlbL2.stats.Hits, h.tlbL2.stats.Misses
-}
-
 // EffectiveBytes returns the DRAM traffic including the memory cost of page
 // walks — the denominator of the model's effective-bandwidth fractions.
 func (h *Hierarchy) EffectiveBytes() int64 {
@@ -279,36 +208,6 @@ func (h *Hierarchy) EffectiveBytes() int64 {
 
 func (h *Hierarchy) accessLine(lineAddr uint64, kind AccessKind) {
 	h.touchTLB(lineAddr)
-	switch kind {
-	case ReadNT:
-		// Bypass: if some level holds the line, serve from there (and
-		// count the hit); otherwise read from DRAM without filling,
-		// combining sub-line accesses through the fill buffer.
-		for _, l := range h.levels {
-			if l.probe(lineAddr, false) {
-				l.stats.Hits++
-				return
-			}
-			l.stats.Misses++
-		}
-		if !h.ntRead.hit(lineAddr) {
-			h.DRAMReadBytes += int64(h.levels[0].lineBytes)
-			h.ntRead.push(lineAddr)
-		}
-		return
-	case WriteNT:
-		// Streaming store: invalidate everywhere, write-combine to DRAM
-		// (one line of traffic no matter how many sub-line stores).
-		for _, l := range h.levels {
-			l.invalidate(lineAddr)
-		}
-		if !h.ntWrite.hit(lineAddr) {
-			h.DRAMWriteBytes += int64(h.levels[0].lineBytes)
-			h.ntWrite.push(lineAddr)
-		}
-		return
-	}
-
 	dirty := kind == Write
 	for i, l := range h.levels {
 		if l.probe(lineAddr, dirty) {
@@ -344,21 +243,6 @@ func (l *level) probe(lineAddr uint64, dirty bool) bool {
 		}
 	}
 	return false
-}
-
-// invalidate drops the line if present (no writeback: NT stores overwrite
-// the full line, so the stale copy is dead).
-func (l *level) invalidate(lineAddr uint64) {
-	set := int((lineAddr >> l.shift) % uint64(l.sets))
-	base := set * l.ways
-	for w := 0; w < l.ways; w++ {
-		ln := &l.data[base+w]
-		if ln.valid && ln.tag == lineAddr {
-			ln.valid = false
-			ln.dirty = false
-			return
-		}
-	}
 }
 
 // fill inserts the line into level index i, evicting LRU if needed; dirty
@@ -442,29 +326,3 @@ func (h *Hierarchy) Stats(i int) LevelStats { return h.levels[i].stats }
 
 // Levels returns the number of levels.
 func (h *Hierarchy) Levels() int { return len(h.levels) }
-
-// LineBytes returns the (uniform) line size.
-func (h *Hierarchy) LineBytes() int { return h.levels[0].lineBytes }
-
-// Reset clears all lines and counters.
-func (h *Hierarchy) Reset() {
-	for _, l := range h.levels {
-		for j := range l.data {
-			l.data[j] = line{}
-		}
-		l.stats = LevelStats{}
-		l.clock = 0
-	}
-	h.DRAMReadBytes = 0
-	h.DRAMWriteBytes = 0
-	h.ntRead.reset()
-	h.ntWrite.reset()
-	for _, l := range []*level{h.tlbL1, h.tlbL2} {
-		for j := range l.data {
-			l.data[j] = line{}
-		}
-		l.stats = LevelStats{}
-		l.clock = 0
-	}
-	h.TLBMisses = 0
-}

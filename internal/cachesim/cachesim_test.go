@@ -1,10 +1,6 @@
 package cachesim
 
-import (
-	"testing"
-
-	"repro/internal/machine"
-)
+import "testing"
 
 // tiny returns a small two-level hierarchy: 1 KiB 2-way L1, 4 KiB 4-way L2,
 // 64 B lines.
@@ -90,202 +86,37 @@ func TestWriteAllocateReadsLine(t *testing.T) {
 	}
 }
 
-func TestNonTemporalReadBypasses(t *testing.T) {
-	h := tiny(t)
-	h.Access(0, 8, ReadNT)
-	h.Access(8, 8, ReadNT)
-	// The second sub-line access combines in the fill buffer: one line.
-	if h.DRAMReadBytes != 64 {
-		t.Fatalf("NT fill buffer should combine sub-line reads: DRAM %d", h.DRAMReadBytes)
-	}
-	// Stream far enough to drain the fill buffer, then re-read line 0:
-	// nothing was cached, so it costs DRAM again.
-	for i := 1; i <= 32; i++ {
-		h.Access(uint64(i*64), 8, ReadNT)
-	}
-	before := h.DRAMReadBytes
-	h.Access(0, 8, ReadNT)
-	if h.DRAMReadBytes != before+64 {
-		t.Fatalf("NT reads must not fill caches: DRAM %d, want %d", h.DRAMReadBytes, before+64)
-	}
-	// But an NT read hitting cached data is served from cache.
-	h.Access(4096, 8, Read)
-	before = h.DRAMReadBytes
-	h.Access(4096, 8, ReadNT)
-	if h.DRAMReadBytes != before {
-		t.Fatal("NT read of cached line should be served from cache")
-	}
-}
-
-func TestNonTemporalWriteInvalidatesAndSkipsCache(t *testing.T) {
-	h := tiny(t)
-	h.Access(0, 8, Write) // cached dirty
-	h.Access(0, 64, WriteNT)
-	if h.DRAMWriteBytes != 64 {
-		t.Fatalf("NT write bytes %d, want 64", h.DRAMWriteBytes)
-	}
-	// The dirty line was invalidated, so flushing adds nothing.
-	h.Flush()
-	if h.DRAMWriteBytes != 64 {
-		t.Fatalf("stale dirty copy survived NT store: %d", h.DRAMWriteBytes)
-	}
-}
-
-func TestNonTemporalPollution(t *testing.T) {
-	// The paper's §IV-A claim: temporal stores of streamed-through data
-	// evict the shared buffer; non-temporal stores leave it resident.
-	mkRun := func(kind AccessKind) (bufMissesAfter int64) {
-		h := tiny(t)
-		// Buffer: 2 KiB, fits L2 (4 KiB).
-		const bufBytes = 2 << 10
-		buf := uint64(0)
-		out := uint64(regionGap)
-		for i := 0; i < bufBytes; i += 64 {
-			h.Access(buf+uint64(i), 64, Write)
-		}
-		// Stream 64 KiB of output data through with the given store kind.
-		for i := 0; i < 64<<10; i += 64 {
-			h.Access(out+uint64(i), 64, kind)
-		}
-		// Touch the buffer again and count fresh L2 misses.
-		l1Before, l2Before := h.Stats(0).Misses, h.Stats(1).Misses
-		for i := 0; i < bufBytes; i += 64 {
-			h.Access(buf+uint64(i), 64, Read)
-		}
-		_ = l1Before
-		return h.Stats(1).Misses - l2Before
-	}
-	ntMisses := mkRun(WriteNT)
-	tMisses := mkRun(Write)
-	if ntMisses != 0 {
-		t.Fatalf("NT stores should not evict the buffer, got %d misses", ntMisses)
-	}
-	if tMisses == 0 {
-		t.Fatal("temporal streaming stores should have evicted the buffer")
-	}
+// amplification is the DRAM traffic h measured over the ideal streaming
+// traffic of moving elems elements once in and once out.
+func amplification(h *Hierarchy, elems, elemBytes int) float64 {
+	return float64(h.DRAMReadBytes+h.DRAMWriteBytes) / float64(2*elems*elemBytes)
 }
 
 func TestStridedPencilAmplification(t *testing.T) {
-	// A strided pencil sweep over a matrix much larger than the cache
-	// must move far more DRAM traffic than the ideal 2·N·16 bytes; the
-	// same sweep on a cache-resident matrix must not.
-	h := tiny(t)                        // 4 KiB LLC
-	StridedPencilSweep(h, 256, 256, 16) // 1 MiB matrix
-	big := TrafficAmplification(h, 256*256, 16)
+	// A one-pencil (μ = 1) strided sweep over a matrix much larger than
+	// the cache must move far more DRAM traffic than the ideal 2·N·16
+	// bytes; the same sweep on a cache-resident matrix must not, and
+	// gathering four pencils per line (the baseline libraries' μ = 4)
+	// must cut the out-of-cache amplification.
+	h := tiny(t)                            // 4 KiB LLC
+	BufferedPencilSweep(h, 256, 256, 1, 16) // 1 MiB matrix
+	big := amplification(h, 256*256, 16)
 	if big < 2 {
 		t.Fatalf("large strided sweep amplification %.2f, want ≥ 2", big)
 	}
 	h2 := tiny(t)
-	StridedPencilSweep(h2, 8, 8, 16) // 1 KiB matrix, cache resident
-	small := TrafficAmplification(h2, 8*8, 16)
+	BufferedPencilSweep(h2, 8, 8, 1, 16) // 1 KiB matrix, cache resident
+	small := amplification(h2, 8*8, 16)
 	if small > 1.5 {
 		t.Fatalf("cache-resident sweep amplification %.2f, want ≈ 1", small)
 	}
 	if big <= small {
 		t.Fatal("amplification should grow out of cache")
 	}
-}
-
-func TestSequentialCopyTemporalVsNT(t *testing.T) {
-	// A temporal copy pays the write-allocate read of the destination:
-	// 1.5× the ideal traffic. The non-temporal copy is exactly ideal —
-	// precisely why the paper's data threads use NT loads and stores.
-	h := tiny(t)
-	SequentialCopy(h, 4096, 16) // 64 KiB copied
-	amp := TrafficAmplification(h, 4096, 16)
-	if amp < 1.45 || amp > 1.55 {
-		t.Fatalf("temporal copy amplification %.3f, want ≈ 1.5 (write-allocate)", amp)
-	}
-	h2 := tiny(t)
-	SequentialCopyNT(h2, 4096, 16)
-	ampNT := TrafficAmplification(h2, 4096, 16)
-	if ampNT < 0.99 || ampNT > 1.01 {
-		t.Fatalf("NT copy amplification %.3f, want exactly 1", ampNT)
-	}
-}
-
-func TestDoubleBufStageTrafficNearIdeal(t *testing.T) {
-	// One pipelined stage: data in once (NT), out once (NT rotated),
-	// buffer resident. DRAM traffic ≈ 2·N·16 regardless of the rotation's
-	// scatter, because NT stores write whole blocks.
-	h := tiny(t)
-	const total, buf = 1 << 12, 128 // buffer 2 KiB fits L2
-	DoubleBufStage(h, total, buf, 4, 64, 3, 16)
-	amp := TrafficAmplification(h, total, 16)
-	if amp > 1.25 {
-		t.Fatalf("doublebuf stage amplification %.3f, want ≈ 1", amp)
-	}
-}
-
-func TestStagePassesFusedChainDrop(t *testing.T) {
-	// Plain radix-4 chain: one sweep per rank stage (log4 n). Fused
-	// radix-16 + store fold: two rank stages per sweep, final stage free.
-	cases := []struct{ n, plain, fused int }{
-		{4, 1, 1}, {16, 2, 1}, {64, 3, 1}, {256, 4, 2}, {1024, 5, 2}, {4096, 6, 3},
-	}
-	for _, c := range cases {
-		if got := StagePasses(c.n, false); got != c.plain {
-			t.Errorf("StagePasses(%d, plain) = %d, want %d", c.n, got, c.plain)
-		}
-		if got := StagePasses(c.n, true); got != c.fused {
-			t.Errorf("StagePasses(%d, fused) = %d, want %d", c.n, got, c.fused)
-		}
-	}
-
-	// The sweep drop shows up as cache-level work, not DRAM traffic: the
-	// buffer stays resident either way, so DRAM bytes match while the
-	// fused schedule makes roughly half the buffer accesses.
-	const total, buf = 1 << 12, 256
-	hPlain, hFused := tiny(t), tiny(t)
-	DoubleBufStage(hPlain, total, buf, 4, 16, StagePasses(buf, false), 16)
-	DoubleBufStage(hFused, total, buf, 4, 16, StagePasses(buf, true), 16)
-	if hPlain.DRAMWriteBytes != hFused.DRAMWriteBytes {
-		t.Errorf("DRAM writes differ: plain %d, fused %d",
-			hPlain.DRAMWriteBytes, hFused.DRAMWriteBytes)
-	}
-	p := hPlain.Stats(0)
-	f := hFused.Stats(0)
-	if f.Hits+f.Misses >= p.Hits+p.Misses {
-		t.Errorf("fused L1 accesses %d not below plain %d",
-			f.Hits+f.Misses, p.Hits+p.Misses)
-	}
-}
-
-func TestDoubleBufVsPencilTraffic(t *testing.T) {
-	// Head-to-head on equal data: the pipelined stage should move
-	// substantially fewer DRAM bytes than the strided pencil stage.
-	const rows, cols = 256, 256
-	hP := tiny(t)
-	StridedPencilSweep(hP, rows, cols, 16)
-	pencil := hP.DRAMReadBytes + hP.DRAMWriteBytes
-
-	hD := tiny(t)
-	DoubleBufStage(hD, rows*cols, 128, 4, cols/4, 3, 16)
-	db := hD.DRAMReadBytes + hD.DRAMWriteBytes
-
-	if float64(pencil) < 1.5*float64(db) {
-		t.Fatalf("pencil traffic %d not ≫ doublebuf traffic %d", pencil, db)
-	}
-}
-
-func TestFromMachine(t *testing.T) {
-	h, err := FromMachine(machine.KabyLake7700K)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Levels() != 3 {
-		t.Fatalf("levels = %d, want 3", h.Levels())
-	}
-	if h.LineBytes() != 64 {
-		t.Fatal("line size wrong")
-	}
-	h.Access(0, 16, Read)
-	if h.DRAMReadBytes == 0 {
-		t.Fatal("machine-built hierarchy not functional")
-	}
-	h.Reset()
-	if h.DRAMReadBytes != 0 || h.Stats(0).Misses != 0 {
-		t.Fatal("Reset did not clear counters")
+	h4 := tiny(t)
+	BufferedPencilSweep(h4, 256, 256, 4, 16)
+	if blocked := amplification(h4, 256*256, 16); blocked >= big {
+		t.Fatalf("μ=4 sweep amplification %.2f not below μ=1's %.2f", blocked, big)
 	}
 }
 
@@ -311,8 +142,7 @@ func TestValidation(t *testing.T) {
 }
 
 func TestAccessKindStrings(t *testing.T) {
-	if Read.String() != "read" || Write.String() != "write" ||
-		ReadNT.String() != "read-nt" || WriteNT.String() != "write-nt" {
+	if Read.String() != "read" || Write.String() != "write" {
 		t.Fatal("kind names wrong")
 	}
 }

@@ -1,66 +1,14 @@
 package cachesim
 
-// Synthetic address-stream generators replaying the memory behaviour of the
-// paper's FFT stage types. The perfmodel package runs these at representative
-// sizes to measure per-pattern DRAM traffic amplification — the ratio of
-// bytes actually moved to the 2·N·elemBytes an ideal streaming stage moves —
-// and feeds those factors into the effective-bandwidth terms of the figure
-// models. Tests use them to demonstrate the paper's qualitative claims
-// (strided pencils amplify traffic; non-temporal stores avoid pollution).
-
-// Addresses are laid out in a flat virtual space; distinct regions are
-// separated far enough never to alias within a set by accident of layout.
-const regionGap = 1 << 34
-
-// SequentialCopy replays a temporal streaming copy of elems elements of
-// elemBytes each: read src, write dst (the STREAM copy kernel).
-func SequentialCopy(h *Hierarchy, elems, elemBytes int) {
-	src, dst := uint64(0), uint64(regionGap)
-	for i := 0; i < elems; i++ {
-		h.Access(src+uint64(i*elemBytes), elemBytes, Read)
-		h.Access(dst+uint64(i*elemBytes), elemBytes, Write)
-	}
-	h.Flush()
-}
-
-// SequentialCopyNT is SequentialCopy with non-temporal loads and stores —
-// the R_{b,i}/W_{b,i} traffic of the paper's data threads.
-func SequentialCopyNT(h *Hierarchy, elems, elemBytes int) {
-	src, dst := uint64(0), uint64(regionGap)
-	for i := 0; i < elems; i++ {
-		h.Access(src+uint64(i*elemBytes), elemBytes, ReadNT)
-		h.Access(dst+uint64(i*elemBytes), elemBytes, WriteNT)
-	}
-}
-
-// StridedPencilSweep replays the in-place column-pencil stage of a
-// non-overlapped 2D/3D FFT on a rows×cols row-major matrix: for every
-// column, each element is read and written at a stride of cols·elemBytes.
-// For large matrices each element touch costs a whole cache line, and lines
-// rarely survive until the neighbouring column reuses them — the paper's
-// §II-D bandwidth pathology.
-func StridedPencilSweep(h *Hierarchy, rows, cols, elemBytes int) {
-	base := uint64(0)
-	stride := uint64(cols * elemBytes)
-	for c := 0; c < cols; c++ {
-		col := base + uint64(c*elemBytes)
-		for r := 0; r < rows; r++ {
-			h.Access(col+uint64(r)*stride, elemBytes, Read)
-		}
-		for r := 0; r < rows; r++ {
-			h.Access(col+uint64(r)*stride, elemBytes, Write)
-		}
-	}
-	h.Flush()
-}
-
 // BufferedPencilSweep replays the blocked pencil access of a planned
-// library (MKL/FFTW class): μ adjacent pencils are gathered and scattered
-// together at cacheline granularity, so lines are consumed fully and the
-// raw 4× sub-line amplification of the naive sweep disappears. What
-// remains is the write-allocate traffic and — for pencils longer than the
-// TLB reach at page-or-larger strides — page-walk overhead. This is the
-// pattern the performance model measures for the baseline libraries.
+// library (MKL/FFTW class) in place on a rows×cols row-major matrix: μ
+// adjacent pencils are gathered and scattered together at cacheline
+// granularity, so lines are consumed fully and the raw sub-line
+// amplification of a one-pencil sweep (μ = 1, the paper's §II-D bandwidth
+// pathology) disappears. What remains is the write-allocate traffic and —
+// for pencils longer than the TLB reach at page-or-larger strides —
+// page-walk overhead. This is the pattern the performance model measures
+// for the baseline libraries.
 func BufferedPencilSweep(h *Hierarchy, rows, cols, mu, elemBytes int) {
 	stride := uint64(cols * elemBytes)
 	blockBytes := mu * elemBytes
@@ -74,84 +22,4 @@ func BufferedPencilSweep(h *Hierarchy, rows, cols, mu, elemBytes int) {
 		}
 	}
 	h.Flush()
-}
-
-// BlockedRotationStore replays the W_{b,i} store matrix: a cache-resident
-// buffer of bufElems elements is read (temporal, hot) and written to
-// main memory in μ-element blocks at destination stride strideBlocks·μ,
-// using non-temporal stores.
-func BlockedRotationStore(h *Hierarchy, bufElems, mu, strideBlocks, elemBytes int) {
-	buf := uint64(0)
-	dst := uint64(regionGap)
-	blocks := bufElems / mu
-	blockBytes := mu * elemBytes
-	for b := 0; b < blocks; b++ {
-		h.Access(buf+uint64(b*blockBytes), blockBytes, Read)
-		h.Access(dst+uint64(b*strideBlocks*blockBytes), blockBytes, WriteNT)
-	}
-}
-
-// DoubleBufStage replays one full pipelined stage over totalElems elements
-// with per-half block size bufElems: each block is streamed in with
-// non-temporal reads and temporal buffer writes, "computed" with
-// passes × (read+write) over the cached buffer, and stored with the blocked
-// rotation (non-temporal). Returns nothing; inspect h's counters.
-func DoubleBufStage(h *Hierarchy, totalElems, bufElems, mu, strideBlocks, passes, elemBytes int) {
-	src := uint64(0)
-	buf := uint64(regionGap)
-	dst := uint64(2 * regionGap)
-	blocks := totalElems / bufElems
-	for blk := 0; blk < blocks; blk++ {
-		half := buf + uint64((blk%2)*bufElems*elemBytes)
-		// Load: stream from src, place temporally in the buffer half.
-		for i := 0; i < bufElems; i++ {
-			h.Access(src+uint64((blk*bufElems+i)*elemBytes), elemBytes, ReadNT)
-			h.Access(half+uint64(i*elemBytes), elemBytes, Write)
-		}
-		// Compute: passes over the cached half (all hits if it fits).
-		for p := 0; p < passes; p++ {
-			for i := 0; i < bufElems; i++ {
-				h.Access(half+uint64(i*elemBytes), elemBytes, Read)
-				h.Access(half+uint64(i*elemBytes), elemBytes, Write)
-			}
-		}
-		// Store: blocked rotation with NT writes.
-		nblocks := bufElems / mu
-		blockBytes := mu * elemBytes
-		for b := 0; b < nblocks; b++ {
-			h.Access(half+uint64(b*blockBytes), blockBytes, Read)
-			h.Access(dst+uint64((blk*nblocks+b)*strideBlocks*blockBytes), blockBytes, WriteNT)
-		}
-	}
-}
-
-// StagePasses returns the number of compute sweeps the worker makes over
-// a cache-resident n-point stage buffer — the `passes` argument of
-// DoubleBufStage. A plain radix-4 chain sweeps once per rank stage
-// (log4 n). The fused codelet tier computes two rank stages per register
-// sweep (radix-16) and folds the final trivial-twiddle radix-4 butterfly
-// into the store leg, so only ⌈(log4 n − 1)/2⌉ sweeps remain; the folded
-// stage's arithmetic rides on the store traffic that was being paid anyway.
-func StagePasses(n int, fused bool) int {
-	ranks := 0
-	for m := n; m > 1; m /= 4 {
-		ranks++
-	}
-	if ranks < 1 {
-		ranks = 1
-	}
-	if !fused {
-		return ranks
-	}
-	if p := ranks / 2; p >= 1 { // ranks/2 == ⌈(ranks−1)/2⌉
-		return p
-	}
-	return 1
-}
-
-// TrafficAmplification returns the measured DRAM traffic divided by the
-// ideal streaming traffic for moving n elements once in and once out.
-func TrafficAmplification(h *Hierarchy, elems, elemBytes int) float64 {
-	ideal := float64(2 * elems * elemBytes)
-	return float64(h.DRAMReadBytes+h.DRAMWriteBytes) / ideal
 }

@@ -96,26 +96,3 @@ func TestQuickHitMissAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// Property: NT writes never leave data in any cache level (a subsequent
-// temporal read of the line always misses every level).
-func TestQuickNTWriteBypassesAllLevels(t *testing.T) {
-	f := func(rawAddr uint16) bool {
-		h, err := New(
-			LevelSpec{Name: "L1", SizeBytes: 512, Ways: 2, LineBytes: 64},
-			LevelSpec{Name: "L2", SizeBytes: 2048, Ways: 4, LineBytes: 64},
-		)
-		if err != nil {
-			return false
-		}
-		addr := uint64(rawAddr) * 64
-		h.Access(addr, 64, WriteNT)
-		m1 := h.Stats(0).Misses
-		m2 := h.Stats(1).Misses
-		h.Access(addr, 8, Read)
-		return h.Stats(0).Misses == m1+1 && h.Stats(1).Misses == m2+1
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -24,16 +24,3 @@ func ParseDims(s string) ([]int, error) {
 	}
 	return dims, nil
 }
-
-// FormatBytes renders a byte count with a binary unit suffix.
-func FormatBytes(b int64) string {
-	switch {
-	case b >= 1<<30:
-		return fmt.Sprintf("%.1f GiB", float64(b)/(1<<30))
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1f MiB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1f KiB", float64(b)/(1<<10))
-	}
-	return fmt.Sprintf("%d B", b)
-}

@@ -28,18 +28,3 @@ func TestParseDims(t *testing.T) {
 		}
 	}
 }
-
-func TestFormatBytes(t *testing.T) {
-	cases := map[int64]string{
-		512:     "512 B",
-		2048:    "2.0 KiB",
-		3 << 20: "3.0 MiB",
-		5 << 30: "5.0 GiB",
-		1536:    "1.5 KiB",
-	}
-	for in, want := range cases {
-		if got := FormatBytes(in); got != want {
-			t.Errorf("FormatBytes(%d) = %q, want %q", in, got, want)
-		}
-	}
-}

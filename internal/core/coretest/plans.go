@@ -130,27 +130,48 @@ func StageIters(t *testing.T, ranks ...int) {
 	}
 }
 
-// ScheduleTrace: a traced transform records the lane schedule on one, two
-// and three lanes — every block of every stage loaded, computed and stored
-// exactly once, in order, by the lane whose share it is, and no stage
-// starting before the last store of the one before. The load leg is kept
-// (CopyLoads), so the in-cache 2D stages record their loads too.
+// ScheduleTrace: a traced transform records the lane schedule — every
+// block of every stage loaded, computed and stored exactly once, in order,
+// by the lane whose share it is, and no stage starting before the last
+// store of the one before — on two kinds of graph:
+//   - small shapes on one, two and three lanes with the load leg kept
+//     (CopyLoads), so the in-cache 2D stages record their loads too;
+//   - one lane with the soft DMA on and streaming stores forced, on shapes
+//     whose chains end in radix 16: every load folds into the first sweep
+//     and the radix-16 stages' stores into the last, and those folded legs
+//     are recorded too.
 func ScheduleTrace(t *testing.T, ranks ...int) {
-	defer stagegraph.SetAblation(stagegraph.Ablation{CopyLoads: true})()
-	for _, dims := range [][]int{{32, 16}, {8, 8, 8}} {
-		if !ranked(dims, ranks) {
-			continue
-		}
-		for lanes := 1; lanes <= 3; lanes++ {
-			tr := trace.New()
-			p := mustPlan(t, core.Config{Mu: 4, BufferElems: 64, Lanes: lanes, Tracer: tr}, dims...)
-			if err := p.Transform(make([]complex128, p.Len()), randVec(9, p.Len()), fft1d.Forward); err != nil {
-				t.Fatal(err)
+	for _, c := range []struct {
+		abl   stagegraph.Ablation
+		cfg   core.Config
+		dims  [][]int
+		lanes []int
+	}{
+		{stagegraph.Ablation{CopyLoads: true}, core.Config{Mu: 4, BufferElems: 64},
+			[][]int{{32, 16}, {8, 8, 8}}, []int{1, 2, 3}},
+		{stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}, core.Config{},
+			[][]int{{256, 256}, {4, 8, 256}}, []int{1}},
+	} {
+		func() {
+			defer stagegraph.SetAblation(c.abl)()
+			for _, dims := range c.dims {
+				if !ranked(dims, ranks) {
+					continue
+				}
+				for _, lanes := range c.lanes {
+					tr := trace.New()
+					cfg := c.cfg
+					cfg.Lanes, cfg.Tracer = lanes, tr
+					p := mustPlan(t, cfg, dims...)
+					if err := p.Transform(make([]complex128, p.Len()), randVec(9, p.Len()), fft1d.Forward); err != nil {
+						t.Fatal(err)
+					}
+					if err := stagegraph.CheckLanes(tr, p.Iters(), lanes); err != nil {
+						t.Errorf("%+v %v on %d lanes: %v", c.abl, dims, lanes, err)
+					}
+				}
 			}
-			if err := tr.CheckLanes(p.Iters(), lanes); err != nil {
-				t.Errorf("%v on %d lanes: %v", dims, lanes, err)
-			}
-		}
+		}()
 	}
 }
 

@@ -34,13 +34,6 @@ func (v Vec) Clone() Vec {
 	return w
 }
 
-// Zero clears v in place.
-func (v Vec) Zero() {
-	for i := range v {
-		v[i] = 0
-	}
-}
-
 // Scale multiplies every element of v by s in place.
 func (v Vec) Scale(s complex128) {
 	for i := range v {
@@ -123,16 +116,6 @@ func RelErr(v, w Vec) float64 {
 		den = 1e-300
 	}
 	return math.Sqrt(num / den)
-}
-
-// ApproxEqual reports whether v and w agree elementwise within tol in maximum
-// modulus, scaled by the magnitude of w.
-func ApproxEqual(v, w Vec, tol float64) bool {
-	scale := w.MaxAbs()
-	if scale < 1 {
-		scale = 1
-	}
-	return MaxDiff(v, w) <= tol*scale
 }
 
 // FirstBitDiff returns the index of the first element at which v and w

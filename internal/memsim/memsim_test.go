@@ -75,7 +75,7 @@ func TestStageMemoryBoundTime(t *testing.T) {
 		Compute: NewResource("comp", 1e12),
 	}
 	s := StageSpec{Iters: 10, LoadBytes: 50, StoreLocalBytes: 50, Flops: 1}
-	got := SimulateStage(r, s)
+	got := SimulateGraph(r, []StageSpec{s})
 	// Each step's data chain moves 100 bytes at 100 B/s = 1 s; loads run
 	// in 10 steps and stores in 10 steps skewed by two: 12 steps total,
 	// but the prologue/epilogue steps only carry half the data. Total
@@ -91,7 +91,7 @@ func TestStageComputeBoundTime(t *testing.T) {
 		Compute: NewResource("comp", 10),
 	}
 	s := StageSpec{Iters: 10, LoadBytes: 1, StoreLocalBytes: 1, Flops: 100}
-	got := SimulateStage(r, s)
+	got := SimulateGraph(r, []StageSpec{s})
 	// 10 compute blocks × 10 s each, data free → ≈ 100 s.
 	if got < 99 || got > 102 {
 		t.Fatalf("stage time %v, want ≈ 100", got)

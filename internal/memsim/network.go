@@ -111,14 +111,14 @@ func SimulateSharded(m machine.Machine, k, n, mm, workers int, link NetworkLink)
 	if workers > 1 {
 		r.Link = NewResource("net", netBps)
 	}
-	est.RunSec = SimulateGraph(r, specs, true) + link.latencyFor(slabBytes*crossFrac)
+	est.RunSec = SimulateGraph(r, specs) + link.latencyFor(slabBytes*crossFrac)
 
 	est.TotalSec = est.ScatterSec + est.RunSec + est.GatherSec
 	return est, nil
 }
 
 // nodeComputeCap is a whole node's FFT compute throughput in flops/s,
-// mirroring the per-socket derivation in SimulateDoubleBuf3DSchedule.
+// mirroring the per-socket derivation in SimulateDoubleBuf3D.
 func nodeComputeCap(m machine.Machine) float64 {
 	cores := m.CoresPerSocket * m.Sockets
 	if m.ThreadsPerCore < 2 {

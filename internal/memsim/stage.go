@@ -25,13 +25,7 @@ type Resources struct {
 	Compute *Resource
 }
 
-// SimulateStage plays the Table II schedule for one stage and returns its
-// wall time in seconds. It is SimulateGraph on a single-stage graph.
-func SimulateStage(r Resources, s StageSpec) float64 {
-	return SimulateGraph(r, []StageSpec{s}, false)
-}
-
-// SimulateGraph plays the stage-graph schedule for a whole multi-stage
+// SimulateGraph plays the paper's Table II schedule for a whole multi-stage
 // transform on one shared set of resources and returns its wall time in
 // seconds. Each global step starts the data chain (stores of iteration
 // base+s-2 of any active stage: local writeback then cross-link transfer,
@@ -40,26 +34,17 @@ func SimulateStage(r Resources, s StageSpec) float64 {
 // epilogue emerge naturally from the iteration guards, so pipeline fill is
 // simulated rather than approximated.
 //
-// With fused=true the stages share the steady state exactly as the real
-// executor does: stage k's epilogue stores and stage k+1's prologue loads
-// land in the same step's data chain, so an S-stage graph runs
-// sum(iters)+S+1 steps and pays one fill/drain for the whole transform.
-// With fused=false each stage drains before the next begins
-// (sum(iters)+2S steps): the per-stage cost sums the way separate engine
-// invocations would.
-func SimulateGraph(r Resources, stages []StageSpec, fused bool) float64 {
+// The stages share the steady state: stage k's epilogue stores and stage
+// k+1's prologue loads land in the same step's data chain, so an S-stage
+// graph runs sum(iters)+S+1 steps and pays one fill/drain for the whole
+// transform (a one-stage graph runs iters+2).
+func SimulateGraph(r Resources, stages []StageSpec) float64 {
 	e := &Engine{}
 	bases := make([]int, len(stages))
-	total := 0
+	total := 1 // the single epilogue store step
 	for i, s := range stages {
-		bases[i] = total
+		bases[i] = total - 1
 		total += s.Iters + 1
-		if !fused {
-			total++
-		}
-	}
-	if fused {
-		total++ // the single epilogue store step
 	}
 	for step := 0; step < total; step++ {
 		var wait []*Task
@@ -107,16 +92,11 @@ func SimulateGraph(r Resources, stages []StageSpec, fused bool) float64 {
 
 // SimulateDoubleBuf3D plays the paper's 3D transform on machine m with the
 // given socket count and returns total seconds, executing the three stages
-// as one fused stage graph on shared resources (the production schedule).
-// The byte/flop accounting matches internal/perfmodel's (same inputs), but
-// the timing comes from the event simulation rather than closed forms.
+// as one stage graph on shared resources under the paper's Table II
+// schedule. The byte/flop accounting matches internal/perfmodel's (same
+// inputs), but the timing comes from the event simulation rather than
+// closed forms.
 func SimulateDoubleBuf3D(m machine.Machine, k, n, mm, sockets int) (float64, error) {
-	return SimulateDoubleBuf3DSchedule(m, k, n, mm, sockets, true)
-}
-
-// SimulateDoubleBuf3DSchedule is SimulateDoubleBuf3D with the cross-stage
-// fusion choice exposed, for A/B comparison of the two schedules.
-func SimulateDoubleBuf3DSchedule(m machine.Machine, k, n, mm, sockets int, fused bool) (float64, error) {
 	if sockets < 1 || sockets > m.Sockets {
 		return 0, fmt.Errorf("memsim: %s has %d socket(s)", m.Name, m.Sockets)
 	}
@@ -169,7 +149,7 @@ func SimulateDoubleBuf3DSchedule(m machine.Machine, k, n, mm, sockets int, fused
 	if sockets > 1 && m.LinkGBs > 0 {
 		r.Link = NewResource("link", m.LinkGBs*1e9)
 	}
-	return SimulateGraph(r, specs, fused), nil
+	return SimulateGraph(r, specs), nil
 }
 
 func log2(n int) float64 {

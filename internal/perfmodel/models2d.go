@@ -34,7 +34,7 @@ func (mo *Model) DoubleBuf2D(n, m int) Estimate {
 		writeSec := bytes / (bw * mo.RotateStoreEff * tlbEff)
 		dataSec := readSec + writeSec
 		compSec := flopsPerStage / (cGflops * 1e9)
-		f := mo.stageFill(iters, st == 2)
+		f := stageFill(iters, st == 2)
 		sec := maxF(dataSec, compSec) * f
 		stages = append(stages, StageCost{
 			Name: fmt.Sprintf("stage%d", st), DataSec: dataSec,

@@ -43,7 +43,7 @@ func (mo *Model) DoubleBuf3D(k, n, m, sockets int) Estimate {
 		}
 		dataSec := readSec + localWrite + linkSec
 		compSec := flopsPerStage / (cGflops * 1e9)
-		f := mo.stageFill(iters, st == 3)
+		f := stageFill(iters, st == 3)
 		sec := maxF(dataSec, compSec) * f
 		stages = append(stages, StageCost{
 			Name: fmt.Sprintf("stage%d", st), DataSec: dataSec,

@@ -11,7 +11,8 @@
 //     stage, data time is bytes/BW with a rotation-store efficiency and (for
 //     2D) a TLB term, compute time comes from the machine's compute peak at
 //     a fixed FFT efficiency, the stage costs max(T_data, T_compute)
-//     inflated by the software-pipeline fill factor (iters+2)/iters.
+//     inflated by the pipeline fill factor of one graph: (iters+1)/iters
+//     per stage, (iters+2)/iters for the last.
 //   - The MKL- and FFTW-class baselines are *models of non-overlapped
 //     pencil libraries*, not those libraries: their strided-stage effective
 //     bandwidth is measured by running the cache simulator over the strided
@@ -94,20 +95,14 @@ type Model struct {
 	// large strides relative to streaming (row-buffer locality loss).
 	ScatterDRAMEff float64
 	// FusedCodeletEff scales the sustained compute rate of the DoubleBuf
-	// models when the fused codelet chain is active (Fused true). The
-	// radix-16 codelets do two rank stages per register sweep and the
-	// store leg absorbs the final trivial-twiddle radix-4 butterfly, so
-	// the compute thread makes cachesim.StagePasses(n, true) buffer sweeps
-	// instead of log4(n) — roughly half the L1/L2 round trips per flop.
-	// FFTComputeEff is calibrated for the one-rank-per-sweep kernels; this
-	// factor is the fused chain's relative gain on cached data.
+	// models for the fused codelet chain. The radix-16 codelets do two
+	// rank stages per register sweep and the store leg absorbs the final
+	// trivial-twiddle radix-4 butterfly, so the compute thread makes
+	// ⌈(log4 n − 1)/2⌉ buffer sweeps instead of log4(n) — roughly half
+	// the L1/L2 round trips per flop. FFTComputeEff is calibrated for the
+	// one-rank-per-sweep kernels; this factor is the fused chain's
+	// relative gain on cached data.
 	FusedCodeletEff float64
-	// Fused selects the cross-stage-fused stage-graph schedule (the
-	// default): the whole transform fills and drains the pipeline once, so
-	// a non-final stage pays only one extra step ((iters+1)/iters) and the
-	// final stage pays the drain too ((iters+2)/iters). When false each
-	// stage fills and drains separately ((iters+2)/iters everywhere).
-	Fused bool
 
 	mu      sync.Mutex
 	strided map[string]float64 // cached cachesim-derived efficiencies
@@ -127,7 +122,6 @@ func New(m machine.Machine) *Model {
 		FusedCodeletEff:       1.3,
 		TLBRowCost:            2.0,
 		ScatterDRAMEff:        0.85,
-		Fused:                 true,
 		strided:               make(map[string]float64),
 	}
 }
@@ -184,10 +178,10 @@ func (mo *Model) computeGflops(cores int) float64 {
 }
 
 // doubleBufGflops is computeGflops with the fused-codelet sweep bonus
-// applied when the model runs the fused schedule.
+// applied.
 func (mo *Model) doubleBufGflops(cores int) float64 {
 	g := mo.computeGflops(cores)
-	if mo.Fused && mo.FusedCodeletEff > 0 {
+	if mo.FusedCodeletEff > 0 {
 		g *= mo.FusedCodeletEff
 	}
 	return g
@@ -282,14 +276,15 @@ func fill(iters int) float64 {
 }
 
 // stageFill returns the fill factor charged to one stage of a multi-stage
-// transform under the model's schedule. Under fusion the S-stage graph runs
-// sum(iters)+S+1 steps, attributed as iters+1 steps per non-final stage and
-// iters+2 for the final one; unfused, every stage runs its own iters+2.
-func (mo *Model) stageFill(iters int, last bool) float64 {
+// transform under the paper's Table II schedule with the stages fused into
+// one graph: the whole transform fills and drains the pipeline once, so the
+// S-stage graph runs sum(iters)+S+1 steps, attributed as iters+1 steps per
+// non-final stage and iters+2 for the final one.
+func stageFill(iters int, last bool) float64 {
 	if iters < 1 {
 		iters = 1
 	}
-	if mo.Fused && !last {
+	if !last {
 		return float64(iters+1) / float64(iters)
 	}
 	return fill(iters)

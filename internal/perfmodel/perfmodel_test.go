@@ -274,13 +274,6 @@ func TestFusedCodeletEff(t *testing.T) {
 	if s.Seconds >= sf.Seconds {
 		t.Errorf("fused bonus missing when compute-bound: %.4g vs %.4g s", s.Seconds, sf.Seconds)
 	}
-	// The bonus only applies under the fused schedule.
-	unfused := New(machine.KabyLake7700K)
-	unfused.FFTComputeEff = 0.05
-	unfused.Fused = false
-	if g := unfused.doubleBufGflops(4); g != unfused.computeGflops(4) {
-		t.Errorf("unfused schedule got the codelet bonus: %v vs %v", g, unfused.computeGflops(4))
-	}
 }
 
 func TestFillFactor(t *testing.T) {

@@ -1,7 +1,5 @@
 package spl
 
-import "fmt"
-
 // Dense materializes f as a row-major rows×cols matrix by applying f to the
 // standard basis. Intended for small-size verification only.
 func Dense(f Formula) [][]complex128 {
@@ -39,12 +37,4 @@ func DenseEqual(a, b Formula, tol float64) bool {
 		}
 	}
 	return true
-}
-
-// MustDenseEqual panics with a diagnostic if the formulas differ; used by
-// example programs and sanity checks.
-func MustDenseEqual(a, b Formula, tol float64) {
-	if !DenseEqual(a, b, tol) {
-		panic(fmt.Sprintf("spl: %s != %s", a, b))
-	}
 }

@@ -227,11 +227,3 @@ func (f compose) Apply(dst, src []complex128) {
 		cur = out
 	}
 }
-
-// Factors returns the factors of a composition (or the formula itself).
-func Factors(f Formula) []Formula {
-	if c, ok := f.(compose); ok {
-		return append([]Formula(nil), c.fs...)
-	}
-	return []Formula{f}
-}

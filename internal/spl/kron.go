@@ -68,11 +68,3 @@ func KronAll(fs ...Formula) Formula {
 	}
 	return f
 }
-
-// KronOperands returns (a, b, true) if f is a tensor product.
-func KronOperands(f Formula) (Formula, Formula, bool) {
-	if k, ok := f.(kron); ok {
-		return k.a, k.b, true
-	}
-	return nil, nil, false
-}

@@ -88,13 +88,3 @@ func (f gatherWin) Apply(dst, src []complex128) {
 	checkDims(f, dst, src)
 	copy(dst, src[f.i*f.b:(f.i+1)*f.b])
 }
-
-// PermTargets returns the destination-index table of a permutation formula
-// (dst[to[i]] = src[i]) and true, or nil and false if f is not a plain
-// permutation node.
-func PermTargets(f Formula) ([]int, bool) {
-	if p, ok := f.(perm); ok {
-		return append([]int(nil), p.to...), true
-	}
-	return nil, false
-}

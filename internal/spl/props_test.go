@@ -43,30 +43,6 @@ func TestQuickCooleyTukey(t *testing.T) {
 	}
 }
 
-// Property: Simplify never changes semantics on random composites built
-// from the constructors.
-func TestQuickSimplifySafe(t *testing.T) {
-	f := func(rawA, rawB uint8) bool {
-		m := int(rawA)%4 + 2
-		n := int(rawB)%4 + 2
-		forms := []Formula{
-			Compose(L(m*n, m), Kron(I(m), I(n)), L(m*n, n)),
-			Compose(I(m*n), Kron(I(m), DFT(n)), I(m*n)),
-			Compose(K(m, n, 2), K(2, m, n)),
-			Kron(Kron(I(2), I(m)), I(n)),
-		}
-		for _, g := range forms {
-			if !DenseEqual(g, Simplify(g), 1e-10) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // Property: the Kronecker mixed-product identity
 // (A⊗B)(C⊗D) = (AC)⊗(BD) for diagonal/permutation operands.
 func TestQuickMixedProduct(t *testing.T) {

@@ -125,11 +125,11 @@ func TestLInverseIdentity(t *testing.T) {
 func TestCommutationTheorem(t *testing.T) {
 	// A_m ⊗ B_n = L_m^{mn} (B_n ⊗ A_m) L_n^{mn}.
 	a, b := DFT(3), DFT(4)
-	if !DenseEqual(Kron(a, b), CommuteKron(a, b), tol) {
+	if !DenseEqual(Kron(a, b), Compose(L(12, 3), Kron(b, a), L(12, 4)), tol) {
 		t.Fatal("commutation theorem violated")
 	}
 	d := Diag([]complex128{1, 2, 3i})
-	if !DenseEqual(Kron(d, a), CommuteKron(d, a), tol) {
+	if !DenseEqual(Kron(d, a), Compose(L(9, 3), Kron(a, d), L(9, 3)), tol) {
 		t.Fatal("commutation theorem violated for diag ⊗ DFT")
 	}
 }
@@ -295,40 +295,6 @@ func TestDFTMatchesNaive(t *testing.T) {
 	}
 }
 
-// --- Simplify. ---
-
-func TestSimplifyPreservesSemantics(t *testing.T) {
-	fs := []Formula{
-		Compose(L(12, 3), L(12, 4)),
-		Kron(I(3), I(4)),
-		Compose(I(6), DFT(6), I(6)),
-		Compose(K(2, 3, 4), K(4, 2, 3), K(3, 4, 2)),
-		DFT3DRotated(2, 2, 2),
-		Compose(Kron(I(2), I(2)), L(4, 2), L(4, 2)),
-	}
-	for _, f := range fs {
-		s := Simplify(f)
-		if !DenseEqual(f, s, tol) {
-			t.Errorf("Simplify changed semantics of %s -> %s", f, s)
-		}
-	}
-}
-
-func TestSimplifyCollapses(t *testing.T) {
-	if got := Simplify(Compose(L(12, 3), L(12, 4))).String(); got != "I_12" {
-		t.Errorf("L·L simplification: got %s, want I_12", got)
-	}
-	if got := Simplify(Kron(I(3), I(4))).String(); got != "I_12" {
-		t.Errorf("I⊗I simplification: got %s, want I_12", got)
-	}
-	if got := Simplify(Compose(I(6), DFT(6), I(6))).String(); got != "DFT_6" {
-		t.Errorf("identity elimination: got %s, want DFT_6", got)
-	}
-	if got := Simplify(Compose(K(2, 3, 4), K(4, 2, 3), K(3, 4, 2))).String(); got != "I_24" {
-		t.Errorf("rotation chain: got %s, want I_24", got)
-	}
-}
-
 // --- Validation and plumbing. ---
 
 func TestConstructorPanics(t *testing.T) {
@@ -349,7 +315,6 @@ func TestConstructorPanics(t *testing.T) {
 		func() { KronAll() },
 		func() { Perm([]int{0, 0}, "bad") },
 		func() { Perm([]int{1, 2}, "bad") },
-		func() { CommuteKron(RectI(2, 3), I(2)) },
 		func() { DFT2DBlocked(4, 6, 4) },
 		func() { DFT3DBlocked(2, 2, 6, 4) },
 		func() { I(4).Apply(make([]complex128, 3), make([]complex128, 4)) },
@@ -362,30 +327,6 @@ func TestConstructorPanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestFactorsAndOperands(t *testing.T) {
-	f := Compose(DFT(4), L(4, 2))
-	fs := Factors(f)
-	if len(fs) != 2 || fs[0].String() != "DFT_4" {
-		t.Fatalf("Factors: got %v", fs)
-	}
-	if len(Factors(DFT(4))) != 1 {
-		t.Fatal("Factors of a leaf should be the leaf")
-	}
-	a, b, ok := KronOperands(Kron(DFT(2), I(3)))
-	if !ok || a.String() != "DFT_2" || b.String() != "I_3" {
-		t.Fatal("KronOperands failed")
-	}
-	if _, _, ok := KronOperands(DFT(2)); ok {
-		t.Fatal("KronOperands on a leaf should report false")
-	}
-	if tg, ok := PermTargets(L(6, 2)); !ok || len(tg) != 6 {
-		t.Fatal("PermTargets failed on L")
-	}
-	if _, ok := PermTargets(DFT(4)); ok {
-		t.Fatal("PermTargets on DFT should report false")
 	}
 }
 

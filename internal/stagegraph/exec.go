@@ -204,22 +204,19 @@ func (e *Executor) runLane(ln *lane) {
 
 // block runs iteration iter of stage s load → compute → store through the
 // lane's buffer, starting at t0, and returns the time its store ended; the
-// lane's share of the stage ends before hi. A stage that folds its load has
-// no load op: its compute op reads the block's slice of Src, and the bytes
-// it read are recorded with no time. A prefetching stage's compute asks for
-// the lane's next block as it runs (Stage.prefetch). A compute that wrote
-// the block through the stage's sink (Stage.FoldStore) leaves no store op:
-// one fence orders its streaming stores, and the bytes are recorded with no
-// time.
+// lane's share of the stage ends before hi. A stage that folds its load
+// reads the block's slice of Src in its compute op, so its load is a
+// folded leg. A prefetching stage's compute asks for the lane's next block
+// as it runs (Stage.prefetch). A compute that wrote the block through the
+// stage's sink (Stage.FoldStore) makes its store a folded leg: one fence
+// orders its streaming stores.
 func (ln *lane) block(st *Stage, s, iter, hi int, t0 time.Time, sh *obs.Shard, tr *trace.Recorder) time.Time {
-	emit := func(op trace.Op, start, end time.Time) {
-		tr.Emit(trace.Event{Op: op, Stage: s, Iter: iter, Lane: ln.id, Start: start, End: end})
-	}
-	if !st.FoldLoad {
+	if st.FoldLoad {
+		ln.record(sh, tr, s, iter, trace.Load, st.BlockElems()*complexBytes, t0, t0, true)
+	} else {
 		n := st.load(&ln.buf, iter)
 		t1 := time.Now()
-		sh.Add(s, obs.Load, n, t1.Sub(t0))
-		emit(trace.Load, t0, t1)
+		ln.record(sh, tr, s, iter, trace.Load, n, t0, t1, false)
 		t0 = t1
 	}
 	ln.arena.Reset()
@@ -230,20 +227,26 @@ func (ln *lane) block(st *Stage, s, iter, hi int, t0 time.Time, sh *obs.Shard, t
 		layout.StoreFence()
 	}
 	t1 := time.Now()
-	sh.Add(s, obs.Compute, 0, t1.Sub(t0))
-	if st.FoldLoad {
-		sh.Add(s, obs.Load, st.BlockElems()*complexBytes, 0)
-	}
-	emit(trace.Compute, t0, t1)
+	ln.record(sh, tr, s, iter, trace.Compute, 0, t0, t1, false)
 	if ln.buf.Sunk {
-		sh.Add(s, obs.Store, st.BlockElems()*complexBytes, 0)
+		ln.record(sh, tr, s, iter, trace.Store, st.BlockElems()*complexBytes, t1, t1, true)
 		return t1
 	}
 	n := st.store(&ln.buf, iter, ln.scratch)
 	t2 := time.Now()
-	sh.Add(s, obs.Store, n, t2.Sub(t1))
-	emit(trace.Store, t1, t2)
+	ln.record(sh, tr, s, iter, trace.Store, n, t1, t2, false)
 	return t2
+}
+
+// record accounts one op of block iter of stage s — n bytes moved over
+// [start, end) — into the collector and, when tracing, the recorder. A
+// folded leg ran inside the compute op: its bytes count with no time, and
+// its event, marked Folded, lasts none.
+func (ln *lane) record(sh *obs.Shard, tr *trace.Recorder, s, iter int, op trace.Op, n int, start, end time.Time, folded bool) {
+	sh.Add(s, obs.Op(op), n, end.Sub(start))
+	if tr != nil {
+		tr.Emit(trace.Event{Op: op, Stage: s, Iter: iter, Lane: ln.id, Start: start, End: end, Folded: folded})
+	}
 }
 
 // Run executes the stage graph on the lanes, recording the run into the
@@ -303,5 +306,69 @@ func (e *Executor) Run(stages []Stage, tracer *trace.Recorder) error {
 		e.obs.Shard(ln.id).AddBarrier(end.Sub(ln.end))
 	}
 	e.obs.RunDone(blocks, end.Sub(e.runStart))
+	return nil
+}
+
+// CheckLanes verifies that the events tr recorded are the executor's lane
+// schedule of a graph with the given per-stage iteration counts on the
+// given number of lanes: lane l owns its Partition share of each stage's
+// iterations; it loads, computes and stores each of them exactly once (a
+// folded leg too: its event lasts no time), in that order and one block
+// after another; and no op of stage s+1 starts before the last store of
+// stage s has ended.
+func CheckLanes(tr *trace.Recorder, iters []int, lanes int) error {
+	type slot struct{ stage, iter int }
+	last := map[int]trace.Event{} // lane → its previous event
+	done := map[slot][3]int{}
+	stageEnd := make([]time.Time, len(iters))
+	for _, e := range tr.Events() {
+		if e.Stage < 0 || e.Stage >= len(iters) {
+			return fmt.Errorf("event with stage %d outside graph of %d stages", e.Stage, len(iters))
+		}
+		n := iters[e.Stage]
+		if e.Iter < 0 || e.Iter >= n {
+			return fmt.Errorf("stage %d: iter %d outside [0,%d)", e.Stage, e.Iter, n)
+		}
+		if lo, hi := Partition(n, e.Lane, lanes); e.Iter < lo || e.Iter >= hi {
+			return fmt.Errorf("stage %d: iter %d ran on lane %d, whose share is [%d,%d)", e.Stage, e.Iter, e.Lane, lo, hi)
+		}
+		sl := slot{e.Stage, e.Iter}
+		c := done[sl]
+		if c[e.Op]++; c[e.Op] > 1 {
+			return fmt.Errorf("stage %d: %v of iter %d ran twice", e.Stage, e.Op, e.Iter)
+		}
+		done[sl] = c
+		if p, ok := last[e.Lane]; ok {
+			// A lane's ops follow one another: the rest of the block it
+			// was on, or the first op of its next block.
+			same := p.Stage == e.Stage && p.Iter == e.Iter
+			next := p.Stage < e.Stage || (p.Stage == e.Stage && p.Iter < e.Iter)
+			if (same && e.Op <= p.Op) || (!same && (!next || p.Op != trace.Store || e.Op == trace.Store)) {
+				return fmt.Errorf("lane %d: %v of stage %d iter %d after %v of stage %d iter %d",
+					e.Lane, e.Op, e.Stage, e.Iter, p.Op, p.Stage, p.Iter)
+			}
+		} else if e.Op == trace.Store {
+			return fmt.Errorf("lane %d: starts with a store", e.Lane)
+		}
+		last[e.Lane] = e
+		if e.Op == trace.Store && e.End.After(stageEnd[e.Stage]) {
+			stageEnd[e.Stage] = e.End
+		}
+	}
+	for s, n := range iters {
+		for i := 0; i < n; i++ {
+			c := done[slot{s, i}]
+			if c != [3]int{1, 1, 1} {
+				return fmt.Errorf("stage %d: iter %d loaded %d, computed %d and stored %d times",
+					s, i, c[trace.Load], c[trace.Compute], c[trace.Store])
+			}
+		}
+	}
+	for _, e := range tr.Events() {
+		if e.Stage > 0 && e.Start.Before(stageEnd[e.Stage-1]) {
+			return fmt.Errorf("stage %d: %v of iter %d started before stage %d's last store ended",
+				e.Stage, e.Op, e.Iter, e.Stage-1)
+		}
+	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package stagegraph
 
 import (
+	"slices"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -91,7 +92,7 @@ func TestTableIISchedule(t *testing.T) {
 		for lanes := 1; lanes <= 3; lanes++ {
 			tr := trace.New()
 			runChain(t, 1, iters, lanes, tr)
-			if err := tr.CheckLanes([]int{iters}, lanes); err != nil {
+			if err := CheckLanes(tr, []int{iters}, lanes); err != nil {
 				t.Fatalf("iters=%d lanes=%d: %v", iters, lanes, err)
 			}
 		}
@@ -182,5 +183,97 @@ func TestQuickPartitionBlocksAligned(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// synth builds a recorder holding a perfect lane schedule of a graph with
+// the given per-stage iteration counts on the given number of lanes, each
+// op lasting dur and each stage starting after the last ends.
+func synth(iters []int, lanes int, dur time.Duration) *trace.Recorder {
+	r := trace.New()
+	t := time.Now()
+	for s, n := range iters {
+		end := t
+		for l := 0; l < lanes; l++ {
+			at := t
+			lo, hi := Partition(n, l, lanes)
+			for i := lo; i < hi; i++ {
+				for _, op := range []trace.Op{trace.Load, trace.Compute, trace.Store} {
+					r.Emit(trace.Event{Op: op, Stage: s, Iter: i, Lane: l, Start: at, End: at.Add(dur)})
+					at = at.Add(dur)
+				}
+			}
+			if at.After(end) {
+				end = at
+			}
+		}
+		t = end.Add(dur)
+	}
+	return r
+}
+
+// A lane's schedule is Table II with a one-block buffer, so CheckLanes
+// keeps the Table II checker's tests.
+func TestCheckTableIIAcceptsValidSchedule(t *testing.T) {
+	for _, iters := range [][]int{{1}, {2}, {7}, {3, 1, 4}, {9, 9}} {
+		for lanes := 1; lanes <= 3; lanes++ {
+			if err := CheckLanes(synth(iters, lanes, time.Millisecond), iters, lanes); err != nil {
+				t.Errorf("iters=%v lanes=%d: %v", iters, lanes, err)
+			}
+		}
+	}
+}
+
+// The checker refuses a schedule that breaks each of its rules.
+func TestCheckTableIIRejectsViolations(t *testing.T) {
+	iters := []int{4, 4}
+	good := synth(iters, 2, time.Millisecond).Events()
+	edit := func(f func(evs []trace.Event) []trace.Event) *trace.Recorder {
+		r := trace.New()
+		for _, e := range f(append([]trace.Event(nil), good...)) {
+			r.Emit(e)
+		}
+		return r
+	}
+	for name, r := range map[string]*trace.Recorder{
+		"missing compute": edit(func(evs []trace.Event) []trace.Event {
+			return slices.DeleteFunc(evs, func(e trace.Event) bool { return e.Op == trace.Compute && e.Stage == 1 && e.Iter == 2 })
+		}),
+		"stored twice": edit(func(evs []trace.Event) []trace.Event {
+			e := evs[len(evs)-1]
+			e.Start, e.End = e.End, e.End.Add(time.Millisecond)
+			return append(evs, e)
+		}),
+		"wrong lane": edit(func(evs []trace.Event) []trace.Event {
+			for i := range evs {
+				if evs[i].Stage == 0 && evs[i].Iter == 0 {
+					evs[i].Lane = 1
+				}
+			}
+			return evs
+		}),
+		"compute before load": edit(func(evs []trace.Event) []trace.Event {
+			for i := range evs {
+				if evs[i].Stage == 0 && evs[i].Iter == 1 && evs[i].Op != trace.Store {
+					evs[i].Op = 1 - evs[i].Op
+				}
+			}
+			return evs
+		}),
+		"stage overlap": edit(func(evs []trace.Event) []trace.Event {
+			for i := range evs {
+				if evs[i].Stage == 1 && evs[i].Iter == 0 && evs[i].Op == trace.Load {
+					evs[i].Start = evs[i].Start.Add(-4 * time.Millisecond)
+				}
+			}
+			return evs
+		}),
+		"stage out of range": edit(func(evs []trace.Event) []trace.Event {
+			return append(evs, trace.Event{Op: trace.Load, Stage: 2, Lane: 0, Start: evs[len(evs)-1].End})
+		}),
+	} {
+		if err := CheckLanes(r, iters, 2); err == nil {
+			t.Errorf("%s: violation not detected", name)
+		}
 	}
 }

@@ -57,14 +57,11 @@ func (e Endpoint) valid(dst bool) bool {
 // elements, and block j of unit g lands at destination offset Map(g, j).
 // Map must be safe for concurrent use.
 //
-// JStride, when non-zero, declares the map affine in j:
-// Map(g, j) = Map(g, 0) + j·JStride for every g. All of the repo's
-// rotations are affine (a blocked transpose scatters a unit's blocks at a
-// fixed stride), and declaring the stride lets the store run whole units
+// JStride declares the map affine in j: Map(g, j) = Map(g, 0) + j·JStride
+// for every g. A blocked transpose scatters a unit's blocks at a fixed
+// stride, so every rotation is affine, and the store runs whole units
 // through the register-blocked layout.ScatterBlocks kernels — one Map call
-// and hoisted stride arithmetic per run instead of a Map call and a bounds-
-// checked copy per block. Leave JStride zero for irregular maps; the store
-// then falls back to calling Map per block.
+// per run. It is required when Blocks > 1 (validate).
 //
 // GStride, when non-zero, declares the map affine in g as well:
 // Map(g+1, j) = Map(g, j) + GStride for every g and j. A dense rotation has
@@ -227,7 +224,11 @@ func (st *Stage) validate(i int) error {
 		return fmt.Errorf("stagegraph: stage %d (%s): rotation %d×%d ≠ store unit %d",
 			i, st.Name, st.Rot.Blocks, st.Rot.BlockLen, slen)
 	}
-	if st.Rot.JStride != 0 && st.Rot.Blocks > 1 {
+	if st.Rot.Blocks > 1 {
+		if st.Rot.JStride == 0 {
+			return fmt.Errorf("stagegraph: stage %d (%s): rotation of %d blocks without a JStride",
+				i, st.Name, st.Rot.Blocks)
+		}
 		if got, want := st.Rot.Map(0, 1), st.Rot.Map(0, 0)+st.Rot.JStride; got != want {
 			return fmt.Errorf("stagegraph: stage %d (%s): JStride=%d inconsistent with Map: Map(0,1)=%d, want %d",
 				i, st.Name, st.Rot.JStride, got, want)
@@ -345,20 +346,17 @@ func (st *Stage) input(b *Buffers, iter int) []complex128 {
 // write-combining buffer and a DRAM page want — where the unit-major walk
 // returns to each run once per unit. StoreScale rides that kernel.
 //
-// Otherwise each store unit's Blocks cacheline blocks leave as one run;
-// affine rotations (JStride ≠ 0) send it through one register-blocked
-// layout scatter kernel, irregular ones fall back to a Map call per block. A
-// streaming store ends with the one fence that orders it ahead of the
-// stage barrier.
+// Otherwise each store unit's Blocks cacheline blocks leave as one run
+// through one register-blocked layout scatter kernel. A streaming store
+// ends with the one fence that orders it ahead of the stage barrier.
 //
 // When StoreRadix is 4 the trailing trivial-twiddle radix-4 butterfly is
 // applied on the way out: a plain complex destination gets each unit
 // folded and scattered by one fused kernel (streaming or cached stores by
 // NonTemporal), the buffer read four times at cache speed and nothing
 // written in between; StoreScale rides that kernel too. WriteC and
-// pair-packed destinations, irregular maps and builds without the kernel
-// fold (and scale) into the lane's scratch first (foldRun) and scatter
-// from there.
+// pair-packed destinations and builds without the kernel fold (and scale)
+// into the lane's scratch first (foldRun) and scatter from there.
 //
 // Every cached store here — the cached fold-scatter, ScatterBlocks and
 // ScatterBlocksPairs — runs a generated kernel on amd64 that issues
@@ -382,26 +380,18 @@ func (st *Stage) store(b *Buffers, iter int, scratch []complex128) int {
 		layout.StoreFence()
 		return units * blocks * bl * complexBytes
 	}
-	affine := blocks == 1 || stride != 0
 	for u := 0; u < units; u++ {
 		g := iter*units + u
 		src := buf[u*unitLen : u*unitLen+blocks*bl]
 		if st.StoreRadix == 4 {
 			// A declined fused attempt wrote nothing, or blocks the scratch
 			// path rewrites with identical values.
-			if affine && st.Dst.C != nil &&
-				st.foldScatter(b.C, u*unitLen, st.Rot.Map(g, 0), stride) {
+			if st.Dst.C != nil && st.foldScatter(b.C, u*unitLen, st.Rot.Map(g, 0), stride) {
 				continue
 			}
 			src = st.foldRun(b.C, scratch, u*unitLen)
 		}
-		if affine {
-			st.storeRun(src, st.Rot.Map(g, 0), stride, blocks)
-		} else {
-			for j := 0; j < blocks; j++ {
-				st.writeBlock(src[j*bl:(j+1)*bl], st.Rot.Map(g, j))
-			}
-		}
+		st.storeRun(src, st.Rot.Map(g, 0), stride, blocks)
 	}
 	if st.NonTemporal {
 		layout.StoreFence()
@@ -464,17 +454,5 @@ func (st *Stage) storeRun(src []complex128, d0, stride, run int) {
 		layout.ScatterBlocksNT(st.Dst.C, src, run, bl, d0, stride)
 	default:
 		layout.ScatterBlocks(st.Dst.C, src, run, bl, d0, stride)
-	}
-}
-
-// writeBlock stores one block to destination offset d (irregular maps).
-func (st *Stage) writeBlock(src []complex128, d int) {
-	switch {
-	case st.Dst.WriteC != nil:
-		st.Dst.WriteC(d, 0, src)
-	case st.Dst.R != nil:
-		layout.UnpackPairs(st.Dst.R[2*d:], src, len(src))
-	default:
-		copy(st.Dst.C[d:d+len(src)], src)
 	}
 }

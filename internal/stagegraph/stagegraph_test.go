@@ -104,7 +104,7 @@ func TestFusedScheduleCorrectAndChecked(t *testing.T) {
 				for i := range iterCounts {
 					iterCounts[i] = iters
 				}
-				if err := tr.CheckLanes(iterCounts, lanes); err != nil {
+				if err := CheckLanes(tr, iterCounts, lanes); err != nil {
 					t.Fatalf("stages=%d iters=%d lanes=%d: %v", stagesN, iters, lanes, err)
 				}
 			}

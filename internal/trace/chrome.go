@@ -64,6 +64,10 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	for _, e := range events {
+		args := map[string]any{"op": e.Op.String(), "stage": e.Stage, "iter": e.Iter}
+		if e.Folded {
+			args["folded"] = true
+		}
 		out = append(out, chromeEvent{
 			Name: fmt.Sprintf("%v s%d i%d", e.Op, e.Stage, e.Iter),
 			Ph:   "X",
@@ -71,7 +75,7 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			Dur:  float64(e.End.Sub(e.Start).Nanoseconds()) / 1e3,
 			Pid:  pipelinePid,
 			Tid:  laneTid[e.Lane],
-			Args: map[string]any{"op": e.Op.String(), "stage": e.Stage, "iter": e.Iter},
+			Args: args,
 		})
 	}
 	if len(spans) > 0 {

@@ -14,8 +14,9 @@ import (
 //	lane/0  s0 i0–1: LCS LCS | s1 i0: LCS
 //	lane/1  s0 i2–3: LCS LCS | s1 i1: LCS
 //
-// where L = load, C = compute, S = store; a stage that folds its load into
-// the first sweep shows CS.
+// where L = load, C = compute, S = store. A folded leg shows no letter: a
+// block whose first sweep read its source shows CS, one whose last sweep
+// also wrote its destination shows C.
 func (r *Recorder) RenderTimeline(w io.Writer) error {
 	evs := r.Events()
 	if len(evs) == 0 {
@@ -38,7 +39,7 @@ func (r *Recorder) RenderTimeline(w io.Writer) error {
 			groups = append(groups, fmt.Sprintf("s%d %s: %s", stage, iters, strings.Join(cells, " ")))
 		}
 		for _, e := range evs {
-			if e.Lane != l {
+			if e.Lane != l || e.Folded {
 				continue
 			}
 			if e.Stage != stage {

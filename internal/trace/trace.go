@@ -1,7 +1,8 @@
 // Package trace records pipeline execution events so tests can prove — not
-// just assume — the lanes' schedule: every block of every stage is loaded,
-// computed and stored exactly once, in that order, by the lane that owns
-// it, and no stage starts before the last store of the one before it.
+// just assume — the lanes' schedule (stagegraph.CheckLanes): every block of
+// every stage is loaded, computed and stored exactly once, in that order,
+// by the lane that owns it, and no stage starts before the last store of
+// the one before it.
 package trace
 
 import (
@@ -45,6 +46,10 @@ type Event struct {
 	Trace string
 	Start time.Time
 	End   time.Time
+	// Folded marks a leg that rode inside the block's compute op: a load
+	// its first sweep read in place, or a store its last sweep wrote
+	// through. It lasts no time (Start = End).
+	Folded bool `json:",omitempty"`
 }
 
 // Span is one tagged interval in the life of a serving request: Req is the
@@ -159,8 +164,10 @@ func (r *Recorder) Events() []Event {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := append([]Event(nil), r.events...)
-	// Stable: one lane's back-to-back ops may read the same clock.
+	// Oldest first, so that the stable sort keeps emission order.
+	out := append(append([]Event(nil), r.events[r.eventHead:]...), r.events[:r.eventHead]...)
+	// Stable: one lane's back-to-back ops may read the same clock, and a
+	// folded leg reads its compute op's.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })
 	return out
 }
@@ -182,78 +189,4 @@ func (r *Recorder) ForTrace(trace string) ([]Event, []Span) {
 		}
 	}
 	return events, spans
-}
-
-// CheckLanes verifies that the recorded events are the lane schedule of a
-// graph with the given per-stage iteration counts on the given number of
-// lanes: lane l owns the contiguous share [l·n/L, (l+1)·n/L) of each
-// stage's n iterations (the remainder going to the lowest lanes); it loads
-// (unless the stage folds its load), computes and stores each of them
-// exactly once, in that order and one block after another; and no op of
-// stage s+1 starts before the last store of stage s has ended.
-func (r *Recorder) CheckLanes(iters []int, lanes int) error {
-	type slot struct{ stage, iter int }
-	last := map[int]Event{} // lane → its previous event
-	done := map[slot][3]int{}
-	stageEnd := make([]time.Time, len(iters))
-	for _, e := range r.Events() {
-		if e.Stage < 0 || e.Stage >= len(iters) {
-			return fmt.Errorf("event with stage %d outside graph of %d stages", e.Stage, len(iters))
-		}
-		n := iters[e.Stage]
-		if e.Iter < 0 || e.Iter >= n {
-			return fmt.Errorf("stage %d: iter %d outside [0,%d)", e.Stage, e.Iter, n)
-		}
-		if lo, hi := share(n, e.Lane, lanes); e.Iter < lo || e.Iter >= hi {
-			return fmt.Errorf("stage %d: iter %d ran on lane %d, whose share is [%d,%d)", e.Stage, e.Iter, e.Lane, lo, hi)
-		}
-		sl := slot{e.Stage, e.Iter}
-		c := done[sl]
-		if c[e.Op]++; c[e.Op] > 1 {
-			return fmt.Errorf("stage %d: %v of iter %d ran twice", e.Stage, e.Op, e.Iter)
-		}
-		done[sl] = c
-		if p, ok := last[e.Lane]; ok {
-			// A lane's ops follow one another: the rest of the block it
-			// was on, or the first op of its next block.
-			same := p.Stage == e.Stage && p.Iter == e.Iter
-			next := p.Stage < e.Stage || (p.Stage == e.Stage && p.Iter < e.Iter)
-			if (same && e.Op <= p.Op) || (!same && (!next || p.Op != Store || e.Op == Store)) {
-				return fmt.Errorf("lane %d: %v of stage %d iter %d after %v of stage %d iter %d",
-					e.Lane, e.Op, e.Stage, e.Iter, p.Op, p.Stage, p.Iter)
-			}
-		} else if e.Op == Store {
-			return fmt.Errorf("lane %d: starts with a store", e.Lane)
-		}
-		last[e.Lane] = e
-		if e.Op == Store && e.End.After(stageEnd[e.Stage]) {
-			stageEnd[e.Stage] = e.End
-		}
-	}
-	for s, n := range iters {
-		for i := 0; i < n; i++ {
-			c := done[slot{s, i}]
-			if c[Compute] != 1 || c[Store] != 1 {
-				return fmt.Errorf("stage %d: iter %d computed %d and stored %d times", s, i, c[Compute], c[Store])
-			}
-		}
-	}
-	for _, e := range r.Events() {
-		if e.Stage > 0 && e.Start.Before(stageEnd[e.Stage-1]) {
-			return fmt.Errorf("stage %d: %v of iter %d started before stage %d's last store ended",
-				e.Stage, e.Op, e.Iter, e.Stage-1)
-		}
-	}
-	return nil
-}
-
-// share is lane l's range of n iterations over L lanes.
-func share(n, l, lanes int) (lo, hi int) {
-	base, rem := n/lanes, n%lanes
-	lo = l*base + min(l, rem)
-	hi = lo + base
-	if l < rem {
-		hi++
-	}
-	return lo, hi
 }
