@@ -211,9 +211,12 @@ legprobe:
 	GOMAXPROCS=1 $(GO) test ./internal/bench -run '^$$' -bench '^BenchmarkCopyLoads$$' -benchtime 1x
 
 # The same probe on two lanes beside one: at GOMAXPROCS = 2 every plan runs
-# two lanes, and each direction's line adds per lane its Σ legs and its
-# stage-barrier wait, which tile the wall. Ungated; EXPERIMENTS.md "Lanes"
-# records it with the one-lane walls beside.
+# two lanes, each with the soft DMA where one lane has it (256³'s and 4096²'s
+# loads and stores read "folded" on both; their forwards read 0.72× and 0.86×
+# the same lanes without it, ten rounds on a 2-vCPU Xeon), and each
+# direction's line adds per lane its Σ legs and its stage-barrier wait,
+# which tile the wall. Ungated; EXPERIMENTS.md "Lanes" and "Soft DMA on every lane" record it with
+# the one-lane walls beside.
 laneprobe:
 	GOMAXPROCS=2 $(GO) run ./cmd/fftbench -measured -legs -reps 5
 	GOMAXPROCS=1 $(GO) run ./cmd/fftbench -measured -legs -reps 5

@@ -30,9 +30,10 @@ const cacheReps = 301
 // 2·N·8 B real: what a stage's data legs move), and per lane its Σ legs and
 // its stage-barrier wait. The 512² stages print their load as "folded":
 // their first sweep reads the source, so the compute column includes that
-// read and the data legs are the store alone. At one lane 256³'s and 4096²'s
-// stages print their store as "folded" too: their last sweep writes the
-// destination, so the compute column holds every byte they move. Every figure is the median of
+// read and the data legs are the store alone. 256³'s and 4096²'s stages
+// print their load as "folded" on any lane count, and their store too where
+// the last sweep writes the destination (every 256³ stage, 4096²'s rows), so
+// the compute column holds every byte they move. Every figure is the median of
 // reps runs — of at least cacheReps at 512², whose sub-millisecond legs a
 // handful of runs does not resolve. `make legprobe` runs it at GOMAXPROCS=1,
 // where one lane executes the legs one after another and they sum to the

@@ -12,17 +12,16 @@ import (
 	"repro/internal/stagegraph"
 )
 
-// BenchmarkCopyLoads is the A/B of one lane's soft DMA that `make legprobe`
-// prints after the leg budget: for each of LegProbe's complex shapes whose
-// product graph prefetches (256³ and 4096², out of the LLC, at GOMAXPROCS =
-// 1), the product plan, the plan built under Ablation{CopyLoads: true} —
+// BenchmarkCopyLoads is the A/B of the soft DMA that `make legprobe` prints
+// after the leg budget: for each of LegProbe's complex shapes whose product
+// graph prefetches (256³ and 4096², out of the LLC, at any GOMAXPROCS), the
+// product plan, the plan built under Ablation{CopyLoads: true} —
 // the load leg's copy kept and the codelets' prefetch off — and the plan
 // built under Ablation{NoFold: true} — the store leg kept, the last sweep
 // writing the lane's buffer — run alternating round trips on the same
 // arrays, and the median forward and inverse walls of each side print beside
-// the product's. A shape whose product does not prefetch (more than one
-// lane, a host without the streaming tier) prints that it has nothing to
-// compare.
+// the product's. A shape whose product does not prefetch (a host without
+// the streaming tier) prints that it has nothing to compare.
 func BenchmarkCopyLoads(b *testing.B) {
 	const reps = 5
 	sides := []struct {

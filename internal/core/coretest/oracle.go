@@ -333,14 +333,17 @@ var oraclePaths = []path{
 		}},
 	{name: "streaming", ab: stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}, runs: graphed, differs: streams,
 		check: checkStreaming},
-	// One lane with streaming stores is one lane's soft DMA on every complex
-	// graph: each stage's load folded into the first sweep, its next block
-	// prefetched by the codelets and, where the kernels' sink takes the last
-	// pass, its store folded into that pass. Its complex destinations start
-	// a cache line; the midline path's start one element past one, so the
-	// sink declines there and the store leg writes the same bits.
-	{name: "streaming/lanes1", build: softDMA(0), check: checkSoftDMAAt(0)},
-	{name: "streaming/lanes1/midline", build: softDMA(1), check: checkSoftDMAAt(1)},
+	// Streaming stores on one lane or two are the soft DMA on every complex
+	// graph (the leg policy, stagegraph's TestSoftDMAScope): each stage's load
+	// folded into the first sweep, each lane's next block prefetched by the
+	// codelets and, where the kernels' sink takes the last pass, the store
+	// folded into that pass. Its complex destinations start a cache line;
+	// the midline paths' start one element past one, so the sink declines
+	// there and the store leg writes the same bits.
+	{name: "streaming/lanes1", build: softDMA(1, 0), check: checkSoftDMAAt(1, 0)},
+	{name: "streaming/lanes1/midline", build: softDMA(1, 1), check: checkSoftDMAAt(1, 1)},
+	{name: "streaming/lanes2", build: softDMA(2, 0), check: checkSoftDMAAt(2, 0)},
+	{name: "streaming/lanes2/midline", build: softDMA(2, 1), check: checkSoftDMAAt(2, 1)},
 	{name: "copyloads", ab: stagegraph.Ablation{CopyLoads: true}, runs: graphed, differs: productHas("load folded"),
 		check: func(t *testing.T, pr *product, p *core.Plan) {
 			if strings.Contains(p.DescribeGraph(), "load folded") {
@@ -607,18 +610,18 @@ func served(alias bool) func(*testing.T, *product) (exec, *core.Plan) {
 	}
 }
 
-// softDMA builds the one-lane streaming path: the shape's plan on one lane
-// under forced streaming stores, which must change the product's graph
-// wherever it has one, writing its complex results into destinations that
-// start off elements past a cache line (real ones into planExec's).
-func softDMA(off int) func(t *testing.T, pr *product) (exec, *core.Plan) {
+// softDMA builds a streaming path: the shape's plan on `lanes` lanes under
+// forced streaming stores, which must change the product's graph wherever
+// it has one, writing its complex results into destinations that start off
+// elements past a cache line (real ones into planExec's).
+func softDMA(lanes, off int) func(t *testing.T, pr *product) (exec, *core.Plan) {
 	return func(t *testing.T, pr *product) (exec, *core.Plan) {
 		s := pr.s
 		cfg := s.cfg()
-		cfg.Lanes = 1
+		cfg.Lanes = lanes
 		p, run, sig := buildPlan(t, s, stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}, cfg, s.Dims)
 		if graphed(s) && streams(pr) && sig == pr.sig {
-			t.Errorf("one lane's streaming stores change neither the product's graph nor its chains:\n%s", sig)
+			t.Errorf("streaming stores on %d lane(s) change neither the product's graph nor its chains:\n%s", lanes, sig)
 		}
 		if s.Real {
 			return run, p
@@ -656,9 +659,9 @@ func offLine(n, off int) []complex128 {
 // kernels' sink takes it: when the graph folds that store, a line-aligned
 // destination leaves no store leg wherever the codelet tier runs, and one off
 // the line grid makes the sink decline and the store leg run.
-func checkSoftDMAAt(off int) func(t *testing.T, pr *product, p *core.Plan) {
+func checkSoftDMAAt(lanes, off int) func(t *testing.T, pr *product, p *core.Plan) {
 	return func(t *testing.T, pr *product, p *core.Plan) {
-		checkSoftDMA(t, pr, p)
+		checkSoftDMA(t, pr, p, lanes)
 		if !graphed(pr.s) || pr.s.Real {
 			return
 		}
@@ -677,26 +680,25 @@ func checkSoftDMAAt(off int) func(t *testing.T, pr *product, p *core.Plan) {
 	}
 }
 
-// checkSoftDMA: on one lane with forced streaming stores, every stage of a
-// complex graph folds its load and prefetches its next block where the host
-// has the streaming tier, and no stage of a real graph prefetches.
-func checkSoftDMA(t *testing.T, pr *product, p *core.Plan) {
+// checkSoftDMA: with forced streaming stores every stage streams, the plan
+// ran the lanes it was built with, and its soft DMA is whole: a stage that
+// prefetches its next block folds its load, and no stage of a real graph
+// does either. Which stages run it is the leg policy's scope (stagegraph's
+// TestSoftDMAScope and TestFoldStoreScope, on any lane count); the path
+// holds their bits to the product's.
+func checkSoftDMA(t *testing.T, pr *product, p *core.Plan, lanes int) {
 	if !graphed(pr.s) {
 		return
 	}
 	checkStreaming(t, pr, p)
-	if n := len(p.Observability().Lanes); n != 1 {
-		t.Errorf("the plan ran %d lanes, want 1", n)
+	if n := len(p.Observability().Lanes); n != lanes {
+		t.Errorf("the plan ran %d lanes, want %d", n, lanes)
 	}
-	desc, want := p.DescribeGraph(), 0
-	if !pr.s.Real && layout.NonTemporalAvailable() {
-		want = len(p.Observability().Stages)
-		if n := strings.Count(desc, "load folded"); n != want {
-			t.Errorf("%d stages fold their loads, want %d:\n%s", n, want, desc)
+	for i, line := range strings.Split(p.DescribeGraph(), "\n") {
+		pf, fl := strings.Contains(line, "next block prefetched"), strings.Contains(line, "load folded")
+		if pf && !fl || pr.s.Real && (pf || fl) {
+			t.Errorf("line %d prefetches %v and folds its load %v on a real graph %v:\n%s", i, pf, fl, pr.s.Real, p.DescribeGraph())
 		}
-	}
-	if n := strings.Count(desc, "next block prefetched"); n != want {
-		t.Errorf("%d stages prefetch their next block, want %d:\n%s", n, want, desc)
 	}
 }
 

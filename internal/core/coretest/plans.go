@@ -136,10 +136,10 @@ func StageIters(t *testing.T, ranks ...int) {
 // store of the one before — on two kinds of graph:
 //   - small shapes on one, two and three lanes with the load leg kept
 //     (CopyLoads), so the in-cache 2D stages record their loads too;
-//   - one lane with the soft DMA on and streaming stores forced, on shapes
-//     whose chains end in radix 16: every load folds into the first sweep
-//     and the radix-16 stages' stores into the last, and those folded legs
-//     are recorded too.
+//   - one and two lanes with the soft DMA on and streaming stores forced, on
+//     shapes whose chains end in radix 16: every load folds into the first
+//     sweep and the radix-16 stages' stores into the last, and those folded
+//     legs are recorded too.
 func ScheduleTrace(t *testing.T, ranks ...int) {
 	for _, c := range []struct {
 		abl   stagegraph.Ablation
@@ -150,7 +150,7 @@ func ScheduleTrace(t *testing.T, ranks ...int) {
 		{stagegraph.Ablation{CopyLoads: true}, core.Config{Mu: 4, BufferElems: 64},
 			[][]int{{32, 16}, {8, 8, 8}}, []int{1, 2, 3}},
 		{stagegraph.Ablation{Stores: stagegraph.StoreNonTemporal}, core.Config{},
-			[][]int{{256, 256}, {4, 8, 256}}, []int{1}},
+			[][]int{{256, 256}, {4, 8, 256}}, []int{1, 2}},
 	} {
 		func() {
 			defer stagegraph.SetAblation(c.abl)()

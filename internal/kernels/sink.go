@@ -2,7 +2,7 @@ package kernels
 
 // Sink is a folded store: the destination the last Stockham pass of a batch
 // writes its outputs to, through a blocked rotation with streaming stores,
-// instead of into the batch's buffer — the store half of one lane's soft
+// instead of into the batch's buffer — the store half of each lane's soft
 // DMA (stagegraph.Stage.FoldStore). Pencil c of the batch sends its
 // element e — the index the buffered pass would write it at in the pencil —
 // to

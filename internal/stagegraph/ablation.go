@@ -11,7 +11,7 @@ import (
 // Ablation is the one seam for the schedules no product configuration
 // selects: the oracle and A/B variants the tests hold the product graph to.
 // Its zero value is the product — store-folded, the store tier, the load
-// fold and one lane's prefetch chosen from the footprint, radix-16 chains,
+// fold and the prefetch chosen from the footprint (legModes), radix-16 chains,
 // cold store targets pre-faulted, sized by this host — and only a test
 // binary can install another
 // (SetAblation). It is read where graphs (Pencils.Build), runners
@@ -20,8 +20,9 @@ import (
 type Ablation struct {
 	// NoFold turns both store folds off: the trailing trivial-twiddle
 	// radix-4 butterfly stays in the compute leg instead of riding the
-	// scatter, and one lane's streaming stages keep their store leg instead
-	// of writing the last sweep through the rotation (Stage.FoldStore).
+	// scatter, and the soft DMA's streaming stages keep their store leg
+	// instead of writing the last sweep through the rotation
+	// (Stage.FoldStore).
 	NoFold bool
 	// Stores forces cached (StoreRegular) or streaming (StoreNonTemporal)
 	// block stores on every graph.
@@ -31,7 +32,8 @@ type Ablation struct {
 	Radix int
 	// CopyLoads keeps the load leg's copy on every graph whose first sweep
 	// would otherwise read the source in its place (Stage.FoldLoad), and
-	// with it turns one lane's next-block prefetch off (Stage.Prefetch).
+	// with it turns the soft DMA's next-block prefetch and store fold off
+	// (Stage.Prefetch, Stage.FoldStore).
 	CopyLoads bool
 	// NoPrefault leaves cold store targets to fault in inside the streaming
 	// stores instead of pre-faulting them before a run (Runner.Run).

@@ -299,6 +299,10 @@ func (p Pencils) Build() (*Graph, error) {
 		total *= d
 	}
 	total /= mu
+	// Every stage writes this executor's share of the array once, N/sk
+	// elements: a shard's stores fill its own socket's or node's LLC
+	// (Table III).
+	bytes := total / sk * mu * complexBytes
 	g := &Graph{mu: mu, dir: &direction{}}
 	var chain []pencil
 	for i := 0; i < D; i++ {
@@ -405,6 +409,7 @@ func (p Pencils) Build() (*Graph, error) {
 			StoreUnits: per, StoreLen: l, StoreFromStaging: true,
 			Rot: rotation(*e, mu),
 		}
+		st = legModes(ab, p, *e, st, bytes, budget)
 		ent, plan, pre, dir := p.Real.Entangle, e.plan, e.pre, g.dir
 		st.Compute = func(b *Buffers, a *kernels.Arena, src []complex128, iter int) {
 			rows := len(src) / pitch // per, or a batch graph's rows a block
@@ -431,63 +436,15 @@ func (p Pencils) Build() (*Graph, error) {
 			Name: c.name, Iters: c.units / per, Units: per, UnitLen: unitLen,
 			Rot: rotation(c, mu),
 		}
-		// The store leg can absorb the trailing trivial-twiddle radix-4
-		// butterfly of a power-of-two pencil: compute then runs every
-		// Stockham sweep but the last and the scatter applies it while the
-		// block is cache-hot, with the stage's fixed scale (a real inverse
-		// pencil's 1/n) riding the same kernel. A stage with a real hook
-		// keeps the whole transform in its compute leg: the hooks need the
-		// finished transform.
-		if c.pre == nil && c.post == nil && !ab.NoFold &&
-			c.plan.FoldRadix() == 4 && c.blocks%4 == 0 {
-			st.StoreRadix, st.StoreScale, c.scale = 4, c.scale, 0
+		st = legModes(ab, p, c, st, bytes, budget)
+		if st.StoreRadix != 0 { // a real inverse pencil's 1/n rides the fold store
+			st.StoreScale, c.scale = c.scale, 0
 		}
 		st.Compute = c.compute(g.dir, unitLen, st.StoreRadix != 0, i == nStages-1)
 		bind(i, &st, dst)
 		g.stages = append(g.stages, st)
 	}
 
-	// Every stage writes this executor's share of the array once, N/sk
-	// elements: a shard's stores fill its own socket's or node's LLC
-	// (Table III). WriteC and pair-packed real destinations ignore the
-	// streaming flag at store time.
-	bytes, llc := total/sk*mu*complexBytes, ab.Host.llcBytes()
-	nt := ab.Stores.Decide(bytes, llc)
-	ApplyStorePolicy(g.stages, nt)
-	// Inside the LLC a 2D stage's load is an in-cache copy that the first
-	// sweep reads a second time, so the sweep reads the source instead
-	// (EXPERIMENTS.md "Cache-regime loads fold into the first sweep"). Out of
-	// it — where the stores stream — one lane's soft DMA is its codelets'
-	// prefetch: while a block computes they ask for the next, so the first
-	// sweep reads that from L2 and the copy goes too. Two lanes keep the bus
-	// busy in each other's compute, and prefetch there measured slower, as
-	// it did in the LLC; a fold with no prefetch read slower than the copy
-	// (EXPERIMENTS.md "One lane's soft DMA"). Real row stages' pre hooks
-	// work on the loaded half, so real graphs keep their loads; a shard's
-	// slab keeps the schedule it was measured with.
-	//
-	// The same stages fold their stores: the last Stockham pass streams
-	// each output vector through the rotation into the destination, so the
-	// store leg, and its second read of the block out of L2, go
-	// (EXPERIMENTS.md "One lane's soft DMA, the store half"). A stage whose
-	// store folds a radix-4 butterfly, or whose chain ends in one (NoFold
-	// keeps it in the compute leg), keeps its store leg, and so does one
-	// whose block is a unit larger than the budget (4096²'s 512 KiB cols):
-	// with the block, its ping-pong scratch and the next block filling L2,
-	// the folded pass measured slower than the pass and the store leg apart.
-	softDMA := nt && p.Real == nil && sk == 1 && p.Lanes <= 1
-	if !ab.CopyLoads && p.Real == nil && (softDMA || D == 2 && fitsLLC(bytes, llc)) {
-		for i := range g.stages {
-			st := &g.stages[i]
-			st.FoldLoad = true
-			if softDMA {
-				c := chain[i]
-				st.Prefetch = prefetchStep(st.BlockElems()*complexBytes,
-					c.plan.Bodies(st.Units, c.lanes, st.StoreRadix != 0))
-				st.FoldStore = !ab.NoFold && st.runMajor() && st.sinkTakes(c) && st.BlockElems() <= budget
-			}
-		}
-	}
 	// A run-major or folded last store into the caller's array applies the
 	// scale on the way out, for no sweep at all; otherwise the last stage's
 	// compute leg scales its blocks — the same fft1d.Scale on the same

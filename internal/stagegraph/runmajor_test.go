@@ -31,7 +31,9 @@ func streamingGraph(t *testing.T, dims []int, policy StorePolicy) *Graph {
 		t.Fatal(err)
 	}
 	if policy == StoreNonTemporal {
-		ApplyStorePolicy(g.stages, true)
+		for i := range g.stages {
+			g.stages[i].NonTemporal = true
+		}
 		g.scaleInStore = true
 	}
 	return g

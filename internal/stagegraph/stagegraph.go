@@ -104,15 +104,15 @@ type Stage struct {
 	// block's slice of Src.C, and the first Stockham sweep reads it out of
 	// place into the lane's buffer. It saves the copy where that copy is an
 	// in-cache one the sweep would read a second time, or where Prefetch
-	// has brought the block into L2; Pencils.Build sets it for complex 2D
-	// graphs whose arrays fit in half the LLC (fitsLLC) and on every
-	// prefetching stage. Src must be a plain complex array.
+	// has brought the block into L2; the leg policy (legModes) sets it for
+	// complex 2D graphs whose arrays fit in half the LLC (fitsLLC) and on
+	// every prefetching stage. Src must be a plain complex array.
 	FoldLoad bool
-	// Prefetch, when non-zero, is one lane's soft DMA: while the lane
+	// Prefetch, when non-zero, is each lane's soft DMA: while a lane
 	// computes a block, the codelets ask for the lane's next block of Src
 	// into L2, Prefetch bytes a butterfly body (kernels.Prefetch), so the
-	// whole block is requested by the end of the compute. Pencils.Build
-	// sets it on one-lane complex graphs whose stores stream, with
+	// whole block is requested by the end of the compute. The leg policy
+	// sets it on unsharded complex graphs whose stores stream, with
 	// FoldLoad. Src must be a plain complex array.
 	Prefetch int
 	// FoldStore drops the store leg, soft DMA's other half: the compute's
@@ -121,7 +121,7 @@ type Stage struct {
 	// included, instead of into the lane's buffer for a run-major gather to
 	// read back out. A block whose pass the kernels decline (a radix-4 last
 	// stage, a destination off the line grid, the pure-Go tier) keeps its
-	// store leg. Pencils.Build sets it on the prefetching stages whose store
+	// store leg. The leg policy sets it on the prefetching stages whose store
 	// runs run-major and whose block fits the buffer budget; it needs
 	// runMajor and no staging, and takes effect only on a plain complex Dst
 	// whose compute hook passes the buffer's sink on (Buffers.Sink).

@@ -52,17 +52,50 @@ func fitsLLC(bytes, llcBytes int) bool {
 	return llcBytes <= 0 || bytes <= llcBytes/2
 }
 
-// ApplyStorePolicy sets every stage's NonTemporal flag to nt and returns
-// how many stages changed. Stages whose destination cannot take
-// streaming stores (WriteC hooks, pair-packed real arrays) ignore the
-// flag at store time, so setting it uniformly is harmless.
-func ApplyStorePolicy(stages []Stage, nt bool) int {
-	changed := 0
-	for i := range stages {
-		if stages[i].NonTemporal != nt {
-			stages[i].NonTemporal = nt
-			changed++
-		}
+// legModes is the leg policy: it returns stage st, its geometry set, with
+// every leg mode set — NonTemporal, StoreRadix, FoldLoad, Prefetch and
+// FoldStore — from the per-stage footprint (bytes, against the host's LLC),
+// graph p's domain, rank and partition, the stage's pencil c and geometry,
+// and the block budget. The lane count is not an input: each lane runs its
+// share of a stage through the same legs, with its own prefetch cursor and
+// sink. Ablation.Stores forces the tier, which the rest follows; NoFold and
+// CopyLoads override after it.
+//
+//   - Tier: streaming stores past half the LLC (Decide); WriteC and
+//     pair-packed real destinations ignore the flag at store time.
+//   - Radix-4 store: the store applies the trailing trivial-twiddle radix-4
+//     butterfly of a chain that ends in one while the block is cache-hot,
+//     unless a real hook needs the finished transform or the store stages.
+//   - Load fold: inside the LLC a 2D stage's load is an in-cache copy the
+//     first sweep reads again, so the sweep reads the source (EXPERIMENTS.md
+//     "Cache-regime loads fold into the first sweep").
+//   - Soft DMA: past it, where the stores stream, a complex unsharded
+//     stage's codelets ask for the lane's next block while it computes, so
+//     the first sweep reads it from L2 and the load's copy goes; a fold with
+//     no prefetch read slower than the copy. Real row stages' hooks work on
+//     the loaded half, and a shard's slab keeps its measured schedule.
+//   - Store fold: those stages' last pass streams through the rotation into
+//     the destination where the kernels' sink takes it and the block fits
+//     the budget; a unit past it (4096²'s 512 KiB cols) read slower folded,
+//     on one lane and on two (EXPERIMENTS.md "One lane's soft DMA", its
+//     store half, and "Soft DMA on every lane").
+func legModes(ab Ablation, p Pencils, c pencil, st Stage, bytes, budget int) Stage {
+	llc := ab.Host.llcBytes()
+	st.NonTemporal = ab.Stores.Decide(bytes, llc)
+	if c.pre == nil && c.post == nil && !st.StoreFromStaging && c.plan.FoldRadix() == 4 && c.blocks%4 == 0 {
+		st.StoreRadix = 4
 	}
-	return changed
+	softDMA := st.NonTemporal && p.Real == nil && p.Shards <= 1
+	st.FoldLoad = p.Real == nil && (softDMA || len(p.Dims) == 2 && fitsLLC(bytes, llc))
+	st.FoldStore = softDMA && st.runMajor() && st.sinkTakes(c) && st.BlockElems() <= budget
+	if ab.NoFold {
+		st.StoreRadix, st.FoldStore = 0, false
+	}
+	if ab.CopyLoads {
+		st.FoldLoad, st.FoldStore, softDMA = false, false, false
+	}
+	if softDMA {
+		st.Prefetch = prefetchStep(st.BlockElems()*complexBytes, c.plan.Bodies(st.Units, c.lanes, st.StoreRadix != 0))
+	}
+	return st
 }

@@ -102,7 +102,9 @@ func TestCopyProbeCatchesCorruptCopy(t *testing.T) {
 
 // Copying over every core reads at least one core's rate: the all-core
 // roofline never undercuts what one lane alone can draw. The two probes
-// alternate over three rounds and the best of each is compared.
+// alternate over five rounds and the best of each is compared, as in
+// TestRunAllCoreReadsAtLeastOneCore: a round in which another package's
+// test holds the second core reads the split copy at one core's rate.
 func TestAllCoreCopyReadsAtLeastOneCore(t *testing.T) {
 	if !layout.EvictAvailable() {
 		t.Skip("no cache-flush kernel")
@@ -112,7 +114,7 @@ func TestAllCoreCopyReadsAtLeastOneCore(t *testing.T) {
 	}
 	copyFloats := func(dst, src []float64) { copy(dst, src) }
 	var one, all float64
-	for range 3 {
+	for range 5 {
 		one = max(one, copyProbe(1, layout.Evict, copyFloats))
 		all = max(all, DRAMCopyGBs())
 	}
@@ -125,9 +127,9 @@ func TestAllCoreCopyReadsAtLeastOneCore(t *testing.T) {
 // STREAM over every core reads at least one core's rate: split over
 // GOMAXPROCS goroutines, the copy is never below 0.9× the same arrays copied
 // on one. The two runs alternate over five rounds of five trials and the
-// best of each is compared, as in TestAllCoreCopyReadsAtLeastOneCore: the
-// other packages' tests share the cores, and a round in which one of them
-// holds the second core reads the split copy at one core's rate or below.
+// best of each is compared: the other packages' tests share the cores, and a
+// round in which one of them holds the second core reads the split copy at
+// one core's rate or below.
 func TestRunAllCoreReadsAtLeastOneCore(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation makes the copy compute-bound")
