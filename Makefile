@@ -25,10 +25,10 @@ BASELINE_TESTS = ^Test(BaselinesMatchSPL|Measured)
 
 .PHONY: ci vet lint build test purego crossbuild asmgen asmcheck tablegen \
         tablecheck race bench microbench benchsmoke rulersmoke servesmoke \
-        obssmoke shardsmoke tracesmoke examplesmoke fuzzsmoke fmt loc \
+        obssmoke shardsmoke tracesmoke examplesmoke fuzzsmoke fmt loc test386 \
         serveprobe legprobe laneprobe setupprobe wireprobe kernelprobe
 
-ci: vet lint build crossbuild asmcheck tablecheck test purego race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke examplesmoke rulersmoke
+ci: vet lint build crossbuild asmcheck tablecheck test purego test386 race fuzzsmoke benchsmoke servesmoke obssmoke shardsmoke tracesmoke examplesmoke rulersmoke
 
 vet:
 	$(GO) vet ./...
@@ -71,6 +71,12 @@ purego:
 # Cross-compile check: the non-amd64 build (no .s files, generic dispatch)
 # and the non-Linux ones (no mincore / madvise: the no-op pre-fault twin)
 # must keep compiling even though this host never runs them.
+# The wire codec on a 32-bit target: its SWAR number kernels work on
+# uint64 words that are two registers there, and int is 32 bits, so a dim
+# past it must still answer 413.
+test386:
+	GOARCH=386 $(GO) test ./internal/wire
+
 crossbuild:
 	GOARCH=arm64 GOOS=linux $(GO) build ./...
 	GOARCH=amd64 GOOS=darwin $(GO) build ./...
@@ -250,9 +256,12 @@ kernelprobe:
 	GOMAXPROCS=1 $(GO) test ./internal/layout -run '^$$' -bench ScatterBlocks -count 5
 	GOMAXPROCS=1 $(GO) test ./internal/fft1d -run '^$$' -bench 'Execute/(4096|3072|5120|15360|4093)$$' -count 5
 
-# The JSON codec alone, on one thread: decode and encode of http2d's 256²
-# request and reply, in ms/op and ns per float64 value. Ungated like the other
-# probes; a PR on internal/wire quotes it in EXPERIMENTS.md.
+# The JSON codec alone, on one thread, in ms/op and ns per float64 value:
+# DecodeJSON256 and DecodeJSON256Spaced (a space after each comma) decode
+# http2d's 256² request, EncodeJSON256 encodes its N(0,1) values (mostly
+# 0.ddd) and EncodeJSON256Reply what http2d's replies carry, the 256²
+# forward of uniform [−1, 1) data (mostly ddd.ddd). Ungated like the other
+# probes; a change to internal/wire quotes it in EXPERIMENTS.md.
 wireprobe:
 	GOMAXPROCS=1 $(GO) test ./internal/wire -run '^$$' -bench 'JSON256' -count 5
 

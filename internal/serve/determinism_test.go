@@ -11,23 +11,33 @@ import (
 
 // serveAsOneBatch runs reqs (same shape and direction, rank 1) through a fresh
 // server as exactly one batch of len(reqs) and returns its final counters: the
-// one executor is held on execGate with the first request it took until the
-// others are all queued behind it, then drains them as one batch.
+// one executor is held on execGate with the first request until the others
+// are all queued behind it, then drains them as one batch. The first request
+// is queued by hand, so the test sees the executor take it: the executor is
+// the queue's only reader, and Do's counters and settlement are kept.
 func serveAsOneBatch(t *testing.T, reqs []Request) Snapshot {
 	t.Helper()
 	gate := make(chan struct{})
 	s := New(Options{Config: smallCfg(), MaxBatch: len(reqs), Executors: 1})
 	s.execGate = gate
 	defer shutdownOrFail(t, s)
-	errs := make([]<-chan error, len(reqs))
-	for i := range reqs {
-		errs[i] = submit(s, reqs[i])
+	first := s.getItem(context.Background(), &reqs[0])
+	s.m.submitted.Add(1)
+	s.queue <- first
+	waitQueued(t, s, 0) // the executor holds first
+	errs := make([]<-chan error, len(reqs)-1)
+	for i := range errs {
+		errs[i] = submit(s, reqs[i+1])
 	}
 	waitQueued(t, s, len(reqs)-1)
 	close(gate)
+	if err := <-first.done; err != nil {
+		t.Fatalf("request 0: %v", err)
+	}
+	s.putItem(first)
 	for i := range errs {
 		if err := <-errs[i]; err != nil {
-			t.Fatalf("request %d: %v", i, err)
+			t.Fatalf("request %d: %v", i+1, err)
 		}
 	}
 	snap := s.Stats()

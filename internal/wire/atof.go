@@ -15,27 +15,26 @@ type uint128 struct{ hi, lo uint64 }
 
 // numberToken is one scanned token of the JSON number grammar.
 type numberToken struct {
-	n int // bytes in the token
-
-	// The value is ±man × 10^exp10 when sig, the digits from the first
-	// non-zero one on, is at most 19; with more, man has wrapped.
-	man   uint64
-	exp10 int
-	sig   int
-	neg   bool
-
-	integer bool // no fraction and no exponent
+	n       int     // bytes in the token
+	integer bool    // no fraction and no exponent
+	fast    bool    // f is the token's value; otherwise strconv decides it
+	f       float64 // the float64 strconv.ParseFloat rounds the token to
 }
 
 // scanNumber consumes the token of the JSON number grammar
 //
 //	-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
 //
-// at the start of the window b, checking the grammar and accumulating the
-// decimal mantissa and exponent in the same pass. The caller has run next,
-// so a token that reaches the end of the window is either too long or cut
-// off by the end of the body.
+// at the start of the window b, checking the grammar, accumulating the
+// decimal mantissa and exponent and converting them in the same pass. It
+// reads at most MaxNumberLen+1 bytes, which the caller has made sure are
+// in the window unless the body ends sooner, so its verdict does not
+// depend on how the body was cut into reads: a token that reaches the end
+// of what it reads is too long or cut off by the end of the body.
 func scanNumber(b []byte, t *numberToken) error {
+	if len(b) > MaxNumberLen+1 {
+		b = b[:MaxNumberLen+1]
+	}
 	var (
 		man     uint64
 		sig     int
@@ -55,7 +54,7 @@ func scanNumber(b []byte, t *numberToken) error {
 			man = man*10 + uint64(b[i]-'0')
 		}
 		if i == start {
-			return errors.New("want a number")
+			return refuse(b, i, "want a number")
 		}
 		sig = i - start
 	}
@@ -81,7 +80,7 @@ func scanNumber(b []byte, t *numberToken) error {
 			man = man*10 + uint64(b[i]-'0')
 		}
 		if i == start {
-			return errors.New("want digits after the decimal point")
+			return refuse(b, i, "want digits after the decimal point")
 		}
 		sig += i - first
 		exp10 = start - i
@@ -101,21 +100,57 @@ func scanNumber(b []byte, t *numberToken) error {
 			}
 		}
 		if i == start {
-			return errors.New("want digits in the exponent")
+			return refuse(b, i, "want digits in the exponent")
 		}
 		if minus {
 			e = -e
 		}
 		exp10 += e
 	}
-	if i > MaxNumberLen {
+	if i == len(b) {
+		return refuse(b, i, "")
+	}
+	t.n, t.integer = i, integer
+
+	// The value is ±man × 10^exp10 when sig, the digits from the first
+	// non-zero one on, is at most 19; with more, man has wrapped. Two
+	// cheap methods decide the float64 strconv.ParseFloat rounds it to:
+	// Clinger's (a mantissa below 2^53 times or over an exact power of ten
+	// is one correctly rounded operation) and Eisel–Lemire's. Left to
+	// strconv are more than 19 significant digits, an exponent outside
+	// pow10Tab, a result outside the normal range and Eisel–Lemire's
+	// undecided cases.
+	t.fast = sig <= 19 && pow10Min <= exp10 && exp10 <= float64MaxExp10
+	if !t.fast {
+		return nil
+	}
+	if man < 1<<53 && -22 <= exp10 && exp10 <= 22 {
+		t.f = float64(man)
+		if exp10 < 0 {
+			t.f /= float64Pow10[-exp10]
+		} else {
+			t.f *= float64Pow10[exp10]
+		}
+	} else {
+		t.f, t.fast = eiselLemire(man, exp10)
+	}
+	if neg {
+		t.f = -t.f
+	}
+	return nil
+}
+
+// refuse is the error for a token of the window b that breaks off at byte
+// i: the grammar's msg inside the window, and past its end a token longer
+// than MaxNumberLen or one the end of the body cut off.
+func refuse(b []byte, i int, msg string) error {
+	switch {
+	case i < len(b):
+		return errors.New(msg)
+	case i > MaxNumberLen:
 		return fmt.Errorf("number token longer than %d bytes", MaxNumberLen)
 	}
-	if i == len(b) {
-		return io.ErrUnexpectedEOF
-	}
-	t.n, t.man, t.exp10, t.sig, t.neg, t.integer = i, man, exp10, sig, neg, integer
-	return nil
+	return io.ErrUnexpectedEOF
 }
 
 // leadingDigits counts the ASCII digits of w before its first other byte,
@@ -139,42 +174,12 @@ func eightDigitsValue(w uint64) uint64 {
 }
 
 // value returns what strconv.ParseFloat(tok, 64) does for the token tok was
-// scanned from, calling it only where float cannot decide.
+// scanned from, calling it only where scanNumber could not decide.
 func (t *numberToken) value(tok string) (float64, error) {
-	if f, ok := t.float(); ok {
-		return f, nil
+	if t.fast {
+		return t.f, nil
 	}
 	return strconv.ParseFloat(tok, 64)
-}
-
-// float returns the float64 nearest to the token's value, as
-// strconv.ParseFloat rounds it, when two cheap methods can decide that:
-// Clinger's (a mantissa below 2^53 times or over an exact power of ten is
-// one correctly rounded operation) and Eisel–Lemire's. It reports false
-// for more than 19 significant digits, an exponent outside pow10Tab, a
-// result outside the normal range and Eisel–Lemire's undecided cases.
-func (t *numberToken) float() (float64, bool) {
-	if t.sig > 19 || t.exp10 < pow10Min || t.exp10 > float64MaxExp10 {
-		return 0, false
-	}
-	var f float64
-	if t.man < 1<<53 && -22 <= t.exp10 && t.exp10 <= 22 {
-		f = float64(t.man)
-		if t.exp10 < 0 {
-			f /= float64Pow10[-t.exp10]
-		} else {
-			f *= float64Pow10[t.exp10]
-		}
-	} else {
-		var ok bool
-		if f, ok = eiselLemire(t.man, t.exp10); !ok {
-			return 0, false
-		}
-	}
-	if t.neg {
-		f = -f
-	}
-	return f, true
 }
 
 // float64MaxExp10 is the largest decimal exponent a non-zero integer

@@ -1,14 +1,16 @@
 package wire
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
 	"slices"
 )
 
-// maxFloatLen is the longest appendJSONFloat output: a sign, "0.", five
-// zeros and 17 digits just above 1e-6.
-const maxFloatLen = 25
+// maxFloatLen is the room appendJSONFloat writes in: its longest output, a
+// sign, "0.", five zeros and 17 digits just above 1e-6 (25 bytes), and
+// what its eight-byte word stores write past an exponent's last digit.
+const maxFloatLen = 32
 
 // appendJSONFloat formats a finite v the way encoding/json does (ES6
 // number to string): shortest round-trip digits, exponent form below 1e-6
@@ -16,13 +18,14 @@ const maxFloatLen = 25
 // e-09).
 func appendJSONFloat(b []byte, v float64) []byte {
 	n := len(b)
-	b = slices.Grow(b, maxFloatLen)[:n+maxFloatLen]
-	u := math.Float64bits(v)
-	if u>>63 != 0 {
-		b[n] = '-'
-		n++
-		u &^= 1 << 63
+	if cap(b)-n < maxFloatLen {
+		b = slices.Grow(b, maxFloatLen)
 	}
+	b = b[:n+maxFloatLen]
+	u := math.Float64bits(v)
+	b[n] = '-' // kept by a negative v, overwritten otherwise
+	n += int(u >> 63)
+	u &^= 1 << 63
 	if u == 0 {
 		b[n] = '0'
 		return b[:n+1]
@@ -58,7 +61,7 @@ func appendJSONFloat(b []byte, v float64) []byte {
 	}
 	switch {
 	case dp <= 0: // 0.00ddd
-		copy(b[n:], "0.00000")
+		binary.LittleEndian.PutUint64(b[n:], 0x303030303030_2E30) // "0.000000"
 		n += 2 - dp
 		writeDigits(b[n:], m, nd)
 		return b[:n+nd]
@@ -67,39 +70,59 @@ func appendJSONFloat(b []byte, v float64) []byte {
 		copy(b[n+nd:], "00000000000000000000"[:dp-nd])
 		return b[:n+dp]
 	}
-	// dd.ddd
-	writeDigits(b[n+1:], m, nd)
-	copy(b[n:], b[n+1:n+1+dp])
-	b[n+dp] = '.'
+	// dd.ddd: the digits one byte right, then the first dp moved left over
+	// the gap, from the register that holds them, and the point after them.
+	first := writeDigits(b[n+1:], m, nd)
+	if dp < 8 {
+		head := uint64(1)<<(8*dp) - 1
+		binary.LittleEndian.PutUint64(b[n:], first&head|'.'<<(8*dp)|first<<8&^(head<<8|0xFF))
+	} else {
+		for i := n; i < n+dp; i++ {
+			b[i] = b[i+1]
+		}
+		b[n+dp] = '.'
+	}
 	return b[:n+1+nd]
 }
 
-// digitPairs is "00" "01" … "99".
-const digitPairs = "00010203040506070809" +
-	"10111213141516171819" +
-	"20212223242526272829" +
-	"30313233343536373839" +
-	"40414243444546474849" +
-	"50515253545556575859" +
-	"60616263646566676869" +
-	"70717273747576777879" +
-	"80818283848586878889" +
-	"90919293949596979899"
+// writeDigits writes the nd decimal digits of m < 10^nd, leading zeros
+// included, to b[:nd] in eight-digit words, the most significant first;
+// below eight digits it writes zeros up to b[8]. It returns the word it
+// wrote to b[:8].
+func writeDigits(b []byte, m uint64, nd int) uint64 {
+	if nd <= 8 {
+		w := eightDigits(m) >> (64 - 8*nd)
+		binary.LittleEndian.PutUint64(b, w)
+		return w
+	}
+	hi := m / 1e8
+	next := eightDigits(m - hi*1e8)
+	binary.LittleEndian.PutUint64(b[nd-8:], next)
+	if nd > 16 {
+		top := hi / 1e8
+		next = eightDigits(hi - top*1e8)
+		binary.LittleEndian.PutUint64(b[nd-16:], next)
+		hi = top
+	}
+	k := (nd-1)&7 + 1 // digits in the top word
+	w := eightDigits(hi)>>(64-8*k) | next<<(8*k)
+	binary.LittleEndian.PutUint64(b, w)
+	return w
+}
 
-// writeDigits writes the nd decimal digits of m to b[:nd], two at a time
-// from the right.
-func writeDigits(b []byte, m uint64, nd int) {
-	b = b[:nd]
-	for nd >= 2 {
-		q := m / 100
-		r := 2 * (m - 100*q)
-		nd -= 2
-		b[nd], b[nd+1] = digitPairs[r], digitPairs[r+1]
-		m = q
-	}
-	if nd == 1 {
-		b[0] = byte('0' + m)
-	}
+// eightDigits spells v < 10^8 as eight ASCII digits, leading zeros
+// included, the first in the lowest byte: v splits into two four-digit
+// halves, one per 32-bit lane, each lane into two-digit quarters and
+// those into digits, with reciprocal multiplies exact at each width
+// (x·10486 >> 20 = x/100 below 10^4, x·103 >> 10 = x/10 below 100).
+func eightDigits(v uint64) uint64 {
+	q := uint64(uint32(v) / 1e4)
+	x := q | (v-q*1e4)<<32
+	y := x * 10486 >> 20 & 0x0000007F0000007F
+	x = y | (x-y*100)<<16
+	y = x * 103 >> 10 & 0x000F000F000F000F
+	x = y | (x-y*10)<<8
+	return x | 0x3030303030303030
 }
 
 // decimalLen is the number of decimal digits of m ≥ 1.

@@ -3,6 +3,8 @@ package wire
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"hash/crc32"
 	"io"
 	"math"
@@ -41,6 +43,10 @@ func FuzzDecodeTransformRequest(f *testing.F) {
 		`{"rank":1,"dims":[1],"data":[01,2]}`,
 		`{"rank":3,"dims":[1,1,1],"data":[1.7976931348623157e308,-2.2250738585072014e-308]}`,
 		`null`,
+		// Long enough past '[' for the data loop's in-window path.
+		`{"rank":2,"dims":[2,2],"data":[-0.12345678901234567,148.04599043215437,-9.5e-7,` +
+			`12345678901234567890,9007199254740993,1e-300,0.5,-2]}`,
+		`{"rank":1,"dims":[3],"real":true,"data":[0.30000000000000004, -1.7976931348623157e308,` + "\n\t" + `01]}`,
 	} {
 		f.Add([]byte(seed), uint8(0))
 		f.Add([]byte(seed), uint8(3))
@@ -48,7 +54,11 @@ func FuzzDecodeTransformRequest(f *testing.F) {
 	f.Fuzz(func(t *testing.T, body []byte, piece uint8) {
 		got, err := DecodeJSON(bytes.NewReader(body), int64(len(body)))
 		cut, cutErr := DecodeJSON(pieceReader{bytes.NewReader(body), int(piece) + 1}, int64(len(body)))
-		if (err == nil) != (cutErr == nil) {
+		// The budget's 413 is checked at reads, so where a body over it is
+		// refused depends on the cut; any other refusal is the same text at
+		// the same byte.
+		if (err == nil) != (cutErr == nil) || err != nil && !errors.Is(err, ErrTooLarge) &&
+			!errors.Is(cutErr, ErrTooLarge) && err.Error() != cutErr.Error() {
 			t.Fatalf("whole body: %v; in %d-byte reads: %v", err, int(piece)+1, cutErr)
 		}
 		if err != nil {
@@ -103,7 +113,7 @@ func FuzzParseNumber(f *testing.F) {
 		req, err := DecodeJSON(bytes.NewReader(body), int64(len(body)))
 		cut, cutErr := DecodeJSON(pieceReader{bytes.NewReader(body), int(piece) + 1}, int64(len(body)))
 		want, wantErr := refParseNumber(strings.Trim(string(tok), " \t\r\n"))
-		if (err == nil) != (wantErr == nil) || (cutErr == nil) != (wantErr == nil) {
+		if (err == nil) != (wantErr == nil) || fmt.Sprint(cutErr) != fmt.Sprint(err) {
 			t.Fatalf("%q: whole body %v, in %d-byte reads %v, reference %v", tok, err, int(piece)+1, cutErr, wantErr)
 		}
 		if err != nil {

@@ -134,7 +134,7 @@ func parseShapeQuery(q url.Values) (Shape, error) {
 			}
 			s.Rank = len(parts)
 			for i, p := range parts {
-				if s.Dims[i], err = strconv.Atoi(p); err != nil {
+				if s.Dims[i], err = atoi(p); err != nil {
 					return s, fmt.Errorf("dims=%s: %w", vals[0], err)
 				}
 			}

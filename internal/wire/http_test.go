@@ -151,6 +151,8 @@ func TestBinaryRequestRejects(t *testing.T) {
 		{"zero dim", func(r *http.Request) { r.URL.RawQuery = "dims=0" }, 400, "dims must be ≥ 1"},
 		{"over the cap", func(r *http.Request) { r.URL.RawQuery = "dims=65536,65536" }, 413, "exceed"},
 		{"overflowing product", func(r *http.Request) { r.URL.RawQuery = "dims=4294967296,4294967296,4294967296" }, 413, "exceed"},
+		{"dim past int", func(r *http.Request) { r.URL.RawQuery = "dims=99999999999999999999" }, 413, "exceed"},
+		{"dim not a number", func(r *http.Request) { r.URL.RawQuery = "dims=2x" }, 400, "invalid syntax"},
 	}
 	for _, c := range cases {
 		status, msg := post(c.mutate)

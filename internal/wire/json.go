@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"strconv"
 	"unsafe"
 )
 
@@ -204,7 +203,7 @@ func (d *jsonDecoder) integer() (int, error) {
 	if !t.integer {
 		return 0, fmt.Errorf("want an integer, got %s", tok)
 	}
-	return strconv.Atoi(tok)
+	return atoi(tok)
 }
 
 // number consumes one number token, scanned into t, and returns it as a
@@ -359,28 +358,49 @@ func (d *jsonDecoder) dims(into *[3]int) (int, error) {
 // data parses the number array into dst and returns how many values it
 // held. One value beyond len(dst) is an error: the array is never longer
 // than the shape declares.
+//
+// It is one loop over the window. A token that starts on a non-space byte
+// with a whole token and its separator in the window (MaxNumberLen+2
+// bytes) is scanned in place and a ',' or ']' right after it consumed
+// directly; next and closed run only for whitespace, a short window or any
+// other separator, so every refusal comes out of the same code at the same
+// offset whichever way the body was cut into reads.
 func (d *jsonDecoder) data(dst []float64) (int, error) {
+	if done, err := d.open(); err != nil || done {
+		return 0, err
+	}
 	var t numberToken
-	done, err := d.open()
 	for n := 0; ; n++ {
-		if err != nil || done {
-			return n, err
+		if d.end-d.pos < MaxNumberLen+2 || d.buf[d.pos] <= ' ' {
+			if _, err := d.next(); err != nil {
+				return 0, err
+			}
 		}
-		if _, err = d.next(); err != nil {
+		b := d.buf[d.pos:d.end]
+		if err := scanNumber(b, &t); err != nil {
 			return 0, err
 		}
-		var tok string
-		if tok, err = d.number(&t); err != nil {
-			return 0, err
-		}
+		d.pos += t.n
 		if n == len(dst) {
 			return 0, fmt.Errorf("more than the %d values the shape declares", len(dst))
 		}
 		// Out of range (1e999) is an error, as in encoding/json.
-		if dst[n], err = t.value(tok); err != nil {
+		var err error
+		if dst[n], err = t.value(unsafe.String(&b[0], t.n)); err != nil {
 			return 0, err
 		}
-		done, err = d.closed()
+		// scanNumber leaves the token's successor in the window.
+		switch b[t.n] {
+		case ',':
+			d.pos++
+			continue
+		case ']':
+			d.pos++
+			return n + 1, nil
+		}
+		if done, err := d.closed(); err != nil || done {
+			return n + 1, err
+		}
 	}
 }
 

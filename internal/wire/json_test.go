@@ -11,6 +11,8 @@ import (
 	"strings"
 	"testing"
 	"testing/iotest"
+
+	"repro/internal/fft1d"
 )
 
 // refRequest and refResponse are the bodies as encoding/json sees them:
@@ -184,7 +186,9 @@ func TestDecodeJSONRejects(t *testing.T) {
 		{"negative dim", `{"rank":1,"dims":[-4],"data":[]}`, "dims must be ≥ 1", false},
 		{"fractional rank", `{"rank":1.0,"dims":[1],"data":[1,2]}`, "want an integer", false},
 		{"exponent dim", `{"rank":1,"dims":[1e0],"data":[1,2]}`, "want an integer", false},
-		{"int overflow", `{"rank":1,"dims":[99999999999999999999],"data":[1,2]}`, "out of range", false},
+		{"dim past int", `{"rank":1,"dims":[99999999999999999999],"data":[1,2]}`, "exceed", true},
+		{"rank past int", `{"rank":99999999999999999999,"dims":[1],"data":[1,2]}`, "needs exactly", false},
+		{"dim past -int", `{"rank":1,"dims":[-99999999999999999999],"data":[]}`, "dims must be ≥ 1", false},
 		{"too few values", `{"rank":1,"dims":[2],"data":[1,2,3]}`, "want 4 interleaved re,im values for dims [2], got 3", false},
 		{"too many values", `{"rank":1,"dims":[1],"data":[1,2,3]}`, "more than the 2 values", false},
 		{"real wants n values", `{"rank":1,"dims":[4],"real":true,"data":[1,2]}`, "want 4 real values", false},
@@ -221,6 +225,52 @@ func TestDecodeJSONRejects(t *testing.T) {
 		}
 		if want := map[bool]int{false: 400, true: 413}[c.tooLarge]; Status(err) != want {
 			t.Errorf("%s: status %d, want %d", c.name, Status(err), want)
+		}
+	}
+}
+
+// TestDecodeLoopAgrees holds the data loop's in-window path to the
+// next/closed one. A body of over 4 KiB arrives in one read, so a token at
+// the array's start or middle is scanned in place and one in the body's
+// last 49 bytes is not; one-byte reads keep the window at most
+// MaxNumberLen+1 bytes and send every token through next and closed. The
+// two decodes agree in bits and in error text, offset included.
+func TestDecodeLoopAgrees(t *testing.T) {
+	const n = 256
+	for _, tok := range []string{
+		"01", "1.e5", // refused by closed and by scanNumber
+		" \t\r\n 0.5 \n",                         // whitespace on both sides
+		"12345678901234567890",                   // 20 digits: strconv decides
+		"9007199254740993",                       // Eisel–Lemire's halfway case
+		"1e999",                                  // out of range
+		strings.Repeat("1", MaxNumberLen) + ".5", // over the bound where one-byte reads cut it
+	} {
+		for _, at := range []int{0, n / 2, n - 1} {
+			vals := make([]string, n)
+			for i := range vals {
+				vals[i] = "-0.12345678901234567"
+			}
+			vals[at] = tok
+			body := `{"rank":1,"dims":[256],"real":true,"data":[` + strings.Join(vals, ",") + `]}`
+			if len(body) < 4<<10 {
+				t.Fatalf("body of %d bytes", len(body))
+			}
+			whole, err := DecodeJSON(strings.NewReader(body), int64(len(body)))
+			cut, cutErr := DecodeJSON(iotest.OneByteReader(strings.NewReader(body)), int64(len(body)))
+			if fmt.Sprint(err) != fmt.Sprint(cutErr) {
+				t.Errorf("%q at %d: in one read %v, in one-byte reads %v", tok, at, err, cutErr)
+				continue
+			}
+			if err != nil {
+				continue
+			}
+			var ref refRequest
+			if err := json.Unmarshal([]byte(body), &ref); err != nil {
+				t.Fatalf("%q at %d: encoding/json: %v", tok, at, err)
+			}
+			if !sameBits(whole.RealSrc, ref.Data) || !sameBits(cut.RealSrc, ref.Data) {
+				t.Errorf("%q at %d: values differ from encoding/json's", tok, at)
+			}
 		}
 	}
 }
@@ -294,6 +344,17 @@ func TestCodecAllocsAreConstant(t *testing.T) {
 
 func BenchmarkDecodeJSON256(b *testing.B) {
 	body, data := request256(b)
+	benchmarkDecode(b, body, len(data))
+}
+
+// BenchmarkDecodeJSON256Spaced is the request with a space after each
+// comma, which keeps the decoder's whitespace path timed.
+func BenchmarkDecodeJSON256Spaced(b *testing.B) {
+	body, data := request256(b)
+	benchmarkDecode(b, bytes.ReplaceAll(body, []byte(","), []byte(", ")), len(data))
+}
+
+func benchmarkDecode(b *testing.B, body []byte, values int) {
 	rd := bytes.NewReader(body)
 	b.SetBytes(int64(len(body)))
 	b.ResetTimer()
@@ -303,7 +364,7 @@ func BenchmarkDecodeJSON256(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	reportPerValue(b, len(data))
+	reportPerValue(b, values)
 }
 
 // reportPerValue adds ns/value, the codec's cost per float64, to ns/op.
@@ -311,8 +372,41 @@ func reportPerValue(b *testing.B, values int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(values), "ns/value")
 }
 
+// BenchmarkEncodeJSON256 encodes the request's N(0,1) values, mostly in
+// the 0.ddd layout.
 func BenchmarkEncodeJSON256(b *testing.B) {
 	_, data := request256(b)
+	benchmarkEncode(b, data)
+}
+
+// BenchmarkEncodeJSON256Reply encodes what http2d's replies carry: the 256²
+// forward of uniform [−1, 1) data, σ ≈ 148, mostly in the ddd.ddd layout.
+func BenchmarkEncodeJSON256Reply(b *testing.B) {
+	const n = 256
+	rng := rand.New(rand.NewSource(7))
+	x := make([]complex128, n*n)
+	for i := range x {
+		x[i] = complex(2*rng.Float64()-1, 2*rng.Float64()-1)
+	}
+	p := fft1d.NewPlan(n)
+	row, col := make([]complex128, n), make([]complex128, n)
+	for r := 0; r < n; r++ {
+		p.Transform(row, x[r*n:(r+1)*n], fft1d.Forward)
+		copy(x[r*n:], row)
+	}
+	for c := 0; c < n; c++ {
+		for r := range col {
+			col[r] = x[r*n+c]
+		}
+		p.Transform(row, col, fft1d.Forward)
+		for r, v := range row {
+			x[r*n+c] = v
+		}
+	}
+	benchmarkEncode(b, Floats(x))
+}
+
+func benchmarkEncode(b *testing.B, data []float64) {
 	b.SetBytes(int64(len(refEncode(b, data))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -57,9 +57,8 @@ func parseNumber(tok string) (f float64, fast bool, err error) {
 	if err != nil {
 		return 0, false, err
 	}
-	_, fast = t.float()
 	f, err = t.value(tok)
-	return f, fast, err
+	return f, t.fast, err
 }
 
 // checkNumber holds one token to the reference and returns whether the fast
@@ -230,6 +229,26 @@ func TestLeadingDigits(t *testing.T) {
 		if w := binary.LittleEndian.Uint64([]byte(s)); leadingDigits(w) != 8 || eightDigitsValue(w) != want {
 			t.Fatalf("%s: %d leading digits, value %d", s, leadingDigits(w), eightDigitsValue(w))
 		}
+	}
+}
+
+// The SWAR digit spelling against fmt, over a stride of the eight-digit
+// range, its edges and every value below 10^4 (one lane's range).
+func TestEightDigits(t *testing.T) {
+	check := func(v uint64) {
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], eightDigits(v))
+		if want := fmt.Sprintf("%08d", v); string(b[:]) != want {
+			t.Fatalf("eightDigits(%d) = %q, want %q", v, b[:], want)
+		}
+	}
+	for v := uint64(0); v < 1e4; v++ {
+		check(v)
+		check(v * 1e4)
+		check(99999999 - v)
+	}
+	for v := uint64(0); v < 1e8; v += 997 {
+		check(v)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"strconv"
 )
 
 // MaxElems caps ∏dims of one /transform request in either framing (2²⁶
@@ -65,6 +66,16 @@ type Request struct {
 	Shape
 	Src     []complex128
 	RealSrc []float64
+}
+
+// atoi is strconv.Atoi saturated at int's range, so a dim past it is too
+// large (413) and not malformed (400) on 32- and 64-bit hosts alike.
+func atoi(s string) (int, error) {
+	n, err := strconv.Atoi(s)
+	if errors.Is(err, strconv.ErrRange) {
+		err = nil
+	}
+	return n, err
 }
 
 // elems returns ∏Dims after validating the shape: rank in 1..3, every dim
