@@ -155,13 +155,13 @@ examplesmoke:
 # the process: the JSON /transform decoder differentially against
 # encoding/json, one number token against the grammar and strconv.ParseFloat,
 # a float64 bit pattern through the formatter against strconv.AppendFloat,
-# the binary frame decoder against its acceptance rule, a
-# scraped peer exposition through the /metrics/fleet merge and back, a
-# wisdom file through LoadWisdom, Save and the candidate → Config conversion,
-# a /shard/begin body through the JobSpec decoder and its validation, and
+# the binary frame decoder against its acceptance rule (the two decoders
+# also against serve's validation), a scraped peer exposition through the
+# /metrics/fleet merge and back, a /shard/begin body through the JobSpec
+# decoder and its validation, and
 # any 1D size 1 … 65535 through the fft1d planner (round trip, Parseval and,
 # up to 512, the direct DFT).
-# The committed seed corpora (internal/{wire,obs,tune}/testdata/fuzz) are
+# The committed seed corpora (internal/{wire,obs}/testdata/fuzz) are
 # replayed by plain `go test`; a crasher found here lands there as a new seed.
 fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeTransformRequest$$' -fuzztime=10s ./internal/wire
@@ -169,7 +169,6 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=10s ./internal/obs
-	$(GO) test -run='^$$' -fuzz='^FuzzLoadWisdom$$' -fuzztime=10s ./internal/tune
 	$(GO) test -run='^$$' -fuzz='^FuzzJobSpec$$' -fuzztime=10s ./internal/shard
 	$(GO) test -run='^$$' -fuzz='^FuzzRoundTrip$$' -fuzztime=10s ./internal/fft1d
 

@@ -630,14 +630,10 @@ func runSelftest(h *handler, total int) error {
 // must get the Hermitian half spectrum back — the r2c/c2r wire format end
 // to end.
 func roundTrip(base string, sh wire.Shape, bin bool, seed int) error {
-	n := 1
-	for _, d := range sh.Dims[:sh.Rank] {
-		n *= d
-	}
-	words, specWords := 2*n, 2*n
+	n, specElems := sh.Core().Lens(false)
+	words, specWords := 2*n, 2*specElems
 	if sh.Real {
-		last := sh.Dims[sh.Rank-1]
-		words, specWords = n, 2*(n/last*(last/2+1))
+		words = n
 	}
 	data := make([]float64, words)
 	for i := range data {

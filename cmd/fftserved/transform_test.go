@@ -110,7 +110,7 @@ func TestTransformRefusals(t *testing.T) {
 		{"member in another case", `{"Rank":1,"dims":[1],"data":[1,2]}`, http.StatusBadRequest},
 		{"number token over the bound", `{"rank":1,"dims":[1],"data":[1,0.` + strings.Repeat("3", 60) + `]}`, http.StatusBadRequest},
 		{"wrong count", `{"rank":1,"dims":[4],"data":[1,2]}`, http.StatusBadRequest},
-		{"unsupported size reaches the serving layer", `{"rank":1,"dims":[1],"real":true,"data":[1]}`, http.StatusBadRequest},
+		{"odd real last extent refused at decode", `{"rank":1,"dims":[1],"real":true,"data":[1]}`, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		rec := httptest.NewRecorder()

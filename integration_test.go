@@ -117,7 +117,7 @@ func TestIntegration2DConvolution(t *testing.T) {
 	}
 }
 
-// Tune → wisdom → rebuild with the tuned candidate, verifying the tuned
+// Tune → rebuild with the winning candidate's options, verifying the tuned
 // plan still computes the right answer.
 func TestIntegrationTuneAndReplay(t *testing.T) {
 	const k, n, m = 16, 16, 16

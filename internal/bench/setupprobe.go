@@ -73,10 +73,7 @@ func setupProbePlan(w io.Writer, dims []int, realInput, touched bool) error {
 		p, err = core.NewPlan(core.Config{}, realInput, dims...)
 		return err
 	}
-	n, m := 1, dims[len(dims)-1]
-	for _, d := range dims {
-		n *= d
-	}
+	n, spec := core.ShapeOf(realInput, dims...).Lens(false)
 	label := fmt.Sprint("complex ", dims)
 	if realInput {
 		label = fmt.Sprint("real ", dims)
@@ -84,7 +81,7 @@ func setupProbePlan(w io.Writer, dims []int, realInput, touched bool) error {
 		for i := range src {
 			src[i] = float64(i%17) - 8
 		}
-		dst := make([]complex128, n/m*(m/2+1))
+		dst := make([]complex128, spec)
 		touch(dst, touched)
 		fwd = func() error { return p.ForwardReal(dst, src, 1) }
 	} else {

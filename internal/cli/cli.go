@@ -5,22 +5,24 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"repro/internal/core"
 )
 
 // ParseDims parses a comma-separated dimension list ("512,512,512" or
-// "1024,2048") into positive integers.
+// "1024,2048") into the extents of a complex shape core's rule accepts.
 func ParseDims(s string) ([]int, error) {
 	parts := strings.Split(s, ",")
-	dims := make([]int, 0, len(parts))
-	for _, p := range parts {
+	dims := make([]int, len(parts))
+	for i, p := range parts {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || v < 1 {
+		if err != nil {
 			return nil, fmt.Errorf("bad dimension %q", p)
 		}
-		dims = append(dims, v)
+		dims[i] = v
 	}
-	if len(dims) == 0 {
-		return nil, fmt.Errorf("empty dimension list")
+	if err := core.ShapeOf(false, dims...).Check(core.MaxElems); err != nil {
+		return nil, fmt.Errorf("size %q: %w", s, err)
 	}
 	return dims, nil
 }

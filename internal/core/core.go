@@ -26,8 +26,12 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
+	"slices"
 
 	"repro/internal/machine"
 	"repro/internal/obs"
@@ -133,21 +137,111 @@ func (c Config) model() *perfmodel.Model {
 }
 
 // MaxElems caps the element count of a plan's extents: a complex array of
-// that many elements — and a real plan's real grid and half spectrum, at
-// most twice as many elements as its packed complex lanes — keeps a byte
-// size an int holds.
+// that many elements keeps a byte size an int holds.
 const MaxElems = math.MaxInt / 32
 
-// Elems returns the product of dims, or false when an extent is below 1 or
-// the product exceeds MaxElems. Dividing the cap, not multiplying the
-// extents, cannot overflow.
-func Elems(dims ...int) (int, bool) {
-	n := 1
-	for _, d := range dims {
-		if d < 1 || d > MaxElems/n {
-			return 0, false
-		}
-		n *= d
+// ErrTooLarge is wrapped by Check's refusal of a shape past its cap.
+var ErrTooLarge = errors.New("too large")
+
+// Shape describes one transform: its rank, its extents slowest first with
+// zeros past the rank — the paper builds every stage of a plan from the
+// extents alone (§III) — and its domain. Check is the one rule on which
+// shapes describe a transform; the plan constructor, the serving layer,
+// the /transform codec and the shard worker's job spec all run it before
+// they size anything from a shape.
+type Shape struct {
+	Rank int
+	Dims [3]int
+	Real bool // real-input (r2c/c2r): Dims describe the real grid
+}
+
+// ShapeOf returns the shape of extents dims, slowest first. More than three
+// extents make a shape Check refuses.
+func ShapeOf(real bool, dims ...int) Shape {
+	s := Shape{Rank: len(dims), Real: real}
+	copy(s.Dims[:], dims)
+	return s
+}
+
+// Check refuses a shape that describes no transform of at most maxElems
+// elements: a rank outside 1 to 3, an extent below 1 inside the rank or
+// other than 0 past it, a product of the extents past maxElems (an error
+// wrapping ErrTooLarge; each partial product is taken at full width, so it
+// cannot overflow), and a real shape whose last extent is odd. maxElems is
+// at most MaxElems.
+func (s Shape) Check(maxElems int) error {
+	if s.Rank < 1 || s.Rank > 3 {
+		return fmt.Errorf("rank must be 1, 2 or 3, got %d", s.Rank)
 	}
-	return n, true
+	n := uint(1)
+	for i, d := range s.Dims {
+		if i >= s.Rank {
+			if d != 0 {
+				return fmt.Errorf("a rank-%d shape has dims %v: extents past the rank must be 0", s.Rank, s.Dims)
+			}
+			continue
+		}
+		if d < 1 {
+			return fmt.Errorf("dims must be ≥ 1, got %v", s.dims())
+		}
+		hi, lo := bits.Mul(n, uint(d))
+		if hi != 0 || lo > uint(maxElems) {
+			return fmt.Errorf("%w: dims %v exceed %d elements", ErrTooLarge, s.dims(), maxElems)
+		}
+		n = lo
+	}
+	if s.Real && s.Dims[s.Rank-1]%2 != 0 {
+		return fmt.Errorf("a real shape needs an even last extent, got dims %v", s.dims())
+	}
+	return nil
+}
+
+// dims returns a copy of the extents inside the rank: an error that held
+// the receiver's own array would move every shape Check sees to the heap.
+func (s Shape) dims() []int { return slices.Clone(s.Dims[:s.Rank]) }
+
+// CheckSharded refuses a shape the shard tier cannot run: it splits rank-3
+// complex arrays into z-slabs, nothing else.
+func (s Shape) CheckSharded() error {
+	if s.Rank != 3 || s.Real {
+		return fmt.Errorf("a sharded transform is rank 3 and complex, got rank %d, real %t", s.Rank, s.Real)
+	}
+	return nil
+}
+
+// Elems returns the product of the extents — the complex array, or a real
+// shape's real grid — of a shape Check accepted.
+func (s Shape) Elems() int {
+	n := s.Dims[0]
+	if s.Rank > 1 {
+		n *= s.Dims[1]
+	}
+	if s.Rank > 2 {
+		n *= s.Dims[2]
+	}
+	return n
+}
+
+// SpectrumElems returns the element count of the transformed array: Elems
+// for a complex shape, the Hermitian half spectrum — the extents with the
+// last, m, replaced by m/2+1 — for a real one.
+func (s Shape) SpectrumElems() int {
+	_, spec := s.Lens(false)
+	return spec
+}
+
+// Lens returns the element counts of a transform's operand and result in
+// one direction: the array and its spectrum forward, the reverse inverse.
+// A real shape's real grid counts float64s, every other side complex128s.
+func (s Shape) Lens(inverse bool) (src, dst int) {
+	n := s.Elems()
+	spec := n
+	if s.Real {
+		last := s.Dims[s.Rank-1]
+		spec = n / last * (last/2 + 1)
+	}
+	if inverse {
+		return spec, n
+	}
+	return n, spec
 }

@@ -92,22 +92,61 @@ func TestUnknownStrategyRejected(t *testing.T) {
 	}
 }
 
-// Elems divides the cap: products past MaxElems, even ones that wrap an int
-// to 0, are refused.
+// Check is the whole shape rule: rank 1 to 3, extents ≥ 1 inside the rank
+// and 0 past it, a product within the cap — even one that wraps an int to 0
+// is refused as too large, because Check divides the cap — and an even
+// last extent on a real shape.
 func TestInvalidSizeRejected(t *testing.T) {
 	for _, c := range []struct {
-		dims []int
-		n    int
-		ok   bool
+		s        core.Shape
+		max      int
+		ok       bool
+		tooLarge bool
 	}{
-		{[]int{4, 8}, 32, true},
-		{[]int{core.MaxElems}, core.MaxElems, true},
-		{[]int{core.MaxElems, 2}, 0, false},
-		{[]int{1 << 32, 1 << 32}, 0, false},
-		{[]int{8, 0}, 0, false},
+		{core.ShapeOf(false, 4, 8), core.MaxElems, true, false},
+		{core.ShapeOf(false, core.MaxElems), core.MaxElems, true, false},
+		{core.ShapeOf(false, core.MaxElems, 2), core.MaxElems, false, true},
+		{core.ShapeOf(false, 1<<32, 1<<32), core.MaxElems, false, true},
+		{core.ShapeOf(false, 4, 4, 4), 64, true, false},
+		{core.ShapeOf(false, 4, 4, 5), 64, false, true},
+		{core.ShapeOf(false, 8, 0), core.MaxElems, false, false},
+		{core.ShapeOf(false), core.MaxElems, false, false},
+		{core.ShapeOf(false, 2, 2, 2, 2), core.MaxElems, false, false},
+		{core.Shape{Rank: 1, Dims: [3]int{4, 4}}, core.MaxElems, false, false},
+		{core.ShapeOf(true, 4, 6), core.MaxElems, true, false},
+		{core.ShapeOf(true, 6, 5), core.MaxElems, false, false},
+		{core.ShapeOf(true, 1), core.MaxElems, false, false},
 	} {
-		if n, ok := core.Elems(c.dims...); n != c.n || ok != c.ok {
-			t.Errorf("Elems(%v) = %d, %v; want %d, %v", c.dims, n, ok, c.n, c.ok)
+		err := c.s.Check(c.max)
+		if (err == nil) != c.ok || errors.Is(err, core.ErrTooLarge) != c.tooLarge {
+			t.Errorf("%+v.Check(%d) = %v; want ok %v, too large %v", c.s, c.max, err, c.ok, c.tooLarge)
+		}
+	}
+}
+
+// A shape's lengths: the array and its spectrum forward, the reverse
+// inverse; only a real shape's spectrum is the half one. Sharded means rank
+// 3 and complex.
+func TestShapeLens(t *testing.T) {
+	for _, c := range []struct {
+		s         core.Shape
+		elems     int
+		spec      int
+		shardable bool
+	}{
+		{core.ShapeOf(false, 8), 8, 8, false},
+		{core.ShapeOf(true, 8), 8, 5, false},
+		{core.ShapeOf(true, 3, 4, 6), 72, 48, false},
+		{core.ShapeOf(false, 3, 4, 6), 72, 72, true},
+	} {
+		fs, fd := c.s.Lens(false)
+		is, id := c.s.Lens(true)
+		if c.s.Elems() != c.elems || c.s.SpectrumElems() != c.spec || fs != c.elems || fd != c.spec || is != c.spec || id != c.elems {
+			t.Errorf("%+v: Elems %d, SpectrumElems %d, Lens %d→%d and %d→%d; want %d and %d",
+				c.s, c.s.Elems(), c.s.SpectrumElems(), fs, fd, is, id, c.elems, c.spec)
+		}
+		if err := c.s.CheckSharded(); (err == nil) != c.shardable {
+			t.Errorf("%+v: CheckSharded = %v, want shardable %v", c.s, err, c.shardable)
 		}
 	}
 }

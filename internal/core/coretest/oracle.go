@@ -126,7 +126,7 @@ func (s Shape) cfg() core.Config {
 	return c
 }
 
-func (s Shape) n() int { n, _ := core.Elems(s.Dims...); return n }
+func (s Shape) n() int { return core.ShapeOf(s.Real, s.Dims...).Elems() }
 
 // lanes are the extents the 1D sub-plans run: a real shape's last is half
 // its real row.

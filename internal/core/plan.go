@@ -78,10 +78,10 @@ var ErrDomain = errors.New("entry point of the other domain")
 // one stage, cut into a block or more a lane, so coalesced serving batches
 // amortize the run's set-up across every row and share the lanes.
 type Plan struct {
-	pkg  string // error prefix: "fft1d", "fft2d", "fft3d" or "rfft"
-	dims []int  // extents, slowest first; a real plan's are the real grid's
-	n    int    // elements of one array, ∏dims
-	real bool
+	pkg   string // error prefix: "fft1d", "fft2d", "fft3d" or "rfft"
+	dims  []int  // extents, slowest first; a real plan's are the real grid's
+	shape Shape
+	n     int // elements of one array, ∏dims
 	// A real plan's half row length m/2 and the rows of one grid, the
 	// product of the outer extents.
 	l, rows int
@@ -97,27 +97,18 @@ type Plan struct {
 // complex rank-1 plan runs no pipeline and reads none.
 func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 	D := len(dims)
-	p := &Plan{pkg: fmt.Sprintf("fft%dd", D), dims: slices.Clone(dims), real: real}
+	p := &Plan{pkg: fmt.Sprintf("fft%dd", D), dims: slices.Clone(dims), shape: ShapeOf(real, dims...)}
 	prefix, lanes := "fft", dims
 	if real {
-		if D < 1 || D > 3 || slices.Min(dims) < 1 || dims[D-1]%2 != 0 {
-			return nil, fmt.Errorf("rfft: invalid size %v: want 1 to 3 extents ≥ 1, the last even", dims)
-		}
-		p.pkg, prefix, p.l = "rfft", "rfft", dims[D-1]/2
+		p.pkg, prefix = "rfft", "rfft"
+	}
+	if err := p.shape.Check(MaxElems); err != nil {
+		return nil, fmt.Errorf("%s: invalid size %v: %w", p.pkg, dims, err)
+	}
+	p.n = p.shape.Elems()
+	if real {
+		p.l = dims[D-1] / 2
 		lanes = append(slices.Clone(dims[:D-1]), p.l)
-	} else if D < 1 || D > 3 {
-		return nil, fmt.Errorf("core: invalid complex size %v: want 1 to 3 extents", dims)
-	}
-	// Extents Elems refuses — for a real plan, its packed lanes, which bound
-	// the real grid and the half spectrum — are refused before any sub-plan
-	// is built.
-	if _, ok := Elems(lanes...); !ok {
-		return nil, fmt.Errorf("%s: invalid size %v: extents must be ≥ 1, at most %d elements",
-			p.pkg, lanes, MaxElems)
-	}
-	p.n = 1
-	for _, e := range dims {
-		p.n *= e
 	}
 	if D == 1 && !real {
 		p.chain = stagegraph.Plan1D(p.n)
@@ -259,12 +250,7 @@ func (p *Plan) Len() int { return p.n }
 // SpectrumLen returns the element count of one transformed array: Len for a
 // complex plan, the half spectrum ∏dims with the last extent m replaced by
 // m/2+1 for a real one.
-func (p *Plan) SpectrumLen() int {
-	if p.real {
-		return p.rows * (p.l + 1)
-	}
-	return p.n
-}
+func (p *Plan) SpectrumLen() int { return p.shape.SpectrumElems() }
 
 // Iters returns the pipeline iteration count of each (forward) stage (the
 // paper's iter = N/b); nil for a complex rank-1 plan.
@@ -277,11 +263,11 @@ func (p *Plan) Iters() []int {
 
 // domain returns the error of an op of the wrong domain, or nil.
 func (p *Plan) domain(op string, real bool) error {
-	if p.real == real {
+	if p.shape.Real == real {
 		return nil
 	}
 	kind := "complex"
-	if p.real {
+	if p.shape.Real {
 		kind = "real"
 	}
 	return fmt.Errorf("%s: %s on a %s plan: %w", p.pkg, op, kind, ErrDomain)

@@ -40,62 +40,8 @@ func normalizeKey(k PlanKey) PlanKey {
 	return k
 }
 
-// Validate checks that the key describes a buildable transform.
-func (k PlanKey) Validate() error {
-	switch k.Rank {
-	case 1:
-		if k.D0 < 1 || k.D1 != 0 || k.D2 != 0 {
-			return fmt.Errorf("serve: rank-1 key needs D0 ≥ 1 and D1 = D2 = 0, got %d×%d×%d", k.D0, k.D1, k.D2)
-		}
-	case 2:
-		if k.D0 < 1 || k.D1 < 1 || k.D2 != 0 {
-			return fmt.Errorf("serve: rank-2 key needs D0,D1 ≥ 1 and D2 = 0, got %d×%d×%d", k.D0, k.D1, k.D2)
-		}
-	case 3:
-		if k.D0 < 1 || k.D1 < 1 || k.D2 < 1 {
-			return fmt.Errorf("serve: rank-3 key needs all dims ≥ 1, got %d×%d×%d", k.D0, k.D1, k.D2)
-		}
-	default:
-		return fmt.Errorf("serve: rank must be 1, 2 or 3, got %d", k.Rank)
-	}
-	if k.Real {
-		last := k.lastDim()
-		if last < 2 || last%2 != 0 {
-			return fmt.Errorf("serve: real transforms need an even last dim ≥ 2, got %d", last)
-		}
-	}
-	return nil
-}
-
-// dims returns the key's Rank extents, slowest first.
-func (k PlanKey) dims() []int { return []int{k.D0, k.D1, k.D2}[:k.Rank] }
-
-// lastDim returns the fastest-varying (contiguous) dimension.
-func (k PlanKey) lastDim() int { return k.dims()[k.Rank-1] }
-
-// Len returns the element count of one transform under this key: the
-// complex element count for complex plans, the real element count for real
-// plans (see SpectrumLen for the half-spectrum side).
-func (k PlanKey) Len() int {
-	n := k.D0
-	if k.Rank >= 2 {
-		n *= k.D1
-	}
-	if k.Rank >= 3 {
-		n *= k.D2
-	}
-	return n
-}
-
-// SpectrumLen returns the Hermitian half-spectrum element count of a real
-// plan: the product of the dims with the last replaced by last/2+1. For
-// complex plans it equals Len.
-func (k PlanKey) SpectrumLen() int {
-	if !k.Real {
-		return k.Len()
-	}
-	last := k.lastDim()
-	return k.Len() / last * (last/2 + 1)
+func (k PlanKey) shape() core.Shape {
+	return core.Shape{Rank: k.Rank, Dims: [3]int{k.D0, k.D1, k.D2}, Real: k.Real}
 }
 
 // Plan is one cached executor: the core.Plan of its key's domain and dims.
@@ -113,7 +59,8 @@ type Plan struct {
 }
 
 func buildPlan(key PlanKey) (*Plan, error) {
-	p, err := core.NewPlan(key.Cfg, key.Real, key.dims()...)
+	s := key.shape()
+	p, err := core.NewPlan(key.Cfg, key.Real, s.Dims[:s.Rank]...)
 	if err != nil {
 		return nil, err
 	}
@@ -124,7 +71,7 @@ func buildPlan(key PlanKey) (*Plan, error) {
 func (p *Plan) Key() PlanKey { return p.key }
 
 // Len returns the element count of one transform.
-func (p *Plan) Len() int { return p.key.Len() }
+func (p *Plan) Len() int { return p.p.Len() }
 
 // Core returns the underlying plan.
 func (p *Plan) Core() *core.Plan { return p.p }
@@ -174,8 +121,8 @@ func NewPlanCache(capacity int) *PlanCache {
 // function the caller must invoke exactly once when done with the plan.
 func (pc *PlanCache) Get(key PlanKey) (*Plan, func(), error) {
 	key = normalizeKey(key)
-	if err := key.Validate(); err != nil {
-		return nil, nil, err
+	if err := key.shape().Check(core.MaxElems); err != nil {
+		return nil, nil, fmt.Errorf("serve: %w", err)
 	}
 	return pc.c.GetOrCreate(key, func() (*Plan, error) { return buildPlan(key) })
 }

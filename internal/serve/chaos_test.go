@@ -80,7 +80,7 @@ func chaosShapes(t *testing.T) []chaosShape {
 			s.wantReal = make([]float64, p.Len())
 			err = p.ExecuteReal(req.Src, s.wantReal, true)
 		case req.Real:
-			s.want = make([]complex128, p.Key().SpectrumLen())
+			s.want = make([]complex128, p.Core().SpectrumLen())
 			err = p.ExecuteReal(s.want, req.RealSrc, false)
 		default:
 			s.want = make([]complex128, p.Len())

@@ -128,6 +128,10 @@ func (r Request) key(cfg core.Config) PlanKey {
 	return PlanKey{Rank: r.Rank, D0: r.Dims[0], D1: r.Dims[1], D2: r.Dims[2], Real: r.Real, Cfg: cfg}
 }
 
+func (r *Request) shape() core.Shape {
+	return core.Shape{Rank: r.Rank, Dims: r.Dims, Real: r.Real}
+}
+
 // item states: a pending item may be claimed by an executor or cancelled
 // by its submitter, whichever CASes first. A cancelled item's buffers are
 // never touched; a claimed item always gets exactly one done send.
@@ -238,67 +242,34 @@ func (s *Server) Cache() *PlanCache { return s.cache }
 // Healthy reports whether the server is accepting requests.
 func (s *Server) Healthy() bool { return !s.draining.Load() }
 
-func validate(req *Request) error {
-	d := req.Dims
-	switch req.Rank {
-	case 1:
-		if d[0] < 1 || d[1] != 0 || d[2] != 0 {
-			return fmt.Errorf("serve: rank-1 request needs Dims[0] ≥ 1 and Dims[1] = Dims[2] = 0, got %v", d)
-		}
-	case 2:
-		if d[0] < 1 || d[1] < 1 || d[2] != 0 {
-			return fmt.Errorf("serve: rank-2 request needs Dims[0],Dims[1] ≥ 1 and Dims[2] = 0, got %v", d)
-		}
-	case 3:
-		if d[0] < 1 || d[1] < 1 || d[2] < 1 {
-			return fmt.Errorf("serve: rank-3 request needs all dims ≥ 1, got %v", d)
-		}
-	default:
-		return fmt.Errorf("serve: rank must be 1, 2 or 3, got %d", req.Rank)
+// Validate refuses a request the server would not run: a shape core's
+// rule refuses (and, for a sharded request, core's sharded rule), or
+// buffers whose lengths are not the shape's — the operand and result of
+// its direction in their domain's slices, the other pair empty.
+func (r *Request) Validate() error {
+	s := r.shape()
+	if err := s.Check(core.MaxElems); err != nil {
+		return fmt.Errorf("serve: %w", err)
 	}
-	n, ok := core.Elems(req.Dims[:req.Rank]...)
-	if !ok {
-		return fmt.Errorf("serve: dims %v exceed %d elements", d, core.MaxElems)
-	}
-	if req.Sharded {
-		if req.Rank != 3 {
-			return fmt.Errorf("serve: sharded request needs rank 3, got %d", req.Rank)
-		}
-		if req.Real {
-			return fmt.Errorf("serve: sharded real requests are not supported")
+	if r.Sharded {
+		if err := s.CheckSharded(); err != nil {
+			return fmt.Errorf("serve: %w", err)
 		}
 	}
-	if req.Real {
-		last := d[req.Rank-1]
-		if last < 2 || last%2 != 0 {
-			return fmt.Errorf("serve: real request needs an even last dim ≥ 2, got %d", last)
-		}
-		spec := n / last * (last/2 + 1)
-		if req.Inverse {
-			if len(req.Src) != spec || len(req.RealDst) != n {
-				return fmt.Errorf("serve: inverse real request needs %d-element Src and %d-element RealDst, got %d and %d",
-					spec, n, len(req.Src), len(req.RealDst))
-			}
-			if len(req.Dst) != 0 || len(req.RealSrc) != 0 {
-				return fmt.Errorf("serve: inverse real request must leave Dst and RealSrc empty")
-			}
-			return nil
-		}
-		if len(req.RealSrc) != n || len(req.Dst) != spec {
-			return fmt.Errorf("serve: forward real request needs %d-element RealSrc and %d-element Dst, got %d and %d",
-				n, spec, len(req.RealSrc), len(req.Dst))
-		}
-		if len(req.Src) != 0 || len(req.RealDst) != 0 {
-			return fmt.Errorf("serve: forward real request must leave Src and RealDst empty")
-		}
-		return nil
+	src, dst := s.Lens(r.Inverse)
+	// Src, RealSrc, Dst, RealDst: a real request's real side is its float64
+	// slice.
+	want := [4]int{src, 0, dst, 0}
+	switch {
+	case r.Real && r.Inverse:
+		want[2], want[3] = 0, dst
+	case r.Real:
+		want[0], want[1] = 0, src
 	}
-	if len(req.RealSrc) != 0 || len(req.RealDst) != 0 {
-		return fmt.Errorf("serve: complex request must leave RealSrc and RealDst empty (set Real for r2c/c2r)")
-	}
-	if len(req.Src) != n || len(req.Dst) != n {
-		return fmt.Errorf("serve: request needs %d-element src and dst, got %d and %d",
-			n, len(req.Src), len(req.Dst))
+	if got := [4]int{len(r.Src), len(r.RealSrc), len(r.Dst), len(r.RealDst)}; got != want {
+		dims := r.Dims // a copy: r itself stays off the heap
+		return fmt.Errorf("serve: a %v request (real %t, inverse %t) needs Src, RealSrc, Dst, RealDst of %v elements, got %v",
+			dims[:r.Rank], r.Real, r.Inverse, want, got)
 	}
 	return nil
 }
@@ -310,7 +281,7 @@ func validate(req *Request) error {
 // Do never drops work silently: every accepted request either executes or
 // returns the caller's context error.
 func (s *Server) Do(ctx context.Context, req Request) error {
-	if err := validate(&req); err != nil {
+	if err := req.Validate(); err != nil {
 		return err
 	}
 	// Admission: a Do that reads draining=false under the read lock may
@@ -518,7 +489,7 @@ func (s *Server) runBatch(x *executor, items []*item) {
 		// Coalesced real pencils: pack the per-request real rows and
 		// half spectra into contiguous scratch, run one batched
 		// pipeline sweep, scatter the results back.
-		n, mc := key.Len(), key.SpectrumLen()
+		n, mc := plan.p.Len(), plan.p.SpectrumLen()
 		inverse := live[0].req.Inverse
 		if cap(x.realCoalesce) < n*len(live) {
 			x.realCoalesce = make([]float64, n*len(live))

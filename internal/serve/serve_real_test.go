@@ -238,7 +238,7 @@ func TestExecuteOnRealKeyIsADomainError(t *testing.T) {
 		{Rank: 3, D0: 2, D1: 4, D2: 16, Real: true},
 	} {
 		p := getPlan(t, pc, key)
-		dst, src := make([]complex128, key.Len()), make([]complex128, key.Len())
+		dst, src := make([]complex128, p.Len()), make([]complex128, p.Len())
 		for _, inverse := range []bool{false, true} {
 			if err := p.Execute(dst, src, inverse); !errors.Is(err, core.ErrDomain) {
 				t.Errorf("rank-%d real key, inverse=%v: Execute returned %v, want core.ErrDomain", key.Rank, inverse, err)
@@ -258,7 +258,7 @@ func TestExecuteRealOnComplexKeyIsADomainError(t *testing.T) {
 		{Rank: 3, D0: 2, D1: 4, D2: 16},
 	} {
 		p := getPlan(t, pc, key)
-		spec, re := make([]complex128, key.Len()), make([]float64, key.Len())
+		spec, re := make([]complex128, p.Len()), make([]float64, p.Len())
 		for _, inverse := range []bool{false, true} {
 			if err := p.ExecuteReal(spec, re, inverse); !errors.Is(err, core.ErrDomain) {
 				t.Errorf("rank-%d complex key, inverse=%v: ExecuteReal returned %v, want core.ErrDomain", key.Rank, inverse, err)

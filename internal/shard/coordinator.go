@@ -303,20 +303,14 @@ func (c *Coordinator) Transform(ctx context.Context, dst, src []complex128, k, n
 	}
 
 	// Every sharded transform gets a trace ID: the caller's (propagated
-	// from the serving layer via the context) or a fresh one. Worker i's
-	// wire requests carry span ID i+1; the coordinator is span 0.
+	// from the serving layer via the context) or a fresh one. It reaches
+	// the workers in the job spec.
 	traceID := ""
 	if c.traceCap > 0 {
 		traceID = trace.IDFromContext(ctx)
 		if traceID == "" {
 			traceID = trace.NewTraceID()
 		}
-	}
-	wctx := func(i int) context.Context {
-		if traceID == "" {
-			return ctx
-		}
-		return trace.ContextWithSpan(ctx, trace.SpanContext{TraceID: traceID, SpanID: uint64(i + 1)})
 	}
 	rec := &traceRecord{
 		ID: traceID, Shape: shape, Fleet: fleet, Offsets: make([]int64, sk),
@@ -357,7 +351,7 @@ func (c *Coordinator) Transform(ctx context.Context, dst, src []complex128, k, n
 			}
 			var res beginResult
 			t0 := time.Now()
-			if err := c.tr.postJSONResult(wctx(i), "begin", node, node+"/shard/begin", spec, &res); err != nil {
+			if err := c.tr.postJSONResult(ctx, "begin", node, node+"/shard/begin", spec, &res); err != nil {
 				return err
 			}
 			t1 := time.Now()
@@ -380,7 +374,7 @@ func (c *Coordinator) Transform(ctx context.Context, dst, src []complex128, k, n
 			return forEachChunk(slab, c.opts.ChunkElems, scatterStreams, func(off, count int) error {
 				url := fmt.Sprintf("%s/shard/chunk?job=%s&kind=input&off=%d&count=%d", node, jobID, off, count)
 				payload := wire.ComplexBytes(src[base+off : base+off+count])
-				if err := c.tr.postChunk(wctx(i), "scatter", node, url, payload); err != nil {
+				if err := c.tr.postChunk(ctx, "scatter", node, url, payload); err != nil {
 					return err
 				}
 				c.metrics.ScatterBytes.Add(int64(len(payload)))
@@ -398,7 +392,7 @@ func (c *Coordinator) Transform(ctx context.Context, dst, src []complex128, k, n
 	err = span("shard/run", func() error {
 		return forEach(fleet, func(i int, node string) error {
 			url := fmt.Sprintf("%s/shard/run?job=%s&sign=%d", node, jobID, sign)
-			return c.trOnce.postForResult(wctx(i), "run", node, url, &stats[i])
+			return c.trOnce.postForResult(ctx, "run", node, url, &stats[i])
 		})
 	})
 	runWall := time.Since(runStart).Seconds()
@@ -435,7 +429,7 @@ func (c *Coordinator) Transform(ctx context.Context, dst, src []complex128, k, n
 				scratch := getScratch(count)
 				defer putScratch(scratch)
 				url := fmt.Sprintf("%s/shard/result?job=%s&off=%d&count=%d", node, jobID, off, count)
-				if err := c.tr.getChunk(wctx(i), "gather", node, url, wire.ComplexBytes(scratch[:count])); err != nil {
+				if err := c.tr.getChunk(ctx, "gather", node, url, wire.ComplexBytes(scratch[:count])); err != nil {
 					return err
 				}
 				placeSlab(dst, g, i, off, scratch[:count])

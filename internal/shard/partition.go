@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+
+	"repro/internal/core"
 )
 
 // FleetOrder ranks nodes for a shape by rendezvous (highest-random-weight)
@@ -53,8 +55,8 @@ type geom struct {
 // so each slab's stage-3 output is a whole y-slab, gathered without a
 // second exchange.
 func newGeom(k, n, m, sk, mu int) (geom, error) {
-	if k < 1 || n < 1 || m < 1 {
-		return geom{}, fmt.Errorf("invalid size %dx%dx%d", k, n, m)
+	if err := core.ShapeOf(false, k, n, m).Check(core.MaxElems); err != nil {
+		return geom{}, fmt.Errorf("invalid size %dx%dx%d: %w", k, n, m, err)
 	}
 	if sk < 1 {
 		return geom{}, fmt.Errorf("invalid shard count %d", sk)

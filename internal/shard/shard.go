@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -143,20 +144,16 @@ type JobSpec struct {
 func (js JobSpec) Shape() Shape { return Shape{js.K, js.N, js.M} }
 
 // validate checks a spec from the wire before a worker sizes anything from
-// it: a job, an index inside its fleet, a cube of at most wire.MaxElems
-// elements (the cap /transform enforces; the product is taken without
-// overflowing), a split newGeom accepts and a chunk size within the cube's.
+// it: a job, an index inside its fleet, a cube core's shape rule accepts at
+// wire.MaxElems elements (the cap /transform enforces), a split newGeom
+// accepts and a chunk size within the cube's.
 func (js JobSpec) validate() error {
 	sk := len(js.Workers)
 	if js.Job == "" || sk < 1 || js.Index < 0 || js.Index >= sk {
 		return fmt.Errorf("bad spec: job/workers/index")
 	}
-	elems := 1
-	for _, d := range []int{js.K, js.N, js.M} {
-		if d < 1 || d > wire.MaxElems/elems {
-			return fmt.Errorf("bad spec: %s is not 1 to %d elements", js.Shape(), wire.MaxElems)
-		}
-		elems *= d
+	if err := core.ShapeOf(false, js.K, js.N, js.M).Check(wire.MaxElems); err != nil {
+		return fmt.Errorf("bad spec: %s: %v", js.Shape(), err)
 	}
 	if js.ChunkElems < 0 || js.ChunkElems > wire.MaxElems {
 		return fmt.Errorf("bad spec: chunk_elems %d", js.ChunkElems)

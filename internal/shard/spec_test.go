@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/wire"
 )
 
@@ -105,9 +106,10 @@ func TestChunkSpansDoNotOverflow(t *testing.T) {
 }
 
 // FuzzJobSpec feeds the /shard/begin decoder and validate arbitrary bytes:
-// nothing may panic, and a spec validate accepts has a geometry newGeom
-// accepts whose cube is at most wire.MaxElems elements and whose slabs tile
-// it exactly — no product along the way overflowed.
+// nothing may panic, and a spec validate accepts is a cube core's shape
+// rule accepts at wire.MaxElems, has a geometry newGeom accepts, is at most
+// wire.MaxElems elements by exact arithmetic, and its slabs tile it exactly
+// — no product along the way overflowed.
 func FuzzJobSpec(f *testing.F) {
 	for _, c := range beginSpecs {
 		f.Add([]byte(c.body))
@@ -116,6 +118,9 @@ func FuzzJobSpec(f *testing.F) {
 		var spec JobSpec
 		if json.Unmarshal(data, &spec) != nil || spec.validate() != nil {
 			return
+		}
+		if err := core.ShapeOf(false, spec.K, spec.N, spec.M).Check(wire.MaxElems); err != nil {
+			t.Fatalf("validate accepted %+v, core's shape rule refuses it: %v", spec, err)
 		}
 		sk := len(spec.Workers)
 		g, err := newGeom(spec.K, spec.N, spec.M, sk, spec.Mu)

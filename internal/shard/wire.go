@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/trace"
 	"repro/internal/wire"
 )
 
@@ -84,7 +83,6 @@ func retryable(status int) bool {
 func (t *transport) do(ctx context.Context, op, peer string, build func() (*http.Request, error)) (*http.Response, error) {
 	var lastErr error
 	lastStatus := 0
-	sc, hasSpan := trace.SpanFromContext(ctx)
 	for attempt := 0; attempt <= t.retries; attempt++ {
 		if attempt > 0 {
 			t.metrics.Retries.Add(1)
@@ -99,9 +97,6 @@ func (t *transport) do(ctx context.Context, op, peer string, build func() (*http
 		req, err := build()
 		if err != nil {
 			return nil, errf(KindProtocol, op, peer, "build request: %v", err)
-		}
-		if hasSpan {
-			req.Header.Set(trace.TraceHeader, sc.String())
 		}
 		resp, err := t.client.Do(req.WithContext(ctx))
 		if err != nil {

@@ -492,13 +492,6 @@ func (w *Worker) runJob(ctx context.Context, j *job, sign int) (runStats, error)
 	rctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	traced := w.rec != nil && j.spec.Trace != ""
-	if traced {
-		// Outbound exchange chunks carry this node's span context on the
-		// wire, and the receiver's events correlate via the shared trace ID.
-		rctx = trace.ContextWithSpan(rctx, trace.SpanContext{
-			TraceID: j.spec.Trace, SpanID: uint64(j.spec.Index + 1),
-		})
-	}
 
 	// Stage-graph events go to the session tracer as before; a traced job
 	// additionally captures them in a job-local recorder whose contents are

@@ -4,80 +4,23 @@ import (
 	"context"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// SpanContext is the identity one distributed-trace participant carries:
-// the fleet-wide trace ID the coordinator assigned to the whole sharded
-// transform, plus this participant's span ID (the coordinator is span 0,
-// slab s is span s+1). It crosses the /shard/ wire protocol as the
-// X-Shard-Trace header so every node's ring events and spans can be
-// stitched back into one timeline after the run.
-type SpanContext struct {
-	TraceID string
-	SpanID  uint64
-}
+type idKey struct{}
 
-// Valid reports whether the context names a trace.
-func (sc SpanContext) Valid() bool { return sc.TraceID != "" }
-
-// String renders the wire form: "<trace-id>;span=<n>".
-func (sc SpanContext) String() string {
-	return fmt.Sprintf("%s;span=%d", sc.TraceID, sc.SpanID)
-}
-
-// ParseSpanContext parses the wire form. Unknown ";key=value" fields are
-// ignored so the header can grow without breaking old nodes.
-func ParseSpanContext(s string) (SpanContext, bool) {
-	fields := strings.Split(s, ";")
-	if len(fields) == 0 || strings.TrimSpace(fields[0]) == "" {
-		return SpanContext{}, false
-	}
-	sc := SpanContext{TraceID: strings.TrimSpace(fields[0])}
-	for _, f := range fields[1:] {
-		k, v, ok := strings.Cut(strings.TrimSpace(f), "=")
-		if !ok {
-			continue
-		}
-		if k == "span" {
-			if n, err := strconv.ParseUint(v, 10, 64); err == nil {
-				sc.SpanID = n
-			}
-		}
-	}
-	return sc, true
-}
-
-// TraceHeader is the HTTP header carrying a SpanContext across the
-// /shard/ wire protocol.
-const TraceHeader = "X-Shard-Trace"
-
-type spanCtxKey struct{}
-
-// ContextWithSpan attaches a span context to ctx; the shard transport
-// copies it onto every outbound request as the X-Shard-Trace header.
-func ContextWithSpan(ctx context.Context, sc SpanContext) context.Context {
-	return context.WithValue(ctx, spanCtxKey{}, sc)
-}
-
-// ContextWithID attaches a bare trace ID (span 0 — the originator's lane).
+// ContextWithID attaches a distributed trace ID to ctx: the ID the serving
+// layer logs a request under and the shard coordinator hands every worker
+// in its job spec.
 func ContextWithID(ctx context.Context, traceID string) context.Context {
-	return ContextWithSpan(ctx, SpanContext{TraceID: traceID})
-}
-
-// SpanFromContext returns the span context attached to ctx, if any.
-func SpanFromContext(ctx context.Context) (SpanContext, bool) {
-	sc, ok := ctx.Value(spanCtxKey{}).(SpanContext)
-	return sc, ok && sc.Valid()
+	return context.WithValue(ctx, idKey{}, traceID)
 }
 
 // IDFromContext returns the trace ID attached to ctx ("" if none).
 func IDFromContext(ctx context.Context) string {
-	sc, _ := SpanFromContext(ctx)
-	return sc.TraceID
+	id, _ := ctx.Value(idKey{}).(string)
+	return id
 }
 
 // idNonce makes trace IDs from different processes distinguishable even

@@ -2,11 +2,11 @@
 // and cacheline granularity μ — empirically on the host, the way FFTW's
 // planner or SPIRAL's search would, at the default lane count (one lane a
 // GOMAXPROCS). The paper fixes them by rule (b = LLC/2); the tuner exists for
-// hosts whose cache/thread geometry is unknown, and cmd/ffttune records its
-// winners as "wisdom" (JSON), which LoadWisdom validates; no plan
-// constructor reads the file. The radix cap, the store tier and the store
-// fold were search axes until a sweep found no value but the default worth
-// keeping (EXPERIMENTS.md "Ablation axes, swept once").
+// hosts whose cache/thread geometry is unknown. cmd/ffttune prints its
+// table, and a caller applies the winner's b and μ as plan options. The
+// radix cap, the store tier and the store fold were search axes until a
+// sweep found no value but the default worth keeping (EXPERIMENTS.md
+// "Ablation axes, swept once").
 package tune
 
 import (
@@ -17,19 +17,14 @@ import (
 	"repro/internal/fft1d"
 )
 
-// Candidate is one point in the search space. Wisdom files written before
-// the radix cap, the store tier, the store fold, the data/compute worker
-// mix and the lane count left the search carry "radix", "store_policy",
-// "fuse", "data_workers", "compute_workers" and "lanes" members; they
-// decode and are ignored.
+// Candidate is one point in the search space.
 type Candidate struct {
-	BufferElems int `json:"buffer_elems"`
-	Mu          int `json:"mu"`
+	BufferElems int
+	Mu          int
 }
 
-// Config converts the candidate to the plan configuration it names — the
-// one place the wisdom schema meets core.Config — on core.Default()'s
-// lanes.
+// Config converts the candidate to the plan configuration it names, on
+// core.Default()'s lanes.
 func (c Candidate) Config() core.Config {
 	cfg := core.Default()
 	cfg.Mu, cfg.BufferElems = c.Mu, c.BufferElems
@@ -43,7 +38,7 @@ func (c Candidate) String() string {
 // Result is a measured candidate.
 type Result struct {
 	Candidate
-	Seconds float64 `json:"seconds"`
+	Seconds float64
 }
 
 // Space enumerates the candidates to try.

@@ -12,6 +12,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/serve"
 )
 
 // pieceReader hands out at most n bytes per Read, so token and window
@@ -30,8 +32,9 @@ func (p pieceReader) Read(b []byte) (int, error) {
 
 // FuzzDecodeTransformRequest is the differential against encoding/json:
 // the strict decoder may refuse what encoding/json accepts, never the
-// other way round, and whatever both accept decodes to the same shape and
-// bitwise-equal values, however the body is cut into reads.
+// other way round, whatever both accept decodes to the same shape and
+// bitwise-equal values, however the body is cut into reads, and passes
+// serve's validation.
 func FuzzDecodeTransformRequest(f *testing.F) {
 	for _, seed := range []string{
 		`{"rank":1,"dims":[2],"inverse":false,"data":[1,2,3.5,-4e-3]}`,
@@ -68,6 +71,7 @@ func FuzzDecodeTransformRequest(f *testing.F) {
 		if refErr := json.Unmarshal(body, &ref); refErr != nil {
 			t.Fatalf("accepted a body encoding/json rejects: %v", refErr)
 		}
+		serveAccepts(t, got)
 		if got.Shape != cut.Shape || !sameBits(Floats(got.Src), Floats(cut.Src)) || !sameBits(got.RealSrc, cut.RealSrc) {
 			t.Fatal("decode depends on how the body is cut into reads")
 		}
@@ -90,11 +94,25 @@ func FuzzDecodeTransformRequest(f *testing.F) {
 	})
 }
 
-// FuzzParseNumber puts an arbitrary token where a request's one value goes:
-// the decoder accepts it exactly when the token (JSON whitespace aside) is
-// in the number grammar, within MaxNumberLen and in strconv.ParseFloat's
-// range, the value is bitwise what strconv.ParseFloat gives, and neither
-// depends on where a window refill cuts the body.
+// serveAccepts holds a request the codec accepted to the server's rule: the
+// request and the result NewResult allocates for it pass serve's
+// validation, so the codec never reads an operand the server refuses.
+func serveAccepts(t *testing.T, req *Request) {
+	t.Helper()
+	res := req.NewResult()
+	sr := serve.Request{Rank: req.Rank, Dims: req.Dims, Inverse: req.Inverse, Real: req.Real, Sharded: req.Sharded,
+		Src: req.Src, RealSrc: req.RealSrc, Dst: res.Dst, RealDst: res.RealDst}
+	if err := sr.Validate(); err != nil {
+		t.Fatalf("codec accepted %+v, which serve refuses: %v", req.Shape, err)
+	}
+}
+
+// FuzzParseNumber puts an arbitrary token where the second value of a
+// two-real request goes: the decoder accepts it exactly when the token
+// (JSON whitespace aside) is in the number grammar, within MaxNumberLen and
+// in strconv.ParseFloat's range, the value is bitwise what
+// strconv.ParseFloat gives, and neither depends on where a window refill
+// cuts the body.
 func FuzzParseNumber(f *testing.F) {
 	// The halfway, long-mantissa, bound and range seeds are in testdata;
 	// these are the grammar's edges.
@@ -109,7 +127,7 @@ func FuzzParseNumber(f *testing.F) {
 		if len(tok) > 256 {
 			return // past the header and one value's budget the answer is a 413
 		}
-		body := []byte(`{"rank":1,"dims":[1],"real":true,"data":[` + string(tok) + `]}`)
+		body := []byte(`{"rank":1,"dims":[2],"real":true,"data":[0,` + string(tok) + `]}`)
 		req, err := DecodeJSON(bytes.NewReader(body), int64(len(body)))
 		cut, cutErr := DecodeJSON(pieceReader{bytes.NewReader(body), int(piece) + 1}, int64(len(body)))
 		want, wantErr := refParseNumber(strings.Trim(string(tok), " \t\r\n"))
@@ -120,7 +138,7 @@ func FuzzParseNumber(f *testing.F) {
 			return
 		}
 		for _, got := range []*Request{req, cut} {
-			if len(got.RealSrc) != 1 || math.Float64bits(got.RealSrc[0]) != math.Float64bits(want) {
+			if len(got.RealSrc) != 2 || math.Float64bits(got.RealSrc[1]) != math.Float64bits(want) {
 				t.Fatalf("%q decoded to %v, strconv.ParseFloat gives %v", tok, got.RealSrc, want)
 			}
 		}
@@ -150,8 +168,9 @@ func FuzzAppendFloat(f *testing.F) {
 
 // FuzzBinaryFrame drives the binary framing's decoder with arbitrary
 // shapes, bodies and checksums. A frame is accepted exactly when the shape
-// is valid, the body is exactly the shape's bytes and the checksum
-// matches; an accepted operand is the body, bit for bit.
+// is one the server runs, the body is exactly the shape's bytes and the
+// checksum matches; an accepted operand is the body, bit for bit, and
+// passes serve's validation.
 func FuzzBinaryFrame(f *testing.F) {
 	good := FloatBytes([]float64{1, 2, 3, 4})
 	f.Add(uint8(2), uint8(0), uint8(0), uint8(0), good, uint32(0))                  // valid complex n=2
@@ -188,6 +207,7 @@ func FuzzBinaryFrame(f *testing.F) {
 			}
 			return
 		}
+		serveAccepts(t, req)
 		operand := FloatBytes(req.RealSrc)
 		if req.Src != nil {
 			operand = ComplexBytes(req.Src)

@@ -162,6 +162,62 @@ func TestBinaryRequestRejects(t *testing.T) {
 	}
 }
 
+// endless is a request body whose data section never ends: head, then fill
+// over and over. n counts the bytes the decoder pulled.
+type endless struct {
+	head, fill string
+	n          int
+}
+
+func (e *endless) Read(p []byte) (int, error) {
+	for i := range p {
+		if e.n < len(e.head) {
+			p[i] = e.head[e.n]
+		} else {
+			p[i] = e.fill[(e.n-len(e.head))%len(e.fill)]
+		}
+		e.n++
+	}
+	return len(p), nil
+}
+
+// A shape the server refuses is refused by the codec, 400, before it reads
+// the operand: the JSON framing reads no more than one window past the
+// "data" key, the binary framing no body byte. The shapes are ones the
+// extents alone allow, each with an operand of a million values or more.
+func TestShapeRefusedBeforeOperand(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		shape Shape
+	}{
+		{"real with an odd last extent", Shape{Rank: 1, Dims: [3]int{1<<20 + 1}, Real: true}},
+		{"sharded rank 2", Shape{Rank: 2, Dims: [3]int{1024, 1024}, Sharded: true}},
+		{"sharded real", Shape{Rank: 3, Dims: [3]int{128, 128, 128}, Real: true, Sharded: true}},
+	} {
+		dims, _ := json.Marshal(c.shape.Dims[:c.shape.Rank])
+		head := fmt.Sprintf(`{"rank":%d,"dims":%s,"real":%t,"sharded":%t,"data":[`,
+			c.shape.Rank, dims, c.shape.Real, c.shape.Sharded)
+		body := &endless{head: head, fill: "1,"}
+		r := httptest.NewRequest(http.MethodPost, "/transform", body)
+		r.ContentLength = -1
+		_, err := ReadRequest(httptest.NewRecorder(), r)
+		if Status(err) != http.StatusBadRequest || body.n > len(head)+codecChunk {
+			t.Errorf("%s, JSON: status %d after %d body bytes (%v); want 400 within %d",
+				c.name, Status(err), body.n, err, len(head)+codecChunk)
+		}
+
+		body = &endless{fill: "\x00"}
+		r = httptest.NewRequest(http.MethodPost, "/transform?"+c.shape.shapeQuery(), body)
+		r.Header.Set("Content-Type", binaryType)
+		r.ContentLength = -1
+		_, err = ReadRequest(httptest.NewRecorder(), r)
+		if Status(err) != http.StatusBadRequest || body.n != 0 {
+			t.Errorf("%s, binary: status %d after %d body bytes (%v); want 400 before the body",
+				c.name, Status(err), body.n, err)
+		}
+	}
+}
+
 func TestShapeQueryRoundTrip(t *testing.T) {
 	for _, s := range []Shape{
 		{Rank: 1, Dims: [3]int{4096}},

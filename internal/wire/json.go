@@ -266,7 +266,7 @@ func (d *jsonDecoder) request(contentLength int64) (*Request, error) {
 	if !seen[memberRank] || !seen[memberDims] {
 		return nil, errors.New("rank and dims must come before data, the last member")
 	}
-	if req.Rank < 1 || req.Rank > 3 || ndims != req.Rank {
+	if ndims != req.Rank {
 		return nil, fmt.Errorf("rank %d needs exactly %d dims, got %d", req.Rank, req.Rank, ndims)
 	}
 	words, cplx, err := req.srcLen()

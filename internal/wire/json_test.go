@@ -180,7 +180,7 @@ func TestDecodeJSONRejects(t *testing.T) {
 		{"truncated", `{"rank":1,"dims":[1],"data":[1,2]`, "unexpected EOF", false},
 		{"truncated in a number", `{"rank":1,"dims":[1],"data":[1,2`, "unexpected EOF", false},
 		{"rank out of range", `{"rank":4,"dims":[1,1,1,1],"data":[1,2]}`, "more than 3 dims", false},
-		{"rank 0", `{"rank":0,"dims":[],"data":[]}`, "rank 0 needs", false},
+		{"rank 0", `{"rank":0,"dims":[],"data":[]}`, "rank must be 1, 2 or 3, got 0", false},
 		{"rank and dims disagree", `{"rank":2,"dims":[4],"data":[1,2]}`, "rank 2 needs exactly 2 dims, got 1", false},
 		{"zero dim", `{"rank":1,"dims":[0],"data":[]}`, "dims must be ≥ 1", false},
 		{"negative dim", `{"rank":1,"dims":[-4],"data":[]}`, "dims must be ≥ 1", false},

@@ -5,19 +5,24 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+
+	"repro/internal/core"
 )
 
 // MaxElems caps ∏dims of one /transform request in either framing (2²⁶
 // elements: a 1 GiB complex operand and as much again for the result).
-// Larger shapes answer 413 before anything is allocated.
-const MaxElems = 1 << 26
+// Larger shapes answer 413 before anything is allocated. It never exceeds
+// the serving layer's cap, core.MaxElems, which is one element less on a
+// 32-bit host.
+const MaxElems = min(1<<26, core.MaxElems)
 
 // Codec errors with their own HTTP status; every other decode error is a
 // 400 (see Status).
 var (
 	// ErrTooLarge: the declared shape exceeds MaxElems, or the body exceeds
-	// the bytes its declared shape can occupy (413).
-	ErrTooLarge = errors.New("wire: request too large")
+	// the bytes its declared shape can occupy (413). It is core's sentinel,
+	// which the shape rule wraps.
+	ErrTooLarge = core.ErrTooLarge
 	// ErrChecksum: a binary body does not match its CRC32-C header (422,
 	// the status the shard workers answer a corrupt chunk with).
 	ErrChecksum = errors.New("wire: checksum mismatch")
@@ -78,44 +83,30 @@ func atoi(s string) (int, error) {
 	return n, err
 }
 
-// elems returns ∏Dims after validating the shape: rank in 1..3, every dim
-// ≥ 1, a product that neither overflows nor exceeds MaxElems.
-func (s Shape) elems() (int, error) {
-	if s.Rank < 1 || s.Rank > 3 {
-		return 0, fmt.Errorf("rank must be 1, 2 or 3, got %d", s.Rank)
-	}
-	n := 1
-	for _, d := range s.Dims[:s.Rank] {
-		if d < 1 {
-			return 0, fmt.Errorf("dims must be ≥ 1, got %v", s.Dims[:s.Rank])
-		}
-		// Dividing the cap, not multiplying the dims, cannot overflow.
-		if d > MaxElems/n {
-			return 0, fmt.Errorf("%w: dims %v exceed %d elements", ErrTooLarge, s.Dims[:s.Rank], MaxElems)
-		}
-		n *= d
-	}
-	return n, nil
+// Core returns the transform the shape describes, the descriptor core's
+// shape rule judges.
+func (s Shape) Core() core.Shape {
+	return core.Shape{Rank: s.Rank, Dims: s.Dims, Real: s.Real}
 }
 
-// specElems is the Hermitian half-spectrum element count of a real grid of
-// n elements whose last (contiguous) dim is Dims[Rank-1].
-func (s Shape) specElems(n int) int {
-	last := s.Dims[s.Rank-1]
-	return n / last * (last/2 + 1)
-}
-
-// srcLen returns the operand's length in float64 words and whether those
-// words are interleaved re,im pairs.
+// srcLen refuses a shape the server would refuse — core's shape rule at
+// MaxElems and, for a sharded request, core's sharded rule — and returns
+// the operand's length in float64 words and whether those words are
+// interleaved re,im pairs. Both framings run it before they read the
+// operand.
 func (s Shape) srcLen() (words int, cplx bool, err error) {
-	n, err := s.elems()
-	switch {
-	case err != nil:
+	c := s.Core()
+	if err := c.Check(MaxElems); err != nil {
 		return 0, false, err
-	case s.Real && !s.Inverse:
+	}
+	if s.Sharded {
+		if err := c.CheckSharded(); err != nil {
+			return 0, false, err
+		}
+	}
+	n, _ := c.Lens(s.Inverse)
+	if s.Real && !s.Inverse {
 		return n, false, nil
-	case s.Real:
-		return 2 * s.specElems(n), true, nil
 	}
 	return 2 * n, true, nil
 }
@@ -140,12 +131,9 @@ type Result struct {
 
 // NewResult allocates the result a decoded request's transform writes.
 func (r *Request) NewResult() Result {
-	n, _ := r.elems() // validated when r was decoded
-	switch {
-	case r.Real && r.Inverse:
+	_, n := r.Core().Lens(r.Inverse)
+	if r.Real && r.Inverse {
 		return Result{RealDst: make([]float64, n)}
-	case r.Real:
-		return Result{Dst: make([]complex128, r.specElems(n))}
 	}
 	return Result{Dst: make([]complex128, n)}
 }
