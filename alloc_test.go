@@ -1,11 +1,13 @@
 package repro
 
 // Zero-allocation steady state: once a plan has executed one warm-up
-// transform (growing its lanes' arenas and building lazy twiddle tables),
-// every subsequent Transform on the reused plan must perform zero heap
-// allocations and spawn zero goroutines — on one lane and on two: the
-// plan's executor wakes its parked lanes and draws all scratch from the
-// per-lane buffers and arenas.
+// transform (growing the pooled lanes' arenas, filling the engine's work
+// arrays and building lazy twiddle tables), every subsequent Transform on
+// the reused plan must perform zero heap allocations and spawn zero
+// goroutines — on one lane and on two: each run leases a pooled team, wakes
+// its parked lanes and draws all scratch from the per-lane buffers and
+// arenas and its work array from the pool; InPlace leases its temporary
+// there too.
 
 import (
 	"fmt"
@@ -94,6 +96,34 @@ func TestSteadyStateZeroAllocs2D(t *testing.T) {
 				}
 			})
 			p.Close()
+		}
+	})
+	t.Run("inplace", func(t *testing.T) {
+		for _, l := range allocLanes {
+			p, err := NewFFT2D(64, 64, withLanes(l), WithBufferElems(1<<10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertInPlaceZeroAllocs(t, fmt.Sprintf("FFT2D.InPlace on %d lanes", l), p)
+			p.Close()
+		}
+	})
+}
+
+// assertInPlaceZeroAllocs holds a complex handle's InPlace, whose temporary
+// comes from the engine's pool, to the allocation-free steady state.
+func assertInPlaceZeroAllocs(t *testing.T, name string, p interface {
+	Len() int
+	InPlace(x []complex128) error
+}) {
+	t.Helper()
+	x := make([]complex128, p.Len())
+	for i := range x {
+		x[i] = complex(float64(i%31), float64(i%11))
+	}
+	assertZeroAllocs(t, name, func() {
+		if err := p.InPlace(x); err != nil {
+			t.Fatal(err)
 		}
 	})
 }
@@ -191,6 +221,16 @@ func TestSteadyStateZeroAllocs3D(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
+			p.Close()
+		}
+	})
+	t.Run("inplace", func(t *testing.T) {
+		for _, l := range allocLanes {
+			p, err := NewFFT3D(16, 16, 32, withLanes(l), WithBufferElems(1<<9))
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertInPlaceZeroAllocs(t, fmt.Sprintf("FFT3D.InPlace on %d lanes", l), p)
 			p.Close()
 		}
 	})

@@ -126,7 +126,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("fftserved: %v", err)
 		}
-		cfg.MachineName = m.Name
 		cfg.RooflineGBs = m.StreamGBs
 	}
 	if *roofline > 0 {

@@ -130,12 +130,14 @@ func (h *handle) run(op func(p *core.Plan) error) error {
 	return op(h.p)
 }
 
-// Close releases the plan's parked lanes (goroutines reused across
-// transforms; a one-lane or 1D plan has none). Optional — plans dropped
-// without Close are reclaimed by a finalizer — idempotent and safe to call
-// concurrently; later transforms return ErrClosed. For handles from a SharedPlans pool, Close
-// releases the cache pin instead; the shared plan itself closes when it is
-// evicted and its last user has released it.
+// Close retires the plan. A plan holds no lane and no work array between
+// transforms — each transform leases them from the process's pool — so
+// Close only unregisters its telemetry; closing the last open plan lets
+// the pool release its parked lanes and arrays. Optional — plans dropped
+// without Close are closed by a finalizer — idempotent and safe to call
+// concurrently; later transforms return ErrClosed. For handles from a
+// SharedPlans pool, Close releases the cache pin instead; the shared plan
+// itself closes when it is evicted and its last user has released it.
 func (h *handle) Close() {
 	if !h.closed.CompareAndSwap(false, true) {
 		return
@@ -150,10 +152,10 @@ func (h *handle) Close() {
 // Observability returns the plan's cumulative bandwidth-accounting
 // snapshot: blocks run and wall time, per-stage bytes loaded/stored,
 // effective GB/s and fraction of the roofline, per-lane op time and
-// stage-barrier wait, and (when a machine is configured) the perfmodel
-// divergence; a real plan's merges its forward and inverse pipelines. The
-// snapshot accumulates over every transform the plan has run. A complex 1D
-// plan has no pipeline stages to account and returns the zero value.
+// stage-barrier wait; a real plan's merges its forward and inverse
+// pipelines. The snapshot accumulates over every transform the plan has
+// run. A complex 1D plan has no pipeline stages to account and returns the
+// zero value.
 func (h *handle) Observability() Observability { return h.p.Observability() }
 
 // FFT3D is a reusable plan for k×n×m cubes (row-major, x fastest).
@@ -252,7 +254,7 @@ func (f *FFT2D) DescribeGraph() string { return f.p.DescribeGraph() }
 
 // Observability is a cumulative telemetry snapshot: per-stage bytes and
 // effective bandwidth against the configured roofline, overlap occupancy,
-// barrier-wait time, and measured-vs-predicted divergence. Obtain one from
+// barrier-wait time and the plan's build lines. Obtain one from
 // a plan's Observability method; serialize it with encoding/json for
 // dashboards.
 type Observability = core.Observability

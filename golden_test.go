@@ -455,3 +455,57 @@ func TestGolden(t *testing.T) {
 		})
 	}
 }
+
+// Reuse cannot leak bits: plans lease their lanes and middle arrays from one
+// process pool, so a run finds whatever the last run left in them. Before
+// every golden row runs, complex and real 64³ plans — the size of the
+// largest rows' arrays — transform all-NaN inputs on one lane and on two,
+// filling the pooled work array and the lanes' buffers with NaN, and stay
+// open so the pool keeps both. Every row must still reproduce its digests
+// byte for byte: no stage reads a middle element it has not written in
+// that run.
+func TestGoldenOnGarbageArrays(t *testing.T) {
+	want, rows, err := readGolden()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prime []func() error
+	for _, lanes := range []int{1, 2} {
+		for _, real := range []bool{false, true} {
+			p, err := core.NewPlan(core.Config{Lanes: lanes}, real, 64, 64, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer p.Close()
+			nan, out := math.NaN(), make([]complex128, p.SpectrumLen())
+			if !real {
+				in := make([]complex128, p.Len())
+				for i := range in {
+					in[i] = complex(nan, nan)
+				}
+				prime = append(prime, func() error { return p.Transform(out, in, fft1d.Forward) })
+				continue
+			}
+			re := make([]float64, p.Len())
+			for i := range re {
+				re[i] = nan
+			}
+			prime = append(prime, func() error { return p.ForwardReal(out, re, 1) })
+		}
+	}
+	tier := kernels.Tier()
+	for _, c := range goldenCases(want.sizes()) {
+		for _, f := range prime {
+			if err := f(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		_, fwd, inv, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if d := rows[c.name].Digests[tier]; fwd != d[0] || inv != d[1] {
+			t.Errorf("%s: digests %s / %s after the pool held NaN, golden %s / %s", c.name, fwd, inv, d[0], d[1])
+		}
+	}
+}

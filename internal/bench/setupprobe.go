@@ -16,18 +16,19 @@ import (
 const setupWarmReps = 3
 
 // setupCases are SetupProbe's cases: each shape with its destination fresh,
-// then pre-touched.
+// then pre-touched, and 256³ once more beside a live plan of its shape.
 var setupCases = []struct {
-	dims    []int
-	real    bool
-	touched bool
+	dims            []int
+	real            bool
+	touched, second bool
 }{
-	{[]int{256, 256, 256}, false, false},
-	{[]int{256, 256, 256}, false, true},
-	{[]int{512, 256, 256}, true, false},
-	{[]int{512, 256, 256}, true, true},
-	{[]int{1 << 24}, false, false},
-	{[]int{1 << 24}, false, true},
+	{[]int{256, 256, 256}, false, false, false},
+	{[]int{256, 256, 256}, false, true, false},
+	{[]int{512, 256, 256}, true, false, false},
+	{[]int{512, 256, 256}, true, true, false},
+	{[]int{1 << 24}, false, false, false},
+	{[]int{1 << 24}, false, true, false},
+	{[]int{256, 256, 256}, false, true, true},
 }
 
 // SetupProbe prints where a plan's first transform goes, for complex 256³,
@@ -36,15 +37,17 @@ var setupCases = []struct {
 // allocated (its pages not yet resident) and once with it written
 // beforehand, with the build lines and the first run's pre-fault from
 // Observability() (all zero for the 1D plan, which runs no pipeline). The
-// source is filled, so resident, in both cases.
+// source is filled, so resident, in both cases. A last case builds a second
+// 256³ plan while a first one, run once on the same arrays, stays open: its
+// first run finds the engine's lanes and work array warm.
 //
 // Every case runs in a process of its own — exe with args and the case's
 // index appended — as a plan built on entry to a program would: Go zeroes
 // reused heap memory at make time, so in a process that had already run a
-// case the plan's middle arrays would be faulted in by the allocator and a
-// fresh destination would not be fresh. The 1D plan therefore builds its
-// twiddle tables in the first transform of either case. `make setupprobe`
-// runs it at GOMAXPROCS=1.
+// case the engine's pooled work array would be warm and a fresh destination
+// would not be fresh. The 1D plan therefore builds its twiddle tables in
+// the first transform of either case. `make setupprobe` runs it at
+// GOMAXPROCS=1.
 func SetupProbe(w io.Writer, exe string, args ...string) error {
 	for i := range setupCases {
 		cmd := exec.Command(exe, append(args[:len(args):len(args)], strconv.Itoa(i))...)
@@ -62,11 +65,12 @@ func SetupProbeCase(w io.Writer, i int) error {
 		return fmt.Errorf("setup case %d, want 0 to %d", i, len(setupCases)-1)
 	}
 	c := setupCases[i]
-	return setupProbePlan(w, c.dims, c.real, c.touched)
+	return setupProbePlan(w, c.dims, c.real, c.touched, c.second)
 }
 
-// setupProbePlan probes core.NewPlan of one shape.
-func setupProbePlan(w io.Writer, dims []int, realInput, touched bool) error {
+// setupProbePlan probes core.NewPlan of one shape; second probes it beside
+// a live plan of the shape that ran once first.
+func setupProbePlan(w io.Writer, dims []int, realInput, touched, second bool) error {
 	var p *core.Plan
 	var fwd func() error
 	build := func() (err error) {
@@ -92,6 +96,16 @@ func setupProbePlan(w io.Writer, dims []int, realInput, touched bool) error {
 		touch(dst, touched)
 		fwd = func() error { return p.Transform(dst, src, fft1d.Forward) }
 	}
+	if second {
+		label += " beside a live one"
+		if err := build(); err != nil {
+			return err
+		}
+		defer p.Close()
+		if err := fwd(); err != nil {
+			return err
+		}
+	}
 	newPlan, first, warm, err := setupTimes(build, fwd)
 	if p != nil {
 		defer p.Close()
@@ -101,9 +115,9 @@ func setupProbePlan(w io.Writer, dims []int, realInput, touched bool) error {
 	}
 	o := p.Observability()
 	b := o.Build
-	fmt.Fprintf(w, "setupprobe %s, dst %s: NewPlan %.1f ms (sub-plans %.2f, alloc %.2f, graph+runner %.2f, model %.2f), "+
+	fmt.Fprintf(w, "setupprobe %s, dst %s: NewPlan %.1f ms (sub-plans %.2f, graph+runner %.2f), "+
 		"first Forward %.1f ms (pre-fault %.1f ms, %d MiB), warm Forward %.1f ms; (NewPlan + first) / warm = %.2f\n",
-		label, dstState(touched), ms(newPlan), nsMs(b.SubPlansNs), nsMs(b.AllocNs), nsMs(b.GraphNs), nsMs(b.ModelNs),
+		label, dstState(touched), ms(newPlan), nsMs(b.SubPlansNs), nsMs(b.GraphNs),
 		ms(first), nsMs(o.PrefaultNs), o.PrefaultBytes>>20, ms(warm), float64(newPlan+first)/float64(warm))
 	return nil
 }

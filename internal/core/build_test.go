@@ -8,8 +8,7 @@ import (
 	"repro/internal/machine"
 )
 
-// Observability reports where NewPlan's time went: four build lines (the
-// model line with a described machine's prediction to attach), each
+// Observability reports where NewPlan's time went: two build lines, each
 // present in the JSON snapshot and non-negative, which run one after
 // another and so sum to no more than the wall time around the constructor.
 func TestObservabilityBuildLines(t *testing.T) {
@@ -40,7 +39,7 @@ func TestObservabilityBuildLines(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := 0.0
-		for _, line := range []string{"sub_plans_ns", "alloc_ns", "graph_ns", "model_ns"} {
+		for _, line := range []string{"sub_plans_ns", "graph_ns"} {
 			v, ok := snap.Build[line]
 			if !ok || v < 0 {
 				t.Errorf("real=%v %v: build line %s = %v (present %v)", c.real, c.dims, line, v, ok)

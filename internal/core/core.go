@@ -5,10 +5,10 @@
 // tier are not configuration (EXPERIMENTS.md "Ablation axes, swept once";
 // their oracle variants are stagegraph.Ablation, which only a test
 // installs). Default and ForMachine apply the lane rule (and, for a
-// described machine, the other two). The zero Config is the product on one
-// lane: the paper's load → compute → store pipeline, store-folded, store
-// tier chosen from the footprint, with μ and the buffer size resolved by the
-// builder from the measured profile.
+// described machine, the other two and its STREAM roofline). The zero
+// Config is the product on one lane: the paper's load → compute → store
+// pipeline, store-folded, store tier chosen from the footprint, with μ and
+// the buffer size resolved by the builder from the measured profile.
 //
 // Plan is every transform the repository runs, as the paper writes them
 // (§III): one stage-graph descriptor per direction whose stages differ only
@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/machine"
 	"repro/internal/obs"
-	"repro/internal/perfmodel"
 	"repro/internal/trace"
 )
 
@@ -77,13 +76,8 @@ type Config struct {
 	Lanes int
 	// Tracer records pipeline events for schedule verification.
 	Tracer *trace.Recorder
-	// MachineName, when set to a name internal/machine resolves, attaches
-	// that machine's perfmodel prediction to a complex plan's telemetry so
-	// snapshots report measured/predicted divergence. ForMachine sets it.
-	MachineName string
 	// RooflineGBs is the STREAM peak the telemetry normalizes per-stage
-	// bandwidth against. Zero falls back to MachineName's STREAM figure;
-	// both zero leaves FracPeak unreported.
+	// bandwidth against; zero leaves FracPeak unreported.
 	RooflineGBs float64
 }
 
@@ -102,38 +96,8 @@ func ForMachine(m machine.Machine) Config {
 		Mu:          m.LLC().LineBytes / 16,
 		BufferElems: m.DefaultBufferElems(),
 		Lanes:       max(m.Threads()/2, 1),
-		MachineName: m.Name,
 		RooflineGBs: m.StreamGBs,
 	}
-}
-
-// described returns the machine MachineName names, if it names one.
-func (c Config) described() (machine.Machine, bool) {
-	if c.MachineName == "" {
-		return machine.Machine{}, false
-	}
-	m, err := machine.Lookup(c.MachineName)
-	return m, err == nil
-}
-
-// Roofline resolves the STREAM peak the telemetry should normalize
-// against: the explicit figure if set, else the named machine's.
-func (c Config) Roofline() float64 {
-	if c.RooflineGBs > 0 {
-		return c.RooflineGBs
-	}
-	m, _ := c.described()
-	return m.StreamGBs
-}
-
-// model returns the perfmodel for the configured machine, or nil when no
-// machine is named (predictions are then simply not attached).
-func (c Config) model() *perfmodel.Model {
-	m, ok := c.described()
-	if !ok {
-		return nil
-	}
-	return perfmodel.New(m)
 }
 
 // MaxElems caps the element count of a plan's extents: a complex array of

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/cvec"
@@ -94,39 +96,81 @@ func planForward(t *testing.T, p *core.Plan) func() {
 	}
 }
 
-// A plan on one lane runs on the caller's goroutine and holds none of its
-// own: building and running eight of them, complex and real at rank 2 and
-// 3, leaves the goroutine count where it was. Two lanes park one.
-func TestOneLanePlansHoldNoGoroutine(t *testing.T) {
+// An idle plan holds nothing: its runs lease their lanes and middle arrays
+// from the process engine and return them. Eight complex and real rank-2/3
+// plans, each run once and all kept open, leave one pooled team of L − 1
+// parked lanes between them — none on one lane — and a heap grown by the
+// largest plan's middle arrays plus 10 %, not by the sum over the eight
+// (76 MiB here). Closing all eight brings both back to where they were.
+func TestIdlePlansHoldNothing(t *testing.T) {
 	shapes := []struct {
 		dims []int
 		real bool
 	}{
-		{[]int{64, 64}, false}, {[]int{32, 96}, false}, {[]int{16, 16, 16}, false}, {[]int{8, 12, 16}, false},
-		{[]int{64, 64}, true}, {[]int{20, 60}, true}, {[]int{16, 16, 16}, true}, {[]int{6, 10, 12}, true},
+		{[]int{512, 512}, false}, {[]int{128, 64, 128}, true}, {[]int{32, 64, 64}, false}, {[]int{64, 128, 128}, true},
+		{[]int{128, 128, 64}, false}, {[]int{512, 512}, true}, {[]int{64, 128, 128}, false}, {[]int{32, 64, 64}, true},
 	}
-	before := runtime.NumGoroutine()
-	var plans []*core.Plan
-	for _, s := range shapes {
-		p, err := core.NewPlan(core.Config{Lanes: 1, BufferElems: 1 << 10}, s.real, s.dims...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		plans = append(plans, p)
-		planForward(t, p)()
+	// The largest plans' middle arrays: one complex array of 2²⁰ elements,
+	// or a real plan's two of the packed grid's 2¹⁹.
+	const largest = 1 << 20 * 16
+	// Operands are allocated once, before the baselines.
+	x, re, y := make([]complex128, 1<<20), make([]float64, 1<<20), make([]complex128, 1<<20)
+	for i := range re {
+		re[i] = float64(i%17) - 8
+		x[i] = complex(re[i], 1)
 	}
-	if got := runtime.NumGoroutine(); got != before {
-		t.Errorf("%d one-lane plans: goroutines %d → %d", len(plans), before, got)
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapInuse
 	}
-	two, err := core.NewPlan(core.Config{Lanes: 2}, false, 64, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := runtime.NumGoroutine(); got != before+1 {
-		t.Errorf("a two-lane plan: goroutines %d → %d, want one parked lane", before, got)
-	}
-	for _, p := range append(plans, two) {
-		p.Close()
+	for lanes := 1; lanes <= 3; lanes++ {
+		t.Run(fmt.Sprintf("lanes%d", lanes), func(t *testing.T) {
+			goroutines, inuse := runtime.NumGoroutine(), heap()
+			var plans []*core.Plan
+			for _, s := range shapes {
+				p, err := core.NewPlan(core.Config{Lanes: lanes, BufferElems: 1 << 10}, s.real, s.dims...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				plans = append(plans, p)
+				if s.real {
+					err = p.ForwardReal(y[:p.SpectrumLen()], re[:p.Len()], 1)
+				} else {
+					err = p.Transform(y[:p.Len()], x[:p.Len()], fft1d.Forward)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := runtime.NumGoroutine(); got > goroutines+lanes-1 {
+				t.Errorf("%d idle plans: goroutines %d → %d, want at most one team's %d parked lanes",
+					len(plans), goroutines, got, lanes-1)
+			}
+			grown := int64(heap()) - int64(inuse)
+			t.Logf("%d idle plans: heap in use grew %.1f MiB", len(plans), float64(grown)/(1<<20))
+			if grown > largest*11/10 {
+				t.Errorf("%d idle plans: heap in use grew %.1f MiB, want ≤ %.1f MiB (the largest plan's middle arrays + 10 %%)",
+					len(plans), float64(grown)/(1<<20), float64(largest)*1.1/(1<<20))
+			}
+			for _, p := range plans {
+				p.Close()
+			}
+			plans = nil
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				g, h := runtime.NumGoroutine(), heap()
+				if g <= goroutines && h <= inuse+largest/10 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("after Close: goroutines %d → %d, heap in use %.1f → %.1f MiB",
+						goroutines, g, float64(inuse)/(1<<20), float64(h)/(1<<20))
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
 	}
 }
 
@@ -174,6 +218,92 @@ func TestManyLanesGetABlockEach(t *testing.T) {
 		}
 		if j := cvec.FirstBitDiff(outs[1], outs[0]); j >= 0 {
 			t.Errorf("%v real=%v: %d lanes differ from one at element %d", s.dims, s.real, lanes, j)
+		}
+	}
+}
+
+// Plans of different sizes run at once, each on the team and work array it
+// leased: two goroutines transform with a complex 2D and a complex 3D plan
+// on two lanes, forward then inverse, and every result is bitwise the one
+// each plan gave alone. Under -race a team or array handed to both runs
+// would also be reported.
+func TestConcurrentPlansLeaseTheirOwn(t *testing.T) {
+	var plans [2]*core.Plan
+	var xs, want, wantBack [2][]complex128
+	for i, dims := range [][]int{{32, 64}, {16, 16, 32}} {
+		p, err := core.NewPlan(core.Config{Lanes: 2, BufferElems: 1 << 9}, false, dims...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer p.Close()
+		plans[i], xs[i] = p, cvec.Random(rand.New(rand.NewSource(int64(i+3))), p.Len())
+		want[i], wantBack[i] = make([]complex128, p.Len()), make([]complex128, p.Len())
+		if err := p.Transform(want[i], xs[i], fft1d.Forward); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Inverse(wantBack[i], want[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for i, p := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			y, back := make([]complex128, p.Len()), make([]complex128, p.Len())
+			for r := 0; r < 20; r++ {
+				if err := p.Transform(y, xs[i], fft1d.Forward); err != nil {
+					t.Error(err)
+					return
+				}
+				if j := cvec.FirstBitDiff(y, want[i]); j >= 0 {
+					t.Errorf("%v round %d: element %d differs from the plan's result alone", p.Dims(), r, j)
+					return
+				}
+				if err := p.Inverse(back, y); err != nil {
+					t.Error(err)
+					return
+				}
+				if j := cvec.FirstBitDiff(back, wantBack[i]); j >= 0 {
+					t.Errorf("%v round %d: inverse element %d differs from the plan's result alone", p.Dims(), r, j)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// A plan dropped without Close can be collected, so its runner's finalizer
+// closes it and the engine's live count falls: no hook of its graphs
+// points back at the plan. A real plan's entangle hook once did, through
+// the plan's row mirror, and kept every dropped real plan's runner alive.
+func TestDroppedPlansAreCollected(t *testing.T) {
+	for _, s := range []struct {
+		dims []int
+		real bool
+	}{{[]int{16, 32}, false}, {[]int{64}, true}, {[]int{16, 32}, true}, {[]int{8, 8, 16}, true}} {
+		collected := make(chan struct{})
+		func() {
+			p, err := core.NewPlan(core.Config{Lanes: 2}, s.real, s.dims...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			planForward(t, p)()
+			runtime.SetFinalizer(p, func(*core.Plan) { close(collected) })
+		}()
+		deadline := time.Now().Add(5 * time.Second)
+	wait:
+		for {
+			runtime.GC()
+			select {
+			case <-collected:
+				break wait
+			case <-time.After(5 * time.Millisecond):
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%v real=%v: a dropped plan was never collected", s.dims, s.real)
+			}
 		}
 	}
 }

@@ -26,12 +26,14 @@ const (
 // complex plan.
 var ErrDomain = errors.New("entry point of the other domain")
 
-// Plan is a reusable FFT plan over a row-major array of fixed extents: the
-// runner holding its stage graphs and their lanes (lane 0 is the caller's
-// goroutine, the others park between runs). Transforms serialise on the
-// runner's lock and the real DC/Nyquist pass touches only the caller's dst,
-// so the plan is safe for concurrent use; independent plans run fully in
-// parallel.
+// Plan is a reusable FFT plan over a row-major array of fixed extents: its
+// compiled schedule, the runner holding its stage graphs. It owns no lane
+// and no middle array: each transform leases a lane team (lane 0 is the
+// caller's goroutine) and the graph's work array from the process engine
+// and returns them when it ends (stagegraph.Runner). Transforms serialise
+// on the runner's lock and the real DC/Nyquist pass touches only the
+// caller's dst, so the plan is safe for concurrent use; independent plans
+// run fully in parallel, each on its own leased team and array.
 //
 // A complex rank-1 plan has no runner: its one sub-plan, the Stockham chain
 // every axis of the other plans runs too, transforms the caller's arrays
@@ -92,9 +94,8 @@ type Plan struct {
 // NewPlan builds the plan of extents dims, slowest first: a complex plan of
 // one to three extents, or a real plan of one to three, the last even. A
 // pipelined plan reads every Config field: the block sizes, the lane
-// count, the tracer, the roofline, and — for a complex plan — the machine
-// whose perfmodel prediction its telemetry reports divergence against. A
-// complex rank-1 plan runs no pipeline and reads none.
+// count, the tracer and the roofline. A complex rank-1 plan runs no
+// pipeline and reads none.
 func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 	D := len(dims)
 	p := &Plan{pkg: fmt.Sprintf("fft%dd", D), dims: slices.Clone(dims), shape: ShapeOf(real, dims...)}
@@ -117,35 +118,20 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 	if cfg.Strategy != DoubleBuf {
 		return nil, fmt.Errorf("%s: unknown strategy %d", p.pkg, cfg.Strategy)
 	}
-	// The build budget: each lap closes one line of Observability().Build.
-	var b obs.Build
-	t := time.Now()
-	lap := func(ns *uint64) {
-		now := time.Now()
-		*ns, t = uint64(now.Sub(t)), now
-	}
+	t0 := time.Now() // the build budget, Observability().Build
 	d := stagegraph.Pencils{Pkg: p.pkg, Dims: lanes, Plans: make([]*fft1d.Plan, D), Mu: cfg.Mu, BufferElems: cfg.BufferElems, Lanes: cfg.Lanes}
 	for i, e := range lanes {
 		d.Plans[i] = stagegraph.Plan1D(e)
 	}
-	lap(&b.SubPlansNs)
+	t1 := time.Now()
 	p.rows = p.n / dims[D-1]
-	// The middle arrays. A complex 2D graph stores stage 1 into the work
-	// array and stage 2 into dst; a 3D one runs src→dst, dst→work, work→dst,
-	// so the input is preserved and one work array serves. The stage
-	// barrier keeps the reuse safe: stage 3's first store runs after every
-	// lane's last stage-2 load of dst. A real plan of rank ≥ 2 carries both
-	// its chains through two scratch arrays of the packed grid's size
-	// (realGraphs). Allocation touches no page; the first run pre-faults the
-	// ones the streaming stores write.
-	var work [][]complex128
-	switch {
-	case !real:
-		work = [][]complex128{make([]complex128, p.n)}
-	case D > 1:
-		work = [][]complex128{make([]complex128, p.rows*p.l), make([]complex128, p.rows*p.l)}
-	}
-	lap(&b.AllocNs)
+	// The middle arrays, leased per run (stagegraph.Array.Work). A complex
+	// 2D graph stores stage 1 into the work array and stage 2 into dst; a
+	// 3D one runs src→dst, dst→work, work→dst, so the input is preserved
+	// and one work array serves. The stage barrier keeps the reuse safe:
+	// stage 3's first store runs after every lane's last stage-2 load of
+	// dst. A real plan of rank ≥ 2 carries both its chains through two
+	// arrays of the packed grid's size (realGraphs).
 	label := fmt.Sprintf("%s%dd/%d", prefix, D, dims[0])
 	for _, e := range dims[1:] {
 		label += fmt.Sprintf("x%d", e)
@@ -153,11 +139,11 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 	var graphs []*stagegraph.Graph
 	var err error
 	if real {
-		graphs, err = p.realGraphs(d, work)
+		graphs, err = p.realGraphs(d)
 	} else {
-		d.Mid = []stagegraph.Array{{C: work[0]}}
+		d.Mid = []stagegraph.Array{{Work: 1}}
 		if D == 3 {
-			d.Mid = []stagegraph.Array{{}, {C: work[0]}}
+			d.Mid = []stagegraph.Array{{}, {Work: 1}}
 		}
 		var g *stagegraph.Graph
 		g, err = d.Build()
@@ -168,39 +154,29 @@ func NewPlan(cfg Config, real bool, dims ...int) (*Plan, error) {
 	}
 	p.run, err = stagegraph.NewRunner(stagegraph.RunnerConfig{
 		Pkg: p.pkg, Labels: []string{label, label + "/inv"}[:len(graphs)],
-		Lanes: cfg.Lanes, Tracer: cfg.Tracer,
+		Lanes: cfg.Lanes, Tracer: cfg.Tracer, Roofline: cfg.RooflineGBs,
 	}, graphs...)
 	if err != nil {
 		return nil, err
 	}
-	lap(&b.GraphNs)
-	p.run.SetRoofline(cfg.Roofline())
-	if mo := cfg.model(); mo != nil && !real {
-		est := mo.DoubleBuf2D(dims[0], dims[1])
-		if D == 3 {
-			est = mo.DoubleBuf3D(dims[0], dims[1], dims[2], 1)
-		}
-		p.run.Obs(fwdGraph).SetPredicted(est.StagePredictions())
-	}
-	lap(&b.ModelNs)
-	p.run.SetBuild(b)
+	p.run.SetBuild(obs.Build{SubPlansNs: uint64(t1.Sub(t0)), GraphNs: uint64(time.Since(t1))})
 	return p, nil
 }
 
 // realGraphs builds the forward and inverse graphs of a real plan from its
-// descriptor d over the packed lanes. The two scratch arrays of the packed
-// grid's size in work (none at rank 1) carry both chains, stage by stage in
-// turn: one holds the transposed blocks after the forward rows / inverse
-// entangle stage, the other what the next stage stores, and so on.
-func (p *Plan) realGraphs(d stagegraph.Pencils, work [][]complex128) ([]*stagegraph.Graph, error) {
+// descriptor d over the packed lanes. Two leased work arrays of the packed
+// grid's size (none at rank 1) carry both chains, stage by stage in turn:
+// one holds the transposed blocks after the forward rows / inverse entangle
+// stage, the other what the next stage stores, and so on.
+func (p *Plan) realGraphs(d stagegraph.Pencils) ([]*stagegraph.Graph, error) {
 	D, l, mc := len(p.dims), p.l, p.l+1
 	w := make([]complex128, l/2+1) // ω_{2l}^k, the untangle/retangle table
 	for k := range w {
 		w[k] = twiddle.Omega(2*l, k)
 	}
 	var mid []stagegraph.Array // D of them, alternating between the two arrays
-	for i := 0; i < D && len(work) == 2; i++ {
-		mid = append(mid, stagegraph.Array{C: work[i%2]})
+	for i := 0; i < D && D > 1; i++ {
+		mid = append(mid, stagegraph.Array{Work: 1 + i%2})
 	}
 	d.Mid = mid[:max(D-1, 0)]
 	d.Real = &stagegraph.RealEnd{
@@ -212,8 +188,11 @@ func (p *Plan) realGraphs(d stagegraph.Pencils, work [][]complex128) ([]*stagegr
 		return nil, err
 	}
 	// The entangle stage forces the DC and Nyquist bins of the
-	// self-conjugate rows — their own mirrors — real.
-	selfConj := func(g int) bool { return p.mirror(g) == g }
+	// self-conjugate rows — their own mirrors — real. The hook holds the
+	// extents, not the plan: a graph that pointed back at its plan would
+	// keep the runner's finalizer from ever running.
+	dims := p.dims
+	selfConj := func(g int) bool { return mirror(dims, g) == g }
 	d.Mid = mid
 	d.Real = &stagegraph.RealEnd{
 		Inverse: true, Pitch: mc,
@@ -229,11 +208,12 @@ func (p *Plan) realGraphs(d stagegraph.Pencils, work [][]complex128) ([]*stagegr
 	return []*stagegraph.Graph{fwd, inv}, nil
 }
 
-// Close releases the plan's parked lanes. Idempotent and
-// safe to call concurrently — with other Close calls and with a transform
-// in flight (Close waits for the transform to finish; later transforms
-// return an error). Plans dropped without Close are cleaned up by a
-// finalizer. A complex rank-1 plan has nothing to release.
+// Close retires the plan: it unregisters its telemetry, and when it is the
+// last open plan the engine releases its idle lanes and arrays. Idempotent
+// and safe to call concurrently — with other Close calls and with a
+// transform in flight (Close waits for the transform to finish; later
+// transforms return an error). Plans dropped without Close are closed by a
+// finalizer. A complex rank-1 plan has nothing to close.
 func (p *Plan) Close() {
 	if p.run != nil {
 		p.run.Close()
@@ -313,24 +293,25 @@ func (p *Plan) transform(op string, dst, src []complex128, sign int, scale float
 }
 
 // InPlace computes x = DFT(x) on a complex plan through a temporary of the
-// same size.
+// same size, leased from the engine's pool.
 func (p *Plan) InPlace(x []complex128, sign int) error {
 	if len(x) != p.n {
 		return fmt.Errorf("%s: InPlace length %d, want %d", p.pkg, len(x), p.n)
 	}
-	tmp := make([]complex128, p.n)
-	if err := p.Transform(tmp, x, sign); err != nil {
-		return err
+	tmp := stagegraph.Lease(p.n)
+	err := p.Transform(tmp, x, sign)
+	if err == nil {
+		copy(x, tmp)
 	}
-	copy(x, tmp)
-	return nil
+	stagegraph.Return(tmp)
+	return err
 }
 
 // TransformMany applies a complex plan to count independent arrays stored
 // back-to-back (the FFTW "many"/howmany interface): dst and src must each
 // hold count·Len() elements and must not overlap. The arrays execute
-// sequentially on the plan's buffers and work arrays, so the planning and
-// allocation cost is paid once.
+// sequentially, each run on the pooled lanes and work array, so the
+// planning cost is paid once.
 func (p *Plan) TransformMany(dst, src []complex128, count, sign int) error {
 	if err := p.domain("TransformMany", false); err != nil {
 		return err
@@ -427,7 +408,7 @@ func (p *Plan) splitDC(dst []complex128, count int) {
 		dst[r*mc+l] = complex(imag(d)/2, -real(d)/2) // d/(2i)
 	}
 	for r := 0; r < p.rows; r++ {
-		rm := p.mirror(r)
+		rm := mirror(p.dims, r)
 		if rm < r {
 			continue
 		}
@@ -439,13 +420,13 @@ func (p *Plan) splitDC(dst []complex128, count int) {
 	}
 }
 
-// mirror returns the row whose every outer coordinate is r's negated modulo
-// its extent. A row number past the outer grid — a rank-1 batch row — is
-// its own mirror.
-func (p *Plan) mirror(r int) int {
+// mirror returns the row of a grid of extents dims whose every outer
+// coordinate is r's negated modulo its extent. A row number past the outer
+// grid — a rank-1 batch row — is its own mirror.
+func mirror(dims []int, r int) int {
 	m, stride := 0, 1
-	for i := len(p.dims) - 2; i >= 0; i-- {
-		n := p.dims[i]
+	for i := len(dims) - 2; i >= 0; i-- {
+		n := dims[i]
 		m += (n - r/stride%n) % n * stride
 		stride *= n
 	}

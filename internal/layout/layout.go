@@ -193,10 +193,3 @@ func Rotate3DBlockedGeneric(dst, src []complex128, k, n, mb, mu int) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -9,7 +9,7 @@
 //     release function with every value; an entry evicted from the cache is
 //     not closed until its last outstanding reference drains, so a plan can
 //     be evicted while transforms are still in flight on it without
-//     tearing its lanes down underneath them.
+//     closing it underneath them.
 //
 //   - Reentrant construction. The builder runs outside the cache lock
 //     (concurrent requests for the same key wait on a ready channel instead

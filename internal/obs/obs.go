@@ -1,13 +1,10 @@
 // Package obs is the always-on bandwidth-accounting telemetry layer. The
 // paper states its whole claim in observability terms — fraction of the
 // machine's achievable STREAM peak sustained per stage (Figs. 1, 9–11) — so
-// every stage-graph executor carries a Collector that attributes, per stage:
+// every plan's stage graph carries a Collector that attributes, per stage:
 // bytes loaded and stored, lane-summed op time, effective GB/s over the
-// busiest lane's time, fraction of the active machine description's STREAM
-// peak, and, per lane, the time in ops and the time waiting at stage
-// barriers. Each is comparable against
-// internal/perfmodel's per-stage prediction, so a degenerate schedule shows
-// up as measured/predicted divergence rather than merely slow ns/op.
+// busiest lane's time, fraction of the configured STREAM peak, and, per
+// lane, the time in ops and the time waiting at stage barriers.
 //
 // The hot path is lock-free: every lane owns a padded shard of atomic
 // counters indexed by (stage, op), so recording one op is three atomic adds
@@ -15,7 +12,6 @@
 package obs
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -72,16 +68,8 @@ func (s *Shard) AddBarrier(d time.Duration) {
 	s.barrierNs.Add(uint64(d))
 }
 
-// StagePrediction is perfmodel's per-stage forecast attached to a
-// collector: seconds of data movement and compute per run.
-type StagePrediction struct {
-	DataSec    float64
-	ComputeSec float64
-	Sec        float64 // modeled stage total (max × fill factor)
-}
-
-// Collector aggregates telemetry for one plan's executor. Create it with
-// the stage names at plan time, hand the shards to the executor's lanes,
+// Collector aggregates telemetry for one graph of a plan. Create it with
+// the stage names at plan time, hand the shards to the lanes of each run,
 // and read merged results with Snapshot.
 type Collector struct {
 	stageNames []string
@@ -94,17 +82,17 @@ type Collector struct {
 	prefaultNs    atomic.Uint64
 	prefaultBytes atomic.Uint64
 
-	mu        sync.Mutex // cold fields below
-	roofline  float64    // STREAM peak GB/s; 0 = unknown
-	predicted []StagePrediction
+	roofline float64 // STREAM peak GB/s; 0 = unknown
 }
 
 // NewCollector builds a collector for a graph with the given stage names
-// executed on the given number of lanes.
-func NewCollector(lanes int, stageNames []string) *Collector {
+// executed on the given number of lanes, normalising stage bandwidth
+// against a STREAM peak of rooflineGBs (0 leaves FracPeak unreported).
+func NewCollector(lanes int, stageNames []string, rooflineGBs float64) *Collector {
 	c := &Collector{
 		stageNames: append([]string(nil), stageNames...),
 		shards:     make([]*Shard, max(lanes, 1)),
+		roofline:   rooflineGBs,
 	}
 	n := len(stageNames) * int(numOps)
 	for i := range c.shards {
@@ -157,39 +145,6 @@ func (c *Collector) AddPrefault(b int, d time.Duration) {
 	}
 }
 
-// SetRoofline sets the STREAM peak (GB/s) stage bandwidth is normalized
-// against; 0 leaves FracPeak unset.
-func (c *Collector) SetRoofline(gbs float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.roofline = gbs
-	c.mu.Unlock()
-}
-
-// Roofline returns the configured STREAM peak (0 = unknown).
-func (c *Collector) Roofline() float64 {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.roofline
-}
-
-// SetPredicted attaches perfmodel's per-stage forecast; the slice must be
-// indexed like the collector's stages (extra or missing entries are
-// tolerated and simply not compared).
-func (c *Collector) SetPredicted(p []StagePrediction) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	c.predicted = append([]StagePrediction(nil), p...)
-	c.mu.Unlock()
-}
-
 // OpStats is the merged view of one (stage, op) counter set.
 type OpStats struct {
 	Bytes uint64 `json:"bytes"`
@@ -222,14 +177,6 @@ type StageSnapshot struct {
 	// seconds in the stage's ops, per run.
 	MeasuredDataSec    float64 `json:"measured_data_sec"`
 	MeasuredComputeSec float64 `json:"measured_compute_sec"`
-	// Predicted* mirror perfmodel's StageCost (zero when no model was
-	// attached); DataDivergence is measured/predicted data seconds — the
-	// "is the schedule degenerate" ratio (1 = model-perfect, ≫1 = lost
-	// bandwidth).
-	PredictedDataSec    float64 `json:"predicted_data_sec,omitempty"`
-	PredictedComputeSec float64 `json:"predicted_compute_sec,omitempty"`
-	PredictedSec        float64 `json:"predicted_sec,omitempty"`
-	DataDivergence      float64 `json:"data_divergence,omitempty"`
 }
 
 // Snapshot is a point-in-time merge of a collector's shards.
@@ -283,15 +230,11 @@ type Build struct {
 	// build their twiddle tables on first use, so a cold size pays its
 	// tables in the first transform, not here.
 	SubPlansNs uint64 `json:"sub_plans_ns"`
-	// AllocNs is the middle arrays: a complex plan's work array, a real
-	// plan's two scratch arrays. Allocating them touches no page; the first
-	// run's pre-fault does (Snapshot.PrefaultNs).
-	AllocNs uint64 `json:"alloc_ns"`
-	// GraphNs is the stage graphs, the lanes and their buffers, and the
-	// telemetry collectors.
+	// GraphNs is the stage graphs, the runner and the telemetry
+	// collectors. A plan allocates no middle array and no lane: its runs
+	// lease them (stagegraph.Runner.Run), and a fresh array's first touch
+	// is in Snapshot.PrefaultNs.
 	GraphNs uint64 `json:"graph_ns"`
-	// ModelNs is the roofline and the perfmodel prediction.
-	ModelNs uint64 `json:"model_ns"`
 }
 
 // TotalBytes returns the bytes moved across all stages (loads + stores).
@@ -309,10 +252,7 @@ func (c *Collector) Snapshot() Snapshot {
 	if c == nil {
 		return Snapshot{}
 	}
-	c.mu.Lock()
 	roofline := c.roofline
-	predicted := c.predicted
-	c.mu.Unlock()
 
 	lanes := len(c.shards)
 	snap := Snapshot{
@@ -374,15 +314,6 @@ func (c *Collector) Snapshot() Snapshot {
 			runs := float64(snap.Runs)
 			out.MeasuredDataSec = float64(busiestData) / runs / 1e9
 			out.MeasuredComputeSec = float64(busiest[Compute]) / runs / 1e9
-		}
-		if st < len(predicted) {
-			p := predicted[st]
-			out.PredictedDataSec = p.DataSec
-			out.PredictedComputeSec = p.ComputeSec
-			out.PredictedSec = p.Sec
-			if p.DataSec > 0 && out.MeasuredDataSec > 0 {
-				out.DataDivergence = out.MeasuredDataSec / p.DataSec
-			}
 		}
 	}
 	return snap

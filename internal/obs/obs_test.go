@@ -10,7 +10,7 @@ import (
 )
 
 func TestCollectorSnapshotMergesShards(t *testing.T) {
-	c := NewCollector(2, []string{"rows", "cols"})
+	c := NewCollector(2, []string{"rows", "cols"}, 0)
 
 	// Two lanes each load 1 KiB into stage 0 taking 1 µs, and one stores
 	// 2 KiB in 2 µs. Lane 1 spends 4 µs computing stage 1.
@@ -57,8 +57,7 @@ func TestCollectorSnapshotMergesShards(t *testing.T) {
 // A stage with one block runs on one lane however many the plan has: its
 // rates and seconds are that lane's, not halved or doubled by the idle one.
 func TestCollectorOneBlockStageOnTwoLanes(t *testing.T) {
-	c := NewCollector(2, []string{"batch"})
-	c.SetRoofline(8)
+	c := NewCollector(2, []string{"batch"}, 8)
 	for range 2 {
 		c.Shard(0).Add(0, Load, 4000, time.Microsecond)
 		c.Shard(0).Add(0, Compute, 0, 3*time.Microsecond)
@@ -77,10 +76,8 @@ func TestCollectorOneBlockStageOnTwoLanes(t *testing.T) {
 	}
 }
 
-func TestCollectorRooflineAndPrediction(t *testing.T) {
-	c := NewCollector(1, []string{"s1"})
-	c.SetRoofline(16) // GB/s
-	c.SetPredicted([]StagePrediction{{DataSec: 1e-3, ComputeSec: 2e-3, Sec: 2.5e-3}})
+func TestCollectorRoofline(t *testing.T) {
+	c := NewCollector(1, []string{"s1"}, 16) // GB/s
 	// 8 GB/s measured: 8000 B in 1000 ns, one lane.
 	c.Shard(0).Add(0, Load, 8000, time.Microsecond)
 	c.RunDone(5, 10*time.Microsecond)
@@ -93,12 +90,9 @@ func TestCollectorRooflineAndPrediction(t *testing.T) {
 	if math.Abs(st.FracPeak-0.5) > 1e-9 {
 		t.Fatalf("FracPeak = %v, want 0.5", st.FracPeak)
 	}
-	if st.PredictedDataSec != 1e-3 || st.PredictedSec != 2.5e-3 {
-		t.Fatalf("prediction not carried: %+v", st)
-	}
-	// Measured data sec = 1000 ns / 1 run = 1e-6 s → divergence 1e-3.
-	if want := 1e-6 / 1e-3; math.Abs(st.DataDivergence-want) > 1e-12 {
-		t.Fatalf("divergence = %v, want %v", st.DataDivergence, want)
+	// Measured data sec = 1000 ns / 1 run.
+	if st.MeasuredDataSec != 1e-6 {
+		t.Fatalf("measured data sec = %v, want 1e-6", st.MeasuredDataSec)
 	}
 }
 
@@ -107,16 +101,14 @@ func TestCollectorNilSafety(t *testing.T) {
 	c.Shard(0).Add(0, Load, 1, time.Second) // nil shard from nil collector
 	c.Shard(0).AddBarrier(time.Second)
 	c.RunDone(1, time.Second)
-	c.SetRoofline(1)
-	c.SetPredicted(nil)
-	if c.Roofline() != 0 || c.Stages() != 0 {
+	if c.Stages() != 0 {
 		t.Fatal("nil collector must read as zero")
 	}
 	if s := c.Snapshot(); s.Runs != 0 || len(s.Stages) != 0 {
 		t.Fatalf("nil snapshot = %+v", s)
 	}
 	// Out-of-range shard indices are nil, and nil shards swallow writes.
-	real := NewCollector(1, []string{"a"})
+	real := NewCollector(1, []string{"a"}, 0)
 	if real.Shard(5) != nil || real.Shard(-1) != nil {
 		t.Fatal("out-of-range shard must be nil")
 	}
@@ -124,7 +116,7 @@ func TestCollectorNilSafety(t *testing.T) {
 
 func TestCollectorConcurrentRecording(t *testing.T) {
 	const workers, perWorker = 4, 1000
-	c := NewCollector(workers, []string{"s"})
+	c := NewCollector(workers, []string{"s"}, 0)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -152,9 +144,9 @@ func TestCollectorConcurrentRecording(t *testing.T) {
 
 func TestRegistryCollisionSuffixes(t *testing.T) {
 	r := &Registry{}
-	c1 := NewCollector(1, []string{"a"})
-	c2 := NewCollector(1, []string{"a"})
-	c3 := NewCollector(1, []string{"a"})
+	c1 := NewCollector(1, []string{"a"}, 0)
+	c2 := NewCollector(1, []string{"a"}, 0)
+	c3 := NewCollector(1, []string{"a"}, 0)
 	l1, u1 := r.Register("fft2d/8x8", c1)
 	l2, u2 := r.Register("fft2d/8x8", c2)
 	l3, u3 := r.Register("fft2d/8x8", c3)
@@ -166,7 +158,7 @@ func TestRegistryCollisionSuffixes(t *testing.T) {
 	}
 	u2()
 	// The freed "#2" slot is reusable.
-	l4, u4 := r.Register("fft2d/8x8", NewCollector(1, []string{"a"}))
+	l4, u4 := r.Register("fft2d/8x8", NewCollector(1, []string{"a"}, 0))
 	if l4 != "fft2d/8x8#2" {
 		t.Fatalf("reused label = %q", l4)
 	}
@@ -186,9 +178,7 @@ func TestRegistryCollisionSuffixes(t *testing.T) {
 
 func TestRegistryWritePrometheusValidates(t *testing.T) {
 	r := &Registry{}
-	c := NewCollector(2, []string{"rows", "cols"})
-	c.SetRoofline(20)
-	c.SetPredicted([]StagePrediction{{DataSec: 1e-3}, {DataSec: 2e-3}})
+	c := NewCollector(2, []string{"rows", "cols"}, 20)
 	c.Shard(0).Add(0, Load, 4096, time.Microsecond)
 	c.Shard(1).Add(1, Store, 4096, time.Microsecond)
 	c.Shard(0).Add(0, Compute, 0, time.Microsecond)
@@ -198,7 +188,7 @@ func TestRegistryWritePrometheusValidates(t *testing.T) {
 	// must emit zeros rather than NaN.
 	_, u1 := r.Register(`plan"with\escapes`, c)
 	defer u1()
-	_, u2 := r.Register("empty", NewCollector(1, []string{"only"}))
+	_, u2 := r.Register("empty", NewCollector(1, []string{"only"}, 0))
 	defer u2()
 
 	var b strings.Builder
@@ -235,7 +225,6 @@ func TestRegistryWritePrometheusValidates(t *testing.T) {
 		"fft_plan_barrier_wait_seconds_total", "fft_plan_roofline_gbps",
 		"fft_stage_bytes_total", "fft_stage_seconds_total",
 		"fft_stage_bandwidth_gbps", "fft_stage_frac_peak",
-		"fft_stage_model_divergence",
 	} {
 		if byName[fam] == 0 {
 			t.Fatalf("family %s missing from exposition:\n%s", fam, out)

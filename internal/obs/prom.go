@@ -74,8 +74,7 @@ func escapeHelp(v string) string {
 
 // WritePrometheus emits per-plan gauges and counters for every registered
 // collector: cumulative stage bytes and op seconds, effective per-stage
-// bandwidth with its fraction of the roofline, barrier wait, and perfmodel
-// divergence where a prediction is attached.
+// bandwidth with its fraction of the roofline, and barrier wait.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	snaps := r.Snapshots()
 	p := NewPromWriter(w)
@@ -118,12 +117,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	for _, s := range snaps {
 		for _, st := range s.Stages {
 			p.Sample("fft_stage_frac_peak", st.FracPeak, "plan", s.Label, "stage", st.Name)
-		}
-	}
-	p.Family("fft_stage_model_divergence", "Measured over perfmodel-predicted data seconds (0 = no prediction).", "gauge")
-	for _, s := range snaps {
-		for _, st := range s.Stages {
-			p.Sample("fft_stage_model_divergence", st.DataDivergence, "plan", s.Label, "stage", st.Name)
 		}
 	}
 	return p.Err()

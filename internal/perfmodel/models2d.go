@@ -17,15 +17,15 @@ func (mo *Model) DoubleBuf2D(n, m int) Estimate {
 	bw := mo.M.StreamGBs * 1e9
 
 	bufElems := mo.M.DefaultBufferElems()
-	iters := maxI(elems/maxI(bufElems, 1), 1)
+	iters := max(elems/max(bufElems, 1), 1)
 
 	cores := mo.computeCoresDoubleBuf()
-	cGflops := mo.doubleBufGflops(maxI(cores, 1))
+	cGflops := mo.doubleBufGflops(max(cores, 1))
 	flopsPerStage := 5 * float64(elems) * log2f(elems) / 2
 
 	// Transpose-panel rows available per block; both stages store with a
 	// panel of this shape.
-	rowsPerPanel := float64(maxI(bufElems/m, 1))
+	rowsPerPanel := float64(max(bufElems/m, 1))
 	tlbEff := rowsPerPanel / (rowsPerPanel + mo.TLBRowCost)
 
 	var stages []StageCost
@@ -35,7 +35,7 @@ func (mo *Model) DoubleBuf2D(n, m int) Estimate {
 		dataSec := readSec + writeSec
 		compSec := flopsPerStage / (cGflops * 1e9)
 		f := stageFill(iters, st == 2)
-		sec := maxF(dataSec, compSec) * f
+		sec := max(dataSec, compSec) * f
 		stages = append(stages, StageCost{
 			Name: fmt.Sprintf("stage%d", st), DataSec: dataSec,
 			ComputeSec: compSec, FillFactor: f, Sec: sec, Overlapped: true,
@@ -55,10 +55,10 @@ func (mo *Model) Baseline2D(n, m int, lib Library) Estimate {
 
 	const contiguousEff = 2.0 / 3.0
 	mk := func(name string, eff, flopsFrac float64) StageCost {
-		dataSec := 2 * bytes / (bw * minF(1, eff*bonus))
+		dataSec := 2 * bytes / (bw * min(1, eff*bonus))
 		compSec := totalFlops * flopsFrac / (cGflops * 1e9)
 		return StageCost{Name: name, DataSec: dataSec, ComputeSec: compSec,
-			FillFactor: 1, Sec: maxF(dataSec, compSec)}
+			FillFactor: 1, Sec: max(dataSec, compSec)}
 	}
 	stages := []StageCost{
 		mk("rows", contiguousEff, 0.5),

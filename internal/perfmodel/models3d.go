@@ -14,11 +14,11 @@ func (mo *Model) DoubleBuf3D(k, n, m, sockets int) Estimate {
 	link := mo.M.LinkGBs * 1e9
 
 	bufElems := mo.M.DefaultBufferElems()
-	iters := elems / sockets / maxI(bufElems, 1)
+	iters := elems / sockets / max(bufElems, 1)
 
 	// Compute: pc threads across the active sockets.
 	cores := mo.computeCoresDoubleBuf() * sockets / mo.M.Sockets
-	cGflops := mo.doubleBufGflops(maxI(cores, 1))
+	cGflops := mo.doubleBufGflops(max(cores, 1))
 	flopsPerStage := 5 * float64(elems) * log2f(elems) / 3
 
 	var stages []StageCost
@@ -44,7 +44,7 @@ func (mo *Model) DoubleBuf3D(k, n, m, sockets int) Estimate {
 		dataSec := readSec + localWrite + linkSec
 		compSec := flopsPerStage / (cGflops * 1e9)
 		f := stageFill(iters, st == 3)
-		sec := maxF(dataSec, compSec) * f
+		sec := max(dataSec, compSec) * f
 		stages = append(stages, StageCost{
 			Name: fmt.Sprintf("stage%d", st), DataSec: dataSec,
 			LinkSec: linkSec, ComputeSec: compSec, FillFactor: f,
@@ -77,7 +77,7 @@ func (mo *Model) Baseline3D(k, n, m int, lib Library, sockets int) Estimate {
 
 	var stages []StageCost
 	add := func(name string, eff float64, flopsFrac float64) {
-		dataSec := 2 * bytes / (bw * minF(1, eff*bonus))
+		dataSec := 2 * bytes / (bw * min(1, eff*bonus))
 		compSec := totalFlops * flopsFrac / (cGflops * 1e9)
 		// Hardware prefetching overlaps compute with memory within a
 		// stage even without software pipelining, so the stage costs
@@ -85,7 +85,7 @@ func (mo *Model) Baseline3D(k, n, m int, lib Library, sockets int) Estimate {
 		// total absence of overlap.
 		stages = append(stages, StageCost{
 			Name: name, DataSec: dataSec, ComputeSec: compSec,
-			FillFactor: 1, Sec: maxF(dataSec, compSec),
+			FillFactor: 1, Sec: max(dataSec, compSec),
 		})
 	}
 
@@ -113,24 +113,3 @@ func (mo *Model) SocketSpeedup3D(k, n, m, sockets int) float64 {
 }
 
 func log2f(n int) float64 { return math.Log2(float64(n)) }
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -2,11 +2,12 @@
 // submit transform requests of any rank to a bounded queue, each executor
 // takes the same-shape 1D requests queued behind the one it picked up as a
 // batch that shares one plan lookup and one settlement, and every plan
-// comes from a bounded ref-counted LRU cache so
-// plans and their lanes are reused across requests instead of rebuilt per
-// request —
-// the paper's zero-steady-state-allocation executors, amortized across a
-// request stream.
+// comes from a bounded ref-counted LRU cache so plans are reused across
+// requests instead of rebuilt per request — the paper's
+// zero-steady-state-allocation executors, amortized across a request
+// stream. A cached plan is its schedule: the lanes and work arrays its
+// transforms run on are leased per run from the process's one pool
+// (stagegraph's engine), so an idle cached plan holds neither.
 package serve
 
 import (
@@ -44,15 +45,16 @@ func (k PlanKey) shape() core.Shape {
 	return core.Shape{Rank: k.Rank, Dims: [3]int{k.D0, k.D1, k.D2}, Real: k.Real}
 }
 
-// Plan is one cached executor: the core.Plan of its key's domain and dims.
-// A complex rank-1 plan is the one lone requests, coalesced batches,
+// Plan is one cached plan: the core.Plan of its key's domain and dims. A
+// complex rank-1 plan is the one lone requests, coalesced batches,
 // repro.FFT1D and the shared-handle facade all run at every size — a
 // direct Stockham chain with no lanes, run on the calling executor's
 // goroutine — so a request's bits never depend on how it was batched; every
-// other key holds a pipelined plan and its lanes. The rank-1 real plan batches
-// natively (ExecuteRealBatch runs many packed rows in one pipeline sweep),
-// so it serves both the singleton and the coalesced path. An entry point of
-// the other domain returns an error wrapping core.ErrDomain.
+// other key holds a pipelined plan, whose runs lease their lanes. The
+// rank-1 real plan batches natively (ExecuteRealBatch runs many packed rows
+// in one pipeline sweep), so it serves both the singleton and the
+// coalesced path. An entry point of the other domain returns an error
+// wrapping core.ErrDomain.
 type Plan struct {
 	key PlanKey
 	p   *core.Plan
@@ -103,9 +105,10 @@ func (p *Plan) ExecuteRealBatch(spec []complex128, re []float64, count int, inve
 	return p.p.ForwardReal(spec, re, count)
 }
 
-// PlanCache is a bounded ref-counted LRU of executors keyed by PlanKey.
-// Get pins the plan for the duration of a request; eviction tears a plan's
-// lanes down only once the last in-flight user releases it.
+// PlanCache is a bounded ref-counted LRU of plans keyed by PlanKey.
+// Get pins the plan for the duration of a request; eviction closes a plan
+// only once the last in-flight user releases it, and closing the last open
+// plan lets the engine release its idle lanes and arrays.
 type PlanCache struct {
 	c *lru.Cache[PlanKey, *Plan]
 }

@@ -45,8 +45,9 @@ type Options struct {
 	// of them (default 16; 1 disables coalescing).
 	MaxBatch int
 	// Executors is the number of goroutines executing batches (default 2).
-	// Each executor drives a plan's own lanes, so this is the number of
-	// concurrently running transforms, not the compute width.
+	// Each executor runs one transform at a time on the lanes its plan
+	// leases, so this is the number of concurrently running transforms,
+	// not the compute width.
 	Executors int
 	// CacheCapacity bounds the plan cache (default 32 plans).
 	CacheCapacity int
@@ -674,7 +675,7 @@ func (s *Server) spanExec(it *item, start, end time.Time) {
 // Shutdown gracefully drains the server: admission stops immediately
 // (subsequent Do calls return ErrClosed), every already-accepted request
 // runs to completion, executors exit, and the plan cache closes every
-// plan's lanes. Returns nil once fully drained, or ctx.Err() if ctx ends
+// plan. Returns nil once fully drained, or ctx.Err() if ctx ends
 // first (the drain continues in the background). Safe to call repeatedly
 // and concurrently.
 func (s *Server) Shutdown(ctx context.Context) error {
@@ -685,7 +686,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			close(s.queue)   // executors drain what is queued or held, then exit
 			s.admitMu.Unlock()
 			s.workersWG.Wait()
-			s.cache.Purge() // tear down idle plans' lanes
+			s.cache.Purge() // close the idle plans
 			close(s.stopped)
 		}()
 	})

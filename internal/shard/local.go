@@ -95,8 +95,8 @@ func NewLocal(k, n, m, sk, mu int, opts WorkerOptions) (*Local, error) {
 	return l, nil
 }
 
-// Close releases every slab's parked lanes. Idempotent; it waits for a
-// Transform in flight, and later Transforms return an error.
+// Close closes every slab's runner. Idempotent; it waits for a Transform in
+// flight, and later Transforms return an error.
 func (l *Local) Close() {
 	l.lock.Lock()
 	defer l.lock.Unlock()

@@ -23,7 +23,8 @@ type planKey struct {
 // workerPlan is one warm slab plan: the runner holding the shard's two
 // compiled graphs, and every buffer a job needs — input slab, B and C
 // intermediates, output y-slab, and, once allocSend has run, the per-peer
-// compact send buffers the networked W² scatter streams into. Exactly one
+// compact send buffers the networked W² scatter streams into. Only the
+// lanes are leased per run, from the process engine. Exactly one
 // job may own the plan at a time (the busy semaphore); the coordinator
 // serializes same-shape transforms so fleet-wide acquisition cannot
 // deadlock.

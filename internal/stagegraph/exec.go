@@ -11,18 +11,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Config sizes the executor.
-type Config struct {
-	// Lanes is the lane count L; zero means one. Lane 0 runs on the
-	// caller's goroutine, lanes 1…L−1 on goroutines parked between runs.
-	Lanes int
-	// Obs receives the always-on bandwidth accounting: per-(stage, op)
-	// bytes and time into one shard per lane, stage-barrier waits and the
-	// run's wall time. Nil disables recording (shard writes are nil-safe
-	// no-ops).
-	Obs *obs.Collector
-}
-
 // lane is one core's pipeline: its one-block buffer (and staging tile), the
 // kernel scratch its compute ops draw from and the scratch its fold stores
 // fold into. Only the lane touches them.
@@ -45,22 +33,19 @@ type lane struct {
 // SMT sibling — and a runtime that cannot pin two goroutines to one core —
 // allows (DESIGN.md §2).
 //
-// Lanes 1…L−1 are spawned once and park between runs, so a reused plan's
-// steady-state Run spawns no goroutines and allocates nothing; a one-lane
-// executor holds no goroutine at all. Run executes one graph at a time;
-// callers (the plans) serialize on their own lock. Close releases the
-// parked lanes; a plan finalizer backstops callers that drop an executor
-// without closing it. A lane panic surfaces as the Run error and
-// permanently breaks the executor (its stage barrier is poisoned);
-// subsequent Runs fail fast.
+// An executor is a lane team, leased to a plan's run by the engine
+// (engine.go): lanes 1…L−1 park between runs, so a steady-state Run spawns
+// no goroutines and allocates nothing. Close releases them. A lane panic
+// surfaces as the Run error and breaks the team (its stage barrier is
+// poisoned): later Runs fail fast, and the engine closes it.
 type Executor struct {
 	lanes    []*lane
 	stageBar *Barrier // every lane, once per stage; nil with one lane
 	done     sync.WaitGroup
-	obs      *obs.Collector // nil-safe telemetry sink shared with the plan
 
 	// Per-run state, published before the lanes wake and read by them.
 	runStages []Stage
+	runObs    *obs.Collector // nil-safe
 	runTracer *trace.Recorder
 	runStart  time.Time
 
@@ -70,16 +55,14 @@ type Executor struct {
 	closed   bool
 }
 
-// NewExecutor builds the lanes and parks lanes 1…L−1.
-func NewExecutor(cfg Config) (*Executor, error) {
-	n := cfg.Lanes
-	if n == 0 {
-		n = 1
+// NewExecutor builds a team of the given lane count (zero means one) and
+// parks lanes 1…L−1; lane 0 runs on Run's caller's goroutine.
+func NewExecutor(lanes int) (*Executor, error) {
+	if lanes < 0 {
+		return nil, fmt.Errorf("stagegraph: need ≥ 1 lane, got %d", lanes)
 	}
-	if n < 0 {
-		return nil, fmt.Errorf("stagegraph: need ≥ 1 lane, got %d", cfg.Lanes)
-	}
-	e := &Executor{obs: cfg.Obs}
+	n := max(lanes, 1)
+	e := &Executor{}
 	if n > 1 {
 		e.stageBar = NewBarrier(n)
 	}
@@ -111,11 +94,13 @@ func (e *Executor) Close() {
 // Lanes returns the lane count.
 func (e *Executor) Lanes() int { return len(e.lanes) }
 
-// SetObs swaps the collector the next Run records into. Plans whose forward
-// and inverse graphs account into separate collectors (the real-transform
-// plans) call this under their own lock between runs; it must not be called
-// while a Run is in flight. Nil disables recording.
-func (e *Executor) SetObs(c *obs.Collector) { e.obs = c }
+// usable reports whether the team may run again: not closed, and no lane
+// has panicked in it.
+func (e *Executor) usable() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return !e.closed && !e.broken
+}
 
 // park is the body of lane 1…L−1's goroutine: wait to be woken, run the
 // published graph, report done, repeat until Close.
@@ -128,9 +113,9 @@ func (e *Executor) park(ln *lane) {
 
 // fit grows the buffers and scratch of every lane that has a block of the
 // graph to run (a stage of fewer blocks than lanes leaves the last lanes
-// idle) to the graph's largest block and store tile. Plans call it when
-// they build a graph, so a run only grows them for a batch block larger
-// than any before.
+// idle) to the graph's largest block and store tile. Run calls it, so a
+// team's buffers grow to the largest block any run on it has had, and only
+// a larger one allocates.
 func (e *Executor) fit(stages []Stage) {
 	elems, fold, iters, staging := 0, 0, 0, false
 	for i := range stages {
@@ -180,7 +165,7 @@ func (e *Executor) runLane(ln *lane) {
 			}
 		}
 	}()
-	stages, tracer, sh := e.runStages, e.runTracer, e.obs.Shard(ln.id)
+	stages, tracer, sh := e.runStages, e.runTracer, e.runObs.Shard(ln.id)
 	t := time.Now()
 	sh.AddBarrier(t.Sub(e.runStart))
 	for s := range stages {
@@ -249,11 +234,13 @@ func (ln *lane) record(sh *obs.Shard, tr *trace.Recorder, s, iter int, op trace.
 	}
 }
 
-// Run executes the stage graph on the lanes, recording the run into the
-// executor's collector. It blocks until every lane's last store lands.
-// Steady-state Runs (same graph, fitted lanes) perform zero heap
-// allocations and spawn zero goroutines.
-func (e *Executor) Run(stages []Stage, tracer *trace.Recorder) error {
+// Run executes the stage graph on the lanes, recording the run into col —
+// the always-on bandwidth accounting: per-(stage, op) bytes and time into
+// one shard per lane, stage-barrier waits and the run's wall time; nil
+// records nothing — and, when tracing, into tracer. It blocks until every
+// lane's last store lands. Steady-state Runs (same graph, fitted lanes)
+// perform zero heap allocations and spawn zero goroutines.
+func (e *Executor) Run(stages []Stage, col *obs.Collector, tracer *trace.Recorder) error {
 	if len(stages) == 0 {
 		return fmt.Errorf("stagegraph: empty graph")
 	}
@@ -275,7 +262,7 @@ func (e *Executor) Run(stages []Stage, tracer *trace.Recorder) error {
 	}
 	e.fit(stages)
 
-	e.runStages, e.runTracer = stages, tracer
+	e.runStages, e.runObs, e.runTracer = stages, col, tracer
 	e.runStart = time.Now()
 	e.done.Add(len(e.lanes) - 1)
 	for _, ln := range e.lanes[1:] {
@@ -283,10 +270,10 @@ func (e *Executor) Run(stages []Stage, tracer *trace.Recorder) error {
 	}
 	e.runLane(e.lanes[0])
 	e.done.Wait()
-	// Drop the graph reference so a parked executor does not pin the
-	// caller's arrays (or, via the compute closures, the plan itself —
-	// which would defeat the plan finalizer that closes us).
-	e.runStages, e.runTracer = nil, nil
+	// Drop the graph reference so a parked team does not pin the caller's
+	// arrays, or through the compute closures the plan, whose finalizer
+	// closes its runner.
+	e.runStages, e.runObs, e.runTracer = nil, nil, nil
 
 	e.mu.Lock()
 	perr = e.panicErr
@@ -303,9 +290,9 @@ func (e *Executor) Run(stages []Stage, tracer *trace.Recorder) error {
 		}
 	}
 	for _, ln := range e.lanes {
-		e.obs.Shard(ln.id).AddBarrier(end.Sub(ln.end))
+		col.Shard(ln.id).AddBarrier(end.Sub(ln.end))
 	}
-	e.obs.RunDone(blocks, end.Sub(e.runStart))
+	col.RunDone(blocks, end.Sub(e.runStart))
 	return nil
 }
 

@@ -1,8 +1,10 @@
 package stagegraph
 
 import (
+	"strings"
 	"testing"
 
+	"repro/internal/fft1d"
 	"repro/internal/kernels"
 	"repro/internal/obs"
 )
@@ -25,8 +27,8 @@ func scaleStage(dst, src []complex128, iters, units, unitLen int, scale complex1
 func TestExecutorReuseAcrossRuns(t *testing.T) {
 	const iters, units, unitLen = 3, 2, 8
 	n := iters * units * unitLen
-	col := obs.NewCollector(2, []string{"scale"})
-	e, err := NewExecutor(Config{Lanes: 2, Obs: col})
+	col := obs.NewCollector(2, []string{"scale"}, 0)
+	e, err := NewExecutor(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +46,7 @@ func TestExecutorReuseAcrossRuns(t *testing.T) {
 			dst[i] = 0
 		}
 		before := col.Snapshot().Steps
-		if err := e.Run(stages, nil); err != nil {
+		if err := e.Run(stages, col, nil); err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}
 		if steps := col.Snapshot().Steps - before; steps != iters {
@@ -61,7 +63,7 @@ func TestExecutorReuseAcrossRuns(t *testing.T) {
 // One executor runs graphs of any block size: its lanes' buffers grow to a
 // larger graph's blocks, and a smaller one runs through them as they are.
 func TestScheduleShapeChecked(t *testing.T) {
-	e, err := NewExecutor(Config{Lanes: 2})
+	e, err := NewExecutor(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +75,7 @@ func TestScheduleShapeChecked(t *testing.T) {
 		for i := range src {
 			src[i] = complex(float64(i), 1)
 		}
-		if err := e.Run(scaleStage(dst, src, iters, units, unitLen, 3), nil); err != nil {
+		if err := e.Run(scaleStage(dst, src, iters, units, unitLen, 3), nil, nil); err != nil {
 			t.Fatalf("unit length %d: %v", unitLen, err)
 		}
 		for i := range dst {
@@ -87,7 +89,7 @@ func TestScheduleShapeChecked(t *testing.T) {
 func TestExecutorBrokenAfterPanic(t *testing.T) {
 	const iters, units, unitLen = 2, 1, 8
 	n := iters * units * unitLen
-	e, err := NewExecutor(Config{Lanes: 2})
+	e, err := NewExecutor(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,39 +97,61 @@ func TestExecutorBrokenAfterPanic(t *testing.T) {
 	stages := scaleStage(make([]complex128, n), make([]complex128, n), iters, units, unitLen, 2)
 	stages[0].Compute = func(*Buffers, *kernels.Arena, []complex128, int) { panic("kernel exploded") }
 
-	if err := e.Run(stages, nil); err == nil {
+	if err := e.Run(stages, nil, nil); err == nil {
 		t.Fatal("panic in compute not surfaced")
 	}
 	// The stage barrier is poisoned: subsequent runs must fail fast
 	// instead of deadlocking.
-	if err := e.Run(stages, nil); err == nil {
+	if err := e.Run(stages, nil, nil); err == nil {
 		t.Fatal("broken executor accepted another run")
+	}
+
+	// A plan's run on a leased team: the panic breaks the runner, whose
+	// later runs fail fast, and the engine closes the team instead of
+	// pooling it.
+	r, err := NewRunner(RunnerConfig{Pkg: "test", Lanes: 2}, &Graph{stages: stages, dir: &direction{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.Run(0, Call{Sign: fft1d.Forward}); err == nil {
+		t.Fatal("panic in a runner's compute not surfaced")
+	}
+	if err := r.Run(0, Call{Sign: fft1d.Forward}); err == nil || !strings.Contains(err.Error(), "broken") {
+		t.Fatalf("broken runner's next run returned %v", err)
+	}
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	for _, team := range eng.teams {
+		if !team.usable() {
+			t.Fatal("the engine pooled a team a lane panicked in")
+		}
 	}
 }
 
 func TestExecutorCloseIdempotentAndRejectsRuns(t *testing.T) {
 	const iters, units, unitLen = 2, 1, 8
 	n := iters * units * unitLen
-	e, err := NewExecutor(Config{Lanes: 2})
+	e, err := NewExecutor(2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stages := scaleStage(make([]complex128, n), make([]complex128, n), iters, units, unitLen, 2)
-	if err := e.Run(stages, nil); err != nil {
+	if err := e.Run(stages, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Close()
 	e.Close() // idempotent
-	if err := e.Run(stages, nil); err == nil {
+	if err := e.Run(stages, nil, nil); err == nil {
 		t.Fatal("closed executor accepted a run")
 	}
 }
 
 func TestNewExecutorRejectsBadWorkerCounts(t *testing.T) {
-	if _, err := NewExecutor(Config{Lanes: -1}); err == nil {
+	if _, err := NewExecutor(-1); err == nil {
 		t.Fatal("negative lane count accepted")
 	}
-	e, err := NewExecutor(Config{})
+	e, err := NewExecutor(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,8 +164,8 @@ func TestNewExecutorRejectsBadWorkerCounts(t *testing.T) {
 func TestExecutorObservability(t *testing.T) {
 	const iters, units, unitLen, lanes = 4, 2, 8, 2
 	n := iters * units * unitLen
-	col := obs.NewCollector(lanes, []string{"scale"})
-	e, err := NewExecutor(Config{Lanes: lanes, Obs: col})
+	col := obs.NewCollector(lanes, []string{"scale"}, 0)
+	e, err := NewExecutor(lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +180,7 @@ func TestExecutorObservability(t *testing.T) {
 
 	const runs = 3
 	for run := 0; run < runs; run++ {
-		if err := e.Run(stages, nil); err != nil {
+		if err := e.Run(stages, col, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

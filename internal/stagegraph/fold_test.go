@@ -47,7 +47,7 @@ func TestStoreFoldMatchesFullTransform(t *testing.T) {
 				StoreRadix: 4, StoreSign: sg,
 				Rot: rot,
 			}}
-			if err := runOnce(Config{Lanes: 2}, stages, nil); err != nil {
+			if err := runOnce(2, nil, stages, nil); err != nil {
 				t.Fatal(err)
 			}
 			for p := 0; p < iters*units; p++ {
@@ -188,7 +188,7 @@ func TestFoldStoreScaleMatchesFoldThenScale(t *testing.T) {
 						Rot: Rotation{Blocks: blocks, BlockLen: bl, JStride: total * bl,
 							Map: func(g, j int) int { return (j*total + g) * bl }},
 					}
-					if err := runOnce(Config{Lanes: 2}, []Stage{st}, nil); err != nil {
+					if err := runOnce(2, nil, []Stage{st}, nil); err != nil {
 						t.Fatal(err)
 					}
 					return buf
@@ -244,13 +244,13 @@ func TestStoreFoldValidation(t *testing.T) {
 	for _, c := range cases {
 		s := mkStage()
 		c.mut(&s)
-		if err := runOnce(Config{Lanes: 1}, []Stage{s}, nil); err == nil {
+		if err := runOnce(1, nil, []Stage{s}, nil); err == nil {
 			t.Errorf("%s: invalid fold stage accepted", c.name)
 		}
 	}
 	// The base shape itself must be accepted.
 	s := mkStage()
-	if err := runOnce(Config{Lanes: 1}, []Stage{s}, nil); err != nil {
+	if err := runOnce(1, nil, []Stage{s}, nil); err != nil {
 		t.Errorf("valid fold stage rejected: %v", err)
 	}
 }
@@ -303,7 +303,7 @@ func TestStreamingStoresPartialLinesMatchOracle(t *testing.T) {
 				if fold {
 					st.StoreRadix, st.StoreSign = 4, kernels.Forward
 				}
-				if err := runOnce(Config{Lanes: 2}, []Stage{st}, nil); err != nil {
+				if err := runOnce(2, nil, []Stage{st}, nil); err != nil {
 					t.Fatal(err)
 				}
 				if i := cvec.FirstBitDiff(dst, want); i >= 0 {

@@ -35,7 +35,7 @@ func TestStoreLoadOrderingOnSharedHalf(t *testing.T) {
 		Rot: Rotation{Blocks: b, BlockLen: 1, JStride: 1, Map: func(g, j int) int { return g*b + j }},
 	}}
 	for lanes := 1; lanes <= 3; lanes++ {
-		if err := runOnce(Config{Lanes: lanes}, stages, nil); err != nil {
+		if err := runOnce(lanes, nil, stages, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -46,14 +46,14 @@ func TestStoreLoadOrderingOnSharedHalf(t *testing.T) {
 
 // oneStage scales n = iters·b elements by 2 through a one-stage graph and
 // reports whether every element arrived exactly once.
-func oneStage(cfg Config, iters, b int) bool {
+func oneStage(lanes, iters, b int) bool {
 	src := make([]complex128, iters*b)
 	for i := range src {
 		src[i] = complex(float64(i), 1)
 	}
 	dst := make([]complex128, iters*b)
 	stages := chainGraph(src, nil, dst, iters, 1, b, 2)
-	if err := runOnce(cfg, stages, nil); err != nil {
+	if err := runOnce(lanes, nil, stages, nil); err != nil {
 		return false
 	}
 	for i := range dst {
@@ -68,7 +68,7 @@ func oneStage(cfg Config, iters, b int) bool {
 // transforms every element exactly once.
 func TestQuickPipelineCompleteness(t *testing.T) {
 	f := func(rawIters, rawLanes uint8) bool {
-		return oneStage(Config{Lanes: int(rawLanes)%4 + 1}, int(rawIters)%12+1, 48)
+		return oneStage(int(rawLanes)%4+1, int(rawIters)%12+1, 48)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -161,7 +161,7 @@ func TestQuickPartitionBlocksAligned(t *testing.T) {
 		const b = 16
 		src := make([]complex128, iters*b)
 		tr := trace.New()
-		if err := runOnce(Config{Lanes: lanes}, chainGraph(src, nil, make([]complex128, iters*b), iters, 1, b, 2), tr); err != nil {
+		if err := runOnce(lanes, nil, chainGraph(src, nil, make([]complex128, iters*b), iters, 1, b, 2), tr); err != nil {
 			return false
 		}
 		for l, evs := range laneEvents(tr, lanes) {

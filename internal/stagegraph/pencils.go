@@ -93,9 +93,20 @@ type Array struct {
 	// WriteC, when set, receives every store instead of a direct scatter
 	// into C (a partitioned graph's stage-2 exchange; see Endpoint.WriteC).
 	WriteC func(off, stride int, run []complex128)
+	// Work, when ≥ 1, names part Work−1 of the work array a run leases
+	// (Runner.Run), each part the size of the graph's array and holding
+	// whatever the last run left: a stage writes all of its destination.
+	Work int
 }
 
-func (a Array) caller() bool { return a.C == nil && a.WriteC == nil }
+// part returns the patch slot a run binds a to: the caller's destination or
+// a work part; ok is false for an array fixed at build.
+func (a Array) part() (slot int, ok bool) {
+	if a.Work > 0 {
+		return a.Work - 1, true
+	}
+	return callerOut, a.C == nil && a.WriteC == nil
+}
 
 func (a Array) sink() Endpoint {
 	if a.WriteC != nil {
@@ -103,6 +114,16 @@ func (a Array) sink() Endpoint {
 	}
 	return Endpoint{C: a.C}
 }
+
+// patch is one stage endpoint a run binds (Graph.bind): its Src or Dst to
+// the caller's source or destination, or to work part arr ≥ 0.
+type patch struct {
+	stage int
+	dst   bool
+	arr   int
+}
+
+const callerIn, callerOut = -1, -2
 
 // RealEnd makes a graph's outer endpoints pair-packed real rows: Dims then
 // counts complex lanes (the last extent is l = m/2), the real side binds a
@@ -170,10 +191,10 @@ type Graph struct {
 	mu int
 
 	dir *direction
-	// srcIn / dstOut / srcOut list the stages whose Src is the caller's
-	// source, whose Dst is the caller's destination, and whose Src is the
-	// caller's destination (an intermediate parked in it).
-	srcIn, dstOut, srcOut []int
+	// patches are the endpoints bound per run; a work part is partElems
+	// long, at a whole-page offset in the run's work array.
+	patches   []patch
+	partElems int
 	// batch graphs are one stage over the per-call rows, whose blocks the
 	// runner cuts per call (Runner.Run).
 	batch bool
@@ -185,38 +206,55 @@ type Graph struct {
 	scaleInStore bool
 }
 
-// bind points the stages that use the caller's arrays at them (zero
-// Endpoints unbind, so a parked runner does not pin the arrays).
-func (g *Graph) bind(in, out Endpoint) {
-	for _, i := range g.srcIn {
-		g.stages[i].Src = in
-	}
-	for _, i := range g.srcOut {
-		g.stages[i].Src = out
-	}
-	for _, i := range g.dstOut {
-		g.stages[i].Dst = out
+// bind points the patched endpoints at the caller's arrays and the parts of
+// the leased work array; zero Endpoints and a nil work array unbind.
+func (g *Graph) bind(in, out Endpoint, work []complex128) {
+	for _, p := range g.patches {
+		e := out
+		switch {
+		case p.arr == callerIn:
+			e = in
+		case p.arr >= 0 && work != nil:
+			o := p.arr * g.partStride()
+			e = Endpoint{C: work[o : o+g.partElems]}
+		case p.arr >= 0:
+			e = Endpoint{}
+		}
+		if p.dst {
+			g.stages[p.stage].Dst = e
+		} else {
+			g.stages[p.stage].Src = e
+		}
 	}
 }
 
-// Cut divides the graph at stage `at` into two graphs that share the patch
-// points — the shape of a partitioned transform, whose caller separates the
-// halves with its own barrier.
+// partStride spaces the work parts whole 4 KiB pages apart.
+func (g *Graph) partStride() int { return (g.partElems + 255) &^ 255 }
+
+// workLen returns the length of the work array a run leases, 0 for none.
+func (g *Graph) workLen() int {
+	parts := 0
+	for _, p := range g.patches {
+		parts = max(parts, p.arr+1)
+	}
+	return parts * g.partStride()
+}
+
+// Cut divides the graph at stage `at` into two graphs that share the
+// direction — the shape of a partitioned transform, whose caller separates
+// the halves with its own barrier.
 func (g *Graph) Cut(at int) (front, back *Graph) {
 	f, b := *g, *g
 	f.stages, b.stages = g.stages[:at], g.stages[at:]
-	keep := func(idx []int, lo, hi int) []int {
-		var out []int
-		for _, i := range idx {
-			if i >= lo && i < hi {
-				out = append(out, i-lo)
-			}
+	f.patches, b.patches = nil, nil
+	for _, p := range g.patches {
+		if p.stage < at {
+			f.patches = append(f.patches, p)
+		} else {
+			p.stage -= at
+			b.patches = append(b.patches, p)
 		}
-		return out
 	}
-	n := len(g.stages)
-	f.srcIn, f.dstOut, f.srcOut = keep(g.srcIn, 0, at), keep(g.dstOut, 0, at), keep(g.srcOut, 0, at)
-	b.srcIn, b.dstOut, b.srcOut = keep(g.srcIn, at, n), keep(g.dstOut, at, n), keep(g.srcOut, at, n)
 	return &f, &b
 }
 
@@ -303,7 +341,7 @@ func (p Pencils) Build() (*Graph, error) {
 	// elements: a shard's stores fill its own socket's or node's LLC
 	// (Table III).
 	bytes := total / sk * mu * complexBytes
-	g := &Graph{mu: mu, dir: &direction{}}
+	g := &Graph{mu: mu, dir: &direction{}, partElems: total / sk * mu}
 	var chain []pencil
 	for i := 0; i < D; i++ {
 		axis := D - 1 - i
@@ -378,16 +416,15 @@ func (p Pencils) Build() (*Graph, error) {
 	}
 	src := Array{} // the caller's source feeds stage 0
 	bind := func(i int, st *Stage, dst Array) {
-		switch {
-		case i == 0:
-			g.srcIn = append(g.srcIn, i)
-		case src.caller():
-			g.srcOut = append(g.srcOut, i)
-		default:
+		if arr, ok := src.part(); i == 0 {
+			g.patches = append(g.patches, patch{stage: i, arr: callerIn})
+		} else if ok {
+			g.patches = append(g.patches, patch{stage: i, arr: arr})
+		} else {
 			st.Src = Endpoint{C: src.C}
 		}
-		if dst.caller() {
-			g.dstOut = append(g.dstOut, i)
+		if arr, ok := dst.part(); ok {
+			g.patches = append(g.patches, patch{stage: i, dst: true, arr: arr})
 		} else {
 			st.Dst = dst.sink()
 		}

@@ -31,8 +31,8 @@ func TestRealEndpoints(t *testing.T) {
 		Rot: Rotation{Blocks: blocks, BlockLen: mu, JStride: iters * units * mu,
 			Map: func(g, j int) int { return (j*iters*units + g) * mu }},
 	}
-	col := obs.NewCollector(2, []string{"r2r"})
-	if err := runOnce(Config{Lanes: 2, Obs: col}, []Stage{st}, nil); err != nil {
+	col := obs.NewCollector(2, []string{"r2r"}, 0)
+	if err := runOnce(2, col, []Stage{st}, nil); err != nil {
 		t.Fatal(err)
 	}
 	for g := 0; g < iters*units; g++ {
@@ -57,7 +57,8 @@ func TestRealEndpoints(t *testing.T) {
 	}
 }
 
-// TestSetObsSwitchesCollector verifies per-direction accounting swaps.
+// TestSetObsSwitchesCollector verifies per-direction accounting swaps: each
+// run records into the collector it is handed.
 func TestSetObsSwitchesCollector(t *testing.T) {
 	const elems = 32
 	src := make([]complex128, elems)
@@ -69,18 +70,17 @@ func TestSetObsSwitchesCollector(t *testing.T) {
 		Rot:     Rotation{Blocks: 1, BlockLen: elems, Map: func(g, _ int) int { return 0 }},
 	}
 	stages := []Stage{st}
-	colA := obs.NewCollector(1, []string{"id"})
-	colB := obs.NewCollector(1, []string{"id"})
-	e, err := NewExecutor(Config{Obs: colA})
+	colA := obs.NewCollector(1, []string{"id"}, 0)
+	colB := obs.NewCollector(1, []string{"id"}, 0)
+	e, err := NewExecutor(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.Run(stages, nil); err != nil {
+	if err := e.Run(stages, colA, nil); err != nil {
 		t.Fatal(err)
 	}
-	e.SetObs(colB)
-	if err := e.Run(stages, nil); err != nil {
+	if err := e.Run(stages, colB, nil); err != nil {
 		t.Fatal(err)
 	}
 	if a, bn := colA.Snapshot(), colB.Snapshot(); a.Runs != 1 || bn.Runs != 1 ||

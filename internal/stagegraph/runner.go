@@ -25,6 +25,9 @@ type RunnerConfig struct {
 	Lanes int
 	// Tracer records pipeline events unless a Call brings its own.
 	Tracer *trace.Recorder
+	// Roofline is the STREAM peak the collectors normalise stage bandwidth
+	// against, in GB/s; zero leaves it unknown.
+	Roofline float64
 }
 
 // Call is one run's bindings.
@@ -46,25 +49,26 @@ type Call struct {
 }
 
 // Runner is the execution state a plan owns: N built graphs with their
-// telemetry collectors, sharing one executor and its lanes' buffers. Graphs
-// build once here; per call only the caller's endpoints, the direction and
-// the scale are patched in, so a reused plan's transform rebuilds nothing,
-// spawns no goroutines and performs no heap allocations.
+// telemetry collectors. Per call only the caller's endpoints, the leased
+// lane team and work array, the direction and the scale are patched in, so
+// a reused plan's transform rebuilds nothing, spawns no goroutines and
+// performs no heap allocations; between runs it holds no lane and no array.
 //
-// Runs serialise on the runner's lock (the lanes, intermediates and
-// executor are shared scratch; independent runners run fully in parallel).
-// Close is idempotent and safe to call concurrently with a run in flight —
-// it waits for the run; later runs fail. Runners dropped without Close are
-// cleaned up by a finalizer.
+// Runs serialise on the runner's lock; independent runners run in parallel,
+// each on a team of its own. A run a lane panicked in breaks the runner:
+// later runs fail fast. Close is idempotent and safe to call concurrently
+// with a run in flight — it waits for the run; later runs fail. Runners
+// dropped without Close are closed by a finalizer.
 type Runner struct {
 	cfg      RunnerConfig
+	lanes    int
 	prefault bool // false only under Ablation.NoPrefault
 	graphs   []*compiled
-	exec     *Executor
 	build    obs.Build
 
 	lock   sync.Mutex
 	closed bool
+	broken error // the panic that broke the runner
 }
 
 type compiled struct {
@@ -73,14 +77,14 @@ type compiled struct {
 	unreg func()
 }
 
-// NewRunner builds the executor, fits its lanes' buffers to the largest
-// graph and registers the collectors.
+// NewRunner registers the graphs' collectors and counts the runner live in
+// the engine until Close.
 func NewRunner(cfg RunnerConfig, graphs ...*Graph) (*Runner, error) {
-	exec, err := NewExecutor(Config{Lanes: cfg.Lanes})
-	if err != nil {
-		return nil, err
+	if cfg.Lanes < 0 {
+		return nil, fmt.Errorf("stagegraph: need ≥ 1 lane, got %d", cfg.Lanes)
 	}
-	r := &Runner{cfg: cfg, prefault: !current().NoPrefault, exec: exec}
+	lanes := max(cfg.Lanes, 1)
+	r := &Runner{cfg: cfg, lanes: lanes, prefault: !current().NoPrefault}
 	for i, g := range graphs {
 		c := &compiled{Graph: g}
 		if i < len(cfg.Labels) && cfg.Labels[i] != "" {
@@ -88,16 +92,12 @@ func NewRunner(cfg RunnerConfig, graphs ...*Graph) (*Runner, error) {
 			for j := range g.stages {
 				names[j] = g.stages[j].Name
 			}
-			c.obs = obs.NewCollector(exec.Lanes(), names)
+			c.obs = obs.NewCollector(lanes, names, cfg.Roofline)
 			_, c.unreg = obs.Default.Register(cfg.Labels[i], c.obs)
 		}
 		r.graphs = append(r.graphs, c)
-		exec.fit(g.stages)
 	}
-	// Backstop for callers that drop the plan without Close: the lanes
-	// reference the executor, never the runner, so once the plan (and with
-	// it the runner) is unreachable no run can be in flight and the
-	// finalizer may release the parked lanes.
+	eng.open()
 	runtime.SetFinalizer(r, (*Runner).Close)
 	return r, nil
 }
@@ -111,7 +111,7 @@ func (r *Runner) unregister() {
 	}
 }
 
-// Close releases the parked lanes and unregisters the collectors.
+// Close unregisters the collectors and uncounts the runner in the engine.
 func (r *Runner) Close() {
 	r.lock.Lock()
 	defer r.lock.Unlock()
@@ -119,9 +119,9 @@ func (r *Runner) Close() {
 		return
 	}
 	r.closed = true
-	r.exec.Close()
 	runtime.SetFinalizer(r, nil)
 	r.unregister()
+	eng.close()
 }
 
 // Run executes graph g with the call's bindings.
@@ -133,6 +133,9 @@ func (r *Runner) Run(g int, c Call) error {
 	defer r.lock.Unlock()
 	if r.closed {
 		return fmt.Errorf("%s: plan closed", r.cfg.Pkg)
+	}
+	if r.broken != nil {
+		return fmt.Errorf("%s: plan broken by an earlier panic: %v", r.cfg.Pkg, r.broken)
 	}
 	gr := r.graphs[g]
 	stages := gr.stages
@@ -152,13 +155,14 @@ func (r *Runner) Run(g int, c Call) error {
 		// lanes), so the lanes share the batch. The lanes' buffers grow
 		// when a larger block than ever before arrives.
 		st := &stages[0]
-		st.Iters = smallestDivisorAtLeast(c.Count, r.exec.Lanes())
+		st.Iters = smallestDivisorAtLeast(c.Count, r.lanes)
 		st.Units = c.Count / st.Iters
 		if st.StoreUnits != 0 {
 			st.StoreUnits = st.Units
 		}
 	}
-	gr.bind(c.In, c.Out)
+	team, work := eng.team(r.lanes), eng.lease(gr.workLen())
+	gr.bind(c.In, c.Out, work)
 	if r.prefault {
 		gr.prefaultCold()
 	}
@@ -166,14 +170,18 @@ func (r *Runner) Run(g int, c Call) error {
 	if rec == nil {
 		rec = r.cfg.Tracer
 	}
-	r.exec.SetObs(gr.obs)
-	err := r.exec.Run(stages, rec)
-	gr.bind(Endpoint{}, Endpoint{})
+	err := team.Run(stages, gr.obs, rec)
+	gr.bind(Endpoint{}, Endpoint{}, nil)
+	eng.put(work)
+	if !team.usable() {
+		r.broken = err
+	}
+	eng.putTeam(team)
 	return err
 }
 
 // prefaultCold pre-faults every array a streaming stage of the bound graph
-// is about to store into — the plan's middle arrays and the caller's
+// is about to store into — the leased work array's parts and the caller's
 // destination — whose first page is not yet resident. A page fault inside a
 // streaming store leg stalls the stream while the kernel zeroes the page
 // through the cache; one madvise over the whole array ahead of the run
@@ -216,18 +224,11 @@ func (r *Runner) Iters(g int) []int {
 }
 
 // Lanes returns the lane count the runner's graphs run on.
-func (r *Runner) Lanes() int { return r.exec.Lanes() }
+func (r *Runner) Lanes() int { return r.lanes }
 
 // Obs returns graph g's live telemetry collector (nil without a label).
 func (r *Runner) Obs(g int) *obs.Collector {
 	return r.graphs[g].obs
-}
-
-// SetRoofline sets the STREAM-peak normalisation on every collector.
-func (r *Runner) SetRoofline(gbs float64) {
-	for _, c := range r.graphs {
-		c.obs.SetRoofline(gbs)
-	}
 }
 
 // Observability returns the bandwidth-accounting snapshot of every run so

@@ -33,15 +33,15 @@ func chainGraph(srcData []complex128, mids [][]complex128, dst []complex128,
 	return stages
 }
 
-// runOnce runs stages once on a throwaway executor, traced into tr when it
-// is non-nil.
-func runOnce(cfg Config, stages []Stage, tr *trace.Recorder) error {
-	e, err := NewExecutor(cfg)
+// runOnce runs stages once on a throwaway executor of the given lane count,
+// recording into col and, when it is non-nil, traced into tr.
+func runOnce(lanes int, col *obs.Collector, stages []Stage, tr *trace.Recorder) error {
+	e, err := NewExecutor(lanes)
 	if err != nil {
 		return err
 	}
 	defer e.Close()
-	return e.Run(stages, tr)
+	return e.Run(stages, col, tr)
 }
 
 func runChain(t *testing.T, stagesN, iters, lanes int, tr *trace.Recorder) []complex128 {
@@ -62,8 +62,8 @@ func runChain(t *testing.T, stagesN, iters, lanes int, tr *trace.Recorder) []com
 	for i := range stages {
 		names[i] = stages[i].Name
 	}
-	col := obs.NewCollector(lanes, names)
-	if err := runOnce(Config{Lanes: lanes, Obs: col}, stages, tr); err != nil {
+	col := obs.NewCollector(lanes, names, 0)
+	if err := runOnce(lanes, col, stages, tr); err != nil {
 		t.Fatal(err)
 	}
 	st := col.Snapshot()
@@ -127,7 +127,7 @@ func TestOverlapHidesDataMovement(t *testing.T) {
 			Rot:     Rotation{Blocks: 1, BlockLen: 8, Map: func(g, _ int) int { return g * 8 }},
 		}
 		start := time.Now()
-		if err := runOnce(Config{Lanes: lanes}, []Stage{st, st}, nil); err != nil {
+		if err := runOnce(lanes, nil, []Stage{st, st}, nil); err != nil {
 			t.Fatal(err)
 		}
 		return time.Since(start)
@@ -163,19 +163,19 @@ func TestValidationErrors(t *testing.T) {
 	for i, mut := range cases {
 		s := good
 		mut(&s)
-		if err := runOnce(Config{}, []Stage{s}, nil); err == nil {
+		if err := runOnce(0, nil, []Stage{s}, nil); err == nil {
 			t.Fatalf("case %d: invalid stage accepted", i)
 		}
 	}
-	e, err := NewExecutor(Config{})
+	e, err := NewExecutor(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if err := e.Run(nil, nil); err == nil {
+	if err := e.Run(nil, nil, nil); err == nil {
 		t.Fatal("empty graph accepted")
 	}
-	if err := runOnce(Config{Lanes: -1}, []Stage{good}, nil); err == nil {
+	if err := runOnce(-1, nil, []Stage{good}, nil); err == nil {
 		t.Fatal("negative lane count accepted")
 	}
 }
@@ -187,7 +187,7 @@ func TestComputePanicPropagates(t *testing.T) {
 		Compute: func(*Buffers, *kernels.Arena, []complex128, int) { panic("kernel exploded") },
 		Rot:     Rotation{Blocks: 1, BlockLen: 8, Map: func(g, j int) int { return g * 8 }},
 	}
-	err := runOnce(Config{Lanes: 2}, []Stage{s}, nil)
+	err := runOnce(2, nil, []Stage{s}, nil)
 	if err == nil {
 		t.Fatal("panic in compute not surfaced")
 	}
@@ -224,7 +224,7 @@ func TestStagingStore(t *testing.T) {
 			return j*(iters*units) + it*units
 		}},
 	}}
-	if err := runOnce(Config{Lanes: 2}, stages, nil); err != nil {
+	if err := runOnce(2, nil, stages, nil); err != nil {
 		t.Fatal(err)
 	}
 	// dst should be the transpose of the (iters·units)×unitLen matrix.

@@ -50,7 +50,7 @@ func TestNonTemporalStoreEquivalence(t *testing.T) {
 		for i := range stages {
 			stages[i].NonTemporal = nt
 		}
-		if err := runOnce(Config{Lanes: 2}, stages, nil); err != nil {
+		if err := runOnce(2, nil, stages, nil); err != nil {
 			t.Fatal(err)
 		}
 		return dst

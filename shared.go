@@ -6,9 +6,12 @@ import (
 )
 
 // SharedPlans is a bounded, reference-counted pool of FFT plans. Plans —
-// and with them their parked lanes, block buffers and twiddle tables — are expensive to build and cheap to share: two callers asking
-// for the same shape and options get the same underlying executor (all
-// entry points are concurrency-safe). The pool holds at most capacity
+// their compiled stage graphs, sub-plans and twiddle tables — cost a build
+// and are cheap to share: two callers asking for the same shape and options
+// get the same underlying plan (all entry points are concurrency-safe). A
+// plan holds no lane and no work array of its own; every transform leases
+// them from the process's one pool, so a cached idle plan costs only its
+// schedule. The pool holds at most capacity
 // plans; the least recently used plan is evicted when a new shape would
 // overflow, but an evicted plan is only torn down once every outstanding
 // handle has been Closed, so eviction never races in-flight transforms.
