@@ -73,7 +73,8 @@ purego:
 # must keep compiling even though this host never runs them.
 # The wire codec on a 32-bit target: its SWAR number kernels work on
 # uint64 words that are two registers there, and int is 32 bits, so a dim
-# past it must still answer 413.
+# past it must still answer 413. Like purego and the non-amd64 builds, it
+# runs the codec's generic tier only.
 test386:
 	GOARCH=386 $(GO) test ./internal/wire
 
@@ -154,7 +155,9 @@ examplesmoke:
 # Ten seconds of each native fuzzer over the bytes that arrive from outside
 # the process: the JSON /transform decoder differentially against
 # encoding/json, one number token against the grammar and strconv.ParseFloat,
-# a float64 bit pattern through the formatter against strconv.AppendFloat,
+# a float64 bit pattern through the formatter against strconv.AppendFloat and
+# the AVX2 batch formatter against the generic one, arbitrary bytes after the
+# data array's '[' through the AVX2 run scanner against the per-token loop,
 # the binary frame decoder against its acceptance rule (the two decoders
 # also against serve's validation), a scraped peer exposition through the
 # /metrics/fleet merge and back, a /shard/begin body through the JobSpec
@@ -167,6 +170,7 @@ fuzzsmoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzDecodeTransformRequest$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzParseNumber$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzAppendFloat$$' -fuzztime=10s ./internal/wire
+	$(GO) test -run='^$$' -fuzz='^FuzzScanRun$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzBinaryFrame$$' -fuzztime=10s ./internal/wire
 	$(GO) test -run='^$$' -fuzz='^FuzzParseExposition$$' -fuzztime=10s ./internal/obs
 	$(GO) test -run='^$$' -fuzz='^FuzzJobSpec$$' -fuzztime=10s ./internal/shard
@@ -245,7 +249,8 @@ setupprobe:
 # buffer plus the run-major streaming store (buffered+gather), the
 # BenchmarkSinkStage cases; then the
 # cached block store (BenchmarkScatterBlocks), including 512²'s rows and cols
-# store geometries into a 4 MiB destination; then whole 1D transforms
+# store geometries into a 4 MiB destination, each also at its pitch plus one
+# 64-byte line (/padded); then whole 1D transforms
 # (BenchmarkExecute) in ns per element at 4096 beside 3·2¹⁰, 5·2¹⁰, 15·2¹⁰
 # and the prime 4093, whose chains open with generic radix-3/5 or Bluestein
 # stages. Ungated like the other probes; a codelet or store-kernel PR quotes
@@ -259,8 +264,10 @@ kernelprobe:
 # DecodeJSON256 and DecodeJSON256Spaced (a space after each comma) decode
 # http2d's 256² request, EncodeJSON256 encodes its N(0,1) values (mostly
 # 0.ddd) and EncodeJSON256Reply what http2d's replies carry, the 256²
-# forward of uniform [−1, 1) data (mostly ddd.ddd). Ungated like the other
-# probes; a change to internal/wire quotes it in EXPERIMENTS.md.
+# forward of uniform [−1, 1) data (mostly ddd.ddd). Each runs once per codec
+# tier the host has, as the sub-benchmarks avx2 and generic, so one binary
+# gives the tiers' ratio. Ungated like the other probes; a change to
+# internal/wire quotes it in EXPERIMENTS.md.
 wireprobe:
 	GOMAXPROCS=1 $(GO) test ./internal/wire -run '^$$' -bench 'JSON256' -count 5
 

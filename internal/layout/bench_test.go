@@ -87,25 +87,29 @@ func BenchmarkScatterBlocks(b *testing.B) {
 			}
 		})
 	}
-	const side, mu = 512, 4
+	// 512²'s two cached store geometries, each also at a pitch padded by one
+	// 64-byte line: a padded destination row starts on another L1 set.
+	const side, mu, line = 512, 4, 4
 	for _, c := range []struct {
-		name           string
-		blocks, stride int
+		name                  string
+		blocks, stride, pitch int
 	}{
-		{"512x512/rows", 64, 4096},
-		{"512x512/cols", 512, 512},
+		{"512x512/rows", 64, 4096, 4096},
+		{"512x512/rows/padded", 64, 4096, 4096 + line},
+		{"512x512/cols", 512, 512, 512},
+		{"512x512/cols/padded", 512, 512, 512 + line},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			src := cvec.Random(rand.New(rand.NewSource(4)), 1<<14)
-			dst := make([]complex128, side*side)
+			dst := make([]complex128, c.blocks*c.pitch)
 			run := c.blocks * mu
-			b.SetBytes(int64(len(dst) * 32))
+			b.SetBytes(int64(side * side * 32))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s := 0
 				for off := 0; off < c.stride; off += mu {
-					ScatterBlocks(dst, src[s:s+run], c.blocks, mu, off, c.stride)
+					ScatterBlocks(dst, src[s:s+run], c.blocks, mu, off, c.pitch)
 					s = (s + run) % len(src)
 				}
 			}

@@ -42,7 +42,7 @@ func TestExchangeRouterQueuesEveryChunkOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			p.allocSend()
-			p.ex = ex(p)
+			p.slot.ex = ex(p)
 			err = p.run.Run(0, stagegraph.Call{In: stagegraph.Endpoint{C: src}, Sign: fft1d.Forward})
 			p.close()
 			if err != nil {

@@ -46,7 +46,7 @@ type localExchange struct {
 	from         int
 	slab         int // C elements per shard
 	mu           int
-	peers        []*workerPlan
+	parts        [][]complex128 // [shard] its C pillars (cPart)
 	local, cross atomic.Int64
 }
 
@@ -55,7 +55,7 @@ func (x *localExchange) write(off, stride int, run []complex128) {
 	for b := 0; b < len(run); b, off = b+x.mu, off+stride {
 		v := off / x.slab
 		o := off - v*x.slab
-		copy(x.peers[v].cPart[o:o+x.mu], run[b:b+x.mu])
+		copy(x.parts[v][o:o+x.mu], run[b:b+x.mu])
 		if v == x.from {
 			local += int64(x.mu) * 16
 		} else {
@@ -79,6 +79,7 @@ func NewLocal(k, n, m, sk, mu int, opts WorkerOptions) (*Local, error) {
 		return nil, fmt.Errorf("shard: %v", err)
 	}
 	l := &Local{g: g}
+	var parts [][]complex128 // [shard] its C pillars
 	for s := 0; s < sk; s++ {
 		p, err := buildWorkerPlan(planKey{k, n, m, sk, s, mu}, 0, opts.BufferElems)
 		if err != nil {
@@ -86,10 +87,11 @@ func NewLocal(k, n, m, sk, mu int, opts WorkerOptions) (*Local, error) {
 			return nil, err
 		}
 		l.plans = append(l.plans, p)
+		parts = append(parts, p.cPart)
 	}
 	for s, p := range l.plans {
-		x := &localExchange{from: s, slab: g.slabElems(), mu: g.mu, peers: l.plans}
-		p.ex = x
+		x := &localExchange{from: s, slab: g.slabElems(), mu: g.mu, parts: parts}
+		p.slot.ex = x
 		l.xs = append(l.xs, x)
 	}
 	return l, nil

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fft1d"
 	"repro/internal/layout"
@@ -227,4 +228,35 @@ func TestLocalConcurrentTransforms(t *testing.T) {
 	}()
 	p.Close()
 	wg.Wait()
+}
+
+// A Local dropped without Close is collected like a dropped core.Plan: its
+// slab plans' runners are finalized, so the engine's live count falls back
+// and the engine can release its idle lanes.
+func TestDroppedLocalIsCollected(t *testing.T) {
+	for range 3 {
+		runtime.GC() // finalize what earlier tests dropped
+	}
+	before := stagegraph.LiveRunners()
+	func() {
+		l, err := NewLocal(8, 8, 16, 2, 0, WorkerOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src := randCube(8*8*16, 1)
+		if err := l.Transform(make([]complex128, len(src)), src, fft1d.Forward); err != nil {
+			t.Fatal(err)
+		}
+		if live := stagegraph.LiveRunners(); live != before+2 {
+			t.Fatalf("%d runners live with a two-slab Local, %d before it", live, before)
+		}
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for stagegraph.LiveRunners() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("a dropped Local's runners were never finalized: %d live, %d before it", stagegraph.LiveRunners(), before)
+		}
+		runtime.GC()
+		time.Sleep(5 * time.Millisecond)
+	}
 }

@@ -45,10 +45,10 @@ type workerPlan struct {
 
 	chunkElems int // exchange chunk size, rounded to a multiple of μ
 
-	// ex is where the W² scatter's blocks go: a job's exchangeRouter over
+	// slot is where the W² scatter's blocks go: a job's exchangeRouter over
 	// HTTP, set before each run (the executor's lane wake-up orders it
 	// before any lane's store), or a Local's in-process exchange.
-	ex exchange
+	slot *exchangeSlot
 
 	busy chan struct{} // cap 1: exclusive job ownership
 }
@@ -72,6 +72,7 @@ func buildWorkerPlan(key planKey, chunkElems, bufferElems int) (*workerPlan, err
 		cPart:      make([]complex128, g.slabElems()),
 		out:        make([]complex128, g.slabElems()),
 		chunkElems: chunkElems,
+		slot:       &exchangeSlot{},
 		busy:       make(chan struct{}, 1),
 	}
 	// The same per-pencil kernel calls, μ and radix chain as the
@@ -85,7 +86,7 @@ func buildWorkerPlan(key planKey, chunkElems, bufferElems int) (*workerPlan, err
 			stagegraph.Plan1D(key.n), stagegraph.Plan1D(key.m)},
 		Mu: key.mu, BufferElems: max(bufferElems, 0), Lanes: lanes,
 		Shards: key.sk, Index: key.index,
-		Mid: []stagegraph.Array{{C: p.bMid}, {C: p.cPart, WriteC: p.writeExchange}},
+		Mid: []stagegraph.Array{{C: p.bMid}, {C: p.cPart, WriteC: p.slot.write}},
 	}.Build()
 	if err != nil {
 		return nil, err
@@ -124,10 +125,15 @@ func (p *workerPlan) acquire(ctx context.Context) error {
 
 func (p *workerPlan) releaseBusy() { <-p.busy }
 
-// writeExchange is the stage-2 Dst hook: the W² scatter hands every store
-// unit's run of μ-blocks here with its global C offset and stride, and the
-// plan's exchange delivers each block to the shard that owns it.
-func (p *workerPlan) writeExchange(off, stride int, run []complex128) { p.ex.write(off, stride, run) }
+// exchangeSlot holds a plan's exchange for its stage-2 hook. The W²
+// scatter hands every store unit's run of μ-blocks to write with its global
+// C offset and stride, and the exchange in the slot delivers each block to
+// the shard that owns it. The hook holds the slot, not the plan: a hook
+// that held the plan would make the plan's runner reachable from its own
+// stages, and a runner in such a cycle is never finalized.
+type exchangeSlot struct{ ex exchange }
+
+func (s *exchangeSlot) write(off, stride int, run []complex128) { s.ex.write(off, stride, run) }
 
 // exchange is the W² scatter's one seam. write takes a run of μ-blocks,
 // block i at offset off + i·stride in the global C array, the shards' C

@@ -518,7 +518,7 @@ func (w *Worker) runJob(ctx context.Context, j *job, sign int) (runStats, error)
 	}
 
 	router := newExchangeRouter(p, j.recvEx)
-	p.ex = router
+	p.slot.ex = router
 	router.startSenders(rctx, cancel, w.opts.Senders, w.tr, j.spec, w)
 
 	t0 := time.Now()
@@ -526,6 +526,7 @@ func (w *Worker) runJob(ctx context.Context, j *job, sign int) (runStats, error)
 	stats.FrontNS = int64(time.Since(t0))
 	w.span(j.spec, "shard/front", t0, time.Now())
 	copyTagged()
+	p.slot.ex = nil // the router holds the plan: no cycle outlives the run
 	sendErr := router.finish()
 	if runErr != nil {
 		return stats, errf(KindProtocol, "run", "", "front graph: %v", runErr)

@@ -26,6 +26,14 @@ type engine struct {
 	arrays [][]complex128 // idle work arrays, each at its full capacity
 }
 
+// LiveRunners reports how many runners are open: built, and neither
+// closed nor finalized.
+func LiveRunners() int {
+	eng.mu.Lock()
+	defer eng.mu.Unlock()
+	return eng.live
+}
+
 func (e *engine) open() {
 	e.mu.Lock()
 	e.live++

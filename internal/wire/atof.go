@@ -114,30 +114,34 @@ func scanNumber(b []byte, t *numberToken) error {
 
 	// The value is ±man × 10^exp10 when sig, the digits from the first
 	// non-zero one on, is at most 19; with more, man has wrapped. Two
-	// cheap methods decide the float64 strconv.ParseFloat rounds it to:
-	// Clinger's (a mantissa below 2^53 times or over an exact power of ten
-	// is one correctly rounded operation) and Eisel–Lemire's. Left to
-	// strconv are more than 19 significant digits, an exponent outside
-	// pow10Tab, a result outside the normal range and Eisel–Lemire's
-	// undecided cases.
+	// cheap methods decide the float64 strconv.ParseFloat rounds it to
+	// (convert). Left to strconv are more than 19 significant digits, an
+	// exponent outside pow10Tab, a result outside the normal range and
+	// Eisel–Lemire's undecided cases.
 	t.fast = sig <= 19 && pow10Min <= exp10 && exp10 <= float64MaxExp10
 	if !t.fast {
 		return nil
 	}
-	if man < 1<<53 && -22 <= exp10 && exp10 <= 22 {
-		t.f = float64(man)
-		if exp10 < 0 {
-			t.f /= float64Pow10[-exp10]
-		} else {
-			t.f *= float64Pow10[exp10]
-		}
-	} else {
-		t.f, t.fast = eiselLemire(man, exp10)
-	}
+	t.f, t.fast = convert(man, exp10)
 	if neg {
 		t.f = -t.f
 	}
 	return nil
+}
+
+// convert returns man × 10^exp10 rounded to the nearest float64, or false
+// where neither cheap method decides it: Clinger's (a mantissa below 2^53
+// times or over an exact power of ten is one correctly rounded operation)
+// or Eisel–Lemire's. exp10 is within pow10Tab.
+func convert(man uint64, exp10 int) (float64, bool) {
+	if man < 1<<53 && -22 <= exp10 && exp10 <= 22 {
+		f := float64(man)
+		if exp10 < 0 {
+			return f / float64Pow10[-exp10], true
+		}
+		return f * float64Pow10[exp10], true
+	}
+	return eiselLemire(man, exp10)
 }
 
 // refuse is the error for a token of the window b that breaks off at byte

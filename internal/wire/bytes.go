@@ -6,6 +6,7 @@
 //     for the fixed request schema that parses every number straight into
 //     the operand slice the serving layer will own, and an encoder that
 //     streams the result in fixed chunks, byte-identical to encoding/json.
+//     Its number codec has a generic tier and an AVX2 tier (simd.go).
 //   - Binary (Content-Type: application/octet-stream): the shape rides the
 //     query string and the body is the operand's raw little-endian float64
 //     words under the same CRC32-C header the shard chunks carry.

@@ -163,7 +163,70 @@ func FuzzAppendFloat(f *testing.F) {
 			return // EncodeJSON's caller has refused it
 		}
 		checkFloat(t, v, nil, true)
+		// The batch encoder against appendJSONFloat, with v among neighbours
+		// of other layouts and the zero and exponent forms it hands back.
+		batch := []float64{v, -v, v * 1e3, v / 7, 0, v * 1e-9, math.Nextafter(v, 0), v * 1e19}
+		if CheckFinite(batch) == nil {
+			checkBatch(t, batch)
+		}
 	})
+}
+
+// checkBatch holds appendValues on this host's tier to appendJSONFloat and
+// a comma per value, byte for byte.
+func checkBatch(t *testing.T, vals []float64) {
+	t.Helper()
+	var want []byte
+	for _, v := range vals {
+		want = append(appendJSONFloat(want, v), ',')
+	}
+	if got := appendValues([]byte("x"), vals); string(got[1:]) != string(want) {
+		t.Fatalf("%v: batch encoder (%s) wrote %s, appendJSONFloat %s", vals, codecTier(), got[1:], want)
+	}
+}
+
+// FuzzScanRun decodes arbitrary bytes after the data array's '[' through
+// the run scanner and the per-token loop, and again through the loop
+// alone: the values, the byte the decode stops at and the verdict's text
+// must agree. The array is declared as long as its commas allow, or one
+// shorter; the 40 spaces before it let a run start at the first token.
+func FuzzScanRun(f *testing.F) {
+	for _, seed := range []string{
+		"1,2,3,4,5,6,7,8,9,10,11,12,13,14,15,16,17,18,19,20,21,22,23,24,25,26,27,28,29,30]",
+		"-0.12345678901234567,148.04599043215437,-9.5e-7,0.5,-2,0.000001,1e-7,1e21,9007199254740993,0,-0]",
+	} {
+		f.Add([]byte(seed), uint8(0))
+		f.Add([]byte(seed), uint8(1))
+	}
+	f.Fuzz(func(t *testing.T, tail []byte, short uint8) {
+		if len(tail) > 1<<14 {
+			return
+		}
+		n := bytes.Count(tail, []byte(",")) + 1 - int(short&1)
+		body := append([]byte(strings.Repeat(" ", 40)+"["), tail...)
+		vals, got, at, err := decodeData(body, n, false)
+		refVals, refGot, refAt, refErr := decodeData(body, n, true)
+		if fmt.Sprint(err) != fmt.Sprint(refErr) || at != refAt || got != refGot {
+			t.Fatalf("%s tier: %d values, stopped at byte %d, %v; generic: %d values, at %d, %v",
+				codecTier(), got, at, err, refGot, refAt, refErr)
+		}
+		if err == nil && !sameBits(vals[:got], refVals[:got]) {
+			t.Fatalf("%s tier: values %v, generic %v", codecTier(), vals[:got], refVals[:got])
+		}
+	})
+}
+
+// decodeData runs the data loop over body, whose first non-space byte is
+// the array's '[', into n values on the generic tier or this host's, and
+// returns the values, how many it held, the body offset it stopped at and
+// its error.
+func decodeData(body []byte, n int, generic bool) ([]float64, int, int64, error) {
+	setForceGeneric(generic)
+	defer setForceGeneric(false)
+	d := &jsonDecoder{r: bytes.NewReader(body), buf: make([]byte, codecChunk), limit: math.MaxInt64}
+	dst := make([]float64, n)
+	got, err := d.data(dst)
+	return dst, got, d.off + int64(d.pos), err
 }
 
 // FuzzBinaryFrame drives the binary framing's decoder with arbitrary

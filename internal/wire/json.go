@@ -69,6 +69,7 @@ type jsonDecoder struct {
 	off      int64 // body offset of buf[0]
 	limit    int64 // body bytes this request may occupy
 	eof      bool
+	meta     [runBatch]uint32 // the run scanner's per-token output (run)
 }
 
 // checkBudget fails once the bytes consumed exceed the request's budget.
@@ -364,7 +365,10 @@ func (d *jsonDecoder) dims(into *[3]int) (int, error) {
 // bytes) is scanned in place and a ',' or ']' right after it consumed
 // directly; next and closed run only for whitespace, a short window or any
 // other separator, so every refusal comes out of the same code at the same
-// offset whichever way the body was cut into reads.
+// offset whichever way the body was cut into reads. On the AVX2 tier an
+// in-place token first goes to the run scanner (run), which takes what it
+// can of the plain tokens from there; the token it stops at is this
+// loop's. A token after whitespace never reaches it.
 func (d *jsonDecoder) data(dst []float64) (int, error) {
 	if done, err := d.open(); err != nil || done {
 		return 0, err
@@ -374,6 +378,11 @@ func (d *jsonDecoder) data(dst []float64) (int, error) {
 		if d.end-d.pos < MaxNumberLen+2 || d.buf[d.pos] <= ' ' {
 			if _, err := d.next(); err != nil {
 				return 0, err
+			}
+		} else if useSIMD && n < len(dst) && d.pos >= runBehind && d.end-d.pos >= runAhead {
+			if k := d.run(dst[n:]); k > 0 {
+				n += k - 1
+				continue
 			}
 		}
 		b := d.buf[d.pos:d.end]
@@ -422,12 +431,12 @@ func EncodeJSON(w io.Writer, vals []float64) (int64, error) {
 	buf := make([]byte, 0, codecChunk)
 	buf = append(buf, `{"data":[`...)
 	var written int64
-	for i, v := range vals {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = appendJSONFloat(buf, v)
-		if len(buf) > codecChunk-MaxNumberLen {
+	for len(vals) > 0 {
+		k := min(len(vals), encodeBatch)
+		buf = appendValues(buf, vals[:k])
+		vals = vals[k:]
+		// The last batch stays in buf: its trailing comma becomes the ']'.
+		if len(vals) > 0 && len(buf) > codecChunk-encodeBatch*valueRoom {
 			n, err := w.Write(buf)
 			written += int64(n)
 			if err != nil {
@@ -435,6 +444,9 @@ func EncodeJSON(w io.Writer, vals []float64) (int64, error) {
 			}
 			buf = buf[:0]
 		}
+	}
+	if buf[len(buf)-1] == ',' {
+		buf = buf[:len(buf)-1]
 	}
 	buf = append(buf, "]}\n"...)
 	n, err := w.Write(buf)

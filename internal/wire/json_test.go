@@ -355,16 +355,31 @@ func BenchmarkDecodeJSON256Spaced(b *testing.B) {
 }
 
 func benchmarkDecode(b *testing.B, body []byte, values int) {
-	rd := bytes.NewReader(body)
-	b.SetBytes(int64(len(body)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		rd.Reset(body)
-		if _, err := DecodeJSON(rd, int64(len(body))); err != nil {
-			b.Fatal(err)
+	eachTier(b, func(b *testing.B) {
+		rd := bytes.NewReader(body)
+		b.SetBytes(int64(len(body)))
+		for i := 0; i < b.N; i++ {
+			rd.Reset(body)
+			if _, err := DecodeJSON(rd, int64(len(body))); err != nil {
+				b.Fatal(err)
+			}
 		}
+		reportPerValue(b, values)
+	})
+}
+
+// eachTier runs bench once per codec tier this host has, as the sub-benchmarks
+// avx2 and generic, so one test binary times both.
+func eachTier(b *testing.B, bench func(*testing.B)) {
+	tiers := []bool{false}
+	if hostSIMD {
+		tiers = []bool{false, true}
 	}
-	reportPerValue(b, values)
+	for _, generic := range tiers {
+		setForceGeneric(generic)
+		b.Run(codecTier(), bench)
+	}
+	setForceGeneric(false)
 }
 
 // reportPerValue adds ns/value, the codec's cost per float64, to ns/op.
@@ -407,14 +422,16 @@ func BenchmarkEncodeJSON256Reply(b *testing.B) {
 }
 
 func benchmarkEncode(b *testing.B, data []float64) {
-	b.SetBytes(int64(len(refEncode(b, data))))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := EncodeJSON(io.Discard, data); err != nil {
-			b.Fatal(err)
+	size := int64(len(refEncode(b, data)))
+	eachTier(b, func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			if _, err := EncodeJSON(io.Discard, data); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
-	reportPerValue(b, len(data))
+		reportPerValue(b, len(data))
+	})
 }
 
 func ExampleEncodeJSON() {
